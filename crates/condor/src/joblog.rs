@@ -4,13 +4,14 @@
 //! abort) to a per-workflow "user log"; Pegasus's monitord tails that
 //! file to populate its statistics database. This module provides the
 //! equivalent: a [`JobLogMonitor`] that records events while the
-//! engine runs (via the [`WorkflowMonitor`] hook), a writer for the
-//! classic text format, and a parser that reconstructs per-job timing
-//! — closing the provenance loop the same way the real stack does.
+//! engine runs (it is an [`EventSink`]), a writer for the classic text
+//! format, and a parser that reconstructs per-job timing — closing the
+//! provenance loop the same way the real stack does.
 
-use pegasus_wms::engine::{CompletionEvent, FaultReason, JobOutcome, WorkflowMonitor};
-use pegasus_wms::events::{EventSink, MonitorSink, WorkflowEvent};
+use pegasus_wms::engine::FaultReason;
+use pegasus_wms::events::{EventSink, WorkflowEvent};
 use pegasus_wms::planner::ExecutableJob;
+use pegasus_wms::workflow::JobId;
 use std::fmt;
 
 /// Condor user-log event codes (the subset the WMS stack uses).
@@ -121,6 +122,8 @@ impl LogEvent {
 pub struct JobLogMonitor {
     /// Events in arrival order.
     pub events: Vec<LogEvent>,
+    /// Job names by id, from the current run's `JobDeclared` manifest.
+    names: Vec<String>,
 }
 
 impl JobLogMonitor {
@@ -130,17 +133,28 @@ impl JobLogMonitor {
     }
 
     /// Rebuilds the user log offline from a provenance event stream —
-    /// the same sequence the live [`WorkflowMonitor`] hooks would have
-    /// produced, derived entirely from `events`.
-    pub fn from_events(jobs: &[ExecutableJob], events: &[WorkflowEvent]) -> JobLogMonitor {
+    /// the same sequence a live run would have logged, derived
+    /// entirely from `events`: job names come from the stream's own
+    /// manifest, so `_jobs` is not consulted. Attempts of a job the
+    /// stream never declared are left out.
+    pub fn from_events(_jobs: &[ExecutableJob], events: &[WorkflowEvent]) -> JobLogMonitor {
         let mut log = JobLogMonitor::new();
-        {
-            let mut sink = MonitorSink::new(jobs, &mut log);
-            for ev in events {
-                sink.event(ev);
-            }
+        for ev in events {
+            log.event(ev);
         }
         log
+    }
+
+    fn push(&mut self, code: EventCode, job: JobId, attempt: u32, time: f64, note: String) {
+        if let Some(name) = self.names.get(job.idx()) {
+            self.events.push(LogEvent {
+                code,
+                job: name.clone(),
+                attempt,
+                time,
+                note,
+            });
+        }
     }
 
     /// Renders the whole log.
@@ -186,56 +200,33 @@ impl JobLogMonitor {
     }
 }
 
-impl WorkflowMonitor for JobLogMonitor {
-    fn job_submitted(&mut self, job: &ExecutableJob, attempt: u32, now: f64) {
-        self.events.push(LogEvent {
-            code: EventCode::Submit,
-            job: job.name.clone(),
-            attempt,
-            time: now,
-            note: "Job submitted from host submit.local".into(),
-        });
-    }
-
-    fn job_terminated(&mut self, job: &ExecutableJob, event: &CompletionEvent) {
-        self.events.push(LogEvent {
-            code: EventCode::Execute,
-            job: job.name.clone(),
-            attempt: event.attempt,
-            time: event.times.started,
-            note: "Job executing on host worker".into(),
-        });
-        match &event.outcome {
-            JobOutcome::Success => self.events.push(LogEvent {
-                code: EventCode::Terminated,
-                job: job.name.clone(),
-                attempt: event.attempt,
-                time: event.times.finished,
-                note: "Job terminated. (return value 0)".into(),
-            }),
-            JobOutcome::Failure(reason) => {
+impl EventSink for JobLogMonitor {
+    fn event(&mut self, ev: &WorkflowEvent) {
+        if let WorkflowEvent::WorkflowStarted { .. } = ev {
+            // A further run on the same sink brings its own manifest.
+            self.names.clear();
+        } else if let WorkflowEvent::JobDeclared { name, .. } = ev {
+            self.names.push(name.clone());
+        } else if let WorkflowEvent::Submitted { job, attempt, time } = ev {
+            let note = "Job submitted from host submit.local".into();
+            self.push(EventCode::Submit, *job, *attempt, *time, note);
+        } else if let Some(end) = ev.termination() {
+            let (code, note) = match end.failure {
+                None => (
+                    EventCode::Terminated,
+                    "Job terminated. (return value 0)".into(),
+                ),
                 // Machine-initiated kills get the real Condor evicted
                 // code; everything else stays an abort.
-                let evicted = matches!(
-                    FaultReason::classify(reason),
-                    FaultReason::Preemption | FaultReason::Eviction
-                );
-                self.events.push(LogEvent {
-                    code: if evicted {
-                        EventCode::Evicted
-                    } else {
-                        EventCode::Aborted
-                    },
-                    job: job.name.clone(),
-                    attempt: event.attempt,
-                    time: event.times.finished,
-                    note: if evicted {
-                        format!("Job was evicted: {reason}")
-                    } else {
-                        format!("Job was aborted: {reason}")
-                    },
-                });
-            }
+                Some((FaultReason::Preemption | FaultReason::Eviction, detail)) => {
+                    (EventCode::Evicted, format!("Job was evicted: {detail}"))
+                }
+                Some((_, detail)) => (EventCode::Aborted, format!("Job was aborted: {detail}")),
+            };
+            let executing = "Job executing on host worker".into();
+            let (job, attempt, times) = (end.job, end.attempt, end.times);
+            self.push(EventCode::Execute, job, attempt, times.started, executing);
+            self.push(code, job, attempt, times.finished, note);
         }
     }
 }
@@ -243,46 +234,31 @@ impl WorkflowMonitor for JobLogMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pegasus_wms::engine::JobTimes;
     use pegasus_wms::planner::JobKind;
-    use pegasus_wms::workflow::JobId;
 
-    fn job(name: &str) -> ExecutableJob {
-        ExecutableJob {
-            id: JobId::new(0),
-            name: name.into(),
-            transformation: "t".into(),
-            kind: JobKind::Compute,
-            args: vec![],
-            runtime_hint: 1.0,
-            install_hint: 0.0,
-            source_jobs: vec![],
-        }
+    /// The log of job 0, declared as `name`, after the event-log lines
+    /// of `text`.
+    fn log_of(name: &str, text: &str) -> JobLogMonitor {
+        let manifest = format!("job id=0 kind=compute transformation=t name={name}\n");
+        let stream = pegasus_wms::events::log::parse(&(manifest + text)).expect("test logs parse");
+        JobLogMonitor::from_events(&[], &stream)
     }
 
-    fn completion(attempt: u32, started: f64, finished: f64, ok: bool) -> CompletionEvent {
-        CompletionEvent {
-            job: JobId::new(0),
-            attempt,
-            outcome: if ok {
-                JobOutcome::Success
-            } else {
-                JobOutcome::Failure("preempted".into())
-            },
-            times: JobTimes {
-                submitted: started - 1.0,
-                started,
-                install_done: started,
-                finished,
-            },
-        }
+    /// The terminal line of an attempt of job 0 that began executing
+    /// at `started`: `head` is `completed`, `failed reason=<r>` or
+    /// `timed-out`, `detail` the wire reason of a failure.
+    fn ran(head: &str, attempt: u32, started: f64, finished: f64, detail: &str) -> String {
+        format!(
+            "{head} job=0 attempt={attempt} submitted={} started={started} \
+             install-done={started} finished={finished} detail={detail}\n",
+            started - 1.0
+        )
     }
 
     #[test]
     fn monitor_records_the_event_sequence() {
-        let mut log = JobLogMonitor::new();
-        log.job_submitted(&job("split"), 0, 5.0);
-        log.job_terminated(&job("split"), &completion(0, 6.0, 16.0, true));
+        let submit = "submitted time=5 job=0 attempt=0\n".to_string();
+        let log = log_of("split", &(submit + &ran("completed", 0, 6.0, 16.0, "")));
         let codes: Vec<EventCode> = log.events.iter().map(|e| e.code).collect();
         assert_eq!(
             codes,
@@ -292,28 +268,26 @@ mod tests {
 
     #[test]
     fn preemptions_become_evicted_events() {
-        let mut log = JobLogMonitor::new();
-        log.job_terminated(&job("cap3"), &completion(1, 0.0, 3.0, false));
+        let text = ran("failed reason=preempted", 1, 0.0, 3.0, "preempted");
+        let log = log_of("cap3", &text);
         assert_eq!(log.events[1].code, EventCode::Evicted);
         assert!(log.events[1].note.contains("preempted"));
     }
 
     #[test]
     fn non_machine_failures_stay_aborts() {
-        let mut log = JobLogMonitor::new();
-        let mut ev = completion(0, 0.0, 3.0, false);
-        ev.outcome = JobOutcome::Failure("task panicked".into());
-        log.job_terminated(&job("cap3"), &ev);
+        let text = ran("failed reason=error", 0, 0.0, 3.0, "task panicked")
+            + &ran("timed-out", 1, 3.0, 9.0, "timeout: exceeded 6s");
+        let log = log_of("cap3", &text);
         assert_eq!(log.events[1].code, EventCode::Aborted);
         assert!(log.events[1].note.contains("task panicked"));
+        assert_eq!(log.events[3].code, EventCode::Aborted);
     }
 
     #[test]
     fn evicted_events_round_trip_and_pair_intervals() {
-        let mut log = JobLogMonitor::new();
-        let mut ev = completion(0, 1.0, 4.0, false);
-        ev.outcome = JobOutcome::Failure("evicted:blackout".into());
-        log.job_terminated(&job("b"), &ev);
+        let text = ran("failed reason=evicted", 0, 1.0, 4.0, "evicted:blackout");
+        let log = log_of("b", &text);
         let text = log.to_text();
         assert!(text.contains("004 (b.000)"));
         let parsed = JobLogMonitor::parse(&text).unwrap();
@@ -326,9 +300,11 @@ mod tests {
 
     #[test]
     fn text_round_trip() {
-        let mut log = JobLogMonitor::new();
-        log.job_submitted(&job("run_cap3_3"), 2, 1.5);
-        log.job_terminated(&job("run_cap3_3"), &completion(2, 2.0, 12.25, true));
+        let submit = "submitted time=1.5 job=0 attempt=2\n".to_string();
+        let log = log_of(
+            "run_cap3_3",
+            &(submit + &ran("completed", 2, 2.0, 12.25, "")),
+        );
         let text = log.to_text();
         assert!(text.contains("000 (run_cap3_3.002) 1.500"));
         assert!(text.contains("005 (run_cap3_3.002) 12.250"));
@@ -359,12 +335,11 @@ mod tests {
 
     #[test]
     fn execution_intervals_pair_up() {
-        let mut log = JobLogMonitor::new();
-        log.job_submitted(&job("a"), 0, 0.0);
-        log.job_terminated(&job("a"), &completion(0, 1.0, 5.0, false));
-        log.job_submitted(&job("a"), 1, 5.0);
-        log.job_terminated(&job("a"), &completion(1, 6.0, 11.0, true));
-        let iv = log.execution_intervals();
+        let text = "submitted time=0 job=0 attempt=0\n".to_string()
+            + &ran("failed reason=preempted", 0, 1.0, 5.0, "preempted")
+            + "submitted time=5 job=0 attempt=1\n"
+            + &ran("completed", 1, 6.0, 11.0, "");
+        let iv = log_of("a", &text).execution_intervals();
         assert_eq!(iv.len(), 2);
         assert_eq!(iv[0], ("a".to_string(), 0, 1.0, 5.0));
         assert_eq!(iv[1], ("a".to_string(), 1, 6.0, 11.0));
@@ -433,5 +408,19 @@ mod tests {
         let offline = JobLogMonitor::from_events(&wf.jobs, &run.events);
         assert_eq!(offline.events, log.events);
         assert_eq!(offline.to_text(), log.to_text());
+
+        // Hostile input must not panic: a job list shorter than the
+        // stream's manifest changes nothing, and an attempt of a job
+        // the stream never declared is left out of the log.
+        let short = JobLogMonitor::from_events(&wf.jobs[..1], &run.events);
+        assert_eq!(short.events, log.events);
+        let mut hostile = run.events.clone();
+        hostile.push(WorkflowEvent::Submitted {
+            job: JobId::new(99),
+            attempt: 0,
+            time: 0.0,
+        });
+        hostile.retain(|ev| !matches!(ev, WorkflowEvent::WorkflowStarted { .. }));
+        assert_eq!(JobLogMonitor::from_events(&[], &hostile).events, log.events);
     }
 }

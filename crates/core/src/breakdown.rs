@@ -5,19 +5,20 @@
 //! `n` on Sandhills and faster on OSG, and OSG's pure kickstart beats
 //! Sandhills even though its per-task total is worse — install
 //! overhead, queue-wait variance, and retry badput eat the
-//! difference. This module computes that breakdown as a pure consumer
-//! of the provenance stream: [`job_spans`] folds any
-//! [`WorkflowEvent`] sequence (a live run's `events` field, one
-//! ensemble member, or a parsed `--events` log) into per-job
-//! [`JobSpan`]s
+//! difference. This module computes that breakdown from the
+//! [`JobRecord`]s the provenance stream folds into: [`job_spans`]
+//! turns them into per-job [`JobSpan`]s
 //!
 //! > `queue-wait → install → kickstart → post-overhead → retry-badput`
 //!
 //! and [`BreakdownRow`] aggregates the compute jobs of one run into a
-//! per-site/per-n table row. Because both the live and offline paths
-//! read the same stream, `pegasus breakdown --from-events` reproduces
-//! the live sweep byte-for-byte under the same seed.
+//! per-site/per-n table row. A live run already holds its records
+//! ([`of_run`]); a parsed `--events` log is folded into the same
+//! records first ([`from_events`]), so `pegasus breakdown
+//! --from-events` reproduces the live sweep byte-for-byte under the
+//! same seed.
 
+use crate::engine::{JobRecord, WorkflowRun};
 use crate::error::WmsError;
 use crate::events::{self, WorkflowEvent};
 use crate::metrics::n_label;
@@ -67,71 +68,48 @@ impl JobSpan {
     }
 }
 
-/// Folds an event stream into one [`JobSpan`] per declared job.
+/// One [`JobSpan`] per job record.
 ///
 /// Jobs that never completed keep zero success-phase durations but
 /// still accumulate `retry_badput` from their failed attempts.
-///
-/// # Errors
-/// Returns [`WmsError::EventLogParse`] when the stream is not a valid
-/// engine emission (no header, undeclared jobs).
-pub fn job_spans(stream: &[WorkflowEvent]) -> Result<Vec<JobSpan>, WmsError> {
-    // Validates ordering/declarations once, so the fold below can
-    // index without re-checking.
-    let run = events::replay(stream)?;
-    let mut spans: Vec<JobSpan> = run
-        .records
+pub fn job_spans(records: &[JobRecord]) -> Vec<JobSpan> {
+    records
         .iter()
-        .map(|r| JobSpan {
-            job: r.job,
-            name: r.name.clone(),
-            transformation: r.transformation.clone(),
-            kind: r.kind,
-            attempts: 0,
-            completed: false,
-            queue_wait: 0.0,
-            install: 0.0,
-            kickstart: 0.0,
-            post_overhead: 0.0,
-            retry_badput: 0.0,
-        })
-        .collect();
-    // Per-task phases are measured from the first attempt's *release*
-    // into the remote queue (its `JobTimes::submitted`), not from the
-    // engine-side hand-off: time a job sits held at the submit host
-    // behind the DAGMan-style throttle is a workflow-level scheduling
-    // artefact, not a per-task cost, and pegasus-statistics likewise
-    // derives per-job phases from the Condor job log.
-    let mut first_release: Vec<Option<f64>> = vec![None; spans.len()];
-    for ev in stream {
-        match ev {
-            WorkflowEvent::Submitted { job, .. } => {
-                spans[job.idx()].attempts += 1;
-            }
-            WorkflowEvent::Completed { job, times, .. } => {
-                let span = &mut spans[job.idx()];
-                span.completed = true;
-                span.queue_wait = times.waiting();
-                span.install = times.install();
-                span.kickstart = times.kickstart();
+        .map(|r| {
+            let retry_badput = r
+                .failed_attempts
+                .iter()
+                .fold(0.0, |sum, t| sum + (t.finished - t.submitted));
+            let ok = r.times.unwrap_or_default();
+            // Per-task phases are measured from the first attempt's
+            // *release* into the remote queue (its
+            // `JobTimes::submitted`), not from the engine-side
+            // hand-off: time a job sits held at the submit host behind
+            // the DAGMan-style throttle is a workflow-level scheduling
+            // artefact, not a per-task cost, and pegasus-statistics
+            // likewise derives per-job phases from the Condor job log.
+            let origin = r.failed_attempts.first().unwrap_or(&ok).submitted;
+            JobSpan {
+                job: r.job,
+                name: r.name.clone(),
+                transformation: r.transformation.clone(),
+                kind: r.kind,
+                attempts: r.attempts,
+                completed: r.times.is_some(),
+                queue_wait: ok.waiting(),
+                install: ok.install(),
+                kickstart: ok.kickstart(),
                 // Whatever lies between the first attempt's release
-                // and the successful attempt's release, minus the
-                // time the failed attempts consumed, is inter-attempt
+                // and the successful attempt's release, minus the time
+                // the failed attempts consumed, is inter-attempt
                 // overhead (backoff waits, resubmission gaps).
-                let origin = first_release[job.idx()].unwrap_or(times.submitted);
-                span.post_overhead = (times.submitted - origin - span.retry_badput).max(0.0);
+                post_overhead: r
+                    .times
+                    .map_or(0.0, |ok| (ok.submitted - origin - retry_badput).max(0.0)),
+                retry_badput,
             }
-            WorkflowEvent::Failed { job, times, .. }
-            | WorkflowEvent::TimedOut { job, times, .. } => {
-                if first_release[job.idx()].is_none() {
-                    first_release[job.idx()] = Some(times.submitted);
-                }
-                spans[job.idx()].retry_badput += times.finished - times.submitted;
-            }
-            _ => {}
-        }
-    }
-    Ok(spans)
+        })
+        .collect()
 }
 
 /// One per-site/per-n row of the breakdown table: phase means over the
@@ -191,18 +169,22 @@ pub fn aggregate(site: &str, n: &str, spans: &[JobSpan]) -> BreakdownRow {
     }
 }
 
-/// Computes one breakdown row straight from an event stream: site from
-/// the `WorkflowStarted` header, `n` from the workflow name (or job
-/// count), phases from [`job_spans`].
+/// The breakdown row of a run in hand: site and `n` (from the workflow
+/// name, or the job count) off the run, phases from [`job_spans`] over
+/// its records. Reads nothing from `run.events`.
+pub fn of_run(run: &WorkflowRun) -> BreakdownRow {
+    let n = n_label(&run.name, run.records.len());
+    aggregate(&run.site, &n, &job_spans(&run.records))
+}
+
+/// The breakdown row of a recorded event stream: folds it once into
+/// the run it records, then [`of_run`].
 ///
 /// # Errors
 /// Returns [`WmsError::EventLogParse`] when the stream is not a valid
-/// engine emission.
+/// engine emission (no header first, undeclared or out-of-order jobs).
 pub fn from_events(stream: &[WorkflowEvent]) -> Result<BreakdownRow, WmsError> {
-    let run = events::replay(stream)?;
-    let spans = job_spans(stream)?;
-    let n = n_label(&run.name, run.records.len());
-    Ok(aggregate(&run.site, &n, &spans))
+    Ok(of_run(&events::fold(stream)?))
 }
 
 /// Header of the CSV rendering.
@@ -339,7 +321,7 @@ mod tests {
             &mut crate::engine::NoopMonitor,
         );
         assert!(run.succeeded());
-        let spans = job_spans(&run.events).unwrap();
+        let spans = job_spans(&run.records);
         assert_eq!(spans.len(), 3);
         let s = &spans[1];
         assert!(s.completed);
@@ -362,7 +344,7 @@ mod tests {
             .build();
         let run = Engine::run(&mut be, &wf(), &cfg, &mut crate::engine::NoopMonitor);
         assert!(run.succeeded());
-        let spans = job_spans(&run.events).unwrap();
+        let spans = job_spans(&run.records);
         let s = &spans[1];
         assert_eq!(s.attempts, 2);
         assert!(s.completed);
@@ -450,7 +432,6 @@ mod tests {
 
     #[test]
     fn malformed_streams_are_rejected() {
-        assert!(job_spans(&[]).is_err());
         assert!(from_events(&[]).is_err());
     }
 }

@@ -14,7 +14,7 @@
 //! (`gridsim` crate).
 
 use crate::error::WmsError;
-use crate::events::{EventSink, MonitorSink, WorkflowEvent};
+use crate::events::{EventSink, WorkflowEvent};
 use crate::graph::Csr;
 use crate::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
 use crate::rescue::RescueDag;
@@ -390,9 +390,7 @@ impl FaultReason {
     }
 }
 
-/// Failure and retry counters for one run, classified from the
-/// normalised failure-reason prefixes the backends emit
-/// (`preempted…`, `evicted…`, `install…`, `timeout…`).
+/// Failure and retry counters for one run, by typed failure category.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultCounters {
     /// Attempts killed by preemption (hazard or scripted storm).
@@ -518,6 +516,20 @@ pub struct WorkflowRun {
 }
 
 impl WorkflowRun {
+    /// The run before its first event — what the lifecycle fold
+    /// starts from: nothing declared, nothing failed.
+    pub(crate) fn empty() -> Self {
+        WorkflowRun {
+            name: String::new(),
+            site: String::new(),
+            outcome: WorkflowOutcome::Success,
+            wall_time: 0.0,
+            records: Vec::new(),
+            faults: FaultCounters::default(),
+            events: Vec::new(),
+        }
+    }
+
     /// `true` if the whole workflow completed.
     pub fn succeeded(&self) -> bool {
         matches!(self.outcome, WorkflowOutcome::Success)
@@ -532,37 +544,14 @@ impl WorkflowRun {
     }
 }
 
-/// Observer hooks for live workflow progress — the engine-side half of
-/// `pegasus-status` (see [`crate::monitor`] for ready-made monitors).
-pub trait WorkflowMonitor {
-    /// A job attempt was handed to the backend.
-    fn job_submitted(&mut self, job: &ExecutableJob, attempt: u32, now: f64) {
-        let _ = (job, attempt, now);
-    }
-
-    /// A job attempt terminated (successfully or not).
-    fn job_terminated(&mut self, job: &ExecutableJob, event: &CompletionEvent) {
-        let _ = (job, event);
-    }
-
-    /// A failed job is about to be resubmitted as `next_attempt`,
-    /// after `delay` seconds of backoff, because of `reason`.
-    fn job_retry(&mut self, job: &ExecutableJob, next_attempt: u32, delay: f64, reason: &str) {
-        let _ = (job, next_attempt, delay, reason);
-    }
-
-    /// The whole workflow finished.
-    fn workflow_finished(&mut self, succeeded: bool, wall_time: f64) {
-        let _ = (succeeded, wall_time);
-    }
-}
-
-/// The do-nothing monitor used by [`Engine::run`] callers that don't
-/// care about progress.
+/// The sink that listens to nothing, for [`Engine::run`] callers that
+/// don't care about progress.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopMonitor;
 
-impl WorkflowMonitor for NoopMonitor {}
+impl EventSink for NoopMonitor {
+    fn event(&mut self, _ev: &WorkflowEvent) {}
+}
 
 /// A request to resubmit a failed job, produced by
 /// [`WorkflowExecution::on_event`]. The driver must hand it to
@@ -604,11 +593,14 @@ pub struct EventResponse {
 /// every completion event for this workflow to [`on_event`] and act on
 /// the returned [`EventResponse`]. The workflow is finished when
 /// [`is_complete`] (or the response's `crashed` flag) says so; then
-/// [`finish`] yields the [`WorkflowRun`].
+/// [`finish`] delivers the trailer and yields the [`WorkflowRun`].
 ///
 /// All scheduling decisions (readiness, retry budget, backoff RNG,
-/// fault counting, crash scripting) live here, so a workflow run
-/// behaves identically whether it owns the backend or shares it.
+/// crash scripting) live here, so a workflow run behaves identically
+/// whether it owns the backend or shares it. The accounting is not
+/// kept by hand: every record, counter and the outcome of the run come
+/// from applying each emitted event to it, the same transition
+/// [`crate::events::replay`] applies to a recorded stream.
 ///
 /// [`take_initial_ready`]: WorkflowExecution::take_initial_ready
 /// [`note_submitted`]: WorkflowExecution::note_submitted
@@ -617,15 +609,11 @@ pub struct EventResponse {
 /// [`finish`]: WorkflowExecution::finish
 #[derive(Debug)]
 pub struct WorkflowExecution {
-    name: String,
-    site: String,
     config: EngineConfig,
     children: Csr,
     pending_parents: Vec<usize>,
-    records: Vec<JobRecord>,
     done: Vec<bool>,
     rng: StdRng,
-    faults: FaultCounters,
     /// Jobs released (initial or via `on_event`) but not yet
     /// terminated — includes jobs a budgeted driver is still holding.
     outstanding: usize,
@@ -634,9 +622,9 @@ pub struct WorkflowExecution {
     crashed: bool,
     start: f64,
     initial_ready: Vec<JobId>,
-    /// The append-only provenance stream, emitted at every state
-    /// transition.
-    events: Vec<WorkflowEvent>,
+    /// The run so far: the append-only provenance stream, and the
+    /// accounting its events fold into.
+    run: WorkflowRun,
     /// How many events the driver has already drained.
     emitted: usize,
 }
@@ -647,39 +635,39 @@ impl WorkflowExecution {
     /// jobs are marked done and their readiness cascades immediately.
     pub fn new(wf: &ExecutableWorkflow, config: &EngineConfig, start: f64) -> Self {
         let n = wf.jobs.len();
-        let children = wf.children();
-        let parents = wf.parents();
-        let mut pending_parents: Vec<usize> =
-            parents.degrees().into_iter().map(|d| d as usize).collect();
-
-        let mut records: Vec<JobRecord> = wf
-            .jobs
-            .iter()
-            .map(|j| JobRecord {
-                job: j.id,
-                name: j.name.clone(),
-                transformation: j.transformation.clone(),
-                kind: j.kind,
-                state: JobState::Unready,
-                attempts: 0,
-                times: None,
-                failed_attempts: Vec::new(),
-                failure_reasons: Vec::new(),
-                failure_kinds: Vec::new(),
-            })
-            .collect();
+        let mut exec = WorkflowExecution {
+            config: config.clone(),
+            children: wf.children(),
+            pending_parents: wf
+                .parents()
+                .degrees()
+                .into_iter()
+                .map(|d| d as usize)
+                .collect(),
+            done: vec![false; n],
+            rng: StdRng::seed_from_u64(config.seed),
+            outstanding: 0,
+            events_seen: 0,
+            any_failed: false,
+            crashed: false,
+            start,
+            initial_ready: Vec::new(),
+            run: WorkflowRun::empty(),
+            emitted: 0,
+        };
+        exec.run.records.reserve(n);
+        exec.run.events.reserve(n + 2);
 
         // Stream header + manifest: the replayed run must know every
         // job, including ones that never become ready.
-        let mut events = Vec::with_capacity(n + 2);
-        events.push(WorkflowEvent::WorkflowStarted {
+        exec.emit(WorkflowEvent::WorkflowStarted {
             name: wf.name.clone(),
             site: wf.site.clone(),
             jobs: n,
             time: start,
         });
         for j in &wf.jobs {
-            events.push(WorkflowEvent::JobDeclared {
+            exec.emit(WorkflowEvent::JobDeclared {
                 job: j.id,
                 name: j.name.clone(),
                 transformation: j.transformation.clone(),
@@ -687,60 +675,45 @@ impl WorkflowExecution {
             });
         }
 
-        let mut done = vec![false; n];
-        let mut ready: Vec<JobId> = Vec::new();
-        let mark_done = |job: JobId,
-                         done: &mut Vec<bool>,
-                         pending_parents: &mut Vec<usize>,
-                         ready: &mut Vec<JobId>| {
-            done[job.idx()] = true;
-            for &c in children.neighbors(job) {
-                pending_parents[c.idx()] -= 1;
-                if pending_parents[c.idx()] == 0 && !done[c.idx()] {
-                    ready.push(c);
-                }
-            }
-        };
-
         // Rescue skips: a DONE node is done unconditionally — its work
         // products exist from the previous run even when this plan's
         // auxiliary ancestors (create_dir, transfers) differ and re-run.
-        #[allow(clippy::needless_range_loop)] // `job` indexes three parallel arrays
-        for job in 0..n {
-            if config.skip_done.contains(&wf.jobs[job].name) {
-                records[job].state = JobState::SkippedDone;
-                let job = JobId::new(job);
-                events.push(WorkflowEvent::Skipped { job, time: start });
-                mark_done(job, &mut done, &mut pending_parents, &mut ready);
+        let mut ready: Vec<JobId> = Vec::new();
+        for j in &wf.jobs {
+            if config.skip_done.contains(&j.name) {
+                exec.emit(WorkflowEvent::Skipped {
+                    job: j.id,
+                    time: start,
+                });
+                exec.mark_done(j.id, &mut ready);
             }
         }
         for job in 0..n {
-            if pending_parents[job] == 0 && !done[job] && records[job].state == JobState::Unready {
+            if exec.pending_parents[job] == 0 {
                 ready.push(JobId::new(job));
             }
         }
         ready.sort_unstable();
         ready.dedup();
-        ready.retain(|&j| !done[j.idx()]);
+        ready.retain(|&j| !exec.done[j.idx()]);
+        exec.initial_ready = ready;
+        exec
+    }
 
-        WorkflowExecution {
-            name: wf.name.clone(),
-            site: wf.site.clone(),
-            config: config.clone(),
-            children,
-            pending_parents,
-            records,
-            done,
-            rng: StdRng::seed_from_u64(config.seed),
-            faults: FaultCounters::default(),
-            outstanding: 0,
-            events_seen: 0,
-            any_failed: false,
-            crashed: false,
-            start,
-            initial_ready: ready,
-            events,
-            emitted: 0,
+    /// Appends `ev` to the stream and folds it into the run.
+    fn emit(&mut self, ev: WorkflowEvent) {
+        self.run.apply(&ev);
+        self.run.events.push(ev);
+    }
+
+    /// Marks `job` done and collects the children it releases.
+    fn mark_done(&mut self, job: JobId, ready: &mut Vec<JobId>) {
+        self.done[job.idx()] = true;
+        for &c in self.children.neighbors(job) {
+            self.pending_parents[c.idx()] -= 1;
+            if self.pending_parents[c.idx()] == 0 && !self.done[c.idx()] {
+                ready.push(c);
+            }
         }
     }
 
@@ -757,8 +730,7 @@ impl WorkflowExecution {
     /// `now`. The driver calls this when it actually hands the job to
     /// the backend.
     pub fn note_submitted(&mut self, job: JobId, now: f64) {
-        self.records[job.idx()].attempts = 1;
-        self.events.push(WorkflowEvent::Submitted {
+        self.emit(WorkflowEvent::Submitted {
             job,
             attempt: 0,
             time: now,
@@ -766,12 +738,11 @@ impl WorkflowExecution {
     }
 
     /// The events emitted since the last drain — the driver forwards
-    /// these to its sinks (e.g. a [`MonitorSink`] bridging onto a
-    /// [`WorkflowMonitor`]) after each submission batch or completion
-    /// event.
+    /// these to its [`EventSink`] after each submission batch or
+    /// completion event.
     pub fn drain_new_events(&mut self) -> &[WorkflowEvent] {
-        let new = &self.events[self.emitted..];
-        self.emitted = self.events.len();
+        let new = &self.run.events[self.emitted..];
+        self.emitted = self.run.events.len();
         new
     }
 
@@ -801,13 +772,13 @@ impl WorkflowExecution {
         // timestamps: slot acquisition / install start (when there was
         // an install phase), then execution start.
         if ev.times.install_done > ev.times.started {
-            self.events.push(WorkflowEvent::InstallStarted {
+            self.emit(WorkflowEvent::InstallStarted {
                 job: ev.job,
                 attempt: ev.attempt,
                 time: ev.times.started,
             });
         }
-        self.events.push(WorkflowEvent::Started {
+        self.emit(WorkflowEvent::Started {
             job: ev.job,
             attempt: ev.attempt,
             time: ev.times.install_done,
@@ -815,28 +786,18 @@ impl WorkflowExecution {
         let mut resp = EventResponse::default();
         match &ev.outcome {
             JobOutcome::Success => {
-                self.events.push(WorkflowEvent::Completed {
+                self.emit(WorkflowEvent::Completed {
                     job: ev.job,
                     attempt: ev.attempt,
                     times: ev.times,
                 });
-                let rec = &mut self.records[ev.job.idx()];
-                rec.state = JobState::Done;
-                rec.times = Some(ev.times);
-                self.done[ev.job.idx()] = true;
-                for i in 0..self.children.degree(ev.job) {
-                    let c = self.children[ev.job][i];
-                    self.pending_parents[c.idx()] -= 1;
-                    if self.pending_parents[c.idx()] == 0 && !self.done[c.idx()] {
-                        resp.newly_ready.push(c);
-                    }
-                }
+                self.mark_done(ev.job, &mut resp.newly_ready);
                 self.outstanding += resp.newly_ready.len();
             }
             JobOutcome::Failure(reason) => {
+                // The one place a backend's reason string is typed.
                 let kind = FaultReason::classify(reason);
-                self.faults.record_reason(kind);
-                self.events.push(if kind == FaultReason::Timeout {
+                self.emit(if kind == FaultReason::Timeout {
                     WorkflowEvent::TimedOut {
                         job: ev.job,
                         attempt: ev.attempt,
@@ -852,21 +813,11 @@ impl WorkflowExecution {
                         times: ev.times,
                     }
                 });
-                let max_attempts = self.config.retry.max_attempts;
-                let attempts = {
-                    let rec = &mut self.records[ev.job.idx()];
-                    rec.failed_attempts.push(ev.times);
-                    rec.failure_reasons.push(reason.clone());
-                    rec.failure_kinds.push(kind);
-                    rec.attempts
-                };
-                if attempts < max_attempts {
+                let attempts = self.run.records[ev.job.idx()].attempts;
+                if attempts < self.config.retry.max_attempts {
                     let delay = self.config.retry.backoff_before(attempts, &mut self.rng);
-                    self.faults.retries += 1;
-                    self.faults.backoff_wait += delay;
-                    self.records[ev.job.idx()].attempts += 1;
                     self.outstanding += 1;
-                    self.events.push(WorkflowEvent::RetryScheduled {
+                    self.emit(WorkflowEvent::RetryScheduled {
                         job: ev.job,
                         next_attempt: ev.attempt + 1,
                         backoff: delay,
@@ -874,7 +825,7 @@ impl WorkflowExecution {
                         detail: reason.clone(),
                         time: ev.times.finished,
                     });
-                    self.events.push(WorkflowEvent::Submitted {
+                    self.emit(WorkflowEvent::Submitted {
                         job: ev.job,
                         attempt: ev.attempt + 1,
                         time: ev.times.finished,
@@ -886,7 +837,6 @@ impl WorkflowExecution {
                         reason: reason.clone(),
                     });
                 } else {
-                    self.records[ev.job.idx()].state = JobState::Failed;
                     self.any_failed = true;
                 }
             }
@@ -923,87 +873,41 @@ impl WorkflowExecution {
         self.any_failed || self.crashed
     }
 
-    /// Finalises the run, stamping its end at `end` (backend seconds)
-    /// and appending the stream's `WorkflowFinished` trailer.
-    pub fn finish(mut self, end: f64) -> WorkflowRun {
-        let wall_time = end - self.start;
-        let failed = self.any_failed || self.crashed;
-        self.events.push(WorkflowEvent::WorkflowFinished {
-            succeeded: !failed,
-            wall_time,
+    /// Finalises the run: stamps its end at `end` (backend seconds),
+    /// emits the `WorkflowFinished` trailer, hands `deliver` everything
+    /// not yet drained — trailer included, for the driver to forward
+    /// like any other batch — and returns the finished run.
+    pub fn finish(mut self, end: f64, deliver: impl FnOnce(&[WorkflowEvent])) -> WorkflowRun {
+        self.emit(WorkflowEvent::WorkflowFinished {
+            succeeded: !self.failed(),
+            wall_time: end - self.start,
             time: end,
         });
-        let outcome = if failed {
-            let done_names: Vec<String> = self
-                .records
-                .iter()
-                .filter(|r| matches!(r.state, JobState::Done | JobState::SkippedDone))
-                .map(|r| r.name.clone())
-                .collect();
-            WorkflowOutcome::Failed(RescueDag {
-                workflow_name: self.name.clone(),
-                site: self.site.clone(),
-                done: done_names,
-            })
-        } else {
-            WorkflowOutcome::Success
-        };
-        WorkflowRun {
-            name: self.name,
-            site: self.site,
-            outcome,
-            wall_time,
-            records: self.records,
-            faults: self.faults,
-            events: self.events,
-        }
+        deliver(self.drain_new_events());
+        self.run
     }
 }
 
 /// The workflow engine — the single entry point for executing one
 /// workflow on one backend.
 ///
-/// `Engine::run` replaces the historical `run_workflow` /
-/// `run_workflow_monitored` free functions; pass [`NoopMonitor`] when
-/// progress reporting isn't needed. Many workflows over one shared
-/// backend go through [`crate::ensemble::Ensemble`] instead, which
-/// drives the same [`WorkflowExecution`] state machine.
+/// Many workflows over one shared backend go through
+/// [`crate::ensemble::Ensemble`] instead, which drives the same
+/// [`WorkflowExecution`] state machine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Engine;
 
 impl Engine {
-    /// Executes `wf` on `backend` under `config`, reporting progress
-    /// to `monitor`.
-    ///
-    /// The monitor is driven through the provenance stream: after each
-    /// submission batch or completion event, the newly emitted
-    /// [`WorkflowEvent`]s are forwarded through a [`MonitorSink`], so
-    /// a monitor fed the finished run's recorded stream observes the
-    /// exact same callback sequence it saw live.
+    /// Executes `wf` on `backend` under `config`, handing `sink` every
+    /// [`WorkflowEvent`] as it is emitted: after each submission batch
+    /// or completion event, and the `WorkflowFinished` trailer last.
+    /// What the sink saw is exactly the returned run's `events`. Pass
+    /// [`NoopMonitor`] when progress reporting isn't needed.
     pub fn run(
         backend: &mut dyn ExecutionBackend,
         wf: &ExecutableWorkflow,
         config: &EngineConfig,
-        monitor: &mut dyn WorkflowMonitor,
-    ) -> WorkflowRun {
-        Self::run_with_sink(backend, wf, config, monitor, &mut crate::events::NoopSink)
-    }
-
-    /// [`Engine::run`] with an extra [`EventSink`] observing the raw
-    /// event stream live, exactly as recorded — including the
-    /// `WorkflowFinished` trailer, which the monitor path only sees
-    /// as its `workflow_finished` callback.
-    ///
-    /// This is how `pegasus run --verify` attaches a
-    /// [`crate::verify::ShadowVerifier`] without buffering the run
-    /// twice; any listener needing the typed stream (not the monitor
-    /// digest) can ride along the same way.
-    pub fn run_with_sink(
-        backend: &mut dyn ExecutionBackend,
-        wf: &ExecutableWorkflow,
-        config: &EngineConfig,
-        monitor: &mut dyn WorkflowMonitor,
-        extra: &mut dyn EventSink,
+        sink: &mut dyn EventSink,
     ) -> WorkflowRun {
         let _prof = crate::prof::scope("engine.run");
         backend.set_timeout(config.retry.timeout);
@@ -1012,7 +916,7 @@ impl Engine {
             backend.submit(&wf.jobs[job.idx()], 0);
             exec.note_submitted(job, backend.now());
         }
-        Self::forward(&mut exec, wf, monitor, extra);
+        exec.drain_new_events().iter().for_each(|ev| sink.event(ev));
         while !exec.is_complete() {
             let ev = backend.wait_any();
             let resp = exec
@@ -1025,36 +929,14 @@ impl Engine {
                 backend.submit(&wf.jobs[job.idx()], 0);
                 exec.note_submitted(job, backend.now());
             }
-            Self::forward(&mut exec, wf, monitor, extra);
+            exec.drain_new_events().iter().for_each(|ev| sink.event(ev));
             if resp.crashed {
                 break;
             }
         }
-        let failed = exec.failed();
-        let run = exec.finish(backend.now());
-        monitor.workflow_finished(!failed, run.wall_time);
-        // The trailer is appended by `finish()`, after the last
-        // `forward`: hand it to the extra sink so it sees the stream
-        // to completion.
-        if let Some(trailer) = run.events.last() {
-            extra.event(trailer);
-        }
-        run
-    }
-
-    /// Bridges freshly emitted events onto the monitor callbacks and
-    /// the extra raw-stream sink.
-    fn forward(
-        exec: &mut WorkflowExecution,
-        wf: &ExecutableWorkflow,
-        monitor: &mut dyn WorkflowMonitor,
-        extra: &mut dyn EventSink,
-    ) {
-        let mut sink = MonitorSink::new(&wf.jobs, monitor);
-        for ev in exec.drain_new_events() {
-            sink.event(ev);
-            extra.event(ev);
-        }
+        exec.finish(backend.now(), |tail| {
+            tail.iter().for_each(|ev| sink.event(ev))
+        })
     }
 }
 
@@ -1384,35 +1266,43 @@ mod tests {
         assert_eq!(run.wall_time, 2.0);
     }
 
-    #[test]
-    fn monitor_hooks_fire_in_order() {
-        struct OrderMonitor(Vec<String>);
-        impl WorkflowMonitor for OrderMonitor {
-            fn job_submitted(&mut self, job: &ExecutableJob, attempt: u32, _now: f64) {
-                self.0.push(format!("submit:{}:{attempt}", job.name));
-            }
-            fn job_terminated(&mut self, job: &ExecutableJob, _ev: &CompletionEvent) {
-                self.0.push(format!("done:{}", job.name));
-            }
-            fn workflow_finished(&mut self, succeeded: bool, _wall: f64) {
-                self.0.push(format!("finished:{succeeded}"));
+    /// Records, as event-log lines, the events whose keyword is in
+    /// `keep`.
+    struct Tape(&'static [&'static str], String);
+    impl EventSink for Tape {
+        fn event(&mut self, ev: &WorkflowEvent) {
+            let line = crate::events::log::append(std::slice::from_ref(ev));
+            if self.0.iter().any(|k| line.starts_with(k)) {
+                self.1 += &line;
             }
         }
+    }
+
+    #[test]
+    fn sink_sees_submissions_and_terminations_in_order() {
         let wf = chain();
         let mut be = ScriptedBackend::new();
-        let mut mon = OrderMonitor(Vec::new());
-        let run = Engine::run(&mut be, &wf, &EngineConfig::default(), &mut mon);
+        let mut tape = Tape(
+            &["submitted", "completed", "workflow-finished"],
+            String::new(),
+        );
+        let run = Engine::run(&mut be, &wf, &EngineConfig::default(), &mut tape);
         assert!(run.succeeded());
+        let order: Vec<&str> = tape
+            .1
+            .lines()
+            .map(|l| l.split(" submitted=").next().expect("a head"))
+            .collect();
         assert_eq!(
-            mon.0,
+            order,
             vec![
-                "submit:a:0",
-                "done:a",
-                "submit:b:0",
-                "done:b",
-                "submit:c:0",
-                "done:c",
-                "finished:true"
+                "submitted time=0 job=0 attempt=0",
+                "completed job=0 attempt=0",
+                "submitted time=10 job=1 attempt=0",
+                "completed job=1 attempt=0",
+                "submitted time=30 job=2 attempt=0",
+                "completed job=2 attempt=0",
+                "workflow-finished time=35 wall-time=35 succeeded=true"
             ]
         );
     }
@@ -1659,28 +1549,20 @@ mod tests {
     }
 
     #[test]
-    fn retry_monitor_hook_reports_delay_and_reason() {
-        struct RetryMonitor(Vec<(String, u32, f64, String)>);
-        impl WorkflowMonitor for RetryMonitor {
-            fn job_retry(&mut self, job: &ExecutableJob, next: u32, delay: f64, reason: &str) {
-                self.0
-                    .push((job.name.clone(), next, delay, reason.to_string()));
-            }
-        }
+    fn sink_sees_retry_delay_and_reason() {
         let wf = chain();
         let mut be = ScriptedBackend::new();
         be.fail_plan.insert(("b".into(), 0));
-        let mut mon = RetryMonitor(Vec::new());
+        let mut tape = Tape(&["retry-scheduled"], String::new());
         let cfg = EngineConfig::builder()
             .policy(RetryPolicy::exponential(2, 5.0))
             .build();
-        let run = Engine::run(&mut be, &wf, &cfg, &mut mon);
+        let run = Engine::run(&mut be, &wf, &cfg, &mut tape);
         assert!(run.succeeded());
-        assert_eq!(mon.0.len(), 1);
-        assert_eq!(mon.0[0].0, "b");
-        assert_eq!(mon.0[0].1, 1);
-        assert_eq!(mon.0[0].2, 5.0);
-        assert_eq!(mon.0[0].3, "scripted");
+        assert_eq!(
+            tape.1,
+            "retry-scheduled time=30 job=1 next-attempt=1 backoff=5 reason=error detail=scripted\n"
+        );
     }
 
     #[test]

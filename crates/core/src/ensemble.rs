@@ -197,10 +197,10 @@ pub trait EnsembleMonitor {
     fn workflow_started(&mut self, _index: usize, _name: &str, _now: f64) {}
     /// Freshly emitted provenance events for one member, in causal
     /// order. Delivered incrementally as the round progresses — the
-    /// daemon's crash-safe event logs hang off this. The
-    /// `WorkflowFinished` trailer is *not* delivered here; it arrives
-    /// on the completed run passed to
-    /// [`workflow_finished`](Self::workflow_finished).
+    /// daemon's crash-safe event logs hang off this. The batches of
+    /// one member concatenate to exactly its run's `events`: the last
+    /// one ends with the `WorkflowFinished` trailer and arrives just
+    /// before [`workflow_finished`](Self::workflow_finished).
     fn member_events(&mut self, _index: usize, _events: &[WorkflowEvent]) {}
     /// A workflow finished (successfully, exhausted, or crashed).
     fn workflow_finished(&mut self, _index: usize, _run: &WorkflowRun, _now: f64) {}
@@ -522,9 +522,8 @@ impl Ensemble {
                         runs: &mut Vec<Option<WorkflowRun>>,
                         monitor: &mut dyn EnsembleMonitor,
                         now: f64| {
-            if let Some(mut exec) = members[wf_idx].exec.take() {
-                monitor.member_events(wf_idx, exec.drain_new_events());
-                let run = exec.finish(now);
+            if let Some(exec) = members[wf_idx].exec.take() {
+                let run = exec.finish(now, |tail| monitor.member_events(wf_idx, tail));
                 monitor.workflow_finished(wf_idx, &run, now);
                 runs[wf_idx] = Some(run);
             }
@@ -1129,7 +1128,7 @@ mod tests {
 
     #[test]
     fn monitor_member_events_stream_matches_the_final_run() {
-        // The incremental member_events feed plus the finish trailer
+        // The incremental member_events feed alone, trailer included,
         // must reproduce run.events exactly — this is what makes the
         // daemon's crash-safe logs byte-identical to a post-hoc dump.
         struct Collect {
@@ -1140,8 +1139,8 @@ mod tests {
                 self.streams[index].extend_from_slice(events);
             }
             fn workflow_finished(&mut self, index: usize, run: &WorkflowRun, _now: f64) {
-                let seen = self.streams[index].len();
-                self.streams[index].extend_from_slice(&run.events[seen..]);
+                // The trailer has already been delivered by now.
+                assert_eq!(self.streams[index], run.events, "{}", run.name);
             }
         }
         let mut monitor = Collect {

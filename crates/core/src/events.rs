@@ -15,9 +15,9 @@
 //! * [`replay`] folds a stream back into a full [`WorkflowRun`], so
 //!   statistics, analysis, and rescue DAGs can be recomputed offline
 //!   from a log alone;
-//! * [`MonitorSink`] bridges events onto the historical
-//!   [`WorkflowMonitor`] callbacks, so existing monitors keep working
-//!   unchanged — live or replayed;
+//! * [`EventSink`] is the one observer hook: the engine hands every
+//!   event to the sink it was given as it emits it, trailer included,
+//!   so a sink fed a recorded stream sees exactly what it saw live;
 //! * [`log`] is a line-oriented, hand-rolled text format (the same
 //!   idiom as the fault-plan format: one `keyword key=value...` line
 //!   per event, no serde) written by `pegasus run --events` and read
@@ -29,12 +29,9 @@
 //! failure details) must not contain newlines, and all other field
 //! values must be whitespace-free for the text format to round-trip.
 
-use crate::engine::{
-    CompletionEvent, FaultCounters, FaultReason, JobOutcome, JobRecord, JobState, JobTimes,
-    WorkflowMonitor, WorkflowOutcome, WorkflowRun,
-};
+use crate::engine::{FaultReason, JobRecord, JobState, JobTimes, WorkflowOutcome, WorkflowRun};
 use crate::error::WmsError;
-use crate::planner::{ExecutableJob, JobKind};
+use crate::planner::JobKind;
 use crate::rescue::RescueDag;
 use crate::workflow::JobId;
 
@@ -223,133 +220,248 @@ impl WorkflowEvent {
             | WorkflowEvent::Started { .. } => None,
         }
     }
-}
 
-/// A consumer of the live event stream.
-///
-/// The engine's downstream layers implement this (directly or via
-/// [`MonitorSink`]); feeding a recorded stream back through a sink
-/// reproduces exactly what the live consumer saw.
-pub trait EventSink {
-    /// Consumes one event.
-    fn event(&mut self, ev: &WorkflowEvent);
-}
-
-/// An [`EventSink`] that discards every event — the default extra
-/// sink of [`Engine::run`], and a convenient placeholder wherever a
-/// sink is required but nothing listens.
-///
-/// [`Engine::run`]: crate::engine::Engine::run
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl EventSink for NoopSink {
-    fn event(&mut self, _ev: &WorkflowEvent) {}
-}
-
-/// The bridge from events to the historical [`WorkflowMonitor`]
-/// callbacks: `Submitted` → `job_submitted`, terminal events →
-/// `job_terminated`, `RetryScheduled` → `job_retry`, and
-/// `WorkflowFinished` → `workflow_finished`. Manifest and phase events
-/// (`WorkflowStarted`, `JobDeclared`, `Skipped`, `InstallStarted`,
-/// `Started`) have no callback equivalent and are ignored.
-///
-/// [`Engine::run`] drives its monitor through one of these, so a
-/// monitor fed a replayed stream observes the identical callback
-/// sequence — timestamps included — as it did live.
-///
-/// [`Engine::run`]: crate::engine::Engine::run
-pub struct MonitorSink<'a> {
-    jobs: &'a [ExecutableJob],
-    monitor: &'a mut dyn WorkflowMonitor,
-}
-
-impl<'a> MonitorSink<'a> {
-    /// Wraps `monitor`, resolving job ids against `jobs` (the
-    /// executable workflow's job list).
-    pub fn new(jobs: &'a [ExecutableJob], monitor: &'a mut dyn WorkflowMonitor) -> Self {
-        MonitorSink { jobs, monitor }
-    }
-}
-
-impl EventSink for MonitorSink<'_> {
-    fn event(&mut self, ev: &WorkflowEvent) {
-        match ev {
-            WorkflowEvent::Submitted { job, attempt, time } => {
-                self.monitor
-                    .job_submitted(&self.jobs[job.idx()], *attempt, *time);
-            }
+    /// How an attempt ended, when this is the event that ended it
+    /// (`Completed`, `Failed` or `TimedOut`): the one place that knows
+    /// a timed-out attempt is a failure of category
+    /// [`FaultReason::Timeout`].
+    pub fn termination(&self) -> Option<Termination<'_>> {
+        let (job, attempt, times, failure) = match self {
             WorkflowEvent::Completed {
                 job,
                 attempt,
                 times,
-            } => {
-                let event = CompletionEvent {
-                    job: *job,
-                    attempt: *attempt,
-                    outcome: JobOutcome::Success,
-                    times: *times,
-                };
-                self.monitor.job_terminated(&self.jobs[job.idx()], &event);
-            }
+            } => (job, attempt, times, None),
             WorkflowEvent::Failed {
                 job,
                 attempt,
+                reason,
                 detail,
                 times,
-                ..
-            }
-            | WorkflowEvent::TimedOut {
+            } => (job, attempt, times, Some((*reason, detail.as_str()))),
+            WorkflowEvent::TimedOut {
                 job,
                 attempt,
                 detail,
                 times,
             } => {
-                let event = CompletionEvent {
-                    job: *job,
-                    attempt: *attempt,
-                    outcome: JobOutcome::Failure(detail.clone()),
-                    times: *times,
-                };
-                self.monitor.job_terminated(&self.jobs[job.idx()], &event);
+                let failure = (FaultReason::Timeout, detail.as_str());
+                (job, attempt, times, Some(failure))
             }
-            WorkflowEvent::RetryScheduled {
-                job,
-                next_attempt,
-                backoff,
-                detail,
-                ..
-            } => {
-                self.monitor
-                    .job_retry(&self.jobs[job.idx()], *next_attempt, *backoff, detail);
-            }
-            WorkflowEvent::WorkflowFinished {
-                succeeded,
-                wall_time,
-                ..
-            } => {
-                self.monitor.workflow_finished(*succeeded, *wall_time);
-            }
-            WorkflowEvent::WorkflowStarted { .. }
-            | WorkflowEvent::JobDeclared { .. }
-            | WorkflowEvent::Skipped { .. }
-            | WorkflowEvent::InstallStarted { .. }
-            | WorkflowEvent::Started { .. } => {}
+            _ => return None,
+        };
+        Some(Termination {
+            job: *job,
+            attempt: *attempt,
+            times,
+            failure,
+        })
+    }
+
+    /// The job this event is about; `None` for the header and trailer.
+    pub fn job(&self) -> Option<JobId> {
+        match self {
+            WorkflowEvent::JobDeclared { job, .. }
+            | WorkflowEvent::Skipped { job, .. }
+            | WorkflowEvent::Submitted { job, .. }
+            | WorkflowEvent::InstallStarted { job, .. }
+            | WorkflowEvent::Started { job, .. }
+            | WorkflowEvent::Completed { job, .. }
+            | WorkflowEvent::Failed { job, .. }
+            | WorkflowEvent::TimedOut { job, .. }
+            | WorkflowEvent::RetryScheduled { job, .. } => Some(*job),
+            WorkflowEvent::WorkflowStarted { .. } | WorkflowEvent::WorkflowFinished { .. } => None,
         }
     }
+}
+
+/// The end of one attempt, as [`WorkflowEvent::termination`] reads it
+/// off a terminal event.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Termination<'a> {
+    /// Which job.
+    pub job: JobId,
+    /// Which attempt (0-based).
+    pub attempt: u32,
+    /// The attempt's timestamps.
+    pub times: &'a JobTimes,
+    /// `None` when the attempt succeeded; otherwise the typed failure
+    /// category and the backend's wire-format reason string.
+    pub failure: Option<(FaultReason, &'a str)>,
+}
+
+/// A consumer of the event stream — the only way to observe a run.
+///
+/// [`Engine::run`] hands its sink every event as it is emitted, from
+/// the `WorkflowStarted` header and `JobDeclared` manifest through to
+/// the `WorkflowFinished` trailer, so feeding a recorded stream back
+/// through a sink reproduces exactly what it saw live. A sink that
+/// needs job names, transformations or kinds takes them from the
+/// manifest. Pass [`NoopMonitor`] when nothing listens.
+///
+/// [`Engine::run`]: crate::engine::Engine::run
+/// [`NoopMonitor`]: crate::engine::NoopMonitor
+pub trait EventSink {
+    /// Consumes one event.
+    fn event(&mut self, ev: &WorkflowEvent);
 }
 
 fn replay_err(reason: String) -> WmsError {
     WmsError::EventLogParse { line: 0, reason }
 }
 
-fn record_for(records: &mut [JobRecord], job: JobId) -> Result<&mut JobRecord, WmsError> {
-    let declared = records.len();
-    records.get_mut(job.idx()).ok_or_else(|| {
-        replay_err(format!(
-            "event references undeclared job {job} ({declared} declared)"
-        ))
-    })
+/// Checks what every consumer of a stream indexes by: the
+/// `WorkflowStarted` header comes first, jobs are declared in id
+/// order, and every other event names a job declared before it.
+/// Returns the header's workflow name and site and the number of
+/// declared jobs.
+///
+/// # Errors
+/// Returns [`WmsError::EventLogParse`] naming the first violation.
+pub(crate) fn validate(events: &[WorkflowEvent]) -> Result<(&str, &str, usize), WmsError> {
+    let Some(WorkflowEvent::WorkflowStarted { name, site, .. }) = events.first() else {
+        return Err(replay_err("stream has no workflow-started header".into()));
+    };
+    let mut declared = 0usize;
+    for ev in events {
+        let Some(job) = ev.job() else { continue };
+        if matches!(ev, WorkflowEvent::JobDeclared { .. }) {
+            if job.idx() != declared {
+                return Err(replay_err(format!(
+                    "job {job} declared out of order (expected {declared})"
+                )));
+            }
+            declared += 1;
+        } else if job.idx() >= declared {
+            return Err(replay_err(format!(
+                "event references undeclared job {job} ({declared} declared)"
+            )));
+        }
+    }
+    Ok((name, site, declared))
+}
+
+impl WorkflowRun {
+    /// The job-lifecycle state machine: advances every field but
+    /// `events` by one event. The engine applies it to each event as
+    /// it emits it and [`replay`] applies it to a recorded stream, so
+    /// the two agree by construction.
+    ///
+    /// # Panics
+    /// Panics when `ev` names a job no earlier `JobDeclared` event
+    /// declared; streams from outside go through [`validate`] first.
+    pub(crate) fn apply(&mut self, ev: &WorkflowEvent) {
+        match ev {
+            WorkflowEvent::WorkflowStarted { name, site, .. } => {
+                self.name.clone_from(name);
+                self.site.clone_from(site);
+            }
+            WorkflowEvent::JobDeclared {
+                job,
+                name,
+                transformation,
+                kind,
+            } => self.records.push(JobRecord {
+                job: *job,
+                name: name.clone(),
+                transformation: transformation.clone(),
+                kind: *kind,
+                state: JobState::Unready,
+                attempts: 0,
+                times: None,
+                failed_attempts: Vec::new(),
+                failure_reasons: Vec::new(),
+                failure_kinds: Vec::new(),
+            }),
+            WorkflowEvent::Skipped { job, .. } => {
+                self.records[job.idx()].state = JobState::SkippedDone;
+            }
+            WorkflowEvent::Submitted { job, attempt, .. } => {
+                self.records[job.idx()].attempts = attempt.saturating_add(1);
+            }
+            WorkflowEvent::InstallStarted { .. } | WorkflowEvent::Started { .. } => {}
+            WorkflowEvent::Completed { .. }
+            | WorkflowEvent::Failed { .. }
+            | WorkflowEvent::TimedOut { .. } => {
+                let end = ev.termination().expect("a terminal event");
+                let rec = &mut self.records[end.job.idx()];
+                match end.failure {
+                    None => {
+                        rec.state = JobState::Done;
+                        rec.times = Some(*end.times);
+                    }
+                    Some((reason, detail)) => {
+                        self.faults.record_reason(reason);
+                        rec.failed_attempts.push(*end.times);
+                        rec.failure_reasons.push(detail.to_string());
+                        rec.failure_kinds.push(reason);
+                        rec.state = JobState::Failed;
+                    }
+                }
+            }
+            WorkflowEvent::RetryScheduled { job, backoff, .. } => {
+                self.faults.retries += 1;
+                self.faults.backoff_wait += backoff;
+                // The failure above was not terminal after all: until
+                // the resubmission terminates, the job counts as not
+                // yet resolved, which is also what a crash leaves
+                // behind for in-flight retries.
+                self.records[job.idx()].state = JobState::Unready;
+            }
+            WorkflowEvent::WorkflowFinished {
+                succeeded,
+                wall_time,
+                ..
+            } => {
+                self.wall_time = *wall_time;
+                self.outcome = if *succeeded {
+                    WorkflowOutcome::Success
+                } else {
+                    WorkflowOutcome::Failed(RescueDag {
+                        workflow_name: self.name.clone(),
+                        site: self.site.clone(),
+                        done: self
+                            .records
+                            .iter()
+                            .filter(|r| matches!(r.state, JobState::Done | JobState::SkippedDone))
+                            .map(|r| r.name.clone())
+                            .collect(),
+                    })
+                };
+            }
+        }
+    }
+}
+
+/// [`replay`] without the copy: the returned run's `events` is empty.
+/// The offline folds that only read records, counters and outcome go
+/// through here.
+pub(crate) fn fold(events: &[WorkflowEvent]) -> Result<WorkflowRun, WmsError> {
+    let (_, _, jobs) = validate(events)?;
+    let mut run = WorkflowRun::empty();
+    run.records.reserve(jobs);
+    for ev in events {
+        run.apply(ev);
+    }
+    if !matches!(events.last(), Some(WorkflowEvent::WorkflowFinished { .. })) {
+        // No trailer: the submit host died mid-run. The run failed,
+        // and it ended at the last event that was recorded.
+        let last = events
+            .iter()
+            .filter_map(WorkflowEvent::time)
+            .fold(0.0, f64::max);
+        run.apply(&WorkflowEvent::WorkflowFinished {
+            succeeded: false,
+            wall_time: last - start_time(events),
+            time: last,
+        });
+    }
+    Ok(run)
+}
+
+/// The backend time of the stream's header (0 for an empty stream).
+pub(crate) fn start_time(events: &[WorkflowEvent]) -> f64 {
+    events.first().and_then(WorkflowEvent::time).unwrap_or(0.0)
 }
 
 /// Folds an event stream back into the [`WorkflowRun`] the engine
@@ -365,135 +477,12 @@ fn record_for(records: &mut [JobRecord], job: JobId) -> Result<&mut JobRecord, W
 ///
 /// # Errors
 /// Returns [`WmsError::EventLogParse`] when the stream is not a valid
-/// engine emission: no `WorkflowStarted` header, out-of-order job
-/// declarations, or lifecycle events referencing undeclared jobs.
+/// engine emission: no `WorkflowStarted` header first, out-of-order
+/// job declarations, or lifecycle events referencing undeclared jobs.
 pub fn replay(events: &[WorkflowEvent]) -> Result<WorkflowRun, WmsError> {
-    let mut header: Option<(String, String)> = None;
-    let mut start = 0.0f64;
-    let mut last_time = 0.0f64;
-    let mut finished: Option<(bool, f64)> = None;
-    let mut records: Vec<JobRecord> = Vec::new();
-    let mut faults = FaultCounters::default();
-
-    for ev in events {
-        if let Some(t) = ev.time() {
-            last_time = last_time.max(t);
-        }
-        match ev {
-            WorkflowEvent::WorkflowStarted {
-                name, site, time, ..
-            } => {
-                header = Some((name.clone(), site.clone()));
-                start = *time;
-            }
-            WorkflowEvent::JobDeclared {
-                job,
-                name,
-                transformation,
-                kind,
-            } => {
-                if job.idx() != records.len() {
-                    return Err(replay_err(format!(
-                        "job {job} declared out of order (expected {})",
-                        records.len()
-                    )));
-                }
-                records.push(JobRecord {
-                    job: *job,
-                    name: name.clone(),
-                    transformation: transformation.clone(),
-                    kind: *kind,
-                    state: JobState::Unready,
-                    attempts: 0,
-                    times: None,
-                    failed_attempts: Vec::new(),
-                    failure_reasons: Vec::new(),
-                    failure_kinds: Vec::new(),
-                });
-            }
-            WorkflowEvent::Skipped { job, .. } => {
-                record_for(&mut records, *job)?.state = JobState::SkippedDone;
-            }
-            WorkflowEvent::Submitted { job, attempt, .. } => {
-                record_for(&mut records, *job)?.attempts = attempt + 1;
-            }
-            WorkflowEvent::InstallStarted { job, .. } | WorkflowEvent::Started { job, .. } => {
-                record_for(&mut records, *job)?;
-            }
-            WorkflowEvent::Completed { job, times, .. } => {
-                let rec = record_for(&mut records, *job)?;
-                rec.state = JobState::Done;
-                rec.times = Some(*times);
-            }
-            WorkflowEvent::Failed {
-                job,
-                reason,
-                detail,
-                times,
-                ..
-            } => {
-                faults.record_reason(*reason);
-                let rec = record_for(&mut records, *job)?;
-                rec.failed_attempts.push(*times);
-                rec.failure_reasons.push(detail.clone());
-                rec.failure_kinds.push(*reason);
-                rec.state = JobState::Failed;
-            }
-            WorkflowEvent::TimedOut {
-                job, detail, times, ..
-            } => {
-                faults.record_reason(FaultReason::Timeout);
-                let rec = record_for(&mut records, *job)?;
-                rec.failed_attempts.push(*times);
-                rec.failure_reasons.push(detail.clone());
-                rec.failure_kinds.push(FaultReason::Timeout);
-                rec.state = JobState::Failed;
-            }
-            WorkflowEvent::RetryScheduled { job, backoff, .. } => {
-                faults.retries += 1;
-                faults.backoff_wait += backoff;
-                // The failure above was not terminal after all: until
-                // the resubmission terminates, the job counts as not
-                // yet resolved — exactly the state a crashed live run
-                // records for in-flight retries.
-                record_for(&mut records, *job)?.state = JobState::Unready;
-            }
-            WorkflowEvent::WorkflowFinished {
-                succeeded,
-                wall_time,
-                ..
-            } => {
-                finished = Some((*succeeded, *wall_time));
-            }
-        }
-    }
-
-    let (name, site) =
-        header.ok_or_else(|| replay_err("stream has no workflow-started header".into()))?;
-    let (succeeded, wall_time) = finished.unwrap_or((false, last_time - start));
-    let outcome = if succeeded {
-        WorkflowOutcome::Success
-    } else {
-        let done: Vec<String> = records
-            .iter()
-            .filter(|r| matches!(r.state, JobState::Done | JobState::SkippedDone))
-            .map(|r| r.name.clone())
-            .collect();
-        WorkflowOutcome::Failed(RescueDag {
-            workflow_name: name.clone(),
-            site: site.clone(),
-            done,
-        })
-    };
-    Ok(WorkflowRun {
-        name,
-        site,
-        outcome,
-        wall_time,
-        records,
-        faults,
-        events: events.to_vec(),
-    })
+    let mut run = fold(events)?;
+    run.events = events.to_vec();
+    Ok(run)
 }
 
 /// Rebuilds the rescue DAG of a failed (or crashed/truncated) run from
@@ -503,7 +492,7 @@ pub fn replay(events: &[WorkflowEvent]) -> Result<WorkflowRun, WmsError> {
 /// Returns [`WmsError::EventLogParse`] when [`replay`] rejects the
 /// stream.
 pub fn rescue_from_events(events: &[WorkflowEvent]) -> Result<Option<RescueDag>, WmsError> {
-    Ok(match replay(events)?.outcome {
+    Ok(match fold(events)?.outcome {
         WorkflowOutcome::Failed(rescue) => Some(rescue),
         WorkflowOutcome::Success => None,
     })
@@ -1164,42 +1153,42 @@ mod tests {
     }
 
     #[test]
-    fn replay_rejects_malformed_streams() {
+    fn every_fold_rejects_malformed_streams() {
+        const HEADER: &str = "workflow-started time=0 jobs=1 site=s name=w\n";
+        const JOB0: &str = "job id=0 kind=compute transformation=t name=a\n";
+        const JOB1: &str = "job id=1 kind=compute transformation=t name=b\n";
+        const REF0: &str = "started time=0 job=0 attempt=0\n";
+        const REF5: &str = "submitted time=0 job=5 attempt=0\n";
         assert!(replay(&[]).is_err());
-        let undeclared = [
-            WorkflowEvent::WorkflowStarted {
-                name: "w".into(),
-                site: "s".into(),
-                jobs: 0,
-                time: 0.0,
-            },
-            WorkflowEvent::Submitted {
-                job: j(5),
-                attempt: 0,
-                time: 0.0,
-            },
-        ];
-        let err = replay(&undeclared).unwrap_err();
-        assert!(err.to_string().contains("undeclared job 5"), "{err}");
+        for (what, lines) in [
+            ("undeclared job 5", [HEADER, JOB0, REF5]),
+            ("job 1 declared out of order", [HEADER, JOB1, JOB0]),
+            ("undeclared job 0", [HEADER, REF0, JOB0]),
+            ("no workflow-started header", [JOB0, REF0, ""]),
+            ("no workflow-started header", [JOB0, HEADER, REF0]),
+        ] {
+            let stream = log::parse(&lines.concat()).expect("hostile logs still parse");
+            let mut registry = crate::metrics::MetricsRegistry::new();
+            for err in [
+                replay(&stream).expect_err(what),
+                crate::breakdown::from_events(&stream).expect_err(what),
+                crate::trace::fold(&stream, None).expect_err(what),
+                crate::metrics::record_events(&mut registry, &stream).expect_err(what),
+            ] {
+                assert!(matches!(err, WmsError::EventLogParse { .. }), "{err:?}");
+                assert!(err.to_string().contains(what), "{what}: {err}");
+            }
+            assert_eq!(registry.render(), "", "{what}: rejected before recording");
+        }
     }
 
     #[test]
-    fn monitor_bridge_reproduces_live_callbacks() {
-        #[derive(Default, PartialEq, Debug)]
-        struct Tape(Vec<String>);
-        impl WorkflowMonitor for Tape {
-            fn job_submitted(&mut self, job: &ExecutableJob, attempt: u32, now: f64) {
-                self.0.push(format!("submit:{}:{attempt}@{now}", job.name));
-            }
-            fn job_terminated(&mut self, job: &ExecutableJob, ev: &CompletionEvent) {
-                self.0.push(format!("done:{}:{:?}", job.name, ev.outcome));
-            }
-            fn job_retry(&mut self, job: &ExecutableJob, next: u32, delay: f64, reason: &str) {
-                self.0
-                    .push(format!("retry:{}:{next}:{delay}:{reason}", job.name));
-            }
-            fn workflow_finished(&mut self, succeeded: bool, wall: f64) {
-                self.0.push(format!("finished:{succeeded}@{wall}"));
+    fn a_sink_sees_the_recorded_stream_trailer_included() {
+        #[derive(Default)]
+        struct Tape(Vec<WorkflowEvent>);
+        impl EventSink for Tape {
+            fn event(&mut self, ev: &WorkflowEvent) {
+                self.0.push(ev.clone());
             }
         }
 
@@ -1212,14 +1201,6 @@ mod tests {
         let mut live = Tape::default();
         let run = Engine::run(&mut be, &wf, &cfg, &mut live);
         assert!(run.succeeded());
-
-        let mut offline = Tape::default();
-        {
-            let mut sink = MonitorSink::new(&wf.jobs, &mut offline);
-            for ev in &run.events {
-                sink.event(ev);
-            }
-        }
-        assert_eq!(offline, live);
+        assert_eq!(live.0, run.events);
     }
 }

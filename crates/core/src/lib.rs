@@ -104,7 +104,7 @@ pub use engine::{
 };
 pub use ensemble::{Ensemble, EnsembleConfig, EnsembleRun, Submission, SubmissionId};
 pub use error::{Span, WmsError};
-pub use events::{EventSink, MonitorSink, WorkflowEvent};
+pub use events::{EventSink, WorkflowEvent};
 pub use graph::Csr;
 pub use lint::{Diagnostic, Severity};
 pub use planner::{plan, ExecutableJob, ExecutableWorkflow, JobKind, PlannerConfig};

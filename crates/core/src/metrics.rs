@@ -9,15 +9,14 @@
 //!
 //! Two ways to populate a [`MetricsRegistry`]:
 //!
-//! * live: wire a [`MetricsMonitor`] (a [`WorkflowMonitor`]) into
+//! * live: pass a [`MetricsMonitor`] (an [`EventSink`]) to
 //!   [`Engine::run`] — every submission, termination, and retry lands
 //!   as a labelled observation with near-zero overhead;
-//! * offline: [`record_events`] folds a recorded
+//! * offline: [`record_events`] feeds a recorded
 //!   [`crate::events::WorkflowEvent`] stream (a live run's `events`
-//!   field, one ensemble member, or a parsed `--events` log) through
-//!   the *same* monitor via [`crate::events::MonitorSink`], so the
-//!   rendered exposition is byte-identical to what the live wiring
-//!   produced under the same seed.
+//!   field, one ensemble member, or a parsed `--events` log) to the
+//!   *same* sink, so the rendered exposition is byte-identical to what
+//!   the live wiring produced under the same seed.
 //!
 //! Rendering is fully deterministic: families sort by name, series by
 //! label set, and numbers use Rust's shortest round-tripping float
@@ -25,10 +24,9 @@
 //!
 //! [`Engine::run`]: crate::engine::Engine::run
 
-use crate::engine::{CompletionEvent, FaultReason, JobOutcome, WorkflowMonitor};
 use crate::error::WmsError;
-use crate::events::{self, EventSink, MonitorSink, WorkflowEvent};
-use crate::planner::{ExecutableJob, JobKind};
+use crate::events::{self, EventSink, WorkflowEvent};
+use crate::planner::JobKind;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -401,7 +399,7 @@ pub mod names {
     pub const SIM_CALENDAR_OCCUPANCY: &str = "pegasus_sim_calendar_buckets_occupied_peak";
 }
 
-/// A [`WorkflowMonitor`] that lands every engine callback in a
+/// An [`EventSink`] that lands every engine event in a
 /// [`MetricsRegistry`] as labelled counters, gauges, and phase
 /// histograms. Constructing one declares the full
 /// [standard metric set](names) (idempotently), so several monitors —
@@ -411,6 +409,9 @@ pub struct MetricsMonitor<'a> {
     registry: &'a mut MetricsRegistry,
     site: String,
     n: String,
+    /// Job roles by id, from the current run's manifest: only compute
+    /// jobs feed the phase histograms.
+    kinds: Vec<JobKind>,
 }
 
 impl<'a> MetricsMonitor<'a> {
@@ -439,13 +440,8 @@ impl<'a> MetricsMonitor<'a> {
             registry,
             site: site.to_string(),
             n: n.to_string(),
+            kinds: Vec::new(),
         }
-    }
-
-    /// Splits the borrow: registry mutably, the label pair immutably.
-    fn parts(&mut self) -> (&mut MetricsRegistry, [(&str, &str); 2]) {
-        let MetricsMonitor { registry, site, n } = self;
-        (registry, [("site", site.as_str()), ("n", n.as_str())])
     }
 }
 
@@ -454,91 +450,74 @@ fn in_flight_delta(registry: &mut MetricsRegistry, labels: &[(&str, &str)], delt
     registry.set(names::IN_FLIGHT, labels, cur + delta);
 }
 
-impl WorkflowMonitor for MetricsMonitor<'_> {
-    fn job_submitted(&mut self, _job: &ExecutableJob, _attempt: u32, _now: f64) {
-        let (registry, labels) = self.parts();
-        registry.inc(names::SUBMITTED, &labels);
-        in_flight_delta(registry, &labels, 1.0);
-    }
-
-    fn job_terminated(&mut self, job: &ExecutableJob, event: &CompletionEvent) {
-        let (registry, [site, n]) = self.parts();
-        in_flight_delta(registry, &[site, n], -1.0);
-        match &event.outcome {
-            JobOutcome::Success => {
+impl EventSink for MetricsMonitor<'_> {
+    fn event(&mut self, ev: &WorkflowEvent) {
+        let [site, n] = [("site", self.site.as_str()), ("n", self.n.as_str())];
+        let registry = &mut *self.registry;
+        match ev {
+            // A further run on the same sink brings its own manifest.
+            WorkflowEvent::WorkflowStarted { .. } => self.kinds.clear(),
+            WorkflowEvent::JobDeclared { kind, .. } => self.kinds.push(*kind),
+            WorkflowEvent::Submitted { .. } => {
+                registry.inc(names::SUBMITTED, &[site, n]);
+                in_flight_delta(registry, &[site, n], 1.0);
+            }
+            WorkflowEvent::RetryScheduled {
+                backoff, reason, ..
+            } => {
+                registry.inc(names::RETRIES, &[site, n, ("reason", reason.prefix())]);
+                registry.add(names::BACKOFF_WAIT, &[site, n], *backoff);
+            }
+            WorkflowEvent::WorkflowFinished {
+                succeeded,
+                wall_time,
+                ..
+            } => {
+                registry.set(names::WALL_TIME, &[site, n], *wall_time);
+                let outcome = if *succeeded { "success" } else { "failed" };
+                registry.inc(names::WORKFLOWS, &[site, n, ("outcome", outcome)]);
+            }
+            _ => {
+                let Some(end) = ev.termination() else { return };
+                in_flight_delta(registry, &[site, n], -1.0);
+                if let Some((reason, _)) = end.failure {
+                    registry.inc(names::FAILURES, &[site, n, ("reason", reason.prefix())]);
+                    return;
+                }
                 registry.inc(names::COMPLETIONS, &[site, n]);
-                if job.kind == JobKind::Compute {
+                if self.kinds.get(end.job.idx()) == Some(&JobKind::Compute) {
                     for (phase, seconds) in [
-                        ("queue_wait", event.times.waiting()),
-                        ("install", event.times.install()),
-                        ("kickstart", event.times.kickstart()),
+                        ("queue_wait", end.times.waiting()),
+                        ("install", end.times.install()),
+                        ("kickstart", end.times.kickstart()),
                     ] {
-                        registry.observe(
-                            names::PHASE_SECONDS,
-                            &[site, n, ("phase", phase)],
-                            seconds,
-                        );
+                        let labels = [site, n, ("phase", phase)];
+                        registry.observe(names::PHASE_SECONDS, &labels, seconds);
                     }
                 }
             }
-            JobOutcome::Failure(detail) => {
-                let reason = FaultReason::classify(detail);
-                registry.inc(names::FAILURES, &[site, n, ("reason", reason.prefix())]);
-            }
         }
-    }
-
-    fn job_retry(&mut self, _job: &ExecutableJob, _next_attempt: u32, delay: f64, reason: &str) {
-        let kind = FaultReason::classify(reason);
-        let (registry, [site, n]) = self.parts();
-        registry.inc(names::RETRIES, &[site, n, ("reason", kind.prefix())]);
-        registry.add(names::BACKOFF_WAIT, &[site, n], delay);
-    }
-
-    fn workflow_finished(&mut self, succeeded: bool, wall_time: f64) {
-        let (registry, [site, n]) = self.parts();
-        registry.set(names::WALL_TIME, &[site, n], wall_time);
-        let outcome = if succeeded { "success" } else { "failed" };
-        registry.inc(names::WORKFLOWS, &[site, n, ("outcome", outcome)]);
     }
 }
 
-/// Folds a recorded event stream into `registry` — the offline twin of
-/// wiring a [`MetricsMonitor`] into a live run. The stream is replayed
-/// through the same [`MonitorSink`] the engine drives, so under the
-/// same seed the rendered exposition is byte-identical to the live
-/// wiring's.
+/// Feeds a recorded event stream to a [`MetricsMonitor`] over
+/// `registry`, labelled from the stream's own header — the offline
+/// twin of passing one to a live run. It is the same sink the engine
+/// drives, so under the same seed the rendered exposition is
+/// byte-identical to the live wiring's.
 ///
 /// # Errors
-/// Returns [`WmsError::EventLogParse`] when the stream is not a valid
-/// engine emission (no header, undeclared jobs).
+/// Returns [`WmsError::EventLogParse`], before touching `registry`,
+/// when the stream is not a valid engine emission (no header first,
+/// undeclared or out-of-order jobs).
 pub fn record_events(
     registry: &mut MetricsRegistry,
     stream: &[WorkflowEvent],
 ) -> Result<(), WmsError> {
-    let run = events::replay(stream)?;
-    // Reconstruct just enough of the executable job list for the
-    // monitor callbacks: names, transformations, and kinds all ride on
-    // the stream's manifest.
-    let jobs: Vec<ExecutableJob> = run
-        .records
-        .iter()
-        .map(|r| ExecutableJob {
-            id: r.job,
-            name: r.name.clone(),
-            transformation: r.transformation.clone(),
-            kind: r.kind,
-            args: Vec::new(),
-            runtime_hint: 0.0,
-            install_hint: 0.0,
-            source_jobs: Vec::new(),
-        })
-        .collect();
-    let n = n_label(&run.name, jobs.len());
-    let mut monitor = MetricsMonitor::new(registry, &run.site, &n);
-    let mut sink = MonitorSink::new(&jobs, &mut monitor);
+    let (name, site, jobs) = events::validate(stream)?;
+    let mut monitor = MetricsMonitor::new(registry, site, &n_label(name, jobs));
     for ev in stream {
-        sink.event(ev);
+        monitor.event(ev);
     }
     Ok(())
 }
@@ -547,8 +526,8 @@ pub fn record_events(
 mod tests {
     use super::*;
     use crate::engine::scripted::ScriptedBackend;
-    use crate::engine::{Engine, EngineConfig, JobTimes, RetryPolicy};
-    use crate::planner::ExecutableWorkflow;
+    use crate::engine::{Engine, EngineConfig, RetryPolicy};
+    use crate::planner::{ExecutableJob, ExecutableWorkflow};
 
     fn registry_with_histogram() -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
@@ -722,19 +701,11 @@ mod tests {
     fn phase_histogram_splits_waiting_install_kickstart() {
         let mut r = MetricsRegistry::new();
         let mut mon = MetricsMonitor::new(&mut r, "s", "1");
-        let wf = chain();
-        let ev = CompletionEvent {
-            job: crate::workflow::JobId::new(1),
-            attempt: 0,
-            outcome: JobOutcome::Success,
-            times: JobTimes {
-                submitted: 0.0,
-                started: 100.0,
-                install_done: 130.0,
-                finished: 530.0,
-            },
-        };
-        mon.job_terminated(&wf.jobs[1], &ev);
+        let text = "job id=0 kind=compute transformation=b name=b\n\
+                    completed job=0 attempt=0 submitted=0 started=100 install-done=130 finished=530\n";
+        for ev in events::log::parse(text).unwrap() {
+            mon.event(&ev);
+        }
         for (phase, want) in [
             ("queue_wait", 100.0),
             ("install", 30.0),

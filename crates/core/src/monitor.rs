@@ -4,10 +4,10 @@
 //! one-line status (`%done  queued/running/done/failed`);
 //! [`TimelineMonitor`] records a full event timeline suitable for
 //! Gantt rendering and concurrency analysis (how many jobs were in
-//! flight at any simulated/real moment).
+//! flight at any simulated/real moment). Both are [`EventSink`]s, so
+//! they fold a recorded stream exactly as they fold a live one.
 
-use crate::engine::{CompletionEvent, JobOutcome, WorkflowMonitor};
-use crate::planner::ExecutableJob;
+use crate::events::{EventSink, WorkflowEvent};
 
 /// Running counters and a status line.
 #[derive(Debug, Default, Clone)]
@@ -61,25 +61,23 @@ impl StatusMonitor {
     }
 }
 
-impl WorkflowMonitor for StatusMonitor {
-    fn job_submitted(&mut self, _job: &ExecutableJob, _attempt: u32, _now: f64) {
-        self.in_flight += 1;
-        self.submissions += 1;
-        self.history.push(self.status_line());
-    }
-
-    fn job_terminated(&mut self, _job: &ExecutableJob, event: &CompletionEvent) {
-        self.in_flight = self.in_flight.saturating_sub(1);
-        match event.outcome {
-            JobOutcome::Success => self.done += 1,
-            JobOutcome::Failure(_) => self.failed_attempts += 1,
+impl EventSink for StatusMonitor {
+    fn event(&mut self, ev: &WorkflowEvent) {
+        if let WorkflowEvent::RetryScheduled { backoff, .. } = ev {
+            self.retries += 1;
+            self.backoff_wait += backoff;
+        } else if let WorkflowEvent::Submitted { .. } = ev {
+            self.in_flight += 1;
+            self.submissions += 1;
+            self.history.push(self.status_line());
+        } else if let Some(end) = ev.termination() {
+            self.in_flight = self.in_flight.saturating_sub(1);
+            match end.failure {
+                None => self.done += 1,
+                Some(_) => self.failed_attempts += 1,
+            }
+            self.history.push(self.status_line());
         }
-        self.history.push(self.status_line());
-    }
-
-    fn job_retry(&mut self, _job: &ExecutableJob, _next_attempt: u32, delay: f64, _reason: &str) {
-        self.retries += 1;
-        self.backoff_wait += delay;
     }
 }
 
@@ -105,6 +103,8 @@ pub struct TimelineEntry {
 pub struct TimelineMonitor {
     /// Completed attempt intervals, in completion order.
     pub entries: Vec<TimelineEntry>,
+    /// `(name, transformation)` per job of the current run's manifest.
+    jobs: Vec<(String, String)>,
 }
 
 impl TimelineMonitor {
@@ -154,23 +154,39 @@ impl TimelineMonitor {
     }
 }
 
-impl WorkflowMonitor for TimelineMonitor {
-    fn job_terminated(&mut self, job: &ExecutableJob, event: &CompletionEvent) {
-        self.entries.push(TimelineEntry {
-            name: job.name.clone(),
-            transformation: job.transformation.clone(),
-            attempt: event.attempt,
-            start: event.times.started,
-            end: event.times.finished,
-            succeeded: matches!(event.outcome, JobOutcome::Success),
-        });
+impl EventSink for TimelineMonitor {
+    fn event(&mut self, ev: &WorkflowEvent) {
+        if let WorkflowEvent::WorkflowStarted { .. } = ev {
+            // A further run on the same sink brings its own manifest.
+            self.jobs.clear();
+        } else if let WorkflowEvent::JobDeclared {
+            name,
+            transformation,
+            ..
+        } = ev
+        {
+            self.jobs.push((name.clone(), transformation.clone()));
+        } else if let Some(end) = ev.termination() {
+            // An attempt of a job the manifest never declared has no
+            // name to file it under.
+            if let Some((name, transformation)) = self.jobs.get(end.job.idx()) {
+                self.entries.push(TimelineEntry {
+                    name: name.clone(),
+                    transformation: transformation.clone(),
+                    attempt: end.attempt,
+                    start: end.times.started,
+                    end: end.times.finished,
+                    succeeded: end.failure.is_none(),
+                });
+            }
+        }
     }
 }
 
-/// Fans one engine callback stream out to several monitors.
+/// Fans one event stream out to several sinks, in push order.
 #[derive(Default)]
 pub struct MultiMonitor<'a> {
-    monitors: Vec<&'a mut dyn WorkflowMonitor>,
+    sinks: Vec<&'a mut dyn EventSink>,
 }
 
 impl<'a> MultiMonitor<'a> {
@@ -179,34 +195,16 @@ impl<'a> MultiMonitor<'a> {
         Self::default()
     }
 
-    /// Adds a monitor to the fan-out.
-    pub fn push(&mut self, m: &'a mut dyn WorkflowMonitor) {
-        self.monitors.push(m);
+    /// Adds a sink to the fan-out.
+    pub fn push(&mut self, sink: &'a mut dyn EventSink) {
+        self.sinks.push(sink);
     }
 }
 
-impl WorkflowMonitor for MultiMonitor<'_> {
-    fn job_submitted(&mut self, job: &ExecutableJob, attempt: u32, now: f64) {
-        for m in &mut self.monitors {
-            m.job_submitted(job, attempt, now);
-        }
-    }
-
-    fn job_terminated(&mut self, job: &ExecutableJob, event: &CompletionEvent) {
-        for m in &mut self.monitors {
-            m.job_terminated(job, event);
-        }
-    }
-
-    fn job_retry(&mut self, job: &ExecutableJob, next_attempt: u32, delay: f64, reason: &str) {
-        for m in &mut self.monitors {
-            m.job_retry(job, next_attempt, delay, reason);
-        }
-    }
-
-    fn workflow_finished(&mut self, succeeded: bool, wall_time: f64) {
-        for m in &mut self.monitors {
-            m.workflow_finished(succeeded, wall_time);
+impl EventSink for MultiMonitor<'_> {
+    fn event(&mut self, ev: &WorkflowEvent) {
+        for sink in &mut self.sinks {
+            sink.event(ev);
         }
     }
 }
@@ -214,52 +212,44 @@ impl WorkflowMonitor for MultiMonitor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::JobTimes;
-    use crate::planner::JobKind;
+    use crate::events::log;
 
-    fn job(id: usize, name: &str) -> ExecutableJob {
-        ExecutableJob {
-            id: crate::workflow::JobId::new(id),
-            name: name.into(),
-            transformation: "t".into(),
-            kind: JobKind::Compute,
-            args: vec![],
-            runtime_hint: 1.0,
-            install_hint: 0.0,
-            source_jobs: vec![],
+    /// Feeds `sink` the events of an event-log text.
+    fn feed(sink: &mut dyn EventSink, text: &str) {
+        for ev in log::parse(text).expect("test logs parse") {
+            sink.event(&ev);
         }
     }
 
-    fn event(id: usize, start: f64, end: f64, ok: bool) -> CompletionEvent {
-        CompletionEvent {
-            job: crate::workflow::JobId::new(id),
-            attempt: 0,
-            outcome: if ok {
-                JobOutcome::Success
-            } else {
-                JobOutcome::Failure("x".into())
-            },
-            times: JobTimes {
-                submitted: start,
-                started: start,
-                install_done: start,
-                finished: end,
-            },
-        }
+    /// The terminal line of attempt 0 of job `id` running over
+    /// `[start, end]` with no queue wait or install phase.
+    fn ran(id: usize, start: f64, end: f64, ok: bool) -> String {
+        let head = if ok {
+            "completed"
+        } else {
+            "failed reason=error"
+        };
+        format!(
+            "{head} job={id} attempt=0 submitted={start} started={start} \
+             install-done={start} finished={end} detail=x\n"
+        )
     }
+
+    const RETRY: &str = "retry-scheduled time=0 job=0 next-attempt=1 backoff=2.5 \
+                         reason=preempted detail=preempted\n";
 
     #[test]
     fn status_counts_and_percentages() {
         let mut m = StatusMonitor::new(4);
         assert_eq!(m.percent_done(), 0.0);
-        m.job_submitted(&job(0, "a"), 0, 0.0);
-        m.job_submitted(&job(1, "b"), 0, 0.0);
+        feed(&mut m, "submitted time=0 job=0 attempt=0\n");
+        feed(&mut m, "submitted time=0 job=1 attempt=0\n");
         assert_eq!(m.in_flight, 2);
-        m.job_terminated(&job(0, "a"), &event(0, 0.0, 5.0, true));
+        feed(&mut m, &ran(0, 0.0, 5.0, true));
         assert_eq!(m.done, 1);
         assert_eq!(m.in_flight, 1);
         assert_eq!(m.percent_done(), 25.0);
-        m.job_terminated(&job(1, "b"), &event(1, 0.0, 5.0, false));
+        feed(&mut m, &ran(1, 0.0, 5.0, false));
         assert_eq!(m.failed_attempts, 1);
         assert!(m.status_line().contains("25.0% done"));
         assert_eq!(m.history.len(), 4);
@@ -268,10 +258,9 @@ mod tests {
     #[test]
     fn status_monitor_tallies_retries_and_backoff() {
         let mut m = StatusMonitor::new(2);
-        m.job_retry(&job(0, "a"), 1, 5.0, "preempted");
-        m.job_retry(&job(0, "a"), 2, 10.0, "preempted");
+        feed(&mut m, &[RETRY, RETRY].concat());
         assert_eq!(m.retries, 2);
-        assert_eq!(m.backoff_wait, 15.0);
+        assert_eq!(m.backoff_wait, 5.0);
         // Retry events don't pollute the status history.
         assert!(m.history.is_empty());
     }
@@ -281,12 +270,26 @@ mod tests {
         assert_eq!(StatusMonitor::new(0).percent_done(), 100.0);
     }
 
+    /// A timeline that knows jobs 0..3 as a, b, c and saw `attempts`.
+    fn timeline(attempts: &[String]) -> TimelineMonitor {
+        let mut t = TimelineMonitor::new();
+        for (id, name) in ["a", "b", "c"].iter().enumerate() {
+            let line = format!("job id={id} kind=compute transformation=t name={name}\n");
+            feed(&mut t, &line);
+        }
+        feed(&mut t, &attempts.concat());
+        t
+    }
+
     #[test]
     fn timeline_records_intervals_and_concurrency() {
-        let mut t = TimelineMonitor::new();
-        t.job_terminated(&job(0, "a"), &event(0, 0.0, 10.0, true));
-        t.job_terminated(&job(1, "b"), &event(1, 2.0, 8.0, true));
-        t.job_terminated(&job(2, "c"), &event(2, 10.0, 15.0, true));
+        let t = timeline(&[
+            ran(0, 0.0, 10.0, true),
+            ran(1, 2.0, 8.0, true),
+            ran(2, 10.0, 15.0, true),
+            // No name to file an undeclared job's attempt under.
+            ran(7, 0.0, 99.0, true),
+        ]);
         assert_eq!(t.entries.len(), 3);
         assert_eq!(t.peak_concurrency(), 2);
         let csv = t.to_csv();
@@ -296,9 +299,7 @@ mod tests {
 
     #[test]
     fn touching_intervals_do_not_double_count() {
-        let mut t = TimelineMonitor::new();
-        t.job_terminated(&job(0, "a"), &event(0, 0.0, 10.0, true));
-        t.job_terminated(&job(1, "b"), &event(1, 10.0, 20.0, true));
+        let t = timeline(&[ran(0, 0.0, 10.0, true), ran(1, 10.0, 20.0, true)]);
         assert_eq!(t.peak_concurrency(), 1);
     }
 
@@ -345,26 +346,30 @@ mod tests {
     fn peak_concurrency_breaks_simultaneous_ties() {
         // Three intervals share t = 5 as both an end and two starts:
         // the ending attempt must not be counted alongside them.
-        let mut t = TimelineMonitor::new();
-        t.job_terminated(&job(0, "a"), &event(0, 0.0, 5.0, true));
-        t.job_terminated(&job(1, "b"), &event(1, 5.0, 10.0, true));
-        t.job_terminated(&job(2, "c"), &event(2, 5.0, 10.0, true));
+        let t = timeline(&[
+            ran(0, 0.0, 5.0, true),
+            ran(1, 5.0, 10.0, true),
+            ran(2, 5.0, 10.0, true),
+        ]);
         assert_eq!(t.peak_concurrency(), 2);
 
         // Identical intervals all count simultaneously...
-        let mut t = TimelineMonitor::new();
-        for id in 0..3 {
-            t.job_terminated(&job(id, "x"), &event(id, 0.0, 5.0, true));
-        }
-        assert_eq!(t.peak_concurrency(), 3);
+        let same: Vec<String> = (0..3).map(|id| ran(id, 0.0, 5.0, true)).collect();
+        assert_eq!(timeline(&same).peak_concurrency(), 3);
 
         // ...including zero-width ones, where the start still sorts
         // after the end at the same instant (net zero, peak from the
         // longer-lived neighbour only).
-        let mut t = TimelineMonitor::new();
-        t.job_terminated(&job(0, "a"), &event(0, 5.0, 5.0, true));
-        t.job_terminated(&job(1, "b"), &event(1, 0.0, 10.0, true));
+        let t = timeline(&[ran(0, 5.0, 5.0, true), ran(1, 0.0, 10.0, true)]);
         assert_eq!(t.peak_concurrency(), 1);
+    }
+
+    /// One submission, one retry, one completion, then the trailer.
+    fn one_job_stream() -> String {
+        let head = "job id=0 kind=compute transformation=t name=a\n\
+                    submitted time=0 job=0 attempt=0\n";
+        let done = ran(0, 0.0, 3.0, true);
+        format!("{head}{RETRY}{done}workflow-finished time=3 wall-time=3 succeeded=true\n")
     }
 
     #[test]
@@ -373,18 +378,11 @@ mod tests {
         use std::rc::Rc;
 
         struct Tagged(&'static str, Rc<RefCell<Vec<String>>>);
-        impl WorkflowMonitor for Tagged {
-            fn job_submitted(&mut self, _job: &ExecutableJob, _attempt: u32, _now: f64) {
-                self.1.borrow_mut().push(format!("{}:submit", self.0));
-            }
-            fn job_terminated(&mut self, _job: &ExecutableJob, _event: &CompletionEvent) {
-                self.1.borrow_mut().push(format!("{}:done", self.0));
-            }
-            fn job_retry(&mut self, _job: &ExecutableJob, _next: u32, _delay: f64, _r: &str) {
-                self.1.borrow_mut().push(format!("{}:retry", self.0));
-            }
-            fn workflow_finished(&mut self, _succeeded: bool, _wall: f64) {
-                self.1.borrow_mut().push(format!("{}:finished", self.0));
+        impl EventSink for Tagged {
+            fn event(&mut self, ev: &WorkflowEvent) {
+                let line = log::append(std::slice::from_ref(ev));
+                let keyword = line.split(' ').next().expect("a keyword");
+                self.1.borrow_mut().push(format!("{}:{keyword}", self.0));
             }
         }
 
@@ -395,24 +393,19 @@ mod tests {
             let mut multi = MultiMonitor::new();
             multi.push(&mut first);
             multi.push(&mut second);
-            multi.job_submitted(&job(0, "a"), 0, 0.0);
-            multi.job_retry(&job(0, "a"), 1, 1.0, "error");
-            multi.job_terminated(&job(0, "a"), &event(0, 0.0, 3.0, true));
-            multi.workflow_finished(true, 3.0);
+            feed(&mut multi, &one_job_stream());
         }
-        assert_eq!(
-            *tape.borrow(),
-            vec![
-                "first:submit",
-                "second:submit",
-                "first:retry",
-                "second:retry",
-                "first:done",
-                "second:done",
-                "first:finished",
-                "second:finished",
-            ]
-        );
+        let want: Vec<String> = [
+            "job",
+            "submitted",
+            "retry-scheduled",
+            "completed",
+            "workflow-finished",
+        ]
+        .iter()
+        .flat_map(|k| [format!("first:{k}"), format!("second:{k}")])
+        .collect();
+        assert_eq!(*tape.borrow(), want);
     }
 
     #[test]
@@ -423,10 +416,7 @@ mod tests {
             let mut multi = MultiMonitor::new();
             multi.push(&mut status);
             multi.push(&mut timeline);
-            multi.job_submitted(&job(0, "a"), 0, 0.0);
-            multi.job_retry(&job(0, "a"), 1, 2.5, "preempted");
-            multi.job_terminated(&job(0, "a"), &event(0, 0.0, 3.0, true));
-            multi.workflow_finished(true, 3.0);
+            feed(&mut multi, &one_job_stream());
         }
         assert_eq!(status.done, 1);
         assert_eq!(status.retries, 1);

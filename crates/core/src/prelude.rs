@@ -7,19 +7,30 @@
 //!
 //! let config = EngineConfig::builder().retries(3).backoff(30.0).build();
 //! assert_eq!(config.retry.max_attempts, 4);
+//!
+//! // Every observer is an `EventSink` handed to `Engine::run`.
+//! let wf = ExecutableWorkflow {
+//!     name: "empty".into(),
+//!     site: "local".into(),
+//!     jobs: vec![],
+//!     edges: vec![],
+//! };
+//! let mut sink = StatusMonitor::new(wf.jobs.len());
+//! let mut backend = pegasus_wms::engine::scripted::ScriptedBackend::new();
+//! let run = Engine::run(&mut backend, &wf, &config, &mut sink);
+//! assert!(run.succeeded() && sink.percent_done() == 100.0);
 //! ```
 
 pub use crate::breakdown::{BreakdownRow, JobSpan};
 pub use crate::catalog::{ReplicaCatalog, SiteCatalog, TransformationCatalog};
 pub use crate::engine::{
     CompletionEvent, Engine, EngineConfig, EngineConfigBuilder, ExecutionBackend, FaultCounters,
-    FaultReason, JobOutcome, JobState, NoopMonitor, RetryPolicy, WorkflowMonitor, WorkflowOutcome,
-    WorkflowRun,
+    FaultReason, JobOutcome, JobState, NoopMonitor, RetryPolicy, WorkflowOutcome, WorkflowRun,
 };
 pub use crate::ensemble::{
     Ensemble, EnsembleConfig, EnsembleMonitor, EnsembleRun, MemberState, Submission, SubmissionId,
 };
-pub use crate::events::{replay, rescue_from_events, EventSink, MonitorSink, WorkflowEvent};
+pub use crate::events::{replay, rescue_from_events, EventSink, WorkflowEvent};
 pub use crate::graph::Csr;
 pub use crate::metrics::{MetricsMonitor, MetricsRegistry};
 pub use crate::monitor::{MultiMonitor, StatusMonitor, TimelineMonitor};

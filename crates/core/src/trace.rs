@@ -21,9 +21,10 @@
 //!   microseconds, deterministically ordered;
 //! * [`render_text`] — a plain-text span tree for terminals.
 //!
-//! Both are pure functions of the stream, so the live fold (`pegasus
-//! trace --site ...`) and the offline fold of the written log
-//! (`--from-events`) are byte-identical — the same discipline the
+//! Both are pure functions of the job records the stream folds into,
+//! so the tree of a live run ([`of_run`], `pegasus trace --site ...`)
+//! and the offline fold of the written log ([`fold`],
+//! `--from-events`) are byte-identical — the same discipline the
 //! statistics, metrics, and breakdown surfaces follow.
 //!
 //! Trace ids travel *outside* the event grammar: a `# trace
@@ -32,7 +33,7 @@
 //! tagged logs stay readable by every older consumer byte-for-byte.
 
 use crate::breakdown::{self, JobSpan};
-use crate::engine::JobTimes;
+use crate::engine::{FaultReason, JobTimes, WorkflowRun};
 use crate::error::WmsError;
 use crate::events::{self, WorkflowEvent};
 use crate::planner::JobKind;
@@ -213,7 +214,7 @@ pub struct WorkflowTrace {
     pub jobs: Vec<JobTrace>,
 }
 
-fn phases_of(times: &JobTimes) -> Vec<Phase> {
+fn attempt_span(attempt: usize, outcome: AttemptOutcome, times: &JobTimes) -> AttemptSpan {
     let mut phases = vec![Phase {
         label: "queue-wait",
         start: times.submitted,
@@ -231,78 +232,80 @@ fn phases_of(times: &JobTimes) -> Vec<Phase> {
         start: times.install_done,
         end: times.finished,
     });
-    phases
+    AttemptSpan {
+        attempt: attempt as u32,
+        outcome,
+        times: *times,
+        phases,
+    }
 }
 
-/// Folds an event stream into a [`WorkflowTrace`], attributing it to
-/// `trace` (pass the id read from the log via [`trace_from_log`], the
-/// daemon's journaled id, or a freshly derived one for live runs).
-///
-/// # Errors
-/// Returns [`WmsError::EventLogParse`] when the stream is not a valid
-/// engine emission (no header, undeclared jobs).
-pub fn fold(stream: &[WorkflowEvent], trace: Option<TraceId>) -> Result<WorkflowTrace, WmsError> {
-    let run = events::replay(stream)?;
-    let spans = breakdown::job_spans(stream)?;
-    let mut jobs: Vec<JobTrace> = spans
-        .into_iter()
-        .map(|s| JobTrace {
-            job: s.job,
-            name: s.name.clone(),
-            kind: s.kind,
-            attempts: Vec::new(),
-            summary: s,
+/// The span tree of the run that started at `start`, from its records:
+/// a job's failed attempts in order, then its successful one.
+fn tree(run: &WorkflowRun, start: f64, trace: Option<TraceId>) -> WorkflowTrace {
+    let jobs = run
+        .records
+        .iter()
+        .zip(breakdown::job_spans(&run.records))
+        .map(|(r, summary)| {
+            let failed = r.failed_attempts.iter().zip(&r.failure_reasons);
+            let mut attempts: Vec<AttemptSpan> = failed
+                .zip(&r.failure_kinds)
+                .enumerate()
+                .map(|(i, ((times, detail), kind))| {
+                    let outcome = match kind {
+                        FaultReason::Timeout => AttemptOutcome::TimedOut(detail.clone()),
+                        _ => AttemptOutcome::Failed(detail.clone()),
+                    };
+                    attempt_span(i, outcome, times)
+                })
+                .collect();
+            if let Some(times) = &r.times {
+                attempts.push(attempt_span(
+                    attempts.len(),
+                    AttemptOutcome::Completed,
+                    times,
+                ));
+            }
+            JobTrace {
+                job: r.job,
+                name: r.name.clone(),
+                kind: r.kind,
+                summary,
+                attempts,
+            }
         })
         .collect();
-    let mut start = 0.0f64;
-    for ev in stream {
-        match ev {
-            WorkflowEvent::WorkflowStarted { time, .. } => start = *time,
-            WorkflowEvent::Completed {
-                job,
-                attempt,
-                times,
-            } => jobs[job.idx()].attempts.push(AttemptSpan {
-                attempt: *attempt,
-                outcome: AttemptOutcome::Completed,
-                times: *times,
-                phases: phases_of(times),
-            }),
-            WorkflowEvent::Failed {
-                job,
-                attempt,
-                detail,
-                times,
-                ..
-            } => jobs[job.idx()].attempts.push(AttemptSpan {
-                attempt: *attempt,
-                outcome: AttemptOutcome::Failed(detail.clone()),
-                times: *times,
-                phases: phases_of(times),
-            }),
-            WorkflowEvent::TimedOut {
-                job,
-                attempt,
-                detail,
-                times,
-            } => jobs[job.idx()].attempts.push(AttemptSpan {
-                attempt: *attempt,
-                outcome: AttemptOutcome::TimedOut(detail.clone()),
-                times: *times,
-                phases: phases_of(times),
-            }),
-            _ => {}
-        }
-    }
-    Ok(WorkflowTrace {
+    WorkflowTrace {
         trace,
+        name: run.name.clone(),
+        site: run.site.clone(),
         succeeded: run.succeeded(),
-        name: run.name,
-        site: run.site,
         start,
         end: start + run.wall_time,
         jobs,
-    })
+    }
+}
+
+/// The span tree of a run in hand, attributed to `trace`. Costs no
+/// replay: every interval is already in the run's records.
+pub fn of_run(run: &WorkflowRun, trace: Option<TraceId>) -> WorkflowTrace {
+    tree(run, events::start_time(&run.events), trace)
+}
+
+/// Folds a recorded event stream into a [`WorkflowTrace`], attributing
+/// it to `trace` (pass the id read from the log via
+/// [`trace_from_log`], or the daemon's journaled id).
+///
+/// # Errors
+/// Returns [`WmsError::EventLogParse`] when the stream is not a valid
+/// engine emission (no header first, undeclared or out-of-order jobs).
+pub fn fold(stream: &[WorkflowEvent], trace: Option<TraceId>) -> Result<WorkflowTrace, WmsError> {
+    Ok(tree(
+        &events::fold(stream)?,
+        events::start_time(stream),
+        trace,
+    ))
 }
 
 /// Renders the plain-text span tree — the default `pegasus trace`
@@ -672,7 +675,7 @@ mod tests {
         let b_ok = &t.jobs[1].attempts[0];
         assert!(!b_ok.phases.iter().any(|p| p.label == "install"));
         // The summary matches the breakdown fold for the same stream.
-        let spans = breakdown::job_spans(&run.events).unwrap();
+        let spans = breakdown::job_spans(&run.records);
         assert_eq!(t.jobs[0].summary, spans[0]);
     }
 

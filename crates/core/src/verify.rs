@@ -40,7 +40,7 @@
 //! quota is a deadlock, not a throttle.
 //!
 //! [`ShadowVerifier`] is the flag-gated live form: an
-//! [`EventSink`] fed by `Engine::run_with_sink` that replays the full
+//! [`EventSink`] handed to `Engine::run` that replays the full
 //! Layer-1 catalog over the stream the engine just emitted, so
 //! `pegasus run --verify` asserts the invariants on every live run.
 
@@ -1199,8 +1199,8 @@ pub fn check_trace_match(
 }
 
 /// The flag-gated live shadow monitor: an [`EventSink`] fed every
-/// event the engine emits (via `Engine::run_with_sink`), which runs
-/// the full Layer-1 catalog over the finished stream.
+/// event the engine emits (hand it to `Engine::run`), which runs the
+/// full Layer-1 catalog over the finished stream.
 ///
 /// The sink records the stream as it arrives and verifies it when
 /// [`ShadowVerifier::finish`] is called (or eagerly if events keep
@@ -1470,11 +1470,10 @@ workflow-finished time=2 wall-time=2 succeeded=false
         )
         .unwrap();
         let mut shadow = ShadowVerifier::new("<live>", VerifyOptions::default());
-        let run = Engine::run_with_sink(
+        let run = Engine::run(
             &mut ScriptedBackend::new(),
             &exec,
             &EngineConfig::default(),
-            &mut NoopMonitor,
             &mut shadow,
         );
         assert!(run.succeeded());

@@ -1003,9 +1003,10 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     let mut timeline = TimelineMonitor::new();
     let mut metrics_registry = MetricsRegistry::new();
     let n = metrics::n_label(&exec.name, exec.jobs.len());
-    // Under --verify a shadow verifier rides the run as an extra event
-    // sink and asserts the temporal invariant catalog once the stream
-    // completes; findings render to stderr and fail the exit code.
+    // Under --verify a shadow verifier joins the fan-out like every
+    // other listener and asserts the temporal invariant catalog once
+    // the stream completes; findings render to stderr and fail the
+    // exit code.
     let mut shadow = args.flag("verify").then(|| {
         pegasus_wms::verify::ShadowVerifier::new(
             format!("<run {}>", exec.name),
@@ -1021,10 +1022,10 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
         multi.push(&mut status);
         multi.push(&mut timeline);
         multi.push(&mut metrics_monitor);
-        match shadow.as_mut() {
-            Some(sink) => Engine::run_with_sink(&mut backend, &exec, &engine_cfg, &mut multi, sink),
-            None => Engine::run(&mut backend, &exec, &engine_cfg, &mut multi),
+        if let Some(shadow) = shadow.as_mut() {
+            multi.push(shadow);
         }
+        Engine::run(&mut backend, &exec, &engine_cfg, &mut multi)
     };
 
     // Under --profile the engine's own wall-clock phases and the
@@ -1233,7 +1234,7 @@ fn cmd_trace(args: &Args) -> ExitCode {
                 eprintln!("event log written to {path}");
             }
         }
-        traces.push(trace::fold(&out.run.events, Some(id)).expect("engine streams replay"));
+        traces.push(trace::of_run(&out.run, Some(id)));
     }
 
     let all_ok = traces.iter().all(|t| t.succeeded);

@@ -146,13 +146,9 @@ impl ExperimentOutcome {
     }
 
     /// The run's per-task phase breakdown row (Fig. 7–8 decomposition),
-    /// computed from the provenance stream alone.
-    ///
-    /// # Panics
-    /// Panics if the run carries no valid event stream (engine runs
-    /// always do).
+    /// computed from the job records its provenance stream folded into.
     pub fn breakdown(&self) -> pegasus_wms::breakdown::BreakdownRow {
-        pegasus_wms::breakdown::from_events(&self.run.events).expect("engine streams replay")
+        pegasus_wms::breakdown::of_run(&self.run)
     }
 }
 

@@ -188,7 +188,6 @@ enum SchedMsg {
 /// a crash at any instant leaves well-formed replayable prefixes.
 struct LogMonitor {
     files: Vec<File>,
-    written: Vec<usize>,
     completed: usize,
     crash_after: Option<usize>,
 }
@@ -216,32 +215,23 @@ impl LogMonitor {
         }
         Ok(LogMonitor {
             files,
-            written: vec![0; ids.len()],
             completed: 0,
             crash_after,
         })
     }
+}
 
-    fn append(&mut self, index: usize, chunk: &[WorkflowEvent]) {
+impl EnsembleMonitor for LogMonitor {
+    fn member_events(&mut self, index: usize, chunk: &[WorkflowEvent]) {
         if chunk.is_empty() {
             return;
         }
         self.files[index]
             .write_all(events::log::append(chunk).as_bytes())
             .expect("append member event log");
-        self.written[index] += chunk.len();
-    }
-}
-
-impl EnsembleMonitor for LogMonitor {
-    fn member_events(&mut self, index: usize, events: &[WorkflowEvent]) {
-        self.append(index, events);
     }
 
-    fn workflow_finished(&mut self, index: usize, run: &WorkflowRun, _now: f64) {
-        // The finish trailer is only on the completed run.
-        let tail: Vec<WorkflowEvent> = run.events[self.written[index]..].to_vec();
-        self.append(index, &tail);
+    fn workflow_finished(&mut self, _index: usize, _run: &WorkflowRun, _now: f64) {
         self.completed += 1;
         if let Some(k) = self.crash_after {
             if self.completed >= k {
@@ -602,8 +592,7 @@ impl Daemon {
             .run
             .as_ref()
             .ok_or_else(|| format!("submission {id} has not run"))?;
-        let tree =
-            trace::fold(&run.events, m.sub.trace).map_err(|e| format!("cannot fold trace: {e}"))?;
+        let tree = trace::of_run(run, m.sub.trace);
         Ok(trace::render_text(std::slice::from_ref(&tree)))
     }
 

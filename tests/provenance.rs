@@ -5,17 +5,26 @@
 //! replay of that stream. Where the old version of this test
 //! cross-checked five independently maintained reconstructions, it
 //! now reduces to assertions over one source of truth: the events.
+//! The other two tests pin the two ends of that chain: every observer
+//! is handed exactly the recorded stream, and a fold of a run in hand
+//! equals the same fold of its written log.
 
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
-use blast2cap3_pegasus::experiment::{calibrate_workload, calibrated_chunk_costs};
+use blast2cap3_pegasus::experiment::{
+    calibrate_workload, calibrated_chunk_costs, plan_blast2cap3, sim_backend_for,
+};
 use condor::joblog::{EventCode, JobLogMonitor};
 use gridsim::platforms::osg;
-use gridsim::SimBackend;
+use gridsim::{FaultPlan, FaultScript, SimBackend};
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
-use pegasus_wms::engine::{Engine, EngineConfig};
-use pegasus_wms::events::{self, EventSink, MonitorSink, WorkflowEvent};
+use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, RetryPolicy, WorkflowRun};
+use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, EnsembleMonitor, Submission};
+use pegasus_wms::events::{self, EventSink, WorkflowEvent};
+use pegasus_wms::metrics::{MetricsMonitor, MetricsRegistry};
 use pegasus_wms::monitor::{MultiMonitor, StatusMonitor, TimelineMonitor};
 use pegasus_wms::statistics::{compute, render_csv, render_summary_csv};
+use pegasus_wms::trace::TraceId;
+use pegasus_wms::{breakdown, trace};
 
 #[test]
 fn every_consumer_is_a_fold_of_one_event_stream() {
@@ -95,9 +104,8 @@ fn every_consumer_is_a_fold_of_one_event_stream() {
         let mut multi = MultiMonitor::new();
         multi.push(&mut status2);
         multi.push(&mut timeline2);
-        let mut sink = MonitorSink::new(&exec.jobs, &mut multi);
         for ev in &parsed {
-            sink.event(ev);
+            multi.event(ev);
         }
     }
     assert_eq!(status2.history, status.history);
@@ -129,6 +137,36 @@ fn every_consumer_is_a_fold_of_one_event_stream() {
         "no user aborts in this run"
     );
 
+    // --- a sink that watches a second run reads that run's manifest -
+    // One sink, two streams in sequence (a rescue resubmission, a
+    // sweep): the first run's job 0 is a compute job called `other`,
+    // and none of that may leak into the names, transformations or
+    // phase histograms of the second.
+    let prelude = events::log::parse(
+        "workflow-started time=0 jobs=1 site=osg name=prelude\n\
+         job id=0 kind=compute transformation=other name=other\n\
+         workflow-finished time=0 wall-time=0 succeeded=true\n",
+    )
+    .expect("prelude parses");
+    let mut timeline3 = TimelineMonitor::new();
+    let mut joblog3 = JobLogMonitor::new();
+    let (mut reused, mut fresh) = (MetricsRegistry::new(), MetricsRegistry::new());
+    {
+        let mut metrics = MetricsMonitor::new(&mut reused, "osg", "40");
+        for ev in prelude.iter().chain(&parsed) {
+            timeline3.event(ev);
+            joblog3.event(ev);
+            metrics.event(ev);
+        }
+    }
+    for stream in [&prelude, &parsed] {
+        let mut metrics = MetricsMonitor::new(&mut fresh, "osg", "40");
+        stream.iter().for_each(|ev| metrics.event(ev));
+    }
+    assert_eq!(timeline3.entries, timeline.entries);
+    assert_eq!(joblog3.events, joblog.events);
+    assert_eq!(reused.render(), fresh.render());
+
     // --- statistics from the replay match the live run --------------
     let live = compute(&run);
     let offline = compute(&replayed);
@@ -142,4 +180,128 @@ fn every_consumer_is_a_fold_of_one_event_stream() {
         pegasus_wms::analyzer::analyze(&replayed),
         pegasus_wms::analyzer::analyze(&run)
     );
+}
+
+const SEED: u64 = 20140519;
+
+/// The OSG platform under the preemption storm of
+/// `tests/events_replay.rs`, which covers the n = 300 chunk phase.
+fn stormy_osg() -> SimBackend {
+    let plan = FaultPlan::parse(
+        "plan osg-preemption-storm\n\
+         preemption-storm start=3000 duration=5000 kill-probability=0.5\n",
+    )
+    .expect("valid plan");
+    sim_backend_for("osg", SEED)
+        .expect("osg is built in")
+        .with_faults(FaultScript::new(plan, SEED))
+}
+
+fn storm_cfg() -> EngineConfig {
+    EngineConfig::builder()
+        .policy(RetryPolicy::exponential(10, 60.0))
+        .seed(SEED)
+        .build()
+}
+
+#[test]
+fn every_observer_is_handed_exactly_the_recorded_stream() {
+    #[derive(Default)]
+    struct Tape(Vec<Vec<WorkflowEvent>>);
+    impl EventSink for Tape {
+        fn event(&mut self, ev: &WorkflowEvent) {
+            self.member_events(0, std::slice::from_ref(ev));
+        }
+    }
+    impl EnsembleMonitor for Tape {
+        fn member_events(&mut self, index: usize, events: &[WorkflowEvent]) {
+            self.0.resize(self.0.len().max(index + 1), Vec::new());
+            self.0[index].extend_from_slice(events);
+        }
+    }
+    let trailer = |run: &WorkflowRun| {
+        matches!(
+            run.events.last(),
+            Some(WorkflowEvent::WorkflowFinished { .. })
+        )
+    };
+
+    let exec = plan_blast2cap3("osg", 300, SEED);
+    let mut crashing = storm_cfg();
+    crashing.crash_after_events = Some(150);
+    for (cfg, completes) in [(storm_cfg(), true), (crashing.clone(), false)] {
+        let mut tape = Tape::default();
+        let run = Engine::run(&mut stormy_osg(), &exec, &cfg, &mut tape);
+        assert_eq!(run.succeeded(), completes);
+        assert!(run.faults.preemptions > 0, "the storm must hit the run");
+        assert!(trailer(&run));
+        assert_eq!(tape.0, [run.events]);
+    }
+
+    // The same through the ensemble manager: one member rides out the
+    // storm (or exhausts its retries under the contention), the
+    // other's submit host dies under it.
+    let mut tape = Tape::default();
+    crashing.crash_after_events = Some(20);
+    let members = vec![
+        Submission::new(exec.clone(), storm_cfg()),
+        Submission::new(plan_blast2cap3("osg", 40, SEED), crashing),
+    ];
+    let ens = Ensemble::run_to_completion_monitored(
+        &mut stormy_osg(),
+        members,
+        &EnsembleConfig::unbounded(),
+        &mut tape,
+    )
+    .expect("the round runs");
+    assert!(!ens.runs[1].succeeded(), "the scripted crash fires");
+    assert!(ens.runs.iter().all(trailer));
+    let recorded: Vec<&[WorkflowEvent]> = ens.runs.iter().map(|r| r.events.as_slice()).collect();
+    assert_eq!(tape.0, recorded);
+}
+
+#[test]
+fn folds_of_a_run_in_hand_equal_folds_of_its_written_log() {
+    let exec = plan_blast2cap3("osg", 40, SEED);
+    let run_with =
+        |cfg: &EngineConfig| Engine::run(&mut stormy_osg(), &exec, cfg, &mut NoopMonitor);
+
+    let completed = run_with(&storm_cfg());
+    assert!(completed.succeeded() && completed.total_retries() > 0);
+    // Without a retry budget the first preemption is terminal.
+    let failed = run_with(&EngineConfig::builder().seed(SEED).build());
+    let rescue = match &failed.outcome {
+        pegasus_wms::engine::WorkflowOutcome::Failed(rescue) => rescue.clone(),
+        other => panic!("no retries under a storm must fail, got {other:?}"),
+    };
+    assert!(
+        !rescue.done.is_empty(),
+        "something finished before the storm"
+    );
+    let resumed = run_with(&EngineConfig::builder().rescue(&rescue).retries(20).build());
+    assert!(resumed.succeeded());
+    // A real submit-host crash: the log simply stops, no trailer.
+    let cut = &completed.events[..completed.events.len() * 2 / 3];
+    let truncated = events::replay(cut).expect("a prefix of an engine stream replays");
+    assert!(!truncated.succeeded());
+
+    let id = Some(TraceId::derive(SEED, 0));
+    for (what, run) in [
+        ("completed", &completed),
+        ("failed with rescue", &failed),
+        ("resumed from the rescue", &resumed),
+        ("truncated", &truncated),
+    ] {
+        let parsed = events::log::parse(&events::log::write(&run.events)).expect(what);
+        assert_eq!(
+            breakdown::of_run(run),
+            breakdown::from_events(&parsed).expect(what),
+            "{what}"
+        );
+        assert_eq!(
+            trace::of_run(run, id),
+            trace::fold(&parsed, id).expect(what),
+            "{what}"
+        );
+    }
 }
