@@ -58,6 +58,14 @@ impl JobTimes {
     pub fn total(&self) -> f64 {
         self.finished - self.submitted
     }
+
+    /// Whether the four timestamps are in lifecycle order:
+    /// `submitted <= started <= install_done <= finished`.
+    pub fn ordered(&self) -> bool {
+        self.submitted <= self.started
+            && self.started <= self.install_done
+            && self.install_done <= self.finished
+    }
 }
 
 /// Terminal status of one attempt.

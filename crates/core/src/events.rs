@@ -310,35 +310,122 @@ fn replay_err(reason: String) -> WmsError {
     WmsError::EventLogParse { line: 0, reason }
 }
 
-/// Checks what every consumer of a stream indexes by: the
-/// `WorkflowStarted` header comes first, jobs are declared in id
-/// order, and every other event names a job declared before it.
-/// Returns the header's workflow name and site and the number of
-/// declared jobs.
+/// One event's breach of the framing rule, as [`Framing::step`] names
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Misframed {
+    /// The event arrived before any `WorkflowStarted` header.
+    NoHeader,
+    /// A `WorkflowStarted` header arrived after the stream's first.
+    SecondHeader,
+    /// A `JobDeclared` whose id is not the number of jobs declared
+    /// before it.
+    OutOfOrder {
+        /// The declared id.
+        job: JobId,
+        /// The id the manifest's next entry must carry.
+        expected: usize,
+    },
+    /// An event naming a job no earlier `JobDeclared` declared.
+    Undeclared {
+        /// The referenced id.
+        job: JobId,
+        /// How many jobs were declared before the event.
+        declared: usize,
+    },
+}
+
+impl std::fmt::Display for Misframed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Misframed::NoHeader => write!(f, "no workflow-started header opens the stream"),
+            Misframed::SecondHeader => write!(f, "second workflow-started in one stream"),
+            Misframed::OutOfOrder { job, expected } => {
+                write!(f, "job {job} declared out of order (expected {expected})")
+            }
+            Misframed::Undeclared { job, declared } => {
+                write!(
+                    f,
+                    "event references undeclared job {job} ({declared} declared)"
+                )
+            }
+        }
+    }
+}
+
+/// The framing rule every consumer of a stream indexes by, written
+/// once: the `WorkflowStarted` header comes first and only once, jobs
+/// are declared in id order, and every other event names a job
+/// declared before it. [`validate`] stops at the first breach; the
+/// `E08xx` walker in [`crate::verify`] reports each one with its line.
+#[derive(Debug, Default)]
+pub(crate) struct Framing {
+    header: Header,
+    declared: usize,
+}
+
+#[derive(Debug, Default, PartialEq)]
+enum Header {
+    #[default]
+    Awaited,
+    /// Reported missing; a late header is still taken as the header.
+    Missing,
+    Seen,
+}
+
+impl Framing {
+    /// Advances over one event. An event that breaches a manifest
+    /// clause declares nothing; [`Misframed::NoHeader`] is returned
+    /// once, for the first otherwise well-framed event ahead of the
+    /// header, and that event still counts.
+    pub(crate) fn step(&mut self, ev: &WorkflowEvent) -> Result<(), Misframed> {
+        if matches!(ev, WorkflowEvent::WorkflowStarted { .. }) {
+            return match std::mem::replace(&mut self.header, Header::Seen) {
+                Header::Seen => Err(Misframed::SecondHeader),
+                _ => Ok(()),
+            };
+        }
+        let declared = self.declared;
+        match ev.job() {
+            Some(job) if matches!(ev, WorkflowEvent::JobDeclared { .. }) => {
+                if job.idx() != declared {
+                    let expected = declared;
+                    return Err(Misframed::OutOfOrder { job, expected });
+                }
+                self.declared += 1;
+            }
+            Some(job) if job.idx() >= declared => {
+                return Err(Misframed::Undeclared { job, declared });
+            }
+            _ => {}
+        }
+        if self.header == Header::Awaited {
+            self.header = Header::Missing;
+            return Err(Misframed::NoHeader);
+        }
+        Ok(())
+    }
+}
+
+/// Checks a whole stream against the [`Framing`] rule. Returns the
+/// header's workflow name and site and the number of declared jobs.
 ///
 /// # Errors
 /// Returns [`WmsError::EventLogParse`] naming the first violation.
 pub(crate) fn validate(events: &[WorkflowEvent]) -> Result<(&str, &str, usize), WmsError> {
-    let Some(WorkflowEvent::WorkflowStarted { name, site, .. }) = events.first() else {
-        return Err(replay_err("stream has no workflow-started header".into()));
-    };
-    let mut declared = 0usize;
+    let mut framing = Framing::default();
     for ev in events {
-        let Some(job) = ev.job() else { continue };
-        if matches!(ev, WorkflowEvent::JobDeclared { .. }) {
-            if job.idx() != declared {
-                return Err(replay_err(format!(
-                    "job {job} declared out of order (expected {declared})"
-                )));
-            }
-            declared += 1;
-        } else if job.idx() >= declared {
-            return Err(replay_err(format!(
-                "event references undeclared job {job} ({declared} declared)"
-            )));
-        }
+        framing
+            .step(ev)
+            .map_err(|breach| replay_err(breach.to_string()))?;
     }
-    Ok((name, site, declared))
+    // A non-empty stream that passed every step began with its header.
+    match events.first() {
+        Some(WorkflowEvent::WorkflowStarted { name, site, .. }) => {
+            Ok((name, site, framing.declared))
+        }
+        _ => Err(replay_err(Misframed::NoHeader.to_string())),
+    }
 }
 
 impl WorkflowRun {

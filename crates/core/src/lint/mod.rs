@@ -26,9 +26,10 @@
 //!   (unknown site, uninstallable software, timeout below the minimum
 //!   kickstart, retries disabled under faults, slot budget below the
 //!   workflow width).
-//! - [`check_events`]: the event-stream sanitizer — a happens-before
-//!   checker over [`crate::events::log`] streams so replayed
-//!   provenance is validated, not trusted.
+//! - [`check_events`]: the event-stream sanitizer — the lenient,
+//!   prefix-closed face of the [`crate::verify`] invariant walker over
+//!   [`crate::events::log`] streams, so replayed provenance is
+//!   validated, not trusted.
 //!
 //! Fault-plan cross-checking ([`E0201`](RULES) etc.) lives in
 //! `gridsim::faults_lint` because `gridsim` owns the `Scenario`
@@ -36,13 +37,13 @@
 
 mod config_pass;
 mod dax_pass;
-mod events_pass;
 
 pub use config_pass::{check_config, RunContext};
 pub use dax_pass::{check_workflow, classify_parse_error, DaxLintOptions};
-pub use events_pass::check_events;
 
 use crate::error::Span;
+use crate::events::WorkflowEvent;
+use crate::verify::{StreamWalker, VerifyOptions};
 use std::fmt;
 
 /// How serious a diagnostic is after level resolution.
@@ -363,7 +364,8 @@ pub const RULES: &[Rule] = &[
         code: "E0803",
         name: "phase-precedence",
         default: Level::Deny,
-        summary: "an attempt's phases violate the submitted -> install -> started -> terminal order",
+        summary:
+            "an attempt's phases violate the submitted -> install -> started -> terminal order",
     },
     Rule {
         code: "E0804",
@@ -542,6 +544,44 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Error)
 }
 
+/// Pass 4: sanitizes one event stream before provenance is replayed —
+/// `pegasus statistics --from-events` and friends fold whatever the
+/// log says into CSVs, so a corrupted log must be rejected, not
+/// trusted.
+///
+/// This is the lenient face of the one stream judge, the `E08xx`
+/// walker behind [`crate::verify::check_stream`]: it feeds the same
+/// walker and reports the clauses judged as each event arrives, under
+/// their `E07xx`/`W07xx` codes. Those clauses look only backwards, so
+/// the verdict is prefix-closed: a log cut anywhere (a crashed submit
+/// host legitimately leaves one behind, and rescue-from-log must keep
+/// working on it) draws nothing but the `W0707` warning added here.
+/// What only a complete log can show is left to `pegasus verify`.
+///
+/// `events` pairs each event with its one-based line number in `file`
+/// (from [`crate::events::log::parse_lines`]); streams built in memory
+/// can pass line 0.
+pub fn check_events(events: &[(usize, WorkflowEvent)], file: &str) -> Vec<Diagnostic> {
+    let mut walker = StreamWalker::new(file, VerifyOptions::default(), true);
+    for (line, ev) in events {
+        walker.event(*line, ev);
+    }
+    let truncated = !walker.closed();
+    let mut diags = walker.findings();
+    if let Some((last, _)) = events.last().filter(|_| truncated) {
+        diags.push(
+            Diagnostic::new(
+                "W0707",
+                file,
+                Span::line(*last),
+                "stream has no workflow-finished: truncated (crashed or still-running) run",
+            )
+            .with_help("rescue-from-log accepts this; statistics over it describe a partial run"),
+        );
+    }
+    diags
+}
+
 /// Renders rustc-style text output:
 ///
 /// ```text
@@ -637,10 +677,19 @@ const RANGES: &[(&str, &str)] = &[
     ),
     (
         "E07",
-        "Event-stream sanitation: the happens-before checker run before \
-         provenance replay — framing, lifecycle order, per-job timestamp \
-         monotonicity, retry accounting, declaration coverage. Emitted by \
-         `check_events`.",
+        "Event-stream sanitation (pegasus lint --events): the lenient face of \
+         the E08xx temporal invariants, run before provenance replay. One \
+         walker judges every stream; the clauses it checks as each event \
+         arrives look only backwards, so they hold on every prefix of a valid \
+         stream, and those are what these codes report — a log cut anywhere \
+         draws only the W0707 warning. Each code is the face of an invariant: \
+         E0701 -> E0807 (header framing), E0702 -> E0806 (closed stream and \
+         trailer consistency), E0703 -> E0802/E0803 (attempt and phase \
+         order), E0704 -> E0808 (per-job and per-record time consistency), \
+         E0705 -> E0805 (retry accounting), E0706 -> E0807 (manifest and \
+         declared ids), W0709 -> E0808 (emission order). W0707 (no trailer) \
+         and E0708 (the log does not parse) have no invariant behind them. \
+         Emitted by `check_events`.",
     ),
     (
         "E08",
@@ -650,8 +699,11 @@ const RANGES: &[(&str, &str)] = &[
          another, concurrency never exceeds the site's slots, retry gaps \
          respect the backoff/jitter envelope, the trailer agrees with the \
          stream, trace ids match the journal. Emitted by \
-         `verify::check_stream`; strictly stronger than E07xx, which stays \
-         lenient for crashed/partial logs.",
+         `verify::check_stream`: the same walker as E07xx plus the clauses \
+         only the end of a stream can settle — the trailer exists, a \
+         succeeded run leaves no attempt or retry open (E0801), the capacity \
+         sweep (E0804) — which is why verify demands complete logs and lint \
+         --events does not.",
     ),
 ];
 
@@ -674,7 +726,10 @@ pub fn explain(code_or_name: &str) -> Option<String> {
         }
     );
     let _ = writeln!(out, "\n{}\n", r.summary);
-    if let Some((_, prose)) = RANGES.iter().find(|(p, _)| r.code[1..].starts_with(&p[1..])) {
+    if let Some((_, prose)) = RANGES
+        .iter()
+        .find(|(p, _)| r.code[1..].starts_with(&p[1..]))
+    {
         let _ = writeln!(out, "{prose}");
     }
     let _ = writeln!(
@@ -757,6 +812,200 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::log;
+
+    fn lint_text(text: &str) -> Vec<Diagnostic> {
+        check_events(&log::parse_lines(text).unwrap(), "run.events")
+    }
+
+    fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
+        diags.iter().map(|d| d.code).collect()
+    }
+
+    const CLEAN: &str = "\
+workflow-started time=0 jobs=1 site=osg name=w
+job id=0 kind=compute transformation=split name=split
+submitted time=0 job=0 attempt=0
+started time=5 job=0 attempt=0
+completed job=0 attempt=0 submitted=0 started=5 install-done=5 finished=9
+workflow-finished time=9 wall-time=9 succeeded=true
+";
+
+    #[test]
+    fn clean_stream_is_clean() {
+        assert!(lint_text(CLEAN).is_empty());
+    }
+
+    #[test]
+    fn golden_fixture_is_clean() {
+        let text = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/osg_n8.events"
+        ))
+        .unwrap();
+        let diags = lint_text(&text);
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn completed_before_started_is_flagged() {
+        let text = "\
+workflow-started time=0 jobs=1 site=osg name=w
+job id=0 kind=compute transformation=split name=split
+submitted time=0 job=0 attempt=0
+completed job=0 attempt=0 submitted=0 started=5 install-done=5 finished=9
+workflow-finished time=9 wall-time=9 succeeded=true
+";
+        let diags = lint_text(text);
+        assert_eq!(codes(&diags), ["E0703"]);
+        assert_eq!(diags[0].span.line, 4);
+    }
+
+    #[test]
+    fn backwards_time_and_unordered_times_are_flagged() {
+        let text = "\
+workflow-started time=0 jobs=1 site=osg name=w
+job id=0 kind=compute transformation=split name=split
+submitted time=10 job=0 attempt=0
+started time=5 job=0 attempt=0
+completed job=0 attempt=0 submitted=10 started=5 install-done=5 finished=3
+workflow-finished time=9 wall-time=9 succeeded=true
+";
+        let diags = lint_text(text);
+        // Per job (E0704): started at 5 and finished at 3 both follow
+        // the submission at 10, and the terminal's own times are
+        // unordered. Stream-level: finished=3 and the trailer's time=9
+        // both precede the time=10 high-water mark (W0709), and a
+        // trailer that is not the latest emission contradicts the
+        // stream it closes (E0702).
+        assert_eq!(
+            codes(&diags),
+            ["E0704", "W0709", "E0704", "E0704", "W0709", "E0702"]
+        );
+    }
+
+    #[test]
+    fn reordered_stream_is_flagged_as_nonmonotone() {
+        // Two jobs whose emission-ordered events were merged out of
+        // order: job 1's submission (time=2) appears after job 0's
+        // completion (finished=9).  Each job is individually clean, so
+        // only the stream-level rule can catch this.
+        let text = "\
+workflow-started time=0 jobs=2 site=osg name=w
+job id=0 kind=compute transformation=split name=a
+job id=1 kind=compute transformation=split name=b
+submitted time=0 job=0 attempt=0
+started time=1 job=0 attempt=0
+completed job=0 attempt=0 submitted=0 started=1 install-done=1 finished=9
+submitted time=2 job=1 attempt=0
+started time=3 job=1 attempt=0
+completed job=1 attempt=0 submitted=2 started=3 install-done=3 finished=12
+workflow-finished time=12 wall-time=12 succeeded=true
+";
+        let diags = lint_text(text);
+        assert_eq!(codes(&diags), ["W0709"]);
+        assert_eq!(diags[0].span.line, 7);
+    }
+
+    #[test]
+    fn retrospective_started_events_do_not_trip_the_stream_check() {
+        // A healthy parallel run: job 1 finishes first, then job 0's
+        // started event (synthesized retrospectively at its completion)
+        // carries time=1, *before* job 1's finished=4.  The stream is
+        // exactly what the engine emits and must stay clean.
+        let text = "\
+workflow-started time=0 jobs=2 site=osg name=w
+job id=0 kind=compute transformation=split name=a
+job id=1 kind=compute transformation=split name=b
+submitted time=0 job=0 attempt=0
+submitted time=0 job=1 attempt=0
+started time=2 job=1 attempt=0
+completed job=1 attempt=0 submitted=0 started=2 install-done=2 finished=4
+started time=1 job=0 attempt=0
+completed job=0 attempt=0 submitted=0 started=1 install-done=1 finished=7
+workflow-finished time=7 wall-time=7 succeeded=true
+";
+        assert!(lint_text(text).is_empty());
+    }
+
+    #[test]
+    fn unaccounted_retry_is_flagged() {
+        let text = "\
+workflow-started time=0 jobs=1 site=osg name=w
+job id=0 kind=compute transformation=split name=split
+submitted time=0 job=0 attempt=0
+started time=1 job=0 attempt=0
+failed job=0 attempt=0 reason=preempted submitted=0 started=1 install-done=1 finished=2 detail=preempted:storm
+submitted time=2 job=0 attempt=1
+workflow-finished time=9 wall-time=9 succeeded=false
+";
+        let diags = lint_text(text);
+        assert_eq!(codes(&diags), ["E0705"]);
+    }
+
+    #[test]
+    fn accounted_retry_is_clean() {
+        let text = "\
+workflow-started time=0 jobs=1 site=osg name=w
+job id=0 kind=compute transformation=split name=split
+submitted time=0 job=0 attempt=0
+started time=1 job=0 attempt=0
+failed job=0 attempt=0 reason=preempted submitted=0 started=1 install-done=1 finished=2 detail=preempted:storm
+retry-scheduled time=2 job=0 next-attempt=1 backoff=0 reason=preempted detail=preempted:storm
+submitted time=2 job=0 attempt=1
+started time=3 job=0 attempt=1
+completed job=0 attempt=1 submitted=2 started=3 install-done=3 finished=4
+workflow-finished time=4 wall-time=4 succeeded=true
+";
+        assert!(lint_text(text).is_empty());
+        // A failure record whose typed reason contradicts its own
+        // detail string is the one thing the hand-written sanitizer
+        // let through here.
+        let mislabelled = text.replace("detail=preempted:storm", "detail=storm");
+        assert_eq!(codes(&lint_text(&mislabelled)), ["E0704", "E0704"]);
+    }
+
+    #[test]
+    fn undeclared_and_out_of_range_jobs_are_flagged() {
+        let text = "\
+workflow-started time=0 jobs=1 site=osg name=w
+job id=0 kind=compute transformation=split name=split
+submitted time=0 job=7 attempt=0
+workflow-finished time=9 wall-time=9 succeeded=false
+";
+        let diags = lint_text(text);
+        assert_eq!(codes(&diags), ["E0706"]);
+    }
+
+    #[test]
+    fn framing_violations_are_flagged() {
+        let text = "\
+job id=0 kind=compute transformation=split name=split
+workflow-started time=0 jobs=1 site=osg name=w
+workflow-finished time=9 wall-time=9 succeeded=true
+submitted time=9 job=0 attempt=0
+";
+        let diags = lint_text(text);
+        // No header first; a trailer claiming success over a job that
+        // never ran; an event after the trailer.
+        assert_eq!(codes(&diags), ["E0701", "E0702", "E0702"]);
+    }
+
+    #[test]
+    fn truncated_stream_is_a_warning_only() {
+        let text = "\
+workflow-started time=0 jobs=1 site=osg name=w
+job id=0 kind=compute transformation=split name=split
+submitted time=0 job=0 attempt=0
+";
+        let diags = lint_text(text);
+        assert_eq!(codes(&diags), ["W0707"]);
+    }
+
+    #[test]
+    fn empty_stream_is_an_error() {
+        assert_eq!(codes(&check_events(&[], "run.events")), ["E0701"]);
+    }
 
     #[test]
     fn registry_is_sorted_unique_and_consistent() {

@@ -22,12 +22,15 @@
 //! respect the configured backoff/jitter envelope, nothing follows
 //! `workflow-finished`, and the trailer's verdict matches the stream.
 //!
-//! Unlike the lenient event-stream *sanitizer* (`E07xx`,
-//! [`crate::lint::check_events`]), which tolerates truncated logs so
-//! rescue-from-log keeps working, the verifier enforces the
-//! complete-log contract: a missing trailer is an error here.  Both
-//! passes share one stream-ordering model,
-//! [`WorkflowEvent::emission_time`], so they cannot drift.
+//! One walker ([`check_stream`]'s, private to this module) is the only
+//! code that judges an outside stream.  Each clause it checks as an
+//! event arrives looks only backwards, so those clauses hold on every
+//! prefix of a valid stream: they are what the lenient face,
+//! [`crate::lint::check_events`] (`E07xx`/`W07xx`), reports, so that
+//! rescue-from-log keeps working on a truncated log.  The clauses that
+//! need the end of the stream — the trailer must exist, a succeeded
+//! run leaves nothing open — are the complete-log contract that only
+//! the verifier adds.
 //!
 //! **Layer 2 — whole-plan dataflow (`E06xx`, [`check_plan`] /
 //! [`check_ensemble_feasibility`]).**  Abstract interpretation over
@@ -40,15 +43,15 @@
 //! quota is a deadlock, not a throttle.
 //!
 //! [`ShadowVerifier`] is the flag-gated live form: an
-//! [`EventSink`] handed to `Engine::run` that replays the full
-//! Layer-1 catalog over the stream the engine just emitted, so
-//! `pegasus run --verify` asserts the invariants on every live run.
+//! [`EventSink`] handed to `Engine::run` that feeds the same walker
+//! event by event, so `pegasus run --verify` asserts the invariants on
+//! every live run without keeping the stream.
 
 use crate::catalog::ReplicaCatalog;
-use crate::engine::{FaultReason, JobTimes, RetryPolicy};
+use crate::engine::{FaultReason, RetryPolicy};
 use crate::ensemble::EnsembleConfig;
 use crate::error::Span;
-use crate::events::{EventSink, WorkflowEvent};
+use crate::events::{EventSink, Framing, Misframed, Termination, WorkflowEvent};
 use crate::lint::Diagnostic;
 use crate::planner::{ExecutableWorkflow, JobKind};
 use crate::trace::TraceId;
@@ -87,7 +90,8 @@ pub struct InvariantSpec {
 
 /// The built-in temporal invariant catalog, one entry per `E08xx`
 /// rule.  [`check_stream`] implements exactly these; the registry
-/// test pins the two lists to each other.
+/// test pins the two lists to each other, and every `E07xx`/`W07xx`
+/// sanitizer code to the invariant it is the lenient face of.
 pub const CATALOG: &[InvariantSpec] = &[
     InvariantSpec {
         code: "E0801",
@@ -99,7 +103,8 @@ pub const CATALOG: &[InvariantSpec] = &[
         code: "E0802",
         class: TemporalClass::Always,
         summary: "per job, submitted attempt numbers are dense and strictly increasing \
-                  (0, 1, 2, ...)",
+                  (0, 1, 2, ...), and an attempt is submitted only after the one \
+                  before it reached its terminal event",
     },
     InvariantSpec {
         code: "E0803",
@@ -136,9 +141,9 @@ pub const CATALOG: &[InvariantSpec] = &[
     InvariantSpec {
         code: "E0808",
         class: TemporalClass::Always,
-        summary: "emission-ordered events are nondecreasing in time, attempt \
-                  timestamps are internally ordered and agree with their phase \
-                  events, and failure reasons match their detail strings",
+        summary: "emission-ordered events and each job's own events are nondecreasing \
+                  in time, attempt timestamps are internally ordered and agree with \
+                  their phase events, and failure reasons match their detail strings",
     },
     InvariantSpec {
         code: "E0809",
@@ -166,36 +171,644 @@ pub struct VerifyOptions {
 /// exact because both sides are the same bits).
 const TOL: f64 = 1e-9;
 
+/// One clause family of the walker: the code its findings carry out of
+/// [`check_stream`] (the `E08xx` invariant) and out of
+/// [`crate::lint::check_events`] (that invariant's lenient face).
+type Rule = (&'static str, &'static str);
+
+const HEADER: Rule = ("E0807", "E0701");
+const MANIFEST: Rule = ("E0807", "E0706");
+const CLOSED: Rule = ("E0806", "E0702");
+const ATTEMPTS: Rule = ("E0802", "E0703");
+const PHASES: Rule = ("E0803", "E0703");
+const RETRIES: Rule = ("E0805", "E0705");
+const TIMES: Rule = ("E0808", "E0704");
+const ORDER: Rule = ("E0808", "W0709");
+// The obligations only the end of a stream can discharge. They are
+// raised by `StreamWalker::finish` alone, which the lenient face never
+// calls, so they have no lenient code.
+const UNTERMINATED: Rule = ("E0801", "E0801");
+const CAPACITY: Rule = ("E0804", "E0804");
+
+/// Where the walker's findings go, and under which half of a [`Rule`].
 #[derive(Default)]
-struct AttemptState {
-    submitted: Option<(usize, f64)>,
-    install: Option<(usize, f64)>,
-    started: Option<(usize, f64)>,
-    terminal: Option<usize>,
+struct Findings {
+    file: String,
+    lenient: bool,
+    diags: Vec<Diagnostic>,
 }
 
-#[derive(Default)]
-struct JobVState {
-    attempts: BTreeMap<u32, AttemptState>,
-    next_attempt: u32,
-    skipped: bool,
-    done: bool,
-    /// next_attempt -> (line, time, backoff) of its retry-scheduled.
-    retries: BTreeMap<u32, (usize, f64, f64)>,
-    /// attempt -> finish time of its failed terminal.
-    failures: BTreeMap<u32, f64>,
-}
-
-fn at(line: usize) -> Span {
-    if line == 0 {
-        Span::none()
-    } else {
-        Span::line(line)
+impl Findings {
+    /// The one place a stream finding is built. `line` 0 (a stream
+    /// built in memory) is the unknown span. Returns the finding so a
+    /// caller can attach a `help`.
+    fn flag(&mut self, rule: Rule, line: usize, message: impl Into<String>) -> &mut Diagnostic {
+        let code = if self.lenient { rule.1 } else { rule.0 };
+        let found = Diagnostic::new(code, self.file.as_str(), Span::line(line), message);
+        self.diags.push(found);
+        self.diags.last_mut().expect("just pushed")
     }
 }
 
-fn times_ordered(t: &JobTimes) -> bool {
-    t.submitted <= t.started && t.started <= t.install_done && t.install_done <= t.finished
+/// The attempt a job has in flight: the last one submitted.
+#[derive(Default)]
+struct Attempt {
+    number: u32,
+    /// Line and time of the `submitted` event.
+    submitted: Option<(usize, f64)>,
+    install: Option<f64>,
+    started: Option<f64>,
+    terminal: bool,
+}
+
+/// Per-job walker state. The engine runs a job's attempts strictly one
+/// after another (terminal, `retry-scheduled`, next `submitted`), so
+/// the attempt in flight, the last failure and the last scheduled
+/// retry are all there is to remember; an event that names any other
+/// attempt is a violation where it stands.
+#[derive(Default)]
+struct JobState {
+    next_attempt: u32,
+    skipped: bool,
+    done: bool,
+    last_time: f64,
+    attempt: Attempt,
+    /// The last failed attempt and its finish time, until a
+    /// `retry-scheduled` takes it.
+    failed: Option<(u32, f64)>,
+    /// The last `retry-scheduled`: next attempt, line, time, backoff.
+    retry: Option<(u32, usize, f64, f64)>,
+}
+
+impl JobState {
+    fn in_flight(&mut self, attempt: u32) -> Option<&mut Attempt> {
+        let a = &mut self.attempt;
+        (a.submitted.is_some() && a.number == attempt).then_some(a)
+    }
+}
+
+/// The one judge of recorded event streams: the [`CATALOG`] as an
+/// incremental fold.
+///
+/// A clause checked in [`StreamWalker::event`] looks only backwards,
+/// so it holds on every prefix of a valid stream; a clause checked in
+/// [`StreamWalker::finish`] needs the end. [`check_stream`] is feed +
+/// `finish`; [`crate::lint::check_events`] is feed +
+/// [`StreamWalker::findings`] under the lenient codes; the
+/// [`ShadowVerifier`] feeds it live.
+#[derive(Default)]
+pub(crate) struct StreamWalker {
+    out: Findings,
+    opts: VerifyOptions,
+    seen: usize,
+    last_line: usize,
+    framing: Framing,
+    /// Line, time and job count of the header.
+    header: Option<(usize, f64, usize)>,
+    /// Set by the first event after the manifest, which is when the
+    /// manifest's length is judged against the header's count.
+    manifest_closed: bool,
+    /// Line and verdict of the first trailer.
+    trailer: Option<(usize, bool)>,
+    last_emitted: f64,
+    /// One entry per declared job, indexed by job id.
+    jobs: Vec<JobState>,
+    done: usize,
+    /// (time, delta, line) endpoints for the `E0804` sweep; collected
+    /// only when the slot capacity is known.
+    intervals: Vec<(f64, i32, usize)>,
+}
+
+impl StreamWalker {
+    /// A walker reporting against `file`; `lenient` selects the
+    /// `E07xx`/`W07xx` half of every rule.
+    pub(crate) fn new(file: impl Into<String>, opts: VerifyOptions, lenient: bool) -> Self {
+        StreamWalker {
+            out: Findings {
+                file: file.into(),
+                lenient,
+                ..Findings::default()
+            },
+            opts,
+            last_emitted: f64::NEG_INFINITY,
+            ..StreamWalker::default()
+        }
+    }
+
+    /// True once a `workflow-finished` trailer has arrived.
+    pub(crate) fn closed(&self) -> bool {
+        self.trailer.is_some()
+    }
+
+    /// Judges one event against everything before it. `line` is its
+    /// one-based line in the log, 0 for a stream built in memory.
+    pub(crate) fn event(&mut self, line: usize, ev: &WorkflowEvent) {
+        self.seen += 1;
+        self.last_line = line;
+        if let Some((fline, _)) = self.trailer {
+            self.out.flag(
+                CLOSED,
+                line,
+                format!("event after workflow-finished (line {fline}): the run was closed"),
+            );
+        }
+        if let Some(t) = ev.emission_time() {
+            let last = self.last_emitted;
+            if t < last {
+                let message =
+                    format!("emission-ordered event goes backwards in time: {t} after {last}");
+                self.out.flag(ORDER, line, message).help = Some(
+                    "the engine emits these kinds in nondecreasing backend time; \
+                     a reordered or merged log breaks replay assumptions"
+                        .into(),
+                );
+            }
+            // The run's [start, finish] bounds, judged as events
+            // arrive: nothing is emitted before the header's time, and
+            // the trailer is the latest emission.
+            if let Some((_, start, _)) = self.header.filter(|h| t < h.1) {
+                self.out.flag(
+                    CLOSED,
+                    line,
+                    format!("event at time {t} lies before the run's start at {start}"),
+                );
+            }
+            if t < last && matches!(ev, WorkflowEvent::WorkflowFinished { .. }) {
+                self.out.flag(
+                    CLOSED,
+                    line,
+                    format!("workflow-finished at time {t} lies before an emission at {last}"),
+                );
+            }
+            self.last_emitted = last.max(t);
+        }
+        if let Err(breach) = self.framing.step(ev) {
+            let rule = match breach {
+                Misframed::NoHeader | Misframed::SecondHeader => HEADER,
+                Misframed::OutOfOrder { .. } | Misframed::Undeclared { .. } => MANIFEST,
+            };
+            self.out.flag(rule, line, breach.to_string());
+            // A missing header takes nothing away from the event that
+            // stands in its place; the other breaches leave no job
+            // state to judge the event against.
+            if breach != Misframed::NoHeader {
+                return;
+            }
+        }
+        match ev {
+            WorkflowEvent::WorkflowStarted { jobs, time, .. } => {
+                self.header = Some((line, *time, *jobs));
+                return;
+            }
+            WorkflowEvent::JobDeclared { job, .. } => {
+                if self.manifest_closed {
+                    self.out.flag(
+                        MANIFEST,
+                        line,
+                        format!("job {job} declared after lifecycle events began"),
+                    );
+                }
+                self.jobs.push(JobState::default());
+                return;
+            }
+            _ => self.close_manifest(),
+        }
+        if let WorkflowEvent::WorkflowFinished {
+            succeeded,
+            wall_time,
+            time,
+        } = ev
+        {
+            // A second trailer is one more event after the first.
+            if self.trailer.is_none() {
+                self.trailer = Some((line, *succeeded));
+                self.judge_trailer(line, *succeeded, *wall_time, *time);
+            }
+            return;
+        }
+        let Some(job) = ev.job() else { return };
+        // `Framing::step` admitted the id: it is below the number of
+        // in-order declarations, each of which pushed one entry.
+        let st = &mut self.jobs[job.idx()];
+        let out = &mut self.out;
+        let time = ev.time().unwrap_or(st.last_time);
+        if time < st.last_time {
+            out.flag(
+                TIMES,
+                line,
+                format!(
+                    "job {job} goes backwards in time: {time} after {}",
+                    st.last_time
+                ),
+            );
+        }
+        st.last_time = st.last_time.max(time);
+
+        match ev {
+            WorkflowEvent::Skipped { time, .. } => {
+                if st.skipped || st.next_attempt > 0 {
+                    out.flag(
+                        PHASES,
+                        line,
+                        format!("job {job} skipped, but it was already skipped or submitted"),
+                    );
+                }
+                if let Some((_, start, _)) = self.header.filter(|h| *time != h.1) {
+                    out.flag(
+                        TIMES,
+                        line,
+                        format!(
+                            "job {job} skipped at {time}, but rescue skips happen at \
+                             the workflow start ({start})"
+                        ),
+                    );
+                }
+                st.skipped = true;
+                if !std::mem::replace(&mut st.done, true) {
+                    self.done += 1;
+                }
+            }
+            WorkflowEvent::Submitted { attempt, time, .. } => {
+                if st.skipped {
+                    out.flag(
+                        PHASES,
+                        line,
+                        format!("job {job} submitted after being skipped"),
+                    );
+                }
+                if *attempt != st.next_attempt {
+                    out.flag(
+                        ATTEMPTS,
+                        line,
+                        format!(
+                            "job {job} submitted at attempt {attempt}, expected {} \
+                             (attempts must be dense and strictly increasing)",
+                            st.next_attempt
+                        ),
+                    );
+                }
+                if st.attempt.submitted.is_some() && !st.attempt.terminal {
+                    out.flag(
+                        ATTEMPTS,
+                        line,
+                        format!(
+                            "job {job} submitted at attempt {attempt} while attempt {} \
+                             has no terminal event",
+                            st.attempt.number
+                        ),
+                    );
+                }
+                if *attempt > 0 && st.retry.is_none_or(|r| r.0 != *attempt) {
+                    out.flag(
+                        RETRIES,
+                        line,
+                        format!(
+                            "job {job} resubmitted at attempt {attempt} with no prior \
+                             retry-scheduled next-attempt={attempt}"
+                        ),
+                    );
+                }
+                st.next_attempt = st.next_attempt.max(attempt.saturating_add(1));
+                st.attempt = Attempt {
+                    number: *attempt,
+                    submitted: Some((line, *time)),
+                    ..Attempt::default()
+                };
+            }
+            WorkflowEvent::InstallStarted { attempt, time, .. }
+            | WorkflowEvent::Started { attempt, time, .. } => {
+                let install = matches!(ev, WorkflowEvent::InstallStarted { .. });
+                let phase = if install {
+                    "install-started"
+                } else {
+                    "started"
+                };
+                match st.in_flight(*attempt) {
+                    None => {
+                        out.flag(
+                            PHASES,
+                            line,
+                            format!(
+                                "job {job} has {phase} at attempt {attempt} before being submitted"
+                            ),
+                        );
+                    }
+                    Some(a) => {
+                        if install && a.started.is_some() {
+                            out.flag(
+                                PHASES,
+                                line,
+                                format!(
+                                    "job {job} attempt {attempt}: install-started after started"
+                                ),
+                            );
+                        }
+                        let slot = if install {
+                            &mut a.install
+                        } else {
+                            &mut a.started
+                        };
+                        if slot.replace(*time).is_some() {
+                            out.flag(
+                                PHASES,
+                                line,
+                                format!("job {job} attempt {attempt} has two {phase} events"),
+                            );
+                        }
+                    }
+                }
+            }
+            WorkflowEvent::RetryScheduled {
+                next_attempt,
+                backoff,
+                reason,
+                detail,
+                time,
+                ..
+            } => {
+                if FaultReason::classify(detail) != *reason {
+                    out.flag(
+                        TIMES,
+                        line,
+                        format!(
+                            "job {job} retry reason {reason:?} does not match its detail {detail:?}"
+                        ),
+                    );
+                }
+                if !(backoff.is_finite() && *backoff >= 0.0) {
+                    out.flag(
+                        RETRIES,
+                        line,
+                        format!(
+                            "job {job} retry backoff {backoff} is not a finite nonnegative delay"
+                        ),
+                    );
+                }
+                // A failure is retried once, by the `retry-scheduled`
+                // that follows it (attempt 0 retries nothing: `None`).
+                let retried = next_attempt.checked_sub(1);
+                match st.failed.take().filter(|f| Some(f.0) == retried) {
+                    None => {
+                        out.flag(
+                            RETRIES,
+                            line,
+                            format!(
+                                "job {job} schedules a retry to attempt {next_attempt}, but \
+                                 the attempt before it did not just fail"
+                            ),
+                        );
+                    }
+                    Some((_, fin)) if *time != fin => {
+                        out.flag(
+                            RETRIES,
+                            line,
+                            format!(
+                                "job {job} retry scheduled at {time}, but the failed \
+                                 attempt finished at {fin}"
+                            ),
+                        );
+                    }
+                    Some(_) => {}
+                }
+                if let Some(policy) = &self.opts.retry {
+                    check_envelope(out, line, job, *next_attempt, *backoff, policy);
+                }
+                st.retry = Some((*next_attempt, line, *time, *backoff));
+            }
+            _ => {
+                if let Some(end) = ev.termination() {
+                    self.judge_terminal(line, &end);
+                }
+            }
+        }
+    }
+
+    /// The manifest ends at the first event that is neither header
+    /// nor declaration — that is when its length can be held against
+    /// the header's count, so the count is judged on a prefix too.
+    fn close_manifest(&mut self) {
+        if std::mem::replace(&mut self.manifest_closed, true) {
+            return;
+        }
+        let declared = self.jobs.len();
+        if let Some((line, _, jobs)) = self.header.filter(|h| h.2 != declared) {
+            self.out.flag(
+                MANIFEST,
+                line,
+                format!("manifest declares {declared} jobs, but workflow-started says {jobs}"),
+            );
+        }
+    }
+
+    /// The trailer against the stream it closes: wall time and verdict.
+    /// (Its time bounds are judged per event in [`Self::event`].)
+    fn judge_trailer(&mut self, line: usize, succeeded: bool, wall: f64, time: f64) {
+        if let Some((_, start, _)) = self.header.filter(|h| wall != time - h.1) {
+            self.out.flag(
+                CLOSED,
+                line,
+                format!(
+                    "workflow-finished wall-time {wall} contradicts its bounds \
+                     ({time} - {start} = {})",
+                    time - start
+                ),
+            );
+        }
+        if succeeded != (self.done == self.jobs.len()) {
+            self.out.flag(
+                CLOSED,
+                line,
+                if succeeded {
+                    "workflow-finished claims success, but not every job completed"
+                } else {
+                    "workflow-finished claims failure, but every job completed"
+                },
+            );
+        }
+    }
+
+    /// Terminal-event clauses: phase precedence, timestamp agreement
+    /// with the retrospective phase events, reason classification, and
+    /// the retry gap lower bound.
+    fn judge_terminal(&mut self, line: usize, end: &Termination<'_>) {
+        let Termination {
+            job,
+            attempt,
+            times,
+            failure,
+        } = *end;
+        let st = &mut self.jobs[job.idx()];
+        let out = &mut self.out;
+        let retry = st.retry.filter(|r| r.0 == attempt);
+        match failure {
+            None if !std::mem::replace(&mut st.done, true) => self.done += 1,
+            None => {}
+            Some(_) => st.failed = Some((attempt, times.finished)),
+        }
+        let mut never_submitted = Attempt::default();
+        let a = st.in_flight(attempt).unwrap_or_else(|| {
+            out.flag(
+                PHASES,
+                line,
+                format!(
+                    "job {job} reached a terminal event at attempt {attempt} before being submitted"
+                ),
+            );
+            &mut never_submitted
+        });
+        if std::mem::replace(&mut a.terminal, true) {
+            out.flag(
+                PHASES,
+                line,
+                format!("job {job} has two terminal events for attempt {attempt}"),
+            );
+        }
+        if !times.ordered() {
+            out.flag(
+                TIMES,
+                line,
+                format!(
+                    "job {job} attempt {attempt} has unordered times \
+                     (want submitted <= started <= install-done <= finished)"
+                ),
+            );
+        }
+        // The phase events are synthesized from this terminal's own
+        // timestamps, so they are a function of them and the
+        // agreement is exact, bit for bit: `started` when the install
+        // phase ended, `install-started` (only if there was an install
+        // phase) when the slot was acquired.
+        let installed = (times.install_done > times.started).then_some(times.started);
+        for (phase, emitted, recorded) in [
+            ("install-started", a.install, installed),
+            ("started", a.started, Some(times.install_done)),
+        ] {
+            if emitted != recorded {
+                let at = |t: Option<f64>| t.map_or("absent".into(), |t| format!("at {t}"));
+                // A phase event missing or uncalled for breaks
+                // precedence; one at the wrong time, consistency.
+                let rule = if emitted.is_some() == recorded.is_some() {
+                    TIMES
+                } else {
+                    PHASES
+                };
+                out.flag(
+                    rule,
+                    line,
+                    format!(
+                        "job {job} attempt {attempt}: the {phase} event is {}, but by the \
+                         terminal event's times it should be {}",
+                        at(emitted),
+                        at(recorded)
+                    ),
+                );
+            }
+        }
+        // The backend acquires work no earlier than it was handed it.
+        if let Some((_, sub)) = a.submitted.filter(|s| times.submitted + TOL < s.1) {
+            out.flag(
+                TIMES,
+                line,
+                format!(
+                    "job {job} attempt {attempt} records submitted={}, before its \
+                     submitted event at {sub}",
+                    times.submitted
+                ),
+            );
+        }
+        // Retry gap lower bound: the resubmission can be held by the
+        // throttle but never runs before failure time + backoff.
+        if let Some((_, _, rtime, backoff)) = retry.filter(|r| times.submitted + TOL < r.2 + r.3) {
+            out.flag(
+                RETRIES,
+                line,
+                format!(
+                    "job {job} attempt {attempt} ran at submitted={}, before its \
+                     scheduled earliest time {} (retry at {rtime} + backoff {backoff})",
+                    times.submitted,
+                    rtime + backoff
+                ),
+            );
+        }
+        if let Some((reason, detail)) = failure.filter(|f| FaultReason::classify(f.1) != f.0) {
+            out.flag(
+                TIMES,
+                line,
+                format!("job {job} failure reason {reason:?} does not match its detail {detail:?}"),
+            );
+        }
+        if self.opts.slot_capacity.is_some() {
+            self.intervals.push((times.started, 1, line));
+            self.intervals.push((times.finished, -1, line));
+        }
+    }
+
+    /// Everything found so far: the prefix-closed verdict, which is
+    /// all `lint --events` reports. Only a stream with no events at
+    /// all is judged here, because no event could carry the finding.
+    pub(crate) fn findings(mut self) -> Vec<Diagnostic> {
+        if self.seen == 0 {
+            self.out.flag(
+                HEADER,
+                0,
+                "stream contains no events (expected a workflow-started header)",
+            );
+        }
+        self.out.diags
+    }
+
+    /// The complete-log contract: [`Self::findings`] plus what only
+    /// the end of a stream can show — a manifest still open against
+    /// the header's count, the missing trailer, the obligations a
+    /// succeeded run leaves open (`E0801`), and the capacity sweep
+    /// (`E0804`).
+    pub(crate) fn finish(mut self) -> Vec<Diagnostic> {
+        if self.seen == 0 {
+            return self.findings();
+        }
+        self.close_manifest();
+        match self.trailer {
+            None => {
+                let message = "stream has no workflow-finished: verify requires complete logs";
+                self.out.flag(CLOSED, self.last_line, message).help = Some(
+                    "for crashed or still-running runs use `pegasus lint --events`, \
+                     which accepts truncated streams"
+                        .into(),
+                );
+            }
+            Some((_, true)) => {
+                for (j, st) in self.jobs.iter().enumerate() {
+                    let a = &st.attempt;
+                    if let (Some((line, _)), false) = (a.submitted, a.terminal) {
+                        self.out.flag(
+                            UNTERMINATED,
+                            line,
+                            format!(
+                                "job {j} attempt {} was submitted but never reached a \
+                                 terminal event on a succeeded run",
+                                a.number
+                            ),
+                        );
+                    }
+                    if let Some((next, line, ..)) = st.retry.filter(|r| r.0 >= st.next_attempt) {
+                        self.out.flag(
+                            UNTERMINATED,
+                            line,
+                            format!(
+                                "job {j} scheduled a retry to attempt {next} that was \
+                                 never resubmitted on a succeeded run"
+                            ),
+                        );
+                    }
+                }
+            }
+            Some((_, false)) => {}
+        }
+        if let Some(cap) = self.opts.slot_capacity {
+            sweep_capacity(&mut self.out, &mut self.intervals, cap);
+        }
+        self.findings()
+    }
 }
 
 /// Layer 1: verifies one complete event stream against the full
@@ -211,667 +824,52 @@ pub fn check_stream(
     file: &str,
     opts: &VerifyOptions,
 ) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    if events.is_empty() {
-        return vec![Diagnostic::new(
-            "E0807",
-            file,
-            Span::none(),
-            "stream contains no events (expected a workflow-started header)",
-        )];
+    let mut walker = StreamWalker::new(file, opts.clone(), false);
+    for (line, ev) in events {
+        walker.event(*line, ev);
     }
-
-    let mut header: Option<(usize, f64, usize)> = None; // line, time, jobs
-    let mut decl_next = 0usize;
-    let mut manifest_open = true;
-    let mut finished: Option<(usize, f64, bool, f64)> = None; // line, time, ok, wall
-    let mut after_finish_reported = false;
-    let mut out_of_range_reported: BTreeSet<usize> = BTreeSet::new();
-    let mut jobs: BTreeMap<usize, JobVState> = BTreeMap::new();
-    let mut last_emitted = f64::NEG_INFINITY;
-    // (time, delta, line) endpoints for the E0804 concurrency sweep.
-    let mut intervals: Vec<(f64, i32, usize)> = Vec::new();
-
-    for (idx, (line, ev)) in events.iter().enumerate() {
-        let line = *line;
-
-        if let Some(t) = ev.emission_time() {
-            if t < last_emitted {
-                diags.push(Diagnostic::new(
-                    "E0808",
-                    file,
-                    at(line),
-                    format!("emission-ordered event goes backwards in time: {t} after {last_emitted}"),
-                ));
-            }
-            last_emitted = last_emitted.max(t);
-        }
-        if let Some((fline, _, _, _)) = finished {
-            if !after_finish_reported {
-                after_finish_reported = true;
-                diags.push(
-                    Diagnostic::new(
-                        "E0806",
-                        file,
-                        at(line),
-                        format!("event after workflow-finished (line {fline}): the run was closed"),
-                    )
-                    .with_help("a finished workflow emits nothing further"),
-                );
-            }
-        }
-
-        match ev {
-            WorkflowEvent::WorkflowStarted { jobs: n, time, .. } => {
-                if idx != 0 || header.is_some() {
-                    diags.push(Diagnostic::new(
-                        "E0807",
-                        file,
-                        at(line),
-                        if header.is_some() {
-                            "second workflow-started in one stream".to_string()
-                        } else {
-                            format!(
-                                "workflow-started is event {} of the stream, not the first",
-                                idx + 1
-                            )
-                        },
-                    ));
-                }
-                if header.is_none() {
-                    header = Some((line, *time, *n));
-                }
-                continue;
-            }
-            WorkflowEvent::JobDeclared { job, .. } => {
-                if !manifest_open {
-                    diags.push(Diagnostic::new(
-                        "E0807",
-                        file,
-                        at(line),
-                        format!("job {job} declared after lifecycle events began"),
-                    ));
-                } else if job.idx() != decl_next {
-                    diags.push(Diagnostic::new(
-                        "E0807",
-                        file,
-                        at(line),
-                        format!(
-                            "job declarations are not dense ascending: got id {job}, \
-                             expected {decl_next}"
-                        ),
-                    ));
-                }
-                decl_next = decl_next.max(job.idx() + 1);
-                continue;
-            }
-            WorkflowEvent::WorkflowFinished {
-                succeeded,
-                wall_time,
-                time,
-            } => {
-                if finished.is_some() {
-                    diags.push(Diagnostic::new(
-                        "E0806",
-                        file,
-                        at(line),
-                        "second workflow-finished in one stream",
-                    ));
-                } else {
-                    finished = Some((line, *time, *succeeded, *wall_time));
-                }
-                continue;
-            }
-            _ => {}
-        }
-
-        // Everything below is a per-job lifecycle event.
-        manifest_open = false;
-        let job = match ev {
-            WorkflowEvent::Skipped { job, .. }
-            | WorkflowEvent::Submitted { job, .. }
-            | WorkflowEvent::InstallStarted { job, .. }
-            | WorkflowEvent::Started { job, .. }
-            | WorkflowEvent::RetryScheduled { job, .. }
-            | WorkflowEvent::Completed { job, .. }
-            | WorkflowEvent::Failed { job, .. }
-            | WorkflowEvent::TimedOut { job, .. } => *job,
-            _ => unreachable!("framing events handled above"),
-        };
-        if job.idx() >= decl_next && out_of_range_reported.insert(job.idx()) {
-            diags.push(Diagnostic::new(
-                "E0807",
-                file,
-                at(line),
-                format!("event references job id {job}, which the manifest never declared"),
-            ));
-        }
-        let st = jobs.entry(job.idx()).or_default();
-
-        match ev {
-            WorkflowEvent::Skipped { time, .. } => {
-                if st.skipped {
-                    diags.push(Diagnostic::new(
-                        "E0803",
-                        file,
-                        at(line),
-                        format!("job {job} skipped twice"),
-                    ));
-                }
-                if !st.attempts.is_empty() {
-                    diags.push(Diagnostic::new(
-                        "E0803",
-                        file,
-                        at(line),
-                        format!("job {job} skipped after being submitted"),
-                    ));
-                }
-                if let Some((_, start, _)) = header {
-                    if *time != start {
-                        diags.push(Diagnostic::new(
-                            "E0808",
-                            file,
-                            at(line),
-                            format!(
-                                "job {job} skipped at {time}, but rescue skips happen at \
-                                 the workflow start ({start})"
-                            ),
-                        ));
-                    }
-                }
-                st.skipped = true;
-                st.done = true;
-            }
-            WorkflowEvent::Submitted { attempt, time, .. } => {
-                if st.skipped {
-                    diags.push(Diagnostic::new(
-                        "E0803",
-                        file,
-                        at(line),
-                        format!("job {job} submitted after being skipped"),
-                    ));
-                }
-                if *attempt != st.next_attempt {
-                    diags.push(Diagnostic::new(
-                        "E0802",
-                        file,
-                        at(line),
-                        format!(
-                            "job {job} submitted at attempt {attempt}, expected {} \
-                             (attempts must be dense and strictly increasing)",
-                            st.next_attempt
-                        ),
-                    ));
-                }
-                st.next_attempt = st.next_attempt.max(attempt + 1);
-                if *attempt > 0 && !st.retries.contains_key(attempt) {
-                    diags.push(Diagnostic::new(
-                        "E0805",
-                        file,
-                        at(line),
-                        format!(
-                            "job {job} resubmitted at attempt {attempt} with no prior \
-                             retry-scheduled next-attempt={attempt}"
-                        ),
-                    ));
-                }
-                let a = st.attempts.entry(*attempt).or_default();
-                if a.submitted.is_none() {
-                    a.submitted = Some((line, *time));
-                }
-            }
-            WorkflowEvent::InstallStarted { attempt, time, .. } => {
-                let a = st.attempts.entry(*attempt).or_default();
-                if a.submitted.is_none() {
-                    diags.push(Diagnostic::new(
-                        "E0803",
-                        file,
-                        at(line),
-                        format!("job {job} starts installing at attempt {attempt} before being submitted"),
-                    ));
-                }
-                if a.started.is_some() {
-                    diags.push(Diagnostic::new(
-                        "E0803",
-                        file,
-                        at(line),
-                        format!("job {job} attempt {attempt}: install-started after started"),
-                    ));
-                }
-                if a.install.is_some() {
-                    diags.push(Diagnostic::new(
-                        "E0803",
-                        file,
-                        at(line),
-                        format!("job {job} attempt {attempt} has two install-started events"),
-                    ));
-                } else {
-                    a.install = Some((line, *time));
-                }
-            }
-            WorkflowEvent::Started { attempt, time, .. } => {
-                let a = st.attempts.entry(*attempt).or_default();
-                if a.submitted.is_none() {
-                    diags.push(Diagnostic::new(
-                        "E0803",
-                        file,
-                        at(line),
-                        format!("job {job} started at attempt {attempt} before being submitted"),
-                    ));
-                }
-                if a.started.is_some() {
-                    diags.push(Diagnostic::new(
-                        "E0803",
-                        file,
-                        at(line),
-                        format!("job {job} attempt {attempt} has two started events"),
-                    ));
-                } else {
-                    a.started = Some((line, *time));
-                }
-            }
-            WorkflowEvent::Completed { attempt, times, .. }
-            | WorkflowEvent::Failed { attempt, times, .. }
-            | WorkflowEvent::TimedOut { attempt, times, .. } => {
-                check_terminal(&mut diags, file, line, ev, job, *attempt, times, st, opts);
-                intervals.push((times.started, 1, line));
-                intervals.push((times.finished, -1, line));
-            }
-            WorkflowEvent::RetryScheduled {
-                next_attempt,
-                backoff,
-                reason,
-                detail,
-                time,
-                ..
-            } => {
-                if FaultReason::classify(detail) != *reason {
-                    diags.push(Diagnostic::new(
-                        "E0808",
-                        file,
-                        at(line),
-                        format!(
-                            "job {job} retry reason {:?} does not match its detail {detail:?}",
-                            reason
-                        ),
-                    ));
-                }
-                if !(backoff.is_finite() && *backoff >= 0.0) {
-                    diags.push(Diagnostic::new(
-                        "E0805",
-                        file,
-                        at(line),
-                        format!("job {job} retry backoff {backoff} is not a finite nonnegative delay"),
-                    ));
-                }
-                if *next_attempt == 0 {
-                    diags.push(Diagnostic::new(
-                        "E0805",
-                        file,
-                        at(line),
-                        format!("job {job} schedules a retry to attempt 0, which is never a retry"),
-                    ));
-                } else {
-                    match st.failures.get(&(next_attempt - 1)) {
-                        None => diags.push(Diagnostic::new(
-                            "E0805",
-                            file,
-                            at(line),
-                            format!(
-                                "job {job} schedules retry to attempt {next_attempt} with no \
-                                 failed attempt {}",
-                                next_attempt - 1
-                            ),
-                        )),
-                        Some(fin) => {
-                            if *time != *fin {
-                                diags.push(Diagnostic::new(
-                                    "E0805",
-                                    file,
-                                    at(line),
-                                    format!(
-                                        "job {job} retry scheduled at {time}, but the failed \
-                                         attempt finished at {fin}"
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-                if let Some(policy) = &opts.retry {
-                    check_envelope(&mut diags, file, line, job.idx(), *next_attempt, *backoff, policy);
-                }
-                if st.retries.contains_key(next_attempt) {
-                    diags.push(Diagnostic::new(
-                        "E0805",
-                        file,
-                        at(line),
-                        format!("job {job} has two retry-scheduled events for attempt {next_attempt}"),
-                    ));
-                } else {
-                    st.retries.insert(*next_attempt, (line, *time, *backoff));
-                }
-            }
-            _ => unreachable!("handled above"),
-        }
-    }
-
-    let Some((_, start, declared)) = header else {
-        diags.push(Diagnostic::new(
-            "E0807",
-            file,
-            at(events[0].0),
-            "stream has no workflow-started header",
-        ));
-        return diags;
-    };
-    if decl_next != declared {
-        diags.push(Diagnostic::new(
-            "E0807",
-            file,
-            at(events[0].0),
-            format!("manifest declares {decl_next} jobs, but workflow-started says {declared}"),
-        ));
-    }
-
-    match finished {
-        None => {
-            let last = events.last().expect("nonempty").0;
-            diags.push(
-                Diagnostic::new(
-                    "E0806",
-                    file,
-                    at(last),
-                    "stream has no workflow-finished: verify requires complete logs",
-                )
-                .with_help(
-                    "for crashed or still-running runs use `pegasus lint --events`, \
-                     which accepts truncated streams",
-                ),
-            );
-        }
-        Some((fline, ftime, succeeded, wall)) => {
-            if wall != ftime - start {
-                diags.push(Diagnostic::new(
-                    "E0806",
-                    file,
-                    at(fline),
-                    format!(
-                        "workflow-finished wall-time {wall} contradicts its bounds \
-                         ({ftime} - {start} = {})",
-                        ftime - start
-                    ),
-                ));
-            }
-            let all_done =
-                (0..declared).all(|j| jobs.get(&j).is_some_and(|s| s.done));
-            if succeeded != all_done {
-                diags.push(Diagnostic::new(
-                    "E0806",
-                    file,
-                    at(fline),
-                    if succeeded {
-                        "workflow-finished claims success, but not every job completed"
-                            .to_string()
-                    } else {
-                        "workflow-finished claims failure, but every job completed".to_string()
-                    },
-                ));
-            }
-            // Time bounds: every emission lies inside [start, finish].
-            for (line, ev) in events {
-                if let Some(t) = ev.emission_time() {
-                    if t < start || t > ftime {
-                        diags.push(Diagnostic::new(
-                            "E0806",
-                            file,
-                            at(*line),
-                            format!("event at time {t} lies outside the run's [{start}, {ftime}] bounds"),
-                        ));
-                    }
-                }
-            }
-            if succeeded {
-                for (j, st) in &jobs {
-                    for (attempt, a) in &st.attempts {
-                        if let (Some((sline, _)), None) = (a.submitted, a.terminal) {
-                            diags.push(Diagnostic::new(
-                                "E0801",
-                                file,
-                                at(sline),
-                                format!(
-                                    "job {j} attempt {attempt} was submitted but never \
-                                     reached a terminal event on a succeeded run"
-                                ),
-                            ));
-                        }
-                    }
-                    for (next, (rline, _, _)) in &st.retries {
-                        if st.attempts.get(next).is_none_or(|a| a.submitted.is_none()) {
-                            diags.push(Diagnostic::new(
-                                "E0801",
-                                file,
-                                at(*rline),
-                                format!(
-                                    "job {j} scheduled a retry to attempt {next} that was \
-                                     never resubmitted on a succeeded run"
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    if let Some(cap) = opts.slot_capacity {
-        sweep_capacity(&mut diags, file, &mut intervals, cap);
-    }
-
-    diags
-}
-
-/// Terminal-event checks: phase precedence, timestamp agreement with
-/// the retrospective phase events, reason classification, and the
-/// retry gap lower bound.
-#[allow(clippy::too_many_arguments)] // a private fold step over loop state
-fn check_terminal(
-    diags: &mut Vec<Diagnostic>,
-    file: &str,
-    line: usize,
-    ev: &WorkflowEvent,
-    job: JobId,
-    attempt: u32,
-    times: &JobTimes,
-    st: &mut JobVState,
-    _opts: &VerifyOptions,
-) {
-    let a = st.attempts.entry(attempt).or_default();
-    if a.submitted.is_none() {
-        diags.push(Diagnostic::new(
-            "E0803",
-            file,
-            at(line),
-            format!("job {job} reached a terminal event at attempt {attempt} before being submitted"),
-        ));
-    }
-    if a.terminal.is_some() {
-        diags.push(Diagnostic::new(
-            "E0803",
-            file,
-            at(line),
-            format!("job {job} has two terminal events for attempt {attempt}"),
-        ));
-    }
-    a.terminal = Some(line);
-    if !times_ordered(times) {
-        diags.push(Diagnostic::new(
-            "E0808",
-            file,
-            at(line),
-            format!(
-                "job {job} attempt {attempt} has unordered times \
-                 (want submitted <= started <= install-done <= finished)"
-            ),
-        ));
-    }
-    // The phase events are synthesized from this terminal's own
-    // timestamps, so the agreement is exact, bit for bit.
-    match a.started {
-        None => diags.push(Diagnostic::new(
-            "E0803",
-            file,
-            at(line),
-            format!("job {job} attempt {attempt} terminated without a started event"),
-        )),
-        Some((_, t)) if t != times.install_done => diags.push(Diagnostic::new(
-            "E0808",
-            file,
-            at(line),
-            format!(
-                "job {job} attempt {attempt}: started was emitted at {t}, but the \
-                 terminal records install-done={}",
-                times.install_done
-            ),
-        )),
-        Some(_) => {}
-    }
-    let has_install = times.install_done > times.started;
-    match (has_install, a.install) {
-        (true, None) => diags.push(Diagnostic::new(
-            "E0803",
-            file,
-            at(line),
-            format!(
-                "job {job} attempt {attempt} had an install phase but no install-started \
-                 event (install-started must precede started on sites with install overhead)"
-            ),
-        )),
-        (false, Some((iline, _))) => diags.push(Diagnostic::new(
-            "E0803",
-            file,
-            at(iline),
-            format!(
-                "job {job} attempt {attempt} emitted install-started, but the terminal \
-                 records no install phase"
-            ),
-        )),
-        (true, Some((_, t))) if t != times.started => diags.push(Diagnostic::new(
-            "E0808",
-            file,
-            at(line),
-            format!(
-                "job {job} attempt {attempt}: install-started was emitted at {t}, but \
-                 the terminal records started={}",
-                times.started
-            ),
-        )),
-        _ => {}
-    }
-    // The backend acquires work no earlier than it was handed it.
-    if let Some((_, sub)) = a.submitted {
-        if times.submitted + TOL < sub {
-            diags.push(Diagnostic::new(
-                "E0808",
-                file,
-                at(line),
-                format!(
-                    "job {job} attempt {attempt} records submitted={}, before its \
-                     submitted event at {sub}",
-                    times.submitted
-                ),
-            ));
-        }
-    }
-    // Retry gap lower bound: the resubmission can be held by the
-    // throttle but never runs before failure time + backoff.
-    if let Some((_, rtime, backoff)) = st.retries.get(&attempt) {
-        if times.submitted + TOL < rtime + backoff {
-            diags.push(Diagnostic::new(
-                "E0805",
-                file,
-                at(line),
-                format!(
-                    "job {job} attempt {attempt} ran at submitted={}, before its \
-                     scheduled earliest time {} (retry at {rtime} + backoff {backoff})",
-                    times.submitted,
-                    rtime + backoff
-                ),
-            ));
-        }
-    }
-    match ev {
-        WorkflowEvent::Completed { .. } => st.done = true,
-        WorkflowEvent::Failed { reason, detail, .. } => {
-            if FaultReason::classify(detail) != *reason {
-                diags.push(Diagnostic::new(
-                    "E0808",
-                    file,
-                    at(line),
-                    format!(
-                        "job {job} failure reason {:?} does not match its detail {detail:?}",
-                        reason
-                    ),
-                ));
-            }
-            st.failures.insert(attempt, times.finished);
-        }
-        WorkflowEvent::TimedOut { detail, .. } => {
-            if FaultReason::classify(detail) != FaultReason::Timeout {
-                diags.push(Diagnostic::new(
-                    "E0808",
-                    file,
-                    at(line),
-                    format!("job {job} timed out with non-timeout detail {detail:?}"),
-                ));
-            }
-            st.failures.insert(attempt, times.finished);
-        }
-        _ => unreachable!("terminal events only"),
-    }
+    walker.finish()
 }
 
 /// The `E0805` backoff/jitter envelope: with the policy known, the
 /// emitted backoff must lie inside `capped * [1 - jitter, 1 + jitter]`
 /// where `capped = min(base * factor^(k-1), max_backoff)`.
 fn check_envelope(
-    diags: &mut Vec<Diagnostic>,
-    file: &str,
+    out: &mut Findings,
     line: usize,
-    job: usize,
+    job: JobId,
     next_attempt: u32,
     backoff: f64,
     policy: &RetryPolicy,
 ) {
     if policy.base_backoff <= 0.0 {
         if backoff != 0.0 {
-            diags.push(Diagnostic::new(
-                "E0805",
-                file,
-                at(line),
+            out.flag(
+                RETRIES,
+                line,
                 format!(
                     "job {job} retry backoff {backoff} under a policy with no backoff \
                      configured"
                 ),
-            ));
+            );
         }
         return;
     }
     let exponent = next_attempt.saturating_sub(1).min(1000) as i32;
-    let capped = (policy.base_backoff * policy.backoff_factor.powi(exponent)).min(policy.max_backoff);
+    let capped =
+        (policy.base_backoff * policy.backoff_factor.powi(exponent)).min(policy.max_backoff);
     let eps = TOL * capped.max(1.0);
     let lo = capped * (1.0 - policy.jitter) - eps;
     let hi = capped * (1.0 + policy.jitter) + eps;
     if !(backoff >= lo && backoff <= hi) {
-        diags.push(Diagnostic::new(
-            "E0805",
-            file,
-            at(line),
+        out.flag(
+            RETRIES,
+            line,
             format!(
                 "job {job} retry backoff {backoff} outside the configured envelope \
                  [{lo}, {hi}] for attempt {next_attempt}"
             ),
-        ));
+        );
     }
 }
 
@@ -879,12 +877,7 @@ fn check_envelope(
 /// per-attempt `[started, finished)` intervals, freeing before
 /// acquiring at equal instants (the simulator hands a freed slot to
 /// the next attempt at the same clock).
-fn sweep_capacity(
-    diags: &mut Vec<Diagnostic>,
-    file: &str,
-    intervals: &mut [(f64, i32, usize)],
-    cap: usize,
-) {
+fn sweep_capacity(out: &mut Findings, intervals: &mut [(f64, i32, usize)], cap: usize) {
     if cap == 0 {
         return;
     }
@@ -897,15 +890,14 @@ fn sweep_capacity(
     for (time, delta, line) in intervals.iter() {
         running += i64::from(*delta);
         if running > cap as i64 {
-            diags.push(Diagnostic::new(
-                "E0804",
-                file,
-                at(*line),
+            out.flag(
+                CAPACITY,
+                *line,
                 format!(
                     "{running} attempts hold slots at time {time}, exceeding the site's \
                      capacity of {cap}"
                 ),
-            ));
+            );
             return; // one violation pins the stream; avoid cascades
         }
     }
@@ -1199,18 +1191,15 @@ pub fn check_trace_match(
 }
 
 /// The flag-gated live shadow monitor: an [`EventSink`] fed every
-/// event the engine emits (hand it to `Engine::run`), which runs the
-/// full Layer-1 catalog over the finished stream.
+/// event the engine emits (hand it to `Engine::run`), which judges
+/// each one against the Layer-1 catalog as it arrives and keeps only
+/// the walker's per-job state, never the stream.
 ///
-/// The sink records the stream as it arrives and verifies it when
-/// [`ShadowVerifier::finish`] is called (or eagerly if events keep
-/// arriving after a trailer — the one invariant worth asserting
-/// mid-run).  Line numbers are absent on live streams, so diagnostics
-/// carry the run label as their file and no span.
+/// [`ShadowVerifier::finish`] adds the end-of-stream obligations and
+/// returns every violation.  Line numbers are absent on live streams,
+/// so diagnostics carry the run label as their file and no span.
 pub struct ShadowVerifier {
-    label: String,
-    opts: VerifyOptions,
-    events: Vec<(usize, WorkflowEvent)>,
+    walker: StreamWalker,
 }
 
 impl ShadowVerifier {
@@ -1218,22 +1207,20 @@ impl ShadowVerifier {
     /// where a file name would be).
     pub fn new(label: impl Into<String>, opts: VerifyOptions) -> Self {
         ShadowVerifier {
-            label: label.into(),
-            opts,
-            events: Vec::new(),
+            walker: StreamWalker::new(label, opts, false),
         }
     }
 
-    /// Runs the full invariant catalog over everything observed so
-    /// far and returns the violations.
-    pub fn finish(&self) -> Vec<Diagnostic> {
-        check_stream(&self.events, &self.label, &self.opts)
+    /// Closes the observed stream and returns every violation of the
+    /// catalog, exactly what [`check_stream`] returns for it.
+    pub fn finish(self) -> Vec<Diagnostic> {
+        self.walker.finish()
     }
 }
 
 impl EventSink for ShadowVerifier {
     fn event(&mut self, ev: &WorkflowEvent) {
-        self.events.push((0, ev.clone()));
+        self.walker.event(0, ev);
     }
 }
 
@@ -1285,6 +1272,26 @@ workflow-finished time=7 wall-time=7 succeeded=true
                 "{} missing from CATALOG",
                 r.code
             );
+        }
+    }
+
+    #[test]
+    fn every_sanitizer_code_is_the_lenient_face_of_a_registered_invariant() {
+        let pairs = [
+            HEADER, MANIFEST, CLOSED, ATTEMPTS, PHASES, RETRIES, TIMES, ORDER,
+        ];
+        for (strict, lenient) in pairs {
+            assert!(rule(strict).is_some() && rule(lenient).is_some());
+            assert!(strict.starts_with("E08") && lenient[1..].starts_with("07"));
+            let explained = crate::lint::explain(lenient).expect("registered");
+            assert!(explained.contains(&format!("{lenient} -> ")), "{lenient}");
+            assert!(explained.contains(strict), "{lenient} names {strict}");
+        }
+        for r in RULES.iter().filter(|r| r.code[1..].starts_with("07")) {
+            let faced = pairs.iter().any(|p| p.1 == r.code);
+            // The truncation warning and the parse failure are raised
+            // outside the walker and have no invariant behind them.
+            assert_eq!(faced, !["W0707", "E0708"].contains(&r.code), "{}", r.code);
         }
     }
 
@@ -1407,7 +1414,11 @@ completed job=0 attempt=1 submitted=3 started=4 install-done=4 finished=6
 workflow-finished time=6 wall-time=6 succeeded=true
 ";
         // Resubmission ran at submitted=3 < retry time 2 + backoff 10.
-        assert!(codes(&verify_text(text)).contains(&"E0805"), "{:?}", verify_text(text));
+        assert!(
+            codes(&verify_text(text)).contains(&"E0805"),
+            "{:?}",
+            verify_text(text)
+        );
 
         // With the policy known, backoff 10 falls outside the
         // jitter-free envelope around base 7.
@@ -1477,7 +1488,7 @@ workflow-finished time=2 wall-time=2 succeeded=false
             &mut shadow,
         );
         assert!(run.succeeded());
-        assert_eq!(shadow.events.len(), run.events.len(), "trailer included");
+        assert_eq!(shadow.walker.seen, run.events.len(), "trailer included");
         assert!(shadow.finish().is_empty());
     }
 
@@ -1495,19 +1506,40 @@ workflow-finished time=2 wall-time=2 succeeded=false
         let mut bare = PlannerConfig::for_site("sandhills");
         bare.stage_data = false;
         let exec = plan(&wf, &sites, &tc, &rc, &bare).unwrap();
-        let diags = check_plan(&wf, &exec, &rc, "sandhills", "w.dax", &DataflowOptions::default());
+        let diags = check_plan(
+            &wf,
+            &exec,
+            &rc,
+            "sandhills",
+            "w.dax",
+            &DataflowOptions::default(),
+        );
         assert_eq!(codes(&diags), ["E0601"], "{diags:?}");
 
         // With staging enabled the planner discharges the obligation.
         let exec = plan(&wf, &sites, &tc, &rc, &PlannerConfig::for_site("sandhills")).unwrap();
-        let diags = check_plan(&wf, &exec, &rc, "sandhills", "w.dax", &DataflowOptions::default());
+        let diags = check_plan(
+            &wf,
+            &exec,
+            &rc,
+            "sandhills",
+            "w.dax",
+            &DataflowOptions::default(),
+        );
         assert!(diags.is_empty(), "{diags:?}");
 
         // A replica at the site discharges it, too.
         let mut rc = ReplicaCatalog::new();
         rc.register("ghost.in", "sandhills");
         let exec = plan(&wf, &sites, &tc, &rc, &bare).unwrap();
-        let diags = check_plan(&wf, &exec, &rc, "sandhills", "w.dax", &DataflowOptions::default());
+        let diags = check_plan(
+            &wf,
+            &exec,
+            &rc,
+            "sandhills",
+            "w.dax",
+            &DataflowOptions::default(),
+        );
         assert!(diags.is_empty(), "{diags:?}");
     }
 

@@ -119,16 +119,88 @@ fn default_replicas() -> ReplicaCatalog {
     rc
 }
 
+/// Reads `path` to a string, or reports `cannot read <what> <path>`
+/// and exits 1 — an unreadable input file is never a usage error.
+fn read_or_exit(what: &str, path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        let sep = if what.is_empty() { "" } else { " " };
+        eprintln!("cannot read {what}{sep}{path}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Sends a verb's rendered output to `--out <file>` (confirming with
+/// `<done> <file>` unless `--quiet`), or to stdout without one.
+fn write_or_print(args: &Args, text: &str, done: &str) {
+    match args.get("out") {
+        Some(path) => {
+            std::fs::write(path, text).expect("write --out file");
+            if !args.flag("quiet") {
+                println!("{done} {path}");
+            }
+        }
+        None => print!("{text}"),
+    }
+}
+
+/// The `--deny`/`--allow` level overrides `lint` and `verify` share;
+/// `example` is the code the verb's own `--deny` hint suggests.
+fn lint_config_from(args: &Args, example: &str) -> pegasus_wms::lint::LintConfig {
+    let mut config = pegasus_wms::lint::LintConfig::default();
+    if let Some(spec) = args.get("deny") {
+        if let Err(tok) = config.deny(spec) {
+            args.bail(&format!(
+                "--deny: {tok:?} names no known lint (try a code like {example}, a rule name, or `warnings`)"
+            ));
+        }
+    }
+    if let Some(spec) = args.get("allow") {
+        if let Err(tok) = config.allow(spec) {
+            args.bail(&format!("--allow: {tok:?} names no known lint"));
+        }
+    }
+    config
+}
+
+/// The seeded fault script behind `--fault-plan <file>`, when given.
+fn fault_script_from(args: &Args, seed: u64) -> Option<FaultScript> {
+    args.get("fault-plan").map(|path| {
+        let text = read_or_exit("fault plan", path);
+        let plan = FaultPlan::parse(&text).unwrap_or_else(|e| {
+            eprintln!("bad fault plan {path}: {e}");
+            std::process::exit(1);
+        });
+        FaultScript::new(plan, seed)
+    })
+}
+
+/// Parses one event log for a stream checker. A log that does not
+/// parse becomes an `E0708` finding at the offending line, so the
+/// report still renders and the remaining logs are still checked.
+fn parse_event_log_or_flag(
+    text: &str,
+    path: &str,
+    diags: &mut Vec<pegasus_wms::lint::Diagnostic>,
+) -> Option<Vec<(usize, events::WorkflowEvent)>> {
+    use pegasus_wms::error::{Span, WmsError};
+    let (span, reason) = match events::log::parse_lines(text) {
+        Ok(pairs) => return Some(pairs),
+        Err(WmsError::EventLogParse { line, reason }) => (Span::line(line), reason),
+        Err(e) => (Span::none(), e.to_string()),
+    };
+    diags.push(pegasus_wms::lint::Diagnostic::new(
+        "E0708", path, span, reason,
+    ));
+    None
+}
+
 /// The site registry every verb resolves `--site` against: the
 /// built-in paper sites, or the `--sites <file>` definitions replacing
 /// them wholesale.
 fn load_registry(args: &Args) -> SiteRegistry {
     match args.get("sites") {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read site definitions {path}: {e}");
-                std::process::exit(1);
-            });
+            let text = read_or_exit("site definitions", path);
             SiteRegistry::parse(&text).unwrap_or_else(|e| {
                 eprintln!("cannot load site definitions {path}: {e}");
                 eprintln!("(run `pegasus lint <dax> --sites {path}` for the full report)");
@@ -161,10 +233,7 @@ fn load_catalogs(
 ) {
     match args.get("catalog") {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read catalog {path}: {e}");
-                std::process::exit(1);
-            });
+            let text = read_or_exit("catalog", path);
             let bundle = pegasus_wms::catalog_io::parse(&text).unwrap_or_else(|e| {
                 eprintln!("cannot parse catalog {path}: {e}");
                 std::process::exit(1);
@@ -189,23 +258,29 @@ fn cmd_catalogs(args: &Args) -> ExitCode {
         &rc,
         &["transcripts.fasta", "alignments.out"],
     );
-    match args.get("out") {
-        Some(path) => {
-            std::fs::write(path, &text).expect("write catalogs");
-            println!("built-in catalogs written to {path}");
-        }
-        None => print!("{text}"),
-    }
+    write_or_print(args, &text, "built-in catalogs written to");
     ExitCode::SUCCESS
 }
 
 fn load_dax(path: &str) -> pegasus_wms::workflow::AbstractWorkflow {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
+    let text = read_or_exit("", path);
     dax::from_dax(&text).unwrap_or_else(|e| {
         eprintln!("cannot parse {path}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Plans `wf` for the catalog site `site` under the default planner
+/// configuration, exiting 1 when planning fails.
+fn plan_or_exit(
+    wf: &pegasus_wms::workflow::AbstractWorkflow,
+    sites: &pegasus_wms::catalog::SiteCatalog,
+    tc: &pegasus_wms::catalog::TransformationCatalog,
+    rc: &ReplicaCatalog,
+    site: &str,
+) -> pegasus_wms::planner::ExecutableWorkflow {
+    plan(wf, sites, tc, rc, &PlannerConfig::for_site(site)).unwrap_or_else(|e| {
+        eprintln!("planning failed: {e}");
         std::process::exit(1);
     })
 }
@@ -220,14 +295,8 @@ fn cmd_generate_dax(args: &Args) -> ExitCode {
         WorkflowParams::with_n(n)
     };
     let wf = build_workflow(&params);
-    let text = dax::to_dax(&wf);
-    match args.get("out") {
-        Some(path) => {
-            std::fs::write(path, &text).expect("write DAX");
-            println!("wrote {} jobs to {path}", wf.jobs.len());
-        }
-        None => print!("{text}"),
-    }
+    let done = format!("wrote {} jobs to", wf.jobs.len());
+    write_or_print(args, &dax::to_dax(&wf), &done);
     ExitCode::SUCCESS
 }
 
@@ -241,14 +310,8 @@ fn cmd_generate_workload(args: &Args) -> ExitCode {
         "ligo" => synthetic::ligo_inspiral(size.div_ceil(5).max(1), 5),
         other => args.bail(&format!("unknown shape {other:?}")),
     };
-    let text = dax::to_dax(&wf);
-    match args.get("out") {
-        Some(path) => {
-            std::fs::write(path, &text).expect("write DAX");
-            println!("wrote {} ({} jobs) to {path}", wf.name, wf.jobs.len());
-        }
-        None => print!("{text}"),
-    }
+    let done = format!("wrote {} ({} jobs) to", wf.name, wf.jobs.len());
+    write_or_print(args, &dax::to_dax(&wf), &done);
     ExitCode::SUCCESS
 }
 
@@ -348,18 +411,22 @@ fn ascii_dag(exec: &pegasus_wms::planner::ExecutableWorkflow) -> String {
     out
 }
 
-/// Reads and parses a provenance event log, then folds it back into a
-/// [`pegasus_wms::engine::WorkflowRun`] — the offline half of the
-/// `--events` / `--from-events` round trip.
-fn replay_run(path: &str) -> pegasus_wms::engine::WorkflowRun {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read event log {path}: {e}");
-        std::process::exit(1);
-    });
+/// Reads and parses one provenance event log, exiting 1 on either
+/// failure; the text comes back too, for its `# trace id=…` header.
+fn load_event_log(path: &str) -> (String, Vec<events::WorkflowEvent>) {
+    let text = read_or_exit("event log", path);
     let evs = events::log::parse(&text).unwrap_or_else(|e| {
         eprintln!("bad event log {path}: {e}");
         std::process::exit(1);
     });
+    (text, evs)
+}
+
+/// Reads and parses a provenance event log, then folds it back into a
+/// [`pegasus_wms::engine::WorkflowRun`] — the offline half of the
+/// `--events` / `--from-events` round trip.
+fn replay_run(path: &str) -> pegasus_wms::engine::WorkflowRun {
+    let (_, evs) = load_event_log(path);
     events::replay(&evs).unwrap_or_else(|e| {
         eprintln!("cannot replay event log {path}: {e}");
         std::process::exit(1);
@@ -424,6 +491,15 @@ fn retry_policy_from(args: &Args, retries: u32) -> RetryPolicy {
     policy
 }
 
+/// The engine configuration every simulating verb builds: the flags'
+/// retry policy (see [`retry_policy_from`]) under `seed`.
+fn engine_config_from(args: &Args, retries: u32, seed: u64) -> EngineConfig {
+    EngineConfig::builder()
+        .policy(retry_policy_from(args, retries))
+        .seed(seed)
+        .build()
+}
+
 /// Parses `--sizes 10,100,...` (default: the paper's Fig. 4 sweep).
 fn sizes_from(args: &Args) -> Vec<usize> {
     let sizes: Vec<usize> = match args.get("sizes") {
@@ -446,17 +522,7 @@ fn sizes_from(args: &Args) -> Vec<usize> {
 /// Reads and parses one or more comma-separated event logs.
 fn parse_event_logs(list: &str) -> Vec<Vec<pegasus_wms::events::WorkflowEvent>> {
     list.split(',')
-        .map(|path| {
-            let path = path.trim();
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read event log {path}: {e}");
-                std::process::exit(1);
-            });
-            events::log::parse(&text).unwrap_or_else(|e| {
-                eprintln!("bad event log {path}: {e}");
-                std::process::exit(1);
-            })
-        })
+        .map(|path| load_event_log(path.trim()).1)
         .collect()
 }
 
@@ -496,10 +562,7 @@ fn cmd_breakdown(args: &Args) -> ExitCode {
         // (few jobs, so one unlucky task sinks the run); the paper's
         // OSG profile likewise leans on workflow-level retries.
         let retries: u32 = args.parsed("retries", 20u32);
-        let cfg = EngineConfig::builder()
-            .policy(retry_policy_from(args, retries))
-            .seed(seed)
-            .build();
+        let cfg = engine_config_from(args, retries, seed);
         for site in sweep_sites(args, &registry) {
             for &n in &sizes_from(args) {
                 let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, None);
@@ -523,15 +586,7 @@ fn cmd_breakdown(args: &Args) -> ExitCode {
     } else {
         (breakdown::render_csv(&rows), "CSV")
     };
-    match args.get("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).expect("write breakdown");
-            if !args.flag("quiet") {
-                println!("breakdown {what} written to {path}");
-            }
-        }
-        None => print!("{rendered}"),
-    }
+    write_or_print(args, &rendered, &format!("breakdown {what} written to"));
     if all_ok {
         ExitCode::SUCCESS
     } else {
@@ -573,10 +628,7 @@ fn cmd_metrics(args: &Args) -> ExitCode {
         let sites = load_registry(args);
         let seed: u64 = args.parsed("seed", 20140519u64);
         let retries: u32 = args.parsed("retries", 20u32);
-        let cfg = EngineConfig::builder()
-            .policy(retry_policy_from(args, retries))
-            .seed(seed)
-            .build();
+        let cfg = engine_config_from(args, retries, seed);
         for site in sweep_sites(args, &sites) {
             for &n in &sizes_from(args) {
                 let out = simulate_blast2cap3_at(&sites, site, n, seed, &cfg, None);
@@ -585,14 +637,7 @@ fn cmd_metrics(args: &Args) -> ExitCode {
             }
         }
     }
-    let text = registry.render();
-    match args.get("out") {
-        Some(path) => {
-            std::fs::write(path, &text).expect("write metrics");
-            println!("metrics exposition written to {path}");
-        }
-        None => print!("{text}"),
-    }
+    write_or_print(args, &registry.render(), "metrics exposition written to");
     ExitCode::SUCCESS
 }
 
@@ -617,10 +662,7 @@ fn collect_lint(
     // built-ins so the remaining passes still run.
     let registry = match args.get("sites") {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read site definitions {path}: {e}");
-                std::process::exit(1);
-            });
+            let text = read_or_exit("site definitions", path);
             match gridsim::sites::parse_defs(&text) {
                 Ok(defs) => {
                     diags.extend(gridsim::lint_sites(&defs, path, Some(&text)));
@@ -638,10 +680,7 @@ fn collect_lint(
     };
     let (sites, tc, _rc) = load_catalogs(args, &registry);
 
-    let text = std::fs::read_to_string(dax_path).unwrap_or_else(|e| {
-        eprintln!("cannot read {dax_path}: {e}");
-        std::process::exit(1);
-    });
+    let text = read_or_exit("", dax_path);
     // The unvalidated parse keeps cyclic or conflicted workflows
     // alive so the structural pass can report the full story instead
     // of stopping at the first validation error.
@@ -693,10 +732,7 @@ fn collect_lint(
 
     if let Some(list) = args.get("fault-plan") {
         for path in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let ptext = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read fault plan {path}: {e}");
-                std::process::exit(1);
-            });
+            let ptext = read_or_exit("fault plan", path);
             match FaultPlan::parse(&ptext) {
                 Ok(plan) => {
                     let ctx = gridsim::PlanLintContext {
@@ -724,18 +760,9 @@ fn collect_lint(
     if include_event_logs {
         if let Some(list) = args.get("events") {
             for path in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                let etext = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                    eprintln!("cannot read event log {path}: {e}");
-                    std::process::exit(1);
-                });
-                match events::log::parse_lines(&etext) {
-                    Ok(pairs) => diags.extend(lint::check_events(&pairs, path)),
-                    Err(WmsError::EventLogParse { line, reason }) => {
-                        diags.push(Diagnostic::new("E0708", path, Span::line(line), reason));
-                    }
-                    Err(e) => {
-                        diags.push(Diagnostic::new("E0708", path, Span::none(), e.to_string()));
-                    }
+                let etext = read_or_exit("event log", path);
+                if let Some(pairs) = parse_event_log_or_flag(&etext, path, &mut diags) {
+                    diags.extend(lint::check_events(&pairs, path));
                 }
             }
         }
@@ -775,20 +802,7 @@ fn cmd_lint(args: &Args) -> ExitCode {
         _ => args.bail("lint needs exactly one <dax> (positional or --dax)"),
     };
 
-    let mut config = lint::LintConfig::default();
-    if let Some(spec) = args.get("deny") {
-        if let Err(tok) = config.deny(spec) {
-            args.bail(&format!(
-                "--deny: {tok:?} names no known lint (try a code like E0103, a rule name, or `warnings`)"
-            ));
-        }
-    }
-    if let Some(spec) = args.get("allow") {
-        if let Err(tok) = config.allow(spec) {
-            args.bail(&format!("--allow: {tok:?} names no known lint"));
-        }
-    }
-
+    let config = lint_config_from(args, "E0103");
     let diags = lint::resolve(collect_lint(args, &dax_path, true), &config);
     match args.get("format").unwrap_or("text") {
         "text" => print!("{}", lint::render_text(&diags)),
@@ -802,15 +816,12 @@ fn cmd_lint(args: &Args) -> ExitCode {
     }
 }
 
-/// Warn-only lint pass at the top of `run`: diagnostics go to stderr
-/// at their default levels, never change the exit code, and stdout
-/// stays byte-identical.
-fn preflight_lint(args: &Args, dax_path: &str) {
+/// The warn-only report `run` and `ensemble` open with: findings go to
+/// stderr at their default levels, never change the exit code, and
+/// stdout stays byte-identical.
+fn warn_on_stderr(diags: Vec<pegasus_wms::lint::Diagnostic>) {
     use pegasus_wms::lint;
-    let diags = lint::resolve(
-        collect_lint(args, dax_path, false),
-        &lint::LintConfig::default(),
-    );
+    let diags = lint::resolve(diags, &lint::LintConfig::default());
     if !diags.is_empty() {
         eprint!("{}", lint::render_text(&diags));
     }
@@ -830,10 +841,7 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
     let retries: u32 = args.parsed("retries", 3u32);
     let sizes = sizes_from(args);
 
-    let engine_cfg = EngineConfig::builder()
-        .policy(retry_policy_from(args, retries))
-        .seed(seed)
-        .build();
+    let engine_cfg = engine_config_from(args, retries, seed);
     let slot_budget = args.parsed_opt::<usize>("slots");
 
     // Warn-only feasibility lint on the widest member before any
@@ -853,13 +861,7 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
             faults_active: registry.faults_active(site),
         };
         let label = format!("<blast2cap3 n={widest}>");
-        let diags = lint::resolve(
-            lint::check_config(&wf, &label, &ctx),
-            &lint::LintConfig::default(),
-        );
-        if !diags.is_empty() {
-            eprint!("{}", lint::render_text(&diags));
-        }
+        warn_on_stderr(lint::check_config(&wf, &label, &ctx));
     }
 
     let out =
@@ -900,15 +902,7 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
         }
     }
     let csv = render_ensemble_csv(&out.stats);
-    match args.get("out") {
-        Some(path) => {
-            std::fs::write(path, &csv).expect("write ensemble CSV");
-            if !args.flag("quiet") {
-                println!("ensemble rollup CSV written to {path}");
-            }
-        }
-        None => print!("{csv}"),
-    }
+    write_or_print(args, &csv, "ensemble rollup CSV written to");
 
     if out.run.succeeded() {
         ExitCode::SUCCESS
@@ -931,7 +925,7 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     let profiling = !csv_only && arm_profiler(args);
     let dax_path = args.require("dax");
     if !csv_only && !args.flag("quiet") {
-        preflight_lint(args, dax_path);
+        warn_on_stderr(collect_lint(args, dax_path, false));
     }
     let wf = load_dax(dax_path);
     let registry = load_registry(args);
@@ -941,36 +935,11 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     let retries: u32 = args.parsed("retries", 3u32);
 
     let (sites, tc, rc) = load_catalogs(args, &registry);
-    let exec = match plan(
-        &wf,
-        &sites,
-        &tc,
-        &rc,
-        &PlannerConfig::for_site(registry.catalog_name(site)),
-    ) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("planning failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let exec = plan_or_exit(&wf, &sites, &tc, &rc, registry.catalog_name(site));
 
-    let mut engine_cfg = EngineConfig::builder()
-        .policy(retry_policy_from(args, retries))
-        .seed(seed)
-        .build();
+    let mut engine_cfg = engine_config_from(args, retries, seed);
 
-    let script = args.get("fault-plan").map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read fault plan {path}: {e}");
-            std::process::exit(1);
-        });
-        let plan = FaultPlan::parse(&text).unwrap_or_else(|e| {
-            eprintln!("bad fault plan {path}: {e}");
-            std::process::exit(1);
-        });
-        FaultScript::new(plan, seed)
-    });
+    let script = fault_script_from(args, seed);
     // A scripted submit-host crash is a one-time event: the rescue
     // resubmission runs on the recovered host, so it only arms on the
     // initial submission, never on --resume.
@@ -1093,12 +1062,15 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     // The shadow verdict: clean streams say so once; violations turn
     // an otherwise successful run into a failure.
     let mut verify_failed = false;
-    if let Some(shadow) = &shadow {
+    if let Some(shadow) = shadow {
         use pegasus_wms::lint;
         let diags = lint::resolve(shadow.finish(), &lint::LintConfig::default());
         if diags.is_empty() {
             if !csv_only && !args.flag("quiet") {
-                println!("verify: {} events, invariant catalog clean", run.events.len());
+                println!(
+                    "verify: {} events, invariant catalog clean",
+                    run.events.len()
+                );
             }
         } else {
             eprint!("{}", lint::render_text_as(&diags, "verify"));
@@ -1126,15 +1098,8 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
 /// trace id from the `# trace id=…` header comment when present — the
 /// offline half of the `pegasus trace` round trip.
 fn fold_trace_log(path: &str) -> trace::WorkflowTrace {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read event log {path}: {e}");
-        std::process::exit(1);
-    });
+    let (text, evs) = load_event_log(path);
     let id = trace::trace_from_log(&text);
-    let evs = events::log::parse(&text).unwrap_or_else(|e| {
-        eprintln!("bad event log {path}: {e}");
-        std::process::exit(1);
-    });
     trace::fold(&evs, id).unwrap_or_else(|e| {
         eprintln!("cannot fold event log {path}: {e}");
         std::process::exit(1);
@@ -1164,38 +1129,7 @@ fn cmd_trace(args: &Args) -> ExitCode {
             traces.push(fold_trace_log(path));
         }
     } else if let Some(dir) = args.get("events-dir") {
-        let dir = std::path::Path::new(dir);
-        let members = dir.join("members");
-        let scan = if members.is_dir() {
-            members
-        } else {
-            dir.to_path_buf()
-        };
-        let mut paths: Vec<std::path::PathBuf> = match std::fs::read_dir(&scan) {
-            Ok(entries) => entries
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "events"))
-                .collect(),
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", scan.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        // Shortest-name-first sorts m2 before m10: member-id order.
-        paths.sort_by_key(|p| {
-            let name = p
-                .file_name()
-                .unwrap_or_default()
-                .to_string_lossy()
-                .into_owned();
-            (name.len(), name)
-        });
-        if paths.is_empty() {
-            eprintln!("no .events logs under {}", scan.display());
-            return ExitCode::FAILURE;
-        }
-        for path in paths {
+        for path in member_log_paths(std::path::Path::new(dir)) {
             traces.push(fold_trace_log(&path.to_string_lossy()));
         }
     } else {
@@ -1204,21 +1138,8 @@ fn cmd_trace(args: &Args) -> ExitCode {
         let n: usize = args.parsed("n", 100);
         let seed: u64 = args.parsed("seed", 20140519u64);
         let retries: u32 = args.parsed("retries", 20u32);
-        let cfg = EngineConfig::builder()
-            .policy(retry_policy_from(args, retries))
-            .seed(seed)
-            .build();
-        let script = args.get("fault-plan").map(|path| {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read fault plan {path}: {e}");
-                std::process::exit(1);
-            });
-            let plan = FaultPlan::parse(&text).unwrap_or_else(|e| {
-                eprintln!("bad fault plan {path}: {e}");
-                std::process::exit(1);
-            });
-            FaultScript::new(plan, seed)
-        });
+        let cfg = engine_config_from(args, retries, seed);
+        let script = fault_script_from(args, seed);
         let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, script);
         // The same derivation the serve daemon applies at admission:
         // a single ad-hoc run is submission 0 under its seed.
@@ -1243,15 +1164,7 @@ fn cmd_trace(args: &Args) -> ExitCode {
         "chrome" => trace::render_chrome(&traces),
         other => args.bail(&format!("unknown --format {other:?} (use text or chrome)")),
     };
-    match args.get("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).expect("write trace");
-            if !args.flag("quiet") {
-                println!("trace written to {path}");
-            }
-        }
-        None => print!("{rendered}"),
-    }
+    write_or_print(args, &rendered, "trace written to");
     if all_ok {
         ExitCode::SUCCESS
     } else {
@@ -1260,14 +1173,10 @@ fn cmd_trace(args: &Args) -> ExitCode {
     }
 }
 
-/// Collects every member event log of a serve state directory (or any
-/// directory of `.events` logs), member-id order, pairing each with
-/// its journaled trace id when the directory carries a journal — the
-/// pairing that arms the `E0809` cross-check.
-fn collect_member_streams(
-    dir: &std::path::Path,
-    streams: &mut Vec<(String, String, Option<TraceId>)>,
-) {
+/// The `.events` logs of a serve state directory (its `members/`
+/// subdirectory when there is one) or of any directory of logs, in
+/// member-id order; exits 1 when it cannot be read or holds none.
+fn member_log_paths(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     let members = dir.join("members");
     let scan = if members.is_dir() {
         members
@@ -1298,14 +1207,23 @@ fn collect_member_streams(
         eprintln!("no .events logs under {}", scan.display());
         std::process::exit(1);
     }
+    paths
+}
+
+/// Collects every member event log of a serve state directory (or any
+/// directory of `.events` logs), member-id order, pairing each with
+/// its journaled trace id when the directory carries a journal — the
+/// pairing that arms the `E0809` cross-check.
+fn collect_member_streams(
+    dir: &std::path::Path,
+    streams: &mut Vec<(String, String, Option<TraceId>)>,
+) {
+    let paths = member_log_paths(dir);
     // The journal records the trace id every member log header must
     // carry; replaying it recovers the expected ids.
     let journal = dir.join("journal");
     let traces: Vec<Option<TraceId>> = if journal.is_file() {
-        let text = std::fs::read_to_string(&journal).unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", journal.display());
-            std::process::exit(1);
-        });
+        let text = read_or_exit("", &journal.to_string_lossy());
         match pegasus_wms::serve::Ledger::replay(&text) {
             Ok(ledger) => ledger.submissions.iter().map(|s| s.trace).collect(),
             Err(e) => {
@@ -1328,11 +1246,9 @@ fn collect_member_streams(
             .and_then(|rest| rest.strip_suffix(".events"))
             .and_then(|id| id.parse::<usize>().ok())
             .and_then(|id| traces.get(id).copied().flatten());
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read event log {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        streams.push((path.to_string_lossy().into_owned(), text, expected));
+        let path = path.to_string_lossy().into_owned();
+        let text = read_or_exit("event log", &path);
+        streams.push((path, text, expected));
     }
 }
 
@@ -1356,20 +1272,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
     use pegasus_wms::lint;
     use pegasus_wms::verify;
 
-    let mut config = lint::LintConfig::default();
-    if let Some(spec) = args.get("deny") {
-        if let Err(tok) = config.deny(spec) {
-            args.bail(&format!(
-                "--deny: {tok:?} names no known lint (try a code like E0801, a rule name, or `warnings`)"
-            ));
-        }
-    }
-    if let Some(spec) = args.get("allow") {
-        if let Err(tok) = config.allow(spec) {
-            args.bail(&format!("--allow: {tok:?} names no known lint"));
-        }
-    }
-
+    let config = lint_config_from(args, "E0801");
     let retries: u32 = args.parsed("retries", 20u32);
     // The backoff/jitter envelope is only asserted when the invocation
     // states the policy (or runs live, where it is the engine's own).
@@ -1387,19 +1290,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
         let registry = load_registry(args);
         let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
         let (sites, tc, rc) = load_catalogs(args, &registry);
-        let exec = match plan(
-            &wf,
-            &sites,
-            &tc,
-            &rc,
-            &PlannerConfig::for_site(registry.catalog_name(site)),
-        ) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("planning failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let exec = plan_or_exit(&wf, &sites, &tc, &rc, registry.catalog_name(site));
         let dopts = verify::DataflowOptions {
             storage_limit_bytes: args.parsed_opt("storage-limit"),
         };
@@ -1435,16 +1326,10 @@ fn cmd_verify(args: &Args) -> ExitCode {
     }
 
     // Layer 1 stream sources: (label, raw text, journaled trace id).
-    let read = |path: &str| -> String {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read event log {path}: {e}");
-            std::process::exit(1);
-        })
-    };
     let mut streams: Vec<(String, String, Option<TraceId>)> = Vec::new();
     if let Some(list) = args.get("from-events") {
         for path in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            streams.push((path.to_string(), read(path), None));
+            streams.push((path.to_string(), read_or_exit("event log", path), None));
         }
     } else if let Some(dir) = args.get("events-dir") {
         collect_member_streams(std::path::Path::new(dir), &mut streams);
@@ -1454,25 +1339,11 @@ fn cmd_verify(args: &Args) -> ExitCode {
             [] if args.get("dax").is_some() => {}
             [] => {
                 let registry = load_registry(args);
-                let site =
-                    resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
+                let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
                 let n: usize = args.parsed("n", 100);
                 let seed: u64 = args.parsed("seed", 20140519u64);
-                let cfg = EngineConfig::builder()
-                    .policy(retry_policy_from(args, retries))
-                    .seed(seed)
-                    .build();
-                let script = args.get("fault-plan").map(|path| {
-                    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                        eprintln!("cannot read fault plan {path}: {e}");
-                        std::process::exit(1);
-                    });
-                    let plan = FaultPlan::parse(&text).unwrap_or_else(|e| {
-                        eprintln!("bad fault plan {path}: {e}");
-                        std::process::exit(1);
-                    });
-                    FaultScript::new(plan, seed)
-                });
+                let cfg = engine_config_from(args, retries, seed);
+                let script = fault_script_from(args, seed);
                 let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, script);
                 // A live run always knows its policy: arm the envelope.
                 opts.retry = Some(retry_policy_from(args, retries));
@@ -1497,19 +1368,15 @@ fn cmd_verify(args: &Args) -> ExitCode {
             [p] if std::path::Path::new(p).is_dir() => {
                 collect_member_streams(std::path::Path::new(p), &mut streams);
             }
-            [p] => streams.push((p.clone(), read(p), None)),
+            [p] => streams.push((p.clone(), read_or_exit("event log", p), None)),
             _ => args.bail("verify takes at most one <events-or-dir>"),
         }
     }
 
     let mut total_events = 0usize;
     for (label, text, expected) in &streams {
-        let evs = match events::log::parse_lines(text) {
-            Ok(evs) => evs,
-            Err(e) => {
-                eprintln!("bad event log {label}: {e}");
-                return ExitCode::FAILURE;
-            }
+        let Some(evs) = parse_event_log_or_flag(text, label, &mut diags) else {
+            continue;
         };
         total_events += evs.len();
         diags.extend(verify::check_stream(&evs, label, &opts));
@@ -1523,12 +1390,14 @@ fn cmd_verify(args: &Args) -> ExitCode {
     }
 
     let diags = lint::resolve(diags, &config);
-    match args.get("format").unwrap_or("text") {
+    let format = args.get("format").unwrap_or("text");
+    match format {
         "text" => print!("{}", lint::render_text_as(&diags, "verify")),
         "json" => print!("{}", lint::render_json(&diags)),
         other => args.bail(&format!("unknown --format {other:?} (use text or json)")),
     }
-    if !args.flag("quiet") {
+    // The JSON report is the whole of stdout, so that it parses.
+    if format == "text" && !args.flag("quiet") {
         println!(
             "verify: {} stream(s), {} event(s), {} finding(s)",
             streams.len(),

@@ -225,6 +225,33 @@ fn pegasus_offline_statistics_from_event_log() {
 }
 
 #[test]
+fn pegasus_verify_reports_an_unparsable_log_and_checks_the_rest() {
+    // The first log stops parsing at line 4; that is a finding like
+    // any other (`E0708`), not a reason to drop the report or to skip
+    // the second log, whose attempt terminates without having started.
+    let out = pegasus()
+        .args(["verify", "--format", "json", "--from-events"])
+        .arg(
+            "tests/fixtures/lint/e0708_syntax.events,\
+             tests/fixtures/lint/e0703_completed_before_started.events",
+        )
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        json.starts_with("[\n  {") && json.ends_with("}\n]\n"),
+        "{json}"
+    );
+    let entries: Vec<&str> = json.lines().filter(|l| l.starts_with("  {")).collect();
+    assert_eq!(entries.len() + 2, json.lines().count(), "{json}");
+    // Sorted by file: the second log's finding comes first.
+    assert!(entries[0].starts_with("  {\"code\":\"E0803\""), "{json}");
+    assert!(entries[1].starts_with("  {\"code\":\"E0708\""), "{json}");
+    assert!(entries[1].contains("\"line\":4,"), "{json}");
+}
+
+#[test]
 fn pegasus_breakdown_and_metrics_sessions() {
     let dir = tmpdir("breakdown");
 

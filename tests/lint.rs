@@ -138,8 +138,14 @@ fn every_sanitizer_rule_has_a_corrupted_log_that_triggers_exactly_it() {
         ("w0707_truncated.events", "W0707", false),
         ("e0708_syntax.events", "E0708", true),
     ] {
-        let (ok, codes, out) = lint(&[&dax, "--events", &fixture(name)]);
+        let (ok, mut codes, out) = lint(&[&dax, "--events", &fixture(name)]);
         assert_eq!(ok, !errs, "{name}: wrong exit");
+        if code == "E0704" {
+            // One violation, two clauses of the same rule: the job's
+            // `started` goes backwards in time, and so disagrees with
+            // the time its terminal event records for it.
+            codes.dedup();
+        }
         assert_eq!(codes, vec![code], "{name}: {out}");
     }
 }

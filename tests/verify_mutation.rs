@@ -12,11 +12,13 @@
 //!
 //! The untouched goldens themselves must verify clean, and the
 //! verifier's verdict must not depend on whether a stream arrived
-//! live or from a log — both pinned here too.
+//! live or from a log — both pinned here too. So is the other face of
+//! the same walker: `lint --events` accepts every prefix of a golden
+//! as a truncated run, and rejects no mutant the verifier accepts.
 
 use pegasus_wms::engine::RetryPolicy;
 use pegasus_wms::events::{self, log};
-use pegasus_wms::lint::Diagnostic;
+use pegasus_wms::lint::{self, Diagnostic};
 use pegasus_wms::statistics::{compute, render_csv};
 use pegasus_wms::verify::{self, VerifyOptions};
 use std::path::PathBuf;
@@ -82,6 +84,42 @@ fn untouched_goldens_verify_clean() {
         "osg_n8.events: {}",
         pegasus_wms::lint::render_text(&diags)
     );
+}
+
+/// Prefix closure of the lenient face: every clause `lint --events`
+/// reports is judged as its event arrives, looking only backwards, so
+/// a golden cut after any k events draws nothing but the truncation
+/// warning — in particular the manifest's length is held against the
+/// header's count when the manifest closes, not at the end — and the
+/// whole log draws nothing at all.
+fn assert_prefix_closed(n: usize) {
+    let codes = |diags: Vec<Diagnostic>| diags.iter().map(|d| d.code).collect::<Vec<_>>();
+    for site in SITES {
+        for seed in SEEDS {
+            let name = format!("{site}_n{n}_s{seed}.events");
+            let events = log::parse_lines(&fixture(&name)).expect("goldens parse");
+            for k in 0..=events.len() {
+                let want: &[&str] = match k {
+                    0 => &["E0701"],
+                    k if k < events.len() => &["W0707"],
+                    _ => &[],
+                };
+                let got = codes(lint::check_events(&events[..k], &name));
+                assert_eq!(got, want, "{name} cut after {k} events");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_prefix_of_the_n10_goldens_lints_as_truncated_and_nothing_else() {
+    assert_prefix_closed(10);
+}
+
+#[test]
+#[ignore = "quadratic in the log length; run with -- --ignored"]
+fn every_prefix_of_the_n300_goldens_lints_as_truncated_and_nothing_else() {
+    assert_prefix_closed(300);
 }
 
 /// The line indices (into `text.lines()`) holding events — header and
@@ -171,9 +209,17 @@ fn sweep(name: &str, text: &str, opts: &VerifyOptions) -> Vec<String> {
     let mut misses = Vec::new();
 
     let flagged = |mutated: &str| -> bool {
-        check_text(mutated, name, opts)
+        let strict = check_text(mutated, name, opts)
             .iter()
-            .any(|d| d.code.starts_with("E08"))
+            .any(|d| d.code.starts_with("E08"));
+        // The lenient face is the same walker minus the end-of-stream
+        // clauses: what it rejects, the strict face rejects.
+        let lenient = log::parse_lines(mutated).map(|evs| lint::check_events(&evs, name));
+        assert!(
+            strict || !lenient.is_ok_and(|diags| lint::has_errors(&diags)),
+            "{name}: lint --events rejects a mutant that verify accepts:\n{mutated}"
+        );
+        strict
     };
 
     for &i in &targets {
