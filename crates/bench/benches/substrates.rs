@@ -94,13 +94,12 @@ fn bench_substrates(c: &mut Criterion) {
             jobs: (0..n_jobs)
                 .map(|i| ExecutableJob {
                     id: pegasus_wms::workflow::JobId::new(i),
-                    name: format!("j{i}"),
+                    name: format!("j{i}").into(),
                     transformation: "noop".into(),
                     kind: JobKind::Compute,
-                    args: vec![],
+                    args: Default::default(),
                     runtime_hint: 1.0,
                     install_hint: 0.0,
-                    source_jobs: vec![],
                 })
                 .collect(),
             edges: vec![],

@@ -14,10 +14,11 @@
 //!   `BENCH_throughput.json` at the repo root is a blessed copy of
 //!   this output; see EXPERIMENTS.md E15 for regeneration).
 //! * `--check <baseline.json> --n <N>`: run one size and exit
-//!   non-zero when planned jobs/sec or simulated events/sec fall
-//!   below `--min-ratio` (default 0.7, i.e. a >30% regression)
-//!   of the baseline entry for the same `n` — the CI throughput
-//!   gate. The check also asserts the tracing-off contract: the
+//!   non-zero when DAX megabytes/sec parsed, planned jobs/sec or
+//!   simulated events/sec fall below `--min-ratio` (default 0.7,
+//!   i.e. a >30% regression) of the baseline entry for the same
+//!   `n`, or when the peak resident set rises above 1.15 times it —
+//!   the CI throughput gate. The check also asserts the tracing-off contract: the
 //!   measured run (profiling disabled, the default) must leave the
 //!   self-profiler empty — every `prof::scope` on the hot path is a
 //!   no-op — while a second profiled run of the same size must
@@ -40,6 +41,7 @@ struct Row {
     n: usize,
     dax_bytes: usize,
     parse_seconds: f64,
+    dax_mb_per_sec_parsed: f64,
     jobs_planned: usize,
     plan_seconds: f64,
     jobs_per_sec_planned: f64,
@@ -49,6 +51,11 @@ struct Row {
     total_seconds: f64,
     peak_rss_kb: u64,
 }
+
+/// How far above the committed row's peak resident set a `--check`
+/// run may land: memory does not jitter the way a rate on a shared
+/// runner does, so its allowance is tighter than `--min-ratio`.
+const MAX_RSS_RATIO: f64 = 1.15;
 
 /// Peak resident set size in kB (`VmHWM` from `/proc/self/status`);
 /// 0 where the proc filesystem is unavailable.
@@ -101,6 +108,7 @@ fn measure(n: usize, seed: u64) -> Row {
         n,
         dax_bytes,
         parse_seconds,
+        dax_mb_per_sec_parsed: dax_bytes as f64 / 1e6 / parse_seconds.max(1e-9),
         jobs_planned,
         plan_seconds,
         jobs_per_sec_planned: jobs_planned as f64 / plan_seconds.max(1e-9),
@@ -121,12 +129,14 @@ fn render_json(seed: u64, rows: &[Row]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"n\": {}, \"dax_bytes\": {}, \"parse_seconds\": {:.3}, \
+             \"dax_mb_per_sec_parsed\": {:.0}, \
              \"jobs_planned\": {}, \"plan_seconds\": {:.3}, \"jobs_per_sec_planned\": {:.0}, \
              \"events\": {}, \"simulate_seconds\": {:.3}, \"events_per_sec_simulated\": {:.0}, \
              \"total_seconds\": {:.3}, \"peak_rss_kb\": {}}}{}\n",
             r.n,
             r.dax_bytes,
             r.parse_seconds,
+            r.dax_mb_per_sec_parsed,
             r.jobs_planned,
             r.plan_seconds,
             r.jobs_per_sec_planned,
@@ -205,29 +215,50 @@ fn main() -> ExitCode {
             profiled.simulate_seconds
         );
         println!(
-            "n={n}: planned {:.0} jobs/s (plan {:.3}s), simulated {:.0} events/s ({:.3}s)",
+            "n={n}: parsed {:.0} MB/s ({:.3}s), planned {:.0} jobs/s (plan {:.3}s), \
+             simulated {:.0} events/s ({:.3}s), peak RSS {} kB",
+            row.dax_mb_per_sec_parsed,
+            row.parse_seconds,
             row.jobs_per_sec_planned,
             row.plan_seconds,
             row.events_per_sec_simulated,
-            row.simulate_seconds
+            row.simulate_seconds,
+            row.peak_rss_kb
         );
         let mut ok = true;
-        for (key, measured) in [
-            ("jobs_per_sec_planned", row.jobs_per_sec_planned),
-            ("events_per_sec_simulated", row.events_per_sec_simulated),
+        // Rates must stay above a floor, the resident set (read after
+        // the first run, before the profiled one adds to it) below a
+        // ceiling: `bound` is the factor on the baseline either way.
+        for (key, measured, bound) in [
+            (
+                "dax_mb_per_sec_parsed",
+                row.dax_mb_per_sec_parsed,
+                min_ratio,
+            ),
+            ("jobs_per_sec_planned", row.jobs_per_sec_planned, min_ratio),
+            (
+                "events_per_sec_simulated",
+                row.events_per_sec_simulated,
+                min_ratio,
+            ),
+            ("peak_rss_kb", row.peak_rss_kb as f64, MAX_RSS_RATIO),
         ] {
             let Some(base) = baseline_value(&baseline, n, key) else {
                 println!("baseline has no {key} for n={n}; skipping");
                 continue;
             };
-            let floor = base * min_ratio;
-            let verdict = if measured >= floor {
-                "ok"
+            let (limit, is_ceiling) = (base * bound, key == "peak_rss_kb");
+            let within = if is_ceiling {
+                measured <= limit
             } else {
-                "REGRESSION"
+                measured >= limit
             };
-            println!("  {key}: {measured:.0} vs baseline {base:.0} (floor {floor:.0}) {verdict}");
-            ok &= measured >= floor;
+            let (side, verdict) = (
+                if is_ceiling { "ceiling" } else { "floor" },
+                if within { "ok" } else { "REGRESSION" },
+            );
+            println!("  {key}: {measured:.0} vs baseline {base:.0} ({side} {limit:.0}) {verdict}");
+            ok &= within;
         }
         return if ok {
             ExitCode::SUCCESS

@@ -23,7 +23,9 @@
 //! says OSG lacks the software; `pegasus_wms::planner::plan` attaches
 //! the install phases).
 
+use pegasus_wms::symbols::Name;
 use pegasus_wms::workflow::{AbstractWorkflow, Job, LogicalFile};
+use std::fmt::Write as _;
 
 /// Parameters for workflow construction.
 #[derive(Debug, Clone)]
@@ -122,58 +124,64 @@ pub fn build_workflow(params: &WorkflowParams) -> AbstractWorkflow {
             .runtime(90.0),
     );
 
+    // A generator is where names are allocated: each is made once —
+    // formatted into a reused buffer, so without a throw-away
+    // `String` — and its producer and consumers share the handle.
+    let mut text = String::new();
+    let mut name = |args: std::fmt::Arguments<'_>| {
+        text.clear();
+        text.write_fmt(args).expect("writing to a String");
+        Name::from(text.as_str())
+    };
+    let (dash_n, count) = (Name::from("-n"), name(format_args!("{n}")));
+    let run_cap3 = Name::from("run_cap3");
+    let dict = LogicalFile::sized("transcripts_dict.txt", params.transcripts_bytes);
+
     let mut split = Job::new("split", "split")
-        .arg("-n")
-        .arg(n.to_string())
+        .arg(dash_n.clone())
+        .arg(count.clone())
         .input(LogicalFile::sized(
             "alignments_list.txt",
             params.alignments_bytes,
         ))
         .runtime(60.0);
-    for i in 0..n {
-        split = split.output(LogicalFile::named(format!("protein_{i}.txt")));
-    }
-    batch.push(split);
-
+    let mut merge = Job::new("merge", "merge")
+        .arg(dash_n)
+        .arg(count)
+        .output(LogicalFile::named("joined_all.fasta"))
+        .output(LogicalFile::named("joined_ids_all.txt"))
+        .runtime(30.0);
+    split.outputs.reserve(n);
+    merge.inputs.reserve(2 * n);
+    let mut chunks = Vec::with_capacity(n);
     for i in 0..n {
         let cost = params
             .chunk_costs
             .get(i)
             .copied()
             .unwrap_or(params.default_chunk_seconds);
-        batch.push(
-            Job::new(format!("run_cap3_{i}"), "run_cap3")
-                .arg(i.to_string())
-                .input(LogicalFile::sized(
-                    "transcripts_dict.txt",
-                    params.transcripts_bytes,
-                ))
-                .input(LogicalFile::named(format!("protein_{i}.txt")))
-                .output(LogicalFile::named(format!("joined_{i}.fasta")))
-                .output(LogicalFile::named(format!("joined_ids_{i}.txt")))
+        let protein = LogicalFile::named(name(format_args!("protein_{i}.txt")));
+        let joined = LogicalFile::named(name(format_args!("joined_{i}.fasta")));
+        let joined_ids = LogicalFile::named(name(format_args!("joined_ids_{i}.txt")));
+        split = split.output(protein.clone());
+        merge = merge.input(joined.clone()).input(joined_ids.clone());
+        chunks.push(
+            Job::new(name(format_args!("run_cap3_{i}")), run_cap3.clone())
+                .arg(name(format_args!("{i}")))
+                .input(dict.clone())
+                .input(protein)
+                .output(joined)
+                .output(joined_ids)
                 .runtime(cost),
         );
     }
-
-    let mut merge = Job::new("merge", "merge")
-        .arg("-n")
-        .arg(n.to_string())
-        .output(LogicalFile::named("joined_all.fasta"))
-        .output(LogicalFile::named("joined_ids_all.txt"))
-        .runtime(30.0);
-    for i in 0..n {
-        merge = merge
-            .input(LogicalFile::named(format!("joined_{i}.fasta")))
-            .input(LogicalFile::named(format!("joined_ids_{i}.txt")));
-    }
+    batch.push(split);
+    batch.append(&mut chunks);
     batch.push(merge);
 
     batch.push(
         Job::new("extract_unjoined", "extract_unjoined")
-            .input(LogicalFile::sized(
-                "transcripts_dict.txt",
-                params.transcripts_bytes,
-            ))
+            .input(dict)
             .input(LogicalFile::named("joined_all.fasta"))
             .input(LogicalFile::named("joined_ids_all.txt"))
             .output(LogicalFile::named("final.fasta"))
@@ -248,10 +256,10 @@ mod tests {
     #[test]
     fn external_inputs_are_the_papers_two_files() {
         let wf = build_workflow(&WorkflowParams::with_n(5));
-        let mut inputs: Vec<String> = wf.external_inputs().into_iter().map(|f| f.name).collect();
+        let mut inputs: Vec<Name> = wf.external_inputs().into_iter().map(|f| f.name).collect();
         inputs.sort();
         assert_eq!(inputs, vec!["alignments.out", "transcripts.fasta"]);
-        let outputs: Vec<String> = wf.final_outputs().into_iter().map(|f| f.name).collect();
+        let outputs: Vec<Name> = wf.final_outputs().into_iter().map(|f| f.name).collect();
         assert_eq!(outputs, vec!["final.fasta"]);
     }
 

@@ -11,6 +11,7 @@
 use pegasus_wms::engine::FaultReason;
 use pegasus_wms::events::{EventSink, WorkflowEvent};
 use pegasus_wms::planner::ExecutableJob;
+use pegasus_wms::symbols::Name;
 use pegasus_wms::workflow::JobId;
 use std::fmt;
 
@@ -66,7 +67,7 @@ pub struct LogEvent {
     /// Event type.
     pub code: EventCode,
     /// Job name (we use the planned job name as the cluster id).
-    pub job: String,
+    pub job: Name,
     /// Attempt number.
     pub attempt: u32,
     /// Backend timestamp in seconds.
@@ -109,7 +110,7 @@ impl LogEvent {
         let time: f64 = time_str.parse().ok()?;
         Some(LogEvent {
             code,
-            job: job.to_string(),
+            job: job.into(),
             attempt,
             time,
             note: note.to_string(),
@@ -123,7 +124,7 @@ pub struct JobLogMonitor {
     /// Events in arrival order.
     pub events: Vec<LogEvent>,
     /// Job names by id, from the current run's `JobDeclared` manifest.
-    names: Vec<String>,
+    names: Vec<Name>,
 }
 
 impl JobLogMonitor {
@@ -180,8 +181,8 @@ impl JobLogMonitor {
 
     /// Per-job (name, attempt) -> (execute time, terminate time)
     /// pairs reconstructed from the log; the monitord-style rollup.
-    pub fn execution_intervals(&self) -> Vec<(String, u32, f64, f64)> {
-        let mut started: std::collections::HashMap<(String, u32), f64> = Default::default();
+    pub fn execution_intervals(&self) -> Vec<(Name, u32, f64, f64)> {
+        let mut started: std::collections::HashMap<(Name, u32), f64> = Default::default();
         let mut out = Vec::new();
         for ev in &self.events {
             match ev.code {
@@ -292,10 +293,7 @@ mod tests {
         assert!(text.contains("004 (b.000)"));
         let parsed = JobLogMonitor::parse(&text).unwrap();
         assert_eq!(parsed, log.events);
-        assert_eq!(
-            log.execution_intervals(),
-            vec![("b".to_string(), 0, 1.0, 4.0)]
-        );
+        assert_eq!(log.execution_intervals(), vec![("b".into(), 0, 1.0, 4.0)]);
     }
 
     #[test]
@@ -341,8 +339,8 @@ mod tests {
             + &ran("completed", 1, 6.0, 11.0, "");
         let iv = log_of("a", &text).execution_intervals();
         assert_eq!(iv.len(), 2);
-        assert_eq!(iv[0], ("a".to_string(), 0, 1.0, 5.0));
-        assert_eq!(iv[1], ("a".to_string(), 1, 6.0, 11.0));
+        assert_eq!(iv[0], ("a".into(), 0, 1.0, 5.0));
+        assert_eq!(iv[1], ("a".into(), 1, 6.0, 11.0));
     }
 
     fn chain_workflow(
@@ -358,13 +356,12 @@ mod tests {
             jobs: (0..3)
                 .map(|i| ExecutableJob {
                     id: JobId::new(i),
-                    name: format!("j{i}"),
+                    name: format!("j{i}").into(),
                     transformation: "noop".into(),
                     kind: JobKind::Compute,
-                    args: vec![],
+                    args: Default::default(),
                     runtime_hint: 0.0,
                     install_hint: 0.0,
-                    source_jobs: vec![],
                 })
                 .collect(),
             edges: vec![

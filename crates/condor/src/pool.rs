@@ -11,6 +11,7 @@
 
 use pegasus_wms::engine::{CompletionEvent, ExecutionBackend, FaultReason, JobOutcome, JobTimes};
 use pegasus_wms::planner::ExecutableJob;
+use pegasus_wms::symbols::{Args, Name};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -20,11 +21,11 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct TaskContext {
     /// Planned job name (e.g. `"run_cap3_17"`).
-    pub job_name: String,
+    pub job_name: Name,
     /// Transformation name used for registry lookup.
-    pub transformation: String,
+    pub transformation: Name,
     /// Arguments from the abstract job.
-    pub args: Vec<String>,
+    pub args: Args,
     /// 0-based attempt number.
     pub attempt: u32,
     /// Working directory shared by the workflow's tasks.
@@ -114,7 +115,7 @@ pub type FailureInjector = Arc<dyn Fn(&str, u32) -> Option<String> + Send + Sync
 #[derive(Debug, Clone)]
 pub struct FaultProbe {
     /// Planned job name.
-    pub job: String,
+    pub job: Name,
     /// 0-based attempt number.
     pub attempt: u32,
     /// Attempt start, in pool-relative seconds.
@@ -132,7 +133,7 @@ pub enum InjectedFault {
     /// Multiply the synthetic execution sleep (straggler emulation).
     Slowdown(f64),
     /// Fail right after the install phase with this reason.
-    Fail(String),
+    Fail(Name),
     /// Evict the attempt `after` real seconds from its start. Sleeps
     /// are cut short; registered kernels run to completion and are
     /// failed post-hoc when they exceed the deadline.
@@ -140,7 +141,7 @@ pub enum InjectedFault {
         /// Seconds from attempt start to the eviction.
         after: f64,
         /// Failure reason reported to the engine.
-        reason: String,
+        reason: Name,
     },
 }
 
@@ -182,7 +183,7 @@ impl LocalPool {
         let adapted: Option<FaultInjector> = injector.map(|f| {
             Arc::new(move |probe: &FaultProbe| {
                 f(&probe.job, probe.attempt)
-                    .map(InjectedFault::Fail)
+                    .map(|reason| InjectedFault::Fail(reason.into()))
                     .into_iter()
                     .collect()
             }) as FaultInjector
@@ -232,10 +233,10 @@ impl LocalPool {
                     // Consult the injector, then fold the engine's
                     // per-attempt timeout in as one more eviction.
                     let mut slowdown = 1.0_f64;
-                    let mut fail_after_install: Option<String> = None;
-                    let mut evict: Option<(f64, String)> = None;
+                    let mut fail_after_install: Option<Name> = None;
+                    let mut evict: Option<(f64, Name)> = None;
                     let propose_evict =
-                        |evict: &mut Option<(f64, String)>, after: f64, reason: String| {
+                        |evict: &mut Option<(f64, Name)>, after: f64, reason: Name| {
                             if evict.as_ref().is_none_or(|(t, _)| after < *t) {
                                 *evict = Some((after, reason));
                             }
@@ -268,7 +269,7 @@ impl LocalPool {
 
                     // Install phase (scaled emulation), cut short by an
                     // eviction that lands inside it.
-                    let mut early_failure: Option<String> = None;
+                    let mut early_failure: Option<Name> = None;
                     if planned_install > 0.0 {
                         let cut = deadline.is_some_and(|d| d < started + planned_install);
                         let sleep_for = if cut {
@@ -305,7 +306,7 @@ impl LocalPool {
                                 ),
                                 _ => JobOutcome::Success,
                             },
-                            Ok(Err(reason)) => JobOutcome::Failure(reason),
+                            Ok(Err(reason)) => JobOutcome::Failure(reason.into()),
                             Err(_) => JobOutcome::Failure("task panicked".into()),
                         }
                     } else {
@@ -414,10 +415,9 @@ mod tests {
             name: name.into(),
             transformation: transformation.into(),
             kind: JobKind::Compute,
-            args: vec![],
+            args: Default::default(),
             runtime_hint: 0.0,
             install_hint: 0.0,
-            source_jobs: vec![],
         }
     }
 
@@ -451,14 +451,14 @@ mod tests {
 
     #[test]
     fn kernel_receives_context() {
-        let (tx, rx) = crossbeam::channel::unbounded::<(String, Vec<String>)>();
+        let (tx, rx) = crossbeam::channel::unbounded::<(Name, Args)>();
         let mut reg = TaskRegistry::new();
         reg.register("ctx", move |ctx| {
             tx.send((ctx.job_name.clone(), ctx.args.clone())).unwrap();
             Ok(())
         });
         let mut j = job(0, "the_job", "ctx");
-        j.args = vec!["-n".into(), "300".into()];
+        j.args = vec!["-n".into(), "300".into()].into();
         let wf = ExecutableWorkflow {
             name: "w".into(),
             site: "local".into(),
@@ -742,7 +742,7 @@ mod tests {
 
     #[test]
     fn dependency_order_is_respected_under_parallel_workers() {
-        let (tx, rx) = crossbeam::channel::unbounded::<String>();
+        let (tx, rx) = crossbeam::channel::unbounded::<Name>();
         let mut reg = TaskRegistry::new();
         reg.register("log", move |ctx| {
             tx.send(ctx.job_name.clone()).unwrap();
@@ -767,7 +767,7 @@ mod tests {
         let mut pool = LocalPool::new(pool_config(), reg);
         let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
         assert!(run.succeeded());
-        let order: Vec<String> = rx.try_iter().collect();
+        let order: Vec<Name> = rx.try_iter().collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
 

@@ -9,20 +9,21 @@
 //! for.
 
 use crate::engine::{FaultReason, JobState, WorkflowOutcome, WorkflowRun};
+use crate::symbols::Name;
 use std::collections::BTreeMap;
 
 /// Analysis of one failed job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailedJobReport {
     /// Job display name.
-    pub name: String,
+    pub name: Name,
     /// Transformation name.
-    pub transformation: String,
+    pub transformation: Name,
     /// Attempts consumed.
     pub attempts: u32,
     /// Distinct failure reasons with occurrence counts, sorted by
     /// reason.
-    pub reasons: Vec<(String, usize)>,
+    pub reasons: Vec<(Name, usize)>,
     /// Distinct typed failure categories, sorted.
     pub kinds: Vec<FaultReason>,
     /// Seconds burnt across the failed attempts.
@@ -43,9 +44,9 @@ pub struct Analysis {
     /// Jobs that exhausted retries, with details.
     pub failed: Vec<FailedJobReport>,
     /// Jobs that never became ready.
-    pub unready: Vec<String>,
+    pub unready: Vec<Name>,
     /// Transient failures that retries absorbed: (job name, attempts).
-    pub recovered: Vec<(String, u32)>,
+    pub recovered: Vec<(Name, u32)>,
     /// Fraction of jobs already complete (useful before a rescue
     /// resubmission).
     pub completion_fraction: f64,
@@ -155,7 +156,7 @@ pub fn analyze(run: &WorkflowRun) -> Analysis {
                 }
             }
             JobState::Failed => {
-                let mut reasons: BTreeMap<String, usize> = BTreeMap::new();
+                let mut reasons: BTreeMap<Name, usize> = BTreeMap::new();
                 for r in &rec.failure_reasons {
                     *reasons.entry(r.clone()).or_insert(0) += 1;
                 }
@@ -254,7 +255,7 @@ mod tests {
         assert_eq!(a.done, 2);
         assert_eq!(a.failed.len(), 1);
         assert_eq!(a.unready, vec!["never"]);
-        assert_eq!(a.recovered, vec![("flaky_but_fine".to_string(), 2)]);
+        assert_eq!(a.recovered, vec![("flaky_but_fine".into(), 2)]);
         assert!((a.completion_fraction - 0.5).abs() < 1e-12);
     }
 
@@ -265,10 +266,7 @@ mod tests {
         assert_eq!(f.attempts, 3);
         assert_eq!(
             f.reasons,
-            vec![
-                ("node vanished".to_string(), 1),
-                ("preempted".to_string(), 2)
-            ]
+            vec![("node vanished".into(), 1), ("preempted".into(), 2)]
         );
         assert_eq!(f.badput, 35.0);
         assert_eq!(f.kinds, vec![FaultReason::Preemption, FaultReason::Other]);

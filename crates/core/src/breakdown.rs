@@ -23,6 +23,7 @@ use crate::error::WmsError;
 use crate::events::{self, WorkflowEvent};
 use crate::metrics::n_label;
 use crate::planner::JobKind;
+use crate::symbols::Name;
 use crate::workflow::JobId;
 
 /// One job's phase decomposition, from first submission to final
@@ -32,9 +33,9 @@ pub struct JobSpan {
     /// Job index in the executable workflow.
     pub job: JobId,
     /// Display name.
-    pub name: String,
+    pub name: Name,
     /// Transformation name.
-    pub transformation: String,
+    pub transformation: Name,
     /// Job role.
     pub kind: JobKind,
     /// Total attempts submitted.
@@ -286,10 +287,9 @@ mod tests {
                 name: name.into(),
                 transformation: name.into(),
                 kind,
-                args: vec![],
+                args: Default::default(),
                 runtime_hint: runtime,
                 install_hint: install,
-                source_jobs: vec![],
             };
         ExecutableWorkflow {
             name: "mini_n2".into(),

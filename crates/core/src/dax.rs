@@ -13,87 +13,118 @@
 //! has.
 
 use crate::error::{Span, WmsError};
-use crate::symbols::{JobId, SymbolTable};
-use crate::workflow::{AbstractWorkflow, Job, LogicalFile};
+use crate::symbols::{Args, JobId, Name, NamePool, SymbolTable};
+use crate::workflow::AbstractWorkflow;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
 
-fn escape_xml(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            other => out.push(other),
-        }
+/// Appends `s` to `out` with the five XML-special characters escaped.
+fn push_escaped(out: &mut String, s: &str) {
+    let special = |b: &u8| matches!(b, b'&' | b'<' | b'>' | b'"' | b'\'');
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| special(&b)) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => "&apos;",
+        });
+        rest = &rest[i + 1..];
     }
-    out
+    out.push_str(rest);
 }
 
-fn unescape_xml(s: &str) -> String {
-    s.replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&quot;", "\"")
-        .replace("&apos;", "'")
-        .replace("&amp;", "&")
+/// Appends `pieces` to `out`, escaping the pieces at odd positions:
+/// markup, value, markup, value, ...
+fn push_markup(out: &mut String, pieces: &[&str]) {
+    for (i, piece) in pieces.iter().enumerate() {
+        if i % 2 == 0 {
+            out.push_str(piece);
+        } else {
+            push_escaped(out, piece);
+        }
+    }
+}
+
+/// Undoes [`push_escaped`]: one left-to-right pass over the five
+/// predefined entities (anything else after an `&` stays verbatim).
+/// Borrows `s` unless it contains an `&`.
+fn unescape_xml(s: &str) -> Cow<'_, str> {
+    const ENTITIES: [(&str, char); 5] = [
+        ("&lt;", '<'),
+        ("&gt;", '>'),
+        ("&quot;", '"'),
+        ("&apos;", '\''),
+        ("&amp;", '&'),
+    ];
+    let Some(first) = s.find('&') else {
+        return Cow::Borrowed(s);
+    };
+    let mut out = String::with_capacity(s.len());
+    out.push_str(&s[..first]);
+    let mut rest = &s[first..];
+    while let Some(i) = rest.find('&') {
+        out.push_str(&rest[..i]);
+        rest = &rest[i..];
+        match ENTITIES.iter().find(|(e, _)| rest.starts_with(e)) {
+            Some((entity, c)) => {
+                out.push(*c);
+                rest = &rest[entity.len()..];
+            }
+            None => {
+                out.push('&');
+                rest = &rest[1..];
+            }
+        }
+    }
+    out.push_str(rest);
+    Cow::Owned(out)
 }
 
 /// Serializes a workflow as a DAX document.
 pub fn to_dax(wf: &AbstractWorkflow) -> String {
-    let mut out = String::new();
+    // Close to a line of markup per job and per file use.
+    let mut out = String::with_capacity(96 * wf.jobs.len() + 64 * wf.use_count());
     out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-    let _ = writeln!(
-        out,
-        "<adag name=\"{}\" jobCount=\"{}\">",
-        escape_xml(&wf.name),
-        wf.jobs.len()
-    );
-    for job in &wf.jobs {
-        let _ = writeln!(
-            out,
-            "  <job id=\"{}\" name=\"{}\" runtime=\"{}\">",
-            escape_xml(&job.id),
-            escape_xml(&job.transformation),
-            job.runtime_hint
-        );
+    push_markup(&mut out, &["<adag name=\"", &wf.name, "\" jobCount=\""]);
+    let _ = writeln!(out, "{}\">", wf.jobs.len());
+    for id in wf.job_ids() {
+        let job = wf.job(id);
+        let header = ["  <job id=\"", &job.id, "\" name=\"", &job.transformation];
+        push_markup(&mut out, &header);
+        let _ = writeln!(out, "\" runtime=\"{}\">", job.runtime_hint);
         if !job.args.is_empty() {
-            let _ = writeln!(
-                out,
-                "    <argument>{}</argument>",
-                escape_xml(&job.args.join(" "))
-            );
+            out.push_str("    <argument>");
+            for (i, a) in job.args.iter().enumerate() {
+                if i > 0 {
+                    out.push(' ');
+                }
+                push_escaped(&mut out, a);
+            }
+            out.push_str("</argument>\n");
         }
-        for f in &job.inputs {
-            let _ = writeln!(
-                out,
-                "    <uses file=\"{}\" link=\"input\" size=\"{}\"/>",
-                escape_xml(&f.name),
-                f.size_bytes
-            );
-        }
-        for f in &job.outputs {
-            let _ = writeln!(
-                out,
-                "    <uses file=\"{}\" link=\"output\" size=\"{}\"/>",
-                escape_xml(&f.name),
-                f.size_bytes
-            );
+        for (link, uses) in [
+            ("\" link=\"input\" size=\"", wf.inputs(id)),
+            ("\" link=\"output\" size=\"", wf.outputs(id)),
+        ] {
+            for f in uses.iter() {
+                push_markup(&mut out, &["    <uses file=\"", f.name, link]);
+                let _ = writeln!(out, "{}\"/>", f.size_bytes);
+            }
         }
         out.push_str("  </job>\n");
     }
     for &(p, c) in &wf.explicit_edges {
-        let _ = writeln!(
-            out,
-            "  <child ref=\"{}\"><parent ref=\"{}\"/></child>",
-            escape_xml(&wf.jobs[c.idx()].id),
-            escape_xml(&wf.jobs[p.idx()].id)
-        );
+        let (child, parent) = (&wf.jobs[c.idx()].id, &wf.jobs[p.idx()].id);
+        let edge = ["  <child ref=\"", child, "\"><parent ref=\"", parent];
+        push_markup(&mut out, &edge);
+        out.push_str("\"/></child>\n");
     }
     out.push_str("</adag>\n");
     out
@@ -103,124 +134,152 @@ pub fn to_dax(wf: &AbstractWorkflow) -> String {
 // Scanning
 // ---------------------------------------------------------------------------
 
+/// The attributes of one tag, in document order. Names are slices of
+/// the input; so are values, unless they had an entity to decode.
+type Attrs<'a> = Vec<(&'a str, Cow<'a, str>)>;
+
 #[derive(Debug, Clone, PartialEq)]
-enum XmlEvent {
+enum XmlEvent<'a> {
+    /// An opening tag; its attributes are in the buffer handed to
+    /// [`XmlScanner::next_event`].
     Open {
-        name: String,
-        attrs: Vec<(String, String)>,
+        name: &'a str,
         self_closing: bool,
     },
-    Close(String),
-    Text(String),
+    Close(&'a str),
+    Text(Cow<'a, str>),
 }
 
+/// A scanner that copies nothing: every name, value and text node it
+/// yields is a slice of the input (entity-bearing values excepted),
+/// and it keeps only a byte offset — the line and column of an error
+/// are counted from the offset when the error is raised.
 struct XmlScanner<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
-    line: usize,
-    col: usize,
-    /// Span of the `<` that opened the most recent tag; semantic
+    /// Offset of the `<` that opened the most recent tag; semantic
     /// errors about a tag point here rather than at the scan cursor.
-    tag: Span,
+    tag: usize,
 }
 
 impl<'a> XmlScanner<'a> {
-    fn new(s: &'a str) -> Self {
+    fn new(text: &'a str) -> Self {
         XmlScanner {
-            bytes: s.as_bytes(),
+            text,
             pos: 0,
-            line: 1,
-            col: 1,
-            tag: Span::none(),
+            tag: 0,
         }
     }
 
-    fn span(&self) -> Span {
-        Span::new(self.line, self.col)
+    /// One-based line and column (in bytes) of byte offset `pos`.
+    fn span_at(&self, pos: usize) -> Span {
+        let before = &self.text.as_bytes()[..pos];
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        let line = 1 + before[..line_start].iter().filter(|&&b| b == b'\n').count();
+        Span::new(line, pos - line_start + 1)
     }
 
     fn err(&self, reason: impl Into<String>) -> WmsError {
         WmsError::DaxParse {
-            span: self.span(),
+            span: self.span_at(self.pos),
             reason: reason.into(),
         }
     }
 
     fn tag_err(&self, reason: impl Into<String>) -> WmsError {
         WmsError::DaxParse {
-            span: self.tag,
+            span: self.span_at(self.tag),
             reason: reason.into(),
         }
     }
 
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
     fn bump(&mut self) -> Option<u8> {
-        let b = self.bytes.get(self.pos).copied()?;
+        let b = self.peek()?;
         self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
         Some(b)
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
+    /// Moves the cursor just past the next `needle`.
     fn skip_until(&mut self, needle: &str) -> Result<(), WmsError> {
-        let n = needle.as_bytes();
-        while self.pos + n.len() <= self.bytes.len() {
-            if &self.bytes[self.pos..self.pos + n.len()] == n {
-                for _ in 0..n.len() {
-                    self.bump();
-                }
-                return Ok(());
+        match self.text[self.pos..].find(needle) {
+            Some(i) => {
+                self.pos += i + needle.len();
+                Ok(())
             }
-            self.bump();
+            None => {
+                // Where a byte-by-byte search gives up: the last
+                // offset the needle could still have started at.
+                self.pos = self
+                    .pos
+                    .max((self.text.len() + 1).saturating_sub(needle.len()));
+                Err(self.err(format!("unterminated construct, expected {needle:?}")))
+            }
         }
-        Err(self.err(format!("unterminated construct, expected {needle:?}")))
     }
 
-    fn read_name(&mut self) -> String {
+    /// Moves the cursor past the `>` that closes a `<!DOCTYPE`: the
+    /// first one outside a quoted literal and outside the `[...]`
+    /// internal subset.
+    fn skip_doctype(&mut self) -> Result<(), WmsError> {
+        let (mut depth, mut quote) = (0usize, None);
+        while let Some(b) = self.bump() {
+            match (quote, b) {
+                (Some(q), _) if b == q => quote = None,
+                (Some(_), _) => {}
+                (None, b'"' | b'\'') => quote = Some(b),
+                (None, b'[') => depth += 1,
+                (None, b']') => depth = depth.saturating_sub(1),
+                (None, b'>') if depth == 0 => return Ok(()),
+                (None, _) => {}
+            }
+        }
+        Err(self.err("unterminated construct, expected \">\""))
+    }
+
+    fn read_name(&mut self) -> &'a str {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b':' || b == b'.' {
-                self.bump();
+                self.pos += 1;
             } else {
                 break;
             }
         }
-        String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned()
+        // Both ends sit on ASCII bytes (or the input's ends), so the
+        // slice is on character boundaries.
+        &self.text[start..self.pos]
     }
 
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
+            self.pos += 1;
         }
     }
 
-    fn read_attrs(&mut self) -> Result<(Vec<(String, String)>, bool), WmsError> {
-        let mut attrs = Vec::new();
+    /// Reads attributes up to the tag's end into `attrs`; returns
+    /// whether the tag closed itself.
+    fn read_attrs(&mut self, attrs: &mut Attrs<'a>) -> Result<bool, WmsError> {
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'/') => {
-                    self.bump();
+                    self.pos += 1;
                     if self.peek() == Some(b'>') {
-                        self.bump();
-                        return Ok((attrs, true));
+                        self.pos += 1;
+                        return Ok(true);
                     }
                     return Err(self.err("stray '/' in tag"));
                 }
                 Some(b'>') => {
-                    self.bump();
-                    return Ok((attrs, false));
-                }
-                Some(b'?') => {
-                    // Inside a processing instruction; caller handles.
-                    self.bump();
+                    self.pos += 1;
+                    return Ok(false);
                 }
                 Some(_) => {
                     let name = self.read_name();
@@ -231,64 +290,56 @@ impl<'a> XmlScanner<'a> {
                     if self.peek() != Some(b'=') {
                         return Err(self.err(format!("attribute {name:?} missing '='")));
                     }
-                    self.bump();
+                    self.pos += 1;
                     self.skip_ws();
                     let quote = self
                         .bump()
                         .filter(|&q| q == b'"' || q == b'\'')
                         .ok_or_else(|| self.err("attribute value must be quoted"))?;
                     let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == quote {
-                            break;
-                        }
-                        self.bump();
-                    }
-                    let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-                    if self.bump() != Some(quote) {
+                    let Some(len) = self.text[start..].find(quote as char) else {
+                        self.pos = self.text.len();
                         return Err(self.err("unterminated attribute value"));
-                    }
-                    attrs.push((name, unescape_xml(&raw)));
+                    };
+                    self.pos = start + len + 1;
+                    attrs.push((name, unescape_xml(&self.text[start..start + len])));
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
         }
     }
 
-    /// Next event, or `None` at clean end of input.
-    fn next_event(&mut self) -> Result<Option<XmlEvent>, WmsError> {
+    /// Next event, or `None` at clean end of input. The attributes of
+    /// an `Open` event replace the contents of `attrs`.
+    fn next_event(&mut self, attrs: &mut Attrs<'a>) -> Result<Option<XmlEvent<'a>>, WmsError> {
         loop {
             // Text before the next '<'.
             let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'<' {
-                    break;
-                }
-                self.bump();
-            }
-            if self.pos > start {
-                let text = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-                let trimmed = text.trim();
-                if !trimmed.is_empty() {
-                    return Ok(Some(XmlEvent::Text(unescape_xml(trimmed))));
-                }
+            self.pos = self.text[start..]
+                .find('<')
+                .map_or(self.text.len(), |i| start + i);
+            let trimmed = self.text[start..self.pos].trim();
+            if !trimmed.is_empty() {
+                return Ok(Some(XmlEvent::Text(unescape_xml(trimmed))));
             }
             if self.peek().is_none() {
                 return Ok(None);
             }
-            self.tag = self.span();
-            self.bump(); // consume '<'
+            self.tag = self.pos;
+            self.pos += 1; // consume '<'
+            let rest = &self.text[self.pos..];
             match self.peek() {
-                Some(b'?') => {
-                    self.skip_until("?>")?;
-                    continue;
+                Some(b'?') => self.skip_until("?>")?,
+                Some(b'!') if rest.starts_with("!--") => self.skip_until("-->")?,
+                Some(b'!') if rest.starts_with("!DOCTYPE") => self.skip_doctype()?,
+                Some(b'!') if rest.starts_with("![CDATA[") => {
+                    return Err(self.tag_err("CDATA sections are not supported"));
                 }
                 Some(b'!') => {
-                    self.skip_until("-->")?;
-                    continue;
+                    return Err(self.tag_err("unsupported '<!' declaration"));
                 }
                 Some(b'/') => {
-                    self.bump();
+                    self.pos += 1;
                     let name = self.read_name();
                     self.skip_ws();
                     if self.bump() != Some(b'>') {
@@ -301,12 +352,9 @@ impl<'a> XmlScanner<'a> {
                     if name.is_empty() {
                         return Err(self.err("expected tag name after '<'"));
                     }
-                    let (attrs, self_closing) = self.read_attrs()?;
-                    return Ok(Some(XmlEvent::Open {
-                        name,
-                        attrs,
-                        self_closing,
-                    }));
+                    attrs.clear();
+                    let self_closing = self.read_attrs(attrs)?;
+                    return Ok(Some(XmlEvent::Open { name, self_closing }));
                 }
                 None => return Err(self.err("dangling '<' at end of input")),
             }
@@ -318,11 +366,15 @@ impl<'a> XmlScanner<'a> {
 // Parsing DAX
 // ---------------------------------------------------------------------------
 
-fn attr<'a>(attrs: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    attrs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+fn attr<'b>(attrs: &'b Attrs<'_>, key: &str) -> Option<&'b str> {
+    attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| &**v)
+}
+
+/// Takes the value of attribute `key` out of `attrs`, keeping the
+/// input's lifetime on a borrowed value.
+fn take_attr<'a>(attrs: &mut Attrs<'a>, key: &str) -> Option<Cow<'a, str>> {
+    let slot = attrs.iter_mut().find(|(k, _)| *k == key)?;
+    Some(std::mem::take(&mut slot.1))
 }
 
 /// Parses a DAX document back into an [`AbstractWorkflow`].
@@ -336,6 +388,31 @@ pub fn from_dax(text: &str) -> Result<AbstractWorkflow, WmsError> {
     Ok(wf)
 }
 
+/// A `<job>` whose closing tag has not been read yet.
+struct OpenJob {
+    id: Name,
+    transformation: Name,
+    runtime_hint: f64,
+}
+
+/// What the parser reuses from job to job, so reading a job allocates
+/// only the names it declares. File names stay slices of the input
+/// until the job closes: [`AbstractWorkflow::push_row`] interns them.
+#[derive(Default)]
+struct JobScratch<'a> {
+    args: Vec<Name>,
+    inputs: Vec<(Cow<'a, str>, u64)>,
+    outputs: Vec<(Cow<'a, str>, u64)>,
+}
+
+impl JobScratch<'_> {
+    fn clear(&mut self) {
+        self.args.clear();
+        self.inputs.clear();
+        self.outputs.clear();
+    }
+}
+
 /// Parses a DAX document without running [`AbstractWorkflow::validate`].
 ///
 /// `pegasus lint` uses this so it can report cycles with the full path
@@ -344,17 +421,23 @@ pub fn from_dax(text: &str) -> Result<AbstractWorkflow, WmsError> {
 /// a workflow must go through [`from_dax`] instead.
 pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
     let mut scan = XmlScanner::new(text);
+    let mut attrs: Attrs<'_> = Vec::new();
     let mut wf: Option<AbstractWorkflow> = None;
     // Job ids are interned as they are declared, so duplicate
     // detection and the `<child>`/`<parent>` ref resolution below are
     // hash lookups rather than linear scans over the job list —
-    // without this a million-job DAX costs O(n²) to parse.
+    // without this a million-job DAX costs O(n²) to parse. The table
+    // lives as long as the parse; the stored job keeps its id as a
+    // `Name` of its own.
     let mut ids: SymbolTable<JobId> = SymbolTable::new();
+    // A workflow has few transformations and many jobs of each.
+    let mut transformations = NamePool::default();
     let mut adag_closed = false;
-    let mut cur_job: Option<Job> = None;
+    let mut cur_job: Option<OpenJob> = None;
+    let mut scratch = JobScratch::default();
     let mut in_argument = false;
-    let mut cur_child: Option<String> = None;
-    let mut pending_edges: Vec<(String, String)> = Vec::new(); // (parent, child)
+    let mut cur_child: Option<Cow<'_, str>> = None;
+    let mut pending_edges: Vec<(Cow<'_, str>, Cow<'_, str>)> = Vec::new(); // (parent, child)
 
     // Intern-then-push, erroring on redeclaration; replaces
     // `AbstractWorkflow::add_job`'s O(n) duplicate scan on this bulk
@@ -362,27 +445,39 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
     fn push_job(
         wf: &mut AbstractWorkflow,
         ids: &mut SymbolTable<JobId>,
-        job: Job,
-    ) -> Result<JobId, WmsError> {
+        job: OpenJob,
+        scratch: &JobScratch<'_>,
+    ) -> Result<(), WmsError> {
         if ids.get(&job.id).is_some() {
-            return Err(WmsError::DuplicateJob(job.id));
+            return Err(WmsError::DuplicateJob(job.id.into()));
         }
         let id = ids.intern(&job.id);
         debug_assert_eq!(id.idx(), wf.jobs.len());
-        wf.jobs.push(job);
-        Ok(id)
+        let args = Args::from(scratch.args.as_slice());
+        let row = (job.id, job.transformation, args, job.runtime_hint);
+        fn side<'s>(uses: &'s [(Cow<'_, str>, u64)]) -> impl Iterator<Item = (&'s str, u64)> {
+            uses.iter().map(|(name, size)| (&**name, *size))
+        }
+        wf.push_row(row, side(&scratch.inputs), side(&scratch.outputs));
+        Ok(())
     }
 
-    while let Some(ev) = scan.next_event()? {
+    while let Some(ev) = scan.next_event(&mut attrs)? {
         match ev {
-            XmlEvent::Open {
-                name,
-                attrs,
-                self_closing,
-            } => match name.as_str() {
+            XmlEvent::Open { name, self_closing } => match name {
                 "adag" => {
+                    // A second <adag> would start over and drop every
+                    // job read so far.
+                    if wf.is_some() {
+                        return Err(scan.tag_err("unexpected second <adag>"));
+                    }
                     let wname = attr(&attrs, "name").unwrap_or("workflow").to_string();
-                    wf = Some(AbstractWorkflow::new(wname));
+                    let mut w = AbstractWorkflow::new(wname);
+                    // A hint, so it is trusted only as far as the
+                    // document is long enough to hold that many jobs.
+                    let hint = attr(&attrs, "jobCount").and_then(|n| n.parse::<usize>().ok());
+                    w.jobs.reserve(hint.unwrap_or(0).min(text.len() / 16));
+                    wf = Some(w);
                 }
                 "job" => {
                     if wf.is_none() {
@@ -391,15 +486,23 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
                     let id = attr(&attrs, "id")
                         .ok_or_else(|| scan.tag_err("<job> missing id attribute"))?;
                     let tname = attr(&attrs, "name").unwrap_or(id);
-                    let mut job = Job::new(id, tname);
-                    if let Some(rt) = attr(&attrs, "runtime") {
-                        job.runtime_hint = rt
+                    let transformation = transformations.share(tname);
+                    let runtime_hint = match attr(&attrs, "runtime") {
+                        Some(rt) => rt
                             .parse()
-                            .map_err(|_| scan.tag_err(format!("bad runtime {rt:?}")))?;
-                    }
+                            .map_err(|_| scan.tag_err(format!("bad runtime {rt:?}")))?,
+                        None => 1.0,
+                    };
+                    let job = OpenJob {
+                        id: Name::from(id),
+                        transformation,
+                        runtime_hint,
+                    };
+                    scratch.clear();
                     if self_closing {
                         let w = wf.as_mut().expect("checked above");
-                        push_job(w, &mut ids, job).map_err(|e| scan.tag_err(e.to_string()))?;
+                        push_job(w, &mut ids, job, &scratch)
+                            .map_err(|e| scan.tag_err(e.to_string()))?;
                     } else {
                         cur_job = Some(job);
                     }
@@ -411,50 +514,51 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
                     in_argument = !self_closing;
                 }
                 "uses" => {
-                    let job = cur_job
-                        .as_mut()
-                        .ok_or_else(|| scan.tag_err("<uses> outside <job>"))?;
-                    let file = attr(&attrs, "file")
-                        .ok_or_else(|| scan.tag_err("<uses> missing file attribute"))?;
+                    if cur_job.is_none() {
+                        return Err(scan.tag_err("<uses> outside <job>"));
+                    }
                     let size: u64 = attr(&attrs, "size")
                         .unwrap_or("0")
                         .parse()
                         .map_err(|_| scan.tag_err("bad size attribute"))?;
-                    let lf = LogicalFile::sized(file, size);
-                    match attr(&attrs, "link") {
-                        Some("input") => job.inputs.push(lf),
-                        Some("output") => job.outputs.push(lf),
+                    let side = match attr(&attrs, "link") {
+                        Some("input") => &mut scratch.inputs,
+                        Some("output") => &mut scratch.outputs,
                         other => {
                             return Err(scan.tag_err(format!(
                                 "<uses> link must be input or output, got {other:?}"
                             )))
                         }
-                    }
+                    };
+                    let file = take_attr(&mut attrs, "file")
+                        .ok_or_else(|| scan.tag_err("<uses> missing file attribute"))?;
+                    side.push((file, size));
                 }
                 "child" => {
-                    let r =
-                        attr(&attrs, "ref").ok_or_else(|| scan.tag_err("<child> missing ref"))?;
-                    cur_child = Some(r.to_string());
+                    let r = take_attr(&mut attrs, "ref")
+                        .ok_or_else(|| scan.tag_err("<child> missing ref"))?;
+                    cur_child = Some(r);
                 }
                 "parent" => {
                     let child = cur_child
                         .clone()
                         .ok_or_else(|| scan.tag_err("<parent> outside <child>"))?;
-                    let r =
-                        attr(&attrs, "ref").ok_or_else(|| scan.tag_err("<parent> missing ref"))?;
-                    pending_edges.push((r.to_string(), child));
+                    let r = take_attr(&mut attrs, "ref")
+                        .ok_or_else(|| scan.tag_err("<parent> missing ref"))?;
+                    pending_edges.push((r, child));
                 }
                 other => {
                     return Err(scan.tag_err(format!("unexpected element <{other}>")));
                 }
             },
-            XmlEvent::Close(name) => match name.as_str() {
+            XmlEvent::Close(name) => match name {
                 "job" => {
                     let job = cur_job.take().ok_or_else(|| scan.tag_err("stray </job>"))?;
                     let w = wf
                         .as_mut()
                         .ok_or_else(|| scan.tag_err("</job> outside <adag>"))?;
-                    push_job(w, &mut ids, job).map_err(|e| scan.tag_err(e.to_string()))?;
+                    push_job(w, &mut ids, job, &scratch)
+                        .map_err(|e| scan.tag_err(e.to_string()))?;
                 }
                 "argument" => in_argument = false,
                 "child" => cur_child = None,
@@ -464,8 +568,7 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
             },
             XmlEvent::Text(text) => {
                 if in_argument {
-                    let job = cur_job.as_mut().expect("in_argument implies job");
-                    job.args.extend(text.split_whitespace().map(String::from));
+                    scratch.args.extend(text.split_whitespace().map(Name::from));
                 }
             }
         }
@@ -498,12 +601,14 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
             reason: e.to_string(),
         })?;
     }
+    wf.shrink_to_fit();
     Ok(wf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workflow::{Job, LogicalFile};
 
     fn sample() -> AbstractWorkflow {
         let mut wf = AbstractWorkflow::new("blast2cap3");
@@ -559,11 +664,33 @@ mod tests {
             assert_eq!(a.id, b.id);
             assert_eq!(a.transformation, b.transformation);
             assert_eq!(a.args, b.args);
-            assert_eq!(a.inputs, b.inputs);
-            assert_eq!(a.outputs, b.outputs);
             assert!((a.runtime_hint - b.runtime_hint).abs() < 1e-9);
         }
+        for j in parsed.job_ids() {
+            assert_eq!(parsed.inputs(j), original.inputs(j));
+            assert_eq!(parsed.outputs(j), original.outputs(j));
+        }
+        // The writer's runtime text parses back to the same float,
+        // so the round trip is exact.
+        assert_eq!(parsed, original);
         assert_eq!(parsed.edges().unwrap(), original.edges().unwrap());
+    }
+
+    #[test]
+    fn equality_does_not_depend_on_the_order_a_job_lists_its_uses_in() {
+        // Job `a` lists its output first; file ids still follow
+        // inputs-then-outputs, as for a job handed to `add_job`.
+        let text = "<adag name=\"w\"><job id=\"a\" name=\"t\" runtime=\"1\">\
+                    <uses file=\"out\" link=\"output\" size=\"2\"/>\
+                    <uses file=\"in\" link=\"input\" size=\"1\"/></job></adag>";
+        let parsed = from_dax(text).unwrap();
+        let mut built = AbstractWorkflow::new("w");
+        let job = Job::new("a", "t")
+            .input(LogicalFile::sized("in", 1))
+            .output(LogicalFile::sized("out", 2));
+        built.add_job(job).unwrap();
+        assert_eq!(parsed, built);
+        assert_eq!(from_dax(&to_dax(&parsed)).unwrap(), parsed);
     }
 
     #[test]
@@ -580,7 +707,65 @@ mod tests {
         assert_eq!(parsed.name, "weird & <name>");
         assert_eq!(parsed.jobs[0].id, "j\"1\"");
         assert_eq!(parsed.jobs[0].args, vec!["--expr", "a<b&&c>d"]);
-        assert_eq!(parsed.jobs[0].inputs[0].name, "in'put");
+        let input = parsed.inputs(JobId::new(0)).iter().next().unwrap();
+        assert_eq!(input.name, "in'put");
+    }
+
+    #[test]
+    fn scanner_borrows_what_has_no_entity_to_decode() {
+        let text = "<a plain=\"p q\" esc='x&amp;y'>  words here </a><b>1 &lt; 2</b>";
+        let inside = |s: &str| text.as_bytes().as_ptr_range().contains(&s.as_ptr());
+        let mut scan = XmlScanner::new(text);
+        let mut attrs = Attrs::new();
+        let open = scan.next_event(&mut attrs).unwrap().unwrap();
+        let XmlEvent::Open { name, self_closing } = open else {
+            panic!("unexpected {open:?}");
+        };
+        assert!(inside(name) && !self_closing);
+        assert!(inside(attrs[0].0) && inside(attrs[1].0));
+        // A value without `&` is a slice of the input, not a copy.
+        assert!(matches!(attrs[0].1, Cow::Borrowed(v) if v == "p q" && inside(v)));
+        assert!(matches!(&attrs[1].1, Cow::Owned(v) if v == "x&y"));
+        // Text is trimmed by slicing, and copied only to decode.
+        let words = scan.next_event(&mut attrs).unwrap().unwrap();
+        assert!(
+            matches!(words, XmlEvent::Text(Cow::Borrowed(t)) if t == "words here" && inside(t))
+        );
+        assert_eq!(
+            scan.next_event(&mut attrs).unwrap(),
+            Some(XmlEvent::Close("a"))
+        );
+        scan.next_event(&mut attrs).unwrap();
+        let decoded = scan.next_event(&mut attrs).unwrap().unwrap();
+        assert!(matches!(&decoded, XmlEvent::Text(Cow::Owned(t)) if t == "1 < 2"));
+    }
+
+    #[test]
+    fn unescape_is_one_left_to_right_pass() {
+        assert!(matches!(
+            unescape_xml("no entity"),
+            Cow::Borrowed("no entity")
+        ));
+        // An escaped ampersand does not start a second entity.
+        assert_eq!(unescape_xml("&amp;lt;"), "&lt;");
+        assert_eq!(unescape_xml("&amp;amp;"), "&amp;");
+        assert_eq!(unescape_xml("&lt;&gt;&quot;&apos;&amp;"), "<>\"'&");
+        // What is not one of the five entities stays as written.
+        assert_eq!(unescape_xml("a && b &#38; &lt"), "a && b &#38; &lt");
+        let mut escaped = String::new();
+        push_escaped(&mut escaped, "<é&\"名'>");
+        assert_eq!(escaped, "&lt;é&amp;&quot;名&apos;&gt;");
+        assert_eq!(unescape_xml(&escaped), "<é&\"名'>");
+    }
+
+    #[test]
+    fn line_and_column_come_from_the_byte_offset() {
+        // Columns count bytes, as they always have: `é` is two.
+        let text = "<adag>\n  <!-- é -->\n  é<job/>";
+        match from_dax(text).unwrap_err() {
+            WmsError::DaxParse { span, .. } => assert_eq!(span, Span::new(3, 5)),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::events::{EventSink, WorkflowEvent};
 use crate::graph::Csr;
 use crate::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
 use crate::rescue::RescueDag;
+use crate::symbols::Name;
 use crate::workflow::JobId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,8 +74,10 @@ impl JobTimes {
 pub enum JobOutcome {
     /// The attempt succeeded.
     Success,
-    /// The attempt failed, with a reason (e.g. `"preempted"`).
-    Failure(String),
+    /// The attempt failed, with a reason (e.g. `"preempted"`). The
+    /// backend allocates the reason; the engine, its events and the
+    /// job's record share it from here on.
+    Failure(Name),
 }
 
 /// A completion event delivered by a backend.
@@ -224,7 +227,7 @@ pub struct EngineConfig {
     /// backoff and timeout).
     pub retry: RetryPolicy,
     /// Job *names* to treat as already done (from a rescue DAG).
-    pub skip_done: HashSet<String>,
+    pub skip_done: HashSet<Name>,
     /// Stop the run (simulating a submit-host crash) after this many
     /// completion events; the rescue DAG records what finished.
     pub crash_after_events: Option<u64>,
@@ -306,7 +309,7 @@ impl EngineConfigBuilder {
     pub fn skip_done<I, S>(mut self, names: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Name>,
     {
         self.cfg.skip_done = names.into_iter().map(Into::into).collect();
         self
@@ -381,20 +384,20 @@ impl FaultReason {
     }
 
     /// The bare reason string (just the prefix), e.g. `"preempted"`.
-    pub fn reason(self) -> String {
-        self.prefix().to_string()
+    pub fn reason(self) -> Name {
+        self.prefix().into()
     }
 
     /// A tagged reason string, e.g. `"preempted:storm"` — same
     /// category, extra detail after the colon.
-    pub fn tagged(self, detail: &str) -> String {
-        format!("{}:{detail}", self.prefix())
+    pub fn tagged(self, detail: &str) -> Name {
+        format!("{}:{detail}", self.prefix()).into()
     }
 
     /// The reason emitted when an attempt exceeds the per-attempt
     /// wall-clock `limit` — shared by every timeout-capable backend.
-    pub fn timeout_exceeded(limit: f64) -> String {
-        format!("timeout: exceeded {limit}s")
+    pub fn timeout_exceeded(limit: f64) -> Name {
+        format!("timeout: exceeded {limit}s").into()
     }
 }
 
@@ -469,10 +472,10 @@ pub enum JobState {
 pub struct JobRecord {
     /// Job index in the executable workflow.
     pub job: JobId,
-    /// Display name.
-    pub name: String,
-    /// Transformation name.
-    pub transformation: String,
+    /// Display name (shared with the job's `JobDeclared` event).
+    pub name: Name,
+    /// Transformation name (likewise shared).
+    pub transformation: Name,
     /// Job role.
     pub kind: JobKind,
     /// Final state.
@@ -483,9 +486,9 @@ pub struct JobRecord {
     pub times: Option<JobTimes>,
     /// Timestamps of failed attempts, in order.
     pub failed_attempts: Vec<JobTimes>,
-    /// Failure reasons (full wire strings), parallel to
-    /// `failed_attempts`.
-    pub failure_reasons: Vec<String>,
+    /// Failure reasons (full wire strings, shared with the terminal
+    /// events that carried them), parallel to `failed_attempts`.
+    pub failure_reasons: Vec<Name>,
     /// Typed failure categories, parallel to `failed_attempts`.
     pub failure_kinds: Vec<FaultReason>,
 }
@@ -573,7 +576,7 @@ pub struct RetryRequest {
     /// Backoff delay before the resubmission, in backend seconds.
     pub delay: f64,
     /// The failure reason that triggered the retry.
-    pub reason: String,
+    pub reason: Name,
 }
 
 /// What a driver must do after feeding one completion event to a
@@ -669,8 +672,8 @@ impl WorkflowExecution {
         // Stream header + manifest: the replayed run must know every
         // job, including ones that never become ready.
         exec.emit(WorkflowEvent::WorkflowStarted {
-            name: wf.name.clone(),
-            site: wf.site.clone(),
+            name: wf.name.as_str().into(),
+            site: wf.site.as_str().into(),
             jobs: n,
             time: start,
         });
@@ -956,20 +959,17 @@ pub mod scripted {
     //! must be exercised without a platform model.
 
     use super::*;
-    use std::collections::HashMap;
 
     /// Scripted simulation backend.
     #[derive(Debug, Default)]
     pub struct ScriptedBackend {
         clock: f64,
         /// (job name, attempt) pairs that must fail.
-        pub fail_plan: HashSet<(String, u32)>,
+        pub fail_plan: HashSet<(Name, u32)>,
         /// Events not yet delivered: (finish_time, event).
         queue: Vec<(f64, CompletionEvent)>,
-        /// Names, for the fail plan.
-        names: HashMap<JobId, String>,
         /// Submission log (name, attempt).
-        pub log: Vec<(String, u32)>,
+        pub log: Vec<(Name, u32)>,
     }
 
     impl ScriptedBackend {
@@ -979,7 +979,6 @@ pub mod scripted {
                 clock: 0.0,
                 fail_plan: HashSet::new(),
                 queue: Vec::new(),
-                names: HashMap::new(),
                 log: Vec::new(),
             }
         }
@@ -991,7 +990,6 @@ pub mod scripted {
         }
 
         fn submit_after(&mut self, job: &ExecutableJob, attempt: u32, delay: f64) {
-            self.names.insert(job.id, job.name.clone());
             self.log.push((job.name.clone(), attempt));
             let submitted = self.clock + delay.max(0.0);
             let started = submitted; // unlimited slots, no queue
@@ -1046,12 +1044,11 @@ mod tests {
         ExecutableJob {
             id: JobId::new(id),
             name: name.into(),
-            transformation: name.split('_').next().unwrap_or(name).to_string(),
+            transformation: name.split('_').next().unwrap_or(name).into(),
             kind: JobKind::Compute,
-            args: vec![],
+            args: Default::default(),
             runtime_hint: runtime,
             install_hint: install,
-            source_jobs: vec![],
         }
     }
 
@@ -1210,8 +1207,8 @@ mod tests {
         assert_eq!(run.records[1].state, JobState::Done);
         match &run.outcome {
             WorkflowOutcome::Failed(rescue) => {
-                assert!(rescue.done.contains(&"root".to_string()));
-                assert!(rescue.done.contains(&"ok".to_string()));
+                assert!(rescue.done.contains(&"root".into()));
+                assert!(rescue.done.contains(&"ok".into()));
             }
             other => panic!("unexpected {other:?}"),
         }

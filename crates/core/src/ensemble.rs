@@ -724,10 +724,9 @@ mod tests {
             name: name.into(),
             transformation: "t".into(),
             kind: JobKind::Compute,
-            args: vec![],
+            args: Default::default(),
             runtime_hint: runtime,
             install_hint: 0.0,
-            source_jobs: vec![],
         }
     }
 
@@ -1031,8 +1030,8 @@ mod tests {
         assert!(!ens.runs[1].succeeded());
         match &ens.runs[1].outcome {
             crate::engine::WorkflowOutcome::Failed(rescue) => {
-                assert!(rescue.done.contains(&"doomed_a".to_string()));
-                assert!(rescue.done.contains(&"doomed_c".to_string()));
+                assert!(rescue.done.contains(&"doomed_a".into()));
+                assert!(rescue.done.contains(&"doomed_c".into()));
             }
             other => panic!("expected rescue DAG, got {other:?}"),
         }

@@ -33,6 +33,7 @@ use crate::engine::{FaultReason, JobRecord, JobState, JobTimes, WorkflowOutcome,
 use crate::error::WmsError;
 use crate::planner::JobKind;
 use crate::rescue::RescueDag;
+use crate::symbols::Name;
 use crate::workflow::JobId;
 
 /// One entry of the append-only provenance stream.
@@ -52,9 +53,9 @@ pub enum WorkflowEvent {
     /// and its execution site (events after this one omit the site).
     WorkflowStarted {
         /// Workflow name.
-        name: String,
+        name: Name,
         /// Execution site handle.
-        site: String,
+        site: Name,
         /// Number of jobs in the executable workflow.
         jobs: usize,
         /// Backend time at workflow start.
@@ -66,10 +67,10 @@ pub enum WorkflowEvent {
     JobDeclared {
         /// Job index in the executable workflow.
         job: JobId,
-        /// Display name.
-        name: String,
-        /// Transformation name.
-        transformation: String,
+        /// Display name (the planned job's handle, not a copy).
+        name: Name,
+        /// Transformation name (likewise shared).
+        transformation: Name,
         /// Job role.
         kind: JobKind,
     },
@@ -128,8 +129,9 @@ pub enum WorkflowEvent {
         /// Typed failure category.
         reason: FaultReason,
         /// The backend's full wire-format reason string (e.g.
-        /// `"preempted:storm"`).
-        detail: String,
+        /// `"preempted:storm"`), shared with the retry it triggers and
+        /// the job's record.
+        detail: Name,
         /// Timestamps of the failed attempt.
         times: JobTimes,
     },
@@ -142,7 +144,7 @@ pub enum WorkflowEvent {
         attempt: u32,
         /// The backend's full wire-format reason string (e.g.
         /// `"timeout: exceeded 600s"`).
-        detail: String,
+        detail: Name,
         /// Timestamps of the killed attempt.
         times: JobTimes,
     },
@@ -157,7 +159,7 @@ pub enum WorkflowEvent {
         /// Typed category of the failure being retried.
         reason: FaultReason,
         /// The failure's full wire-format reason string.
-        detail: String,
+        detail: Name,
         /// Backend time the retry was scheduled.
         time: f64,
     },
@@ -238,14 +240,14 @@ impl WorkflowEvent {
                 reason,
                 detail,
                 times,
-            } => (job, attempt, times, Some((*reason, detail.as_str()))),
+            } => (job, attempt, times, Some((*reason, detail))),
             WorkflowEvent::TimedOut {
                 job,
                 attempt,
                 detail,
                 times,
             } => {
-                let failure = (FaultReason::Timeout, detail.as_str());
+                let failure = (FaultReason::Timeout, detail);
                 (job, attempt, times, Some(failure))
             }
             _ => return None,
@@ -287,7 +289,7 @@ pub struct Termination<'a> {
     pub times: &'a JobTimes,
     /// `None` when the attempt succeeded; otherwise the typed failure
     /// category and the backend's wire-format reason string.
-    pub failure: Option<(FaultReason, &'a str)>,
+    pub failure: Option<(FaultReason, &'a Name)>,
 }
 
 /// A consumer of the event stream — the only way to observe a run.
@@ -440,8 +442,8 @@ impl WorkflowRun {
     pub(crate) fn apply(&mut self, ev: &WorkflowEvent) {
         match ev {
             WorkflowEvent::WorkflowStarted { name, site, .. } => {
-                self.name.clone_from(name);
-                self.site.clone_from(site);
+                self.name = name.to_string();
+                self.site = site.to_string();
             }
             WorkflowEvent::JobDeclared {
                 job,
@@ -480,7 +482,7 @@ impl WorkflowRun {
                     Some((reason, detail)) => {
                         self.faults.record_reason(reason);
                         rec.failed_attempts.push(*end.times);
-                        rec.failure_reasons.push(detail.to_string());
+                        rec.failure_reasons.push(detail.clone());
                         rec.failure_kinds.push(reason);
                         rec.state = JobState::Failed;
                     }
@@ -602,7 +604,9 @@ pub mod log {
     use crate::engine::{FaultReason, JobTimes};
     use crate::error::WmsError;
     use crate::planner::JobKind;
+    use crate::symbols::{Name, NamePool};
     use crate::workflow::JobId;
+    use std::borrow::Cow;
     use std::fmt::Write as _;
 
     /// The version-stamped comment heading every written log.
@@ -614,7 +618,9 @@ pub mod log {
         let mut out = String::new();
         out.push_str(HEADER);
         out.push('\n');
-        out.push_str(&append(events));
+        for ev in events {
+            write_event(&mut out, ev);
+        }
         out
     }
 
@@ -631,9 +637,13 @@ pub mod log {
         out
     }
 
-    fn clean(text: &str) -> String {
+    fn clean(text: &str) -> Cow<'_, str> {
         // Newlines are the one thing the line format cannot carry.
-        text.replace(['\n', '\r'], " ")
+        if text.contains(['\n', '\r']) {
+            Cow::Owned(text.replace(['\n', '\r'], " "))
+        } else {
+            Cow::Borrowed(text)
+        }
     }
 
     fn write_event(out: &mut String, ev: &WorkflowEvent) {
@@ -682,7 +692,7 @@ pub mod log {
             } => writeln!(
                 out,
                 "completed job={job} attempt={attempt} {}",
-                times_fields(times)
+                TimesFields(times)
             ),
             WorkflowEvent::Failed {
                 job,
@@ -694,7 +704,7 @@ pub mod log {
                 out,
                 "failed job={job} attempt={attempt} reason={} {} detail={}",
                 reason.prefix(),
-                times_fields(times),
+                TimesFields(times),
                 clean(detail)
             ),
             WorkflowEvent::TimedOut {
@@ -705,7 +715,7 @@ pub mod log {
             } => writeln!(
                 out,
                 "timed-out job={job} attempt={attempt} {} detail={}",
-                times_fields(times),
+                TimesFields(times),
                 clean(detail)
             ),
             WorkflowEvent::RetryScheduled {
@@ -734,11 +744,18 @@ pub mod log {
         .expect("writing to a String cannot fail");
     }
 
-    fn times_fields(t: &JobTimes) -> String {
-        format!(
-            "submitted={} started={} install-done={} finished={}",
-            t.submitted, t.started, t.install_done, t.finished
-        )
+    /// The four timestamps of a terminal event, as its log fields.
+    struct TimesFields<'a>(&'a JobTimes);
+
+    impl std::fmt::Display for TimesFields<'_> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            let t = self.0;
+            write!(
+                f,
+                "submitted={} started={} install-done={} finished={}",
+                t.submitted, t.started, t.install_done, t.finished
+            )
+        }
     }
 
     fn parse_err(line: usize, reason: impl Into<String>) -> WmsError {
@@ -748,13 +765,30 @@ pub mod log {
         }
     }
 
-    fn fields(rest: &str, line: usize) -> Result<Vec<(&str, &str)>, WmsError> {
-        rest.split_whitespace()
-            .map(|tok| {
-                tok.split_once('=')
-                    .ok_or_else(|| parse_err(line, format!("expected key=value, got {tok:?}")))
-            })
-            .collect()
+    /// What the parser keeps from line to line, so reading an event
+    /// allocates only the names it declares.
+    #[derive(Default)]
+    struct Scratch<'a> {
+        /// Transformations and failure reasons repeat on most lines.
+        pool: NamePool,
+        /// The `key=value` fields of the line being read.
+        fields: Vec<(&'a str, &'a str)>,
+    }
+
+    /// Splits `rest` into its `key=value` fields, in `buf`.
+    fn fields<'s, 'a>(
+        rest: &'a str,
+        line: usize,
+        buf: &'s mut Vec<(&'a str, &'a str)>,
+    ) -> Result<&'s [(&'a str, &'a str)], WmsError> {
+        buf.clear();
+        for tok in rest.split_whitespace() {
+            let field = tok
+                .split_once('=')
+                .ok_or_else(|| parse_err(line, format!("expected key=value, got {tok:?}")))?;
+            buf.push(field);
+        }
+        Ok(buf)
     }
 
     fn take<'a>(
@@ -834,9 +868,12 @@ pub mod log {
         marker: &str,
         line: usize,
     ) -> Result<(&'a str, &'a str), WmsError> {
-        let pattern = format!(" {marker}");
-        if let Some(i) = rest.find(&pattern) {
-            Ok((&rest[..i], &rest[i + pattern.len()..]))
+        // The first `marker` that follows a space.
+        let spaced = rest
+            .match_indices(marker)
+            .find(|&(i, _)| i > 0 && rest.as_bytes()[i - 1] == b' ');
+        if let Some((i, _)) = spaced {
+            Ok((&rest[..i - 1], &rest[i + marker.len()..]))
         } else if let Some(tail) = rest.strip_prefix(marker) {
             Ok(("", tail))
         } else {
@@ -853,7 +890,9 @@ pub mod log {
     /// Returns [`WmsError::EventLogParse`] with a one-based line
     /// number on unknown keywords, missing or malformed fields.
     pub fn parse(text: &str) -> Result<Vec<WorkflowEvent>, WmsError> {
-        Ok(parse_lines(text)?.into_iter().map(|(_, ev)| ev).collect())
+        let mut events = Vec::new();
+        parse_each(text, |_, ev| events.push(ev))?;
+        Ok(events)
     }
 
     /// Like [`parse`], but pairs every event with the one-based line
@@ -864,6 +903,13 @@ pub mod log {
     /// Returns [`WmsError::EventLogParse`] exactly as [`parse`] does.
     pub fn parse_lines(text: &str) -> Result<Vec<(usize, WorkflowEvent)>, WmsError> {
         let mut events = Vec::new();
+        parse_each(text, |line, ev| events.push((line, ev)))?;
+        Ok(events)
+    }
+
+    /// Hands `sink` every event of `text` with its one-based line.
+    fn parse_each(text: &str, mut sink: impl FnMut(usize, WorkflowEvent)) -> Result<(), WmsError> {
+        let mut scratch = Scratch::default();
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
             let trimmed = raw.trim();
@@ -873,111 +919,119 @@ pub mod log {
             let (keyword, rest) = trimmed
                 .split_once(char::is_whitespace)
                 .unwrap_or((trimmed, ""));
-            events.push((line, parse_event(keyword, rest.trim_start(), line)?));
+            sink(
+                line,
+                parse_event(keyword, rest.trim_start(), line, &mut scratch)?,
+            );
         }
-        Ok(events)
+        Ok(())
     }
 
-    fn parse_event(keyword: &str, rest: &str, line: usize) -> Result<WorkflowEvent, WmsError> {
+    fn parse_event<'a>(
+        keyword: &str,
+        rest: &'a str,
+        line: usize,
+        scratch: &mut Scratch<'a>,
+    ) -> Result<WorkflowEvent, WmsError> {
         match keyword {
             "workflow-started" => {
                 let (head, name) = split_tail(rest, "name=", line)?;
-                let f = fields(head, line)?;
+                let f = fields(head, line, &mut scratch.fields)?;
                 Ok(WorkflowEvent::WorkflowStarted {
-                    name: name.to_string(),
-                    site: take(&f, "site", line)?.to_string(),
-                    jobs: take_usize(&f, "jobs", line)?,
-                    time: take_f64(&f, "time", line)?,
+                    name: Name::from(name),
+                    site: Name::from(take(f, "site", line)?),
+                    jobs: take_usize(f, "jobs", line)?,
+                    time: take_f64(f, "time", line)?,
                 })
             }
             "job" => {
                 let (head, name) = split_tail(rest, "name=", line)?;
-                let f = fields(head, line)?;
+                let f = fields(head, line, &mut scratch.fields)?;
                 Ok(WorkflowEvent::JobDeclared {
-                    job: JobId::new(take_usize(&f, "id", line)?),
-                    name: name.to_string(),
-                    transformation: take(&f, "transformation", line)?.to_string(),
-                    kind: take_kind(&f, line)?,
+                    job: JobId::new(take_usize(f, "id", line)?),
+                    name: Name::from(name),
+                    transformation: scratch.pool.share(take(f, "transformation", line)?),
+                    kind: take_kind(f, line)?,
                 })
             }
             "skipped" => {
-                let f = fields(rest, line)?;
+                let f = fields(rest, line, &mut scratch.fields)?;
                 Ok(WorkflowEvent::Skipped {
-                    job: JobId::new(take_usize(&f, "job", line)?),
-                    time: take_f64(&f, "time", line)?,
+                    job: JobId::new(take_usize(f, "job", line)?),
+                    time: take_f64(f, "time", line)?,
                 })
             }
             "submitted" => {
-                let f = fields(rest, line)?;
+                let f = fields(rest, line, &mut scratch.fields)?;
                 Ok(WorkflowEvent::Submitted {
-                    job: JobId::new(take_usize(&f, "job", line)?),
-                    attempt: take_u32(&f, "attempt", line)?,
-                    time: take_f64(&f, "time", line)?,
+                    job: JobId::new(take_usize(f, "job", line)?),
+                    attempt: take_u32(f, "attempt", line)?,
+                    time: take_f64(f, "time", line)?,
                 })
             }
             "install-started" => {
-                let f = fields(rest, line)?;
+                let f = fields(rest, line, &mut scratch.fields)?;
                 Ok(WorkflowEvent::InstallStarted {
-                    job: JobId::new(take_usize(&f, "job", line)?),
-                    attempt: take_u32(&f, "attempt", line)?,
-                    time: take_f64(&f, "time", line)?,
+                    job: JobId::new(take_usize(f, "job", line)?),
+                    attempt: take_u32(f, "attempt", line)?,
+                    time: take_f64(f, "time", line)?,
                 })
             }
             "started" => {
-                let f = fields(rest, line)?;
+                let f = fields(rest, line, &mut scratch.fields)?;
                 Ok(WorkflowEvent::Started {
-                    job: JobId::new(take_usize(&f, "job", line)?),
-                    attempt: take_u32(&f, "attempt", line)?,
-                    time: take_f64(&f, "time", line)?,
+                    job: JobId::new(take_usize(f, "job", line)?),
+                    attempt: take_u32(f, "attempt", line)?,
+                    time: take_f64(f, "time", line)?,
                 })
             }
             "completed" => {
-                let f = fields(rest, line)?;
+                let f = fields(rest, line, &mut scratch.fields)?;
                 Ok(WorkflowEvent::Completed {
-                    job: JobId::new(take_usize(&f, "job", line)?),
-                    attempt: take_u32(&f, "attempt", line)?,
-                    times: take_times(&f, line)?,
+                    job: JobId::new(take_usize(f, "job", line)?),
+                    attempt: take_u32(f, "attempt", line)?,
+                    times: take_times(f, line)?,
                 })
             }
             "failed" => {
                 let (head, detail) = split_tail(rest, "detail=", line)?;
-                let f = fields(head, line)?;
+                let f = fields(head, line, &mut scratch.fields)?;
                 Ok(WorkflowEvent::Failed {
-                    job: JobId::new(take_usize(&f, "job", line)?),
-                    attempt: take_u32(&f, "attempt", line)?,
-                    reason: take_reason(&f, line)?,
-                    detail: detail.to_string(),
-                    times: take_times(&f, line)?,
+                    job: JobId::new(take_usize(f, "job", line)?),
+                    attempt: take_u32(f, "attempt", line)?,
+                    reason: take_reason(f, line)?,
+                    detail: scratch.pool.share(detail),
+                    times: take_times(f, line)?,
                 })
             }
             "timed-out" => {
                 let (head, detail) = split_tail(rest, "detail=", line)?;
-                let f = fields(head, line)?;
+                let f = fields(head, line, &mut scratch.fields)?;
                 Ok(WorkflowEvent::TimedOut {
-                    job: JobId::new(take_usize(&f, "job", line)?),
-                    attempt: take_u32(&f, "attempt", line)?,
-                    detail: detail.to_string(),
-                    times: take_times(&f, line)?,
+                    job: JobId::new(take_usize(f, "job", line)?),
+                    attempt: take_u32(f, "attempt", line)?,
+                    detail: scratch.pool.share(detail),
+                    times: take_times(f, line)?,
                 })
             }
             "retry-scheduled" => {
                 let (head, detail) = split_tail(rest, "detail=", line)?;
-                let f = fields(head, line)?;
+                let f = fields(head, line, &mut scratch.fields)?;
                 Ok(WorkflowEvent::RetryScheduled {
-                    job: JobId::new(take_usize(&f, "job", line)?),
-                    next_attempt: take_u32(&f, "next-attempt", line)?,
-                    backoff: take_f64(&f, "backoff", line)?,
-                    reason: take_reason(&f, line)?,
-                    detail: detail.to_string(),
-                    time: take_f64(&f, "time", line)?,
+                    job: JobId::new(take_usize(f, "job", line)?),
+                    next_attempt: take_u32(f, "next-attempt", line)?,
+                    backoff: take_f64(f, "backoff", line)?,
+                    reason: take_reason(f, line)?,
+                    detail: scratch.pool.share(detail),
+                    time: take_f64(f, "time", line)?,
                 })
             }
             "workflow-finished" => {
-                let f = fields(rest, line)?;
+                let f = fields(rest, line, &mut scratch.fields)?;
                 Ok(WorkflowEvent::WorkflowFinished {
-                    succeeded: take_bool(&f, "succeeded", line)?,
-                    wall_time: take_f64(&f, "wall-time", line)?,
-                    time: take_f64(&f, "time", line)?,
+                    succeeded: take_bool(f, "succeeded", line)?,
+                    wall_time: take_f64(f, "wall-time", line)?,
+                    time: take_f64(f, "time", line)?,
                 })
             }
             other => Err(parse_err(line, format!("unknown event keyword {other:?}"))),
@@ -1000,12 +1054,11 @@ mod tests {
         ExecutableJob {
             id: JobId::new(id),
             name: name.into(),
-            transformation: name.split('_').next().unwrap_or(name).to_string(),
+            transformation: name.split('_').next().unwrap_or(name).into(),
             kind: JobKind::Compute,
-            args: vec![],
+            args: Default::default(),
             runtime_hint: runtime,
             install_hint: install,
-            source_jobs: vec![],
         }
     }
 

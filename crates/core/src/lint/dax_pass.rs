@@ -10,7 +10,7 @@
 use super::Diagnostic;
 use crate::catalog::TransformationCatalog;
 use crate::error::{Span, WmsError};
-use crate::workflow::AbstractWorkflow;
+use crate::workflow::{AbstractWorkflow, JobId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Knobs for [`check_workflow`].
@@ -132,11 +132,11 @@ pub fn check_workflow(
     // matching AbstractWorkflow::edges.
     let mut producer: BTreeMap<&str, usize> = BTreeMap::new();
     let mut consumers: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (j, job) in wf.jobs.iter().enumerate() {
-        for f in &job.outputs {
-            match producer.get(f.name.as_str()) {
+    for j in 0..n {
+        for f in wf.outputs(JobId::new(j)).iter() {
+            match producer.get(f.name) {
                 None => {
-                    producer.insert(&f.name, j);
+                    producer.insert(f.name, j);
                 }
                 Some(&first) if first != j => {
                     diags.push(
@@ -155,8 +155,8 @@ pub fn check_workflow(
                 Some(_) => {}
             }
         }
-        for f in &job.inputs {
-            consumers.entry(&f.name).or_default().push(j);
+        for f in wf.inputs(JobId::new(j)).iter() {
+            consumers.entry(f.name).or_default().push(j);
         }
     }
 
@@ -230,11 +230,11 @@ pub fn check_workflow(
         // W0402: intermediate outputs nobody reads.  Sink jobs are
         // exempt — their outputs are the workflow's final products.
         if !adj[j].is_empty() {
-            for f in &job.outputs {
+            for f in wf.outputs(JobId::new(j)).iter() {
                 let consumed = consumers
-                    .get(f.name.as_str())
+                    .get(f.name)
                     .is_some_and(|cs| cs.iter().any(|&c| c != j));
-                if !consumed && producer.get(f.name.as_str()) == Some(&j) {
+                if !consumed && producer.get(f.name) == Some(&j) {
                     diags.push(
                         Diagnostic::new(
                             "W0402",

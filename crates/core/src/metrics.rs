@@ -619,10 +619,9 @@ mod tests {
             name: name.into(),
             transformation: name.into(),
             kind: JobKind::Compute,
-            args: vec![],
+            args: Default::default(),
             runtime_hint: runtime,
             install_hint: install,
-            source_jobs: vec![],
         };
         ExecutableWorkflow {
             name: "chain_n3".into(),

@@ -8,6 +8,7 @@
 //! they fold a recorded stream exactly as they fold a live one.
 
 use crate::events::{EventSink, WorkflowEvent};
+use crate::symbols::Name;
 
 /// Running counters and a status line.
 #[derive(Debug, Default, Clone)]
@@ -85,9 +86,9 @@ impl EventSink for StatusMonitor {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineEntry {
     /// Job display name.
-    pub name: String,
+    pub name: Name,
     /// Transformation name.
-    pub transformation: String,
+    pub transformation: Name,
     /// Attempt number.
     pub attempt: u32,
     /// Execution start (slot acquired).
@@ -104,7 +105,7 @@ pub struct TimelineMonitor {
     /// Completed attempt intervals, in completion order.
     pub entries: Vec<TimelineEntry>,
     /// `(name, transformation)` per job of the current run's manifest.
-    jobs: Vec<(String, String)>,
+    jobs: Vec<(Name, Name)>,
 }
 
 impl TimelineMonitor {
@@ -142,12 +143,12 @@ impl TimelineMonitor {
         let mut out = String::from("name,transformation,attempt,start_s,end_s,succeeded\n");
         for e in &self.entries {
             out.push_str(&crate::csv::csv_row(&[
-                e.name.clone(),
-                e.transformation.clone(),
-                e.attempt.to_string(),
-                format!("{:.3}", e.start),
-                format!("{:.3}", e.end),
-                e.succeeded.to_string(),
+                e.name.as_str(),
+                e.transformation.as_str(),
+                &e.attempt.to_string(),
+                &format!("{:.3}", e.start),
+                &format!("{:.3}", e.end),
+                &e.succeeded.to_string(),
             ]));
         }
         out

@@ -13,11 +13,11 @@
 //! * optional *horizontal clustering* merges small same-transformation
 //!   jobs on the same DAG level, Pegasus's remote-overhead reduction.
 
-use crate::catalog::{ReplicaCatalog, SiteCatalog, TransformationCatalog};
+use crate::catalog::{ReplicaCatalog, Site, SiteCatalog, TransformationCatalog};
 use crate::error::WmsError;
 use crate::graph::Csr;
-use crate::symbols::{FileId, SymbolTable};
-use crate::workflow::{AbstractWorkflow, Job, JobId, LogicalFile};
+use crate::symbols::{Args, Name};
+use crate::workflow::{AbstractWorkflow, FileUse, Job, JobId};
 use std::collections::HashMap;
 
 /// The role of an executable job.
@@ -53,23 +53,21 @@ impl std::fmt::Display for JobKind {
 pub struct ExecutableJob {
     /// Index within the executable workflow.
     pub id: JobId,
-    /// Unique display name, e.g. `"stage_in_alignments.out"`.
-    pub name: String,
+    /// Unique display name, e.g. `"stage_in_alignments.out"`; a
+    /// compute job shares its abstract job's id.
+    pub name: Name,
     /// Transformation name (for compute jobs) or an auxiliary-kind
     /// marker (`"pegasus::transfer"`, `"pegasus::dirmanager"`).
-    pub transformation: String,
+    pub transformation: Name,
     /// Role of the job.
     pub kind: JobKind,
-    /// Arguments (compute jobs carry their abstract arguments).
-    pub args: Vec<String>,
+    /// Arguments (compute jobs share their abstract arguments).
+    pub args: Args,
     /// Estimated execution seconds on a reference core.
     pub runtime_hint: f64,
     /// Seconds of download/install required before execution on this
     /// site (0 when the software is preinstalled).
     pub install_hint: f64,
-    /// The abstract job ids folded into this job (empty for auxiliary
-    /// jobs; more than one after clustering).
-    pub source_jobs: Vec<String>,
 }
 
 /// A planned workflow bound to one execution site.
@@ -220,40 +218,33 @@ pub fn reduce_workflow(
     replicas: &ReplicaCatalog,
     site: &str,
 ) -> Result<AbstractWorkflow, WmsError> {
-    let available = |f: &LogicalFile| {
-        replicas.has_replica(&f.name, site) || replicas.has_replica(&f.name, "submit")
+    // One catalog lookup per distinct file, not per use.
+    let available: Vec<bool> = (wf.files().iter())
+        .map(|(_, f)| replicas.has_replica(f, site) || replicas.has_replica(f, "submit"))
+        .collect();
+    let all_outputs_available = |job: JobId| {
+        let outputs = wf.outputs(job);
+        !outputs.is_empty() && outputs.ids().iter().all(|f| available[f.idx()])
     };
     let n = wf.jobs.len();
-    let mut removed = vec![false; n];
     // Pass 1: outputs already available.
-    for (i, job) in wf.jobs.iter().enumerate() {
-        if !job.outputs.is_empty() && job.outputs.iter().all(&available) {
-            removed[i] = true;
-        }
-    }
+    let mut removed: Vec<bool> = wf.job_ids().map(all_outputs_available).collect();
     // Pass 2: cascade upward over the reverse topological order.
     let order = wf.topological_order()?;
     let edges = wf.edges()?;
     let consumers = Csr::forward(n, &edges);
-    // Borrow final-output names out of one owned Vec instead of
-    // cloning every String into the set.
-    let finals = wf.final_outputs();
-    let final_names: std::collections::HashSet<&str> =
-        finals.iter().map(|f| f.name.as_str()).collect();
+    let mut is_final = vec![false; wf.files().len()];
+    for (_, f) in wf.final_output_uses() {
+        is_final[f.file.idx()] = true;
+    }
     for &i in order.iter().rev() {
         if removed[i.idx()] {
             continue;
         }
-        let job = &wf.jobs[i.idx()];
-        let produces_final = job
-            .outputs
-            .iter()
-            .any(|f| final_names.contains(f.name.as_str()));
+        let produces_final = wf.outputs(i).ids().iter().any(|f| is_final[f.idx()]);
         let has_consumers = consumers.degree(i) > 0;
         let all_consumers_removed = consumers[i].iter().all(|&c| removed[c.idx()]);
-        if !produces_final && has_consumers && all_consumers_removed
-            || (!job.outputs.is_empty() && job.outputs.iter().all(&available))
-        {
+        if !produces_final && has_consumers && all_consumers_removed || all_outputs_available(i) {
             removed[i.idx()] = true;
         }
     }
@@ -263,13 +254,9 @@ pub fn reduce_workflow(
     // jobs land in one batch (per-job add_job scans are quadratic).
     let mut new_id: Vec<Option<JobId>> = vec![None; n];
     let mut kept = Vec::with_capacity(n);
-    let mut next = 0usize;
-    for (i, job) in wf.jobs.iter().enumerate() {
-        if !removed[i] {
-            new_id[i] = Some(JobId::new(next));
-            next += 1;
-            kept.push(job.clone());
-        }
+    for i in wf.job_ids().filter(|i| !removed[i.idx()]) {
+        new_id[i.idx()] = Some(JobId::new(kept.len()));
+        kept.push(wf.job_spec(i));
     }
     out.add_jobs(kept)?;
     for &(p, c) in &wf.explicit_edges {
@@ -313,28 +300,25 @@ pub fn cluster_workflow(
         let members = &groups[&key];
         for (ci, batch) in members.chunks(factor).enumerate() {
             if batch.len() == 1 {
-                let j = &wf.jobs[batch[0].idx()];
                 new_id_of[batch[0].idx()] = JobId::new(clustered.len());
-                clustered.push(j.clone());
+                clustered.push(wf.job_spec(batch[0]));
                 continue;
             }
             let mut merged = Job::new(
                 format!("cluster_{}_{}_{}", key.1, key.0, ci),
-                key.1.to_string(),
+                wf.job(batch[0]).transformation.clone(),
             );
             let mut runtime = 0.0;
             for &m in batch {
-                let j = &wf.jobs[m.idx()];
+                let j = wf.job_spec(m);
                 runtime += j.runtime_hint;
-                merged.args.extend(j.args.iter().cloned());
-                for f in &j.inputs {
-                    if !merged.inputs.contains(f) {
-                        merged.inputs.push(f.clone());
+                merged.args.extend(j.args);
+                for f in j.inputs {
+                    if !merged.inputs.contains(&f) {
+                        merged.inputs.push(f);
                     }
                 }
-                for f in &j.outputs {
-                    merged.outputs.push(f.clone());
-                }
+                merged.outputs.extend(j.outputs);
             }
             merged.runtime_hint = runtime;
             // Inputs produced inside the cluster are internal.
@@ -366,6 +350,7 @@ pub fn cluster_workflow(
 }
 
 /// Plans `abstract_wf` onto the configured site.
+#[inline]
 pub fn plan(
     abstract_wf: &AbstractWorkflow,
     sites: &SiteCatalog,
@@ -373,7 +358,23 @@ pub fn plan(
     replicas: &ReplicaCatalog,
     config: &PlannerConfig,
 ) -> Result<ExecutableWorkflow, WmsError> {
+    // This wrapper and the scope are inlined into the caller, so the
+    // scope's two clock reads sit at the call itself. Planning a few
+    // dozen jobs takes some 30 µs, and the cold jump into this crate
+    // used to come before the scope opened: 0.3–0.5 µs that a clock
+    // around the call saw and the scope did not.
     let _prof = crate::prof::scope("plan");
+    plan_in_scope(abstract_wf, sites, transformations, replicas, config)
+}
+
+#[inline(never)]
+fn plan_in_scope(
+    abstract_wf: &AbstractWorkflow,
+    sites: &SiteCatalog,
+    transformations: &TransformationCatalog,
+    replicas: &ReplicaCatalog,
+    config: &PlannerConfig,
+) -> Result<ExecutableWorkflow, WmsError> {
     let site = sites.get(&config.target_site).ok_or_else(|| {
         let mut known = sites.names();
         known.sort();
@@ -404,63 +405,60 @@ pub fn plan(
         None => pre_cluster,
     };
 
-    let mut jobs: Vec<ExecutableJob> = Vec::new();
+    let mut jobs: Vec<ExecutableJob> = Vec::with_capacity(wf.jobs.len() + 8);
     let mut edges: Vec<(JobId, JobId)> = Vec::new();
-    // Logical file names are interned once; staging and producer
-    // lookups below key on the dense FileId, not the String.
-    let mut files: SymbolTable<FileId> = SymbolTable::new();
     let push_job = |jobs: &mut Vec<ExecutableJob>, mut j: ExecutableJob| -> JobId {
         let id = JobId::new(jobs.len());
         j.id = id;
         jobs.push(j);
         id
     };
-
-    // 1. create_dir.
-    let create_dir = if config.add_create_dir {
-        Some(push_job(
-            &mut jobs,
-            ExecutableJob {
-                id: JobId::default(),
-                name: format!("create_dir_{}", site.name),
-                transformation: "pegasus::dirmanager".into(),
-                kind: JobKind::CreateDir,
-                args: vec![],
-                runtime_hint: 1.0,
-                install_hint: 0.0,
-                source_jobs: vec![],
-            },
-        ))
-    } else {
-        None
+    // The planner names only the handful of auxiliary jobs it adds;
+    // every compute job shares its abstract job's handles.
+    let auxiliary =
+        |name: String, transformation: &Name, kind, args: Args, runtime_hint| ExecutableJob {
+            id: JobId::default(),
+            name: name.into(),
+            transformation: transformation.clone(),
+            kind,
+            args,
+            runtime_hint,
+            install_hint: 0.0,
+        };
+    let transfer = Name::from("pegasus::transfer");
+    // A stage-in or stage-out job moves one file, named in its one
+    // argument.
+    let transfer_job = |prefix: &str, kind, f: FileUse<'_>| {
+        auxiliary(
+            format!("{prefix}{}", f.name),
+            &transfer,
+            kind,
+            Args::from(vec![Name::from(f.name)]),
+            transfer_seconds(f.size_bytes, site.bandwidth_bps),
+        )
     };
 
-    // 2. stage-in jobs for external inputs absent from the site.
-    let mut stage_in_of: HashMap<FileId, JobId> = HashMap::new();
+    // 1. create_dir.
+    let create_dir = config.add_create_dir.then(|| {
+        let dirmanager = Name::from("pegasus::dirmanager");
+        let name = format!("create_dir_{}", site.name);
+        let job = auxiliary(name, &dirmanager, JobKind::CreateDir, Args::new(), 1.0);
+        push_job(&mut jobs, job)
+    });
+
+    // 2. stage-in jobs for external inputs absent from the site, by
+    // the workflow's dense file ids.
+    let mut stage_in_of: Vec<Option<JobId>> = vec![None; wf.files().len()];
     if config.stage_data {
-        for f in wf.external_inputs() {
-            if replicas.has_replica(&f.name, &site.name) {
+        for f in wf.external_input_uses() {
+            if replicas.has_replica(f.name, &site.name) {
                 continue;
             }
-            let runtime = transfer_seconds(&f, site.bandwidth_bps);
-            let fid = files.intern(&f.name);
-            let id = push_job(
-                &mut jobs,
-                ExecutableJob {
-                    id: JobId::default(),
-                    name: format!("stage_in_{}", f.name),
-                    transformation: "pegasus::transfer".into(),
-                    kind: JobKind::StageIn,
-                    args: vec![f.name.clone()],
-                    runtime_hint: runtime,
-                    install_hint: 0.0,
-                    source_jobs: vec![],
-                },
-            );
+            let id = push_job(&mut jobs, transfer_job("stage_in_", JobKind::StageIn, f));
             if let Some(cd) = create_dir {
                 edges.push((cd, id));
             }
-            stage_in_of.insert(fid, id);
+            stage_in_of[f.file.idx()] = Some(id);
         }
     }
 
@@ -468,23 +466,18 @@ pub fn plan(
     // Dense abstract-index -> executable-id map (every abstract job
     // plans to exactly one compute job, in order).
     let mut compute_id_of: Vec<JobId> = Vec::with_capacity(wf.jobs.len());
-    for aj in wf.jobs.iter() {
-        let missing = transformations.missing_packages(&aj.transformation, site);
-        let install_hint = if missing.is_empty() {
-            0.0
-        } else {
-            let t = transformations
-                .get(&aj.transformation)
-                .expect("missing packages implies catalog entry");
-            if !t.installable {
-                return Err(WmsError::UnresolvableTransformation {
-                    transformation: aj.transformation.clone(),
-                    site: site.name.clone(),
-                });
+    // A workflow has few transformations and many jobs of each: the
+    // install phase is worked out once per transformation.
+    let mut install_hint_of: HashMap<&str, f64> = HashMap::new();
+    for (aj_id, aj) in wf.job_ids().zip(&wf.jobs) {
+        let install_hint = match install_hint_of.get(aj.transformation.as_str()) {
+            Some(&hint) => hint,
+            None => {
+                let hint = install_seconds(transformations, &aj.transformation, site)?;
+                install_hint_of.insert(&aj.transformation, hint);
+                hint
             }
-            missing.len() as f64 * t.install_cost_per_pkg
         };
-        let source_jobs = vec![aj.id.clone()];
         let id = push_job(
             &mut jobs,
             ExecutableJob {
@@ -495,13 +488,12 @@ pub fn plan(
                 args: aj.args.clone(),
                 runtime_hint: aj.runtime_hint,
                 install_hint,
-                source_jobs,
             },
         );
         compute_id_of.push(id);
         // Stage-in edges.
-        for f in &aj.inputs {
-            if let Some(&sid) = files.get(&f.name).and_then(|fid| stage_in_of.get(&fid)) {
+        for f in wf.inputs(aj_id).ids() {
+            if let Some(sid) = stage_in_of[f.idx()] {
                 edges.push((sid, id));
             }
         }
@@ -517,41 +509,11 @@ pub fn plan(
         edges.push((compute_id_of[p.idx()], compute_id_of[c.idx()]));
     }
 
-    // 5. stage-out jobs for final outputs.
+    // 5. stage-out jobs for final outputs, each after its producer.
     if config.stage_data {
-        // Producer lookup restricted to the finals: a workflow has
-        // millions of intermediate outputs but a handful of final
-        // ones, so interning every output name here would dwarf the
-        // stage-out work itself.
-        let finals = wf.final_outputs();
-        let final_names: std::collections::HashSet<&str> =
-            finals.iter().map(|f| f.name.as_str()).collect();
-        let mut producer: HashMap<&str, JobId> = HashMap::with_capacity(finals.len());
-        for (ai, aj) in wf.jobs.iter().enumerate() {
-            for f in &aj.outputs {
-                if final_names.contains(f.name.as_str()) {
-                    producer.insert(f.name.as_str(), compute_id_of[ai]);
-                }
-            }
-        }
-        for f in &finals {
-            let runtime = transfer_seconds(f, site.bandwidth_bps);
-            let id = push_job(
-                &mut jobs,
-                ExecutableJob {
-                    id: JobId::default(),
-                    name: format!("stage_out_{}", f.name),
-                    transformation: "pegasus::transfer".into(),
-                    kind: JobKind::StageOut,
-                    args: vec![f.name.clone()],
-                    runtime_hint: runtime,
-                    install_hint: 0.0,
-                    source_jobs: vec![],
-                },
-            );
-            if let Some(&p) = producer.get(f.name.as_str()) {
-                edges.push((p, id));
-            }
+        for (producer, f) in wf.final_output_uses() {
+            let id = push_job(&mut jobs, transfer_job("stage_out_", JobKind::StageOut, f));
+            edges.push((compute_id_of[producer.idx()], id));
         }
     }
 
@@ -565,19 +527,10 @@ pub fn plan(
             .filter(|&i| !has_children[i])
             .map(JobId::new)
             .collect();
-        let id = push_job(
-            &mut jobs,
-            ExecutableJob {
-                id: JobId::default(),
-                name: format!("cleanup_{}", site.name),
-                transformation: "pegasus::cleanup".into(),
-                kind: JobKind::Cleanup,
-                args: vec![],
-                runtime_hint: 1.0,
-                install_hint: 0.0,
-                source_jobs: vec![],
-            },
-        );
+        let cleanup = Name::from("pegasus::cleanup");
+        let name = format!("cleanup_{}", site.name);
+        let job = auxiliary(name, &cleanup, JobKind::Cleanup, Args::new(), 1.0);
+        let id = push_job(&mut jobs, job);
         for l in leaves {
             edges.push((l, id));
         }
@@ -596,16 +549,40 @@ pub fn plan(
     })
 }
 
+/// Seconds of download/install `transformation` needs before it can
+/// run at `site`: its missing packages times the per-package cost.
+fn install_seconds(
+    catalog: &TransformationCatalog,
+    transformation: &str,
+    site: &Site,
+) -> Result<f64, WmsError> {
+    let missing = catalog.missing_packages(transformation, site);
+    if missing.is_empty() {
+        return Ok(0.0);
+    }
+    let t = catalog
+        .get(transformation)
+        .expect("missing packages implies catalog entry");
+    if !t.installable {
+        return Err(WmsError::UnresolvableTransformation {
+            transformation: transformation.to_string(),
+            site: site.name.clone(),
+        });
+    }
+    Ok(missing.len() as f64 * t.install_cost_per_pkg)
+}
+
 /// Transfer time estimate: size over bandwidth with a 1-second floor
 /// (connection setup), matching the coarse costs Pegasus planners use.
-fn transfer_seconds(f: &LogicalFile, bandwidth_bps: f64) -> f64 {
-    (f.size_bytes as f64 / bandwidth_bps.max(1.0)).max(1.0)
+fn transfer_seconds(size_bytes: u64, bandwidth_bps: f64) -> f64 {
+    (size_bytes as f64 / bandwidth_bps.max(1.0)).max(1.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::paper_catalogs;
+    use crate::workflow::LogicalFile;
 
     /// A miniature blast2cap3-shaped workflow: 2 list jobs, split,
     /// n=3 run_cap3, merge, extract_unjoined.
@@ -732,20 +709,18 @@ mod tests {
                     name: "a".into(),
                     transformation: "t".into(),
                     kind: JobKind::Compute,
-                    args: vec![],
+                    args: Args::new(),
                     runtime_hint: 1.0,
                     install_hint: 0.0,
-                    source_jobs: vec![],
                 },
                 ExecutableJob {
                     id: JobId::new(1),
                     name: "b".into(),
                     transformation: "t".into(),
                     kind: JobKind::Compute,
-                    args: vec![],
+                    args: Args::new(),
                     runtime_hint: 1.0,
                     install_hint: 0.0,
-                    source_jobs: vec![],
                 },
             ],
             edges: vec![
@@ -857,10 +832,8 @@ mod tests {
 
     #[test]
     fn transfer_time_scales_with_size() {
-        let small = LogicalFile::sized("s", 1_000);
-        let big = LogicalFile::sized("b", 10_000_000_000);
-        assert_eq!(transfer_seconds(&small, 100e6), 1.0); // floor
-        assert!(transfer_seconds(&big, 100e6) > 99.0);
+        assert_eq!(transfer_seconds(1_000, 100e6), 1.0); // floor
+        assert!(transfer_seconds(10_000_000_000, 100e6) > 99.0);
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub fn set_enabled(on: bool) {
 }
 
 /// `true` when profiling scopes are currently recording.
+#[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
@@ -49,7 +50,9 @@ pub struct Scope {
 }
 
 /// Opens a profiled region labelled `label` (e.g. `"plan.parse"`).
-/// A no-op unless [`set_enabled`]\(true) was called.
+/// A no-op unless [`set_enabled`]\(true) was called. Inlined, like the
+/// guard's drop, so both clock reads happen in the caller's code.
+#[inline]
 pub fn scope(label: &'static str) -> Scope {
     Scope {
         label,
@@ -58,6 +61,7 @@ pub fn scope(label: &'static str) -> Scope {
 }
 
 impl Drop for Scope {
+    #[inline]
     fn drop(&mut self) {
         if let Some(start) = self.start {
             let secs = start.elapsed().as_secs_f64();

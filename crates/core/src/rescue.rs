@@ -9,6 +9,7 @@
 //! one `DONE <job-name>` line per completed node.
 
 use crate::error::WmsError;
+use crate::symbols::Name;
 
 /// The re-submittable remainder of a partially executed workflow.
 ///
@@ -31,7 +32,7 @@ pub struct RescueDag {
     /// Site the failed run targeted.
     pub site: String,
     /// Names of jobs that completed successfully.
-    pub done: Vec<String>,
+    pub done: Vec<Name>,
 }
 
 impl RescueDag {
@@ -85,7 +86,7 @@ impl RescueDag {
                             lineno + 1
                         )));
                     }
-                    rescue.done.push(rest.to_string());
+                    rescue.done.push(rest.into());
                 }
                 other => {
                     return Err(WmsError::RescueParse(format!(

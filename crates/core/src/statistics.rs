@@ -452,7 +452,7 @@ mod tests {
     fn record(job: usize, transformation: &str, state: JobState, t: Option<JobTimes>) -> JobRecord {
         JobRecord {
             job: crate::workflow::JobId::new(job),
-            name: format!("{transformation}_{job}"),
+            name: format!("{transformation}_{job}").into(),
             transformation: transformation.into(),
             kind: JobKind::Compute,
             state,

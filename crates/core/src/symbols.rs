@@ -1,26 +1,239 @@
-//! Interned identifiers: typed `u32` newtypes plus the side table
-//! that maps them back to names.
+//! Interned identifiers and shared names: typed `u32` newtypes, the
+//! side table that maps them back to names, and the [`Name`] handle
+//! every layer holds instead of a `String`.
 //!
 //! The hot path of a workflow run — planning, scheduling, retrying,
 //! event emission — touches every job and file many times. Carrying
 //! owned `String` keys through those layers means a clone and a hash
 //! of the full name per touch; at the million-task scale the ROADMAP
-//! targets, that is the dominant cost. Instead, names are interned
-//! once at a boundary (DAX parse, plan start) into a [`SymbolTable`],
-//! and everything downstream moves 4-byte [`JobId`]/[`FileId`] values
-//! that index dense `Vec`s. Names are resolved back out only at the
-//! opposite boundary: rendering a report, writing a log line, or
-//! matching a user-supplied pattern.
+//! targets, that is the dominant cost in both time and memory. The
+//! rule that replaces it: **the bytes of a name are allocated at one
+//! boundary, and every later layer holds a handle or an id, never a
+//! fresh `String`.** Which of the two depends on what the name is for.
+//!
+//! * **Names that are carried** — job names, transformations,
+//!   arguments, failure reasons — become a [`Name`] (a
+//!   reference-counted `str`) where they enter: the DAX parser, a
+//!   workflow generator handing in a [`crate::workflow::Job`], the
+//!   event-log parser, a backend reporting a failure. `workflow`,
+//!   `planner`, `engine`, `events` and the `WorkflowRun` records clone
+//!   the handle, which copies no bytes: job *i*'s name in the abstract
+//!   workflow, in `ExecutableJob`, in its `JobDeclared` event and in
+//!   its `JobRecord` is one allocation, and so are a failure's reason
+//!   in its `Failed` event, its `RetryScheduled` and the record's
+//!   `failure_reasons`. Names that repeat across a document (a
+//!   transformation on 10^5 jobs) go through a [`NamePool`] at the
+//!   parser, so they too are one allocation. Only a boundary turns a
+//!   `&str` into a `Name`; everything downstream only clones.
+//! * **Names that are looked up** — logical files in an abstract
+//!   workflow, job ids while a DAX is being parsed — are interned into
+//!   a [`SymbolTable`], and everything downstream moves 4-byte
+//!   [`JobId`]/[`FileId`] values that index dense `Vec`s. The table
+//!   keeps the bytes itself, end to end in one buffer, so 3 × 10^5
+//!   file names are three allocations, not 3 × 10^5; a file's name is
+//!   read back as a `&str` ([`SymbolTable::resolve`]) at the output
+//!   boundary — a DAX `<uses>`, a `stage_in_<file>` job name.
 //!
 //! The ids are deliberately *dense* (0..n in declaration order), so
 //! they double as vector indices — `records[job.idx()]` — and the
 //! symbol table is append-only, so a resolved `&str` stays valid for
 //! the table's lifetime.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// A shared, immutable name: the bytes live in one allocation and
+/// every holder clones the handle (a reference-count bump), never the
+/// text.
+///
+/// `Name` reads like a `str` everywhere — it derefs to one, compares
+/// with `str`/`&str`/`String`, and `Display`s/`Debug`s exactly as the
+/// `str` would, so text formats and `Debug` goldens cannot tell it
+/// from the `String` it replaced. Building one from a `&str` or
+/// `String` **allocates**; that is reserved for the boundaries named
+/// in the module docs.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Name(Arc<str>);
+
+impl Name {
+    /// The name as a plain `&str`.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// `true` when both handles point at the same allocation — the
+    /// sharing the one-boundary rule promises, as opposed to two
+    /// equal copies.
+    #[inline]
+    pub fn ptr_eq(a: &Name, b: &Name) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+    #[inline]
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for Name {
+    #[inline]
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Self {
+        Name(Arc::from(s))
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Self {
+        Name(Arc::from(s))
+    }
+}
+
+impl From<&String> for Name {
+    fn from(s: &String) -> Self {
+        Name(Arc::from(s.as_str()))
+    }
+}
+
+impl From<Name> for String {
+    fn from(n: Name) -> String {
+        n.as_str().to_owned()
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        &*self.0 == other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        &*self.0 == *other
+    }
+}
+
+impl PartialEq<String> for Name {
+    fn eq(&self, other: &String) -> bool {
+        &*self.0 == other.as_str()
+    }
+}
+
+/// Names that repeat across a document — transformations in a DAX,
+/// transformations and failure reasons in an event log: the parser
+/// asks the pool for each occurrence and gets one handle per distinct
+/// text, so a name used by 10^5 jobs is still one allocation.
+#[derive(Debug, Default)]
+pub struct NamePool {
+    names: HashSet<Name>,
+}
+
+impl NamePool {
+    /// The pool's handle for `text`, allocated on first sight.
+    pub fn share(&mut self, text: &str) -> Name {
+        match self.names.get(text) {
+            Some(known) => known.clone(),
+            None => {
+                let new = Name::from(text);
+                self.names.insert(new.clone());
+                new
+            }
+        }
+    }
+}
+
+/// A job's argument list as one shared, immutable slice of [`Name`]s:
+/// the planner hands a compute job its abstract job's arguments by
+/// cloning this handle, with no per-job `Vec`. The empty list
+/// allocates nothing.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+pub struct Args(Option<Arc<[Name]>>);
+
+impl Args {
+    /// The empty argument list.
+    pub const fn new() -> Self {
+        Args(None)
+    }
+
+    /// `true` when both lists are one allocation (or both empty).
+    pub fn ptr_eq(a: &Args, b: &Args) -> bool {
+        match (&a.0, &b.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+}
+
+impl Deref for Args {
+    type Target = [Name];
+    #[inline]
+    fn deref(&self) -> &[Name] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+}
+
+impl fmt::Debug for Args {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl From<Vec<Name>> for Args {
+    fn from(v: Vec<Name>) -> Self {
+        if v.is_empty() {
+            Args(None)
+        } else {
+            Args(Some(Arc::from(v)))
+        }
+    }
+}
+
+impl From<&[Name]> for Args {
+    fn from(v: &[Name]) -> Self {
+        if v.is_empty() {
+            Args(None)
+        } else {
+            Args(Some(Arc::from(v)))
+        }
+    }
+}
+
+impl<T: AsRef<str>> PartialEq<Vec<T>> for Args {
+    fn eq(&self, other: &Vec<T>) -> bool {
+        self.len() == other.len()
+            && self
+                .iter()
+                .zip(other)
+                .all(|(a, b)| a.as_str() == b.as_ref())
+    }
+}
 
 /// Identifier of one job: a dense index into the owning workflow's
 /// job vector.
@@ -193,52 +406,145 @@ pub trait Symbol: Copy {
 /// `intern` is idempotent — the same name always returns the same id,
 /// and ids are handed out densely in first-appearance order, so a
 /// table built by scanning a workflow in declaration order assigns
-/// id `k` to the `k`-th distinct name. Each distinct name is stored
-/// once (an `Arc<str>` shared between the forward vector and the
-/// reverse map), so memory is one allocation per *unique* name, not
-/// per occurrence.
-#[derive(Debug, Clone, Default)]
+/// id `k` to the `k`-th distinct name.
+///
+/// Each distinct name is stored once, and not as an allocation of its
+/// own: the bytes of all names sit end to end in one buffer, `ends`
+/// marks where each stops, and the reverse index is an open-addressed
+/// array of `(hash, id)` pairs probed linearly. That is the name's
+/// bytes plus about 16 bytes per entry, three allocations per table
+/// however many names it holds, and freeing a table hands back three
+/// blocks rather than a heap full of small holes. A lookup compares
+/// the stored hash before it touches a name, and growing the index
+/// re-places entries by that stored hash, so neither rehashes.
+/// Hashing is the standard library's keyed SipHash, as for a
+/// `HashMap`.
+///
+/// Two tables are equal when they hold the same names in the same
+/// order; ids being dense, that is the same id for every name.
+#[derive(Clone, Default)]
 pub struct SymbolTable<S: Symbol = JobId> {
-    names: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+    /// Every name, end to end.
+    text: String,
+    /// `ends[id]` is where name `id` stops in `text`; it starts where
+    /// the one before it stops.
+    ends: Vec<u32>,
+    /// `(lower hash bits, id + 1)`; an id field of 0 marks a free
+    /// slot. The length is zero or a power of two, kept at least 4/3
+    /// of the number of names.
+    slots: Vec<(u32, u32)>,
+    hasher: RandomState,
     _typed: PhantomData<S>,
+}
+
+impl<S: Symbol> PartialEq for SymbolTable<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.ends == other.ends && self.text == other.text
+    }
+}
+
+impl<S: Symbol> fmt::Debug for SymbolTable<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter().map(|(_, n)| n)).finish()
+    }
 }
 
 impl<S: Symbol> SymbolTable<S> {
     /// Creates an empty table.
     pub fn new() -> Self {
-        SymbolTable {
-            names: Vec::new(),
-            index: HashMap::new(),
-            _typed: PhantomData,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty table with room for `n` names.
     pub fn with_capacity(n: usize) -> Self {
-        SymbolTable {
-            names: Vec::with_capacity(n),
-            index: HashMap::with_capacity(n),
+        let mut table = SymbolTable {
+            text: String::new(),
+            ends: Vec::with_capacity(n),
+            slots: Vec::new(),
+            hasher: RandomState::new(),
             _typed: PhantomData,
+        };
+        if n > 0 {
+            table.grow_slots(n);
         }
+        table
     }
 
     /// Interns `name`, returning its stable id. Repeated calls with
     /// the same name return the same id without allocating.
     pub fn intern(&mut self, name: &str) -> S {
-        if let Some(&raw) = self.index.get(name) {
-            return S::from_raw(raw);
+        // The low half of the hash: it picks the slot and is stored
+        // in it, so growing the index never rehashes a name.
+        let tag = self.hasher.hash_one(name) as u32;
+        S::from_raw(self.intern_tagged(name, tag))
+    }
+
+    /// [`SymbolTable::intern`] once the name's hash tag is known.
+    fn intern_tagged(&mut self, name: &str, tag: u32) -> u32 {
+        if let Some(raw) = self.find(name, tag) {
+            return raw;
         }
-        let raw = u32::try_from(self.names.len()).expect("symbol table overflows u32");
-        let shared: Arc<str> = Arc::from(name);
-        self.names.push(Arc::clone(&shared));
-        self.index.insert(shared, raw);
-        S::from_raw(raw)
+        let raw = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&raw| raw < u32::MAX)
+            .expect("symbol table overflows u32");
+        self.text.push_str(name);
+        let end = u32::try_from(self.text.len()).expect("symbol table overflows u32");
+        self.ends.push(end);
+        if self.ends.len() * 4 > self.slots.len() * 3 {
+            self.grow_slots(self.ends.len() * 2);
+        }
+        Self::place(&mut self.slots, tag, raw);
+        raw
+    }
+
+    /// The id of `name`, whose hash tag is `tag`, if the table holds
+    /// it.
+    fn find(&self, name: &str, tag: u32) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = tag as usize & mask;
+        loop {
+            match self.slots[at] {
+                (_, 0) => return None,
+                (t, id) if t == tag && self.text_of(id - 1) == name => return Some(id - 1),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Puts `(tag, id)` into the first free slot of its probe run.
+    fn place(slots: &mut [(u32, u32)], tag: u32, raw: u32) {
+        let mask = slots.len() - 1;
+        let mut at = tag as usize & mask;
+        while slots[at].1 != 0 {
+            at = (at + 1) & mask;
+        }
+        slots[at] = (tag, raw + 1);
+    }
+
+    /// Re-creates the index with room for `n` names, re-placing every
+    /// entry by its stored tag.
+    fn grow_slots(&mut self, n: usize) {
+        let len = (n * 4 / 3 + 1).next_power_of_two().max(8);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); len]);
+        for (tag, id) in old.into_iter().filter(|&(_, id)| id != 0) {
+            Self::place(&mut self.slots, tag, id - 1);
+        }
+    }
+
+    fn text_of(&self, raw: u32) -> &str {
+        let i = raw as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
     }
 
     /// Looks up a name without interning it.
     pub fn get(&self, name: &str) -> Option<S> {
-        self.index.get(name).map(|&raw| S::from_raw(raw))
+        let tag = self.hasher.hash_one(name) as u32;
+        self.find(name, tag).map(S::from_raw)
     }
 
     /// Resolves an id back to its name.
@@ -246,25 +552,28 @@ impl<S: Symbol> SymbolTable<S> {
     /// # Panics
     /// Panics if `id` was not produced by this table.
     pub fn resolve(&self, id: S) -> &str {
-        &self.names[id.into_raw() as usize]
+        self.text_of(id.into_raw())
     }
 
     /// Number of distinct interned names.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// `true` when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates `(id, name)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (S, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (S::from_raw(i as u32), n.as_ref()))
+        (0..self.ends.len() as u32).map(|raw| (S::from_raw(raw), self.text_of(raw)))
+    }
+
+    /// Returns the slack a growing table over-allocated.
+    pub fn shrink_to_fit(&mut self) {
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
     }
 }
 
@@ -302,6 +611,59 @@ mod tests {
         let c = t.intern("run_cap3_100");
         assert!(a != b && b != c && a != c);
         assert_eq!(t.resolve(b), "run_cap3_10");
+    }
+
+    #[test]
+    fn names_survive_every_growth_of_the_index() {
+        let mut t: SymbolTable<FileId> = SymbolTable::new();
+        let name = |i: usize| format!("joined_ids_{i}.txt");
+        let mut slot_counts = std::collections::BTreeSet::new();
+        for i in 0..5000 {
+            assert_eq!(t.intern(&name(i)).idx(), i);
+            slot_counts.insert(t.slots.len());
+            // Load stays under 3/4, so a probe always meets a free slot.
+            assert!(t.len() * 4 <= t.slots.len() * 3);
+            // A name from before the growth is still found, not re-added.
+            assert_eq!(t.intern(&name(i / 2)).idx(), i / 2);
+        }
+        assert!(slot_counts.len() > 4, "the index grew {slot_counts:?}");
+        assert_eq!(t.len(), 5000);
+        for i in 0..5000 {
+            assert_eq!(t.get(&name(i)), Some(FileId::new(i)));
+            assert_eq!(t.resolve(FileId::new(i)), name(i));
+        }
+        assert_eq!(t.get("joined_ids_5000.txt"), None);
+        assert_eq!(t.get(""), None);
+        let copy = t.clone();
+        assert_eq!(copy, t);
+        assert_eq!(copy.get(&name(4999)), Some(FileId::new(4999)));
+    }
+
+    #[test]
+    fn colliding_tags_and_slots_keep_names_apart() {
+        // Tags are forged so the collisions are certain: 7, 15 and 23
+        // share slot 7 of an 8-slot index, whose probe run wraps to
+        // slot 0; two names share the whole tag 7.
+        let mut t: SymbolTable<JobId> = SymbolTable::new();
+        let forged = [("a", 7), ("b", 7), ("c", 15), ("", 23), ("d", 0)];
+        for (raw, (name, tag)) in forged.into_iter().enumerate() {
+            assert_eq!(t.intern_tagged(name, tag), raw as u32);
+            assert_eq!(t.slots.len(), 8);
+        }
+        for (raw, (name, tag)) in forged.into_iter().enumerate() {
+            assert_eq!(t.find(name, tag), Some(raw as u32));
+            assert_eq!(t.intern_tagged(name, tag), raw as u32);
+            assert_eq!(t.resolve(JobId::new(raw)), name);
+        }
+        // Same tag, other name; same name, other tag.
+        assert_eq!(t.find("e", 7), None);
+        assert_eq!(t.find("a", 15), None);
+        // Growth re-places the run by the stored tags.
+        t.grow_slots(64);
+        for (raw, (name, tag)) in forged.into_iter().enumerate() {
+            assert_eq!(t.find(name, tag), Some(raw as u32));
+        }
+        assert_eq!(t.len(), 5);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! Runtime hints follow the relative magnitudes reported in the
 //! characterisation paper (seconds on a reference core).
 
+use crate::symbols::Name;
 use crate::workflow::{AbstractWorkflow, Job, LogicalFile};
 
-fn f(name: impl Into<String>) -> LogicalFile {
+fn f(name: impl Into<Name>) -> LogicalFile {
     LogicalFile::named(name)
 }
 

@@ -37,6 +37,7 @@ use crate::engine::{FaultReason, JobTimes, WorkflowRun};
 use crate::error::WmsError;
 use crate::events::{self, WorkflowEvent};
 use crate::planner::JobKind;
+use crate::symbols::Name;
 use crate::workflow::JobId;
 use std::fmt;
 use std::fmt::Write as _;
@@ -140,9 +141,9 @@ pub enum AttemptOutcome {
     Completed,
     /// The attempt failed; the string is the backend's wire-format
     /// reason (e.g. `preempted:storm`).
-    Failed(String),
+    Failed(Name),
     /// The attempt exceeded the per-attempt timeout.
-    TimedOut(String),
+    TimedOut(Name),
 }
 
 impl AttemptOutcome {
@@ -185,7 +186,7 @@ pub struct JobTrace {
     /// Job index in the executable workflow (the track id).
     pub job: JobId,
     /// Display name.
-    pub name: String,
+    pub name: Name,
     /// Job role.
     pub kind: JobKind,
     /// Aggregated queue-wait/install/kickstart/post/badput summary —
@@ -460,7 +461,7 @@ pub fn chrome_events(traces: &[WorkflowTrace]) -> Vec<ChromeEvent> {
                 dur: 0,
                 pid,
                 tid,
-                args: vec![("name", j.name.clone())],
+                args: vec![("name", j.name.as_str().to_owned())],
             });
             for (i, a) in j.attempts.iter().enumerate() {
                 if i > 0 {
@@ -587,10 +588,9 @@ mod tests {
             name: name.into(),
             transformation: name.into(),
             kind: JobKind::Compute,
-            args: vec![],
+            args: Default::default(),
             runtime_hint: runtime,
             install_hint: install,
-            source_jobs: vec![],
         };
         ExecutableWorkflow {
             name: "mini_n2".into(),

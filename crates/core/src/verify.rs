@@ -935,12 +935,12 @@ pub fn check_plan(
 
     let mut produced: BTreeMap<&str, &str> = BTreeMap::new();
     let mut consumed: BTreeSet<&str> = BTreeSet::new();
-    for j in &abstract_wf.jobs {
-        for f in &j.outputs {
-            produced.entry(&f.name).or_insert(&j.id);
+    for (id, j) in abstract_wf.job_ids().zip(&abstract_wf.jobs) {
+        for f in abstract_wf.outputs(id).iter() {
+            produced.entry(f.name).or_insert(&j.id);
         }
-        for f in &j.inputs {
-            consumed.insert(&f.name);
+        for f in abstract_wf.inputs(id).iter() {
+            consumed.insert(f.name);
         }
     }
     let mut staged_in: BTreeMap<&str, &str> = BTreeMap::new();
@@ -962,9 +962,9 @@ pub fn check_plan(
     }
 
     let mut flagged: BTreeSet<&str> = BTreeSet::new();
-    for j in &abstract_wf.jobs {
-        for f in &j.inputs {
-            let name = f.name.as_str();
+    for id in abstract_wf.job_ids() {
+        for f in abstract_wf.inputs(id).iter() {
+            let name = f.name;
             if !produced.contains_key(name)
                 && !staged_in.contains_key(name)
                 && !replicas.has_replica(name, site)
@@ -978,7 +978,7 @@ pub fn check_plan(
                         format!(
                             "file \"{name}\" consumed by job \"{}\" has no producer, no \
                              stage-in, and no replica at site \"{site}\"",
-                            j.id
+                            abstract_wf.job(id).id
                         ),
                     )
                     .with_help("add a stage-in job or register the file in the replica catalog"),
@@ -1042,25 +1042,24 @@ fn peak_footprint(wf: &AbstractWorkflow) -> Option<(u64, String)> {
         pos[j.idx()] = i;
     }
     let mut sizes: BTreeMap<&str, u64> = BTreeMap::new();
-    for j in &wf.jobs {
-        for f in j.inputs.iter().chain(&j.outputs) {
-            sizes.entry(&f.name).or_insert(f.size_bytes);
+    for j in wf.job_ids() {
+        for f in wf.inputs(j).iter().chain(wf.outputs(j).iter()) {
+            sizes.entry(f.name).or_insert(f.size_bytes);
         }
     }
     let produced: BTreeSet<&str> = wf
-        .jobs
-        .iter()
-        .flat_map(|j| j.outputs.iter().map(|f| f.name.as_str()))
+        .job_ids()
+        .flat_map(|j| wf.outputs(j).iter().map(|f| f.name))
         .collect();
     // Schedule position of each file's last consumer; files consumed
     // by nobody (final outputs) never appear and stay resident.
     let mut frees: Vec<Vec<&str>> = vec![Vec::new(); order.len()];
     {
         let mut last_use: BTreeMap<&str, usize> = BTreeMap::new();
-        for (ji, j) in wf.jobs.iter().enumerate() {
-            for f in &j.inputs {
-                let e = last_use.entry(&f.name).or_insert(0);
-                *e = (*e).max(pos[ji]);
+        for j in wf.job_ids() {
+            for f in wf.inputs(j).iter() {
+                let e = last_use.entry(f.name).or_insert(0);
+                *e = (*e).max(pos[j.idx()]);
             }
         }
         for (name, i) in last_use {
@@ -1070,24 +1069,22 @@ fn peak_footprint(wf: &AbstractWorkflow) -> Option<(u64, String)> {
 
     // External inputs are resident from the start (deduped by name).
     let mut resident: u64 = wf
-        .jobs
-        .iter()
-        .flat_map(|j| j.inputs.iter())
-        .filter(|f| !produced.contains(f.name.as_str()))
-        .map(|f| (f.name.as_str(), f.size_bytes))
+        .job_ids()
+        .flat_map(|j| wf.inputs(j).iter())
+        .filter(|f| !produced.contains(f.name))
+        .map(|f| (f.name, f.size_bytes))
         .collect::<BTreeMap<_, _>>()
         .values()
         .sum();
     let mut peak = resident;
     let mut peak_at = String::from("<inputs>");
     for (i, jid) in order.iter().enumerate() {
-        let j = &wf.jobs[jid.idx()];
-        for f in &j.outputs {
-            resident += sizes.get(f.name.as_str()).copied().unwrap_or(0);
+        for f in wf.outputs(*jid).iter() {
+            resident += sizes.get(f.name).copied().unwrap_or(0);
         }
         if resident > peak {
             peak = resident;
-            peak_at = j.id.clone();
+            peak_at = wf.job(*jid).id.to_string();
         }
         for name in &frees[i] {
             resident = resident.saturating_sub(sizes.get(name).copied().unwrap_or(0));

@@ -6,13 +6,23 @@
 //! dataflow (job B reads a file job A writes) and explicit
 //! parent/child declarations, exactly like a Pegasus DAX.
 //!
-//! Jobs are identified by dense interned [`JobId`]s (see
-//! [`crate::symbols`]); traversals run over [`Csr`] adjacency built
-//! once per call instead of per-node `Vec<Vec<_>>` allocations.
+//! Jobs are handed in as [`Job`] values built with
+//! `Job::new(..).input(LogicalFile::named(..))` and stored flat: one
+//! [`JobRow`] per job, one per-workflow file table, and one vector of
+//! [`FileId`]s that every row's input and output ranges index (see
+//! [`crate::symbols`] for the one-copy rule the names follow). Jobs
+//! are identified by dense interned [`JobId`]s; traversals run over
+//! [`Csr`] adjacency built once per call instead of per-node
+//! `Vec<Vec<_>>` allocations, and the dataflow questions
+//! ([`AbstractWorkflow::edges`], [`AbstractWorkflow::external_inputs`],
+//! [`AbstractWorkflow::final_outputs`]) are passes over dense file ids
+//! rather than hash sets of names.
 
 use crate::error::WmsError;
 use crate::graph::Csr;
+use crate::symbols::{Args, Name, SymbolTable};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 pub use crate::symbols::{FileId, JobId};
 
@@ -21,14 +31,14 @@ pub use crate::symbols::{FileId, JobId};
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LogicalFile {
     /// Logical file name, e.g. `"alignments.out"`.
-    pub name: String,
+    pub name: Name,
     /// Estimated size in bytes (0 when unknown).
     pub size_bytes: u64,
 }
 
 impl LogicalFile {
     /// A logical file with unknown size.
-    pub fn named(name: impl Into<String>) -> Self {
+    pub fn named(name: impl Into<Name>) -> Self {
         LogicalFile {
             name: name.into(),
             size_bytes: 0,
@@ -36,7 +46,7 @@ impl LogicalFile {
     }
 
     /// A logical file with an estimated size.
-    pub fn sized(name: impl Into<String>, size_bytes: u64) -> Self {
+    pub fn sized(name: impl Into<Name>, size_bytes: u64) -> Self {
         LogicalFile {
             name: name.into(),
             size_bytes,
@@ -44,16 +54,17 @@ impl LogicalFile {
     }
 }
 
-/// One abstract job.
+/// One abstract job as it is handed to a workflow: the builder form.
+/// [`AbstractWorkflow::add_job`] stores it as a [`JobRow`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Unique job identifier within the workflow.
-    pub id: String,
+    pub id: Name,
     /// Logical transformation name (looked up in the transformation
     /// catalog at planning time).
-    pub transformation: String,
+    pub transformation: Name,
     /// Command-line-style arguments.
-    pub args: Vec<String>,
+    pub args: Vec<Name>,
     /// Files consumed.
     pub inputs: Vec<LogicalFile>,
     /// Files produced.
@@ -65,7 +76,7 @@ pub struct Job {
 
 impl Job {
     /// Creates a job with empty file sets.
-    pub fn new(id: impl Into<String>, transformation: impl Into<String>) -> Self {
+    pub fn new(id: impl Into<Name>, transformation: impl Into<Name>) -> Self {
         Job {
             id: id.into(),
             transformation: transformation.into(),
@@ -77,7 +88,7 @@ impl Job {
     }
 
     /// Builder: appends an argument.
-    pub fn arg(mut self, a: impl Into<String>) -> Self {
+    pub fn arg(mut self, a: impl Into<Name>) -> Self {
         self.args.push(a.into());
         self
     }
@@ -101,16 +112,124 @@ impl Job {
     }
 }
 
+/// One stored job: its names as shared handles, and where its file
+/// uses sit in the workflow's flat table. Read the files through
+/// [`AbstractWorkflow::inputs`] and [`AbstractWorkflow::outputs`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobRow {
+    /// Unique job identifier within the workflow.
+    pub id: Name,
+    /// Logical transformation name.
+    pub transformation: Name,
+    /// Command-line-style arguments.
+    pub args: Args,
+    /// Estimated execution time in seconds on a reference core.
+    pub runtime_hint: f64,
+    /// `uses[first_use..first_output]` are the inputs,
+    /// `uses[first_output..end_use]` the outputs.
+    first_use: u32,
+    first_output: u32,
+    end_use: u32,
+}
+
+/// One use of a file by a job, read off the flat table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FileUse<'a> {
+    /// The file's id in the workflow's file table.
+    pub file: FileId,
+    /// The file's name, as the file table holds it.
+    pub name: &'a str,
+    /// Estimated size in bytes, as this use declared it.
+    pub size_bytes: u64,
+}
+
+impl FileUse<'_> {
+    /// The use as an owned [`LogicalFile`]; allocates its name.
+    pub fn to_logical(self) -> LogicalFile {
+        LogicalFile::sized(self.name, self.size_bytes)
+    }
+}
+
+/// A job's inputs or outputs: a window onto the workflow's flat
+/// file-use table.
+#[derive(Clone, Copy)]
+pub struct Uses<'a> {
+    files: &'a SymbolTable<FileId>,
+    ids: &'a [FileId],
+    sizes: &'a [u64],
+}
+
+impl<'a> Uses<'a> {
+    /// The file ids, in declaration order.
+    pub fn ids(&self) -> &'a [FileId] {
+        self.ids
+    }
+
+    /// Number of files.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// `true` when the job uses no file on this side.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The uses, in declaration order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = FileUse<'a>> + 'a {
+        let files = self.files;
+        self.ids
+            .iter()
+            .zip(self.sizes)
+            .map(move |(&file, &size_bytes)| FileUse {
+                file,
+                name: files.resolve(file),
+                size_bytes,
+            })
+    }
+}
+
+/// Equal when they name the same files with the same sizes in the
+/// same order — also across two workflows, whose ids may differ.
+impl PartialEq for Uses<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && self
+                .iter()
+                .zip(other.iter())
+                .all(|(a, b)| a.name == b.name && a.size_bytes == b.size_bytes)
+    }
+}
+
+impl std::fmt::Debug for Uses<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries(self.iter().map(FileUse::to_logical))
+            .finish()
+    }
+}
+
 /// An abstract workflow: jobs plus explicit dependency edges.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AbstractWorkflow {
     /// Workflow name (the DAX `name` attribute).
     pub name: String,
     /// Jobs in declaration order; [`JobId`]s index into this.
-    pub jobs: Vec<Job>,
+    pub jobs: Vec<JobRow>,
     /// Explicit parent → child edges (by job index), in addition to
     /// dataflow-derived edges.
     pub explicit_edges: Vec<(JobId, JobId)>,
+    /// Every distinct logical file, in first-use order.
+    files: SymbolTable<FileId>,
+    /// All file uses, job after job, inputs before outputs.
+    uses: Vec<FileId>,
+    /// The size each use declared, parallel to `uses` (a DAX may give
+    /// one file different sizes at different uses).
+    use_sizes: Vec<u64>,
+}
+
+fn use_index(len: usize) -> u32 {
+    u32::try_from(len).expect("file-use table overflows u32")
 }
 
 impl AbstractWorkflow {
@@ -118,8 +237,7 @@ impl AbstractWorkflow {
     pub fn new(name: impl Into<String>) -> Self {
         AbstractWorkflow {
             name: name.into(),
-            jobs: Vec::new(),
-            explicit_edges: Vec::new(),
+            ..Default::default()
         }
     }
 
@@ -131,10 +249,9 @@ impl AbstractWorkflow {
     /// batch against one hash set.
     pub fn add_job(&mut self, job: Job) -> Result<JobId, WmsError> {
         if self.jobs.iter().any(|j| j.id == job.id) {
-            return Err(WmsError::DuplicateJob(job.id));
+            return Err(WmsError::DuplicateJob(job.id.into()));
         }
-        self.jobs.push(job);
-        Ok(JobId::new(self.jobs.len() - 1))
+        Ok(self.push_job(job))
     }
 
     /// Adds a batch of jobs, returning their ids in order; fails on the
@@ -147,17 +264,82 @@ impl AbstractWorkflow {
     /// would be quadratic.
     pub fn add_jobs(&mut self, batch: Vec<Job>) -> Result<Vec<JobId>, WmsError> {
         {
-            let mut seen: HashSet<&str> = self.jobs.iter().map(|j| j.id.as_str()).collect();
+            let mut seen: HashSet<&str> = HashSet::with_capacity(self.jobs.len() + batch.len());
+            seen.extend(self.jobs.iter().map(|j| j.id.as_str()));
             for job in &batch {
                 if !seen.insert(job.id.as_str()) {
-                    return Err(WmsError::DuplicateJob(job.id.clone()));
+                    return Err(WmsError::DuplicateJob(job.id.as_str().into()));
                 }
             }
         }
-        let first = self.jobs.len();
-        let ids = (first..first + batch.len()).map(JobId::new).collect();
-        self.jobs.extend(batch);
-        Ok(ids)
+        self.jobs.reserve(batch.len());
+        let uses: usize = batch.iter().map(|j| j.inputs.len() + j.outputs.len()).sum();
+        self.uses.reserve(uses);
+        self.use_sizes.reserve(uses);
+        Ok(batch.into_iter().map(|job| self.push_job(job)).collect())
+    }
+
+    /// Stores `job` flat: its file names go into the file table, its
+    /// other names stay the handles they came as.
+    fn push_job(&mut self, job: Job) -> JobId {
+        fn side(list: &[LogicalFile]) -> impl Iterator<Item = (&str, u64)> {
+            list.iter().map(|f| (&*f.name, f.size_bytes))
+        }
+        let row = (
+            job.id,
+            job.transformation,
+            Args::from(job.args),
+            job.runtime_hint,
+        );
+        self.push_row(row, side(&job.inputs), side(&job.outputs))
+    }
+
+    /// Stores a job; no duplicate check, the caller has made its own.
+    ///
+    /// This is the one place file names are interned, a job's inputs
+    /// before its outputs, so a file's id follows from what the jobs
+    /// declare and not from the order a document happened to list a
+    /// job's `<uses>` in: two workflows with the same jobs have the
+    /// same file table and compare equal.
+    pub(crate) fn push_row<'n>(
+        &mut self,
+        (id, transformation, args, runtime_hint): (Name, Name, Args, f64),
+        inputs: impl IntoIterator<Item = (&'n str, u64)>,
+        outputs: impl IntoIterator<Item = (&'n str, u64)>,
+    ) -> JobId {
+        let first_use = use_index(self.uses.len());
+        let first_output = self.push_uses(inputs);
+        let end_use = self.push_uses(outputs);
+        self.jobs.push(JobRow {
+            id,
+            transformation,
+            args,
+            runtime_hint,
+            first_use,
+            first_output,
+            end_use,
+        });
+        JobId::new(self.jobs.len() - 1)
+    }
+
+    /// Appends one side of a job to the flat table; returns the
+    /// table's new length.
+    fn push_uses<'n>(&mut self, side: impl IntoIterator<Item = (&'n str, u64)>) -> u32 {
+        for (name, size) in side {
+            self.uses.push(self.files.intern(name));
+            self.use_sizes.push(size);
+        }
+        use_index(self.uses.len())
+    }
+
+    /// Returns the slack a growing workflow over-allocated; the DAX
+    /// parser calls it once the document is read.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.jobs.shrink_to_fit();
+        self.explicit_edges.shrink_to_fit();
+        self.uses.shrink_to_fit();
+        self.use_sizes.shrink_to_fit();
+        self.files.shrink_to_fit();
     }
 
     /// Declares an explicit dependency `parent -> child`.
@@ -182,62 +364,133 @@ impl AbstractWorkflow {
     }
 
     /// The job referenced by `id`.
-    pub fn job(&self, id: JobId) -> &Job {
+    pub fn job(&self, id: JobId) -> &JobRow {
         &self.jobs[id.idx()]
+    }
+
+    /// The job referenced by `id` in the builder form it was handed in
+    /// as — what a rewrite (clustering, reduction, inlining) edits and
+    /// adds to a new workflow.
+    pub fn job_spec(&self, id: JobId) -> Job {
+        let row = self.job(id);
+        Job {
+            id: row.id.clone(),
+            transformation: row.transformation.clone(),
+            args: row.args.to_vec(),
+            inputs: self.inputs(id).iter().map(FileUse::to_logical).collect(),
+            outputs: self.outputs(id).iter().map(FileUse::to_logical).collect(),
+            runtime_hint: row.runtime_hint,
+        }
+    }
+
+    /// The workflow's file table: every distinct logical file name, by
+    /// dense [`FileId`] in first-use order.
+    pub fn files(&self) -> &SymbolTable<FileId> {
+        &self.files
+    }
+
+    /// Total number of file uses (inputs plus outputs of every job) —
+    /// the length of the flat table all rows index.
+    pub fn use_count(&self) -> usize {
+        self.uses.len()
+    }
+
+    fn window(&self, range: Range<u32>) -> Uses<'_> {
+        let range = range.start as usize..range.end as usize;
+        Uses {
+            files: &self.files,
+            ids: &self.uses[range.clone()],
+            sizes: &self.use_sizes[range],
+        }
+    }
+
+    /// Files `job` consumes.
+    pub fn inputs(&self, job: JobId) -> Uses<'_> {
+        let row = self.job(job);
+        self.window(row.first_use..row.first_output)
+    }
+
+    /// Files `job` produces.
+    pub fn outputs(&self, job: JobId) -> Uses<'_> {
+        let row = self.job(job);
+        self.window(row.first_output..row.end_use)
+    }
+
+    /// Job ids in declaration order.
+    pub fn job_ids(&self) -> impl ExactSizeIterator<Item = JobId> {
+        (0..self.jobs.len()).map(JobId::new)
+    }
+
+    /// The producing job of every file (`None` for files no job
+    /// outputs), indexed by [`FileId`]. Fails if two jobs produce the
+    /// same file.
+    fn producers(&self) -> Result<Vec<Option<JobId>>, WmsError> {
+        let mut producer: Vec<Option<JobId>> = vec![None; self.files.len()];
+        for job in self.job_ids() {
+            for &out in self.outputs(job).ids() {
+                if let Some(first) = producer[out.idx()] {
+                    return Err(WmsError::ConflictingProducer {
+                        file: self.files.resolve(out).to_string(),
+                        first: self.jobs[first.idx()].id.as_str().into(),
+                        second: self.jobs[job.idx()].id.as_str().into(),
+                    });
+                }
+                producer[out.idx()] = Some(job);
+            }
+        }
+        Ok(producer)
     }
 
     /// All dependency edges: dataflow-derived plus explicit, deduped
     /// and sorted. Fails if two jobs produce the same file.
     pub fn edges(&self) -> Result<Vec<(JobId, JobId)>, WmsError> {
-        let mut producer: HashMap<&str, JobId> = HashMap::new();
-        for (i, job) in self.jobs.iter().enumerate() {
-            let i = JobId::new(i);
-            for out in &job.outputs {
-                if let Some(&first) = producer.get(out.name.as_str()) {
-                    return Err(WmsError::ConflictingProducer {
-                        file: out.name.clone(),
-                        first: self.jobs[first.idx()].id.clone(),
-                        second: job.id.clone(),
-                    });
-                }
-                producer.insert(&out.name, i);
-            }
-        }
-        let mut set: HashSet<(JobId, JobId)> = HashSet::new();
-        for (i, job) in self.jobs.iter().enumerate() {
-            let i = JobId::new(i);
-            for inp in &job.inputs {
-                if let Some(&p) = producer.get(inp.name.as_str()) {
-                    if p != i {
-                        set.insert((p, i));
+        let producer = self.producers()?;
+        let mut edges: Vec<(JobId, JobId)> = Vec::new();
+        for job in self.job_ids() {
+            for &inp in self.inputs(job).ids() {
+                if let Some(p) = producer[inp.idx()] {
+                    if p != job {
+                        edges.push((p, job));
                     }
                 }
             }
         }
-        for &(p, c) in &self.explicit_edges {
-            if p != c {
-                set.insert((p, c));
+        edges.extend(self.explicit_edges.iter().filter(|(p, c)| p != c));
+        edges.sort_unstable();
+        edges.dedup();
+        Ok(edges)
+    }
+
+    /// One flag per [`FileId`]: does any job list the file on the
+    /// given side?
+    fn used_as(&self, side: impl Fn(&Self, JobId) -> Uses<'_>) -> Vec<bool> {
+        let mut used = vec![false; self.files.len()];
+        for job in self.job_ids() {
+            for &f in side(self, job).ids() {
+                used[f.idx()] = true;
             }
         }
-        let mut edges: Vec<(JobId, JobId)> = set.into_iter().collect();
-        edges.sort_unstable();
-        Ok(edges)
+        used
     }
 
     /// Files consumed by some job but produced by none — the
     /// workflow's external inputs.
     pub fn external_inputs(&self) -> Vec<LogicalFile> {
-        let produced: HashSet<&str> = self
-            .jobs
-            .iter()
-            .flat_map(|j| j.outputs.iter().map(|f| f.name.as_str()))
-            .collect();
-        let mut seen: HashSet<&str> = HashSet::new();
+        let uses = self.external_input_uses();
+        uses.into_iter().map(FileUse::to_logical).collect()
+    }
+
+    /// [`AbstractWorkflow::external_inputs`] with each file's id: the
+    /// first use of every file no job produces.
+    pub(crate) fn external_input_uses(&self) -> Vec<FileUse<'_>> {
+        // Once a file is reported it counts as seen, so the "produced"
+        // flags double as the dedup set.
+        let mut skip = self.used_as(Self::outputs);
         let mut out = Vec::new();
-        for job in &self.jobs {
-            for f in &job.inputs {
-                if !produced.contains(f.name.as_str()) && seen.insert(f.name.as_str()) {
-                    out.push(f.clone());
+        for job in self.job_ids() {
+            for f in self.inputs(job).iter() {
+                if !std::mem::replace(&mut skip[f.file.idx()], true) {
+                    out.push(f);
                 }
             }
         }
@@ -247,16 +500,19 @@ impl AbstractWorkflow {
     /// Files produced by some job but consumed by none — the
     /// workflow's final outputs.
     pub fn final_outputs(&self) -> Vec<LogicalFile> {
-        let consumed: HashSet<&str> = self
-            .jobs
-            .iter()
-            .flat_map(|j| j.inputs.iter().map(|f| f.name.as_str()))
-            .collect();
+        let uses = self.final_output_uses();
+        uses.into_iter().map(|(_, f)| f.to_logical()).collect()
+    }
+
+    /// [`AbstractWorkflow::final_outputs`] with each file's producing
+    /// job.
+    pub(crate) fn final_output_uses(&self) -> Vec<(JobId, FileUse<'_>)> {
+        let consumed = self.used_as(Self::inputs);
         let mut out = Vec::new();
-        for job in &self.jobs {
-            for f in &job.outputs {
-                if !consumed.contains(f.name.as_str()) {
-                    out.push(f.clone());
+        for job in self.job_ids() {
+            for f in self.outputs(job).iter() {
+                if !consumed[f.file.idx()] {
+                    out.push((job, f));
                 }
             }
         }
@@ -315,7 +571,7 @@ impl AbstractWorkflow {
             let stuck = (0..self.jobs.len())
                 .find(|&i| indeg_left[i] > 0)
                 .expect("cycle implies a stuck node");
-            WmsError::CycleDetected(self.jobs[stuck].id.clone())
+            WmsError::CycleDetected(self.jobs[stuck].id.as_str().into())
         })
     }
 
@@ -412,38 +668,39 @@ impl AbstractWorkflow {
         }
         sub.validate()?;
         let ns = self.jobs[placeholder.idx()].id.clone();
-        let mut interface: HashSet<String> =
-            sub.external_inputs().into_iter().map(|f| f.name).collect();
-        interface.extend(sub.final_outputs().into_iter().map(|f| f.name));
-        let rename_file = |f: &LogicalFile| {
-            if interface.contains(f.name.as_str()) {
-                f.clone()
+        // Interface files by the sub-workflow's own file ids.
+        let mut interface = vec![false; sub.files.len()];
+        for f in sub.external_input_uses() {
+            interface[f.file.idx()] = true;
+        }
+        for (_, f) in sub.final_output_uses() {
+            interface[f.file.idx()] = true;
+        }
+        let rename_file = |f: FileUse<'_>| {
+            if interface[f.file.idx()] {
+                f.to_logical()
             } else {
-                LogicalFile {
-                    name: format!("{ns}/{}", f.name),
-                    size_bytes: f.size_bytes,
-                }
+                LogicalFile::sized(format!("{ns}/{}", f.name), f.size_bytes)
             }
         };
 
         let mut out = AbstractWorkflow::new(self.name.clone());
         // Parent jobs (minus the placeholder), preserving order.
         let mut new_index: HashMap<JobId, JobId> = HashMap::new();
-        for (i, job) in self.jobs.iter().enumerate() {
-            let i = JobId::new(i);
+        for i in self.job_ids() {
             if i == placeholder {
                 continue;
             }
-            new_index.insert(i, out.add_job(job.clone())?);
+            new_index.insert(i, out.add_job(self.job_spec(i))?);
         }
         // Sub jobs, renamed and namespaced.
         let mut sub_index: HashMap<JobId, JobId> = HashMap::new();
-        for (i, job) in sub.jobs.iter().enumerate() {
-            let mut j = job.clone();
-            j.id = format!("{ns}/{}", job.id);
-            j.inputs = job.inputs.iter().map(&rename_file).collect();
-            j.outputs = job.outputs.iter().map(&rename_file).collect();
-            sub_index.insert(JobId::new(i), out.add_job(j)?);
+        for i in sub.job_ids() {
+            let mut j = sub.job_spec(i);
+            j.id = format!("{ns}/{}", j.id).into();
+            j.inputs = sub.inputs(i).iter().map(&rename_file).collect();
+            j.outputs = sub.outputs(i).iter().map(&rename_file).collect();
+            sub_index.insert(i, out.add_job(j)?);
         }
         // Sub explicit edges.
         for &(p, c) in &sub.explicit_edges {
@@ -715,9 +972,10 @@ mod tests {
         let s1 = flat.job_by_name("SUB/s1").unwrap();
         let s2 = flat.job_by_name("SUB/s2").unwrap();
         // Internal file namespaced; interface files untouched.
-        assert_eq!(flat.jobs[s1.idx()].outputs[0].name, "SUB/mid");
-        assert_eq!(flat.jobs[s1.idx()].inputs[0].name, "x");
-        assert_eq!(flat.jobs[s2.idx()].outputs[0].name, "sub_out");
+        let names = |uses: Uses<'_>| uses.iter().map(|f| f.name.to_string()).collect::<Vec<_>>();
+        assert_eq!(names(flat.outputs(s1)), ["SUB/mid"]);
+        assert_eq!(names(flat.inputs(s1)), ["x"]);
+        assert_eq!(names(flat.outputs(s2)), ["sub_out"]);
         // Dataflow connects a -> s1 -> s2 -> d.
         let edges = flat.edges().unwrap();
         let a = flat.job_by_name("a").unwrap();
@@ -775,7 +1033,8 @@ mod tests {
         let flat = top.with_inlined_subworkflow(ph, &mid).unwrap();
         assert!(flat.job_by_name("OUTER/INNER/s1").is_some());
         let s1 = flat.job_by_name("OUTER/INNER/s1").unwrap();
-        assert_eq!(flat.jobs[s1.idx()].outputs[0].name, "OUTER/INNER/mid");
+        let out = flat.outputs(s1).iter().next().expect("one output");
+        assert_eq!(out.name, "OUTER/INNER/mid");
         flat.validate().unwrap();
     }
 
@@ -791,5 +1050,36 @@ mod tests {
         assert_eq!(jb.runtime_hint, 12.5);
         assert_eq!(jb.inputs.len(), 1);
         assert_eq!(jb.outputs.len(), 1);
+    }
+
+    #[test]
+    fn jobs_are_stored_flat() {
+        let id = Name::from("j");
+        let shared = LogicalFile::sized("dict", 7);
+        let mut wf = AbstractWorkflow::new("w");
+        let a = wf
+            .add_job(
+                Job::new(id.clone(), "t")
+                    .arg("-x")
+                    .input(shared.clone())
+                    .output(LogicalFile::named("out")),
+            )
+            .unwrap();
+        let b = wf
+            .add_job(Job::new("k", "t").input(LogicalFile::sized("dict", 9)))
+            .unwrap();
+        // One table entry per distinct file, one flat slot per use.
+        assert_eq!(wf.files().len(), 2);
+        assert_eq!(wf.use_count(), 3);
+        assert!(Name::ptr_eq(&wf.job(a).id, &id));
+        let dict = wf.inputs(a).iter().next().unwrap();
+        assert_eq!(dict.name, "dict");
+        // The second use is the same file, with the size it declared.
+        let again = wf.inputs(b).iter().next().unwrap();
+        assert_eq!(again.file, dict.file);
+        assert_eq!((dict.size_bytes, again.size_bytes), (7, 9));
+        assert_eq!(wf.job_spec(a).args, vec!["-x"]);
+        assert_eq!(wf.job_spec(a).inputs, vec![shared]);
+        assert!(wf.outputs(b).is_empty());
     }
 }

@@ -54,8 +54,70 @@ fn layered_workflow(layers: usize, width: usize, edge_bits: u64) -> AbstractWork
     wf
 }
 
+/// Text that stresses the DAX writer and scanner: the five characters
+/// XML escapes, entity look-alikes (an escaped ampersand must not
+/// start a second entity), unknown and unterminated entities, and
+/// non-ASCII. No whitespace, which arguments cannot carry.
+fn awkward_text() -> impl Strategy<Value = String> {
+    const PIECES: [&str; 20] = [
+        "a", "Z9", "_", "-", ".", "&", "<", ">", "\"", "'", "&amp;", "&amp;lt;", "&lt;", "&quot",
+        "&#38;", "&nbsp;", ";", "é", "名", "/",
+    ];
+    proptest::collection::vec(proptest::sample::select(PIECES), 1..6)
+        .prop_map(|pieces| pieces.concat())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `from_dax(&to_dax(&wf)) == wf` whatever the names are made of,
+    /// and whichever quote the attributes are written in.
+    #[test]
+    fn dax_round_trip_is_exact_for_awkward_names(
+        workflow_name in awkward_text(),
+        names in proptest::collection::vec(awkward_text(), 2..7),
+        args in proptest::collection::vec(awkward_text(), 0..4),
+        sizes in proptest::collection::vec(0u64..1_000_000_000_000, 7..8),
+        bits: u64,
+    ) {
+        let mut wf = AbstractWorkflow::new(workflow_name);
+        for (i, name) in names.iter().enumerate() {
+            // Ids and outputs are made unique; everything else repeats.
+            let mut job = Job::new(format!("{name}#{i}"), names[(i + 1) % names.len()].clone())
+                .runtime(0.1 + i as f64 / 3.0)
+                .output(LogicalFile::sized(format!("{i}:{name}"), sizes[i]));
+            for a in args.iter().take(i % 4) {
+                job = job.arg(a.clone());
+            }
+            for (k, earlier) in names.iter().enumerate().take(i) {
+                if (bits >> (i * 7 + k)) & 1 == 1 {
+                    // The same file at a size of this use's own.
+                    job = job.input(LogicalFile::sized(format!("{k}:{earlier}"), sizes[k] / 2));
+                }
+            }
+            wf.add_job(job).expect("unique ids");
+            if i > 0 && (bits >> (60 - i)) & 1 == 1 {
+                wf.add_edge(JobId::new(0), JobId::new(i)).expect("both declared");
+            }
+        }
+        let text = dax::to_dax(&wf);
+        prop_assert_eq!(&dax::from_dax(&text).unwrap(), &wf);
+        // The writer escapes both quotes, so no value holds a raw one
+        // and the delimiters can all be swapped for the other style.
+        prop_assert_eq!(&dax::from_dax(&text.replace('"', "'")).unwrap(), &wf);
+        // Writing is a function of the workflow alone.
+        prop_assert_eq!(&dax::to_dax(&dax::from_dax(&text).unwrap()), &text);
+        // So is equality: a document that lists each job's outputs
+        // before its inputs declares the same jobs.
+        let mut lines: Vec<&str> = text.lines().collect();
+        let is_use = |l: &&str| l.starts_with("    <uses ");
+        for uses in lines.chunk_by_mut(|a, b| is_use(a) && is_use(b)) {
+            uses.sort_by_key(|l| l.contains("link=\"input\""));
+        }
+        let outputs_first = dax::from_dax(&lines.join("\n")).unwrap();
+        prop_assert_eq!(&outputs_first, &wf);
+        prop_assert_eq!(dax::to_dax(&outputs_first), text);
+    }
 
     #[test]
     fn generated_workflows_validate(layers in 1usize..5, width in 1usize..5, bits: u64) {
@@ -88,8 +150,10 @@ proptest! {
         for (a, b) in back.jobs.iter().zip(&wf.jobs) {
             prop_assert_eq!(&a.id, &b.id);
             prop_assert_eq!(&a.transformation, &b.transformation);
-            prop_assert_eq!(&a.inputs, &b.inputs);
-            prop_assert_eq!(&a.outputs, &b.outputs);
+        }
+        for j in wf.job_ids() {
+            prop_assert_eq!(back.inputs(j), wf.inputs(j));
+            prop_assert_eq!(back.outputs(j), wf.outputs(j));
         }
         prop_assert_eq!(back.edges().unwrap(), wf.edges().unwrap());
     }
@@ -586,7 +650,7 @@ proptest! {
         let rescue = RescueDag {
             workflow_name: "wf".into(),
             site: "osg".into(),
-            done: names,
+            done: names.into_iter().map(Into::into).collect(),
         };
         let back = RescueDag::from_text(&rescue.to_text()).unwrap();
         prop_assert_eq!(back, rescue);

@@ -16,11 +16,11 @@ use crate::platform::PlatformModel;
 use pegasus_wms::engine::{CompletionEvent, ExecutionBackend, FaultReason, JobOutcome, JobTimes};
 use pegasus_wms::metrics::{names, MetricsRegistry};
 use pegasus_wms::planner::ExecutableJob;
+use pegasus_wms::symbols::Name;
 use pegasus_wms::workflow::JobId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 /// Internal per-submission key (one per attempt).
 type Key = u64;
@@ -58,7 +58,7 @@ struct PendingJob {
     preempted: bool,
     /// Failure reason when `preempted`; `None` means the plain
     /// platform hazard (`"preempted"`).
-    fail_reason: Option<String>,
+    fail_reason: Option<Name>,
     /// Scheduling generation, bumped on (re)scheduling so stale
     /// completion events can be recognised.
     event_gen: u64,
@@ -116,9 +116,14 @@ pub struct SimBackend {
     /// fault script is attached: the script matches attempts by name,
     /// and nothing else in the simulation resolves one — the hot path
     /// stays on integer ids.
-    names: Vec<Option<Arc<str>>>,
-    /// Per-attempt wall-clock budget from the engine's retry policy.
-    timeout: Option<f64>,
+    names: Vec<Option<Name>>,
+    /// Per-attempt wall-clock budget from the engine's retry policy,
+    /// with the reason an attempt exceeding it fails with.
+    timeout: Option<(f64, Name)>,
+    /// The reasons the platform itself fails attempts with, allocated
+    /// once: every failure shares them.
+    preempted: Name,
+    blackout: Name,
 }
 
 impl SimBackend {
@@ -148,6 +153,8 @@ impl SimBackend {
             script: None,
             names: Vec::new(),
             timeout: None,
+            preempted: FaultReason::Preemption.reason(),
+            blackout: FaultReason::Eviction.tagged("blackout"),
         };
         if let Some(churn) = backend.platform.churn {
             for slot in 0..n_slots {
@@ -280,7 +287,7 @@ impl SimBackend {
         // The chaos script rules on this attempt from its fault-free
         // timing; its RNG is private, so platform sampling below stays
         // on the same stream whether or not a script is attached.
-        let mut script_kill: Option<(f64, String)> = None;
+        let mut script_kill: Option<(f64, Name)> = None;
         if let Some(script) = &self.script {
             let timing = AttemptTiming {
                 start: started,
@@ -301,10 +308,10 @@ impl SimBackend {
         // The earliest of: natural finish, platform preemption hazard,
         // scripted kill, per-attempt timeout.
         let mut finished = started + busy;
-        let mut fail_reason: Option<String> = None;
+        let mut fail_reason: Option<Name> = None;
         if preempt_at < busy {
             finished = started + preempt_at;
-            fail_reason = Some(FaultReason::Preemption.reason());
+            fail_reason = Some(self.preempted.clone());
         }
         if let Some((at, reason)) = script_kill {
             if at < finished {
@@ -312,10 +319,10 @@ impl SimBackend {
                 fail_reason = Some(reason);
             }
         }
-        if let Some(limit) = self.timeout {
+        if let Some((limit, reason)) = &self.timeout {
             if started + limit < finished {
                 finished = started + limit;
-                fail_reason = Some(FaultReason::timeout_exceeded(limit));
+                fail_reason = Some(reason.clone());
             }
         }
         p.preempted = fail_reason.is_some();
@@ -330,7 +337,7 @@ impl SimBackend {
     /// One more cause holds `slot` out of the pool; on the first vote
     /// the occupant (if any) is evicted and completes *now* with
     /// `reason`.
-    fn take_slot_down(&mut self, slot: usize, reason: &str) {
+    fn take_slot_down(&mut self, slot: usize, reason: Name) {
         self.down_votes[slot] += 1;
         if self.down_votes[slot] > 1 {
             return; // already out of the pool
@@ -343,7 +350,7 @@ impl SimBackend {
             // now stale; deliver an eviction completion instead.
             self.busy_seconds -= p.finished - clock;
             p.preempted = true;
-            p.fail_reason = Some(reason.to_string());
+            p.fail_reason = Some(reason);
             p.finished = clock;
             p.install_done = p.install_done.min(clock);
             p.event_gen += 1;
@@ -374,7 +381,7 @@ impl SimBackend {
         self.churn_events.0 += 1;
         // Opportunistic reclaim is exactly the paper's OSG preemption,
         // so churn evictions keep the plain "preempted" reason.
-        self.take_slot_down(slot, &FaultReason::Preemption.reason());
+        self.take_slot_down(slot, self.preempted.clone());
         let down_for = sample_exponential(&mut self.rng, 1.0 / churn.mean_down);
         self.events
             .schedule(self.clock + down_for, SimEvent::SlotUp(slot));
@@ -458,10 +465,7 @@ impl SimBackend {
             job: p.job_id,
             attempt: p.attempt,
             outcome: if p.preempted {
-                JobOutcome::Failure(
-                    p.fail_reason
-                        .unwrap_or_else(|| FaultReason::Preemption.reason()),
-                )
+                JobOutcome::Failure(p.fail_reason.unwrap_or_else(|| self.preempted.clone()))
             } else {
                 JobOutcome::Success
             },
@@ -492,7 +496,7 @@ impl ExecutionBackend for SimBackend {
                 self.names.resize(idx + 1, None);
             }
             if self.names[idx].is_none() {
-                self.names[idx] = Some(Arc::from(job.name.as_str()));
+                self.names[idx] = Some(job.name.clone());
             }
         }
         let h = HeldJob {
@@ -510,7 +514,7 @@ impl ExecutionBackend for SimBackend {
     }
 
     fn set_timeout(&mut self, timeout: Option<f64>) {
-        self.timeout = timeout;
+        self.timeout = timeout.map(|limit| (limit, FaultReason::timeout_exceeded(limit)));
     }
 
     fn wait_any(&mut self) -> CompletionEvent {
@@ -531,9 +535,7 @@ impl ExecutionBackend for SimBackend {
                 }
                 SimEvent::SlotDown(slot) => self.on_slot_down(slot),
                 SimEvent::SlotUp(slot) => self.on_slot_up(slot),
-                SimEvent::BlackoutDown(slot) => {
-                    self.take_slot_down(slot, &FaultReason::Eviction.tagged("blackout"))
-                }
+                SimEvent::BlackoutDown(slot) => self.take_slot_down(slot, self.blackout.clone()),
                 SimEvent::BlackoutUp(slot) => self.bring_slot_up(slot),
             }
         }
@@ -566,13 +568,12 @@ mod tests {
     fn job(id: usize, runtime: f64, install: f64) -> ExecutableJob {
         ExecutableJob {
             id: JobId::new(id),
-            name: format!("job{id}"),
+            name: format!("job{id}").into(),
             transformation: "work".into(),
             kind: JobKind::Compute,
-            args: vec![],
+            args: Default::default(),
             runtime_hint: runtime,
             install_hint: install,
-            source_jobs: vec![],
         }
     }
 

@@ -26,6 +26,7 @@
 
 use pegasus_wms::engine::FaultReason;
 use pegasus_wms::error::WmsError;
+use pegasus_wms::symbols::Name;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -357,7 +358,7 @@ pub struct FaultDecision {
     /// Kill the attempt at this absolute time with this reason, if
     /// any. The time always falls inside the attempt's (slowed) busy
     /// window.
-    pub kill: Option<(f64, String)>,
+    pub kill: Option<(f64, Name)>,
 }
 
 impl FaultDecision {
@@ -399,12 +400,21 @@ fn mix(x: u64) -> u64 {
 pub struct FaultScript {
     plan: FaultPlan,
     seed: u64,
+    /// The two reasons the script kills with, allocated once: every
+    /// attempt it fails shares them.
+    install_burst: Name,
+    storm: Name,
 }
 
 impl FaultScript {
     /// Compiles `plan` under `seed`.
     pub fn new(plan: FaultPlan, seed: u64) -> Self {
-        FaultScript { plan, seed }
+        FaultScript {
+            plan,
+            seed,
+            install_burst: FaultReason::InstallFailure.tagged("burst"),
+            storm: FaultReason::Preemption.tagged("storm"),
+        }
     }
 
     /// The underlying plan.
@@ -460,10 +470,10 @@ impl FaultScript {
 
         let install_end = timing.start + timing.install_duration;
         let busy_end = install_end + timing.exec_duration * slowdown;
-        let mut kill: Option<(f64, String)> = None;
-        let mut propose = |at: f64, reason: String| {
+        let mut kill: Option<(f64, Name)> = None;
+        let mut propose = |at: f64, reason: &Name| {
             if kill.as_ref().is_none_or(|(t, _)| at < *t) {
-                kill = Some((at, reason));
+                kill = Some((at, reason.clone()));
             }
         };
         for (k, s) in self.plan.scenarios.iter().enumerate() {
@@ -481,7 +491,7 @@ impl FaultScript {
                         if rng.gen_bool(*fail_probability) {
                             propose(
                                 lo + rng.gen_range(0.0..1.0) * (hi - lo),
-                                FaultReason::InstallFailure.tagged("burst"),
+                                &self.install_burst,
                             );
                         }
                     }
@@ -497,10 +507,7 @@ impl FaultScript {
                     if targeted(target, job) && lo < hi {
                         let mut rng = self.rng_for(job, attempt, k);
                         if rng.gen_bool(*kill_probability) {
-                            propose(
-                                lo + rng.gen_range(0.0..1.0) * (hi - lo),
-                                FaultReason::Preemption.tagged("storm"),
-                            );
+                            propose(lo + rng.gen_range(0.0..1.0) * (hi - lo), &self.storm);
                         }
                     }
                 }

@@ -22,13 +22,12 @@ fn run_workflow(
 fn job(id: usize, runtime: f64, install: f64) -> ExecutableJob {
     ExecutableJob {
         id: pegasus_wms::workflow::JobId::new(id),
-        name: format!("job{id}"),
+        name: format!("job{id}").into(),
         transformation: "work".into(),
         kind: JobKind::Compute,
-        args: vec![],
+        args: Default::default(),
         runtime_hint: runtime,
         install_hint: install,
-        source_jobs: vec![],
     }
 }
 

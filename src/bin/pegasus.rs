@@ -387,7 +387,7 @@ fn ascii_dag(exec: &pegasus_wms::planner::ExecutableWorkflow) -> String {
                 if j.install_hint > 0.0 {
                     format!("{}*", j.name)
                 } else {
-                    j.name.clone()
+                    j.name.to_string()
                 }
             })
             .collect();

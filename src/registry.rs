@@ -3,11 +3,12 @@
 use blast2cap3::files;
 use cap3::Cap3Params;
 use condor::pool::{TaskContext, TaskRegistry};
+use pegasus_wms::symbols::Name;
 
-fn parse_n(args: &[String]) -> Result<usize, String> {
+fn parse_n(args: &[Name]) -> Result<usize, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "-n" {
+        if *a == "-n" {
             return it
                 .next()
                 .ok_or_else(|| "-n with no value".to_string())?
@@ -18,7 +19,7 @@ fn parse_n(args: &[String]) -> Result<usize, String> {
     Err(format!("missing -n in args {args:?}"))
 }
 
-fn parse_index(args: &[String]) -> Result<usize, String> {
+fn parse_index(args: &[Name]) -> Result<usize, String> {
     args.first()
         .ok_or_else(|| "missing chunk index argument".to_string())?
         .parse()

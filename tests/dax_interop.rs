@@ -138,10 +138,100 @@ fn malformed_dax_yields_typed_errors_not_panics() {
         other => panic!("unexpected {other:?}"),
     }
 
+    // A second <adag> — inside an open job (whose file uses belong to
+    // the first), or after the first closed — would start the workflow
+    // over; it is an error at the tag, not a panic or a shorter
+    // workflow.
+    let nested = "<adag>\n<job id=\"a\" name=\"t\"><uses file=\"f\" link=\"input\"/>\
+                  <uses file=\"g\" link=\"output\"/>\n  <adag name=\"x\"></job></adag>";
+    let second = "<adag><job id=\"a\" name=\"t\"/></adag>\n<adag><job id=\"b\" name=\"t\"/></adag>";
+    for (text, line, col) in [(nested, 3, 3), (second, 2, 1)] {
+        for parse in [dax::from_dax, dax::from_dax_unvalidated] {
+            match parse(text).unwrap_err() {
+                WmsError::DaxParse { span, reason } => {
+                    assert!(reason.contains("second <adag>"), "{reason}");
+                    assert_eq!((span.line, span.col), (line, col), "{text}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
     // Every error Display cleanly (no panic formatting either).
-    for text in [unclosed_job, truncated, cyclic, file_cycle, duplicate] {
+    for text in [
+        unclosed_job,
+        truncated,
+        cyclic,
+        file_cycle,
+        duplicate,
+        nested,
+        second,
+    ] {
         let msg = dax::from_dax(text).unwrap_err().to_string();
         assert!(!msg.is_empty());
+    }
+}
+
+/// `<!` opens three different things. Comments and DOCTYPE
+/// declarations are skipped — each to its own end, so what follows a
+/// DOCTYPE is still read — and anything else is a typed error at the
+/// tag, never a silently shorter workflow.
+#[test]
+fn doctype_is_skipped_to_its_own_end_and_other_declarations_are_typed_errors() {
+    // Used to skip from the DOCTYPE to the comment's `-->`, dropping
+    // job `a` without a word.
+    let inline = "<adag><!DOCTYPE note><job id=\"a\" name=\"t\"/><!-- c --><job id=\"b\" name=\"t\"/></adag>";
+    let wf = dax::from_dax(inline).expect("DOCTYPE and comment are skipped");
+    let ids: Vec<&str> = wf.jobs.iter().map(|j| j.id.as_str()).collect();
+    assert_eq!(ids, ["a", "b"]);
+    let (sites, tc) = paper_catalogs();
+    let cfg = PlannerConfig::for_site("sandhills");
+    let exec = plan(&wf, &sites, &tc, &ReplicaCatalog::new(), &cfg).unwrap();
+    let run = Engine::run(
+        &mut SimBackend::new(sandhills(), 5),
+        &exec,
+        &EngineConfig::default(),
+        &mut NoopMonitor,
+    );
+    assert!(run.succeeded());
+    let computes = run
+        .records
+        .iter()
+        .filter(|r| r.name == "a" || r.name == "b");
+    assert_eq!(computes.count(), 2, "a clean two-job run");
+
+    // Used to answer "<job> outside <adag>": the prolog swallowed
+    // everything up to the first comment, or the whole file.
+    let prolog = "<?xml version=\"1.0\"?>\n<!DOCTYPE adag>\n<adag name=\"w\">\n<job id=\"a\" name=\"t\"/>\n</adag>\n";
+    assert_eq!(dax::from_dax(prolog).expect("a clean parse").jobs.len(), 1);
+    // An internal subset may hold `>` and quoted text.
+    let subset = "<!DOCTYPE adag [ <!ENTITY e \"]>\"> ]><adag><job id=\"a\" name=\"t\"/></adag>";
+    assert_eq!(dax::from_dax(subset).unwrap().jobs.len(), 1);
+
+    for (text, want, line, col) in [
+        (
+            "<adag>\n  <job id=\"a\" name=\"t\"><argument><![CDATA[x]]></argument></job></adag>",
+            "CDATA",
+            2,
+            34,
+        ),
+        ("<adag>\n<!ELEMENT adag ANY>\n</adag>", "'<!'", 2, 1),
+        ("<adag><!DOCTYPE never closed", "unterminated", 1, 29),
+        // A `?` belongs to `<?...?>` only.
+        (
+            "<adag><job id=\"a\" ? name=\"t\"/></adag>",
+            "attribute name",
+            1,
+            19,
+        ),
+    ] {
+        match dax::from_dax(text).unwrap_err() {
+            WmsError::DaxParse { span, reason } => {
+                assert!(reason.contains(want), "{text:?}: {reason}");
+                assert_eq!((span.line, span.col), (line, col), "{text:?}: {reason}");
+            }
+            other => panic!("{text:?}: unexpected {other:?}"),
+        }
     }
 }
 

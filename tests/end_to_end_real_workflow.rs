@@ -180,8 +180,8 @@ fn rescue_resume_over_shared_workdir() {
         WorkflowOutcome::Failed(r) => r,
         WorkflowOutcome::Success => panic!("run 1 should fail"),
     };
-    assert!(rescue.done.contains(&"split".to_string()));
-    assert!(!rescue.done.contains(&"merge".to_string()));
+    assert!(rescue.done.contains(&"split".into()));
+    assert!(!rescue.done.contains(&"merge".into()));
 
     // Run 2: healthy pool, same workdir, resume from the rescue.
     let mut pool2 = LocalPool::new(

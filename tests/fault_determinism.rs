@@ -142,13 +142,12 @@ fn pool_workflow(n: usize) -> ExecutableWorkflow {
         jobs: (0..n)
             .map(|i| ExecutableJob {
                 id: pegasus_wms::workflow::JobId::new(i),
-                name: format!("chunk_{i}"),
+                name: format!("chunk_{i}").into(),
                 transformation: "cap3".into(),
                 kind: JobKind::Compute,
-                args: vec![],
+                args: Default::default(),
                 runtime_hint: 2.0,
                 install_hint: 5.0,
-                source_jobs: vec![],
             })
             .collect(),
         edges: vec![],

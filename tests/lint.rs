@@ -81,6 +81,24 @@ fn every_dax_rule_has_a_fixture_that_triggers_exactly_it() {
 }
 
 #[test]
+fn doctype_and_comments_are_skipped_and_other_declarations_are_syntax_errors() {
+    // A DOCTYPE prolog with an internal subset, a DOCTYPE and a comment
+    // between two jobs: both jobs are there, nothing to report.
+    let (ok, codes, out) = lint(&[&fixture("clean_doctype.dax")]);
+    assert!(ok && codes.is_empty(), "{out}");
+    for (name, at) in [
+        ("e0101_cdata.dax", "\"line\":4,\"col\":15"),
+        ("e0101_stray_question_mark.dax", "\"line\":3,\"col\":15"),
+        ("e0101_nested_adag.dax", "\"line\":5,\"col\":5"),
+    ] {
+        let (ok, codes, out) = lint(&[&fixture(name)]);
+        assert!(!ok, "{name}");
+        assert_eq!(codes, vec!["E0101"], "{name}: {out}");
+        assert!(out.contains(at), "{name} points at the tag: {out}");
+    }
+}
+
+#[test]
 fn every_fault_plan_rule_has_a_fixture_that_triggers_exactly_it() {
     let dax = fixture("clean_small.dax");
     for (name, code, errs) in [

@@ -1,0 +1,174 @@
+//! The one-copy rule, end to end: a name is allocated at one boundary
+//! (DAX parse, a backend's failure report) and every layer after it —
+//! the planner, the engine's events, the run's records, a replay —
+//! holds the same allocation. Plus the size guards that keep the
+//! per-job and per-event structures from growing back.
+
+use blast2cap3::workflow::{build_workflow, fig2_job_count, WorkflowParams};
+use gridsim::platforms::{osg, sandhills};
+use gridsim::{FaultPlan, FaultScript, SimBackend};
+use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
+use pegasus_wms::dax;
+use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, RetryPolicy};
+use pegasus_wms::events::{self, WorkflowEvent};
+use pegasus_wms::planner::{plan, ExecutableJob, ExecutableWorkflow, JobKind, PlannerConfig};
+use pegasus_wms::symbols::{Args, Name};
+
+fn planned_from_dax(
+    n: usize,
+    site: &str,
+) -> (pegasus_wms::workflow::AbstractWorkflow, ExecutableWorkflow) {
+    let text = dax::to_dax(&build_workflow(&WorkflowParams::with_n(n)));
+    let wf = dax::from_dax(&text).expect("own DAX parses");
+    let (sites, tc) = paper_catalogs();
+    let mut rc = ReplicaCatalog::new();
+    rc.register("transcripts.fasta", "submit");
+    rc.register("alignments.out", "submit");
+    let exec = plan(&wf, &sites, &tc, &rc, &PlannerConfig::for_site(site)).expect("plans");
+    (wf, exec)
+}
+
+#[test]
+fn a_job_name_is_one_allocation_from_parse_to_replayed_record() {
+    let (wf, exec) = planned_from_dax(12, "sandhills");
+    let cfg = EngineConfig::builder().retries(3).seed(7).build();
+    let run = Engine::run(
+        &mut SimBackend::new(sandhills(), 7),
+        &exec,
+        &cfg,
+        &mut NoopMonitor,
+    );
+    assert!(run.succeeded());
+    let replayed = events::replay(&run.events).expect("engine streams replay");
+
+    let computes: Vec<&ExecutableJob> = exec
+        .jobs
+        .iter()
+        .filter(|j| j.kind == JobKind::Compute)
+        .collect();
+    assert_eq!(computes.len(), wf.jobs.len());
+    for (row, job) in wf.jobs.iter().zip(computes) {
+        let declared = run.events.iter().find_map(|ev| match ev {
+            WorkflowEvent::JobDeclared {
+                job: id,
+                name,
+                transformation,
+                ..
+            } if *id == job.id => Some((name, transformation)),
+            _ => None,
+        });
+        let (name, transformation) = declared.expect("every job is declared");
+        for record in [&run.records[job.id.idx()], &replayed.records[job.id.idx()]] {
+            for (what, held, origin) in [
+                ("planned name", &job.name, &row.id),
+                ("declared name", name, &row.id),
+                ("record name", &record.name, &row.id),
+                (
+                    "planned transformation",
+                    &job.transformation,
+                    &row.transformation,
+                ),
+                (
+                    "declared transformation",
+                    transformation,
+                    &row.transformation,
+                ),
+                (
+                    "record transformation",
+                    &record.transformation,
+                    &row.transformation,
+                ),
+            ] {
+                assert!(Name::ptr_eq(held, origin), "{what} of {} is a copy", row.id);
+            }
+        }
+        assert!(
+            Args::ptr_eq(&job.args, &row.args),
+            "args of {} are a copy",
+            row.id
+        );
+    }
+    // One transformation name serves every job that runs it.
+    let cap3: Vec<&Name> = (wf.jobs.iter())
+        .filter(|j| j.transformation == "run_cap3")
+        .map(|j| &j.transformation)
+        .collect();
+    assert_eq!(cap3.len(), 12);
+    assert!(cap3.iter().all(|t| Name::ptr_eq(t, cap3[0])));
+}
+
+#[test]
+fn a_failure_reason_is_one_allocation_in_its_event_its_retry_and_its_record() {
+    let (_, exec) = planned_from_dax(12, "osg");
+    let storm = "plan storm\npreemption-storm start=0 duration=1000000 kill-probability=0.5\n";
+    let script = FaultScript::new(FaultPlan::parse(storm).expect("storm plan"), 3);
+    let mut backend = SimBackend::new(osg(3), 3).with_faults(script);
+    let cfg = EngineConfig::builder()
+        .policy(RetryPolicy::exponential(40, 30.0))
+        .seed(3)
+        .build();
+    let run = Engine::run(&mut backend, &exec, &cfg, &mut NoopMonitor);
+    let replayed = events::replay(&run.events).expect("engine streams replay");
+
+    let mut failures = 0;
+    let mut seen = vec![0usize; run.records.len()];
+    for (at, ev) in run.events.iter().enumerate() {
+        let WorkflowEvent::Failed { job, detail, .. } = ev else {
+            continue;
+        };
+        failures += 1;
+        let nth = seen[job.idx()];
+        seen[job.idx()] += 1;
+        for records in [&run.records, &replayed.records] {
+            let kept = &records[job.idx()].failure_reasons[nth];
+            assert!(Name::ptr_eq(kept, detail), "record copies {detail}");
+        }
+        if let Some(WorkflowEvent::RetryScheduled {
+            detail: retried, ..
+        }) = run.events.get(at + 1)
+        {
+            assert!(Name::ptr_eq(retried, detail), "retry copies {detail}");
+        }
+    }
+    assert!(
+        failures > 3,
+        "the storm must bite for the test to mean anything"
+    );
+    // And the storm's reason is one allocation however often it kills.
+    let storms: Vec<&Name> = (run.events.iter())
+        .filter_map(|ev| match ev {
+            WorkflowEvent::Failed { detail, .. } if *detail == "preempted:storm" => Some(detail),
+            _ => None,
+        })
+        .collect();
+    assert!(storms.len() > 1 && storms.iter().all(|d| Name::ptr_eq(d, storms[0])));
+}
+
+#[test]
+fn per_job_and_per_event_structures_stay_small() {
+    assert!(std::mem::size_of::<ExecutableJob>() <= 80);
+    assert!(std::mem::size_of::<WorkflowEvent>() <= 72);
+    assert!(std::mem::size_of::<Name>() == 16 && std::mem::size_of::<Args>() == 16);
+}
+
+#[test]
+fn file_uses_are_one_flat_table_not_a_vec_per_job() {
+    const N: usize = 10_000;
+    let wf = build_workflow(&WorkflowParams::with_n(N));
+    assert_eq!(wf.jobs.len(), fig2_job_count(N));
+    // Fig. 2: every chunk has its protein file and two outputs; the
+    // five fixed jobs add seven files of their own.
+    assert_eq!(wf.files().len(), 3 * N + 7);
+    // ... and each file is used at most a handful of times: the flat
+    // table has one 4-byte slot per use, inputs then outputs per job.
+    let uses: usize = wf
+        .job_ids()
+        .map(|j| wf.inputs(j).len() + wf.outputs(j).len())
+        .sum();
+    assert_eq!(uses, wf.use_count());
+    assert_eq!(uses, 7 * N + 11);
+    // A job row holds ranges, not vectors.
+    assert!(std::mem::size_of::<pegasus_wms::workflow::JobRow>() <= 72);
+    // The table is the same one a DAX round trip builds.
+    assert_eq!(dax::from_dax(&dax::to_dax(&wf)).expect("round trip"), wf);
+}

@@ -1,6 +1,6 @@
 //! Scale smoke test: an n = 10^5-task blast2cap3 DAX must plan and
-//! simulate quickly, and the event stream must replay back into the
-//! identical run.
+//! simulate quickly and within a memory ceiling, and the event stream
+//! must replay back into the identical run.
 //!
 //! `#[ignore]`-gated because the wall-clock bound only means anything
 //! in release mode — CI runs it explicitly with
@@ -23,6 +23,23 @@ const N: usize = 100_000;
 /// tripping the bound means an order-of-magnitude regression —
 /// typically a reintroduced per-job linear scan.
 const WALL_CLOCK_BOUND_SECS: f64 = 60.0;
+
+/// Peak resident set per abstract job once the workflow, its plan and
+/// the finished run are all in memory (Linux `VmHWM`). The whole
+/// process measures about 1.5 kB per job here, the generator's batch
+/// of `Job`s included, and measured 2.1 kB before names were shared
+/// and file uses stored flat — so the ceiling trips when a per-job
+/// `String`, `Vec` or second copy of the names comes back, not on
+/// allocator noise.
+const PEAK_RSS_BYTES_PER_JOB: f64 = 1_800.0;
+
+/// `VmHWM` of this process in bytes, where `/proc` has it.
+fn peak_rss_bytes() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024.0)
+}
 
 #[test]
 #[ignore = "release-mode scale smoke; run with --release -- --ignored"]
@@ -50,6 +67,16 @@ fn hundred_thousand_task_dax_plans_simulates_and_replays() {
         elapsed < WALL_CLOCK_BOUND_SECS,
         "plan+simulate at n={N} took {elapsed:.1}s (bound {WALL_CLOCK_BOUND_SECS}s)"
     );
+
+    // Read before the replay below doubles the run: the test binary
+    // runs nothing else, so the high-water mark is this pipeline's.
+    if let Some(peak) = peak_rss_bytes() {
+        let per_job = peak / N as f64;
+        assert!(
+            per_job < PEAK_RSS_BYTES_PER_JOB,
+            "peak resident set is {per_job:.0} B per job (ceiling {PEAK_RSS_BYTES_PER_JOB} B)"
+        );
+    }
 
     // The event stream alone reconstructs the run: same records, same
     // outcome, same wall time — provenance holds at scale, not just in
