@@ -8,12 +8,11 @@
 //! contention for shared capacity instead of being replayed one
 //! workflow at a time.
 //!
-//! The entry point is the [`Ensemble`] handle: build one from an
-//! [`EnsembleConfig`], [`submit`] each [`Submission`], then [`join`]
-//! to drain everything queued. [`poll`] and [`cancel`] cover the
-//! daemon lifecycle (`pegasus serve`), and the one-shot
-//! [`Ensemble::run_to_completion`] covers the historical
-//! `run_ensemble` call shape.
+//! The entry point is [`Ensemble::run_to_completion`]: hand it the
+//! round's [`Submission`]s and an [`EnsembleConfig`], get every
+//! member's run back. Which submissions make up a round — queueing,
+//! cancellation, the per-tenant queue quota — is the caller's ledger
+//! to keep (for `pegasus serve`, [`crate::serve::Ledger`]).
 //!
 //! Scheduling model:
 //!
@@ -46,10 +45,6 @@
 //! results comparable across the two paths (and is pinned by tests).
 //!
 //! [`Engine::run`]: crate::engine::Engine::run
-//! [`submit`]: Ensemble::submit
-//! [`join`]: Ensemble::join
-//! [`poll`]: Ensemble::poll
-//! [`cancel`]: Ensemble::cancel
 
 use crate::engine::{
     CompletionEvent, EngineConfig, ExecutionBackend, WorkflowExecution, WorkflowRun,
@@ -57,10 +52,8 @@ use crate::engine::{
 use crate::error::WmsError;
 use crate::events::WorkflowEvent;
 use crate::planner::{ExecutableJob, ExecutableWorkflow};
-use crate::trace::TraceId;
 use crate::workflow::JobId;
 use std::cmp::Reverse;
-use std::fmt;
 
 /// The tenant a [`Submission`] belongs to when none is named.
 pub const DEFAULT_TENANT: &str = "default";
@@ -80,10 +73,6 @@ pub struct Submission {
     /// The tenant charged for this workflow's slot usage. Fair-share
     /// and quota apply per tenant before per workflow.
     pub tenant: String,
-    /// The trace id this workflow's spans are keyed by. `None` lets
-    /// the admitting surface (daemon, CLI) derive one; the ensemble
-    /// itself only carries it.
-    pub trace: Option<TraceId>,
 }
 
 impl Submission {
@@ -94,7 +83,6 @@ impl Submission {
             config,
             priority: 0,
             tenant: DEFAULT_TENANT.to_string(),
-            trace: None,
         }
     }
 
@@ -107,12 +95,6 @@ impl Submission {
     /// Names the owning tenant.
     pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
         self.tenant = tenant.into();
-        self
-    }
-
-    /// Keys this workflow's spans by `trace` end to end.
-    pub fn with_trace(mut self, trace: TraceId) -> Self {
-        self.trace = Some(trace);
         self
     }
 }
@@ -129,9 +111,6 @@ pub struct EnsembleConfig {
     /// tenants bounded only by the global budget; values are clamped
     /// to at least 1 so a tenant can always make progress.
     pub tenant_slots: Option<usize>,
-    /// Per-tenant cap on *queued* submissions, enforced by
-    /// [`Ensemble::submit`]. `None` accepts without limit.
-    pub tenant_active: Option<usize>,
 }
 
 impl EnsembleConfig {
@@ -158,12 +137,6 @@ impl EnsembleConfig {
         self.tenant_slots = Some(slots);
         self
     }
-
-    /// Sets the per-tenant queued-submission quota.
-    pub fn with_tenant_active(mut self, active: usize) -> Self {
-        self.tenant_active = Some(active);
-        self
-    }
 }
 
 /// The result of an ensemble round.
@@ -188,72 +161,38 @@ impl EnsembleRun {
     }
 }
 
-/// Progress callbacks for an ensemble round. All methods default to
-/// no-ops; implement only what you need. Indices are positions in the
-/// round being joined (the order of the returned
+/// The observer of an ensemble round. Indices are positions in the
+/// round's submissions (the order of the returned
 /// [`EnsembleRun::runs`]).
 pub trait EnsembleMonitor {
-    /// A workflow submitted its first job.
-    fn workflow_started(&mut self, _index: usize, _name: &str, _now: f64) {}
     /// Freshly emitted provenance events for one member, in causal
     /// order. Delivered incrementally as the round progresses — the
     /// daemon's crash-safe event logs hang off this. The batches of
-    /// one member concatenate to exactly its run's `events`: the last
-    /// one ends with the `WorkflowFinished` trailer and arrives just
-    /// before [`workflow_finished`](Self::workflow_finished).
+    /// one member concatenate to exactly its run's `events`; the last
+    /// one ends with the `WorkflowFinished` trailer, which is how an
+    /// observer learns that a member finished.
+    fn member_events(&mut self, index: usize, events: &[WorkflowEvent]);
+}
+
+/// The observer [`Ensemble::run_to_completion`] runs under.
+struct Unobserved;
+
+impl EnsembleMonitor for Unobserved {
     fn member_events(&mut self, _index: usize, _events: &[WorkflowEvent]) {}
-    /// A workflow finished (successfully, exhausted, or crashed).
-    fn workflow_finished(&mut self, _index: usize, _run: &WorkflowRun, _now: f64) {}
-    /// The whole round drained.
-    fn ensemble_finished(&mut self, _makespan: f64) {}
 }
 
-/// The do-nothing ensemble monitor.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopEnsembleMonitor;
-
-impl EnsembleMonitor for NoopEnsembleMonitor {}
-
-/// Identifies one submission within an [`Ensemble`] handle, in
-/// submission order starting from 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SubmissionId(usize);
-
-impl SubmissionId {
-    /// The position of this submission in the handle's accept order.
-    pub fn idx(self) -> usize {
-        self.0
-    }
-}
-
-impl fmt::Display for SubmissionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// Lifecycle state of one submission, as reported by
-/// [`Ensemble::poll`].
+/// Lifecycle state of one submission to a service that queues them
+/// for rounds (`pegasus serve` reports it per member).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberState {
-    /// Accepted, waiting for the next [`Ensemble::join`].
+    /// Accepted, waiting for the next round.
     Queued,
-    /// Withdrawn by [`Ensemble::cancel`] before it ran.
+    /// Withdrawn before it ran.
     Cancelled,
     /// Ran to completion with every job done.
     Succeeded,
     /// Ran but failed (retries exhausted or submit host crashed).
     Failed,
-}
-
-/// One accepted submission inside the handle.
-struct Entry {
-    /// Present while queued; taken when a round runs it.
-    submission: Option<Submission>,
-    tenant: String,
-    cancelled: bool,
-    /// Set once a round completed this member.
-    succeeded: Option<bool>,
 }
 
 /// A first-attempt job waiting for a slot.
@@ -279,7 +218,6 @@ struct Member {
     /// even when the budget is one slot (in-flight counts all tie at
     /// zero there).
     admitted: usize,
-    started: bool,
 }
 
 /// Per-tenant bookkeeping inside a running round, mirroring the
@@ -289,117 +227,15 @@ struct TenantShare {
     admitted: usize,
 }
 
-/// The submission handle: accepts workflows, runs rounds, reports
-/// member lifecycle. Shared by the CLI `ensemble` path and the
-/// `pegasus serve` daemon.
-pub struct Ensemble {
-    config: EnsembleConfig,
-    entries: Vec<Entry>,
-}
+/// The ensemble manager — the single entry point for executing many
+/// workflows as one round on one shared backend.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Ensemble;
 
 impl Ensemble {
-    /// An empty handle under `config`.
-    pub fn new(config: EnsembleConfig) -> Self {
-        Ensemble {
-            config,
-            entries: Vec::new(),
-        }
-    }
-
-    /// The config this handle schedules under.
-    pub fn config(&self) -> &EnsembleConfig {
-        &self.config
-    }
-
-    /// Accepts a submission into the queue, validating it up front so
-    /// bad workflows are rejected at the API boundary instead of
-    /// mid-round.
-    ///
-    /// # Errors
-    /// [`WmsError::QuotaExceeded`] when the tenant already has
-    /// [`EnsembleConfig::tenant_active`] submissions queued;
-    /// [`WmsError::InvariantViolation`] when the executable job ids
-    /// are not dense (`jobs[i].id != i`): the global id mapping would
-    /// silently mis-route completions. Planner output always satisfies
-    /// this; hand-built workflows may not.
-    pub fn submit(&mut self, submission: Submission) -> Result<SubmissionId, WmsError> {
-        for (local, j) in submission.workflow.jobs.iter().enumerate() {
-            if j.id.idx() != local {
-                return Err(WmsError::InvariantViolation {
-                    invariant: "executable job ids are dense".into(),
-                    detail: format!(
-                        "workflow {:?} job at index {local} has id {}",
-                        submission.workflow.name, j.id
-                    ),
-                });
-            }
-        }
-        if let Some(limit) = self.config.tenant_active {
-            let active = self
-                .entries
-                .iter()
-                .filter(|e| e.submission.is_some() && !e.cancelled && e.tenant == submission.tenant)
-                .count();
-            if active >= limit {
-                return Err(WmsError::QuotaExceeded {
-                    tenant: submission.tenant,
-                    limit,
-                });
-            }
-        }
-        let id = SubmissionId(self.entries.len());
-        self.entries.push(Entry {
-            tenant: submission.tenant.clone(),
-            submission: Some(submission),
-            cancelled: false,
-            succeeded: None,
-        });
-        Ok(id)
-    }
-
-    /// The lifecycle state of a submission, or `None` for an id this
-    /// handle never issued.
-    pub fn poll(&self, id: SubmissionId) -> Option<MemberState> {
-        self.entries.get(id.idx()).map(|e| {
-            if e.cancelled {
-                MemberState::Cancelled
-            } else {
-                match e.succeeded {
-                    Some(true) => MemberState::Succeeded,
-                    Some(false) => MemberState::Failed,
-                    None => MemberState::Queued,
-                }
-            }
-        })
-    }
-
-    /// Withdraws a queued submission. Returns `true` when the member
-    /// was still queued and is now cancelled; `false` when it already
-    /// ran, was already cancelled, or the id is unknown.
-    pub fn cancel(&mut self, id: SubmissionId) -> bool {
-        match self.entries.get_mut(id.idx()) {
-            Some(e) if e.submission.is_some() && !e.cancelled => {
-                e.submission = None;
-                e.cancelled = true;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Number of submissions currently queued (accepted, not
-    /// cancelled, not yet run).
-    pub fn queued(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.submission.is_some() && !e.cancelled)
-            .count()
-    }
-
-    /// Runs every queued submission against the shared `backend` as
-    /// one round, interleaving their ready queues under the slot
-    /// budget and the per-tenant quota, and reports progress to
-    /// `monitor`.
+    /// Runs `submissions` against the shared `backend` as one round,
+    /// interleaving their ready queues under the slot budget and the
+    /// per-tenant quota.
     ///
     /// Results come back in submission order; each [`WorkflowRun`]'s
     /// wall time spans round start to that workflow's own completion,
@@ -409,23 +245,44 @@ impl Ensemble {
     /// (conservative — a shared submit host enforces one policy).
     ///
     /// # Errors
-    /// Currently infallible (validation happens in
-    /// [`submit`](Self::submit)); the `Result` keeps room for
-    /// backend-surfaced failures.
-    pub fn join(
-        &mut self,
+    /// [`WmsError::InvariantViolation`] when a member's executable job
+    /// ids are not dense (`jobs[i].id != i`): the global id mapping
+    /// would silently mis-route completions. Planner output always
+    /// satisfies this; hand-built workflows may not.
+    pub fn run_to_completion(
         backend: &mut dyn ExecutionBackend,
+        submissions: Vec<Submission>,
+        config: &EnsembleConfig,
+    ) -> Result<EnsembleRun, WmsError> {
+        Self::run_to_completion_monitored(backend, submissions, config, &mut Unobserved)
+    }
+
+    /// [`run_to_completion`](Self::run_to_completion), handing
+    /// `monitor` every member's events as they are emitted.
+    ///
+    /// # Errors
+    /// As [`run_to_completion`](Self::run_to_completion).
+    pub fn run_to_completion_monitored(
+        backend: &mut dyn ExecutionBackend,
+        submissions: Vec<Submission>,
+        config: &EnsembleConfig,
         monitor: &mut dyn EnsembleMonitor,
     ) -> Result<EnsembleRun, WmsError> {
         let _prof = crate::prof::scope("ensemble.join");
-        let round: Vec<(usize, Submission)> = self
-            .entries
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, e)| e.submission.take().map(|s| (i, s)))
-            .collect();
-        if round.is_empty() {
-            monitor.ensemble_finished(0.0);
+        for sub in &submissions {
+            for (local, j) in sub.workflow.jobs.iter().enumerate() {
+                if j.id.idx() != local {
+                    return Err(WmsError::InvariantViolation {
+                        invariant: "executable job ids are dense".into(),
+                        detail: format!(
+                            "workflow {:?} job at index {local} has id {}",
+                            sub.workflow.name, j.id
+                        ),
+                    });
+                }
+            }
+        }
+        if submissions.is_empty() {
             return Ok(EnsembleRun {
                 runs: Vec::new(),
                 makespan: 0.0,
@@ -433,7 +290,7 @@ impl Ensemble {
         }
 
         let timeouts: Vec<Option<f64>> =
-            round.iter().map(|(_, s)| s.config.retry.timeout).collect();
+            submissions.iter().map(|s| s.config.retry.timeout).collect();
         let timeout = if timeouts.windows(2).all(|w| w[0] == w[1]) {
             timeouts.first().copied().flatten()
         } else {
@@ -447,17 +304,16 @@ impl Ensemble {
         };
         backend.set_timeout(timeout);
 
-        let budget = self
-            .config
+        let budget = config
             .slot_budget
             .or_else(|| backend.slot_capacity())
             .unwrap_or(usize::MAX)
             .max(1);
-        let quota = self.config.tenant_slots.map(|q| q.max(1));
+        let quota = config.tenant_slots.map(|q| q.max(1));
 
         // Global job-id space: workflow k's local job j becomes
         // offsets[k] + j on the wire, and `owner` maps it back.
-        let mut members: Vec<Member> = Vec::with_capacity(round.len());
+        let mut members: Vec<Member> = Vec::with_capacity(submissions.len());
         let mut tenants: Vec<String> = Vec::new();
         let mut shares: Vec<TenantShare> = Vec::new();
         let mut owner: Vec<(usize, JobId)> = Vec::new();
@@ -465,7 +321,7 @@ impl Ensemble {
         let mut next_seq = 0u64;
         let start = backend.now();
 
-        for (wf_idx, (_, sub)) in round.iter().enumerate() {
+        for (wf_idx, sub) in submissions.iter().enumerate() {
             let offset = owner.len();
             let submit_jobs: Vec<ExecutableJob> = sub
                 .workflow
@@ -510,11 +366,10 @@ impl Ensemble {
                 tenant,
                 in_flight: 0,
                 admitted: 0,
-                started: false,
             });
         }
 
-        let mut runs: Vec<Option<WorkflowRun>> = (0..round.len()).map(|_| None).collect();
+        let mut runs: Vec<Option<WorkflowRun>> = (0..submissions.len()).map(|_| None).collect();
         let mut in_flight_total = 0usize;
 
         let finalize = |wf_idx: usize,
@@ -523,9 +378,7 @@ impl Ensemble {
                         monitor: &mut dyn EnsembleMonitor,
                         now: f64| {
             if let Some(exec) = members[wf_idx].exec.take() {
-                let run = exec.finish(now, |tail| monitor.member_events(wf_idx, tail));
-                monitor.workflow_finished(wf_idx, &run, now);
-                runs[wf_idx] = Some(run);
+                runs[wf_idx] = Some(exec.finish(now, |tail| monitor.member_events(wf_idx, tail)));
             }
         };
 
@@ -572,14 +425,6 @@ impl Ensemble {
                 let Some(best) = best else { break };
                 let Pending { wf, job, .. } = pending.remove(best);
                 let member = &mut members[wf];
-                if !member.started {
-                    member.started = true;
-                    monitor.workflow_started(
-                        wf,
-                        &member.submit_jobs[job.idx()].name,
-                        backend.now(),
-                    );
-                }
                 backend.submit(&member.submit_jobs[job.idx()], 0);
                 member
                     .exec
@@ -668,46 +513,8 @@ impl Ensemble {
             .into_iter()
             .map(|r| r.expect("every workflow finalized"))
             .collect();
-        for ((entry_idx, _), run) in round.iter().zip(&runs) {
-            self.entries[*entry_idx].succeeded = Some(run.succeeded());
-        }
         let makespan = runs.iter().map(|r| r.wall_time).fold(0.0, f64::max);
-        monitor.ensemble_finished(makespan);
         Ok(EnsembleRun { runs, makespan })
-    }
-
-    /// One-shot convenience: submit every workflow, run a single
-    /// round, return its result — the historical `run_ensemble` call
-    /// shape.
-    ///
-    /// # Errors
-    /// Whatever [`submit`](Self::submit) or [`join`](Self::join)
-    /// surface.
-    pub fn run_to_completion(
-        backend: &mut dyn ExecutionBackend,
-        submissions: Vec<Submission>,
-        config: &EnsembleConfig,
-    ) -> Result<EnsembleRun, WmsError> {
-        Self::run_to_completion_monitored(backend, submissions, config, &mut NoopEnsembleMonitor)
-    }
-
-    /// [`run_to_completion`](Self::run_to_completion) with progress
-    /// callbacks.
-    ///
-    /// # Errors
-    /// Whatever [`submit`](Self::submit) or [`join`](Self::join)
-    /// surface.
-    pub fn run_to_completion_monitored(
-        backend: &mut dyn ExecutionBackend,
-        submissions: Vec<Submission>,
-        config: &EnsembleConfig,
-        monitor: &mut dyn EnsembleMonitor,
-    ) -> Result<EnsembleRun, WmsError> {
-        let mut ensemble = Ensemble::new(config.clone());
-        for sub in submissions {
-            ensemble.submit(sub)?;
-        }
-        ensemble.join(backend, monitor)
     }
 }
 
@@ -787,23 +594,30 @@ mod tests {
     #[test]
     fn non_dense_job_ids_are_a_typed_error_at_submit() {
         // Sparse ids would silently mis-route completions through the
-        // global id mapping; the handle rejects them at the API
-        // boundary, before any round runs.
+        // global id mapping; the round is refused at the API boundary,
+        // before any member touches the backend.
         let sparse = ExecutableWorkflow {
             name: "sparse".into(),
             site: "test".into(),
             jobs: vec![job(3, "a", 1.0)],
             edges: vec![],
         };
-        let mut ensemble = Ensemble::new(EnsembleConfig::default());
-        let err = ensemble
-            .submit(Submission::new(sparse, cfg(1)))
-            .unwrap_err();
+        let mut backend = ScriptedBackend::new();
+        let err = Ensemble::run_to_completion(
+            &mut backend,
+            vec![
+                Submission::new(diamond("fine"), cfg(1)),
+                Submission::new(sparse, cfg(1)),
+            ],
+            &EnsembleConfig::default(),
+        )
+        .unwrap_err();
         assert!(
             matches!(err, crate::error::WmsError::InvariantViolation { .. }),
             "{err:?}"
         );
         assert!(err.to_string().contains("sparse"), "{err}");
+        assert!(backend.log.is_empty(), "nothing was submitted");
     }
 
     #[test]
@@ -912,87 +726,6 @@ mod tests {
         for run in &f.runs {
             assert_eq!(t(run, 1), t(run, 2), "without quota {} fans out", run.name);
         }
-    }
-
-    #[test]
-    fn tenant_active_quota_rejects_excess_submissions() {
-        let mut ensemble = Ensemble::new(EnsembleConfig::default().with_tenant_active(2));
-        ensemble
-            .submit(Submission::new(diamond("w0"), cfg(1)).with_tenant("alice"))
-            .unwrap();
-        ensemble
-            .submit(Submission::new(diamond("w1"), cfg(2)).with_tenant("alice"))
-            .unwrap();
-        let err = ensemble
-            .submit(Submission::new(diamond("w2"), cfg(3)).with_tenant("alice"))
-            .unwrap_err();
-        match err {
-            WmsError::QuotaExceeded { tenant, limit } => {
-                assert_eq!(tenant, "alice");
-                assert_eq!(limit, 2);
-            }
-            other => panic!("expected quota error, got {other:?}"),
-        }
-        // Another tenant is unaffected.
-        ensemble
-            .submit(Submission::new(diamond("w3"), cfg(4)).with_tenant("bob"))
-            .unwrap();
-    }
-
-    #[test]
-    fn poll_and_cancel_follow_the_lifecycle() {
-        let mut ensemble = Ensemble::new(EnsembleConfig::default());
-        let ok = ensemble
-            .submit(Submission::new(diamond("ok"), cfg(1)))
-            .unwrap();
-        let dropped = ensemble
-            .submit(Submission::new(diamond("dropped"), cfg(2)))
-            .unwrap();
-        assert_eq!(ensemble.poll(ok), Some(MemberState::Queued));
-        assert!(ensemble.cancel(dropped));
-        assert!(!ensemble.cancel(dropped), "second cancel is a no-op");
-        assert_eq!(ensemble.poll(dropped), Some(MemberState::Cancelled));
-        assert_eq!(ensemble.queued(), 1);
-
-        let mut backend = ScriptedBackend::new();
-        let ens = ensemble
-            .join(&mut backend, &mut NoopEnsembleMonitor)
-            .unwrap();
-        assert_eq!(ens.runs.len(), 1, "cancelled member never ran");
-        assert_eq!(ens.runs[0].name, "ok");
-        assert_eq!(ensemble.poll(ok), Some(MemberState::Succeeded));
-        assert!(
-            !ensemble.cancel(ok),
-            "completed members cannot be cancelled"
-        );
-        assert!(
-            !backend.log.iter().any(|(n, _)| n.starts_with("dropped")),
-            "no dropped_* submissions on the tape"
-        );
-    }
-
-    #[test]
-    fn join_twice_runs_rounds_incrementally() {
-        let mut ensemble = Ensemble::new(EnsembleConfig::default());
-        let first = ensemble
-            .submit(Submission::new(diamond("r1"), cfg(1)))
-            .unwrap();
-        let mut backend = ScriptedBackend::new();
-        let round1 = ensemble
-            .join(&mut backend, &mut NoopEnsembleMonitor)
-            .unwrap();
-        assert_eq!(round1.runs.len(), 1);
-
-        let second = ensemble
-            .submit(Submission::new(diamond("r2"), cfg(2)))
-            .unwrap();
-        let round2 = ensemble
-            .join(&mut backend, &mut NoopEnsembleMonitor)
-            .unwrap();
-        assert_eq!(round2.runs.len(), 1, "first-round member does not rerun");
-        assert_eq!(round2.runs[0].name, "r2");
-        assert_eq!(ensemble.poll(first), Some(MemberState::Succeeded));
-        assert_eq!(ensemble.poll(second), Some(MemberState::Succeeded));
     }
 
     #[test]
@@ -1136,10 +869,6 @@ mod tests {
         impl EnsembleMonitor for Collect {
             fn member_events(&mut self, index: usize, events: &[WorkflowEvent]) {
                 self.streams[index].extend_from_slice(events);
-            }
-            fn workflow_finished(&mut self, index: usize, run: &WorkflowRun, _now: f64) {
-                // The trailer has already been delivered by now.
-                assert_eq!(self.streams[index], run.events, "{}", run.name);
             }
         }
         let mut monitor = Collect {

@@ -102,7 +102,7 @@ pub use engine::{
     CompletionEvent, Engine, EngineConfig, ExecutionBackend, FaultCounters, FaultReason,
     RetryPolicy, WorkflowRun,
 };
-pub use ensemble::{Ensemble, EnsembleConfig, EnsembleRun, Submission, SubmissionId};
+pub use ensemble::{Ensemble, EnsembleConfig, EnsembleRun, Submission};
 pub use error::{Span, WmsError};
 pub use events::{EventSink, WorkflowEvent};
 pub use graph::Csr;

@@ -28,7 +28,7 @@ pub use crate::engine::{
     FaultReason, JobOutcome, JobState, NoopMonitor, RetryPolicy, WorkflowOutcome, WorkflowRun,
 };
 pub use crate::ensemble::{
-    Ensemble, EnsembleConfig, EnsembleMonitor, EnsembleRun, MemberState, Submission, SubmissionId,
+    Ensemble, EnsembleConfig, EnsembleMonitor, EnsembleRun, MemberState, Submission,
 };
 pub use crate::events::{replay, rescue_from_events, EventSink, WorkflowEvent};
 pub use crate::graph::Csr;

@@ -66,6 +66,11 @@
 //! the recorded seed (deterministic engines make the re-run
 //! byte-identical to the run the crash destroyed), and resumes.
 //!
+//! Every record is written whole, newline last, and acknowledged only
+//! after that, so a final line with no newline is a write the crash
+//! interrupted: [`whole_lines`] drops it before replay. Anything
+//! else [`Ledger::apply`] refuses is a corrupt journal.
+//!
 //! # Status lines
 //!
 //! `status` responses render one [`StatusLine`] per submission. All
@@ -593,26 +598,46 @@ pub struct RoundRecord {
     pub finished: bool,
 }
 
-/// The daemon's durable state, rebuilt by replaying a journal.
+/// The journal text up to and including its last newline: everything
+/// but a torn final record.
+pub fn whole_lines(text: &str) -> &str {
+    &text[..text.rfind('\n').map_or(0, |i| i + 1)]
+}
+
+/// Where the journal last left one submission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cell {
+    /// Accepted and waiting for a round.
+    Queued,
+    /// Withdrawn before any round claimed it.
+    Cancelled,
+    /// Named by the `round` entry with this id.
+    Claimed(usize),
+}
+
+/// The submission lifecycle as the journal tells it: what the daemon
+/// holds while it runs and what a restart rebuilds. [`Ledger::apply`]
+/// is the only transition — [`Ledger::replay`] and the live daemon
+/// both go through it, so a journal is legal exactly when the daemon
+/// could have written it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ledger {
     /// Every accepted submission, in id order (ids are dense).
     pub submissions: Vec<SubmitRequest>,
-    /// Ids withdrawn before they ran.
-    pub cancelled: Vec<usize>,
+    /// One lifecycle cell per submission.
+    cells: Vec<Cell>,
     /// Rounds in start order.
     pub rounds: Vec<RoundRecord>,
 }
 
 impl Ledger {
-    /// Replays journal text into a ledger.
+    /// Replays journal text into a ledger: the header, then
+    /// [`apply`](Self::apply) per line.
     ///
     /// # Errors
-    /// [`WmsError::ProtocolParse`] on a bad header or malformed
-    /// entry, and on id-sequencing violations (non-dense submission
-    /// ids, round referencing an unknown member, `round-done` without
-    /// its `round`) — a corrupt journal must not silently reschedule
-    /// the wrong work.
+    /// [`WmsError::ProtocolParse`] naming the line of a bad header, a
+    /// malformed entry, or an entry `apply` refuses — a corrupt
+    /// journal must not silently reschedule the wrong work.
     pub fn replay(text: &str) -> Result<Ledger, WmsError> {
         let mut lines = text.lines().enumerate();
         let header = lines.next().map(|(_, l)| l.trim_end());
@@ -624,87 +649,170 @@ impl Ledger {
         }
         let mut ledger = Ledger::default();
         for (idx, raw) in lines {
-            let line_no = idx + 1;
+            let line = idx + 1;
             let trimmed = raw.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            let bad = |reason: String| WmsError::ProtocolParse {
-                line: line_no,
-                reason,
-            };
-            match parse_journal_entry(trimmed, line_no)? {
-                JournalEntry::Submission { id, sub } => {
-                    if id != ledger.submissions.len() {
-                        return Err(bad(format!(
-                            "submission id {id} out of sequence (expected {})",
-                            ledger.submissions.len()
-                        )));
-                    }
-                    ledger.submissions.push(sub);
-                }
-                JournalEntry::Cancel { id } => {
-                    if id >= ledger.submissions.len() {
-                        return Err(bad(format!("cancel of unknown submission {id}")));
-                    }
-                    ledger.cancelled.push(id);
-                }
-                JournalEntry::RoundStarted {
-                    round,
-                    seed,
-                    members,
-                } => {
-                    if round != ledger.rounds.len() {
-                        return Err(bad(format!(
-                            "round id {round} out of sequence (expected {})",
-                            ledger.rounds.len()
-                        )));
-                    }
-                    if let Some(open) = ledger.rounds.last() {
-                        if !open.finished {
-                            return Err(bad(format!(
-                                "round {round} started while round {} still open",
-                                open.round
-                            )));
-                        }
-                    }
-                    for &m in &members {
-                        if m >= ledger.submissions.len() {
-                            return Err(bad(format!("round references unknown submission {m}")));
-                        }
-                    }
-                    ledger.rounds.push(RoundRecord {
-                        round,
-                        seed,
-                        members,
-                        finished: false,
-                    });
-                }
-                JournalEntry::RoundFinished { round } => match ledger.rounds.last_mut() {
-                    Some(r) if r.round == round && !r.finished => r.finished = true,
-                    _ => return Err(bad(format!("round-done for round {round} never started"))),
-                },
-            }
+            let entry = parse_journal_entry(trimmed, line)?;
+            ledger.apply(entry).map_err(|e| match e {
+                WmsError::ProtocolParse { reason, .. } => WmsError::ProtocolParse { line, reason },
+                other => other,
+            })?;
         }
         Ok(ledger)
     }
 
+    /// Whether `entry` may follow the entries applied so far. The
+    /// daemon asks before it writes the line; [`apply`](Self::apply)
+    /// asks again before it commits.
+    ///
+    /// # Errors
+    /// [`WmsError::ProtocolParse`] (line 0) when ids are out of
+    /// sequence, a cancel names a member that is not queued, a round
+    /// names an unknown, cancelled, already claimed or repeated member
+    /// or starts while another is open, or a `round-done` names a
+    /// round that is not the open one.
+    pub fn check(&self, entry: &JournalEntry) -> Result<(), WmsError> {
+        let refuse = |reason: String| Err(WmsError::ProtocolParse { line: 0, reason });
+        match entry {
+            JournalEntry::Submission { id, .. } => {
+                if *id != self.submissions.len() {
+                    return refuse(format!(
+                        "submission id {id} out of sequence (expected {})",
+                        self.submissions.len()
+                    ));
+                }
+            }
+            JournalEntry::Cancel { id } => match self.cells.get(*id) {
+                Some(Cell::Queued) => {}
+                Some(_) => return refuse(format!("submission {id} is not queued")),
+                None => return refuse(format!("unknown submission {id}")),
+            },
+            JournalEntry::RoundStarted { round, members, .. } => {
+                if *round != self.rounds.len() {
+                    return refuse(format!(
+                        "round id {round} out of sequence (expected {})",
+                        self.rounds.len()
+                    ));
+                }
+                if let Some(open) = self.interrupted() {
+                    return refuse(format!(
+                        "round {round} started while round {} still open",
+                        open.round
+                    ));
+                }
+                if members.is_empty() {
+                    return refuse("round with no members".into());
+                }
+                for &m in members {
+                    match self.cells.get(m) {
+                        Some(Cell::Queued) => {}
+                        Some(_) => {
+                            return refuse(format!(
+                                "round names submission {m}, which is not queued"
+                            ))
+                        }
+                        None => return refuse(format!("round names unknown submission {m}")),
+                    }
+                }
+                let mut sorted = members.clone();
+                sorted.sort_unstable();
+                if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+                    return refuse(format!("round names submission {} twice", w[0]));
+                }
+            }
+            JournalEntry::RoundFinished { round } => {
+                if self.interrupted().map(|r| r.round) != Some(*round) {
+                    return refuse(format!("round-done for round {round}, which is not open"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The one submission-lifecycle transition: [`check`](Self::check),
+    /// then commit. A refused entry leaves the ledger as it was. The
+    /// entry is taken whole, so replaying a journal copies nothing.
+    ///
+    /// # Errors
+    /// Whatever `check` refuses.
+    pub fn apply(&mut self, entry: JournalEntry) -> Result<(), WmsError> {
+        self.check(&entry)?;
+        match entry {
+            JournalEntry::Submission { sub, .. } => {
+                self.submissions.push(sub);
+                self.cells.push(Cell::Queued);
+            }
+            JournalEntry::Cancel { id } => self.cells[id] = Cell::Cancelled,
+            JournalEntry::RoundStarted {
+                round,
+                seed,
+                members,
+            } => {
+                for &m in &members {
+                    self.cells[m] = Cell::Claimed(round);
+                }
+                self.rounds.push(RoundRecord {
+                    round,
+                    seed,
+                    members,
+                    finished: false,
+                });
+            }
+            JournalEntry::RoundFinished { .. } => {
+                if let Some(open) = self.rounds.last_mut() {
+                    open.finished = true;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The round that was started but never finished — the one a
     /// recovering daemon must re-execute with its recorded seed. At
-    /// most the last round can be open (enforced by replay).
+    /// most the last round can be open (enforced by `apply`).
     pub fn interrupted(&self) -> Option<&RoundRecord> {
         self.rounds.last().filter(|r| !r.finished)
     }
 
-    /// Submission ids still waiting for a round: accepted, not
-    /// cancelled, and not claimed by any journaled round (including
-    /// an interrupted one — those re-run as their own round).
-    pub fn queued(&self) -> Vec<usize> {
-        (0..self.submissions.len())
-            .filter(|id| {
-                !self.cancelled.contains(id) && !self.rounds.iter().any(|r| r.members.contains(id))
-            })
-            .collect()
+    /// Submission ids still waiting for a round, in id order:
+    /// accepted, not cancelled, and not claimed by any journaled round
+    /// (including an interrupted one — those re-run as their own
+    /// round).
+    pub fn queued(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.cells.len()).filter(|&id| self.cells[id] == Cell::Queued)
+    }
+
+    /// How many of `tenant`'s submissions are queued — what the
+    /// per-tenant queue quota counts.
+    pub fn tenant_queued(&self, tenant: &str) -> usize {
+        self.queued()
+            .filter(|&id| self.submissions[id].tenant == tenant)
+            .count()
+    }
+
+    /// The round whose `round` entry names submission `id`, if any.
+    pub fn round_of(&self, id: usize) -> Option<&RoundRecord> {
+        match self.cells.get(id) {
+            Some(Cell::Claimed(round)) => self.rounds.get(*round),
+            _ => None,
+        }
+    }
+
+    /// The lifecycle state of submission `id`, given how its run ended
+    /// (`None` while it has not run): cancelled if the journal says
+    /// so, otherwise what the run says.
+    ///
+    /// # Panics
+    /// Panics when `id` was never journaled.
+    pub fn state(&self, id: usize, succeeded: Option<bool>) -> MemberState {
+        match (self.cells[id], succeeded) {
+            (Cell::Cancelled, _) => MemberState::Cancelled,
+            (_, Some(true)) => MemberState::Succeeded,
+            (_, Some(false)) => MemberState::Failed,
+            (_, None) => MemberState::Queued,
+        }
     }
 }
 
@@ -1035,11 +1143,17 @@ mod tests {
         }
         let ledger = Ledger::replay(&text).unwrap();
         assert_eq!(ledger.submissions.len(), 4);
-        assert_eq!(ledger.cancelled, vec![1]);
+        assert_eq!(ledger.state(1, None), MemberState::Cancelled);
+        assert_eq!(ledger.state(0, Some(true)), MemberState::Succeeded);
+        assert_eq!(ledger.state(2, Some(false)), MemberState::Failed);
         assert_eq!(ledger.rounds.len(), 1);
         assert!(ledger.rounds[0].finished);
+        assert_eq!(ledger.round_of(2), Some(&ledger.rounds[0]));
+        assert_eq!(ledger.round_of(1), None);
         assert_eq!(ledger.interrupted(), None);
-        assert_eq!(ledger.queued(), vec![3]);
+        assert_eq!(ledger.queued().collect::<Vec<_>>(), [3]);
+        assert_eq!(ledger.tenant_queued("bob"), 1);
+        assert_eq!(ledger.tenant_queued("alice"), 0);
     }
 
     #[test]
@@ -1064,25 +1178,88 @@ mod tests {
         let open = ledger.interrupted().expect("open round");
         assert_eq!(open.seed, 7);
         assert_eq!(open.members, vec![0, 1]);
-        assert!(ledger.queued().is_empty(), "open-round members are claimed");
+        assert_eq!(ledger.queued().count(), 0, "open-round members are claimed");
     }
 
     #[test]
     fn corrupt_journals_are_rejected() {
         let hdr = JOURNAL_HEADER;
-        for bad in [
-            "# wrong header\n".to_string(),
-            format!("{hdr}\nsubmission id=1 tenant=a site=s n=1\n"), // non-dense
-            format!("{hdr}\ncancel id=0\n"),                         // unknown id
-            format!("{hdr}\nround id=0 seed=1 members=0\n"),         // unknown member
-            format!("{hdr}\nround-done id=0\n"),                     // never started
-            format!("{hdr}\nsubmission id=0 tenant=a site=s n=1\nround id=1 seed=1 members=0\n"), // out-of-sequence round
+        let s = |id: usize| format!("submission id={id} tenant=a site=s n=1\n");
+        // (journal, the line the error must name)
+        for (bad, line) in [
+            ("# wrong header\n".to_string(), 1),
+            (format!("{hdr}\nsubmission id=1 tenant=a site=s n=1\n"), 2), // non-dense
+            (format!("{hdr}\ncancel id=0\n"), 2),                         // unknown id
+            (format!("{hdr}\nround id=0 seed=1 members=0\n"), 2),         // unknown member
+            (format!("{hdr}\nround-done id=0\n"), 2),                     // never started
+            (format!("{hdr}\n{}round id=1 seed=1 members=0\n", s(0)), 3), // out-of-sequence round
+            // What a live daemon refuses, replay refuses at the same
+            // entry: a second cancel, a cancelled member in a round, a
+            // member named twice, a cancel of a claimed member, a
+            // member an earlier round claimed, a second open round.
+            (format!("{hdr}\n{}cancel id=0\ncancel id=0\n", s(0)), 4),
+            (format!("{hdr}\n{}cancel id=0\nround id=0 seed=5 members=0\n", s(0)), 4),
+            (format!("{hdr}\n{}round id=0 seed=5 members=0,0\n", s(0)), 3),
+            (format!("{hdr}\n{}round id=0 seed=5 members=0\ncancel id=0\n", s(0)), 4),
+            (
+                format!(
+                    "{hdr}\n{}{}round id=0 seed=5 members=0\nround-done id=0\nround id=1 seed=6 members=0,1\n",
+                    s(0),
+                    s(1)
+                ),
+                6,
+            ),
+            (
+                format!(
+                    "{hdr}\n{}{}round id=0 seed=5 members=0\nround id=1 seed=6 members=1\n",
+                    s(0),
+                    s(1)
+                ),
+                5,
+            ),
+            (format!("{hdr}\n{}round id=0 seed=5 members=0\nround-done id=1\n", s(0)), 4),
         ] {
-            let err = Ledger::replay(&bad).unwrap_err();
+            match Ledger::replay(&bad) {
+                Err(WmsError::ProtocolParse { line: at, .. }) => assert_eq!(at, line, "{bad:?}"),
+                other => panic!("{bad:?} -> {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_entry_leaves_the_ledger_as_it_was() {
+        let mut ledger = Ledger::default();
+        ledger
+            .apply(JournalEntry::Submission {
+                id: 0,
+                sub: sub("alice", 10),
+            })
+            .unwrap();
+        let before = ledger.clone();
+        for refused in [
+            JournalEntry::Submission {
+                id: 2,
+                sub: sub("bob", 10),
+            },
+            JournalEntry::Cancel { id: 1 },
+            JournalEntry::RoundStarted {
+                round: 0,
+                seed: 1,
+                members: vec![],
+            },
+            JournalEntry::RoundStarted {
+                round: 0,
+                seed: 1,
+                members: vec![0, 1],
+            },
+            JournalEntry::RoundFinished { round: 0 },
+        ] {
+            let err = ledger.apply(refused.clone()).unwrap_err();
             assert!(
-                matches!(err, WmsError::ProtocolParse { .. }),
-                "{bad:?} -> {err:?}"
+                matches!(err, WmsError::ProtocolParse { line: 0, .. }),
+                "{err:?}"
             );
+            assert_eq!(ledger, before, "{refused:?}");
         }
     }
 

@@ -12,7 +12,6 @@
 
 use crate::csv::csv_row;
 use crate::engine::{FaultCounters, JobState, WorkflowRun};
-use crate::ensemble::EnsembleRun;
 use std::collections::BTreeMap;
 
 /// Column header shared by [`render_summary_csv`] and
@@ -345,17 +344,21 @@ impl EnsembleStatistics {
     }
 }
 
-/// Computes per-workflow and rollup statistics for an ensemble run.
-pub fn compute_ensemble(ens: &EnsembleRun) -> EnsembleStatistics {
-    let per_workflow: Vec<WorkflowStatistics> = ens.runs.iter().map(compute).collect();
+/// Computes per-workflow and rollup statistics over the member runs
+/// of an ensemble, borrowed from wherever they live. The makespan is
+/// the longest member wall time: every member's clock starts at round
+/// start.
+pub fn compute_ensemble<'a>(runs: impl IntoIterator<Item = &'a WorkflowRun>) -> EnsembleStatistics {
+    let runs: Vec<&WorkflowRun> = runs.into_iter().collect();
+    let per_workflow: Vec<WorkflowStatistics> = runs.iter().copied().map(compute).collect();
     let mut faults = FaultCounters::default();
-    for run in &ens.runs {
+    for run in &runs {
         faults.merge(&run.faults);
     }
     EnsembleStatistics {
-        makespan: ens.makespan,
-        workflows_succeeded: ens.runs.iter().filter(|r| r.succeeded()).count(),
-        workflows_failed: ens.runs.iter().filter(|r| !r.succeeded()).count(),
+        makespan: runs.iter().map(|r| r.wall_time).fold(0.0, f64::max),
+        workflows_succeeded: runs.iter().filter(|r| r.succeeded()).count(),
+        workflows_failed: runs.iter().filter(|r| !r.succeeded()).count(),
         cumulative_job_walltime: per_workflow.iter().map(|w| w.cumulative_job_walltime).sum(),
         cumulative_badput: per_workflow.iter().map(|w| w.cumulative_badput).sum(),
         jobs_succeeded: per_workflow.iter().map(|w| w.jobs_succeeded).sum(),
@@ -592,7 +595,7 @@ mod tests {
         assert!(!clean.contains("Failures by cause"));
     }
 
-    fn sample_ensemble() -> EnsembleRun {
+    fn sample_ensemble() -> Vec<WorkflowRun> {
         let mut second = sample_run();
         second.name = "w2".into();
         second.site = "osg".into();
@@ -602,10 +605,7 @@ mod tests {
         second.records[1].attempts = 3;
         second.faults.retries = 2;
         second.faults.install_failures = 2;
-        EnsembleRun {
-            runs: vec![sample_run(), second],
-            makespan: 150.0,
-        }
+        vec![sample_run(), second]
     }
 
     #[test]
@@ -639,10 +639,7 @@ mod tests {
 
     #[test]
     fn ensemble_rollup_site_collapses_when_unanimous() {
-        let ens = EnsembleRun {
-            runs: vec![sample_run(), sample_run()],
-            makespan: 100.0,
-        };
+        let ens = [sample_run(), sample_run()];
         let csv = render_ensemble_csv(&compute_ensemble(&ens));
         assert!(csv
             .lines()

@@ -1096,11 +1096,10 @@ fn peak_footprint(wf: &AbstractWorkflow) -> Option<(u64, String)> {
 /// Layer 2: ensemble quota feasibility.
 ///
 /// `members` pairs each member workflow's name with its maximum width
-/// (parallelism).  A zero global slot budget, a zero per-tenant
-/// in-flight quota, or a zero queued-submission quota admits nothing —
-/// the ensemble deadlocks rather than throttles (`E0605`); a tenant
-/// quota or slot budget below a member's width serializes that member
-/// (`W0606`).
+/// (parallelism).  A zero global slot budget or a zero per-tenant
+/// in-flight quota admits nothing — the ensemble deadlocks rather
+/// than throttles (`E0605`); a tenant quota or slot budget below a
+/// member's width serializes that member (`W0606`).
 pub fn check_ensemble_feasibility(
     members: &[(String, usize)],
     config: &EnsembleConfig,
@@ -1124,14 +1123,6 @@ pub fn check_ensemble_feasibility(
             file,
             Span::none(),
             "per-tenant in-flight quota is 0: no tenant can ever run a job",
-        ));
-    }
-    if config.tenant_active == Some(0) {
-        diags.push(Diagnostic::new(
-            "E0605",
-            file,
-            Span::none(),
-            "per-tenant queued-submission quota is 0: every submission is rejected",
         ));
     }
     let width_caps = [
@@ -1571,15 +1562,13 @@ workflow-finished time=2 wall-time=2 succeeded=false
         let dead = EnsembleConfig {
             slot_budget: Some(0),
             tenant_slots: Some(0),
-            tenant_active: Some(0),
         };
         let diags = check_ensemble_feasibility(&members, &dead, "serve");
-        assert_eq!(codes(&diags), ["E0605", "E0605", "E0605"]);
+        assert_eq!(codes(&diags), ["E0605", "E0605"]);
 
         let narrow = EnsembleConfig {
             slot_budget: Some(64),
             tenant_slots: Some(2),
-            tenant_active: None,
         };
         let diags = check_ensemble_feasibility(&members, &narrow, "serve");
         assert_eq!(codes(&diags), ["W0606"]);
@@ -1587,7 +1576,6 @@ workflow-finished time=2 wall-time=2 succeeded=false
         let fine = EnsembleConfig {
             slot_budget: Some(64),
             tenant_slots: Some(8),
-            tenant_active: Some(4),
         };
         assert!(check_ensemble_feasibility(&members, &fine, "serve").is_empty());
     }

@@ -876,56 +876,124 @@ proptest! {
         }
     }
 
-    /// Journal entries round-trip, and a journal assembled from valid
-    /// entries replays into a ledger that accounts for every
-    /// submission exactly once.
+    /// `Ledger::apply` against a naive model, over random sequences of
+    /// legal and illegal journal entries: the two agree on which
+    /// entries are legal, a refused entry leaves the ledger unchanged,
+    /// the queued set is the model's, every accepted entry round-trips
+    /// through its line, and replaying the accepted lines rebuilds the
+    /// same ledger.
     #[test]
-    fn serve_journal_round_trips_and_replays(
-        subs in proptest::collection::vec(submit_request_strategy(), 1..8),
-        seed: u64,
-        cancel_mask: u64,
+    fn serve_ledger_apply_matches_a_naive_model(
+        ops in proptest::collection::vec(
+            (0usize..4, 0usize..12, any::<u64>(), submit_request_strategy()),
+            1..40,
+        ),
     ) {
-        let mut text = String::new();
-        text.push_str(serve::JOURNAL_HEADER);
-        text.push('\n');
-        let mut cancelled = Vec::new();
-        for (id, sub) in subs.iter().enumerate() {
-            let entry = serve::JournalEntry::Submission { id, sub: sub.clone() };
-            let line = serve::render_journal_entry(&entry);
-            prop_assert_eq!(serve::parse_journal_entry(&line, 1).unwrap(), entry);
-            text.push_str(&line);
-            text.push('\n');
-            if (cancel_mask >> (id % 64)) & 1 == 1 {
-                cancelled.push(id);
-                text.push_str(&serve::render_journal_entry(&serve::JournalEntry::Cancel { id }));
-                text.push('\n');
-            }
-        }
-        let members: Vec<usize> =
-            (0..subs.len()).filter(|id| !cancelled.contains(id)).collect();
-        if !members.is_empty() {
-            let entry = serve::JournalEntry::RoundStarted {
-                round: 0,
-                seed,
-                members: members.clone(),
+        #[derive(Clone, Copy, PartialEq)]
+        enum Model { Queued, Cancelled, Claimed }
+        let mut model: Vec<Model> = Vec::new();
+        let (mut rounds, mut open) = (0usize, false);
+        let mut ledger = serve::Ledger::default();
+        let mut text = format!("{}\n", serve::JOURNAL_HEADER);
+        for (kind, pick, bits, sub) in ops {
+            let n = model.len();
+            // Mostly the legal next id, sometimes a wrong one.
+            let (entry, legal) = match kind {
+                0 => {
+                    let id = if bits % 4 == 0 { pick } else { n };
+                    (serve::JournalEntry::Submission { id, sub }, id == n)
+                }
+                1 => {
+                    let id = pick % (n + 2);
+                    (serve::JournalEntry::Cancel { id }, model.get(id) == Some(&Model::Queued))
+                }
+                2 => {
+                    let round = if bits % 8 == 0 { pick } else { rounds };
+                    let mut members: Vec<usize> =
+                        (0..n + 1).filter(|i| (bits >> (8 + i % 48)) & 1 == 1).collect();
+                    if bits % 5 == 0 {
+                        members.extend(members.first().copied());
+                    }
+                    let distinct: std::collections::BTreeSet<usize> =
+                        members.iter().copied().collect();
+                    let legal = round == rounds
+                        && !open
+                        && !members.is_empty()
+                        && distinct.len() == members.len()
+                        && members.iter().all(|&m| model.get(m) == Some(&Model::Queued));
+                    (serve::JournalEntry::RoundStarted { round, seed: bits, members }, legal)
+                }
+                _ => {
+                    let round = pick % (rounds + 1);
+                    (serve::JournalEntry::RoundFinished { round }, open && round + 1 == rounds)
+                }
             };
+            let before = ledger.clone();
+            let verdict = ledger.apply(entry.clone());
+            prop_assert_eq!(verdict.is_ok(), legal, "{:?} -> {:?}", entry, verdict);
+            if !legal {
+                prop_assert_eq!(&ledger, &before, "refused {:?} changed the ledger", entry);
+                continue;
+            }
             let line = serve::render_journal_entry(&entry);
-            prop_assert_eq!(serve::parse_journal_entry(&line, 1).unwrap(), entry);
+            prop_assert_eq!(&serve::parse_journal_entry(&line, 1).unwrap(), &entry);
             text.push_str(&line);
             text.push('\n');
+            match entry {
+                serve::JournalEntry::Submission { .. } => model.push(Model::Queued),
+                serve::JournalEntry::Cancel { id } => model[id] = Model::Cancelled,
+                serve::JournalEntry::RoundStarted { members, .. } => {
+                    members.iter().for_each(|&m| model[m] = Model::Claimed);
+                    rounds += 1;
+                    open = true;
+                }
+                serve::JournalEntry::RoundFinished { .. } => open = false,
+            }
+            let queued: Vec<usize> =
+                (0..model.len()).filter(|&i| model[i] == Model::Queued).collect();
+            prop_assert_eq!(ledger.queued().collect::<Vec<_>>(), queued);
+            prop_assert_eq!(ledger.interrupted().is_some(), open);
         }
-        let ledger = serve::Ledger::replay(&text).unwrap();
-        prop_assert_eq!(ledger.submissions.len(), subs.len());
-        prop_assert_eq!(&ledger.cancelled, &cancelled);
-        if members.is_empty() {
-            prop_assert!(ledger.interrupted().is_none());
-            prop_assert!(ledger.queued().is_empty());
-        } else {
-            let open = ledger.interrupted().expect("round never finished");
-            prop_assert_eq!(open.seed, seed);
-            prop_assert_eq!(&open.members, &members);
-            prop_assert!(ledger.queued().is_empty(), "every live id is claimed");
+        prop_assert_eq!(serve::Ledger::replay(&text).unwrap(), ledger);
+    }
+
+    /// A journal cut anywhere replays, once its torn final record is
+    /// dropped, to the ledger of the records that were written whole.
+    #[test]
+    fn serve_journal_cut_anywhere_replays_to_a_prefix(
+        subs in proptest::collection::vec(submit_request_strategy(), 1..6),
+        seed: u64,
+        cut_raw: usize,
+    ) {
+        let members: Vec<usize> = (1..subs.len()).collect();
+        let mut entries: Vec<serve::JournalEntry> = subs
+            .into_iter()
+            .enumerate()
+            .map(|(id, sub)| serve::JournalEntry::Submission { id, sub })
+            .collect();
+        entries.push(serve::JournalEntry::Cancel { id: 0 });
+        if !members.is_empty() {
+            entries.push(serve::JournalEntry::RoundStarted { round: 0, seed, members });
+            entries.push(serve::JournalEntry::RoundFinished { round: 0 });
         }
+        let mut text = format!("{}\n", serve::JOURNAL_HEADER);
+        let mut prefixes = vec![(text.len(), serve::Ledger::default())];
+        let mut ledger = serve::Ledger::default();
+        for entry in &entries {
+            ledger.apply(entry.clone()).unwrap();
+            text.push_str(&serve::render_journal_entry(entry));
+            text.push('\n');
+            prefixes.push((text.len(), ledger.clone()));
+        }
+        // Cut at a char boundary at or after the header's newline.
+        let header = prefixes[0].0;
+        let mut cut = header + cut_raw % (text.len() - header + 1);
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let whole = serve::whole_lines(&text[..cut]);
+        let expected = &prefixes.iter().rev().find(|(len, _)| *len <= cut).unwrap().1;
+        prop_assert_eq!(&serve::Ledger::replay(whole).unwrap(), expected);
     }
 
     /// Status lines round-trip, including the `-` placeholders and

@@ -51,7 +51,7 @@ use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::cli::args as cli_args;
 use blast2cap3_pegasus::cli::args::{Parsed, Verb};
 use blast2cap3_pegasus::experiment::{
-    builtin_registry, calibrate_workload, calibrated_chunk_costs,
+    builtin_registry, calibrate_workload, calibrated_chunk_costs, paper_replicas, registry_catalogs,
 };
 use blast2cap3_pegasus::serve;
 use gridsim::sites::SiteRegistry;
@@ -110,13 +110,6 @@ impl Args {
     fn flag(&self, key: &str) -> bool {
         self.p.flag(key)
     }
-}
-
-fn default_replicas() -> ReplicaCatalog {
-    let mut rc = ReplicaCatalog::new();
-    rc.register("transcripts.fasta", "submit");
-    rc.register("alignments.out", "submit");
-    rc
 }
 
 /// Reads `path` to a string, or reports `cannot read <what> <path>`
@@ -240,18 +233,13 @@ fn load_catalogs(
             });
             (bundle.sites, bundle.transformations, bundle.replicas)
         }
-        None => {
-            let (_, tc) = paper_catalogs();
-            let mut rc = default_replicas();
-            registry.register_replicas(&mut rc);
-            (registry.site_catalog(), tc, rc)
-        }
+        None => registry_catalogs(registry),
     }
 }
 
 fn cmd_catalogs(args: &Args) -> ExitCode {
     let (sites, tc) = paper_catalogs();
-    let rc = default_replicas();
+    let rc = paper_replicas();
     let text = pegasus_wms::catalog_io::to_text(
         &sites,
         &tc,
@@ -1129,7 +1117,7 @@ fn cmd_trace(args: &Args) -> ExitCode {
             traces.push(fold_trace_log(path));
         }
     } else if let Some(dir) = args.get("events-dir") {
-        for path in member_log_paths(std::path::Path::new(dir)) {
+        for (path, _) in member_logs_or_exit(dir) {
             traces.push(fold_trace_log(&path.to_string_lossy()));
         }
     } else {
@@ -1173,79 +1161,19 @@ fn cmd_trace(args: &Args) -> ExitCode {
     }
 }
 
-/// The `.events` logs of a serve state directory (its `members/`
-/// subdirectory when there is one) or of any directory of logs, in
-/// member-id order; exits 1 when it cannot be read or holds none.
-fn member_log_paths(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
-    let members = dir.join("members");
-    let scan = if members.is_dir() {
-        members
-    } else {
-        dir.to_path_buf()
-    };
-    let mut paths: Vec<std::path::PathBuf> = match std::fs::read_dir(&scan) {
-        Ok(entries) => entries
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "events"))
-            .collect(),
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", scan.display());
-            std::process::exit(1);
-        }
-    };
-    // Shortest-name-first sorts m2 before m10: member-id order.
-    paths.sort_by_key(|p| {
-        let name = p
-            .file_name()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .into_owned();
-        (name.len(), name)
-    });
-    if paths.is_empty() {
-        eprintln!("no .events logs under {}", scan.display());
+/// Every member event log of a serve state directory (or any
+/// directory of `.events` logs) with its journaled trace id, or exit 1.
+fn member_logs_or_exit(dir: &str) -> Vec<(std::path::PathBuf, Option<TraceId>)> {
+    serve::member_logs(std::path::Path::new(dir)).unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(1);
-    }
-    paths
+    })
 }
 
-/// Collects every member event log of a serve state directory (or any
-/// directory of `.events` logs), member-id order, pairing each with
-/// its journaled trace id when the directory carries a journal — the
-/// pairing that arms the `E0809` cross-check.
-fn collect_member_streams(
-    dir: &std::path::Path,
-    streams: &mut Vec<(String, String, Option<TraceId>)>,
-) {
-    let paths = member_log_paths(dir);
-    // The journal records the trace id every member log header must
-    // carry; replaying it recovers the expected ids.
-    let journal = dir.join("journal");
-    let traces: Vec<Option<TraceId>> = if journal.is_file() {
-        let text = read_or_exit("", &journal.to_string_lossy());
-        match pegasus_wms::serve::Ledger::replay(&text) {
-            Ok(ledger) => ledger.submissions.iter().map(|s| s.trace).collect(),
-            Err(e) => {
-                eprintln!("corrupt journal {}: {e}", journal.display());
-                std::process::exit(1);
-            }
-        }
-    } else {
-        Vec::new()
-    };
-    for path in paths {
-        let name = path
-            .file_name()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .into_owned();
-        // Member logs are named m<id>.events; the id keys the journal.
-        let expected = name
-            .strip_prefix('m')
-            .and_then(|rest| rest.strip_suffix(".events"))
-            .and_then(|id| id.parse::<usize>().ok())
-            .and_then(|id| traces.get(id).copied().flatten());
+/// Reads every member event log under `dir` as a verify stream; the
+/// journaled trace id beside each arms the `E0809` cross-check.
+fn collect_member_streams(dir: &str, streams: &mut Vec<(String, String, Option<TraceId>)>) {
+    for (path, expected) in member_logs_or_exit(dir) {
         let path = path.to_string_lossy().into_owned();
         let text = read_or_exit("event log", &path);
         streams.push((path, text, expected));
@@ -1305,7 +1233,6 @@ fn cmd_verify(args: &Args) -> ExitCode {
         let ens_cfg = pegasus_wms::ensemble::EnsembleConfig {
             slot_budget: args.parsed_opt("slots"),
             tenant_slots: None,
-            tenant_active: None,
         };
         let width = wf.width().unwrap_or_else(|e| {
             eprintln!("cannot analyze {dax_path}: {e}");
@@ -1332,7 +1259,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
             streams.push((path.to_string(), read_or_exit("event log", path), None));
         }
     } else if let Some(dir) = args.get("events-dir") {
-        collect_member_streams(std::path::Path::new(dir), &mut streams);
+        collect_member_streams(dir, &mut streams);
     } else {
         match args.p.positionals.as_slice() {
             // `--dax` alone is a pure layer-2 invocation.
@@ -1366,7 +1293,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
                 streams.push((label, text, Some(id)));
             }
             [p] if std::path::Path::new(p).is_dir() => {
-                collect_member_streams(std::path::Path::new(p), &mut streams);
+                collect_member_streams(p, &mut streams);
             }
             [p] => streams.push((p.clone(), read_or_exit("event log", p), None)),
             _ => args.bail("verify takes at most one <events-or-dir>"),

@@ -26,13 +26,14 @@ use condor::pool::{LocalPool, PoolConfig};
 use gridsim::platforms::SERIAL_REFERENCE_SECONDS;
 use gridsim::sites::SiteRegistry;
 use gridsim::SimBackend;
-use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
+use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog, SiteCatalog, TransformationCatalog};
 use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, WorkflowRun};
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, EnsembleRun, Submission};
 use pegasus_wms::error::WmsError;
 use pegasus_wms::planner::{plan, ExecutableWorkflow, PlannerConfig};
 use pegasus_wms::statistics::{compute, compute_ensemble, EnsembleStatistics, WorkflowStatistics};
 use pegasus_wms::symbols::SiteId;
+use pegasus_wms::workflow::AbstractWorkflow;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -224,11 +225,8 @@ pub fn plan_blast2cap3(site: &str, n: usize, seed: u64) -> ExecutableWorkflow {
     plan_blast2cap3_at(reg, id, n, seed)
 }
 
-/// Registry-parameterised planning. Variants plan under their base
-/// site's catalog entry (the registry resolves the `catalog-site`
-/// chain — what used to be a hand-written `osg_prestaged → osg`
-/// special case), and any files the definition pre-stages are
-/// registered into the replica catalog.
+/// Registry-parameterised planning of the Fig. 2 workflow, through
+/// [`plan_on`].
 ///
 /// # Panics
 /// Panics if planning fails.
@@ -242,24 +240,48 @@ pub fn plan_blast2cap3_at(
     let chunk_costs = calibrated_chunk_costs(&calibration, n);
     let n_effective = chunk_costs.len();
     let params = WorkflowParams::with_n(n_effective).with_chunk_costs(chunk_costs);
-    let wf = build_workflow(&params);
+    let mut exec =
+        plan_on(registry, id, &build_workflow(&params)).expect("planning the paper workflow");
+    exec.name = format!("blast2cap3_n{n}");
+    exec
+}
 
-    let sites = registry.site_catalog();
-    let (_, tc) = paper_catalogs();
+/// Submit-host replicas of the paper's two input files.
+pub fn paper_replicas() -> ReplicaCatalog {
     let mut rc = ReplicaCatalog::new();
     rc.register("transcripts.fasta", "submit");
     rc.register("alignments.out", "submit");
+    rc
+}
+
+/// The catalogs a run plans against when none are given: the
+/// registry's sites, the paper's transformations, and
+/// [`paper_replicas`] plus any files the site definitions pre-stage.
+pub fn registry_catalogs(
+    registry: &SiteRegistry,
+) -> (SiteCatalog, TransformationCatalog, ReplicaCatalog) {
+    let (_, tc) = paper_catalogs();
+    let mut rc = paper_replicas();
     registry.register_replicas(&mut rc);
-    let mut exec = plan(
-        &wf,
-        &sites,
-        &tc,
-        &rc,
-        &PlannerConfig::for_site(registry.catalog_name(id)),
-    )
-    .expect("planning the paper workflow");
-    exec.name = format!("blast2cap3_n{n}");
-    exec
+    (registry.site_catalog(), tc, rc)
+}
+
+/// Plans `wf` for the registered site `id` against
+/// [`registry_catalogs`]. Variants plan under their base site's
+/// catalog entry (the registry resolves the `catalog-site` chain —
+/// what used to be a hand-written `osg_prestaged → osg` special
+/// case).
+///
+/// # Errors
+/// Whatever [`plan`] refuses.
+pub fn plan_on(
+    registry: &SiteRegistry,
+    id: SiteId,
+    wf: &AbstractWorkflow,
+) -> Result<ExecutableWorkflow, WmsError> {
+    let (sites, tc, rc) = registry_catalogs(registry);
+    let config = PlannerConfig::for_site(registry.catalog_name(id));
+    plan(wf, &sites, &tc, &rc, &config)
 }
 
 /// Builds the simulated platform backend for `site`, or a typed
@@ -327,7 +349,7 @@ pub fn simulate_blast2cap3_ensemble_at(
     };
     let run = Ensemble::run_to_completion(&mut backend, submissions, &ens_cfg)
         .expect("planner output always has dense job ids");
-    let stats = compute_ensemble(&run);
+    let stats = compute_ensemble(&run.runs);
     EnsembleOutcome { run, stats }
 }
 

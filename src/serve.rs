@@ -32,16 +32,15 @@
 //!   rollup, and metrics byte-identical to the run the crash
 //!   destroyed.
 
-use crate::experiment::{builtin_registry, plan_blast2cap3_at};
+use crate::experiment::{builtin_registry, plan_blast2cap3_at, plan_on, registry_catalogs};
 use gridsim::sites::SiteRegistry;
-use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
 use pegasus_wms::dax;
 use pegasus_wms::engine::{EngineConfig, WorkflowRun};
-use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, EnsembleMonitor, MemberState, Submission};
+use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, EnsembleMonitor, Submission};
+use pegasus_wms::error::WmsError;
 use pegasus_wms::events::{self, WorkflowEvent};
 use pegasus_wms::lint;
 use pegasus_wms::metrics::{self, MetricsRegistry};
-use pegasus_wms::planner::{plan, ExecutableWorkflow, PlannerConfig};
 use pegasus_wms::prof;
 use pegasus_wms::serve as proto;
 use pegasus_wms::serve::{
@@ -86,6 +85,17 @@ pub struct ServeOptions {
     pub sites: Option<PathBuf>,
 }
 
+impl ServeOptions {
+    /// The execution-side quotas a round runs under. (The queue-depth
+    /// quota `tenant_active` is enforced at submit time.)
+    fn ensemble_config(&self) -> EnsembleConfig {
+        EnsembleConfig {
+            slot_budget: self.slot_budget,
+            tenant_slots: self.tenant_slots,
+        }
+    }
+}
+
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
@@ -116,34 +126,6 @@ fn load_registry(opts: &ServeOptions) -> Result<SiteRegistry, String> {
     }
 }
 
-/// One accepted submission inside the daemon. The site is resolved
-/// to its interned id at admission; the original string in `sub`
-/// survives for the journal and status rendering.
-struct DaemonMember {
-    sub: SubmitRequest,
-    site: SiteId,
-    cancelled: bool,
-    run: Option<WorkflowRun>,
-}
-
-impl DaemonMember {
-    fn queued(&self) -> bool {
-        !self.cancelled && self.run.is_none()
-    }
-
-    fn state(&self) -> MemberState {
-        if self.cancelled {
-            MemberState::Cancelled
-        } else {
-            match &self.run {
-                Some(run) if run.succeeded() => MemberState::Succeeded,
-                Some(_) => MemberState::Failed,
-                None => MemberState::Queued,
-            }
-        }
-    }
-}
-
 /// The display name of a member before it has run. After a round the
 /// planned workflow's own name takes over; both derivations are pure
 /// functions of journaled facts, so restarts render the same text.
@@ -154,21 +136,31 @@ fn default_name(sub: &SubmitRequest) -> String {
     }
 }
 
-fn member_status_line(id: usize, m: &DaemonMember) -> String {
-    let line = match &m.run {
-        Some(run) => proto::status_from_run(id, &m.sub.tenant, &m.sub.site, m.state(), run),
-        None => proto::StatusLine {
-            id,
-            tenant: m.sub.tenant.clone(),
-            site: m.sub.site.clone(),
-            state: m.state(),
-            jobs: None,
-            wall_time: None,
-            queue_wait: None,
-            name: default_name(&m.sub),
-        },
-    };
-    proto::render_status_line(&line)
+/// The `status` payload: one line per submission, its state read off
+/// the ledger and its numbers off its run. The live daemon and the
+/// offline replay both render through here.
+fn status_lines(ledger: &Ledger, runs: &[Option<WorkflowRun>]) -> Vec<String> {
+    let members = ledger.submissions.iter().zip(runs);
+    members
+        .enumerate()
+        .map(|(id, (sub, run))| {
+            let state = ledger.state(id, run.as_ref().map(WorkflowRun::succeeded));
+            let line = match run {
+                Some(run) => proto::status_from_run(id, &sub.tenant, &sub.site, state, run),
+                None => proto::StatusLine {
+                    id,
+                    tenant: sub.tenant.clone(),
+                    site: sub.site.clone(),
+                    state,
+                    jobs: None,
+                    wall_time: None,
+                    queue_wait: None,
+                    name: default_name(sub),
+                },
+            };
+            proto::render_status_line(&line)
+        })
+        .collect()
 }
 
 /// Messages into the scheduler thread.
@@ -195,19 +187,19 @@ struct LogMonitor {
 impl LogMonitor {
     fn new(
         dir: &Path,
+        ledger: &Ledger,
         ids: &[usize],
-        traces: &[Option<TraceId>],
         crash_after: Option<usize>,
     ) -> std::io::Result<Self> {
         let mut files = Vec::with_capacity(ids.len());
-        for (id, tr) in ids.iter().zip(traces) {
-            let mut f = File::create(member_log_path(dir, *id))?;
+        for &id in ids {
+            let mut f = File::create(member_log_path(dir, id))?;
             // The trace id rides as a comment line under the header:
             // every event-log parser skips it, so the *events* stay
             // byte-identical to an untraced log, while `pegasus trace
             // --from-events` recovers the id offline.
-            let header = match tr {
-                Some(tr) => trace::render_log_header(*tr),
+            let header = match ledger.submissions[id].trace {
+                Some(tr) => trace::render_log_header(tr),
                 None => format!("{}\n", events::log::HEADER),
             };
             f.write_all(header.as_bytes())?;
@@ -229,12 +221,10 @@ impl EnsembleMonitor for LogMonitor {
         self.files[index]
             .write_all(events::log::append(chunk).as_bytes())
             .expect("append member event log");
-    }
-
-    fn workflow_finished(&mut self, _index: usize, _run: &WorkflowRun, _now: f64) {
-        self.completed += 1;
-        if let Some(k) = self.crash_after {
-            if self.completed >= k {
+        // A member's last chunk ends with its trailer.
+        if matches!(chunk.last(), Some(WorkflowEvent::WorkflowFinished { .. })) {
+            self.completed += 1;
+            if self.crash_after.is_some_and(|k| self.completed >= k) {
                 // Simulate a submit-host kill: no unwinding, no
                 // cleanup, journal round left open.
                 std::process::abort();
@@ -243,6 +233,7 @@ impl EnsembleMonitor for LogMonitor {
     }
 }
 
+/// Where a state directory keeps member `id`'s event log.
 fn member_log_path(dir: &Path, id: usize) -> PathBuf {
     dir.join("members").join(format!("m{id}.events"))
 }
@@ -261,52 +252,113 @@ fn load_member_run(dir: &Path, id: usize) -> Result<WorkflowRun, String> {
     events::replay(&stream).map_err(|e| format!("cannot replay {}: {e}", path.display()))
 }
 
-/// Plans one submission into an executable workflow plus its engine
-/// config. `engine_seed` is the resolved seed (the submission's own,
-/// or the round seed) — also used for workload calibration, so
-/// recovery re-plans identically.
+/// Reads a state directory's journal back: the ledger its whole lines
+/// replay to, how many bytes those lines are, and how many bytes of
+/// torn final record follow them. A journal torn inside its header
+/// line is one nothing was written to.
+fn read_journal(dir: &Path) -> Result<(Ledger, usize, usize), String> {
+    let path = journal_path(dir);
+    let text =
+        fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let whole = proto::whole_lines(&text);
+    let ledger = if whole.is_empty() {
+        Ledger::default()
+    } else {
+        Ledger::replay(whole).map_err(|e| format!("corrupt journal: {e}"))?
+    };
+    Ok((ledger, whole.len(), text.len() - whole.len()))
+}
+
+/// The run of every member a finished round claimed, replayed from
+/// its event log; `None` for the rest.
+fn load_runs(dir: &Path, ledger: &Ledger) -> Result<Vec<Option<WorkflowRun>>, String> {
+    (0..ledger.submissions.len())
+        .map(|id| match ledger.round_of(id) {
+            Some(round) if round.finished => load_member_run(dir, id).map(Some),
+            _ => Ok(None),
+        })
+        .collect()
+}
+
+/// Every member event log under `dir`, member-id order, each with the
+/// trace id its header must carry — what `pegasus trace --events-dir`
+/// and `pegasus verify <dir>` read. A state directory (one with a
+/// journal) yields the logs of its journaled submissions, paired with
+/// their journaled trace ids; any other directory of `.events` files
+/// (or its `members/` subdirectory) yields them unpaired.
+///
+/// # Errors
+/// Unreadable directory or journal, corrupt journal, or no logs.
+pub fn member_logs(dir: &Path) -> Result<Vec<(PathBuf, Option<TraceId>)>, String> {
+    let members = dir.join("members");
+    let scan = if members.is_dir() {
+        members
+    } else {
+        dir.into()
+    };
+    let logs: Vec<(PathBuf, Option<TraceId>)> = if journal_path(dir).is_file() {
+        let (ledger, ..) = read_journal(dir)?;
+        let traces = ledger.submissions.iter().map(|s| s.trace).enumerate();
+        traces
+            .map(|(id, tr)| (member_log_path(dir, id), tr))
+            .filter(|(path, _)| path.is_file())
+            .collect()
+    } else {
+        let entries =
+            fs::read_dir(&scan).map_err(|e| format!("cannot read {}: {e}", scan.display()))?;
+        let mut paths: Vec<PathBuf> = entries
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "events"))
+            .collect();
+        // Shortest-name-first sorts m2 before m10: member-id order.
+        paths.sort_by_key(|p| {
+            let name = p.file_name().unwrap_or_default().to_os_string();
+            (name.len(), name)
+        });
+        paths.into_iter().map(|p| (p, None)).collect()
+    };
+    if logs.is_empty() {
+        return Err(format!("no .events logs under {}", scan.display()));
+    }
+    Ok(logs)
+}
+
+/// Plans one submission into the member the round will execute.
+/// `engine_seed` is the resolved seed (the submission's own, or the
+/// round seed) — also used for workload calibration, so recovery
+/// re-plans identically.
 fn plan_member(
     registry: &SiteRegistry,
     sub: &SubmitRequest,
     engine_seed: u64,
     default_retries: u32,
-) -> Result<(ExecutableWorkflow, EngineConfig), String> {
+) -> Result<Submission, String> {
     let site = registry.resolve(&sub.site).map_err(|e| e.to_string())?;
     let exec = match &sub.source {
         SubmitSource::Generated { n } => plan_blast2cap3_at(registry, site, *n, engine_seed),
         SubmitSource::Dax { path } => {
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let wf = dax::from_dax(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-            let sites = registry.site_catalog();
-            let (_, tc) = paper_catalogs();
-            let mut rc = ReplicaCatalog::new();
-            rc.register("transcripts.fasta", "submit");
-            rc.register("alignments.out", "submit");
-            registry.register_replicas(&mut rc);
-            plan(
-                &wf,
-                &sites,
-                &tc,
-                &rc,
-                &PlannerConfig::for_site(registry.catalog_name(site)),
-            )
-            .map_err(|e| format!("cannot plan {path}: {e}"))?
+            plan_on(registry, site, &wf).map_err(|e| format!("cannot plan {path}: {e}"))?
         }
     };
     let cfg = EngineConfig::builder()
         .retries(sub.retries.unwrap_or(default_retries))
         .seed(engine_seed)
         .build();
-    Ok((exec, cfg))
+    Ok(Submission::new(exec, cfg)
+        .with_priority(sub.priority)
+        .with_tenant(sub.tenant.clone()))
 }
 
-/// Admission-time preflight on a submitted DAX: parse and run the
-/// structural lint pass, then plan the workflow exactly as the round
-/// will and run the whole-plan dataflow verifier plus the ensemble
-/// feasibility check against the daemon's quotas — rejecting
-/// error-severity findings before the submission is journaled.
-/// Generated workloads skip this — planner output is validated by
-/// construction.
+/// Admission-time preflight on a submitted DAX, over one parse of its
+/// text: the structural lint pass, validation, then the plan exactly
+/// as the round will make it, the whole-plan dataflow verifier and
+/// the ensemble feasibility check against the daemon's quotas —
+/// rejecting error-severity findings before the submission is
+/// journaled. Generated workloads skip this — planner output is
+/// validated by construction.
 fn preflight_dax(
     path: &str,
     registry: &SiteRegistry,
@@ -321,7 +373,7 @@ fn preflight_dax(
             return Err(format!("lint {}: {}", d.code, d.message));
         }
     };
-    let (_sites, tc) = paper_catalogs();
+    let (_, tc, rc) = registry_catalogs(registry);
     let lint_opts = lint::DaxLintOptions {
         source: Some(&text),
         ..lint::DaxLintOptions::default()
@@ -333,20 +385,9 @@ fn preflight_dax(
     // Layer 2 verification: a plan that cannot execute (a consumed
     // file with no producer, stage-in, or replica; a zero quota) is
     // rejected here, not discovered as a failed member mid-round.
-    let wf = dax::from_dax(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let sites = registry.site_catalog();
-    let mut rc = ReplicaCatalog::new();
-    rc.register("transcripts.fasta", "submit");
-    rc.register("alignments.out", "submit");
-    registry.register_replicas(&mut rc);
-    let exec = plan(
-        &wf,
-        &sites,
-        &tc,
-        &rc,
-        &PlannerConfig::for_site(registry.catalog_name(site)),
-    )
-    .map_err(|e| format!("cannot plan {path}: {e}"))?;
+    wf.validate()
+        .map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let exec = plan_on(registry, site, &wf).map_err(|e| format!("cannot plan {path}: {e}"))?;
     let mut diags = verify::check_plan(
         &wf,
         &exec,
@@ -355,19 +396,12 @@ fn preflight_dax(
         path,
         &verify::DataflowOptions::default(),
     );
-    // The queue-depth quota is enforced at submit time, so only the
-    // execution-side quotas join the feasibility check.
-    let config = EnsembleConfig {
-        slot_budget: opts.slot_budget,
-        tenant_slots: opts.tenant_slots,
-        tenant_active: None,
-    };
     let width = wf
         .width()
         .map_err(|e| format!("cannot analyze {path}: {e}"))?;
     diags.extend(verify::check_ensemble_feasibility(
         &[(exec.name.clone(), width)],
-        &config,
+        &opts.ensemble_config(),
         path,
     ));
     if let Some(d) = diags.iter().find(|d| d.severity == lint::Severity::Error) {
@@ -376,35 +410,45 @@ fn preflight_dax(
     Ok(())
 }
 
-/// The daemon state, owned by the scheduler thread.
+/// What a refused journal entry tells the client: the ledger's reason,
+/// without the parse-error framing a journal line number would need.
+fn refusal(e: WmsError) -> String {
+    match e {
+        WmsError::ProtocolParse { reason, .. } => reason,
+        other => other.to_string(),
+    }
+}
+
+/// The daemon state, owned by the scheduler thread: the journal, the
+/// ledger it folds to, and the run of every member that has one.
 struct Daemon {
     opts: ServeOptions,
     registry: SiteRegistry,
-    members: Vec<DaemonMember>,
-    rounds_done: usize,
+    ledger: Ledger,
+    /// Indexed by submission id, like `ledger.submissions`.
+    runs: Vec<Option<WorkflowRun>>,
     journal: File,
 }
 
 impl Daemon {
-    fn journal_entry(&mut self, entry: &JournalEntry) -> Result<(), String> {
-        let line = proto::render_journal_entry(entry);
+    /// The one way submission state changes: the ledger rules on the
+    /// entry before a byte is written, the line is appended and
+    /// flushed, and only then does the ledger take it. A refused or
+    /// unwritable entry leaves journal and ledger as they were.
+    fn record(&mut self, entry: JournalEntry) -> Result<(), String> {
+        self.ledger.check(&entry).map_err(refusal)?;
+        let line = proto::render_journal_entry(&entry);
         self.journal
             .write_all(format!("{line}\n").as_bytes())
             .and_then(|()| self.journal.flush())
-            .map_err(|e| format!("cannot append journal: {e}"))
-    }
-
-    fn tenant_queued(&self, tenant: &str) -> usize {
-        self.members
-            .iter()
-            .filter(|m| m.queued() && m.sub.tenant == tenant)
-            .count()
+            .map_err(|e| format!("cannot append journal: {e}"))?;
+        self.ledger.apply(entry).map_err(refusal)
     }
 
     fn handle_submit(&mut self, sub: SubmitRequest) -> Result<ResponseHead, String> {
         if let Some(limit) = self.opts.tenant_active {
-            if self.tenant_queued(&sub.tenant) >= limit {
-                return Err(pegasus_wms::error::WmsError::QuotaExceeded {
+            if self.ledger.tenant_queued(&sub.tenant) >= limit {
+                return Err(WmsError::QuotaExceeded {
                     tenant: sub.tenant,
                     limit,
                 }
@@ -421,7 +465,7 @@ impl Daemon {
         if let SubmitSource::Dax { path } = &sub.source {
             preflight_dax(path, &self.registry, site, &self.opts)?;
         }
-        let id = self.members.len();
+        let id = self.ledger.submissions.len();
         // Resolve the trace id before journaling: the journal records
         // the id every downstream surface (member log header, `trace`
         // verb, Chrome export) will use, and recovery re-reads it
@@ -430,111 +474,87 @@ impl Daemon {
         if sub.trace.is_none() {
             sub.trace = Some(TraceId::derive(self.opts.seed, id as u64));
         }
-        self.journal_entry(&JournalEntry::Submission {
-            id,
-            sub: sub.clone(),
-        })?;
-        self.members.push(DaemonMember {
-            sub,
-            site,
-            cancelled: false,
-            run: None,
-        });
+        self.record(JournalEntry::Submission { id, sub })?;
+        self.runs.push(None);
         Ok(ResponseHead::Ok(vec![("id".into(), id.to_string())]))
     }
 
     fn handle_cancel(&mut self, id: usize) -> Result<ResponseHead, String> {
-        match self.members.get_mut(id) {
-            Some(m) if m.queued() => {
-                m.cancelled = true;
-                self.journal_entry(&JournalEntry::Cancel { id })?;
-                Ok(ResponseHead::Ok(vec![("id".into(), id.to_string())]))
-            }
-            Some(_) => Err(format!("submission {id} is not queued")),
-            None => Err(format!("unknown submission {id}")),
-        }
+        self.record(JournalEntry::Cancel { id })?;
+        Ok(ResponseHead::Ok(vec![("id".into(), id.to_string())]))
     }
 
-    /// Executes one journaled round: plan every member, run them as
-    /// one ensemble on a fresh backend seeded by the round seed, and
-    /// store the per-member runs.
-    fn run_round(&mut self, site: SiteId, round_seed: u64, ids: &[usize]) -> Result<(), String> {
-        let _round = prof::scope("serve.round");
-        let mut submissions = Vec::with_capacity(ids.len());
-        let mut traces = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let sub = &self.members[id].sub;
-            let engine_seed = sub.seed.unwrap_or(round_seed);
-            let (exec, cfg) = plan_member(&self.registry, sub, engine_seed, self.opts.retries)?;
-            let mut submission = Submission::new(exec, cfg)
-                .with_priority(sub.priority)
-                .with_tenant(sub.tenant.clone());
-            if let Some(tr) = sub.trace {
-                submission = submission.with_trace(tr);
-            }
-            traces.push(sub.trace);
-            submissions.push(submission);
-        }
-        let mut backend = self.registry.backend(site, round_seed);
-        let config = EnsembleConfig {
-            slot_budget: self.opts.slot_budget,
-            tenant_slots: self.opts.tenant_slots,
-            // Queue-depth quota is enforced at submit time.
-            tenant_active: None,
+    /// Plans the members of one round, in id order, into the batch the
+    /// round executes — once, before the round is journaled or (on
+    /// recovery) re-executed.
+    fn plan_round(&self, round_seed: u64, ids: &[usize]) -> Result<Vec<Submission>, String> {
+        let plan = |&id: &usize| {
+            let sub = &self.ledger.submissions[id];
+            let seed = sub.seed.unwrap_or(round_seed);
+            plan_member(&self.registry, sub, seed, self.opts.retries)
         };
-        let mut monitor =
-            LogMonitor::new(&self.opts.dir, ids, &traces, self.opts.crash_after_members)
-                .map_err(|e| format!("cannot open member logs: {e}"))?;
-        let ens =
-            Ensemble::run_to_completion_monitored(&mut backend, submissions, &config, &mut monitor)
-                .map_err(|e| format!("round failed: {e}"))?;
+        ids.iter().map(plan).collect()
+    }
+
+    /// Executes one journaled round: its planned batch runs as one
+    /// ensemble on a fresh backend seeded by the round seed, member
+    /// logs are written as it goes, and the per-member runs are kept.
+    fn execute_round(
+        &mut self,
+        site: SiteId,
+        round_seed: u64,
+        ids: &[usize],
+        batch: Vec<Submission>,
+    ) -> Result<(), String> {
+        let _round = prof::scope("serve.round");
+        let mut backend = self.registry.backend(site, round_seed);
+        let crash_after = self.opts.crash_after_members;
+        let mut monitor = LogMonitor::new(&self.opts.dir, &self.ledger, ids, crash_after)
+            .map_err(|e| format!("cannot open member logs: {e}"))?;
+        let config = self.opts.ensemble_config();
+        let ens = Ensemble::run_to_completion_monitored(&mut backend, batch, &config, &mut monitor)
+            .map_err(|e| format!("round failed: {e}"))?;
         for (&id, run) in ids.iter().zip(ens.runs) {
-            self.members[id].run = Some(run);
+            self.runs[id] = Some(run);
         }
         Ok(())
     }
 
-    /// `run`: journal and execute one round per site over everything
-    /// queued, sites in lexicographic order, members in id order.
+    /// `run`: one round per site over everything queued, sites in
+    /// lexicographic order, members in id order. Each round is planned
+    /// once, journaled, executed, and journaled done.
     fn handle_run(&mut self) -> Result<ResponseHead, String> {
         // Keyed by the site's primary registry name so rounds execute
         // in lexicographic site order, as they always have; aliases
         // collapse onto the same round via the interned id.
         let mut by_site: BTreeMap<String, (SiteId, Vec<usize>)> = BTreeMap::new();
-        for (id, m) in self.members.iter().enumerate() {
-            if m.queued() {
-                by_site
-                    .entry(self.registry.name(m.site).to_string())
-                    .or_insert_with(|| (m.site, Vec::new()))
-                    .1
-                    .push(id);
-            }
+        for id in self.ledger.queued() {
+            let site = self
+                .registry
+                .resolve(&self.ledger.submissions[id].site)
+                .map_err(|e| e.to_string())?;
+            by_site
+                .entry(self.registry.name(site).to_string())
+                .or_insert_with(|| (site, Vec::new()))
+                .1
+                .push(id);
         }
         let mut rounds = 0usize;
         let mut count = 0usize;
         for (_, (site, ids)) in by_site {
-            let round = self.rounds_done;
+            let round = self.ledger.rounds.len();
             let seed = proto::round_seed(self.opts.seed, round);
             // Plan before journaling so a bad member (e.g. a DAX file
             // deleted since submit) rejects the whole run cleanly
             // instead of leaving an open round.
-            for &id in &ids {
-                let sub = &self.members[id].sub;
-                plan_member(
-                    &self.registry,
-                    sub,
-                    sub.seed.unwrap_or(seed),
-                    self.opts.retries,
-                )?;
-            }
-            self.journal_entry(&JournalEntry::RoundStarted {
+            let batch = self.plan_round(seed, &ids)?;
+            self.record(JournalEntry::RoundStarted {
                 round,
                 seed,
                 members: ids.clone(),
             })?;
-            self.run_round(site, seed, &ids)?;
-            self.journal_entry(&JournalEntry::RoundFinished { round })?;
-            self.rounds_done += 1;
+            self.execute_round(site, seed, &ids, batch)?;
+            self.record(JournalEntry::RoundFinished { round })?;
             rounds += 1;
             count += ids.len();
         }
@@ -544,26 +564,12 @@ impl Daemon {
         ]))
     }
 
-    fn status_lines(&self) -> Vec<String> {
-        self.members
-            .iter()
-            .enumerate()
-            .map(|(id, m)| member_status_line(id, m))
-            .collect()
-    }
-
-    fn completed_runs(&self) -> Vec<&WorkflowRun> {
-        self.members.iter().filter_map(|m| m.run.as_ref()).collect()
-    }
-
     fn rollup_csv(&self) -> Result<String, String> {
-        let runs: Vec<WorkflowRun> = self.completed_runs().into_iter().cloned().collect();
-        if runs.is_empty() {
+        let stats = compute_ensemble(self.runs.iter().flatten());
+        if stats.per_workflow.is_empty() {
             return Err("no completed members".into());
         }
-        let makespan = runs.iter().map(|r| r.wall_time).fold(0.0, f64::max);
-        let ens = pegasus_wms::ensemble::EnsembleRun { runs, makespan };
-        Ok(render_ensemble_csv(&compute_ensemble(&ens)))
+        Ok(render_ensemble_csv(&stats))
     }
 
     /// The Prometheus exposition over every completed member, folded
@@ -572,7 +578,7 @@ impl Daemon {
     /// offline, so the scrape matches it byte-for-byte.
     fn exposition(&self) -> Result<String, String> {
         let mut registry = MetricsRegistry::new();
-        for run in self.completed_runs() {
+        for run in self.runs.iter().flatten() {
             metrics::record_events(&mut registry, &run.events)
                 .map_err(|e| format!("cannot record metrics: {e}"))?;
         }
@@ -584,15 +590,13 @@ impl Daemon {
     /// same fold `pegasus trace --from-events members/m<n>.events`
     /// performs offline, byte-for-byte.
     fn handle_trace(&self, id: usize) -> Result<String, String> {
-        let m = self
-            .members
+        let run = self
+            .runs
             .get(id)
-            .ok_or_else(|| format!("unknown submission {id}"))?;
-        let run = m
-            .run
+            .ok_or_else(|| format!("unknown submission {id}"))?
             .as_ref()
             .ok_or_else(|| format!("submission {id} has not run"))?;
-        let tree = trace::of_run(run, m.sub.trace);
+        let tree = trace::of_run(run, self.ledger.submissions[id].trace);
         Ok(trace::render_text(std::slice::from_ref(&tree)))
     }
 
@@ -608,7 +612,9 @@ impl Daemon {
                 .handle_run()
                 .map(|h| format!("{}\n", proto::render_response_head(&h))),
             Request::Trace { id } => self.handle_trace(id).map(|text| lines_response(&text)),
-            Request::Status => Ok(lines_response(&self.status_lines().join("\n"))),
+            Request::Status => Ok(lines_response(
+                &status_lines(&self.ledger, &self.runs).join("\n"),
+            )),
             Request::Rollup => self.rollup_csv().map(|csv| lines_response(&csv)),
             Request::Metrics => self.exposition().map(|text| lines_response(&text)),
             Request::Ping | Request::Shutdown => Ok(format!(
@@ -648,51 +654,44 @@ fn lines_response(payload: &str) -> String {
 fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
     let registry = load_registry(opts)?;
     let jpath = journal_path(&opts.dir);
-    let ledger = if jpath.exists() {
-        let text = fs::read_to_string(&jpath)
-            .map_err(|e| format!("cannot read {}: {e}", jpath.display()))?;
-        Ledger::replay(&text).map_err(|e| format!("corrupt journal: {e}"))?
+    let (ledger, whole, torn) = if jpath.exists() {
+        read_journal(&opts.dir)?
     } else {
-        let mut f =
-            File::create(&jpath).map_err(|e| format!("cannot create {}: {e}", jpath.display()))?;
-        f.write_all(format!("{}\n", proto::JOURNAL_HEADER).as_bytes())
-            .map_err(|e| format!("cannot write journal header: {e}"))?;
-        Ledger::default()
+        (Ledger::default(), 0, 0)
     };
-
-    let mut members = Vec::with_capacity(ledger.submissions.len());
-    for (id, sub) in ledger.submissions.iter().enumerate() {
-        // A journaled site that no longer resolves (the registry file
-        // changed under the state directory) fails recovery up front.
-        let site = registry.resolve(&sub.site).map_err(|e| e.to_string())?;
-        members.push(DaemonMember {
-            sub: sub.clone(),
-            site,
-            cancelled: ledger.cancelled.contains(&id),
-            run: None,
-        });
-    }
-
-    // Completed rounds: restore member runs by replaying their logs.
-    for round in ledger.rounds.iter().filter(|r| r.finished) {
-        for &id in &round.members {
-            members[id].run = Some(load_member_run(&opts.dir, id)?);
-        }
-    }
-
-    let journal = OpenOptions::new()
+    let mut journal = OpenOptions::new()
+        .create(true)
         .append(true)
         .open(&jpath)
         .map_err(|e| format!("cannot open {} for append: {e}", jpath.display()))?;
+    if torn > 0 {
+        // The record the crash interrupted was never acknowledged.
+        // Cut it off, or the next record would be glued onto it.
+        println!("discarding torn journal tail bytes={torn}");
+        journal
+            .set_len(whole as u64)
+            .map_err(|e| format!("cannot truncate {}: {e}", jpath.display()))?;
+    }
+    if whole == 0 {
+        journal
+            .write_all(format!("{}\n", proto::JOURNAL_HEADER).as_bytes())
+            .map_err(|e| format!("cannot write journal header: {e}"))?;
+    }
+    // A journaled site that no longer resolves (the registry file
+    // changed under the state directory) fails recovery up front.
+    for sub in &ledger.submissions {
+        registry.resolve(&sub.site).map_err(|e| e.to_string())?;
+    }
+    let runs = load_runs(&opts.dir, &ledger)?;
     let mut daemon = Daemon {
         opts: opts.clone(),
         registry,
-        members,
-        rounds_done: ledger.rounds.len(),
+        ledger,
+        runs,
         journal,
     };
 
-    if let Some(open) = ledger.interrupted().cloned() {
+    if let Some(open) = daemon.ledger.interrupted().cloned() {
         // Report how far each in-flight member got, then re-execute
         // the whole round with its journaled seed: deterministic
         // engines make the re-run byte-identical to the one the
@@ -708,15 +707,19 @@ fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
             }
             let _ = fs::remove_file(&path);
         }
-        let site = daemon.members[open.members[0]].site;
+        let site = daemon
+            .registry
+            .resolve(&daemon.ledger.submissions[open.members[0]].site)
+            .map_err(|e| e.to_string())?;
         println!(
             "re-executing interrupted round id={} seed={} members={}",
             open.round,
             open.seed,
             open.members.len()
         );
-        daemon.run_round(site, open.seed, &open.members)?;
-        daemon.journal_entry(&JournalEntry::RoundFinished { round: open.round })?;
+        let batch = daemon.plan_round(open.seed, &open.members)?;
+        daemon.execute_round(site, open.seed, &open.members, batch)?;
+        daemon.record(JournalEntry::RoundFinished { round: open.round })?;
     }
     Ok(daemon)
 }
@@ -899,33 +902,8 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
 /// # Errors
 /// Unreadable/corrupt journal or member logs.
 pub fn status_lines_offline(dir: &Path) -> Result<Vec<String>, String> {
-    let jpath = journal_path(dir);
-    let text =
-        fs::read_to_string(&jpath).map_err(|e| format!("cannot read {}: {e}", jpath.display()))?;
-    let ledger = Ledger::replay(&text).map_err(|e| format!("corrupt journal: {e}"))?;
-    let mut members: Vec<DaemonMember> = ledger
-        .submissions
-        .iter()
-        .enumerate()
-        .map(|(id, sub)| DaemonMember {
-            sub: sub.clone(),
-            // Offline rendering only reads journaled strings and
-            // replayed runs; the interned id never dispatches here.
-            site: SiteId::default(),
-            cancelled: ledger.cancelled.contains(&id),
-            run: None,
-        })
-        .collect();
-    for round in ledger.rounds.iter().filter(|r| r.finished) {
-        for &id in &round.members {
-            members[id].run = Some(load_member_run(dir, id)?);
-        }
-    }
-    Ok(members
-        .iter()
-        .enumerate()
-        .map(|(id, m)| member_status_line(id, m))
-        .collect())
+    let (ledger, ..) = read_journal(dir)?;
+    Ok(status_lines(&ledger, &load_runs(dir, &ledger)?))
 }
 
 /// A minimal blocking protocol client, shared by the `pegasus

@@ -144,7 +144,7 @@ fn two_tenant_fair_share_is_deterministic_under_one_seed() {
             .collect();
         (
             logs,
-            render_ensemble_csv(&pegasus_wms::statistics::compute_ensemble(&ens)),
+            render_ensemble_csv(&pegasus_wms::statistics::compute_ensemble(&ens.runs)),
         )
     };
     let (logs_a, csv_a) = run_once();

@@ -206,8 +206,11 @@ fn storm_cfg() -> EngineConfig {
 
 #[test]
 fn every_observer_is_handed_exactly_the_recorded_stream() {
+    /// Every member's events as delivered, and how many deliveries
+    /// ended with a `WorkflowFinished` trailer — the count the serve
+    /// daemon's `--crash-after-members` hook keeps.
     #[derive(Default)]
-    struct Tape(Vec<Vec<WorkflowEvent>>);
+    struct Tape(Vec<Vec<WorkflowEvent>>, usize);
     impl EventSink for Tape {
         fn event(&mut self, ev: &WorkflowEvent) {
             self.member_events(0, std::slice::from_ref(ev));
@@ -217,6 +220,9 @@ fn every_observer_is_handed_exactly_the_recorded_stream() {
         fn member_events(&mut self, index: usize, events: &[WorkflowEvent]) {
             self.0.resize(self.0.len().max(index + 1), Vec::new());
             self.0[index].extend_from_slice(events);
+            if matches!(events.last(), Some(WorkflowEvent::WorkflowFinished { .. })) {
+                self.1 += 1;
+            }
         }
     }
     let trailer = |run: &WorkflowRun| {
@@ -236,6 +242,7 @@ fn every_observer_is_handed_exactly_the_recorded_stream() {
         assert!(run.faults.preemptions > 0, "the storm must hit the run");
         assert!(trailer(&run));
         assert_eq!(tape.0, [run.events]);
+        assert_eq!(tape.1, 1);
     }
 
     // The same through the ensemble manager: one member rides out the
@@ -258,6 +265,10 @@ fn every_observer_is_handed_exactly_the_recorded_stream() {
     assert!(ens.runs.iter().all(trailer));
     let recorded: Vec<&[WorkflowEvent]> = ens.runs.iter().map(|r| r.events.as_slice()).collect();
     assert_eq!(tape.0, recorded);
+    assert_eq!(
+        tape.1, 2,
+        "one trailer-ended delivery per member, crashed or not"
+    );
 }
 
 #[test]

@@ -20,6 +20,9 @@
 //!   crash/restart cannot re-key a member's spans;
 //! * a cancelled member survives journal replay: a restarted daemon
 //!   reports the same `cancelled` state and never runs it;
+//! * a journal cut anywhere inside its final record recovers to the
+//!   state of the journal without that record; a journal no daemon
+//!   could have written refuses the start before any member runs;
 //! * malformed request lines get `error` responses without killing
 //!   the connection, and DAX submissions are lint-checked at
 //!   admission time.
@@ -39,6 +42,8 @@ struct Daemon {
     child: Child,
     addr: String,
     metrics_addr: String,
+    /// What recovery printed before the `listening` line.
+    startup: Vec<String>,
 }
 
 impl Daemon {
@@ -62,6 +67,7 @@ impl Daemon {
             .expect("spawn pegasus serve");
         let stdout = child.stdout.take().expect("stdout is piped");
         let mut reader = BufReader::new(stdout);
+        let mut startup = Vec::new();
         let (addr, metrics_addr) = loop {
             let mut line = String::new();
             let n = reader.read_line(&mut line).expect("read daemon stdout");
@@ -70,6 +76,7 @@ impl Daemon {
                 let (a, m) = rest.split_once(" metrics=").expect("listening line shape");
                 break (a.to_string(), m.to_string());
             }
+            startup.push(line.trim_end().to_string());
         };
         // Keep draining stdout so the pipe can never block the daemon.
         std::thread::spawn(move || {
@@ -85,6 +92,7 @@ impl Daemon {
             child,
             addr,
             metrics_addr,
+            startup,
         }
     }
 
@@ -123,6 +131,20 @@ fn scratch(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
+}
+
+fn dax_submission(tenant: &str, path: &Path) -> Request {
+    Request::Submit(SubmitRequest {
+        tenant: tenant.into(),
+        site: "sandhills".into(),
+        seed: None,
+        retries: None,
+        priority: 0,
+        trace: None,
+        source: SubmitSource::Dax {
+            path: path.display().to_string(),
+        },
+    })
 }
 
 fn generated(tenant: &str, site: &str, n: usize) -> Request {
@@ -289,17 +311,7 @@ fn malformed_lines_and_bad_dax_submissions_are_rejected_inline() {
     std::fs::write(&bad, "job id=a name=\n").expect("write bad dax");
     let mut conn = daemon.connect();
     let (head, _) = conn
-        .request(&Request::Submit(SubmitRequest {
-            tenant: "alice".into(),
-            site: "sandhills".into(),
-            seed: None,
-            retries: None,
-            priority: 0,
-            trace: None,
-            source: SubmitSource::Dax {
-                path: bad.display().to_string(),
-            },
-        }))
+        .request(&dax_submission("alice", &bad))
         .expect("request round-trip");
     assert!(
         matches!(head, ResponseHead::Error(_)),
@@ -341,20 +353,7 @@ fn dax_submissions_pass_admission_lint_and_run() {
 
     let daemon = Daemon::start(&dir, &[]);
     let mut conn = daemon.connect();
-    expect_ok(
-        &mut conn,
-        &Request::Submit(SubmitRequest {
-            tenant: "carol".into(),
-            site: "sandhills".into(),
-            seed: None,
-            retries: None,
-            priority: 0,
-            trace: None,
-            source: SubmitSource::Dax {
-                path: dax.display().to_string(),
-            },
-        }),
-    );
+    expect_ok(&mut conn, &dax_submission("carol", &dax));
     expect_ok(&mut conn, &Request::Run);
     let status = expect_lines(&mut conn, &Request::Status);
     assert_eq!(status.len(), 1);
@@ -362,6 +361,30 @@ fn dax_submissions_pass_admission_lint_and_run() {
         status[0].contains("tenant=carol") && status[0].contains("state=succeeded"),
         "{}",
         status[0]
+    );
+
+    // A member whose DAX file vanished since admission rejects the
+    // whole `run` before a `round` line is journaled: the member stays
+    // queued and the daemon stays up.
+    let gone = dir.join("gone.dax");
+    std::fs::copy(&dax, &gone).expect("copy dax");
+    expect_ok(&mut conn, &dax_submission("carol", &gone));
+    expect_ok(&mut conn, &generated("dave", "sandhills", 10));
+    std::fs::remove_file(&gone).expect("remove dax");
+    match conn.request(&Request::Run).expect("request round-trip") {
+        (ResponseHead::Error(msg), _) => assert!(msg.contains("gone.dax"), "{msg}"),
+        other => panic!("run over a vanished DAX must be rejected, got {other:?}"),
+    }
+    let journal = std::fs::read_to_string(dir.join("journal")).expect("journal");
+    assert_eq!(
+        journal.matches("\nround id=").count(),
+        1,
+        "the rejected run must not journal a round:\n{journal}"
+    );
+    let status = expect_lines(&mut conn, &Request::Status);
+    assert!(
+        status[1].contains("state=queued") && status[2].contains("state=queued"),
+        "{status:?}"
     );
     daemon.shutdown();
 }
@@ -525,5 +548,134 @@ fn crash_recovery_round_trip(seed: u64) {
 fn crash_mid_round_then_restart_recovers_byte_identical_state() {
     for seed in [7, 11, 42] {
         crash_recovery_round_trip(seed);
+    }
+}
+
+#[test]
+fn journal_torn_inside_its_final_record_recovers_to_the_record_before() {
+    // Two rounds, one cancel: the journal's final record is round 1's
+    // `round-done`.
+    let dir = scratch("torn-ref");
+    let daemon = Daemon::start(&dir, &["--seed", "20140519"]);
+    let mut conn = daemon.connect();
+    expect_ok(&mut conn, &generated("alice", "sandhills", 10));
+    expect_ok(&mut conn, &generated("bob", "sandhills", 10));
+    expect_ok(&mut conn, &Request::Run);
+    expect_ok(&mut conn, &generated("alice", "sandhills", 10));
+    expect_ok(&mut conn, &generated("bob", "sandhills", 10));
+    expect_ok(&mut conn, &Request::Cancel { id: 3 });
+    expect_ok(&mut conn, &Request::Run);
+    let status = expect_lines(&mut conn, &Request::Status);
+    drop(conn);
+    daemon.shutdown();
+    let journal = std::fs::read(dir.join("journal")).expect("journal");
+    let last = journal[..journal.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("a record before the last")
+        + 1;
+    assert_eq!(&journal[last..], b"round-done id=1\n");
+    let log2 = std::fs::read(dir.join("members").join("m2.events")).expect("m2 log");
+
+    // Without that record round 1 is open: recovery re-executes it to
+    // the same bytes and journals the `round-done` again. Every cut
+    // inside the record must land in exactly that state.
+    for keep in 0..journal.len() - last {
+        let cut_dir = scratch(&format!("torn-{keep}"));
+        std::fs::create_dir_all(cut_dir.join("members")).expect("members dir");
+        for id in 0..3 {
+            let name = format!("m{id}.events");
+            std::fs::copy(
+                dir.join("members").join(&name),
+                cut_dir.join("members").join(&name),
+            )
+            .expect("copy member log");
+        }
+        std::fs::write(cut_dir.join("journal"), &journal[..last + keep]).expect("cut journal");
+
+        let recovered = Daemon::start(&cut_dir, &["--seed", "20140519"]);
+        let torn = format!("discarding torn journal tail bytes={keep}");
+        assert_eq!(
+            recovered.startup.contains(&torn),
+            keep > 0,
+            "keep={keep}: {:?}",
+            recovered.startup
+        );
+        assert!(
+            recovered
+                .startup
+                .iter()
+                .any(|l| l.starts_with("re-executing interrupted round id=1")),
+            "keep={keep}: {:?}",
+            recovered.startup
+        );
+        let mut conn = recovered.connect();
+        assert_eq!(
+            expect_lines(&mut conn, &Request::Status),
+            status,
+            "keep={keep}"
+        );
+        drop(conn);
+        recovered.shutdown();
+        assert_eq!(
+            std::fs::read(cut_dir.join("journal")).expect("journal"),
+            journal,
+            "keep={keep}: the fragment is cut off before the next record is appended"
+        );
+        assert_eq!(
+            std::fs::read(cut_dir.join("members").join("m2.events")).expect("m2 log"),
+            log2,
+            "keep={keep}"
+        );
+        assert_eq!(
+            status_lines_offline(&cut_dir).expect("offline status"),
+            status
+        );
+        let _ = std::fs::remove_dir_all(&cut_dir);
+    }
+}
+
+#[test]
+fn a_journal_no_daemon_could_have_written_refuses_the_start() {
+    let submission =
+        "# pegasus serve journal v2\nsubmission id=0 tenant=alice site=sandhills n=10\n";
+    for (name, tail, line) in [
+        // A double cancel, then a round naming the cancelled member
+        // twice: replay used to accept this and run member 0 twice
+        // into one log.
+        (
+            "illegal",
+            "cancel id=0\ncancel id=0\nround id=0 seed=5 members=0,0\n",
+            "line 4",
+        ),
+        // A record cut short but newline-terminated was written that
+        // way: corrupt, not torn.
+        ("malformed", "submission id=1 tenant=alice si\n", "line 3"),
+    ] {
+        let dir = scratch(&format!("{name}-journal"));
+        std::fs::write(dir.join("journal"), format!("{submission}{tail}")).expect("write journal");
+        let out = Command::new(env!("CARGO_BIN_EXE_pegasus"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--metrics-addr"])
+            .args(["127.0.0.1:0", "--dir"])
+            .arg(&dir)
+            .output()
+            .expect("run pegasus serve");
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("corrupt journal") && stderr.contains(line),
+            "{name}: {stderr}"
+        );
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("discarding"));
+        let members = std::fs::read_dir(dir.join("members")).map_or(0, |d| d.count());
+        assert_eq!(
+            members, 0,
+            "{name}: no member may run off a corrupt journal"
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join("journal")).expect("journal"),
+            format!("{submission}{tail}"),
+            "{name}: a refused journal is left as it was"
+        );
     }
 }
