@@ -402,27 +402,30 @@ impl Ensemble {
             // so a lone workflow drains in exact ready order. Tenants
             // at their slot quota are passed over entirely.
             while in_flight_total < budget {
-                let best = pending
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| {
-                        quota.is_none_or(|q| shares[members[p.wf].tenant].in_flight < q)
-                    })
-                    .min_by_key(|(_, p)| {
-                        let m = &members[p.wf];
-                        let t = &shares[m.tenant];
-                        (
-                            Reverse(m.priority),
-                            t.in_flight,
-                            t.admitted,
-                            m.in_flight,
-                            m.admitted,
-                            p.wf,
-                            p.seq,
-                        )
-                    })
-                    .map(|(i, _)| i);
-                let Some(best) = best else { break };
+                // A plain loop: as an iterator chain this scan of the
+                // whole queue, the round's hottest loop, ran at half
+                // speed whenever the fold was not inlined into it.
+                let mut best = None;
+                for (i, p) in pending.iter().enumerate() {
+                    let m = &members[p.wf];
+                    let t = &shares[m.tenant];
+                    if quota.is_some_and(|q| t.in_flight >= q) {
+                        continue;
+                    }
+                    let key = (
+                        Reverse(m.priority),
+                        t.in_flight,
+                        t.admitted,
+                        m.in_flight,
+                        m.admitted,
+                        p.wf,
+                        p.seq,
+                    );
+                    if best.as_ref().is_none_or(|(_, least)| key < *least) {
+                        best = Some((i, key));
+                    }
+                }
+                let Some((best, _)) = best else { break };
                 let Pending { wf, job, .. } = pending.remove(best);
                 let member = &mut members[wf];
                 backend.submit(&member.submit_jobs[job.idx()], 0);

@@ -55,6 +55,8 @@ impl MetricKind {
 /// per-bucket, cumulated at render time), plus sum and count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramState {
+    /// Upper bounds of the finite buckets, as the family declared them.
+    bounds: Vec<f64>,
     /// Observations per bucket; one extra slot for `+Inf`.
     counts: Vec<u64>,
     /// Sum of all observed values.
@@ -75,8 +77,9 @@ struct MetricFamily {
     kind: MetricKind,
     /// Upper bounds of the finite buckets (histograms only).
     buckets: Vec<f64>,
-    /// Series keyed by their sorted label set.
-    series: BTreeMap<Vec<(String, String)>, Series>,
+    /// Where each series lives in the registry's `cells`, keyed by
+    /// its sorted label set.
+    series: BTreeMap<Vec<(String, String)>, usize>,
 }
 
 /// The registry: a set of named metric families, each holding labelled
@@ -86,6 +89,10 @@ struct MetricFamily {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     families: BTreeMap<String, MetricFamily>,
+    /// Every series' state, in creation order: a cell's position is a
+    /// handle that stays valid as series are added, which is what
+    /// lets [`MetricsMonitor`] look each of its series up once.
+    cells: Vec<Series>,
 }
 
 fn label_key(labels: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -150,13 +157,61 @@ impl MetricsRegistry {
         self.declare(name, help, MetricKind::Histogram, buckets);
     }
 
-    fn family_mut(&mut self, name: &str, kind: MetricKind) -> &mut MetricFamily {
+    /// Resolves a series of a declared family to its cell, creating it
+    /// at zero on first touch — the one place a name and a label set
+    /// are looked up; every mutation goes through the cell.
+    fn series(&mut self, name: &str, kind: MetricKind, labels: &[(&str, &str)]) -> usize {
         let fam = self
             .families
             .get_mut(name)
             .unwrap_or_else(|| panic!("metric {name} not declared"));
         assert_eq!(fam.kind, kind, "metric {name} is not a {kind:?}");
-        fam
+        let cell = *fam
+            .series
+            .entry(label_key(labels))
+            .or_insert(self.cells.len());
+        if cell == self.cells.len() {
+            self.cells.push(match kind {
+                MetricKind::Histogram => Series::Histogram(HistogramState {
+                    bounds: fam.buckets.clone(),
+                    counts: vec![0; fam.buckets.len() + 1],
+                    ..Default::default()
+                }),
+                MetricKind::Counter | MetricKind::Gauge => Series::Scalar(0.0),
+            });
+        }
+        cell
+    }
+
+    /// The value in `cell`, a counter or gauge series.
+    fn scalar(&mut self, cell: usize) -> &mut f64 {
+        match &mut self.cells[cell] {
+            Series::Scalar(v) => v,
+            Series::Histogram(_) => unreachable!("counter and gauge families hold scalars"),
+        }
+    }
+
+    /// [`scalar`](Self::scalar) of the series whose cell `slot`
+    /// caches, resolved by name the first time.
+    fn scalar_at(
+        &mut self,
+        slot: &mut Option<usize>,
+        name: &str,
+        kind: MetricKind,
+        labels: &[(&str, &str)],
+    ) -> &mut f64 {
+        let cell = *slot.get_or_insert_with(|| self.series(name, kind, labels));
+        self.scalar(cell)
+    }
+
+    fn observe_at(&mut self, cell: usize, v: f64) {
+        let Series::Histogram(h) = &mut self.cells[cell] else {
+            unreachable!("histogram families hold histograms")
+        };
+        let idx = h.bounds.iter().position(|&ub| v <= ub);
+        h.counts[idx.unwrap_or(h.bounds.len())] += 1;
+        h.sum += v;
+        h.count += 1;
     }
 
     /// Adds `v` to a counter series.
@@ -164,15 +219,7 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if `name` is undeclared or not a counter.
     pub fn add(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let fam = self.family_mut(name, MetricKind::Counter);
-        match fam
-            .series
-            .entry(label_key(labels))
-            .or_insert(Series::Scalar(0.0))
-        {
-            Series::Scalar(total) => *total += v,
-            Series::Histogram(_) => unreachable!("counter family holds scalars"),
-        }
+        *self.scalar_at(&mut None, name, MetricKind::Counter, labels) += v;
     }
 
     /// Increments a counter series by one.
@@ -188,13 +235,17 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if `name` is undeclared or not a gauge.
     pub fn set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let fam = self.family_mut(name, MetricKind::Gauge);
-        fam.series.insert(label_key(labels), Series::Scalar(v));
+        *self.scalar_at(&mut None, name, MetricKind::Gauge, labels) = v;
+    }
+
+    fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Series> {
+        let cell = self.families.get(name)?.series.get(&label_key(labels))?;
+        Some(&self.cells[*cell])
     }
 
     /// Reads back a counter or gauge series, if it exists.
     pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match self.families.get(name)?.series.get(&label_key(labels))? {
+        match self.get(name, labels)? {
             Series::Scalar(v) => Some(*v),
             Series::Histogram(_) => None,
         }
@@ -205,31 +256,13 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if `name` is undeclared or not a histogram.
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let fam = self.family_mut(name, MetricKind::Histogram);
-        let slots = fam.buckets.len() + 1;
-        let idx = fam
-            .buckets
-            .iter()
-            .position(|&ub| v <= ub)
-            .unwrap_or(fam.buckets.len());
-        match fam.series.entry(label_key(labels)).or_insert_with(|| {
-            Series::Histogram(HistogramState {
-                counts: vec![0; slots],
-                ..Default::default()
-            })
-        }) {
-            Series::Histogram(h) => {
-                h.counts[idx] += 1;
-                h.sum += v;
-                h.count += 1;
-            }
-            Series::Scalar(_) => unreachable!("histogram family holds histograms"),
-        }
+        let cell = self.series(name, MetricKind::Histogram, labels);
+        self.observe_at(cell, v);
     }
 
     /// Reads back a histogram series, if it exists.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramState> {
-        match self.families.get(name)?.series.get(&label_key(labels))? {
+        match self.get(name, labels)? {
             Series::Histogram(h) => Some(h),
             Series::Scalar(_) => None,
         }
@@ -278,8 +311,8 @@ impl MetricsRegistry {
         for (name, fam) in &self.families {
             let _ = writeln!(out, "# HELP {name} {}", fam.help);
             let _ = writeln!(out, "# TYPE {name} {}", fam.kind.exposition_name());
-            for (labels, series) in &fam.series {
-                match series {
+            for (labels, &cell) in &fam.series {
+                match &self.cells[cell] {
                     Series::Scalar(v) => {
                         let _ = writeln!(out, "{name}{} {v}", render_labels(labels, None));
                     }
@@ -412,6 +445,26 @@ pub struct MetricsMonitor<'a> {
     /// Job roles by id, from the current run's manifest: only compute
     /// jobs feed the phase histograms.
     kinds: Vec<JobKind>,
+    series: Handles,
+}
+
+/// The series a monitor has touched, each resolved against the
+/// registry on first touch — so a series still exists only once an
+/// event lands in it, and every later event skips the lookup.
+#[derive(Default)]
+struct Handles {
+    submitted: Option<usize>,
+    in_flight: Option<usize>,
+    completions: Option<usize>,
+    backoff_wait: Option<usize>,
+    wall_time: Option<usize>,
+    /// By outcome: failed, success.
+    workflows: [Option<usize>; 2],
+    /// `queue_wait`, `install`, `kickstart`.
+    phases: [Option<usize>; 3],
+    /// By [`FaultReason`] discriminant.
+    failures: [Option<usize>; 5],
+    retries: [Option<usize>; 5],
 }
 
 impl<'a> MetricsMonitor<'a> {
@@ -441,58 +494,73 @@ impl<'a> MetricsMonitor<'a> {
             site: site.to_string(),
             n: n.to_string(),
             kinds: Vec::new(),
+            series: Handles::default(),
         }
     }
 }
 
-fn in_flight_delta(registry: &mut MetricsRegistry, labels: &[(&str, &str)], delta: f64) {
-    let cur = registry.value(names::IN_FLIGHT, labels).unwrap_or(0.0);
-    registry.set(names::IN_FLIGHT, labels, cur + delta);
-}
-
 impl EventSink for MetricsMonitor<'_> {
     fn event(&mut self, ev: &WorkflowEvent) {
+        use MetricKind::{Counter, Gauge, Histogram};
         let [site, n] = [("site", self.site.as_str()), ("n", self.n.as_str())];
         let registry = &mut *self.registry;
+        let series = &mut self.series;
         match ev {
             // A further run on the same sink brings its own manifest.
             WorkflowEvent::WorkflowStarted { .. } => self.kinds.clear(),
             WorkflowEvent::JobDeclared { kind, .. } => self.kinds.push(*kind),
             WorkflowEvent::Submitted { .. } => {
-                registry.inc(names::SUBMITTED, &[site, n]);
-                in_flight_delta(registry, &[site, n], 1.0);
+                let labels = [site, n];
+                *registry.scalar_at(&mut series.submitted, names::SUBMITTED, Counter, &labels) +=
+                    1.0;
+                *registry.scalar_at(&mut series.in_flight, names::IN_FLIGHT, Gauge, &labels) += 1.0;
             }
             WorkflowEvent::RetryScheduled {
                 backoff, reason, ..
             } => {
-                registry.inc(names::RETRIES, &[site, n, ("reason", reason.prefix())]);
-                registry.add(names::BACKOFF_WAIT, &[site, n], *backoff);
+                let labels = [site, n, ("reason", reason.prefix())];
+                let slot = &mut series.retries[*reason as usize];
+                *registry.scalar_at(slot, names::RETRIES, Counter, &labels) += 1.0;
+                let slot = &mut series.backoff_wait;
+                *registry.scalar_at(slot, names::BACKOFF_WAIT, Counter, &[site, n]) += *backoff;
             }
             WorkflowEvent::WorkflowFinished {
                 succeeded,
                 wall_time,
                 ..
             } => {
-                registry.set(names::WALL_TIME, &[site, n], *wall_time);
+                let slot = &mut series.wall_time;
+                *registry.scalar_at(slot, names::WALL_TIME, Gauge, &[site, n]) = *wall_time;
                 let outcome = if *succeeded { "success" } else { "failed" };
-                registry.inc(names::WORKFLOWS, &[site, n, ("outcome", outcome)]);
+                let labels = [site, n, ("outcome", outcome)];
+                let slot = &mut series.workflows[usize::from(*succeeded)];
+                *registry.scalar_at(slot, names::WORKFLOWS, Counter, &labels) += 1.0;
             }
             _ => {
                 let Some(end) = ev.termination() else { return };
-                in_flight_delta(registry, &[site, n], -1.0);
+                let slot = &mut series.in_flight;
+                *registry.scalar_at(slot, names::IN_FLIGHT, Gauge, &[site, n]) += -1.0;
                 if let Some((reason, _)) = end.failure {
-                    registry.inc(names::FAILURES, &[site, n, ("reason", reason.prefix())]);
+                    let labels = [site, n, ("reason", reason.prefix())];
+                    let slot = &mut series.failures[reason as usize];
+                    *registry.scalar_at(slot, names::FAILURES, Counter, &labels) += 1.0;
                     return;
                 }
-                registry.inc(names::COMPLETIONS, &[site, n]);
+                let slot = &mut series.completions;
+                *registry.scalar_at(slot, names::COMPLETIONS, Counter, &[site, n]) += 1.0;
                 if self.kinds.get(end.job.idx()) == Some(&JobKind::Compute) {
-                    for (phase, seconds) in [
-                        ("queue_wait", end.times.waiting()),
-                        ("install", end.times.install()),
-                        ("kickstart", end.times.kickstart()),
-                    ] {
+                    let times = end.times;
+                    let phases = [
+                        ("queue_wait", times.waiting()),
+                        ("install", times.install()),
+                        ("kickstart", times.kickstart()),
+                    ];
+                    for (slot, (phase, seconds)) in series.phases.iter_mut().zip(phases) {
                         let labels = [site, n, ("phase", phase)];
-                        registry.observe(names::PHASE_SECONDS, &labels, seconds);
+                        let cell = *slot.get_or_insert_with(|| {
+                            registry.series(names::PHASE_SECONDS, Histogram, &labels)
+                        });
+                        registry.observe_at(cell, seconds);
                     }
                 }
             }

@@ -81,6 +81,7 @@
 use crate::engine::WorkflowRun;
 use crate::ensemble::MemberState;
 use crate::error::WmsError;
+use crate::statistics::{self, WorkflowStatistics};
 use crate::trace::TraceId;
 use std::fmt::Write as _;
 
@@ -944,26 +945,47 @@ pub fn queue_wait(run: &WorkflowRun) -> Option<f64> {
     }
 }
 
-/// Builds the status line for a completed member from its replayed
-/// (or live) [`WorkflowRun`]. Both paths fold the same event stream,
-/// which is what keeps `pegasus status` against a live daemon
+/// What a service keeps of a finished member once its run is gone:
+/// enough for its status line and its rollup row, nothing that grows
+/// with its event stream. Live and replayed runs fold the same
+/// stream, which is what keeps `pegasus status` against a live daemon
 /// byte-identical to an offline replay of its logs.
-pub fn status_from_run(
-    id: usize,
-    tenant: &str,
-    site: &str,
-    state: MemberState,
-    run: &WorkflowRun,
-) -> StatusLine {
-    StatusLine {
-        id,
-        tenant: tenant.into(),
-        site: site.into(),
-        state,
-        jobs: Some(run.records.len()),
-        wall_time: Some(run.wall_time),
-        queue_wait: queue_wait(run),
-        name: run.name.clone(),
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemberSummary {
+    /// Job count of the planned workflow.
+    pub jobs: usize,
+    /// [`queue_wait`] of the run.
+    pub queue_wait: Option<f64>,
+    /// Whether the whole workflow completed.
+    pub succeeded: bool,
+    /// The member's statistics row; its name and wall time are the
+    /// run's.
+    pub stats: WorkflowStatistics,
+}
+
+impl MemberSummary {
+    /// Summarises a live or replayed run.
+    pub fn of(run: &WorkflowRun) -> Self {
+        MemberSummary {
+            jobs: run.records.len(),
+            queue_wait: queue_wait(run),
+            succeeded: run.succeeded(),
+            stats: statistics::compute(run),
+        }
+    }
+
+    /// The status line of the member this summarises.
+    pub fn status(&self, id: usize, tenant: &str, site: &str, state: MemberState) -> StatusLine {
+        StatusLine {
+            id,
+            tenant: tenant.into(),
+            site: site.into(),
+            state,
+            jobs: Some(self.jobs),
+            wall_time: Some(self.stats.workflow_wall_time),
+            queue_wait: self.queue_wait,
+            name: self.stats.name.clone(),
+        }
     }
 }
 

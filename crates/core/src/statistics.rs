@@ -311,6 +311,33 @@ pub struct EnsembleStatistics {
 }
 
 impl EnsembleStatistics {
+    /// The rollup over per-member rows, each with whether its member
+    /// succeeded, in submission order. The makespan is the longest
+    /// member wall time: every member's clock starts at round start.
+    pub fn from_rows(rows: Vec<(WorkflowStatistics, bool)>) -> Self {
+        let workflows_succeeded = rows.iter().filter(|(_, ok)| *ok).count();
+        let workflows_failed = rows.len() - workflows_succeeded;
+        let per_workflow: Vec<WorkflowStatistics> = rows.into_iter().map(|(w, _)| w).collect();
+        let mut faults = FaultCounters::default();
+        for w in &per_workflow {
+            faults.merge(&w.faults);
+        }
+        let walls = per_workflow.iter().map(|w| w.workflow_wall_time);
+        EnsembleStatistics {
+            makespan: walls.fold(0.0, f64::max),
+            workflows_succeeded,
+            workflows_failed,
+            cumulative_job_walltime: per_workflow.iter().map(|w| w.cumulative_job_walltime).sum(),
+            cumulative_badput: per_workflow.iter().map(|w| w.cumulative_badput).sum(),
+            jobs_succeeded: per_workflow.iter().map(|w| w.jobs_succeeded).sum(),
+            jobs_failed: per_workflow.iter().map(|w| w.jobs_failed).sum(),
+            jobs_unready: per_workflow.iter().map(|w| w.jobs_unready).sum(),
+            retries: per_workflow.iter().map(|w| w.retries).sum(),
+            faults,
+            per_workflow,
+        }
+    }
+
     /// Aggregate throughput proxy: total useful work over makespan —
     /// the average concurrency the shared platform sustained.
     pub fn aggregate_concurrency(&self) -> f64 {
@@ -345,29 +372,11 @@ impl EnsembleStatistics {
 }
 
 /// Computes per-workflow and rollup statistics over the member runs
-/// of an ensemble, borrowed from wherever they live. The makespan is
-/// the longest member wall time: every member's clock starts at round
-/// start.
+/// of an ensemble, borrowed from wherever they live:
+/// [`EnsembleStatistics::from_rows`] over each run's [`compute`] row.
 pub fn compute_ensemble<'a>(runs: impl IntoIterator<Item = &'a WorkflowRun>) -> EnsembleStatistics {
-    let runs: Vec<&WorkflowRun> = runs.into_iter().collect();
-    let per_workflow: Vec<WorkflowStatistics> = runs.iter().copied().map(compute).collect();
-    let mut faults = FaultCounters::default();
-    for run in &runs {
-        faults.merge(&run.faults);
-    }
-    EnsembleStatistics {
-        makespan: runs.iter().map(|r| r.wall_time).fold(0.0, f64::max),
-        workflows_succeeded: runs.iter().filter(|r| r.succeeded()).count(),
-        workflows_failed: runs.iter().filter(|r| !r.succeeded()).count(),
-        cumulative_job_walltime: per_workflow.iter().map(|w| w.cumulative_job_walltime).sum(),
-        cumulative_badput: per_workflow.iter().map(|w| w.cumulative_badput).sum(),
-        jobs_succeeded: per_workflow.iter().map(|w| w.jobs_succeeded).sum(),
-        jobs_failed: per_workflow.iter().map(|w| w.jobs_failed).sum(),
-        jobs_unready: per_workflow.iter().map(|w| w.jobs_unready).sum(),
-        retries: per_workflow.iter().map(|w| w.retries).sum(),
-        faults,
-        per_workflow,
-    }
+    let rows = runs.into_iter().map(|r| (compute(r), r.succeeded()));
+    EnsembleStatistics::from_rows(rows.collect())
 }
 
 /// Renders the ensemble as summary-schema CSV: the shared header, one

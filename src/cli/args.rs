@@ -455,7 +455,11 @@ pub const VERBS: &[Verb] = &[
             common::TIMEOUT,
             opt("slots", "n", "slot budget for the feasibility pass"),
             opt("fan-limit", "n", "fan-in/out threshold (default 500)"),
-            opt("explain", "code", "print extended help for a rule code or name"),
+            opt(
+                "explain",
+                "code",
+                "print extended help for a rule code or name",
+            ),
             switch("list", "list every registered rule with its default level"),
         ],
     },
@@ -479,16 +483,28 @@ pub const VERBS: &[Verb] = &[
                 "verify every member event log of a serve state directory",
             ),
             opt("format", "text|json", "diagnostic output format"),
-            opt("deny", "spec", "escalate findings: warnings, codes, or names"),
+            opt(
+                "deny",
+                "spec",
+                "escalate findings: warnings, codes, or names",
+            ),
             opt("allow", "spec", "silence findings by code or name"),
             opt("slots", "n", "slot capacity for the concurrency sweep"),
-            opt("storage-limit", "bytes", "storage bound for the footprint sweep"),
+            opt(
+                "storage-limit",
+                "bytes",
+                "storage bound for the footprint sweep",
+            ),
             common::SEED,
             common::RETRIES,
             common::BACKOFF,
             common::TIMEOUT,
             opt("fault-plan", "file", "scripted fault plan for the live run"),
-            opt("n", "clusters", "decomposition size for a live run (default 100)"),
+            opt(
+                "n",
+                "clusters",
+                "decomposition size for a live run (default 100)",
+            ),
             opt("events", "file", "also write the live run's event log"),
             common::QUIET,
         ],

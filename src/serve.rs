@@ -25,6 +25,11 @@
 //!   and the Prometheus scrape are folds over those streams, so a
 //!   live daemon and an offline replay of its directory render
 //!   byte-identical views.
+//! * **The daemon holds live work, not history.** A finished member
+//!   is folded once — into a [`MemberSummary`] row and the running
+//!   metrics registry — and its run is dropped; `trace` reads the
+//!   member log back on demand. Restart streams the logs through the
+//!   same fold, one member at a time.
 //! * **Recovery re-executes the interrupted round.** The journal's
 //!   open `round` entry names the batch and seed; partial member logs
 //!   are reported (how far each in-flight member got), deleted, and
@@ -41,18 +46,19 @@ use pegasus_wms::error::WmsError;
 use pegasus_wms::events::{self, WorkflowEvent};
 use pegasus_wms::lint;
 use pegasus_wms::metrics::{self, MetricsRegistry};
+use pegasus_wms::planner::ExecutableWorkflow;
 use pegasus_wms::prof;
 use pegasus_wms::serve as proto;
 use pegasus_wms::serve::{
-    JournalEntry, Ledger, Request, ResponseHead, SubmitRequest, SubmitSource,
+    JournalEntry, Ledger, MemberSummary, Request, ResponseHead, SubmitRequest, SubmitSource,
 };
-use pegasus_wms::statistics::{compute_ensemble, render_ensemble_csv};
+use pegasus_wms::statistics::{render_ensemble_csv, EnsembleStatistics};
 use pegasus_wms::symbols::SiteId;
 use pegasus_wms::trace::{self, TraceId};
 use pegasus_wms::verify;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
@@ -137,16 +143,16 @@ fn default_name(sub: &SubmitRequest) -> String {
 }
 
 /// The `status` payload: one line per submission, its state read off
-/// the ledger and its numbers off its run. The live daemon and the
-/// offline replay both render through here.
-fn status_lines(ledger: &Ledger, runs: &[Option<WorkflowRun>]) -> Vec<String> {
-    let members = ledger.submissions.iter().zip(runs);
+/// the ledger and its numbers off its summary row. The live daemon
+/// and the offline replay both render through here.
+fn status_lines(ledger: &Ledger, members: &[Option<MemberSummary>]) -> Vec<String> {
+    let members = ledger.submissions.iter().zip(members);
     members
         .enumerate()
-        .map(|(id, (sub, run))| {
-            let state = ledger.state(id, run.as_ref().map(WorkflowRun::succeeded));
-            let line = match run {
-                Some(run) => proto::status_from_run(id, &sub.tenant, &sub.site, state, run),
+        .map(|(id, (sub, member))| {
+            let state = ledger.state(id, member.as_ref().map(|m| m.succeeded));
+            let line = match member {
+                Some(member) => member.status(id, &sub.tenant, &sub.site, state),
                 None => proto::StatusLine {
                     id,
                     tenant: sub.tenant.clone(),
@@ -175,23 +181,27 @@ enum SchedMsg {
     Scrape(mpsc::Sender<String>),
 }
 
-/// Incremental event-log writer for one round: one file per member,
+/// Incremental event-log writer for one round: one log per member,
 /// header first, then chunks exactly as the ensemble emits them, so
 /// a crash at any instant leaves well-formed replayable prefixes.
-struct LogMonitor {
-    files: Vec<File>,
+struct LogMonitor<W: Write> {
+    /// One log per member, in batch order.
+    logs: Vec<W>,
     completed: usize,
     crash_after: Option<usize>,
+    /// The first append that failed, by batch position: nothing is
+    /// written after it, and the round reports it instead of finishing.
+    failed: Option<(usize, io::Error)>,
 }
 
-impl LogMonitor {
-    fn new(
+impl LogMonitor<File> {
+    fn create(
         dir: &Path,
         ledger: &Ledger,
         ids: &[usize],
         crash_after: Option<usize>,
-    ) -> std::io::Result<Self> {
-        let mut files = Vec::with_capacity(ids.len());
+    ) -> io::Result<Self> {
+        let mut logs = Vec::with_capacity(ids.len());
         for &id in ids {
             let mut f = File::create(member_log_path(dir, id))?;
             // The trace id rides as a comment line under the header:
@@ -203,24 +213,26 @@ impl LogMonitor {
                 None => format!("{}\n", events::log::HEADER),
             };
             f.write_all(header.as_bytes())?;
-            files.push(f);
+            logs.push(f);
         }
         Ok(LogMonitor {
-            files,
+            logs,
             completed: 0,
             crash_after,
+            failed: None,
         })
     }
 }
 
-impl EnsembleMonitor for LogMonitor {
+impl<W: Write> EnsembleMonitor for LogMonitor<W> {
     fn member_events(&mut self, index: usize, chunk: &[WorkflowEvent]) {
-        if chunk.is_empty() {
+        if chunk.is_empty() || self.failed.is_some() {
             return;
         }
-        self.files[index]
-            .write_all(events::log::append(chunk).as_bytes())
-            .expect("append member event log");
+        if let Err(e) = self.logs[index].write_all(events::log::append(chunk).as_bytes()) {
+            self.failed = Some((index, e));
+            return;
+        }
         // A member's last chunk ends with its trailer.
         if matches!(chunk.last(), Some(WorkflowEvent::WorkflowFinished { .. })) {
             self.completed += 1;
@@ -242,13 +254,19 @@ fn journal_path(dir: &Path) -> PathBuf {
     dir.join("journal")
 }
 
-/// Loads and replays one member's event log into a [`WorkflowRun`].
-fn load_member_run(dir: &Path, id: usize) -> Result<WorkflowRun, String> {
+/// Reads a finished member's event log back into its run — the one
+/// reader behind restart, the offline status and `trace`. A log that
+/// is missing, unreadable, unparsable or has no trailer is an error
+/// naming its path.
+fn read_member_run(dir: &Path, id: usize) -> Result<WorkflowRun, String> {
     let path = member_log_path(dir, id);
     let text =
         fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let stream =
         events::log::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
+    if !matches!(stream.last(), Some(WorkflowEvent::WorkflowFinished { .. })) {
+        return Err(format!("{} has no trailer", path.display()));
+    }
     events::replay(&stream).map_err(|e| format!("cannot replay {}: {e}", path.display()))
 }
 
@@ -269,15 +287,10 @@ fn read_journal(dir: &Path) -> Result<(Ledger, usize, usize), String> {
     Ok((ledger, whole.len(), text.len() - whole.len()))
 }
 
-/// The run of every member a finished round claimed, replayed from
-/// its event log; `None` for the rest.
-fn load_runs(dir: &Path, ledger: &Ledger) -> Result<Vec<Option<WorkflowRun>>, String> {
-    (0..ledger.submissions.len())
-        .map(|id| match ledger.round_of(id) {
-            Some(round) if round.finished => load_member_run(dir, id).map(Some),
-            _ => Ok(None),
-        })
-        .collect()
+/// The members a finished round claimed — the ones with a complete
+/// event log — in id order.
+fn finished_members(ledger: &Ledger) -> impl Iterator<Item = usize> + '_ {
+    (0..ledger.submissions.len()).filter(|&id| ledger.round_of(id).is_some_and(|r| r.finished))
 }
 
 /// Every member event log under `dir`, member-id order, each with the
@@ -324,7 +337,7 @@ pub fn member_logs(dir: &Path) -> Result<Vec<(PathBuf, Option<TraceId>)>, String
     Ok(logs)
 }
 
-/// Plans one submission into the member the round will execute.
+/// Plans one submission into the workflow the round will execute.
 /// `engine_seed` is the resolved seed (the submission's own, or the
 /// round seed) — also used for workload calibration, so recovery
 /// re-plans identically.
@@ -332,24 +345,57 @@ fn plan_member(
     registry: &SiteRegistry,
     sub: &SubmitRequest,
     engine_seed: u64,
-    default_retries: u32,
-) -> Result<Submission, String> {
+) -> Result<ExecutableWorkflow, String> {
     let site = registry.resolve(&sub.site).map_err(|e| e.to_string())?;
-    let exec = match &sub.source {
-        SubmitSource::Generated { n } => plan_blast2cap3_at(registry, site, *n, engine_seed),
+    match &sub.source {
+        SubmitSource::Generated { n } => Ok(plan_blast2cap3_at(registry, site, *n, engine_seed)),
         SubmitSource::Dax { path } => {
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let wf = dax::from_dax(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-            plan_on(registry, site, &wf).map_err(|e| format!("cannot plan {path}: {e}"))?
+            plan_on(registry, site, &wf).map_err(|e| format!("cannot plan {path}: {e}"))
         }
+    }
+}
+
+/// Plans the members `ids` of one round, in that order, into the batch
+/// the round executes — once, before the round is journaled or (on
+/// recovery) re-executed. A generated workflow is a function of its
+/// site, `n` and seed, and a round has one site, so each distinct
+/// `(n, seed)` is planned once and the rest of the round takes clones.
+fn plan_round(
+    registry: &SiteRegistry,
+    ledger: &Ledger,
+    default_retries: u32,
+    round_seed: u64,
+    ids: &[usize],
+) -> Result<Vec<Submission>, String> {
+    let mut planned: BTreeMap<(usize, u64), ExecutableWorkflow> = BTreeMap::new();
+    let plan = |&id: &usize| {
+        let sub = &ledger.submissions[id];
+        let seed = sub.seed.unwrap_or(round_seed);
+        let key = match sub.source {
+            SubmitSource::Generated { n } => Some((n, seed)),
+            SubmitSource::Dax { .. } => None,
+        };
+        let exec = match key.and_then(|key| planned.get(&key)) {
+            Some(exec) => exec.clone(),
+            None => {
+                let exec = plan_member(registry, sub, seed)?;
+                if let Some(key) = key {
+                    planned.insert(key, exec.clone());
+                }
+                exec
+            }
+        };
+        let cfg = EngineConfig::builder()
+            .retries(sub.retries.unwrap_or(default_retries))
+            .seed(seed)
+            .build();
+        Ok(Submission::new(exec, cfg)
+            .with_priority(sub.priority)
+            .with_tenant(sub.tenant.clone()))
     };
-    let cfg = EngineConfig::builder()
-        .retries(sub.retries.unwrap_or(default_retries))
-        .seed(engine_seed)
-        .build();
-    Ok(Submission::new(exec, cfg)
-        .with_priority(sub.priority)
-        .with_tenant(sub.tenant.clone()))
+    ids.iter().map(plan).collect()
 }
 
 /// Admission-time preflight on a submitted DAX, over one parse of its
@@ -420,13 +466,25 @@ fn refusal(e: WmsError) -> String {
 }
 
 /// The daemon state, owned by the scheduler thread: the journal, the
-/// ledger it folds to, and the run of every member that has one.
+/// ledger it folds to, and what it keeps of every finished member — a
+/// summary row each and one running metrics registry. No run outlives
+/// the request that produced it.
 struct Daemon {
     opts: ServeOptions,
     registry: SiteRegistry,
     ledger: Ledger,
     /// Indexed by submission id, like `ledger.submissions`.
-    runs: Vec<Option<WorkflowRun>>,
+    members: Vec<Option<MemberSummary>>,
+    /// Every finished member's events, folded in member-id order —
+    /// the fold `pegasus metrics --from-events m0.events,m1.events,…`
+    /// performs offline, which is order-dependent, so the scrape
+    /// matches it byte-for-byte only while members finish in id order.
+    metrics: MetricsRegistry,
+    /// The highest member id folded into `metrics`.
+    folded: Option<usize>,
+    /// A member finished below `folded`: `metrics` is no longer the
+    /// id-order fold, and the next scrape rebuilds it from the logs.
+    stale: bool,
     journal: File,
 }
 
@@ -475,7 +533,7 @@ impl Daemon {
             sub.trace = Some(TraceId::derive(self.opts.seed, id as u64));
         }
         self.record(JournalEntry::Submission { id, sub })?;
-        self.runs.push(None);
+        self.members.push(None);
         Ok(ResponseHead::Ok(vec![("id".into(), id.to_string())]))
     }
 
@@ -484,45 +542,61 @@ impl Daemon {
         Ok(ResponseHead::Ok(vec![("id".into(), id.to_string())]))
     }
 
-    /// Plans the members of one round, in id order, into the batch the
-    /// round executes — once, before the round is journaled or (on
-    /// recovery) re-executed.
-    fn plan_round(&self, round_seed: u64, ids: &[usize]) -> Result<Vec<Submission>, String> {
-        let plan = |&id: &usize| {
-            let sub = &self.ledger.submissions[id];
-            let seed = sub.seed.unwrap_or(round_seed);
-            plan_member(&self.registry, sub, seed, self.opts.retries)
-        };
-        ids.iter().map(plan).collect()
-    }
-
     /// Executes one journaled round: its planned batch runs as one
     /// ensemble on a fresh backend seeded by the round seed, member
-    /// logs are written as it goes, and the per-member runs are kept.
+    /// logs are written as it goes, and the runs come back in batch
+    /// order. A member log that could not be appended fails the round.
     fn execute_round(
         &mut self,
         site: SiteId,
         round_seed: u64,
         ids: &[usize],
         batch: Vec<Submission>,
-    ) -> Result<(), String> {
+    ) -> Result<Vec<WorkflowRun>, String> {
         let _round = prof::scope("serve.round");
         let mut backend = self.registry.backend(site, round_seed);
         let crash_after = self.opts.crash_after_members;
-        let mut monitor = LogMonitor::new(&self.opts.dir, &self.ledger, ids, crash_after)
+        let mut monitor = LogMonitor::create(&self.opts.dir, &self.ledger, ids, crash_after)
             .map_err(|e| format!("cannot open member logs: {e}"))?;
         let config = self.opts.ensemble_config();
         let ens = Ensemble::run_to_completion_monitored(&mut backend, batch, &config, &mut monitor)
             .map_err(|e| format!("round failed: {e}"))?;
-        for (&id, run) in ids.iter().zip(ens.runs) {
-            self.runs[id] = Some(run);
+        match monitor.failed {
+            Some((at, e)) => Err(format!("cannot append member log m{}.events: {e}", ids[at])),
+            None => Ok(ens.runs),
+        }
+    }
+
+    /// Takes what the daemon keeps of a finished member — its summary
+    /// row, and its events in the running registry — and drops the run.
+    fn absorb(&mut self, id: usize, run: WorkflowRun) -> Result<(), String> {
+        self.members[id] = Some(MemberSummary::of(&run));
+        self.stale |= self.folded.is_some_and(|high| id < high);
+        if !self.stale {
+            metrics::record_events(&mut self.metrics, &run.events)
+                .map_err(|e| format!("cannot record metrics: {e}"))?;
+            self.folded = Some(id);
         }
         Ok(())
     }
 
+    /// Absorbs every finished member from its log, in id order and one
+    /// run at a time, into a fresh registry: how a restart learns its
+    /// history, and how a stale registry is rebuilt.
+    fn absorb_logs(&mut self) -> Result<(), String> {
+        (self.metrics, self.folded, self.stale) = (MetricsRegistry::new(), None, false);
+        let finished: Vec<usize> = finished_members(&self.ledger).collect();
+        let absorbed = finished
+            .into_iter()
+            .try_for_each(|id| self.absorb(id, read_member_run(&self.opts.dir, id)?));
+        self.stale = absorbed.is_err();
+        absorbed
+    }
+
     /// `run`: one round per site over everything queued, sites in
-    /// lexicographic order, members in id order. Each round is planned
-    /// once, journaled, executed, and journaled done.
+    /// lexicographic order, members in id order; then every run the
+    /// request produced is absorbed, whether or not its last round
+    /// failed.
     fn handle_run(&mut self) -> Result<ResponseHead, String> {
         // Keyed by the site's primary registry name so rounds execute
         // in lexicographic site order, as they always have; aliases
@@ -539,6 +613,30 @@ impl Daemon {
                 .1
                 .push(id);
         }
+        // Rounds go by site name, not by member id, so the runs wait
+        // for the request's last round and are absorbed in id order.
+        // Every id here is above every earlier request's.
+        let mut finished: Vec<(usize, WorkflowRun)> = Vec::new();
+        let ran = self.run_rounds(by_site, &mut finished);
+        finished.sort_by_key(|(id, _)| *id);
+        for (id, run) in finished {
+            self.absorb(id, run)?;
+        }
+        let (rounds, count) = ran?;
+        Ok(ResponseHead::Ok(vec![
+            ("rounds".into(), rounds.to_string()),
+            ("members".into(), count.to_string()),
+        ]))
+    }
+
+    /// Each round is planned once, journaled, executed, and journaled
+    /// done; its runs join `finished`. Returns how many rounds and
+    /// members ran.
+    fn run_rounds(
+        &mut self,
+        by_site: BTreeMap<String, (SiteId, Vec<usize>)>,
+        finished: &mut Vec<(usize, WorkflowRun)>,
+    ) -> Result<(usize, usize), String> {
         let mut rounds = 0usize;
         let mut count = 0usize;
         for (_, (site, ids)) in by_site {
@@ -547,56 +645,52 @@ impl Daemon {
             // Plan before journaling so a bad member (e.g. a DAX file
             // deleted since submit) rejects the whole run cleanly
             // instead of leaving an open round.
-            let batch = self.plan_round(seed, &ids)?;
+            let batch = plan_round(&self.registry, &self.ledger, self.opts.retries, seed, &ids)?;
             self.record(JournalEntry::RoundStarted {
                 round,
                 seed,
                 members: ids.clone(),
             })?;
-            self.execute_round(site, seed, &ids, batch)?;
+            let runs = self.execute_round(site, seed, &ids, batch)?;
             self.record(JournalEntry::RoundFinished { round })?;
             rounds += 1;
             count += ids.len();
+            finished.extend(ids.into_iter().zip(runs));
         }
-        Ok(ResponseHead::Ok(vec![
-            ("rounds".into(), rounds.to_string()),
-            ("members".into(), count.to_string()),
-        ]))
+        Ok((rounds, count))
     }
 
     fn rollup_csv(&self) -> Result<String, String> {
-        let stats = compute_ensemble(self.runs.iter().flatten());
-        if stats.per_workflow.is_empty() {
+        let finished = self.members.iter().flatten();
+        let rows: Vec<_> = finished.map(|m| (m.stats.clone(), m.succeeded)).collect();
+        if rows.is_empty() {
             return Err("no completed members".into());
         }
-        Ok(render_ensemble_csv(&stats))
+        Ok(render_ensemble_csv(&EnsembleStatistics::from_rows(rows)))
     }
 
-    /// The Prometheus exposition over every completed member, folded
-    /// into a *fresh* registry in member-id order — exactly the fold
-    /// `pegasus metrics --from-events m0.events,m1.events,…` performs
-    /// offline, so the scrape matches it byte-for-byte.
-    fn exposition(&self) -> Result<String, String> {
-        let mut registry = MetricsRegistry::new();
-        for run in self.runs.iter().flatten() {
-            metrics::record_events(&mut registry, &run.events)
-                .map_err(|e| format!("cannot record metrics: {e}"))?;
+    /// The Prometheus exposition over every finished member: the
+    /// running registry, rebuilt first if members finished out of id
+    /// order — so the scrape is always the offline id-order fold.
+    fn exposition(&mut self) -> Result<String, String> {
+        if self.stale {
+            self.absorb_logs()?;
         }
-        Ok(registry.render())
+        Ok(self.metrics.render())
     }
 
-    /// `trace id=<n>`: the span tree of a completed member, rendered
-    /// from its event stream keyed by its journaled trace id — the
-    /// same fold `pegasus trace --from-events members/m<n>.events`
-    /// performs offline, byte-for-byte.
+    /// `trace id=<n>`: the span tree of a finished member, read back
+    /// from its event log and keyed by its journaled trace id — what
+    /// `pegasus trace --from-events members/m<n>.events` renders
+    /// offline, byte-for-byte.
     fn handle_trace(&self, id: usize) -> Result<String, String> {
-        let run = self
-            .runs
+        self.members
             .get(id)
             .ok_or_else(|| format!("unknown submission {id}"))?
             .as_ref()
             .ok_or_else(|| format!("submission {id} has not run"))?;
-        let tree = trace::of_run(run, self.ledger.submissions[id].trace);
+        let run = read_member_run(&self.opts.dir, id)?;
+        let tree = trace::of_run(&run, self.ledger.submissions[id].trace);
         Ok(trace::render_text(std::slice::from_ref(&tree)))
     }
 
@@ -613,7 +707,7 @@ impl Daemon {
                 .map(|h| format!("{}\n", proto::render_response_head(&h))),
             Request::Trace { id } => self.handle_trace(id).map(|text| lines_response(&text)),
             Request::Status => Ok(lines_response(
-                &status_lines(&self.ledger, &self.runs).join("\n"),
+                &status_lines(&self.ledger, &self.members).join("\n"),
             )),
             Request::Rollup => self.rollup_csv().map(|csv| lines_response(&csv)),
             Request::Metrics => self.exposition().map(|text| lines_response(&text)),
@@ -682,12 +776,14 @@ fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
     for sub in &ledger.submissions {
         registry.resolve(&sub.site).map_err(|e| e.to_string())?;
     }
-    let runs = load_runs(&opts.dir, &ledger)?;
     let mut daemon = Daemon {
         opts: opts.clone(),
         registry,
+        members: vec![None; ledger.submissions.len()],
         ledger,
-        runs,
+        metrics: MetricsRegistry::new(),
+        folded: None,
+        stale: false,
         journal,
     };
 
@@ -717,10 +813,13 @@ fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
             open.seed,
             open.members.len()
         );
-        let batch = daemon.plan_round(open.seed, &open.members)?;
-        daemon.execute_round(site, open.seed, &open.members, batch)?;
+        let (seed, ids) = (open.seed, &open.members);
+        let batch = plan_round(&daemon.registry, &daemon.ledger, opts.retries, seed, ids)?;
+        // The runs go: their logs are read back below with the rest.
+        daemon.execute_round(site, seed, ids, batch)?;
         daemon.record(JournalEntry::RoundFinished { round: open.round })?;
     }
+    daemon.absorb_logs()?;
     Ok(daemon)
 }
 
@@ -903,7 +1002,11 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
 /// Unreadable/corrupt journal or member logs.
 pub fn status_lines_offline(dir: &Path) -> Result<Vec<String>, String> {
     let (ledger, ..) = read_journal(dir)?;
-    Ok(status_lines(&ledger, &load_runs(dir, &ledger)?))
+    let mut members = vec![None; ledger.submissions.len()];
+    for id in finished_members(&ledger) {
+        members[id] = Some(MemberSummary::of(&read_member_run(dir, id)?));
+    }
+    Ok(status_lines(&ledger, &members))
 }
 
 /// A minimal blocking protocol client, shared by the `pegasus
@@ -999,5 +1102,118 @@ pub mod client {
             return Err(format!("scrape failed: {status}"));
         }
         Ok(body.to_string())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+
+    /// Shares one write counter across a round's logs and refuses the
+    /// `fail_at`-th write.
+    struct Flaky<'a> {
+        calls: &'a Cell<usize>,
+        fail_at: usize,
+        written: &'a Cell<usize>,
+    }
+
+    impl Write for Flaky<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls.set(self.calls.get() + 1);
+            if self.calls.get() == self.fail_at {
+                return Err(io::Error::other("disk full"));
+            }
+            self.written.set(self.written.get() + buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_member_log_append_is_remembered_and_ends_the_writing() {
+        let run = crate::experiment::simulate_blast2cap3("sandhills", 4, 7, 3).run;
+        let chunks: Vec<&[WorkflowEvent]> = run.events.chunks(5).collect();
+        for fail_at in 1..=chunks.len() {
+            let (calls, written) = (Cell::new(0), Cell::new(0));
+            let (calls, written) = (&calls, &written);
+            let log = || Flaky {
+                calls,
+                fail_at,
+                written,
+            };
+            let mut monitor = LogMonitor {
+                logs: vec![log(), log()],
+                completed: 0,
+                crash_after: None,
+                failed: None,
+            };
+            // Two members' chunks interleave, as in a round.
+            for (k, chunk) in chunks.iter().enumerate() {
+                monitor.member_events(k % 2, chunk);
+            }
+            let (at, e) = monitor.failed.as_ref().expect("the failure is kept");
+            assert_eq!(
+                (*at, e.to_string()),
+                ((fail_at - 1) % 2, "disk full".into())
+            );
+            assert_eq!(calls.get(), fail_at, "nothing is written after it");
+            let before = events::log::append(&run.events[..5 * (fail_at - 1)]).len();
+            assert_eq!(written.get(), before, "fail_at={fail_at}");
+        }
+    }
+
+    #[test]
+    fn a_round_planned_as_one_batch_equals_its_members_planned_alone() {
+        // (n, own seed, retries, priority): 5 is also the round's seed.
+        let members = [
+            (10, None, None, 0),
+            (10, None, Some(7), 2),
+            (12, None, None, 0),
+            (10, Some(99), None, 0),
+            (10, Some(99), None, -1),
+            (12, Some(5), None, 0),
+        ];
+        let mut ledger = Ledger::default();
+        for (id, (n, seed, retries, priority)) in members.into_iter().enumerate() {
+            let sub = SubmitRequest {
+                tenant: format!("tenant{}", id % 3),
+                site: "osg".into(),
+                seed,
+                retries,
+                priority,
+                trace: None,
+                source: SubmitSource::Generated { n },
+            };
+            ledger
+                .apply(JournalEntry::Submission { id, sub })
+                .expect("a legal journal");
+        }
+        let plan =
+            |ids: &[usize]| plan_round(builtin_registry(), &ledger, 3, 5, ids).expect("plans");
+        let batch = plan(&[0, 1, 2, 3, 4, 5]);
+        for (id, member) in batch.iter().enumerate() {
+            // A batch of one has nothing to share a plan with.
+            let alone = plan(&[id]).remove(0);
+            assert_eq!(member.workflow, alone.workflow, "member {id}");
+            let cfg = |m: &Submission| (m.config.seed, m.config.retry.max_attempts);
+            assert_eq!(cfg(member), cfg(&alone), "member {id}");
+            assert_eq!(
+                (&member.tenant, member.priority),
+                (&alone.tenant, alone.priority)
+            );
+        }
+        assert_eq!(
+            (batch[3].config.seed, batch[1].config.retry.max_attempts),
+            (99, 8)
+        );
+        assert_ne!(batch[0].workflow, batch[3].workflow, "a seed of its own");
+        assert_eq!(
+            batch[2].workflow, batch[5].workflow,
+            "the round's seed, spelled out"
+        );
     }
 }

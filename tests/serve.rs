@@ -25,7 +25,13 @@
 //!   could have written refuses the start before any member runs;
 //! * malformed request lines get `error` responses without killing
 //!   the connection, and DAX submissions are lint-checked at
-//!   admission time.
+//!   admission time;
+//! * the daemon keeps no run: a scrape before any member finished is
+//!   empty, `trace` reads the member log on demand (a damaged log is
+//!   an `error` reply naming it, and the daemon keeps serving), and
+//!   over random sessions — three sites sharing two label sets,
+//!   cancels, several `run`s, a crash, restarts — every live view
+//!   equals its offline fold and its own rendering after a restart.
 
 use blast2cap3_pegasus::serve::client::{self, Connection};
 use blast2cap3_pegasus::serve::status_lines_offline;
@@ -33,6 +39,7 @@ use pegasus_wms::events;
 use pegasus_wms::metrics::{self, MetricsRegistry};
 use pegasus_wms::serve::{Request, ResponseHead, SubmitRequest, SubmitSource};
 use pegasus_wms::trace::TraceId;
+use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -677,5 +684,204 @@ fn a_journal_no_daemon_could_have_written_refuses_the_start() {
             format!("{submission}{tail}"),
             "{name}: a refused journal is left as it was"
         );
+    }
+}
+
+#[test]
+fn a_daemon_with_no_finished_member_scrapes_empty() {
+    let dir = scratch("empty-scrape");
+    let daemon = Daemon::start(&dir, &[]);
+    let mut conn = daemon.connect();
+    let scrape = || client::scrape(&daemon.metrics_addr).expect("HTTP scrape");
+    assert_eq!(scrape(), "");
+    expect_ok(&mut conn, &generated("alice", "sandhills", 10));
+    expect_ok(&mut conn, &generated("bob", "osg", 10));
+    expect_ok(&mut conn, &Request::Cancel { id: 1 });
+    // Queued and cancelled members have no events to fold.
+    assert_eq!(scrape(), "");
+    assert_eq!(
+        expect_lines(&mut conn, &Request::Metrics),
+        Vec::<String>::new()
+    );
+    drop(conn);
+    daemon.shutdown();
+}
+
+#[test]
+fn a_damaged_member_log_fails_its_trace_and_nothing_else() {
+    let dir = scratch("trace-damage");
+    let daemon = Daemon::start(&dir, &["--seed", "20140519"]);
+    let mut conn = daemon.connect();
+    expect_ok(&mut conn, &generated("alice", "sandhills", 10));
+    expect_ok(&mut conn, &generated("bob", "sandhills", 10));
+    expect_ok(&mut conn, &Request::Run);
+    let status = expect_lines(&mut conn, &Request::Status);
+    let rollup = expect_lines(&mut conn, &Request::Rollup);
+    let scraped = client::scrape(&daemon.metrics_addr).expect("HTTP scrape");
+    let traced = expect_lines(&mut conn, &Request::Trace { id: 0 });
+    assert!(!traced.is_empty());
+
+    let log = dir.join("members").join("m0.events");
+    let whole = std::fs::read_to_string(&log).expect("member log");
+    let trailer = whole
+        .trim_end()
+        .rfind('\n')
+        .expect("a line before the trailer")
+        + 1;
+    let damages: [(&str, Option<&str>); 3] = [
+        ("has no trailer", Some(&whole[..trailer])),
+        ("cannot parse", Some("# pegasus events v1\nfrobnicate\n")),
+        ("cannot read", None),
+    ];
+    for (what, text) in damages {
+        match text {
+            Some(text) => std::fs::write(&log, text).expect("damage the log"),
+            None => std::fs::remove_file(&log).expect("delete the log"),
+        }
+        match conn.request(&Request::Trace { id: 0 }) {
+            Ok((ResponseHead::Error(msg), _)) => assert!(
+                msg.contains(what) && msg.contains("m0.events"),
+                "{what}: {msg}"
+            ),
+            other => panic!("{what}: trace must answer error, got {other:?}"),
+        }
+        // The daemon keeps serving, from what it kept of the member.
+        assert_eq!(expect_lines(&mut conn, &Request::Status), status, "{what}");
+        assert_eq!(expect_lines(&mut conn, &Request::Rollup), rollup, "{what}");
+        let again = client::scrape(&daemon.metrics_addr).expect("HTTP scrape");
+        assert_eq!(again, scraped, "{what}");
+        assert!(!expect_lines(&mut conn, &Request::Trace { id: 1 }).is_empty());
+    }
+    drop(conn);
+    daemon.shutdown();
+}
+
+/// The three sites of the random sessions. `osg_prestaged` plans
+/// under `osg`'s catalog entry, so members of the two share every
+/// metric label set: folded out of id order, the scrape's bytes
+/// really differ.
+const SESSION_SITES: [&str; 3] = ["sandhills", "osg", "osg_prestaged"];
+
+/// One drawn submission: site, size and whether it brings its own seed.
+type Draw = (usize, usize, bool);
+
+fn drawn(i: usize, (site, n, own_seed): Draw) -> Request {
+    Request::Submit(SubmitRequest {
+        tenant: format!("tenant{}", i % 3),
+        site: SESSION_SITES[site].into(),
+        seed: own_seed.then_some(40 + n as u64),
+        retries: None,
+        priority: 0,
+        trace: None,
+        source: SubmitSource::Generated { n: 8 + 2 * n },
+    })
+}
+
+/// Submits `draws` in order; `next` counts the session's submissions.
+fn submit(conn: &mut Connection, next: &mut usize, draws: &[Draw]) {
+    for &draw in draws {
+        expect_ok(conn, &drawn(*next, draw));
+        *next += 1;
+    }
+}
+
+/// Every rendered view of a live daemon, checked against the offline
+/// folds of its directory on the way: `(status, rollup, scrape)`.
+fn views(daemon: &Daemon, dir: &Path) -> Result<(Vec<String>, Vec<String>, String), String> {
+    let mut conn = daemon.connect();
+    let status = expect_lines(&mut conn, &Request::Status);
+    let finished: Vec<usize> = (0..status.len())
+        .filter(|&id| dir.join("members").join(format!("m{id}.events")).exists())
+        .collect();
+    let rollup = match conn.request(&Request::Rollup).expect("rollup round-trip") {
+        (ResponseHead::Lines(_), payload) => payload,
+        (ResponseHead::Error(_), _) if finished.is_empty() => Vec::new(),
+        other => return Err(format!("rollup answered {other:?}")),
+    };
+    let scraped = client::scrape(&daemon.metrics_addr).expect("HTTP scrape");
+    let payload = expect_lines(&mut conn, &Request::Metrics);
+    prop_assert_eq!(payload.join("\n") + "\n", scraped.clone());
+    prop_assert_eq!(&scraped, &offline_exposition(dir, &finished));
+    prop_assert_eq!(&status, &status_lines_offline(dir).expect("offline status"));
+    Ok((status, rollup, scraped))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn random_sessions_render_their_offline_folds_live_and_after_restart(
+        seed in 1u64..1000,
+        rounds in proptest::collection::vec(
+            proptest::collection::vec((0usize..3, 0usize..2, any::<bool>()), 1..4),
+            3..5,
+        ),
+        doomed in proptest::collection::vec((0usize..3, 0usize..2, any::<bool>()), 0..3),
+        cancel in 0usize..4,
+    ) {
+        // The crash always strands an `osg_prestaged` member behind an
+        // `osg` member of the same size with a higher id: `osg` sorts
+        // first, so the lower id finishes later, into the same series.
+        let doomed = [&[(2, 0, false), (1, 0, false)], &doomed[..]].concat();
+        let dir = scratch(&format!("session-{seed}"));
+        let seed = seed.to_string();
+        let args = ["--seed", seed.as_str(), "--retries", "20"];
+        let mut submitted = 0usize;
+
+        // Several `run` requests, one cancel, every view checked after
+        // each.
+        let daemon = Daemon::start(&dir, &args);
+        let mut conn = daemon.connect();
+        for (k, draws) in rounds.iter().enumerate() {
+            submit(&mut conn, &mut submitted, draws);
+            if k == 1 {
+                // Still queued: the run below is what would claim it.
+                let id = submitted - 1 - cancel % draws.len();
+                expect_ok(&mut conn, &Request::Cancel { id });
+            }
+            expect_ok(&mut conn, &Request::Run);
+            views(&daemon, &dir)?;
+        }
+        drop(conn);
+        daemon.shutdown();
+
+        // A batch over several sites dies inside its first round...
+        let crashing = Daemon::start(&dir, &[&args[..], &["--crash-after-members", "1"]].concat());
+        let mut conn = crashing.connect();
+        submit(&mut conn, &mut submitted, &doomed);
+        prop_assert!(conn.request(&Request::Run).is_err(), "the run request dies with the daemon");
+        drop(conn);
+        crashing.wait_for_death();
+
+        // ...restart re-executes that round, and the next `run` brings
+        // in the other sites' members: lower ids, finishing later.
+        let recovered = Daemon::start(&dir, &args);
+        views(&recovered, &dir)?;
+        let mut conn = recovered.connect();
+        expect_ok(&mut conn, &Request::Run);
+        submit(&mut conn, &mut submitted, &rounds[0]);
+        expect_ok(&mut conn, &Request::Run);
+        let before = views(&recovered, &dir)?;
+
+        // A member that finished in the first request, many rounds
+        // ago, still traces: from its log, as the offline command does.
+        let old = (0..rounds[0].len())
+            .find(|id| dir.join("members").join(format!("m{id}.events")).exists())
+            .expect("the first request ran a member");
+        let traced = expect_lines(&mut conn, &Request::Trace { id: old });
+        let offline = Command::new(env!("CARGO_BIN_EXE_pegasus"))
+            .args(["trace", "--from-events"])
+            .arg(dir.join("members").join(format!("m{old}.events")))
+            .output()
+            .expect("pegasus trace");
+        let offline = String::from_utf8(offline.stdout).expect("utf8 trace");
+        prop_assert_eq!(traced, offline.lines().map(str::to_string).collect::<Vec<_>>());
+        drop(conn);
+        recovered.shutdown();
+
+        let restarted = Daemon::start(&dir, &args);
+        prop_assert_eq!(views(&restarted, &dir)?, before);
+        restarted.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -147,7 +147,10 @@ fn splice(lines: &[&str], f: impl FnOnce(&mut Vec<String>)) -> String {
 fn mutate_field(line: &str) -> String {
     let mut toks: Vec<String> = line.split_whitespace().map(str::to_string).collect();
     for t in &mut toks {
-        if let Some(v) = t.strip_prefix("attempt=").or(t.strip_prefix("next-attempt=")) {
+        if let Some(v) = t
+            .strip_prefix("attempt=")
+            .or(t.strip_prefix("next-attempt="))
+        {
             let n: u32 = v.parse().expect("attempt field parses");
             let key = t.split('=').next().unwrap().to_string();
             *t = format!("{key}={}", n + 1);
@@ -191,8 +194,12 @@ fn mutate_field(line: &str) -> String {
 /// statistics, same outcome) as the original. Everything else is a
 /// blind spot.
 fn replay_equivalent(original: &str, mutated: &str) -> bool {
-    let a = log::parse(original).ok().and_then(|e| events::replay(&e).ok());
-    let b = log::parse(mutated).ok().and_then(|e| events::replay(&e).ok());
+    let a = log::parse(original)
+        .ok()
+        .and_then(|e| events::replay(&e).ok());
+    let b = log::parse(mutated)
+        .ok()
+        .and_then(|e| events::replay(&e).ok());
     match (a, b) {
         (Some(a), Some(b)) => {
             a.succeeded() == b.succeeded() && render_csv(&compute(&a)) == render_csv(&compute(&b))
