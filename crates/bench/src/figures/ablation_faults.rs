@@ -1,7 +1,7 @@
 //! Fault-injection ablations: what each chaos scenario costs the
 //! n = 300 OSG run, and what the retry policy buys back.
 //!
-//! Two sweeps are printed once per bench invocation:
+//! Two sweeps are printed:
 //!
 //! * scenario ablation — the same seeded run under no faults, a
 //!   preemption storm, a slot blackout, straggler nodes, an
@@ -9,12 +9,6 @@
 //! * policy ablation — the full-chaos run under a flat retry limit vs
 //!   exponential backoff vs jittered exponential backoff plus a
 //!   straggler-killing timeout.
-//!
-//! The benchmarked quantity is the end-to-end plan+simulate cost of a
-//! chaos run, so regressions in the fault bookkeeping itself show up.
-
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Duration;
 
 use blast2cap3_pegasus::experiment::{simulate_blast2cap3_with, ExperimentOutcome};
 use gridsim::{FaultPlan, FaultScript};
@@ -28,14 +22,15 @@ const BLACKOUT: &str = "slot-blackout start=4000 duration=3000 first-slot=0 coun
 const STRAGGLER: &str = "straggler start=0 duration=1e9 slowdown=4 probability=0.1\n";
 const INSTALL: &str = "install-failure-burst start=0 duration=1e9 fail-probability=0.3\n";
 
-fn chaos_run(plan_text: &str, policy: RetryPolicy, n: usize, seed: u64) -> ExperimentOutcome {
+/// The seed-42 OSG n = 300 run under `plan_text` (empty: no faults).
+fn chaos_run(plan_text: &str, policy: RetryPolicy) -> ExperimentOutcome {
     let script = (!plan_text.is_empty())
-        .then(|| FaultScript::new(FaultPlan::parse(plan_text).expect("valid plan"), seed));
-    let cfg = EngineConfig::builder().policy(policy).seed(seed).build();
-    simulate_blast2cap3_with("osg", n, seed, &cfg, script)
+        .then(|| FaultScript::new(FaultPlan::parse(plan_text).expect("valid plan"), 42));
+    let cfg = EngineConfig::builder().policy(policy).seed(42).build();
+    simulate_blast2cap3_with("osg", 300, 42, &cfg, script)
 }
 
-fn bench_ablation_faults(c: &mut Criterion) {
+pub fn run() {
     let full_chaos = format!("{STORM}{BLACKOUT}{STRAGGLER}{INSTALL}");
     let policy = || RetryPolicy::exponential(15, 30.0);
 
@@ -48,7 +43,7 @@ fn bench_ablation_faults(c: &mut Criterion) {
         ("install burst", INSTALL.into()),
         ("full chaos", full_chaos.clone()),
     ] {
-        let out = chaos_run(&plan, policy(), 300, 42);
+        let out = chaos_run(&plan, policy());
         let f = &out.stats.faults;
         println!(
             "  {label:<16} wall={:>7.0}s retries={:<4} preempted={} evicted={} install={} timeout={} succeeded={}",
@@ -73,7 +68,7 @@ fn bench_ablation_faults(c: &mut Criterion) {
                 .with_timeout(6_000.0),
         ),
     ] {
-        let out = chaos_run(&full_chaos, p, 300, 42);
+        let out = chaos_run(&full_chaos, p);
         let f = &out.stats.faults;
         println!(
             "  {label:<18} wall={:>7.0}s retries={:<4} backoff-wait={:>7.0}s timeouts={} succeeded={}",
@@ -84,20 +79,4 @@ fn bench_ablation_faults(c: &mut Criterion) {
             out.run.succeeded()
         );
     }
-
-    let mut group = c.benchmark_group("ablation_faults");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(3));
-    group.bench_function("osg_no_faults", |b| {
-        b.iter(|| chaos_run("", policy(), 100, 42).run.wall_time)
-    });
-    group.bench_function("osg_full_chaos", |b| {
-        b.iter(|| chaos_run(&full_chaos, policy(), 100, 42).run.wall_time)
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_ablation_faults);
-criterion_main!(benches);

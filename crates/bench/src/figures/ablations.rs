@@ -1,0 +1,54 @@
+//! Ablations over the design choices DESIGN.md §8 calls out, each the
+//! OSG run at seed 42 with one thing changed:
+//!
+//! * horizontal task clustering on/off (Pegasus's remote-overhead
+//!   optimisation, §III of the paper);
+//! * pre-staged software on OSG (the paper's stated future work);
+//! * retry budget on the preemption-prone OSG model;
+//! * hazard-based vs churn-based eviction model.
+//!
+//! Every variant is a registered site or a planner tweak, so each
+//! line is one call into the shared experiment harness.
+
+use blast2cap3_pegasus::experiment::{
+    builtin_registry, calibrated_workflow, plan_on, simulate_blast2cap3,
+};
+use wms_bench::simulated_wall;
+
+pub fn run() {
+    let normal = simulate_blast2cap3("osg", 300, 42, 10).run.wall_time;
+
+    let registry = builtin_registry();
+    let osg = registry.resolve("osg").expect("built-in site");
+    let exec = plan_on(registry, osg, &calibrated_workflow(300, 42), |cfg| {
+        cfg.cluster_factor = Some(4)
+    })
+    .expect("plan");
+    let clustered = simulated_wall("osg", &exec, 42, 10);
+    println!("ablation clustering @ OSG n=300: none={normal:.0}s, factor4={clustered:.0}s");
+
+    let staged = simulate_blast2cap3("osg_prestaged", 300, 42, 10);
+    assert!(staged.run.succeeded());
+    println!(
+        "ablation prestage   @ OSG n=300: install-per-task={normal:.0}s, prestaged={:.0}s",
+        staged.run.wall_time
+    );
+
+    for retries in [3u32, 10, 30] {
+        let out = simulate_blast2cap3("osg", 100, 42, retries);
+        println!(
+            "ablation retries    @ OSG n=100: budget={retries} wall={:.0}s succeeded={}",
+            out.run.wall_time,
+            out.run.succeeded()
+        );
+    }
+
+    // Churn evictions keep the plain "preempted" reason, so the kill
+    // count is the two counters together.
+    let churn = simulate_blast2cap3("osg_churning", 300, 42, 20);
+    let kills = churn.stats.faults.preemptions + churn.stats.faults.evictions;
+    println!(
+        "ablation eviction   @ OSG n=300: churn-model wall={:.0}s (hazard-model={normal:.0}s), {kills} evictions",
+        churn.run.wall_time
+    );
+}

@@ -11,21 +11,11 @@
 
 use std::fmt::Write as _;
 
-use blast2cap3_pegasus::experiment::simulate_blast2cap3;
 use pegasus_wms::breakdown::{render_table, BreakdownRow};
-use wms_bench::{DEFAULT_SEED, PAPER_N_VALUES};
+use wms_bench::{paper_sweep, DEFAULT_SEED, PAPER_RETRIES};
 
-const RETRIES: u32 = 10;
-
-fn main() {
-    let mut rows = Vec::new();
-    for site in ["sandhills", "osg"] {
-        for &n in &PAPER_N_VALUES {
-            let out = simulate_blast2cap3(site, n, DEFAULT_SEED, RETRIES);
-            assert!(out.run.succeeded(), "{site} n={n} failed");
-            rows.push(out.breakdown());
-        }
-    }
+pub fn run() {
+    let rows: Vec<_> = paper_sweep().map(|(_, _, out)| out.breakdown()).collect();
     print!("{}", render_table(&rows));
 
     let json = render_json(&rows);
@@ -41,7 +31,7 @@ fn render_json(rows: &[BreakdownRow]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"breakdown\",");
     let _ = writeln!(out, "  \"seed\": {DEFAULT_SEED},");
-    let _ = writeln!(out, "  \"retries\": {RETRIES},");
+    let _ = writeln!(out, "  \"retries\": {PAPER_RETRIES},");
     let _ = writeln!(out, "  \"unit\": \"seconds\",");
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {

@@ -10,36 +10,33 @@
 //! * on Sandhills, n = 10 is ~4× slower than n ≥ 100; n = 300 is the
 //!   optimum.
 
-use blast2cap3_pegasus::experiment::{simulate_blast2cap3, simulate_blast2cap3_ensemble};
+use blast2cap3_pegasus::experiment::simulate_blast2cap3_ensemble;
 use gridsim::platforms::SERIAL_REFERENCE_SECONDS;
 use pegasus_wms::engine::EngineConfig;
-use wms_bench::{ascii_bars, human_duration, write_experiment_file, DEFAULT_SEED, PAPER_N_VALUES};
+use wms_bench::{
+    ascii_bars, human_duration, paper_sweep, write_experiment_file, DEFAULT_SEED, PAPER_N_VALUES,
+};
 
-fn main() {
-    let retries = 10; // Pegasus retry profile for opportunistic sites
+pub fn run() {
     let mut csv = String::from("platform,n,wall_time_s,retries,reduction_vs_serial\n");
     let mut rows: Vec<(String, f64)> =
         vec![("serial (paper: 100h)".to_string(), SERIAL_REFERENCE_SECONDS)];
     csv.push_str(&format!("serial,1,{SERIAL_REFERENCE_SECONDS},0,0.0\n"));
 
-    for site in ["sandhills", "osg"] {
-        for &n in &PAPER_N_VALUES {
-            let out = simulate_blast2cap3(site, n, DEFAULT_SEED, retries);
-            assert!(out.run.succeeded(), "{site} n={n} failed: {:?}", out.stats);
-            let wall = out.run.wall_time;
-            let reduction = 1.0 - wall / SERIAL_REFERENCE_SECONDS;
-            csv.push_str(&format!(
-                "{site},{n},{wall:.1},{},{reduction:.4}\n",
-                out.stats.retries
-            ));
-            rows.push((format!("{site:<9} n={n:<3}"), wall));
-            println!(
-                "{site:<9} n={n:<3}  wall={wall:>9.1}s ({:<7})  retries={:<3} reduction={:.1}%",
-                human_duration(wall),
-                out.stats.retries,
-                100.0 * reduction
-            );
-        }
+    for (site, n, out) in paper_sweep() {
+        let wall = out.run.wall_time;
+        let reduction = 1.0 - wall / SERIAL_REFERENCE_SECONDS;
+        csv.push_str(&format!(
+            "{site},{n},{wall:.1},{},{reduction:.4}\n",
+            out.stats.retries
+        ));
+        rows.push((format!("{site:<9} n={n:<3}"), wall));
+        println!(
+            "{site:<9} n={n:<3}  wall={wall:>9.1}s ({:<7})  retries={:<3} reduction={:.1}%",
+            human_duration(wall),
+            out.stats.retries,
+            100.0 * reduction
+        );
     }
 
     // Ensemble series: the same sweep run as ONE ensemble per site —

@@ -1,7 +1,7 @@
 //! Fig. 4 cross-validation with *real* execution.
 //!
-//! The `fig4` binary reproduces the paper's curve on the discrete-event
-//! simulator. This binary validates the simulator against reality: the
+//! `fig4` reproduces the paper's curve on the discrete-event
+//! simulator. This figure validates the simulator against reality: the
 //! same calibrated workload is executed by the actual DAGMan engine on
 //! the actual `condor::LocalPool` (64 worker threads), with each task
 //! sleeping for its calibrated duration scaled down by 10,000× (one
@@ -13,12 +13,9 @@
 //!
 //! Output: `target/experiments/fig4_real.csv`.
 
-use blast2cap3::workflow::{build_workflow, WorkflowParams};
-use blast2cap3_pegasus::experiment::{calibrate_workload, calibrated_chunk_costs};
+use blast2cap3_pegasus::experiment::{builtin_registry, calibrated_workflow, plan_on};
 use condor::pool::{LocalPool, PoolConfig, TaskRegistry};
-use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
 use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor};
-use pegasus_wms::planner::{plan, PlannerConfig};
 use wms_bench::{write_experiment_file, DEFAULT_SEED, PAPER_N_VALUES};
 
 /// Real seconds of sleep per calibrated paper-second.
@@ -27,24 +24,24 @@ const TIME_SCALE: f64 = 1.0e-4;
 /// Worker threads — the Sandhills allocation size.
 const WORKERS: usize = 64;
 
-fn main() {
-    let calibration = calibrate_workload(DEFAULT_SEED);
-    let (sites, tc) = paper_catalogs();
-    let mut rc = ReplicaCatalog::new();
-    rc.register("transcripts.fasta", "submit");
-    rc.register("alignments.out", "submit");
+pub fn run() {
+    let registry = builtin_registry();
+    let sandhills = registry.resolve("sandhills").expect("built-in site");
 
     let mut csv = String::from("n,real_wall_s,paper_scale_equivalent_s\n");
     let mut results = Vec::new();
     for &n in &PAPER_N_VALUES {
-        let chunk_costs = calibrated_chunk_costs(&calibration, n);
-        let wf = build_workflow(
-            &WorkflowParams::with_n(chunk_costs.len()).with_chunk_costs(chunk_costs),
-        );
-        let mut cfg = PlannerConfig::for_site("sandhills");
-        cfg.stage_data = false;
-        cfg.add_create_dir = false;
-        let exec = plan(&wf, &sites, &tc, &rc, &cfg).expect("plan");
+        // The files a real pool would exchange are not there to stage.
+        let exec = plan_on(
+            registry,
+            sandhills,
+            &calibrated_workflow(n, DEFAULT_SEED),
+            |cfg| {
+                cfg.stage_data = false;
+                cfg.add_create_dir = false;
+            },
+        )
+        .expect("plan");
 
         // No registered kernels: every task sleeps runtime_hint *
         // TIME_SCALE on a real worker thread.

@@ -15,8 +15,7 @@
 //! Output: `target/experiments/fig5.csv` plus per-configuration
 //! tables.
 
-use blast2cap3_pegasus::experiment::simulate_blast2cap3;
-use wms_bench::{write_experiment_file, DEFAULT_SEED, PAPER_N_VALUES};
+use wms_bench::{paper_sweep, write_experiment_file};
 
 const TASK_TYPES: [&str; 6] = [
     "list_transcripts",
@@ -27,39 +26,40 @@ const TASK_TYPES: [&str; 6] = [
     "extract_unjoined",
 ];
 
-fn main() {
+pub fn run() {
     let mut csv =
         String::from("platform,n,task_type,count,kickstart_mean_s,waiting_mean_s,install_mean_s\n");
-    for site in ["sandhills", "osg"] {
-        for &n in &PAPER_N_VALUES {
-            let out = simulate_blast2cap3(site, n, DEFAULT_SEED, 10);
-            assert!(out.run.succeeded(), "{site} n={n} failed");
-            println!("── {site}, n = {n} ───────────────────────────────────────────");
-            println!(
-                "  {:<18} {:>6} {:>14} {:>12} {:>14}",
-                "task", "count", "kickstart(s)", "waiting(s)", "install(s)"
-            );
-            for t in TASK_TYPES {
-                if let Some(s) = out.stats.for_type(t) {
-                    println!(
-                        "  {:<18} {:>6} {:>14.1} {:>12.1} {:>14.1}",
-                        t, s.count, s.kickstart_mean, s.waiting_mean, s.install_mean
-                    );
-                    csv.push_str(&format!(
-                        "{site},{n},{t},{},{:.2},{:.2},{:.2}\n",
-                        s.count, s.kickstart_mean, s.waiting_mean, s.install_mean
-                    ));
-                }
+    let runs: Vec<_> = paper_sweep().collect();
+    for (site, n, out) in &runs {
+        println!("── {site}, n = {n} ───────────────────────────────────────────");
+        println!(
+            "  {:<18} {:>6} {:>14} {:>12} {:>14}",
+            "task", "count", "kickstart(s)", "waiting(s)", "install(s)"
+        );
+        for t in TASK_TYPES {
+            if let Some(s) = out.stats.for_type(t) {
+                println!(
+                    "  {:<18} {:>6} {:>14.1} {:>12.1} {:>14.1}",
+                    t, s.count, s.kickstart_mean, s.waiting_mean, s.install_mean
+                );
+                csv.push_str(&format!(
+                    "{site},{n},{t},{},{:.2},{:.2},{:.2}\n",
+                    s.count, s.kickstart_mean, s.waiting_mean, s.install_mean
+                ));
             }
-            println!();
         }
+        println!();
     }
 
     // Shape checks mirrored from the paper's narrative.
-    let sh300 = simulate_blast2cap3("sandhills", 300, DEFAULT_SEED, 10);
-    let osg300 = simulate_blast2cap3("osg", 300, DEFAULT_SEED, 10);
-    let sh = sh300.stats.for_type("run_cap3").expect("run_cap3 stats");
-    let og = osg300.stats.for_type("run_cap3").expect("run_cap3 stats");
+    let cap3_at_300 = |site| {
+        let (_, _, out) = runs
+            .iter()
+            .find(|r| (r.0, r.1) == (site, 300))
+            .expect("swept");
+        out.stats.for_type("run_cap3").expect("run_cap3 stats")
+    };
+    let (sh, og) = (cap3_at_300("sandhills"), cap3_at_300("osg"));
     println!("paper shape checks @ n = 300:");
     println!(
         "  Sandhills waiting ({:.0}s) is negligible; OSG waiting ({:.0}s) is not  -> {}",

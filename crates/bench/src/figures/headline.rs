@@ -17,14 +17,12 @@
 
 use bioseq::simulate::{generate, TranscriptomeConfig};
 use blast2cap3::serial::run_serial;
-use blast2cap3_pegasus::experiment::{real_local_run, simulate_blast2cap3};
-use blastx::search::{SearchParams, Searcher};
-use blastx::tabular::TabularRecord;
+use blast2cap3_pegasus::experiment::{real_local_run, simulate_blast2cap3, synthetic_alignments};
 use cap3::Cap3Params;
 use gridsim::platforms::SERIAL_REFERENCE_SECONDS;
 use wms_bench::{human_duration, write_experiment_file, DEFAULT_SEED};
 
-fn main() {
+pub fn run() {
     let mut csv = String::from("experiment,serial_s,workflow_s,reduction\n");
 
     // 1. Simulated at paper scale.
@@ -51,21 +49,13 @@ fn main() {
     //    workflow machinery.
     let n_families = 60;
     let seed = DEFAULT_SEED;
-    let cfg = TranscriptomeConfig {
+    let data = generate(&TranscriptomeConfig {
         n_families,
         family_size_mean: 5.0,
         family_size_cap: 24,
         ..TranscriptomeConfig::tiny(seed)
-    };
-    let data = generate(&cfg);
-    let searcher = Searcher::new(data.proteins.clone(), SearchParams::default()).unwrap();
-    let queries: Vec<(String, bioseq::seq::DnaSeq)> = data
-        .transcripts
-        .iter()
-        .map(|r| (r.id.clone(), r.seq.clone()))
-        .collect();
-    let hsps = searcher.search_many(&queries, 0);
-    let alignments: Vec<TabularRecord> = hsps.iter().map(TabularRecord::from).collect();
+    });
+    let alignments = synthetic_alignments(&data);
 
     let serial = run_serial(&data.transcripts, &alignments, &Cap3Params::default());
     let serial_s = serial.elapsed.as_secs_f64();

@@ -10,7 +10,7 @@
 use blast2cap3_pegasus::experiment::simulate_blast2cap3;
 use wms_bench::{ascii_bars, human_duration, write_experiment_file, DEFAULT_SEED};
 
-fn main() {
+pub fn run() {
     let sweep = [10usize, 25, 50, 100, 200, 300, 400, 500, 750, 1000];
     let mut csv = String::from("n,wall_time_s\n");
     let mut rows = Vec::new();

@@ -19,8 +19,7 @@ use bioseq::fasta::Record;
 use bioseq::seq::DnaSeq;
 use bioseq::simulate::{generate, TranscriptomeConfig};
 use blast2cap3::serial::run_serial;
-use blastx::search::{SearchParams, Searcher};
-use blastx::tabular::TabularRecord;
+use blast2cap3_pegasus::experiment::synthetic_alignments;
 use cap3::{Assembler, Cap3Params};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,21 +50,7 @@ fn count_fused(records: &[Record]) -> usize {
         .count()
 }
 
-fn align_all(data: &bioseq::simulate::SyntheticTranscriptome) -> Vec<TabularRecord> {
-    let searcher = Searcher::new(data.proteins.clone(), SearchParams::default()).unwrap();
-    let queries: Vec<(String, DnaSeq)> = data
-        .transcripts
-        .iter()
-        .map(|r| (r.id.clone(), r.seq.clone()))
-        .collect();
-    searcher
-        .search_many(&queries, 0)
-        .iter()
-        .map(TabularRecord::from)
-        .collect()
-}
-
-fn main() {
+pub fn run() {
     let mut csv = String::from("experiment,metric,value\n");
 
     // ── Claim 1: transcript-count reduction ────────────────────────
@@ -76,7 +61,7 @@ fn main() {
         ..TranscriptomeConfig::tiny(DEFAULT_SEED)
     };
     let data = generate(&cfg);
-    let alignments = align_all(&data);
+    let alignments = synthetic_alignments(&data);
     let report = run_serial(&data.transcripts, &alignments, &Cap3Params::default());
     let reduction = report.reduction(data.transcripts.len());
     println!(
@@ -121,30 +106,22 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(DEFAULT_SEED + 2);
     let n_pairs = 10;
     for p in 0..n_pairs {
-        let fam_a = 2 * p;
-        let fam_b = 2 * p + 1;
         let repeat: Vec<u8> = (0..150)
             .map(|_| bioseq::alphabet::DNA_BASES[rng.gen_range(0..4)])
             .collect();
-        // One transcript of fam_a gets the repeat appended ...
-        if let Some(rec) = data
-            .transcripts
-            .iter_mut()
-            .find(|r| family_of(&r.id) == Some(fam_a))
-        {
-            let mut bytes = rec.seq.as_bytes().to_vec();
-            bytes.extend_from_slice(&repeat);
-            rec.seq = DnaSeq::from_ascii_unchecked(bytes);
-        }
-        // ... and one of fam_b gets it prepended.
-        if let Some(rec) = data
-            .transcripts
-            .iter_mut()
-            .find(|r| family_of(&r.id) == Some(fam_b))
-        {
-            let mut bytes = repeat.clone();
-            bytes.extend_from_slice(rec.seq.as_bytes());
-            rec.seq = DnaSeq::from_ascii_unchecked(bytes);
+        // One transcript of family 2p gets the repeat appended, one of
+        // family 2p + 1 gets it prepended.
+        for (family, repeat_first) in [(2 * p, false), (2 * p + 1, true)] {
+            let first_of = |r: &&mut Record| family_of(&r.id) == Some(family);
+            if let Some(rec) = data.transcripts.iter_mut().find(first_of) {
+                let seq = rec.seq.as_bytes();
+                let parts = if repeat_first {
+                    [&repeat[..], seq]
+                } else {
+                    [seq, &repeat[..]]
+                };
+                rec.seq = DnaSeq::from_ascii_unchecked(parts.concat());
+            }
         }
     }
 
@@ -153,7 +130,7 @@ fn main() {
     let whole_fused = count_fused(&whole.contigs);
 
     // blast2cap3 (protein-guided).
-    let alignments = align_all(&data);
+    let alignments = synthetic_alignments(&data);
     let guided = run_serial(&data.transcripts, &alignments, &Cap3Params::default());
     let guided_fused = count_fused(&guided.output);
 

@@ -1,0 +1,87 @@
+//! §V-B — "Considering larger input files and datasets, the time
+//! requirements and complexity of running the protein-guided assembly
+//! grow."
+//!
+//! Two sweeps:
+//!
+//! 1. **Real execution**: the actual Rust blast2cap3 (alignment +
+//!    clustering + CAP3) at increasing synthetic dataset scales,
+//!    serial vs the workflow decomposition — measures genuine growth
+//!    of the laptop-scale pipeline.
+//! 2. **Simulated paper scale**: the Sandhills model at multiples of
+//!    the calibrated 100-hour workload — shows that the workflow's
+//!    advantage persists (and grows in absolute terms) as datasets
+//!    grow.
+//!
+//! Output: `target/experiments/scaling.csv`.
+
+use bioseq::simulate::{generate, TranscriptomeConfig};
+use blast2cap3::parallel::run_parallel;
+use blast2cap3::serial::run_serial;
+use blast2cap3::workflow::{build_workflow, WorkflowParams};
+use blast2cap3_pegasus::experiment::{
+    builtin_registry, calibrate_workload, calibrated_chunk_costs, plan_on, synthetic_alignments,
+    WorkloadCalibration,
+};
+use cap3::Cap3Params;
+use wms_bench::{simulated_wall, write_experiment_file, DEFAULT_SEED};
+
+pub fn run() {
+    let mut csv = String::from("kind,scale,transcripts,serial_s,workflow_s\n");
+
+    println!("real execution sweep (serial vs workflow, wall seconds):");
+    for families in [20usize, 40, 80, 160] {
+        let data = generate(&TranscriptomeConfig {
+            n_families: families,
+            family_size_mean: 4.0,
+            family_size_cap: 16,
+            ..TranscriptomeConfig::tiny(DEFAULT_SEED)
+        });
+        let alignments = synthetic_alignments(&data);
+        let params = Cap3Params::default();
+        let serial = run_serial(&data.transcripts, &alignments, &params);
+        let par = run_parallel(&data.transcripts, &alignments, &params, families, 0);
+        assert_eq!(serial.output.len(), par.output.len());
+        let transcripts = data.transcripts.len();
+        let (serial_s, par_s) = (serial.elapsed.as_secs_f64(), par.elapsed.as_secs_f64());
+        println!(
+            "  {families:>4} families / {transcripts:>5} transcripts: serial {serial_s:>8.4}s, workflow {par_s:>8.4}s"
+        );
+        csv.push_str(&format!(
+            "real,{families},{transcripts},{serial_s:.4},{par_s:.4}\n"
+        ));
+    }
+
+    println!("\nsimulated paper-scale sweep (Sandhills, n = 300):");
+    let registry = builtin_registry();
+    let sandhills = registry.resolve("sandhills").expect("built-in site");
+    let cal = calibrate_workload(DEFAULT_SEED);
+    for scale in [1usize, 2, 4] {
+        // Scale the workload: `scale` copies of the cluster costs.
+        let scaled = WorkloadCalibration {
+            cluster_costs: cal.cluster_costs.repeat(scale),
+            serial_total: cal.serial_total * scale as f64,
+        };
+        let chunk_costs = calibrated_chunk_costs(&scaled, 300);
+        let wf = build_workflow(
+            &WorkflowParams::with_n(chunk_costs.len()).with_chunk_costs(chunk_costs),
+        );
+        let exec = plan_on(registry, sandhills, &wf, |_| {}).expect("plan");
+        let wall = simulated_wall("sandhills", &exec, DEFAULT_SEED, 3);
+        let serial_s = scaled.serial_total;
+        println!(
+            "  {scale}x dataset: serial {:>9.0}s, workflow {:>8.0}s ({:.1}% reduction)",
+            serial_s,
+            wall,
+            100.0 * (1.0 - wall / serial_s)
+        );
+        csv.push_str(&format!(
+            "simulated,{scale},{},{serial_s:.0},{:.0}\n",
+            scaled.cluster_costs.len(),
+            wall
+        ));
+    }
+
+    let path = write_experiment_file("scaling.csv", &csv);
+    println!("\nseries written to {}", path.display());
+}

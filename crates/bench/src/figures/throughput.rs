@@ -26,9 +26,7 @@
 //!   is what keeps the default path free.
 
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
-use gridsim::platforms::sandhills;
-use gridsim::SimBackend;
-use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
+use blast2cap3_pegasus::experiment::{builtin_registry, registry_catalogs};
 use pegasus_wms::dax;
 use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor};
 use pegasus_wms::planner::{plan, PlannerConfig};
@@ -85,18 +83,18 @@ fn measure(n: usize, seed: u64) -> Row {
     let parse_seconds = t.elapsed().as_secs_f64();
     drop(text);
 
-    let (sites, tc) = paper_catalogs();
-    let mut rc = ReplicaCatalog::new();
-    rc.register("transcripts.fasta", "submit");
-    rc.register("alignments.out", "submit");
-    let cfg = PlannerConfig::for_site("sandhills");
+    // Built outside the timed region: `plan_seconds` is the planner alone.
+    let registry = builtin_registry();
+    let sandhills = registry.resolve("sandhills").expect("built-in site");
+    let (sites, tc, rc) = registry_catalogs(registry);
+    let cfg = PlannerConfig::for_site(registry.catalog_name(sandhills));
     let t = Instant::now();
     let exec = plan(&wf, &sites, &tc, &rc, &cfg).expect("planning succeeds");
     let plan_seconds = t.elapsed().as_secs_f64();
     let jobs_planned = exec.jobs.len();
     drop(wf);
 
-    let mut backend = SimBackend::new(sandhills(), seed);
+    let mut backend = registry.backend(sandhills, seed);
     let engine_cfg = EngineConfig::builder().retries(3).seed(seed).build();
     let t = Instant::now();
     let run = Engine::run(&mut backend, &exec, &engine_cfg, &mut NoopMonitor);
@@ -153,7 +151,7 @@ fn render_json(seed: u64, rows: &[Row]) -> String {
 }
 
 /// Pulls `"key": <number>` out of the baseline entry for `n`. The
-/// baseline is this binary's own output, so a flat scan of the one
+/// baseline is this figure's own output, so a flat scan of the one
 /// matching line is all the JSON parsing needed.
 fn baseline_value(json: &str, n: usize, key: &str) -> Option<f64> {
     let line = json.lines().find(|l| l.contains(&format!("\"n\": {n},")))?;
@@ -172,17 +170,16 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed: u64 = arg_value(&args, "--seed")
+pub fn run(args: &[String]) -> ExitCode {
+    let seed: u64 = arg_value(args, "--seed")
         .map(|v| v.parse().expect("--seed takes an integer"))
         .unwrap_or(42);
 
-    if let Some(baseline_path) = arg_value(&args, "--check") {
-        let n: usize = arg_value(&args, "--n")
+    if let Some(baseline_path) = arg_value(args, "--check") {
+        let n: usize = arg_value(args, "--n")
             .map(|v| v.parse().expect("--n takes an integer"))
             .unwrap_or(10_000);
-        let min_ratio: f64 = arg_value(&args, "--min-ratio")
+        let min_ratio: f64 = arg_value(args, "--min-ratio")
             .map(|v| v.parse().expect("--min-ratio takes a float"))
             .unwrap_or(0.7);
         let baseline = std::fs::read_to_string(&baseline_path)
@@ -228,26 +225,19 @@ fn main() -> ExitCode {
         let mut ok = true;
         // Rates must stay above a floor, the resident set (read after
         // the first run, before the profiled one adds to it) below a
-        // ceiling: `bound` is the factor on the baseline either way.
-        for (key, measured, bound) in [
-            (
-                "dax_mb_per_sec_parsed",
-                row.dax_mb_per_sec_parsed,
-                min_ratio,
-            ),
-            ("jobs_per_sec_planned", row.jobs_per_sec_planned, min_ratio),
-            (
-                "events_per_sec_simulated",
-                row.events_per_sec_simulated,
-                min_ratio,
-            ),
-            ("peak_rss_kb", row.peak_rss_kb as f64, MAX_RSS_RATIO),
+        // ceiling: each a factor on the baseline.
+        for (key, measured) in [
+            ("dax_mb_per_sec_parsed", row.dax_mb_per_sec_parsed),
+            ("jobs_per_sec_planned", row.jobs_per_sec_planned),
+            ("events_per_sec_simulated", row.events_per_sec_simulated),
+            ("peak_rss_kb", row.peak_rss_kb as f64),
         ] {
             let Some(base) = baseline_value(&baseline, n, key) else {
                 println!("baseline has no {key} for n={n}; skipping");
                 continue;
             };
-            let (limit, is_ceiling) = (base * bound, key == "peak_rss_kb");
+            let is_ceiling = key == "peak_rss_kb";
+            let limit = base * if is_ceiling { MAX_RSS_RATIO } else { min_ratio };
             let within = if is_ceiling {
                 measured <= limit
             } else {
@@ -267,7 +257,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let sizes: Vec<usize> = arg_value(&args, "--sizes")
+    let sizes: Vec<usize> = arg_value(args, "--sizes")
         .unwrap_or_else(|| "10000,1000000".into())
         .split(',')
         .map(|v| v.trim().parse().expect("--sizes takes integers"))

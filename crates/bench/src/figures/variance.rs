@@ -25,17 +25,27 @@ preemption-storm start=500 duration=2500 kill-probability=0.5
 straggler start=0 duration=1e9 slowdown=4 probability=0.05
 ";
 
-fn simulate(site: &str, seed: u64) -> blast2cap3_pegasus::ExperimentOutcome {
-    if site == "osg+chaos" {
-        let script = FaultScript::new(FaultPlan::parse(CHAOS).expect("valid plan"), seed);
-        let cfg = EngineConfig::builder()
-            .policy(RetryPolicy::exponential(20, 30.0))
-            .seed(seed)
-            .build();
-        simulate_blast2cap3_with("osg", 300, seed, &cfg, Some(script))
-    } else {
-        simulate_blast2cap3(site, 300, seed, 20)
+/// One run of `series` under `seed`: whether it succeeded, its wall
+/// time (an ensemble's makespan) and its retries. The `+ensemble`
+/// series run the {100, 300} pair as ONE ensemble: a makespan is a
+/// max over members sharing the platform, so opportunistic variability
+/// compounds rather than averaging out.
+fn simulate(series: &str, seed: u64) -> (bool, f64, u32) {
+    let backoff = EngineConfig::builder()
+        .policy(RetryPolicy::exponential(20, 30.0))
+        .seed(seed)
+        .build();
+    if let Some(site) = series.strip_suffix("+ensemble") {
+        let out = simulate_blast2cap3_ensemble(site, &[100, 300], seed, &backoff, None);
+        return (out.run.succeeded(), out.run.makespan, out.stats.retries);
     }
+    let out = if series == "osg+chaos" {
+        let script = FaultScript::new(FaultPlan::parse(CHAOS).expect("valid plan"), seed);
+        simulate_blast2cap3_with("osg", 300, seed, &backoff, Some(script))
+    } else {
+        simulate_blast2cap3(series, 300, seed, 20)
+    };
+    (out.run.succeeded(), out.run.wall_time, out.stats.retries)
 }
 
 fn summary(walls: &mut [f64]) -> (f64, f64, f64, f64) {
@@ -47,59 +57,37 @@ fn summary(walls: &mut [f64]) -> (f64, f64, f64, f64) {
     (min, median, mean, max)
 }
 
-fn main() {
+pub fn run() {
     const RUNS: u64 = 25;
     let mut csv = String::from("platform,seed,wall_time_s,retries\n");
     let mut spreads = Vec::new();
-    for site in ["sandhills", "osg", "osg+chaos"] {
+    for series in [
+        "sandhills",
+        "osg",
+        "osg+chaos",
+        "sandhills+ensemble",
+        "osg+ensemble",
+    ] {
         let mut walls = Vec::new();
-        for k in 0..RUNS {
-            let seed = DEFAULT_SEED + k;
-            let out = simulate(site, seed);
-            assert!(out.run.succeeded(), "{site} seed {seed}");
-            csv.push_str(&format!(
-                "{site},{seed},{:.1},{}\n",
-                out.run.wall_time, out.stats.retries
-            ));
-            walls.push(out.run.wall_time);
+        for seed in DEFAULT_SEED..DEFAULT_SEED + RUNS {
+            let (succeeded, wall, retries) = simulate(series, seed);
+            assert!(succeeded, "{series} seed {seed}");
+            csv.push_str(&format!("{series},{seed},{wall:.1},{retries}\n"));
+            walls.push(wall);
         }
         let (min, median, mean, max) = summary(&mut walls);
         let spread = max / min;
-        spreads.push((site, spread));
+        spreads.push(spread);
+        let (label, note) = match series.strip_suffix("+ensemble") {
+            Some(site) => (format!("{site}+ens"), "ensemble of n=100+300".into()),
+            None => (series.into(), format!("median {}", human_duration(median))),
+        };
         println!(
-            "{site:<9} over {RUNS} runs: min {:>8.0}s  median {:>8.0}s  mean {:>8.0}s  max {:>8.0}s  (max/min = {spread:.2}x, median {})",
-            min, median, mean, max, human_duration(median)
-        );
-    }
-    // Ensemble series: the {100, 300} pair as ONE ensemble per seed.
-    // Its makespan is a max over members sharing the platform, so
-    // opportunistic variability compounds rather than averaging out.
-    for site in ["sandhills", "osg"] {
-        let mut walls = Vec::new();
-        for k in 0..RUNS {
-            let seed = DEFAULT_SEED + k;
-            let cfg = EngineConfig::builder()
-                .policy(RetryPolicy::exponential(20, 30.0))
-                .seed(seed)
-                .build();
-            let out = simulate_blast2cap3_ensemble(site, &[100, 300], seed, &cfg, None);
-            assert!(out.run.succeeded(), "{site} ensemble seed {seed}");
-            csv.push_str(&format!(
-                "{site}+ensemble,{seed},{:.1},{}\n",
-                out.run.makespan, out.stats.retries
-            ));
-            walls.push(out.run.makespan);
-        }
-        let (min, median, mean, max) = summary(&mut walls);
-        println!(
-            "{:<9} over {RUNS} runs: min {min:>8.0}s  median {median:>8.0}s  mean {mean:>8.0}s  max {max:>8.0}s  (max/min = {:.2}x, ensemble of n=100+300)",
-            format!("{site}+ens"),
-            max / min
+            "{label:<9} over {RUNS} runs: min {min:>8.0}s  median {median:>8.0}s  mean {mean:>8.0}s  max {max:>8.0}s  (max/min = {spread:.2}x, {note})"
         );
     }
 
-    let sandhills_spread = spreads[0].1;
-    let osg_spread = spreads[1].1;
+    let (sandhills_spread, osg_spread, chaos_spread) = (spreads[0], spreads[1], spreads[2]);
     println!();
     println!(
         "OSG spread ({osg_spread:.2}x) vs Sandhills spread ({sandhills_spread:.2}x): {}",
@@ -113,7 +101,6 @@ fn main() {
         osg_spread > sandhills_spread,
         "the paper's variability contrast must reproduce"
     );
-    let chaos_spread = spreads[2].1;
     println!("scripted storm widens OSG spread further: {chaos_spread:.2}x vs {osg_spread:.2}x");
     let path = write_experiment_file("variance.csv", &csv);
     println!("series written to {}", path.display());

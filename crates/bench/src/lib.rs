@@ -1,12 +1,16 @@
 #![forbid(unsafe_code)]
 
-//! Shared helpers for the figure-regeneration binaries and benches.
+//! Shared helpers for the figures of the one `wms-bench` binary.
 //!
-//! Every binary writes its series to `target/experiments/<name>.csv`
+//! Every figure writes its series to `target/experiments/<name>.csv`
 //! and prints an ASCII rendition of the corresponding paper figure, so
-//! `cargo run -p wms-bench --bin fig4` (etc.) regenerates the paper's
-//! evaluation artifacts end to end.
+//! `cargo run -p wms-bench --release -- fig4` (etc.) regenerates the
+//! paper's evaluation artifacts end to end; `wms-bench --list` names
+//! them all.
 
+use blast2cap3_pegasus::experiment::{builtin_registry, simulate_blast2cap3, ExperimentOutcome};
+use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor};
+use pegasus_wms::planner::ExecutableWorkflow;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -15,6 +19,37 @@ pub const PAPER_N_VALUES: [usize; 4] = [10, 100, 300, 500];
 
 /// Seed used by default for the deterministic experiments.
 pub const DEFAULT_SEED: u64 = 20140519; // IPDPSW 2014 week
+
+/// Pegasus's retry profile for opportunistic sites.
+pub const PAPER_RETRIES: u32 = 10;
+
+/// The paper's sweep: every n of Fig. 4 / Fig. 5 on both platforms
+/// under [`DEFAULT_SEED`] and [`PAPER_RETRIES`], each run required to
+/// have succeeded.
+pub fn paper_sweep() -> impl Iterator<Item = (&'static str, usize, ExperimentOutcome)> {
+    let sweep = |site| PAPER_N_VALUES.map(|n| (site, n));
+    ["sandhills", "osg"]
+        .into_iter()
+        .flat_map(sweep)
+        .map(|(site, n)| {
+            let out = simulate_blast2cap3(site, n, DEFAULT_SEED, PAPER_RETRIES);
+            assert!(out.run.succeeded(), "{site} n={n} failed: {:?}", out.stats);
+            (site, n, out)
+        })
+}
+
+/// Simulated wall time of the plan `exec` on the built-in `site`
+/// under `seed` and a flat retry budget — for the figures that plan
+/// something other than the calibrated paper workflow. The run must
+/// succeed.
+pub fn simulated_wall(site: &str, exec: &ExecutableWorkflow, seed: u64, retries: u32) -> f64 {
+    let registry = builtin_registry();
+    let mut backend = registry.backend(registry.resolve(site).expect("built-in site"), seed);
+    let cfg = EngineConfig::builder().retries(retries).build();
+    let run = Engine::run(&mut backend, exec, &cfg, &mut NoopMonitor);
+    assert!(run.succeeded(), "{site}/{} failed", exec.name);
+    run.wall_time
+}
 
 /// Directory where experiment CSVs are written.
 pub fn experiments_dir() -> PathBuf {
@@ -59,6 +94,19 @@ pub fn human_duration(seconds: f64) -> String {
     } else {
         format!("{m}m")
     }
+}
+
+/// Prints the mean wall time of `passes` calls of `f`, after one
+/// untimed warm-up call: the whole of what `substrates` needs for the
+/// kernels no ledger metric isolates. Everything else is timed by the
+/// ledger.
+pub fn timed<O>(label: &str, passes: u32, mut f: impl FnMut() -> O) {
+    std::hint::black_box(f());
+    let start = std::time::Instant::now();
+    for _ in 0..passes {
+        std::hint::black_box(f());
+    }
+    println!("{label}: mean {:?}", start.elapsed() / passes.max(1));
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@ use bioseq::simulate::{generate, TranscriptomeConfig};
 use bioseq::stats::{assembly_stats, reduction_ratio};
 use blast2cap3::parallel::run_parallel;
 use blast2cap3::serial::run_serial;
+use blast2cap3_pegasus::experiment::synthetic_alignments;
 use blastx::search::{SearchParams, Searcher};
 use blastx::tabular::{self, TabularRecord};
 use cap3::Cap3Params;
@@ -102,25 +103,13 @@ fn cmd_simulate(args: &Args) -> ExitCode {
     let dir = Path::new(args.require("dir"));
     std::fs::create_dir_all(dir).expect("create output dir");
 
-    let cfg = TranscriptomeConfig {
+    let data = generate(&TranscriptomeConfig {
         n_families: families,
         family_size_mean: 4.0,
         family_size_cap: 24,
         ..TranscriptomeConfig::tiny(seed)
-    };
-    let data = generate(&cfg);
-    let searcher = Searcher::new(data.proteins.clone(), SearchParams::default())
-        .expect("non-empty protein db");
-    let queries: Vec<(String, bioseq::seq::DnaSeq)> = data
-        .transcripts
-        .iter()
-        .map(|r| (r.id.clone(), r.seq.clone()))
-        .collect();
-    let alignments: Vec<TabularRecord> = searcher
-        .search_many(&queries, 0)
-        .iter()
-        .map(TabularRecord::from)
-        .collect();
+    });
+    let alignments = synthetic_alignments(&data);
 
     fasta::write_file(dir.join("transcripts.fasta"), &data.transcripts).expect("write transcripts");
     tabular::write_file(dir.join("alignments.out"), &alignments).expect("write alignments");

@@ -51,17 +51,20 @@ use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::cli::args as cli_args;
 use blast2cap3_pegasus::cli::args::{Parsed, Verb};
 use blast2cap3_pegasus::experiment::{
-    builtin_registry, calibrate_workload, calibrated_chunk_costs, paper_replicas, registry_catalogs,
+    builtin_registry, calibrated_workflow, paper_replicas, registry_catalogs,
+    simulate_blast2cap3_at, ExperimentOutcome,
 };
 use blast2cap3_pegasus::serve;
 use gridsim::sites::SiteRegistry;
 use gridsim::{FaultPlan, FaultScript};
 use pegasus_wms::analyzer::analyze;
 use pegasus_wms::breakdown;
-use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
+use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog, SiteCatalog, TransformationCatalog};
 use pegasus_wms::dax;
 use pegasus_wms::engine::{Engine, EngineConfig, RetryPolicy, WorkflowOutcome};
+use pegasus_wms::error::WmsError;
 use pegasus_wms::events;
+use pegasus_wms::lint::Diagnostic;
 use pegasus_wms::metrics::{self, MetricsMonitor, MetricsRegistry};
 use pegasus_wms::monitor::{MultiMonitor, StatusMonitor, TimelineMonitor};
 use pegasus_wms::planner::{plan, PlannerConfig};
@@ -72,6 +75,7 @@ use pegasus_wms::statistics::{
 };
 use pegasus_wms::symbols::SiteId;
 use pegasus_wms::trace::{self, TraceId};
+use pegasus_wms::workflow::AbstractWorkflow;
 use std::process::ExitCode;
 
 /// A verb's parsed arguments plus exit-on-error getters: the library
@@ -122,12 +126,48 @@ fn read_or_exit(what: &str, path: &str) -> String {
     })
 }
 
+/// Writes `bytes` to `path`, or reports `cannot write <what> <path>`
+/// and exits 1 — an unwritable output path is never a panic.
+fn write_or_exit(what: &str, path: impl AsRef<std::path::Path>, bytes: impl AsRef<[u8]>) {
+    let path = path.as_ref();
+    if let Err(e) = std::fs::write(path, bytes) {
+        eprintln!("cannot write {what} {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
+/// Writes what `render` gives to the file the flag `key` names, when
+/// given, confirming with `<what> written to <file>` if `note`.
+fn write_flagged(args: &Args, key: &str, what: &str, note: bool, render: impl FnOnce() -> String) {
+    if let Some(path) = args.get(key) {
+        write_or_exit(what, path, render());
+        if note {
+            println!("{what} written to {path}");
+        }
+    }
+}
+
+/// Exit code 0 when `ok`, 1 otherwise.
+fn success_if(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// The non-empty, trimmed entries of a comma-separated flag value
+/// (`--from-events a,b`, `--events`, `--fault-plan`).
+fn comma_list(list: &str) -> impl Iterator<Item = &str> {
+    list.split(',').map(str::trim).filter(|p| !p.is_empty())
+}
+
 /// Sends a verb's rendered output to `--out <file>` (confirming with
 /// `<done> <file>` unless `--quiet`), or to stdout without one.
 fn write_or_print(args: &Args, text: &str, done: &str) {
     match args.get("out") {
         Some(path) => {
-            std::fs::write(path, text).expect("write --out file");
+            write_or_exit("output", path, text);
             if !args.flag("quiet") {
                 println!("{done} {path}");
             }
@@ -173,17 +213,15 @@ fn fault_script_from(args: &Args, seed: u64) -> Option<FaultScript> {
 fn parse_event_log_or_flag(
     text: &str,
     path: &str,
-    diags: &mut Vec<pegasus_wms::lint::Diagnostic>,
+    diags: &mut Vec<Diagnostic>,
 ) -> Option<Vec<(usize, events::WorkflowEvent)>> {
-    use pegasus_wms::error::{Span, WmsError};
+    use pegasus_wms::error::Span;
     let (span, reason) = match events::log::parse_lines(text) {
         Ok(pairs) => return Some(pairs),
         Err(WmsError::EventLogParse { line, reason }) => (Span::line(line), reason),
         Err(e) => (Span::none(), e.to_string()),
     };
-    diags.push(pegasus_wms::lint::Diagnostic::new(
-        "E0708", path, span, reason,
-    ));
+    diags.push(Diagnostic::new("E0708", path, span, reason));
     None
 }
 
@@ -219,11 +257,7 @@ fn resolve_site(args: &Args, registry: &SiteRegistry, name: &str) -> SiteId {
 fn load_catalogs(
     args: &Args,
     registry: &SiteRegistry,
-) -> (
-    pegasus_wms::catalog::SiteCatalog,
-    pegasus_wms::catalog::TransformationCatalog,
-    ReplicaCatalog,
-) {
+) -> (SiteCatalog, TransformationCatalog, ReplicaCatalog) {
     match args.get("catalog") {
         Some(path) => {
             let text = read_or_exit("catalog", path);
@@ -250,20 +284,36 @@ fn cmd_catalogs(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn load_dax(path: &str) -> pegasus_wms::workflow::AbstractWorkflow {
+/// Reads `path` and parses it without validating (the profiler's
+/// `dax.parse` sample): the lint passes report a cyclic or conflicted
+/// workflow in full before [`validated_or_exit`] admits it to planning.
+fn parse_dax(path: &str) -> (String, Result<AbstractWorkflow, WmsError>) {
     let text = read_or_exit("", path);
-    dax::from_dax(&text).unwrap_or_else(|e| {
+    let _prof = prof::scope("dax.parse");
+    let parsed = dax::from_dax_unvalidated(&text);
+    (text, parsed)
+}
+
+/// The workflow of a [`parse_dax`] result once it validates; a parse
+/// or validation error exits 1.
+fn validated_or_exit(path: &str, parsed: Result<AbstractWorkflow, WmsError>) -> AbstractWorkflow {
+    let valid = parsed.and_then(|wf| wf.validate().map(|()| wf));
+    valid.unwrap_or_else(|e| {
         eprintln!("cannot parse {path}: {e}");
         std::process::exit(1);
     })
 }
 
+fn load_dax(path: &str) -> AbstractWorkflow {
+    validated_or_exit(path, parse_dax(path).1)
+}
+
 /// Plans `wf` for the catalog site `site` under the default planner
 /// configuration, exiting 1 when planning fails.
 fn plan_or_exit(
-    wf: &pegasus_wms::workflow::AbstractWorkflow,
-    sites: &pegasus_wms::catalog::SiteCatalog,
-    tc: &pegasus_wms::catalog::TransformationCatalog,
+    wf: &AbstractWorkflow,
+    sites: &SiteCatalog,
+    tc: &TransformationCatalog,
     rc: &ReplicaCatalog,
     site: &str,
 ) -> pegasus_wms::planner::ExecutableWorkflow {
@@ -275,14 +325,11 @@ fn plan_or_exit(
 
 fn cmd_generate_dax(args: &Args) -> ExitCode {
     let n: usize = args.parsed("n", 300);
-    let params = if args.flag("calibrated") {
-        let cal = calibrate_workload(args.parsed("seed", 20140519u64));
-        let costs = calibrated_chunk_costs(&cal, n);
-        WorkflowParams::with_n(costs.len()).with_chunk_costs(costs)
+    let wf = if args.flag("calibrated") {
+        calibrated_workflow(n, args.parsed("seed", 20140519u64))
     } else {
-        WorkflowParams::with_n(n)
+        build_workflow(&WorkflowParams::with_n(n))
     };
-    let wf = build_workflow(&params);
     let done = format!("wrote {} jobs to", wf.jobs.len());
     write_or_print(args, &dax::to_dax(&wf), &done);
     ExitCode::SUCCESS
@@ -338,10 +385,7 @@ fn cmd_plan(args: &Args) -> ExitCode {
     if let Ok((cp, _)) = wf.critical_path() {
         println!("  critical path {cp:.0}s (makespan lower bound)");
     }
-    if let Some(dot_path) = args.get("dot") {
-        std::fs::write(dot_path, exec.to_dot()).expect("write dot");
-        println!("dot graph written to {dot_path}");
-    }
+    write_flagged(args, "dot", "dot graph", true, || exec.to_dot());
     if args.flag("ascii") {
         println!("{}", ascii_dag(&exec));
     }
@@ -433,11 +477,7 @@ fn cmd_statistics(args: &Args) -> ExitCode {
 fn cmd_analyze(args: &Args) -> ExitCode {
     let run = replay_run(args.require("from-events"));
     print!("{}", analyze(&run).render_text());
-    if run.succeeded() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    success_if(run.succeeded())
 }
 
 /// Arms the engine self-profiler when `--profile` was given; call
@@ -488,6 +528,18 @@ fn engine_config_from(args: &Args, retries: u32, seed: u64) -> EngineConfig {
         .build()
 }
 
+/// `kickstart p50 <x>s p95 <y>s` of one run's kickstart phase, once
+/// the registry holds it — the tail of the run/ensemble one-liners.
+fn kickstart_quantiles(registry: &MetricsRegistry, site: &str, n: &str) -> Option<String> {
+    let labels = [("site", site), ("n", n), ("phase", "kickstart")];
+    let q = |q| registry.quantile(metrics::names::PHASE_SECONDS, &labels, q);
+    Some(format!(
+        "kickstart p50 {:.0}s p95 {:.0}s",
+        q(0.5)?,
+        q(0.95)?
+    ))
+}
+
 /// Parses `--sizes 10,100,...` (default: the paper's Fig. 4 sweep).
 fn sizes_from(args: &Args) -> Vec<usize> {
     let sizes: Vec<usize> = match args.get("sizes") {
@@ -509,8 +561,8 @@ fn sizes_from(args: &Args) -> Vec<usize> {
 
 /// Reads and parses one or more comma-separated event logs.
 fn parse_event_logs(list: &str) -> Vec<Vec<pegasus_wms::events::WorkflowEvent>> {
-    list.split(',')
-        .map(|path| load_event_log(path.trim()).1)
+    comma_list(list)
+        .map(|path| load_event_log(path).1)
         .collect()
 }
 
@@ -530,8 +582,6 @@ fn sweep_sites(args: &Args, registry: &SiteRegistry) -> Vec<SiteId> {
 /// event stream alone: either a fresh deterministic sweep or, with
 /// `--from-events`, recorded logs with no simulation at all.
 fn cmd_breakdown(args: &Args) -> ExitCode {
-    use blast2cap3_pegasus::experiment::simulate_blast2cap3_at;
-
     let mut rows = Vec::new();
     let mut all_ok = true;
     if let Some(list) = args.get("from-events") {
@@ -556,10 +606,13 @@ fn cmd_breakdown(args: &Args) -> ExitCode {
                 let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, None);
                 all_ok &= out.run.succeeded();
                 if let Some(dir) = args.get("events-dir") {
-                    std::fs::create_dir_all(dir).expect("create events dir");
+                    if let Err(e) = std::fs::create_dir_all(dir) {
+                        eprintln!("cannot create events dir {dir}: {e}");
+                        std::process::exit(1);
+                    }
                     let name = registry.name(site);
                     let path = std::path::Path::new(dir).join(format!("{name}_n{n}.events"));
-                    std::fs::write(&path, out.event_log()).expect("write event log");
+                    write_or_exit("event log", path, out.event_log());
                 }
                 rows.push(out.breakdown());
             }
@@ -575,12 +628,10 @@ fn cmd_breakdown(args: &Args) -> ExitCode {
         (breakdown::render_csv(&rows), "CSV")
     };
     write_or_print(args, &rendered, &format!("breakdown {what} written to"));
-    if all_ok {
-        ExitCode::SUCCESS
-    } else {
+    if !all_ok {
         eprintln!("some workflows did not complete; breakdown covers what ran");
-        ExitCode::FAILURE
     }
+    success_if(all_ok)
 }
 
 /// `pegasus metrics` — dump the metrics registry in the Prometheus
@@ -589,8 +640,6 @@ fn cmd_breakdown(args: &Args) -> ExitCode {
 /// under the same seed), or scraped over HTTP from a running
 /// `pegasus serve` daemon with `--scrape`.
 fn cmd_metrics(args: &Args) -> ExitCode {
-    use blast2cap3_pegasus::experiment::simulate_blast2cap3_at;
-
     if let Some(addr) = args.get("scrape") {
         return match serve::client::scrape(addr) {
             Ok(body) => {
@@ -634,13 +683,15 @@ fn cmd_metrics(args: &Args) -> ExitCode {
 /// given, the fault-plan pass per `--fault-plan`, and (only when
 /// `include_event_logs`) the sanitizer per `--events`. The event-log
 /// pass is opt-in because `run` uses `--events` as an *output* path.
+/// The one parse of the DAX comes back with the findings, for `run`
+/// to validate and plan.
 fn collect_lint(
     args: &Args,
     dax_path: &str,
     include_event_logs: bool,
-) -> Vec<pegasus_wms::lint::Diagnostic> {
-    use pegasus_wms::error::{Span, WmsError};
-    use pegasus_wms::lint::{self, Diagnostic};
+) -> (Vec<Diagnostic>, Result<AbstractWorkflow, WmsError>) {
+    use pegasus_wms::error::Span;
+    use pegasus_wms::lint;
 
     let mut diags = Vec::new();
 
@@ -668,18 +719,18 @@ fn collect_lint(
     };
     let (sites, tc, _rc) = load_catalogs(args, &registry);
 
-    let text = read_or_exit("", dax_path);
     // The unvalidated parse keeps cyclic or conflicted workflows
     // alive so the structural pass can report the full story instead
     // of stopping at the first validation error.
-    let wf = match dax::from_dax_unvalidated(&text) {
+    let (text, parsed) = parse_dax(dax_path);
+    let wf = match &parsed {
         Ok(wf) => Some(wf),
         Err(e) => {
-            diags.push(lint::classify_parse_error(&e, dax_path));
+            diags.push(lint::classify_parse_error(e, dax_path));
             None
         }
     };
-    if let Some(wf) = &wf {
+    if let Some(wf) = wf {
         let opts = pegasus_wms::lint::DaxLintOptions {
             fan_limit: args.parsed("fan-limit", 500usize),
             source: Some(&text),
@@ -704,7 +755,7 @@ fn collect_lint(
                 .map(|id| registry.faults_active(id))
                 .unwrap_or(false)
         });
-    if let Some(wf) = &wf {
+    if let Some(wf) = wf {
         if site.is_some() || args.get("slots").is_some() {
             let ctx = lint::RunContext {
                 site: site_for_ctx.as_deref(),
@@ -719,13 +770,13 @@ fn collect_lint(
     }
 
     if let Some(list) = args.get("fault-plan") {
-        for path in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        for path in comma_list(list) {
             let ptext = read_or_exit("fault plan", path);
             match FaultPlan::parse(&ptext) {
                 Ok(plan) => {
                     let ctx = gridsim::PlanLintContext {
                         source: Some(&ptext),
-                        workflow: wf.as_ref(),
+                        workflow: wf,
                         retry: Some(&policy),
                     };
                     diags.extend(gridsim::lint_plan(&plan, path, &ctx));
@@ -747,7 +798,7 @@ fn collect_lint(
 
     if include_event_logs {
         if let Some(list) = args.get("events") {
-            for path in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            for path in comma_list(list) {
                 let etext = read_or_exit("event log", path);
                 if let Some(pairs) = parse_event_log_or_flag(&etext, path, &mut diags) {
                     diags.extend(lint::check_events(&pairs, path));
@@ -756,7 +807,7 @@ fn collect_lint(
         }
     }
 
-    diags
+    (diags, parsed)
 }
 
 /// `pegasus lint`: the static analyzer. The one subcommand with a
@@ -791,23 +842,19 @@ fn cmd_lint(args: &Args) -> ExitCode {
     };
 
     let config = lint_config_from(args, "E0103");
-    let diags = lint::resolve(collect_lint(args, &dax_path, true), &config);
+    let diags = lint::resolve(collect_lint(args, &dax_path, true).0, &config);
     match args.get("format").unwrap_or("text") {
         "text" => print!("{}", lint::render_text(&diags)),
         "json" => print!("{}", lint::render_json(&diags)),
         other => args.bail(&format!("unknown --format {other:?} (use text or json)")),
     }
-    if lint::has_errors(&diags) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    success_if(!lint::has_errors(&diags))
 }
 
 /// The warn-only report `run` and `ensemble` open with: findings go to
 /// stderr at their default levels, never change the exit code, and
 /// stdout stays byte-identical.
-fn warn_on_stderr(diags: Vec<pegasus_wms::lint::Diagnostic>) {
+fn warn_on_stderr(diags: Vec<Diagnostic>) {
     use pegasus_wms::lint;
     let diags = lint::resolve(diags, &lint::LintConfig::default());
     if !diags.is_empty() {
@@ -870,25 +917,15 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
         println!("{}", render_ensemble_text(&out.stats));
         for run in &out.run.runs {
             let n = metrics::n_label(&run.name, run.records.len());
-            let labels = [
-                ("site", run.site.as_str()),
-                ("n", n.as_str()),
-                ("phase", "kickstart"),
-            ];
-            if let (Some(p50), Some(p95)) = (
-                registry.quantile(metrics::names::PHASE_SECONDS, &labels, 0.5),
-                registry.quantile(metrics::names::PHASE_SECONDS, &labels, 0.95),
-            ) {
-                println!("{}: kickstart p50 {p50:.0}s p95 {p95:.0}s", run.name);
+            if let Some(ks) = kickstart_quantiles(&registry, &run.site, &n) {
+                println!("{}: {ks}", run.name);
             }
         }
     }
-    if let Some(path) = args.get("metrics") {
-        std::fs::write(path, registry.render()).expect("write metrics");
-        if !args.flag("quiet") {
-            println!("metrics exposition written to {path}");
-        }
-    }
+    let note = !args.flag("quiet");
+    write_flagged(args, "metrics", "metrics exposition", note, || {
+        registry.render()
+    });
     let csv = render_ensemble_csv(&out.stats);
     write_or_print(args, &csv, "ensemble rollup CSV written to");
 
@@ -912,10 +949,15 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     // so profiling is only ever armed on the `run` verb.
     let profiling = !csv_only && arm_profiler(args);
     let dax_path = args.require("dax");
-    if !csv_only && !args.flag("quiet") {
-        warn_on_stderr(collect_lint(args, dax_path, false));
-    }
-    let wf = load_dax(dax_path);
+    // One parse of the DAX text: linted as parsed, then validated.
+    let parsed = if !csv_only && !args.flag("quiet") {
+        let (diags, parsed) = collect_lint(args, dax_path, false);
+        warn_on_stderr(diags);
+        parsed
+    } else {
+        parse_dax(dax_path).1
+    };
+    let wf = validated_or_exit(dax_path, parsed);
     let registry = load_registry(args);
     let site = resolve_site(args, &registry, args.require("site"));
     let site_name = registry.name(site);
@@ -938,7 +980,7 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     }
 
     if let Some(rescue_path) = args.get("resume") {
-        let text = std::fs::read_to_string(rescue_path).expect("read rescue");
+        let text = read_or_exit("rescue file", rescue_path);
         let rescue = RescueDag::from_text(&text).unwrap_or_else(|e| {
             eprintln!("bad rescue file: {e}");
             std::process::exit(1);
@@ -1001,20 +1043,9 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
         }
         // The final one-liner carries the kickstart quantiles from the
         // live metrics registry.
-        let labels = [
-            ("site", site_name),
-            ("n", n.as_str()),
-            ("phase", "kickstart"),
-        ];
-        match (
-            metrics_registry.quantile(metrics::names::PHASE_SECONDS, &labels, 0.5),
-            metrics_registry.quantile(metrics::names::PHASE_SECONDS, &labels, 0.95),
-        ) {
-            (Some(p50), Some(p95)) => println!(
-                "status: {} | kickstart p50 {p50:.0}s p95 {p95:.0}s",
-                status.status_line()
-            ),
-            _ => println!("status: {}", status.status_line()),
+        match kickstart_quantiles(&metrics_registry, site_name, &n) {
+            Some(ks) => println!("status: {} | {ks}", status.status_line()),
+            None => println!("status: {}", status.status_line()),
         }
     }
 
@@ -1028,24 +1059,14 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
             timeline.peak_concurrency()
         );
     }
-    if let Some(path) = args.get("timeline") {
-        std::fs::write(path, timeline.to_csv()).expect("write timeline");
-        if !csv_only {
-            println!("timeline written to {path}");
-        }
-    }
-    if let Some(path) = args.get("events") {
-        std::fs::write(path, events::log::write(&run.events)).expect("write event log");
-        if !csv_only {
-            println!("event log written to {path}");
-        }
-    }
-    if let Some(path) = args.get("metrics") {
-        std::fs::write(path, metrics_registry.render()).expect("write metrics");
-        if !csv_only {
-            println!("metrics exposition written to {path}");
-        }
-    }
+    let note = !csv_only;
+    write_flagged(args, "timeline", "timeline", note, || timeline.to_csv());
+    write_flagged(args, "events", "event log", note, || {
+        events::log::write(&run.events)
+    });
+    write_flagged(args, "metrics", "metrics exposition", note, || {
+        metrics_registry.render()
+    });
 
     // The shadow verdict: clean streams say so once; violations turn
     // an otherwise successful run into a failure.
@@ -1074,7 +1095,7 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
                 .get("rescue-out")
                 .map(String::from)
                 .unwrap_or_else(|| format!("{}.rescue", run.name));
-            std::fs::write(&path, rescue.to_text()).expect("write rescue");
+            write_or_exit("rescue DAG", &path, rescue.to_text());
             eprintln!("\n{}", analyze(&run).render_text());
             eprintln!("rescue DAG written to {path}; resubmit with --resume {path}");
             ExitCode::FAILURE
@@ -1094,6 +1115,30 @@ fn fold_trace_log(path: &str) -> trace::WorkflowTrace {
     })
 }
 
+/// The live source `trace` and `verify` share: one ad-hoc blast2cap3
+/// run, its trace id (submission 0 under its seed, the derivation the
+/// daemon applies at admission), and its event log under that id's
+/// header — also written to `--events`, for the offline round trip.
+fn adhoc_run(args: &Args) -> (ExperimentOutcome, TraceId, String) {
+    let registry = load_registry(args);
+    let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
+    let n: usize = args.parsed("n", 100);
+    let seed: u64 = args.parsed("seed", 20140519u64);
+    let cfg = engine_config_from(args, args.parsed("retries", 20u32), seed);
+    let script = fault_script_from(args, seed);
+    let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, script);
+    let id = TraceId::derive(seed, 0);
+    let header = trace::render_log_header(id);
+    let text = format!("{header}{}", events::log::append(&out.run.events));
+    if let Some(path) = args.get("events") {
+        write_or_exit("event log", path, &text);
+        if !args.flag("quiet") {
+            eprintln!("event log written to {path}");
+        }
+    }
+    (out, id, text)
+}
+
 /// `pegasus trace` — the end-to-end span layer: fold provenance
 /// streams into workflow → job → attempt → phase span trees keyed by
 /// a [`TraceId`], rendered as a plain-text tree (default) or Chrome
@@ -1109,11 +1154,9 @@ fn fold_trace_log(path: &str) -> trace::WorkflowTrace {
 /// * `--events-dir dir`: every member log of a serve state directory
 ///   (or its `members/` subdirectory), smallest member id first.
 fn cmd_trace(args: &Args) -> ExitCode {
-    use blast2cap3_pegasus::experiment::simulate_blast2cap3_at;
-
     let mut traces = Vec::new();
     if let Some(list) = args.get("from-events") {
-        for path in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        for path in comma_list(list) {
             traces.push(fold_trace_log(path));
         }
     } else if let Some(dir) = args.get("events-dir") {
@@ -1121,28 +1164,7 @@ fn cmd_trace(args: &Args) -> ExitCode {
             traces.push(fold_trace_log(&path.to_string_lossy()));
         }
     } else {
-        let registry = load_registry(args);
-        let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
-        let n: usize = args.parsed("n", 100);
-        let seed: u64 = args.parsed("seed", 20140519u64);
-        let retries: u32 = args.parsed("retries", 20u32);
-        let cfg = engine_config_from(args, retries, seed);
-        let script = fault_script_from(args, seed);
-        let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, script);
-        // The same derivation the serve daemon applies at admission:
-        // a single ad-hoc run is submission 0 under its seed.
-        let id = TraceId::derive(seed, 0);
-        if let Some(path) = args.get("events") {
-            let text = format!(
-                "{}{}",
-                trace::render_log_header(id),
-                events::log::append(&out.run.events)
-            );
-            std::fs::write(path, text).expect("write event log");
-            if !args.flag("quiet") {
-                eprintln!("event log written to {path}");
-            }
-        }
+        let (out, id, _) = adhoc_run(args);
         traces.push(trace::of_run(&out.run, Some(id)));
     }
 
@@ -1153,12 +1175,10 @@ fn cmd_trace(args: &Args) -> ExitCode {
         other => args.bail(&format!("unknown --format {other:?} (use text or chrome)")),
     };
     write_or_print(args, &rendered, "trace written to");
-    if all_ok {
-        ExitCode::SUCCESS
-    } else {
+    if !all_ok {
         eprintln!("some workflows did not complete; the trace covers what ran");
-        ExitCode::FAILURE
     }
+    success_if(all_ok)
 }
 
 /// Every member event log of a serve state directory (or any
@@ -1196,7 +1216,6 @@ fn collect_member_streams(dir: &str, streams: &mut Vec<(String, String, Option<T
 ///   `--from-events` pass over its `--events` log render identical
 ///   verdicts.
 fn cmd_verify(args: &Args) -> ExitCode {
-    use blast2cap3_pegasus::experiment::simulate_blast2cap3_at;
     use pegasus_wms::lint;
     use pegasus_wms::verify;
 
@@ -1255,7 +1274,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
     // Layer 1 stream sources: (label, raw text, journaled trace id).
     let mut streams: Vec<(String, String, Option<TraceId>)> = Vec::new();
     if let Some(list) = args.get("from-events") {
-        for path in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        for path in comma_list(list) {
             streams.push((path.to_string(), read_or_exit("event log", path), None));
         }
     } else if let Some(dir) = args.get("events-dir") {
@@ -1265,30 +1284,16 @@ fn cmd_verify(args: &Args) -> ExitCode {
             // `--dax` alone is a pure layer-2 invocation.
             [] if args.get("dax").is_some() => {}
             [] => {
-                let registry = load_registry(args);
-                let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
-                let n: usize = args.parsed("n", 100);
-                let seed: u64 = args.parsed("seed", 20140519u64);
-                let cfg = engine_config_from(args, retries, seed);
-                let script = fault_script_from(args, seed);
-                let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, script);
+                let (_, id, text) = adhoc_run(args);
                 // A live run always knows its policy: arm the envelope.
                 opts.retry = Some(retry_policy_from(args, retries));
-                let id = TraceId::derive(seed, 0);
-                let text = format!(
-                    "{}{}",
-                    trace::render_log_header(id),
-                    events::log::append(&out.run.events)
-                );
                 let label = match args.get("events") {
-                    Some(path) => {
-                        std::fs::write(path, &text).expect("write event log");
-                        if !args.flag("quiet") {
-                            eprintln!("event log written to {path}");
-                        }
-                        path.to_string()
-                    }
-                    None => format!("<live n={n} seed={seed}>"),
+                    Some(path) => path.to_string(),
+                    None => format!(
+                        "<live n={} seed={}>",
+                        args.parsed("n", 100usize),
+                        args.parsed("seed", 20140519u64)
+                    ),
                 };
                 streams.push((label, text, Some(id)));
             }
@@ -1332,11 +1337,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
             diags.len()
         );
     }
-    if lint::has_errors(&diags) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    success_if(!lint::has_errors(&diags))
 }
 
 /// `pegasus serve` — run the multi-tenant ensemble daemon until a
@@ -1364,6 +1365,16 @@ fn cmd_serve(args: &Args) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Connects to the daemon at `--addr`, or reports `<verb>: <error>`
+/// and exits 1.
+fn connect_or_exit(args: &Args) -> serve::client::Connection {
+    let addr = args.get("addr").unwrap_or("127.0.0.1:7070");
+    serve::client::Connection::open(addr).unwrap_or_else(|e| {
+        eprintln!("{}: {e}", args.verb.name);
+        std::process::exit(1);
+    })
 }
 
 /// `pegasus submit` — the daemon's write-side client: submit a
@@ -1412,14 +1423,7 @@ fn cmd_submit(args: &Args) -> ExitCode {
         args.bail("nothing to do: give --n/--dax, --cancel, --run, or --shutdown");
     }
 
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7070");
-    let mut conn = match serve::client::Connection::open(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("submit: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut conn = connect_or_exit(args);
     let mut ok = true;
     for req in &requests {
         match conn.request(req) {
@@ -1436,11 +1440,7 @@ fn cmd_submit(args: &Args) -> ExitCode {
             }
         }
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    success_if(ok)
 }
 
 /// `pegasus status` — the member table, either live from a daemon
@@ -1465,7 +1465,6 @@ fn cmd_status(args: &Args) -> ExitCode {
             }
         };
     }
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7070");
     let req = if let Some(id) = args.parsed_opt::<usize>("trace") {
         Request::Trace { id }
     } else if args.flag("rollup") {
@@ -1475,13 +1474,7 @@ fn cmd_status(args: &Args) -> ExitCode {
     } else {
         Request::Status
     };
-    let mut conn = match serve::client::Connection::open(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("status: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut conn = connect_or_exit(args);
     match conn.request(&req) {
         Ok((ResponseHead::Error(e), _)) => {
             eprintln!("status: {e}");

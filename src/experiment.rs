@@ -1,7 +1,7 @@
 //! The shared experiment harness.
 //!
-//! Everything the figure binaries, Criterion benches, and integration
-//! tests need to re-run the paper's evaluation:
+//! Everything the `wms-bench` figures and the integration tests need
+//! to re-run the paper's evaluation:
 //!
 //! * [`WorkloadCalibration`] — a synthetic per-cluster CAP3 cost
 //!   distribution with the heavy tail the wheat data exhibits, scaled
@@ -16,7 +16,7 @@
 //!   through the local Condor pool, and return outputs + timings.
 
 use bioseq::fasta;
-use bioseq::simulate::{generate, TranscriptomeConfig};
+use bioseq::simulate::{generate, SyntheticTranscriptome, TranscriptomeConfig};
 use blast2cap3::files::names;
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blastx::search::{SearchParams, Searcher};
@@ -225,7 +225,7 @@ pub fn plan_blast2cap3(site: &str, n: usize, seed: u64) -> ExecutableWorkflow {
     plan_blast2cap3_at(reg, id, n, seed)
 }
 
-/// Registry-parameterised planning of the Fig. 2 workflow, through
+/// Registry-parameterised planning of [`calibrated_workflow`], through
 /// [`plan_on`].
 ///
 /// # Panics
@@ -236,14 +236,17 @@ pub fn plan_blast2cap3_at(
     n: usize,
     seed: u64,
 ) -> ExecutableWorkflow {
-    let calibration = calibrate_workload(seed);
-    let chunk_costs = calibrated_chunk_costs(&calibration, n);
-    let n_effective = chunk_costs.len();
-    let params = WorkflowParams::with_n(n_effective).with_chunk_costs(chunk_costs);
-    let mut exec =
-        plan_on(registry, id, &build_workflow(&params)).expect("planning the paper workflow");
+    let wf = calibrated_workflow(n, seed);
+    let mut exec = plan_on(registry, id, &wf, |_| {}).expect("planning the paper workflow");
     exec.name = format!("blast2cap3_n{n}");
     exec
+}
+
+/// The Fig. 2 workflow over the workload calibrated under `seed`,
+/// split into (at most) `n` chunks.
+pub fn calibrated_workflow(n: usize, seed: u64) -> AbstractWorkflow {
+    let chunk_costs = calibrated_chunk_costs(&calibrate_workload(seed), n);
+    build_workflow(&WorkflowParams::with_n(chunk_costs.len()).with_chunk_costs(chunk_costs))
 }
 
 /// Submit-host replicas of the paper's two input files.
@@ -267,10 +270,13 @@ pub fn registry_catalogs(
 }
 
 /// Plans `wf` for the registered site `id` against
-/// [`registry_catalogs`]. Variants plan under their base site's
-/// catalog entry (the registry resolves the `catalog-site` chain —
-/// what used to be a hand-written `osg_prestaged → osg` special
-/// case).
+/// [`registry_catalogs`], under the site's default planner
+/// configuration as edited by `tweak` (`|_| {}` for none; the
+/// clustering ablation sets a cluster factor, the real-threads
+/// cross-check turns staging off). Variants plan under their base
+/// site's catalog entry (the registry resolves the `catalog-site`
+/// chain — what used to be a hand-written `osg_prestaged → osg`
+/// special case).
 ///
 /// # Errors
 /// Whatever [`plan`] refuses.
@@ -278,9 +284,11 @@ pub fn plan_on(
     registry: &SiteRegistry,
     id: SiteId,
     wf: &AbstractWorkflow,
+    tweak: impl FnOnce(&mut PlannerConfig),
 ) -> Result<ExecutableWorkflow, WmsError> {
     let (sites, tc, rc) = registry_catalogs(registry);
-    let config = PlannerConfig::for_site(registry.catalog_name(id));
+    let mut config = PlannerConfig::for_site(registry.catalog_name(id));
+    tweak(&mut config);
     plan(wf, &sites, &tc, &rc, &config)
 }
 
@@ -368,6 +376,22 @@ pub struct RealRunOutcome {
     pub workdir: PathBuf,
 }
 
+/// The `alignments.out` rows of a synthetic dataset: every transcript
+/// BLASTXed against the dataset's own protein set, on all cores (hit
+/// order does not depend on the thread count). What every
+/// real-execution measurement starts from.
+pub fn synthetic_alignments(data: &SyntheticTranscriptome) -> Vec<TabularRecord> {
+    let searcher =
+        Searcher::new(data.proteins.clone(), SearchParams::default()).expect("non-empty db");
+    let queries: Vec<(String, bioseq::seq::DnaSeq)> = data
+        .transcripts
+        .iter()
+        .map(|r| (r.id.clone(), r.seq.clone()))
+        .collect();
+    let hsps = searcher.search_many(&queries, 0);
+    hsps.iter().map(TabularRecord::from).collect()
+}
+
 /// Generates a synthetic dataset of `n_families` gene families, runs
 /// BLASTX to produce `alignments.out`, then executes the *real*
 /// Fig. 2 workflow (n = `n_chunks`) on a [`LocalPool`] of `workers`
@@ -379,22 +403,13 @@ pub fn real_local_run(
     seed: u64,
 ) -> RealRunOutcome {
     // 1. Synthetic inputs.
-    let cfg = TranscriptomeConfig {
+    let data = generate(&TranscriptomeConfig {
         n_families,
         family_size_mean: 4.0,
         family_size_cap: 16,
         ..TranscriptomeConfig::tiny(seed)
-    };
-    let data = generate(&cfg);
-    let searcher =
-        Searcher::new(data.proteins.clone(), SearchParams::default()).expect("non-empty db");
-    let queries: Vec<(String, bioseq::seq::DnaSeq)> = data
-        .transcripts
-        .iter()
-        .map(|r| (r.id.clone(), r.seq.clone()))
-        .collect();
-    let hsps = searcher.search_many(&queries, workers);
-    let alignments: Vec<TabularRecord> = hsps.iter().map(TabularRecord::from).collect();
+    });
+    let alignments = synthetic_alignments(&data);
 
     let workdir = std::env::temp_dir().join(format!(
         "blast2cap3_real_run_{}_{}",

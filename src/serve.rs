@@ -352,7 +352,7 @@ fn plan_member(
         SubmitSource::Dax { path } => {
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let wf = dax::from_dax(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-            plan_on(registry, site, &wf).map_err(|e| format!("cannot plan {path}: {e}"))
+            plan_on(registry, site, &wf, |_| {}).map_err(|e| format!("cannot plan {path}: {e}"))
         }
     }
 }
@@ -433,7 +433,8 @@ fn preflight_dax(
     // rejected here, not discovered as a failed member mid-round.
     wf.validate()
         .map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let exec = plan_on(registry, site, &wf).map_err(|e| format!("cannot plan {path}: {e}"))?;
+    let exec =
+        plan_on(registry, site, &wf, |_| {}).map_err(|e| format!("cannot plan {path}: {e}"))?;
     let mut diags = verify::check_plan(
         &wf,
         &exec,

@@ -251,6 +251,82 @@ fn pegasus_verify_reports_an_unparsable_log_and_checks_the_rest() {
     assert!(entries[1].contains("\"line\":4,"), "{json}");
 }
 
+/// A path from the command line that cannot be read or written is an
+/// exit-1 `cannot …` line, never a panic: the simulation may already
+/// have run, so the error must say which output was lost.
+#[test]
+fn pegasus_unusable_paths_exit_1_without_panicking() {
+    let dir = tmpdir("badpaths");
+    let dax = dir.join("wf.dax");
+    let out = pegasus()
+        .args(["generate-dax", "--n", "4", "--out", dax.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let dax = dax.to_str().unwrap();
+    let missing = dir.join("no-such-dir");
+    let under = |file: &str| missing.join(file).to_str().unwrap().to_string();
+    let run = ["run", "--dax", dax, "--site", "sandhills", "--quiet"];
+
+    let sessions: Vec<(Vec<&str>, Vec<String>, &str)> = vec![
+        (
+            run.to_vec(),
+            vec!["--resume".into(), under("x.rescue")],
+            "cannot read rescue file",
+        ),
+        (
+            run.to_vec(),
+            vec!["--events".into(), under("x.events")],
+            "cannot write event log",
+        ),
+        (
+            vec![
+                "breakdown",
+                "--sizes",
+                "10",
+                "--site",
+                "sandhills",
+                "--quiet",
+            ],
+            vec!["--out".into(), under("b.csv")],
+            "cannot write output",
+        ),
+        (
+            vec![
+                "breakdown",
+                "--sizes",
+                "10",
+                "--site",
+                "sandhills",
+                "--quiet",
+            ],
+            vec!["--events-dir".into(), format!("{dax}/sub")],
+            "cannot create events dir",
+        ),
+        (
+            vec!["metrics", "--sizes", "10", "--site", "sandhills"],
+            vec!["--out".into(), under("m.prom")],
+            "cannot write output",
+        ),
+        (
+            vec!["trace", "--n", "10"],
+            vec!["--out".into(), under("t.txt")],
+            "cannot write output",
+        ),
+    ];
+    for (verb, path_args, expected) in sessions {
+        let out = pegasus().args(&verb).args(&path_args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{verb:?} {path_args:?}: {err}");
+        assert!(!err.contains("panicked"), "{verb:?} {path_args:?}: {err}");
+        let lines: Vec<&str> = err.lines().collect();
+        assert!(
+            lines.len() == 1 && lines[0].starts_with(expected),
+            "{verb:?} {path_args:?}: want one `{expected} …` line, got {err:?}"
+        );
+    }
+}
+
 #[test]
 fn pegasus_breakdown_and_metrics_sessions() {
     let dir = tmpdir("breakdown");
