@@ -249,9 +249,14 @@ mod tests {
     /// at `started`: `head` is `completed`, `failed reason=<r>` or
     /// `timed-out`, `detail` the wire reason of a failure.
     fn ran(head: &str, attempt: u32, started: f64, finished: f64, detail: &str) -> String {
+        // A completed line has no detail field.
+        let detail = match head {
+            "completed" => String::new(),
+            _ => format!(" detail={detail}"),
+        };
         format!(
             "{head} job=0 attempt={attempt} submitted={} started={started} \
-             install-done={started} finished={finished} detail={detail}\n",
+             install-done={started} finished={finished}{detail}\n",
             started - 1.0
         )
     }

@@ -18,10 +18,10 @@
 //! * [`EventSink`] is the one observer hook: the engine hands every
 //!   event to the sink it was given as it emits it, trailer included,
 //!   so a sink fed a recorded stream sees exactly what it saw live;
-//! * [`log`] is a line-oriented, hand-rolled text format (the same
-//!   idiom as the fault-plan format: one `keyword key=value...` line
-//!   per event, no serde) written by `pegasus run --events` and read
-//!   back by `pegasus statistics --from-events` / `pegasus analyze
+//! * [`log`] is a line-oriented text format (one `keyword
+//!   key=value...` line per event in the [`crate::line`] grammar, no
+//!   serde) written by `pegasus run --events` and read back by
+//!   `pegasus statistics --from-events` / `pegasus analyze
 //!   --from-events`.
 //!
 //! Timestamps are backend seconds (simulated or real), exactly as the
@@ -590,12 +590,13 @@ pub fn rescue_from_events(events: &[WorkflowEvent]) -> Result<Option<RescueDag>,
 pub mod log {
     //! The line-oriented event-log text format.
     //!
-    //! One event per line, `keyword key=value ...` in the same
-    //! hand-rolled idiom as the fault-plan format: whitespace-separated
-    //! `key=value` fields, `#` comments and blank lines skipped, parse
-    //! errors carry one-based line numbers. Free-text fields (`name=`,
-    //! `detail=`) are always the last field of their line and consume
-    //! the rest of it verbatim, so job names with spaces survive.
+    //! One event per line, `keyword key=value ...`, read by the shared
+    //! [`crate::line`] grammar: whitespace-separated `key=value`
+    //! fields, `#` comments and blank lines skipped, an unknown or
+    //! repeated field refused, parse errors carrying one-based line
+    //! numbers. Free-text fields (`name=`, `detail=`) are always the
+    //! last field of their line and consume the rest of it verbatim,
+    //! so job names with spaces survive.
     //! Timestamps are written with Rust's shortest round-tripping
     //! float representation, so `parse(&write(events))` reproduces the
     //! stream exactly.
@@ -603,6 +604,7 @@ pub mod log {
     use super::WorkflowEvent;
     use crate::engine::{FaultReason, JobTimes};
     use crate::error::WmsError;
+    use crate::line::{self, Field, Fields, Line, Value};
     use crate::planner::JobKind;
     use crate::symbols::{Name, NamePool};
     use crate::workflow::JobId;
@@ -758,11 +760,8 @@ pub mod log {
         }
     }
 
-    fn parse_err(line: usize, reason: impl Into<String>) -> WmsError {
-        WmsError::EventLogParse {
-            line,
-            reason: reason.into(),
-        }
+    fn parse_err(line: usize, reason: String) -> WmsError {
+        WmsError::EventLogParse { line, reason }
     }
 
     /// What the parser keeps from line to line, so reading an event
@@ -772,123 +771,56 @@ pub mod log {
         /// Transformations and failure reasons repeat on most lines.
         pool: NamePool,
         /// The `key=value` fields of the line being read.
-        fields: Vec<(&'a str, &'a str)>,
+        fields: Vec<Field<'a>>,
     }
 
-    /// Splits `rest` into its `key=value` fields, in `buf`.
-    fn fields<'s, 'a>(
-        rest: &'a str,
-        line: usize,
-        buf: &'s mut Vec<(&'a str, &'a str)>,
-    ) -> Result<&'s [(&'a str, &'a str)], WmsError> {
-        buf.clear();
-        for tok in rest.split_whitespace() {
-            let field = tok
-                .split_once('=')
-                .ok_or_else(|| parse_err(line, format!("expected key=value, got {tok:?}")))?;
-            buf.push(field);
-        }
-        Ok(buf)
-    }
-
-    fn take<'a>(
-        fields: &[(&'a str, &'a str)],
-        key: &str,
-        line: usize,
-    ) -> Result<&'a str, WmsError> {
-        fields
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| parse_err(line, format!("missing field {key}")))
-    }
-
-    fn take_f64(fields: &[(&str, &str)], key: &str, line: usize) -> Result<f64, WmsError> {
-        let v = take(fields, key, line)?;
-        v.parse()
-            .map_err(|_| parse_err(line, format!("bad number {v:?} for {key}")))
-    }
-
-    fn take_u32(fields: &[(&str, &str)], key: &str, line: usize) -> Result<u32, WmsError> {
-        let v = take(fields, key, line)?;
-        v.parse()
-            .map_err(|_| parse_err(line, format!("bad integer {v:?} for {key}")))
-    }
-
-    fn take_usize(fields: &[(&str, &str)], key: &str, line: usize) -> Result<usize, WmsError> {
-        let v = take(fields, key, line)?;
-        v.parse()
-            .map_err(|_| parse_err(line, format!("bad integer {v:?} for {key}")))
-    }
-
-    fn take_bool(fields: &[(&str, &str)], key: &str, line: usize) -> Result<bool, WmsError> {
-        match take(fields, key, line)? {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            other => Err(parse_err(line, format!("bad boolean {other:?} for {key}"))),
+    impl Value<'_> for FaultReason {
+        const WHAT: &'static str = "fault reason";
+        fn read(raw: &str) -> Option<Self> {
+            Some(match raw {
+                "preempted" => FaultReason::Preemption,
+                "evicted" => FaultReason::Eviction,
+                "install" => FaultReason::InstallFailure,
+                "timeout" => FaultReason::Timeout,
+                "error" => FaultReason::Other,
+                _ => return None,
+            })
         }
     }
 
-    fn take_reason(fields: &[(&str, &str)], line: usize) -> Result<FaultReason, WmsError> {
-        match take(fields, "reason", line)? {
-            "preempted" => Ok(FaultReason::Preemption),
-            "evicted" => Ok(FaultReason::Eviction),
-            "install" => Ok(FaultReason::InstallFailure),
-            "timeout" => Ok(FaultReason::Timeout),
-            "error" => Ok(FaultReason::Other),
-            other => Err(parse_err(line, format!("unknown fault reason {other:?}"))),
+    impl Value<'_> for JobKind {
+        const WHAT: &'static str = "job kind";
+        fn read(raw: &str) -> Option<Self> {
+            Some(match raw {
+                "create_dir" => JobKind::CreateDir,
+                "stage_in" => JobKind::StageIn,
+                "compute" => JobKind::Compute,
+                "stage_out" => JobKind::StageOut,
+                "cleanup" => JobKind::Cleanup,
+                _ => return None,
+            })
         }
     }
 
-    fn take_kind(fields: &[(&str, &str)], line: usize) -> Result<JobKind, WmsError> {
-        match take(fields, "kind", line)? {
-            "create_dir" => Ok(JobKind::CreateDir),
-            "stage_in" => Ok(JobKind::StageIn),
-            "compute" => Ok(JobKind::Compute),
-            "stage_out" => Ok(JobKind::StageOut),
-            "cleanup" => Ok(JobKind::Cleanup),
-            other => Err(parse_err(line, format!("unknown job kind {other:?}"))),
-        }
+    fn job(f: &mut Fields<'_, '_>, key: &str) -> Result<JobId, WmsError> {
+        f.get(key).map(JobId::new)
     }
 
-    fn take_times(fields: &[(&str, &str)], line: usize) -> Result<JobTimes, WmsError> {
+    fn times(f: &mut Fields<'_, '_>) -> Result<JobTimes, WmsError> {
         Ok(JobTimes {
-            submitted: take_f64(fields, "submitted", line)?,
-            started: take_f64(fields, "started", line)?,
-            install_done: take_f64(fields, "install-done", line)?,
-            finished: take_f64(fields, "finished", line)?,
+            submitted: f.get("submitted")?,
+            started: f.get("started")?,
+            install_done: f.get("install-done")?,
+            finished: f.get("finished")?,
         })
-    }
-
-    /// Splits off a free-text tail field (`marker` is e.g. `"name="`):
-    /// the head keeps the structured `key=value` fields, the tail is
-    /// the verbatim text after the first ` marker` occurrence.
-    fn split_tail<'a>(
-        rest: &'a str,
-        marker: &str,
-        line: usize,
-    ) -> Result<(&'a str, &'a str), WmsError> {
-        // The first `marker` that follows a space.
-        let spaced = rest
-            .match_indices(marker)
-            .find(|&(i, _)| i > 0 && rest.as_bytes()[i - 1] == b' ');
-        if let Some((i, _)) = spaced {
-            Ok((&rest[..i - 1], &rest[i + marker.len()..]))
-        } else if let Some(tail) = rest.strip_prefix(marker) {
-            Ok(("", tail))
-        } else {
-            Err(parse_err(
-                line,
-                format!("missing field {}", marker.trim_end_matches('=')),
-            ))
-        }
     }
 
     /// Parses the text format back into an event stream.
     ///
     /// # Errors
     /// Returns [`WmsError::EventLogParse`] with a one-based line
-    /// number on unknown keywords, missing or malformed fields.
+    /// number on unknown keywords and on missing, malformed, unknown
+    /// or repeated fields.
     pub fn parse(text: &str) -> Result<Vec<WorkflowEvent>, WmsError> {
         let mut events = Vec::new();
         parse_each(text, |_, ev| events.push(ev))?;
@@ -910,132 +842,94 @@ pub mod log {
     /// Hands `sink` every event of `text` with its one-based line.
     fn parse_each(text: &str, mut sink: impl FnMut(usize, WorkflowEvent)) -> Result<(), WmsError> {
         let mut scratch = Scratch::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
-            let trimmed = raw.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let (keyword, rest) = trimmed
-                .split_once(char::is_whitespace)
-                .unwrap_or((trimmed, ""));
-            sink(
-                line,
-                parse_event(keyword, rest.trim_start(), line, &mut scratch)?,
-            );
+        for line in line::lines(text) {
+            sink(line.number, parse_event(&line, &mut scratch)?);
         }
         Ok(())
     }
 
     fn parse_event<'a>(
-        keyword: &str,
-        rest: &'a str,
-        line: usize,
+        line: &Line<'a>,
         scratch: &mut Scratch<'a>,
     ) -> Result<WorkflowEvent, WmsError> {
-        match keyword {
-            "workflow-started" => {
-                let (head, name) = split_tail(rest, "name=", line)?;
-                let f = fields(head, line, &mut scratch.fields)?;
-                Ok(WorkflowEvent::WorkflowStarted {
-                    name: Name::from(name),
-                    site: Name::from(take(f, "site", line)?),
-                    jobs: take_usize(f, "jobs", line)?,
-                    time: take_f64(f, "time", line)?,
-                })
-            }
-            "job" => {
-                let (head, name) = split_tail(rest, "name=", line)?;
-                let f = fields(head, line, &mut scratch.fields)?;
-                Ok(WorkflowEvent::JobDeclared {
-                    job: JobId::new(take_usize(f, "id", line)?),
-                    name: Name::from(name),
-                    transformation: scratch.pool.share(take(f, "transformation", line)?),
-                    kind: take_kind(f, line)?,
-                })
-            }
-            "skipped" => {
-                let f = fields(rest, line, &mut scratch.fields)?;
-                Ok(WorkflowEvent::Skipped {
-                    job: JobId::new(take_usize(f, "job", line)?),
-                    time: take_f64(f, "time", line)?,
-                })
-            }
-            "submitted" => {
-                let f = fields(rest, line, &mut scratch.fields)?;
-                Ok(WorkflowEvent::Submitted {
-                    job: JobId::new(take_usize(f, "job", line)?),
-                    attempt: take_u32(f, "attempt", line)?,
-                    time: take_f64(f, "time", line)?,
-                })
-            }
-            "install-started" => {
-                let f = fields(rest, line, &mut scratch.fields)?;
-                Ok(WorkflowEvent::InstallStarted {
-                    job: JobId::new(take_usize(f, "job", line)?),
-                    attempt: take_u32(f, "attempt", line)?,
-                    time: take_f64(f, "time", line)?,
-                })
-            }
-            "started" => {
-                let f = fields(rest, line, &mut scratch.fields)?;
-                Ok(WorkflowEvent::Started {
-                    job: JobId::new(take_usize(f, "job", line)?),
-                    attempt: take_u32(f, "attempt", line)?,
-                    time: take_f64(f, "time", line)?,
-                })
-            }
-            "completed" => {
-                let f = fields(rest, line, &mut scratch.fields)?;
-                Ok(WorkflowEvent::Completed {
-                    job: JobId::new(take_usize(f, "job", line)?),
-                    attempt: take_u32(f, "attempt", line)?,
-                    times: take_times(f, line)?,
-                })
-            }
-            "failed" => {
-                let (head, detail) = split_tail(rest, "detail=", line)?;
-                let f = fields(head, line, &mut scratch.fields)?;
-                Ok(WorkflowEvent::Failed {
-                    job: JobId::new(take_usize(f, "job", line)?),
-                    attempt: take_u32(f, "attempt", line)?,
-                    reason: take_reason(f, line)?,
-                    detail: scratch.pool.share(detail),
-                    times: take_times(f, line)?,
-                })
-            }
-            "timed-out" => {
-                let (head, detail) = split_tail(rest, "detail=", line)?;
-                let f = fields(head, line, &mut scratch.fields)?;
-                Ok(WorkflowEvent::TimedOut {
-                    job: JobId::new(take_usize(f, "job", line)?),
-                    attempt: take_u32(f, "attempt", line)?,
-                    detail: scratch.pool.share(detail),
-                    times: take_times(f, line)?,
-                })
-            }
-            "retry-scheduled" => {
-                let (head, detail) = split_tail(rest, "detail=", line)?;
-                let f = fields(head, line, &mut scratch.fields)?;
-                Ok(WorkflowEvent::RetryScheduled {
-                    job: JobId::new(take_usize(f, "job", line)?),
-                    next_attempt: take_u32(f, "next-attempt", line)?,
-                    backoff: take_f64(f, "backoff", line)?,
-                    reason: take_reason(f, line)?,
-                    detail: scratch.pool.share(detail),
-                    time: take_f64(f, "time", line)?,
-                })
-            }
-            "workflow-finished" => {
-                let f = fields(rest, line, &mut scratch.fields)?;
-                Ok(WorkflowEvent::WorkflowFinished {
-                    succeeded: take_bool(f, "succeeded", line)?,
-                    wall_time: take_f64(f, "wall-time", line)?,
-                    time: take_f64(f, "time", line)?,
-                })
-            }
-            other => Err(parse_err(line, format!("unknown event keyword {other:?}"))),
-        }
+        // The free-text field that ends the line, where the event has
+        // one.
+        let tail = match line.keyword {
+            "workflow-started" | "job" => Some("name"),
+            "failed" | "timed-out" | "retry-scheduled" => Some("detail"),
+            _ => None,
+        };
+        let Scratch { pool, fields } = scratch;
+        let f = &mut Fields::split(line.rest, tail, line.number, parse_err, fields)?;
+        // Fields are asked for in the order `write_event` writes them,
+        // which is where the reader looks first.
+        let event = match line.keyword {
+            "workflow-started" => WorkflowEvent::WorkflowStarted {
+                time: f.get("time")?,
+                jobs: f.get("jobs")?,
+                site: Name::from(f.get::<&str>("site")?),
+                name: Name::from(f.get::<&str>("name")?),
+            },
+            "job" => WorkflowEvent::JobDeclared {
+                job: job(f, "id")?,
+                kind: f.get("kind")?,
+                transformation: pool.share(f.get("transformation")?),
+                name: Name::from(f.get::<&str>("name")?),
+            },
+            "skipped" => WorkflowEvent::Skipped {
+                time: f.get("time")?,
+                job: job(f, "job")?,
+            },
+            "submitted" => WorkflowEvent::Submitted {
+                time: f.get("time")?,
+                job: job(f, "job")?,
+                attempt: f.get("attempt")?,
+            },
+            "install-started" => WorkflowEvent::InstallStarted {
+                time: f.get("time")?,
+                job: job(f, "job")?,
+                attempt: f.get("attempt")?,
+            },
+            "started" => WorkflowEvent::Started {
+                time: f.get("time")?,
+                job: job(f, "job")?,
+                attempt: f.get("attempt")?,
+            },
+            "completed" => WorkflowEvent::Completed {
+                job: job(f, "job")?,
+                attempt: f.get("attempt")?,
+                times: times(f)?,
+            },
+            "failed" => WorkflowEvent::Failed {
+                job: job(f, "job")?,
+                attempt: f.get("attempt")?,
+                reason: f.get("reason")?,
+                times: times(f)?,
+                detail: pool.share(f.get("detail")?),
+            },
+            "timed-out" => WorkflowEvent::TimedOut {
+                job: job(f, "job")?,
+                attempt: f.get("attempt")?,
+                times: times(f)?,
+                detail: pool.share(f.get("detail")?),
+            },
+            "retry-scheduled" => WorkflowEvent::RetryScheduled {
+                time: f.get("time")?,
+                job: job(f, "job")?,
+                next_attempt: f.get("next-attempt")?,
+                backoff: f.get("backoff")?,
+                reason: f.get("reason")?,
+                detail: pool.share(f.get("detail")?),
+            },
+            "workflow-finished" => WorkflowEvent::WorkflowFinished {
+                time: f.get("time")?,
+                wall_time: f.get("wall-time")?,
+                succeeded: f.get("succeeded")?,
+            },
+            other => return Err(f.err(format!("unknown event keyword {other:?}"))),
+        };
+        f.finish()?;
+        Ok(event)
     }
 }
 
@@ -1195,16 +1089,17 @@ mod tests {
             (
                 "failed job=0 attempt=0 reason=gremlins submitted=0 started=0 \
                  install-done=0 finished=0 detail=x\n",
-                "unknown fault reason",
+                "bad fault reason \"gremlins\" for reason",
             ),
             (
                 "job id=0 kind=wizard transformation=t name=n\n",
-                "unknown job kind",
+                "bad job kind \"wizard\" for kind",
             ),
             (
                 "workflow-finished time=1 wall-time=1 succeeded=maybe\n",
                 "bad boolean",
             ),
+            ("skipped time=inf job=0\n", "bad number \"inf\" for time"),
         ];
         for (text, want) in cases {
             let err = log::parse(&format!("# comment\n\n{text}")).unwrap_err();
@@ -1214,6 +1109,51 @@ mod tests {
                 "{text:?} -> {msg}"
             );
         }
+    }
+
+    #[test]
+    fn unknown_and_repeated_fields_are_parse_errors_naming_line_and_key() {
+        let times = "submitted=0 started=0 install-done=0 finished=1";
+        for (text, want) in [
+            (
+                "submitted time=1 job=0 attempt=0 x=1\n".to_string(),
+                "unknown field x",
+            ),
+            (
+                "submitted time=1 job=0 attempt=0 job=9\n".into(),
+                "repeated field job",
+            ),
+            // The error names the first field left unread: the stray
+            // one, ahead of the repeat.
+            (
+                format!("completed job=0 bogus=1 job=999 attempt=0 {times}\n"),
+                "unknown field bogus",
+            ),
+            (
+                format!("failed job=0 attempt=0 reason=error {times} finished=2 detail=x\n"),
+                "repeated field finished",
+            ),
+            (
+                "workflow-started time=0 jobs=1 site=s site=t name=w\n".into(),
+                "repeated field site",
+            ),
+        ] {
+            let err = log::parse(&format!("{}\n{text}", log::HEADER)).unwrap_err();
+            assert_eq!(
+                err,
+                WmsError::EventLogParse {
+                    line: 2,
+                    reason: want.into()
+                },
+                "{text:?}"
+            );
+        }
+        // What follows a free-text field's `key=` is its value.
+        let named = log::parse("job id=0 kind=compute transformation=t name=a b x=1 name=c\n");
+        assert!(matches!(
+            &named.unwrap()[..],
+            [WorkflowEvent::JobDeclared { name, .. }] if name == "a b x=1 name=c"
+        ));
     }
 
     #[test]

@@ -33,6 +33,9 @@
 //!   transition, its line-oriented log format, and [`events::replay`]
 //!   which folds a log back into a [`WorkflowRun`] for offline
 //!   statistics, analysis, and rescue;
+//! * [`mod@line`] — the one reader of the `keyword key=value …` line
+//!   grammar the event log, the serve protocol and journal, fault
+//!   plans and `sites.def` are all written in;
 //! * [`metrics`] — a dependency-free registry of labelled counters,
 //!   gauges, and fixed-bucket histograms rendered in the Prometheus
 //!   text exposition format, populated live by a
@@ -82,6 +85,7 @@ pub mod ensemble;
 pub mod error;
 pub mod events;
 pub mod graph;
+pub mod line;
 pub mod lint;
 pub mod metrics;
 pub mod monitor;

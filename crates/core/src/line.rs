@@ -1,0 +1,491 @@
+//! The line grammar every `keyword key=value …` text format shares:
+//! the event log, the serve protocol and journal, fault plans and
+//! `sites.def` (DESIGN.md "Line grammar").
+//!
+//! Two pieces and nothing else. [`lines`] numbers the lines of a text
+//! from one, skips blank and `#` lines, and splits each of the rest
+//! into its keyword and what follows it. [`Fields`] splits what
+//! follows into `key=value` tokens — plus, where the format has one,
+//! a free-text tail field that runs to the end of the line — hands
+//! them out by key or in order as typed values, and
+//! [`finish`](Fields::finish) refuses the first field nobody asked
+//! for. A reader takes one field of a name, so a repeated field is
+//! one nobody asked for.
+//!
+//! Whitespace, wherever the grammar says it, is ASCII whitespace: it
+//! is what every writer emits, a byte scan finds it, and any other
+//! character — a no-break space in a job name, say — is data.
+//!
+//! Errors are built by the calling format's own constructor
+//! ([`MakeError`]), so each format keeps its [`WmsError`] variant and
+//! its line numbers. What the keywords and keys *mean* stays in the
+//! format's module; writers are not this module's business.
+
+use crate::error::WmsError;
+
+/// A format's error constructor: one-based line number and reason.
+pub type MakeError = fn(usize, String) -> WmsError;
+
+/// One line of a text, split at its keyword.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Line<'a> {
+    /// One-based line number.
+    pub number: usize,
+    /// The first whitespace-delimited word (empty on a blank line).
+    pub keyword: &'a str,
+    /// What follows the keyword, trimmed.
+    pub rest: &'a str,
+    /// The whole line, trimmed — for `sites.def`, whose field lines
+    /// carry no keyword.
+    pub text: &'a str,
+}
+
+impl<'a> Line<'a> {
+    /// Splits one line; `number` is what its errors will name.
+    #[inline]
+    pub fn split(raw: &'a str, number: usize) -> Self {
+        let text = raw.trim_ascii();
+        let end = text
+            .bytes()
+            .position(|b| b.is_ascii_whitespace())
+            .unwrap_or(text.len());
+        Line {
+            number,
+            keyword: &text[..end],
+            rest: text[end..].trim_ascii_start(),
+            text,
+        }
+    }
+
+    /// Blank lines and `#` comments carry nothing.
+    fn is_skipped(&self) -> bool {
+        self.keyword.is_empty() || self.keyword.starts_with('#')
+    }
+}
+
+/// Every line of `text` that carries something, numbered from one.
+pub fn lines(text: &str) -> impl Iterator<Item = Line<'_>> {
+    text.lines()
+        .enumerate()
+        .map(|(idx, raw)| Line::split(raw, idx + 1))
+        .filter(|line| !line.is_skipped())
+}
+
+/// One `key=value` token. Opaque: it exists so a caller can own the
+/// buffer [`Fields::split`] reuses from line to line.
+#[derive(Debug, Clone, Copy)]
+pub struct Field<'a> {
+    key: &'a str,
+    value: &'a str,
+}
+
+/// A typed field value.
+pub trait Value<'a>: Sized {
+    /// What a parse error calls the type (`bad <WHAT> "x" for key`).
+    const WHAT: &'static str;
+    /// Reads the raw text, or `None` when it is not one of these.
+    fn read(raw: &'a str) -> Option<Self>;
+}
+
+impl<'a> Value<'a> for &'a str {
+    const WHAT: &'static str = "text";
+    fn read(raw: &'a str) -> Option<Self> {
+        Some(raw)
+    }
+}
+
+macro_rules! integer_values {
+    ($($t:ty),*) => {$(
+        impl Value<'_> for $t {
+            const WHAT: &'static str = "integer";
+            fn read(raw: &str) -> Option<Self> {
+                raw.parse().ok()
+            }
+        }
+    )*};
+}
+integer_values!(usize, u32, u64, i32);
+
+impl Value<'_> for f64 {
+    const WHAT: &'static str = "number";
+    /// Finite numbers only: `nan` and `inf` compare their way past
+    /// every range guard downstream.
+    fn read(raw: &str) -> Option<Self> {
+        raw.parse().ok().filter(|v: &f64| v.is_finite())
+    }
+}
+
+impl Value<'_> for bool {
+    const WHAT: &'static str = "boolean";
+    fn read(raw: &str) -> Option<Self> {
+        match raw {
+            "true" => Some(true),
+            "false" => Some(false),
+            _ => None,
+        }
+    }
+}
+
+/// The fields of one line, being read.
+#[derive(Debug)]
+pub struct Fields<'b, 'a> {
+    line: usize,
+    make_err: MakeError,
+    fields: &'b [Field<'a>],
+    /// Bit `i` is set once field `i` has been read.
+    read: u64,
+    /// One past the last field read: where the in-order readers
+    /// read, and where the keyed ones look first.
+    next: usize,
+}
+
+impl<'b, 'a> Fields<'b, 'a> {
+    /// Splits `rest` into its whitespace-separated `key=value` fields,
+    /// in `buf` (cleared first, so one buffer serves a whole text).
+    /// With `tail` naming a free-text field, the first `<tail>=` that
+    /// opens `rest` or follows whitespace ends the tokens: everything
+    /// after it, spaces and all, is that field's value.
+    ///
+    /// # Errors
+    /// A token with no `=`; more than 64 fields.
+    pub fn split(
+        rest: &'a str,
+        tail: Option<&str>,
+        line: usize,
+        make_err: MakeError,
+        buf: &'b mut Vec<Field<'a>>,
+    ) -> Result<Self, WmsError> {
+        buf.clear();
+        // Where the tail's key starts and ends, when the line has it.
+        let tail = tail.and_then(|key| {
+            let bytes = rest.as_bytes();
+            rest.match_indices(key)
+                .map(|(at, _)| (at, at + key.len()))
+                .find(|&(at, end)| {
+                    (at == 0 || bytes[at - 1].is_ascii_whitespace())
+                        && bytes.get(end) == Some(&b'=')
+                })
+        });
+        let head = tail.map_or(rest, |(at, _)| &rest[..at]);
+        for tok in head.split_ascii_whitespace() {
+            let Some((key, value)) = tok.split_once('=') else {
+                return Err(make_err(line, format!("expected key=value, got {tok:?}")));
+            };
+            buf.push(Field { key, value });
+        }
+        if let Some((at, end)) = tail {
+            buf.push(Field {
+                key: &rest[at..end],
+                value: &rest[end + 1..],
+            });
+        }
+        if buf.len() > u64::BITS as usize {
+            return Err(make_err(line, format!("{} fields on one line", buf.len())));
+        }
+        Ok(Fields {
+            line,
+            make_err,
+            fields: buf,
+            read: 0,
+            next: 0,
+        })
+    }
+
+    /// An error of the calling format, at this line.
+    pub fn err(&self, reason: impl Into<String>) -> WmsError {
+        (self.make_err)(self.line, reason.into())
+    }
+
+    /// Reads `raw` as a `T`; `key` is what the error names. For values
+    /// inside values (`members=0,2,5`, `churn=21600,3600`).
+    ///
+    /// # Errors
+    /// `bad <what> "<raw>" for <key>`.
+    pub fn parse<T: Value<'a>>(&self, key: &str, raw: &'a str) -> Result<T, WmsError> {
+        match T::read(raw) {
+            Some(value) => Ok(value),
+            None => Err(self.err(format!("bad {} {raw:?} for {key}", T::WHAT))),
+        }
+    }
+
+    fn take<T: Value<'a>>(&mut self, idx: usize) -> Result<T, WmsError> {
+        self.read |= 1 << idx;
+        self.next = idx + 1;
+        let Field { key, value } = self.fields[idx];
+        self.parse(key, value)
+    }
+
+    /// The field a keyed reader means by `key`: the one after the last
+    /// field read when it has that name — parsers mostly ask in the
+    /// order writers write — and otherwise the first of that name.
+    fn find(&self, key: &str) -> Option<usize> {
+        match self.fields.get(self.next) {
+            Some(field) if field.key == key => Some(self.next),
+            _ => self.fields.iter().position(|f| f.key == key),
+        }
+    }
+
+    #[cold]
+    fn missing(&self, key: &str) -> WmsError {
+        self.err(format!("missing field {key}"))
+    }
+
+    /// The field named `key`, wherever it stands; `None` when the
+    /// line has none.
+    ///
+    /// # Errors
+    /// A value that is not a `T`.
+    pub fn opt<T: Value<'a>>(&mut self, key: &str) -> Result<Option<T>, WmsError> {
+        match self.find(key) {
+            Some(idx) => self.take(idx).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// The field named `key`, wherever it stands.
+    ///
+    /// # Errors
+    /// `missing field <key>`, or a value that is not a `T`.
+    pub fn get<T: Value<'a>>(&mut self, key: &str) -> Result<T, WmsError> {
+        match self.find(key) {
+            Some(idx) => self.take(idx),
+            None => Err(self.missing(key)),
+        }
+    }
+
+    /// In order: the next field, when it is named `key`.
+    ///
+    /// # Errors
+    /// A value that is not a `T`.
+    pub fn next_opt<T: Value<'a>>(&mut self, key: &str) -> Result<Option<T>, WmsError> {
+        match self.fields.get(self.next) {
+            Some(field) if field.key == key => self.take(self.next).map(Some),
+            _ => Ok(None),
+        }
+    }
+
+    /// In order: the next field, which must be named `key`.
+    ///
+    /// # Errors
+    /// `expected <key>=, found <other>=`, `missing field <key>` at the
+    /// end of the line, or a value that is not a `T`.
+    pub fn next<T: Value<'a>>(&mut self, key: &str) -> Result<T, WmsError> {
+        if let Some(value) = self.next_opt(key)? {
+            return Ok(value);
+        }
+        Err(match self.fields.get(self.next) {
+            Some(other) => self.err(format!("expected {key}=, found {}=", other.key)),
+            None => self.missing(key),
+        })
+    }
+
+    /// In order: the next field whatever its name, for formats whose
+    /// key set is open (`ok k=v …`) or whose lines carry any subset of
+    /// it (`sites.def`).
+    pub fn next_any(&mut self) -> Option<(&'a str, &'a str)> {
+        let Field { key, value } = *self.fields.get(self.next)?;
+        self.read |= 1 << self.next;
+        self.next += 1;
+        Some((key, value))
+    }
+
+    /// Accounts for the line: every field must have been read.
+    ///
+    /// # Errors
+    /// `unknown field <key>` for the first field nobody read, or
+    /// `repeated field <key>` when another field has its name.
+    pub fn finish(&self) -> Result<(), WmsError> {
+        let idx = self.read.trailing_ones() as usize;
+        match self.fields.get(idx) {
+            None => Ok(()),
+            Some(unread) => Err(self.unread(unread.key)),
+        }
+    }
+
+    #[cold]
+    fn unread(&self, key: &str) -> WmsError {
+        let named = self.fields.iter().filter(|f| f.key == key).count();
+        let what = if named > 1 { "repeated" } else { "unknown" };
+        self.err(format!("{what} field {key}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn err(line: usize, reason: String) -> WmsError {
+        WmsError::EventLogParse { line, reason }
+    }
+
+    fn reason(e: WmsError) -> String {
+        match e {
+            WmsError::EventLogParse { line: 7, reason } => reason,
+            other => panic!("not this format's error at line 7: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lines_are_numbered_from_one_and_blank_and_comment_lines_skipped() {
+        let text =
+            "# header\n\nfirst a=1\n   \n  # indented comment\n\tsecond\r\nthird  x=1  y=2  \n";
+        let got: Vec<_> = lines(text)
+            .map(|l| (l.number, l.keyword, l.rest, l.text))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (3, "first", "a=1", "first a=1"),
+                (6, "second", "", "second"),
+                (7, "third", "x=1  y=2", "third  x=1  y=2"),
+            ]
+        );
+        assert!(Line::split("", 1).is_skipped());
+        assert_eq!(Line::split("run\n", 0).keyword, "run");
+    }
+
+    #[test]
+    fn only_ascii_whitespace_separates() {
+        let mut buf = Vec::new();
+        let line = Line::split("\u{a0}job a=1\u{2003}b=2\tc=3 \u{a0}", 7);
+        assert_eq!(line.keyword, "\u{a0}job");
+        assert_eq!(line.rest, "a=1\u{2003}b=2\tc=3 \u{a0}");
+        let e = Fields::split(line.rest, None, 7, err, &mut buf).unwrap_err();
+        assert_eq!(reason(e), r#"expected key=value, got "\u{a0}""#);
+        let mut f = Fields::split("a=1\u{2003}b=2\tc=3", None, 7, err, &mut buf).unwrap();
+        assert_eq!(f.get::<&str>("a").unwrap(), "1\u{2003}b=2");
+        assert_eq!(f.get::<u32>("c").unwrap(), 3);
+        f.finish().unwrap();
+    }
+
+    #[test]
+    fn keyed_reads_find_fields_anywhere_and_type_them() {
+        let mut buf = Vec::new();
+        let mut f = Fields::split("b=2 a=-1 on=true x=1.5 s=text", None, 7, err, &mut buf).unwrap();
+        assert_eq!(f.get::<i32>("a").unwrap(), -1);
+        assert_eq!(f.get::<usize>("b").unwrap(), 2);
+        assert!(f.get::<bool>("on").unwrap());
+        assert_eq!(f.get::<f64>("x").unwrap(), 1.5);
+        assert_eq!(f.opt::<&str>("s").unwrap(), Some("text"));
+        assert_eq!(f.opt::<u64>("absent").unwrap(), None);
+        f.finish().unwrap();
+        assert_eq!(
+            reason(f.get::<u32>("absent").unwrap_err()),
+            "missing field absent"
+        );
+    }
+
+    #[test]
+    fn bad_values_name_type_text_and_key() {
+        let mut buf = Vec::new();
+        for (field, want) in [
+            ("n=-1", "bad integer \"-1\" for n"),
+            ("n=", "bad integer \"\" for n"),
+            ("x=fast", "bad number \"fast\" for x"),
+            ("x=nan", "bad number \"nan\" for x"),
+            ("x=inf", "bad number \"inf\" for x"),
+            ("x=-infinity", "bad number \"-infinity\" for x"),
+            ("on=yes", "bad boolean \"yes\" for on"),
+        ] {
+            let mut f = Fields::split(field, None, 7, err, &mut buf).unwrap();
+            let got = match &field[..1] {
+                "n" => f.get::<usize>("n").map(drop),
+                "x" => f.get::<f64>("x").map(drop),
+                _ => f.get::<bool>("on").map(drop),
+            };
+            assert_eq!(reason(got.unwrap_err()), want);
+        }
+        let f = Fields::split("", None, 7, err, &mut buf).unwrap();
+        assert_eq!(f.parse::<u64>("members", "7").unwrap(), 7);
+        assert_eq!(
+            reason(f.parse::<u64>("members", "x").unwrap_err()),
+            "bad integer \"x\" for members"
+        );
+    }
+
+    #[test]
+    fn a_token_without_an_equals_sign_and_a_line_of_too_many_fields_are_refused() {
+        let mut buf = Vec::new();
+        let e = Fields::split("a=1 stray b=2", None, 7, err, &mut buf).unwrap_err();
+        assert_eq!(reason(e), "expected key=value, got \"stray\"");
+        // One bit per field says whether it was read.
+        let full = "k=v ".repeat(64);
+        Fields::split(&full, None, 7, err, &mut buf).unwrap();
+        let over = "k=v ".repeat(65);
+        let e = Fields::split(&over, None, 7, err, &mut buf).unwrap_err();
+        assert_eq!(reason(e), "65 fields on one line");
+    }
+
+    #[test]
+    fn the_tail_field_runs_to_the_end_of_the_line() {
+        let mut buf = Vec::new();
+        let mut f = Fields::split(
+            "id=3 rename=x name=my file name=again k=v",
+            Some("name"),
+            7,
+            err,
+            &mut buf,
+        )
+        .unwrap();
+        assert_eq!(f.get::<&str>("name").unwrap(), "my file name=again k=v");
+        assert_eq!(f.get::<usize>("id").unwrap(), 3);
+        assert_eq!(f.get::<&str>("rename").unwrap(), "x");
+        f.finish().unwrap();
+        // The tail may open the line, be empty, or be absent.
+        let mut f = Fields::split("name=only this", Some("name"), 7, err, &mut buf).unwrap();
+        assert_eq!(f.next::<&str>("name").unwrap(), "only this");
+        let mut f = Fields::split("a=1 name=", Some("name"), 7, err, &mut buf).unwrap();
+        assert_eq!(f.get::<&str>("name").unwrap(), "");
+        let mut f = Fields::split("a=1 surname=x", Some("name"), 7, err, &mut buf).unwrap();
+        assert_eq!(f.opt::<&str>("name").unwrap(), None);
+    }
+
+    #[test]
+    fn in_order_reads_insist_on_the_order() {
+        let mut buf = Vec::new();
+        let mut f = Fields::split("id=1 seed=9 n=4", None, 7, err, &mut buf).unwrap();
+        assert_eq!(f.next::<usize>("id").unwrap(), 1);
+        assert_eq!(f.next_opt::<u32>("retries").unwrap(), None);
+        assert_eq!(f.next_opt::<u64>("seed").unwrap(), Some(9));
+        assert_eq!(
+            reason(f.next::<usize>("id").unwrap_err()),
+            "expected id=, found n="
+        );
+        assert_eq!(f.next_any(), Some(("n", "4")));
+        assert_eq!(f.next_any(), None);
+        assert_eq!(
+            reason(f.next::<usize>("id").unwrap_err()),
+            "missing field id"
+        );
+        f.finish().unwrap();
+    }
+
+    #[test]
+    fn keyed_reads_look_after_the_last_field_read_first() {
+        let mut buf = Vec::new();
+        // Asked in written order, each read is the next field ...
+        let mut f = Fields::split("time=1 job=2 attempt=3", None, 7, err, &mut buf).unwrap();
+        for (key, want) in [("time", 1), ("job", 2), ("attempt", 3)] {
+            assert_eq!(f.get::<u32>(key).unwrap(), want);
+        }
+        f.finish().unwrap();
+        // ... and a repeat is left over whichever of the two was read.
+        let mut f = Fields::split("job=9 time=1 job=2", None, 7, err, &mut buf).unwrap();
+        assert_eq!(f.get::<u32>("time").unwrap(), 1);
+        assert_eq!(f.get::<u32>("job").unwrap(), 2);
+        assert_eq!(reason(f.finish().unwrap_err()), "repeated field job");
+    }
+
+    #[test]
+    fn finish_names_the_first_field_nobody_read() {
+        let mut buf = Vec::new();
+        let mut f = Fields::split("job=0 bogus=1 job=999", None, 7, err, &mut buf).unwrap();
+        assert_eq!(f.get::<usize>("job").unwrap(), 0);
+        assert_eq!(reason(f.finish().unwrap_err()), "unknown field bogus");
+        assert_eq!(f.get::<usize>("bogus").unwrap(), 1);
+        assert_eq!(reason(f.finish().unwrap_err()), "repeated field job");
+        // The buffer is reused: nothing of the last line survives.
+        let f = Fields::split("", None, 7, err, &mut buf).unwrap();
+        f.finish().unwrap();
+    }
+}

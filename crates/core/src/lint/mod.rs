@@ -43,6 +43,7 @@ pub use dax_pass::{check_workflow, classify_parse_error, DaxLintOptions};
 
 use crate::error::Span;
 use crate::events::WorkflowEvent;
+use crate::trace::json_escape;
 use crate::verify::{StreamWalker, VerifyOptions};
 use std::fmt;
 
@@ -759,22 +760,6 @@ pub fn render_rule_list() -> String {
             },
             r.summary,
         );
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }

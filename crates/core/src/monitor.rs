@@ -225,14 +225,14 @@ mod tests {
     /// The terminal line of attempt 0 of job `id` running over
     /// `[start, end]` with no queue wait or install phase.
     fn ran(id: usize, start: f64, end: f64, ok: bool) -> String {
-        let head = if ok {
-            "completed"
+        let (head, detail) = if ok {
+            ("completed", "")
         } else {
-            "failed reason=error"
+            ("failed reason=error", " detail=x")
         };
         format!(
             "{head} job={id} attempt=0 submitted={start} started={start} \
-             install-done={start} finished={end} detail=x\n"
+             install-done={start} finished={end}{detail}\n"
         )
     }
 

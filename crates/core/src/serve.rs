@@ -1,11 +1,12 @@
 //! The `pegasus serve` wire protocol, journal, and status rendering.
 //!
 //! This module is the transport-agnostic half of the multi-tenant
-//! ensemble daemon: line grammars and their parsers, in the same
-//! hand-rolled-text idiom as [`crate::events::log`] and the fault
-//! plan. The daemon itself (sockets, threads, filesystem) lives in
-//! the umbrella crate; everything here is pure string ↔ struct and
-//! therefore proptest-able in isolation.
+//! ensemble daemon: what the keywords and keys of its lines mean,
+//! read through the one [`crate::line`] grammar that
+//! [`crate::events::log`] and the fault plan share. The daemon itself
+//! (sockets, threads, filesystem) lives in the umbrella crate;
+//! everything here is pure string ↔ struct and therefore proptest-able
+//! in isolation.
 //!
 //! # Protocol
 //!
@@ -81,6 +82,7 @@
 use crate::engine::WorkflowRun;
 use crate::ensemble::MemberState;
 use crate::error::WmsError;
+use crate::line::{self, Field, Fields, Line, Value};
 use crate::statistics::{self, WorkflowStatistics};
 use crate::trace::TraceId;
 use std::fmt::Write as _;
@@ -165,104 +167,8 @@ pub enum Request {
     Shutdown,
 }
 
-/// An ordered `key=value` token cursor over one line — the same
-/// parsing discipline as [`crate::events::log`]: fields arrive in
-/// canonical order, optional fields may be absent, tail fields
-/// swallow the rest of the line.
-struct Cursor<'a> {
-    rest: &'a str,
-    line: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(rest: &'a str, line: usize) -> Self {
-        Cursor { rest, line }
-    }
-
-    fn err(&self, reason: impl Into<String>) -> WmsError {
-        WmsError::ProtocolParse {
-            line: self.line,
-            reason: reason.into(),
-        }
-    }
-
-    /// The key of the next `key=value` token, without consuming it.
-    fn peek_key(&self) -> Option<&'a str> {
-        let tok = self.rest.split_whitespace().next()?;
-        let eq = tok.find('=')?;
-        Some(&tok[..eq])
-    }
-
-    /// Consumes the next token, which must be `key=<value>`.
-    fn take(&mut self, key: &str) -> Result<&'a str, WmsError> {
-        let trimmed = self.rest.trim_start();
-        let (tok, rest) = match trimmed.find(char::is_whitespace) {
-            Some(i) => (&trimmed[..i], &trimmed[i..]),
-            None => (trimmed, ""),
-        };
-        if tok.is_empty() {
-            return Err(self.err(format!("missing field {key}=")));
-        }
-        let Some(eq) = tok.find('=') else {
-            return Err(self.err(format!("expected {key}=, found {tok:?}")));
-        };
-        if &tok[..eq] != key {
-            return Err(self.err(format!("expected {key}=, found {}=", &tok[..eq])));
-        }
-        self.rest = rest;
-        Ok(&tok[eq + 1..])
-    }
-
-    /// Consumes `key=<value>` if it is next; `None` otherwise.
-    fn take_opt(&mut self, key: &str) -> Option<&'a str> {
-        if self.peek_key() == Some(key) {
-            self.take(key).ok()
-        } else {
-            None
-        }
-    }
-
-    /// Consumes a tail field: the remainder of the line after
-    /// `key=`, spaces and all.
-    fn tail(&mut self, key: &str) -> Result<&'a str, WmsError> {
-        let trimmed = self.rest.trim_start();
-        let prefix = format!("{key}=");
-        let Some(value) = trimmed.strip_prefix(&prefix) else {
-            return Err(self.err(format!("expected tail field {key}=, found {trimmed:?}")));
-        };
-        self.rest = "";
-        Ok(value)
-    }
-
-    /// Errors if any tokens remain.
-    fn finish(&self) -> Result<(), WmsError> {
-        let residue = self.rest.trim();
-        if residue.is_empty() {
-            Ok(())
-        } else {
-            Err(self.err(format!("unexpected trailing input {residue:?}")))
-        }
-    }
-
-    fn parse_u64(&self, key: &str, v: &str) -> Result<u64, WmsError> {
-        v.parse().map_err(|_| self.err(format!("bad {key}: {v:?}")))
-    }
-
-    fn parse_usize(&self, key: &str, v: &str) -> Result<usize, WmsError> {
-        v.parse().map_err(|_| self.err(format!("bad {key}: {v:?}")))
-    }
-
-    fn parse_u32(&self, key: &str, v: &str) -> Result<u32, WmsError> {
-        v.parse().map_err(|_| self.err(format!("bad {key}: {v:?}")))
-    }
-
-    fn parse_i32(&self, key: &str, v: &str) -> Result<i32, WmsError> {
-        v.parse().map_err(|_| self.err(format!("bad {key}: {v:?}")))
-    }
-
-    fn parse_f64(&self, key: &str, v: &str) -> Result<f64, WmsError> {
-        v.parse().map_err(|_| self.err(format!("bad {key}: {v:?}")))
-    }
+fn parse_err(line: usize, reason: String) -> WmsError {
+    WmsError::ProtocolParse { line, reason }
 }
 
 /// `true` when `s` can travel as a single protocol token (non-empty,
@@ -273,46 +179,30 @@ pub fn valid_token(s: &str) -> bool {
 }
 
 /// Parses the shared submission body (everything after the keyword
-/// and, for journal entries, the id).
-fn parse_submit_body(cur: &mut Cursor<'_>) -> Result<SubmitRequest, WmsError> {
-    let tenant = cur.take("tenant")?;
+/// and, for journal entries, the id), fields in canonical order.
+fn parse_submit_body(f: &mut Fields<'_, '_>) -> Result<SubmitRequest, WmsError> {
+    let tenant: &str = f.next("tenant")?;
     if !valid_token(tenant) {
-        return Err(cur.err(format!("bad tenant: {tenant:?}")));
+        return Err(f.err(format!("bad tenant: {tenant:?}")));
     }
-    let site = cur.take("site")?;
+    let site: &str = f.next("site")?;
     if !valid_token(site) {
-        return Err(cur.err(format!("bad site: {site:?}")));
+        return Err(f.err(format!("bad site: {site:?}")));
     }
-    let seed = match cur.take_opt("seed") {
-        Some(v) => Some(cur.parse_u64("seed", v)?),
+    let seed = f.next_opt("seed")?;
+    let retries = f.next_opt("retries")?;
+    let priority = f.next_opt("priority")?.unwrap_or(0);
+    let trace = match f.next_opt::<&str>("trace")? {
+        Some(v) => Some(v.parse::<TraceId>().map_err(|e| f.err(e))?),
         None => None,
     };
-    let retries = match cur.take_opt("retries") {
-        Some(v) => Some(cur.parse_u32("retries", v)?),
-        None => None,
-    };
-    let priority = match cur.take_opt("priority") {
-        Some(v) => cur.parse_i32("priority", v)?,
-        None => 0,
-    };
-    let trace = match cur.take_opt("trace") {
-        Some(v) => Some(v.parse::<TraceId>().map_err(|e| cur.err(e))?),
-        None => None,
-    };
-    let source = if cur.peek_key() == Some("n") {
-        let n = cur.take("n")?;
-        let n = cur.parse_usize("n", n)?;
-        cur.finish()?;
-        if n == 0 {
-            return Err(cur.err("n must be at least 1"));
-        }
-        SubmitSource::Generated { n }
-    } else {
-        let path = cur.tail("dax")?;
-        if path.is_empty() {
-            return Err(cur.err("empty dax path"));
-        }
-        SubmitSource::Dax { path: path.into() }
+    let source = match f.next_opt("n")? {
+        Some(0) => return Err(f.err("n must be at least 1")),
+        Some(n) => SubmitSource::Generated { n },
+        None => match f.next("dax")? {
+            "" => return Err(f.err("empty dax path")),
+            path => SubmitSource::Dax { path: path.into() },
+        },
     };
     Ok(SubmitRequest {
         tenant: tenant.into(),
@@ -352,39 +242,23 @@ fn render_submit_body(out: &mut String, sub: &SubmitRequest) {
 /// [`WmsError::ProtocolParse`] (line 0 — requests are single lines)
 /// naming the offending field or verb.
 pub fn parse_request(line: &str) -> Result<Request, WmsError> {
-    let line = line.trim_end_matches(['\r', '\n']);
-    let (verb, rest) = match line.find(' ') {
-        Some(i) => (&line[..i], &line[i + 1..]),
-        None => (line, ""),
+    let line = Line::split(line, 0);
+    let mut buf = Vec::new();
+    let f = &mut Fields::split(line.rest, Some("dax"), 0, parse_err, &mut buf)?;
+    let request = match line.keyword {
+        "submit" => Request::Submit(parse_submit_body(f)?),
+        "cancel" => Request::Cancel { id: f.next("id")? },
+        "trace" => Request::Trace { id: f.next("id")? },
+        "run" => Request::Run,
+        "status" => Request::Status,
+        "rollup" => Request::Rollup,
+        "metrics" => Request::Metrics,
+        "ping" => Request::Ping,
+        "shutdown" => Request::Shutdown,
+        other => return Err(f.err(format!("unknown verb {other:?}"))),
     };
-    let mut cur = Cursor::new(rest, 0);
-    match verb {
-        "submit" => Ok(Request::Submit(parse_submit_body(&mut cur)?)),
-        "cancel" => {
-            let id = cur.take("id")?;
-            let id = cur.parse_usize("id", id)?;
-            cur.finish()?;
-            Ok(Request::Cancel { id })
-        }
-        "trace" => {
-            let id = cur.take("id")?;
-            let id = cur.parse_usize("id", id)?;
-            cur.finish()?;
-            Ok(Request::Trace { id })
-        }
-        "run" | "status" | "rollup" | "metrics" | "ping" | "shutdown" => {
-            cur.finish()?;
-            Ok(match verb {
-                "run" => Request::Run,
-                "status" => Request::Status,
-                "rollup" => Request::Rollup,
-                "metrics" => Request::Metrics,
-                "ping" => Request::Ping,
-                _ => Request::Shutdown,
-            })
-        }
-        other => Err(cur.err(format!("unknown verb {other:?}"))),
-    }
+    f.finish()?;
+    Ok(request)
 }
 
 /// Renders a request in canonical form (no trailing newline).
@@ -442,36 +316,29 @@ pub fn render_response_head(head: &ResponseHead) -> String {
 /// [`WmsError::ProtocolParse`] when the line is neither `ok …` nor
 /// `error …`, or a result token is not `key=value`.
 pub fn parse_response_head(line: &str) -> Result<ResponseHead, WmsError> {
-    let line = line.trim_end_matches(['\r', '\n']);
-    if let Some(msg) = line.strip_prefix("error ") {
-        return Ok(ResponseHead::Error(msg.into()));
+    let line = Line::split(line, 0);
+    match line.keyword {
+        "error" => return Ok(ResponseHead::Error(line.rest.into())),
+        "ok" => {}
+        _ => {
+            let reason = format!("expected ok/error response, found {:?}", line.text);
+            return Err(parse_err(0, reason));
+        }
     }
-    if line == "error" {
-        return Ok(ResponseHead::Error(String::new()));
-    }
-    let Some(rest) = line.strip_prefix("ok") else {
-        return Err(WmsError::ProtocolParse {
-            line: 0,
-            reason: format!("expected ok/error response, found {line:?}"),
-        });
+    let mut buf = Vec::new();
+    let f = &mut Fields::split(line.rest, None, 0, parse_err, &mut buf)?;
+    let head = match f.next_opt("lines")? {
+        Some(n) => ResponseHead::Lines(n),
+        // The results of an `ok` are whatever the verb returns: every
+        // pair is taken, in order.
+        None => ResponseHead::Ok(
+            std::iter::from_fn(|| f.next_any())
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        ),
     };
-    let cur = Cursor::new(rest, 0);
-    if rest.trim_start().starts_with("lines=") {
-        let mut cur = cur;
-        let n = cur.take("lines")?;
-        let n = cur.parse_usize("lines", n)?;
-        cur.finish()?;
-        return Ok(ResponseHead::Lines(n));
-    }
-    let mut pairs = Vec::new();
-    let mut cur = cur;
-    while let Some(key) = cur.peek_key() {
-        let key = key.to_string();
-        let value = cur.take(&key)?;
-        pairs.push((key, value.to_string()));
-    }
-    cur.finish()?;
-    Ok(ResponseHead::Ok(pairs))
+    f.finish()?;
+    Ok(head)
 }
 
 /// One entry in the daemon journal.
@@ -534,56 +401,43 @@ pub fn render_journal_entry(entry: &JournalEntry) -> String {
 /// # Errors
 /// [`WmsError::ProtocolParse`] naming the line and offending field.
 pub fn parse_journal_entry(text: &str, line: usize) -> Result<JournalEntry, WmsError> {
-    let text = text.trim_end_matches(['\r', '\n']);
-    let (verb, rest) = match text.find(' ') {
-        Some(i) => (&text[..i], &text[i + 1..]),
-        None => (text, ""),
-    };
-    let mut cur = Cursor::new(rest, line);
-    match verb {
-        "submission" => {
-            let id = cur.take("id")?;
-            let id = cur.parse_usize("id", id)?;
-            let sub = parse_submit_body(&mut cur)?;
-            Ok(JournalEntry::Submission { id, sub })
-        }
-        "cancel" => {
-            let id = cur.take("id")?;
-            let id = cur.parse_usize("id", id)?;
-            cur.finish()?;
-            Ok(JournalEntry::Cancel { id })
-        }
+    journal_entry(&Line::split(text, line), &mut Vec::new())
+}
+
+/// [`parse_journal_entry`] with the caller's field buffer, so a whole
+/// journal is read through one.
+fn journal_entry<'a>(line: &Line<'a>, buf: &mut Vec<Field<'a>>) -> Result<JournalEntry, WmsError> {
+    let f = &mut Fields::split(line.rest, Some("dax"), line.number, parse_err, buf)?;
+    let entry = match line.keyword {
+        "submission" => JournalEntry::Submission {
+            id: f.next("id")?,
+            sub: parse_submit_body(f)?,
+        },
+        "cancel" => JournalEntry::Cancel { id: f.next("id")? },
         "round" => {
-            let round = cur.take("id")?;
-            let round = cur.parse_usize("id", round)?;
-            let seed = cur.take("seed")?;
-            let seed = cur.parse_u64("seed", seed)?;
-            let members_raw = cur.take("members")?;
-            cur.finish()?;
-            let mut members = Vec::new();
-            for part in members_raw.split(',') {
-                if part.is_empty() {
-                    continue;
-                }
-                members.push(cur.parse_usize("members", part)?);
-            }
+            let (round, seed) = (f.next("id")?, f.next("seed")?);
+            let members = f
+                .next::<&str>("members")?
+                .split(',')
+                .filter(|part| !part.is_empty())
+                .map(|part| f.parse("members", part))
+                .collect::<Result<Vec<usize>, _>>()?;
             if members.is_empty() {
-                return Err(cur.err("round with no members"));
+                return Err(f.err("round with no members"));
             }
-            Ok(JournalEntry::RoundStarted {
+            JournalEntry::RoundStarted {
                 round,
                 seed,
                 members,
-            })
+            }
         }
-        "round-done" => {
-            let round = cur.take("id")?;
-            let round = cur.parse_usize("id", round)?;
-            cur.finish()?;
-            Ok(JournalEntry::RoundFinished { round })
-        }
-        other => Err(cur.err(format!("unknown journal entry {other:?}"))),
-    }
+        "round-done" => JournalEntry::RoundFinished {
+            round: f.next("id")?,
+        },
+        other => return Err(f.err(format!("unknown journal entry {other:?}"))),
+    };
+    f.finish()?;
+    Ok(entry)
 }
 
 /// One round as reconstructed from the journal.
@@ -640,24 +494,18 @@ impl Ledger {
     /// malformed entry, or an entry `apply` refuses — a corrupt
     /// journal must not silently reschedule the wrong work.
     pub fn replay(text: &str) -> Result<Ledger, WmsError> {
-        let mut lines = text.lines().enumerate();
-        let header = lines.next().map(|(_, l)| l.trim_end());
+        let header = text.lines().next().map(str::trim_end);
         if header != Some(JOURNAL_HEADER) && header != Some(JOURNAL_HEADER_V1) {
-            return Err(WmsError::ProtocolParse {
-                line: 1,
-                reason: format!("expected journal header {JOURNAL_HEADER:?}"),
-            });
+            let reason = format!("expected journal header {JOURNAL_HEADER:?}");
+            return Err(parse_err(1, reason));
         }
         let mut ledger = Ledger::default();
-        for (idx, raw) in lines {
-            let line = idx + 1;
-            let trimmed = raw.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let entry = parse_journal_entry(trimmed, line)?;
+        let mut buf = Vec::new();
+        // The header is a comment to the line reader.
+        for line in line::lines(text) {
+            let entry = journal_entry(&line, &mut buf)?;
             ledger.apply(entry).map_err(|e| match e {
-                WmsError::ProtocolParse { reason, .. } => WmsError::ProtocolParse { line, reason },
+                WmsError::ProtocolParse { reason, .. } => parse_err(line.number, reason),
                 other => other,
             })?;
         }
@@ -886,46 +734,37 @@ pub fn render_status_line(s: &StatusLine) -> String {
     )
 }
 
-/// Parses one status line.
+/// Parses one status line. Keys this reader does not know are
+/// tolerated after the ones it does (the one protocol parser that
+/// does not [`finish`](Fields::finish)): a newer daemon may say more
+/// about a member than an older client asks.
 ///
 /// # Errors
 /// [`WmsError::ProtocolParse`] naming the offending field.
 pub fn parse_status_line(text: &str) -> Result<StatusLine, WmsError> {
-    let text = text.trim_end_matches(['\r', '\n']);
-    let Some(rest) = text.strip_prefix("member ") else {
-        return Err(WmsError::ProtocolParse {
-            line: 0,
-            reason: format!("expected member line, found {text:?}"),
-        });
-    };
-    let mut cur = Cursor::new(rest, 0);
-    let id = cur.take("id")?;
-    let id = cur.parse_usize("id", id)?;
-    let tenant = cur.take("tenant")?.to_string();
-    let site = cur.take("site")?.to_string();
-    let state = parse_state(cur.take("state")?)?;
-    let jobs = match cur.take("jobs")? {
-        "-" => None,
-        v => Some(cur.parse_usize("jobs", v)?),
-    };
-    let wall_time = match cur.take("wall-time")? {
-        "-" => None,
-        v => Some(cur.parse_f64("wall-time", v)?),
-    };
-    let queue_wait = match cur.take("queue-wait")? {
-        "-" => None,
-        v => Some(cur.parse_f64("queue-wait", v)?),
-    };
-    let name = cur.tail("name")?.to_string();
+    /// A value, or the `-` a member that has not run yet shows.
+    fn dashed<'a, T: Value<'a>>(f: &mut Fields<'_, 'a>, key: &str) -> Result<Option<T>, WmsError> {
+        match f.next(key)? {
+            "-" => Ok(None),
+            raw => f.parse(key, raw).map(Some),
+        }
+    }
+    let line = Line::split(text, 0);
+    if line.keyword != "member" {
+        let reason = format!("expected member line, found {:?}", line.text);
+        return Err(parse_err(0, reason));
+    }
+    let mut buf = Vec::new();
+    let f = &mut Fields::split(line.rest, Some("name"), 0, parse_err, &mut buf)?;
     Ok(StatusLine {
-        id,
-        tenant,
-        site,
-        state,
-        jobs,
-        wall_time,
-        queue_wait,
-        name,
+        id: f.next("id")?,
+        tenant: f.next::<&str>("tenant")?.to_string(),
+        site: f.next::<&str>("site")?.to_string(),
+        state: parse_state(f.next("state")?)?,
+        jobs: dashed(f, "jobs")?,
+        wall_time: dashed(f, "wall-time")?,
+        queue_wait: dashed(f, "queue-wait")?,
+        name: f.get::<&str>("name")?.to_string(),
     })
 }
 
@@ -1101,7 +940,11 @@ mod tests {
             "cancel",
             "trace id=x",
             "trace",
-            "run id=1", // trailing input
+            "run id=1",                              // a field the verb does not have
+            "cancel id=1 id=2",                      // repeated field
+            "submit tenant=a site=s n=1 dax=x",      // both sources
+            "submit tenant=a site=s colour=red n=1", // unknown field
+            "submit tenant=a site=s seed=inf n=1",
             "",
         ] {
             let err = parse_request(bad).unwrap_err();
@@ -1240,6 +1083,10 @@ mod tests {
                 5,
             ),
             (format!("{hdr}\n{}round id=0 seed=5 members=0\nround-done id=1\n", s(0)), 4),
+            // An unknown or a repeated field is refused where it stands.
+            (format!("{hdr}\n{}cancel id=0 why=bored\n", s(0)), 3),
+            (format!("{hdr}\n{}\n# note\nround id=0 seed=5 members=0 seed=6\n", s(0)), 5),
+            (format!("{hdr}\nsubmission id=0 tenant=a site=s n=1 n=2\n"), 2),
         ] {
             match Ledger::replay(&bad) {
                 Err(WmsError::ProtocolParse { line: at, .. }) => assert_eq!(at, line, "{bad:?}"),
@@ -1314,6 +1161,11 @@ mod tests {
             assert_eq!(parse_status_line(&text).unwrap(), line, "{text}");
         }
         assert!(parse_status_line("member id=0 state=meh").is_err());
+        // Keys a newer daemon adds after the known ones are skipped.
+        let newer = "member id=3 tenant=bob site=osg state=failed jobs=- wall-time=- \
+                     queue-wait=- round=2 name=wf 1";
+        let line = parse_status_line(newer).unwrap();
+        assert_eq!((line.id, line.jobs, line.name.as_str()), (3, None, "wf 1"));
     }
 
     #[test]

@@ -516,6 +516,8 @@ pub fn chrome_events(traces: &[WorkflowTrace]) -> Vec<ChromeEvent> {
     meta
 }
 
+/// The crate's one JSON string escaper (the Chrome export here, the
+/// lint report in [`crate::lint`]).
 pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

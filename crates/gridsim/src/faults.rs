@@ -25,7 +25,8 @@
 //!   rescue DAG behind, exactly like a submit host dying mid-run.
 
 use pegasus_wms::engine::FaultReason;
-use pegasus_wms::error::WmsError;
+use pegasus_wms::error::{Span, WmsError};
+use pegasus_wms::line::{self, Fields};
 use pegasus_wms::symbols::Name;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -103,65 +104,45 @@ pub enum Scenario {
 }
 
 /// A named schedule of fault scenarios.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Plan name (from the `plan <name>` line; empty if absent).
     pub name: String,
     /// Scenarios, in file order.
     pub scenarios: Vec<Scenario>,
+    /// The line [`FaultPlan::parse`] read each scenario from, parallel
+    /// to `scenarios`; empty for a plan built in code.
+    pub spans: Vec<Span>,
 }
 
-fn parse_err(line: usize, reason: impl Into<String>) -> WmsError {
-    WmsError::FaultPlanParse {
-        line,
-        reason: reason.into(),
+impl PartialEq for FaultPlan {
+    /// Where a plan was read from is not part of its value.
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.scenarios == other.scenarios
     }
 }
 
-/// Splits `key=value` fields of one scenario line into a lookup.
-fn fields(rest: &str, line: usize) -> Result<Vec<(&str, &str)>, WmsError> {
-    rest.split_whitespace()
-        .map(|tok| {
-            tok.split_once('=')
-                .ok_or_else(|| parse_err(line, format!("expected key=value, got {tok:?}")))
-        })
-        .collect()
+fn parse_err(line: usize, reason: String) -> WmsError {
+    WmsError::FaultPlanParse { line, reason }
 }
 
-fn take_opt<'a>(fields: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
-    fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-}
-
-fn take<'a>(fields: &[(&str, &'a str)], key: &str, line: usize) -> Result<&'a str, WmsError> {
-    fields
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| parse_err(line, format!("missing field {key}=")))
-}
-
-fn take_f64(fields: &[(&str, &str)], key: &str, line: usize) -> Result<f64, WmsError> {
-    let raw = take(fields, key, line)?;
-    raw.parse()
-        .map_err(|_| parse_err(line, format!("bad number for {key}: {raw:?}")))
-}
-
-fn take_usize(fields: &[(&str, &str)], key: &str, line: usize) -> Result<usize, WmsError> {
-    let raw = take(fields, key, line)?;
-    raw.parse()
-        .map_err(|_| parse_err(line, format!("bad integer for {key}: {raw:?}")))
-}
-
-fn probability(v: f64, key: &str, line: usize) -> Result<f64, WmsError> {
+fn probability(f: &mut Fields<'_, '_>, key: &str) -> Result<f64, WmsError> {
+    let v: f64 = f.get(key)?;
     if (0.0..=1.0).contains(&v) {
         Ok(v)
     } else {
-        Err(parse_err(line, format!("{key} must be in [0, 1], got {v}")))
+        Err(f.err(format!("{key} must be in [0, 1], got {v}")))
     }
 }
 
+fn target(f: &mut Fields<'_, '_>) -> Result<Option<String>, WmsError> {
+    Ok(f.opt::<&str>("target")?.map(str::to_string))
+}
+
 impl FaultPlan {
-    /// Parses the line-oriented fault-plan format:
+    /// Parses the line-oriented fault-plan format (the
+    /// [`pegasus_wms::line`] grammar: an unknown or repeated field is
+    /// an error, numbers are finite):
     ///
     /// ```text
     /// # comments and blank lines are ignored
@@ -174,92 +155,56 @@ impl FaultPlan {
     /// ```
     pub fn parse(text: &str) -> Result<FaultPlan, WmsError> {
         let mut plan = FaultPlan::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
-            let trimmed = raw.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
+        let mut buf = Vec::new();
+        for line in line::lines(text) {
+            if line.keyword == "plan" {
+                if line.rest.is_empty() {
+                    return Err(parse_err(line.number, "plan line needs a name".into()));
+                }
+                plan.name = line.rest.to_string();
                 continue;
             }
-            let (word, rest) = trimmed
-                .split_once(char::is_whitespace)
-                .unwrap_or((trimmed, ""));
-            match word {
-                "plan" => {
-                    let name = rest.trim();
-                    if name.is_empty() {
-                        return Err(parse_err(line, "plan line needs a name"));
-                    }
-                    plan.name = name.to_string();
-                }
-                "preemption-storm" => {
-                    let f = fields(rest, line)?;
-                    plan.scenarios.push(Scenario::PreemptionStorm {
-                        start: take_f64(&f, "start", line)?,
-                        duration: take_f64(&f, "duration", line)?,
-                        kill_probability: probability(
-                            take_f64(&f, "kill-probability", line)?,
-                            "kill-probability",
-                            line,
-                        )?,
-                        target: take_opt(&f, "target").map(str::to_string),
-                    });
-                }
-                "slot-blackout" => {
-                    let f = fields(rest, line)?;
-                    plan.scenarios.push(Scenario::SlotBlackout {
-                        start: take_f64(&f, "start", line)?,
-                        duration: take_f64(&f, "duration", line)?,
-                        first_slot: take_usize(&f, "first-slot", line)?,
-                        slot_count: take_usize(&f, "count", line)?,
-                    });
-                }
+            let f = &mut Fields::split(line.rest, None, line.number, parse_err, &mut buf)?;
+            let scenario = match line.keyword {
+                "preemption-storm" => Scenario::PreemptionStorm {
+                    start: f.get("start")?,
+                    duration: f.get("duration")?,
+                    kill_probability: probability(f, "kill-probability")?,
+                    target: target(f)?,
+                },
+                "slot-blackout" => Scenario::SlotBlackout {
+                    start: f.get("start")?,
+                    duration: f.get("duration")?,
+                    first_slot: f.get("first-slot")?,
+                    slot_count: f.get("count")?,
+                },
                 "straggler" => {
-                    let f = fields(rest, line)?;
-                    let slowdown = take_f64(&f, "slowdown", line)?;
+                    let slowdown: f64 = f.get("slowdown")?;
                     if slowdown < 1.0 {
-                        return Err(parse_err(
-                            line,
-                            format!("slowdown must be >= 1, got {slowdown}"),
-                        ));
+                        return Err(f.err(format!("slowdown must be >= 1, got {slowdown}")));
                     }
-                    plan.scenarios.push(Scenario::Straggler {
-                        start: take_f64(&f, "start", line)?,
-                        duration: take_f64(&f, "duration", line)?,
+                    Scenario::Straggler {
+                        start: f.get("start")?,
+                        duration: f.get("duration")?,
                         slowdown,
-                        probability: probability(
-                            take_f64(&f, "probability", line)?,
-                            "probability",
-                            line,
-                        )?,
-                        target: take_opt(&f, "target").map(str::to_string),
-                    });
+                        probability: probability(f, "probability")?,
+                        target: target(f)?,
+                    }
                 }
-                "install-failure-burst" => {
-                    let f = fields(rest, line)?;
-                    plan.scenarios.push(Scenario::InstallFailureBurst {
-                        start: take_f64(&f, "start", line)?,
-                        duration: take_f64(&f, "duration", line)?,
-                        fail_probability: probability(
-                            take_f64(&f, "fail-probability", line)?,
-                            "fail-probability",
-                            line,
-                        )?,
-                        target: take_opt(&f, "target").map(str::to_string),
-                    });
-                }
-                "submit-host-crash" => {
-                    let f = fields(rest, line)?;
-                    let n = take(&f, "after-events", line)?;
-                    let after_events: u64 = n.parse().map_err(|_| {
-                        parse_err(line, format!("bad integer for after-events: {n:?}"))
-                    })?;
-                    plan.scenarios
-                        .push(Scenario::SubmitHostCrash { after_events });
-                }
-                other => {
-                    return Err(parse_err(line, format!("unknown scenario {other:?}")));
-                }
-            }
+                "install-failure-burst" => Scenario::InstallFailureBurst {
+                    start: f.get("start")?,
+                    duration: f.get("duration")?,
+                    fail_probability: probability(f, "fail-probability")?,
+                    target: target(f)?,
+                },
+                "submit-host-crash" => Scenario::SubmitHostCrash {
+                    after_events: f.get("after-events")?,
+                },
+                other => return Err(f.err(format!("unknown scenario {other:?}"))),
+            };
+            f.finish()?;
+            plan.scenarios.push(scenario);
+            plan.spans.push(Span::line(line.number));
         }
         Ok(plan)
     }
@@ -608,6 +553,52 @@ submit-host-crash after-events=150
             FaultPlan::parse("straggler start=0 duration=1 slowdown=0.5 probability=1").is_err()
         );
         assert!(FaultPlan::parse("plan\n").is_err());
+    }
+
+    #[test]
+    fn unknown_repeated_and_non_finite_fields_are_refused_at_their_line() {
+        for (bad, want) in [
+            (
+                "preemption-storm start=0 duration=9 kill-probability=1 taget=run_cap3",
+                "unknown field taget",
+            ),
+            (
+                "preemption-storm start=0 duration=9 start=5 kill-probability=1",
+                "repeated field start",
+            ),
+            (
+                "submit-host-crash after-events=1 after-events=2",
+                "repeated field after-events",
+            ),
+            (
+                "straggler start=0 duration=9 slowdown=nan probability=1",
+                "bad number \"nan\" for slowdown",
+            ),
+            (
+                "slot-blackout start=nan duration=inf first-slot=0 count=1",
+                "bad number \"nan\" for start",
+            ),
+            (
+                "slot-blackout start=0 duration=inf first-slot=0 count=1",
+                "bad number \"inf\" for duration",
+            ),
+        ] {
+            let err = FaultPlan::parse(&format!("plan p\n# storm\n{bad}\n")).unwrap_err();
+            let want = WmsError::FaultPlanParse {
+                line: 3,
+                reason: want.into(),
+            };
+            assert_eq!(err, want, "{bad}");
+        }
+    }
+
+    #[test]
+    fn parse_keeps_the_line_of_every_scenario() {
+        let plan = FaultPlan::parse(SAMPLE).unwrap();
+        let lines: Vec<usize> = plan.spans.iter().map(|s| s.line).collect();
+        assert_eq!(lines, [4, 5, 6, 7, 8]);
+        // Where it was read is not part of a plan's value.
+        assert_eq!(FaultPlan::parse(&plan.to_text()).unwrap(), plan);
     }
 
     #[test]

@@ -37,34 +37,16 @@ const AUX_PREFIXES: &[&str] = &["create_dir", "stage_in", "stage_out", "cleanup"
 /// need it.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PlanLintContext<'a> {
-    /// Raw plan text, used to recover line numbers for diagnostics.
-    pub source: Option<&'a str>,
     /// The workflow the plan targets (enables `E0201` and `W0205`).
     pub workflow: Option<&'a AbstractWorkflow>,
     /// The retry policy in force (sharpens the `W0205` horizon).
     pub retry: Option<&'a RetryPolicy>,
 }
 
-/// Maps scenario index → the line its directive sits on, by walking
-/// `source` the same way [`FaultPlan::parse`] does. Returns an empty
-/// vector (every span unknown) when no source is available.
-fn scenario_spans(source: Option<&str>) -> Vec<Span> {
-    let Some(text) = source else {
-        return Vec::new();
-    };
-    let mut spans = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with("plan") {
-            continue;
-        }
-        spans.push(Span::line(idx + 1));
-    }
-    spans
-}
-
-fn span_of(spans: &[Span], idx: usize) -> Span {
-    spans.get(idx).copied().unwrap_or_else(Span::none)
+/// The line the parser read scenario `idx` from; unknown for a plan
+/// built in code.
+fn span_of(plan: &FaultPlan, idx: usize) -> Span {
+    plan.spans.get(idx).copied().unwrap_or_else(Span::none)
 }
 
 /// The scenario's directive word, for messages.
@@ -83,17 +65,16 @@ fn directive(s: &Scenario) -> &'static str {
 /// Deterministic: diagnostics come out in scenario order, one pass
 /// per rule family, no I/O.
 pub fn lint_plan(plan: &FaultPlan, file: &str, ctx: &PlanLintContext) -> Vec<Diagnostic> {
-    let spans = scenario_spans(ctx.source);
     let mut diags = Vec::new();
 
     for (idx, s) in plan.scenarios.iter().enumerate() {
-        let span = span_of(&spans, idx);
+        let span = span_of(plan, idx);
         check_target(s, span, file, ctx.workflow, &mut diags);
         check_probabilities(s, span, file, &mut diags);
         check_inert(s, span, file, &mut diags);
         check_reachable(s, span, file, ctx, &mut diags);
     }
-    check_blackout_overlaps(plan, &spans, file, &mut diags);
+    check_blackout_overlaps(plan, file, &mut diags);
     diags
 }
 
@@ -266,12 +247,7 @@ fn check_reachable(
 }
 
 /// `W0202`: pairwise blackout overlap in both time and slot range.
-fn check_blackout_overlaps(
-    plan: &FaultPlan,
-    spans: &[Span],
-    file: &str,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn check_blackout_overlaps(plan: &FaultPlan, file: &str, diags: &mut Vec<Diagnostic>) {
     let blackouts: Vec<(usize, f64, f64, usize, usize)> = plan
         .scenarios
         .iter()
@@ -291,8 +267,8 @@ fn check_blackout_overlaps(
             let time_overlap = a_start < b_start + b_dur && b_start < a_start + a_dur;
             let slot_overlap = a_first < b_first + b_count && b_first < a_first + a_count;
             if time_overlap && slot_overlap {
-                let a_span = span_of(spans, ai);
-                let b_span = span_of(spans, bi);
+                let a_span = span_of(plan, ai);
+                let b_span = span_of(plan, bi);
                 let where_a = if a_span.is_none() {
                     format!("scenario {}", ai + 1)
                 } else {
@@ -344,7 +320,6 @@ mod tests {
         let plan = FaultPlan::parse(text).unwrap();
         let w = wf();
         let ctx = PlanLintContext {
-            source: Some(text),
             workflow: Some(&w),
             retry: None,
         };
@@ -358,7 +333,6 @@ mod tests {
         let plan = FaultPlan::parse(text).unwrap();
         let w = wf();
         let ctx = PlanLintContext {
-            source: Some(text),
             workflow: Some(&w),
             retry: None,
         };
@@ -383,10 +357,7 @@ mod tests {
                     slot-blackout start=50 duration=100 first-slot=4 count=8\n\
                     slot-blackout start=50 duration=100 first-slot=32 count=8\n";
         let plan = FaultPlan::parse(text).unwrap();
-        let ctx = PlanLintContext {
-            source: Some(text),
-            ..Default::default()
-        };
+        let ctx = PlanLintContext::default();
         let diags = lint_plan(&plan, "p.fp", &ctx);
         // Only the pair sharing slots 4..8 overlaps; disjoint slot
         // ranges at the same time are fine.
@@ -398,17 +369,17 @@ mod tests {
     #[test]
     fn programmatic_probability_out_of_range_is_e0203() {
         let plan = FaultPlan {
-            name: String::new(),
             scenarios: vec![Scenario::InstallFailureBurst {
                 start: 0.0,
                 duration: 10.0,
                 fail_probability: 1.5,
                 target: None,
             }],
+            ..FaultPlan::default()
         };
         let diags = lint_plan(&plan, "<plan>", &PlanLintContext::default());
         assert_eq!(codes(&diags), vec!["E0203"]);
-        assert!(diags[0].span.is_none());
+        assert!(diags[0].span.is_none(), "no source text, no line");
     }
 
     #[test]
@@ -418,10 +389,7 @@ mod tests {
                     install-failure-burst start=0 duration=100 fail-probability=0\n\
                     slot-blackout start=0 duration=100 first-slot=0 count=0\n";
         let plan = FaultPlan::parse(text).unwrap();
-        let ctx = PlanLintContext {
-            source: Some(text),
-            ..Default::default()
-        };
+        let ctx = PlanLintContext::default();
         let diags = lint_plan(&plan, "p.fp", &ctx);
         assert_eq!(codes(&diags), vec!["W0204", "W0204", "W0204", "W0204"]);
         let lines: Vec<usize> = diags.iter().map(|d| d.span.line).collect();
@@ -435,7 +403,6 @@ mod tests {
         let plan = FaultPlan::parse(text).unwrap();
         let w = wf();
         let ctx = PlanLintContext {
-            source: Some(text),
             workflow: Some(&w),
             retry: None,
         };
@@ -447,7 +414,6 @@ mod tests {
             ..RetryPolicy::flat(0)
         };
         let ctx = PlanLintContext {
-            source: Some(text),
             workflow: Some(&w),
             retry: Some(&generous),
         };

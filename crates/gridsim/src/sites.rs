@@ -35,7 +35,8 @@ use crate::backend::SimBackend;
 use crate::dist::{sample_standard_normal, Dist};
 use crate::platform::{ChurnModel, PlatformModel, SlotSpec};
 use pegasus_wms::catalog::{ReplicaCatalog, Site, SiteCatalog};
-use pegasus_wms::error::WmsError;
+use pegasus_wms::error::{Span, WmsError};
+use pegasus_wms::line::{self, Fields};
 use pegasus_wms::symbols::{SiteId, SymbolTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,6 +119,20 @@ pub struct SiteDef {
     /// Logical files pre-staged at this site (registered into the
     /// replica catalog under the site's catalog handle).
     pub replicas: Vec<String>,
+    /// Where [`parse_defs`] read this definition.
+    pub(crate) read_at: ReadAt,
+}
+
+/// The lines a definition was read from: its `site` header, then the
+/// first line of every key. Empty for a definition built in code.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReadAt(Vec<(String, Span)>);
+
+impl PartialEq for ReadAt {
+    /// Where a definition was read from is not part of its value.
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl SiteDef {
@@ -143,60 +158,41 @@ impl SiteDef {
             bandwidth_bps: 100.0e6,
             packages: Vec::new(),
             replicas: Vec::new(),
+            read_at: ReadAt::default(),
         }
     }
-}
 
-fn parse_err(line: usize, reason: impl Into<String>) -> WmsError {
-    WmsError::SiteDefParse {
-        line,
-        reason: reason.into(),
+    /// The first line that set `key` (`"site"` is the header), the
+    /// header's when the file never set it, unknown for a definition
+    /// built in code.
+    pub(crate) fn span(&self, key: &str) -> Span {
+        let lines = &self.read_at.0;
+        let set = lines.iter().find(|(k, _)| k == key).or(lines.first());
+        set.map_or_else(Span::none, |(_, span)| *span)
     }
 }
 
-/// Splits `key=value` fields of one definition line into a lookup.
-fn fields(rest: &str, line: usize) -> Result<Vec<(&str, &str)>, WmsError> {
-    rest.split_whitespace()
-        .map(|tok| {
-            tok.split_once('=')
-                .ok_or_else(|| parse_err(line, format!("expected key=value, got {tok:?}")))
-        })
-        .collect()
-}
-
-fn parse_f64(raw: &str, key: &str, line: usize) -> Result<f64, WmsError> {
-    raw.parse()
-        .map_err(|_| parse_err(line, format!("bad number for {key}: {raw:?}")))
-}
-
-fn parse_bool(raw: &str, key: &str, line: usize) -> Result<bool, WmsError> {
-    match raw {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(parse_err(
-            line,
-            format!("bad boolean for {key}: {raw:?} (expected true or false)"),
-        )),
-    }
+fn parse_err(line: usize, reason: String) -> WmsError {
+    WmsError::SiteDefParse { line, reason }
 }
 
 /// Splits a two-number `a,b` value.
-fn parse_pair(raw: &str, key: &str, line: usize) -> Result<(f64, f64), WmsError> {
+fn parse_pair<'a>(f: &Fields<'_, 'a>, raw: &'a str, key: &str) -> Result<(f64, f64), WmsError> {
     let (a, b) = raw
         .split_once(',')
-        .ok_or_else(|| parse_err(line, format!("{key} expects two comma-separated numbers")))?;
-    Ok((parse_f64(a, key, line)?, parse_f64(b, key, line)?))
+        .ok_or_else(|| f.err(format!("{key} expects two comma-separated numbers")))?;
+    Ok((f.parse(key, a)?, f.parse(key, b)?))
 }
 
 /// Splits a comma-separated name list, rejecting empty items.
-fn parse_list(raw: &str, key: &str, line: usize) -> Result<Vec<String>, WmsError> {
+fn parse_list(f: &Fields<'_, '_>, raw: &str, key: &str) -> Result<Vec<String>, WmsError> {
     if raw.is_empty() {
         return Ok(Vec::new());
     }
     raw.split(',')
         .map(|item| {
             if item.is_empty() {
-                Err(parse_err(line, format!("{key} contains an empty item")))
+                Err(f.err(format!("{key} contains an empty item")))
             } else {
                 Ok(item.to_string())
             }
@@ -207,29 +203,26 @@ fn parse_list(raw: &str, key: &str, line: usize) -> Result<Vec<String>, WmsError
 /// Parses the `kind:args` distribution syntax:
 /// `fixed:X`, `uniform:LO,HI`, `exponential:RATE`,
 /// `lognormal:MU,SIGMA`, or the sugar `lognormal-median:MEDIAN,SIGMA`.
-fn parse_dist(raw: &str, key: &str, line: usize) -> Result<Dist, WmsError> {
+fn parse_dist<'a>(f: &Fields<'_, 'a>, raw: &'a str, key: &str) -> Result<Dist, WmsError> {
     let (kind, args) = raw
         .split_once(':')
-        .ok_or_else(|| parse_err(line, format!("{key} expects kind:args, got {raw:?}")))?;
+        .ok_or_else(|| f.err(format!("{key} expects kind:args, got {raw:?}")))?;
     match kind {
-        "fixed" => Ok(Dist::Fixed(parse_f64(args, key, line)?)),
+        "fixed" => Ok(Dist::Fixed(f.parse(key, args)?)),
         "uniform" => {
-            let (lo, hi) = parse_pair(args, key, line)?;
+            let (lo, hi) = parse_pair(f, args, key)?;
             Ok(Dist::Uniform(lo, hi))
         }
-        "exponential" => Ok(Dist::Exponential(parse_f64(args, key, line)?)),
+        "exponential" => Ok(Dist::Exponential(f.parse(key, args)?)),
         "lognormal" => {
-            let (mu, sigma) = parse_pair(args, key, line)?;
+            let (mu, sigma) = parse_pair(f, args, key)?;
             Ok(Dist::LogNormal(mu, sigma))
         }
         "lognormal-median" => {
-            let (median, sigma) = parse_pair(args, key, line)?;
+            let (median, sigma) = parse_pair(f, args, key)?;
             Ok(Dist::lognormal_median(median, sigma))
         }
-        other => Err(parse_err(
-            line,
-            format!("unknown distribution kind {other:?} for {key}"),
-        )),
+        other => Err(f.err(format!("unknown distribution kind {other:?} for {key}"))),
     }
 }
 
@@ -245,12 +238,12 @@ fn render_dist(d: &Dist) -> String {
     }
 }
 
-fn parse_speed(raw: &str, line: usize) -> Result<SpeedSpec, WmsError> {
+fn parse_speed<'a>(f: &Fields<'_, 'a>, raw: &'a str) -> Result<SpeedSpec, WmsError> {
     if let Some(args) = raw.strip_prefix("lognormal-median:") {
-        let (median, sigma) = parse_pair(args, "speed", line)?;
+        let (median, sigma) = parse_pair(f, args, "speed")?;
         Ok(SpeedSpec::LognormalMedian { median, sigma })
     } else {
-        Ok(SpeedSpec::Fixed(parse_f64(raw, "speed", line)?))
+        Ok(SpeedSpec::Fixed(f.parse("speed", raw)?))
     }
 }
 
@@ -297,73 +290,62 @@ fn check_name(name: &str, what: &str, line: usize) -> Result<(), WmsError> {
 ///
 /// Every non-blank line after a `site <name>` header is a run of
 /// whitespace-separated `key=value` fields applied to that site;
-/// repeating a key overrides the earlier value.
+/// repeating a key overrides the earlier value. Each definition keeps
+/// the lines it was read from, for the lint pass to point at.
 pub fn parse_defs(text: &str) -> Result<Vec<SiteDef>, WmsError> {
     let mut defs: Vec<SiteDef> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = idx + 1;
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let (word, rest) = trimmed
-            .split_once(char::is_whitespace)
-            .unwrap_or((trimmed, ""));
-        if word == "site" {
-            let name = rest.trim();
-            check_name(name, "site name", line)?;
-            defs.push(SiteDef::new(name));
+    let mut buf = Vec::new();
+    for line in line::lines(text) {
+        let (at, number) = (Span::line(line.number), line.number);
+        if line.keyword == "site" {
+            check_name(line.rest, "site name", number)?;
+            let mut def = SiteDef::new(line.rest);
+            def.read_at.0.push(("site".into(), at));
+            defs.push(def);
             continue;
         }
         let Some(def) = defs.last_mut() else {
-            return Err(parse_err(
-                line,
-                format!("{word:?} before any `site <name>` header"),
-            ));
+            let reason = format!("{:?} before any `site <name>` header", line.keyword);
+            return Err(parse_err(number, reason));
         };
-        for (key, value) in fields(trimmed, line)? {
+        let f = &mut Fields::split(line.text, None, number, parse_err, &mut buf)?;
+        // Any subset of the keys, in any order, a later one winning.
+        while let Some((key, value)) = f.next_any() {
             match key {
                 "aliases" => {
-                    let aliases = parse_list(value, "aliases", line)?;
-                    for a in &aliases {
-                        check_name(a, "alias", line)?;
+                    def.aliases = parse_list(f, value, key)?;
+                    for a in &def.aliases {
+                        check_name(a, "alias", number)?;
                     }
-                    def.aliases = aliases;
                 }
                 "catalog-site" => {
-                    check_name(value, "catalog-site", line)?;
+                    check_name(value, key, number)?;
                     def.catalog_site = Some(value.to_string());
                 }
-                "slots" => {
-                    def.slots = value.parse().map_err(|_| {
-                        parse_err(line, format!("bad integer for slots: {value:?}"))
-                    })?;
-                }
-                "speed" => def.speed = parse_speed(value, line)?,
-                "queue-delay" => def.queue_delay = parse_dist(value, "queue-delay", line)?,
-                "startup-delay" => def.startup_delay = parse_f64(value, "startup-delay", line)?,
-                "install-factor" => {
-                    def.install_time_factor = parse_f64(value, "install-factor", line)?;
-                }
-                "preemption-rate" => {
-                    def.preemption_rate = parse_f64(value, "preemption-rate", line)?;
-                }
-                "jitter" => def.runtime_jitter_sigma = parse_f64(value, "jitter", line)?,
-                "task-overhead" => def.task_overhead = parse_f64(value, "task-overhead", line)?,
+                "slots" => def.slots = f.parse(key, value)?,
+                "speed" => def.speed = parse_speed(f, value)?,
+                "queue-delay" => def.queue_delay = parse_dist(f, value, key)?,
+                "startup-delay" => def.startup_delay = f.parse(key, value)?,
+                "install-factor" => def.install_time_factor = f.parse(key, value)?,
+                "preemption-rate" => def.preemption_rate = f.parse(key, value)?,
+                "jitter" => def.runtime_jitter_sigma = f.parse(key, value)?,
+                "task-overhead" => def.task_overhead = f.parse(key, value)?,
                 "churn" => {
-                    let (mean_up, mean_down) = parse_pair(value, "churn", line)?;
+                    let (mean_up, mean_down) = parse_pair(f, value, key)?;
                     def.churn = Some(ChurnModel { mean_up, mean_down });
                 }
-                "shared-fs" => def.shared_fs = parse_bool(value, "shared-fs", line)?,
-                "cpu-speed" => def.cpu_speed = parse_f64(value, "cpu-speed", line)?,
-                "bandwidth" => def.bandwidth_bps = parse_f64(value, "bandwidth", line)?,
-                "packages" => def.packages = parse_list(value, "packages", line)?,
-                "replicas" => def.replicas = parse_list(value, "replicas", line)?,
-                other => {
-                    return Err(parse_err(line, format!("unknown site field {other:?}")));
-                }
+                "shared-fs" => def.shared_fs = f.parse(key, value)?,
+                "cpu-speed" => def.cpu_speed = f.parse(key, value)?,
+                "bandwidth" => def.bandwidth_bps = f.parse(key, value)?,
+                "packages" => def.packages = parse_list(f, value, key)?,
+                "replicas" => def.replicas = parse_list(f, value, key)?,
+                other => return Err(f.err(format!("unknown site field {other:?}"))),
+            }
+            if !def.read_at.0.iter().any(|(k, _)| k == key) {
+                def.read_at.0.push((key.to_string(), at));
             }
         }
+        f.finish()?;
     }
     Ok(defs)
 }

@@ -30,65 +30,6 @@ use crate::sites::SiteDef;
 use pegasus_wms::error::{Span, WmsError};
 use pegasus_wms::lint::Diagnostic;
 
-/// Line positions recovered for one definition by re-walking the
-/// source the same way the parser does.
-#[derive(Debug, Default, Clone)]
-struct DefSpans {
-    /// The `site <name>` header line.
-    header: Span,
-    /// First line each field key appeared on.
-    keys: Vec<(String, Span)>,
-}
-
-impl DefSpans {
-    fn key(&self, key: &str) -> Span {
-        self.keys
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, s)| *s)
-            .unwrap_or(self.header)
-    }
-}
-
-/// Maps definition index → its spans. Returns an empty vector (every
-/// span unknown) when no source is available.
-fn def_spans(source: Option<&str>) -> Vec<DefSpans> {
-    let Some(text) = source else {
-        return Vec::new();
-    };
-    let mut spans: Vec<DefSpans> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = idx + 1;
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let word = trimmed.split_whitespace().next().unwrap_or("");
-        if word == "site" {
-            spans.push(DefSpans {
-                header: Span::line(line),
-                keys: Vec::new(),
-            });
-            continue;
-        }
-        let Some(current) = spans.last_mut() else {
-            continue;
-        };
-        for tok in trimmed.split_whitespace() {
-            if let Some((key, _)) = tok.split_once('=') {
-                if !current.keys.iter().any(|(k, _)| k == key) {
-                    current.keys.push((key.to_string(), Span::line(line)));
-                }
-            }
-        }
-    }
-    spans
-}
-
-fn spans_of(spans: &[DefSpans], idx: usize) -> DefSpans {
-    spans.get(idx).cloned().unwrap_or_default()
-}
-
 /// Wraps a [`WmsError::SiteDefParse`] as the `E0507` diagnostic the
 /// CLI reports when a definitions file fails to parse at all. Other
 /// error variants are rendered with an unknown span.
@@ -101,40 +42,34 @@ pub fn syntax_diagnostic(err: &WmsError, file: &str) -> Diagnostic {
         .with_help("see DESIGN.md \u{a7}11 for the sites.def format")
 }
 
-/// Lints parsed site definitions; `file` labels diagnostics and
-/// `source` (when available) recovers line numbers.
+/// Lints parsed site definitions; `file` labels diagnostics, which
+/// point at the lines [`crate::sites::parse_defs`] read each
+/// definition from (a definition built in code has none).
 ///
 /// Deterministic: diagnostics come out in definition order, one pass
 /// per rule family, no I/O.
-pub fn lint_sites(defs: &[SiteDef], file: &str, source: Option<&str>) -> Vec<Diagnostic> {
-    let spans = def_spans(source);
+pub fn lint_sites(defs: &[SiteDef], file: &str) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
-    check_duplicate_sites(defs, &spans, file, &mut diags);
-    check_aliases(defs, &spans, file, &mut diags);
-    for (idx, def) in defs.iter().enumerate() {
-        let at = spans_of(&spans, idx);
-        check_slots(def, &at, file, &mut diags);
-        check_negative_parameters(def, &at, file, &mut diags);
-        check_catalog_reference(defs, def, &at, file, &mut diags);
+    check_duplicate_sites(defs, file, &mut diags);
+    check_aliases(defs, file, &mut diags);
+    for def in defs {
+        check_slots(def, file, &mut diags);
+        check_negative_parameters(def, file, &mut diags);
+        check_catalog_reference(defs, def, file, &mut diags);
     }
     diags
 }
 
 /// `E0501`: the same primary name declared twice.
-fn check_duplicate_sites(
-    defs: &[SiteDef],
-    spans: &[DefSpans],
-    file: &str,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn check_duplicate_sites(defs: &[SiteDef], file: &str, diags: &mut Vec<Diagnostic>) {
     for (idx, def) in defs.iter().enumerate() {
         if defs[..idx].iter().any(|d| d.name == def.name) {
             diags.push(
                 Diagnostic::new(
                     "E0501",
                     file,
-                    spans_of(spans, idx).header,
+                    def.span("site"),
                     format!("site {:?} declared twice", def.name),
                 )
                 .with_help("later fields silently override the earlier definition's"),
@@ -145,10 +80,10 @@ fn check_duplicate_sites(
 
 /// `E0502` and `E0503`: aliases colliding with other aliases or with
 /// declared site names.
-fn check_aliases(defs: &[SiteDef], spans: &[DefSpans], file: &str, diags: &mut Vec<Diagnostic>) {
+fn check_aliases(defs: &[SiteDef], file: &str, diags: &mut Vec<Diagnostic>) {
     let mut seen: Vec<(&str, &str)> = Vec::new(); // (alias, owning site)
-    for (idx, def) in defs.iter().enumerate() {
-        let span = spans_of(spans, idx).key("aliases");
+    for def in defs {
+        let span = def.span("aliases");
         for alias in &def.aliases {
             if let Some(site) = defs.iter().find(|d| d.name == *alias) {
                 diags.push(
@@ -182,13 +117,13 @@ fn check_aliases(defs: &[SiteDef], spans: &[DefSpans], file: &str, diags: &mut V
 }
 
 /// `E0504`: a site with no slots.
-fn check_slots(def: &SiteDef, at: &DefSpans, file: &str, diags: &mut Vec<Diagnostic>) {
+fn check_slots(def: &SiteDef, file: &str, diags: &mut Vec<Diagnostic>) {
     if def.slots == 0 {
         diags.push(
             Diagnostic::new(
                 "E0504",
                 file,
-                at.key("slots"),
+                def.span("slots"),
                 format!("site {:?} declares zero execution slots", def.name),
             )
             .with_help("every job submitted here would wait forever"),
@@ -197,12 +132,7 @@ fn check_slots(def: &SiteDef, at: &DefSpans, file: &str, diags: &mut Vec<Diagnos
 }
 
 /// `E0505`: negative rates, delays, and factors.
-fn check_negative_parameters(
-    def: &SiteDef,
-    at: &DefSpans,
-    file: &str,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn check_negative_parameters(def: &SiteDef, file: &str, diags: &mut Vec<Diagnostic>) {
     let mut knobs: Vec<(&str, f64)> = vec![
         ("startup-delay", def.startup_delay),
         ("install-factor", def.install_time_factor),
@@ -220,7 +150,7 @@ fn check_negative_parameters(
             diags.push(Diagnostic::new(
                 "E0505",
                 file,
-                at.key(key),
+                def.span(key),
                 format!("site {:?} sets {key}={value}, which is negative", def.name),
             ));
         }
@@ -231,7 +161,6 @@ fn check_negative_parameters(
 fn check_catalog_reference(
     defs: &[SiteDef],
     def: &SiteDef,
-    at: &DefSpans,
     file: &str,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -246,7 +175,7 @@ fn check_catalog_reference(
             Diagnostic::new(
                 "E0506",
                 file,
-                at.key("catalog-site"),
+                def.span("catalog-site"),
                 format!(
                     "site {:?} references undefined catalog-site {target:?}",
                     def.name
@@ -268,7 +197,7 @@ mod tests {
 
     fn lint(text: &str) -> Vec<Diagnostic> {
         let defs = parse_defs(text).expect("fixture parses");
-        lint_sites(&defs, "test.def", Some(text))
+        lint_sites(&defs, "test.def")
     }
 
     #[test]
@@ -345,10 +274,25 @@ mod tests {
     }
 
     #[test]
-    fn missing_source_degrades_to_unknown_spans() {
-        let defs = parse_defs("site a\nslots=0\n").unwrap();
-        let diags = lint_sites(&defs, "test.def", None);
-        assert_eq!(codes(&diags), vec!["E0504"]);
-        assert!(diags[0].span.is_none());
+    fn a_definition_built_in_code_lints_with_unknown_spans() {
+        let mut def = SiteDef::new("a");
+        def.slots = 0;
+        def.runtime_jitter_sigma = -0.1;
+        let diags = lint_sites(&[def.clone(), def], "<defs>");
+        assert_eq!(
+            codes(&diags),
+            vec!["E0501", "E0504", "E0505", "E0504", "E0505"]
+        );
+        assert!(diags.iter().all(|d| d.span.is_none()), "{diags:?}");
+    }
+
+    #[test]
+    fn a_key_the_file_never_set_points_at_the_header() {
+        // install-factor defaults to 1; nothing wrong with it, but a
+        // rule about an unset key has only the header to point at.
+        let defs = parse_defs("\n# two blank-ish lines\nsite a\nslots=2\n").unwrap();
+        assert_eq!(defs[0].span("site").line, 3);
+        assert_eq!(defs[0].span("slots").line, 4);
+        assert_eq!(defs[0].span("install-factor").line, 3);
     }
 }

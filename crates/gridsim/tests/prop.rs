@@ -167,12 +167,13 @@ proptest! {
                 _ => Scenario::SubmitHostCrash { after_events: a },
             }
         };
-        let plan = FaultPlan {
+        let mut plan = FaultPlan {
             name: "prop".into(),
             scenarios: specs
                 .iter()
                 .map(|&(k, a, b, c, t)| scenario(k, a, b, c, t))
                 .collect(),
+            spans: Vec::new(),
         };
 
         let mut wf = AbstractWorkflow::new("w");
@@ -182,15 +183,15 @@ proptest! {
 
         for ctx in [
             PlanLintContext::default(),
-            // A source whose line count disagrees with the scenario
-            // count, to exercise the span-recovery fallback.
             PlanLintContext {
-                source: Some("plan prop\n# comment\n"),
                 workflow: Some(&wf),
                 retry: Some(&retry),
             },
         ] {
+            // Built in code, the plan has no lines to point at; the
+            // second time round it has fewer lines than scenarios.
             let diags = gridsim::lint_plan(&plan, "prop.fp", &ctx);
+            plan.spans = vec![pegasus_wms::error::Span::line(2)];
             for d in &diags {
                 prop_assert!(
                     pegasus_wms::lint::rule(d.code).is_some(),

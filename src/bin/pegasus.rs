@@ -704,7 +704,7 @@ fn collect_lint(
             let text = read_or_exit("site definitions", path);
             match gridsim::sites::parse_defs(&text) {
                 Ok(defs) => {
-                    diags.extend(gridsim::lint_sites(&defs, path, Some(&text)));
+                    diags.extend(gridsim::lint_sites(&defs, path));
                     // Duplicate names/aliases were just reported above;
                     // the load failure adds nothing new.
                     SiteRegistry::from_defs(defs).unwrap_or_else(|_| builtin_registry().clone())
@@ -775,7 +775,6 @@ fn collect_lint(
             match FaultPlan::parse(&ptext) {
                 Ok(plan) => {
                     let ctx = gridsim::PlanLintContext {
-                        source: Some(&ptext),
                         workflow: wf,
                         retry: Some(&policy),
                     };

@@ -101,17 +101,25 @@ fn doctype_and_comments_are_skipped_and_other_declarations_are_syntax_errors() {
 #[test]
 fn every_fault_plan_rule_has_a_fixture_that_triggers_exactly_it() {
     let dax = fixture("clean_small.dax");
-    for (name, code, errs) in [
-        ("e0201_unknown_target.fp", "E0201", true),
-        ("w0202_overlap.fp", "W0202", false),
-        ("e0203_probability.fp", "E0203", true),
-        ("w0204_inert.fp", "W0204", false),
-        ("w0205_unreachable.fp", "W0205", false),
-        ("e0206_syntax.fp", "E0206", true),
+    // (fixture, its one code, whether that is an error, where it points)
+    for (name, code, errs, at) in [
+        ("e0201_unknown_target.fp", "E0201", true, 3),
+        ("w0202_overlap.fp", "W0202", false, 4),
+        ("e0203_probability.fp", "E0203", true, 2),
+        ("w0204_inert.fp", "W0204", false, 2),
+        ("w0205_unreachable.fp", "W0205", false, 3),
+        ("e0206_syntax.fp", "E0206", true, 2),
+        // The line grammar's own refusals: a number that is not
+        // finite, a field no scenario has, a field given twice.
+        ("e0206_nan_slowdown.fp", "E0206", true, 4),
+        ("e0206_nonfinite_window.fp", "E0206", true, 3),
+        ("e0206_unknown_field.fp", "E0206", true, 4),
+        ("e0206_repeated_field.fp", "E0206", true, 3),
     ] {
         let (ok, codes, out) = lint(&[&dax, "--fault-plan", &fixture(name)]);
         assert_eq!(ok, !errs, "{name}: wrong exit");
         assert_eq!(codes, vec![code], "{name}: {out}");
+        assert!(out.contains(&format!("\"line\":{at},")), "{name}: {out}");
     }
 }
 
@@ -155,6 +163,8 @@ fn every_sanitizer_rule_has_a_corrupted_log_that_triggers_exactly_it() {
         ("e0706_undeclared_job.events", "E0706", true),
         ("w0707_truncated.events", "W0707", false),
         ("e0708_syntax.events", "E0708", true),
+        ("e0708_unknown_field.events", "E0708", true),
+        ("e0708_repeated_field.events", "E0708", true),
     ] {
         let (ok, mut codes, out) = lint(&[&dax, "--events", &fixture(name)]);
         assert_eq!(ok, !errs, "{name}: wrong exit");
@@ -321,14 +331,16 @@ fn bad_invocations_exit_with_usage() {
 #[test]
 fn every_site_def_rule_has_a_fixture_that_triggers_exactly_it() {
     let dax = fixture("clean_small.dax");
-    for (name, code) in [
-        ("e0501_duplicate_site.def", "E0501"),
-        ("e0502_duplicate_alias.def", "E0502"),
-        ("e0503_alias_shadows_site.def", "E0503"),
-        ("e0504_zero_slots.def", "E0504"),
-        ("e0505_negative_parameter.def", "E0505"),
-        ("e0506_undefined_reference.def", "E0506"),
-        ("e0507_syntax.def", "E0507"),
+    // (fixture, its one code, the line the parser kept for it: the
+    // second header, the `aliases=` line, the offending key's line)
+    for (name, code, at) in [
+        ("e0501_duplicate_site.def", "E0501", 5),
+        ("e0502_duplicate_alias.def", "E0502", 6),
+        ("e0503_alias_shadows_site.def", "E0503", 6),
+        ("e0504_zero_slots.def", "E0504", 3),
+        ("e0505_negative_parameter.def", "E0505", 4),
+        ("e0506_undefined_reference.def", "E0506", 3),
+        ("e0507_syntax.def", "E0507", 2),
     ] {
         let (ok, codes, out) = lint(&[&dax, "--sites", &fixture(name)]);
         assert!(!ok, "{name}: site-def defects are deny-level");
@@ -337,6 +349,7 @@ fn every_site_def_rule_has_a_fixture_that_triggers_exactly_it() {
             codes.iter().all(|c| c == code),
             "{name} expected only {code}, got {codes:?}: {out}"
         );
+        assert!(out.contains(&format!("\"line\":{at},")), "{name}: {out}");
     }
 }
 

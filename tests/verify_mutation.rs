@@ -6,7 +6,8 @@
 //! blind spots over *real* streams. Every golden event log under
 //! `tests/fixtures/equivalence/` is corrupted one event at a time —
 //! drop a line, duplicate a line, swap two adjacent lines, mutate one
-//! field — and every corruption must either be flagged with a
+//! field, add a field no event has, give a field twice — and every
+//! corruption must either be flagged with a
 //! specific `E08xx` code or be provably harmless (a swap of two
 //! commuting events that replays to the byte-identical run).
 //!
@@ -189,6 +190,23 @@ fn mutate_field(line: &str) -> String {
     panic!("no mutable field on line: {line}");
 }
 
+/// Adds one `key=value` field to an event line where the grammar
+/// reads it as a field: at the end, or ahead of the `name=` /
+/// `detail=` that opens the line's free text (what follows those is
+/// their value, whatever it looks like).
+fn add_field(line: &str, field: &str) -> String {
+    match [" name=", " detail="].iter().find_map(|t| line.find(t)) {
+        Some(at) => format!("{} {field}{}", &line[..at], &line[at..]),
+        None => format!("{line} {field}"),
+    }
+}
+
+/// The line's first field again, with another value.
+fn repeat_field(line: &str) -> String {
+    let first = line.split_whitespace().nth(1).expect("an event has fields");
+    add_field(line, &format!("{first}1"))
+}
+
 /// A swap that goes undetected is acceptable only if it is harmless:
 /// the swapped stream must replay to the byte-identical run (same
 /// statistics, same outcome) as the original. Everything else is a
@@ -249,6 +267,22 @@ fn sweep(name: &str, text: &str, opts: &VerifyOptions) -> Vec<String> {
                 i + 1,
                 mutate_field(lines[i])
             ));
+        }
+
+        // Two corruptions of the line's text rather than of its
+        // event: a field no event has, and a field the line already
+        // had. Neither names a different event, so only a reader that
+        // accounts for every field can see them.
+        for (what, line) in [
+            ("unknown field", add_field(lines[i], "x=1")),
+            ("repeated field", repeat_field(lines[i])),
+        ] {
+            if !flagged(&splice(&lines, |v| v[i] = line.clone())) {
+                misses.push(format!(
+                    "{name}: {what} on line {} undetected ({line})",
+                    i + 1
+                ));
+            }
         }
     }
 
