@@ -11,9 +11,9 @@
 use pegasus_wms::engine::FaultReason;
 use pegasus_wms::events::{EventSink, WorkflowEvent};
 use pegasus_wms::planner::ExecutableJob;
-use pegasus_wms::symbols::Name;
+use pegasus_wms::symbols::{Name, NamePool};
 use pegasus_wms::workflow::JobId;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Condor user-log event codes (the subset the WMS stack uses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +39,18 @@ impl EventCode {
             EventCode::Evicted => "004",
             EventCode::Terminated => "005",
             EventCode::Aborted => "009",
+        }
+    }
+
+    /// What a live note of this code opens with; a failure's wire
+    /// reason follows the last two.
+    fn sentence(self) -> &'static str {
+        match self {
+            EventCode::Submit => "Job submitted from host submit.local",
+            EventCode::Execute => "Job executing on host worker",
+            EventCode::Terminated => "Job terminated. (return value 0)",
+            EventCode::Evicted => "Job was evicted: ",
+            EventCode::Aborted => "Job was aborted: ",
         }
     }
 
@@ -72,8 +84,9 @@ pub struct LogEvent {
     pub attempt: u32,
     /// Backend timestamp in seconds.
     pub time: f64,
-    /// Free-text note (return value, abort reason).
-    pub note: String,
+    /// Free-text note (return value, abort reason): one of a handful
+    /// of sentences, so the events of a monitor share each distinct one.
+    pub note: Name,
 }
 
 impl LogEvent {
@@ -84,14 +97,17 @@ impl LogEvent {
     /// ...
     /// ```
     pub fn to_text(&self) -> String {
-        format!(
+        let mut out = String::new();
+        self.write_text(&mut out);
+        out
+    }
+
+    fn write_text(&self, out: &mut String) {
+        let _ = write!(
+            out,
             "{} ({}.{:03}) {:.3} {}\n...\n",
-            self.code.code(),
-            self.job,
-            self.attempt,
-            self.time,
-            self.note
-        )
+            self.code, self.job, self.attempt, self.time, self.note
+        );
     }
 
     /// Parses one banner line (the `...` terminator is handled by the
@@ -113,7 +129,7 @@ impl LogEvent {
             job: job.into(),
             attempt,
             time,
-            note: note.to_string(),
+            note: note.into(),
         })
     }
 }
@@ -125,6 +141,10 @@ pub struct JobLogMonitor {
     pub events: Vec<LogEvent>,
     /// Job names by id, from the current run's `JobDeclared` manifest.
     names: Vec<Name>,
+    /// One handle per distinct note, and the buffer a note with a
+    /// failure detail is put together in before it is looked up.
+    notes: NamePool,
+    scratch: String,
 }
 
 impl JobLogMonitor {
@@ -146,21 +166,29 @@ impl JobLogMonitor {
         log
     }
 
-    fn push(&mut self, code: EventCode, job: JobId, attempt: u32, time: f64, note: String) {
+    /// Logs one event; its note is the code's sentence, then `detail`.
+    fn push(&mut self, code: EventCode, job: JobId, attempt: u32, time: f64, detail: &str) {
         if let Some(name) = self.names.get(job.idx()) {
+            self.scratch.clear();
+            self.scratch.push_str(code.sentence());
+            self.scratch.push_str(detail);
             self.events.push(LogEvent {
                 code,
                 job: name.clone(),
                 attempt,
                 time,
-                note,
+                note: self.notes.share(&self.scratch),
             });
         }
     }
 
     /// Renders the whole log.
     pub fn to_text(&self) -> String {
-        self.events.iter().map(LogEvent::to_text).collect()
+        let mut out = String::new();
+        for ev in &self.events {
+            ev.write_text(&mut out);
+        }
+        out
     }
 
     /// Parses a log text back into events (inverse of [`Self::to_text`]).
@@ -185,13 +213,14 @@ impl JobLogMonitor {
         let mut started: std::collections::HashMap<(Name, u32), f64> = Default::default();
         let mut out = Vec::new();
         for ev in &self.events {
+            let key = (ev.job.clone(), ev.attempt);
             match ev.code {
                 EventCode::Execute => {
-                    started.insert((ev.job.clone(), ev.attempt), ev.time);
+                    started.insert(key, ev.time);
                 }
                 EventCode::Terminated | EventCode::Aborted | EventCode::Evicted => {
-                    if let Some(start) = started.remove(&(ev.job.clone(), ev.attempt)) {
-                        out.push((ev.job.clone(), ev.attempt, start, ev.time));
+                    if let Some(start) = started.remove(&key) {
+                        out.push((key.0, key.1, start, ev.time));
                     }
                 }
                 EventCode::Submit => {}
@@ -209,25 +238,20 @@ impl EventSink for JobLogMonitor {
         } else if let WorkflowEvent::JobDeclared { name, .. } = ev {
             self.names.push(name.clone());
         } else if let WorkflowEvent::Submitted { job, attempt, time } = ev {
-            let note = "Job submitted from host submit.local".into();
-            self.push(EventCode::Submit, *job, *attempt, *time, note);
+            self.push(EventCode::Submit, *job, *attempt, *time, "");
         } else if let Some(end) = ev.termination() {
-            let (code, note) = match end.failure {
-                None => (
-                    EventCode::Terminated,
-                    "Job terminated. (return value 0)".into(),
-                ),
+            let (code, detail) = match end.failure {
+                None => (EventCode::Terminated, ""),
                 // Machine-initiated kills get the real Condor evicted
                 // code; everything else stays an abort.
                 Some((FaultReason::Preemption | FaultReason::Eviction, detail)) => {
-                    (EventCode::Evicted, format!("Job was evicted: {detail}"))
+                    (EventCode::Evicted, detail.as_str())
                 }
-                Some((_, detail)) => (EventCode::Aborted, format!("Job was aborted: {detail}")),
+                Some((_, detail)) => (EventCode::Aborted, detail.as_str()),
             };
-            let executing = "Job executing on host worker".into();
             let (job, attempt, times) = (end.job, end.attempt, end.times);
-            self.push(EventCode::Execute, job, attempt, times.started, executing);
-            self.push(code, job, attempt, times.finished, note);
+            self.push(EventCode::Execute, job, attempt, times.started, "");
+            self.push(code, job, attempt, times.finished, detail);
         }
     }
 }

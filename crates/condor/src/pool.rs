@@ -508,7 +508,7 @@ mod tests {
         let run = run_workflow(&wf, &mut pool, &EngineConfig::builder().retries(3).build());
         assert!(run.succeeded());
         assert_eq!(ATTEMPTS.load(Ordering::SeqCst), 3);
-        assert_eq!(run.records[0].failed_attempts.len(), 2);
+        assert_eq!(run.records[0].failures.len(), 2);
     }
 
     #[test]
@@ -618,8 +618,9 @@ mod tests {
         let run = run_workflow(&wf, &mut pool, &EngineConfig::builder().retries(2).build());
         assert!(run.succeeded());
         let rec = &run.records[0];
-        assert_eq!(rec.failure_reasons, vec!["preempted:storm".to_string()]);
-        let evicted = &rec.failed_attempts[0];
+        assert_eq!(rec.failures.len(), 1);
+        assert_eq!(rec.failures[0].detail, "preempted:storm");
+        let evicted = &rec.failures[0].times;
         assert!(
             evicted.finished - evicted.started < 0.3,
             "eviction must cut the 500ms sleep short, took {}",
@@ -689,8 +690,8 @@ mod tests {
         );
         assert!(run.succeeded());
         let rec = &run.records[0];
-        assert_eq!(rec.failure_reasons.len(), 1);
-        assert!(rec.failure_reasons[0].starts_with("timeout"));
+        assert_eq!(rec.failures.len(), 1);
+        assert!(rec.failures[0].detail.starts_with("timeout"));
         assert_eq!(run.faults.timeouts, 1);
     }
 
@@ -733,10 +734,9 @@ mod tests {
             1,
             "kernel must run only on the clean retry"
         );
-        assert_eq!(
-            run.records[0].failure_reasons,
-            vec!["install:burst".to_string()]
-        );
+        let failures = &run.records[0].failures;
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].detail, "install:burst");
         assert_eq!(run.faults.install_failures, 1);
     }
 

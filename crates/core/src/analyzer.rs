@@ -157,10 +157,10 @@ pub fn analyze(run: &WorkflowRun) -> Analysis {
             }
             JobState::Failed => {
                 let mut reasons: BTreeMap<Name, usize> = BTreeMap::new();
-                for r in &rec.failure_reasons {
-                    *reasons.entry(r.clone()).or_insert(0) += 1;
+                for f in &rec.failures {
+                    *reasons.entry(f.detail.clone()).or_insert(0) += 1;
                 }
-                let mut kinds = rec.failure_kinds.clone();
+                let mut kinds: Vec<FaultReason> = rec.failures.iter().map(|f| f.reason).collect();
                 kinds.sort();
                 kinds.dedup();
                 failed.push(FailedJobReport {
@@ -169,7 +169,7 @@ pub fn analyze(run: &WorkflowRun) -> Analysis {
                     attempts: rec.attempts,
                     reasons: reasons.into_iter().collect(),
                     kinds,
-                    badput: rec.failed_attempts.iter().map(|t| t.total()).sum(),
+                    badput: rec.failures.iter().map(|f| f.times.total()).sum(),
                 });
             }
             JobState::Unready => unready.push(rec.name.clone()),
@@ -191,7 +191,7 @@ pub fn analyze(run: &WorkflowRun) -> Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{JobRecord, JobTimes};
+    use crate::engine::{FailedAttempt, JobRecord, JobTimes};
     use crate::planner::JobKind;
     use crate::rescue::RescueDag;
 
@@ -204,6 +204,14 @@ mod tests {
         }
     }
 
+    fn failure(total: f64, reason: FaultReason, detail: &str) -> FailedAttempt {
+        FailedAttempt {
+            times: times(total),
+            reason,
+            detail: detail.into(),
+        }
+    }
+
     fn record(name: &str, state: JobState, attempts: u32) -> JobRecord {
         JobRecord {
             job: crate::workflow::JobId::new(0),
@@ -213,24 +221,16 @@ mod tests {
             state,
             attempts,
             times: (state == JobState::Done).then(|| times(5.0)),
-            failed_attempts: vec![],
-            failure_reasons: vec![],
-            failure_kinds: vec![],
+            failures: vec![],
         }
     }
 
     fn failed_run() -> WorkflowRun {
         let mut bad = record("bad", JobState::Failed, 3);
-        bad.failed_attempts = vec![times(10.0), times(20.0), times(5.0)];
-        bad.failure_reasons = vec![
-            "preempted".into(),
-            "preempted".into(),
-            "node vanished".into(),
-        ];
-        bad.failure_kinds = vec![
-            FaultReason::Preemption,
-            FaultReason::Preemption,
-            FaultReason::Other,
+        bad.failures = vec![
+            failure(10.0, FaultReason::Preemption, "preempted"),
+            failure(20.0, FaultReason::Preemption, "preempted"),
+            failure(5.0, FaultReason::Other, "node vanished"),
         ];
         WorkflowRun {
             name: "wf".into(),
@@ -260,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn failure_reasons_are_aggregated() {
+    fn failure_details_are_aggregated() {
         let a = analyze(&failed_run());
         let f = &a.failed[0];
         assert_eq!(f.attempts, 3);
@@ -276,9 +276,9 @@ mod tests {
     fn typed_kinds_drive_suggestions_even_with_opaque_wire_text() {
         // The wire string need not mention "preempt" — the enum does.
         let mut bad = record("bad", JobState::Failed, 2);
-        bad.failed_attempts = vec![times(10.0), times(5.0)];
-        bad.failure_reasons = vec!["slot reclaimed by owner".into(); 2];
-        bad.failure_kinds = vec![FaultReason::Preemption; 2];
+        bad.failures = [10.0, 5.0]
+            .map(|total| failure(total, FaultReason::Preemption, "slot reclaimed by owner"))
+            .into();
         let run = WorkflowRun {
             name: "wf".into(),
             site: "osg".into(),

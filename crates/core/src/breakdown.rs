@@ -78,9 +78,9 @@ pub fn job_spans(records: &[JobRecord]) -> Vec<JobSpan> {
         .iter()
         .map(|r| {
             let retry_badput = r
-                .failed_attempts
+                .failures
                 .iter()
-                .fold(0.0, |sum, t| sum + (t.finished - t.submitted));
+                .fold(0.0, |sum, f| sum + (f.times.finished - f.times.submitted));
             let ok = r.times.unwrap_or_default();
             // Per-task phases are measured from the first attempt's
             // *release* into the remote queue (its
@@ -89,7 +89,7 @@ pub fn job_spans(records: &[JobRecord]) -> Vec<JobSpan> {
             // the DAGMan-style throttle is a workflow-level scheduling
             // artefact, not a per-task cost, and pegasus-statistics
             // likewise derives per-job phases from the Condor job log.
-            let origin = r.failed_attempts.first().unwrap_or(&ok).submitted;
+            let origin = r.failures.first().map_or(ok, |f| f.times).submitted;
             JobSpan {
                 job: r.job,
                 name: r.name.clone(),
@@ -220,16 +220,19 @@ pub fn render_csv(rows: &[BreakdownRow]) -> String {
 /// byte-stable for a given event stream. Hand-rolled JSON, like the
 /// lint and trace renderers: the repo's no-serde discipline.
 pub fn render_json(rows: &[BreakdownRow]) -> String {
+    use crate::trace::write_json_str;
     use std::fmt::Write as _;
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
+        out.push_str("  {\"site\":\"");
+        let _ = write_json_str(&mut out, &r.site);
+        out.push_str("\",\"n\":\"");
+        let _ = write_json_str(&mut out, &r.n);
         let _ = write!(
             out,
-            "  {{\"site\":\"{}\",\"n\":\"{}\",\"compute_jobs\":{},\"completed\":{},\
+            "\",\"compute_jobs\":{},\"completed\":{},\
              \"queue_wait_mean_s\":{:.3},\"install_mean_s\":{:.3},\"kickstart_mean_s\":{:.3},\
              \"post_overhead_mean_s\":{:.3},\"retry_badput_mean_s\":{:.3},\"total_mean_s\":{:.3}}}",
-            crate::trace::json_escape(&r.site),
-            crate::trace::json_escape(&r.n),
             r.compute_jobs,
             r.completed,
             r.queue_wait_mean,
@@ -354,7 +357,7 @@ mod tests {
         assert!(s.retry_badput > 0.0, "{s:?}");
         assert!(s.post_overhead > 0.0, "{s:?}");
         let t = run.records[1].times.unwrap();
-        let first_submit = run.records[1].failed_attempts[0].submitted;
+        let first_submit = run.records[1].failures[0].times.submitted;
         assert!((s.total() - (t.finished - first_submit)).abs() < 1e-9);
     }
 

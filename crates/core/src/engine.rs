@@ -484,13 +484,20 @@ pub struct JobRecord {
     pub attempts: u32,
     /// Timestamps of the successful attempt, if any.
     pub times: Option<JobTimes>,
-    /// Timestamps of failed attempts, in order.
-    pub failed_attempts: Vec<JobTimes>,
-    /// Failure reasons (full wire strings, shared with the terminal
-    /// events that carried them), parallel to `failed_attempts`.
-    pub failure_reasons: Vec<Name>,
-    /// Typed failure categories, parallel to `failed_attempts`.
-    pub failure_kinds: Vec<FaultReason>,
+    /// The failed attempts, in order.
+    pub failures: Vec<FailedAttempt>,
+}
+
+/// One failed attempt of a job, as its terminal event reported it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FailedAttempt {
+    /// Timestamps of the attempt.
+    pub times: JobTimes,
+    /// Typed failure category.
+    pub reason: FaultReason,
+    /// The full wire string, shared with the terminal event that
+    /// carried it.
+    pub detail: Name,
 }
 
 /// Overall outcome of a run.
@@ -1148,7 +1155,7 @@ mod tests {
         }
         assert_eq!(run.records[1].state, JobState::Failed);
         assert_eq!(run.records[2].state, JobState::Unready);
-        assert_eq!(run.records[1].failed_attempts.len(), 1);
+        assert_eq!(run.records[1].failures.len(), 1);
     }
 
     #[test]

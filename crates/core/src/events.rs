@@ -29,7 +29,9 @@
 //! failure details) must not contain newlines, and all other field
 //! values must be whitespace-free for the text format to round-trip.
 
-use crate::engine::{FaultReason, JobRecord, JobState, JobTimes, WorkflowOutcome, WorkflowRun};
+use crate::engine::{
+    FailedAttempt, FaultReason, JobRecord, JobState, JobTimes, WorkflowOutcome, WorkflowRun,
+};
 use crate::error::WmsError;
 use crate::planner::JobKind;
 use crate::rescue::RescueDag;
@@ -458,9 +460,7 @@ impl WorkflowRun {
                 state: JobState::Unready,
                 attempts: 0,
                 times: None,
-                failed_attempts: Vec::new(),
-                failure_reasons: Vec::new(),
-                failure_kinds: Vec::new(),
+                failures: Vec::new(),
             }),
             WorkflowEvent::Skipped { job, .. } => {
                 self.records[job.idx()].state = JobState::SkippedDone;
@@ -481,9 +481,11 @@ impl WorkflowRun {
                     }
                     Some((reason, detail)) => {
                         self.faults.record_reason(reason);
-                        rec.failed_attempts.push(*end.times);
-                        rec.failure_reasons.push(detail.clone());
-                        rec.failure_kinds.push(reason);
+                        rec.failures.push(FailedAttempt {
+                            times: *end.times,
+                            reason,
+                            detail: detail.clone(),
+                        });
                         rec.state = JobState::Failed;
                     }
                 }

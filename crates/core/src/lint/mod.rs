@@ -43,7 +43,7 @@ pub use dax_pass::{check_workflow, classify_parse_error, DaxLintOptions};
 
 use crate::error::Span;
 use crate::events::WorkflowEvent;
-use crate::trace::json_escape;
+use crate::trace::write_json_str;
 use crate::verify::{StreamWalker, VerifyOptions};
 use std::fmt;
 
@@ -774,20 +774,22 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
         let name = rule(d.code).map(|r| r.name).unwrap_or("");
         let _ = write!(
             out,
-            "  {{\"code\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\"file\":\"{}\",\
-             \"line\":{},\"col\":{},\"message\":\"{}\",\"help\":{}}}",
-            d.code,
-            name,
-            d.severity,
-            json_escape(&d.file),
-            d.span.line,
-            d.span.col,
-            json_escape(&d.message),
-            match &d.help {
-                Some(h) => format!("\"{}\"", json_escape(h)),
-                None => "null".to_string(),
-            },
+            "  {{\"code\":\"{}\",\"name\":\"{name}\",\"severity\":\"{}\",\"file\":\"",
+            d.code, d.severity
         );
+        let _ = write_json_str(&mut out, &d.file);
+        let (line, col) = (d.span.line, d.span.col);
+        let _ = write!(out, "\",\"line\":{line},\"col\":{col},\"message\":\"");
+        let _ = write_json_str(&mut out, &d.message);
+        out.push_str("\",\"help\":");
+        match &d.help {
+            Some(h) => {
+                out.push('"');
+                let _ = write_json_str(&mut out, h);
+                out.push_str("\"}");
+            }
+            None => out.push_str("null}"),
+        }
         out.push_str(if i + 1 < diags.len() { ",\n" } else { "\n" });
     }
     out.push_str("]\n");

@@ -114,8 +114,8 @@ pub fn compute(run: &WorkflowRun) -> WorkflowStatistics {
             JobState::Failed => failed += 1,
             JobState::Unready => unready += 1,
         }
-        for t in &rec.failed_attempts {
-            badput += t.total();
+        for f in &rec.failures {
+            badput += f.times.total();
         }
     }
     let per_type = per_type
@@ -470,9 +470,7 @@ mod tests {
             state,
             attempts: 1,
             times: t,
-            failed_attempts: vec![],
-            failure_reasons: vec![],
-            failure_kinds: vec![],
+            failures: vec![],
         }
     }
 
@@ -535,7 +533,11 @@ mod tests {
     #[test]
     fn badput_counts_failed_attempts() {
         let mut run = sample_run();
-        run.records[1].failed_attempts = vec![times(0.0, 1.0, 45.0, 20.0)];
+        run.records[1].failures = vec![crate::engine::FailedAttempt {
+            times: times(0.0, 1.0, 45.0, 20.0),
+            reason: crate::engine::FaultReason::Preemption,
+            detail: "preempted".into(),
+        }];
         let stats = compute(&run);
         assert_eq!(stats.cumulative_badput, 66.0);
     }

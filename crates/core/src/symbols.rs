@@ -21,7 +21,7 @@
 //!   workflow, in `ExecutableJob`, in its `JobDeclared` event and in
 //!   its `JobRecord` is one allocation, and so are a failure's reason
 //!   in its `Failed` event, its `RetryScheduled` and the record's
-//!   `failure_reasons`. Names that repeat across a document (a
+//!   `FailedAttempt`. Names that repeat across a document (a
 //!   transformation on 10^5 jobs) go through a [`NamePool`] at the
 //!   parser, so they too are one allocation. Only a boundary turns a
 //!   `&str` into a `Name`; everything downstream only clones.
@@ -149,7 +149,7 @@ impl PartialEq<String> for Name {
 /// transformations and failure reasons in an event log: the parser
 /// asks the pool for each occurrence and gets one handle per distinct
 /// text, so a name used by 10^5 jobs is still one allocation.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct NamePool {
     names: HashSet<Name>,
 }

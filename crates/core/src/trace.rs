@@ -134,7 +134,8 @@ pub struct Phase {
     pub end: f64,
 }
 
-/// How one attempt ended.
+/// How one attempt ended. Displays as `completed`, `failed(<detail>)`
+/// or `timed-out(<detail>)`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttemptOutcome {
     /// The attempt succeeded.
@@ -146,19 +147,19 @@ pub enum AttemptOutcome {
     TimedOut(Name),
 }
 
-impl AttemptOutcome {
-    /// A short display label for the outcome.
-    pub fn label(&self) -> String {
+impl fmt::Display for AttemptOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AttemptOutcome::Completed => "completed".to_string(),
-            AttemptOutcome::Failed(detail) => format!("failed({detail})"),
-            AttemptOutcome::TimedOut(detail) => format!("timed-out({detail})"),
+            AttemptOutcome::Completed => f.write_str("completed"),
+            AttemptOutcome::Failed(detail) => write!(f, "failed({detail})"),
+            AttemptOutcome::TimedOut(detail) => write!(f, "timed-out({detail})"),
         }
     }
 }
 
 /// One attempt's span: release into the remote queue → terminal
-/// event, with its phase children.
+/// event. Its phase children are a function of `times`
+/// ([`AttemptSpan::phases`]), so the span owns no heap of its own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttemptSpan {
     /// Attempt number (0-based).
@@ -167,8 +168,6 @@ pub struct AttemptSpan {
     pub outcome: AttemptOutcome,
     /// The attempt's full timestamps.
     pub times: JobTimes,
-    /// Phase intervals inside the attempt, in time order.
-    pub phases: Vec<Phase>,
 }
 
 impl AttemptSpan {
@@ -176,6 +175,21 @@ impl AttemptSpan {
     /// retry badput.
     pub fn badput(&self) -> bool {
         !matches!(self.outcome, AttemptOutcome::Completed)
+    }
+
+    /// Phase intervals inside the attempt, in time order and
+    /// contiguous: `queue-wait`, `install` only when the attempt had
+    /// an install phase, `kickstart`.
+    pub fn phases(&self) -> impl Iterator<Item = Phase> {
+        let t = self.times;
+        [
+            Some(("queue-wait", t.submitted, t.started)),
+            (t.install_done > t.started).then_some(("install", t.started, t.install_done)),
+            Some(("kickstart", t.install_done, t.finished)),
+        ]
+        .into_iter()
+        .flatten()
+        .map(|(label, start, end)| Phase { label, start, end })
     }
 }
 
@@ -215,32 +229,6 @@ pub struct WorkflowTrace {
     pub jobs: Vec<JobTrace>,
 }
 
-fn attempt_span(attempt: usize, outcome: AttemptOutcome, times: &JobTimes) -> AttemptSpan {
-    let mut phases = vec![Phase {
-        label: "queue-wait",
-        start: times.submitted,
-        end: times.started,
-    }];
-    if times.install_done > times.started {
-        phases.push(Phase {
-            label: "install",
-            start: times.started,
-            end: times.install_done,
-        });
-    }
-    phases.push(Phase {
-        label: "kickstart",
-        start: times.install_done,
-        end: times.finished,
-    });
-    AttemptSpan {
-        attempt: attempt as u32,
-        outcome,
-        times: *times,
-        phases,
-    }
-}
-
 /// The span tree of the run that started at `start`, from its records:
 /// a job's failed attempts in order, then its successful one.
 fn tree(run: &WorkflowRun, start: f64, trace: Option<TraceId>) -> WorkflowTrace {
@@ -249,24 +237,20 @@ fn tree(run: &WorkflowRun, start: f64, trace: Option<TraceId>) -> WorkflowTrace 
         .iter()
         .zip(breakdown::job_spans(&run.records))
         .map(|(r, summary)| {
-            let failed = r.failed_attempts.iter().zip(&r.failure_reasons);
-            let mut attempts: Vec<AttemptSpan> = failed
-                .zip(&r.failure_kinds)
-                .enumerate()
-                .map(|(i, ((times, detail), kind))| {
-                    let outcome = match kind {
-                        FaultReason::Timeout => AttemptOutcome::TimedOut(detail.clone()),
-                        _ => AttemptOutcome::Failed(detail.clone()),
-                    };
-                    attempt_span(i, outcome, times)
-                })
-                .collect();
-            if let Some(times) = &r.times {
-                attempts.push(attempt_span(
-                    attempts.len(),
-                    AttemptOutcome::Completed,
+            let failed = r.failures.iter().map(|f| match f.reason {
+                FaultReason::Timeout => (AttemptOutcome::TimedOut(f.detail.clone()), f.times),
+                _ => (AttemptOutcome::Failed(f.detail.clone()), f.times),
+            });
+            let completed = r.times.map(|times| (AttemptOutcome::Completed, times));
+            let mut attempts =
+                Vec::with_capacity(r.failures.len() + usize::from(completed.is_some()));
+            for (outcome, times) in failed.chain(completed) {
+                let attempt = attempts.len() as u32;
+                attempts.push(AttemptSpan {
+                    attempt,
+                    outcome,
                     times,
-                ));
+                });
             }
             JobTrace {
                 job: r.job,
@@ -357,12 +341,12 @@ pub fn render_text(traces: &[WorkflowTrace]) -> String {
                     out,
                     "    attempt {} {} [{:.3}s..{:.3}s]{}",
                     a.attempt,
-                    a.outcome.label(),
+                    a.outcome,
                     a.times.submitted,
                     a.times.finished,
                     if a.badput() { " badput" } else { "" }
                 );
-                for p in &a.phases {
+                for p in a.phases() {
                     let _ = writeln!(
                         out,
                         "      {} [{:.3}s..{:.3}s] {:.3}s",
@@ -378,13 +362,41 @@ pub fn render_text(traces: &[WorkflowTrace]) -> String {
     out
 }
 
-/// One event of the Chrome Trace Event Format export, pre-ordering.
-/// Exposed so tests (and other consumers) can assert track structure
-/// without parsing JSON.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChromeEvent {
+/// A name or `args` value of a [`ChromeEvent`], borrowed from the span
+/// tree it describes; `Display` is the text the export escapes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ChromeText<'a> {
+    /// The text itself.
+    Str(&'a str),
+    /// `attempt <n>`.
+    Attempt(u32),
+    /// `<workflow> @ <site>`, a process's display name.
+    Process(&'a WorkflowTrace),
+    /// A trace id, as its 16 hex digits.
+    Trace(TraceId),
+    /// An attempt's outcome.
+    Outcome(&'a AttemptOutcome),
+}
+
+impl fmt::Display for ChromeText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ChromeText::Str(s) => f.write_str(s),
+            ChromeText::Attempt(n) => write!(f, "attempt {n}"),
+            ChromeText::Process(t) => write!(f, "{} @ {}", t.name, t.site),
+            ChromeText::Trace(id) => id.fmt(f),
+            ChromeText::Outcome(outcome) => outcome.fmt(f),
+        }
+    }
+}
+
+/// One event of the Chrome Trace Event Format export. Exposed so tests
+/// (and other consumers) can assert track structure without parsing
+/// JSON.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChromeEvent<'a> {
     /// Event name.
-    pub name: String,
+    pub name: ChromeText<'a>,
     /// Category (`workflow`, `attempt`, `badput`, `phase`, `overhead`).
     pub cat: &'static str,
     /// Phase letter: `X` complete events, `M` metadata.
@@ -398,7 +410,7 @@ pub struct ChromeEvent {
     /// Thread id: 0 = workflow track, job index + 1 otherwise.
     pub tid: usize,
     /// Extra `args` fields, rendered in order.
-    pub args: Vec<(&'static str, String)>,
+    pub args: [Option<(&'static str, ChromeText<'a>)>; 3],
 }
 
 fn us(seconds: f64) -> i64 {
@@ -407,173 +419,167 @@ fn us(seconds: f64) -> i64 {
     (seconds * 1e6).round() as i64
 }
 
-/// Flattens span trees into the Chrome event list, deterministically
-/// ordered: metadata first (process/thread naming), then complete
-/// events sorted by `(pid, tid, ts, longest-duration-first)` so every
-/// track's timestamps are monotone and parents precede children.
-pub fn chrome_events(traces: &[WorkflowTrace]) -> Vec<ChromeEvent> {
-    let mut meta = Vec::new();
-    let mut spans = Vec::new();
-    for (idx, t) in traces.iter().enumerate() {
-        let pid = idx + 1;
-        meta.push(ChromeEvent {
-            name: "process_name".into(),
-            cat: "__metadata",
-            ph: 'M',
-            ts: 0,
-            dur: 0,
+/// One job's complete events, in tree order, onto the end of `track`.
+fn job_events<'a>(j: &'a JobTrace, pid: usize, track: &mut Vec<ChromeEvent<'a>>) {
+    use ChromeText::{Attempt, Outcome, Str};
+    let mut span = |name, cat, start: f64, end: f64, outcome: Option<&'a AttemptOutcome>| {
+        track.push(ChromeEvent {
+            name,
+            cat,
+            ph: 'X',
+            ts: us(start),
+            dur: us(end) - us(start),
             pid,
-            tid: 0,
-            args: vec![("name", format!("{} @ {}", t.name, t.site))],
+            tid: j.job.idx() + 1,
+            args: [outcome.map(|o| ("outcome", Outcome(o))), None, None],
         });
-        meta.push(ChromeEvent {
-            name: "thread_name".into(),
-            cat: "__metadata",
-            ph: 'M',
-            ts: 0,
-            dur: 0,
-            pid,
-            tid: 0,
-            args: vec![("name", "workflow".to_string())],
-        });
-        let mut wf_args = vec![("site", t.site.clone())];
-        if let Some(id) = t.trace {
-            wf_args.push(("trace", id.to_string()));
+    };
+    let mut prev_end = f64::INFINITY;
+    for a in &j.attempts {
+        let t = a.times;
+        if t.submitted > prev_end {
+            span(Str("backoff"), "overhead", prev_end, t.submitted, None);
         }
-        wf_args.push(("succeeded", t.succeeded.to_string()));
-        spans.push(ChromeEvent {
-            name: t.name.clone(),
+        prev_end = t.finished;
+        let cat = if a.badput() { "badput" } else { "attempt" };
+        let how = Some(&a.outcome);
+        span(Attempt(a.attempt), cat, t.submitted, t.finished, how);
+        for p in a.phases() {
+            span(Str(p.label), "phase", p.start, p.end, None);
+        }
+    }
+}
+
+/// The one generator of the Chrome export: hands `emit` every event of
+/// `traces` in export order — metadata first (process/thread naming,
+/// in tree order), then complete events by `(pid, tid, ts,
+/// longest-duration-first)`, so every track's timestamps are monotone
+/// and parents precede children. That order is produced track by
+/// track through one small reused buffer: `pid` follows the trace
+/// index and the workflow span owns `tid` 0, so taking each trace's
+/// tracks in `tid` order (jobs that share an id share a track, in tree
+/// order) and stable-sorting each track by `(ts, longest first)` is
+/// the stable sort of the whole run by the full key.
+fn each_chrome_event<'a>(traces: &'a [WorkflowTrace], mut emit: impl FnMut(ChromeEvent<'a>)) {
+    use ChromeText::{Process, Str, Trace};
+    let meta = |name, pid, tid, label| ChromeEvent {
+        name: Str(name),
+        cat: "__metadata",
+        ph: 'M',
+        ts: 0,
+        dur: 0,
+        pid,
+        tid,
+        args: [Some(("name", label)), None, None],
+    };
+    for (idx, t) in traces.iter().enumerate() {
+        emit(meta("process_name", idx + 1, 0, Process(t)));
+        emit(meta("thread_name", idx + 1, 0, Str("workflow")));
+        for j in &t.jobs {
+            emit(meta("thread_name", idx + 1, j.job.idx() + 1, Str(&j.name)));
+        }
+    }
+    let (mut order, mut track) = (Vec::new(), Vec::new());
+    for (idx, t) in traces.iter().enumerate() {
+        emit(ChromeEvent {
+            name: Str(&t.name),
             cat: "workflow",
             ph: 'X',
             ts: us(t.start),
             dur: us(t.end) - us(t.start),
-            pid,
+            pid: idx + 1,
             tid: 0,
-            args: wf_args,
+            args: [
+                Some(("site", Str(&t.site))),
+                t.trace.map(|id| ("trace", Trace(id))),
+                Some(("succeeded", Str(if t.succeeded { "true" } else { "false" }))),
+            ],
         });
-        for j in &t.jobs {
-            let tid = j.job.idx() + 1;
-            meta.push(ChromeEvent {
-                name: "thread_name".into(),
-                cat: "__metadata",
-                ph: 'M',
-                ts: 0,
-                dur: 0,
-                pid,
-                tid,
-                args: vec![("name", j.name.as_str().to_owned())],
-            });
-            for (i, a) in j.attempts.iter().enumerate() {
-                if i > 0 {
-                    let prev_end = j.attempts[i - 1].times.finished;
-                    if a.times.submitted > prev_end {
-                        spans.push(ChromeEvent {
-                            name: "backoff".into(),
-                            cat: "overhead",
-                            ph: 'X',
-                            ts: us(prev_end),
-                            dur: us(a.times.submitted) - us(prev_end),
-                            pid,
-                            tid,
-                            args: vec![],
-                        });
-                    }
-                }
-                spans.push(ChromeEvent {
-                    name: format!("attempt {}", a.attempt),
-                    cat: if a.badput() { "badput" } else { "attempt" },
-                    ph: 'X',
-                    ts: us(a.times.submitted),
-                    dur: us(a.times.finished) - us(a.times.submitted),
-                    pid,
-                    tid,
-                    args: vec![("outcome", a.outcome.label())],
-                });
-                for p in &a.phases {
-                    spans.push(ChromeEvent {
-                        name: p.label.into(),
-                        cat: "phase",
-                        ph: 'X',
-                        ts: us(p.start),
-                        dur: us(p.end) - us(p.start),
-                        pid,
-                        tid,
-                        args: vec![],
-                    });
-                }
+        order.clear();
+        order.extend(&t.jobs);
+        order.sort_by_key(|j| j.job);
+        for jobs in order.chunk_by(|a, b| a.job == b.job) {
+            for j in jobs {
+                job_events(j, idx + 1, &mut track);
             }
+            track.sort_by_key(|e| (e.ts, std::cmp::Reverse(e.dur)));
+            track.drain(..).for_each(&mut emit);
         }
     }
-    spans.sort_by(|a, b| {
-        (a.pid, a.tid, a.ts, std::cmp::Reverse(a.dur)).cmp(&(
-            b.pid,
-            b.tid,
-            b.ts,
-            std::cmp::Reverse(b.dur),
-        ))
-    });
-    meta.extend(spans);
-    meta
+}
+
+/// Flattens span trees into the Chrome event list, in the order of the
+/// export ([`render_chrome`] writes the same events without keeping
+/// them).
+pub fn chrome_events(traces: &[WorkflowTrace]) -> Vec<ChromeEvent<'_>> {
+    let mut events = Vec::new();
+    each_chrome_event(traces, |ev| events.push(ev));
+    events
 }
 
 /// The crate's one JSON string escaper (the Chrome export here, the
-/// lint report in [`crate::lint`]).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// lint report in [`crate::lint`]): writes `s` into `out` with `"`,
+/// `\\` and control characters escaped, without the quotes.
+pub(crate) fn write_json_str(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    JsonEscaper(out).write_str(s)
+}
+
+/// Escapes whatever is formatted into it; `write!(JsonEscaper(out),
+/// "{x}")` is `write_json_str` of `x`'s `Display` text.
+struct JsonEscaper<'w, W>(&'w mut W);
+
+impl<W: fmt::Write> fmt::Write for JsonEscaper<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        // All of them ASCII, so one is found at a character boundary.
+        let special = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+        let mut rest = s;
+        while let Some(at) = rest.bytes().position(special) {
+            self.0.write_str(&rest[..at])?;
+            match rest.as_bytes()[at] {
+                b'"' => self.0.write_str("\\\"")?,
+                b'\\' => self.0.write_str("\\\\")?,
+                b'\n' => self.0.write_str("\\n")?,
+                b'\r' => self.0.write_str("\\r")?,
+                b'\t' => self.0.write_str("\\t")?,
+                c => write!(self.0, "\\u{c:04x}")?,
             }
-            c => out.push(c),
+            rest = &rest[at + 1..];
         }
+        self.0.write_str(rest)
     }
-    out
 }
 
 /// Renders span trees as Chrome Trace Event Format JSON — the
 /// `trace.json` Perfetto and `chrome://tracing` load. One event per
 /// line (diff-friendly), `ts`/`dur` in simulated microseconds,
-/// ordering per [`chrome_events`]. Hand-rolled JSON: the repo's
+/// ordering per [`chrome_events`], each event written straight into
+/// the output as it is generated. Hand-rolled JSON: the repo's
 /// no-serde discipline.
 pub fn render_chrome(traces: &[WorkflowTrace]) -> String {
-    let events = chrome_events(traces);
-    let mut out = String::from("{\"traceEvents\":[\n");
-    for (i, ev) in events.iter().enumerate() {
+    let mut out = String::from("{\"traceEvents\":[");
+    let mut sep = "\n";
+    each_chrome_event(traces, |ev| {
+        let _ = write!(out, "{sep}{{\"name\":\"");
+        sep = ",\n";
+        let _ = write!(JsonEscaper(&mut out), "{}", ev.name);
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{}",
-            json_escape(&ev.name),
-            ev.cat,
-            ev.ph,
-            ev.pid,
-            ev.tid
+            "\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{}",
+            ev.cat, ev.ph, ev.pid, ev.tid
         );
         if ev.ph == 'X' {
             let _ = write!(out, ",\"ts\":{},\"dur\":{}", ev.ts, ev.dur);
         }
-        if !ev.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (j, (k, v)) in ev.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{k}\":\"{}\"", json_escape(v));
-            }
-            out.push('}');
+        for (i, (key, value)) in ev.args.iter().flatten().enumerate() {
+            let open = if i == 0 { ",\"args\":{" } else { "," };
+            let _ = write!(out, "{open}\"{key}\":\"");
+            let _ = write!(JsonEscaper(&mut out), "{value}");
+            out.push('"');
         }
-        out.push('}');
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
+        let any_args = ev.args.iter().any(Option::is_some);
+        out.push_str(if any_args { "}}" } else { "}" });
+    });
+    out.push_str("\n]}\n");
     out
 }
 
@@ -667,15 +673,16 @@ mod tests {
         assert!(a.attempts[1].times.submitted > a.attempts[0].times.finished);
         // Phases tile the successful attempt exactly.
         let ok = &a.attempts[1];
-        assert_eq!(ok.phases.first().unwrap().start, ok.times.submitted);
-        assert_eq!(ok.phases.last().unwrap().end, ok.times.finished);
-        for w in ok.phases.windows(2) {
+        let phases: Vec<_> = ok.phases().collect();
+        assert_eq!(phases.first().unwrap().start, ok.times.submitted);
+        assert_eq!(phases.last().unwrap().end, ok.times.finished);
+        for w in phases.windows(2) {
             assert_eq!(w[0].end, w[1].start, "phases tile without holes");
         }
         // Install phase appears only where the install hint was.
-        assert!(ok.phases.iter().any(|p| p.label == "install"));
+        assert!(phases.iter().any(|p| p.label == "install"));
         let b_ok = &t.jobs[1].attempts[0];
-        assert!(!b_ok.phases.iter().any(|p| p.label == "install"));
+        assert!(!b_ok.phases().any(|p| p.label == "install"));
         // The summary matches the breakdown fold for the same stream.
         let spans = breakdown::job_spans(&run.records);
         assert_eq!(t.jobs[0].summary, spans[0]);
@@ -748,7 +755,8 @@ mod tests {
 
     #[test]
     fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let mut out = String::new();
+        write_json_str(&mut out, "a\"b\\c\nd\u{1}é").unwrap();
+        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001é");
     }
 }

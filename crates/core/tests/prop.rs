@@ -2,10 +2,11 @@
 //! generated workflows, topological-order laws, planner invariants,
 //! and engine determinism on the scripted backend model.
 
+use pegasus_wms::breakdown::JobSpan;
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
 use pegasus_wms::dax;
 use pegasus_wms::engine::scripted::ScriptedBackend;
-use pegasus_wms::engine::{Engine, EngineConfig, JobState, NoopMonitor, WorkflowOutcome};
+use pegasus_wms::engine::{Engine, EngineConfig, JobState, JobTimes, NoopMonitor, WorkflowOutcome};
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
 use pegasus_wms::events;
 use pegasus_wms::graph::Csr;
@@ -15,6 +16,7 @@ use pegasus_wms::rescue::RescueDag;
 use pegasus_wms::serve;
 use pegasus_wms::statistics::{compute, render_summary_csv};
 use pegasus_wms::symbols::{FileId, SymbolTable};
+use pegasus_wms::trace::{self, AttemptOutcome, TraceId};
 use pegasus_wms::workflow::JobId;
 use pegasus_wms::workflow::{AbstractWorkflow, Job, LogicalFile};
 use proptest::prelude::*;
@@ -249,7 +251,7 @@ proptest! {
                 }
                 JobState::Failed => {
                     prop_assert_eq!(rec.attempts, max_retries + 1);
-                    prop_assert_eq!(rec.failed_attempts.len() as u32, rec.attempts);
+                    prop_assert_eq!(rec.failures.len() as u32, rec.attempts);
                 }
                 JobState::Unready => {
                     prop_assert_eq!(rec.attempts, 0);
@@ -490,7 +492,7 @@ proptest! {
             prop_assert_eq!(a.state, b.state);
             prop_assert_eq!(a.attempts, b.attempts);
             prop_assert_eq!(a.times, b.times);
-            prop_assert_eq!(&a.failure_reasons, &b.failure_reasons);
+            prop_assert_eq!(&a.failures, &b.failures);
         }
         prop_assert_eq!(
             render_summary_csv(&compute(&single)),
@@ -1032,5 +1034,261 @@ proptest! {
         };
         let text = serve::render_status_line(&line);
         prop_assert_eq!(serve::parse_status_line(&text).unwrap(), line);
+    }
+}
+
+/// Text the JSON escaper must get right: quotes, backslashes, the
+/// three named escapes, other control characters, and non-ASCII.
+fn hostile_text() -> impl Strategy<Value = String> {
+    const PIECES: [&str; 12] = [
+        "a", "run_cap3", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "é", "名", " @ ",
+    ];
+    proptest::collection::vec(proptest::sample::select(PIECES), 0..5)
+        .prop_map(|pieces| pieces.concat())
+}
+
+/// `(attempt, outcome kind, detail, times on a half-second grid)`.
+/// The grid is coarse and the three durations may be zero, so equal
+/// timestamps on one track and zero-length phases are common.
+type AttemptSpec = (u32, usize, String, (u32, u32, u32, u32));
+/// `(job id, name, attempts)`: ids repeat and arrive in any order.
+type JobSpec = (usize, String, Vec<AttemptSpec>);
+/// `(name, site, trace id, succeeded, (start, length), jobs)`.
+type TraceSpec = (String, String, (bool, u64), bool, (u32, u32), Vec<JobSpec>);
+
+fn trace_specs() -> impl Strategy<Value = Vec<TraceSpec>> {
+    let times = (0u32..8, 0u32..3, 0u32..3, 0u32..3);
+    let attempt = (0u32..40, 0usize..3, hostile_text(), times);
+    let job = (
+        0usize..4,
+        hostile_text(),
+        proptest::collection::vec(attempt, 0..4),
+    );
+    let trace = (
+        hostile_text(),
+        hostile_text(),
+        (any::<bool>(), any::<u64>()),
+        any::<bool>(),
+        (0u32..4, 0u32..20),
+        proptest::collection::vec(job, 0..6),
+    );
+    proptest::collection::vec(trace, 0..4)
+}
+
+fn build_traces(specs: Vec<TraceSpec>) -> Vec<trace::WorkflowTrace> {
+    let half = |ticks: u32| f64::from(ticks) * 0.5;
+    let build_job = |(id, name, attempts): JobSpec| trace::JobTrace {
+        job: JobId::new(id),
+        name: name.as_str().into(),
+        kind: JobKind::Compute,
+        summary: JobSpan {
+            job: JobId::new(id),
+            name: name.into(),
+            transformation: "t".into(),
+            kind: JobKind::Compute,
+            attempts: attempts.len() as u32,
+            completed: false,
+            queue_wait: 0.0,
+            install: 0.0,
+            kickstart: 0.0,
+            post_overhead: 0.0,
+            retry_badput: 0.0,
+        },
+        attempts: attempts
+            .into_iter()
+            .map(
+                |(attempt, kind, detail, (at, wait, install, run))| trace::AttemptSpan {
+                    attempt,
+                    outcome: match kind {
+                        0 => AttemptOutcome::Completed,
+                        1 => AttemptOutcome::Failed(detail.into()),
+                        _ => AttemptOutcome::TimedOut(detail.into()),
+                    },
+                    times: JobTimes {
+                        submitted: half(at),
+                        started: half(at + wait),
+                        install_done: half(at + wait + install),
+                        finished: half(at + wait + install + run),
+                    },
+                },
+            )
+            .collect(),
+    };
+    specs
+        .into_iter()
+        .map(
+            |(name, site, (traced, id), succeeded, (start, length), jobs)| trace::WorkflowTrace {
+                trace: traced.then(|| TraceId::new(id)),
+                name,
+                site,
+                succeeded,
+                start: half(start),
+                end: half(start + length),
+                jobs: jobs.into_iter().map(build_job).collect(),
+            },
+        )
+        .collect()
+}
+
+/// One event of the export as the retired algorithm built it: owned
+/// name, an `args` vector of owned values.
+#[derive(Debug, PartialEq)]
+struct OracleEvent {
+    name: String,
+    cat: &'static str,
+    ph: char,
+    ts: i64,
+    dur: i64,
+    pid: usize,
+    tid: usize,
+    args: Vec<(&'static str, String)>,
+}
+
+/// The retired export, kept as the oracle: build every event of the
+/// run, one global stable sort of the complete events by `(pid, tid,
+/// ts, longest first)`, metadata ahead of them.
+fn oracle_events(traces: &[trace::WorkflowTrace]) -> Vec<OracleEvent> {
+    let us = |seconds: f64| (seconds * 1e6).round() as i64;
+    let ev = |name: String, cat, ph, (start, end): (f64, f64), pid, tid, args| OracleEvent {
+        name,
+        cat,
+        ph,
+        ts: us(start),
+        dur: us(end) - us(start),
+        pid,
+        tid,
+        args,
+    };
+    let (mut meta, mut spans) = (Vec::new(), Vec::new());
+    for (idx, t) in traces.iter().enumerate() {
+        let pid = idx + 1;
+        let named = |name: &str, tid, label: String| {
+            let args = vec![("name", label)];
+            ev(name.into(), "__metadata", 'M', (0.0, 0.0), pid, tid, args)
+        };
+        meta.push(named("process_name", 0, format!("{} @ {}", t.name, t.site)));
+        meta.push(named("thread_name", 0, "workflow".into()));
+        let mut args = vec![("site", t.site.clone())];
+        args.extend(t.trace.map(|id| ("trace", id.to_string())));
+        args.push(("succeeded", t.succeeded.to_string()));
+        spans.push(ev(
+            t.name.clone(),
+            "workflow",
+            'X',
+            (t.start, t.end),
+            pid,
+            0,
+            args,
+        ));
+        for j in &t.jobs {
+            let tid = j.job.idx() + 1;
+            meta.push(named("thread_name", tid, j.name.to_string()));
+            for (i, a) in j.attempts.iter().enumerate() {
+                let t = &a.times;
+                if i > 0 && t.submitted > j.attempts[i - 1].times.finished {
+                    let gap = (j.attempts[i - 1].times.finished, t.submitted);
+                    spans.push(ev("backoff".into(), "overhead", 'X', gap, pid, tid, vec![]));
+                }
+                let (cat, outcome) = match &a.outcome {
+                    AttemptOutcome::Completed => ("attempt", "completed".to_string()),
+                    AttemptOutcome::Failed(detail) => ("badput", format!("failed({detail})")),
+                    AttemptOutcome::TimedOut(detail) => ("badput", format!("timed-out({detail})")),
+                };
+                let (name, whole) = (format!("attempt {}", a.attempt), (t.submitted, t.finished));
+                spans.push(ev(
+                    name,
+                    cat,
+                    'X',
+                    whole,
+                    pid,
+                    tid,
+                    vec![("outcome", outcome)],
+                ));
+                let mut phases = vec![("queue-wait", (t.submitted, t.started))];
+                if t.install_done > t.started {
+                    phases.push(("install", (t.started, t.install_done)));
+                }
+                phases.push(("kickstart", (t.install_done, t.finished)));
+                for (label, span) in phases {
+                    spans.push(ev(label.into(), "phase", 'X', span, pid, tid, vec![]));
+                }
+            }
+        }
+    }
+    spans.sort_by_key(|e| (e.pid, e.tid, e.ts, std::cmp::Reverse(e.dur)));
+    meta.extend(spans);
+    meta
+}
+
+fn oracle_render(events: &[OracleEvent]) -> String {
+    let escape = |s: &str| -> String {
+        s.chars()
+            .map(|c| match c {
+                '"' => "\\\"".to_string(),
+                '\\' => "\\\\".to_string(),
+                '\n' => "\\n".to_string(),
+                '\r' => "\\r".to_string(),
+                '\t' => "\\t".to_string(),
+                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32),
+                c => c.to_string(),
+            })
+            .collect()
+    };
+    let lines: Vec<String> = events
+        .iter()
+        .map(|e| {
+            let mut line = format!(
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{}",
+                escape(&e.name),
+                e.cat,
+                e.ph,
+                e.pid,
+                e.tid
+            );
+            if e.ph == 'X' {
+                line += &format!(",\"ts\":{},\"dur\":{}", e.ts, e.dur);
+            }
+            if !e.args.is_empty() {
+                let args: Vec<String> = e
+                    .args
+                    .iter()
+                    .map(|(k, v)| format!("\"{k}\":\"{}\"", escape(v)))
+                    .collect();
+                line += &format!(",\"args\":{{{}}}", args.join(","));
+            }
+            line + "}"
+        })
+        .collect();
+    let newline = if lines.is_empty() { "" } else { "\n" };
+    format!("{{\"traceEvents\":[\n{}{newline}]}}\n", lines.join(",\n"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The streamed, track-at-a-time Chrome export is the retired
+    /// build-everything-then-sort export, byte for byte and event for
+    /// event, whatever the tree looks like: several traces, job ids
+    /// repeated and out of order, zero-length phases and attempts,
+    /// equal timestamps on one track, names that need escaping.
+    #[test]
+    fn chrome_export_equals_the_global_sort_oracle(specs in trace_specs()) {
+        let traces = build_traces(specs);
+        let oracle = oracle_events(&traces);
+        let streamed: Vec<OracleEvent> = trace::chrome_events(&traces)
+            .iter()
+            .map(|e| OracleEvent {
+                name: e.name.to_string(),
+                cat: e.cat,
+                ph: e.ph,
+                ts: e.ts,
+                dur: e.dur,
+                pid: e.pid,
+                tid: e.tid,
+                args: e.args.iter().flatten().map(|(k, v)| (*k, v.to_string())).collect(),
+            })
+            .collect();
+        prop_assert_eq!(&streamed, &oracle);
+        prop_assert_eq!(trace::render_chrome(&traces), oracle_render(&oracle));
     }
 }

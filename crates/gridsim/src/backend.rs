@@ -699,7 +699,7 @@ mod tests {
         let rec = &run.records[0];
         // With mean 150 vs duration 100 some attempts fail for seed 7
         // ... but even if none did, the record is consistent:
-        assert_eq!(rec.failed_attempts.len() as u64, be.preemptions());
+        assert_eq!(rec.failures.len() as u64, be.preemptions());
         let t = rec.times.unwrap();
         assert_eq!(t.kickstart(), 100.0, "successful attempt runs fully");
     }
@@ -861,10 +861,7 @@ mod tests {
         );
         let (downs, ups) = be.churn_events();
         assert!(downs >= 1 && ups >= 1);
-        assert_eq!(
-            run.records[0].failed_attempts.len() as u64,
-            be.preemptions()
-        );
+        assert_eq!(run.records[0].failures.len() as u64, be.preemptions());
         // The successful attempt ran to completion.
         assert_eq!(run.records[0].times.unwrap().kickstart(), 200.0);
     }
@@ -925,9 +922,9 @@ mod tests {
             "the surviving attempt must start after the storm"
         );
         let rec = &run.records[0];
-        assert!(!rec.failure_reasons.is_empty());
-        assert!(rec.failure_reasons.iter().all(|r| r == "preempted:storm"));
-        assert_eq!(run.faults.preemptions as usize, rec.failure_reasons.len());
+        assert!(!rec.failures.is_empty());
+        assert!(rec.failures.iter().all(|f| f.detail == "preempted:storm"));
+        assert_eq!(run.faults.preemptions as usize, rec.failures.len());
     }
 
     #[test]
@@ -955,7 +952,7 @@ mod tests {
         assert_eq!(runs[0].wall_time, runs[1].wall_time);
         for (a, b) in runs[0].records.iter().zip(&runs[1].records) {
             assert_eq!(a.times, b.times);
-            assert_eq!(a.failure_reasons, b.failure_reasons);
+            assert_eq!(a.failures, b.failures);
         }
         assert_eq!(runs[0].faults, runs[1].faults);
         // The typed provenance stream is part of the deterministic
@@ -983,7 +980,8 @@ mod tests {
         assert!(run.succeeded());
         assert_eq!(run.faults.evictions, 2);
         for rec in &run.records {
-            assert_eq!(rec.failure_reasons, vec!["evicted:blackout".to_string()]);
+            assert_eq!(rec.failures.len(), 1);
+            assert_eq!(rec.failures[0].detail, "evicted:blackout");
             // Retried attempts could only start once the blackout lifted.
             assert!(rec.times.unwrap().finished >= 120.0 + 50.0);
         }
@@ -1006,8 +1004,8 @@ mod tests {
         let run = run_workflow(&wf, &mut be, &cfg);
         assert!(run.succeeded());
         let rec = &run.records[0];
-        assert_eq!(rec.failure_reasons.len(), 1);
-        assert!(rec.failure_reasons[0].starts_with("timeout"));
+        assert_eq!(rec.failures.len(), 1);
+        assert!(rec.failures[0].detail.starts_with("timeout"));
         assert_eq!(run.faults.timeouts, 1);
         // killed at 80, retried, ran clean for 50.
         assert_eq!(run.wall_time, 130.0);
@@ -1046,7 +1044,7 @@ mod tests {
         assert!(run.succeeded());
         let rec = &run.records[0];
         assert_eq!(run.faults.install_failures, 1);
-        let failed_at = rec.failed_attempts[0].finished;
+        let failed_at = rec.failures[0].times.finished;
         let resubmitted = rec.times.unwrap().submitted;
         assert_eq!(resubmitted, failed_at + 40.0);
         assert_eq!(run.faults.backoff_wait, 40.0);

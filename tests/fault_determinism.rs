@@ -8,7 +8,9 @@ use blast2cap3_pegasus::chaos::fault_injector_for;
 use blast2cap3_pegasus::experiment::simulate_blast2cap3_with;
 use condor::pool::{LocalPool, PoolConfig, TaskRegistry};
 use gridsim::{AttemptTiming, FaultPlan, FaultScript};
-use pegasus_wms::engine::{Engine, EngineConfig, JobState, NoopMonitor, RetryPolicy, WorkflowRun};
+use pegasus_wms::engine::{
+    Engine, EngineConfig, JobRecord, JobState, NoopMonitor, RetryPolicy, WorkflowRun,
+};
 use pegasus_wms::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
 use pegasus_wms::statistics::{render_csv, render_summary_csv};
 
@@ -62,7 +64,7 @@ fn same_seed_chaos_sim_runs_emit_byte_identical_csv() {
         assert_eq!(ra.name, rb.name);
         assert_eq!(ra.attempts, rb.attempts);
         assert_eq!(ra.times, rb.times);
-        assert_eq!(ra.failure_reasons, rb.failure_reasons);
+        assert_eq!(ra.failures, rb.failures);
     }
 }
 
@@ -208,7 +210,11 @@ fn local_pool_replays_the_same_fault_decisions() {
         assert_eq!(ra.name, rb.name);
         assert_eq!(ra.state, rb.state, "{}", ra.name);
         assert_eq!(ra.attempts, rb.attempts, "{}", ra.name);
-        assert_eq!(ra.failure_reasons, rb.failure_reasons, "{}", ra.name);
+        // Real threads: the wall-clock times differ, the reasons do not.
+        let details = |r: &JobRecord| -> Vec<String> {
+            r.failures.iter().map(|f| f.detail.to_string()).collect()
+        };
+        assert_eq!(details(ra), details(rb), "{}", ra.name);
 
         let first_clean = (0..9u32).find(|&k| script.decide(&ra.name, k, &timing).kill.is_none());
         match first_clean {
@@ -221,8 +227,8 @@ fn local_pool_replays_the_same_fault_decisions() {
                 assert_eq!(ra.attempts, 9, "{}", ra.name);
             }
         }
-        for reason in &ra.failure_reasons {
-            assert_eq!(reason, "install:burst");
+        for failure in &ra.failures {
+            assert_eq!(failure.detail, "install:burst");
         }
     }
 }

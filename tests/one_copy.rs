@@ -5,14 +5,16 @@
 //! per-job and per-event structures from growing back.
 
 use blast2cap3::workflow::{build_workflow, fig2_job_count, WorkflowParams};
+use condor::joblog::{EventCode, JobLogMonitor, LogEvent};
 use gridsim::platforms::{osg, sandhills};
 use gridsim::{FaultPlan, FaultScript, SimBackend};
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
 use pegasus_wms::dax;
-use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, RetryPolicy};
+use pegasus_wms::engine::{Engine, EngineConfig, JobRecord, NoopMonitor, RetryPolicy, WorkflowRun};
 use pegasus_wms::events::{self, WorkflowEvent};
 use pegasus_wms::planner::{plan, ExecutableJob, ExecutableWorkflow, JobKind, PlannerConfig};
 use pegasus_wms::symbols::{Args, Name};
+use pegasus_wms::trace::{self, AttemptSpan};
 
 fn planned_from_dax(
     n: usize,
@@ -26,6 +28,21 @@ fn planned_from_dax(
     rc.register("alignments.out", "submit");
     let exec = plan(&wf, &sites, &tc, &rc, &PlannerConfig::for_site(site)).expect("plans");
     (wf, exec)
+}
+
+/// Fig. 2 at `n` chunks on OSG under a storm that kills every second
+/// attempt, with retries enough to finish.
+fn osg_storm_run(n: usize, seed: u64) -> (ExecutableWorkflow, WorkflowRun) {
+    let (_, exec) = planned_from_dax(n, "osg");
+    let storm = "plan storm\npreemption-storm start=0 duration=1000000 kill-probability=0.5\n";
+    let script = FaultScript::new(FaultPlan::parse(storm).expect("storm plan"), seed);
+    let mut backend = SimBackend::new(osg(seed), seed).with_faults(script);
+    let cfg = EngineConfig::builder()
+        .policy(RetryPolicy::exponential(40, 30.0))
+        .seed(seed)
+        .build();
+    let run = Engine::run(&mut backend, &exec, &cfg, &mut NoopMonitor);
+    (exec, run)
 }
 
 #[test]
@@ -99,15 +116,7 @@ fn a_job_name_is_one_allocation_from_parse_to_replayed_record() {
 
 #[test]
 fn a_failure_reason_is_one_allocation_in_its_event_its_retry_and_its_record() {
-    let (_, exec) = planned_from_dax(12, "osg");
-    let storm = "plan storm\npreemption-storm start=0 duration=1000000 kill-probability=0.5\n";
-    let script = FaultScript::new(FaultPlan::parse(storm).expect("storm plan"), 3);
-    let mut backend = SimBackend::new(osg(3), 3).with_faults(script);
-    let cfg = EngineConfig::builder()
-        .policy(RetryPolicy::exponential(40, 30.0))
-        .seed(3)
-        .build();
-    let run = Engine::run(&mut backend, &exec, &cfg, &mut NoopMonitor);
+    let (_, run) = osg_storm_run(12, 3);
     let replayed = events::replay(&run.events).expect("engine streams replay");
 
     let mut failures = 0;
@@ -120,7 +129,7 @@ fn a_failure_reason_is_one_allocation_in_its_event_its_retry_and_its_record() {
         let nth = seen[job.idx()];
         seen[job.idx()] += 1;
         for records in [&run.records, &replayed.records] {
-            let kept = &records[job.idx()].failure_reasons[nth];
+            let kept = &records[job.idx()].failures[nth].detail;
             assert!(Name::ptr_eq(kept, detail), "record copies {detail}");
         }
         if let Some(WorkflowEvent::RetryScheduled {
@@ -147,8 +156,54 @@ fn a_failure_reason_is_one_allocation_in_its_event_its_retry_and_its_record() {
 #[test]
 fn per_job_and_per_event_structures_stay_small() {
     assert!(std::mem::size_of::<ExecutableJob>() <= 80);
-    assert!(std::mem::size_of::<WorkflowEvent>() <= 72);
+    assert!(std::mem::size_of::<WorkflowEvent>() == 64);
     assert!(std::mem::size_of::<Name>() == 16 && std::mem::size_of::<Args>() == 16);
+    // What the offline folds hold per job, per attempt and per log line.
+    assert!(std::mem::size_of::<JobRecord>() <= 120);
+    assert!(std::mem::size_of::<AttemptSpan>() <= 64);
+    assert!(std::mem::size_of::<LogEvent>() <= 48);
+}
+
+#[test]
+fn the_offline_folds_are_exactly_sized_and_share_their_notes() {
+    let (exec, run) = osg_storm_run(300, 5);
+    assert!(run.total_retries() > 100, "the storm must bite");
+
+    let tree = trace::fold(&run.events, None).expect("engine streams fold");
+    let (mut attempts, mut installs) = (0, 0);
+    for job in &tree.jobs {
+        assert_eq!(job.attempts.capacity(), job.attempts.len(), "{}", job.name);
+        for a in &job.attempts {
+            let (t, phases) = (a.times, a.phases().collect::<Vec<_>>());
+            let labels: Vec<&str> = phases.iter().map(|p| p.label).collect();
+            if t.install_done > t.started {
+                assert_eq!(labels, ["queue-wait", "install", "kickstart"]);
+                installs += 1;
+            } else {
+                assert_eq!(labels, ["queue-wait", "kickstart"]);
+            }
+            assert_eq!(phases[0].start, t.submitted);
+            assert_eq!(phases[labels.len() - 1].end, t.finished);
+            assert_eq!(phases[labels.len() - 1].start, t.install_done);
+            assert!(phases.windows(2).all(|w| w[0].end == w[1].start));
+            attempts += 1;
+        }
+    }
+    assert_eq!(attempts, exec.jobs.len() + run.total_retries() as usize);
+    assert!(installs > 0 && installs < attempts);
+
+    let log = JobLogMonitor::from_events(&exec.jobs, &run.events);
+    let mut submits = log.events.iter().filter(|e| e.code == EventCode::Submit);
+    let first = submits.next().expect("jobs were submitted");
+    assert!(submits.all(|e| Name::ptr_eq(&e.note, &first.note)));
+    let mut notes: Vec<&Name> = log.events.iter().map(|e| &e.note).collect();
+    notes.sort();
+    notes.dedup_by(|a, b| Name::ptr_eq(a, b));
+    assert!(
+        notes.len() <= 8,
+        "{} distinct note allocations",
+        notes.len()
+    );
 }
 
 #[test]

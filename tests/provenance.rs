@@ -71,7 +71,7 @@ fn every_consumer_is_a_fold_of_one_event_stream() {
         count(|e| matches!(e, WorkflowEvent::Submitted { .. })) as u32,
         submissions
     );
-    let failed_attempts: usize = run.records.iter().map(|r| r.failed_attempts.len()).sum();
+    let failed_attempts: usize = run.records.iter().map(|r| r.failures.len()).sum();
     assert_eq!(
         count(|e| matches!(
             e,
