@@ -23,9 +23,10 @@
 //! says OSG lacks the software; `pegasus_wms::planner::plan` attaches
 //! the install phases).
 
-use pegasus_wms::symbols::Name;
-use pegasus_wms::workflow::{AbstractWorkflow, Job, LogicalFile};
-use std::fmt::Write as _;
+use pegasus_wms::error::WmsError;
+use pegasus_wms::line::push_u64;
+use pegasus_wms::symbols::{Args, Name};
+use pegasus_wms::workflow::{AbstractWorkflow, Declare};
 
 /// Parameters for workflow construction.
 #[derive(Debug, Clone)]
@@ -87,111 +88,91 @@ pub fn fig2_job_count(n: usize) -> usize {
     n + 5
 }
 
-/// Builds the Fig. 2 abstract workflow.
+/// Builds the Fig. 2 abstract workflow; an `n_clusters` of 0 is built
+/// as 1 (callers that take `n` from a user refuse 0 themselves).
 pub fn build_workflow(params: &WorkflowParams) -> AbstractWorkflow {
     let n = params.n_clusters.max(1);
     let mut wf = AbstractWorkflow::new(format!("blast2cap3_n{n}"));
-    // Jobs are collected and added as one batch: `add_jobs` checks the
-    // whole batch against a single hash set, so building at n = 10^6
-    // stays linear where per-job `add_job` scans would be quadratic.
-    let mut batch = Vec::with_capacity(fig2_job_count(n));
+    wf.reserve(fig2_job_count(n), 7 * n + 11, 3 * n + 7);
+    declare_fig2(&mut wf.declare(), n, params).expect("Fig. 2's job ids are distinct");
+    debug_assert!(wf.validate().is_ok());
+    wf
+}
 
-    batch.push(
-        Job::new("list_transcripts", "list_transcripts")
-            .arg("transcripts.fasta")
-            .input(LogicalFile::sized(
-                "transcripts.fasta",
-                params.transcripts_bytes,
-            ))
-            .output(LogicalFile::sized(
-                "transcripts_dict.txt",
-                params.transcripts_bytes,
-            ))
-            .runtime(120.0),
-    );
-
-    batch.push(
-        Job::new("list_alignments", "list_alignments")
-            .arg("alignments.out")
-            .input(LogicalFile::sized(
-                "alignments.out",
-                params.alignments_bytes,
-            ))
-            .output(LogicalFile::sized(
-                "alignments_list.txt",
-                params.alignments_bytes,
-            ))
-            .runtime(90.0),
-    );
-
-    // A generator is where names are allocated: each is made once —
-    // formatted into a reused buffer, so without a throw-away
-    // `String` — and its producer and consumers share the handle.
-    let mut text = String::new();
-    let mut name = |args: std::fmt::Arguments<'_>| {
-        text.clear();
-        text.write_fmt(args).expect("writing to a String");
-        Name::from(text.as_str())
+/// A generator is where names are made, each of them once: a job's id
+/// and argument as the handles every later layer shares, a file's name
+/// as text the file table copies where the file is first used. Every
+/// later use of the file is the id that first use gave it.
+fn declare_fig2(rows: &mut Declare<'_>, n: usize, params: &WorkflowParams) -> Result<(), WmsError> {
+    let (transcripts, alignments) = (params.transcripts_bytes, params.alignments_bytes);
+    let arg = |a: &str| Args::from([Name::from(a)]);
+    let count = Args::from([Name::from("-n"), Name::from(n.to_string())]);
+    let numbered = |text: &mut String, stem: &str, i: usize, extension: &str| {
+        text.push_str(stem);
+        push_u64(text, i as u64);
+        text.push_str(extension);
     };
-    let (dash_n, count) = (Name::from("-n"), name(format_args!("{n}")));
-    let run_cap3 = Name::from("run_cap3");
-    let dict = LogicalFile::sized("transcripts_dict.txt", params.transcripts_bytes);
 
-    let mut split = Job::new("split", "split")
-        .arg(dash_n.clone())
-        .arg(count.clone())
-        .input(LogicalFile::sized(
-            "alignments_list.txt",
-            params.alignments_bytes,
-        ))
-        .runtime(60.0);
-    let mut merge = Job::new("merge", "merge")
-        .arg(dash_n)
-        .arg(count)
-        .output(LogicalFile::named("joined_all.fasta"))
-        .output(LogicalFile::named("joined_ids_all.txt"))
-        .runtime(30.0);
-    split.outputs.reserve(n);
-    merge.inputs.reserve(2 * n);
-    let mut chunks = Vec::with_capacity(n);
-    for i in 0..n {
+    let list = rows.job(
+        "list_transcripts",
+        "list_transcripts",
+        arg("transcripts.fasta"),
+        120.0,
+        [("transcripts.fasta", transcripts)],
+        [("transcripts_dict.txt", transcripts)],
+    )?;
+    let dict = (rows.outputs(list).ids()[0], transcripts);
+    rows.job(
+        "list_alignments",
+        "list_alignments",
+        arg("alignments.out"),
+        90.0,
+        [("alignments.out", alignments)],
+        [("alignments_list.txt", alignments)],
+    )?;
+
+    // The names of one side must be alive together: a line each.
+    let mut text = String::with_capacity("protein_.txt\n".len() * n);
+    (0..n).for_each(|i| numbered(&mut text, "protein_", i, ".txt\n"));
+    let list = [("alignments_list.txt", alignments)];
+    let proteins = text.lines().map(|protein| (protein, 0));
+    let split = rows.job("split", "split", count.clone(), 60.0, list, proteins)?;
+    let proteins = rows.outputs(split).ids().to_vec();
+
+    let run_cap3 = Name::from("run_cap3");
+    let mut id = String::from("run_cap3_");
+    let mut joined = Vec::with_capacity(2 * n);
+    for (i, protein) in proteins.into_iter().enumerate() {
         let cost = params
             .chunk_costs
             .get(i)
             .copied()
             .unwrap_or(params.default_chunk_seconds);
-        let protein = LogicalFile::named(name(format_args!("protein_{i}.txt")));
-        let joined = LogicalFile::named(name(format_args!("joined_{i}.fasta")));
-        let joined_ids = LogicalFile::named(name(format_args!("joined_ids_{i}.txt")));
-        split = split.output(protein.clone());
-        merge = merge.input(joined.clone()).input(joined_ids.clone());
-        chunks.push(
-            Job::new(name(format_args!("run_cap3_{i}")), run_cap3.clone())
-                .arg(name(format_args!("{i}")))
-                .input(dict.clone())
-                .input(protein)
-                .output(joined)
-                .output(joined_ids)
-                .runtime(cost),
-        );
+        id.truncate("run_cap3_".len());
+        push_u64(&mut id, i as u64);
+        let index = arg(&id["run_cap3_".len()..]);
+        text.clear();
+        numbered(&mut text, "joined_", i, ".fasta\n");
+        numbered(&mut text, "joined_ids_", i, ".txt");
+        let (inputs, outputs) = ([dict, (protein, 0)], text.lines().map(|file| (file, 0)));
+        let chunk = rows.job(id.as_str(), run_cap3.clone(), index, cost, inputs, outputs)?;
+        joined.extend_from_slice(rows.outputs(chunk).ids());
     }
-    batch.push(split);
-    batch.append(&mut chunks);
-    batch.push(merge);
-
-    batch.push(
-        Job::new("extract_unjoined", "extract_unjoined")
-            .input(dict)
-            .input(LogicalFile::named("joined_all.fasta"))
-            .input(LogicalFile::named("joined_ids_all.txt"))
-            .output(LogicalFile::named("final.fasta"))
-            .runtime(45.0),
-    );
-
-    wf.add_jobs(batch).expect("fresh workflow");
-
-    debug_assert!(wf.validate().is_ok());
-    wf
+    let joined = joined.into_iter().map(|file| (file, 0));
+    let merged = [("joined_all.fasta", 0), ("joined_ids_all.txt", 0)];
+    let merge = rows.job("merge", "merge", count, 30.0, joined, merged)?;
+    let merged = rows.outputs(merge).ids();
+    let inputs = [dict, (merged[0], 0), (merged[1], 0)];
+    let outputs = [("final.fasta", 0)];
+    rows.job(
+        "extract_unjoined",
+        "extract_unjoined",
+        Args::new(),
+        45.0,
+        inputs,
+        outputs,
+    )?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -674,7 +674,9 @@ impl WorkflowExecution {
             emitted: 0,
         };
         exec.run.records.reserve(n);
-        exec.run.events.reserve(n + 2);
+        // Header and trailer, and per job its declaration and the three
+        // events of an attempt; installs and retries grow it from there.
+        exec.run.events.reserve(4 * n + 2);
 
         // Stream header + manifest: the replayed run must know every
         // job, including ones that never become ready.

@@ -25,9 +25,11 @@
 //!   --from-events`.
 //!
 //! Timestamps are backend seconds (simulated or real), exactly as the
-//! engine observed them; free-text fields (workflow and job names,
-//! failure details) must not contain newlines, and all other field
-//! values must be whitespace-free for the text format to round-trip.
+//! engine observed them. Free-text fields (workflow and job names,
+//! failure details) end their line and lose only a line break, which
+//! is written as a space; the two names that sit mid-line, a site and
+//! a transformation, are written as [`crate::line`] tokens and read
+//! back whatever they hold.
 
 use crate::engine::{
     FailedAttempt, FaultReason, JobRecord, JobState, JobTimes, WorkflowOutcome, WorkflowRun,
@@ -606,12 +608,11 @@ pub mod log {
     use super::WorkflowEvent;
     use crate::engine::{FaultReason, JobTimes};
     use crate::error::WmsError;
-    use crate::line::{self, Field, Fields, Line, Value};
+    use crate::line::{self, Field, Fields, Line, Value, Writer};
     use crate::planner::JobKind;
     use crate::symbols::{Name, NamePool};
     use crate::workflow::JobId;
     use std::borrow::Cow;
-    use std::fmt::Write as _;
 
     /// The version-stamped comment heading every written log.
     pub const HEADER: &str = "# pegasus event log v1";
@@ -619,13 +620,7 @@ pub mod log {
     /// Serializes an event stream to the text format, one line per
     /// event under a version-comment header.
     pub fn write(events: &[WorkflowEvent]) -> String {
-        let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        for ev in events {
-            write_event(&mut out, ev);
-        }
-        out
+        append_to(format!("{HEADER}\n"), events)
     }
 
     /// Renders events as log lines *without* the header — the
@@ -634,132 +629,114 @@ pub mod log {
     /// followed by `append` chunks concatenates to exactly
     /// [`write()`] of the full stream.
     pub fn append(events: &[WorkflowEvent]) -> String {
-        let mut out = String::new();
-        for ev in events {
-            write_event(&mut out, ev);
-        }
+        append_to(String::new(), events)
+    }
+
+    /// One [`Writer`], so one float memo, serves a whole call. A line
+    /// of a fault-free log comes to 72 bytes, rounded up.
+    fn append_to(mut out: String, events: &[WorkflowEvent]) -> String {
+        out.reserve(72 * events.len());
+        let w = &mut Writer::new(&mut out);
+        events.iter().for_each(|ev| write_event(w, ev));
         out
     }
 
-    fn clean(text: &str) -> Cow<'_, str> {
-        // Newlines are the one thing the line format cannot carry.
-        if text.contains(['\n', '\r']) {
-            Cow::Owned(text.replace(['\n', '\r'], " "))
-        } else {
-            Cow::Borrowed(text)
-        }
+    type Out<'w, 'o> = &'w mut Writer<'o>;
+
+    fn put_job<'w, 'o>(w: Out<'w, 'o>, key: &str, job: JobId) -> Out<'w, 'o> {
+        w.u64(key, job.as_u32().into())
     }
 
-    fn write_event(out: &mut String, ev: &WorkflowEvent) {
+    fn put_attempt<'w, 'o>(w: Out<'w, 'o>, job: JobId, attempt: u32) -> Out<'w, 'o> {
+        put_job(w, "job", job).u64("attempt", attempt.into())
+    }
+
+    fn put_times<'w, 'o>(w: Out<'w, 'o>, t: &JobTimes) -> Out<'w, 'o> {
+        w.f64("submitted", t.submitted)
+            .f64("started", t.started)
+            .f64("install-done", t.install_done)
+            .f64("finished", t.finished)
+    }
+
+    fn write_event(w: &mut Writer<'_>, ev: &WorkflowEvent) {
+        use WorkflowEvent as E;
         match ev {
-            WorkflowEvent::WorkflowStarted {
+            E::WorkflowStarted {
                 name,
                 site,
                 jobs,
                 time,
-            } => {
-                writeln!(
-                    out,
-                    "workflow-started time={time} jobs={jobs} site={site} name={}",
-                    clean(name)
-                )
-            }
-            WorkflowEvent::JobDeclared {
+            } => w
+                .kw("workflow-started")
+                .f64("time", *time)
+                .u64("jobs", *jobs as u64)
+                .token("site", site)
+                .tail("name", name),
+            E::JobDeclared {
                 job,
                 name,
                 transformation,
                 kind,
-            } => writeln!(
-                out,
-                "job id={job} kind={kind} transformation={transformation} name={}",
-                clean(name)
-            ),
-            WorkflowEvent::Skipped { job, time } => {
-                writeln!(out, "skipped time={time} job={job}")
+            } => put_job(w.kw("job"), "id", *job)
+                .word("kind", kind.as_str())
+                .token("transformation", transformation)
+                .tail("name", name),
+            E::Skipped { job, time } => put_job(w.kw("skipped").f64("time", *time), "job", *job),
+            E::Submitted { job, attempt, time }
+            | E::InstallStarted { job, attempt, time }
+            | E::Started { job, attempt, time } => {
+                let keyword = match ev {
+                    E::Submitted { .. } => "submitted",
+                    E::InstallStarted { .. } => "install-started",
+                    _ => "started",
+                };
+                put_attempt(w.kw(keyword).f64("time", *time), *job, *attempt)
             }
-            WorkflowEvent::Submitted { job, attempt, time } => {
-                writeln!(out, "submitted time={time} job={job} attempt={attempt}")
-            }
-            WorkflowEvent::InstallStarted { job, attempt, time } => {
-                writeln!(
-                    out,
-                    "install-started time={time} job={job} attempt={attempt}"
-                )
-            }
-            WorkflowEvent::Started { job, attempt, time } => {
-                writeln!(out, "started time={time} job={job} attempt={attempt}")
-            }
-            WorkflowEvent::Completed {
+            E::Completed {
                 job,
                 attempt,
                 times,
-            } => writeln!(
-                out,
-                "completed job={job} attempt={attempt} {}",
-                TimesFields(times)
-            ),
-            WorkflowEvent::Failed {
+            } => put_times(put_attempt(w.kw("completed"), *job, *attempt), times),
+            E::Failed {
                 job,
                 attempt,
                 reason,
                 detail,
                 times,
-            } => writeln!(
-                out,
-                "failed job={job} attempt={attempt} reason={} {} detail={}",
-                reason.prefix(),
-                TimesFields(times),
-                clean(detail)
-            ),
-            WorkflowEvent::TimedOut {
+            } => {
+                let w = put_attempt(w.kw("failed"), *job, *attempt).word("reason", reason.prefix());
+                put_times(w, times).tail("detail", detail)
+            }
+            E::TimedOut {
                 job,
                 attempt,
                 detail,
                 times,
-            } => writeln!(
-                out,
-                "timed-out job={job} attempt={attempt} {} detail={}",
-                TimesFields(times),
-                clean(detail)
-            ),
-            WorkflowEvent::RetryScheduled {
+            } => put_times(put_attempt(w.kw("timed-out"), *job, *attempt), times)
+                .tail("detail", detail),
+            E::RetryScheduled {
                 job,
                 next_attempt,
                 backoff,
                 reason,
                 detail,
                 time,
-            } => writeln!(
-                out,
-                "retry-scheduled time={time} job={job} next-attempt={next_attempt} \
-                 backoff={backoff} reason={} detail={}",
-                reason.prefix(),
-                clean(detail)
-            ),
-            WorkflowEvent::WorkflowFinished {
+            } => put_job(w.kw("retry-scheduled").f64("time", *time), "job", *job)
+                .u64("next-attempt", (*next_attempt).into())
+                .f64("backoff", *backoff)
+                .word("reason", reason.prefix())
+                .tail("detail", detail),
+            E::WorkflowFinished {
                 succeeded,
                 wall_time,
                 time,
-            } => writeln!(
-                out,
-                "workflow-finished time={time} wall-time={wall_time} succeeded={succeeded}"
-            ),
+            } => w
+                .kw("workflow-finished")
+                .f64("time", *time)
+                .f64("wall-time", *wall_time)
+                .word("succeeded", if *succeeded { "true" } else { "false" }),
         }
-        .expect("writing to a String cannot fail");
-    }
-
-    /// The four timestamps of a terminal event, as its log fields.
-    struct TimesFields<'a>(&'a JobTimes);
-
-    impl std::fmt::Display for TimesFields<'_> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            let t = self.0;
-            write!(
-                f,
-                "submitted={} started={} install-done={} finished={}",
-                t.submitted, t.started, t.install_done, t.finished
-            )
-        }
+        .end();
     }
 
     fn parse_err(line: usize, reason: String) -> WmsError {
@@ -825,7 +802,14 @@ pub mod log {
     /// or repeated fields.
     pub fn parse(text: &str) -> Result<Vec<WorkflowEvent>, WmsError> {
         let mut events = Vec::new();
-        parse_each(text, |_, ev| events.push(ev))?;
+        parse_each(text, |_, ev| {
+            if let WorkflowEvent::WorkflowStarted { jobs, .. } = ev {
+                // A job that ran left four events or more. The header
+                // is believed only as far as the text is long.
+                events.reserve(jobs.saturating_mul(4).min(text.len() / 16));
+            }
+            events.push(ev);
+        })?;
         Ok(events)
     }
 
@@ -869,13 +853,13 @@ pub mod log {
             "workflow-started" => WorkflowEvent::WorkflowStarted {
                 time: f.get("time")?,
                 jobs: f.get("jobs")?,
-                site: Name::from(f.get::<&str>("site")?),
+                site: Name::from(&*f.get::<Cow<'_, str>>("site")?),
                 name: Name::from(f.get::<&str>("name")?),
             },
             "job" => WorkflowEvent::JobDeclared {
                 job: job(f, "id")?,
                 kind: f.get("kind")?,
-                transformation: pool.share(f.get("transformation")?),
+                transformation: pool.share(&f.get::<Cow<'_, str>>("transformation")?),
                 name: Name::from(f.get::<&str>("name")?),
             },
             "skipped" => WorkflowEvent::Skipped {

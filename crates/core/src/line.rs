@@ -2,26 +2,33 @@
 //! the event log, the serve protocol and journal, fault plans and
 //! `sites.def` (DESIGN.md "Line grammar").
 //!
-//! Two pieces and nothing else. [`lines`] numbers the lines of a text
-//! from one, skips blank and `#` lines, and splits each of the rest
-//! into its keyword and what follows it. [`Fields`] splits what
-//! follows into `key=value` tokens — plus, where the format has one,
-//! a free-text tail field that runs to the end of the line — hands
-//! them out by key or in order as typed values, and
-//! [`finish`](Fields::finish) refuses the first field nobody asked
-//! for. A reader takes one field of a name, so a repeated field is
-//! one nobody asked for.
+//! A reading half of two pieces, and a writing half of one. [`lines`]
+//! numbers the lines of a text from one, skips blank and `#` lines,
+//! and splits each of the rest into its keyword and what follows it.
+//! [`Fields`] splits what follows into `key=value` tokens — plus,
+//! where the format has one, a free-text tail field that runs to the
+//! end of the line — hands them out by key or in order as typed
+//! values, and [`finish`](Fields::finish) refuses the first field
+//! nobody asked for. A reader takes one field of a name, so a repeated
+//! field is one nobody asked for. [`Writer`] appends such lines to a
+//! `String`, field by field, and formats a number without
+//! `core::fmt`.
 //!
 //! Whitespace, wherever the grammar says it, is ASCII whitespace: it
 //! is what every writer emits, a byte scan finds it, and any other
-//! character — a no-break space in a job name, say — is data.
+//! character — a no-break space in a job name, say — is data. A name
+//! that is not the line's tail and may hold whitespace is written with
+//! [`Writer::token`] and read back as a `Cow<str>`: the one place that
+//! knows the escape.
 //!
 //! Errors are built by the calling format's own constructor
 //! ([`MakeError`]), so each format keeps its [`WmsError`] variant and
 //! its line numbers. What the keywords and keys *mean* stays in the
-//! format's module; writers are not this module's business.
+//! format's module.
 
 use crate::error::WmsError;
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// A format's error constructor: one-based line number and reason.
 pub type MakeError = fn(usize, String) -> WmsError;
@@ -123,6 +130,36 @@ impl Value<'_> for bool {
             "false" => Some(false),
             _ => None,
         }
+    }
+}
+
+/// What a token cannot hold raw — the grammar's separators and the
+/// escape character — and, under each, the letter that follows `\`.
+const ESCAPES: [&str; 2] = ["\\ \t\n\r\x0c", "\\stnrf"];
+
+/// `c`'s partner in the other row of [`ESCAPES`].
+fn escape(from: usize, c: char) -> Option<char> {
+    let at = ESCAPES[from].find(c)?;
+    Some(char::from(ESCAPES[1 - from].as_bytes()[at]))
+}
+
+/// A name written by [`Writer::token`]; borrows `raw` unless it holds
+/// an escape.
+impl<'a> Value<'a> for Cow<'a, str> {
+    const WHAT: &'static str = "token";
+    fn read(raw: &'a str) -> Option<Self> {
+        if !raw.contains('\\') {
+            return Some(Cow::Borrowed(raw));
+        }
+        let mut chars = raw.chars();
+        let mut out = String::with_capacity(raw.len());
+        while let Some(c) = chars.next() {
+            out.push(match c {
+                '\\' => escape(1, chars.next()?)?,
+                c => c,
+            });
+        }
+        Some(Cow::Owned(out))
     }
 }
 
@@ -310,6 +347,136 @@ impl<'b, 'a> Fields<'b, 'a> {
     }
 }
 
+/// Appends `v` in decimal, as `Display` writes it, without `core::fmt`.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] += (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// A float a [`Writer`] has written: its bits, its text and the
+/// text's length, zero in a free slot.
+type Memo = (u64, [u8; 23], u8);
+
+/// log2 of the number of floats a [`Writer`] remembers.
+const MEMO_BITS: u32 = 8;
+
+/// Appends `keyword key=value …` lines to a `String`:
+/// `w.kw("submitted").f64("time", t).u64("job", j).end()`.
+///
+/// An integer is written digit by digit. A float is written exactly
+/// as `Display` writes it — the shortest digits that read back to the
+/// same bits — but only the first time: a log repeats most of its
+/// timestamps (a `started time=` inside the `completed` that follows
+/// it, one `submitted time=` across a whole fan-out), so the writer
+/// keeps the text of the floats it wrote last in a small
+/// direct-mapped table of its own, and copies a repeat from there.
+pub struct Writer<'o> {
+    out: &'o mut String,
+    memo: [Memo; 1 << MEMO_BITS],
+}
+
+impl<'o> Writer<'o> {
+    /// A writer appending to `out`, remembering nothing yet.
+    pub fn new(out: &'o mut String) -> Self {
+        let memo = [(0, [0; 23], 0); 1 << MEMO_BITS];
+        Writer { out, memo }
+    }
+
+    /// Opens a line with its keyword.
+    pub fn kw(&mut self, keyword: &str) -> &mut Self {
+        self.out.push_str(keyword);
+        self
+    }
+
+    /// Closes the line.
+    pub fn end(&mut self) {
+        self.out.push('\n');
+    }
+
+    fn key(&mut self, key: &str) -> &mut Self {
+        self.out.push(' ');
+        self.out.push_str(key);
+        self.out.push('=');
+        self
+    }
+
+    /// An integer field.
+    pub fn u64(&mut self, key: &str, v: u64) -> &mut Self {
+        push_u64(self.key(key).out, v);
+        self
+    }
+
+    /// A float field.
+    pub fn f64(&mut self, key: &str, v: f64) -> &mut Self {
+        let bits = v.to_bits();
+        let slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize;
+        self.key(key);
+        let Writer { out, memo } = self;
+        let (known, text, len) = &mut memo[slot];
+        if *known == bits && *len != 0 {
+            let text = std::str::from_utf8(&text[..usize::from(*len)]);
+            out.push_str(text.expect("copied from a str"));
+            return self;
+        }
+        let start = out.len();
+        write!(out, "{v}").expect("writing to a String");
+        // `Display` uses no exponent: `f64::MAX` is 309 digits, which
+        // no slot has room for and which is written afresh each time.
+        let written = &out.as_bytes()[start..];
+        if let Some(room) = text.get_mut(..written.len()) {
+            room.copy_from_slice(written);
+            (*known, *len) = (bits, written.len() as u8);
+        }
+        self
+    }
+
+    /// A field whose value is one of the format's own words (`true`,
+    /// `compute`, `preempted`), written as it is.
+    pub fn word(&mut self, key: &str, value: &str) -> &mut Self {
+        self.key(key).out.push_str(value);
+        self
+    }
+
+    /// A name from outside, whatever it holds: `my tool` is written
+    /// `my\stool`, and [`Value`] for `Cow<str>` reads it back.
+    pub fn token(&mut self, key: &str, value: &str) -> &mut Self {
+        // The bytes of `ESCAPES[0]`, found without decoding a char.
+        if !value.bytes().any(|b| b == b'\\' || b.is_ascii_whitespace()) {
+            return self.word(key, value);
+        }
+        self.key(key);
+        for c in value.chars() {
+            match escape(0, c) {
+                Some(letter) => self.out.extend(['\\', letter]),
+                None => self.out.push(c),
+            }
+        }
+        self
+    }
+
+    /// The free-text field that ends a line: everything survives but a
+    /// line break, which becomes a space.
+    pub fn tail(&mut self, key: &str, value: &str) -> &mut Self {
+        self.key(key);
+        for (i, part) in value.split(['\n', '\r']).enumerate() {
+            if i > 0 {
+                self.out.push(' ');
+            }
+            self.out.push_str(part);
+        }
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,6 +641,48 @@ mod tests {
         assert_eq!(f.get::<u32>("time").unwrap(), 1);
         assert_eq!(f.get::<u32>("job").unwrap(), 2);
         assert_eq!(reason(f.finish().unwrap_err()), "repeated field job");
+    }
+
+    #[test]
+    fn the_writer_writes_what_the_reader_reads() {
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.kw("job")
+            .u64("id", 0)
+            .u64("big", u64::MAX)
+            .f64("time", 690.9675392546765)
+            .f64("zero", -0.0)
+            .word("kind", "compute")
+            .token("tool", "my tool\t\\x")
+            .token("plain", "run_cap3")
+            .token("empty", "")
+            .tail("name", "a b\r\nname=c")
+            .end();
+        w.kw("next").end();
+        let text = "job id=0 big=18446744073709551615 time=690.9675392546765 zero=-0 \
+                    kind=compute tool=my\\stool\\t\\\\x plain=run_cap3 empty= name=a b  name=c\nnext\n";
+        assert_eq!(out, text);
+        let mut buf = Vec::new();
+        let line = lines(&out).next().unwrap();
+        let mut f = Fields::split(line.rest, Some("name"), 7, err, &mut buf).unwrap();
+        assert_eq!(f.next::<u64>("id").unwrap(), 0);
+        assert_eq!(f.next::<u64>("big").unwrap(), u64::MAX);
+        assert_eq!(f.next::<f64>("time").unwrap(), 690.9675392546765);
+        assert!(f.next::<f64>("zero").unwrap().is_sign_negative());
+        assert_eq!(f.next::<&str>("kind").unwrap(), "compute");
+        assert_eq!(f.next::<Cow<'_, str>>("tool").unwrap(), "my tool\t\\x");
+        // A token with nothing to escape is borrowed from the line.
+        let plain = f.next::<Cow<'_, str>>("plain").unwrap();
+        assert!(matches!(plain, Cow::Borrowed("run_cap3")));
+        assert_eq!(f.next::<Cow<'_, str>>("empty").unwrap(), "");
+        assert_eq!(f.next::<&str>("name").unwrap(), "a b  name=c");
+        f.finish().unwrap();
+        // An escape the writer never writes is not a token.
+        for (field, bad) in [("tool=a\\qb", "a\\qb"), ("tool=ends\\", "ends\\")] {
+            let mut f = Fields::split(field, None, 7, err, &mut buf).unwrap();
+            let e = f.get::<Cow<'_, str>>("tool").unwrap_err();
+            assert_eq!(reason(e), format!("bad token {bad:?} for tool"));
+        }
     }
 
     #[test]

@@ -35,16 +35,22 @@ pub enum JobKind {
     Cleanup,
 }
 
-impl std::fmt::Display for JobKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl JobKind {
+    /// The kind's word in every text format.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
             JobKind::CreateDir => "create_dir",
             JobKind::StageIn => "stage_in",
             JobKind::Compute => "compute",
             JobKind::StageOut => "stage_out",
             JobKind::Cleanup => "cleanup",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for JobKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -433,7 +439,7 @@ fn plan_in_scope(
             format!("{prefix}{}", f.name),
             &transfer,
             kind,
-            Args::from(vec![Name::from(f.name)]),
+            Args::from([Name::from(f.name)]),
             transfer_seconds(f.size_bytes, site.bandwidth_bps),
         )
     };

@@ -215,6 +215,16 @@ impl From<Vec<Name>> for Args {
     }
 }
 
+impl<const N: usize> From<[Name; N]> for Args {
+    fn from(v: [Name; N]) -> Self {
+        if N == 0 {
+            Args(None)
+        } else {
+            Args(Some(Arc::from(v)))
+        }
+    }
+}
+
 impl From<&[Name]> for Args {
     fn from(v: &[Name]) -> Self {
         if v.is_empty() {
@@ -470,6 +480,16 @@ impl<S: Symbol> SymbolTable<S> {
         table
     }
 
+    /// Makes room for `n` more names, so interning them neither moves
+    /// `ends` nor re-places the index.
+    pub fn reserve(&mut self, n: usize) {
+        self.ends.reserve(n);
+        let names = self.ends.len() + n;
+        if names * 4 > self.slots.len() * 3 {
+            self.grow_slots(names);
+        }
+    }
+
     /// Interns `name`, returning its stable id. Repeated calls with
     /// the same name return the same id without allocating.
     pub fn intern(&mut self, name: &str) -> S {
@@ -664,6 +684,31 @@ mod tests {
             assert_eq!(t.find(name, tag), Some(raw as u32));
         }
         assert_eq!(t.len(), 5);
+    }
+
+    #[test]
+    fn reserved_room_is_not_regrown_and_changes_no_id() {
+        let mut t: SymbolTable<FileId> = SymbolTable::new();
+        assert_eq!(t.intern("dict").idx(), 0);
+        t.reserve(300);
+        let (slots, room) = (t.slots.len(), t.ends.capacity());
+        assert!(301 * 4 <= slots * 3 && room >= 301);
+        for i in 0..300 {
+            assert_eq!(t.intern(&format!("protein_{i}.txt")).idx(), i + 1);
+        }
+        assert_eq!((t.slots.len(), t.ends.capacity()), (slots, room));
+        assert_eq!(t.get("dict"), Some(FileId::new(0)));
+        t.reserve(0);
+        assert_eq!(t.slots.len(), slots);
+    }
+
+    #[test]
+    fn args_of_an_array_are_the_args_of_its_vec() {
+        let one = Args::from([Name::from("-n")]);
+        assert_eq!(one, Args::from(vec![Name::from("-n")]));
+        assert_eq!(one, vec!["-n"]);
+        let none: [Name; 0] = [];
+        assert!(Args::ptr_eq(&Args::from(none), &Args::new()));
     }
 
     #[test]

@@ -19,11 +19,34 @@
 //! Runtime hints follow the relative magnitudes reported in the
 //! characterisation paper (seconds on a reference core).
 
-use crate::symbols::Name;
-use crate::workflow::{AbstractWorkflow, Job, LogicalFile};
+use crate::symbols::Args;
+use crate::workflow::{AbstractWorkflow, Declare};
 
-fn f(name: impl Into<Name>) -> LogicalFile {
-    LogicalFile::named(name)
+/// Declares one gallery job, `<transformation><suffix>` by name: no
+/// arguments, files of unknown size. The file names are formatted by
+/// the caller and borrowed for the call; the file table keeps the
+/// only copy.
+fn job<'n>(
+    rows: &mut Declare<'_>,
+    (transformation, suffix): (&str, &str),
+    runtime: f64,
+    inputs: impl IntoIterator<Item = &'n str>,
+    outputs: impl IntoIterator<Item = &'n str>,
+) {
+    let id = format!("{transformation}{suffix}");
+    let inputs = inputs.into_iter().map(|name| (name, 0));
+    let outputs = outputs.into_iter().map(|name| (name, 0));
+    rows.job(id, transformation, Args::new(), runtime, inputs, outputs)
+        .expect("a shape's job ids are distinct");
+}
+
+/// File names that must all be alive at once: a fan-in's inputs.
+fn names(n: usize, name: impl Fn(usize) -> String) -> Vec<String> {
+    (0..n).map(name).collect()
+}
+
+fn strs(names: &[String]) -> impl Iterator<Item = &str> {
+    names.iter().map(String::as_str)
 }
 
 /// Montage with `n` input images: `n` reprojections, ~`3n/2` pairwise
@@ -41,77 +64,48 @@ fn f(name: impl Into<Name>) -> LogicalFile {
 pub fn montage(n: usize) -> AbstractWorkflow {
     let n = n.max(2);
     let mut wf = AbstractWorkflow::new(format!("montage_{n}"));
-    let mut batch = Vec::with_capacity(montage_job_count(n));
-    for i in 0..n {
-        batch.push(
-            Job::new(format!("mProjectPP_{i}"), "mProjectPP")
-                .input(f(format!("input_{i}.fits")))
-                .output(f(format!("proj_{i}.fits")))
-                .runtime(15.0),
-        );
+    let rows = &mut wf.declare();
+    let proj = names(n, |i| format!("proj_{i}.fits"));
+    for (i, out) in strs(&proj).enumerate() {
+        let (of, input) = (format!("_{i}"), format!("input_{i}.fits"));
+        job(rows, ("mProjectPP", &of), 15.0, [&*input], [out]);
     }
     // Pairwise overlap fits between adjacent projections (ring).
-    let mut diff_outputs = Vec::new();
-    for i in 0..n {
+    let diffs = names(n, |i| format!("diff_{i}_{}.fits", (i + 1) % n));
+    for (i, out) in strs(&diffs).enumerate() {
         let j = (i + 1) % n;
-        let out = format!("diff_{i}_{j}.fits");
-        batch.push(
-            Job::new(format!("mDiffFit_{i}_{j}"), "mDiffFit")
-                .input(f(format!("proj_{i}.fits")))
-                .input(f(format!("proj_{j}.fits")))
-                .output(f(&out))
-                .runtime(10.0),
-        );
-        diff_outputs.push(out);
+        let pair = [&*proj[i], &*proj[j]];
+        job(rows, ("mDiffFit", &format!("_{i}_{j}")), 10.0, pair, [out]);
     }
-    let mut concat = Job::new("mConcatFit", "mConcatFit")
-        .output(f("fits.tbl"))
-        .runtime(45.0);
-    for d in &diff_outputs {
-        concat = concat.input(f(d));
+    job(rows, ("mConcatFit", ""), 45.0, strs(&diffs), ["fits.tbl"]);
+    job(
+        rows,
+        ("mBgModel", ""),
+        60.0,
+        ["fits.tbl"],
+        ["corrections.tbl"],
+    );
+    let corrected = names(n, |i| format!("corrected_{i}.fits"));
+    for (i, out) in strs(&corrected).enumerate() {
+        let inputs = [&*proj[i], "corrections.tbl"];
+        job(rows, ("mBackground", &format!("_{i}")), 12.0, inputs, [out]);
     }
-    batch.push(concat);
-    batch.push(
-        Job::new("mBgModel", "mBgModel")
-            .input(f("fits.tbl"))
-            .output(f("corrections.tbl"))
-            .runtime(60.0),
+    job(
+        rows,
+        ("mImgtbl", ""),
+        20.0,
+        strs(&corrected),
+        ["images.tbl"],
     );
-    for i in 0..n {
-        batch.push(
-            Job::new(format!("mBackground_{i}"), "mBackground")
-                .input(f(format!("proj_{i}.fits")))
-                .input(f("corrections.tbl"))
-                .output(f(format!("corrected_{i}.fits")))
-                .runtime(12.0),
-        );
-    }
-    let mut imgtbl = Job::new("mImgtbl", "mImgtbl")
-        .output(f("images.tbl"))
-        .runtime(20.0);
-    for i in 0..n {
-        imgtbl = imgtbl.input(f(format!("corrected_{i}.fits")));
-    }
-    batch.push(imgtbl);
-    batch.push(
-        Job::new("mAdd", "mAdd")
-            .input(f("images.tbl"))
-            .output(f("mosaic.fits"))
-            .runtime(120.0),
+    job(rows, ("mAdd", ""), 120.0, ["images.tbl"], ["mosaic.fits"]);
+    job(
+        rows,
+        ("mShrink", ""),
+        30.0,
+        ["mosaic.fits"],
+        ["shrunken.fits"],
     );
-    batch.push(
-        Job::new("mShrink", "mShrink")
-            .input(f("mosaic.fits"))
-            .output(f("shrunken.fits"))
-            .runtime(30.0),
-    );
-    batch.push(
-        Job::new("mJPEG", "mJPEG")
-            .input(f("shrunken.fits"))
-            .output(f("mosaic.jpg"))
-            .runtime(5.0),
-    );
-    wf.add_jobs(batch).expect("fresh ids");
+    job(rows, ("mJPEG", ""), 5.0, ["shrunken.fits"], ["mosaic.jpg"]);
     wf
 }
 
@@ -126,41 +120,33 @@ pub fn montage_job_count(n: usize) -> usize {
 pub fn cybershake(n: usize) -> AbstractWorkflow {
     let n = n.max(1);
     let mut wf = AbstractWorkflow::new(format!("cybershake_{n}"));
-    let mut batch = Vec::with_capacity(cybershake_job_count(n));
-    for s in 0..2 {
-        batch.push(
-            Job::new(format!("ExtractSGT_{s}"), "ExtractSGT")
-                .input(f(format!("sgt_{s}.bin")))
-                .output(f(format!("sub_sgt_{s}.bin")))
-                .runtime(110.0),
-        );
+    let rows = &mut wf.declare();
+    let sub_sgt = names(2, |s| format!("sub_sgt_{s}.bin"));
+    for (s, out) in strs(&sub_sgt).enumerate() {
+        let (of, input) = (format!("_{s}"), format!("sgt_{s}.bin"));
+        job(rows, ("ExtractSGT", &of), 110.0, [&*input], [out]);
     }
-    let mut zip_seis = Job::new("ZipSeis", "ZipSeis")
-        .output(f("seismograms.zip"))
-        .runtime(30.0);
-    let mut zip_psa = Job::new("ZipPSA", "ZipPSA")
-        .output(f("peaks.zip"))
-        .runtime(25.0);
+    let seis = names(n, |i| format!("seis_{i}.grm"));
+    let peaks = names(n, |i| format!("peak_{i}.bsa"));
     for i in 0..n {
-        let src = i % 2;
-        batch.push(
-            Job::new(format!("SeismogramSynthesis_{i}"), "SeismogramSynthesis")
-                .input(f(format!("sub_sgt_{src}.bin")))
-                .output(f(format!("seis_{i}.grm")))
-                .runtime(48.0),
+        let (of, source) = (format!("_{i}"), [&*sub_sgt[i % 2]]);
+        job(
+            rows,
+            ("SeismogramSynthesis", &of),
+            48.0,
+            source,
+            [&*seis[i]],
         );
-        batch.push(
-            Job::new(format!("PeakValCalc_{i}"), "PeakValCalc")
-                .input(f(format!("seis_{i}.grm")))
-                .output(f(format!("peak_{i}.bsa")))
-                .runtime(1.0),
-        );
-        zip_seis = zip_seis.input(f(format!("seis_{i}.grm")));
-        zip_psa = zip_psa.input(f(format!("peak_{i}.bsa")));
+        job(rows, ("PeakValCalc", &of), 1.0, [&*seis[i]], [&*peaks[i]]);
     }
-    batch.push(zip_seis);
-    batch.push(zip_psa);
-    wf.add_jobs(batch).expect("fresh ids");
+    job(
+        rows,
+        ("ZipSeis", ""),
+        30.0,
+        strs(&seis),
+        ["seismograms.zip"],
+    );
+    job(rows, ("ZipPSA", ""), 25.0, strs(&peaks), ["peaks.zip"]);
     wf
 }
 
@@ -172,60 +158,51 @@ pub fn cybershake_job_count(n: usize) -> usize {
 /// Epigenomics with `lanes` sequencing lanes of `chains` parallel
 /// filter→convert→map chains each.
 pub fn epigenomics(lanes: usize, chains: usize) -> AbstractWorkflow {
+    const STAGES: [(&str, f64); 4] = [
+        ("filterContams", 2.0),
+        ("sol2sanger", 1.0),
+        ("fastq2bfq", 2.0),
+        ("map", 110.0),
+    ];
     let (lanes, chains) = (lanes.max(1), chains.max(1));
     let mut wf = AbstractWorkflow::new(format!("epigenomics_{lanes}x{chains}"));
-    let mut batch = Vec::with_capacity(epigenomics_job_count(lanes, chains));
-    let mut global_merge = Job::new("mapMergeGlobal", "mapMerge")
-        .output(f("all.map"))
-        .runtime(120.0);
-    for l in 0..lanes {
-        let mut split = Job::new(format!("fastqSplit_{l}"), "fastqSplit")
-            .input(f(format!("lane_{l}.fastq")))
-            .runtime(35.0);
-        for c in 0..chains {
-            split = split.output(f(format!("chunk_{l}_{c}.fastq")));
-        }
-        batch.push(split);
-        let mut lane_merge = Job::new(format!("mapMerge_{l}"), "mapMerge")
-            .output(f(format!("lane_{l}.map")))
-            .runtime(60.0);
-        for c in 0..chains {
-            let stages = [
-                ("filterContams", 2.0),
-                ("sol2sanger", 1.0),
-                ("fastq2bfq", 2.0),
-                ("map", 110.0),
-            ];
-            let mut prev = format!("chunk_{l}_{c}.fastq");
-            for (stage, cost) in stages {
+    let rows = &mut wf.declare();
+    let lane_maps = names(lanes, |l| format!("lane_{l}.map"));
+    for (l, lane_map) in strs(&lane_maps).enumerate() {
+        let (of, lane) = (format!("_{l}"), format!("lane_{l}.fastq"));
+        // Each chain's newest file: its chunk, then each stage's output.
+        let mut heads = names(chains, |c| format!("chunk_{l}_{c}.fastq"));
+        job(rows, ("fastqSplit", &of), 35.0, [&*lane], strs(&heads));
+        for (c, head) in heads.iter_mut().enumerate() {
+            for (stage, cost) in STAGES {
                 let out = format!("{stage}_{l}_{c}.out");
-                batch.push(
-                    Job::new(format!("{stage}_{l}_{c}"), stage)
-                        .input(f(&prev))
-                        .output(f(&out))
-                        .runtime(cost),
+                job(
+                    rows,
+                    (stage, &format!("_{l}_{c}")),
+                    cost,
+                    [&**head],
+                    [&*out],
                 );
-                prev = out;
+                *head = out;
             }
-            lane_merge = lane_merge.input(f(&prev));
         }
-        batch.push(lane_merge);
-        global_merge = global_merge.input(f(format!("lane_{l}.map")));
+        job(rows, ("mapMerge", &of), 60.0, strs(&heads), [lane_map]);
     }
-    batch.push(global_merge);
-    batch.push(
-        Job::new("maqIndex", "maqIndex")
-            .input(f("all.map"))
-            .output(f("all.index"))
-            .runtime(45.0),
+    job(
+        rows,
+        ("mapMerge", "Global"),
+        120.0,
+        strs(&lane_maps),
+        ["all.map"],
     );
-    batch.push(
-        Job::new("pileup", "pileup")
-            .input(f("all.index"))
-            .output(f("methylation.txt"))
-            .runtime(55.0),
+    job(rows, ("maqIndex", ""), 45.0, ["all.map"], ["all.index"]);
+    job(
+        rows,
+        ("pileup", ""),
+        55.0,
+        ["all.index"],
+        ["methylation.txt"],
     );
-    wf.add_jobs(batch).expect("fresh ids");
     wf
 }
 
@@ -241,46 +218,30 @@ pub fn epigenomics_job_count(lanes: usize, chains: usize) -> usize {
 pub fn ligo_inspiral(groups: usize, per_group: usize) -> AbstractWorkflow {
     let (groups, per_group) = (groups.max(1), per_group.max(1));
     let mut wf = AbstractWorkflow::new(format!("inspiral_{groups}x{per_group}"));
-    let mut batch = Vec::with_capacity(ligo_job_count(groups, per_group));
-    let mut final_thinca = Job::new("Thinca_final", "Thinca")
-        .output(f("triggers.xml"))
-        .runtime(10.0);
-    for g in 0..groups {
-        let mut thinca = Job::new(format!("Thinca_{g}"), "Thinca")
-            .output(f(format!("thinca_{g}.xml")))
-            .runtime(6.0);
-        for i in 0..per_group {
-            batch.push(
-                Job::new(format!("TmpltBank_{g}_{i}"), "TmpltBank")
-                    .input(f(format!("gwdata_{g}_{i}.gwf")))
-                    .output(f(format!("bank_{g}_{i}.xml")))
-                    .runtime(18.0),
-            );
-            batch.push(
-                Job::new(format!("Inspiral_{g}_{i}"), "Inspiral")
-                    .input(f(format!("bank_{g}_{i}.xml")))
-                    .output(f(format!("insp_{g}_{i}.xml")))
-                    .runtime(460.0),
-            );
-            thinca = thinca.input(f(format!("insp_{g}_{i}.xml")));
+    let rows = &mut wf.declare();
+    let second_pass = names(groups, |g| format!("insp2_{g}.xml"));
+    for (g, insp2) in strs(&second_pass).enumerate() {
+        let first_pass = names(per_group, |i| format!("insp_{g}_{i}.xml"));
+        for (i, insp) in strs(&first_pass).enumerate() {
+            let (data, bank) = (format!("gwdata_{g}_{i}.gwf"), format!("bank_{g}_{i}.xml"));
+            let of = format!("_{g}_{i}");
+            job(rows, ("TmpltBank", &of), 18.0, [&*data], [&*bank]);
+            job(rows, ("Inspiral", &of), 460.0, [&*bank], [insp]);
         }
-        batch.push(thinca);
-        batch.push(
-            Job::new(format!("TrigBank_{g}"), "TrigBank")
-                .input(f(format!("thinca_{g}.xml")))
-                .output(f(format!("trigbank_{g}.xml")))
-                .runtime(5.0),
+        let (thinca, trigbank) = (format!("thinca_{g}.xml"), format!("trigbank_{g}.xml"));
+        let of = format!("_{g}");
+        job(rows, ("Thinca", &of), 6.0, strs(&first_pass), [&*thinca]);
+        job(rows, ("TrigBank", &of), 5.0, [&*thinca], [&*trigbank]);
+        job(
+            rows,
+            ("Inspiral", &format!("2_{g}")),
+            450.0,
+            [&*trigbank],
+            [insp2],
         );
-        batch.push(
-            Job::new(format!("Inspiral2_{g}"), "Inspiral")
-                .input(f(format!("trigbank_{g}.xml")))
-                .output(f(format!("insp2_{g}.xml")))
-                .runtime(450.0),
-        );
-        final_thinca = final_thinca.input(f(format!("insp2_{g}.xml")));
     }
-    batch.push(final_thinca);
-    wf.add_jobs(batch).expect("fresh ids");
+    let found = ["triggers.xml"];
+    job(rows, ("Thinca", "_final"), 10.0, strs(&second_pass), found);
     wf
 }
 

@@ -7,10 +7,12 @@
 //! parent/child declarations, exactly like a Pegasus DAX.
 //!
 //! Jobs are handed in as [`Job`] values built with
-//! `Job::new(..).input(LogicalFile::named(..))` and stored flat: one
-//! [`JobRow`] per job, one per-workflow file table, and one vector of
-//! [`FileId`]s that every row's input and output ranges index (see
-//! [`crate::symbols`] for the one-copy rule the names follow). Jobs
+//! `Job::new(..).input(LogicalFile::named(..))` — or, by a generator
+//! that makes many, row by row through [`AbstractWorkflow::declare`] —
+//! and stored flat: one [`JobRow`] per job, one per-workflow file
+//! table, and one vector of [`FileId`]s that every row's input and
+//! output ranges index (see [`crate::symbols`] for the one-copy rule
+//! the names follow). Jobs
 //! are identified by dense interned [`JobId`]s; traversals run over
 //! [`Csr`] adjacency built once per call instead of per-node
 //! `Vec<Vec<_>>` allocations, and the dataflow questions
@@ -228,6 +230,68 @@ pub struct AbstractWorkflow {
     use_sizes: Vec<u64>,
 }
 
+/// A batch of jobs being declared into a workflow:
+/// [`AbstractWorkflow::declare`].
+#[derive(Debug)]
+pub struct Declare<'w> {
+    wf: &'w mut AbstractWorkflow,
+    /// The id of every job of `wf`, this batch's included.
+    ids: HashSet<Name>,
+}
+
+impl Declare<'_> {
+    /// Stores one job, its inputs and outputs given as `(file, size
+    /// in bytes)` pairs; fails on an id the workflow already holds,
+    /// adding nothing. A file is a borrowed name or, once some job has
+    /// used it, the [`FileId`] that use gave it — read back through
+    /// the workflow this derefs to (`rows.outputs(job).ids()`) — so a
+    /// generator names a file once and the table's order stays the
+    /// order of first use either way.
+    pub fn job(
+        &mut self,
+        id: impl Into<Name>,
+        transformation: impl Into<Name>,
+        args: Args,
+        runtime_hint: f64,
+        inputs: impl IntoIterator<Item = (impl FileRef, u64)>,
+        outputs: impl IntoIterator<Item = (impl FileRef, u64)>,
+    ) -> Result<JobId, WmsError> {
+        let id = id.into();
+        if !self.ids.insert(id.clone()) {
+            return Err(WmsError::DuplicateJob(id.into()));
+        }
+        let row = (id, transformation.into(), args, runtime_hint);
+        Ok(self.wf.push_row(row, inputs, outputs))
+    }
+}
+
+impl std::ops::Deref for Declare<'_> {
+    type Target = AbstractWorkflow;
+    fn deref(&self) -> &AbstractWorkflow {
+        self.wf
+    }
+}
+
+/// How a declared job names a file: by its text, which is interned,
+/// or by the id an earlier use of it was given, which costs nothing.
+pub trait FileRef {
+    /// The file's id in `files`, interning a name not yet there.
+    fn id_in(self, files: &mut SymbolTable<FileId>) -> FileId;
+}
+
+impl FileRef for &str {
+    fn id_in(self, files: &mut SymbolTable<FileId>) -> FileId {
+        files.intern(self)
+    }
+}
+
+impl FileRef for FileId {
+    fn id_in(self, files: &mut SymbolTable<FileId>) -> FileId {
+        assert!(self.idx() < files.len(), "a file id of another workflow");
+        self
+    }
+}
+
 fn use_index(len: usize) -> u32 {
     u32::try_from(len).expect("file-use table overflows u32")
 }
@@ -259,9 +323,10 @@ impl AbstractWorkflow {
     /// batch) without adding anything.
     ///
     /// One hash set covers the whole duplicate check, so the batch
-    /// costs O(existing + added) — the bulk path for large generated
-    /// workflows, where per-call [`AbstractWorkflow::add_job`] scans
-    /// would be quadratic.
+    /// costs O(existing + added) where per-call
+    /// [`AbstractWorkflow::add_job`] scans would be quadratic. A
+    /// generator, which has no `Job`s to hand in, goes through
+    /// [`AbstractWorkflow::declare`] instead.
     pub fn add_jobs(&mut self, batch: Vec<Job>) -> Result<Vec<JobId>, WmsError> {
         {
             let mut seen: HashSet<&str> = HashSet::with_capacity(self.jobs.len() + batch.len());
@@ -272,11 +337,31 @@ impl AbstractWorkflow {
                 }
             }
         }
-        self.jobs.reserve(batch.len());
         let uses: usize = batch.iter().map(|j| j.inputs.len() + j.outputs.len()).sum();
+        // No batch uses more distinct files than it has uses.
+        self.reserve(batch.len(), uses, uses);
+        Ok(batch.into_iter().map(|job| self.push_job(job)).collect())
+    }
+
+    /// Makes room for `jobs` more jobs with `uses` file uses between
+    /// them, of `files` files the workflow does not hold yet.
+    pub fn reserve(&mut self, jobs: usize, uses: usize, files: usize) {
+        self.jobs.reserve(jobs);
         self.uses.reserve(uses);
         self.use_sizes.reserve(uses);
-        Ok(batch.into_iter().map(|job| self.push_job(job)).collect())
+        self.files.reserve(files);
+    }
+
+    /// Opens a batch of jobs declared row by row, the public face of
+    /// the path every job is stored through: nothing is built per job
+    /// (no [`Job`], no [`LogicalFile`], no `Vec`) and a file name goes
+    /// from the caller's buffer straight into the file table. One hash
+    /// set checks the ids of the batch, as in
+    /// [`AbstractWorkflow::add_jobs`].
+    pub fn declare(&mut self) -> Declare<'_> {
+        let mut ids = HashSet::with_capacity(self.jobs.capacity());
+        ids.extend(self.jobs.iter().map(|j| j.id.clone()));
+        Declare { wf: self, ids }
     }
 
     /// Stores `job` flat: its file names go into the file table, its
@@ -301,11 +386,11 @@ impl AbstractWorkflow {
     /// declare and not from the order a document happened to list a
     /// job's `<uses>` in: two workflows with the same jobs have the
     /// same file table and compare equal.
-    pub(crate) fn push_row<'n>(
+    pub(crate) fn push_row(
         &mut self,
         (id, transformation, args, runtime_hint): (Name, Name, Args, f64),
-        inputs: impl IntoIterator<Item = (&'n str, u64)>,
-        outputs: impl IntoIterator<Item = (&'n str, u64)>,
+        inputs: impl IntoIterator<Item = (impl FileRef, u64)>,
+        outputs: impl IntoIterator<Item = (impl FileRef, u64)>,
     ) -> JobId {
         let first_use = use_index(self.uses.len());
         let first_output = self.push_uses(inputs);
@@ -324,9 +409,9 @@ impl AbstractWorkflow {
 
     /// Appends one side of a job to the flat table; returns the
     /// table's new length.
-    fn push_uses<'n>(&mut self, side: impl IntoIterator<Item = (&'n str, u64)>) -> u32 {
-        for (name, size) in side {
-            self.uses.push(self.files.intern(name));
+    fn push_uses(&mut self, side: impl IntoIterator<Item = (impl FileRef, u64)>) -> u32 {
+        for (file, size) in side {
+            self.uses.push(file.id_in(&mut self.files));
             self.use_sizes.push(size);
         }
         use_index(self.uses.len())
@@ -793,6 +878,51 @@ mod tests {
             wf.add_job(Job::new("a", "t")).unwrap_err(),
             WmsError::DuplicateJob("a".into())
         );
+    }
+
+    #[test]
+    fn declare_stores_what_add_job_stores_and_a_duplicate_adds_nothing() {
+        let mut built = AbstractWorkflow::new("w");
+        let a = Job::new("a", "gen")
+            .arg("-x")
+            .input(LogicalFile::sized("in", 3))
+            .output(LogicalFile::named("x"));
+        built.add_job(a).unwrap();
+        built
+            .add_job(Job::new("b", "proc").input(LogicalFile::named("x")))
+            .unwrap();
+
+        let none: [(&str, u64); 0] = [];
+        let mut wf = AbstractWorkflow::new("w");
+        wf.reserve(2, 3, 2);
+        let mut rows = wf.declare();
+        let args = Args::from([Name::from("-x")]);
+        let a = rows.job("a", "gen", args, 1.0, [("in", 3)], [("x", 0)]);
+        assert_eq!(a, Ok(j(0)));
+        let x = rows.outputs(j(0)).ids()[0];
+        assert_eq!(rows.files().resolve(x), "x");
+        // A file already used may be given by the id that use gave it.
+        let b = rows.job("b", "proc", Args::new(), 1.0, [(x, 0)], none);
+        assert_eq!(b, Ok(j(1)));
+        // A duplicate within the batch ...
+        let other = [("other", 0)];
+        let refused = rows.job("b", "t", Args::new(), 1.0, other, other);
+        assert_eq!(refused, Err(WmsError::DuplicateJob("b".into())));
+        assert_eq!(wf, built);
+        // ... and of a job from before it.
+        let refused = wf.declare().job("a", "t", Args::new(), 1.0, other, none);
+        assert_eq!(refused, Err(WmsError::DuplicateJob("a".into())));
+        assert_eq!(wf, built);
+        let sizes = (wf.jobs.len(), wf.use_count(), wf.files().len());
+        assert_eq!(sizes, (2, 3, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "a file id of another workflow")]
+    fn a_file_id_the_table_does_not_hold_is_a_bug() {
+        let mut wf = AbstractWorkflow::new("w");
+        let stray = [(FileId::new(3), 0)];
+        let _ = wf.declare().job("a", "t", Args::new(), 1.0, stray, stray);
     }
 
     #[test]

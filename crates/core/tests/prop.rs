@@ -10,6 +10,7 @@ use pegasus_wms::engine::{Engine, EngineConfig, JobState, JobTimes, NoopMonitor,
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
 use pegasus_wms::events;
 use pegasus_wms::graph::Csr;
+use pegasus_wms::line;
 use pegasus_wms::lint;
 use pegasus_wms::planner::{cluster_workflow, plan, JobKind, PlannerConfig};
 use pegasus_wms::rescue::RescueDag;
@@ -1290,5 +1291,307 @@ proptest! {
             .collect();
         prop_assert_eq!(&streamed, &oracle);
         prop_assert_eq!(trace::render_chrome(&traces), oracle_render(&oracle));
+    }
+}
+
+/// Finite floats from arbitrary bit patterns — subnormals included —
+/// with the values `Display` treats specially mixed in: both zeros,
+/// the longest texts it writes, a sum that is not exact.
+fn finite_f64() -> impl Strategy<Value = f64> {
+    const EDGES: [f64; 10] = [
+        0.0,
+        -0.0,
+        1e21,
+        1e-7,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        5e-324,
+        0.30000000000000004,
+        690.9675392546765,
+    ];
+    (any::<u64>(), 0usize..30).prop_map(|(bits, pick)| match EDGES.get(pick) {
+        Some(&edge) => edge,
+        None => Some(f64::from_bits(bits))
+            .filter(|v| v.is_finite())
+            // No exponent bits left: a subnormal.
+            .unwrap_or(f64::from_bits(bits >> 12)),
+    })
+}
+
+/// Names the mid-line fields of a log must carry through: the line
+/// grammar's separators, the escape character and its letters, a
+/// look-alike of the tail's key, non-ASCII.
+fn spaced_name() -> impl Strategy<Value = String> {
+    const PIECES: [&str; 14] = [
+        "a", "my", "tool", " ", "\t", "\n", "\r", "\x0c", "\\", "\\s", "=", " name=", "\u{a0}", "é",
+    ];
+    proptest::collection::vec(proptest::sample::select(PIECES), 0..6)
+        .prop_map(|pieces| pieces.concat())
+}
+
+/// One event of any kind from plain numbers; `pick` chooses the kind.
+fn event_from(
+    pick: usize,
+    (job, attempt): (u32, u32),
+    t: [f64; 4],
+    (head, tail): (&str, &str),
+) -> events::WorkflowEvent {
+    use events::WorkflowEvent as E;
+    use pegasus_wms::engine::FaultReason as R;
+    const KINDS: [JobKind; 5] = [
+        JobKind::CreateDir,
+        JobKind::StageIn,
+        JobKind::Compute,
+        JobKind::StageOut,
+        JobKind::Cleanup,
+    ];
+    const REASONS: [R; 5] = [
+        R::Preemption,
+        R::Eviction,
+        R::InstallFailure,
+        R::Timeout,
+        R::Other,
+    ];
+    let (job, time) = (JobId::new(job as usize), t[0]);
+    let times = JobTimes {
+        submitted: t[0],
+        started: t[1],
+        install_done: t[2],
+        finished: t[3],
+    };
+    let reason = REASONS[attempt as usize % 5];
+    match pick % 11 {
+        0 => E::WorkflowStarted {
+            name: tail.into(),
+            site: head.into(),
+            jobs: job.idx(),
+            time,
+        },
+        1 => E::JobDeclared {
+            job,
+            name: tail.into(),
+            transformation: head.into(),
+            kind: KINDS[attempt as usize % 5],
+        },
+        2 => E::Skipped { job, time },
+        3 => E::Submitted { job, attempt, time },
+        4 => E::InstallStarted { job, attempt, time },
+        5 => E::Started { job, attempt, time },
+        6 => E::Completed {
+            job,
+            attempt,
+            times,
+        },
+        7 => E::Failed {
+            job,
+            attempt,
+            reason,
+            detail: tail.into(),
+            times,
+        },
+        8 => E::TimedOut {
+            job,
+            attempt,
+            detail: tail.into(),
+            times,
+        },
+        9 => E::RetryScheduled {
+            job,
+            next_attempt: attempt,
+            backoff: t[1],
+            reason,
+            detail: tail.into(),
+            time,
+        },
+        _ => E::WorkflowFinished {
+            succeeded: attempt % 2 == 0,
+            wall_time: t[1],
+            time,
+        },
+    }
+}
+
+/// The `writeln!`-based writer `events::log::write` had before it
+/// moved onto `line::Writer`, kept as the oracle.
+fn reference_log(events: &[events::WorkflowEvent]) -> String {
+    use events::WorkflowEvent as E;
+    use std::fmt::Write as _;
+    let clean = |text: &str| text.replace(['\n', '\r'], " ");
+    let times = |t: &JobTimes| {
+        format!(
+            "submitted={} started={} install-done={} finished={}",
+            t.submitted, t.started, t.install_done, t.finished
+        )
+    };
+    let mut out = format!("{}\n", events::log::HEADER);
+    for ev in events {
+        match ev {
+            E::WorkflowStarted {
+                name,
+                site,
+                jobs,
+                time,
+            } => writeln!(
+                out,
+                "workflow-started time={time} jobs={jobs} site={site} name={}",
+                clean(name)
+            ),
+            E::JobDeclared {
+                job,
+                name,
+                transformation,
+                kind,
+            } => writeln!(
+                out,
+                "job id={job} kind={kind} transformation={transformation} name={}",
+                clean(name)
+            ),
+            E::Skipped { job, time } => writeln!(out, "skipped time={time} job={job}"),
+            E::Submitted { job, attempt, time } => {
+                writeln!(out, "submitted time={time} job={job} attempt={attempt}")
+            }
+            E::InstallStarted { job, attempt, time } => {
+                writeln!(
+                    out,
+                    "install-started time={time} job={job} attempt={attempt}"
+                )
+            }
+            E::Started { job, attempt, time } => {
+                writeln!(out, "started time={time} job={job} attempt={attempt}")
+            }
+            E::Completed {
+                job,
+                attempt,
+                times: t,
+            } => {
+                writeln!(out, "completed job={job} attempt={attempt} {}", times(t))
+            }
+            E::Failed {
+                job,
+                attempt,
+                reason,
+                detail,
+                times: t,
+            } => writeln!(
+                out,
+                "failed job={job} attempt={attempt} reason={} {} detail={}",
+                reason.prefix(),
+                times(t),
+                clean(detail)
+            ),
+            E::TimedOut {
+                job,
+                attempt,
+                detail,
+                times: t,
+            } => writeln!(
+                out,
+                "timed-out job={job} attempt={attempt} {} detail={}",
+                times(t),
+                clean(detail)
+            ),
+            E::RetryScheduled {
+                job,
+                next_attempt,
+                backoff,
+                reason,
+                detail,
+                time,
+            } => writeln!(
+                out,
+                "retry-scheduled time={time} job={job} next-attempt={next_attempt} \
+                 backoff={backoff} reason={} detail={}",
+                reason.prefix(),
+                clean(detail)
+            ),
+            E::WorkflowFinished {
+                succeeded,
+                wall_time,
+                time,
+            } => writeln!(
+                out,
+                "workflow-finished time={time} wall-time={wall_time} succeeded={succeeded}"
+            ),
+        }
+        .unwrap();
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The digit loop writes what `Display` writes.
+    #[test]
+    fn push_u64_equals_display(v: u64, shift in 0u32..64) {
+        for v in [v, v >> shift, 0, 9, 10, u64::MAX] {
+            let mut out = String::from("x");
+            line::push_u64(&mut out, v);
+            prop_assert_eq!(out, format!("x{v}"));
+        }
+    }
+
+    /// A float field is what `Display` writes, whether the writer's
+    /// memo has the value, had it and lost the slot to another, or
+    /// cannot hold a text that long: the sequence draws from a pool
+    /// larger than the memo, with repeats near and far.
+    #[test]
+    fn f64_fields_equal_display_through_hits_evictions_and_collisions(
+        pool in proptest::collection::vec(finite_f64(), 1..600),
+        picks in proptest::collection::vec(any::<usize>(), 0..1500),
+    ) {
+        let (mut out, mut want) = (String::new(), String::new());
+        let mut w = line::Writer::new(&mut out);
+        for pick in picks {
+            // Half the draws come from the first few values.
+            let v = pool[if pick % 2 == 0 { (pick / 2) % pool.len() } else { (pick / 2) % 7 % pool.len() }];
+            w.f64("t", v);
+            want.push_str(&format!(" t={v}"));
+        }
+        prop_assert_eq!(out, want);
+    }
+
+    /// `write` is the retired `writeln!` rendering byte for byte over
+    /// arbitrary streams, and `append` is `write` without its header.
+    #[test]
+    fn event_log_write_equals_the_writeln_oracle(
+        specs in proptest::collection::vec(
+            (0usize..11, (0u32..2000, 0u32..50), (0usize..4, 0usize..4), "[a-z_:.0-9-]{0,12}", hostile_text()),
+            0..60,
+        ),
+        pool in (finite_f64(), finite_f64(), finite_f64(), finite_f64()),
+    ) {
+        let pool = [pool.0, pool.1, pool.2, pool.3];
+        let stream: Vec<_> = specs
+            .iter()
+            .map(|(pick, ids, (a, b), head, tail)| {
+                let t = [pool[*a], pool[*b], pool[(a + b) % 4], pool[(a * b) % 4]];
+                event_from(*pick, *ids, t, (head, tail))
+            })
+            .collect();
+        let text = events::log::write(&stream);
+        prop_assert_eq!(&text, &reference_log(&stream));
+        let body = events::log::append(&stream);
+        prop_assert_eq!(format!("{}\n{body}", events::log::HEADER), text);
+    }
+
+    /// No site or transformation name makes a log its own parser
+    /// refuses: whitespace and backslashes in them survive
+    /// `parse(write(..))`, and a name without either is written raw.
+    #[test]
+    fn mid_line_names_with_whitespace_round_trip(
+        specs in proptest::collection::vec((0usize..2, spaced_name(), "[a-z ]{0,6}"), 1..8),
+    ) {
+        let stream: Vec<_> = specs
+            .iter()
+            .map(|(pick, head, tail)| event_from(*pick, (3, 2), [0.0; 4], (head, tail.trim())))
+            .collect();
+        let text = events::log::write(&stream);
+        prop_assert_eq!(events::log::parse(&text).unwrap(), stream);
+        for ((_, head, _), line) in specs.iter().zip(text.lines().skip(1)) {
+            let plain = !head.contains(|c: char| c == '\\' || c.is_ascii_whitespace());
+            prop_assert_eq!(plain, line.contains(&format!("={head} name=")), "{}", line);
+        }
     }
 }

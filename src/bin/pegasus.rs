@@ -107,6 +107,16 @@ impl Args {
             .unwrap_or_else(|e| self.bail(&e))
     }
 
+    /// `--n`, a decomposition size: the library builds 0 as 1, so a
+    /// 0 from the command line is refused here, in the words the
+    /// daemon refuses `submit n=0` with.
+    fn n(&self, default: usize) -> usize {
+        match self.parsed("n", default) {
+            0 => self.bail("n must be at least 1"),
+            n => n,
+        }
+    }
+
     fn parsed_opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
         self.p.parsed_opt(key).unwrap_or_else(|e| self.bail(&e))
     }
@@ -324,7 +334,7 @@ fn plan_or_exit(
 }
 
 fn cmd_generate_dax(args: &Args) -> ExitCode {
-    let n: usize = args.parsed("n", 300);
+    let n = args.n(300);
     let wf = if args.flag("calibrated") {
         calibrated_workflow(n, args.parsed("seed", 20140519u64))
     } else {
@@ -555,6 +565,9 @@ fn sizes_from(args: &Args) -> Vec<usize> {
     };
     if sizes.is_empty() {
         args.bail("--sizes must name at least one decomposition");
+    }
+    if sizes.contains(&0) {
+        args.bail("bad --sizes entry \"0\": n must be at least 1");
     }
     sizes
 }
@@ -1121,7 +1134,7 @@ fn fold_trace_log(path: &str) -> trace::WorkflowTrace {
 fn adhoc_run(args: &Args) -> (ExperimentOutcome, TraceId, String) {
     let registry = load_registry(args);
     let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
-    let n: usize = args.parsed("n", 100);
+    let n = args.n(100);
     let seed: u64 = args.parsed("seed", 20140519u64);
     let cfg = engine_config_from(args, args.parsed("retries", 20u32), seed);
     let script = fault_script_from(args, seed);
@@ -1290,7 +1303,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
                     Some(path) => path.to_string(),
                     None => format!(
                         "<live n={} seed={}>",
-                        args.parsed("n", 100usize),
+                        args.n(100),
                         args.parsed("seed", 20140519u64)
                     ),
                 };

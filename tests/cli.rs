@@ -327,6 +327,79 @@ fn pegasus_unusable_paths_exit_1_without_panicking() {
     }
 }
 
+/// The daemon refuses `submit n=0`; so does every verb that takes a
+/// decomposition size, in the same words, as a usage error — the
+/// library would quietly build the one-chunk workflow instead.
+#[test]
+fn pegasus_refuses_a_decomposition_of_zero_chunks() {
+    for verb in [
+        &["generate-dax", "--n", "0"][..],
+        &["trace", "--n", "0"],
+        &["verify", "--n", "0"],
+        &["breakdown", "--sizes", "0"],
+        &["breakdown", "--sizes", "10,0", "--site", "sandhills"],
+        &["metrics", "--sizes", "0"],
+        &["ensemble", "--sizes", "0,10"],
+    ] {
+        let out = pegasus().args(verb).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{verb:?}: {err}");
+        assert!(err.contains("n must be at least 1"), "{verb:?}: {err}");
+        assert!(out.stdout.is_empty(), "{verb:?} printed a result");
+    }
+}
+
+/// A transformation name with whitespace in it must not make `run
+/// --events` write a log `--from-events` cannot read.
+#[test]
+fn pegasus_reads_back_the_log_of_a_dax_whose_names_hold_whitespace() {
+    let dir = tmpdir("spaced");
+    let (dax, log) = (dir.join("spaced.dax"), dir.join("spaced.events"));
+    let text = r#"<?xml version="1.0" encoding="UTF-8"?>
+<adag name="two words" jobCount="2">
+  <job id="a" name="my tool" runtime="5">
+    <uses file="in.txt" link="input" size="10"/>
+    <uses file="mid.txt" link="output" size="10"/>
+  </job>
+  <job id="b" name="tab&#9;bed\tool" runtime="5">
+    <uses file="mid.txt" link="input" size="10"/>
+    <uses file="out.txt" link="output" size="10"/>
+  </job>
+</adag>
+"#
+    .replace("&#9;", "\t");
+    std::fs::write(&dax, text).unwrap();
+    let live = pegasus()
+        .args(["run", "--dax", dax.to_str().unwrap(), "--site", "sandhills"])
+        .args(["--events", log.to_str().unwrap(), "--quiet"])
+        .output()
+        .unwrap();
+    assert!(
+        live.status.success(),
+        "{}",
+        String::from_utf8_lossy(&live.stderr)
+    );
+    let written = std::fs::read_to_string(&log).unwrap();
+    assert!(
+        written.contains("transformation=my\\stool name=a\n"),
+        "{written}"
+    );
+    for verb in ["statistics", "analyze", "verify"] {
+        let out = pegasus()
+            .args([verb, "--from-events", log.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{verb}: {err}");
+        if verb == "statistics" {
+            let csv = String::from_utf8_lossy(&out.stdout);
+            assert!(csv.contains("\nmy tool,1,"), "{csv}");
+            assert!(csv.contains("\ntab\tbed\\tool,1,"), "{csv}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn pegasus_breakdown_and_metrics_sessions() {
     let dir = tmpdir("breakdown");
