@@ -4,24 +4,24 @@
 //! A Condor-like local execution backend.
 //!
 //! Pegasus submits planned jobs to HTCondor; this crate provides the
-//! equivalent for local, *real* execution:
+//! equivalent for local, *real* execution — and holds only what a real
+//! run executes:
 //!
-//! * [`classad`] — ClassAd-lite attribute lists and a requirements
-//!   expression evaluator, the matchmaking language Condor uses to
-//!   pair jobs with machine slots;
-//! * [`matchmaker`] — slot ads and job-to-slot matching;
 //! * [`pool`] — [`pool::LocalPool`], a crossbeam worker pool that
 //!   implements [`pegasus_wms::ExecutionBackend`] and executes
-//!   registered Rust task kernels with real wall-clock timing, plus a
-//!   failure-injection hook for exercising the engine's retry and
-//!   rescue machinery.
+//!   registered Rust task kernels with real wall-clock timing. Its
+//!   slots are identical threads fed from one channel, so nothing is
+//!   matched: a job goes to whichever worker is free. One
+//!   fault-injection hook ([`pool::FaultInjector`]) exercises the
+//!   engine's retry and rescue machinery, and every failure the pool
+//!   reports is typed where it happens ([`pegasus_wms::engine::Failure`]);
+//! * [`joblog`] — the Condor user job log: a monitor fed by the
+//!   engine's event stream (live, or offline from a recorded one), the
+//!   writer for the classic text format and the parser of that text.
 
-pub mod classad;
 pub mod joblog;
-pub mod matchmaker;
 pub mod pool;
 
-pub use classad::{ClassAd, Value};
 pub use pool::{
     FaultInjector, FaultProbe, InjectedFault, LocalPool, PoolConfig, TaskContext, TaskRegistry,
 };

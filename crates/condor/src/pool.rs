@@ -5,11 +5,16 @@
 //! a [`TaskRegistry`] (the blast2cap3 kernels, in this repository);
 //! auxiliary jobs and unregistered transformations succeed after an
 //! optional scaled sleep, so simulation-calibration experiments can
-//! also run through the real machinery. A failure-injection hook
+//! also run through the real machinery. A fault-injection hook
 //! fabricates OSG-style preemptions to exercise the engine's retry and
-//! rescue paths for real.
+//! rescue paths for real. Every failure leaves the pool typed: an
+//! injected fault keeps its script's category, the engine's limit is a
+//! [`FaultReason::Timeout`], and a kernel's own `Err(text)` or panic is
+//! [`FaultReason::Other`] whatever the text says (`error:<text>`).
 
-use pegasus_wms::engine::{CompletionEvent, ExecutionBackend, FaultReason, JobOutcome, JobTimes};
+use pegasus_wms::engine::{
+    CompletionEvent, ExecutionBackend, Failure, FaultReason, JobOutcome, JobTimes,
+};
 use pegasus_wms::planner::ExecutableJob;
 use pegasus_wms::symbols::{Args, Name};
 use std::collections::HashMap;
@@ -32,7 +37,8 @@ pub struct TaskContext {
     pub workdir: PathBuf,
 }
 
-/// A task kernel: returns `Err(reason)` to fail the attempt.
+/// A task kernel: returns `Err(text)` to fail the attempt, which the
+/// pool reports as `FaultReason::Other.tagged(text)`.
 pub type TaskFn = Arc<dyn Fn(&TaskContext) -> Result<(), String> + Send + Sync>;
 
 /// Maps transformation names to task kernels.
@@ -107,10 +113,6 @@ impl Default for PoolConfig {
     }
 }
 
-/// A failure injector: given (job name, attempt), return `Some(reason)`
-/// to make that attempt fail.
-pub type FailureInjector = Arc<dyn Fn(&str, u32) -> Option<String> + Send + Sync>;
-
 /// What the fault injector learns about an attempt before it runs.
 #[derive(Debug, Clone)]
 pub struct FaultProbe {
@@ -132,16 +134,16 @@ pub struct FaultProbe {
 pub enum InjectedFault {
     /// Multiply the synthetic execution sleep (straggler emulation).
     Slowdown(f64),
-    /// Fail right after the install phase with this reason.
-    Fail(Name),
+    /// Fail right after the install phase with this failure.
+    Fail(Failure),
     /// Evict the attempt `after` real seconds from its start. Sleeps
     /// are cut short; registered kernels run to completion and are
     /// failed post-hoc when they exceed the deadline.
     Evict {
         /// Seconds from attempt start to the eviction.
         after: f64,
-        /// Failure reason reported to the engine.
-        reason: Name,
+        /// The failure reported to the engine.
+        failure: Failure,
     },
 }
 
@@ -168,27 +170,9 @@ pub struct LocalPool {
 }
 
 impl LocalPool {
-    /// Starts a pool with no failure injection.
+    /// Starts a pool with no fault injection.
     pub fn new(config: PoolConfig, registry: TaskRegistry) -> Self {
         Self::with_fault_injector(config, registry, None)
-    }
-
-    /// Starts a pool with the legacy flat injector: `Some(reason)`
-    /// fails the attempt right after its install phase.
-    pub fn with_failure_injector(
-        config: PoolConfig,
-        registry: TaskRegistry,
-        injector: Option<FailureInjector>,
-    ) -> Self {
-        let adapted: Option<FaultInjector> = injector.map(|f| {
-            Arc::new(move |probe: &FaultProbe| {
-                f(&probe.job, probe.attempt)
-                    .map(|reason| InjectedFault::Fail(reason.into()))
-                    .into_iter()
-                    .collect()
-            }) as FaultInjector
-        });
-        Self::with_fault_injector(config, registry, adapted)
     }
 
     /// Starts a pool consulting a structured fault injector once per
@@ -233,12 +217,12 @@ impl LocalPool {
                     // Consult the injector, then fold the engine's
                     // per-attempt timeout in as one more eviction.
                     let mut slowdown = 1.0_f64;
-                    let mut fail_after_install: Option<Name> = None;
-                    let mut evict: Option<(f64, Name)> = None;
+                    let mut fail_after_install: Option<Failure> = None;
+                    let mut evict: Option<(f64, Failure)> = None;
                     let propose_evict =
-                        |evict: &mut Option<(f64, Name)>, after: f64, reason: Name| {
+                        |evict: &mut Option<(f64, Failure)>, after: f64, failure: Failure| {
                             if evict.as_ref().is_none_or(|(t, _)| after < *t) {
-                                *evict = Some((after, reason));
+                                *evict = Some((after, failure));
                             }
                         };
                     if let Some(f) = injector.as_ref() {
@@ -252,11 +236,11 @@ impl LocalPool {
                         for fault in f(&probe) {
                             match fault {
                                 InjectedFault::Slowdown(s) => slowdown *= s.max(0.0),
-                                InjectedFault::Fail(reason) => {
-                                    fail_after_install.get_or_insert(reason);
+                                InjectedFault::Fail(failure) => {
+                                    fail_after_install.get_or_insert(failure);
                                 }
-                                InjectedFault::Evict { after, reason } => {
-                                    propose_evict(&mut evict, after, reason);
+                                InjectedFault::Evict { after, failure } => {
+                                    propose_evict(&mut evict, after, failure);
                                 }
                             }
                         }
@@ -265,24 +249,30 @@ impl LocalPool {
                         propose_evict(&mut evict, limit, FaultReason::timeout_exceeded(limit));
                     }
                     let deadline = evict.as_ref().map(|(after, _)| started + after);
-                    let evict_reason = evict.map(|(_, reason)| reason);
+                    let eviction = evict.map(|(_, failure)| failure);
+                    // Sleeps `planned` seconds from `from`, or up to the
+                    // deadline when that comes first: `true` if cut short.
+                    let nap = |from: f64, planned: f64| {
+                        let cut = deadline.filter(|d| *d < from + planned);
+                        let sleep_for = cut.map_or(planned, |d| (d - now(t0)).max(0.0));
+                        if sleep_for > 0.0 {
+                            std::thread::sleep(Duration::from_secs_f64(sleep_for));
+                        }
+                        cut.is_some()
+                    };
 
                     // Install phase (scaled emulation), cut short by an
-                    // eviction that lands inside it.
-                    let mut early_failure: Option<Name> = None;
+                    // eviction that lands inside it. With no phase planned
+                    // the clock is not read again: `install_done == started`
+                    // is what says there was none.
+                    let mut early_failure: Option<Failure> = None;
+                    let mut install_done = started;
                     if planned_install > 0.0 {
-                        let cut = deadline.is_some_and(|d| d < started + planned_install);
-                        let sleep_for = if cut {
-                            (deadline.expect("cut implies deadline") - now(t0)).max(0.0)
-                        } else {
-                            planned_install
-                        };
-                        std::thread::sleep(Duration::from_secs_f64(sleep_for));
-                        if cut {
-                            early_failure = evict_reason.clone();
+                        if nap(started, planned_install) {
+                            early_failure = eviction.clone();
                         }
+                        install_done = now(t0);
                     }
-                    let install_done = now(t0);
 
                     let ctx = TaskContext {
                         job_name: item.job.name.clone(),
@@ -291,10 +281,10 @@ impl LocalPool {
                         attempt: item.attempt,
                         workdir: config.workdir.clone(),
                     };
-                    let outcome = if let Some(reason) = early_failure {
-                        JobOutcome::Failure(reason)
-                    } else if let Some(reason) = fail_after_install {
-                        JobOutcome::Failure(reason)
+                    let outcome = if let Some(failure) = early_failure {
+                        JobOutcome::Failure(failure)
+                    } else if let Some(failure) = fail_after_install {
+                        JobOutcome::Failure(failure)
                     } else if let Some(task) = task {
                         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(&ctx)))
                         {
@@ -302,31 +292,21 @@ impl LocalPool {
                             // an overrun deadline evicts it post-hoc.
                             Ok(Ok(())) => match deadline {
                                 Some(d) if now(t0) > d => JobOutcome::Failure(
-                                    evict_reason.clone().expect("deadline implies reason"),
+                                    eviction.clone().expect("deadline implies eviction"),
                                 ),
                                 _ => JobOutcome::Success,
                             },
-                            Ok(Err(reason)) => JobOutcome::Failure(reason.into()),
-                            Err(_) => JobOutcome::Failure("task panicked".into()),
+                            // The kernel's own words: never a platform
+                            // category, whatever they open with.
+                            Ok(Err(text)) => JobOutcome::Failure(FaultReason::Other.tagged(&text)),
+                            Err(_) => {
+                                JobOutcome::Failure(FaultReason::Other.tagged("task panicked"))
+                            }
                         }
+                    } else if nap(install_done, planned_exec * slowdown) {
+                        JobOutcome::Failure(eviction.clone().expect("deadline implies eviction"))
                     } else {
-                        let exec = planned_exec * slowdown;
-                        let cut = deadline.is_some_and(|d| d < install_done + exec);
-                        if exec > 0.0 {
-                            let sleep_for = if cut {
-                                (deadline.expect("cut implies deadline") - now(t0)).max(0.0)
-                            } else {
-                                exec
-                            };
-                            std::thread::sleep(Duration::from_secs_f64(sleep_for));
-                        }
-                        if cut {
-                            JobOutcome::Failure(
-                                evict_reason.clone().expect("deadline implies reason"),
-                            )
-                        } else {
-                            JobOutcome::Success
-                        }
+                        JobOutcome::Success
                     };
                     let finished = now(t0);
                     let _ = done_tx.send(CompletionEvent {
@@ -421,6 +401,16 @@ mod tests {
         }
     }
 
+    /// A workflow of `jobs` with no edges between them.
+    fn independent(site: &str, jobs: Vec<ExecutableJob>) -> ExecutableWorkflow {
+        ExecutableWorkflow {
+            name: "w".into(),
+            site: site.into(),
+            jobs,
+            edges: vec![],
+        }
+    }
+
     fn pool_config() -> PoolConfig {
         PoolConfig {
             workers: 4,
@@ -437,12 +427,10 @@ mod tests {
             COUNT.fetch_add(1, Ordering::SeqCst);
             Ok(())
         });
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "local".into(),
-            jobs: (0..5).map(|i| job(i, &format!("t{i}"), "touch")).collect(),
-            edges: vec![],
-        };
+        let wf = independent(
+            "local",
+            (0..5).map(|i| job(i, &format!("t{i}"), "touch")).collect(),
+        );
         let mut pool = LocalPool::new(pool_config(), reg);
         let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
         assert!(run.succeeded());
@@ -459,12 +447,7 @@ mod tests {
         });
         let mut j = job(0, "the_job", "ctx");
         j.args = vec!["-n".into(), "300".into()].into();
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "local".into(),
-            jobs: vec![j],
-            edges: vec![],
-        };
+        let wf = independent("local", vec![j]);
         let mut pool = LocalPool::new(pool_config(), reg);
         let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
         assert!(run.succeeded());
@@ -475,12 +458,7 @@ mod tests {
 
     #[test]
     fn unregistered_transformations_succeed() {
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "local".into(),
-            jobs: vec![job(0, "aux", "pegasus::dirmanager")],
-            edges: vec![],
-        };
+        let wf = independent("local", vec![job(0, "aux", "pegasus::dirmanager")]);
         let mut pool = LocalPool::new(pool_config(), TaskRegistry::new());
         let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
         assert!(run.succeeded());
@@ -498,12 +476,7 @@ mod tests {
                 Ok(())
             }
         });
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "local".into(),
-            jobs: vec![job(0, "f", "flaky")],
-            edges: vec![],
-        };
+        let wf = independent("local", vec![job(0, "f", "flaky")]);
         let mut pool = LocalPool::new(pool_config(), reg);
         let run = run_workflow(&wf, &mut pool, &EngineConfig::builder().retries(3).build());
         assert!(run.succeeded());
@@ -522,12 +495,7 @@ mod tests {
                 Ok(())
             }
         });
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "local".into(),
-            jobs: vec![job(0, "f", "flaky")],
-            edges: vec![],
-        };
+        let wf = independent("local", vec![job(0, "f", "flaky")]);
         let mut pool = LocalPool::new(pool_config(), reg);
         let mut registry = MetricsRegistry::new();
         let run = {
@@ -552,40 +520,99 @@ mod tests {
     fn panics_are_contained_as_failures() {
         let mut reg = TaskRegistry::new();
         reg.register("boom", |_ctx| panic!("kaboom"));
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "local".into(),
-            jobs: vec![job(0, "b", "boom")],
-            edges: vec![],
-        };
+        let wf = independent("local", vec![job(0, "b", "boom")]);
         let mut pool = LocalPool::new(pool_config(), reg);
         let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
         match &run.outcome {
             WorkflowOutcome::Failed(rescue) => assert!(rescue.done.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
+        let failure = &run.records[0].failures[0];
+        assert_eq!(failure.reason, FaultReason::Other);
+        assert_eq!(failure.detail, "error:task panicked");
     }
 
     #[test]
-    fn failure_injector_simulates_preemption() {
-        let injector: FailureInjector = Arc::new(|name: &str, attempt: u32| {
-            if name == "victim" && attempt == 0 {
-                Some("preempted".into())
+    fn a_kernels_own_error_text_is_never_a_platform_category() {
+        // Each kernel's message opens with another category's wire
+        // prefix. Read back out of the text, the first would be two
+        // timeouts under a policy that has no timeout; stated by the
+        // pool, all four are task errors.
+        use crate::joblog::JobLogMonitor;
+        use pegasus_wms::events::{log, WorkflowEvent};
+        use pegasus_wms::metrics::{names, MetricsMonitor, MetricsRegistry};
+        use pegasus_wms::verify::{check_stream, VerifyOptions};
+        for text in [
+            "timeout talking to the database",
+            "preempted by a sibling process",
+            "evicted from the cache",
+            "install directory missing",
+        ] {
+            let mut reg = TaskRegistry::new();
+            reg.register("db", move |_ctx| Err(text.into()));
+            let wf = independent("local", vec![job(0, "q", "db")]);
+            let mut pool = LocalPool::new(pool_config(), reg);
+            let mut registry = MetricsRegistry::new();
+            let run = {
+                let mut mon = MetricsMonitor::new(&mut registry, "local", "1");
+                let cfg = EngineConfig::builder().retries(1).build();
+                Engine::run(&mut pool, &wf, &cfg, &mut mon)
+            };
+            assert!(!run.succeeded());
+            assert_eq!(run.faults.other_failures, 2, "{text}");
+            assert_eq!(run.faults.total_failures(), 2, "{text}");
+            assert_eq!(run.faults.timeouts, 0, "{text}");
+
+            let written = log::write(&run.events);
+            let failed: Vec<&str> = (written.lines())
+                .filter(|l| l.starts_with("failed "))
+                .collect();
+            assert_eq!(failed.len(), 2, "{written}");
+            let detail = format!(" detail=error:{text}");
+            for l in failed {
+                assert!(l.contains(" reason=error ") && l.ends_with(&detail), "{l}");
+            }
+            assert!(!written.contains("timed-out"), "{written}");
+            assert!(run
+                .events
+                .iter()
+                .all(|ev| !matches!(ev, WorkflowEvent::TimedOut { .. })));
+
+            let labels = [("site", "local"), ("n", "1"), ("reason", "error")];
+            assert_eq!(registry.value(names::FAILURES, &labels), Some(2.0));
+            assert!(registry
+                .render()
+                .contains("pegasus_job_failures_total{n=\"1\",reason=\"error\",site=\"local\"} 2"));
+
+            let joblog = JobLogMonitor::from_events(&wf.jobs, &run.events);
+            assert!(
+                joblog.events.iter().any(|e| e.note.contains(text)),
+                "{text}"
+            );
+
+            let parsed = log::parse_lines(&written).expect("written logs parse");
+            let diags = check_stream(&parsed, "pool.events", &VerifyOptions::default());
+            assert!(diags.is_empty(), "{text}: {diags:?}");
+        }
+    }
+
+    #[test]
+    fn fault_injector_simulates_preemption() {
+        let injector: FaultInjector = Arc::new(|probe: &FaultProbe| {
+            if probe.job == "victim" && probe.attempt == 0 {
+                vec![InjectedFault::Fail(FaultReason::Preemption.bare())]
             } else {
-                None
+                vec![]
             }
         });
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "osg".into(),
-            jobs: vec![job(0, "victim", "anything")],
-            edges: vec![],
-        };
+        let wf = independent("osg", vec![job(0, "victim", "anything")]);
         let mut pool =
-            LocalPool::with_failure_injector(pool_config(), TaskRegistry::new(), Some(injector));
+            LocalPool::with_fault_injector(pool_config(), TaskRegistry::new(), Some(injector));
         let run = run_workflow(&wf, &mut pool, &EngineConfig::builder().retries(1).build());
         assert!(run.succeeded());
         assert_eq!(run.records[0].attempts, 2);
+        assert_eq!(run.records[0].failures[0].detail, "preempted");
+        assert_eq!(run.faults.preemptions, 1);
     }
 
     #[test]
@@ -597,7 +624,7 @@ mod tests {
             if probe.attempt == 0 {
                 vec![InjectedFault::Evict {
                     after: 0.05,
-                    reason: "preempted:storm".into(),
+                    failure: FaultReason::Preemption.tagged("storm"),
                 }]
             } else {
                 vec![]
@@ -608,12 +635,7 @@ mod tests {
         cfg.synthetic_time_scale = 0.1;
         let mut j = job(0, "victim", "unregistered");
         j.runtime_hint = 5.0; // 500ms
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "osg".into(),
-            jobs: vec![j],
-            edges: vec![],
-        };
+        let wf = independent("osg", vec![j]);
         let mut pool = LocalPool::with_fault_injector(cfg, TaskRegistry::new(), Some(injector));
         let run = run_workflow(&wf, &mut pool, &EngineConfig::builder().retries(2).build());
         assert!(run.succeeded());
@@ -644,12 +666,7 @@ mod tests {
         fast.runtime_hint = 5.0; // 50ms
         let mut slow = job(1, "slow", "unregistered");
         slow.runtime_hint = 5.0; // 50ms * 4 = 200ms
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "osg".into(),
-            jobs: vec![fast, slow],
-            edges: vec![],
-        };
+        let wf = independent("osg", vec![fast, slow]);
         let mut pool = LocalPool::with_fault_injector(cfg, TaskRegistry::new(), Some(injector));
         let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
         assert!(run.succeeded());
@@ -675,12 +692,7 @@ mod tests {
         cfg.synthetic_time_scale = 0.01;
         let mut j = job(0, "straggler", "unregistered");
         j.runtime_hint = 5.0; // 50ms clean, 400ms slowed
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "osg".into(),
-            jobs: vec![j],
-            edges: vec![],
-        };
+        let wf = independent("osg", vec![j]);
         let mut pool = LocalPool::with_fault_injector(cfg, TaskRegistry::new(), Some(injector));
         let policy = RetryPolicy::flat(2).with_timeout(0.08);
         let run = run_workflow(
@@ -691,7 +703,8 @@ mod tests {
         assert!(run.succeeded());
         let rec = &run.records[0];
         assert_eq!(rec.failures.len(), 1);
-        assert!(rec.failures[0].detail.starts_with("timeout"));
+        assert_eq!(rec.failures[0].reason, FaultReason::Timeout);
+        assert_eq!(rec.failures[0].detail, "timeout: exceeded 0.08s");
         assert_eq!(run.faults.timeouts, 1);
     }
 
@@ -709,7 +722,7 @@ mod tests {
             if probe.attempt == 0 {
                 vec![InjectedFault::Evict {
                     after: 0.05,
-                    reason: "install:burst".into(),
+                    failure: FaultReason::InstallFailure.tagged("burst"),
                 }]
             } else {
                 vec![]
@@ -720,12 +733,7 @@ mod tests {
         cfg.install_time_scale = 0.1;
         let mut j = job(0, "g", "guarded");
         j.install_hint = 3.0; // 300ms
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "osg".into(),
-            jobs: vec![j],
-            edges: vec![],
-        };
+        let wf = independent("osg", vec![j]);
         let mut pool = LocalPool::with_fault_injector(cfg, reg, Some(injector));
         let run = run_workflow(&wf, &mut pool, &EngineConfig::builder().retries(1).build());
         assert!(run.succeeded());
@@ -780,12 +788,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(100));
             Ok(())
         });
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "local".into(),
-            jobs: (0..4).map(|i| job(i, &format!("s{i}"), "sleep")).collect(),
-            edges: vec![],
-        };
+        let wf = independent(
+            "local",
+            (0..4).map(|i| job(i, &format!("s{i}"), "sleep")).collect(),
+        );
         let mut pool = LocalPool::new(pool_config(), reg);
         let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
         assert!(run.succeeded());
@@ -805,12 +811,7 @@ mod tests {
     fn times_are_monotone() {
         let mut reg = TaskRegistry::new();
         reg.register("quick", |_ctx| Ok(()));
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "local".into(),
-            jobs: vec![job(0, "q", "quick")],
-            edges: vec![],
-        };
+        let wf = independent("local", vec![job(0, "q", "quick")]);
         let mut pool = LocalPool::new(pool_config(), reg);
         let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
         let t = run.records[0].times.unwrap();
@@ -818,6 +819,33 @@ mod tests {
         assert!(t.started <= t.install_done);
         assert!(t.install_done <= t.finished);
         assert!(t.waiting() >= 0.0 && t.install() >= 0.0 && t.kickstart() >= 0.0);
+    }
+
+    #[test]
+    fn install_phase_is_reported_only_when_one_was_planned() {
+        use pegasus_wms::events::WorkflowEvent;
+        // The job carries an install hint either way; only the pool's
+        // scale decides whether a phase is emulated. Without one the
+        // attempt's `install_done` is its `started`, not a second clock
+        // reading a few hundred nanoseconds later.
+        for (scale, expected) in [(0.0, 0), (0.01, 1)] {
+            let mut cfg = pool_config();
+            cfg.install_time_scale = scale;
+            let mut reg = TaskRegistry::new();
+            reg.register("quick", |_ctx| Ok(()));
+            let mut j = job(0, "q", "quick");
+            j.install_hint = 2.0; // 20ms when scaled
+            let wf = independent("local", vec![j]);
+            let mut pool = LocalPool::new(cfg, reg);
+            let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
+            assert!(run.succeeded());
+            let installs = (run.events.iter())
+                .filter(|ev| matches!(ev, WorkflowEvent::InstallStarted { .. }))
+                .count();
+            assert_eq!(installs, expected, "install_time_scale = {scale}");
+            let t = run.records[0].times.unwrap();
+            assert_eq!(t.install() > 0.0, expected == 1, "install {}", t.install());
+        }
     }
 
     #[test]
@@ -829,12 +857,7 @@ mod tests {
         let mut j = job(0, "synthetic", "unregistered");
         j.runtime_hint = 5.0; // 50ms
         j.install_hint = 5.0; // 50ms
-        let wf = ExecutableWorkflow {
-            name: "w".into(),
-            site: "local".into(),
-            jobs: vec![j],
-            edges: vec![],
-        };
+        let wf = independent("local", vec![j]);
         let mut pool = LocalPool::new(cfg, TaskRegistry::new());
         let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
         let t = run.records[0].times.unwrap();

@@ -74,10 +74,22 @@ impl JobTimes {
 pub enum JobOutcome {
     /// The attempt succeeded.
     Success,
-    /// The attempt failed, with a reason (e.g. `"preempted"`). The
-    /// backend allocates the reason; the engine, its events and the
-    /// job's record share it from here on.
-    Failure(Name),
+    /// The attempt failed. The backend states the category it knows
+    /// and allocates the detail; the engine, its events and the job's
+    /// record share that allocation from here on.
+    Failure(Failure),
+}
+
+/// Why an attempt failed, as the backend that saw it die states it:
+/// the category is a value, never read back out of the text.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Failure {
+    /// Typed failure category.
+    pub reason: FaultReason,
+    /// The event log's `detail=` string, e.g. `"preempted:storm"`: it
+    /// opens with `reason`'s [prefix](FaultReason::prefix), which is how
+    /// the constructors on [`FaultReason`] build it.
+    pub detail: Name,
 }
 
 /// A completion event delivered by a backend.
@@ -107,8 +119,8 @@ pub trait ExecutionBackend {
     }
 
     /// Configures a per-attempt wall-clock timeout: backends that can
-    /// measure execution time kill attempts exceeding it (failure
-    /// reason prefix `"timeout"`). Called once before the first
+    /// measure execution time kill attempts exceeding it with
+    /// [`FaultReason::timeout_exceeded`]. Called once before the first
     /// submission; the default ignores it.
     fn set_timeout(&mut self, timeout: Option<f64>) {
         let _ = timeout;
@@ -333,71 +345,75 @@ impl EngineConfigBuilder {
     }
 }
 
-/// Typed classification of an attempt-failure reason — the categories
-/// [`FaultCounters`] tallies. Backends construct their reason strings
-/// through the helpers here (instead of ad-hoc literals), so a typo'd
-/// prefix can no longer silently land in the wrong counter.
+/// The category of an attempt failure — what [`FaultCounters`]
+/// tallies. A backend states it when it builds the [`Failure`]; nothing
+/// downstream re-reads it from the detail text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultReason {
-    /// The attempt was killed by preemption (reason prefix
-    /// `"preempted"`): the platform hazard or a scripted storm.
+    /// The attempt was killed by preemption: the platform hazard, slot
+    /// churn, or a scripted storm.
     Preemption,
-    /// The attempt was evicted by slot churn or a blackout window
-    /// (prefix `"evicted"`).
+    /// The attempt was evicted by a blackout window.
     Eviction,
-    /// The attempt failed during the download/install phase (prefix
-    /// `"install"`).
+    /// The attempt failed during the download/install phase.
     InstallFailure,
     /// The attempt exceeded the retry policy's per-attempt wall-clock
-    /// timeout (prefix `"timeout"`).
+    /// timeout.
     Timeout,
     /// Anything else: task errors, panics, scripted test failures.
     Other,
 }
 
 impl FaultReason {
-    /// Classifies a wire-format reason string by its normalised
-    /// prefix.
-    pub fn classify(reason: &str) -> Self {
-        if reason.starts_with("preempted") {
-            FaultReason::Preemption
-        } else if reason.starts_with("evicted") {
-            FaultReason::Eviction
-        } else if reason.starts_with("install") {
-            FaultReason::InstallFailure
-        } else if reason.starts_with("timeout") {
-            FaultReason::Timeout
-        } else {
-            FaultReason::Other
-        }
-    }
+    /// The five wire prefixes, in discriminant order — the one place
+    /// they are spelled. [`prefix`](Self::prefix) indexes it, the log's
+    /// `reason=` field is read through [`from_prefix`](Self::from_prefix),
+    /// and the verifier's reason/detail clause walks it.
+    pub(crate) const WIRE: [(FaultReason, &'static str); 5] = [
+        (FaultReason::Preemption, "preempted"),
+        (FaultReason::Eviction, "evicted"),
+        (FaultReason::InstallFailure, "install"),
+        (FaultReason::Timeout, "timeout"),
+        (FaultReason::Other, "error"),
+    ];
 
-    /// The canonical wire prefix for this category.
+    /// The canonical wire prefix for this category: the event log's
+    /// `reason=` token and the metrics' `reason` label.
     pub fn prefix(self) -> &'static str {
-        match self {
-            FaultReason::Preemption => "preempted",
-            FaultReason::Eviction => "evicted",
-            FaultReason::InstallFailure => "install",
-            FaultReason::Timeout => "timeout",
-            FaultReason::Other => "error",
+        Self::WIRE[self as usize].1
+    }
+
+    /// The category whose wire prefix is exactly `token`.
+    pub(crate) fn from_prefix(token: &str) -> Option<Self> {
+        let row = Self::WIRE.iter().find(|(_, prefix)| *prefix == token);
+        row.map(|(reason, _)| *reason)
+    }
+
+    /// A failure of this category with nothing to add: the detail is
+    /// just the prefix, e.g. `"preempted"`.
+    pub fn bare(self) -> Failure {
+        Failure {
+            reason: self,
+            detail: self.prefix().into(),
         }
     }
 
-    /// The bare reason string (just the prefix), e.g. `"preempted"`.
-    pub fn reason(self) -> Name {
-        self.prefix().into()
+    /// A failure of this category with `tag` after the colon, e.g.
+    /// `"preempted:storm"`. A task's own error text goes in here, so
+    /// whatever it says it stays in the category its backend gave it.
+    pub fn tagged(self, tag: &str) -> Failure {
+        Failure {
+            reason: self,
+            detail: format!("{}:{tag}", self.prefix()).into(),
+        }
     }
 
-    /// A tagged reason string, e.g. `"preempted:storm"` — same
-    /// category, extra detail after the colon.
-    pub fn tagged(self, detail: &str) -> Name {
-        format!("{}:{detail}", self.prefix()).into()
-    }
-
-    /// The reason emitted when an attempt exceeds the per-attempt
+    /// The failure of an attempt that exceeded the per-attempt
     /// wall-clock `limit` — shared by every timeout-capable backend.
-    pub fn timeout_exceeded(limit: f64) -> Name {
-        format!("timeout: exceeded {limit}s").into()
+    pub fn timeout_exceeded(limit: f64) -> Failure {
+        let reason = FaultReason::Timeout;
+        let detail = format!("{}: exceeded {limit}s", reason.prefix()).into();
+        Failure { reason, detail }
     }
 }
 
@@ -412,7 +428,7 @@ pub struct FaultCounters {
     pub install_failures: u64,
     /// Attempts killed by the retry policy's wall-clock timeout.
     pub timeouts: u64,
-    /// Failures matching no known prefix (task errors, panics).
+    /// Failures of no platform category (task errors, panics).
     pub other_failures: u64,
     /// Retries issued (equals the failures that were retried).
     pub retries: u64,
@@ -582,8 +598,6 @@ pub struct RetryRequest {
     pub next_attempt: u32,
     /// Backoff delay before the resubmission, in backend seconds.
     pub delay: f64,
-    /// The failure reason that triggered the retry.
-    pub reason: Name,
 }
 
 /// What a driver must do after feeding one completion event to a
@@ -747,7 +761,7 @@ impl WorkflowExecution {
     }
 
     /// Marks a fresh (attempt 0) submission of `job` at backend time
-    /// `now`. The driver calls this when it actually hands the job to
+    /// `now`. The driver calls this just before it hands the job to
     /// the backend.
     pub fn note_submitted(&mut self, job: JobId, now: f64) {
         self.emit(WorkflowEvent::Submitted {
@@ -814,22 +828,21 @@ impl WorkflowExecution {
                 self.mark_done(ev.job, &mut resp.newly_ready);
                 self.outstanding += resp.newly_ready.len();
             }
-            JobOutcome::Failure(reason) => {
-                // The one place a backend's reason string is typed.
-                let kind = FaultReason::classify(reason);
-                self.emit(if kind == FaultReason::Timeout {
+            JobOutcome::Failure(Failure { reason, detail }) => {
+                let reason = *reason;
+                self.emit(if reason == FaultReason::Timeout {
                     WorkflowEvent::TimedOut {
                         job: ev.job,
                         attempt: ev.attempt,
-                        detail: reason.clone(),
+                        detail: detail.clone(),
                         times: ev.times,
                     }
                 } else {
                     WorkflowEvent::Failed {
                         job: ev.job,
                         attempt: ev.attempt,
-                        reason: kind,
-                        detail: reason.clone(),
+                        reason,
+                        detail: detail.clone(),
                         times: ev.times,
                     }
                 });
@@ -841,8 +854,8 @@ impl WorkflowExecution {
                         job: ev.job,
                         next_attempt: ev.attempt + 1,
                         backoff: delay,
-                        reason: kind,
-                        detail: reason.clone(),
+                        reason,
+                        detail: detail.clone(),
                         time: ev.times.finished,
                     });
                     self.emit(WorkflowEvent::Submitted {
@@ -854,7 +867,6 @@ impl WorkflowExecution {
                         job: ev.job,
                         next_attempt: ev.attempt + 1,
                         delay,
-                        reason: reason.clone(),
                     });
                 } else {
                     self.any_failed = true;
@@ -932,9 +944,11 @@ impl Engine {
         let _prof = crate::prof::scope("engine.run");
         backend.set_timeout(config.retry.timeout);
         let mut exec = WorkflowExecution::new(wf, config, backend.now());
+        // Stamped before the hand-over: on a real clock no attempt then
+        // records a `submitted` earlier than its own `submitted` event.
         for job in exec.take_initial_ready() {
-            backend.submit(&wf.jobs[job.idx()], 0);
             exec.note_submitted(job, backend.now());
+            backend.submit(&wf.jobs[job.idx()], 0);
         }
         exec.drain_new_events().iter().for_each(|ev| sink.event(ev));
         while !exec.is_complete() {
@@ -946,8 +960,8 @@ impl Engine {
                 backend.submit_after(&wf.jobs[r.job.idx()], r.next_attempt, r.delay);
             }
             for &job in &resp.newly_ready {
-                backend.submit(&wf.jobs[job.idx()], 0);
                 exec.note_submitted(job, backend.now());
+                backend.submit(&wf.jobs[job.idx()], 0);
             }
             exec.drain_new_events().iter().for_each(|ev| sink.event(ev));
             if resp.crashed {
@@ -1011,7 +1025,9 @@ pub mod scripted {
                     job: job.id,
                     attempt,
                     outcome: if fails {
-                        JobOutcome::Failure("scripted".into())
+                        let reason = FaultReason::Other;
+                        let detail = "scripted".into();
+                        JobOutcome::Failure(Failure { reason, detail })
                     } else {
                         JobOutcome::Success
                     },
@@ -1485,18 +1501,12 @@ mod tests {
     }
 
     #[test]
-    fn fault_counters_classify_reason_prefixes() {
+    fn fault_counters_tally_every_row_of_the_prefix_table() {
         let mut c = FaultCounters::default();
-        for reason in [
-            "preempted",
-            "preempted:storm",
-            "evicted:blackout",
-            "install:burst",
-            "timeout: exceeded 600s",
-            "task panicked",
-        ] {
-            c.record_reason(FaultReason::classify(reason));
+        for (reason, _) in FaultReason::WIRE {
+            c.record_reason(reason);
         }
+        c.record_reason(FaultReason::Preemption);
         assert_eq!(c.preemptions, 2);
         assert_eq!(c.evictions, 1);
         assert_eq!(c.install_failures, 1);
@@ -1506,30 +1516,73 @@ mod tests {
     }
 
     #[test]
-    fn fault_reason_round_trips_through_strings() {
-        for (reason, s) in [
-            (FaultReason::Preemption, "preempted"),
-            (FaultReason::Eviction, "evicted"),
-            (FaultReason::InstallFailure, "install"),
-            (FaultReason::Timeout, "timeout"),
-            (FaultReason::Other, "error"),
-        ] {
-            assert_eq!(reason.prefix(), s);
-            assert_eq!(FaultReason::classify(&reason.reason()), reason);
+    fn fault_reason_round_trips_through_the_prefix_table() {
+        // The table is in discriminant order, which is what lets
+        // `prefix` index it.
+        for (at, (reason, prefix)) in FaultReason::WIRE.into_iter().enumerate() {
+            assert_eq!(reason as usize, at);
+            assert_eq!(reason.prefix(), prefix);
+            assert_eq!(FaultReason::from_prefix(prefix), Some(reason));
+            assert_eq!(reason.bare().reason, reason);
+            assert_eq!(reason.bare().detail, prefix);
         }
-        assert_eq!(
-            FaultReason::classify(&FaultReason::Eviction.tagged("blackout")),
-            FaultReason::Eviction
-        );
-        assert_eq!(FaultReason::Eviction.tagged("blackout"), "evicted:blackout");
-        assert_eq!(
-            FaultReason::timeout_exceeded(600.0),
-            "timeout: exceeded 600s"
-        );
-        assert_eq!(
-            FaultReason::classify(&FaultReason::timeout_exceeded(1.5)),
-            FaultReason::Timeout
-        );
+        assert_eq!(FaultReason::Other.prefix(), "error");
+        assert_eq!(FaultReason::from_prefix("preempted:storm"), None);
+        assert_eq!(FaultReason::from_prefix("gremlins"), None);
+        let blackout = FaultReason::Eviction.tagged("blackout");
+        assert_eq!(blackout.reason, FaultReason::Eviction);
+        assert_eq!(blackout.detail, "evicted:blackout");
+        let limit = FaultReason::timeout_exceeded(600.0);
+        assert_eq!(limit.reason, FaultReason::Timeout);
+        assert_eq!(limit.detail, "timeout: exceeded 600s");
+        // Outside text keeps the category its backend gave it.
+        let task = FaultReason::Other.tagged("timeout talking to the database");
+        assert_eq!(task.reason, FaultReason::Other);
+        assert_eq!(task.detail, "error:timeout talking to the database");
+    }
+
+    #[test]
+    fn the_event_follows_the_stated_category_not_the_text() {
+        // A detail that opens with another category's prefix changes
+        // nothing: `timed-out` iff the backend said `Timeout`.
+        let wf = chain();
+        let times = JobTimes {
+            submitted: 0.0,
+            started: 0.0,
+            install_done: 0.0,
+            finished: 1.0,
+        };
+        for (reason, detail, keyword) in [
+            (
+                FaultReason::Other,
+                "timeout talking to the database",
+                "failed",
+            ),
+            (FaultReason::Timeout, "gave up", "timed-out"),
+        ] {
+            let mut exec = WorkflowExecution::new(&wf, &EngineConfig::default(), 0.0);
+            exec.take_initial_ready();
+            exec.note_submitted(JobId::new(0), 0.0);
+            let died = CompletionEvent {
+                job: JobId::new(0),
+                attempt: 0,
+                outcome: JobOutcome::Failure(Failure {
+                    reason,
+                    detail: detail.into(),
+                }),
+                times,
+            };
+            exec.on_event(&died).unwrap();
+            let run = exec.finish(1.0, |_| {});
+            let terminal = &run.events[run.events.len() - 2];
+            let line = crate::events::log::append(std::slice::from_ref(terminal));
+            assert!(line.starts_with(keyword), "{line}");
+            assert!(line.ends_with(&format!("detail={detail}\n")), "{line}");
+            assert_eq!(run.records[0].failures[0].reason, reason);
+            let mut want = FaultCounters::default();
+            want.record_reason(reason);
+            assert_eq!(run.faults, want);
+        }
     }
 
     #[test]

@@ -428,12 +428,12 @@ impl Ensemble {
                 let Some((best, _)) = best else { break };
                 let Pending { wf, job, .. } = pending.remove(best);
                 let member = &mut members[wf];
-                backend.submit(&member.submit_jobs[job.idx()], 0);
                 member
                     .exec
                     .as_mut()
                     .expect("pending jobs only exist for live workflows")
                     .note_submitted(job, backend.now());
+                backend.submit(&member.submit_jobs[job.idx()], 0);
                 member.in_flight += 1;
                 member.admitted += 1;
                 shares[member.tenant].in_flight += 1;

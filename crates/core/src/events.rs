@@ -756,14 +756,7 @@ pub mod log {
     impl Value<'_> for FaultReason {
         const WHAT: &'static str = "fault reason";
         fn read(raw: &str) -> Option<Self> {
-            Some(match raw {
-                "preempted" => FaultReason::Preemption,
-                "evicted" => FaultReason::Eviction,
-                "install" => FaultReason::InstallFailure,
-                "timeout" => FaultReason::Timeout,
-                "error" => FaultReason::Other,
-                _ => return None,
-            })
+            FaultReason::from_prefix(raw)
         }
     }
 

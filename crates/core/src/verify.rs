@@ -190,6 +190,18 @@ const ORDER: Rule = ("E0808", "W0709");
 const UNTERMINATED: Rule = ("E0801", "E0801");
 const CAPACITY: Rule = ("E0804", "E0804");
 
+/// The category a `detail=` claims by the wire prefix it opens with;
+/// text that opens with none of the five is a task's own, so `Other`.
+/// Backends state the category, so nothing that produces a stream reads
+/// a detail: this is the program's only reader of one, the judge of a
+/// log from outside.
+fn detail_reason(detail: &str) -> FaultReason {
+    let claimed = FaultReason::WIRE
+        .iter()
+        .find(|(_, p)| detail.starts_with(p));
+    claimed.map_or(FaultReason::Other, |(reason, _)| *reason)
+}
+
 /// Where the walker's findings go, and under which half of a [`Rule`].
 #[derive(Default)]
 struct Findings {
@@ -526,7 +538,7 @@ impl StreamWalker {
                 time,
                 ..
             } => {
-                if FaultReason::classify(detail) != *reason {
+                if detail_reason(detail) != *reason {
                     out.flag(
                         TIMES,
                         line,
@@ -730,7 +742,7 @@ impl StreamWalker {
                 ),
             );
         }
-        if let Some((reason, detail)) = failure.filter(|f| FaultReason::classify(f.1) != f.0) {
+        if let Some((reason, detail)) = failure.filter(|f| detail_reason(f.1) != f.0) {
             out.flag(
                 TIMES,
                 line,

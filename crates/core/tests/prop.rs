@@ -6,7 +6,9 @@ use pegasus_wms::breakdown::JobSpan;
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
 use pegasus_wms::dax;
 use pegasus_wms::engine::scripted::ScriptedBackend;
-use pegasus_wms::engine::{Engine, EngineConfig, JobState, JobTimes, NoopMonitor, WorkflowOutcome};
+use pegasus_wms::engine::{
+    Engine, EngineConfig, FaultReason, JobState, JobTimes, NoopMonitor, WorkflowOutcome,
+};
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
 use pegasus_wms::events;
 use pegasus_wms::graph::Csr;
@@ -1330,6 +1332,14 @@ fn spaced_name() -> impl Strategy<Value = String> {
         .prop_map(|pieces| pieces.concat())
 }
 
+const REASONS: [FaultReason; 5] = [
+    FaultReason::Preemption,
+    FaultReason::Eviction,
+    FaultReason::InstallFailure,
+    FaultReason::Timeout,
+    FaultReason::Other,
+];
+
 /// One event of any kind from plain numbers; `pick` chooses the kind.
 fn event_from(
     pick: usize,
@@ -1338,20 +1348,12 @@ fn event_from(
     (head, tail): (&str, &str),
 ) -> events::WorkflowEvent {
     use events::WorkflowEvent as E;
-    use pegasus_wms::engine::FaultReason as R;
     const KINDS: [JobKind; 5] = [
         JobKind::CreateDir,
         JobKind::StageIn,
         JobKind::Compute,
         JobKind::StageOut,
         JobKind::Cleanup,
-    ];
-    const REASONS: [R; 5] = [
-        R::Preemption,
-        R::Eviction,
-        R::InstallFailure,
-        R::Timeout,
-        R::Other,
     ];
     let (job, time) = (JobId::new(job as usize), t[0]);
     let times = JobTimes {
@@ -1594,4 +1596,91 @@ proptest! {
             prop_assert_eq!(plain, line.contains(&format!("={head} name=")), "{}", line);
         }
     }
+
+    /// A failure reads back as the category it was built with, through
+    /// the one prefix table, whatever its tag says: the log's `reason=`
+    /// token parses to it and the verifier's reason/detail clause
+    /// accepts the pair — and refuses the same detail under any other
+    /// category. A detail that opens with none of the five prefixes is
+    /// `Other`'s.
+    #[test]
+    fn a_tagged_failure_reads_back_as_its_reason_through_the_one_table(
+        lead in 0usize..6,
+        text in "[a-z :=.0-9é-]{0,16}",
+    ) {
+        use pegasus_wms::engine::Failure;
+        // Tags that open with a wire prefix of their own are the
+        // interesting ones.
+        let lead = REASONS.get(lead).map_or("", |r| r.prefix());
+        let tag = format!("{lead}{}", text.trim_end());
+        for reason in REASONS {
+            let built = reason.tagged(&tag);
+            prop_assert_eq!(built.reason, reason);
+            prop_assert!(built.detail.starts_with(reason.prefix()));
+            for claimed in REASONS {
+                let verdict = judged(Failure { reason: claimed, detail: built.detail.clone() });
+                prop_assert_eq!(verdict, claimed == reason, "{:?} as {:?}", built, claimed);
+            }
+        }
+        // Text of a task's own, in no category's words.
+        let own = format!("-{tag}");
+        for claimed in REASONS {
+            let verdict = judged(Failure { reason: claimed, detail: own.as_str().into() });
+            prop_assert_eq!(verdict, claimed == FaultReason::Other, "{:?} as {:?}", own, claimed);
+        }
+    }
+}
+
+/// Runs one job that dies of `failure` through the engine, writes the
+/// stream, reads it back — the terminal event must carry the same
+/// category, the log's `reason=` token having gone through the table —
+/// and returns whether the verifier passes the log clean; its only
+/// possible complaint is the reason/detail clause's.
+fn judged(failure: pegasus_wms::engine::Failure) -> bool {
+    use pegasus_wms::engine::{CompletionEvent, JobOutcome, WorkflowExecution};
+    use pegasus_wms::planner::{ExecutableJob, ExecutableWorkflow};
+    use pegasus_wms::verify::{check_stream, VerifyOptions};
+    let wf = ExecutableWorkflow {
+        name: "w".into(),
+        site: "s".into(),
+        jobs: vec![ExecutableJob {
+            id: JobId::new(0),
+            name: "a".into(),
+            transformation: "t".into(),
+            kind: JobKind::Compute,
+            args: Default::default(),
+            runtime_hint: 1.0,
+            install_hint: 0.0,
+        }],
+        edges: vec![],
+    };
+    let mut exec = WorkflowExecution::new(&wf, &EngineConfig::default(), 0.0);
+    exec.take_initial_ready();
+    exec.note_submitted(JobId::new(0), 0.0);
+    let times = JobTimes {
+        submitted: 0.0,
+        started: 0.0,
+        install_done: 0.0,
+        finished: 1.0,
+    };
+    let died = CompletionEvent {
+        job: JobId::new(0),
+        attempt: 0,
+        outcome: JobOutcome::Failure(failure.clone()),
+        times,
+    };
+    exec.on_event(&died).expect("not crashed");
+    let run = exec.finish(1.0, |_| {});
+    let parsed = events::log::parse_lines(&events::log::write(&run.events)).expect("parses");
+    let read_back = parsed.iter().find_map(|(_, ev)| ev.termination()?.failure);
+    let (reason, detail) = read_back.expect("the attempt failed");
+    assert_eq!((reason, &**detail), (failure.reason, &*failure.detail));
+    let diags = check_stream(&parsed, "prop.events", &VerifyOptions::default());
+    assert!(
+        diags
+            .iter()
+            .all(|d| d.message.contains("does not match its detail")),
+        "{diags:?}"
+    );
+    diags.is_empty()
 }

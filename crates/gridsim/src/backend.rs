@@ -13,7 +13,9 @@ use crate::dist::{sample_exponential, sample_standard_normal};
 use crate::event::{EventQueue, QueueStats};
 use crate::faults::{AttemptTiming, FaultScript};
 use crate::platform::PlatformModel;
-use pegasus_wms::engine::{CompletionEvent, ExecutionBackend, FaultReason, JobOutcome, JobTimes};
+use pegasus_wms::engine::{
+    CompletionEvent, ExecutionBackend, Failure, FaultReason, JobOutcome, JobTimes,
+};
 use pegasus_wms::metrics::{names, MetricsRegistry};
 use pegasus_wms::planner::ExecutableJob;
 use pegasus_wms::symbols::Name;
@@ -55,10 +57,8 @@ struct PendingJob {
     install_done: f64,
     finished: f64,
     slot: usize,
-    preempted: bool,
-    /// Failure reason when `preempted`; `None` means the plain
-    /// platform hazard (`"preempted"`).
-    fail_reason: Option<Name>,
+    /// What killed the attempt before its natural finish, if anything.
+    failure: Option<Failure>,
     /// Scheduling generation, bumped on (re)scheduling so stale
     /// completion events can be recognised.
     event_gen: u64,
@@ -118,12 +118,12 @@ pub struct SimBackend {
     /// stays on integer ids.
     names: Vec<Option<Name>>,
     /// Per-attempt wall-clock budget from the engine's retry policy,
-    /// with the reason an attempt exceeding it fails with.
-    timeout: Option<(f64, Name)>,
-    /// The reasons the platform itself fails attempts with, allocated
-    /// once: every failure shares them.
-    preempted: Name,
-    blackout: Name,
+    /// with the failure of an attempt exceeding it.
+    timeout: Option<(f64, Failure)>,
+    /// The failures the platform itself deals, allocated once: every
+    /// attempt it kills shares them.
+    preempted: Failure,
+    blackout: Failure,
 }
 
 impl SimBackend {
@@ -153,7 +153,7 @@ impl SimBackend {
             script: None,
             names: Vec::new(),
             timeout: None,
-            preempted: FaultReason::Preemption.reason(),
+            preempted: FaultReason::Preemption.bare(),
             blackout: FaultReason::Eviction.tagged("blackout"),
         };
         if let Some(churn) = backend.platform.churn {
@@ -287,7 +287,7 @@ impl SimBackend {
         // The chaos script rules on this attempt from its fault-free
         // timing; its RNG is private, so platform sampling below stays
         // on the same stream whether or not a script is attached.
-        let mut script_kill: Option<(f64, Name)> = None;
+        let mut script_kill: Option<(f64, Failure)> = None;
         if let Some(script) = &self.script {
             let timing = AttemptTiming {
                 start: started,
@@ -308,25 +308,24 @@ impl SimBackend {
         // The earliest of: natural finish, platform preemption hazard,
         // scripted kill, per-attempt timeout.
         let mut finished = started + busy;
-        let mut fail_reason: Option<Name> = None;
+        let mut failure: Option<Failure> = None;
         if preempt_at < busy {
             finished = started + preempt_at;
-            fail_reason = Some(self.preempted.clone());
+            failure = Some(self.preempted.clone());
         }
-        if let Some((at, reason)) = script_kill {
+        if let Some((at, kill)) = script_kill {
             if at < finished {
                 finished = at;
-                fail_reason = Some(reason);
+                failure = Some(kill);
             }
         }
-        if let Some((limit, reason)) = &self.timeout {
+        if let Some((limit, exceeded)) = &self.timeout {
             if started + limit < finished {
                 finished = started + limit;
-                fail_reason = Some(reason.clone());
+                failure = Some(exceeded.clone());
             }
         }
-        p.preempted = fail_reason.is_some();
-        p.fail_reason = fail_reason;
+        p.failure = failure;
         p.install_done = (started + install_dur).min(finished);
         p.finished = finished;
         let gen = p.event_gen;
@@ -336,8 +335,8 @@ impl SimBackend {
 
     /// One more cause holds `slot` out of the pool; on the first vote
     /// the occupant (if any) is evicted and completes *now* with
-    /// `reason`.
-    fn take_slot_down(&mut self, slot: usize, reason: Name) {
+    /// `failure`.
+    fn take_slot_down(&mut self, slot: usize, failure: Failure) {
         self.down_votes[slot] += 1;
         if self.down_votes[slot] > 1 {
             return; // already out of the pool
@@ -349,8 +348,7 @@ impl SimBackend {
             // The scheduled completion at the original finish time is
             // now stale; deliver an eviction completion instead.
             self.busy_seconds -= p.finished - clock;
-            p.preempted = true;
-            p.fail_reason = Some(reason);
+            p.failure = Some(failure);
             p.finished = clock;
             p.install_done = p.install_done.min(clock);
             p.event_gen += 1;
@@ -380,7 +378,7 @@ impl SimBackend {
         let churn = self.platform.churn.expect("churn events imply a model");
         self.churn_events.0 += 1;
         // Opportunistic reclaim is exactly the paper's OSG preemption,
-        // so churn evictions keep the plain "preempted" reason.
+        // so churn evictions are the plain "preempted" failure.
         self.take_slot_down(slot, self.preempted.clone());
         let down_for = sample_exponential(&mut self.rng, 1.0 / churn.mean_down);
         self.events
@@ -426,8 +424,7 @@ impl SimBackend {
                 install_done: 0.0,
                 finished: 0.0,
                 slot: usize::MAX,
-                preempted: false,
-                fail_reason: None,
+                failure: None,
                 event_gen: 0,
             },
         );
@@ -445,7 +442,7 @@ impl SimBackend {
             }
         }
         self.released -= 1;
-        if p.preempted {
+        if p.failure.is_some() {
             self.preemptions += 1;
         }
         // Admit the next waiter into a freed slot.
@@ -464,11 +461,7 @@ impl SimBackend {
         CompletionEvent {
             job: p.job_id,
             attempt: p.attempt,
-            outcome: if p.preempted {
-                JobOutcome::Failure(p.fail_reason.unwrap_or_else(|| self.preempted.clone()))
-            } else {
-                JobOutcome::Success
-            },
+            outcome: p.failure.map_or(JobOutcome::Success, JobOutcome::Failure),
             times: JobTimes {
                 submitted: p.submitted,
                 started: p.started,
@@ -1005,7 +998,8 @@ mod tests {
         assert!(run.succeeded());
         let rec = &run.records[0];
         assert_eq!(rec.failures.len(), 1);
-        assert!(rec.failures[0].detail.starts_with("timeout"));
+        assert_eq!(rec.failures[0].reason, FaultReason::Timeout);
+        assert_eq!(rec.failures[0].detail, "timeout: exceeded 80s");
         assert_eq!(run.faults.timeouts, 1);
         // killed at 80, retried, ran clean for 50.
         assert_eq!(run.wall_time, 130.0);

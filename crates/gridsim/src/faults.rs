@@ -24,10 +24,9 @@
 //!   (via [`FaultScript::submit_host_crash_after`]) and leaves a
 //!   rescue DAG behind, exactly like a submit host dying mid-run.
 
-use pegasus_wms::engine::FaultReason;
+use pegasus_wms::engine::{Failure, FaultReason};
 use pegasus_wms::error::{Span, WmsError};
 use pegasus_wms::line::{self, Fields};
-use pegasus_wms::symbols::Name;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,7 +38,7 @@ pub enum Scenario {
     /// During `[start, start+duration)` every running attempt is
     /// killed with probability `kill_probability`, at a uniformly
     /// drawn moment inside the overlap of its execution window with
-    /// the storm window. Failure reason: `"preempted:storm"`.
+    /// the storm window. Fails as a preemption, `"preempted:storm"`.
     PreemptionStorm {
         /// Window start.
         start: f64,
@@ -53,7 +52,7 @@ pub enum Scenario {
     },
     /// Slots `[first_slot, first_slot+slot_count)` leave the pool at
     /// `start` and return at `start+duration`; their occupants are
-    /// evicted with reason `"evicted:blackout"`.
+    /// evicted, `"evicted:blackout"`.
     SlotBlackout {
         /// Window start.
         start: f64,
@@ -82,7 +81,7 @@ pub enum Scenario {
     },
     /// Attempts whose install phase overlaps `[start, start+duration)`
     /// fail during provisioning with probability `fail_probability`.
-    /// Failure reason: `"install:burst"`.
+    /// Fails as an install failure, `"install:burst"`.
     InstallFailureBurst {
         /// Window start.
         start: f64,
@@ -300,10 +299,10 @@ pub struct AttemptTiming {
 pub struct FaultDecision {
     /// Execution-time multiplier (1.0 = no straggler).
     pub slowdown: f64,
-    /// Kill the attempt at this absolute time with this reason, if
+    /// Kill the attempt at this absolute time with this failure, if
     /// any. The time always falls inside the attempt's (slowed) busy
     /// window.
-    pub kill: Option<(f64, Name)>,
+    pub kill: Option<(f64, Failure)>,
 }
 
 impl FaultDecision {
@@ -345,10 +344,10 @@ fn mix(x: u64) -> u64 {
 pub struct FaultScript {
     plan: FaultPlan,
     seed: u64,
-    /// The two reasons the script kills with, allocated once: every
+    /// The two failures the script kills with, allocated once: every
     /// attempt it fails shares them.
-    install_burst: Name,
-    storm: Name,
+    install_burst: Failure,
+    storm: Failure,
 }
 
 impl FaultScript {
@@ -415,10 +414,10 @@ impl FaultScript {
 
         let install_end = timing.start + timing.install_duration;
         let busy_end = install_end + timing.exec_duration * slowdown;
-        let mut kill: Option<(f64, Name)> = None;
-        let mut propose = |at: f64, reason: &Name| {
+        let mut kill: Option<(f64, Failure)> = None;
+        let mut propose = |at: f64, failure: &Failure| {
             if kill.as_ref().is_none_or(|(t, _)| at < *t) {
-                kill = Some((at, reason.clone()));
+                kill = Some((at, failure.clone()));
             }
         };
         for (k, s) in self.plan.scenarios.iter().enumerate() {
@@ -655,9 +654,10 @@ submit-host-crash after-events=150
         };
         for i in 0..32 {
             let d = s.decide(&format!("job{i}"), 0, &t);
-            let (at, reason) = d.kill.expect("probability 1 storm always kills");
+            let (at, failure) = d.kill.expect("probability 1 storm always kills");
             assert!((100.0..150.0).contains(&at), "kill at {at}");
-            assert_eq!(reason, "preempted:storm");
+            assert_eq!(failure.reason, FaultReason::Preemption);
+            assert_eq!(failure.detail, "preempted:storm");
         }
         // An attempt entirely outside the window is untouched.
         let outside = AttemptTiming {
@@ -679,9 +679,10 @@ submit-host-crash after-events=150
             install_duration: 40.0,
             exec_duration: 100.0,
         };
-        let (at, reason) = s.decide("a", 0, &with_install).kill.unwrap();
+        let (at, failure) = s.decide("a", 0, &with_install).kill.unwrap();
         assert!((10.0..50.0).contains(&at));
-        assert_eq!(reason, "install:burst");
+        assert_eq!(failure.reason, FaultReason::InstallFailure);
+        assert_eq!(failure.detail, "install:burst");
         let no_install = AttemptTiming {
             start: 10.0,
             install_duration: 0.0,

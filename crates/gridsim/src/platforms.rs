@@ -15,10 +15,8 @@
 //!   every task, and a preemption hazard that triggers Pegasus
 //!   retries (→ worse end-to-end despite more resources).
 
-use crate::dist::Dist;
-use crate::platform::{PlatformModel, SlotSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::platform::PlatformModel;
+use crate::sites::SiteRegistry;
 
 /// Serial reference cost of the full blast2cap3 run, in seconds
 /// (the paper's "100 hours").
@@ -31,6 +29,15 @@ pub const SANDHILLS_SLOTS: usize = 64;
 /// Concurrently usable opportunistic OSG slots in the model.
 pub const OSG_SLOTS: usize = 150;
 
+/// The model of one built-in site. The numbers are stated once, in
+/// [`crate::sites::BUILTIN_SITES_DEF`]; the functions below name its
+/// four entries and say what each number means.
+fn builtin(site: &str, seed: u64) -> PlatformModel {
+    let registry = SiteRegistry::builtin();
+    let id = registry.resolve(site).expect("a built-in site");
+    registry.platform(id, seed)
+}
+
 /// The Sandhills campus-cluster model.
 ///
 /// * 64 dedicated slots at reference speed;
@@ -39,20 +46,11 @@ pub const OSG_SLOTS: usize = 150;
 /// * small lognormal per-job dispatch delay — Fig. 5's "small and
 ///   negligible" waiting;
 /// * no preemption: "we encountered no failures ... on Sandhills";
+/// * software preinstalled: no install phase;
 /// * 90 s per-task overhead: job wrapper plus per-task staging of the
 ///   404 MB transcript dictionary from the shared filesystem.
 pub fn sandhills() -> PlatformModel {
-    PlatformModel {
-        name: "sandhills".into(),
-        slots: vec![SlotSpec { speed: 1.0 }; SANDHILLS_SLOTS],
-        queue_delay: Dist::lognormal_median(20.0, 0.8),
-        startup_delay: 600.0,
-        install_time_factor: 0.0, // software preinstalled
-        preemption_rate: 0.0,
-        runtime_jitter_sigma: 0.05,
-        task_overhead: 90.0,
-        churn: None,
-    }
+    builtin("sandhills", 0) // nothing about it is drawn from the seed
 }
 
 /// The Open Science Grid model.
@@ -63,30 +61,14 @@ pub fn sandhills() -> PlatformModel {
 /// * heavy-tailed per-job waiting (median 10 min, σ = 1.0) — the
 ///   erratic "Waiting Time" of Fig. 5;
 /// * every job pays its download/install phase in full
-///   (`install_time_factor = 1.0`; the planner attaches 45 s per
-///   missing package, 135 s for `run_cap3`);
+///   (`install-factor=1`; the planner attaches 45 s per missing
+///   package, 135 s for `run_cap3`);
 /// * an exponential preemption hazard with mean ~5.5 h of busy time —
 ///   jobs of other VO members evict opportunistic workloads, and the
 ///   engine retries, exactly the failures-and-retries the paper
 ///   observed.
 pub fn osg(seed: u64) -> PlatformModel {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let slots = (0..OSG_SLOTS)
-        .map(|_| SlotSpec {
-            speed: (1.35f64.ln() + 0.15 * crate::dist::sample_standard_normal(&mut rng)).exp(),
-        })
-        .collect();
-    PlatformModel {
-        name: "osg".into(),
-        slots,
-        queue_delay: Dist::lognormal_median(600.0, 1.0),
-        startup_delay: 0.0,
-        install_time_factor: 1.0,
-        preemption_rate: 1.0 / 20_000.0,
-        runtime_jitter_sigma: 0.15,
-        task_overhead: 5.0,
-        churn: None,
-    }
+    builtin("osg", seed)
 }
 
 /// An OSG variant in which eviction comes from explicit slot
@@ -95,14 +77,7 @@ pub fn osg(seed: u64) -> PlatformModel {
 /// running job. Mechanistically the most faithful opportunistic model;
 /// used by churn experiments and tests.
 pub fn osg_churning(seed: u64) -> PlatformModel {
-    PlatformModel {
-        preemption_rate: 0.0,
-        churn: Some(crate::platform::ChurnModel {
-            mean_up: 21_600.0,
-            mean_down: 3_600.0,
-        }),
-        ..osg(seed)
-    }
+    builtin("osg_churning", seed)
 }
 
 /// An OSG variant with software pre-staged on the opportunistic nodes
@@ -110,10 +85,7 @@ pub fn osg_churning(seed: u64) -> PlatformModel {
 /// configuration on the OSG resources for less time"). Used by the
 /// pre-staging ablation bench.
 pub fn osg_prestaged(seed: u64) -> PlatformModel {
-    PlatformModel {
-        install_time_factor: 0.0,
-        ..osg(seed)
-    }
+    builtin("osg_prestaged", seed)
 }
 
 #[cfg(test)]
@@ -134,6 +106,7 @@ mod tests {
     fn osg_is_bigger_faster_and_riskier() {
         let sh = sandhills();
         let grid = osg(1);
+        assert_eq!(grid.slot_count(), OSG_SLOTS);
         assert!(grid.slot_count() > sh.slot_count());
         assert!(grid.mean_speed() > 1.15, "mean={}", grid.mean_speed());
         assert!(grid.preemption_rate > 0.0);
@@ -160,8 +133,13 @@ mod tests {
         let normal = osg(2);
         let staged = osg_prestaged(2);
         assert_eq!(staged.install_time_factor, 0.0);
-        assert_eq!(staged.slots, normal.slots);
-        assert_eq!(staged.preemption_rate, normal.preemption_rate);
+        assert_eq!(
+            normal,
+            PlatformModel {
+                install_time_factor: 1.0,
+                ..staged
+            }
+        );
     }
 
     #[test]
@@ -170,7 +148,16 @@ mod tests {
         assert_eq!(c.preemption_rate, 0.0);
         let churn = c.churn.expect("churn model set");
         assert!(churn.mean_up > churn.mean_down);
-        assert_eq!(c.slots, osg(4).slots, "same pool otherwise");
+        let hazard = osg(4);
+        assert_eq!(
+            hazard,
+            PlatformModel {
+                preemption_rate: hazard.preemption_rate,
+                churn: None,
+                ..c
+            },
+            "same pool otherwise"
+        );
     }
 
     #[test]

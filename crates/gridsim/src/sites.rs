@@ -23,11 +23,11 @@
 //!   replica-catalog synthesis, the `--site both` sweep, and the
 //!   "does this platform need fault handling" predicate.
 //!
-//! The built-in definitions ([`SiteRegistry::builtin`]) construct
-//! `PlatformModel`s and catalog entries `assert_eq!`-identical to the
-//! original [`crate::platforms`] constructors and
-//! [`pegasus_wms::catalog::paper_catalogs`], so every committed golden
-//! stays byte-identical — while `pegasus run --sites my_sites.def
+//! The built-in definitions ([`SiteRegistry::builtin`]) are where the
+//! paper's platforms are defined — [`crate::platforms`] looks them up
+//! by name — and their catalog entries are `assert_eq!`-identical to
+//! [`pegasus_wms::catalog::paper_catalogs`]; every committed golden
+//! pins their values — while `pegasus run --sites my_sites.def
 //! --site my-cluster` executes a never-before-seen platform with zero
 //! code changes.
 
@@ -403,13 +403,13 @@ pub fn render_defs(defs: &[SiteDef]) -> String {
 }
 
 /// The built-in definitions: the paper's two platforms plus the two
-/// OSG variants, knob-for-knob identical to the original
-/// [`crate::platforms`] constructors and
+/// OSG variants — the one statement of their numbers, which
+/// [`crate::platforms`] looks up by name — knob-for-knob identical to
 /// [`pegasus_wms::catalog::paper_catalogs`].
 pub const BUILTIN_SITES_DEF: &str = "\
 # Built-in sites: the paper's two platforms and the OSG variants.
-# Calibration story in DESIGN.md \u{a7}4; equivalence with the
-# original constructors is pinned by the unit tests below.
+# Calibration story in DESIGN.md \u{a7}4; the values are pinned by the
+# byte goldens of tests/interning_equivalence.rs on both sites.
 
 site sandhills
 slots=64 speed=1
@@ -581,7 +581,7 @@ impl SiteRegistry {
 
     /// Builds the platform model for one site. The model's handle is
     /// the site's *catalog* name, so variants report under their base
-    /// site exactly like the original `osg_prestaged` constructor.
+    /// site (`osg_prestaged` is an `osg` to every report).
     pub fn platform(&self, id: SiteId, seed: u64) -> PlatformModel {
         let def = self.get(id);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -640,22 +640,6 @@ impl SiteRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platforms::{osg, osg_churning, osg_prestaged, sandhills};
-
-    #[test]
-    fn builtin_platforms_match_the_original_constructors() {
-        let reg = SiteRegistry::builtin();
-        for seed in [0u64, 7, 42, 1234] {
-            let sh = reg.resolve("sandhills").unwrap();
-            assert_eq!(reg.platform(sh, seed), sandhills());
-            let og = reg.resolve("osg").unwrap();
-            assert_eq!(reg.platform(og, seed), osg(seed));
-            let pre = reg.resolve("osg_prestaged").unwrap();
-            assert_eq!(reg.platform(pre, seed), osg_prestaged(seed));
-            let churn = reg.resolve("osg_churning").unwrap();
-            assert_eq!(reg.platform(churn, seed), osg_churning(seed));
-        }
-    }
 
     #[test]
     fn builtin_catalog_matches_paper_catalogs() {

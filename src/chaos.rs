@@ -9,7 +9,8 @@
 //! `time_scale` used for the pool's synthetic sleeps. Because every
 //! per-attempt decision is a pure function of `(seed, job, attempt)`,
 //! the kill/slowdown verdicts — and therefore the retry counts and
-//! failure reasons — replay identically on either backend. On the
+//! the typed failures, category and detail — replay identically on
+//! either backend. On the
 //! simulator, where timestamps are deterministic too, this extends to
 //! the engine's typed provenance stream: the same seed and plan write
 //! a byte-identical `pegasus_wms::events` log (see
@@ -39,10 +40,10 @@ pub fn fault_injector_for(script: FaultScript, time_scale: f64) -> FaultInjector
         if decision.slowdown != 1.0 {
             faults.push(InjectedFault::Slowdown(decision.slowdown));
         }
-        if let Some((at, reason)) = decision.kill {
+        if let Some((at, failure)) = decision.kill {
             faults.push(InjectedFault::Evict {
                 after: (at - timing.start).max(0.0) * scale,
-                reason,
+                failure,
             });
         }
         faults
@@ -53,6 +54,7 @@ pub fn fault_injector_for(script: FaultScript, time_scale: f64) -> FaultInjector
 mod tests {
     use super::*;
     use gridsim::FaultPlan;
+    use pegasus_wms::engine::FaultReason;
 
     #[test]
     fn injector_maps_virtual_times_through_the_scale() {
@@ -75,8 +77,10 @@ mod tests {
         let faults = injector(&probe);
         assert_eq!(faults.len(), 1);
         match &faults[0] {
-            InjectedFault::Evict { after, reason } => {
-                assert_eq!(reason, "preempted:storm");
+            InjectedFault::Evict { after, failure } => {
+                // The script's category crosses the bridge with it.
+                assert_eq!(failure.reason, FaultReason::Preemption);
+                assert_eq!(failure.detail, "preempted:storm");
                 assert!(
                     (0.0..=2.0).contains(after),
                     "real-second offset expected, got {after}"

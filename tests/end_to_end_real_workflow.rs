@@ -11,9 +11,11 @@ use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::experiment::real_local_run;
 use blast2cap3_pegasus::registry::build_registry;
 use cap3::Cap3Params;
-use condor::pool::{FailureInjector, LocalPool, PoolConfig};
+use condor::pool::{FaultInjector, FaultProbe, InjectedFault, LocalPool, PoolConfig};
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
-use pegasus_wms::engine::{Engine, EngineConfig, JobState, NoopMonitor, WorkflowOutcome};
+use pegasus_wms::engine::{
+    Engine, EngineConfig, FaultReason, JobState, NoopMonitor, WorkflowOutcome,
+};
 use pegasus_wms::planner::{plan, PlannerConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -103,9 +105,11 @@ fn injected_failures_are_absorbed_by_retries() {
     let exec = plan(&wf, &sites, &tc, &ReplicaCatalog::new(), &cfg).unwrap();
 
     // Every task's first attempt is "preempted".
-    let injector: FailureInjector =
-        Arc::new(|_name: &str, attempt: u32| (attempt == 0).then(|| "preempted".to_string()));
-    let mut pool = LocalPool::with_failure_injector(
+    let injector: FaultInjector = Arc::new(|probe: &FaultProbe| {
+        let preempted = InjectedFault::Fail(FaultReason::Preemption.bare());
+        Vec::from_iter((probe.attempt == 0).then_some(preempted))
+    });
+    let mut pool = LocalPool::with_fault_injector(
         PoolConfig {
             workers: 2,
             workdir: workdir.clone(),
@@ -122,6 +126,7 @@ fn injected_failures_are_absorbed_by_retries() {
     );
     assert!(run.succeeded(), "retries must absorb injected preemptions");
     assert_eq!(run.total_retries() as usize, exec.jobs.len());
+    assert_eq!(run.faults.preemptions as usize, exec.jobs.len());
 
     let final_records = fasta::read_file(workdir.join(names::FINAL)).unwrap();
     assert_eq!(final_records.len(), reference_count);
@@ -159,9 +164,11 @@ fn rescue_resume_over_shared_workdir() {
     let exec = plan(&wf, &sites, &tc, &ReplicaCatalog::new(), &cfg).unwrap();
 
     // run_cap3_1 always fails in run 1.
-    let injector: FailureInjector =
-        Arc::new(|name: &str, _attempt: u32| (name == "run_cap3_1").then(|| "dead node".into()));
-    let mut pool1 = LocalPool::with_failure_injector(
+    let injector: FaultInjector = Arc::new(|probe: &FaultProbe| {
+        let dead = InjectedFault::Fail(FaultReason::Other.tagged("dead node"));
+        Vec::from_iter((probe.job == "run_cap3_1").then_some(dead))
+    });
+    let mut pool1 = LocalPool::with_fault_injector(
         PoolConfig {
             workers: 2,
             workdir: workdir.clone(),

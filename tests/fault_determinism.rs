@@ -1,15 +1,16 @@
 //! Seeded-chaos determinism: the same fault plan under the same seed
 //! must replay bit-for-bit on the simulation backend (byte-identical
 //! statistics CSVs) and decision-for-decision on the real local pool
-//! (identical attempt counts, states, and failure reasons — timestamps
-//! are real wall clock and are the only thing allowed to differ).
+//! (identical attempt counts, states, and typed failures, category and
+//! detail — timestamps are real wall clock and are the only thing
+//! allowed to differ), and the pool must agree with the simulator.
 
 use blast2cap3_pegasus::chaos::fault_injector_for;
 use blast2cap3_pegasus::experiment::simulate_blast2cap3_with;
 use condor::pool::{LocalPool, PoolConfig, TaskRegistry};
-use gridsim::{AttemptTiming, FaultPlan, FaultScript};
+use gridsim::{AttemptTiming, FaultPlan, FaultScript, PlatformModel, SimBackend};
 use pegasus_wms::engine::{
-    Engine, EngineConfig, JobRecord, JobState, NoopMonitor, RetryPolicy, WorkflowRun,
+    Engine, EngineConfig, FaultReason, JobRecord, JobState, NoopMonitor, RetryPolicy, WorkflowRun,
 };
 use pegasus_wms::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
 use pegasus_wms::statistics::{render_csv, render_summary_csv};
@@ -156,13 +157,21 @@ fn pool_workflow(n: usize) -> ExecutableWorkflow {
     }
 }
 
-fn chaos_pool_run(seed: u64) -> WorkflowRun {
-    // Whole-run window + install-only faults: the decision for each
-    // (job, attempt) is a pure coin flip, independent of wall clock.
+/// Whole-run window + install-only faults: the decision for each
+/// (job, attempt) is a pure coin flip, independent of any clock.
+fn pool_script(seed: u64) -> FaultScript {
     let plan =
         FaultPlan::parse("install-failure-burst start=0 duration=1e12 fail-probability=0.6\n")
             .expect("valid plan");
-    let script = FaultScript::new(plan, seed);
+    FaultScript::new(plan, seed)
+}
+
+fn pool_engine_cfg() -> EngineConfig {
+    EngineConfig::builder().retries(8).build()
+}
+
+fn chaos_pool_run(seed: u64) -> WorkflowRun {
+    let script = pool_script(seed);
     let scale = 0.001;
     let mut pool = LocalPool::with_fault_injector(
         PoolConfig {
@@ -177,7 +186,21 @@ fn chaos_pool_run(seed: u64) -> WorkflowRun {
     Engine::run(
         &mut pool,
         &pool_workflow(10),
-        &EngineConfig::builder().retries(8).build(),
+        &pool_engine_cfg(),
+        &mut NoopMonitor,
+    )
+}
+
+/// The same workflow under the same script on the simulator: a
+/// platform that installs, never preempts and draws nothing the script
+/// does not.
+fn chaos_sim_pool_run(seed: u64) -> WorkflowRun {
+    let mut sim = SimBackend::new(PlatformModel::uniform("local", 4, 1.0), seed)
+        .with_faults(pool_script(seed));
+    Engine::run(
+        &mut sim,
+        &pool_workflow(10),
+        &pool_engine_cfg(),
         &mut NoopMonitor,
     )
 }
@@ -187,7 +210,12 @@ fn local_pool_replays_the_same_fault_decisions() {
     let seed = 99;
     let a = chaos_pool_run(seed);
     let b = chaos_pool_run(seed);
+    let sim = chaos_sim_pool_run(seed);
     assert_eq!(a.succeeded(), b.succeeded());
+    assert_eq!(a.succeeded(), sim.succeeded());
+    // Typed at birth on both backends, so the tallies agree too.
+    assert_eq!(a.faults, b.faults);
+    assert_eq!(a.faults, sim.faults);
     assert!(
         a.faults.install_failures > 0,
         "burst at p=0.6 over 10 jobs should fire: {:?}",
@@ -195,26 +223,28 @@ fn local_pool_replays_the_same_fault_decisions() {
     );
 
     // The script's verdicts are a pure function of (job, attempt), so
-    // both pool runs — and the script consulted directly — agree on
-    // the number of attempts each job needed.
-    let plan =
-        FaultPlan::parse("install-failure-burst start=0 duration=1e12 fail-probability=0.6\n")
-            .unwrap();
-    let script = FaultScript::new(plan, seed);
+    // both pool runs, the simulator — and the script consulted directly
+    // — agree on the number of attempts each job needed.
+    let script = pool_script(seed);
     let timing = AttemptTiming {
         start: 0.0,
         install_duration: 5.0,
         exec_duration: 2.0,
     };
-    for (ra, rb) in a.records.iter().zip(&b.records) {
+    for ((ra, rb), rs) in a.records.iter().zip(&b.records).zip(&sim.records) {
         assert_eq!(ra.name, rb.name);
         assert_eq!(ra.state, rb.state, "{}", ra.name);
         assert_eq!(ra.attempts, rb.attempts, "{}", ra.name);
-        // Real threads: the wall-clock times differ, the reasons do not.
-        let details = |r: &JobRecord| -> Vec<String> {
-            r.failures.iter().map(|f| f.detail.to_string()).collect()
+        // Real threads: the wall-clock times differ, what each attempt
+        // died of — category and detail — does not, on either backend.
+        let failures = |r: &JobRecord| -> Vec<(FaultReason, String)> {
+            (r.failures.iter())
+                .map(|f| (f.reason, f.detail.to_string()))
+                .collect()
         };
-        assert_eq!(details(ra), details(rb), "{}", ra.name);
+        assert_eq!(failures(ra), failures(rb), "{}", ra.name);
+        assert_eq!(failures(ra), failures(rs), "{}", ra.name);
+        assert_eq!((ra.state, ra.attempts), (rs.state, rs.attempts));
 
         let first_clean = (0..9u32).find(|&k| script.decide(&ra.name, k, &timing).kill.is_none());
         match first_clean {
@@ -228,6 +258,7 @@ fn local_pool_replays_the_same_fault_decisions() {
             }
         }
         for failure in &ra.failures {
+            assert_eq!(failure.reason, FaultReason::InstallFailure);
             assert_eq!(failure.detail, "install:burst");
         }
     }

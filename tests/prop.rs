@@ -144,14 +144,14 @@ fn event((variant, job, a, b, reason, flag): Draw) -> WorkflowEvent {
         5 if reason == FaultReason::Timeout => WorkflowEvent::TimedOut {
             job,
             attempt: 0,
-            detail: reason.reason(),
+            detail: reason.bare().detail,
             times,
         },
         5 => WorkflowEvent::Failed {
             job,
             attempt: 0,
             reason,
-            detail: reason.reason(),
+            detail: reason.bare().detail,
             times,
         },
         6 => WorkflowEvent::RetryScheduled {
@@ -159,7 +159,7 @@ fn event((variant, job, a, b, reason, flag): Draw) -> WorkflowEvent {
             next_attempt: 1,
             backoff: b,
             reason,
-            detail: reason.reason(),
+            detail: reason.bare().detail,
             time: a,
         },
         _ => WorkflowEvent::WorkflowFinished {
