@@ -2,7 +2,7 @@
 //!
 //! This driver executes the same task decomposition the Pegasus
 //! workflow uses — split the clusters into `n` chunks, run CAP3 over
-//! each chunk, merge — but inside one process on a crossbeam worker
+//! each chunk, merge — but inside one process on a scoped worker
 //! pool. It exists so the headline experiment can measure the *real*
 //! (not simulated) speedup of the parallel decomposition over
 //! [`crate::serial::run_serial`] on identical inputs, isolating the
@@ -62,14 +62,14 @@ pub fn run_parallel(
         // Work-stealing by atomic counter: each worker claims the next
         // chunk index until exhausted; results land in per-index slots
         // via a channel to keep the ownership simple.
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, ChunkOutput, Duration)>();
-        crossbeam::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::channel::<(usize, ChunkOutput, Duration)>();
+        std::thread::scope(|scope| {
             for _ in 0..threads.min(chunks.len()) {
                 let tx = tx.clone();
                 let next = &next;
                 let dict = &dict;
                 let chunks = &chunks;
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= chunks.len() {
                         break;
@@ -83,8 +83,7 @@ pub fn run_parallel(
             for (i, out, dt) in rx {
                 outputs[i] = Some((out, dt));
             }
-        })
-        .expect("crossbeam scope");
+        });
     }
 
     let mut chunk_outputs = Vec::with_capacity(chunks.len());

@@ -13,7 +13,7 @@
 //!   refinement of seed hits into HSPs;
 //! * [`evalue`] — Karlin–Altschul bit scores and E-values;
 //! * [`search`] — the per-query 6-frame search driver with a
-//!   crossbeam-based parallel front end;
+//!   scoped-thread parallel front end;
 //! * [`tabular`] — reader/writer for the 12-column `-outfmt 6` format
 //!   (the `alignments.out` file of the paper).
 //!

@@ -5,7 +5,7 @@
 //! X-drop-extends each seed, optionally rescores the segment with a
 //! banded gapped alignment, filters by E-value, and reports the
 //! surviving HSPs ranked by bit score. [`Searcher::search_many`] fans
-//! queries out over a crossbeam scoped thread pool — the aligner is
+//! queries out over scoped threads — the aligner is
 //! embarrassingly parallel over queries, which is exactly the
 //! parallelism the paper's workflow exploits at coarser granularity.
 
@@ -271,11 +271,11 @@ impl Searcher {
         }
         let chunk = queries.len().div_ceil(threads);
         let mut slots: Vec<Vec<Hsp>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = queries
                 .chunks(chunk)
                 .map(|qs| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         qs.iter()
                             .flat_map(|(id, dna)| self.search_one(id, dna))
                             .collect::<Vec<Hsp>>()
@@ -285,8 +285,7 @@ impl Searcher {
             for h in handles {
                 slots.push(h.join().expect("search worker panicked"));
             }
-        })
-        .expect("crossbeam scope");
+        });
         slots.into_iter().flatten().collect()
     }
 }

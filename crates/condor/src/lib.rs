@@ -7,7 +7,7 @@
 //! equivalent for local, *real* execution — and holds only what a real
 //! run executes:
 //!
-//! * [`pool`] — [`pool::LocalPool`], a crossbeam worker pool that
+//! * [`pool`] — [`pool::LocalPool`], a worker-thread pool that
 //!   implements [`pegasus_wms::ExecutionBackend`] and executes
 //!   registered Rust task kernels with real wall-clock timing. Its
 //!   slots are identical threads fed from one channel, so nothing is

@@ -19,7 +19,7 @@ use pegasus_wms::planner::ExecutableJob;
 use pegasus_wms::symbols::{Args, Name};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Everything a task kernel sees about its job.
@@ -156,14 +156,20 @@ struct WorkItem {
     submitted: f64,
 }
 
+/// The next job of the queue the workers share, `None` once the pool
+/// has shut down. The lock is held for the wait, not for the job.
+fn next_job(queue: &Mutex<mpsc::Receiver<WorkItem>>) -> Option<WorkItem> {
+    queue.lock().expect("queue lock").recv().ok()
+}
+
 /// The local execution backend.
 pub struct LocalPool {
-    job_tx: Option<crossbeam::channel::Sender<WorkItem>>,
-    done_rx: crossbeam::channel::Receiver<CompletionEvent>,
+    job_tx: Option<mpsc::Sender<WorkItem>>,
+    done_rx: mpsc::Receiver<CompletionEvent>,
     handles: Vec<std::thread::JoinHandle<()>>,
     t0: Instant,
     /// Per-attempt wall-clock budget, shared with the workers.
-    timeout: Arc<std::sync::Mutex<Option<f64>>>,
+    timeout: Arc<Mutex<Option<f64>>>,
     /// Worker-thread count, reported as slot capacity so an ensemble
     /// manager sharing this pool can budget admissions.
     workers: usize,
@@ -184,22 +190,23 @@ impl LocalPool {
         injector: Option<FaultInjector>,
     ) -> Self {
         std::fs::create_dir_all(&config.workdir).ok();
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<WorkItem>();
-        let (done_tx, done_rx) = crossbeam::channel::unbounded::<CompletionEvent>();
+        let (job_tx, job_rx) = mpsc::channel::<WorkItem>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let (done_tx, done_rx) = mpsc::channel::<CompletionEvent>();
         let t0 = Instant::now();
         let registry = Arc::new(registry);
         let config = Arc::new(config);
-        let timeout = Arc::new(std::sync::Mutex::new(None::<f64>));
+        let timeout = Arc::new(Mutex::new(None::<f64>));
         let mut handles = Vec::with_capacity(config.workers.max(1));
         for _ in 0..config.workers.max(1) {
-            let job_rx = job_rx.clone();
+            let job_rx = Arc::clone(&job_rx);
             let done_tx = done_tx.clone();
             let registry = Arc::clone(&registry);
             let config = Arc::clone(&config);
             let injector = injector.clone();
             let timeout = Arc::clone(&timeout);
             handles.push(std::thread::spawn(move || {
-                while let Ok(item) = job_rx.recv() {
+                while let Some(item) = next_job(&job_rx) {
                     let now = |t0: Instant| t0.elapsed().as_secs_f64();
                     let started = now(t0);
                     let task = registry.get(&item.job.transformation).map(Arc::clone);
@@ -439,7 +446,7 @@ mod tests {
 
     #[test]
     fn kernel_receives_context() {
-        let (tx, rx) = crossbeam::channel::unbounded::<(Name, Args)>();
+        let (tx, rx) = mpsc::channel::<(Name, Args)>();
         let mut reg = TaskRegistry::new();
         reg.register("ctx", move |ctx| {
             tx.send((ctx.job_name.clone(), ctx.args.clone())).unwrap();
@@ -750,7 +757,7 @@ mod tests {
 
     #[test]
     fn dependency_order_is_respected_under_parallel_workers() {
-        let (tx, rx) = crossbeam::channel::unbounded::<Name>();
+        let (tx, rx) = mpsc::channel::<Name>();
         let mut reg = TaskRegistry::new();
         reg.register("log", move |ctx| {
             tx.send(ctx.job_name.clone()).unwrap();

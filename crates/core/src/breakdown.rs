@@ -182,7 +182,7 @@ pub fn of_run(run: &WorkflowRun) -> BreakdownRow {
 /// the run it records, then [`of_run`].
 ///
 /// # Errors
-/// Returns [`WmsError::EventLogParse`] when the stream is not a valid
+/// Returns [`WmsError::Parse`] when the stream is not a valid
 /// engine emission (no header first, undeclared or out-of-order jobs).
 pub fn from_events(stream: &[WorkflowEvent]) -> Result<BreakdownRow, WmsError> {
     Ok(of_run(&events::fold(stream)?))

@@ -22,7 +22,7 @@
 //! ```
 
 use crate::catalog::{ReplicaCatalog, Site, SiteCatalog, Transformation, TransformationCatalog};
-use crate::error::WmsError;
+use crate::error::{Format, WmsError};
 
 /// The three catalogs as read from one file.
 #[derive(Debug, Clone, Default)]
@@ -33,13 +33,6 @@ pub struct CatalogBundle {
     pub transformations: TransformationCatalog,
     /// Replicas.
     pub replicas: ReplicaCatalog,
-}
-
-fn parse_err(line: usize, reason: impl Into<String>) -> WmsError {
-    WmsError::DaxParse {
-        span: crate::error::Span::line(line),
-        reason: format!("catalog: {}", reason.into()),
-    }
 }
 
 fn parse_list(v: &str) -> Vec<String> {
@@ -54,7 +47,7 @@ fn parse_bool(v: &str, line: usize) -> Result<bool, WmsError> {
     match v.trim() {
         "true" | "yes" | "1" => Ok(true),
         "false" | "no" | "0" => Ok(false),
-        other => Err(parse_err(line, format!("bad boolean {other:?}"))),
+        other => Err(Format::Catalog.at(line, format!("bad boolean {other:?}"))),
     }
 }
 
@@ -88,29 +81,33 @@ pub fn parse(text: &str) -> Result<CatalogBundle, WmsError> {
         if let Some(header) = line.strip_prefix('[') {
             let header = header
                 .strip_suffix(']')
-                .ok_or_else(|| parse_err(lineno, "unterminated section header"))?;
+                .ok_or_else(|| Format::Catalog.at(lineno, "unterminated section header"))?;
             let (kind, name) = header
                 .split_once(char::is_whitespace)
-                .ok_or_else(|| parse_err(lineno, "section needs a kind and a name"))?;
+                .ok_or_else(|| Format::Catalog.at(lineno, "section needs a kind and a name"))?;
             let name = name.trim();
             if name.is_empty() {
-                return Err(parse_err(lineno, "empty section name"));
+                return Err(Format::Catalog.at(lineno, "empty section name"));
             }
             flush(&mut section, &mut bundle);
             section = match kind {
                 "site" => Section::Site(Site::new(name)),
                 "transformation" => Section::Transformation(Transformation::new(name)),
                 "replica" => Section::Replica(name.to_string()),
-                other => return Err(parse_err(lineno, format!("unknown section kind {other:?}"))),
+                other => {
+                    return Err(
+                        Format::Catalog.at(lineno, format!("unknown section kind {other:?}"))
+                    )
+                }
             };
             continue;
         }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| parse_err(lineno, format!("expected key = value, got {line:?}")))?;
+        let (key, value) = line.split_once('=').ok_or_else(|| {
+            Format::Catalog.at(lineno, format!("expected key = value, got {line:?}"))
+        })?;
         let (key, value) = (key.trim(), value.trim());
         match &mut section {
-            Section::None => return Err(parse_err(lineno, "key outside any section")),
+            Section::None => return Err(Format::Catalog.at(lineno, "key outside any section")),
             Section::Site(site) => match key {
                 "preinstalled" => {
                     site.preinstalled.extend(parse_list(value));
@@ -119,29 +116,30 @@ pub fn parse(text: &str) -> Result<CatalogBundle, WmsError> {
                 "bandwidth_mbps" => {
                     let mbps: f64 = value
                         .parse()
-                        .map_err(|_| parse_err(lineno, "bad bandwidth_mbps"))?;
+                        .map_err(|_| Format::Catalog.at(lineno, "bad bandwidth_mbps"))?;
                     site.bandwidth_bps = mbps * 1.0e6;
                 }
                 "cpu_speed" => {
                     site.cpu_speed = value
                         .parse()
-                        .map_err(|_| parse_err(lineno, "bad cpu_speed"))?;
+                        .map_err(|_| Format::Catalog.at(lineno, "bad cpu_speed"))?;
                 }
-                other => return Err(parse_err(lineno, format!("unknown site key {other:?}"))),
+                other => {
+                    return Err(Format::Catalog.at(lineno, format!("unknown site key {other:?}")))
+                }
             },
             Section::Transformation(t) => match key {
                 "requires" => t.requires.extend(parse_list(value)),
                 "install_cost" => {
                     t.install_cost_per_pkg = value
                         .parse()
-                        .map_err(|_| parse_err(lineno, "bad install_cost"))?;
+                        .map_err(|_| Format::Catalog.at(lineno, "bad install_cost"))?;
                 }
                 "installable" => t.installable = parse_bool(value, lineno)?,
                 other => {
-                    return Err(parse_err(
-                        lineno,
-                        format!("unknown transformation key {other:?}"),
-                    ))
+                    return Err(
+                        Format::Catalog.at(lineno, format!("unknown transformation key {other:?}"))
+                    )
                 }
             },
             Section::Replica(file) => match key {
@@ -150,7 +148,9 @@ pub fn parse(text: &str) -> Result<CatalogBundle, WmsError> {
                         bundle.replicas.register(file.clone(), site);
                     }
                 }
-                other => return Err(parse_err(lineno, format!("unknown replica key {other:?}"))),
+                other => {
+                    return Err(Format::Catalog.at(lineno, format!("unknown replica key {other:?}")))
+                }
             },
         }
     }
@@ -271,7 +271,7 @@ sites = submit, sandhills
     fn errors_carry_line_numbers() {
         let bad = "[site x]\nnot_a_key = 1\n";
         match parse(bad).unwrap_err() {
-            WmsError::DaxParse { span, reason } => {
+            WmsError::Parse { span, reason, .. } => {
                 assert_eq!(span.line, 2);
                 assert!(reason.contains("not_a_key"));
             }

@@ -12,7 +12,7 @@
 //! survive a round trip — the same limitation the real DAX text layout
 //! has.
 
-use crate::error::{Span, WmsError};
+use crate::error::{Format, Span, WmsError};
 use crate::symbols::{Args, JobId, Name, NamePool, SymbolTable};
 use crate::workflow::AbstractWorkflow;
 use std::borrow::Cow;
@@ -183,17 +183,11 @@ impl<'a> XmlScanner<'a> {
     }
 
     fn err(&self, reason: impl Into<String>) -> WmsError {
-        WmsError::DaxParse {
-            span: self.span_at(self.pos),
-            reason: reason.into(),
-        }
+        Format::Dax.error(self.span_at(self.pos), reason)
     }
 
     fn tag_err(&self, reason: impl Into<String>) -> WmsError {
-        WmsError::DaxParse {
-            span: self.span_at(self.tag),
-            reason: reason.into(),
-        }
+        Format::Dax.error(self.span_at(self.tag), reason)
     }
 
     fn peek(&self) -> Option<u8> {
@@ -447,9 +441,11 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
         ids: &mut SymbolTable<JobId>,
         job: OpenJob,
         scratch: &JobScratch<'_>,
+        scan: &XmlScanner<'_>,
     ) -> Result<(), WmsError> {
         if ids.get(&job.id).is_some() {
-            return Err(WmsError::DuplicateJob(job.id.into()));
+            let reason = WmsError::DuplicateJob(job.id.into()).to_string();
+            return Err(Format::Dax.error_as("E0102", scan.span_at(scan.tag), reason));
         }
         let id = ids.intern(&job.id);
         debug_assert_eq!(id.idx(), wf.jobs.len());
@@ -501,8 +497,7 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
                     scratch.clear();
                     if self_closing {
                         let w = wf.as_mut().expect("checked above");
-                        push_job(w, &mut ids, job, &scratch)
-                            .map_err(|e| scan.tag_err(e.to_string()))?;
+                        push_job(w, &mut ids, job, &scratch, &scan)?;
                     } else {
                         cur_job = Some(job);
                     }
@@ -557,8 +552,7 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
                     let w = wf
                         .as_mut()
                         .ok_or_else(|| scan.tag_err("</job> outside <adag>"))?;
-                    push_job(w, &mut ids, job, &scratch)
-                        .map_err(|e| scan.tag_err(e.to_string()))?;
+                    push_job(w, &mut ids, job, &scratch, &scan)?;
                 }
                 "argument" => in_argument = false,
                 "child" => cur_child = None,
@@ -580,26 +574,20 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
     if cur_child.is_some() {
         return Err(scan.err("unclosed <child> at end of input"));
     }
-    let mut wf = wf.ok_or_else(|| WmsError::DaxParse {
-        span: Span::none(),
-        reason: "no <adag> element found".into(),
-    })?;
+    let mut wf = wf.ok_or_else(|| Format::Dax.error(Span::none(), "no <adag> element found"))?;
     if !adag_closed {
         return Err(scan.err("unclosed <adag> at end of input"));
     }
+    // A <child>/<parent> ref is dangling only once every job is in.
+    let dangling = |side: &str, id: &str| {
+        let reason = format!("edge references unknown {side} {id:?}");
+        Format::Dax.error_as("E0105", Span::none(), reason)
+    };
     for (p, c) in pending_edges {
-        let pid = ids.get(&p).ok_or_else(|| WmsError::DaxParse {
-            span: Span::none(),
-            reason: format!("edge references unknown parent {p:?}"),
-        })?;
-        let cid = ids.get(&c).ok_or_else(|| WmsError::DaxParse {
-            span: Span::none(),
-            reason: format!("edge references unknown child {c:?}"),
-        })?;
-        wf.add_edge(pid, cid).map_err(|e| WmsError::DaxParse {
-            span: Span::none(),
-            reason: e.to_string(),
-        })?;
+        let pid = ids.get(&p).ok_or_else(|| dangling("parent", &p))?;
+        let cid = ids.get(&c).ok_or_else(|| dangling("child", &c))?;
+        wf.add_edge(pid, cid)
+            .map_err(|e| Format::Dax.error(Span::none(), e.to_string()))?;
     }
     wf.shrink_to_fit();
     Ok(wf)
@@ -763,7 +751,7 @@ mod tests {
         // Columns count bytes, as they always have: `é` is two.
         let text = "<adag>\n  <!-- é -->\n  é<job/>";
         match from_dax(text).unwrap_err() {
-            WmsError::DaxParse { span, .. } => assert_eq!(span, Span::new(3, 5)),
+            WmsError::Parse { span, .. } => assert_eq!(span, Span::new(3, 5)),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -779,7 +767,7 @@ mod tests {
     #[test]
     fn missing_adag_is_an_error() {
         let err = from_dax("<job id=\"a\"/>").unwrap_err();
-        assert!(matches!(err, WmsError::DaxParse { .. }));
+        assert!(matches!(err, WmsError::Parse { .. }));
     }
 
     #[test]
@@ -805,7 +793,7 @@ mod tests {
     fn line_numbers_in_errors() {
         let text = "<adag name=\"w\">\n\n<job name=\"missing-id\"/>\n</adag>";
         match from_dax(text).unwrap_err() {
-            WmsError::DaxParse { span, .. } => assert_eq!(span, Span::new(3, 1)),
+            WmsError::Parse { span, .. } => assert_eq!(span, Span::new(3, 1)),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -814,14 +802,14 @@ mod tests {
     fn spans_point_at_the_offending_tag() {
         let text = "<adag name=\"w\">\n  <job name=\"missing-id\"/>\n</adag>";
         match from_dax(text).unwrap_err() {
-            WmsError::DaxParse { span, .. } => assert_eq!(span, Span::new(2, 3)),
+            WmsError::Parse { span, .. } => assert_eq!(span, Span::new(2, 3)),
             other => panic!("unexpected {other:?}"),
         }
         // Duplicate ids point at the second declaration.
         let text =
             "<adag name=\"w\">\n<job id=\"a\" name=\"t\"/>\n<job id=\"a\" name=\"t\"/>\n</adag>";
         match from_dax(text).unwrap_err() {
-            WmsError::DaxParse { span, reason } => {
+            WmsError::Parse { span, reason, .. } => {
                 assert_eq!(span, Span::new(3, 1));
                 assert!(reason.contains("duplicate"));
             }
@@ -851,18 +839,18 @@ mod tests {
         // A <job> still open at end of input used to be dropped.
         let err = from_dax("<adag name=\"w\"><job id=\"a\" name=\"t\">").unwrap_err();
         match err {
-            WmsError::DaxParse { reason, .. } => assert!(reason.contains("unclosed <job")),
+            WmsError::Parse { reason, .. } => assert!(reason.contains("unclosed <job")),
             other => panic!("unexpected {other:?}"),
         }
         let err = from_dax("<adag name=\"w\"><job id=\"a\" name=\"t\"/>").unwrap_err();
         match err {
-            WmsError::DaxParse { reason, .. } => assert!(reason.contains("unclosed <adag>")),
+            WmsError::Parse { reason, .. } => assert!(reason.contains("unclosed <adag>")),
             other => panic!("unexpected {other:?}"),
         }
         let err =
             from_dax("<adag name=\"w\"><job id=\"a\" name=\"t\"/><child ref=\"a\">").unwrap_err();
         match err {
-            WmsError::DaxParse { reason, .. } => assert!(reason.contains("unclosed <child>")),
+            WmsError::Parse { reason, .. } => assert!(reason.contains("unclosed <child>")),
             other => panic!("unexpected {other:?}"),
         }
     }

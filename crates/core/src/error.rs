@@ -48,6 +48,72 @@ impl fmt::Display for Span {
     }
 }
 
+/// The text formats this stack parses. A format owns how its parse
+/// errors open and the lint code they report under by default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// The abstract workflow document.
+    Dax,
+    /// The INI catalog bundle (`--catalog`).
+    Catalog,
+    /// A rescue DAG.
+    Rescue,
+    /// A site-definitions file (`--sites`).
+    SiteDef,
+    /// A fault plan.
+    FaultPlan,
+    /// A provenance event log.
+    EventLog,
+    /// A `pegasus serve` request, response or journal line.
+    Protocol,
+}
+
+impl Format {
+    /// What the format's parse errors open with, and the lint code
+    /// they report under unless the raise site states another. The
+    /// three formats no lint pass reads take the code of the family
+    /// their file belongs to: a catalog is planner input like the DAX;
+    /// a rescue DAG and the daemon's journal are, like the event log,
+    /// what a run left behind.
+    fn row(self) -> (&'static str, &'static str) {
+        match self {
+            Format::Dax => ("DAX", "E0101"),
+            Format::Catalog => ("catalog", "E0101"),
+            Format::Rescue => ("rescue DAG", "E0708"),
+            Format::SiteDef => ("site definition", "E0507"),
+            Format::FaultPlan => ("fault plan", "E0206"),
+            Format::EventLog => ("event log", "E0708"),
+            Format::Protocol => ("protocol", "E0708"),
+        }
+    }
+
+    /// The format's default lint code.
+    pub fn code(self) -> &'static str {
+        self.row().1
+    }
+
+    /// A parse error of this format under its default code.
+    pub fn error(self, span: Span, reason: impl Into<String>) -> WmsError {
+        self.error_as(self.code(), span, reason)
+    }
+
+    /// [`error`](Self::error) at a line, for the line-oriented formats.
+    pub fn at(self, line: usize, reason: impl Into<String>) -> WmsError {
+        self.error(Span::line(line), reason)
+    }
+
+    /// A parse error of this format under the code of the rule the
+    /// raise site knows was broken.
+    pub fn error_as(self, code: &'static str, span: Span, reason: impl Into<String>) -> WmsError {
+        WmsError::Parse {
+            format: self,
+            span,
+            code,
+            reason: reason.into(),
+        }
+    }
+}
+
 /// Errors raised across the WMS stack.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WmsError {
@@ -83,41 +149,16 @@ pub enum WmsError {
         /// The target site.
         site: String,
     },
-    /// DAX parsing failed.
-    DaxParse {
-        /// Position of the offending construct.
+    /// An input text was refused by the parser of its [`Format`].
+    Parse {
+        /// Which parser refused it.
+        format: Format,
+        /// Position of the offending construct; [`Span::none`] when
+        /// the refusal is about the text as a whole.
         span: Span,
-        /// Description of the problem.
-        reason: String,
-    },
-    /// A rescue file was malformed.
-    RescueParse(String),
-    /// A site-definition file was malformed.
-    SiteDefParse {
-        /// One-based line number (0 when unknown).
-        line: usize,
-        /// Description of the problem.
-        reason: String,
-    },
-    /// A fault-plan file was malformed.
-    FaultPlanParse {
-        /// One-based line number (0 when unknown).
-        line: usize,
-        /// Description of the problem.
-        reason: String,
-    },
-    /// An event-log file was malformed.
-    EventLogParse {
-        /// One-based line number (0 when unknown).
-        line: usize,
-        /// Description of the problem.
-        reason: String,
-    },
-    /// A `pegasus serve` protocol or journal line was malformed.
-    ProtocolParse {
-        /// One-based line number (0 when unknown, e.g. single-line
-        /// socket requests).
-        line: usize,
+        /// The lint code the refusal reports under: the format's
+        /// [default](Format::code), unless the raise site knew better.
+        code: &'static str,
         /// Description of the problem.
         reason: String,
     },
@@ -171,29 +212,17 @@ impl fmt::Display for WmsError {
                 f,
                 "transformation {transformation:?} unavailable at site {site:?} and not installable"
             ),
-            WmsError::DaxParse { span, reason } => {
-                if span.is_none() {
-                    write!(f, "DAX parse error: {reason}")
-                } else {
-                    write!(f, "DAX parse error at {span}: {reason}")
+            WmsError::Parse {
+                format,
+                span,
+                reason,
+                ..
+            } => {
+                write!(f, "{} parse error", format.row().0)?;
+                if !span.is_none() {
+                    write!(f, " at {span}")?;
                 }
-            }
-            WmsError::RescueParse(reason) => write!(f, "rescue DAG parse error: {reason}"),
-            WmsError::SiteDefParse { line, reason } => {
-                write!(f, "site definition parse error at line {line}: {reason}")
-            }
-            WmsError::FaultPlanParse { line, reason } => {
-                write!(f, "fault plan parse error at line {line}: {reason}")
-            }
-            WmsError::EventLogParse { line, reason } => {
-                write!(f, "event log parse error at line {line}: {reason}")
-            }
-            WmsError::ProtocolParse { line, reason } => {
-                if *line == 0 {
-                    write!(f, "protocol parse error: {reason}")
-                } else {
-                    write!(f, "protocol parse error at line {line}: {reason}")
-                }
+                write!(f, ": {reason}")
             }
             WmsError::QuotaExceeded { tenant, limit } => {
                 write!(f, "tenant {tenant:?} exceeded its quota of {limit}")
@@ -236,12 +265,10 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("out.txt") && s.contains('a') && s.contains('b'));
-        assert!(WmsError::DaxParse {
-            span: Span::new(12, 7),
-            reason: "bad tag".into()
-        }
-        .to_string()
-        .contains("line 12, col 7"));
+        assert!(Format::Dax
+            .error(Span::new(12, 7), "bad tag")
+            .to_string()
+            .contains("line 12, col 7"));
     }
 
     #[test]
@@ -260,19 +287,37 @@ mod tests {
         };
         let s = q.to_string();
         assert!(s.contains("alice") && s.contains('4'), "{s}");
-        let p = WmsError::ProtocolParse {
-            line: 0,
-            reason: "unknown verb \"submti\"".into(),
-        };
+        let p = Format::Protocol.error(Span::none(), "unknown verb \"submti\"");
         assert_eq!(
             p.to_string(),
             "protocol parse error: unknown verb \"submti\""
         );
-        let p = WmsError::ProtocolParse {
-            line: 3,
-            reason: "bad n".into(),
-        };
+        let p = Format::Protocol.error(Span::line(3), "bad n");
         assert!(p.to_string().contains("line 3"), "{p}");
+    }
+
+    #[test]
+    fn every_format_opens_its_parse_errors_as_it_always_has() {
+        let rendered = |format: Format, span| format.error(span, "why").to_string();
+        for (format, prefix) in [
+            (Format::Dax, "DAX parse error"),
+            (Format::Catalog, "catalog parse error"),
+            (Format::Rescue, "rescue DAG parse error"),
+            (Format::SiteDef, "site definition parse error"),
+            (Format::FaultPlan, "fault plan parse error"),
+            (Format::EventLog, "event log parse error"),
+            (Format::Protocol, "protocol parse error"),
+        ] {
+            assert_eq!(rendered(format, Span::none()), format!("{prefix}: why"));
+            assert_eq!(
+                rendered(format, Span::line(3)),
+                format!("{prefix} at line 3: why")
+            );
+        }
+        assert_eq!(
+            rendered(Format::Dax, Span::new(3, 5)),
+            "DAX parse error at line 3, col 5: why"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::engine::{
     FailedAttempt, FaultReason, JobRecord, JobState, JobTimes, WorkflowOutcome, WorkflowRun,
 };
-use crate::error::WmsError;
+use crate::error::{Format, Span, WmsError};
 use crate::planner::JobKind;
 use crate::rescue::RescueDag;
 use crate::symbols::Name;
@@ -312,10 +312,6 @@ pub trait EventSink {
     fn event(&mut self, ev: &WorkflowEvent);
 }
 
-fn replay_err(reason: String) -> WmsError {
-    WmsError::EventLogParse { line: 0, reason }
-}
-
 /// One event's breach of the framing rule, as [`Framing::step`] names
 /// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -417,20 +413,20 @@ impl Framing {
 /// header's workflow name and site and the number of declared jobs.
 ///
 /// # Errors
-/// Returns [`WmsError::EventLogParse`] naming the first violation.
+/// Returns [`WmsError::Parse`] naming the first violation.
 pub(crate) fn validate(events: &[WorkflowEvent]) -> Result<(&str, &str, usize), WmsError> {
+    // Framing is about the stream, wherever its events were read from.
+    let misframed = |breach: Misframed| Format::EventLog.error(Span::none(), breach.to_string());
     let mut framing = Framing::default();
     for ev in events {
-        framing
-            .step(ev)
-            .map_err(|breach| replay_err(breach.to_string()))?;
+        framing.step(ev).map_err(misframed)?;
     }
     // A non-empty stream that passed every step began with its header.
     match events.first() {
         Some(WorkflowEvent::WorkflowStarted { name, site, .. }) => {
             Ok((name, site, framing.declared))
         }
-        _ => Err(replay_err(Misframed::NoHeader.to_string())),
+        _ => Err(misframed(Misframed::NoHeader)),
     }
 }
 
@@ -569,7 +565,7 @@ pub(crate) fn start_time(events: &[WorkflowEvent]) -> f64 {
 /// time ends at the last recorded event.
 ///
 /// # Errors
-/// Returns [`WmsError::EventLogParse`] when the stream is not a valid
+/// Returns [`WmsError::Parse`] when the stream is not a valid
 /// engine emission: no `WorkflowStarted` header first, out-of-order
 /// job declarations, or lifecycle events referencing undeclared jobs.
 pub fn replay(events: &[WorkflowEvent]) -> Result<WorkflowRun, WmsError> {
@@ -582,7 +578,7 @@ pub fn replay(events: &[WorkflowEvent]) -> Result<WorkflowRun, WmsError> {
 /// its event stream alone; `None` when the stream records a success.
 ///
 /// # Errors
-/// Returns [`WmsError::EventLogParse`] when [`replay`] rejects the
+/// Returns [`WmsError::Parse`] when [`replay`] rejects the
 /// stream.
 pub fn rescue_from_events(events: &[WorkflowEvent]) -> Result<Option<RescueDag>, WmsError> {
     Ok(match fold(events)?.outcome {
@@ -607,7 +603,7 @@ pub mod log {
 
     use super::WorkflowEvent;
     use crate::engine::{FaultReason, JobTimes};
-    use crate::error::WmsError;
+    use crate::error::{Format, WmsError};
     use crate::line::{self, Field, Fields, Line, Value, Writer};
     use crate::planner::JobKind;
     use crate::symbols::{Name, NamePool};
@@ -739,10 +735,6 @@ pub mod log {
         .end();
     }
 
-    fn parse_err(line: usize, reason: String) -> WmsError {
-        WmsError::EventLogParse { line, reason }
-    }
-
     /// What the parser keeps from line to line, so reading an event
     /// allocates only the names it declares.
     #[derive(Default)]
@@ -790,7 +782,7 @@ pub mod log {
     /// Parses the text format back into an event stream.
     ///
     /// # Errors
-    /// Returns [`WmsError::EventLogParse`] with a one-based line
+    /// Returns [`WmsError::Parse`] with a one-based line
     /// number on unknown keywords and on missing, malformed, unknown
     /// or repeated fields.
     pub fn parse(text: &str) -> Result<Vec<WorkflowEvent>, WmsError> {
@@ -811,7 +803,7 @@ pub mod log {
     /// diagnostics at the offending line of the log file.
     ///
     /// # Errors
-    /// Returns [`WmsError::EventLogParse`] exactly as [`parse`] does.
+    /// Returns [`WmsError::Parse`] exactly as [`parse`] does.
     pub fn parse_lines(text: &str) -> Result<Vec<(usize, WorkflowEvent)>, WmsError> {
         let mut events = Vec::new();
         parse_each(text, |line, ev| events.push((line, ev)))?;
@@ -839,7 +831,7 @@ pub mod log {
             _ => None,
         };
         let Scratch { pool, fields } = scratch;
-        let f = &mut Fields::split(line.rest, tail, line.number, parse_err, fields)?;
+        let f = &mut Fields::split(line.rest, tail, line.number, Format::EventLog, fields)?;
         // Fields are asked for in the order `write_event` writes them,
         // which is where the reader looks first.
         let event = match line.keyword {
@@ -1118,14 +1110,7 @@ mod tests {
             ),
         ] {
             let err = log::parse(&format!("{}\n{text}", log::HEADER)).unwrap_err();
-            assert_eq!(
-                err,
-                WmsError::EventLogParse {
-                    line: 2,
-                    reason: want.into()
-                },
-                "{text:?}"
-            );
+            assert_eq!(err, Format::EventLog.at(2, want), "{text:?}");
         }
         // What follows a free-text field's `key=` is its value.
         let named = log::parse("job id=0 kind=compute transformation=t name=a b x=1 name=c\n");
@@ -1234,7 +1219,8 @@ mod tests {
                 crate::trace::fold(&stream, None).expect_err(what),
                 crate::metrics::record_events(&mut registry, &stream).expect_err(what),
             ] {
-                assert!(matches!(err, WmsError::EventLogParse { .. }), "{err:?}");
+                let framing = Format::EventLog.error(Span::none(), "");
+                assert!(err.to_string().starts_with(&framing.to_string()), "{err}");
                 assert!(err.to_string().contains(what), "{what}: {err}");
             }
             assert_eq!(registry.render(), "", "{what}: rejected before recording");

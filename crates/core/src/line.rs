@@ -21,17 +21,13 @@
 //! [`Writer::token`] and read back as a `Cow<str>`: the one place that
 //! knows the escape.
 //!
-//! Errors are built by the calling format's own constructor
-//! ([`MakeError`]), so each format keeps its [`WmsError`] variant and
-//! its line numbers. What the keywords and keys *mean* stays in the
+//! Errors are [`WmsError::Parse`]s of the calling [`Format`] at the
+//! line being read. What the keywords and keys *mean* stays in the
 //! format's module.
 
-use crate::error::WmsError;
+use crate::error::{Format, Span, WmsError};
 use std::borrow::Cow;
 use std::fmt::Write as _;
-
-/// A format's error constructor: one-based line number and reason.
-pub type MakeError = fn(usize, String) -> WmsError;
 
 /// One line of a text, split at its keyword.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +163,7 @@ impl<'a> Value<'a> for Cow<'a, str> {
 #[derive(Debug)]
 pub struct Fields<'b, 'a> {
     line: usize,
-    make_err: MakeError,
+    format: Format,
     fields: &'b [Field<'a>],
     /// Bit `i` is set once field `i` has been read.
     read: u64,
@@ -189,9 +185,10 @@ impl<'b, 'a> Fields<'b, 'a> {
         rest: &'a str,
         tail: Option<&str>,
         line: usize,
-        make_err: MakeError,
+        format: Format,
         buf: &'b mut Vec<Field<'a>>,
     ) -> Result<Self, WmsError> {
+        let err = |reason: String| format.at(line, reason);
         buf.clear();
         // Where the tail's key starts and ends, when the line has it.
         let tail = tail.and_then(|key| {
@@ -206,7 +203,7 @@ impl<'b, 'a> Fields<'b, 'a> {
         let head = tail.map_or(rest, |(at, _)| &rest[..at]);
         for tok in head.split_ascii_whitespace() {
             let Some((key, value)) = tok.split_once('=') else {
-                return Err(make_err(line, format!("expected key=value, got {tok:?}")));
+                return Err(err(format!("expected key=value, got {tok:?}")));
             };
             buf.push(Field { key, value });
         }
@@ -217,11 +214,11 @@ impl<'b, 'a> Fields<'b, 'a> {
             });
         }
         if buf.len() > u64::BITS as usize {
-            return Err(make_err(line, format!("{} fields on one line", buf.len())));
+            return Err(err(format!("{} fields on one line", buf.len())));
         }
         Ok(Fields {
             line,
-            make_err,
+            format,
             fields: buf,
             read: 0,
             next: 0,
@@ -230,7 +227,13 @@ impl<'b, 'a> Fields<'b, 'a> {
 
     /// An error of the calling format, at this line.
     pub fn err(&self, reason: impl Into<String>) -> WmsError {
-        (self.make_err)(self.line, reason.into())
+        self.err_as(self.format.code(), reason)
+    }
+
+    /// [`err`](Self::err) under the lint code of the rule the caller
+    /// found broken.
+    pub fn err_as(&self, code: &'static str, reason: impl Into<String>) -> WmsError {
+        self.format.error_as(code, Span::line(self.line), reason)
     }
 
     /// Reads `raw` as a `T`; `key` is what the error names. For values
@@ -481,15 +484,18 @@ impl<'o> Writer<'o> {
 mod tests {
     use super::*;
 
-    fn err(line: usize, reason: String) -> WmsError {
-        WmsError::EventLogParse { line, reason }
-    }
-
     fn reason(e: WmsError) -> String {
-        match e {
-            WmsError::EventLogParse { line: 7, reason } => reason,
-            other => panic!("not this format's error at line 7: {other:?}"),
-        }
+        let WmsError::Parse {
+            format,
+            span,
+            reason,
+            ..
+        } = e
+        else {
+            panic!("not a parse error: {e:?}");
+        };
+        assert_eq!((format, span), (Format::EventLog, Span::line(7)));
+        reason
     }
 
     #[test]
@@ -517,9 +523,10 @@ mod tests {
         let line = Line::split("\u{a0}job a=1\u{2003}b=2\tc=3 \u{a0}", 7);
         assert_eq!(line.keyword, "\u{a0}job");
         assert_eq!(line.rest, "a=1\u{2003}b=2\tc=3 \u{a0}");
-        let e = Fields::split(line.rest, None, 7, err, &mut buf).unwrap_err();
+        let e = Fields::split(line.rest, None, 7, Format::EventLog, &mut buf).unwrap_err();
         assert_eq!(reason(e), r#"expected key=value, got "\u{a0}""#);
-        let mut f = Fields::split("a=1\u{2003}b=2\tc=3", None, 7, err, &mut buf).unwrap();
+        let mut f =
+            Fields::split("a=1\u{2003}b=2\tc=3", None, 7, Format::EventLog, &mut buf).unwrap();
         assert_eq!(f.get::<&str>("a").unwrap(), "1\u{2003}b=2");
         assert_eq!(f.get::<u32>("c").unwrap(), 3);
         f.finish().unwrap();
@@ -528,7 +535,14 @@ mod tests {
     #[test]
     fn keyed_reads_find_fields_anywhere_and_type_them() {
         let mut buf = Vec::new();
-        let mut f = Fields::split("b=2 a=-1 on=true x=1.5 s=text", None, 7, err, &mut buf).unwrap();
+        let mut f = Fields::split(
+            "b=2 a=-1 on=true x=1.5 s=text",
+            None,
+            7,
+            Format::EventLog,
+            &mut buf,
+        )
+        .unwrap();
         assert_eq!(f.get::<i32>("a").unwrap(), -1);
         assert_eq!(f.get::<usize>("b").unwrap(), 2);
         assert!(f.get::<bool>("on").unwrap());
@@ -554,7 +568,7 @@ mod tests {
             ("x=-infinity", "bad number \"-infinity\" for x"),
             ("on=yes", "bad boolean \"yes\" for on"),
         ] {
-            let mut f = Fields::split(field, None, 7, err, &mut buf).unwrap();
+            let mut f = Fields::split(field, None, 7, Format::EventLog, &mut buf).unwrap();
             let got = match &field[..1] {
                 "n" => f.get::<usize>("n").map(drop),
                 "x" => f.get::<f64>("x").map(drop),
@@ -562,7 +576,7 @@ mod tests {
             };
             assert_eq!(reason(got.unwrap_err()), want);
         }
-        let f = Fields::split("", None, 7, err, &mut buf).unwrap();
+        let f = Fields::split("", None, 7, Format::EventLog, &mut buf).unwrap();
         assert_eq!(f.parse::<u64>("members", "7").unwrap(), 7);
         assert_eq!(
             reason(f.parse::<u64>("members", "x").unwrap_err()),
@@ -573,13 +587,13 @@ mod tests {
     #[test]
     fn a_token_without_an_equals_sign_and_a_line_of_too_many_fields_are_refused() {
         let mut buf = Vec::new();
-        let e = Fields::split("a=1 stray b=2", None, 7, err, &mut buf).unwrap_err();
+        let e = Fields::split("a=1 stray b=2", None, 7, Format::EventLog, &mut buf).unwrap_err();
         assert_eq!(reason(e), "expected key=value, got \"stray\"");
         // One bit per field says whether it was read.
         let full = "k=v ".repeat(64);
-        Fields::split(&full, None, 7, err, &mut buf).unwrap();
+        Fields::split(&full, None, 7, Format::EventLog, &mut buf).unwrap();
         let over = "k=v ".repeat(65);
-        let e = Fields::split(&over, None, 7, err, &mut buf).unwrap_err();
+        let e = Fields::split(&over, None, 7, Format::EventLog, &mut buf).unwrap_err();
         assert_eq!(reason(e), "65 fields on one line");
     }
 
@@ -590,7 +604,7 @@ mod tests {
             "id=3 rename=x name=my file name=again k=v",
             Some("name"),
             7,
-            err,
+            Format::EventLog,
             &mut buf,
         )
         .unwrap();
@@ -599,18 +613,27 @@ mod tests {
         assert_eq!(f.get::<&str>("rename").unwrap(), "x");
         f.finish().unwrap();
         // The tail may open the line, be empty, or be absent.
-        let mut f = Fields::split("name=only this", Some("name"), 7, err, &mut buf).unwrap();
+        let mut f = Fields::split(
+            "name=only this",
+            Some("name"),
+            7,
+            Format::EventLog,
+            &mut buf,
+        )
+        .unwrap();
         assert_eq!(f.next::<&str>("name").unwrap(), "only this");
-        let mut f = Fields::split("a=1 name=", Some("name"), 7, err, &mut buf).unwrap();
+        let mut f =
+            Fields::split("a=1 name=", Some("name"), 7, Format::EventLog, &mut buf).unwrap();
         assert_eq!(f.get::<&str>("name").unwrap(), "");
-        let mut f = Fields::split("a=1 surname=x", Some("name"), 7, err, &mut buf).unwrap();
+        let mut f =
+            Fields::split("a=1 surname=x", Some("name"), 7, Format::EventLog, &mut buf).unwrap();
         assert_eq!(f.opt::<&str>("name").unwrap(), None);
     }
 
     #[test]
     fn in_order_reads_insist_on_the_order() {
         let mut buf = Vec::new();
-        let mut f = Fields::split("id=1 seed=9 n=4", None, 7, err, &mut buf).unwrap();
+        let mut f = Fields::split("id=1 seed=9 n=4", None, 7, Format::EventLog, &mut buf).unwrap();
         assert_eq!(f.next::<usize>("id").unwrap(), 1);
         assert_eq!(f.next_opt::<u32>("retries").unwrap(), None);
         assert_eq!(f.next_opt::<u64>("seed").unwrap(), Some(9));
@@ -631,13 +654,21 @@ mod tests {
     fn keyed_reads_look_after_the_last_field_read_first() {
         let mut buf = Vec::new();
         // Asked in written order, each read is the next field ...
-        let mut f = Fields::split("time=1 job=2 attempt=3", None, 7, err, &mut buf).unwrap();
+        let mut f = Fields::split(
+            "time=1 job=2 attempt=3",
+            None,
+            7,
+            Format::EventLog,
+            &mut buf,
+        )
+        .unwrap();
         for (key, want) in [("time", 1), ("job", 2), ("attempt", 3)] {
             assert_eq!(f.get::<u32>(key).unwrap(), want);
         }
         f.finish().unwrap();
         // ... and a repeat is left over whichever of the two was read.
-        let mut f = Fields::split("job=9 time=1 job=2", None, 7, err, &mut buf).unwrap();
+        let mut f =
+            Fields::split("job=9 time=1 job=2", None, 7, Format::EventLog, &mut buf).unwrap();
         assert_eq!(f.get::<u32>("time").unwrap(), 1);
         assert_eq!(f.get::<u32>("job").unwrap(), 2);
         assert_eq!(reason(f.finish().unwrap_err()), "repeated field job");
@@ -664,7 +695,7 @@ mod tests {
         assert_eq!(out, text);
         let mut buf = Vec::new();
         let line = lines(&out).next().unwrap();
-        let mut f = Fields::split(line.rest, Some("name"), 7, err, &mut buf).unwrap();
+        let mut f = Fields::split(line.rest, Some("name"), 7, Format::EventLog, &mut buf).unwrap();
         assert_eq!(f.next::<u64>("id").unwrap(), 0);
         assert_eq!(f.next::<u64>("big").unwrap(), u64::MAX);
         assert_eq!(f.next::<f64>("time").unwrap(), 690.9675392546765);
@@ -679,7 +710,7 @@ mod tests {
         f.finish().unwrap();
         // An escape the writer never writes is not a token.
         for (field, bad) in [("tool=a\\qb", "a\\qb"), ("tool=ends\\", "ends\\")] {
-            let mut f = Fields::split(field, None, 7, err, &mut buf).unwrap();
+            let mut f = Fields::split(field, None, 7, Format::EventLog, &mut buf).unwrap();
             let e = f.get::<Cow<'_, str>>("tool").unwrap_err();
             assert_eq!(reason(e), format!("bad token {bad:?} for tool"));
         }
@@ -688,13 +719,14 @@ mod tests {
     #[test]
     fn finish_names_the_first_field_nobody_read() {
         let mut buf = Vec::new();
-        let mut f = Fields::split("job=0 bogus=1 job=999", None, 7, err, &mut buf).unwrap();
+        let mut f =
+            Fields::split("job=0 bogus=1 job=999", None, 7, Format::EventLog, &mut buf).unwrap();
         assert_eq!(f.get::<usize>("job").unwrap(), 0);
         assert_eq!(reason(f.finish().unwrap_err()), "unknown field bogus");
         assert_eq!(f.get::<usize>("bogus").unwrap(), 1);
         assert_eq!(reason(f.finish().unwrap_err()), "repeated field job");
         // The buffer is reused: nothing of the last line survives.
-        let f = Fields::split("", None, 7, err, &mut buf).unwrap();
+        let f = Fields::split("", None, 7, Format::EventLog, &mut buf).unwrap();
         f.finish().unwrap();
     }
 }

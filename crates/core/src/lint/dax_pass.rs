@@ -9,7 +9,7 @@
 
 use super::Diagnostic;
 use crate::catalog::TransformationCatalog;
-use crate::error::{Span, WmsError};
+use crate::error::Span;
 use crate::workflow::{AbstractWorkflow, JobId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -47,25 +47,6 @@ fn job_span(source: Option<&str>, id: &str) -> Span {
     let line = before.bytes().filter(|&b| b == b'\n').count() + 1;
     let col = pos - before.rfind('\n').map(|i| i + 1).unwrap_or(0) + 1;
     Span::new(line, col)
-}
-
-/// Maps a [`crate::dax::from_dax_unvalidated`] failure onto the lint
-/// code scheme: `E0102` for duplicate ids, `E0105` for dangling edge
-/// references, `E0101` for everything else (malformed XML).
-pub fn classify_parse_error(err: &WmsError, file: &str) -> Diagnostic {
-    match err {
-        WmsError::DaxParse { span, reason } => {
-            let code = if reason.contains("duplicate job") {
-                "E0102"
-            } else if reason.contains("edge references unknown") {
-                "E0105"
-            } else {
-                "E0101"
-            };
-            Diagnostic::new(code, file, *span, reason.clone())
-        }
-        other => Diagnostic::new("E0101", file, Span::none(), other.to_string()),
-    }
 }
 
 /// Finds one cycle in `adj` and returns its full path
@@ -428,21 +409,5 @@ mod tests {
         let diags = check_workflow(&wf, "w.dax", Some(&tc), &opts);
         assert_eq!(codes(&diags), ["W0405"]);
         assert_eq!(diags[0].span, Span::new(2, 8));
-    }
-
-    #[test]
-    fn parse_errors_classify_onto_codes() {
-        let dup = from_dax_unvalidated(
-            "<adag name=\"w\"><job id=\"a\" name=\"t\"/><job id=\"a\" name=\"t\"/></adag>",
-        )
-        .unwrap_err();
-        assert_eq!(classify_parse_error(&dup, "w.dax").code, "E0102");
-        let ghost = from_dax_unvalidated(
-            "<adag name=\"w\"><job id=\"a\" name=\"t\"/><child ref=\"a\"><parent ref=\"g\"/></child></adag>",
-        )
-        .unwrap_err();
-        assert_eq!(classify_parse_error(&ghost, "w.dax").code, "E0105");
-        let bad = from_dax_unvalidated("<adag name=\"w\">").unwrap_err();
-        assert_eq!(classify_parse_error(&bad, "w.dax").code, "E0101");
     }
 }

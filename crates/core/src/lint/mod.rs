@@ -39,9 +39,9 @@ mod config_pass;
 mod dax_pass;
 
 pub use config_pass::{check_config, RunContext};
-pub use dax_pass::{check_workflow, classify_parse_error, DaxLintOptions};
+pub use dax_pass::{check_workflow, DaxLintOptions};
 
-use crate::error::Span;
+use crate::error::{Format, Span, WmsError};
 use crate::events::WorkflowEvent;
 use crate::trace::write_json_str;
 use crate::verify::{StreamWalker, VerifyOptions};
@@ -456,6 +456,37 @@ impl Diagnostic {
             span,
             message: message.into(),
             help: None,
+        }
+    }
+
+    /// The one conversion of a refused input into a finding about
+    /// `file`. A parser's refusal is read off as it stands — code,
+    /// span, reason — because its raise site already said which rule
+    /// was broken. No parser returns anything else; an error that is
+    /// not about a place in a text is a finding about the whole input,
+    /// under the rule its variant names.
+    pub fn from_error(err: &WmsError, file: impl Into<String>) -> Self {
+        let whole = |code| (code, Span::none(), err.to_string());
+        let (code, span, message) = match err {
+            WmsError::Parse {
+                code, span, reason, ..
+            } => (*code, *span, reason.clone()),
+            WmsError::DuplicateJob(_) => whole("E0102"),
+            WmsError::CycleDetected(_) => whole("E0103"),
+            WmsError::ConflictingProducer { .. } => whole("E0104"),
+            WmsError::UnknownJob(_) => whole("E0105"),
+            WmsError::UnknownSite { .. } => whole("E0301"),
+            WmsError::UnresolvableTransformation { .. } => whole("E0302"),
+            WmsError::QuotaExceeded { .. } => whole("E0605"),
+            WmsError::InvariantViolation { .. } => whole("E0807"),
+        };
+        let d = Diagnostic::new(code, file, span, message);
+        match err {
+            WmsError::Parse {
+                format: Format::SiteDef,
+                ..
+            } => d.with_help("see DESIGN.md \u{a7}11 for the sites.def format"),
+            _ => d,
         }
     }
 

@@ -575,7 +575,7 @@ impl EventSink for MetricsMonitor<'_> {
 /// byte-identical to the live wiring's.
 ///
 /// # Errors
-/// Returns [`WmsError::EventLogParse`], before touching `registry`,
+/// Returns [`WmsError::Parse`], before touching `registry`,
 /// when the stream is not a valid engine emission (no header first,
 /// undeclared or out-of-order jobs).
 pub fn record_events(

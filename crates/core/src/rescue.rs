@@ -8,7 +8,7 @@
 //! The text format here mirrors DAGMan's rescue files: a header, then
 //! one `DONE <job-name>` line per completed node.
 
-use crate::error::WmsError;
+use crate::error::{Format, Span, WmsError};
 use crate::symbols::Name;
 
 /// The re-submittable remainder of a partially executed workflow.
@@ -61,7 +61,8 @@ impl RescueDag {
     pub fn from_text(text: &str) -> Result<RescueDag, WmsError> {
         let mut rescue = RescueDag::default();
         let mut declared: Option<usize> = None;
-        for (lineno, line) in text.lines().enumerate() {
+        for (idx, line) in text.lines().enumerate() {
+            let err = |reason: String| Format::Rescue.at(idx + 1, reason);
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
@@ -72,37 +73,25 @@ impl RescueDag {
                 "WORKFLOW" => rescue.workflow_name = rest.to_string(),
                 "SITE" => rescue.site = rest.to_string(),
                 "TOTAL_DONE" => {
-                    declared = Some(rest.parse().map_err(|_| {
-                        WmsError::RescueParse(format!(
-                            "line {}: bad TOTAL_DONE value {rest:?}",
-                            lineno + 1
-                        ))
-                    })?)
+                    let bad = |_| err(format!("bad TOTAL_DONE value {rest:?}"));
+                    declared = Some(rest.parse().map_err(bad)?)
                 }
                 "DONE" => {
                     if rest.is_empty() {
-                        return Err(WmsError::RescueParse(format!(
-                            "line {}: DONE with no job name",
-                            lineno + 1
-                        )));
+                        return Err(err("DONE with no job name".into()));
                     }
                     rescue.done.push(rest.into());
                 }
-                other => {
-                    return Err(WmsError::RescueParse(format!(
-                        "line {}: unknown keyword {other:?}",
-                        lineno + 1
-                    )))
-                }
+                other => return Err(err(format!("unknown keyword {other:?}"))),
             }
         }
         if let Some(n) = declared {
             if n != rescue.done.len() {
-                return Err(WmsError::RescueParse(format!(
-                    "TOTAL_DONE {} does not match {} DONE lines",
-                    n,
+                let reason = format!(
+                    "TOTAL_DONE {n} does not match {} DONE lines",
                     rescue.done.len()
-                )));
+                );
+                return Err(Format::Rescue.error(Span::none(), reason));
             }
         }
         Ok(rescue)

@@ -81,7 +81,7 @@
 
 use crate::engine::WorkflowRun;
 use crate::ensemble::MemberState;
-use crate::error::WmsError;
+use crate::error::{Format, Span, WmsError};
 use crate::line::{self, Field, Fields, Line, Value};
 use crate::statistics::{self, WorkflowStatistics};
 use crate::trace::TraceId;
@@ -167,10 +167,6 @@ pub enum Request {
     Shutdown,
 }
 
-fn parse_err(line: usize, reason: String) -> WmsError {
-    WmsError::ProtocolParse { line, reason }
-}
-
 /// `true` when `s` can travel as a single protocol token (non-empty,
 /// no whitespace, no `=`). Tenants and site handles must satisfy
 /// this; the daemon rejects submissions that don't.
@@ -239,12 +235,12 @@ fn render_submit_body(out: &mut String, sub: &SubmitRequest) {
 /// Parses one request line.
 ///
 /// # Errors
-/// [`WmsError::ProtocolParse`] (line 0 — requests are single lines)
+/// [`WmsError::Parse`] (no position — requests are single lines)
 /// naming the offending field or verb.
 pub fn parse_request(line: &str) -> Result<Request, WmsError> {
     let line = Line::split(line, 0);
     let mut buf = Vec::new();
-    let f = &mut Fields::split(line.rest, Some("dax"), 0, parse_err, &mut buf)?;
+    let f = &mut Fields::split(line.rest, Some("dax"), 0, Format::Protocol, &mut buf)?;
     let request = match line.keyword {
         "submit" => Request::Submit(parse_submit_body(f)?),
         "cancel" => Request::Cancel { id: f.next("id")? },
@@ -313,7 +309,7 @@ pub fn render_response_head(head: &ResponseHead) -> String {
 /// Parses a response head line.
 ///
 /// # Errors
-/// [`WmsError::ProtocolParse`] when the line is neither `ok …` nor
+/// [`WmsError::Parse`] when the line is neither `ok …` nor
 /// `error …`, or a result token is not `key=value`.
 pub fn parse_response_head(line: &str) -> Result<ResponseHead, WmsError> {
     let line = Line::split(line, 0);
@@ -322,11 +318,11 @@ pub fn parse_response_head(line: &str) -> Result<ResponseHead, WmsError> {
         "ok" => {}
         _ => {
             let reason = format!("expected ok/error response, found {:?}", line.text);
-            return Err(parse_err(0, reason));
+            return Err(Format::Protocol.error(Span::none(), reason));
         }
     }
     let mut buf = Vec::new();
-    let f = &mut Fields::split(line.rest, None, 0, parse_err, &mut buf)?;
+    let f = &mut Fields::split(line.rest, None, 0, Format::Protocol, &mut buf)?;
     let head = match f.next_opt("lines")? {
         Some(n) => ResponseHead::Lines(n),
         // The results of an `ok` are whatever the verb returns: every
@@ -399,7 +395,7 @@ pub fn render_journal_entry(entry: &JournalEntry) -> String {
 /// for error reporting).
 ///
 /// # Errors
-/// [`WmsError::ProtocolParse`] naming the line and offending field.
+/// [`WmsError::Parse`] naming the line and offending field.
 pub fn parse_journal_entry(text: &str, line: usize) -> Result<JournalEntry, WmsError> {
     journal_entry(&Line::split(text, line), &mut Vec::new())
 }
@@ -407,7 +403,7 @@ pub fn parse_journal_entry(text: &str, line: usize) -> Result<JournalEntry, WmsE
 /// [`parse_journal_entry`] with the caller's field buffer, so a whole
 /// journal is read through one.
 fn journal_entry<'a>(line: &Line<'a>, buf: &mut Vec<Field<'a>>) -> Result<JournalEntry, WmsError> {
-    let f = &mut Fields::split(line.rest, Some("dax"), line.number, parse_err, buf)?;
+    let f = &mut Fields::split(line.rest, Some("dax"), line.number, Format::Protocol, buf)?;
     let entry = match line.keyword {
         "submission" => JournalEntry::Submission {
             id: f.next("id")?,
@@ -490,24 +486,23 @@ impl Ledger {
     /// [`apply`](Self::apply) per line.
     ///
     /// # Errors
-    /// [`WmsError::ProtocolParse`] naming the line of a bad header, a
+    /// [`WmsError::Parse`] naming the line of a bad header, a
     /// malformed entry, or an entry `apply` refuses — a corrupt
     /// journal must not silently reschedule the wrong work.
     pub fn replay(text: &str) -> Result<Ledger, WmsError> {
         let header = text.lines().next().map(str::trim_end);
         if header != Some(JOURNAL_HEADER) && header != Some(JOURNAL_HEADER_V1) {
             let reason = format!("expected journal header {JOURNAL_HEADER:?}");
-            return Err(parse_err(1, reason));
+            return Err(Format::Protocol.at(1, reason));
         }
         let mut ledger = Ledger::default();
         let mut buf = Vec::new();
         // The header is a comment to the line reader.
         for line in line::lines(text) {
             let entry = journal_entry(&line, &mut buf)?;
-            ledger.apply(entry).map_err(|e| match e {
-                WmsError::ProtocolParse { reason, .. } => parse_err(line.number, reason),
-                other => other,
-            })?;
+            ledger
+                .apply(entry)
+                .map_err(|reason| Format::Protocol.at(line.number, reason))?;
         }
         Ok(ledger)
     }
@@ -517,17 +512,16 @@ impl Ledger {
     /// asks again before it commits.
     ///
     /// # Errors
-    /// [`WmsError::ProtocolParse`] (line 0) when ids are out of
+    /// The reason, in the words the client is told, when ids are out of
     /// sequence, a cancel names a member that is not queued, a round
     /// names an unknown, cancelled, already claimed or repeated member
     /// or starts while another is open, or a `round-done` names a
     /// round that is not the open one.
-    pub fn check(&self, entry: &JournalEntry) -> Result<(), WmsError> {
-        let refuse = |reason: String| Err(WmsError::ProtocolParse { line: 0, reason });
+    pub fn check(&self, entry: &JournalEntry) -> Result<(), String> {
         match entry {
             JournalEntry::Submission { id, .. } => {
                 if *id != self.submissions.len() {
-                    return refuse(format!(
+                    return Err(format!(
                         "submission id {id} out of sequence (expected {})",
                         self.submissions.len()
                     ));
@@ -535,45 +529,43 @@ impl Ledger {
             }
             JournalEntry::Cancel { id } => match self.cells.get(*id) {
                 Some(Cell::Queued) => {}
-                Some(_) => return refuse(format!("submission {id} is not queued")),
-                None => return refuse(format!("unknown submission {id}")),
+                Some(_) => return Err(format!("submission {id} is not queued")),
+                None => return Err(format!("unknown submission {id}")),
             },
             JournalEntry::RoundStarted { round, members, .. } => {
                 if *round != self.rounds.len() {
-                    return refuse(format!(
+                    return Err(format!(
                         "round id {round} out of sequence (expected {})",
                         self.rounds.len()
                     ));
                 }
                 if let Some(open) = self.interrupted() {
-                    return refuse(format!(
+                    return Err(format!(
                         "round {round} started while round {} still open",
                         open.round
                     ));
                 }
                 if members.is_empty() {
-                    return refuse("round with no members".into());
+                    return Err("round with no members".into());
                 }
                 for &m in members {
                     match self.cells.get(m) {
                         Some(Cell::Queued) => {}
                         Some(_) => {
-                            return refuse(format!(
-                                "round names submission {m}, which is not queued"
-                            ))
+                            return Err(format!("round names submission {m}, which is not queued"))
                         }
-                        None => return refuse(format!("round names unknown submission {m}")),
+                        None => return Err(format!("round names unknown submission {m}")),
                     }
                 }
                 let mut sorted = members.clone();
                 sorted.sort_unstable();
                 if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
-                    return refuse(format!("round names submission {} twice", w[0]));
+                    return Err(format!("round names submission {} twice", w[0]));
                 }
             }
             JournalEntry::RoundFinished { round } => {
                 if self.interrupted().map(|r| r.round) != Some(*round) {
-                    return refuse(format!("round-done for round {round}, which is not open"));
+                    return Err(format!("round-done for round {round}, which is not open"));
                 }
             }
         }
@@ -586,7 +578,7 @@ impl Ledger {
     ///
     /// # Errors
     /// Whatever `check` refuses.
-    pub fn apply(&mut self, entry: JournalEntry) -> Result<(), WmsError> {
+    pub fn apply(&mut self, entry: JournalEntry) -> Result<(), String> {
         self.check(&entry)?;
         match entry {
             JournalEntry::Submission { sub, .. } => {
@@ -701,17 +693,16 @@ pub fn state_token(state: MemberState) -> &'static str {
 /// Parses a lifecycle state token.
 ///
 /// # Errors
-/// [`WmsError::ProtocolParse`] on an unknown token.
+/// [`WmsError::Parse`] on an unknown token.
 pub fn parse_state(token: &str) -> Result<MemberState, WmsError> {
     match token {
         "queued" => Ok(MemberState::Queued),
         "cancelled" => Ok(MemberState::Cancelled),
         "succeeded" => Ok(MemberState::Succeeded),
         "failed" => Ok(MemberState::Failed),
-        other => Err(WmsError::ProtocolParse {
-            line: 0,
-            reason: format!("unknown member state {other:?}"),
-        }),
+        other => {
+            Err(Format::Protocol.error(Span::none(), format!("unknown member state {other:?}")))
+        }
     }
 }
 
@@ -740,7 +731,7 @@ pub fn render_status_line(s: &StatusLine) -> String {
 /// about a member than an older client asks.
 ///
 /// # Errors
-/// [`WmsError::ProtocolParse`] naming the offending field.
+/// [`WmsError::Parse`] naming the offending field.
 pub fn parse_status_line(text: &str) -> Result<StatusLine, WmsError> {
     /// A value, or the `-` a member that has not run yet shows.
     fn dashed<'a, T: Value<'a>>(f: &mut Fields<'_, 'a>, key: &str) -> Result<Option<T>, WmsError> {
@@ -752,10 +743,10 @@ pub fn parse_status_line(text: &str) -> Result<StatusLine, WmsError> {
     let line = Line::split(text, 0);
     if line.keyword != "member" {
         let reason = format!("expected member line, found {:?}", line.text);
-        return Err(parse_err(0, reason));
+        return Err(Format::Protocol.error(Span::none(), reason));
     }
     let mut buf = Vec::new();
-    let f = &mut Fields::split(line.rest, Some("name"), 0, parse_err, &mut buf)?;
+    let f = &mut Fields::split(line.rest, Some("name"), 0, Format::Protocol, &mut buf)?;
     Ok(StatusLine {
         id: f.next("id")?,
         tenant: f.next::<&str>("tenant")?.to_string(),
@@ -948,10 +939,7 @@ mod tests {
             "",
         ] {
             let err = parse_request(bad).unwrap_err();
-            assert!(
-                matches!(err, WmsError::ProtocolParse { .. }),
-                "{bad:?} -> {err:?}"
-            );
+            assert!(matches!(err, WmsError::Parse { .. }), "{bad:?} -> {err:?}");
         }
     }
 
@@ -1089,7 +1077,7 @@ mod tests {
             (format!("{hdr}\nsubmission id=0 tenant=a site=s n=1 n=2\n"), 2),
         ] {
             match Ledger::replay(&bad) {
-                Err(WmsError::ProtocolParse { line: at, .. }) => assert_eq!(at, line, "{bad:?}"),
+                Err(WmsError::Parse { span, .. }) => assert_eq!(span, Span::line(line), "{bad:?}"),
                 other => panic!("{bad:?} -> {other:?}"),
             }
         }
@@ -1123,11 +1111,7 @@ mod tests {
             },
             JournalEntry::RoundFinished { round: 0 },
         ] {
-            let err = ledger.apply(refused.clone()).unwrap_err();
-            assert!(
-                matches!(err, WmsError::ProtocolParse { line: 0, .. }),
-                "{err:?}"
-            );
+            ledger.apply(refused.clone()).unwrap_err();
             assert_eq!(ledger, before, "{refused:?}");
         }
     }

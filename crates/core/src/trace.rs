@@ -283,7 +283,7 @@ pub fn of_run(run: &WorkflowRun, trace: Option<TraceId>) -> WorkflowTrace {
 /// [`trace_from_log`], or the daemon's journaled id).
 ///
 /// # Errors
-/// Returns [`WmsError::EventLogParse`] when the stream is not a valid
+/// Returns [`WmsError::Parse`] when the stream is not a valid
 /// engine emission (no header first, undeclared or out-of-order jobs).
 pub fn fold(stream: &[WorkflowEvent], trace: Option<TraceId>) -> Result<WorkflowTrace, WmsError> {
     Ok(tree(

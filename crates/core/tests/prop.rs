@@ -605,7 +605,7 @@ proptest! {
                 let _ = lint::check_workflow(&parsed, "cut.dax", None, &opts);
             }
             Err(e) => {
-                let d = lint::classify_parse_error(&e, "cut.dax");
+                let d = lint::Diagnostic::from_error(&e, "cut.dax");
                 prop_assert!(d.code == "E0101" || d.code == "E0102", "{}", d.code);
             }
         }

@@ -25,7 +25,7 @@
 //!   rescue DAG behind, exactly like a submit host dying mid-run.
 
 use pegasus_wms::engine::{Failure, FaultReason};
-use pegasus_wms::error::{Span, WmsError};
+use pegasus_wms::error::{Format, Span, WmsError};
 use pegasus_wms::line::{self, Fields};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,16 +121,12 @@ impl PartialEq for FaultPlan {
     }
 }
 
-fn parse_err(line: usize, reason: String) -> WmsError {
-    WmsError::FaultPlanParse { line, reason }
-}
-
 fn probability(f: &mut Fields<'_, '_>, key: &str) -> Result<f64, WmsError> {
     let v: f64 = f.get(key)?;
     if (0.0..=1.0).contains(&v) {
         Ok(v)
     } else {
-        Err(f.err(format!("{key} must be in [0, 1], got {v}")))
+        Err(f.err_as("E0203", format!("{key} must be in [0, 1], got {v}")))
     }
 }
 
@@ -158,12 +154,12 @@ impl FaultPlan {
         for line in line::lines(text) {
             if line.keyword == "plan" {
                 if line.rest.is_empty() {
-                    return Err(parse_err(line.number, "plan line needs a name".into()));
+                    return Err(Format::FaultPlan.at(line.number, "plan line needs a name"));
                 }
                 plan.name = line.rest.to_string();
                 continue;
             }
-            let f = &mut Fields::split(line.rest, None, line.number, parse_err, &mut buf)?;
+            let f = &mut Fields::split(line.rest, None, line.number, Format::FaultPlan, &mut buf)?;
             let scenario = match line.keyword {
                 "preemption-storm" => Scenario::PreemptionStorm {
                     start: f.get("start")?,
@@ -538,8 +534,8 @@ submit-host-crash after-events=150
     fn errors_carry_line_numbers() {
         let err = FaultPlan::parse("plan p\nwat start=1\n").unwrap_err();
         match err {
-            WmsError::FaultPlanParse { line, reason } => {
-                assert_eq!(line, 2);
+            WmsError::Parse { span, reason, .. } => {
+                assert_eq!(span, Span::line(2));
                 assert!(reason.contains("wat"));
             }
             other => panic!("unexpected {other:?}"),
@@ -583,11 +579,7 @@ submit-host-crash after-events=150
             ),
         ] {
             let err = FaultPlan::parse(&format!("plan p\n# storm\n{bad}\n")).unwrap_err();
-            let want = WmsError::FaultPlanParse {
-                line: 3,
-                reason: want.into(),
-            };
-            assert_eq!(err, want, "{bad}");
+            assert_eq!(err, Format::FaultPlan.at(3, want), "{bad}");
         }
     }
 

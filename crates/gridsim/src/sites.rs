@@ -35,7 +35,7 @@ use crate::backend::SimBackend;
 use crate::dist::{sample_standard_normal, Dist};
 use crate::platform::{ChurnModel, PlatformModel, SlotSpec};
 use pegasus_wms::catalog::{ReplicaCatalog, Site, SiteCatalog};
-use pegasus_wms::error::{Span, WmsError};
+use pegasus_wms::error::{Format, Span, WmsError};
 use pegasus_wms::line::{self, Fields};
 use pegasus_wms::symbols::{SiteId, SymbolTable};
 use rand::rngs::StdRng;
@@ -172,10 +172,6 @@ impl SiteDef {
     }
 }
 
-fn parse_err(line: usize, reason: String) -> WmsError {
-    WmsError::SiteDefParse { line, reason }
-}
-
 /// Splits a two-number `a,b` value.
 fn parse_pair<'a>(f: &Fields<'_, 'a>, raw: &'a str, key: &str) -> Result<(f64, f64), WmsError> {
     let (a, b) = raw
@@ -260,16 +256,14 @@ fn render_speed(s: &SpeedSpec) -> String {
 /// characters the text format itself uses.
 fn check_name(name: &str, what: &str, line: usize) -> Result<(), WmsError> {
     if name.is_empty() {
-        return Err(parse_err(line, format!("{what} must not be empty")));
+        return Err(Format::SiteDef.at(line, format!("{what} must not be empty")));
     }
     if let Some(bad) = name
         .chars()
         .find(|c| c.is_whitespace() || "=,#".contains(*c))
     {
-        return Err(parse_err(
-            line,
-            format!("{what} {name:?} contains reserved character {bad:?}"),
-        ));
+        let reason = format!("{what} {name:?} contains reserved character {bad:?}");
+        return Err(Format::SiteDef.at(line, reason));
     }
     Ok(())
 }
@@ -306,9 +300,9 @@ pub fn parse_defs(text: &str) -> Result<Vec<SiteDef>, WmsError> {
         }
         let Some(def) = defs.last_mut() else {
             let reason = format!("{:?} before any `site <name>` header", line.keyword);
-            return Err(parse_err(number, reason));
+            return Err(Format::SiteDef.at(number, reason));
         };
-        let f = &mut Fields::split(line.text, None, number, parse_err, &mut buf)?;
+        let f = &mut Fields::split(line.text, None, number, Format::SiteDef, &mut buf)?;
         // Any subset of the keys, in any order, a later one winning.
         while let Some((key, value)) = f.next_any() {
             match key {
@@ -460,7 +454,8 @@ impl SiteRegistry {
         for (idx, def) in defs.iter().enumerate() {
             let id = SiteId::new(idx);
             if names.get(&def.name).is_some() {
-                return Err(parse_err(0, format!("duplicate site name {:?}", def.name)));
+                let reason = format!("duplicate site name {:?}", def.name);
+                return Err(Format::SiteDef.error(Span::none(), reason));
             }
             let interned: SiteId = names.intern(&def.name);
             debug_assert_eq!(interned, id);
@@ -472,10 +467,9 @@ impl SiteRegistry {
                 match lookup.insert(alias.clone(), id) {
                     None => {}
                     Some(_) => {
-                        return Err(parse_err(
-                            0,
-                            format!("alias {alias:?} conflicts with another site name or alias"),
-                        ));
+                        let reason =
+                            format!("alias {alias:?} conflicts with another site name or alias");
+                        return Err(Format::SiteDef.error(Span::none(), reason));
                     }
                 }
             }
@@ -715,29 +709,29 @@ mod tests {
         let dup = "site a\nsite a\n";
         assert!(matches!(
             SiteRegistry::parse(dup),
-            Err(WmsError::SiteDefParse { .. })
+            Err(WmsError::Parse { .. })
         ));
         let shadow = "site a\nsite b\naliases=a\n";
         assert!(matches!(
             SiteRegistry::parse(shadow),
-            Err(WmsError::SiteDefParse { .. })
+            Err(WmsError::Parse { .. })
         ));
     }
 
     #[test]
     fn parse_errors_carry_line_numbers() {
         let err = parse_defs("site ok\nslots=not-a-number\n").unwrap_err();
-        let WmsError::SiteDefParse { line, reason } = err else {
+        let WmsError::Parse { span, reason, .. } = err else {
             panic!("wrong variant");
         };
-        assert_eq!(line, 2);
+        assert_eq!(span, Span::line(2));
         assert!(reason.contains("slots"), "{reason}");
 
         let err = parse_defs("slots=3\n").unwrap_err();
-        let WmsError::SiteDefParse { line, .. } = err else {
+        let WmsError::Parse { span, .. } = err else {
             panic!("wrong variant");
         };
-        assert_eq!(line, 1);
+        assert_eq!(span, Span::line(1));
     }
 
     #[test]

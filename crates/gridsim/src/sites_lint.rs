@@ -18,29 +18,16 @@
 //!   always a typo);
 //! * `E0506 undefined-site-reference` — a `catalog-site=` target that
 //!   names no defined site or alias;
-//! * `E0507 site-def-syntax` — reserved for the parse-failure path
-//!   (the CLI wraps [`WmsError::SiteDefParse`] under this code; a
-//!   parsed slice by definition has no syntax errors).
+//! * `E0507 site-def-syntax` — not raised here: it is the code
+//!   [`crate::sites::parse_defs`]' own refusals carry (a parsed slice
+//!   by definition has no syntax errors).
 //!
 //! The pass lives in `gridsim` rather than the core crate because the
 //! [`SiteDef`] vocabulary does; the core `lint` module only defines
 //! the rule registry entries.
 
 use crate::sites::SiteDef;
-use pegasus_wms::error::{Span, WmsError};
 use pegasus_wms::lint::Diagnostic;
-
-/// Wraps a [`WmsError::SiteDefParse`] as the `E0507` diagnostic the
-/// CLI reports when a definitions file fails to parse at all. Other
-/// error variants are rendered with an unknown span.
-pub fn syntax_diagnostic(err: &WmsError, file: &str) -> Diagnostic {
-    let (span, reason) = match err {
-        WmsError::SiteDefParse { line, reason } => (Span::line(*line), reason.clone()),
-        other => (Span::none(), other.to_string()),
-    };
-    Diagnostic::new("E0507", file, span, reason)
-        .with_help("see DESIGN.md \u{a7}11 for the sites.def format")
-}
 
 /// Lints parsed site definitions; `file` labels diagnostics, which
 /// point at the lines [`crate::sites::parse_defs`] read each
@@ -263,14 +250,6 @@ mod tests {
     fn catalog_site_via_alias_is_accepted() {
         let diags = lint("site a\naliases=base\n\nsite b\ncatalog-site=base\n");
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn syntax_errors_wrap_as_e0507() {
-        let err = parse_defs("slots=3\n").unwrap_err();
-        let d = syntax_diagnostic(&err, "bad.def");
-        assert_eq!(d.code, "E0507");
-        assert_eq!(d.span.line, 1);
     }
 
     #[test]

@@ -51,8 +51,8 @@ use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::cli::args as cli_args;
 use blast2cap3_pegasus::cli::args::{Parsed, Verb};
 use blast2cap3_pegasus::experiment::{
-    builtin_registry, calibrated_workflow, paper_replicas, registry_catalogs,
-    simulate_blast2cap3_at, ExperimentOutcome,
+    self, builtin_registry, calibrated_workflow, dax_findings, paper_replicas, plan_findings,
+    registry_catalogs, simulate_blast2cap3_at, ExperimentOutcome,
 };
 use blast2cap3_pegasus::serve;
 use gridsim::sites::SiteRegistry;
@@ -126,24 +126,32 @@ impl Args {
     }
 }
 
-/// Reads `path` to a string, or reports `cannot read <what> <path>`
-/// and exits 1 — an unreadable input file is never a usage error.
-fn read_or_exit(what: &str, path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        let sep = if what.is_empty() { "" } else { " " };
-        eprintln!("cannot read {what}{sep}{path}: {e}");
+/// The value of `result`, or `<doing>: <error>` on stderr (the error
+/// alone when it says what was being done itself) and exit 1: what
+/// the run was given cannot be used, which is neither a usage error
+/// nor a panic.
+fn or_exit<T, E: std::fmt::Display>(doing: &str, result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
+        let sep = if doing.is_empty() { "" } else { ": " };
+        eprintln!("{doing}{sep}{e}");
         std::process::exit(1);
     })
 }
 
+/// Reads `path` to a string, or reports `cannot read <what> <path>`
+/// and exits 1.
+fn read_or_exit(what: &str, path: &str) -> String {
+    let sep = if what.is_empty() { "" } else { " " };
+    let doing = format!("cannot read {what}{sep}{path}");
+    or_exit(&doing, std::fs::read_to_string(path))
+}
+
 /// Writes `bytes` to `path`, or reports `cannot write <what> <path>`
-/// and exits 1 — an unwritable output path is never a panic.
+/// and exits 1.
 fn write_or_exit(what: &str, path: impl AsRef<std::path::Path>, bytes: impl AsRef<[u8]>) {
     let path = path.as_ref();
-    if let Err(e) = std::fs::write(path, bytes) {
-        eprintln!("cannot write {what} {}: {e}", path.display());
-        std::process::exit(1);
-    }
+    let doing = format!("cannot write {what} {}", path.display());
+    or_exit(&doing, std::fs::write(path, bytes))
 }
 
 /// Writes what `render` gives to the file the flag `key` names, when
@@ -209,47 +217,76 @@ fn lint_config_from(args: &Args, example: &str) -> pegasus_wms::lint::LintConfig
 fn fault_script_from(args: &Args, seed: u64) -> Option<FaultScript> {
     args.get("fault-plan").map(|path| {
         let text = read_or_exit("fault plan", path);
-        let plan = FaultPlan::parse(&text).unwrap_or_else(|e| {
-            eprintln!("bad fault plan {path}: {e}");
-            std::process::exit(1);
-        });
+        let plan = or_exit(&format!("bad fault plan {path}"), FaultPlan::parse(&text));
         FaultScript::new(plan, seed)
     })
 }
 
-/// Parses one event log for a stream checker. A log that does not
-/// parse becomes an `E0708` finding at the offending line, so the
-/// report still renders and the remaining logs are still checked.
-fn parse_event_log_or_flag(
+/// One recorded event log: its label (the path it was read from),
+/// its text, and the trace id journaled for it, when one was.
+type EventSource = (String, String, Option<TraceId>);
+
+/// The recorded logs an invocation names, in the order it names them:
+/// `--from-events a,b`, else `--events-dir <dir>`, else one positional
+/// file or directory. A directory stands for every member log of a
+/// serve state directory (or any directory of `.events` logs), each
+/// beside its journaled trace id. `None` when the invocation names no
+/// source — the verb then runs live. An unreadable source exits 1.
+fn event_sources(args: &Args) -> Option<Vec<EventSource>> {
+    let file = |path: &str| (path.to_string(), read_or_exit("event log", path), None);
+    let members = |dir: &str| -> Vec<EventSource> {
+        let logs = or_exit("", serve::member_logs(std::path::Path::new(dir)));
+        let read = |(path, id): (std::path::PathBuf, _)| {
+            let (path, text, _) = file(&path.to_string_lossy());
+            (path, text, id)
+        };
+        logs.into_iter().map(read).collect()
+    };
+    if let Some(list) = args.get("from-events") {
+        return Some(comma_list(list).map(file).collect());
+    }
+    if let Some(dir) = args.get("events-dir") {
+        return Some(members(dir));
+    }
+    match args.p.positionals.as_slice() {
+        [] => None,
+        [p] if std::path::Path::new(p).is_dir() => Some(members(p)),
+        [p] => Some(vec![file(p)]),
+        _ => args.bail("verify takes at most one <events-or-dir>"),
+    }
+}
+
+/// The strict reader, for the verbs that fold a log into numbers
+/// (statistics, analyze, breakdown, metrics, trace): a log that does
+/// not parse exits 1.
+fn parse_or_exit(path: &str, text: &str) -> Vec<events::WorkflowEvent> {
+    or_exit(&format!("bad event log {path}"), events::log::parse(text))
+}
+
+/// The lenient reader, for the stream checkers (verify, `lint
+/// --events`): a log that does not parse becomes the finding its
+/// refusal is coded as (`E0708`, at the offending line), so the report
+/// still renders and the remaining logs are still checked.
+fn parse_or_flag(
     text: &str,
     path: &str,
     diags: &mut Vec<Diagnostic>,
 ) -> Option<Vec<(usize, events::WorkflowEvent)>> {
-    use pegasus_wms::error::Span;
-    let (span, reason) = match events::log::parse_lines(text) {
-        Ok(pairs) => return Some(pairs),
-        Err(WmsError::EventLogParse { line, reason }) => (Span::line(line), reason),
-        Err(e) => (Span::none(), e.to_string()),
-    };
-    diags.push(Diagnostic::new("E0708", path, span, reason));
-    None
+    match events::log::parse_lines(text) {
+        Ok(pairs) => Some(pairs),
+        Err(e) => {
+            diags.push(Diagnostic::from_error(&e, path));
+            None
+        }
+    }
 }
 
 /// The site registry every verb resolves `--site` against: the
 /// built-in paper sites, or the `--sites <file>` definitions replacing
 /// them wholesale.
 fn load_registry(args: &Args) -> SiteRegistry {
-    match args.get("sites") {
-        Some(path) => {
-            let text = read_or_exit("site definitions", path);
-            SiteRegistry::parse(&text).unwrap_or_else(|e| {
-                eprintln!("cannot load site definitions {path}: {e}");
-                eprintln!("(run `pegasus lint <dax> --sites {path}` for the full report)");
-                std::process::exit(1);
-            })
-        }
-        None => builtin_registry().clone(),
-    }
+    let sites = args.get("sites").map(std::path::Path::new);
+    or_exit("", experiment::load_registry(sites))
 }
 
 /// Resolves a site name or alias against the registry, exiting 2 with
@@ -271,10 +308,8 @@ fn load_catalogs(
     match args.get("catalog") {
         Some(path) => {
             let text = read_or_exit("catalog", path);
-            let bundle = pegasus_wms::catalog_io::parse(&text).unwrap_or_else(|e| {
-                eprintln!("cannot parse catalog {path}: {e}");
-                std::process::exit(1);
-            });
+            let doing = format!("cannot parse catalog {path}");
+            let bundle = or_exit(&doing, pegasus_wms::catalog_io::parse(&text));
             (bundle.sites, bundle.transformations, bundle.replicas)
         }
         None => registry_catalogs(registry),
@@ -294,28 +329,13 @@ fn cmd_catalogs(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Reads `path` and parses it without validating (the profiler's
-/// `dax.parse` sample): the lint passes report a cyclic or conflicted
-/// workflow in full before [`validated_or_exit`] admits it to planning.
-fn parse_dax(path: &str) -> (String, Result<AbstractWorkflow, WmsError>) {
-    let text = read_or_exit("", path);
-    let _prof = prof::scope("dax.parse");
-    let parsed = dax::from_dax_unvalidated(&text);
-    (text, parsed)
-}
-
-/// The workflow of a [`parse_dax`] result once it validates; a parse
-/// or validation error exits 1.
-fn validated_or_exit(path: &str, parsed: Result<AbstractWorkflow, WmsError>) -> AbstractWorkflow {
-    let valid = parsed.and_then(|wf| wf.validate().map(|()| wf));
-    valid.unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
-    })
+/// The workflow a DAX parse admits to planning, or exit 1.
+fn admitted_or_exit(path: &str, parsed: Result<AbstractWorkflow, WmsError>) -> AbstractWorkflow {
+    or_exit(&format!("cannot parse {path}"), parsed)
 }
 
 fn load_dax(path: &str) -> AbstractWorkflow {
-    validated_or_exit(path, parse_dax(path).1)
+    admitted_or_exit(path, dax::from_dax(&read_or_exit("", path)))
 }
 
 /// Plans `wf` for the catalog site `site` under the default planner
@@ -327,10 +347,8 @@ fn plan_or_exit(
     rc: &ReplicaCatalog,
     site: &str,
 ) -> pegasus_wms::planner::ExecutableWorkflow {
-    plan(wf, sites, tc, rc, &PlannerConfig::for_site(site)).unwrap_or_else(|e| {
-        eprintln!("planning failed: {e}");
-        std::process::exit(1);
-    })
+    let planned = plan(wf, sites, tc, rc, &PlannerConfig::for_site(site));
+    or_exit("planning failed", planned)
 }
 
 fn cmd_generate_dax(args: &Args) -> ExitCode {
@@ -453,41 +471,32 @@ fn ascii_dag(exec: &pegasus_wms::planner::ExecutableWorkflow) -> String {
     out
 }
 
-/// Reads and parses one provenance event log, exiting 1 on either
-/// failure; the text comes back too, for its `# trace id=…` header.
-fn load_event_log(path: &str) -> (String, Vec<events::WorkflowEvent>) {
-    let text = read_or_exit("event log", path);
-    let evs = events::log::parse(&text).unwrap_or_else(|e| {
-        eprintln!("bad event log {path}: {e}");
-        std::process::exit(1);
-    });
-    (text, evs)
-}
-
-/// Reads and parses a provenance event log, then folds it back into a
+/// One recorded log, read strictly and folded back into its
 /// [`pegasus_wms::engine::WorkflowRun`] — the offline half of the
 /// `--events` / `--from-events` round trip.
-fn replay_run(path: &str) -> pegasus_wms::engine::WorkflowRun {
-    let (_, evs) = load_event_log(path);
-    events::replay(&evs).unwrap_or_else(|e| {
-        eprintln!("cannot replay event log {path}: {e}");
-        std::process::exit(1);
-    })
+fn replay_run((path, text, _): EventSource) -> pegasus_wms::engine::WorkflowRun {
+    let replayed = events::replay(&parse_or_exit(&path, &text));
+    or_exit(&format!("cannot replay event log {path}"), replayed)
 }
 
 fn cmd_statistics(args: &Args) -> ExitCode {
-    if let Some(path) = args.get("from-events") {
-        let run = replay_run(path);
+    let Some(sources) = event_sources(args) else {
+        return cmd_run(args, true);
+    };
+    for run in sources.into_iter().map(replay_run) {
         print!("{}", render_csv(&compute(&run)));
-        return ExitCode::SUCCESS;
     }
-    cmd_run(args, true)
+    ExitCode::SUCCESS
 }
 
 fn cmd_analyze(args: &Args) -> ExitCode {
-    let run = replay_run(args.require("from-events"));
-    print!("{}", analyze(&run).render_text());
-    success_if(run.succeeded())
+    args.require("from-events");
+    let mut all_ok = true;
+    for run in event_sources(args).into_iter().flatten().map(replay_run) {
+        print!("{}", analyze(&run).render_text());
+        all_ok &= run.succeeded();
+    }
+    success_if(all_ok)
 }
 
 /// Arms the engine self-profiler when `--profile` was given; call
@@ -572,13 +581,6 @@ fn sizes_from(args: &Args) -> Vec<usize> {
     sizes
 }
 
-/// Reads and parses one or more comma-separated event logs.
-fn parse_event_logs(list: &str) -> Vec<Vec<pegasus_wms::events::WorkflowEvent>> {
-    comma_list(list)
-        .map(|path| load_event_log(path).1)
-        .collect()
-}
-
 /// The sweep sites behind `--site both` (the default for `breakdown`
 /// and `metrics`): every registered non-variant site, in definition
 /// order — `[sandhills, osg]` for the built-ins.
@@ -597,12 +599,11 @@ fn sweep_sites(args: &Args, registry: &SiteRegistry) -> Vec<SiteId> {
 fn cmd_breakdown(args: &Args) -> ExitCode {
     let mut rows = Vec::new();
     let mut all_ok = true;
-    if let Some(list) = args.get("from-events") {
-        for stream in parse_event_logs(list) {
-            let row = breakdown::from_events(&stream).unwrap_or_else(|e| {
-                eprintln!("cannot compute breakdown: {e}");
-                std::process::exit(1);
-            });
+    // Here `--events-dir` names where a live sweep writes its logs.
+    if let Some(sources) = args.get("from-events").and_then(|_| event_sources(args)) {
+        for (path, text, _) in sources {
+            let row = breakdown::from_events(&parse_or_exit(&path, &text));
+            let row = or_exit("cannot compute breakdown", row);
             all_ok &= row.completed == row.compute_jobs;
             rows.push(row);
         }
@@ -619,10 +620,8 @@ fn cmd_breakdown(args: &Args) -> ExitCode {
                 let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, None);
                 all_ok &= out.run.succeeded();
                 if let Some(dir) = args.get("events-dir") {
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        eprintln!("cannot create events dir {dir}: {e}");
-                        std::process::exit(1);
-                    }
+                    let doing = format!("cannot create events dir {dir}");
+                    or_exit(&doing, std::fs::create_dir_all(dir));
                     let name = registry.name(site);
                     let path = std::path::Path::new(dir).join(format!("{name}_n{n}.events"));
                     write_or_exit("event log", path, out.event_log());
@@ -667,12 +666,11 @@ fn cmd_metrics(args: &Args) -> ExitCode {
     }
 
     let mut registry = MetricsRegistry::new();
-    if let Some(list) = args.get("from-events") {
-        for stream in parse_event_logs(list) {
-            metrics::record_events(&mut registry, &stream).unwrap_or_else(|e| {
-                eprintln!("cannot record metrics: {e}");
-                std::process::exit(1);
-            });
+    if let Some(sources) = event_sources(args) {
+        for (path, text, _) in sources {
+            let stream = parse_or_exit(&path, &text);
+            let recorded = metrics::record_events(&mut registry, &stream);
+            or_exit("cannot record metrics", recorded);
         }
     } else {
         let sites = load_registry(args);
@@ -703,7 +701,6 @@ fn collect_lint(
     dax_path: &str,
     include_event_logs: bool,
 ) -> (Vec<Diagnostic>, Result<AbstractWorkflow, WmsError>) {
-    use pegasus_wms::error::Span;
     use pegasus_wms::lint;
 
     let mut diags = Vec::new();
@@ -712,44 +709,29 @@ fn collect_lint(
     // and build the registry the config pass resolves `--site`
     // against. A file that fails to parse or load degrades to the
     // built-ins so the remaining passes still run.
-    let registry = match args.get("sites") {
-        Some(path) => {
-            let text = read_or_exit("site definitions", path);
-            match gridsim::sites::parse_defs(&text) {
-                Ok(defs) => {
-                    diags.extend(gridsim::lint_sites(&defs, path));
-                    // Duplicate names/aliases were just reported above;
-                    // the load failure adds nothing new.
-                    SiteRegistry::from_defs(defs).unwrap_or_else(|_| builtin_registry().clone())
-                }
-                Err(e) => {
-                    diags.push(gridsim::sites_lint::syntax_diagnostic(&e, path));
-                    builtin_registry().clone()
+    let mut registry = builtin_registry().clone();
+    if let Some(path) = args.get("sites") {
+        match gridsim::sites::parse_defs(&read_or_exit("site definitions", path)) {
+            Ok(defs) => {
+                diags.extend(gridsim::lint_sites(&defs, path));
+                // Duplicate names/aliases were just reported above;
+                // the load failure adds nothing new.
+                if let Ok(loaded) = SiteRegistry::from_defs(defs) {
+                    registry = loaded;
                 }
             }
+            Err(e) => diags.push(Diagnostic::from_error(&e, path)),
         }
-        None => builtin_registry().clone(),
-    };
+    }
     let (sites, tc, _rc) = load_catalogs(args, &registry);
 
     // The unvalidated parse keeps cyclic or conflicted workflows
     // alive so the structural pass can report the full story instead
     // of stopping at the first validation error.
-    let (text, parsed) = parse_dax(dax_path);
-    let wf = match &parsed {
-        Ok(wf) => Some(wf),
-        Err(e) => {
-            diags.push(lint::classify_parse_error(e, dax_path));
-            None
-        }
-    };
-    if let Some(wf) = wf {
-        let opts = pegasus_wms::lint::DaxLintOptions {
-            fan_limit: args.parsed("fan-limit", 500usize),
-            source: Some(&text),
-        };
-        diags.extend(lint::check_workflow(wf, dax_path, Some(&tc), &opts));
-    }
+    let text = read_or_exit("", dax_path);
+    let (findings, parsed) = dax_findings(&text, dax_path, &tc, args.parsed("fan-limit", 500usize));
+    diags.extend(findings);
+    let wf = parsed.as_ref().ok();
 
     let policy = retry_policy_from(args, args.parsed("retries", 3u32));
     let site = args.get("site");
@@ -757,21 +739,14 @@ fn collect_lint(
     // report it as E0301 against the synthesised site catalog; a
     // resolvable one is canonicalised to its catalog handle (variants
     // like osg_prestaged check against their base site's entry).
-    let site_for_ctx: Option<String> = site.map(|s| match registry.resolve(s) {
-        Ok(id) => registry.catalog_name(id).to_string(),
-        Err(_) => s.to_string(),
-    });
-    let faults_active = args.get("fault-plan").is_some()
-        || site.is_some_and(|s| {
-            registry
-                .resolve(s)
-                .map(|id| registry.faults_active(id))
-                .unwrap_or(false)
-        });
+    let resolved = site.and_then(|s| registry.resolve(s).ok());
+    let site_for_ctx = resolved.map(|id| registry.catalog_name(id)).or(site);
+    let faults_active =
+        args.get("fault-plan").is_some() || resolved.is_some_and(|id| registry.faults_active(id));
     if let Some(wf) = wf {
         if site.is_some() || args.get("slots").is_some() {
             let ctx = lint::RunContext {
-                site: site_for_ctx.as_deref(),
+                site: site_for_ctx,
                 sites: Some(&sites),
                 transformations: Some(&tc),
                 retry: Some(&policy),
@@ -793,17 +768,7 @@ fn collect_lint(
                     };
                     diags.extend(gridsim::lint_plan(&plan, path, &ctx));
                 }
-                Err(WmsError::FaultPlanParse { line, reason })
-                    if reason.contains("must be in [0, 1]") =>
-                {
-                    diags.push(Diagnostic::new("E0203", path, Span::line(line), reason));
-                }
-                Err(WmsError::FaultPlanParse { line, reason }) => {
-                    diags.push(Diagnostic::new("E0206", path, Span::line(line), reason));
-                }
-                Err(e) => {
-                    diags.push(Diagnostic::new("E0206", path, Span::none(), e.to_string()));
-                }
+                Err(e) => diags.push(Diagnostic::from_error(&e, path)),
             }
         }
     }
@@ -812,7 +777,7 @@ fn collect_lint(
         if let Some(list) = args.get("events") {
             for path in comma_list(list) {
                 let etext = read_or_exit("event log", path);
-                if let Some(pairs) = parse_event_log_or_flag(&etext, path, &mut diags) {
+                if let Some(pairs) = parse_or_flag(&etext, path, &mut diags) {
                     diags.extend(lint::check_events(&pairs, path));
                 }
             }
@@ -962,14 +927,13 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     let profiling = !csv_only && arm_profiler(args);
     let dax_path = args.require("dax");
     // One parse of the DAX text: linted as parsed, then validated.
-    let parsed = if !csv_only && !args.flag("quiet") {
+    let wf = if !csv_only && !args.flag("quiet") {
         let (diags, parsed) = collect_lint(args, dax_path, false);
         warn_on_stderr(diags);
-        parsed
+        admitted_or_exit(dax_path, parsed.and_then(|wf| wf.validate().map(|()| wf)))
     } else {
-        parse_dax(dax_path).1
+        load_dax(dax_path)
     };
-    let wf = validated_or_exit(dax_path, parsed);
     let registry = load_registry(args);
     let site = resolve_site(args, &registry, args.require("site"));
     let site_name = registry.name(site);
@@ -993,10 +957,7 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
 
     if let Some(rescue_path) = args.get("resume") {
         let text = read_or_exit("rescue file", rescue_path);
-        let rescue = RescueDag::from_text(&text).unwrap_or_else(|e| {
-            eprintln!("bad rescue file: {e}");
-            std::process::exit(1);
-        });
+        let rescue = or_exit("bad rescue file", RescueDag::from_text(&text));
         engine_cfg.skip_done = rescue.done.iter().cloned().collect();
         if !csv_only {
             println!(
@@ -1115,18 +1076,6 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     }
 }
 
-/// Reads one event log and folds it into a span tree, recovering the
-/// trace id from the `# trace id=…` header comment when present — the
-/// offline half of the `pegasus trace` round trip.
-fn fold_trace_log(path: &str) -> trace::WorkflowTrace {
-    let (text, evs) = load_event_log(path);
-    let id = trace::trace_from_log(&text);
-    trace::fold(&evs, id).unwrap_or_else(|e| {
-        eprintln!("cannot fold event log {path}: {e}");
-        std::process::exit(1);
-    })
-}
-
 /// The live source `trace` and `verify` share: one ad-hoc blast2cap3
 /// run, its trace id (submission 0 under its seed, the derivation the
 /// daemon applies at admission), and its event log under that id's
@@ -1166,19 +1115,19 @@ fn adhoc_run(args: &Args) -> (ExperimentOutcome, TraceId, String) {
 /// * `--events-dir dir`: every member log of a serve state directory
 ///   (or its `members/` subdirectory), smallest member id first.
 fn cmd_trace(args: &Args) -> ExitCode {
-    let mut traces = Vec::new();
-    if let Some(list) = args.get("from-events") {
-        for path in comma_list(list) {
-            traces.push(fold_trace_log(path));
+    // A recorded log's trace id is the one its own header carries.
+    let fold = |(path, text, _): EventSource| {
+        let id = trace::trace_from_log(&text);
+        let folded = trace::fold(&parse_or_exit(&path, &text), id);
+        or_exit(&format!("cannot fold event log {path}"), folded)
+    };
+    let traces: Vec<_> = match event_sources(args) {
+        Some(sources) => sources.into_iter().map(fold).collect(),
+        None => {
+            let (out, id, _) = adhoc_run(args);
+            vec![trace::of_run(&out.run, Some(id))]
         }
-    } else if let Some(dir) = args.get("events-dir") {
-        for (path, _) in member_logs_or_exit(dir) {
-            traces.push(fold_trace_log(&path.to_string_lossy()));
-        }
-    } else {
-        let (out, id, _) = adhoc_run(args);
-        traces.push(trace::of_run(&out.run, Some(id)));
-    }
+    };
 
     let all_ok = traces.iter().all(|t| t.succeeded);
     let rendered = match args.get("format").unwrap_or("text") {
@@ -1191,25 +1140,6 @@ fn cmd_trace(args: &Args) -> ExitCode {
         eprintln!("some workflows did not complete; the trace covers what ran");
     }
     success_if(all_ok)
-}
-
-/// Every member event log of a serve state directory (or any
-/// directory of `.events` logs) with its journaled trace id, or exit 1.
-fn member_logs_or_exit(dir: &str) -> Vec<(std::path::PathBuf, Option<TraceId>)> {
-    serve::member_logs(std::path::Path::new(dir)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    })
-}
-
-/// Reads every member event log under `dir` as a verify stream; the
-/// journaled trace id beside each arms the `E0809` cross-check.
-fn collect_member_streams(dir: &str, streams: &mut Vec<(String, String, Option<TraceId>)>) {
-    for (path, expected) in member_logs_or_exit(dir) {
-        let path = path.to_string_lossy().into_owned();
-        let text = read_or_exit("event log", &path);
-        streams.push((path, text, expected));
-    }
 }
 
 /// `pegasus verify` — the two-layer semantic verifier. Layer 1 runs
@@ -1253,27 +1183,12 @@ fn cmd_verify(args: &Args) -> ExitCode {
         let dopts = verify::DataflowOptions {
             storage_limit_bytes: args.parsed_opt("storage-limit"),
         };
-        diags.extend(verify::check_plan(
-            &wf,
-            &exec,
-            &rc,
-            registry.catalog_name(site),
-            dax_path,
-            &dopts,
-        ));
-        let ens_cfg = pegasus_wms::ensemble::EnsembleConfig {
+        let quotas = pegasus_wms::ensemble::EnsembleConfig {
             slot_budget: args.parsed_opt("slots"),
             tenant_slots: None,
         };
-        let width = wf.width().unwrap_or_else(|e| {
-            eprintln!("cannot analyze {dax_path}: {e}");
-            std::process::exit(1);
-        });
-        diags.extend(verify::check_ensemble_feasibility(
-            &[(exec.name.clone(), width)],
-            &ens_cfg,
-            dax_path,
-        ));
+        let findings = plan_findings(&wf, &exec, &rc, dax_path, &dopts, &quotas);
+        diags.extend(or_exit("", findings));
         if !args.flag("quiet") {
             println!(
                 "verified plan {dax_path}: {} jobs on {}",
@@ -1283,43 +1198,30 @@ fn cmd_verify(args: &Args) -> ExitCode {
         }
     }
 
-    // Layer 1 stream sources: (label, raw text, journaled trace id).
-    let mut streams: Vec<(String, String, Option<TraceId>)> = Vec::new();
-    if let Some(list) = args.get("from-events") {
-        for path in comma_list(list) {
-            streams.push((path.to_string(), read_or_exit("event log", path), None));
+    // Layer 1 stream sources.
+    let streams = match event_sources(args) {
+        Some(recorded) => recorded,
+        // `--dax` alone is a pure layer-2 invocation.
+        None if args.get("dax").is_some() => Vec::new(),
+        None => {
+            let (_, id, text) = adhoc_run(args);
+            // A live run always knows its policy: arm the envelope.
+            opts.retry = Some(retry_policy_from(args, retries));
+            let label = match args.get("events") {
+                Some(path) => path.to_string(),
+                None => format!(
+                    "<live n={} seed={}>",
+                    args.n(100),
+                    args.parsed("seed", 20140519u64)
+                ),
+            };
+            vec![(label, text, Some(id))]
         }
-    } else if let Some(dir) = args.get("events-dir") {
-        collect_member_streams(dir, &mut streams);
-    } else {
-        match args.p.positionals.as_slice() {
-            // `--dax` alone is a pure layer-2 invocation.
-            [] if args.get("dax").is_some() => {}
-            [] => {
-                let (_, id, text) = adhoc_run(args);
-                // A live run always knows its policy: arm the envelope.
-                opts.retry = Some(retry_policy_from(args, retries));
-                let label = match args.get("events") {
-                    Some(path) => path.to_string(),
-                    None => format!(
-                        "<live n={} seed={}>",
-                        args.n(100),
-                        args.parsed("seed", 20140519u64)
-                    ),
-                };
-                streams.push((label, text, Some(id)));
-            }
-            [p] if std::path::Path::new(p).is_dir() => {
-                collect_member_streams(p, &mut streams);
-            }
-            [p] => streams.push((p.clone(), read_or_exit("event log", p), None)),
-            _ => args.bail("verify takes at most one <events-or-dir>"),
-        }
-    }
+    };
 
     let mut total_events = 0usize;
     for (label, text, expected) in &streams {
-        let Some(evs) = parse_event_log_or_flag(text, label, &mut diags) else {
+        let Some(evs) = parse_or_flag(text, label, &mut diags) else {
             continue;
         };
         total_events += evs.len();
@@ -1383,10 +1285,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
 /// and exits 1.
 fn connect_or_exit(args: &Args) -> serve::client::Connection {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7070");
-    serve::client::Connection::open(addr).unwrap_or_else(|e| {
-        eprintln!("{}: {e}", args.verb.name);
-        std::process::exit(1);
-    })
+    or_exit(args.verb.name, serve::client::Connection::open(addr))
 }
 
 /// `pegasus submit` — the daemon's write-side client: submit a

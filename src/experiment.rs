@@ -30,13 +30,15 @@ use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog, SiteCatalog, Transfor
 use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, WorkflowRun};
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, EnsembleRun, Submission};
 use pegasus_wms::error::WmsError;
+use pegasus_wms::lint::{self, DaxLintOptions, Diagnostic};
 use pegasus_wms::planner::{plan, ExecutableWorkflow, PlannerConfig};
 use pegasus_wms::statistics::{compute, compute_ensemble, EnsembleStatistics, WorkflowStatistics};
 use pegasus_wms::symbols::SiteId;
 use pegasus_wms::workflow::AbstractWorkflow;
+use pegasus_wms::{dax, prof, verify};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 /// The process-wide built-in [`SiteRegistry`] — the paper's two
@@ -290,6 +292,77 @@ pub fn plan_on(
     let mut config = PlannerConfig::for_site(registry.catalog_name(id));
     tweak(&mut config);
     plan(wf, &sites, &tc, &rc, &config)
+}
+
+/// The registry a program resolves every site name against: the
+/// definitions in `sites` when given, replacing the built-ins
+/// wholesale, [`builtin_registry`] otherwise.
+///
+/// # Errors
+/// `cannot read site definitions <path>: …`, or `cannot load site
+/// definitions <path>: …` with a second line pointing at the lint.
+pub fn load_registry(sites: Option<&Path>) -> Result<SiteRegistry, String> {
+    let Some(path) = sites else {
+        return Ok(builtin_registry().clone());
+    };
+    let shown = path.display();
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read site definitions {shown}: {e}"))?;
+    SiteRegistry::parse(&text).map_err(|e| {
+        format!(
+            "cannot load site definitions {shown}: {e}\n\
+             (run `pegasus lint <dax> --sites {shown}` for the full report)"
+        )
+    })
+}
+
+/// Admission, first half — what `pegasus lint`, the warnings `run`
+/// opens with and `serve submit dax=` see in a DAX: one unvalidated
+/// parse of `text` (the profiler's `dax.parse` sample), then its
+/// refusal as the finding it is coded as, or the structural pass over
+/// what it read. The parse comes back still unvalidated: a cyclic or
+/// conflicted workflow is reported in full before a caller that plans
+/// it validates it.
+pub fn dax_findings(
+    text: &str,
+    path: &str,
+    tc: &TransformationCatalog,
+    fan_limit: usize,
+) -> (Vec<Diagnostic>, Result<AbstractWorkflow, WmsError>) {
+    let parsed = {
+        let _prof = prof::scope("dax.parse");
+        dax::from_dax_unvalidated(text)
+    };
+    let source = Some(text);
+    let findings = match &parsed {
+        Ok(wf) => lint::check_workflow(wf, path, Some(tc), &DaxLintOptions { fan_limit, source }),
+        Err(e) => vec![Diagnostic::from_error(e, path)],
+    };
+    (findings, parsed)
+}
+
+/// Admission, second half — what `pegasus verify --dax` reports and
+/// the daemon refuses about `wf` as planned into `exec`: the
+/// whole-plan dataflow check against the replicas it was planned with,
+/// and the feasibility of its width under `quotas`.
+///
+/// # Errors
+/// `cannot analyze <path>: …` when the workflow has no width.
+pub fn plan_findings(
+    wf: &AbstractWorkflow,
+    exec: &ExecutableWorkflow,
+    rc: &ReplicaCatalog,
+    path: &str,
+    dataflow: &verify::DataflowOptions,
+    quotas: &EnsembleConfig,
+) -> Result<Vec<Diagnostic>, String> {
+    let mut findings = verify::check_plan(wf, exec, rc, &exec.site, path, dataflow);
+    let width = wf
+        .width()
+        .map_err(|e| format!("cannot analyze {path}: {e}"))?;
+    let members = [(exec.name.clone(), width)];
+    findings.extend(verify::check_ensemble_feasibility(&members, quotas, path));
+    Ok(findings)
 }
 
 /// Builds the simulated platform backend for `site`, or a typed

@@ -37,7 +37,9 @@
 //!   rollup, and metrics byte-identical to the run the crash
 //!   destroyed.
 
-use crate::experiment::{builtin_registry, plan_blast2cap3_at, plan_on, registry_catalogs};
+use crate::experiment::{
+    dax_findings, load_registry, plan_blast2cap3_at, plan_findings, plan_on, registry_catalogs,
+};
 use gridsim::sites::SiteRegistry;
 use pegasus_wms::dax;
 use pegasus_wms::engine::{EngineConfig, WorkflowRun};
@@ -116,19 +118,6 @@ impl Default for ServeOptions {
             crash_after_members: None,
             sites: None,
         }
-    }
-}
-
-/// Loads the registry the daemon resolves every submission against:
-/// the `--sites` file when configured, the built-ins otherwise.
-fn load_registry(opts: &ServeOptions) -> Result<SiteRegistry, String> {
-    match &opts.sites {
-        Some(path) => {
-            let text = fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            SiteRegistry::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-        }
-        None => Ok(builtin_registry().clone()),
     }
 }
 
@@ -411,59 +400,33 @@ fn preflight_dax(
     site: SiteId,
     opts: &ServeOptions,
 ) -> Result<(), String> {
+    // The first error-severity finding of a pass refuses the DAX.
+    let refuse = |pass: &str, findings: Vec<lint::Diagnostic>| match findings
+        .iter()
+        .find(|d| d.severity == lint::Severity::Error)
+    {
+        Some(d) => Err(format!("{pass} {}: {}", d.code, d.message)),
+        None => Ok(()),
+    };
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let wf = match dax::from_dax_unvalidated(&text) {
-        Ok(wf) => wf,
-        Err(e) => {
-            let d = lint::classify_parse_error(&e, path);
-            return Err(format!("lint {}: {}", d.code, d.message));
-        }
-    };
     let (_, tc, rc) = registry_catalogs(registry);
-    let lint_opts = lint::DaxLintOptions {
-        source: Some(&text),
-        ..lint::DaxLintOptions::default()
-    };
-    let diags = lint::check_workflow(&wf, path, Some(&tc), &lint_opts);
-    if let Some(d) = diags.iter().find(|d| d.severity == lint::Severity::Error) {
-        return Err(format!("lint {}: {}", d.code, d.message));
-    }
+    let fan_limit = lint::DaxLintOptions::default().fan_limit;
+    let (findings, parsed) = dax_findings(&text, path, &tc, fan_limit);
+    refuse("lint", findings)?;
     // Layer 2 verification: a plan that cannot execute (a consumed
     // file with no producer, stage-in, or replica; a zero quota) is
     // rejected here, not discovered as a failed member mid-round.
-    wf.validate()
+    let wf = parsed
+        .and_then(|wf| wf.validate().map(|()| wf))
         .map_err(|e| format!("cannot parse {path}: {e}"))?;
     let exec =
         plan_on(registry, site, &wf, |_| {}).map_err(|e| format!("cannot plan {path}: {e}"))?;
-    let mut diags = verify::check_plan(
-        &wf,
-        &exec,
-        &rc,
-        registry.catalog_name(site),
-        path,
-        &verify::DataflowOptions::default(),
-    );
-    let width = wf
-        .width()
-        .map_err(|e| format!("cannot analyze {path}: {e}"))?;
-    diags.extend(verify::check_ensemble_feasibility(
-        &[(exec.name.clone(), width)],
-        &opts.ensemble_config(),
-        path,
-    ));
-    if let Some(d) = diags.iter().find(|d| d.severity == lint::Severity::Error) {
-        return Err(format!("verify {}: {}", d.code, d.message));
-    }
-    Ok(())
-}
-
-/// What a refused journal entry tells the client: the ledger's reason,
-/// without the parse-error framing a journal line number would need.
-fn refusal(e: WmsError) -> String {
-    match e {
-        WmsError::ProtocolParse { reason, .. } => reason,
-        other => other.to_string(),
-    }
+    let dataflow = verify::DataflowOptions::default();
+    let quotas = opts.ensemble_config();
+    refuse(
+        "verify",
+        plan_findings(&wf, &exec, &rc, path, &dataflow, &quotas)?,
+    )
 }
 
 /// The daemon state, owned by the scheduler thread: the journal, the
@@ -495,13 +458,13 @@ impl Daemon {
     /// flushed, and only then does the ledger take it. A refused or
     /// unwritable entry leaves journal and ledger as they were.
     fn record(&mut self, entry: JournalEntry) -> Result<(), String> {
-        self.ledger.check(&entry).map_err(refusal)?;
+        self.ledger.check(&entry)?;
         let line = proto::render_journal_entry(&entry);
         self.journal
             .write_all(format!("{line}\n").as_bytes())
             .and_then(|()| self.journal.flush())
             .map_err(|e| format!("cannot append journal: {e}"))?;
-        self.ledger.apply(entry).map_err(refusal)
+        self.ledger.apply(entry)
     }
 
     fn handle_submit(&mut self, sub: SubmitRequest) -> Result<ResponseHead, String> {
@@ -747,7 +710,7 @@ fn lines_response(payload: &str) -> String {
 /// Rebuilds daemon state from the journal and member logs, re-running
 /// the interrupted round if the previous process died mid-ensemble.
 fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
-    let registry = load_registry(opts)?;
+    let registry = load_registry(opts.sites.as_deref())?;
     let jpath = journal_path(&opts.dir);
     let (ledger, whole, torn) = if jpath.exists() {
         read_journal(&opts.dir)?
@@ -1109,6 +1072,7 @@ pub mod client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::builtin_registry;
     use std::cell::Cell;
 
     /// Shares one write counter across a round's logs and refuses the

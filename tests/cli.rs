@@ -325,6 +325,18 @@ fn pegasus_unusable_paths_exit_1_without_panicking() {
             "{verb:?} {path_args:?}: want one `{expected} …` line, got {err:?}"
         );
     }
+
+    // A catalog that does not parse is refused as a catalog, at its line.
+    let catalog = dir.join("bad.ini");
+    std::fs::write(&catalog, "[site x]\n\nshared_fs = maybe\n").unwrap();
+    let catalog = catalog.to_str().unwrap();
+    let out = pegasus().args(run).args(["--catalog", catalog]).output();
+    let out = out.unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("cannot parse catalog {catalog}: catalog parse error at line 3: bad boolean \"maybe\"\n")
+    );
 }
 
 /// The daemon refuses `submit n=0`; so does every verb that takes a

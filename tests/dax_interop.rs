@@ -84,7 +84,7 @@ fn malformed_dax_yields_typed_errors_not_panics() {
     // Unclosed <job>: the trailing job must not be silently dropped.
     let unclosed_job = "<adag name=\"w\">\n  <job id=\"a\" name=\"t\">\n";
     match dax::from_dax(unclosed_job).unwrap_err() {
-        WmsError::DaxParse { span, reason } => {
+        WmsError::Parse { span, reason, .. } => {
             assert!(reason.contains("unclosed <job"), "{reason}");
             assert!(
                 span.line >= 2,
@@ -98,7 +98,7 @@ fn malformed_dax_yields_typed_errors_not_panics() {
     // Unclosed <adag>: a truncated file is not a valid workflow.
     let truncated = "<adag name=\"w\">\n  <job id=\"a\" name=\"t\"/>\n";
     match dax::from_dax(truncated).unwrap_err() {
-        WmsError::DaxParse { reason, .. } => {
+        WmsError::Parse { reason, .. } => {
             assert!(reason.contains("unclosed <adag>"), "{reason}")
         }
         other => panic!("unexpected {other:?}"),
@@ -134,7 +134,7 @@ fn malformed_dax_yields_typed_errors_not_panics() {
                      <job id=\"a\" name=\"t\"/><job id=\"a\" name=\"t\"/>\
                      </adag>";
     match dax::from_dax(duplicate).unwrap_err() {
-        WmsError::DaxParse { reason, .. } => assert!(reason.contains('a'), "{reason}"),
+        WmsError::Parse { reason, .. } => assert!(reason.contains('a'), "{reason}"),
         other => panic!("unexpected {other:?}"),
     }
 
@@ -148,7 +148,7 @@ fn malformed_dax_yields_typed_errors_not_panics() {
     for (text, line, col) in [(nested, 3, 3), (second, 2, 1)] {
         for parse in [dax::from_dax, dax::from_dax_unvalidated] {
             match parse(text).unwrap_err() {
-                WmsError::DaxParse { span, reason } => {
+                WmsError::Parse { span, reason, .. } => {
                     assert!(reason.contains("second <adag>"), "{reason}");
                     assert_eq!((span.line, span.col), (line, col), "{text}");
                 }
@@ -226,7 +226,7 @@ fn doctype_is_skipped_to_its_own_end_and_other_declarations_are_typed_errors() {
         ),
     ] {
         match dax::from_dax(text).unwrap_err() {
-            WmsError::DaxParse { span, reason } => {
+            WmsError::Parse { span, reason, .. } => {
                 assert!(reason.contains(want), "{text:?}: {reason}");
                 assert_eq!((span.line, span.col), (line, col), "{text:?}: {reason}");
             }

@@ -374,3 +374,99 @@ fn custom_site_file_lints_clean_and_resolves_by_alias() {
     assert!(ok, "{out}");
     assert!(codes.is_empty(), "{codes:?}: {out}");
 }
+
+/// A refusal is coded where it is born: every format's own parser,
+/// handed a text with one broken line, raises an error that already
+/// carries its format, its lint code, the line and the reason — and
+/// `Diagnostic::from_error`, the one conversion, reads them off
+/// unchanged. Three raise sites know a narrower rule than their
+/// format's default and say so.
+#[test]
+fn every_parser_codes_its_own_refusals_and_from_error_reads_them_off() {
+    use gridsim::{sites::parse_defs, FaultPlan};
+    use pegasus_wms::error::{Format, WmsError};
+    use pegasus_wms::rescue::RescueDag;
+    use pegasus_wms::serve::parse_journal_entry;
+    use pegasus_wms::{catalog_io, dax, events, Diagnostic};
+
+    let dax = |text| dax::from_dax_unvalidated(text).unwrap_err();
+    let plan = |text| FaultPlan::parse(text).unwrap_err();
+    let job = "<job id=\"a\" name=\"t\"/>";
+    let cases = [
+        // (refusal, format, code, line, reason): the defaults …
+        (
+            dax("<adag name=\"w\">\n<job name=\"t\"/>\n</adag>"),
+            (Format::Dax, "E0101", 2, "<job> missing id attribute"),
+        ),
+        (
+            catalog_io::parse("[site x]\nshared_fs = maybe\n").unwrap_err(),
+            (Format::Catalog, "E0101", 2, "bad boolean \"maybe\""),
+        ),
+        (
+            RescueDag::from_text("WORKFLOW w\nFROBNICATE yes\n").unwrap_err(),
+            (Format::Rescue, "E0708", 2, "unknown keyword \"FROBNICATE\""),
+        ),
+        (
+            parse_defs("site a\nslots=many\n").unwrap_err(),
+            (
+                Format::SiteDef,
+                "E0507",
+                2,
+                "bad integer \"many\" for slots",
+            ),
+        ),
+        (
+            plan("plan p\nwat start=1\n"),
+            (Format::FaultPlan, "E0206", 2, "unknown scenario \"wat\""),
+        ),
+        (
+            events::log::parse("# note\nskipped time=inf job=0\n").unwrap_err(),
+            (Format::EventLog, "E0708", 2, "bad number \"inf\" for time"),
+        ),
+        (
+            parse_journal_entry("cancel id=x", 2).unwrap_err(),
+            (Format::Protocol, "E0708", 2, "bad integer \"x\" for id"),
+        ),
+        // … and the three raise sites that know better.
+        (
+            dax(&format!("<adag name=\"w\">\n{job}\n{job}\n</adag>")),
+            (Format::Dax, "E0102", 3, "duplicate job id \"a\""),
+        ),
+        (
+            dax(&format!(
+                "<adag name=\"w\">\n{job}\n<child ref=\"a\"><parent ref=\"g\"/></child>\n</adag>"
+            )),
+            (
+                Format::Dax,
+                "E0105",
+                0,
+                "edge references unknown parent \"g\"",
+            ),
+        ),
+        (
+            plan("preemption-storm start=1 duration=2 kill-probability=3\n"),
+            (
+                Format::FaultPlan,
+                "E0203",
+                1,
+                "kill-probability must be in [0, 1], got 3",
+            ),
+        ),
+    ];
+    for (refusal, (format, code, line, reason)) in cases {
+        let WmsError::Parse {
+            format: raised_by, ..
+        } = &refusal
+        else {
+            panic!("{format:?}: not a parse error: {refusal:?}");
+        };
+        assert_eq!(*raised_by, format, "{refusal}");
+        let d = Diagnostic::from_error(&refusal, "input");
+        assert_eq!(
+            (d.code, d.span.line, d.message.as_str()),
+            (code, line, reason),
+            "{refusal}"
+        );
+        assert_eq!(d.help.is_some(), format == Format::SiteDef, "{refusal}");
+    }
+}

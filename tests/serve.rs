@@ -325,6 +325,34 @@ fn malformed_lines_and_bad_dax_submissions_are_rejected_inline() {
         "bad DAX must be rejected, got {head:?}"
     );
 
+    // What the daemon refuses a DAX for is what `pegasus lint` reports
+    // about it: same code, same message.
+    for fixture in [
+        "e0101_syntax.dax",
+        "e0102_duplicate_job.dax",
+        "e0105_unknown_edge.dax",
+    ] {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/lint");
+        let path = path.join(fixture);
+        let lint = Command::new(env!("CARGO_BIN_EXE_pegasus"))
+            .arg("lint")
+            .arg(&path)
+            .output()
+            .expect("pegasus lint");
+        let lint = String::from_utf8_lossy(&lint.stdout).into_owned();
+        let (code, message) = lint
+            .strip_prefix("error[")
+            .and_then(|rest| rest.lines().next()?.split_once("]: "))
+            .unwrap_or_else(|| panic!("{fixture}: lint opens with its error: {lint}"));
+        assert_eq!(code, &fixture[..5].to_uppercase(), "{fixture}: {lint}");
+        match conn.request(&dax_submission("alice", &path)) {
+            Ok((ResponseHead::Error(msg), _)) => {
+                assert_eq!(msg, format!("lint {code}: {message}"), "{fixture}")
+            }
+            other => panic!("{fixture} must be rejected, got {other:?}"),
+        }
+    }
+
     // An unknown site is an `error` reply naming the registered
     // sites — refused before journaling, not a failure inside a
     // later `run` round.
