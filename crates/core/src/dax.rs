@@ -63,7 +63,7 @@ fn unescape_xml(s: &str) -> Cow<'_, str> {
         ("&apos;", '\''),
         ("&amp;", '&'),
     ];
-    let Some(first) = s.find('&') else {
+    let Some(first) = find_byte(s, b'&') else {
         return Cow::Borrowed(s);
     };
     let mut out = String::with_capacity(s.len());
@@ -291,7 +291,7 @@ impl<'a> XmlScanner<'a> {
                         .filter(|&q| q == b'"' || q == b'\'')
                         .ok_or_else(|| self.err("attribute value must be quoted"))?;
                     let start = self.pos;
-                    let Some(len) = self.text[start..].find(quote as char) else {
+                    let Some(len) = find_byte(&self.text[start..], quote) else {
                         self.pos = self.text.len();
                         return Err(self.err("unterminated attribute value"));
                     };
@@ -309,9 +309,7 @@ impl<'a> XmlScanner<'a> {
         loop {
             // Text before the next '<'.
             let start = self.pos;
-            self.pos = self.text[start..]
-                .find('<')
-                .map_or(self.text.len(), |i| start + i);
+            self.pos = find_byte(&self.text[start..], b'<').map_or(self.text.len(), |i| start + i);
             let trimmed = self.text[start..self.pos].trim();
             if !trimmed.is_empty() {
                 return Ok(Some(XmlEvent::Text(unescape_xml(trimmed))));
@@ -359,6 +357,16 @@ impl<'a> XmlScanner<'a> {
 // ---------------------------------------------------------------------------
 // Parsing DAX
 // ---------------------------------------------------------------------------
+
+/// Offset of the first `byte` of `s`. The scanner's delimiters are
+/// ASCII and a few bytes away, so it looks for them as bytes:
+/// `str::find(char)` is only as fast inlined with its needle known,
+/// which the compiler does or does not do as the crate around this
+/// file changes shape (EXPERIMENTS.md E29).
+#[inline]
+fn find_byte(s: &str, byte: u8) -> Option<usize> {
+    s.bytes().position(|b| b == byte)
+}
 
 fn attr<'b>(attrs: &'b Attrs<'_>, key: &str) -> Option<&'b str> {
     attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| &**v)

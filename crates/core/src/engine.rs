@@ -667,15 +667,12 @@ impl WorkflowExecution {
     /// jobs are marked done and their readiness cascades immediately.
     pub fn new(wf: &ExecutableWorkflow, config: &EngineConfig, start: f64) -> Self {
         let n = wf.jobs.len();
+        let children = wf.children();
+        let indegrees = children.reverse_degrees();
         let mut exec = WorkflowExecution {
             config: config.clone(),
-            children: wf.children(),
-            pending_parents: wf
-                .parents()
-                .degrees()
-                .into_iter()
-                .map(|d| d as usize)
-                .collect(),
+            children,
+            pending_parents: indegrees.into_iter().map(|d| d as usize).collect(),
             done: vec![false; n],
             rng: StdRng::seed_from_u64(config.seed),
             outstanding: 0,

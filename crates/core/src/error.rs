@@ -123,13 +123,15 @@ pub enum WmsError {
     UnknownJob(String),
     /// The dependency graph contains a cycle through this job.
     CycleDetected(String),
-    /// Two different jobs declare the same output file.
+    /// A file is declared as an output twice: by two jobs, or twice
+    /// by one.
     ConflictingProducer {
         /// The logical file with two producers.
         file: String,
         /// The first producer.
         first: String,
-        /// The conflicting second producer.
+        /// The job of the second declaration; `first` again when one
+        /// job lists the file twice.
         second: String,
     },
     /// A site name (or alias) did not resolve against the site
@@ -189,6 +191,16 @@ impl fmt::Display for WmsError {
             WmsError::UnknownJob(id) => write!(f, "dependency references unknown job {id:?}"),
             WmsError::CycleDetected(id) => {
                 write!(f, "workflow is not a DAG: cycle through job {id:?}")
+            }
+            WmsError::ConflictingProducer {
+                file,
+                first,
+                second,
+            } if first == second => {
+                write!(
+                    f,
+                    "logical file {file:?} declared as an output twice by {first:?}"
+                )
             }
             WmsError::ConflictingProducer {
                 file,

@@ -1,20 +1,21 @@
-//! Compressed sparse row (CSR) adjacency for workflow DAGs.
+//! Compressed sparse row (CSR) adjacency for workflow DAGs, and the
+//! program's graph walks.
 //!
-//! The workflow and planner layers used to rebuild
-//! `Vec<Vec<JobId>>` adjacency lists — one heap allocation per node —
-//! every time a traversal ran. [`Csr`] packs the same adjacency into
-//! two flat arrays: `offsets[v]..offsets[v+1]` brackets node `v`'s
-//! neighbor slice in `targets`. Construction is a stable counting
-//! sort over the edge list (two passes, no per-node allocation), and
-//! degree queries are O(1) pointer arithmetic.
+//! [`Csr`] packs an adjacency into two flat arrays:
+//! `offsets[v]..offsets[v+1]` brackets node `v`'s neighbor slice in
+//! `targets`. Construction is a stable counting sort over the edge
+//! list (two passes, no per-node allocation), and degree queries are
+//! O(1) pointer arithmetic. Neighbor order is the *edge input order*,
+//! so a walk that tie-breaks by adjacency position is reproducible.
 //!
-//! Neighbor order is the *edge input order* — exactly the order the
-//! old push-based builders produced — so traversals that tie-break by
-//! adjacency-list position (Kahn's queue, level assignment) are
-//! bit-for-bit reproducible against the pre-CSR implementation.
+//! The walks live here and nowhere else: Kahn's order, which names the
+//! stuck nodes when it cannot finish ([`Csr::topological_order`]), the
+//! cycle path ([`Csr::cycle_path`]), levels ([`Csr::levels`]) and the
+//! heaviest path ([`Csr::longest_path`]). The abstract workflow, the
+//! planned one, the lint and the CLI's renderer all call these.
 
 use crate::symbols::JobId;
-use std::ops::Index;
+use std::collections::VecDeque;
 
 /// A directed graph's adjacency in compressed sparse row form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,11 +72,6 @@ impl Csr {
         self.offsets.len() - 1
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Node `v`'s neighbor slice.
     #[inline]
     pub fn neighbors(&self, v: JobId) -> &[JobId] {
@@ -88,13 +84,6 @@ impl Csr {
     #[inline]
     pub fn degree(&self, v: JobId) -> usize {
         (self.offsets[v.idx() + 1] - self.offsets[v.idx()]) as usize
-    }
-
-    /// All degrees as a dense vector (`degrees()[v.idx()]`).
-    pub fn degrees(&self) -> Vec<u32> {
-        (0..self.node_count())
-            .map(|v| self.offsets[v + 1] - self.offsets[v])
-            .collect()
     }
 
     /// Degrees in the *opposite* orientation — for a forward (children)
@@ -114,17 +103,16 @@ impl Csr {
     }
 
     /// Kahn's topological sort over this (forward) adjacency, seeded
-    /// in index order and tie-broken by queue arrival — identical
-    /// output to the historical `Vec<Vec<JobId>>` implementation.
-    /// Returns `None` if a cycle prevents completion.
-    pub fn topological_order(&self) -> Option<Vec<JobId>> {
+    /// in index order and tie-broken by queue arrival.
+    ///
+    /// # Errors
+    /// When a cycle prevents completion, the nodes left with an unmet
+    /// dependency, in index order: every node on a cycle or
+    /// downstream of one. A node with an edge to itself is one.
+    pub fn topological_order(&self) -> Result<Vec<JobId>, Vec<JobId>> {
         let n = self.node_count();
-        let mut indegree = vec![0u32; n];
-        for &t in &self.targets {
-            indegree[t.idx()] += 1;
-        }
-        let mut queue: std::collections::VecDeque<JobId> =
-            self.nodes().filter(|&v| indegree[v.idx()] == 0).collect();
+        let mut indegree = self.reverse_degrees();
+        let mut queue: VecDeque<JobId> = self.nodes().filter(|&v| indegree[v.idx()] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(v) = queue.pop_front() {
             order.push(v);
@@ -136,20 +124,108 @@ impl Csr {
             }
         }
         if order.len() == n {
-            Some(order)
+            Ok(order)
         } else {
-            None
+            Err(self.nodes().filter(|&v| indegree[v.idx()] > 0).collect())
         }
     }
-}
 
-impl Index<JobId> for Csr {
-    type Output = [JobId];
+    /// One cycle of this (forward) adjacency as the full path
+    /// `[v, .., u, v]` — `[v, v]` for an edge from `v` to itself — or
+    /// `None` for a DAG: the first back edge a depth-first search
+    /// meets, started from every node in index order and following
+    /// neighbors in adjacency order.
+    pub fn cycle_path(&self) -> Option<Vec<JobId>> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Mark {
+            Unseen,
+            OnPath,
+            Done,
+        }
+        let mut mark = vec![Mark::Unseen; self.node_count()];
+        for start in self.nodes() {
+            if mark[start.idx()] != Mark::Unseen {
+                continue;
+            }
+            mark[start.idx()] = Mark::OnPath;
+            // Iterative (an adversarial input must not overflow the
+            // call stack); a frame is (node, next neighbor index), and
+            // the frames are the path from `start`.
+            let mut stack = vec![(start, 0usize)];
+            while let Some(frame) = stack.last_mut() {
+                let (u, i) = *frame;
+                let Some(&v) = self.neighbors(u).get(i) else {
+                    mark[u.idx()] = Mark::Done;
+                    stack.pop();
+                    continue;
+                };
+                frame.1 += 1;
+                match mark[v.idx()] {
+                    Mark::Unseen => {
+                        mark[v.idx()] = Mark::OnPath;
+                        stack.push((v, 0));
+                    }
+                    Mark::OnPath => {
+                        let path = stack.iter().map(|&(x, _)| x).skip_while(|&x| x != v);
+                        return Some(path.chain([v]).collect());
+                    }
+                    Mark::Done => {}
+                }
+            }
+        }
+        None
+    }
 
-    /// `csr[v]` is `v`'s neighbor slice, mirroring the historical
-    /// `adj[v]` indexing on `Vec<Vec<JobId>>`.
-    fn index(&self, v: JobId) -> &[JobId] {
-        self.neighbors(v)
+    /// The level — longest path from any root, in edges — of every
+    /// node of this (forward) adjacency, given a topological `order`
+    /// of it.
+    pub fn levels(&self, order: &[JobId]) -> Vec<usize> {
+        let mut level = vec![0usize; self.node_count()];
+        for &u in order {
+            for &v in self.neighbors(u) {
+                level[v.idx()] = level[v.idx()].max(level[u.idx()] + 1);
+            }
+        }
+        level
+    }
+
+    /// The heaviest path through the graph whose *reverse* (parents)
+    /// adjacency this is, given a topological `order` of it and each
+    /// node's `weight`: `(total weight, path)`, `(0.0, [])` for the
+    /// empty graph. Among equally heavy parents the first in adjacency
+    /// order is followed.
+    pub fn longest_path(
+        &self,
+        order: &[JobId],
+        weight: impl Fn(JobId) -> f64,
+    ) -> (f64, Vec<JobId>) {
+        let n = self.node_count();
+        // dist[i] = weight of the heaviest path ending at i (inclusive).
+        let mut dist = vec![0.0f64; n];
+        let mut prev: Vec<Option<JobId>> = vec![None; n];
+        for &i in order {
+            let mut best = 0.0f64;
+            for &p in self.neighbors(i) {
+                if dist[p.idx()] > best {
+                    best = dist[p.idx()];
+                    prev[i.idx()] = Some(p);
+                }
+            }
+            dist[i.idx()] = best + weight(i);
+        }
+        let Some((end, &total)) = dist
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite weights"))
+        else {
+            return (0.0, Vec::new());
+        };
+        let mut path = vec![JobId::new(end)];
+        while let Some(p) = prev[path.last().expect("non-empty").idx()] {
+            path.push(p);
+        }
+        path.reverse();
+        (total, path)
     }
 }
 
@@ -188,30 +264,54 @@ mod tests {
     }
 
     #[test]
-    fn index_sugar_matches_neighbors() {
-        let g = Csr::forward(4, &diamond());
-        assert_eq!(&g[j(0)], g.neighbors(j(0)));
-    }
-
-    #[test]
     fn topological_order_matches_kahn_on_vecvec() {
         let g = Csr::forward(4, &diamond());
-        assert_eq!(g.topological_order(), Some(vec![j(0), j(1), j(2), j(3)]));
+        assert_eq!(g.topological_order(), Ok(vec![j(0), j(1), j(2), j(3)]));
+        assert_eq!(g.cycle_path(), None);
     }
 
     #[test]
-    fn topological_order_detects_cycles() {
-        let g = Csr::forward(2, &[(j(0), j(1)), (j(1), j(0))]);
-        assert_eq!(g.topological_order(), None);
+    fn two_cycles_name_their_stuck_nodes_and_the_first_cycle_in_full() {
+        // 0 -> 1 -> 2 -> 1 (a cycle with a tail), 2 -> 3 (downstream
+        // of it), 4 <-> 5 (a second cycle), 6 free.
+        let edges = [(1, 2), (0, 1), (2, 1), (2, 3), (4, 5), (5, 4)];
+        let edges: Vec<_> = edges.iter().map(|&(a, b)| (j(a), j(b))).collect();
+        let g = Csr::forward(7, &edges);
+        let stuck = vec![j(1), j(2), j(3), j(4), j(5)];
+        assert_eq!(g.topological_order(), Err(stuck));
+        assert_eq!(g.cycle_path(), Some(vec![j(1), j(2), j(1)]));
+    }
+
+    #[test]
+    fn an_edge_from_a_node_to_itself_is_a_cycle_of_length_one() {
+        let g = Csr::forward(3, &[(j(0), j(1)), (j(1), j(1)), (j(1), j(2))]);
+        assert_eq!(g.topological_order(), Err(vec![j(1), j(2)]));
+        assert_eq!(g.cycle_path(), Some(vec![j(1), j(1)]));
+    }
+
+    #[test]
+    fn levels_and_longest_path_of_a_diamond() {
+        let g = Csr::forward(4, &diamond());
+        let order = g.topological_order().unwrap();
+        assert_eq!(g.levels(&order), vec![0, 1, 1, 2]);
+        let weight = |v: JobId| [1.0, 5.0, 5.0, 2.0][v.idx()];
+        let parents = Csr::reverse(4, &diamond());
+        // Equal parents: the first in adjacency order is followed.
+        let heaviest = (8.0, vec![j(0), j(1), j(3)]);
+        assert_eq!(parents.longest_path(&order, weight), heaviest);
+        assert_eq!(
+            Csr::forward(0, &[]).longest_path(&[], weight),
+            (0.0, vec![])
+        );
     }
 
     #[test]
     fn empty_and_edgeless_graphs() {
         let g = Csr::forward(0, &[]);
         assert_eq!(g.node_count(), 0);
-        assert_eq!(g.topological_order(), Some(vec![]));
+        assert_eq!(g.topological_order(), Ok(vec![]));
         let g = Csr::forward(3, &[]);
-        assert_eq!(g.degrees(), vec![0, 0, 0]);
-        assert_eq!(g.topological_order(), Some(vec![j(0), j(1), j(2)]));
+        assert_eq!(g.reverse_degrees(), vec![0, 0, 0]);
+        assert_eq!(g.topological_order(), Ok(vec![j(0), j(1), j(2)]));
     }
 }

@@ -5,13 +5,16 @@
 //! [`AbstractWorkflow::validate`] would reject outright (cycles,
 //! conflicting producers) can still be analyzed and reported with
 //! richer context — the full cycle path, every producer conflict —
-//! instead of stopping at the first typed error.
+//! instead of stopping at the first typed error. Both judge the same
+//! [`AbstractWorkflow::dataflow`] view, so they refuse the same
+//! workflows.
 
 use super::Diagnostic;
 use crate::catalog::TransformationCatalog;
 use crate::error::Span;
-use crate::workflow::{AbstractWorkflow, JobId};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::workflow::{AbstractWorkflow, JobId, Readers};
+use std::cell::OnceCell;
+use std::collections::HashMap;
 
 /// Knobs for [`check_workflow`].
 #[derive(Debug, Clone, Copy)]
@@ -34,70 +37,40 @@ impl Default for DaxLintOptions<'_> {
     }
 }
 
-/// Position of `id="<job>"` in the DAX text, if findable.
-fn job_span(source: Option<&str>, id: &str) -> Span {
-    let Some(src) = source else {
-        return Span::none();
-    };
-    let needle = format!("id=\"{id}\"");
-    let Some(pos) = src.find(&needle) else {
-        return Span::none();
-    };
-    let before = &src[..pos];
-    let line = before.bytes().filter(|&b| b == b'\n').count() + 1;
-    let col = pos - before.rfind('\n').map(|i| i + 1).unwrap_or(0) + 1;
-    Span::new(line, col)
-}
-
-/// Finds one cycle in `adj` and returns its full path
-/// `[v, ..., u, v]`, or `None` when the graph is a DAG.
-fn find_cycle(n: usize, adj: &[BTreeSet<usize>]) -> Option<Vec<usize>> {
-    let adjv: Vec<Vec<usize>> = adj.iter().map(|s| s.iter().copied().collect()).collect();
-    let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
-    let mut parent = vec![usize::MAX; n];
-    for start in 0..n {
-        if color[start] != 0 {
-            continue;
+/// Where each `id="…"` first occurs in a DAX text, found in one pass
+/// (the workflow itself carries no positions). A job's span is the
+/// first place the text spells `id="<job>"` — the answer a search
+/// from the top gives, for every id at once.
+fn id_spans(src: &str) -> HashMap<&str, Span> {
+    const OPEN: &str = "id=\"";
+    let mut spans = HashMap::new();
+    let (mut line, mut line_start, mut scanned) = (1, 0, 0);
+    for (pos, _) in src.match_indices(OPEN) {
+        let value = &src[pos + OPEN.len()..];
+        let Some(close) = value.find('"') else { break };
+        let skipped = &src[scanned..pos];
+        line += skipped.bytes().filter(|&b| b == b'\n').count();
+        if let Some(newline) = skipped.rfind('\n') {
+            line_start = scanned + newline + 1;
         }
-        color[start] = 1;
-        // Iterative DFS (lint must not overflow the stack on
-        // adversarial inputs); frames are (node, next edge index).
-        let mut stack = vec![(start, 0usize)];
-        while let Some(&(u, i)) = stack.last() {
-            if let Some(&v) = adjv[u].get(i) {
-                stack.last_mut().expect("nonempty").1 += 1;
-                if color[v] == 0 {
-                    color[v] = 1;
-                    parent[v] = u;
-                    stack.push((v, 0));
-                } else if color[v] == 1 {
-                    // Back edge u -> v: reconstruct v -> ... -> u -> v.
-                    let mut path = vec![u];
-                    let mut x = u;
-                    while x != v {
-                        x = parent[x];
-                        path.push(x);
-                    }
-                    path.reverse();
-                    path.push(v);
-                    return Some(path);
-                }
-            } else {
-                color[u] = 2;
-                stack.pop();
-            }
-        }
+        scanned = pos;
+        spans
+            .entry(&value[..close])
+            .or_insert_with(|| Span::new(line, pos - line_start + 1));
     }
-    None
+    spans
 }
 
 /// Pass 1: structural analysis of one workflow.
 ///
 /// Emits `E0103` (cycle, with the full path), `E0104` (every
-/// conflicting-producer pair), `W0401` (disconnected jobs), `W0402`
-/// (never-consumed intermediate outputs), `W0403`/`W0404` (fan-out and
-/// fan-in beyond `opts.fan_limit`), and `W0405` (transformations with
-/// no catalog entry) when a catalog is supplied.
+/// conflicting output declaration), `W0401` (disconnected jobs),
+/// `W0402` (never-consumed intermediate outputs), `W0403`/`W0404`
+/// (fan-out and fan-in beyond `opts.fan_limit`), and `W0405`
+/// (transformations with no catalog entry) when a catalog is supplied.
+/// What it judges is [`AbstractWorkflow::dataflow`], the view
+/// [`AbstractWorkflow::validate`] judges: it reports `E0103` or
+/// `E0104` exactly when `validate` refuses.
 pub fn check_workflow(
     wf: &AbstractWorkflow,
     file: &str,
@@ -105,173 +78,71 @@ pub fn check_workflow(
     opts: &DaxLintOptions<'_>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let n = wf.jobs.len();
-    let span = |id: &str| job_span(opts.source, id);
+    // Built by the first finding: a clean workflow never scans its text.
+    let spans = OnceCell::new();
+    // Every finding of this pass is about one job, and points at it.
+    let mut report = |code, job: JobId, message: String, help: Option<&str>| {
+        let spans = spans.get_or_init(|| opts.source.map(id_spans).unwrap_or_default());
+        let span = spans.get(wf.job(job).id.as_str()).copied();
+        diags.push(Diagnostic {
+            help: help.map(str::to_string),
+            ..Diagnostic::new(code, file, span.unwrap_or_else(Span::none), message)
+        });
+    };
 
-    // Producers and consumers of every logical file; conflicts are
-    // reported (all of them) and the first producer wins for edges,
-    // matching AbstractWorkflow::edges.
-    let mut producer: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut consumers: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for j in 0..n {
-        for f in wf.outputs(JobId::new(j)).iter() {
-            match producer.get(f.name) {
-                None => {
-                    producer.insert(f.name, j);
-                }
-                Some(&first) if first != j => {
-                    diags.push(
-                        Diagnostic::new(
-                            "E0104",
-                            file,
-                            span(&wf.jobs[j].id),
-                            format!(
-                                "logical file {:?} produced by both {:?} and {:?}",
-                                f.name, wf.jobs[first].id, wf.jobs[j].id
-                            ),
-                        )
-                        .with_help("each logical file must have exactly one producer"),
-                    );
-                }
-                Some(_) => {}
-            }
-        }
-        for f in wf.inputs(JobId::new(j)).iter() {
-            consumers.entry(f.name).or_default().push(j);
-        }
+    let view = wf.dataflow();
+    for &conflict in &view.conflicts {
+        let message = wf.conflict_error(conflict).to_string();
+        let help = "each logical file must have exactly one producer";
+        report("E0104", conflict.2, message, Some(help));
+    }
+    if let Some(path) = view.children.cycle_path() {
+        let names: Vec<&str> = path.iter().map(|&j| wf.job(j).id.as_str()).collect();
+        let message = format!("workflow is not a DAG: cycle {}", names.join(" -> "));
+        let help = "remove one dependency in the cycle or rename the clashing files";
+        report("E0103", path[0], message, Some(help));
     }
 
-    // Combined dependency graph: dataflow plus explicit edges.
-    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (&f, cs) in &consumers {
-        if let Some(&p) = producer.get(f) {
-            for &c in cs {
-                if p != c {
-                    adj[p].insert(c);
-                }
-            }
-        }
-    }
-    let mut self_loop = None;
-    for &(p, c) in &wf.explicit_edges {
-        if p == c {
-            self_loop = Some(p);
-        } else if p.idx() < n && c.idx() < n {
-            adj[p.idx()].insert(c.idx());
-        }
-    }
-
-    if let Some(j) = self_loop {
-        diags.push(Diagnostic::new(
-            "E0103",
-            file,
-            span(&wf.jobs[j.idx()].id),
-            format!(
-                "workflow is not a DAG: cycle {} -> {}",
-                wf.jobs[j.idx()].id,
-                wf.jobs[j.idx()].id
-            ),
-        ));
-    } else if let Some(path) = find_cycle(n, &adj) {
-        let names: Vec<&str> = path.iter().map(|&j| wf.jobs[j].id.as_str()).collect();
-        diags.push(
-            Diagnostic::new(
-                "E0103",
-                file,
-                span(names[0]),
-                format!("workflow is not a DAG: cycle {}", names.join(" -> ")),
-            )
-            .with_help("remove one dependency in the cycle or rename the clashing files"),
-        );
-    }
-
-    let mut indegree = vec![0usize; n];
-    for children in &adj {
-        for &c in children {
-            indegree[c] += 1;
-        }
-    }
-
-    for (j, job) in wf.jobs.iter().enumerate() {
+    let indegree = view.children.reverse_degrees();
+    let limit = opts.fan_limit;
+    for (j, job) in wf.job_ids().zip(&wf.jobs) {
+        let id = &job.id;
+        let (fan_out, fan_in) = (view.children.degree(j), indegree[j.idx()] as usize);
         // W0401: no edges at all in a multi-job workflow.
-        if n >= 2 && adj[j].is_empty() && indegree[j] == 0 {
-            diags.push(
-                Diagnostic::new(
-                    "W0401",
-                    file,
-                    span(&job.id),
-                    format!(
-                        "job {:?} shares no files or edges with the rest of the workflow",
-                        job.id
-                    ),
-                )
-                .with_help("declare its inputs/outputs or an explicit <child> edge"),
-            );
+        if wf.jobs.len() >= 2 && fan_out == 0 && fan_in == 0 {
+            let message =
+                format!("job {id:?} shares no files or edges with the rest of the workflow");
+            let help = "declare its inputs/outputs or an explicit <child> edge";
+            report("W0401", j, message, Some(help));
         }
         // W0402: intermediate outputs nobody reads.  Sink jobs are
         // exempt — their outputs are the workflow's final products.
-        if !adj[j].is_empty() {
-            for f in wf.outputs(JobId::new(j)).iter() {
-                let consumed = consumers
-                    .get(f.name)
-                    .is_some_and(|cs| cs.iter().any(|&c| c != j));
-                if !consumed && producer.get(f.name) == Some(&j) {
-                    diags.push(
-                        Diagnostic::new(
-                            "W0402",
-                            file,
-                            span(&job.id),
-                            format!(
-                                "output {:?} of job {:?} is consumed by no job",
-                                f.name, job.id
-                            ),
-                        )
-                        .with_help("drop the declaration or add the missing consumer"),
-                    );
+        if fan_out > 0 {
+            for f in wf.outputs(j).iter() {
+                let consumed = view.readers[f.file.idx()] == Readers::AnotherJob;
+                if !consumed && view.producer[f.file.idx()] == Some(j) {
+                    let message =
+                        format!("output {:?} of job {id:?} is consumed by no job", f.name);
+                    let help = "drop the declaration or add the missing consumer";
+                    report("W0402", j, message, Some(help));
                 }
             }
         }
-        if adj[j].len() > opts.fan_limit {
-            diags.push(Diagnostic::new(
-                "W0403",
-                file,
-                span(&job.id),
-                format!(
-                    "job {:?} fans out to {} children (limit {})",
-                    job.id,
-                    adj[j].len(),
-                    opts.fan_limit
-                ),
-            ));
+        if fan_out > limit {
+            let message = format!("job {id:?} fans out to {fan_out} children (limit {limit})");
+            report("W0403", j, message, None);
         }
-        if indegree[j] > opts.fan_limit {
-            diags.push(Diagnostic::new(
-                "W0404",
-                file,
-                span(&job.id),
-                format!(
-                    "job {:?} fans in from {} parents (limit {})",
-                    job.id, indegree[j], opts.fan_limit
-                ),
-            ));
+        if fan_in > limit {
+            let message = format!("job {id:?} fans in from {fan_in} parents (limit {limit})");
+            report("W0404", j, message, None);
         }
-        if let Some(tc) = catalog {
-            if tc.get(&job.transformation).is_none() {
-                diags.push(
-                    Diagnostic::new(
-                        "W0405",
-                        file,
-                        span(&job.id),
-                        format!(
-                            "job {:?} uses transformation {:?} with no transformation-catalog entry",
-                            job.id, job.transformation
-                        ),
-                    )
-                    .with_help(
-                        "the planner will treat it as a plain binary with nothing to install",
-                    ),
-                );
-            }
+        if catalog.is_some_and(|tc| tc.get(&job.transformation).is_none()) {
+            let message = format!(
+                "job {id:?} uses transformation {:?} with no transformation-catalog entry",
+                job.transformation
+            );
+            let help = "the planner will treat it as a plain binary with nothing to install";
+            report("W0405", j, message, Some(help));
         }
     }
 

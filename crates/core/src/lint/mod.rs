@@ -113,7 +113,7 @@ pub const RULES: &[Rule] = &[
         code: "E0104",
         name: "conflicting-producers",
         default: Level::Deny,
-        summary: "two jobs declare the same output file",
+        summary: "an output file is declared more than once (by two jobs, or twice by one)",
     },
     Rule {
         code: "E0105",

@@ -17,7 +17,7 @@ use crate::catalog::{ReplicaCatalog, Site, SiteCatalog, TransformationCatalog};
 use crate::error::WmsError;
 use crate::graph::Csr;
 use crate::symbols::{Args, Name};
-use crate::workflow::{AbstractWorkflow, FileUse, Job, JobId};
+use crate::workflow::{AbstractWorkflow, FileId, FileUse, Job, JobId, Readers};
 use std::collections::HashMap;
 
 /// The role of an executable job.
@@ -90,14 +90,8 @@ pub struct ExecutableWorkflow {
 }
 
 impl ExecutableWorkflow {
-    /// Parent adjacency in CSR form: `parents()[j]` is `j`'s parent
-    /// slice, `parents().degree(j)` its indegree in O(1).
-    pub fn parents(&self) -> Csr {
-        Csr::reverse(self.jobs.len(), &self.edges)
-    }
-
-    /// Child adjacency in CSR form: `children()[j]` is `j`'s child
-    /// slice, `children().degree(j)` its outdegree in O(1).
+    /// Child adjacency in CSR form: `children().neighbors(j)` is `j`'s
+    /// child slice, `children().degree(j)` its outdegree in O(1).
     pub fn children(&self) -> Csr {
         Csr::forward(self.jobs.len(), &self.edges)
     }
@@ -124,27 +118,11 @@ impl ExecutableWorkflow {
     ///
     /// # Errors
     /// Returns [`WmsError::InvariantViolation`] when the edge set is
-    /// cyclic — previously a `debug_assert!` that release builds
-    /// silently ignored, returning a truncated order.
+    /// cyclic, naming every job stuck on or behind the cycle.
     pub fn topological_order(&self) -> Result<Vec<JobId>, WmsError> {
-        let children = self.children();
-        children.topological_order().ok_or_else(|| {
-            // Re-run Kahn tracking which nodes stay stuck, to name
-            // the cycle members in the error.
-            let mut indeg = children.reverse_degrees();
-            let mut queue: std::collections::VecDeque<JobId> =
-                children.nodes().filter(|&v| indeg[v.idx()] == 0).collect();
-            while let Some(u) = queue.pop_front() {
-                for &v in children.neighbors(u) {
-                    indeg[v.idx()] -= 1;
-                    if indeg[v.idx()] == 0 {
-                        queue.push_back(v);
-                    }
-                }
-            }
-            let stuck: Vec<&str> = (0..self.jobs.len())
-                .filter(|&i| indeg[i] > 0)
-                .map(|i| self.jobs[i].name.as_str())
+        self.children().topological_order().map_err(|stuck| {
+            let stuck: Vec<&str> = (stuck.iter())
+                .map(|j| self.jobs[j.idx()].name.as_str())
                 .collect();
             WmsError::InvariantViolation {
                 invariant: "executable workflow is a DAG".into(),
@@ -236,20 +214,16 @@ pub fn reduce_workflow(
     // Pass 1: outputs already available.
     let mut removed: Vec<bool> = wf.job_ids().map(all_outputs_available).collect();
     // Pass 2: cascade upward over the reverse topological order.
-    let order = wf.topological_order()?;
-    let edges = wf.edges()?;
-    let consumers = Csr::forward(n, &edges);
-    let mut is_final = vec![false; wf.files().len()];
-    for (_, f) in wf.final_output_uses() {
-        is_final[f.file.idx()] = true;
-    }
+    let (view, order) = wf.checked()?;
+    let consumers = &view.children;
+    let is_final = |f: &FileId| view.readers[f.idx()] == Readers::Nobody;
     for &i in order.iter().rev() {
         if removed[i.idx()] {
             continue;
         }
-        let produces_final = wf.outputs(i).ids().iter().any(|f| is_final[f.idx()]);
+        let produces_final = wf.outputs(i).ids().iter().any(is_final);
         let has_consumers = consumers.degree(i) > 0;
-        let all_consumers_removed = consumers[i].iter().all(|&c| removed[c.idx()]);
+        let all_consumers_removed = (consumers.neighbors(i).iter()).all(|&c| removed[c.idx()]);
         if !produces_final && has_consumers && all_consumers_removed || all_outputs_available(i) {
             removed[i.idx()] = true;
         }
@@ -389,12 +363,10 @@ fn plan_in_scope(
             known,
         }
     })?;
-    // Validation happens exactly once per workflow that matters:
-    // reduce/cluster validate internally, and the planned workflow is
-    // checked by `validated_edges` below — no upfront `validate()`
-    // (which would recompute the full edge list) and no `clone()` of
-    // the abstract workflow when no transform rewrites it. Both are
-    // per-job costs that dominate planning at millions of jobs.
+    // No upfront `validate()` and no `clone()` of the abstract workflow
+    // when no transform rewrites it: reduce/cluster validate what they
+    // build, and the workflow that is planned is judged below, on the
+    // one view its edges are read from.
     let reduced;
     let pre_cluster = if config.data_reuse {
         reduced = reduce_workflow(abstract_wf, replicas, &config.target_site)?;
@@ -409,6 +381,19 @@ fn plan_in_scope(
             &clustered
         }
         None => pre_cluster,
+    };
+
+    // What the plan reads of the dependency structure, read off one
+    // view that is gone before the plan's own tables grow: held across
+    // them, its ≈ 90 bytes a job sit under the plan on the heap and
+    // the high-water mark rises by twice that (EXPERIMENTS.md E29).
+    // The verdict is raised in step 4, where it has always been.
+    let (external_inputs, final_outputs, dependencies, verdict) = {
+        let view = wf.dataflow();
+        let external_inputs = wf.external_input_uses(&view);
+        let final_outputs = wf.final_output_uses(&view);
+        let verdict = wf.order_of(&view).map(|_| ());
+        (external_inputs, final_outputs, view.edges, verdict)
     };
 
     let mut jobs: Vec<ExecutableJob> = Vec::with_capacity(wf.jobs.len() + 8);
@@ -456,7 +441,7 @@ fn plan_in_scope(
     // the workflow's dense file ids.
     let mut stage_in_of: Vec<Option<JobId>> = vec![None; wf.files().len()];
     if config.stage_data {
-        for f in wf.external_input_uses() {
+        for f in external_inputs {
             if replicas.has_replica(f.name, &site.name) {
                 continue;
             }
@@ -509,15 +494,16 @@ fn plan_in_scope(
         }
     }
 
-    // 4. abstract dependency edges (and the acyclicity/producer
-    // checks, which ride on the same edge computation).
-    for (p, c) in wf.validated_edges()? {
+    // 4. abstract dependency edges, once the view they came from is
+    // judged free of producer conflicts and cycles.
+    verdict?;
+    for (p, c) in dependencies {
         edges.push((compute_id_of[p.idx()], compute_id_of[c.idx()]));
     }
 
     // 5. stage-out jobs for final outputs, each after its producer.
     if config.stage_data {
-        for (producer, f) in wf.final_output_uses() {
+        for (producer, f) in final_outputs {
             let id = push_job(&mut jobs, transfer_job("stage_out_", JobKind::StageOut, f));
             edges.push((compute_id_of[producer.idx()], id));
         }

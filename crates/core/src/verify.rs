@@ -55,8 +55,7 @@ use crate::events::{EventSink, Framing, Misframed, Termination, WorkflowEvent};
 use crate::lint::Diagnostic;
 use crate::planner::{ExecutableWorkflow, JobKind};
 use crate::trace::TraceId;
-use crate::workflow::{AbstractWorkflow, JobId};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::workflow::{AbstractWorkflow, Dataflow, FileId, JobId, Readers};
 
 /// The LTL-lite shape of one invariant — the four temporal operators
 /// the catalog needs (full LTL would be overkill for an append-only,
@@ -945,42 +944,29 @@ pub fn check_plan(
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
-    let mut produced: BTreeMap<&str, &str> = BTreeMap::new();
-    let mut consumed: BTreeSet<&str> = BTreeSet::new();
-    for (id, j) in abstract_wf.job_ids().zip(&abstract_wf.jobs) {
-        for f in abstract_wf.outputs(id).iter() {
-            produced.entry(f.name).or_insert(&j.id);
-        }
-        for f in abstract_wf.inputs(id).iter() {
-            consumed.insert(f.name);
-        }
-    }
-    let mut staged_in: BTreeMap<&str, &str> = BTreeMap::new();
-    let mut staged_out: Vec<(&str, &str)> = Vec::new();
-    for j in &exec.jobs {
-        match j.kind {
-            JobKind::StageIn => {
-                if let Some(f) = j.args.first() {
-                    staged_in.insert(f, &j.name);
-                }
-            }
-            JobKind::StageOut => {
-                if let Some(f) = j.args.first() {
-                    staged_out.push((f, &j.name));
-                }
-            }
-            _ => {}
-        }
+    let view = abstract_wf.dataflow();
+    let files = abstract_wf.files();
+    // A transfer job moves the file its one argument names; a name the
+    // workflow does not hold is a file no job produces or consumes.
+    let transfers = |kind: JobKind| {
+        (exec.jobs.iter())
+            .filter(move |j| j.kind == kind)
+            .filter_map(|j| Some((j, j.args.first()?)))
+            .map(|(j, f)| (j.name.as_str(), f.as_str(), files.get(f)))
+    };
+    let mut staged_in = vec![false; files.len()];
+    for id in transfers(JobKind::StageIn).filter_map(|(_, _, id)| id) {
+        staged_in[id.idx()] = true;
     }
 
-    let mut flagged: BTreeSet<&str> = BTreeSet::new();
+    let mut flagged = vec![false; files.len()];
     for id in abstract_wf.job_ids() {
         for f in abstract_wf.inputs(id).iter() {
-            let name = f.name;
-            if !produced.contains_key(name)
-                && !staged_in.contains_key(name)
+            let (name, i) = (f.name, f.file.idx());
+            if view.producer[i].is_none()
+                && !staged_in[i]
                 && !replicas.has_replica(name, site)
-                && flagged.insert(name)
+                && !std::mem::replace(&mut flagged[i], true)
             {
                 diags.push(
                     Diagnostic::new(
@@ -998,8 +984,8 @@ pub fn check_plan(
             }
         }
     }
-    for (f, job) in &staged_out {
-        if !produced.contains_key(f) {
+    for (job, f, id) in transfers(JobKind::StageOut) {
+        if id.and_then(|id| view.producer[id.idx()]).is_none() {
             diags.push(Diagnostic::new(
                 "W0602",
                 file,
@@ -1008,8 +994,8 @@ pub fn check_plan(
             ));
         }
     }
-    for (f, job) in &staged_in {
-        if !consumed.contains(f) {
+    for (job, f, id) in transfers(JobKind::StageIn) {
+        if id.is_none_or(|id| view.readers[id.idx()] == Readers::Nobody) {
             diags.push(Diagnostic::new(
                 "W0603",
                 file,
@@ -1020,7 +1006,7 @@ pub fn check_plan(
     }
 
     if let Some(limit) = opts.storage_limit_bytes {
-        if let Some((peak, at_job)) = peak_footprint(abstract_wf) {
+        if let Some((peak, at_job)) = peak_footprint(abstract_wf, &view) {
             if peak > limit {
                 diags.push(
                     Diagnostic::new(
@@ -1047,60 +1033,54 @@ pub fn check_plan(
 /// consumer runs (finals stay to the end).  Returns the peak and the
 /// job at which it occurs; `None` when the workflow is cyclic (the
 /// `E0103` lint owns that).
-fn peak_footprint(wf: &AbstractWorkflow) -> Option<(u64, String)> {
-    let order = wf.topological_order().ok()?;
+fn peak_footprint(wf: &AbstractWorkflow, view: &Dataflow) -> Option<(u64, String)> {
+    let order = wf.order_of(view).ok()?;
     let mut pos = vec![0usize; wf.jobs.len()];
     for (i, j) in order.iter().enumerate() {
         pos[j.idx()] = i;
     }
-    let mut sizes: BTreeMap<&str, u64> = BTreeMap::new();
+    // By file: the size its first use declared, and the schedule
+    // position of its last consumer — a file consumed by nobody (a
+    // final output) stays resident.
+    let files = wf.files().len();
+    let mut size: Vec<Option<u64>> = vec![None; files];
+    let mut last_use: Vec<Option<usize>> = vec![None; files];
+    // External inputs are resident from the start, each at the size
+    // its last consumer declared.
+    let mut external = vec![0u64; files];
     for j in wf.job_ids() {
-        for f in wf.inputs(j).iter().chain(wf.outputs(j).iter()) {
-            sizes.entry(f.name).or_insert(f.size_bytes);
-        }
-    }
-    let produced: BTreeSet<&str> = wf
-        .job_ids()
-        .flat_map(|j| wf.outputs(j).iter().map(|f| f.name))
-        .collect();
-    // Schedule position of each file's last consumer; files consumed
-    // by nobody (final outputs) never appear and stay resident.
-    let mut frees: Vec<Vec<&str>> = vec![Vec::new(); order.len()];
-    {
-        let mut last_use: BTreeMap<&str, usize> = BTreeMap::new();
-        for j in wf.job_ids() {
-            for f in wf.inputs(j).iter() {
-                let e = last_use.entry(f.name).or_insert(0);
-                *e = (*e).max(pos[j.idx()]);
+        for f in wf.inputs(j).iter() {
+            let i = f.file.idx();
+            size[i].get_or_insert(f.size_bytes);
+            last_use[i] = last_use[i].max(Some(pos[j.idx()]));
+            if view.producer[i].is_none() {
+                external[i] = f.size_bytes;
             }
         }
-        for (name, i) in last_use {
-            frees[i].push(name);
+        for f in wf.outputs(j).iter() {
+            size[f.file.idx()].get_or_insert(f.size_bytes);
+        }
+    }
+    let size = |f: FileId| size[f.idx()].unwrap_or(0);
+    let mut freed_after = vec![0u64; order.len()];
+    for (f, at) in last_use.iter().enumerate() {
+        if let Some(at) = *at {
+            freed_after[at] = freed_after[at].saturating_add(size(FileId::new(f)));
         }
     }
 
-    // External inputs are resident from the start (deduped by name).
-    let mut resident: u64 = wf
-        .job_ids()
-        .flat_map(|j| wf.inputs(j).iter())
-        .filter(|f| !produced.contains(f.name))
-        .map(|f| (f.name, f.size_bytes))
-        .collect::<BTreeMap<_, _>>()
-        .values()
-        .sum();
+    let mut resident: u64 = external.iter().sum();
     let mut peak = resident;
     let mut peak_at = String::from("<inputs>");
     for (i, jid) in order.iter().enumerate() {
-        for f in wf.outputs(*jid).iter() {
-            resident += sizes.get(f.name).copied().unwrap_or(0);
+        for &f in wf.outputs(*jid).ids() {
+            resident += size(f);
         }
         if resident > peak {
             peak = resident;
             peak_at = wf.job(*jid).id.to_string();
         }
-        for name in &frees[i] {
-            resident = resident.saturating_sub(sizes.get(name).copied().unwrap_or(0));
-        }
+        resident = resident.saturating_sub(freed_after[i]);
     }
     Some((peak, peak_at))
 }

@@ -15,10 +15,11 @@
 //! the names follow). Jobs
 //! are identified by dense interned [`JobId`]s; traversals run over
 //! [`Csr`] adjacency built once per call instead of per-node
-//! `Vec<Vec<_>>` allocations, and the dataflow questions
-//! ([`AbstractWorkflow::edges`], [`AbstractWorkflow::external_inputs`],
-//! [`AbstractWorkflow::final_outputs`]) are passes over dense file ids
-//! rather than hash sets of names.
+//! `Vec<Vec<_>>` allocations, and who produces a file, who consumes
+//! it and which job waits on which is derived in one place,
+//! [`AbstractWorkflow::dataflow`], by dense file id: validation, the
+//! planner, the lint and the plan verifier read that [`Dataflow`] and
+//! walk it with [`crate::graph`]; none of them derives it again.
 
 use crate::error::WmsError;
 use crate::graph::Csr;
@@ -228,6 +229,43 @@ pub struct AbstractWorkflow {
     /// The size each use declared, parallel to `uses` (a DAX may give
     /// one file different sizes at different uses).
     use_sizes: Vec<u64>,
+}
+
+/// Who reads a file, as far as the dependency structure cares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Readers {
+    /// No job lists the file as an input: a product of the workflow.
+    Nobody,
+    /// Only the job that produces it lists it as an input.
+    OnlyItsProducer,
+    /// A job other than its producer reads it — the file is
+    /// *consumed* (an input no job produces is consumed by whoever
+    /// reads it).
+    AnotherJob,
+}
+
+/// A workflow's dependency structure, derived once per reader by
+/// [`AbstractWorkflow::dataflow`]: everything is indexed by dense
+/// [`FileId`] or [`JobId`], nothing by a name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Dataflow {
+    /// By [`FileId`]: the first job that lists the file as an output,
+    /// `None` for a file no job produces.
+    pub producer: Vec<Option<JobId>>,
+    /// By [`FileId`]: who lists the file as an input.
+    pub readers: Vec<Readers>,
+    /// Every output declaration after a file's first, in job order, as
+    /// `(file, its producer, the later declarer)` — the producer again
+    /// when one job lists the file as an output twice.
+    pub conflicts: Vec<(FileId, JobId, JobId)>,
+    /// All dependency edges `(parent, child)` — producer to every
+    /// other job that reads the file, plus the explicit ones — sorted
+    /// and deduplicated. An explicit edge from a job to itself stays:
+    /// it is a cycle.
+    pub edges: Vec<(JobId, JobId)>,
+    /// The forward (children) adjacency of `edges`; each neighbor
+    /// slice ascends.
+    pub children: Csr,
 }
 
 /// A batch of jobs being declared into a workflow:
@@ -506,189 +544,152 @@ impl AbstractWorkflow {
         (0..self.jobs.len()).map(JobId::new)
     }
 
-    /// The producing job of every file (`None` for files no job
-    /// outputs), indexed by [`FileId`]. Fails if two jobs produce the
-    /// same file.
-    fn producers(&self) -> Result<Vec<Option<JobId>>, WmsError> {
+    /// The workflow's dependency structure — the one derivation of who
+    /// produces a file, who consumes it and which job waits on which.
+    /// It judges nothing and cannot fail: a conflict or a cycle is in
+    /// the view for [`AbstractWorkflow::validate`] and the lint to
+    /// report. Each use in the flat table is visited once, every
+    /// output before any input, because a consumer may be declared
+    /// ahead of its producer.
+    pub fn dataflow(&self) -> Dataflow {
         let mut producer: Vec<Option<JobId>> = vec![None; self.files.len()];
+        let mut conflicts = Vec::new();
         for job in self.job_ids() {
-            for &out in self.outputs(job).ids() {
-                if let Some(first) = producer[out.idx()] {
-                    return Err(WmsError::ConflictingProducer {
-                        file: self.files.resolve(out).to_string(),
-                        first: self.jobs[first.idx()].id.as_str().into(),
-                        second: self.jobs[job.idx()].id.as_str().into(),
-                    });
+            for &file in self.outputs(job).ids() {
+                match producer[file.idx()] {
+                    None => producer[file.idx()] = Some(job),
+                    Some(first) => conflicts.push((file, first, job)),
                 }
-                producer[out.idx()] = Some(job);
             }
         }
-        Ok(producer)
+        let mut readers = vec![Readers::Nobody; self.files.len()];
+        let mut edges: Vec<(JobId, JobId)> = Vec::new();
+        for job in self.job_ids() {
+            for &file in self.inputs(job).ids() {
+                let reader = &mut readers[file.idx()];
+                match producer[file.idx()] {
+                    Some(p) if p == job => *reader = (*reader).max(Readers::OnlyItsProducer),
+                    Some(p) => {
+                        *reader = Readers::AnotherJob;
+                        edges.push((p, job));
+                    }
+                    None => *reader = Readers::AnotherJob,
+                }
+            }
+        }
+        edges.extend(&self.explicit_edges);
+        edges.sort_unstable();
+        edges.dedup();
+        let children = Csr::forward(self.jobs.len(), &edges);
+        Dataflow {
+            producer,
+            readers,
+            conflicts,
+            edges,
+            children,
+        }
+    }
+
+    /// `conflict` as the error that refuses the workflow (and the text
+    /// of the lint's `E0104`).
+    pub(crate) fn conflict_error(&self, (file, first, second): (FileId, JobId, JobId)) -> WmsError {
+        WmsError::ConflictingProducer {
+            file: self.files.resolve(file).to_string(),
+            first: self.job(first).id.as_str().into(),
+            second: self.job(second).id.as_str().into(),
+        }
+    }
+
+    /// The judgement of a view of this workflow: its first producer
+    /// conflict, else the first job stuck on a cycle, else a
+    /// topological order.
+    pub(crate) fn order_of(&self, view: &Dataflow) -> Result<Vec<JobId>, WmsError> {
+        if let Some(&conflict) = view.conflicts.first() {
+            return Err(self.conflict_error(conflict));
+        }
+        (view.children.topological_order())
+            .map_err(|stuck| WmsError::CycleDetected(self.job(stuck[0]).id.as_str().into()))
+    }
+
+    /// The view together with its topological order, for a reader
+    /// that walks the DAG.
+    pub(crate) fn checked(&self) -> Result<(Dataflow, Vec<JobId>), WmsError> {
+        let view = self.dataflow();
+        let order = self.order_of(&view)?;
+        Ok((view, order))
     }
 
     /// All dependency edges: dataflow-derived plus explicit, deduped
-    /// and sorted. Fails if two jobs produce the same file.
+    /// and sorted. Fails if a file has two producers.
     pub fn edges(&self) -> Result<Vec<(JobId, JobId)>, WmsError> {
-        let producer = self.producers()?;
-        let mut edges: Vec<(JobId, JobId)> = Vec::new();
-        for job in self.job_ids() {
-            for &inp in self.inputs(job).ids() {
-                if let Some(p) = producer[inp.idx()] {
-                    if p != job {
-                        edges.push((p, job));
-                    }
-                }
-            }
+        let view = self.dataflow();
+        match view.conflicts.first() {
+            Some(&conflict) => Err(self.conflict_error(conflict)),
+            None => Ok(view.edges),
         }
-        edges.extend(self.explicit_edges.iter().filter(|(p, c)| p != c));
-        edges.sort_unstable();
-        edges.dedup();
-        Ok(edges)
-    }
-
-    /// One flag per [`FileId`]: does any job list the file on the
-    /// given side?
-    fn used_as(&self, side: impl Fn(&Self, JobId) -> Uses<'_>) -> Vec<bool> {
-        let mut used = vec![false; self.files.len()];
-        for job in self.job_ids() {
-            for &f in side(self, job).ids() {
-                used[f.idx()] = true;
-            }
-        }
-        used
     }
 
     /// Files consumed by some job but produced by none — the
     /// workflow's external inputs.
     pub fn external_inputs(&self) -> Vec<LogicalFile> {
-        let uses = self.external_input_uses();
+        let uses = self.external_input_uses(&self.dataflow());
         uses.into_iter().map(FileUse::to_logical).collect()
     }
 
     /// [`AbstractWorkflow::external_inputs`] with each file's id: the
-    /// first use of every file no job produces.
-    pub(crate) fn external_input_uses(&self) -> Vec<FileUse<'_>> {
-        // Once a file is reported it counts as seen, so the "produced"
-        // flags double as the dedup set.
-        let mut skip = self.used_as(Self::outputs);
-        let mut out = Vec::new();
-        for job in self.job_ids() {
-            for f in self.inputs(job).iter() {
-                if !std::mem::replace(&mut skip[f.file.idx()], true) {
-                    out.push(f);
-                }
-            }
-        }
-        out
+    /// first use of every file that `view` gives no producer.
+    pub(crate) fn external_input_uses(&self, view: &Dataflow) -> Vec<FileUse<'_>> {
+        let mut reported = vec![false; self.files.len()];
+        let uses = self.job_ids().flat_map(|job| self.inputs(job).iter());
+        uses.filter(|f| view.producer[f.file.idx()].is_none())
+            .filter(|f| !std::mem::replace(&mut reported[f.file.idx()], true))
+            .collect()
     }
 
     /// Files produced by some job but consumed by none — the
     /// workflow's final outputs.
     pub fn final_outputs(&self) -> Vec<LogicalFile> {
-        let uses = self.final_output_uses();
+        let uses = self.final_output_uses(&self.dataflow());
         uses.into_iter().map(|(_, f)| f.to_logical()).collect()
     }
 
     /// [`AbstractWorkflow::final_outputs`] with each file's producing
-    /// job.
-    pub(crate) fn final_output_uses(&self) -> Vec<(JobId, FileUse<'_>)> {
-        let consumed = self.used_as(Self::inputs);
-        let mut out = Vec::new();
-        for job in self.job_ids() {
-            for f in self.outputs(job).iter() {
-                if !consumed[f.file.idx()] {
-                    out.push((job, f));
-                }
-            }
-        }
-        out
-    }
-
-    /// CSR adjacency over all (dataflow + explicit) edges: the
-    /// `(children, parents)` pair of views.
-    pub fn adjacency(&self) -> Result<(Csr, Csr), WmsError> {
-        let edges = self.edges()?;
-        let n = self.jobs.len();
-        Ok((Csr::forward(n, &edges), Csr::reverse(n, &edges)))
+    /// job: every output that, by `view`, no job reads.
+    pub(crate) fn final_output_uses(&self, view: &Dataflow) -> Vec<(JobId, FileUse<'_>)> {
+        let uses = (self.job_ids()).flat_map(|job| self.outputs(job).iter().map(move |f| (job, f)));
+        uses.filter(|(_, f)| view.readers[f.file.idx()] == Readers::Nobody)
+            .collect()
     }
 
     /// Kahn topological order over all edges; detects cycles.
     pub fn topological_order(&self) -> Result<Vec<JobId>, WmsError> {
-        let edges = self.edges()?;
-        self.kahn(&edges)
-    }
-
-    /// The edge list of [`AbstractWorkflow::edges`], checked acyclic.
-    ///
-    /// One computation serves both needs: callers that want the edges
-    /// *and* the validity guarantee (the planner) would otherwise pay
-    /// for `edges()` twice — once inside `validate()` and once for the
-    /// list itself, which matters at millions of edges.
-    pub fn validated_edges(&self) -> Result<Vec<(JobId, JobId)>, WmsError> {
-        let edges = self.edges()?;
-        self.kahn(&edges)?;
-        Ok(edges)
-    }
-
-    /// Kahn's algorithm over a precomputed edge list.
-    fn kahn(&self, edges: &[(JobId, JobId)]) -> Result<Vec<JobId>, WmsError> {
-        let children = Csr::forward(self.jobs.len(), edges);
-        children.topological_order().ok_or_else(|| {
-            // Recompute indegrees to name a node stuck on the cycle.
-            let mut indeg = vec![0usize; self.jobs.len()];
-            for &(_, c) in edges {
-                indeg[c.idx()] += 1;
-            }
-            let mut order_len = 0;
-            let mut queue: std::collections::VecDeque<usize> =
-                (0..self.jobs.len()).filter(|&i| indeg[i] == 0).collect();
-            let mut indeg_left = indeg.clone();
-            while let Some(u) = queue.pop_front() {
-                order_len += 1;
-                for &v in children.neighbors(JobId::new(u)) {
-                    indeg_left[v.idx()] -= 1;
-                    if indeg_left[v.idx()] == 0 {
-                        queue.push_back(v.idx());
-                    }
-                }
-            }
-            debug_assert!(order_len < self.jobs.len());
-            let stuck = (0..self.jobs.len())
-                .find(|&i| indeg_left[i] > 0)
-                .expect("cycle implies a stuck node");
-            WmsError::CycleDetected(self.jobs[stuck].id.as_str().into())
-        })
+        self.checked().map(|(_, order)| order)
     }
 
     /// Validates the workflow: id uniqueness is enforced at insert;
-    /// this checks producer conflicts and acyclicity.
+    /// this refuses a file with two producers — two jobs, or one job
+    /// listing it as an output twice — and a dependency cycle, an
+    /// explicit edge from a job to itself included.
     pub fn validate(&self) -> Result<(), WmsError> {
-        self.topological_order().map(|_| ())
+        self.checked().map(|_| ())
     }
 
     /// DAG level (longest path from any root) of every job.
     pub fn levels(&self) -> Result<Vec<usize>, WmsError> {
-        let order = self.topological_order()?;
-        let edges = self.edges()?;
-        let children = Csr::forward(self.jobs.len(), &edges);
-        let mut level = vec![0usize; self.jobs.len()];
-        for &u in &order {
-            for &v in children.neighbors(u) {
-                level[v.idx()] = level[v.idx()].max(level[u.idx()] + 1);
-            }
-        }
-        Ok(level)
+        let (view, order) = self.checked()?;
+        Ok(view.children.levels(&order))
     }
 
     /// Maximum number of jobs on a single level — the theoretical
     /// parallel width of the workflow.
     pub fn width(&self) -> Result<usize, WmsError> {
         let levels = self.levels()?;
-        let mut counts: HashMap<usize, usize> = HashMap::new();
-        for l in levels {
-            *counts.entry(l).or_insert(0) += 1;
+        // A level is a path length, so below the job count.
+        let mut counts = vec![0usize; levels.len()];
+        for level in levels {
+            counts[level] += 1;
         }
-        Ok(counts.values().copied().max().unwrap_or(0))
+        Ok(counts.into_iter().max().unwrap_or(0))
     }
 
     /// Critical path: the dependency chain with the largest total
@@ -696,38 +697,9 @@ impl AbstractWorkflow {
     /// lower bound on makespan with unlimited resources, which the
     /// blast2cap3 analysis calls the "largest cluster" floor.
     pub fn critical_path(&self) -> Result<(f64, Vec<JobId>), WmsError> {
-        let order = self.topological_order()?;
-        let edges = self.edges()?;
-        let n = self.jobs.len();
-        let parents = Csr::reverse(n, &edges);
-        // dist[i] = cost of the heaviest path ending at i (inclusive).
-        let mut dist = vec![0.0f64; n];
-        let mut prev: Vec<Option<JobId>> = vec![None; n];
-        for &i in &order {
-            let mut best = 0.0f64;
-            let mut best_p = None;
-            for &p in parents.neighbors(i) {
-                if dist[p.idx()] > best {
-                    best = dist[p.idx()];
-                    best_p = Some(p);
-                }
-            }
-            dist[i.idx()] = best + self.jobs[i.idx()].runtime_hint;
-            prev[i.idx()] = best_p;
-        }
-        let Some((end, &total)) = dist
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite runtimes"))
-        else {
-            return Ok((0.0, Vec::new()));
-        };
-        let mut path = vec![JobId::new(end)];
-        while let Some(p) = prev[path.last().expect("non-empty").idx()] {
-            path.push(p);
-        }
-        path.reverse();
-        Ok((total, path))
+        let (view, order) = self.checked()?;
+        let parents = Csr::reverse(self.jobs.len(), &view.edges);
+        Ok(parents.longest_path(&order, |job| self.job(job).runtime_hint))
     }
 
     /// Hierarchical workflows (Pegasus sub-DAX jobs): returns a copy
@@ -751,18 +723,15 @@ impl AbstractWorkflow {
         if placeholder.idx() >= self.jobs.len() {
             return Err(WmsError::UnknownJob(format!("#{placeholder}")));
         }
-        sub.validate()?;
+        let (sub_view, _) = sub.checked()?;
         let ns = self.jobs[placeholder.idx()].id.clone();
-        // Interface files by the sub-workflow's own file ids.
-        let mut interface = vec![false; sub.files.len()];
-        for f in sub.external_input_uses() {
-            interface[f.file.idx()] = true;
-        }
-        for (_, f) in sub.final_output_uses() {
-            interface[f.file.idx()] = true;
-        }
+        // Interface files — the sub-workflow's external inputs and
+        // final outputs — keep their names.
+        let interface = |f: FileId| {
+            sub_view.producer[f.idx()].is_none() || sub_view.readers[f.idx()] == Readers::Nobody
+        };
         let rename_file = |f: FileUse<'_>| {
-            if interface[f.file.idx()] {
+            if interface(f.file) {
                 f.to_logical()
             } else {
                 LogicalFile::sized(format!("{ns}/{}", f.name), f.size_bytes)
@@ -792,12 +761,11 @@ impl AbstractWorkflow {
             out.add_edge(sub_index[&p], sub_index[&c])?;
         }
         // Parent explicit edges, with placeholder redirection.
-        let sub_edges = sub.edges()?;
-        let sub_children = Csr::forward(sub.jobs.len(), &sub_edges);
-        let sub_parents = Csr::reverse(sub.jobs.len(), &sub_edges);
-        let roots: Vec<JobId> = sub_parents
+        let sub_children = &sub_view.children;
+        let sub_indegree = sub_children.reverse_degrees();
+        let roots: Vec<JobId> = sub_children
             .nodes()
-            .filter(|&i| sub_parents.degree(i) == 0)
+            .filter(|&i| sub_indegree[i.idx()] == 0)
             .collect();
         let sinks: Vec<JobId> = sub_children
             .nodes()
@@ -981,11 +949,41 @@ mod tests {
     }
 
     #[test]
-    fn self_loop_edges_are_ignored() {
+    fn an_explicit_edge_from_a_job_to_itself_is_a_cycle() {
         let mut wf = AbstractWorkflow::new("w");
         wf.add_job(Job::new("a", "t")).unwrap();
         wf.add_edge(j(0), j(0)).unwrap();
-        assert!(wf.validate().is_ok());
+        assert_eq!(wf.edges().unwrap(), pairs(&[(0, 0)]));
+        assert_eq!(wf.validate(), Err(WmsError::CycleDetected("a".into())));
+    }
+
+    #[test]
+    fn an_output_listed_twice_by_one_job_is_a_conflict_naming_it_once() {
+        let mut wf = AbstractWorkflow::new("w");
+        let out = LogicalFile::named("out.txt");
+        wf.add_job(Job::new("a", "t").output(out.clone()).output(out))
+            .unwrap();
+        assert_eq!(wf.dataflow().conflicts, [(FileId::new(0), j(0), j(0))]);
+        let refused = wf.validate().unwrap_err();
+        assert!(matches!(refused, WmsError::ConflictingProducer { .. }));
+        assert_eq!(
+            refused.to_string(),
+            "logical file \"out.txt\" declared as an output twice by \"a\""
+        );
+    }
+
+    #[test]
+    fn a_file_only_its_producer_reads_is_neither_consumed_nor_final() {
+        let mut wf = diamond();
+        let scratch = LogicalFile::named("scratch");
+        wf.add_job(Job::new("e", "t").input(scratch.clone()).output(scratch))
+            .unwrap();
+        let view = wf.dataflow();
+        let file = wf.files().get("scratch").unwrap();
+        assert_eq!(view.readers[file.idx()], Readers::OnlyItsProducer);
+        assert_eq!(view.edges.len(), 4);
+        let finals = wf.final_outputs();
+        assert_eq!(finals, [LogicalFile::named("z")]);
     }
 
     #[test]
@@ -1016,16 +1014,6 @@ mod tests {
         let levels = wf.levels().unwrap();
         assert_eq!(levels, vec![0, 1, 1, 2]);
         assert_eq!(wf.width().unwrap(), 2);
-    }
-
-    #[test]
-    fn adjacency_views_agree_with_edges() {
-        let wf = diamond();
-        let (children, parents) = wf.adjacency().unwrap();
-        assert_eq!(children.neighbors(j(0)), &[j(1), j(2)]);
-        assert_eq!(parents.neighbors(j(3)), &[j(1), j(2)]);
-        assert_eq!(children.degree(j(0)), 2);
-        assert_eq!(parents.degree(j(0)), 0);
     }
 
     #[test]

@@ -245,7 +245,7 @@ proptest! {
             &mut NoopMonitor,
         );
 
-        let parents = exec.parents();
+        let parents = Csr::reverse(exec.jobs.len(), &exec.edges);
         for rec in &run.records {
             match rec.state {
                 JobState::Done => {
@@ -259,7 +259,7 @@ proptest! {
                 JobState::Unready => {
                     prop_assert_eq!(rec.attempts, 0);
                     // Some ancestor failed or was itself unready.
-                    let blocked = parents[rec.job].iter().any(|&p| {
+                    let blocked = parents.neighbors(rec.job).iter().any(|&p| {
                         matches!(
                             run.records[p.idx()].state,
                             JobState::Failed | JobState::Unready
@@ -1683,4 +1683,156 @@ fn judged(failure: pegasus_wms::engine::Failure) -> bool {
         "{diags:?}"
     );
     diags.is_empty()
+}
+
+/// A small workflow that may hold anything a hand-written DAX can:
+/// files shared between producers, a file listed twice on one side of
+/// one job, a job reading what it writes, explicit edges that close a
+/// cycle or run from a job to itself. Per job: its input and output
+/// files out of a pool of five; then the explicit edges.
+type UntidySpec = (Vec<(Vec<usize>, Vec<usize>)>, Vec<(usize, usize)>);
+
+fn untidy_specs() -> impl Strategy<Value = UntidySpec> {
+    let side = || proptest::collection::vec(0usize..5, 0..4);
+    let jobs = proptest::collection::vec((side(), side()), 1..7);
+    (
+        jobs,
+        proptest::collection::vec((0usize..7, 0usize..7), 0..5),
+    )
+}
+
+fn untidy_workflow((jobs, edges): &UntidySpec) -> AbstractWorkflow {
+    let mut wf = AbstractWorkflow::new("untidy");
+    let file = |f: &usize| LogicalFile::named(format!("f{f}"));
+    for (i, (inputs, outputs)) in jobs.iter().enumerate() {
+        let mut job = Job::new(format!("j{i}"), "t");
+        job.inputs = inputs.iter().map(file).collect();
+        job.outputs = outputs.iter().map(file).collect();
+        wf.add_job(job).expect("unique ids");
+    }
+    for &(p, c) in edges {
+        let (p, c) = (p % jobs.len(), c % jobs.len());
+        wf.add_edge(JobId::new(p), JobId::new(c)).expect("declared");
+    }
+    wf
+}
+
+/// The derivation [`AbstractWorkflow::dataflow`] retired, kept as its
+/// oracle: the lint pass's producer and consumer maps keyed by file
+/// *name* and its set-per-job adjacency, built the way
+/// `lint/dax_pass.rs` built them — with the two rules the one view
+/// states: a second output declaration conflicts whoever makes it, and
+/// an explicit edge from a job to itself is an edge.
+#[derive(Default)]
+struct NameKeyedDataflow<'a> {
+    producer: std::collections::BTreeMap<&'a str, usize>,
+    consumers: std::collections::BTreeMap<&'a str, Vec<usize>>,
+    /// `(file, first, second)`, in job order.
+    conflicts: Vec<(&'a str, usize, usize)>,
+    adjacency: Vec<std::collections::BTreeSet<usize>>,
+}
+
+impl<'a> NameKeyedDataflow<'a> {
+    fn of(wf: &'a AbstractWorkflow) -> Self {
+        let n = wf.jobs.len();
+        let mut oracle = NameKeyedDataflow::default();
+        for j in 0..n {
+            for f in wf.outputs(JobId::new(j)).iter() {
+                match oracle.producer.get(f.name) {
+                    None => {
+                        oracle.producer.insert(f.name, j);
+                    }
+                    Some(&first) => oracle.conflicts.push((f.name, first, j)),
+                }
+            }
+            for f in wf.inputs(JobId::new(j)).iter() {
+                oracle.consumers.entry(f.name).or_default().push(j);
+            }
+        }
+        oracle.adjacency = vec![Default::default(); n];
+        for (f, consumers) in &oracle.consumers {
+            if let Some(&p) = oracle.producer.get(f) {
+                for &c in consumers.iter().filter(|&&c| c != p) {
+                    oracle.adjacency[p].insert(c);
+                }
+            }
+        }
+        for &(p, c) in &wf.explicit_edges {
+            oracle.adjacency[p.idx()].insert(c.idx());
+        }
+        oracle
+    }
+
+    fn readers(&self, file: &str) -> pegasus_wms::workflow::Readers {
+        use pegasus_wms::workflow::Readers;
+        let producer = self.producer.get(file);
+        match self.consumers.get(file) {
+            None => Readers::Nobody,
+            Some(consumers) if consumers.iter().all(|c| Some(c) == producer) => {
+                Readers::OnlyItsProducer
+            }
+            Some(_) => Readers::AnotherJob,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Two judges, one rule: `validate` refuses a workflow exactly
+    /// when the lint reports a cycle or a producer conflict, and the
+    /// variant it refuses with is the code of the lint's finding.
+    #[test]
+    fn validate_refuses_exactly_what_the_lint_reports(spec in untidy_specs()) {
+        use pegasus_wms::error::WmsError;
+        let wf = untidy_workflow(&spec);
+        let diags = lint::check_workflow(&wf, "untidy.dax", None, &Default::default());
+        let has = |code: &str| diags.iter().any(|d| d.code == code);
+        let verdict = wf.validate();
+        match &verdict {
+            Ok(()) => prop_assert!(!has("E0103") && !has("E0104"), "{diags:?}"),
+            Err(WmsError::ConflictingProducer { .. }) => prop_assert!(has("E0104"), "{diags:?}"),
+            Err(WmsError::CycleDetected(_)) => {
+                prop_assert!(has("E0103") && !has("E0104"), "{diags:?}")
+            }
+            Err(other) => prop_assert!(false, "validate raised {other}"),
+        }
+        // What `validate` passes, every reader downstream may plan: no
+        // file is staged out twice.
+        if verdict.is_ok() {
+            let (sites, tc) = paper_catalogs();
+            let config = PlannerConfig::for_site("osg");
+            let planned = plan(&wf, &sites, &tc, &ReplicaCatalog::new(), &config).unwrap();
+            let mut names: Vec<&str> = planned.jobs.iter().map(|j| &*j.name).collect();
+            names.sort_unstable();
+            let planned_jobs = names.len();
+            names.dedup();
+            prop_assert_eq!(names.len(), planned_jobs, "{:?}", names);
+        }
+    }
+
+    /// The id-keyed view holds what the name-keyed derivation it
+    /// replaced worked out: producers, conflicts, who reads each file,
+    /// and the edge list.
+    #[test]
+    fn dataflow_view_equals_the_name_keyed_oracle(spec in untidy_specs()) {
+        let wf = untidy_workflow(&spec);
+        let view = wf.dataflow();
+        let oracle = NameKeyedDataflow::of(&wf);
+        prop_assert_eq!(view.producer.len(), wf.files().len());
+        for (id, name) in wf.files().iter() {
+            let producer = oracle.producer.get(name).map(|&j| JobId::new(j));
+            prop_assert_eq!(view.producer[id.idx()], producer, "producer of {}", name);
+            prop_assert_eq!(view.readers[id.idx()], oracle.readers(name), "readers of {}", name);
+        }
+        let conflicts: Vec<(&str, usize, usize)> = (view.conflicts.iter())
+            .map(|&(file, first, second)| (wf.files().resolve(file), first.idx(), second.idx()))
+            .collect();
+        prop_assert_eq!(conflicts, oracle.conflicts);
+        let edges: Vec<(JobId, JobId)> = (oracle.adjacency.iter().enumerate())
+            .flat_map(|(p, cs)| cs.iter().map(move |&c| (JobId::new(p), JobId::new(c))))
+            .collect();
+        prop_assert_eq!(&view.edges, &edges);
+        prop_assert_eq!(&view.children, &Csr::forward(wf.jobs.len(), &edges));
+    }
 }

@@ -426,16 +426,11 @@ fn cmd_plan(args: &Args) -> ExitCode {
 /// elided.
 fn ascii_dag(exec: &pegasus_wms::planner::ExecutableWorkflow) -> String {
     use std::fmt::Write as _;
-    let order = exec
+    let children = exec.children();
+    let order = children
         .topological_order()
         .expect("planner output is always a DAG");
-    let parents = exec.parents();
-    let mut level = vec![0usize; exec.jobs.len()];
-    for &j in &order {
-        for &p in &parents[j] {
-            level[j.idx()] = level[j.idx()].max(level[p.idx()] + 1);
-        }
-    }
+    let level = children.levels(&order);
     let max_level = level.iter().copied().max().unwrap_or(0);
     let mut out = String::new();
     for l in 0..=max_level {

@@ -80,6 +80,98 @@ fn every_dax_rule_has_a_fixture_that_triggers_exactly_it() {
     }
 }
 
+/// One view, one answer: an explicit edge from a job to itself and an
+/// output listed twice by one job are refused by the lint and by
+/// every verb that validates, under the same rule.
+#[test]
+fn what_the_lint_refuses_every_validating_verb_refuses() {
+    for (name, code, refusal) in [
+        (
+            "e0103_self_edge.dax",
+            "E0103",
+            "workflow is not a DAG: cycle through job \"a\"",
+        ),
+        (
+            "e0104_repeated_output.dax",
+            "E0104",
+            "logical file \"out.txt\" declared as an output twice by \"a\"",
+        ),
+    ] {
+        let path = fixture(name);
+        let (ok, codes, out) = lint(&[&path]);
+        assert!(!ok && codes.contains(&code.to_string()), "{name}: {out}");
+        for verb in [
+            &["run", "--quiet", "--dax"][..],
+            &["plan", "--dax"],
+            &["verify", "--dax"],
+        ] {
+            let out = pegasus()
+                .args(verb)
+                .args([&path, "--site", "sandhills"])
+                .output()
+                .expect("spawn pegasus");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{verb:?} {name}: {stderr}");
+            assert!(stderr.contains(refusal), "{verb:?} {name}: {stderr}");
+        }
+    }
+}
+
+/// A finding points at the first `id="<job>"` in the text — what a
+/// search from the top finds for that one job — although the pass
+/// reads the text once for all of them.
+#[test]
+fn every_finding_points_where_a_search_from_the_top_finds_its_job() {
+    use pegasus_wms::catalog::paper_catalogs;
+    use pegasus_wms::error::Span;
+    use pegasus_wms::lint::{check_workflow, DaxLintOptions};
+    fn searched(src: &str, id: &str) -> Span {
+        let pos = src.find(&format!("id=\"{id}\"")).expect("declared");
+        let before = &src[..pos];
+        let line = before.bytes().filter(|&b| b == b'\n').count() + 1;
+        Span::new(line, pos - before.rfind('\n').map_or(0, |i| i + 1) + 1)
+    }
+    let spans_of = |text: &str, code: &str| -> Vec<Span> {
+        let wf = pegasus_wms::dax::from_dax_unvalidated(text).expect("parses");
+        let (_, tc) = paper_catalogs();
+        let opts = DaxLintOptions {
+            source: Some(text),
+            ..Default::default()
+        };
+        let diags = check_workflow(&wf, "w.dax", Some(&tc), &opts);
+        assert!(diags.iter().all(|d| d.span != Span::none()), "{diags:?}");
+        (diags.iter().filter(|d| d.code == code))
+            .map(|d| d.span)
+            .collect()
+    };
+
+    // The conflict is reported at the second producer.
+    let conflict = std::fs::read_to_string(fixture("e0104_conflicting_producers.dax")).unwrap();
+    assert_eq!(spans_of(&conflict, "E0104"), [searched(&conflict, "b")]);
+
+    // 2,000 chunk jobs of a transformation no catalog holds: one W0405
+    // each, in job order.
+    let dir = tmpdir("spans");
+    let path = dir.join("fig2.dax");
+    let generated = pegasus()
+        .args(["generate-dax", "--n", "2000", "--out"])
+        .arg(&path)
+        .output()
+        .expect("spawn pegasus generate-dax");
+    assert!(generated.status.success());
+    let text = std::fs::read_to_string(&path)
+        .unwrap()
+        .replace("name=\"run_cap3\"", "name=\"frobnicate\"");
+    let wf = pegasus_wms::dax::from_dax_unvalidated(&text).unwrap();
+    let unknown: Vec<Span> = (wf.jobs.iter())
+        .filter(|j| j.transformation == "frobnicate")
+        .map(|j| searched(&text, &j.id))
+        .collect();
+    assert_eq!(unknown.len(), 2000);
+    assert_eq!(spans_of(&text, "W0405"), unknown);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn doctype_and_comments_are_skipped_and_other_declarations_are_syntax_errors() {
     // A DOCTYPE prolog with an internal subset, a DOCTYPE and a comment

@@ -330,6 +330,8 @@ fn malformed_lines_and_bad_dax_submissions_are_rejected_inline() {
     for fixture in [
         "e0101_syntax.dax",
         "e0102_duplicate_job.dax",
+        "e0103_self_edge.dax",
+        "e0104_repeated_output.dax",
         "e0105_unknown_edge.dax",
     ] {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/lint");
