@@ -204,20 +204,27 @@ impl ReplicaCatalog {
         self.map.entry(file.into()).or_default().insert(site.into());
     }
 
+    /// Replaces whatever replicas of `file` were registered with one at
+    /// each of `sites`.
+    pub fn set(&mut self, file: impl Into<String>, sites: Vec<String>) {
+        self.map.insert(file.into(), sites.into_iter().collect());
+    }
+
+    /// Every registered file with the sites holding it, both sorted.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Vec<&str>)> {
+        let mut files: Vec<(&str, Vec<&str>)> = (self.map.iter())
+            .map(|(file, sites)| (file.as_str(), sites.iter().map(String::as_str).collect()))
+            .collect();
+        files.sort_unstable();
+        files.into_iter().map(|(file, mut sites)| {
+            sites.sort_unstable();
+            (file, sites)
+        })
+    }
+
     /// `true` if `site` holds a replica of `file`.
     pub fn has_replica(&self, file: &str, site: &str) -> bool {
         self.map.get(file).is_some_and(|s| s.contains(site))
-    }
-
-    /// All sites holding `file`, sorted.
-    pub fn sites_for(&self, file: &str) -> Vec<&str> {
-        let mut v: Vec<&str> = self
-            .map
-            .get(file)
-            .map(|s| s.iter().map(String::as_str).collect())
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -226,6 +233,9 @@ impl ReplicaCatalog {
 /// and `"osg"` (opportunistic grid: bare nodes, faster CPUs on
 /// average, no shared filesystem). The transformation catalog contains
 /// the six blast2cap3 workflow transformations.
+/// The programs plan against the site registry's catalog instead: this
+/// site half, kept for the tests and the benchmark harness, is pinned
+/// equal to the built-in `sites.def` by gridsim's tests.
 pub fn paper_catalogs() -> (SiteCatalog, TransformationCatalog) {
     let mut sites = SiteCatalog::new();
     sites.add(
@@ -319,11 +329,19 @@ mod tests {
         rc.register("transcripts.fasta", "sandhills");
         assert!(rc.has_replica("transcripts.fasta", "submit"));
         assert!(!rc.has_replica("transcripts.fasta", "osg"));
+        assert!(!rc.has_replica("nothing", "submit"));
+        rc.register("alignments.out", "submit");
+        let listed: Vec<_> = rc.iter().collect();
         assert_eq!(
-            rc.sites_for("transcripts.fasta"),
-            vec!["sandhills", "submit"]
+            listed,
+            [
+                ("alignments.out", vec!["submit"]),
+                ("transcripts.fasta", vec!["sandhills", "submit"]),
+            ]
         );
-        assert!(rc.sites_for("nothing").is_empty());
+        rc.set("transcripts.fasta", vec!["osg".into()]);
+        let listed: Vec<_> = rc.iter().collect();
+        assert_eq!(listed[1], ("transcripts.fasta", vec!["osg"]));
     }
 
     #[test]

@@ -1,204 +1,100 @@
-//! Text serialization for the three catalogs.
+//! Text serialization for the transformation and replica catalogs.
 //!
-//! Real Pegasus deployments keep site, transformation, and replica
-//! catalogs in files the tools read at plan time. This module defines
-//! a simple INI-style format covering everything our planner consults,
-//! so the `pegasus` CLI can plan against user-provided catalogs
-//! instead of the built-in paper pair:
+//! Real Pegasus deployments keep their catalogs in files the tools
+//! read at plan time; `--catalog <file>` reads this one in place of
+//! the paper's transformations and submit-host replicas. A site is
+//! described once, in `sites.def` (`--sites`), so the file holds the
+//! two other kinds of entry, one per line, in the line grammar
+//! ([`crate::line`]). The name is the line's tail field, so it may
+//! hold spaces and `=`:
 //!
 //! ```text
-//! [site sandhills]
-//! preinstalled = python, biopython, cap3
-//! shared_fs = true
-//! bandwidth_mbps = 100
-//! cpu_speed = 1.0
-//!
-//! [transformation run_cap3]
-//! requires = python, biopython, cap3
-//! install_cost = 45
-//!
-//! [replica transcripts.fasta]
-//! sites = submit, sandhills
+//! transformation requires=python,biopython,cap3 install-cost=45 installable=true name=run_cap3
+//! replica sites=sandhills,submit file=transcripts.fasta
 //! ```
+//!
+//! Every key is required, and a later entry of a name replaces the
+//! earlier one.
 
-use crate::catalog::{ReplicaCatalog, Site, SiteCatalog, Transformation, TransformationCatalog};
+use crate::catalog::{ReplicaCatalog, Transformation, TransformationCatalog};
 use crate::error::{Format, WmsError};
+use crate::line::{self, Fields, Writer};
 
-/// The three catalogs as read from one file.
+/// The two catalogs as read from one file.
 #[derive(Debug, Clone, Default)]
 pub struct CatalogBundle {
-    /// Execution sites.
-    pub sites: SiteCatalog,
     /// Transformations.
     pub transformations: TransformationCatalog,
     /// Replicas.
     pub replicas: ReplicaCatalog,
 }
 
-fn parse_list(v: &str) -> Vec<String> {
-    v.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(String::from)
-        .collect()
-}
-
-fn parse_bool(v: &str, line: usize) -> Result<bool, WmsError> {
-    match v.trim() {
-        "true" | "yes" | "1" => Ok(true),
-        "false" | "no" | "0" => Ok(false),
-        other => Err(Format::Catalog.at(line, format!("bad boolean {other:?}"))),
-    }
-}
-
-enum Section {
-    None,
-    Site(Site),
-    Transformation(Transformation),
-    Replica(String),
-}
-
 /// Parses a catalog file.
+///
+/// # Errors
+/// A [`Format::Catalog`] error at the first line that is not an entry:
+/// another keyword (an INI `[section]` among them), a key missing,
+/// unknown or given twice, a value of the wrong type, an empty name.
 pub fn parse(text: &str) -> Result<CatalogBundle, WmsError> {
     let mut bundle = CatalogBundle::default();
-    let mut section = Section::None;
-
-    let flush = |section: &mut Section, bundle: &mut CatalogBundle| match std::mem::replace(
-        section,
-        Section::None,
-    ) {
-        Section::None | Section::Replica(_) => {}
-        Section::Site(site) => bundle.sites.add(site),
-        Section::Transformation(t) => bundle.transformations.add(t),
-    };
-
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with(';') {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[') {
-            let header = header
-                .strip_suffix(']')
-                .ok_or_else(|| Format::Catalog.at(lineno, "unterminated section header"))?;
-            let (kind, name) = header
-                .split_once(char::is_whitespace)
-                .ok_or_else(|| Format::Catalog.at(lineno, "section needs a kind and a name"))?;
-            let name = name.trim();
-            if name.is_empty() {
-                return Err(Format::Catalog.at(lineno, "empty section name"));
+    let mut buf = Vec::new();
+    for line in line::lines(text) {
+        let (number, rest) = (line.number, line.rest);
+        let tail = match line.keyword {
+            "transformation" => "name",
+            "replica" => "file",
+            other => {
+                let reason = format!(
+                    "{other:?} is not a catalog entry (transformation or replica); \
+                     site facts belong in --sites"
+                );
+                return Err(Format::Catalog.at(number, reason));
             }
-            flush(&mut section, &mut bundle);
-            section = match kind {
-                "site" => Section::Site(Site::new(name)),
-                "transformation" => Section::Transformation(Transformation::new(name)),
-                "replica" => Section::Replica(name.to_string()),
-                other => {
-                    return Err(
-                        Format::Catalog.at(lineno, format!("unknown section kind {other:?}"))
-                    )
-                }
-            };
-            continue;
+        };
+        let f = &mut Fields::split(rest, Some(tail), number, Format::Catalog, &mut buf)?;
+        let name: &str = f.get(tail)?;
+        if name.is_empty() {
+            return Err(f.err(format!("empty {tail}")));
         }
-        let (key, value) = line.split_once('=').ok_or_else(|| {
-            Format::Catalog.at(lineno, format!("expected key = value, got {line:?}"))
-        })?;
-        let (key, value) = (key.trim(), value.trim());
-        match &mut section {
-            Section::None => return Err(Format::Catalog.at(lineno, "key outside any section")),
-            Section::Site(site) => match key {
-                "preinstalled" => {
-                    site.preinstalled.extend(parse_list(value));
-                }
-                "shared_fs" => site.shared_fs = parse_bool(value, lineno)?,
-                "bandwidth_mbps" => {
-                    let mbps: f64 = value
-                        .parse()
-                        .map_err(|_| Format::Catalog.at(lineno, "bad bandwidth_mbps"))?;
-                    site.bandwidth_bps = mbps * 1.0e6;
-                }
-                "cpu_speed" => {
-                    site.cpu_speed = value
-                        .parse()
-                        .map_err(|_| Format::Catalog.at(lineno, "bad cpu_speed"))?;
-                }
-                other => {
-                    return Err(Format::Catalog.at(lineno, format!("unknown site key {other:?}")))
-                }
-            },
-            Section::Transformation(t) => match key {
-                "requires" => t.requires.extend(parse_list(value)),
-                "install_cost" => {
-                    t.install_cost_per_pkg = value
-                        .parse()
-                        .map_err(|_| Format::Catalog.at(lineno, "bad install_cost"))?;
-                }
-                "installable" => t.installable = parse_bool(value, lineno)?,
-                other => {
-                    return Err(
-                        Format::Catalog.at(lineno, format!("unknown transformation key {other:?}"))
-                    )
-                }
-            },
-            Section::Replica(file) => match key {
-                "sites" => {
-                    for site in parse_list(value) {
-                        bundle.replicas.register(file.clone(), site);
-                    }
-                }
-                other => {
-                    return Err(Format::Catalog.at(lineno, format!("unknown replica key {other:?}")))
-                }
-            },
+        if line.keyword == "replica" {
+            let sites = f.get("sites")?;
+            bundle.replicas.set(name, f.list("sites", sites)?);
+        } else {
+            let requires = f.get("requires")?;
+            bundle.transformations.add(Transformation {
+                name: name.to_string(),
+                requires: f.list("requires", requires)?,
+                install_cost_per_pkg: f.get("install-cost")?,
+                installable: f.get("installable")?,
+            });
         }
+        f.finish()?;
     }
-    flush(&mut section, &mut bundle);
     Ok(bundle)
 }
 
-/// Serializes a bundle back to the text format. Site/transformation
-/// entries print in name order; replica lines in file order.
-pub fn to_text(
-    sites: &SiteCatalog,
-    transformations: &TransformationCatalog,
-    replicas: &ReplicaCatalog,
-    known_files: &[&str],
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("# pegasus-wms catalogs\n");
-    let mut site_names = sites.names();
-    site_names.sort();
-    for name in site_names {
-        let s = sites.get(&name).expect("listed site exists");
-        let _ = writeln!(out, "\n[site {name}]");
-        let mut pkgs: Vec<&str> = s.preinstalled.iter().map(String::as_str).collect();
-        pkgs.sort_unstable();
-        if !pkgs.is_empty() {
-            let _ = writeln!(out, "preinstalled = {}", pkgs.join(", "));
-        }
-        let _ = writeln!(out, "shared_fs = {}", s.shared_fs);
-        let _ = writeln!(out, "bandwidth_mbps = {}", s.bandwidth_bps / 1.0e6);
-        let _ = writeln!(out, "cpu_speed = {}", s.cpu_speed);
+/// Writes the catalogs in the format [`parse`] reads: transformations,
+/// then replicas, each in name order.
+pub fn to_text(transformations: &TransformationCatalog, replicas: &ReplicaCatalog) -> String {
+    let mut out = String::from("# pegasus-wms catalogs: transformations and replicas\n");
+    let mut w = Writer::new(&mut out);
+    let mut names = transformations.names();
+    names.sort();
+    for name in &names {
+        let t = transformations.get(name).expect("listed entry exists");
+        w.kw("transformation")
+            .word("requires", &t.requires.join(","))
+            .f64("install-cost", t.install_cost_per_pkg)
+            .word("installable", if t.installable { "true" } else { "false" })
+            .tail("name", name)
+            .end();
     }
-    let mut t_names = transformations.names();
-    t_names.sort();
-    for name in t_names {
-        let t = transformations.get(&name).expect("listed entry exists");
-        let _ = writeln!(out, "\n[transformation {name}]");
-        if !t.requires.is_empty() {
-            let _ = writeln!(out, "requires = {}", t.requires.join(", "));
-        }
-        let _ = writeln!(out, "install_cost = {}", t.install_cost_per_pkg);
-        let _ = writeln!(out, "installable = {}", t.installable);
-    }
-    for file in known_files {
-        let sites_for = replicas.sites_for(file);
-        if !sites_for.is_empty() {
-            let _ = writeln!(out, "\n[replica {file}]");
-            let _ = writeln!(out, "sites = {}", sites_for.join(", "));
-        }
+    for (file, sites) in replicas.iter() {
+        let sites = sites.join(",");
+        w.kw("replica")
+            .word("sites", &sites)
+            .tail("file", file)
+            .end();
     }
     out
 }
@@ -207,87 +103,85 @@ pub fn to_text(
 mod tests {
     use super::*;
     use crate::catalog::paper_catalogs;
+    use crate::error::Span;
 
-    const SAMPLE: &str = r#"
-# the paper's two platforms
-[site sandhills]
-preinstalled = python, biopython, cap3
-shared_fs = true
-bandwidth_mbps = 100
-cpu_speed = 1.0
-
-[site osg]
-shared_fs = false
-cpu_speed = 1.35
-
-[transformation run_cap3]
-requires = python, biopython, cap3
-install_cost = 45
-installable = true
-
-[replica transcripts.fasta]
-sites = submit, sandhills
-"#;
+    const SAMPLE: &str = "
+# the paper's cap3 step
+transformation requires=python,biopython,cap3 install-cost=45 installable=true name=run_cap3
+replica sites=submit,sandhills file=transcripts.fasta
+";
 
     #[test]
     fn parses_the_sample() {
         let b = parse(SAMPLE).unwrap();
-        let sh = b.sites.get("sandhills").unwrap();
-        assert!(sh.shared_fs);
-        assert!(sh.preinstalled.contains("biopython"));
-        assert_eq!(sh.bandwidth_bps, 100.0e6);
-        let osg = b.sites.get("osg").unwrap();
-        assert_eq!(osg.cpu_speed, 1.35);
-        assert!(osg.preinstalled.is_empty());
         let t = b.transformations.get("run_cap3").unwrap();
-        assert_eq!(t.requires.len(), 3);
+        assert_eq!(t.requires, ["python", "biopython", "cap3"]);
         assert_eq!(t.install_cost_per_pkg, 45.0);
+        assert!(t.installable);
         assert!(b.replicas.has_replica("transcripts.fasta", "submit"));
         assert!(b.replicas.has_replica("transcripts.fasta", "sandhills"));
         assert!(!b.replicas.has_replica("transcripts.fasta", "osg"));
     }
 
     #[test]
-    fn round_trip_preserves_planning_semantics() {
-        let (sites, tc) = paper_catalogs();
+    fn round_trip_writes_what_it_reads() {
+        let (_, tc) = paper_catalogs();
         let mut rc = ReplicaCatalog::new();
         rc.register("transcripts.fasta", "submit");
-        let text = to_text(&sites, &tc, &rc, &["transcripts.fasta"]);
+        let text = to_text(&tc, &rc);
         let back = parse(&text).unwrap();
-        for site_name in ["sandhills", "osg"] {
-            let a = sites.get(site_name).unwrap();
-            let b = back.sites.get(site_name).unwrap();
-            assert_eq!(a.preinstalled, b.preinstalled, "{site_name}");
-            assert_eq!(a.shared_fs, b.shared_fs);
-            assert_eq!(a.cpu_speed, b.cpu_speed);
+        for name in tc.names() {
+            assert_eq!(back.transformations.get(&name), tc.get(&name), "{name}");
         }
-        let a = tc.get("run_cap3").unwrap();
-        let b = back.transformations.get("run_cap3").unwrap();
-        assert_eq!(a.requires, b.requires);
-        assert!(back.replicas.has_replica("transcripts.fasta", "submit"));
+        assert_eq!(
+            back.replicas.iter().collect::<Vec<_>>(),
+            [("transcripts.fasta", vec!["submit"])]
+        );
+        assert_eq!(to_text(&back.transformations, &back.replicas), text);
     }
 
     #[test]
-    fn errors_carry_line_numbers() {
-        let bad = "[site x]\nnot_a_key = 1\n";
-        match parse(bad).unwrap_err() {
-            WmsError::Parse { span, reason, .. } => {
-                assert_eq!(span.line, 2);
-                assert!(reason.contains("not_a_key"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse("[site x\n").is_err());
-        assert!(parse("key = value\n").is_err());
-        assert!(parse("[site x]\nshared_fs = maybe\n").is_err());
-        assert!(parse("[frobnicator y]\n").is_err());
-        assert!(parse("[site ]\n").is_err());
-        assert!(parse("[site x]\njust a line\n").is_err());
+    fn a_later_entry_replaces_an_earlier_one() {
+        let text = "replica sites=a file=f\nreplica sites=b file=f\n\
+                    transformation requires= install-cost=1 installable=true name=t\n\
+                    transformation requires=x install-cost=2 installable=false name=t\n";
+        let b = parse(text).unwrap();
+        assert_eq!(b.replicas.iter().collect::<Vec<_>>(), [("f", vec!["b"])]);
+        let t = b.transformations.get("t").unwrap();
+        assert_eq!((t.requires.len(), t.install_cost_per_pkg), (1, 2.0));
     }
 
     #[test]
-    fn comments_and_blanks_are_ignored() {
-        let b = parse("# c\n; also c\n\n[site a]\ncpu_speed = 2\n").unwrap();
-        assert_eq!(b.sites.get("a").unwrap().cpu_speed, 2.0);
+    fn an_empty_name_is_refused() {
+        for entry in [
+            "replica sites=a file=",
+            "transformation requires= install-cost=1 installable=true name=",
+        ] {
+            let e = parse(entry).unwrap_err().to_string();
+            assert!(
+                e.ends_with("line 1: empty file") || e.ends_with("line 1: empty name"),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_ini_file_is_refused_at_its_first_section() {
+        let ini = "# old\n\n[site x]\nshared_fs = true\n";
+        let WmsError::Parse {
+            format,
+            span,
+            reason,
+            ..
+        } = parse(ini).unwrap_err()
+        else {
+            panic!("not a parse error");
+        };
+        assert_eq!((format, span), (Format::Catalog, Span::line(3)));
+        assert_eq!(
+            reason,
+            "\"[site\" is not a catalog entry (transformation or replica); \
+             site facts belong in --sites"
+        );
     }
 }

@@ -54,7 +54,7 @@ impl fmt::Display for Span {
 pub enum Format {
     /// The abstract workflow document.
     Dax,
-    /// The INI catalog bundle (`--catalog`).
+    /// The transformation and replica catalog file (`--catalog`).
     Catalog,
     /// A rescue DAG.
     Rescue,

@@ -1,6 +1,7 @@
 //! The line grammar every `keyword key=value …` text format shares:
-//! the event log, the serve protocol and journal, fault plans and
-//! `sites.def` (DESIGN.md "Line grammar").
+//! the event log, the serve protocol and journal, fault plans,
+//! `sites.def`, the transformation/replica catalog and rescue DAGs
+//! (DESIGN.md "Line grammar").
 //!
 //! A reading half of two pieces, and a writing half of one. [`lines`]
 //! numbers the lines of a text from one, skips blank and `#` lines,
@@ -94,6 +95,15 @@ impl<'a> Value<'a> for &'a str {
     const WHAT: &'static str = "text";
     fn read(raw: &'a str) -> Option<Self> {
         Some(raw)
+    }
+}
+
+/// The owned face of `&str`, for the items of a list that outlives
+/// its line (`packages=python,cap3`).
+impl Value<'_> for String {
+    const WHAT: &'static str = "text";
+    fn read(raw: &str) -> Option<Self> {
+        Some(raw.to_string())
     }
 }
 
@@ -246,6 +256,23 @@ impl<'b, 'a> Fields<'b, 'a> {
             Some(value) => Ok(value),
             None => Err(self.err(format!("bad {} {raw:?} for {key}", T::WHAT))),
         }
+    }
+
+    /// Reads `raw` as a comma-separated list of `T`s (`members=0,2,5`,
+    /// `packages=python,cap3`); an empty `raw` is the empty list.
+    ///
+    /// # Errors
+    /// `<key> contains an empty item`, or an item that is not a `T`.
+    pub fn list<T: Value<'a>>(&self, key: &str, raw: &'a str) -> Result<Vec<T>, WmsError> {
+        if raw.is_empty() {
+            return Ok(Vec::new());
+        }
+        raw.split(',')
+            .map(|item| match item {
+                "" => Err(self.err(format!("{key} contains an empty item"))),
+                item => self.parse(key, item),
+            })
+            .collect()
     }
 
     fn take<T: Value<'a>>(&mut self, idx: usize) -> Result<T, WmsError> {
@@ -580,6 +607,23 @@ mod tests {
         assert_eq!(f.parse::<u64>("members", "7").unwrap(), 7);
         assert_eq!(
             reason(f.parse::<u64>("members", "x").unwrap_err()),
+            "bad integer \"x\" for members"
+        );
+    }
+
+    #[test]
+    fn a_list_types_its_items_and_refuses_an_empty_one() {
+        let mut buf = Vec::new();
+        let f = Fields::split("", None, 7, Format::EventLog, &mut buf).unwrap();
+        assert_eq!(f.list::<usize>("members", "0,2,5").unwrap(), [0, 2, 5]);
+        assert_eq!(f.list::<&str>("packages", "cap3").unwrap(), ["cap3"]);
+        assert!(f.list::<&str>("packages", "").unwrap().is_empty());
+        for raw in ["0,,2", ",0", "0,", ","] {
+            let e = f.list::<usize>("members", raw).unwrap_err();
+            assert_eq!(reason(e), "members contains an empty item", "{raw}");
+        }
+        assert_eq!(
+            reason(f.list::<usize>("members", "0,x").unwrap_err()),
             "bad integer \"x\" for members"
         );
     }

@@ -9,6 +9,7 @@
 //! one `DONE <job-name>` line per completed node.
 
 use crate::error::{Format, Span, WmsError};
+use crate::line::{self, Value};
 use crate::symbols::Name;
 
 /// The re-submittable remainder of a partially executed workflow.
@@ -57,24 +58,20 @@ impl RescueDag {
         out
     }
 
-    /// Parses the rescue text format.
+    /// Parses the rescue text format: [`line::lines`] keywords, each
+    /// line's `rest` its one value.
     pub fn from_text(text: &str) -> Result<RescueDag, WmsError> {
         let mut rescue = RescueDag::default();
         let mut declared: Option<usize> = None;
-        for (idx, line) in text.lines().enumerate() {
-            let err = |reason: String| Format::Rescue.at(idx + 1, reason);
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (keyword, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-            let rest = rest.trim();
-            match keyword {
+        for line in line::lines(text) {
+            let err = |reason: String| Format::Rescue.at(line.number, reason);
+            let rest = line.rest;
+            match line.keyword {
                 "WORKFLOW" => rescue.workflow_name = rest.to_string(),
                 "SITE" => rescue.site = rest.to_string(),
                 "TOTAL_DONE" => {
-                    let bad = |_| err(format!("bad TOTAL_DONE value {rest:?}"));
-                    declared = Some(rest.parse().map_err(bad)?)
+                    let bad = || err(format!("bad TOTAL_DONE value {rest:?}"));
+                    declared = Some(usize::read(rest).ok_or_else(bad)?)
                 }
                 "DONE" => {
                     if rest.is_empty() {
@@ -140,6 +137,10 @@ mod tests {
         r.done.push("stage_in_my file.txt".into());
         let back = RescueDag::from_text(&r.to_text()).unwrap();
         assert_eq!(back.done.last().unwrap(), "stage_in_my file.txt");
+        // Only ASCII whitespace separates or trims, as in every line
+        // format: a no-break space is part of the name.
+        let back = RescueDag::from_text("DONE \u{a0}a b\u{a0}\t\n").unwrap();
+        assert_eq!(back.done, vec!["\u{a0}a b\u{a0}"]);
     }
 
     #[test]

@@ -412,12 +412,8 @@ fn journal_entry<'a>(line: &Line<'a>, buf: &mut Vec<Field<'a>>) -> Result<Journa
         "cancel" => JournalEntry::Cancel { id: f.next("id")? },
         "round" => {
             let (round, seed) = (f.next("id")?, f.next("seed")?);
-            let members = f
-                .next::<&str>("members")?
-                .split(',')
-                .filter(|part| !part.is_empty())
-                .map(|part| f.parse("members", part))
-                .collect::<Result<Vec<usize>, _>>()?;
+            let raw = f.next("members")?;
+            let members = f.list("members", raw)?;
             if members.is_empty() {
                 return Err(f.err("round with no members"));
             }
@@ -1075,6 +1071,8 @@ mod tests {
             (format!("{hdr}\n{}cancel id=0 why=bored\n", s(0)), 3),
             (format!("{hdr}\n{}\n# note\nround id=0 seed=5 members=0 seed=6\n", s(0)), 5),
             (format!("{hdr}\nsubmission id=0 tenant=a site=s n=1 n=2\n"), 2),
+            // A member list with an empty item, which no daemon writes.
+            (format!("{hdr}\n{}{}round id=0 seed=5 members=0,,1\n", s(0), s(1)), 4),
         ] {
             match Ledger::replay(&bad) {
                 Err(WmsError::Parse { span, .. }) => assert_eq!(span, Span::line(line), "{bad:?}"),

@@ -503,61 +503,76 @@ proptest! {
         );
     }
 
-    /// Catalog files round-trip arbitrary site/transformation shapes.
+    /// Catalog files round-trip arbitrary transformations and
+    /// replicas — names holding spaces and `=` among them — and refuse
+    /// a broken entry after them at its own line, for every key.
     #[test]
     fn catalog_io_round_trip(
-        site_specs in proptest::collection::vec(
-            ("[a-z][a-z0-9_]{0,12}", proptest::collection::vec("[a-z]{2,8}", 0..4), any::<bool>(), 1u32..100, 1u32..40),
-            1..5
-        ),
         tc_specs in proptest::collection::vec(
-            ("[a-z][a-z0-9_]{0,12}", proptest::collection::vec("[a-z]{2,8}", 0..4), 1u32..200),
-            0..4
+            (
+                "[a-z_][a-z0-9_ =.]{0,12}[a-z0-9]",
+                proptest::collection::vec("[a-z][a-z0-9_-]{0,8}", 0..4),
+                0.0f64..1.0e6,
+                any::<bool>(),
+            ),
+            0..5
+        ),
+        rc_specs in proptest::collection::vec(
+            (
+                "[a-z_][a-z0-9_ =.]{0,12}[a-z0-9]",
+                proptest::collection::vec("[a-z][a-z0-9_]{0,8}", 0..3),
+            ),
+            0..5
         ),
     ) {
-        use pegasus_wms::catalog::{Site, SiteCatalog, Transformation, TransformationCatalog};
+        use pegasus_wms::catalog::{Transformation, TransformationCatalog};
         use pegasus_wms::catalog_io;
-        let mut sites = SiteCatalog::new();
-        for (name, pkgs, shared, bw, speed10) in &site_specs {
-            let mut s = Site::new(name.clone())
-                .with_shared_fs(*shared)
-                .with_cpu_speed(*speed10 as f64 / 10.0);
-            s.bandwidth_bps = *bw as f64 * 1.0e6;
-            for p in pkgs {
-                s.preinstalled.insert(p.clone());
-            }
-            sites.add(s);
-        }
+        use pegasus_wms::error::{Format, Span, WmsError};
         let mut tc = TransformationCatalog::new();
-        for (name, reqs, cost) in &tc_specs {
-            let mut t = Transformation::new(name.clone()).install_cost(*cost as f64);
-            // Dedupe requirements: the text format merges repeats.
-            let mut seen = std::collections::BTreeSet::new();
-            for r in reqs {
-                if seen.insert(r.clone()) {
-                    t.requires.push(r.clone());
-                }
-            }
-            tc.add(t);
+        for (name, requires, cost, installable) in &tc_specs {
+            tc.add(Transformation {
+                name: name.clone(),
+                requires: requires.clone(),
+                install_cost_per_pkg: *cost,
+                installable: *installable,
+            });
         }
-        let rc = ReplicaCatalog::new();
-        let text = catalog_io::to_text(&sites, &tc, &rc, &[]);
+        let mut rc = ReplicaCatalog::new();
+        for (file, sites) in &rc_specs {
+            rc.set(file.clone(), sites.clone());
+        }
+        let text = catalog_io::to_text(&tc, &rc);
         let back = catalog_io::parse(&text).unwrap();
-        for (name, ..) in &site_specs {
-            let a = sites.get(name).unwrap();
-            let b = back.sites.get(name).unwrap();
-            prop_assert_eq!(&a.preinstalled, &b.preinstalled);
-            prop_assert_eq!(a.shared_fs, b.shared_fs);
-            prop_assert!((a.cpu_speed - b.cpu_speed).abs() < 1e-9);
-            prop_assert!((a.bandwidth_bps - b.bandwidth_bps).abs() < 1.0);
-        }
         for (name, ..) in &tc_specs {
-            let a = tc.get(name).unwrap();
-            let b = back.transformations.get(name).unwrap();
-            let a_sorted: std::collections::BTreeSet<_> = a.requires.iter().collect();
-            let b_sorted: std::collections::BTreeSet<_> = b.requires.iter().collect();
-            prop_assert_eq!(a_sorted, b_sorted);
-            prop_assert!((a.install_cost_per_pkg - b.install_cost_per_pkg).abs() < 1e-9);
+            prop_assert_eq!(back.transformations.get(name), tc.get(name));
+        }
+        prop_assert_eq!(back.transformations.names().len(), tc.names().len());
+        prop_assert_eq!(back.replicas.iter().collect::<Vec<_>>(), rc.iter().collect::<Vec<_>>());
+
+        let at = text.lines().count() + 1;
+        let t = |fields: &str| format!("transformation {fields}");
+        let full = "requires=cap3 install-cost=45 installable=true name=run cap3";
+        for (broken, want) in [
+            (t("install-cost=45 installable=true name=n"), "missing field requires"),
+            (t("requires= installable=true name=n"), "missing field install-cost"),
+            (t("requires= install-cost=45 name=n"), "missing field installable"),
+            (t("requires= install-cost=45 installable=true"), "missing field name"),
+            ("replica file=f".to_string(), "missing field sites"),
+            ("replica sites=a".to_string(), "missing field file"),
+            (t(&format!("color=red {full}")), "unknown field color"),
+            (t(&format!("installable=false {full}")), "repeated field installable"),
+            ("replica sites=a sites=b file=f".to_string(), "repeated field sites"),
+            (t("requires= install-cost=inf installable=true name=n"), "bad number \"inf\" for install-cost"),
+            (t("requires= install-cost=1 installable=yes name=n"), "bad boolean \"yes\" for installable"),
+            ("[site sandhills]".to_string(), "\"[site\" is not a catalog entry (transformation or replica); site facts belong in --sites"),
+        ] {
+            match catalog_io::parse(&format!("{text}{broken}\n")) {
+                Err(WmsError::Parse { format, span, reason, .. }) => {
+                    prop_assert_eq!((format, span), (Format::Catalog, Span::line(at)));
+                    prop_assert_eq!(reason, want);
+                }
+                other => panic!("{broken:?} -> {other:?}"),
+            }
         }
     }
 

@@ -180,22 +180,6 @@ fn parse_pair<'a>(f: &Fields<'_, 'a>, raw: &'a str, key: &str) -> Result<(f64, f
     Ok((f.parse(key, a)?, f.parse(key, b)?))
 }
 
-/// Splits a comma-separated name list, rejecting empty items.
-fn parse_list(f: &Fields<'_, '_>, raw: &str, key: &str) -> Result<Vec<String>, WmsError> {
-    if raw.is_empty() {
-        return Ok(Vec::new());
-    }
-    raw.split(',')
-        .map(|item| {
-            if item.is_empty() {
-                Err(f.err(format!("{key} contains an empty item")))
-            } else {
-                Ok(item.to_string())
-            }
-        })
-        .collect()
-}
-
 /// Parses the `kind:args` distribution syntax:
 /// `fixed:X`, `uniform:LO,HI`, `exponential:RATE`,
 /// `lognormal:MU,SIGMA`, or the sugar `lognormal-median:MEDIAN,SIGMA`.
@@ -307,7 +291,7 @@ pub fn parse_defs(text: &str) -> Result<Vec<SiteDef>, WmsError> {
         while let Some((key, value)) = f.next_any() {
             match key {
                 "aliases" => {
-                    def.aliases = parse_list(f, value, key)?;
+                    def.aliases = f.list(key, value)?;
                     for a in &def.aliases {
                         check_name(a, "alias", number)?;
                     }
@@ -331,8 +315,8 @@ pub fn parse_defs(text: &str) -> Result<Vec<SiteDef>, WmsError> {
                 "shared-fs" => def.shared_fs = f.parse(key, value)?,
                 "cpu-speed" => def.cpu_speed = f.parse(key, value)?,
                 "bandwidth" => def.bandwidth_bps = f.parse(key, value)?,
-                "packages" => def.packages = parse_list(f, value, key)?,
-                "replicas" => def.replicas = parse_list(f, value, key)?,
+                "packages" => def.packages = f.list(key, value)?,
+                "replicas" => def.replicas = f.list(key, value)?,
                 other => return Err(f.err(format!("unknown site field {other:?}"))),
             }
             if !def.read_at.0.iter().any(|(k, _)| k == key) {

@@ -51,16 +51,14 @@ use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::cli::args as cli_args;
 use blast2cap3_pegasus::cli::args::{Parsed, Verb};
 use blast2cap3_pegasus::experiment::{
-    self, builtin_registry, calibrated_workflow, dax_findings, paper_replicas, plan_findings,
-    registry_catalogs, simulate_blast2cap3_at, ExperimentOutcome,
+    self, builtin_registry, calibrated_workflow, catalogs_with, dax_findings, plan_findings,
+    registry_catalogs, simulate_blast2cap3_at, Catalogs, ExperimentOutcome,
 };
 use blast2cap3_pegasus::serve;
 use gridsim::sites::SiteRegistry;
 use gridsim::{FaultPlan, FaultScript};
 use pegasus_wms::analyzer::analyze;
 use pegasus_wms::breakdown;
-use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog, SiteCatalog, TransformationCatalog};
-use pegasus_wms::dax;
 use pegasus_wms::engine::{Engine, EngineConfig, RetryPolicy, WorkflowOutcome};
 use pegasus_wms::error::WmsError;
 use pegasus_wms::events;
@@ -76,6 +74,7 @@ use pegasus_wms::statistics::{
 use pegasus_wms::symbols::SiteId;
 use pegasus_wms::trace::{self, TraceId};
 use pegasus_wms::workflow::AbstractWorkflow;
+use pegasus_wms::{catalog_io, dax};
 use std::process::ExitCode;
 
 /// A verb's parsed arguments plus exit-on-error getters: the library
@@ -138,6 +137,29 @@ fn or_exit<T, E: std::fmt::Display>(doing: &str, result: Result<T, E>) -> T {
     })
 }
 
+/// Writes to stdout, the one way this binary does. A reader that has
+/// gone away (`pegasus trace | head -1`) ends the process quietly with
+/// exit 0, as `yes | head` leaves `yes`; any other failure exits 1
+/// through [`or_exit`].
+fn emit(text: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    match std::io::stdout().write_fmt(text) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        written => or_exit("cannot write to stdout", written),
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 /// Reads `path` to a string, or reports `cannot read <what> <path>`
 /// and exits 1.
 fn read_or_exit(what: &str, path: &str) -> String {
@@ -160,7 +182,7 @@ fn write_flagged(args: &Args, key: &str, what: &str, note: bool, render: impl Fn
     if let Some(path) = args.get(key) {
         write_or_exit(what, path, render());
         if note {
-            println!("{what} written to {path}");
+            outln!("{what} written to {path}");
         }
     }
 }
@@ -187,10 +209,10 @@ fn write_or_print(args: &Args, text: &str, done: &str) {
         Some(path) => {
             write_or_exit("output", path, text);
             if !args.flag("quiet") {
-                println!("{done} {path}");
+                outln!("{done} {path}");
             }
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
 }
 
@@ -297,34 +319,22 @@ fn resolve_site(args: &Args, registry: &SiteRegistry, name: &str) -> SiteId {
         .unwrap_or_else(|e| args.bail(&e.to_string()))
 }
 
-/// Catalogs come from `--catalog <file>` when given, otherwise they
-/// are synthesised from the site registry (for the built-ins: the
-/// paper pair) with submit-host replicas of the two inputs plus any
-/// files the definitions pre-stage.
-fn load_catalogs(
-    args: &Args,
-    registry: &SiteRegistry,
-) -> (SiteCatalog, TransformationCatalog, ReplicaCatalog) {
-    match args.get("catalog") {
-        Some(path) => {
-            let text = read_or_exit("catalog", path);
-            let doing = format!("cannot parse catalog {path}");
-            let bundle = or_exit(&doing, pegasus_wms::catalog_io::parse(&text));
-            (bundle.sites, bundle.transformations, bundle.replicas)
-        }
-        None => registry_catalogs(registry),
-    }
+/// What `plan`, `run`, `statistics`, `lint` and `verify` plan against:
+/// the registry's sites always, and the transformations and replicas
+/// of `--catalog <file>` when given, the paper's otherwise — with the
+/// files the site definitions pre-stage added either way.
+fn load_catalogs(args: &Args, registry: &SiteRegistry) -> Catalogs {
+    let Some(path) = args.get("catalog") else {
+        return registry_catalogs(registry);
+    };
+    let text = read_or_exit("catalog", path);
+    let doing = format!("cannot parse catalog {path}");
+    catalogs_with(registry, or_exit(&doing, catalog_io::parse(&text)))
 }
 
 fn cmd_catalogs(args: &Args) -> ExitCode {
-    let (sites, tc) = paper_catalogs();
-    let rc = paper_replicas();
-    let text = pegasus_wms::catalog_io::to_text(
-        &sites,
-        &tc,
-        &rc,
-        &["transcripts.fasta", "alignments.out"],
-    );
+    let (_, tc, rc) = registry_catalogs(builtin_registry());
+    let text = catalog_io::to_text(&tc, &rc);
     write_or_print(args, &text, "built-in catalogs written to");
     ExitCode::SUCCESS
 }
@@ -342,9 +352,7 @@ fn load_dax(path: &str) -> AbstractWorkflow {
 /// configuration, exiting 1 when planning fails.
 fn plan_or_exit(
     wf: &AbstractWorkflow,
-    sites: &SiteCatalog,
-    tc: &TransformationCatalog,
-    rc: &ReplicaCatalog,
+    (sites, tc, rc): &Catalogs,
     site: &str,
 ) -> pegasus_wms::planner::ExecutableWorkflow {
     let planned = plan(wf, sites, tc, rc, &PlannerConfig::for_site(site));
@@ -398,7 +406,7 @@ fn cmd_plan(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("planned {} for site {}", exec.name, exec.site);
+    outln!("planned {} for site {}", exec.name, exec.site);
     let mut by_kind: Vec<(String, usize)> = exec
         .counts_by_kind()
         .into_iter()
@@ -406,16 +414,16 @@ fn cmd_plan(args: &Args) -> ExitCode {
         .collect();
     by_kind.sort();
     for (kind, count) in by_kind {
-        println!("  {kind:<12} {count}");
+        outln!("  {kind:<12} {count}");
     }
-    println!("  edges        {}", exec.edges.len());
-    println!("  install time {:.0}s total", exec.total_install_time());
+    outln!("  edges        {}", exec.edges.len());
+    outln!("  install time {:.0}s total", exec.total_install_time());
     if let Ok((cp, _)) = wf.critical_path() {
-        println!("  critical path {cp:.0}s (makespan lower bound)");
+        outln!("  critical path {cp:.0}s (makespan lower bound)");
     }
     write_flagged(args, "dot", "dot graph", true, || exec.to_dot());
     if args.flag("ascii") {
-        println!("{}", ascii_dag(&exec));
+        outln!("{}", ascii_dag(&exec));
     }
     profile_summary(profiling);
     ExitCode::SUCCESS
@@ -479,7 +487,7 @@ fn cmd_statistics(args: &Args) -> ExitCode {
         return cmd_run(args, true);
     };
     for run in sources.into_iter().map(replay_run) {
-        print!("{}", render_csv(&compute(&run)));
+        out!("{}", render_csv(&compute(&run)));
     }
     ExitCode::SUCCESS
 }
@@ -488,7 +496,7 @@ fn cmd_analyze(args: &Args) -> ExitCode {
     args.require("from-events");
     let mut all_ok = true;
     for run in event_sources(args).into_iter().flatten().map(replay_run) {
-        print!("{}", analyze(&run).render_text());
+        out!("{}", analyze(&run).render_text());
         all_ok &= run.succeeded();
     }
     success_if(all_ok)
@@ -627,7 +635,7 @@ fn cmd_breakdown(args: &Args) -> ExitCode {
     }
 
     if !args.flag("quiet") {
-        println!("{}", breakdown::render_table(&rows));
+        outln!("{}", breakdown::render_table(&rows));
     }
     let (rendered, what) = if args.flag("json") {
         (breakdown::render_json(&rows), "JSON")
@@ -648,16 +656,8 @@ fn cmd_breakdown(args: &Args) -> ExitCode {
 /// `pegasus serve` daemon with `--scrape`.
 fn cmd_metrics(args: &Args) -> ExitCode {
     if let Some(addr) = args.get("scrape") {
-        return match serve::client::scrape(addr) {
-            Ok(body) => {
-                print!("{body}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("metrics: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        out!("{}", or_exit("metrics", serve::client::scrape(addr)));
+        return ExitCode::SUCCESS;
     }
 
     let mut registry = MetricsRegistry::new();
@@ -791,19 +791,12 @@ fn cmd_lint(args: &Args) -> ExitCode {
     // `--explain CODE` and `--list` are documentation queries: they
     // need no DAX and exit before any file is touched.
     if let Some(query) = args.get("explain") {
-        return match lint::explain(query) {
-            Some(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!("no rule named {query:?} (see `pegasus lint --list`)");
-                ExitCode::FAILURE
-            }
-        };
+        let missing = format!("no rule named {query:?} (see `pegasus lint --list`)");
+        out!("{}", or_exit("", lint::explain(query).ok_or(missing)));
+        return ExitCode::SUCCESS;
     }
     if args.flag("list") {
-        print!("{}", lint::render_rule_list());
+        out!("{}", lint::render_rule_list());
         return ExitCode::SUCCESS;
     }
 
@@ -816,8 +809,8 @@ fn cmd_lint(args: &Args) -> ExitCode {
     let config = lint_config_from(args, "E0103");
     let diags = lint::resolve(collect_lint(args, &dax_path, true).0, &config);
     match args.get("format").unwrap_or("text") {
-        "text" => print!("{}", lint::render_text(&diags)),
-        "json" => print!("{}", lint::render_json(&diags)),
+        "text" => out!("{}", lint::render_text(&diags)),
+        "json" => out!("{}", lint::render_json(&diags)),
         other => args.bail(&format!("unknown --format {other:?} (use text or json)")),
     }
     success_if(!lint::has_errors(&diags))
@@ -853,12 +846,13 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
 
     // Warn-only feasibility lint on the widest member before any
     // simulation runs: slot budgets below the width, missing software
-    // on the target site, retries disabled under preemption.
+    // on the target site, retries disabled under preemption — judged
+    // against the catalogs the members are planned with.
     if !args.flag("quiet") {
         use pegasus_wms::lint;
         let widest = *sizes.iter().max().expect("sizes is non-empty");
         let wf = build_workflow(&WorkflowParams::with_n(widest));
-        let (sites_cat, tc, _rc) = load_catalogs(args, &registry);
+        let (sites_cat, tc, _rc) = registry_catalogs(&registry);
         let ctx = lint::RunContext {
             site: Some(registry.catalog_name(site)),
             sites: Some(&sites_cat),
@@ -886,11 +880,11 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
     }
 
     if !args.flag("quiet") {
-        println!("{}", render_ensemble_text(&out.stats));
+        outln!("{}", render_ensemble_text(&out.stats));
         for run in &out.run.runs {
             let n = metrics::n_label(&run.name, run.records.len());
             if let Some(ks) = kickstart_quantiles(&registry, &run.site, &n) {
-                println!("{}: {ks}", run.name);
+                outln!("{}: {ks}", run.name);
             }
         }
     }
@@ -935,8 +929,8 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     let seed: u64 = args.parsed("seed", 20140519u64);
     let retries: u32 = args.parsed("retries", 3u32);
 
-    let (sites, tc, rc) = load_catalogs(args, &registry);
-    let exec = plan_or_exit(&wf, &sites, &tc, &rc, registry.catalog_name(site));
+    let catalogs = load_catalogs(args, &registry);
+    let exec = plan_or_exit(&wf, &catalogs, registry.catalog_name(site));
 
     let mut engine_cfg = engine_config_from(args, retries, seed);
 
@@ -955,7 +949,7 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
         let rescue = or_exit("bad rescue file", RescueDag::from_text(&text));
         engine_cfg.skip_done = rescue.done.iter().cloned().collect();
         if !csv_only {
-            println!(
+            outln!(
                 "resuming: {} jobs marked DONE in {rescue_path}",
                 rescue.done.len()
             );
@@ -1007,22 +1001,22 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
     if !csv_only && !args.flag("quiet") {
         // pegasus-status style tail: print every 10th line.
         for line in status.history.iter().step_by(status.history.len() / 10 + 1) {
-            println!("status: {line}");
+            outln!("status: {line}");
         }
         // The final one-liner carries the kickstart quantiles from the
         // live metrics registry.
         match kickstart_quantiles(&metrics_registry, site_name, &n) {
-            Some(ks) => println!("status: {} | {ks}", status.status_line()),
-            None => println!("status: {}", status.status_line()),
+            Some(ks) => outln!("status: {} | {ks}", status.status_line()),
+            None => outln!("status: {}", status.status_line()),
         }
     }
 
     let stats = compute(&run);
     if csv_only {
-        print!("{}", render_csv(&stats));
+        out!("{}", render_csv(&stats));
     } else {
-        println!("\n{}", render_text(&stats));
-        println!(
+        outln!("\n{}", render_text(&stats));
+        outln!(
             "realised peak concurrency: {} slots",
             timeline.peak_concurrency()
         );
@@ -1044,7 +1038,7 @@ fn cmd_run(args: &Args, csv_only: bool) -> ExitCode {
         let diags = lint::resolve(shadow.finish(), &lint::LintConfig::default());
         if diags.is_empty() {
             if !csv_only && !args.flag("quiet") {
-                println!(
+                outln!(
                     "verify: {} events, invariant catalog clean",
                     run.events.len()
                 );
@@ -1173,8 +1167,9 @@ fn cmd_verify(args: &Args) -> ExitCode {
         let wf = load_dax(dax_path);
         let registry = load_registry(args);
         let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
-        let (sites, tc, rc) = load_catalogs(args, &registry);
-        let exec = plan_or_exit(&wf, &sites, &tc, &rc, registry.catalog_name(site));
+        let catalogs = load_catalogs(args, &registry);
+        let exec = plan_or_exit(&wf, &catalogs, registry.catalog_name(site));
+        let rc = &catalogs.2;
         let dopts = verify::DataflowOptions {
             storage_limit_bytes: args.parsed_opt("storage-limit"),
         };
@@ -1182,10 +1177,10 @@ fn cmd_verify(args: &Args) -> ExitCode {
             slot_budget: args.parsed_opt("slots"),
             tenant_slots: None,
         };
-        let findings = plan_findings(&wf, &exec, &rc, dax_path, &dopts, &quotas);
+        let findings = plan_findings(&wf, &exec, rc, dax_path, &dopts, &quotas);
         diags.extend(or_exit("", findings));
         if !args.flag("quiet") {
-            println!(
+            outln!(
                 "verified plan {dax_path}: {} jobs on {}",
                 exec.jobs.len(),
                 exec.site
@@ -1233,13 +1228,13 @@ fn cmd_verify(args: &Args) -> ExitCode {
     let diags = lint::resolve(diags, &config);
     let format = args.get("format").unwrap_or("text");
     match format {
-        "text" => print!("{}", lint::render_text_as(&diags, "verify")),
-        "json" => print!("{}", lint::render_json(&diags)),
+        "text" => out!("{}", lint::render_text_as(&diags, "verify")),
+        "json" => out!("{}", lint::render_json(&diags)),
         other => args.bail(&format!("unknown --format {other:?} (use text or json)")),
     }
     // The JSON report is the whole of stdout, so that it parses.
     if format == "text" && !args.flag("quiet") {
-        println!(
+        outln!(
             "verify: {} stream(s), {} event(s), {} finding(s)",
             streams.len(),
             total_events,
@@ -1267,13 +1262,8 @@ fn cmd_serve(args: &Args) -> ExitCode {
         crash_after_members: args.parsed_opt("crash-after-members"),
         sites: args.get("sites").map(std::path::PathBuf::from),
     };
-    match serve::serve(&opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    or_exit("serve", serve::serve(&opts));
+    ExitCode::SUCCESS
 }
 
 /// Connects to the daemon at `--addr`, or reports `<verb>: <error>`
@@ -1332,19 +1322,12 @@ fn cmd_submit(args: &Args) -> ExitCode {
     let mut conn = connect_or_exit(args);
     let mut ok = true;
     for req in &requests {
-        match conn.request(req) {
-            Ok((head, payload)) => {
-                println!("{}", render_response_head(&head));
-                for line in payload {
-                    println!("{line}");
-                }
-                ok &= !matches!(head, ResponseHead::Error(_));
-            }
-            Err(e) => {
-                eprintln!("submit: {e}");
-                return ExitCode::FAILURE;
-            }
+        let (head, payload) = or_exit("submit", conn.request(req));
+        outln!("{}", render_response_head(&head));
+        for line in payload {
+            outln!("{line}");
         }
+        ok &= !matches!(head, ResponseHead::Error(_));
     }
     success_if(ok)
 }
@@ -1358,18 +1341,11 @@ fn cmd_status(args: &Args) -> ExitCode {
     use pegasus_wms::serve::{Request, ResponseHead};
 
     if let Some(dir) = args.get("dir") {
-        return match serve::status_lines_offline(std::path::Path::new(dir)) {
-            Ok(lines) => {
-                for l in lines {
-                    println!("{l}");
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("status: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let lines = serve::status_lines_offline(std::path::Path::new(dir));
+        for l in or_exit("status", lines) {
+            outln!("{l}");
+        }
+        return ExitCode::SUCCESS;
     }
     let req = if let Some(id) = args.parsed_opt::<usize>("trace") {
         Request::Trace { id }
@@ -1381,20 +1357,13 @@ fn cmd_status(args: &Args) -> ExitCode {
         Request::Status
     };
     let mut conn = connect_or_exit(args);
-    match conn.request(&req) {
-        Ok((ResponseHead::Error(e), _)) => {
-            eprintln!("status: {e}");
-            ExitCode::FAILURE
-        }
-        Ok((_, payload)) => {
+    match or_exit("status", conn.request(&req)) {
+        (ResponseHead::Error(e), _) => or_exit("status", Err(e)),
+        (_, payload) => {
             for line in payload {
-                println!("{line}");
+                outln!("{line}");
             }
             ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("status: {e}");
-            ExitCode::FAILURE
         }
     }
 }
@@ -1406,7 +1375,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     if matches!(cmd, "help" | "--help" | "-h") {
-        print!("{}", cli_args::usage());
+        out!("{}", cli_args::usage());
         return ExitCode::SUCCESS;
     }
     let Some(verb) = cli_args::find(cmd) else {
@@ -1422,7 +1391,7 @@ fn main() -> ExitCode {
         }
     };
     if parsed.help {
-        print!("{}", verb.help());
+        out!("{}", verb.help());
         return ExitCode::SUCCESS;
     }
     let args = Args { verb, p: parsed };

@@ -227,7 +227,11 @@ mod common {
     );
     pub const OUT: Flag = opt("out", "file", "write output to a file instead of stdout");
     pub const QUIET: Flag = switch("quiet", "suppress progress and tables");
-    pub const CATALOG: Flag = opt("catalog", "file", "catalog bundle replacing the built-ins");
+    pub const CATALOG: Flag = opt(
+        "catalog",
+        "file",
+        "transformation/replica catalog replacing the built-ins",
+    );
     pub const FROM_EVENTS: Flag = opt(
         "from-events",
         "file,...",
@@ -268,7 +272,7 @@ pub const VERBS: &[Verb] = &[
     },
     Verb {
         name: "catalogs",
-        summary: "dump the built-in site/transformation/replica catalogs",
+        summary: "dump the built-in transformation/replica catalogs",
         positional: None,
         flags: &[common::OUT],
     },
@@ -358,7 +362,6 @@ pub const VERBS: &[Verb] = &[
             common::OUT,
             opt("metrics", "prom", "write the Prometheus exposition"),
             common::QUIET,
-            common::CATALOG,
             common::PROFILE,
         ],
     },
@@ -407,7 +410,6 @@ pub const VERBS: &[Verb] = &[
             opt("events", "file", "also write the live run's event log"),
             opt("format", "text|chrome", "output format (default text)"),
             common::OUT,
-            common::CATALOG,
             common::QUIET,
         ],
     },

@@ -27,6 +27,7 @@ use gridsim::platforms::SERIAL_REFERENCE_SECONDS;
 use gridsim::sites::SiteRegistry;
 use gridsim::SimBackend;
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog, SiteCatalog, TransformationCatalog};
+use pegasus_wms::catalog_io::CatalogBundle;
 use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, WorkflowRun};
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, EnsembleRun, Submission};
 use pegasus_wms::error::WmsError;
@@ -251,24 +252,39 @@ pub fn calibrated_workflow(n: usize, seed: u64) -> AbstractWorkflow {
     build_workflow(&WorkflowParams::with_n(chunk_costs.len()).with_chunk_costs(chunk_costs))
 }
 
-/// Submit-host replicas of the paper's two input files.
-pub fn paper_replicas() -> ReplicaCatalog {
-    let mut rc = ReplicaCatalog::new();
-    rc.register("transcripts.fasta", "submit");
-    rc.register("alignments.out", "submit");
-    rc
+/// The site, transformation and replica catalogs a plan is made
+/// against.
+pub type Catalogs = (SiteCatalog, TransformationCatalog, ReplicaCatalog);
+
+/// The catalogs a run plans against when no `--catalog` file is given:
+/// [`catalogs_with`] the paper's transformations and submit-host
+/// replicas of its two input files.
+pub fn registry_catalogs(registry: &SiteRegistry) -> Catalogs {
+    let (_, transformations) = paper_catalogs();
+    let mut replicas = ReplicaCatalog::new();
+    for file in ["transcripts.fasta", "alignments.out"] {
+        replicas.register(file, "submit");
+    }
+    catalogs_with(
+        registry,
+        CatalogBundle {
+            transformations,
+            replicas,
+        },
+    )
 }
 
-/// The catalogs a run plans against when none are given: the
-/// registry's sites, the paper's transformations, and
-/// [`paper_replicas`] plus any files the site definitions pre-stage.
-pub fn registry_catalogs(
-    registry: &SiteRegistry,
-) -> (SiteCatalog, TransformationCatalog, ReplicaCatalog) {
-    let (_, tc) = paper_catalogs();
-    let mut rc = paper_replicas();
-    registry.register_replicas(&mut rc);
-    (registry.site_catalog(), tc, rc)
+/// What every verb and the daemon plan against: the registry's sites
+/// — a site is described once, in its `sites.def` stanza — and the
+/// bundle's transformations and replicas, plus any files the site
+/// definitions pre-stage.
+pub fn catalogs_with(registry: &SiteRegistry, mut bundle: CatalogBundle) -> Catalogs {
+    registry.register_replicas(&mut bundle.replicas);
+    (
+        registry.site_catalog(),
+        bundle.transformations,
+        bundle.replicas,
+    )
 }
 
 /// Plans `wf` for the registered site `id` against
@@ -504,7 +520,7 @@ pub fn real_local_run(
         ..Default::default()
     };
     let wf = build_workflow(&params);
-    let (sites, tc) = paper_catalogs();
+    let (sites, tc, _) = registry_catalogs(builtin_registry());
     let mut cfg = PlannerConfig::for_site("sandhills");
     cfg.stage_data = false;
     cfg.add_create_dir = false;

@@ -326,17 +326,105 @@ fn pegasus_unusable_paths_exit_1_without_panicking() {
         );
     }
 
-    // A catalog that does not parse is refused as a catalog, at its line.
+    // A catalog that does not parse is refused as a catalog, at its
+    // line: an INI file at its first section, which points the sites
+    // it describes at `--sites`.
     let catalog = dir.join("bad.ini");
-    std::fs::write(&catalog, "[site x]\n\nshared_fs = maybe\n").unwrap();
+    std::fs::write(&catalog, "# old\n[site x]\n\nshared_fs = maybe\n").unwrap();
     let catalog = catalog.to_str().unwrap();
     let out = pegasus().args(run).args(["--catalog", catalog]).output();
     let out = out.unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert_eq!(
         String::from_utf8_lossy(&out.stderr),
-        format!("cannot parse catalog {catalog}: catalog parse error at line 3: bad boolean \"maybe\"\n")
+        format!(
+            "cannot parse catalog {catalog}: catalog parse error at line 2: \"[site\" is not a \
+             catalog entry (transformation or replica); site facts belong in --sites\n"
+        )
     );
+}
+
+/// A reader that stops early (`pegasus trace | head -1`) ends the
+/// writer quietly, as `yes | head` leaves `yes`: exit 0, no panic.
+#[test]
+fn pegasus_exits_0_when_its_reader_closes_the_pipe() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    // Each writes far more than a pipe buffers.
+    for verb in [
+        &["generate-dax", "--n", "2000"][..],
+        &["trace", "--site", "osg", "--n", "300", "--retries", "20"],
+    ] {
+        let mut child = pegasus()
+            .args(verb)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut first = String::new();
+        let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        stdout.read_line(&mut first).unwrap();
+        assert!(!first.is_empty(), "{verb:?}");
+        drop(stdout);
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{verb:?}: {err}");
+        assert!(!err.contains("panicked"), "{verb:?}: {err}");
+    }
+}
+
+/// A site is described once: with `--sites` naming a site the built-in
+/// registry does not hold, every verb that reads `--catalog` plans
+/// against it and prints what it prints without the catalog — the
+/// file holds transformations and replicas only. `trace` and
+/// `ensemble` plan the paper's own workflow and take no catalog.
+#[test]
+fn every_planning_verb_plans_against_the_sites_file_with_or_without_a_catalog() {
+    let dir = tmpdir("one_site");
+    let (dax, cat) = (dir.join("wf.dax"), dir.join("catalogs.txt"));
+    let (dax, cat) = (dax.to_str().unwrap(), cat.to_str().unwrap());
+    for argv in [
+        &["generate-dax", "--n", "6", "--out", dax][..],
+        &["catalogs", "--out", cat],
+    ] {
+        assert!(pegasus().args(argv).status().unwrap().success(), "{argv:?}");
+    }
+    let sites = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/sites/third_site.def"
+    );
+    for verb in [
+        &["plan", "--dax", dax][..],
+        &["run", "--quiet", "--dax", dax],
+        &["statistics", "--dax", dax],
+        &["lint", dax],
+        &["verify", "--dax", dax],
+    ] {
+        let session = |catalog: &[&str]| {
+            let out = pegasus()
+                .args(verb)
+                .args(["--sites", sites, "--site", "tundra"])
+                .args(catalog)
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_eq!(out.status.code(), Some(0), "{verb:?} {catalog:?}: {err}");
+            (String::from_utf8_lossy(&out.stdout).into_owned(), err)
+        };
+        let with = session(&["--catalog", cat]);
+        assert_eq!(with, session(&[]), "{verb:?}");
+        // `statistics` and `lint` print no site name.
+        if ["plan", "run", "verify"].contains(&verb[0]) {
+            assert!(with.0.contains("tundra"), "{verb:?}: {}", with.0);
+        }
+    }
+    for verb in ["trace", "ensemble"] {
+        let out = pegasus().args([verb, "--catalog", "x"]).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{verb}: {err}");
+        assert!(err.contains("unknown flag --catalog"), "{verb}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The daemon refuses `submit n=0`; so does every verb that takes a

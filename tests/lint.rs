@@ -491,8 +491,17 @@ fn every_parser_codes_its_own_refusals_and_from_error_reads_them_off() {
             (Format::Dax, "E0101", 2, "<job> missing id attribute"),
         ),
         (
-            catalog_io::parse("[site x]\nshared_fs = maybe\n").unwrap_err(),
-            (Format::Catalog, "E0101", 2, "bad boolean \"maybe\""),
+            catalog_io::parse(
+                "replica sites=a file=f\n\
+                 transformation requires= install-cost=1 installable=maybe name=t\n",
+            )
+            .unwrap_err(),
+            (
+                Format::Catalog,
+                "E0101",
+                2,
+                "bad boolean \"maybe\" for installable",
+            ),
         ),
         (
             RescueDag::from_text("WORKFLOW w\nFROBNICATE yes\n").unwrap_err(),
