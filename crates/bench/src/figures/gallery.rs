@@ -16,7 +16,7 @@ fn simulate(wf: &AbstractWorkflow, site: &str, seed: u64) -> f64 {
     let registry = builtin_registry();
     let id = registry.resolve(site).expect("built-in site");
     let (sites, tc, mut rc) = registry_catalogs(registry);
-    for input in wf.external_inputs() {
+    for input in wf.external_inputs(&wf.dataflow()) {
         rc.register(input.name, "submit");
     }
     let cfg = PlannerConfig::for_site(registry.catalog_name(id));

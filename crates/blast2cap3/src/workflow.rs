@@ -237,10 +237,15 @@ mod tests {
     #[test]
     fn external_inputs_are_the_papers_two_files() {
         let wf = build_workflow(&WorkflowParams::with_n(5));
-        let mut inputs: Vec<Name> = wf.external_inputs().into_iter().map(|f| f.name).collect();
+        let view = wf.dataflow();
+        let mut inputs: Vec<&str> = wf.external_inputs(&view).iter().map(|f| f.name).collect();
         inputs.sort();
         assert_eq!(inputs, vec!["alignments.out", "transcripts.fasta"]);
-        let outputs: Vec<Name> = wf.final_outputs().into_iter().map(|f| f.name).collect();
+        let outputs: Vec<&str> = wf
+            .final_outputs(&view)
+            .iter()
+            .map(|(_, f)| f.name)
+            .collect();
         assert_eq!(outputs, vec!["final.fasta"]);
     }
 

@@ -441,10 +441,10 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
     let mut cur_child: Option<Cow<'_, str>> = None;
     let mut pending_edges: Vec<(Cow<'_, str>, Cow<'_, str>)> = Vec::new(); // (parent, child)
 
-    // Intern-then-push, erroring on redeclaration; replaces
-    // `AbstractWorkflow::add_job`'s O(n) duplicate scan on this bulk
-    // path.
-    fn push_job(
+    // Intern-then-store, erroring on redeclaration at the tag: the row
+    // path under `AbstractWorkflow::declare`, whose duplicate check
+    // the id table above already makes, with a span.
+    fn store_job(
         wf: &mut AbstractWorkflow,
         ids: &mut SymbolTable<JobId>,
         job: OpenJob,
@@ -505,7 +505,7 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
                     scratch.clear();
                     if self_closing {
                         let w = wf.as_mut().expect("checked above");
-                        push_job(w, &mut ids, job, &scratch, &scan)?;
+                        store_job(w, &mut ids, job, &scratch, &scan)?;
                     } else {
                         cur_job = Some(job);
                     }
@@ -560,7 +560,7 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
                     let w = wf
                         .as_mut()
                         .ok_or_else(|| scan.tag_err("</job> outside <adag>"))?;
-                    push_job(w, &mut ids, job, &scratch, &scan)?;
+                    store_job(w, &mut ids, job, &scratch, &scan)?;
                 }
                 "argument" => in_argument = false,
                 "child" => cur_child = None,
@@ -604,38 +604,32 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workflow::{Job, LogicalFile};
+    use crate::workflow::declare_job;
+
+    fn args(list: &[&str]) -> Args {
+        list.iter()
+            .map(|&a| Name::from(a))
+            .collect::<Vec<_>>()
+            .into()
+    }
 
     fn sample() -> AbstractWorkflow {
         let mut wf = AbstractWorkflow::new("blast2cap3");
-        wf.add_job(
-            Job::new("list_tx", "make_list")
-                .arg("--kind")
-                .arg("transcripts")
-                .input(LogicalFile::sized("transcripts.fasta", 404_000_000))
-                .output(LogicalFile::named("transcripts_dict.txt"))
-                .runtime(120.0),
-        )
-        .unwrap();
-        wf.add_job(
-            Job::new("split", "split")
-                .arg("-n")
-                .arg("300")
-                .input(LogicalFile::sized("alignments.out", 155_000_000))
-                .output(LogicalFile::named("protein_1.txt"))
-                .output(LogicalFile::named("protein_2.txt")),
-        )
-        .unwrap();
-        wf.add_job(
-            Job::new("cap3_1", "run_cap3")
-                .input(LogicalFile::named("transcripts_dict.txt"))
-                .input(LogicalFile::named("protein_1.txt"))
-                .output(LogicalFile::named("joined_1.fasta")),
-        )
-        .unwrap();
-        let a = wf.job_by_name("list_tx").unwrap();
-        let b = wf.job_by_name("split").unwrap();
-        wf.add_edge(a, b).unwrap();
+        let mut rows = wf.declare();
+        let kind = args(&["--kind", "transcripts"]);
+        let transcripts = [("transcripts.fasta", 404_000_000)];
+        let dict = [("transcripts_dict.txt", 0)];
+        let list_tx = rows.job("list_tx", "make_list", kind, 120.0, transcripts, dict);
+        let alignments = [("alignments.out", 155_000_000)];
+        let proteins = [("protein_1.txt", 0), ("protein_2.txt", 0)];
+        let n = args(&["-n", "300"]);
+        let split = rows.job("split", "split", n, 1.0, alignments, proteins);
+        let inputs = [("transcripts_dict.txt", 0), ("protein_1.txt", 0)];
+        let joined = [("joined_1.fasta", 0)];
+        rows.job("cap3_1", "run_cap3", Args::new(), 1.0, inputs, joined)
+            .unwrap();
+        drop(rows);
+        wf.add_edge(list_tx.unwrap(), split.unwrap()).unwrap();
         wf
     }
 
@@ -675,16 +669,13 @@ mod tests {
     #[test]
     fn equality_does_not_depend_on_the_order_a_job_lists_its_uses_in() {
         // Job `a` lists its output first; file ids still follow
-        // inputs-then-outputs, as for a job handed to `add_job`.
+        // inputs-then-outputs, as for a job declared row by row.
         let text = "<adag name=\"w\"><job id=\"a\" name=\"t\" runtime=\"1\">\
                     <uses file=\"out\" link=\"output\" size=\"2\"/>\
                     <uses file=\"in\" link=\"input\" size=\"1\"/></job></adag>";
         let parsed = from_dax(text).unwrap();
         let mut built = AbstractWorkflow::new("w");
-        let job = Job::new("a", "t")
-            .input(LogicalFile::sized("in", 1))
-            .output(LogicalFile::sized("out", 2));
-        built.add_job(job).unwrap();
+        declare_job(&mut built, "a", "t", 1.0, &[("in", 1)], &[("out", 2)]);
         assert_eq!(parsed, built);
         assert_eq!(from_dax(&to_dax(&parsed)).unwrap(), parsed);
     }
@@ -692,13 +683,11 @@ mod tests {
     #[test]
     fn special_characters_survive_round_trip() {
         let mut wf = AbstractWorkflow::new("weird & <name>");
-        wf.add_job(
-            Job::new("j\"1\"", "tool")
-                .arg("--expr")
-                .arg("a<b&&c>d")
-                .input(LogicalFile::named("in'put")),
-        )
-        .unwrap();
+        let expr = args(&["--expr", "a<b&&c>d"]);
+        let none: [(&str, u64); 0] = [];
+        (wf.declare())
+            .job("j\"1\"", "tool", expr, 1.0, [("in'put", 0)], none)
+            .unwrap();
         let parsed = from_dax(&to_dax(&wf)).unwrap();
         assert_eq!(parsed.name, "weird & <name>");
         assert_eq!(parsed.jobs[0].id, "j\"1\"");

@@ -114,4 +114,4 @@ pub use lint::{Diagnostic, Severity};
 pub use planner::{plan, ExecutableJob, ExecutableWorkflow, JobKind, PlannerConfig};
 pub use symbols::{FileId, JobId, SiteId, SymbolTable};
 pub use trace::TraceId;
-pub use workflow::{AbstractWorkflow, Job, LogicalFile};
+pub use workflow::AbstractWorkflow;

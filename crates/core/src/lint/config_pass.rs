@@ -162,22 +162,12 @@ pub fn check_config(wf: &AbstractWorkflow, file: &str, ctx: &RunContext<'_>) -> 
 mod tests {
     use super::*;
     use crate::catalog::{paper_catalogs, Transformation};
-    use crate::workflow::{Job, LogicalFile};
+    use crate::workflow::declare_job;
 
     fn cap3_wf() -> AbstractWorkflow {
         let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(
-            Job::new("split", "split")
-                .runtime(30.0)
-                .output(LogicalFile::named("p")),
-        )
-        .unwrap();
-        wf.add_job(
-            Job::new("cap3", "run_cap3")
-                .runtime(300.0)
-                .input(LogicalFile::named("p")),
-        )
-        .unwrap();
+        declare_job(&mut wf, "split", "split", 30.0, &[], &[("p", 0)]);
+        declare_job(&mut wf, "cap3", "run_cap3", 300.0, &[("p", 0)], &[]);
         wf
     }
 
@@ -208,8 +198,7 @@ mod tests {
                 .not_installable(),
         );
         let mut wf = cap3_wf();
-        wf.add_job(Job::new("native", "cap3_native").input(LogicalFile::named("p")))
-            .unwrap();
+        declare_job(&mut wf, "native", "cap3_native", 1.0, &[("p", 0)], &[]);
         let ctx = RunContext {
             site: Some("osg"),
             sites: Some(&sites),
@@ -263,11 +252,9 @@ mod tests {
     #[test]
     fn slot_budget_below_width_warns() {
         let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(Job::new("src", "t").output(LogicalFile::named("f")))
-            .unwrap();
+        declare_job(&mut wf, "src", "t", 1.0, &[], &[("f", 0)]);
         for i in 0..3 {
-            wf.add_job(Job::new(format!("c{i}"), "t").input(LogicalFile::named("f")))
-                .unwrap();
+            declare_job(&mut wf, &format!("c{i}"), "t", 1.0, &[("f", 0)], &[]);
         }
         let ctx = RunContext {
             slot_budget: Some(2),

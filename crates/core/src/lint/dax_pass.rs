@@ -154,7 +154,7 @@ mod tests {
     use super::*;
     use crate::catalog::paper_catalogs;
     use crate::dax::from_dax_unvalidated;
-    use crate::workflow::{Job, LogicalFile};
+    use crate::workflow::declare_job;
 
     fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
         diags.iter().map(|d| d.code).collect()
@@ -163,18 +163,8 @@ mod tests {
     #[test]
     fn clean_pipeline_is_clean() {
         let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(
-            Job::new("split", "split")
-                .input(LogicalFile::named("in"))
-                .output(LogicalFile::named("mid")),
-        )
-        .unwrap();
-        wf.add_job(
-            Job::new("merge", "merge")
-                .input(LogicalFile::named("mid"))
-                .output(LogicalFile::named("out")),
-        )
-        .unwrap();
+        declare_job(&mut wf, "split", "split", 1.0, &[("in", 0)], &[("mid", 0)]);
+        declare_job(&mut wf, "merge", "merge", 1.0, &[("mid", 0)], &[("out", 0)]);
         let (_, tc) = paper_catalogs();
         let diags = check_workflow(&wf, "w.dax", Some(&tc), &DaxLintOptions::default());
         assert!(diags.is_empty(), "{diags:?}");
@@ -202,8 +192,7 @@ mod tests {
     fn every_producer_conflict_is_reported() {
         let mut wf = AbstractWorkflow::new("w");
         for id in ["a", "b", "c"] {
-            wf.add_job(Job::new(id, "t").output(LogicalFile::named("f")))
-                .unwrap();
+            declare_job(&mut wf, id, "t", 1.0, &[], &[("f", 0)]);
         }
         let diags = check_workflow(&wf, "w.dax", None, &DaxLintOptions::default());
         let conflicts = diags.iter().filter(|d| d.code == "E0104").count();
@@ -213,15 +202,9 @@ mod tests {
     #[test]
     fn disconnected_and_unconsumed_are_flagged() {
         let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(
-            Job::new("a", "t")
-                .output(LogicalFile::named("mid"))
-                .output(LogicalFile::named("scratch")),
-        )
-        .unwrap();
-        wf.add_job(Job::new("b", "t").input(LogicalFile::named("mid")))
-            .unwrap();
-        wf.add_job(Job::new("loner", "t")).unwrap();
+        declare_job(&mut wf, "a", "t", 1.0, &[], &[("mid", 0), ("scratch", 0)]);
+        declare_job(&mut wf, "b", "t", 1.0, &[("mid", 0)], &[]);
+        declare_job(&mut wf, "loner", "t", 1.0, &[], &[]);
         let diags = check_workflow(&wf, "w.dax", None, &DaxLintOptions::default());
         assert_eq!(codes(&diags), ["W0402", "W0401"]);
         assert!(diags[0].message.contains("scratch"));
@@ -231,8 +214,7 @@ mod tests {
     #[test]
     fn sink_outputs_are_not_orphans() {
         let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(Job::new("a", "t").output(LogicalFile::named("final")))
-            .unwrap();
+        declare_job(&mut wf, "a", "t", 1.0, &[], &[("final", 0)]);
         let diags = check_workflow(&wf, "w.dax", None, &DaxLintOptions::default());
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -240,24 +222,20 @@ mod tests {
     #[test]
     fn fan_limits_fire_in_both_directions() {
         let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(Job::new("hub", "t").output(LogicalFile::named("f")))
-            .unwrap();
-        for i in 0..5 {
-            wf.add_job(
-                Job::new(format!("c{i}"), "t")
-                    .input(LogicalFile::named("f"))
-                    .output(LogicalFile::named(format!("o{i}"))),
-            )
-            .unwrap();
+        declare_job(&mut wf, "hub", "t", 1.0, &[], &[("f", 0)]);
+        let outs: Vec<String> = (0..5).map(|i| format!("o{i}")).collect();
+        for (i, out) in outs.iter().enumerate() {
+            declare_job(
+                &mut wf,
+                &format!("c{i}"),
+                "t",
+                1.0,
+                &[("f", 0)],
+                &[(out, 0)],
+            );
         }
-        wf.add_job({
-            let mut j = Job::new("sink", "t");
-            for i in 0..5 {
-                j = j.input(LogicalFile::named(format!("o{i}")));
-            }
-            j
-        })
-        .unwrap();
+        let sink: Vec<(&str, u64)> = outs.iter().map(|o| (o.as_str(), 0)).collect();
+        declare_job(&mut wf, "sink", "t", 1.0, &sink, &[]);
         let opts = DaxLintOptions {
             fan_limit: 4,
             ..Default::default()

@@ -17,8 +17,9 @@ use crate::catalog::{ReplicaCatalog, Site, SiteCatalog, TransformationCatalog};
 use crate::error::WmsError;
 use crate::graph::Csr;
 use crate::symbols::{Args, Name};
-use crate::workflow::{AbstractWorkflow, FileId, FileUse, Job, JobId, Readers};
+use crate::workflow::{AbstractWorkflow, FileId, FileUse, JobId, Readers};
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// The role of an executable job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -229,16 +230,15 @@ pub fn reduce_workflow(
         }
     }
     let mut out = AbstractWorkflow::new(wf.name.clone());
-    // Old index -> new id, so explicit edges remap in O(1) instead of
-    // the old name-set + job_by_name linear rescans. The surviving
-    // jobs land in one batch (per-job add_job scans are quadratic).
+    let kept = removed.iter().filter(|&&r| !r).count();
+    out.reserve(kept, wf.use_count(), wf.files().len());
+    // Old index -> new id, so explicit edges remap in O(1).
     let mut new_id: Vec<Option<JobId>> = vec![None; n];
-    let mut kept = Vec::with_capacity(n);
+    let mut rows = out.declare();
     for i in wf.job_ids().filter(|i| !removed[i.idx()]) {
-        new_id[i.idx()] = Some(JobId::new(kept.len()));
-        kept.push(wf.job_spec(i));
+        new_id[i.idx()] = Some(rows.copy(wf, i)?);
     }
-    out.add_jobs(kept)?;
+    drop(rows);
     for &(p, c) in &wf.explicit_edges {
         if let (Some(np), Some(nc)) = (new_id[p.idx()], new_id[c.idx()]) {
             out.add_edge(np, nc)?;
@@ -252,6 +252,15 @@ pub fn reduce_workflow(
 /// into groups of at most `factor`, summing runtimes and unioning file
 /// sets. Returns a new abstract workflow; `factor <= 1` returns a
 /// clone.
+///
+/// Groups are taken in `(level, transformation)` order, each in job
+/// order. A group of one keeps its job as it stands; a larger one
+/// becomes `cluster_<transformation>_<level>_<i>`, of its first
+/// member's transformation, with the members' arguments and outputs
+/// one after the other, their runtimes summed in member order, and
+/// their inputs once per `(file, size)` — less those a member of the
+/// same cluster produces. A merged name that another job already
+/// holds is [`WmsError::DuplicateJob`].
 pub fn cluster_workflow(
     wf: &AbstractWorkflow,
     factor: usize,
@@ -262,62 +271,73 @@ pub fn cluster_workflow(
     let levels = wf.levels()?;
     // Group job indices by (level, transformation).
     let mut groups: HashMap<(usize, &str), Vec<JobId>> = HashMap::new();
-    for (i, job) in wf.jobs.iter().enumerate() {
-        groups
-            .entry((levels[i], job.transformation.as_str()))
-            .or_default()
-            .push(JobId::new(i));
+    for (i, job) in wf.job_ids().zip(&wf.jobs) {
+        let key = (levels[i.idx()], job.transformation.as_str());
+        groups.entry(key).or_default().push(i);
     }
-    // Old job index -> new (possibly merged) job id, assigned as jobs
-    // are pushed — explicit edges then remap by direct lookup instead
-    // of the old name-string round-trip through job_by_name.
-    let mut out = AbstractWorkflow::new(wf.name.clone());
-    let mut new_id_of: Vec<JobId> = vec![JobId::default(); wf.jobs.len()];
-    let mut clustered: Vec<Job> = Vec::new();
     let mut keys: Vec<(usize, &str)> = groups.keys().copied().collect();
     keys.sort();
+    let mut out = AbstractWorkflow::new(wf.name.clone());
+    let jobs = groups.values().map(|g| g.len().div_ceil(factor)).sum();
+    out.reserve(jobs, wf.use_count(), wf.files().len());
+    // Old job index -> new (possibly merged) job id.
+    let mut new_id_of: Vec<JobId> = vec![JobId::default(); wf.jobs.len()];
+    // A merged job is gathered in buffers kept from one cluster to the
+    // next, its files by `wf`'s ids and declared by their text.
+    let files = wf.files();
+    let by_name = |&(f, size): &(FileId, u64)| (files.resolve(f), size);
+    let (mut name, mut args) = (String::new(), Vec::new());
+    let (mut inputs, mut outputs) = (Vec::new(), Vec::new());
+    let mut produced = vec![false; files.len()];
+    let mut rows = out.declare();
     for key in keys {
-        let members = &groups[&key];
-        for (ci, batch) in members.chunks(factor).enumerate() {
-            if batch.len() == 1 {
-                new_id_of[batch[0].idx()] = JobId::new(clustered.len());
-                clustered.push(wf.job_spec(batch[0]));
+        for (ci, batch) in groups[&key].chunks(factor).enumerate() {
+            if let [single] = *batch {
+                new_id_of[single.idx()] = rows.copy(wf, single)?;
                 continue;
             }
-            let mut merged = Job::new(
-                format!("cluster_{}_{}_{}", key.1, key.0, ci),
-                wf.job(batch[0]).transformation.clone(),
-            );
+            args.clear();
+            inputs.clear();
+            outputs.clear();
             let mut runtime = 0.0;
             for &m in batch {
-                let j = wf.job_spec(m);
-                runtime += j.runtime_hint;
-                merged.args.extend(j.args);
-                for f in j.inputs {
-                    if !merged.inputs.contains(&f) {
-                        merged.inputs.push(f);
+                let job = wf.job(m);
+                runtime += job.runtime_hint;
+                args.extend_from_slice(&job.args);
+                for f in wf.inputs(m).iter() {
+                    let f = (f.file, f.size_bytes);
+                    if !inputs.contains(&f) {
+                        inputs.push(f);
                     }
                 }
-                merged.outputs.extend(j.outputs);
+                outputs.extend(wf.outputs(m).iter().map(|f| (f.file, f.size_bytes)));
             }
-            merged.runtime_hint = runtime;
             // Inputs produced inside the cluster are internal.
-            let produced: std::collections::HashSet<&str> =
-                merged.outputs.iter().map(|f| f.name.as_str()).collect();
-            merged
-                .inputs
-                .retain(|f| !produced.contains(f.name.as_str()));
-            let merged_id = JobId::new(clustered.len());
-            clustered.push(merged);
+            for &(f, _) in &outputs {
+                produced[f.idx()] = true;
+            }
+            inputs.retain(|&(f, _)| !produced[f.idx()]);
+            for &(f, _) in &outputs {
+                produced[f.idx()] = false;
+            }
+            name.clear();
+            let _ = write!(name, "cluster_{}_{}_{}", key.1, key.0, ci);
+            let (id, transformation) = (name.as_str(), wf.job(batch[0]).transformation.clone());
+            let (ins, outs) = (inputs.iter().map(by_name), outputs.iter().map(by_name));
+            let merged = rows.job(
+                id,
+                transformation,
+                Args::from(&args[..]),
+                runtime,
+                ins,
+                outs,
+            )?;
             for &m in batch {
-                new_id_of[m.idx()] = merged_id;
+                new_id_of[m.idx()] = merged;
             }
         }
     }
-    // One batched insert: keeps the DuplicateJob check (a synthetic
-    // cluster name can collide with an unclustered job's) at hash-set
-    // cost instead of per-add scans.
-    out.add_jobs(clustered)?;
+    drop(rows);
     // Remap explicit edges.
     for &(p, c) in &wf.explicit_edges {
         let (np, nc) = (new_id_of[p.idx()], new_id_of[c.idx()]);
@@ -390,15 +410,15 @@ fn plan_in_scope(
     // The verdict is raised in step 4, where it has always been.
     let (external_inputs, final_outputs, dependencies, verdict) = {
         let view = wf.dataflow();
-        let external_inputs = wf.external_input_uses(&view);
-        let final_outputs = wf.final_output_uses(&view);
+        let external_inputs = wf.external_inputs(&view);
+        let final_outputs = wf.final_outputs(&view);
         let verdict = wf.order_of(&view).map(|_| ());
         (external_inputs, final_outputs, view.edges, verdict)
     };
 
     let mut jobs: Vec<ExecutableJob> = Vec::with_capacity(wf.jobs.len() + 8);
     let mut edges: Vec<(JobId, JobId)> = Vec::new();
-    let push_job = |jobs: &mut Vec<ExecutableJob>, mut j: ExecutableJob| -> JobId {
+    let push = |jobs: &mut Vec<ExecutableJob>, mut j: ExecutableJob| -> JobId {
         let id = JobId::new(jobs.len());
         j.id = id;
         jobs.push(j);
@@ -434,7 +454,7 @@ fn plan_in_scope(
         let dirmanager = Name::from("pegasus::dirmanager");
         let name = format!("create_dir_{}", site.name);
         let job = auxiliary(name, &dirmanager, JobKind::CreateDir, Args::new(), 1.0);
-        push_job(&mut jobs, job)
+        push(&mut jobs, job)
     });
 
     // 2. stage-in jobs for external inputs absent from the site, by
@@ -445,7 +465,7 @@ fn plan_in_scope(
             if replicas.has_replica(f.name, &site.name) {
                 continue;
             }
-            let id = push_job(&mut jobs, transfer_job("stage_in_", JobKind::StageIn, f));
+            let id = push(&mut jobs, transfer_job("stage_in_", JobKind::StageIn, f));
             if let Some(cd) = create_dir {
                 edges.push((cd, id));
             }
@@ -469,7 +489,7 @@ fn plan_in_scope(
                 hint
             }
         };
-        let id = push_job(
+        let id = push(
             &mut jobs,
             ExecutableJob {
                 id: JobId::default(),
@@ -504,7 +524,7 @@ fn plan_in_scope(
     // 5. stage-out jobs for final outputs, each after its producer.
     if config.stage_data {
         for (producer, f) in final_outputs {
-            let id = push_job(&mut jobs, transfer_job("stage_out_", JobKind::StageOut, f));
+            let id = push(&mut jobs, transfer_job("stage_out_", JobKind::StageOut, f));
             edges.push((compute_id_of[producer.idx()], id));
         }
     }
@@ -522,7 +542,7 @@ fn plan_in_scope(
         let cleanup = Name::from("pegasus::cleanup");
         let name = format!("cleanup_{}", site.name);
         let job = auxiliary(name, &cleanup, JobKind::Cleanup, Args::new(), 1.0);
-        let id = push_job(&mut jobs, job);
+        let id = push(&mut jobs, job);
         for l in leaves {
             edges.push((l, id));
         }
@@ -574,58 +594,61 @@ fn transfer_seconds(size_bytes: u64, bandwidth_bps: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::catalog::paper_catalogs;
-    use crate::workflow::LogicalFile;
+    use crate::workflow::declare_job;
 
     /// A miniature blast2cap3-shaped workflow: 2 list jobs, split,
-    /// n=3 run_cap3, merge, extract_unjoined.
+    /// n run_cap3, merge, extract_unjoined.
     fn mini_blast2cap3(n: usize) -> AbstractWorkflow {
         let mut wf = AbstractWorkflow::new("blast2cap3");
-        wf.add_job(
-            Job::new("list_transcripts", "list_transcripts")
-                .input(LogicalFile::sized("transcripts.fasta", 404_000_000))
-                .output(LogicalFile::named("transcripts_dict.txt"))
-                .runtime(120.0),
-        )
-        .unwrap();
-        wf.add_job(
-            Job::new("list_alignments", "list_alignments")
-                .input(LogicalFile::sized("alignments.out", 155_000_000))
-                .output(LogicalFile::named("alignments_list.txt"))
-                .runtime(90.0),
-        )
-        .unwrap();
-        let mut split = Job::new("split", "split")
-            .input(LogicalFile::named("alignments_list.txt"))
-            .runtime(60.0);
-        for i in 0..n {
-            split = split.output(LogicalFile::named(format!("protein_{i}.txt")));
+        let dict = ("transcripts_dict.txt", 0);
+        let transcripts = [("transcripts.fasta", 404_000_000)];
+        declare_job(
+            &mut wf,
+            "list_transcripts",
+            "list_transcripts",
+            120.0,
+            &transcripts,
+            &[dict],
+        );
+        let list = ("alignments_list.txt", 0);
+        let alignments = [("alignments.out", 155_000_000)];
+        declare_job(
+            &mut wf,
+            "list_alignments",
+            "list_alignments",
+            90.0,
+            &alignments,
+            &[list],
+        );
+        let proteins: Vec<String> = (0..n).map(|i| format!("protein_{i}.txt")).collect();
+        let joined: Vec<String> = (0..n).map(|i| format!("joined_{i}.fasta")).collect();
+        fn named(names: &[String]) -> Vec<(&str, u64)> {
+            names.iter().map(|f| (f.as_str(), 0)).collect()
         }
-        wf.add_job(split).unwrap();
+        declare_job(&mut wf, "split", "split", 60.0, &[list], &named(&proteins));
         for i in 0..n {
-            wf.add_job(
-                Job::new(format!("run_cap3_{i}"), "run_cap3")
-                    .input(LogicalFile::named("transcripts_dict.txt"))
-                    .input(LogicalFile::named(format!("protein_{i}.txt")))
-                    .output(LogicalFile::named(format!("joined_{i}.fasta")))
-                    .runtime(1000.0),
-            )
-            .unwrap();
+            let inputs = [dict, (proteins[i].as_str(), 0)];
+            let outputs = [(joined[i].as_str(), 0)];
+            declare_job(
+                &mut wf,
+                &format!("run_cap3_{i}"),
+                "run_cap3",
+                1000.0,
+                &inputs,
+                &outputs,
+            );
         }
-        let mut merge = Job::new("merge", "merge")
-            .output(LogicalFile::named("joined_all.fasta"))
-            .runtime(30.0);
-        for i in 0..n {
-            merge = merge.input(LogicalFile::named(format!("joined_{i}.fasta")));
-        }
-        wf.add_job(merge).unwrap();
-        wf.add_job(
-            Job::new("extract_unjoined", "extract_unjoined")
-                .input(LogicalFile::named("transcripts_dict.txt"))
-                .input(LogicalFile::named("joined_all.fasta"))
-                .output(LogicalFile::named("final.fasta"))
-                .runtime(45.0),
-        )
-        .unwrap();
+        let all = ("joined_all.fasta", 0);
+        declare_job(&mut wf, "merge", "merge", 30.0, &named(&joined), &[all]);
+        let finals = [("final.fasta", 0)];
+        declare_job(
+            &mut wf,
+            "extract_unjoined",
+            "extract_unjoined",
+            45.0,
+            &[dict, all],
+            &finals,
+        );
         wf
     }
 

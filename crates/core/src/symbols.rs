@@ -14,8 +14,11 @@
 //! * **Names that are carried** — job names, transformations,
 //!   arguments, failure reasons — become a [`Name`] (a
 //!   reference-counted `str`) where they enter: the DAX parser, a
-//!   workflow generator handing in a [`crate::workflow::Job`], the
-//!   event-log parser, a backend reporting a failure. `workflow`,
+//!   workflow generator declaring a row
+//!   ([`crate::workflow::Declare::job`]), the event-log parser, a
+//!   backend reporting a failure; a rewrite of a workflow (clustering,
+//!   reduction, inlining) clones its source row's handles and makes a
+//!   name only for a job it creates. `workflow`,
 //!   `planner`, `engine`, `events` and the `WorkflowRun` records clone
 //!   the handle, which copies no bytes: job *i*'s name in the abstract
 //!   workflow, in `ExecutableJob`, in its `JobDeclared` event and in

@@ -262,9 +262,9 @@ mod tests {
             assert_eq!(wf.jobs.len(), montage_job_count(n), "n={n}");
             wf.validate().unwrap();
             // Projections are roots; mJPEG is the single sink.
-            let outs = wf.final_outputs();
+            let outs = wf.final_outputs(&wf.dataflow());
             assert_eq!(outs.len(), 1);
-            assert_eq!(outs[0].name, "mosaic.jpg");
+            assert_eq!(outs[0].1.name, "mosaic.jpg");
             assert_eq!(wf.width().unwrap(), n);
         }
     }

@@ -1213,7 +1213,7 @@ mod tests {
     use crate::events::log;
     use crate::lint::{rule, RULES};
     use crate::planner::{plan, PlannerConfig};
-    use crate::workflow::{Job, LogicalFile};
+    use crate::workflow::declare_job;
 
     fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
         diags.iter().map(|d| d.code).collect()
@@ -1475,12 +1475,14 @@ workflow-finished time=2 wall-time=2 succeeded=false
     #[test]
     fn dataflow_pass_flags_hand_built_plans() {
         let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(
-            Job::new("consume", "cat")
-                .input(LogicalFile::sized("ghost.in", 10))
-                .output(LogicalFile::sized("out.txt", 5)),
-        )
-        .unwrap();
+        declare_job(
+            &mut wf,
+            "consume",
+            "cat",
+            1.0,
+            &[("ghost.in", 10)],
+            &[("out.txt", 5)],
+        );
         let (sites, tc) = paper_catalogs();
         let rc = ReplicaCatalog::new();
         let mut bare = PlannerConfig::for_site("sandhills");
@@ -1526,14 +1528,9 @@ workflow-finished time=2 wall-time=2 succeeded=false
     #[test]
     fn storage_footprint_bound_is_swept() {
         let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(Job::new("make", "gen").output(LogicalFile::sized("big.bin", 1000)))
-            .unwrap();
-        wf.add_job(
-            Job::new("use", "cat")
-                .input(LogicalFile::sized("big.bin", 1000))
-                .output(LogicalFile::sized("small.out", 10)),
-        )
-        .unwrap();
+        let big = ("big.bin", 1000);
+        declare_job(&mut wf, "make", "gen", 1.0, &[], &[big]);
+        declare_job(&mut wf, "use", "cat", 1.0, &[big], &[("small.out", 10)]);
         let (sites, tc) = paper_catalogs();
         let rc = ReplicaCatalog::new();
         let exec = plan(&wf, &sites, &tc, &rc, &PlannerConfig::for_site("sandhills")).unwrap();

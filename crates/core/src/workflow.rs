@@ -6,13 +6,15 @@
 //! dataflow (job B reads a file job A writes) and explicit
 //! parent/child declarations, exactly like a Pegasus DAX.
 //!
-//! Jobs are handed in as [`Job`] values built with
-//! `Job::new(..).input(LogicalFile::named(..))` — or, by a generator
-//! that makes many, row by row through [`AbstractWorkflow::declare`] —
-//! and stored flat: one [`JobRow`] per job, one per-workflow file
-//! table, and one vector of [`FileId`]s that every row's input and
-//! output ranges index (see [`crate::symbols`] for the one-copy rule
-//! the names follow). Jobs
+//! Every job enters a workflow one way, row by row through
+//! [`AbstractWorkflow::declare`] — a generator, the DAX parser and the
+//! planner's rewrites (clustering, data reuse, sub-workflow inlining)
+//! alike — and is stored flat: one [`JobRow`] per job, one
+//! per-workflow file table, and one vector of [`FileId`]s that every
+//! row's input and output ranges index (see [`crate::symbols`] for the
+//! one-copy rule the names follow). A rewrite reads a source row and
+//! declares a row of its output; no owned copy of a job is built in
+//! between. Jobs
 //! are identified by dense interned [`JobId`]s; traversals run over
 //! [`Csr`] adjacency built once per call instead of per-node
 //! `Vec<Vec<_>>` allocations, and who produces a file, who consumes
@@ -24,96 +26,10 @@
 use crate::error::WmsError;
 use crate::graph::Csr;
 use crate::symbols::{Args, Name, SymbolTable};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 
 pub use crate::symbols::{FileId, JobId};
-
-/// A logical file: a name in the workflow's namespace, with an
-/// estimated size used by staging cost models.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LogicalFile {
-    /// Logical file name, e.g. `"alignments.out"`.
-    pub name: Name,
-    /// Estimated size in bytes (0 when unknown).
-    pub size_bytes: u64,
-}
-
-impl LogicalFile {
-    /// A logical file with unknown size.
-    pub fn named(name: impl Into<Name>) -> Self {
-        LogicalFile {
-            name: name.into(),
-            size_bytes: 0,
-        }
-    }
-
-    /// A logical file with an estimated size.
-    pub fn sized(name: impl Into<Name>, size_bytes: u64) -> Self {
-        LogicalFile {
-            name: name.into(),
-            size_bytes,
-        }
-    }
-}
-
-/// One abstract job as it is handed to a workflow: the builder form.
-/// [`AbstractWorkflow::add_job`] stores it as a [`JobRow`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Job {
-    /// Unique job identifier within the workflow.
-    pub id: Name,
-    /// Logical transformation name (looked up in the transformation
-    /// catalog at planning time).
-    pub transformation: Name,
-    /// Command-line-style arguments.
-    pub args: Vec<Name>,
-    /// Files consumed.
-    pub inputs: Vec<LogicalFile>,
-    /// Files produced.
-    pub outputs: Vec<LogicalFile>,
-    /// Estimated execution time in seconds on a reference core
-    /// (consumed by simulation backends; ignored by real ones).
-    pub runtime_hint: f64,
-}
-
-impl Job {
-    /// Creates a job with empty file sets.
-    pub fn new(id: impl Into<Name>, transformation: impl Into<Name>) -> Self {
-        Job {
-            id: id.into(),
-            transformation: transformation.into(),
-            args: Vec::new(),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            runtime_hint: 1.0,
-        }
-    }
-
-    /// Builder: appends an argument.
-    pub fn arg(mut self, a: impl Into<Name>) -> Self {
-        self.args.push(a.into());
-        self
-    }
-
-    /// Builder: declares an input file.
-    pub fn input(mut self, f: LogicalFile) -> Self {
-        self.inputs.push(f);
-        self
-    }
-
-    /// Builder: declares an output file.
-    pub fn output(mut self, f: LogicalFile) -> Self {
-        self.outputs.push(f);
-        self
-    }
-
-    /// Builder: sets the runtime hint in seconds.
-    pub fn runtime(mut self, seconds: f64) -> Self {
-        self.runtime_hint = seconds;
-        self
-    }
-}
 
 /// One stored job: its names as shared handles, and where its file
 /// uses sit in the workflow's flat table. Read the files through
@@ -144,13 +60,6 @@ pub struct FileUse<'a> {
     pub name: &'a str,
     /// Estimated size in bytes, as this use declared it.
     pub size_bytes: u64,
-}
-
-impl FileUse<'_> {
-    /// The use as an owned [`LogicalFile`]; allocates its name.
-    pub fn to_logical(self) -> LogicalFile {
-        LogicalFile::sized(self.name, self.size_bytes)
-    }
 }
 
 /// A job's inputs or outputs: a window onto the workflow's flat
@@ -206,9 +115,7 @@ impl PartialEq for Uses<'_> {
 
 impl std::fmt::Debug for Uses<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list()
-            .entries(self.iter().map(FileUse::to_logical))
-            .finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -280,11 +187,12 @@ pub struct Declare<'w> {
 impl Declare<'_> {
     /// Stores one job, its inputs and outputs given as `(file, size
     /// in bytes)` pairs; fails on an id the workflow already holds,
-    /// adding nothing. A file is a borrowed name or, once some job has
-    /// used it, the [`FileId`] that use gave it — read back through
-    /// the workflow this derefs to (`rows.outputs(job).ids()`) — so a
-    /// generator names a file once and the table's order stays the
-    /// order of first use either way.
+    /// adding nothing. A file is a borrowed name or, once some job of
+    /// this workflow has used it, the [`FileId`] that use gave it — read
+    /// back through the workflow this derefs to
+    /// (`rows.outputs(job).ids()`) — so a generator names a file once
+    /// and the table's order stays the order of first use either way.
+    /// An id another workflow issued names nothing here.
     pub fn job(
         &mut self,
         id: impl Into<Name>,
@@ -300,6 +208,22 @@ impl Declare<'_> {
         }
         let row = (id, transformation.into(), args, runtime_hint);
         Ok(self.wf.push_row(row, inputs, outputs))
+    }
+
+    /// Stores job `job` of `from` as it stands: its handles cloned, its
+    /// files named by their text, since `from`'s ids are not this
+    /// workflow's.
+    pub(crate) fn copy<'a>(
+        &mut self,
+        from: &'a AbstractWorkflow,
+        job: JobId,
+    ) -> Result<JobId, WmsError> {
+        let row = from.job(job);
+        let named = |uses: Uses<'a>| uses.iter().map(|f| (f.name, f.size_bytes));
+        let (id, transformation, args) =
+            (row.id.clone(), row.transformation.clone(), row.args.clone());
+        let (inputs, outputs) = (named(from.inputs(job)), named(from.outputs(job)));
+        self.job(id, transformation, args, row.runtime_hint, inputs, outputs)
     }
 }
 
@@ -343,44 +267,6 @@ impl AbstractWorkflow {
         }
     }
 
-    /// Adds a job, returning its id; fails on duplicate string ids.
-    ///
-    /// The duplicate check scans existing jobs, so adding one job is
-    /// O(jobs). Generators that add many jobs should batch them
-    /// through [`AbstractWorkflow::add_jobs`], which checks the whole
-    /// batch against one hash set.
-    pub fn add_job(&mut self, job: Job) -> Result<JobId, WmsError> {
-        if self.jobs.iter().any(|j| j.id == job.id) {
-            return Err(WmsError::DuplicateJob(job.id.into()));
-        }
-        Ok(self.push_job(job))
-    }
-
-    /// Adds a batch of jobs, returning their ids in order; fails on the
-    /// first duplicate string id (against existing jobs or within the
-    /// batch) without adding anything.
-    ///
-    /// One hash set covers the whole duplicate check, so the batch
-    /// costs O(existing + added) where per-call
-    /// [`AbstractWorkflow::add_job`] scans would be quadratic. A
-    /// generator, which has no `Job`s to hand in, goes through
-    /// [`AbstractWorkflow::declare`] instead.
-    pub fn add_jobs(&mut self, batch: Vec<Job>) -> Result<Vec<JobId>, WmsError> {
-        {
-            let mut seen: HashSet<&str> = HashSet::with_capacity(self.jobs.len() + batch.len());
-            seen.extend(self.jobs.iter().map(|j| j.id.as_str()));
-            for job in &batch {
-                if !seen.insert(job.id.as_str()) {
-                    return Err(WmsError::DuplicateJob(job.id.as_str().into()));
-                }
-            }
-        }
-        let uses: usize = batch.iter().map(|j| j.inputs.len() + j.outputs.len()).sum();
-        // No batch uses more distinct files than it has uses.
-        self.reserve(batch.len(), uses, uses);
-        Ok(batch.into_iter().map(|job| self.push_job(job)).collect())
-    }
-
     /// Makes room for `jobs` more jobs with `uses` file uses between
     /// them, of `files` files the workflow does not hold yet.
     pub fn reserve(&mut self, jobs: usize, uses: usize, files: usize) {
@@ -390,31 +276,15 @@ impl AbstractWorkflow {
         self.files.reserve(files);
     }
 
-    /// Opens a batch of jobs declared row by row, the public face of
-    /// the path every job is stored through: nothing is built per job
-    /// (no [`Job`], no [`LogicalFile`], no `Vec`) and a file name goes
-    /// from the caller's buffer straight into the file table. One hash
-    /// set checks the ids of the batch, as in
-    /// [`AbstractWorkflow::add_jobs`].
+    /// Opens a batch of jobs declared row by row: the one way a job
+    /// enters a workflow. Nothing is built per job (no owned copy of
+    /// it, no `Vec`) and a file name goes from the caller's buffer
+    /// straight into the file table. One hash set, filled once per
+    /// batch, checks every id.
     pub fn declare(&mut self) -> Declare<'_> {
         let mut ids = HashSet::with_capacity(self.jobs.capacity());
         ids.extend(self.jobs.iter().map(|j| j.id.clone()));
         Declare { wf: self, ids }
-    }
-
-    /// Stores `job` flat: its file names go into the file table, its
-    /// other names stay the handles they came as.
-    fn push_job(&mut self, job: Job) -> JobId {
-        fn side(list: &[LogicalFile]) -> impl Iterator<Item = (&str, u64)> {
-            list.iter().map(|f| (&*f.name, f.size_bytes))
-        }
-        let row = (
-            job.id,
-            job.transformation,
-            Args::from(job.args),
-            job.runtime_hint,
-        );
-        self.push_row(row, side(&job.inputs), side(&job.outputs))
     }
 
     /// Stores a job; no duplicate check, the caller has made its own.
@@ -489,21 +359,6 @@ impl AbstractWorkflow {
     /// The job referenced by `id`.
     pub fn job(&self, id: JobId) -> &JobRow {
         &self.jobs[id.idx()]
-    }
-
-    /// The job referenced by `id` in the builder form it was handed in
-    /// as — what a rewrite (clustering, reduction, inlining) edits and
-    /// adds to a new workflow.
-    pub fn job_spec(&self, id: JobId) -> Job {
-        let row = self.job(id);
-        Job {
-            id: row.id.clone(),
-            transformation: row.transformation.clone(),
-            args: row.args.to_vec(),
-            inputs: self.inputs(id).iter().map(FileUse::to_logical).collect(),
-            outputs: self.outputs(id).iter().map(FileUse::to_logical).collect(),
-            runtime_hint: row.runtime_hint,
-        }
     }
 
     /// The workflow's file table: every distinct logical file name, by
@@ -629,16 +484,9 @@ impl AbstractWorkflow {
         }
     }
 
-    /// Files consumed by some job but produced by none — the
-    /// workflow's external inputs.
-    pub fn external_inputs(&self) -> Vec<LogicalFile> {
-        let uses = self.external_input_uses(&self.dataflow());
-        uses.into_iter().map(FileUse::to_logical).collect()
-    }
-
-    /// [`AbstractWorkflow::external_inputs`] with each file's id: the
-    /// first use of every file that `view` gives no producer.
-    pub(crate) fn external_input_uses(&self, view: &Dataflow) -> Vec<FileUse<'_>> {
+    /// Files consumed by some job but produced by none, by `view` — the
+    /// workflow's external inputs: the first use of each.
+    pub fn external_inputs(&self, view: &Dataflow) -> Vec<FileUse<'_>> {
         let mut reported = vec![false; self.files.len()];
         let uses = self.job_ids().flat_map(|job| self.inputs(job).iter());
         uses.filter(|f| view.producer[f.file.idx()].is_none())
@@ -646,16 +494,9 @@ impl AbstractWorkflow {
             .collect()
     }
 
-    /// Files produced by some job but consumed by none — the
-    /// workflow's final outputs.
-    pub fn final_outputs(&self) -> Vec<LogicalFile> {
-        let uses = self.final_output_uses(&self.dataflow());
-        uses.into_iter().map(|(_, f)| f.to_logical()).collect()
-    }
-
-    /// [`AbstractWorkflow::final_outputs`] with each file's producing
-    /// job: every output that, by `view`, no job reads.
-    pub(crate) fn final_output_uses(&self, view: &Dataflow) -> Vec<(JobId, FileUse<'_>)> {
+    /// Files produced by some job but consumed by none, by `view` — the
+    /// workflow's final outputs — each with the job that produces it.
+    pub fn final_outputs(&self, view: &Dataflow) -> Vec<(JobId, FileUse<'_>)> {
         let uses = (self.job_ids()).flat_map(|job| self.outputs(job).iter().map(move |f| (job, f)));
         uses.filter(|(_, f)| view.readers[f.file.idx()] == Readers::Nobody)
             .collect()
@@ -724,41 +565,59 @@ impl AbstractWorkflow {
             return Err(WmsError::UnknownJob(format!("#{placeholder}")));
         }
         let (sub_view, _) = sub.checked()?;
-        let ns = self.jobs[placeholder.idx()].id.clone();
+        let ns = self.jobs[placeholder.idx()].id.as_str();
         // Interface files — the sub-workflow's external inputs and
         // final outputs — keep their names.
         let interface = |f: FileId| {
             sub_view.producer[f.idx()].is_none() || sub_view.readers[f.idx()] == Readers::Nobody
         };
-        let rename_file = |f: FileUse<'_>| {
-            if interface(f.file) {
-                f.to_logical()
-            } else {
-                LogicalFile::sized(format!("{ns}/{}", f.name), f.size_bytes)
-            }
-        };
 
         let mut out = AbstractWorkflow::new(self.name.clone());
+        let parent_jobs = self.jobs.len() - 1;
+        let (uses, files) = (
+            self.use_count() + sub.use_count(),
+            self.files.len() + sub.files.len(),
+        );
+        out.reserve(parent_jobs + sub.jobs.len(), uses, files);
+        let mut rows = out.declare();
         // Parent jobs (minus the placeholder), preserving order.
-        let mut new_index: HashMap<JobId, JobId> = HashMap::new();
-        for i in self.job_ids() {
-            if i == placeholder {
-                continue;
-            }
-            new_index.insert(i, out.add_job(self.job_spec(i))?);
+        for i in self.job_ids().filter(|&i| i != placeholder) {
+            rows.copy(self, i)?;
         }
-        // Sub jobs, renamed and namespaced.
-        let mut sub_index: HashMap<JobId, JobId> = HashMap::new();
+        // Sub jobs, renamed and namespaced: the new id, then the name of
+        // every file the job uses, are written end to end into one
+        // buffer.
+        let (mut text, mut ends) = (String::new(), Vec::new());
         for i in sub.job_ids() {
-            let mut j = sub.job_spec(i);
-            j.id = format!("{ns}/{}", j.id).into();
-            j.inputs = sub.inputs(i).iter().map(&rename_file).collect();
-            j.outputs = sub.outputs(i).iter().map(&rename_file).collect();
-            sub_index.insert(i, out.add_job(j)?);
+            let (row, inputs, outputs) = (sub.job(i), sub.inputs(i), sub.outputs(i));
+            text.clear();
+            ends.clear();
+            text.extend([ns, "/", &row.id]);
+            ends.push(text.len());
+            for f in inputs.iter().chain(outputs.iter()) {
+                if !interface(f.file) {
+                    text.extend([ns, "/"]);
+                }
+                text.push_str(f.name);
+                ends.push(text.len());
+            }
+            let file = |k: usize| &text[ends[k]..ends[k + 1]];
+            let ins = (inputs.iter().enumerate()).map(|(k, f)| (file(k), f.size_bytes));
+            let first_output = inputs.len();
+            let outs =
+                (outputs.iter().enumerate()).map(|(k, f)| (file(first_output + k), f.size_bytes));
+            let id = Name::from(&text[..ends[0]]);
+            let (transformation, args) = (row.transformation.clone(), row.args.clone());
+            rows.job(id, transformation, args, row.runtime_hint, ins, outs)?;
         }
+        drop(rows);
+        // A parent job keeps its place, one lower past the placeholder;
+        // the sub's jobs follow the parent's.
+        let parent_id = |j: JobId| JobId::new(j.idx() - usize::from(j > placeholder));
+        let sub_id = |j: JobId| JobId::new(parent_jobs + j.idx());
         // Sub explicit edges.
         for &(p, c) in &sub.explicit_edges {
-            out.add_edge(sub_index[&p], sub_index[&c])?;
+            out.add_edge(sub_id(p), sub_id(c))?;
         }
         // Parent explicit edges, with placeholder redirection.
         let sub_children = &sub_view.children;
@@ -773,15 +632,15 @@ impl AbstractWorkflow {
             .collect();
         for &(p, c) in &self.explicit_edges {
             match (p == placeholder, c == placeholder) {
-                (false, false) => out.add_edge(new_index[&p], new_index[&c])?,
+                (false, false) => out.add_edge(parent_id(p), parent_id(c))?,
                 (true, false) => {
                     for &s in &sinks {
-                        out.add_edge(sub_index[&s], new_index[&c])?;
+                        out.add_edge(sub_id(s), parent_id(c))?;
                     }
                 }
                 (false, true) => {
                     for &r in &roots {
-                        out.add_edge(new_index[&p], sub_index[&r])?;
+                        out.add_edge(parent_id(p), sub_id(r))?;
                     }
                 }
                 (true, true) => {}
@@ -792,9 +651,34 @@ impl AbstractWorkflow {
     }
 }
 
+/// Test shorthand for [`AbstractWorkflow::declare`]: one job with no
+/// arguments, its files named by text with the sizes given.
+#[cfg(test)]
+pub(crate) fn declare_job(
+    wf: &mut AbstractWorkflow,
+    id: &str,
+    transformation: &str,
+    runtime_hint: f64,
+    inputs: &[(&str, u64)],
+    outputs: &[(&str, u64)],
+) -> JobId {
+    let (inputs, outputs) = (inputs.iter().copied(), outputs.iter().copied());
+    (wf.declare())
+        .job(
+            id,
+            transformation,
+            Args::new(),
+            runtime_hint,
+            inputs,
+            outputs,
+        )
+        .expect("a fresh job id")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn j(i: usize) -> JobId {
         JobId::new(i)
@@ -804,30 +688,25 @@ mod tests {
         raw.iter().map(|&(a, b)| (j(a), j(b))).collect()
     }
 
+    /// A job of transformation `t` that reads and writes nothing.
+    fn bare(wf: &mut AbstractWorkflow, id: &str) -> JobId {
+        declare_job(wf, id, "t", 1.0, &[], &[])
+    }
+
     /// Diamond: a -> {b, c} -> d via dataflow.
     fn diamond() -> AbstractWorkflow {
         let mut wf = AbstractWorkflow::new("diamond");
-        wf.add_job(Job::new("a", "gen").output(LogicalFile::named("x")))
-            .unwrap();
-        wf.add_job(
-            Job::new("b", "proc")
-                .input(LogicalFile::named("x"))
-                .output(LogicalFile::named("y1")),
-        )
-        .unwrap();
-        wf.add_job(
-            Job::new("c", "proc")
-                .input(LogicalFile::named("x"))
-                .output(LogicalFile::named("y2")),
-        )
-        .unwrap();
-        wf.add_job(
-            Job::new("d", "join")
-                .input(LogicalFile::named("y1"))
-                .input(LogicalFile::named("y2"))
-                .output(LogicalFile::named("z")),
-        )
-        .unwrap();
+        declare_job(&mut wf, "a", "gen", 1.0, &[], &[("x", 0)]);
+        declare_job(&mut wf, "b", "proc", 1.0, &[("x", 0)], &[("y1", 0)]);
+        declare_job(&mut wf, "c", "proc", 1.0, &[("x", 0)], &[("y2", 0)]);
+        declare_job(
+            &mut wf,
+            "d",
+            "join",
+            1.0,
+            &[("y1", 0), ("y2", 0)],
+            &[("z", 0)],
+        );
         wf
     }
 
@@ -839,27 +718,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_job_ids_rejected() {
-        let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(Job::new("a", "t")).unwrap();
-        assert_eq!(
-            wf.add_job(Job::new("a", "t")).unwrap_err(),
-            WmsError::DuplicateJob("a".into())
-        );
-    }
-
-    #[test]
-    fn declare_stores_what_add_job_stores_and_a_duplicate_adds_nothing() {
-        let mut built = AbstractWorkflow::new("w");
-        let a = Job::new("a", "gen")
-            .arg("-x")
-            .input(LogicalFile::sized("in", 3))
-            .output(LogicalFile::named("x"));
-        built.add_job(a).unwrap();
-        built
-            .add_job(Job::new("b", "proc").input(LogicalFile::named("x")))
-            .unwrap();
-
+    fn declare_stores_rows_flat_and_a_duplicate_adds_nothing() {
         let none: [(&str, u64); 0] = [];
         let mut wf = AbstractWorkflow::new("w");
         wf.reserve(2, 3, 2);
@@ -876,13 +735,17 @@ mod tests {
         let other = [("other", 0)];
         let refused = rows.job("b", "t", Args::new(), 1.0, other, other);
         assert_eq!(refused, Err(WmsError::DuplicateJob("b".into())));
-        assert_eq!(wf, built);
         // ... and of a job from before it.
         let refused = wf.declare().job("a", "t", Args::new(), 1.0, other, none);
         assert_eq!(refused, Err(WmsError::DuplicateJob("a".into())));
-        assert_eq!(wf, built);
         let sizes = (wf.jobs.len(), wf.use_count(), wf.files().len());
         assert_eq!(sizes, (2, 3, 2));
+        assert_eq!(wf.job(j(0)).args, vec!["-x"]);
+        let uses = format!("{:?}", wf.inputs(j(0)));
+        assert_eq!(
+            uses,
+            "[FileUse { file: FileId(0), name: \"in\", size_bytes: 3 }]"
+        );
     }
 
     #[test]
@@ -896,10 +759,8 @@ mod tests {
     #[test]
     fn conflicting_producers_rejected() {
         let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(Job::new("a", "t").output(LogicalFile::named("f")))
-            .unwrap();
-        wf.add_job(Job::new("b", "t").output(LogicalFile::named("f")))
-            .unwrap();
+        declare_job(&mut wf, "a", "t", 1.0, &[], &[("f", 0)]);
+        declare_job(&mut wf, "b", "t", 1.0, &[], &[("f", 0)]);
         assert!(matches!(
             wf.edges().unwrap_err(),
             WmsError::ConflictingProducer { .. }
@@ -938,8 +799,8 @@ mod tests {
     #[test]
     fn cycles_are_detected() {
         let mut wf = AbstractWorkflow::new("cyclic");
-        wf.add_job(Job::new("a", "t")).unwrap();
-        wf.add_job(Job::new("b", "t")).unwrap();
+        bare(&mut wf, "a");
+        bare(&mut wf, "b");
         wf.add_edge(j(0), j(1)).unwrap();
         wf.add_edge(j(1), j(0)).unwrap();
         assert!(matches!(
@@ -951,7 +812,7 @@ mod tests {
     #[test]
     fn an_explicit_edge_from_a_job_to_itself_is_a_cycle() {
         let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(Job::new("a", "t")).unwrap();
+        bare(&mut wf, "a");
         wf.add_edge(j(0), j(0)).unwrap();
         assert_eq!(wf.edges().unwrap(), pairs(&[(0, 0)]));
         assert_eq!(wf.validate(), Err(WmsError::CycleDetected("a".into())));
@@ -960,9 +821,8 @@ mod tests {
     #[test]
     fn an_output_listed_twice_by_one_job_is_a_conflict_naming_it_once() {
         let mut wf = AbstractWorkflow::new("w");
-        let out = LogicalFile::named("out.txt");
-        wf.add_job(Job::new("a", "t").output(out.clone()).output(out))
-            .unwrap();
+        let out = ("out.txt", 0);
+        declare_job(&mut wf, "a", "t", 1.0, &[], &[out, out]);
         assert_eq!(wf.dataflow().conflicts, [(FileId::new(0), j(0), j(0))]);
         let refused = wf.validate().unwrap_err();
         assert!(matches!(refused, WmsError::ConflictingProducer { .. }));
@@ -975,34 +835,37 @@ mod tests {
     #[test]
     fn a_file_only_its_producer_reads_is_neither_consumed_nor_final() {
         let mut wf = diamond();
-        let scratch = LogicalFile::named("scratch");
-        wf.add_job(Job::new("e", "t").input(scratch.clone()).output(scratch))
-            .unwrap();
+        let scratch = ("scratch", 0);
+        declare_job(&mut wf, "e", "t", 1.0, &[scratch], &[scratch]);
         let view = wf.dataflow();
         let file = wf.files().get("scratch").unwrap();
         assert_eq!(view.readers[file.idx()], Readers::OnlyItsProducer);
         assert_eq!(view.edges.len(), 4);
-        let finals = wf.final_outputs();
-        assert_eq!(finals, [LogicalFile::named("z")]);
+        let finals = wf.final_outputs(&view);
+        let z = wf.files().get("z").unwrap();
+        let expected = FileUse {
+            file: z,
+            name: "z",
+            size_bytes: 0,
+        };
+        assert_eq!(finals, [(j(3), expected)]);
     }
 
     #[test]
     fn external_inputs_and_final_outputs() {
         let wf = diamond();
+        let view = wf.dataflow();
         // x is produced internally; nothing external.
-        assert!(wf.external_inputs().is_empty());
-        let outs = wf.final_outputs();
+        assert!(wf.external_inputs(&view).is_empty());
+        let outs = wf.final_outputs(&view);
         assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].name, "z");
+        assert_eq!((outs[0].0, outs[0].1.name), (j(3), "z"));
 
         let mut wf2 = AbstractWorkflow::new("w2");
-        wf2.add_job(
-            Job::new("only", "t")
-                .input(LogicalFile::sized("raw.fasta", 404_000_000))
-                .output(LogicalFile::named("clean.fasta")),
-        )
-        .unwrap();
-        let ins = wf2.external_inputs();
+        let raw = [("raw.fasta", 404_000_000), ("raw.fasta", 1)];
+        declare_job(&mut wf2, "only", "t", 1.0, &raw, &[("clean.fasta", 0)]);
+        // One entry per file: its first use.
+        let ins = wf2.external_inputs(&wf2.dataflow());
         assert_eq!(ins.len(), 1);
         assert_eq!(ins[0].name, "raw.fasta");
         assert_eq!(ins[0].size_bytes, 404_000_000);
@@ -1021,7 +884,7 @@ mod tests {
         let wf = AbstractWorkflow::new("empty");
         assert!(wf.validate().is_ok());
         assert_eq!(wf.width().unwrap(), 0);
-        assert!(wf.external_inputs().is_empty());
+        assert!(wf.external_inputs(&wf.dataflow()).is_empty());
     }
 
     #[test]
@@ -1044,18 +907,8 @@ mod tests {
     /// internal intermediate "mid".
     fn sub_workflow() -> AbstractWorkflow {
         let mut sub = AbstractWorkflow::new("sub");
-        sub.add_job(
-            Job::new("s1", "t")
-                .input(LogicalFile::named("x"))
-                .output(LogicalFile::named("mid")),
-        )
-        .unwrap();
-        sub.add_job(
-            Job::new("s2", "t")
-                .input(LogicalFile::named("mid"))
-                .output(LogicalFile::named("sub_out")),
-        )
-        .unwrap();
+        declare_job(&mut sub, "s1", "t", 1.0, &[("x", 0)], &[("mid", 0)]);
+        declare_job(&mut sub, "s2", "t", 1.0, &[("mid", 0)], &[("sub_out", 0)]);
         sub
     }
 
@@ -1064,23 +917,23 @@ mod tests {
         // Parent: a -> SUB -> d, where SUB consumes x and produces
         // sub_out consumed by d.
         let mut parent = AbstractWorkflow::new("parent");
-        parent
-            .add_job(Job::new("a", "gen").output(LogicalFile::named("x")))
-            .unwrap();
-        let ph = parent
-            .add_job(
-                Job::new("SUB", "pegasus::dax")
-                    .input(LogicalFile::named("x"))
-                    .output(LogicalFile::named("sub_out")),
-            )
-            .unwrap();
-        parent
-            .add_job(
-                Job::new("d", "join")
-                    .input(LogicalFile::named("sub_out"))
-                    .output(LogicalFile::named("z")),
-            )
-            .unwrap();
+        declare_job(&mut parent, "a", "gen", 1.0, &[], &[("x", 0)]);
+        let ph = declare_job(
+            &mut parent,
+            "SUB",
+            "pegasus::dax",
+            1.0,
+            &[("x", 0)],
+            &[("sub_out", 0)],
+        );
+        declare_job(
+            &mut parent,
+            "d",
+            "join",
+            1.0,
+            &[("sub_out", 0)],
+            &[("z", 0)],
+        );
 
         let flat = parent
             .with_inlined_subworkflow(ph, &sub_workflow())
@@ -1108,9 +961,9 @@ mod tests {
     #[test]
     fn inline_redirects_explicit_edges() {
         let mut parent = AbstractWorkflow::new("parent");
-        let before = parent.add_job(Job::new("before", "t")).unwrap();
-        let ph = parent.add_job(Job::new("SUB", "pegasus::dax")).unwrap();
-        let after = parent.add_job(Job::new("after", "t")).unwrap();
+        let before = bare(&mut parent, "before");
+        let ph = declare_job(&mut parent, "SUB", "pegasus::dax", 1.0, &[], &[]);
+        let after = bare(&mut parent, "after");
         parent.add_edge(before, ph).unwrap();
         parent.add_edge(ph, after).unwrap();
 
@@ -1141,13 +994,13 @@ mod tests {
     fn nested_inlining_namespaces_twice() {
         // SUB inside SUB: file names gain two levels of namespace.
         let mut mid = AbstractWorkflow::new("mid");
-        let inner_ph = mid.add_job(Job::new("INNER", "pegasus::dax")).unwrap();
+        let inner_ph = declare_job(&mut mid, "INNER", "pegasus::dax", 1.0, &[], &[]);
         let mid = mid
             .with_inlined_subworkflow(inner_ph, &sub_workflow())
             .unwrap();
         assert!(mid.job_by_name("INNER/s1").is_some());
         let mut top = AbstractWorkflow::new("top");
-        let ph = top.add_job(Job::new("OUTER", "pegasus::dax")).unwrap();
+        let ph = declare_job(&mut top, "OUTER", "pegasus::dax", 1.0, &[], &[]);
         let flat = top.with_inlined_subworkflow(ph, &mid).unwrap();
         assert!(flat.job_by_name("OUTER/INNER/s1").is_some());
         let s1 = flat.job_by_name("OUTER/INNER/s1").unwrap();
@@ -1157,47 +1010,40 @@ mod tests {
     }
 
     #[test]
-    fn builder_accumulates_fields() {
-        let jb = Job::new("j", "t")
-            .arg("-n")
-            .arg("300")
-            .input(LogicalFile::named("in"))
-            .output(LogicalFile::named("out"))
-            .runtime(12.5);
-        assert_eq!(jb.args, vec!["-n", "300"]);
-        assert_eq!(jb.runtime_hint, 12.5);
-        assert_eq!(jb.inputs.len(), 1);
-        assert_eq!(jb.outputs.len(), 1);
-    }
-
-    #[test]
-    fn jobs_are_stored_flat() {
-        let id = Name::from("j");
-        let shared = LogicalFile::sized("dict", 7);
+    fn a_rewritten_row_shares_its_source_handles() {
         let mut wf = AbstractWorkflow::new("w");
-        let a = wf
-            .add_job(
-                Job::new(id.clone(), "t")
-                    .arg("-x")
-                    .input(shared.clone())
-                    .output(LogicalFile::named("out")),
-            )
-            .unwrap();
-        let b = wf
-            .add_job(Job::new("k", "t").input(LogicalFile::sized("dict", 9)))
-            .unwrap();
+        let args = Args::from([Name::from("-x")]);
+        let (dict, out) = ([("dict", 7)], [("out", 0)]);
+        let a = wf.declare().job("j", "t", args, 2.5, dict, out).unwrap();
+        let b = declare_job(&mut wf, "k", "t", 1.0, &[("dict", 9)], &[]);
         // One table entry per distinct file, one flat slot per use.
         assert_eq!(wf.files().len(), 2);
         assert_eq!(wf.use_count(), 3);
-        assert!(Name::ptr_eq(&wf.job(a).id, &id));
         let dict = wf.inputs(a).iter().next().unwrap();
         assert_eq!(dict.name, "dict");
         // The second use is the same file, with the size it declared.
         let again = wf.inputs(b).iter().next().unwrap();
         assert_eq!(again.file, dict.file);
         assert_eq!((dict.size_bytes, again.size_bytes), (7, 9));
-        assert_eq!(wf.job_spec(a).args, vec!["-x"]);
-        assert_eq!(wf.job_spec(a).inputs, vec![shared]);
         assert!(wf.outputs(b).is_empty());
+
+        // A copy into another workflow clones handles, not bytes, and
+        // names its files afresh in the copy's own table.
+        let mut copy = AbstractWorkflow::new("copy");
+        declare_job(&mut copy, "first", "t", 1.0, &[("out", 0)], &[]);
+        let c = copy.declare().copy(&wf, a).unwrap();
+        let (row, source) = (copy.job(c), wf.job(a));
+        assert!(Name::ptr_eq(&row.id, &source.id));
+        assert!(Name::ptr_eq(&row.transformation, &source.transformation));
+        assert!(Args::ptr_eq(&row.args, &source.args));
+        assert_eq!(row.runtime_hint, 2.5);
+        assert_eq!(copy.inputs(c), wf.inputs(a));
+        assert_eq!(copy.outputs(c), wf.outputs(a));
+        let ids = |uses: Uses<'_>| uses.ids().to_vec();
+        assert_eq!(ids(copy.outputs(c)), [FileId::new(0)]);
+        assert_eq!(
+            copy.declare().copy(&wf, a),
+            Err(WmsError::DuplicateJob("j".into()))
+        );
     }
 }

@@ -18,10 +18,10 @@ use pegasus_wms::planner::{cluster_workflow, plan, JobKind, PlannerConfig};
 use pegasus_wms::rescue::RescueDag;
 use pegasus_wms::serve;
 use pegasus_wms::statistics::{compute, render_summary_csv};
-use pegasus_wms::symbols::{FileId, SymbolTable};
+use pegasus_wms::symbols::{Args, FileId, Name, SymbolTable};
 use pegasus_wms::trace::{self, AttemptOutcome, TraceId};
+use pegasus_wms::workflow::AbstractWorkflow;
 use pegasus_wms::workflow::JobId;
-use pegasus_wms::workflow::{AbstractWorkflow, Job, LogicalFile};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -31,6 +31,7 @@ use std::collections::HashMap;
 /// exercising arbitrary fan-in/fan-out.
 fn layered_workflow(layers: usize, width: usize, edge_bits: u64) -> AbstractWorkflow {
     let mut wf = AbstractWorkflow::new("generated");
+    let mut rows = wf.declare();
     let mut prev_outputs: Vec<String> = Vec::new();
     let mut bit = 0u32;
     let mut next_bit = move || {
@@ -41,21 +42,26 @@ fn layered_workflow(layers: usize, width: usize, edge_bits: u64) -> AbstractWork
     for layer in 0..layers {
         let mut outputs_this_layer = Vec::new();
         for w in 0..width {
-            let id = format!("j_{layer}_{w}");
-            let mut job = Job::new(&id, format!("t{}", (layer + w) % 3))
-                .runtime(1.0 + (layer * width + w) as f64);
+            let (id, transformation) = (format!("j_{layer}_{w}"), format!("t{}", (layer + w) % 3));
+            let runtime = 1.0 + (layer * width + w) as f64;
             let out = format!("f_{layer}_{w}");
-            job = job.output(LogicalFile::named(&out));
-            for prev in &prev_outputs {
-                if next_bit() {
-                    job = job.input(LogicalFile::named(prev));
-                }
-            }
+            let inputs = (prev_outputs.iter())
+                .filter(|_| next_bit())
+                .map(|prev| (prev.as_str(), 0));
+            (rows.job(
+                id,
+                transformation,
+                Args::new(),
+                runtime,
+                inputs,
+                [(out.as_str(), 0)],
+            ))
+            .expect("unique ids");
             outputs_this_layer.push(out);
-            wf.add_job(job).expect("unique ids");
         }
         prev_outputs = outputs_this_layer;
     }
+    drop(rows);
     wf
 }
 
@@ -86,24 +92,30 @@ proptest! {
         bits: u64,
     ) {
         let mut wf = AbstractWorkflow::new(workflow_name);
+        let mut rows = wf.declare();
+        let mut edges = Vec::new();
         for (i, name) in names.iter().enumerate() {
             // Ids and outputs are made unique; everything else repeats.
-            let mut job = Job::new(format!("{name}#{i}"), names[(i + 1) % names.len()].clone())
-                .runtime(0.1 + i as f64 / 3.0)
-                .output(LogicalFile::sized(format!("{i}:{name}"), sizes[i]));
-            for a in args.iter().take(i % 4) {
-                job = job.arg(a.clone());
-            }
-            for (k, earlier) in names.iter().enumerate().take(i) {
-                if (bits >> (i * 7 + k)) & 1 == 1 {
-                    // The same file at a size of this use's own.
-                    job = job.input(LogicalFile::sized(format!("{k}:{earlier}"), sizes[k] / 2));
-                }
-            }
-            wf.add_job(job).expect("unique ids");
+            let (id, transformation) = (format!("{name}#{i}"), &names[(i + 1) % names.len()]);
+            let job_args: Vec<Name> = args.iter().take(i % 4).map(Name::from).collect();
+            // The same file at a size of this use's own.
+            let inputs: Vec<(String, u64)> = (names.iter().enumerate().take(i))
+                .filter(|&(k, _)| (bits >> (i * 7 + k)) & 1 == 1)
+                .map(|(k, earlier)| (format!("{k}:{earlier}"), sizes[k] / 2))
+                .collect();
+            let inputs = inputs.iter().map(|(f, size)| (f.as_str(), *size));
+            let output = format!("{i}:{name}");
+            let runtime = 0.1 + i as f64 / 3.0;
+            let outputs = [(output.as_str(), sizes[i])];
+            (rows.job(id, transformation, Args::from(job_args), runtime, inputs, outputs))
+                .expect("unique ids");
             if i > 0 && (bits >> (60 - i)) & 1 == 1 {
-                wf.add_edge(JobId::new(0), JobId::new(i)).expect("both declared");
+                edges.push((JobId::new(0), JobId::new(i)));
             }
+        }
+        drop(rows);
+        for (p, c) in edges {
+            wf.add_edge(p, c).expect("both declared");
         }
         let text = dax::to_dax(&wf);
         prop_assert_eq!(&dax::from_dax(&text).unwrap(), &wf);
@@ -1718,13 +1730,14 @@ fn untidy_specs() -> impl Strategy<Value = UntidySpec> {
 
 fn untidy_workflow((jobs, edges): &UntidySpec) -> AbstractWorkflow {
     let mut wf = AbstractWorkflow::new("untidy");
-    let file = |f: &usize| LogicalFile::named(format!("f{f}"));
+    let names: Vec<String> = (0..5).map(|f| format!("f{f}")).collect();
+    let file = |&f: &usize| (names[f].as_str(), 0);
+    let mut rows = wf.declare();
     for (i, (inputs, outputs)) in jobs.iter().enumerate() {
-        let mut job = Job::new(format!("j{i}"), "t");
-        job.inputs = inputs.iter().map(file).collect();
-        job.outputs = outputs.iter().map(file).collect();
-        wf.add_job(job).expect("unique ids");
+        let (inputs, outputs) = (inputs.iter().map(file), outputs.iter().map(file));
+        (rows.job(format!("j{i}"), "t", Args::new(), 1.0, inputs, outputs)).expect("unique ids");
     }
+    drop(rows);
     for &(p, c) in edges {
         let (p, c) = (p % jobs.len(), c % jobs.len());
         wf.add_edge(JobId::new(p), JobId::new(c)).expect("declared");

@@ -297,15 +297,16 @@ fn check_blackout_overlaps(plan: &FaultPlan, file: &str, diags: &mut Vec<Diagnos
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pegasus_wms::workflow::Job;
+    use pegasus_wms::symbols::Args;
 
     fn wf() -> AbstractWorkflow {
         let mut w = AbstractWorkflow::new("blast2cap3");
+        let mut rows = w.declare();
+        let none: [(&str, u64); 0] = [];
         for id in ["split", "run_cap3_1", "run_cap3_2", "merge"] {
-            let mut j = Job::new(id, "t");
-            j.runtime_hint = 100.0;
-            w.add_job(j).unwrap();
+            rows.job(id, "t", Args::new(), 100.0, none, none).unwrap();
         }
+        drop(rows);
         w
     }
 

@@ -8,7 +8,8 @@ use gridsim::PlanLintContext;
 use gridsim::SimBackend;
 use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, RetryPolicy, WorkflowRun};
 use pegasus_wms::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
-use pegasus_wms::workflow::{AbstractWorkflow, Job};
+use pegasus_wms::symbols::Args;
+use pegasus_wms::workflow::AbstractWorkflow;
 use proptest::prelude::*;
 
 fn run_workflow(
@@ -177,8 +178,11 @@ proptest! {
         };
 
         let mut wf = AbstractWorkflow::new("w");
-        wf.add_job(Job::new("run_cap3_1", "run_cap3").runtime(5.0)).unwrap();
-        wf.add_job(Job::new("merge", "merge").runtime(2.0)).unwrap();
+        let mut rows = wf.declare();
+        let none: [(&str, u64); 0] = [];
+        rows.job("run_cap3_1", "run_cap3", Args::new(), 5.0, none, none).unwrap();
+        rows.job("merge", "merge", Args::new(), 2.0, none, none).unwrap();
+        drop(rows);
         let retry = RetryPolicy::exponential(2, 13.0);
 
         for ctx in [

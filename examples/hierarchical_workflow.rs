@@ -13,40 +13,60 @@
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
 use pegasus_wms::planner::{plan, PlannerConfig};
-use pegasus_wms::workflow::{AbstractWorkflow, Job, LogicalFile};
+use pegasus_wms::symbols::Args;
+use pegasus_wms::workflow::AbstractWorkflow;
 
 fn main() {
-    // Top-level analysis with a sub-DAX placeholder.
+    // Top-level analysis with a sub-DAX placeholder; a job's files are
+    // (name, size in bytes) pairs.
     let mut top = AbstractWorkflow::new("rnaseq_analysis");
-    top.add_job(
-        Job::new("assemble_reads", "assembler")
-            .input(LogicalFile::sized("reads.fastq", 12_000_000_000))
-            .output(LogicalFile::sized("transcripts.fasta", 404_000_000))
-            .runtime(7200.0),
+    let mut rows = top.declare();
+    let reads = [("reads.fastq", 12_000_000_000)];
+    let transcripts = [("transcripts.fasta", 404_000_000)];
+    rows.job(
+        "assemble_reads",
+        "assembler",
+        Args::new(),
+        7200.0,
+        reads,
+        transcripts,
     )
     .unwrap();
-    top.add_job(
-        Job::new("align_proteins", "blastx")
-            .input(LogicalFile::named("transcripts.fasta"))
-            .output(LogicalFile::sized("alignments.out", 155_000_000))
-            .runtime(5400.0),
+    let transcripts = [("transcripts.fasta", 0)];
+    let alignments = [("alignments.out", 155_000_000)];
+    rows.job(
+        "align_proteins",
+        "blastx",
+        Args::new(),
+        5400.0,
+        transcripts,
+        alignments,
     )
     .unwrap();
-    let placeholder = top
-        .add_job(
-            Job::new("blast2cap3", "pegasus::dax")
-                .input(LogicalFile::named("transcripts.fasta"))
-                .input(LogicalFile::named("alignments.out"))
-                .output(LogicalFile::named("final.fasta")),
+    // The whole of Fig. 2 stands behind this one job.
+    let interface = [("transcripts.fasta", 0), ("alignments.out", 0)];
+    let assembly = [("final.fasta", 0)];
+    let placeholder = rows
+        .job(
+            "blast2cap3",
+            "pegasus::dax",
+            Args::new(),
+            1.0,
+            interface,
+            assembly,
         )
         .unwrap();
-    top.add_job(
-        Job::new("annotate", "annotator")
-            .input(LogicalFile::named("final.fasta"))
-            .output(LogicalFile::named("annotations.gff"))
-            .runtime(1800.0),
+    let annotations = [("annotations.gff", 0)];
+    rows.job(
+        "annotate",
+        "annotator",
+        Args::new(),
+        1800.0,
+        assembly,
+        annotations,
     )
     .unwrap();
+    drop(rows);
 
     let sub = build_workflow(&WorkflowParams::with_n(8));
     println!(

@@ -449,6 +449,43 @@ fn pegasus_refuses_a_decomposition_of_zero_chunks() {
     }
 }
 
+/// Clustering Fig. 2 at k = 2 names its chunk clusters
+/// `cluster_run_cap3_2_<i>`; a DAX whose own jobs already hold two of
+/// those names is refused at the first collision in declaration order.
+#[test]
+fn pegasus_plan_refuses_a_job_named_like_a_merged_cluster() {
+    let dir = tmpdir("cluster_collision");
+    let dax = dir.join("fig2.dax");
+    let out = pegasus()
+        .args(["generate-dax", "--n", "4", "--out", dax.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let probes = r#"  <job id="cluster_run_cap3_2_1" name="probe_a" runtime="1"/>
+  <job id="cluster_run_cap3_2_0" name="probe_b" runtime="1"/>
+</adag>"#;
+    let text = std::fs::read_to_string(&dax).unwrap();
+    std::fs::write(&dax, text.replace("</adag>", probes)).unwrap();
+    let plan = |extra: &[&str]| {
+        let args = [
+            "plan",
+            "--dax",
+            dax.to_str().unwrap(),
+            "--site",
+            "sandhills",
+        ];
+        pegasus().args(args).args(extra).output().unwrap()
+    };
+    assert!(plan(&[]).status.success());
+    let out = plan(&["--cluster", "2"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "planning failed: duplicate job id \"cluster_run_cap3_2_0\"\n"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A transformation name with whitespace in it must not make `run
 /// --events` write a log `--from-events` cannot read.
 #[test]

@@ -13,7 +13,7 @@ use pegasus_wms::workflow::AbstractWorkflow;
 fn run_on(wf: &AbstractWorkflow, site: &str, seed: u64) -> f64 {
     let (sites, tc) = paper_catalogs();
     let mut rc = ReplicaCatalog::new();
-    for input in wf.external_inputs() {
+    for input in wf.external_inputs(&wf.dataflow()) {
         rc.register(input.name, "submit");
     }
     let exec = plan(wf, &sites, &tc, &rc, &PlannerConfig::for_site(site)).unwrap();
@@ -61,7 +61,7 @@ fn gallery_shapes_survive_churning_pools() {
     let wf = cybershake(24);
     let (sites, tc) = paper_catalogs();
     let mut rc = ReplicaCatalog::new();
-    for input in wf.external_inputs() {
+    for input in wf.external_inputs(&wf.dataflow()) {
         rc.register(input.name, "submit");
     }
     let exec = plan(&wf, &sites, &tc, &rc, &PlannerConfig::for_site("osg")).unwrap();

@@ -1,15 +1,17 @@
 //! The generators declare jobs row by row, straight into the flat
-//! tables (ISSUE 21); what they build must be what they built when
-//! they handed in a `Vec<Job>`. Two witnesses: DAX documents written
-//! by the parent commit's `pegasus generate-dax` / `generate-workload`
-//! (`tests/fixtures/equivalence/*.dax`, never re-blessed), and the
-//! retired `Job`-batch construction of Fig. 2, kept here as an oracle.
+//! tables, naming a file by text where it is first used and by the id
+//! that use gave it after; what they build must be what they built
+//! before. Two witnesses: DAX documents written by the parent commit
+//! of the row-by-row generators' `pegasus generate-dax` /
+//! `generate-workload` (`tests/fixtures/equivalence/*.dax`, never
+//! re-blessed), and an oracle of Fig. 2 declared one plain way, every
+//! file named by its text.
 
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use pegasus_wms::dax::to_dax;
-use pegasus_wms::symbols::Name;
+use pegasus_wms::symbols::{Args, Name};
 use pegasus_wms::synthetic::{cybershake, epigenomics, ligo_inspiral, montage};
-use pegasus_wms::workflow::{AbstractWorkflow, Job, LogicalFile};
+use pegasus_wms::workflow::AbstractWorkflow;
 
 fn fixture(name: &str) -> String {
     let path = format!(
@@ -40,71 +42,82 @@ fn generated_dax_is_byte_identical_to_the_parent_commits() {
     }
 }
 
-/// `build_workflow` as it was before ISSUE 21: every job a [`Job`],
-/// every file a [`LogicalFile`], the batch handed to `add_jobs`.
+/// `build_workflow` written out as one batch of declared jobs, every
+/// file named by its text and never by an id, so the table's order
+/// comes from interning alone: an independent witness of the
+/// generator's id reuse.
 fn job_batch_oracle(params: &WorkflowParams) -> AbstractWorkflow {
     let n = params.n_clusters.max(1);
     let (transcripts, alignments) = (params.transcripts_bytes, params.alignments_bytes);
-    let dict = LogicalFile::sized("transcripts_dict.txt", transcripts);
-    let mut batch = vec![
-        Job::new("list_transcripts", "list_transcripts")
-            .arg("transcripts.fasta")
-            .input(LogicalFile::sized("transcripts.fasta", transcripts))
-            .output(dict.clone())
-            .runtime(120.0),
-        Job::new("list_alignments", "list_alignments")
-            .arg("alignments.out")
-            .input(LogicalFile::sized("alignments.out", alignments))
-            .output(LogicalFile::sized("alignments_list.txt", alignments))
-            .runtime(90.0),
-    ];
-    let count = Name::from(n.to_string());
-    let mut split = Job::new("split", "split")
-        .arg("-n")
-        .arg(count.clone())
-        .input(LogicalFile::sized("alignments_list.txt", alignments))
-        .runtime(60.0);
-    let mut merge = Job::new("merge", "merge")
-        .arg("-n")
-        .arg(count)
-        .output(LogicalFile::named("joined_all.fasta"))
-        .output(LogicalFile::named("joined_ids_all.txt"))
-        .runtime(30.0);
-    let mut chunks = Vec::new();
+    let names = |stem: &str, extension: &str| -> Vec<String> {
+        (0..n).map(|i| format!("{stem}{i}{extension}")).collect()
+    };
+    let proteins = names("protein_", ".txt");
+    let (joined, joined_ids) = (names("joined_", ".fasta"), names("joined_ids_", ".txt"));
+    let arg = |a: &str| Args::from([Name::from(a)]);
+    let count = Args::from([Name::from("-n"), Name::from(n.to_string())]);
+    let dict = ("transcripts_dict.txt", transcripts);
+    let list = ("alignments_list.txt", alignments);
+    let merged = [("joined_all.fasta", 0), ("joined_ids_all.txt", 0)];
+
+    let mut wf = AbstractWorkflow::new(format!("blast2cap3_n{n}"));
+    let mut rows = wf.declare();
+    let mut job = |id: &str,
+                   transformation: &str,
+                   args: Args,
+                   runtime: f64,
+                   inputs: &[(&str, u64)],
+                   outputs: &[(&str, u64)]| {
+        let (inputs, outputs) = (inputs.iter().copied(), outputs.iter().copied());
+        (rows.job(id, transformation, args, runtime, inputs, outputs)).expect("distinct ids");
+    };
+    let transcripts_in = [("transcripts.fasta", transcripts)];
+    job(
+        "list_transcripts",
+        "list_transcripts",
+        arg("transcripts.fasta"),
+        120.0,
+        &transcripts_in,
+        &[dict],
+    );
+    let alignments_in = [("alignments.out", alignments)];
+    job(
+        "list_alignments",
+        "list_alignments",
+        arg("alignments.out"),
+        90.0,
+        &alignments_in,
+        &[list],
+    );
+    let split_out: Vec<(&str, u64)> = proteins.iter().map(|p| (p.as_str(), 0)).collect();
+    job("split", "split", count.clone(), 60.0, &[list], &split_out);
     for i in 0..n {
-        let cost = params
-            .chunk_costs
-            .get(i)
-            .copied()
-            .unwrap_or(params.default_chunk_seconds);
-        let protein = LogicalFile::named(format!("protein_{i}.txt"));
-        let joined = LogicalFile::named(format!("joined_{i}.fasta"));
-        let joined_ids = LogicalFile::named(format!("joined_ids_{i}.txt"));
-        split = split.output(protein.clone());
-        merge = merge.input(joined.clone()).input(joined_ids.clone());
-        chunks.push(
-            Job::new(format!("run_cap3_{i}"), "run_cap3")
-                .arg(i.to_string())
-                .input(dict.clone())
-                .input(protein)
-                .output(joined)
-                .output(joined_ids)
-                .runtime(cost),
+        let cost = (params.chunk_costs.get(i).copied()).unwrap_or(params.default_chunk_seconds);
+        let inputs = [dict, (proteins[i].as_str(), 0)];
+        let outputs = [(joined[i].as_str(), 0), (joined_ids[i].as_str(), 0)];
+        job(
+            &format!("run_cap3_{i}"),
+            "run_cap3",
+            arg(&i.to_string()),
+            cost,
+            &inputs,
+            &outputs,
         );
     }
-    batch.push(split);
-    batch.append(&mut chunks);
-    batch.push(merge);
-    batch.push(
-        Job::new("extract_unjoined", "extract_unjoined")
-            .input(dict)
-            .input(LogicalFile::named("joined_all.fasta"))
-            .input(LogicalFile::named("joined_ids_all.txt"))
-            .output(LogicalFile::named("final.fasta"))
-            .runtime(45.0),
+    let merge_in: Vec<(&str, u64)> = (joined.iter().zip(&joined_ids))
+        .flat_map(|(f, ids)| [(f.as_str(), 0), (ids.as_str(), 0)])
+        .collect();
+    job("merge", "merge", count, 30.0, &merge_in, &merged);
+    let extract_in = [dict, merged[0], merged[1]];
+    job(
+        "extract_unjoined",
+        "extract_unjoined",
+        Args::new(),
+        45.0,
+        &extract_in,
+        &[("final.fasta", 0)],
     );
-    let mut wf = AbstractWorkflow::new(format!("blast2cap3_n{n}"));
-    wf.add_jobs(batch).expect("fresh workflow");
+    drop(rows);
     wf
 }
 
