@@ -16,19 +16,13 @@ pub const AMINO_ACIDS: [u8; 20] = [
 
 /// Returns `true` if `b` (case-insensitive) is a canonical base or `N`.
 #[inline]
-pub fn is_dna(b: u8) -> bool {
+pub(crate) fn is_dna(b: u8) -> bool {
     matches!(b.to_ascii_uppercase(), b'A' | b'C' | b'G' | b'T' | b'N')
-}
-
-/// Returns `true` if `b` (case-insensitive) is a canonical base (no `N`).
-#[inline]
-pub fn is_canonical_dna(b: u8) -> bool {
-    matches!(b.to_ascii_uppercase(), b'A' | b'C' | b'G' | b'T')
 }
 
 /// Returns `true` if `b` (case-insensitive) is a standard residue, `X`, or `*`.
 #[inline]
-pub fn is_protein(b: u8) -> bool {
+pub(crate) fn is_protein(b: u8) -> bool {
     let u = b.to_ascii_uppercase();
     u == b'X' || u == b'*' || AMINO_ACIDS.binary_search(&u).is_ok()
 }
@@ -38,7 +32,7 @@ pub fn is_protein(b: u8) -> bool {
 /// `N` complements to `N`; any other byte is returned unchanged so that
 /// the caller's validation, not this function, decides policy.
 #[inline]
-pub fn complement(b: u8) -> u8 {
+pub(crate) fn complement(b: u8) -> u8 {
     match b {
         b'A' => b'T',
         b'T' => b'A',
@@ -94,11 +88,9 @@ mod tests {
     fn canonical_bases_are_dna() {
         for b in DNA_BASES {
             assert!(is_dna(b));
-            assert!(is_canonical_dna(b));
             assert!(is_dna(b.to_ascii_lowercase()));
         }
         assert!(is_dna(b'N'));
-        assert!(!is_canonical_dna(b'N'));
         assert!(!is_dna(b'Q'));
         assert!(!is_dna(b' '));
     }

@@ -10,7 +10,7 @@ use crate::seq::{DnaSeq, ProteinSeq};
 /// One-letter amino-acid codes of the standard genetic code, indexed
 /// by `16*a + 4*b + c` where `a`, `b`, `c` are the 2-bit codes of the
 /// codon bases (`A=0, C=1, G=2, T=3`). `*` denotes a stop codon.
-pub const STANDARD_CODE: [u8; 64] = {
+pub(crate) const STANDARD_CODE: [u8; 64] = {
     let mut table = [b'X'; 64];
     // Build the table codon-by-codon; index = a*16 + b*4 + c.
     // Row order below follows base codes A, C, G, T.
@@ -26,14 +26,14 @@ pub const STANDARD_CODE: [u8; 64] = {
 
 /// Translates one codon (three 2-bit base codes) to an amino acid.
 #[inline]
-pub fn translate_codon_codes(a: u8, b: u8, c: u8) -> u8 {
+pub(crate) fn translate_codon_codes(a: u8, b: u8, c: u8) -> u8 {
     STANDARD_CODE[(a as usize) * 16 + (b as usize) * 4 + c as usize]
 }
 
 /// Translates one codon given as ASCII bases; any ambiguous base
 /// yields `X`.
 #[inline]
-pub fn translate_codon(bases: [u8; 3]) -> u8 {
+pub(crate) fn translate_codon(bases: [u8; 3]) -> u8 {
     match (
         base_code(bases[0]),
         base_code(bases[1]),
@@ -65,16 +65,6 @@ pub fn translate_frame(dna: &DnaSeq, offset: usize) -> ProteinSeq {
 pub struct Frame(pub i8);
 
 impl Frame {
-    /// All six frames in BLASTX order.
-    pub const ALL: [Frame; 6] = [
-        Frame(1),
-        Frame(2),
-        Frame(3),
-        Frame(-1),
-        Frame(-2),
-        Frame(-3),
-    ];
-
     /// `true` for forward-strand frames.
     #[inline]
     pub fn is_forward(self) -> bool {
@@ -87,20 +77,6 @@ impl Frame {
     pub fn offset(self) -> usize {
         (self.0.unsigned_abs() as usize) - 1
     }
-
-    /// Maps a protein-coordinate position in this frame's translation
-    /// back to the 0-based nucleotide start position on the *original
-    /// forward* sequence of length `dna_len`.
-    pub fn protein_to_dna(self, prot_pos: usize, dna_len: usize) -> usize {
-        let on_strand = self.offset() + 3 * prot_pos;
-        if self.is_forward() {
-            on_strand
-        } else {
-            // Position counted from the 3' end of the forward strand;
-            // the codon occupies [res-2, res] on the forward strand.
-            dna_len - 1 - on_strand - 2
-        }
-    }
 }
 
 impl std::fmt::Display for Frame {
@@ -109,7 +85,8 @@ impl std::fmt::Display for Frame {
     }
 }
 
-/// All six frame translations of `dna`, in [`Frame::ALL`] order.
+/// All six frame translations of `dna`, in BLASTX order (`+1, +2, +3,
+/// -1, -2, -3`).
 pub fn six_frame_translations(dna: &DnaSeq) -> [(Frame, ProteinSeq); 6] {
     let rc = dna.reverse_complement();
     [
@@ -232,23 +209,6 @@ mod tests {
             let back = translate_frame(&dna, 0);
             assert_eq!(back, prot, "variant {variant}");
         }
-    }
-
-    #[test]
-    fn frame_coordinate_mapping_forward() {
-        let f = Frame(2);
-        // protein position 0 in frame +2 starts at nucleotide 1
-        assert_eq!(f.protein_to_dna(0, 30), 1);
-        assert_eq!(f.protein_to_dna(3, 30), 10);
-    }
-
-    #[test]
-    fn frame_coordinate_mapping_reverse() {
-        let f = Frame(-1);
-        // First codon of frame -1 covers the last three forward bases.
-        assert_eq!(f.protein_to_dna(0, 30), 27);
-        let f = Frame(-2);
-        assert_eq!(f.protein_to_dna(0, 30), 26);
     }
 
     #[test]

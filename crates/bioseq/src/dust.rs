@@ -22,7 +22,7 @@ pub const DEFAULT_THRESHOLD: f64 = 2.0;
 
 /// Triplet-concentration score of a base window; 0.0 for windows with
 /// fewer than two triplets or with ambiguous bases only.
-pub fn window_score(window: &[u8]) -> f64 {
+pub(crate) fn window_score(window: &[u8]) -> f64 {
     if window.len() < 4 {
         return 0.0;
     }
@@ -48,7 +48,7 @@ pub fn window_score(window: &[u8]) -> f64 {
 
 /// Masked intervals `[start, end)` of `seq` under the given window and
 /// threshold; overlapping windows are merged.
-pub fn dust_intervals(seq: &[u8], window: usize, threshold: f64) -> Vec<(usize, usize)> {
+pub(crate) fn dust_intervals(seq: &[u8], window: usize, threshold: f64) -> Vec<(usize, usize)> {
     let window = window.max(8);
     let mut out: Vec<(usize, usize)> = Vec::new();
     let mut i = 0usize;
@@ -82,18 +82,6 @@ pub fn dust_mask(seq: &DnaSeq, window: usize, threshold: f64) -> DnaSeq {
         bytes[s..e].fill(b'N');
     }
     DnaSeq::from_ascii_unchecked(bytes)
-}
-
-/// Fraction of bases masked by [`dust_mask`] under default settings.
-pub fn masked_fraction(seq: &DnaSeq) -> f64 {
-    if seq.is_empty() {
-        return 0.0;
-    }
-    let masked: usize = dust_intervals(seq.as_bytes(), DEFAULT_WINDOW, DEFAULT_THRESHOLD)
-        .iter()
-        .map(|(s, e)| e - s)
-        .sum();
-    masked as f64 / seq.len() as f64
 }
 
 #[cfg(test)]
@@ -130,7 +118,7 @@ mod tests {
 
     #[test]
     fn poly_a_tail_is_masked_random_body_is_not() {
-        let mut bytes = random_dna(2, 200).into_bytes();
+        let mut bytes = random_dna(2, 200).as_bytes().to_vec();
         bytes.extend_from_slice(&[b'A'; 80]);
         let seq = DnaSeq::from_ascii_unchecked(bytes);
         let masked = dust_mask(&seq, DEFAULT_WINDOW, DEFAULT_THRESHOLD);
@@ -146,13 +134,13 @@ mod tests {
         let seq = random_dna(3, 500);
         let masked = dust_mask(&seq, DEFAULT_WINDOW, DEFAULT_THRESHOLD);
         assert_eq!(masked, seq);
-        assert_eq!(masked_fraction(&seq), 0.0);
     }
 
     #[test]
     fn fully_repetitive_sequence_is_fully_masked() {
         let seq = DnaSeq::from_ascii_unchecked(b"CA".repeat(100));
-        assert!(masked_fraction(&seq) > 0.99);
+        let masked = dust_mask(&seq, DEFAULT_WINDOW, DEFAULT_THRESHOLD);
+        assert!(masked.as_bytes().iter().all(|&b| b == b'N'));
     }
 
     #[test]
@@ -164,7 +152,7 @@ mod tests {
 
     #[test]
     fn empty_sequence() {
-        assert_eq!(masked_fraction(&DnaSeq::default()), 0.0);
+        assert_eq!(dust_mask(&DnaSeq::default(), 64, 2.0), DnaSeq::default());
         assert!(dust_intervals(b"", 64, 2.0).is_empty());
     }
 }

@@ -4,7 +4,7 @@ use std::fmt;
 use std::io;
 
 /// Convenience result alias for fallible bioseq operations.
-pub type Result<T> = std::result::Result<T, BioError>;
+pub(crate) type Result<T> = std::result::Result<T, BioError>;
 
 /// Errors produced while parsing or manipulating biological sequences.
 #[derive(Debug)]

@@ -58,7 +58,7 @@ impl Record {
 }
 
 /// Streaming FASTA reader over any [`Read`].
-pub struct Reader<R: Read> {
+pub(crate) struct Reader<R: Read> {
     inner: BufReader<R>,
     /// Header line of the next record, if we have already consumed it.
     pending_header: Option<String>,
@@ -68,7 +68,7 @@ pub struct Reader<R: Read> {
 
 impl<R: Read> Reader<R> {
     /// Wraps a reader.
-    pub fn new(inner: R) -> Self {
+    pub(crate) fn new(inner: R) -> Self {
         Reader {
             inner: BufReader::new(inner),
             pending_header: None,
@@ -90,7 +90,7 @@ impl<R: Read> Reader<R> {
     }
 
     /// Reads the next record, or `Ok(None)` at end of input.
-    pub fn next_record(&mut self) -> Result<Option<Record>> {
+    pub(crate) fn next_record(&mut self) -> Result<Option<Record>> {
         if self.finished {
             return Ok(None);
         }
@@ -157,7 +157,7 @@ impl<R: Read> Reader<R> {
     }
 
     /// Collects every remaining record.
-    pub fn read_all(&mut self) -> Result<Vec<Record>> {
+    pub(crate) fn read_all(&mut self) -> Result<Vec<Record>> {
         let mut out = Vec::new();
         while let Some(rec) = self.next_record()? {
             out.push(rec);
@@ -180,7 +180,7 @@ pub struct ProteinRecord {
     /// Identifier: the header token up to the first whitespace.
     pub id: String,
     /// Remainder of the header line (may be empty).
-    pub desc: String,
+    pub(crate) desc: String,
     /// The residues.
     pub seq: crate::seq::ProteinSeq,
 }
@@ -200,7 +200,7 @@ impl ProteinRecord {
     }
 
     /// Renders the record as FASTA wrapped at `width` (`0` = one line).
-    pub fn to_fasta_string(&self, width: usize) -> String {
+    pub(crate) fn to_fasta_string(&self, width: usize) -> String {
         let mut out = String::with_capacity(self.seq.len() + self.id.len() + 16);
         out.push('>');
         out.push_str(&self.id);
@@ -225,7 +225,7 @@ impl ProteinRecord {
 
 /// Parses protein FASTA from a string. Protein records share the DNA
 /// reader's structural rules; only the alphabet differs.
-pub fn parse_protein_str(s: &str) -> Result<Vec<ProteinRecord>> {
+pub(crate) fn parse_protein_str(s: &str) -> Result<Vec<ProteinRecord>> {
     // Reuse the structural scanner by treating bodies as raw bytes:
     // scan headers/bodies with a permissive pass, then validate
     // residues.
@@ -308,7 +308,7 @@ pub fn read_file(path: impl AsRef<Path>) -> Result<Vec<Record>> {
 }
 
 /// Writes records to any [`Write`], wrapping bodies at `width` columns.
-pub fn write_records<W: Write>(mut w: W, records: &[Record], width: usize) -> Result<()> {
+pub(crate) fn write_records<W: Write>(mut w: W, records: &[Record], width: usize) -> Result<()> {
     for rec in records {
         w.write_all(rec.to_fasta_string(width).as_bytes())?;
     }

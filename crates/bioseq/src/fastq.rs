@@ -1,23 +1,18 @@
-//! FASTQ reading, writing, and quality-based preprocessing.
+//! The FASTQ record and quality-based preprocessing.
 //!
 //! The paper's dataset was "sequenced using the 100 bp paired-end
 //! protocol on ... Illumina HiSeq2000 machines" and base-called with
 //! CASAVA — i.e. the raw input to Fig. 1's preprocessing stage is
-//! FASTQ. This module provides the FASTQ layer: Phred+33 qualities,
-//! round-trip I/O, and the sliding-window quality trimming that "data
+//! FASTQ. This module provides the record (a sequence with per-base
+//! Phred scores) and the sliding-window quality trimming that "data
 //! cleaning" tools (Trimmomatic, Sickle) perform.
 
 use crate::error::{BioError, Result};
 use crate::fasta::Record;
 use crate::seq::DnaSeq;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::path::Path;
-
-/// Phred+33 encoding offset.
-pub const PHRED_OFFSET: u8 = 33;
 
 /// Highest sane Phred score (Illumina caps around Q41; we allow Q60).
-pub const MAX_PHRED: u8 = 60;
+pub(crate) const MAX_PHRED: u8 = 60;
 
 /// A FASTQ record: sequence plus per-base Phred qualities.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,11 +20,11 @@ pub struct FastqRecord {
     /// Identifier (text after `@`, before whitespace).
     pub id: String,
     /// Remainder of the header line.
-    pub desc: String,
+    pub(crate) desc: String,
     /// The bases.
     pub seq: DnaSeq,
     /// Phred scores (NOT ASCII-encoded), one per base.
-    pub qual: Vec<u8>,
+    pub(crate) qual: Vec<u8>,
 }
 
 impl FastqRecord {
@@ -73,33 +68,9 @@ impl FastqRecord {
         self.qual.iter().map(|&q| q as f64).sum::<f64>() / self.qual.len() as f64
     }
 
-    /// Expected number of sequencing errors in the read
-    /// (sum of `10^(-q/10)`).
-    pub fn expected_errors(&self) -> f64 {
-        self.qual
-            .iter()
-            .map(|&q| 10f64.powf(-(q as f64) / 10.0))
-            .sum()
-    }
-
     /// Drops the quality track, yielding a FASTA record.
     pub fn into_fasta(self) -> Record {
         Record::new(self.id, self.desc, self.seq)
-    }
-
-    /// Renders the record in 4-line FASTQ.
-    pub fn to_fastq_string(&self) -> String {
-        let qline: String = self
-            .qual
-            .iter()
-            .map(|&q| (q + PHRED_OFFSET) as char)
-            .collect();
-        let header = if self.desc.is_empty() {
-            format!("@{}", self.id)
-        } else {
-            format!("@{} {}", self.id, self.desc)
-        };
-        format!("{header}\n{}\n+\n{qline}\n", self.seq)
     }
 
     /// Trims the read with a sliding window: scanning from the 5' end,
@@ -142,128 +113,6 @@ impl FastqRecord {
     }
 }
 
-/// Streaming FASTQ reader (strict 4-line records).
-pub struct FastqReader<R: Read> {
-    inner: BufReader<R>,
-    line_no: usize,
-}
-
-impl<R: Read> FastqReader<R> {
-    /// Wraps a reader.
-    pub fn new(inner: R) -> Self {
-        FastqReader {
-            inner: BufReader::new(inner),
-            line_no: 0,
-        }
-    }
-
-    fn read_line(&mut self, buf: &mut String) -> Result<usize> {
-        buf.clear();
-        let n = self.inner.read_line(buf)?;
-        if n > 0 {
-            self.line_no += 1;
-            while buf.ends_with('\n') || buf.ends_with('\r') {
-                buf.pop();
-            }
-        }
-        Ok(n)
-    }
-
-    fn err(&self, reason: impl Into<String>) -> BioError {
-        BioError::MalformedFasta {
-            line: self.line_no,
-            reason: reason.into(),
-        }
-    }
-
-    /// Reads the next record, or `Ok(None)` at end of input.
-    pub fn next_record(&mut self) -> Result<Option<FastqRecord>> {
-        let mut header = String::new();
-        // Skip blank lines between records.
-        loop {
-            if self.read_line(&mut header)? == 0 {
-                return Ok(None);
-            }
-            if !header.trim().is_empty() {
-                break;
-            }
-        }
-        let rest = header
-            .strip_prefix('@')
-            .ok_or_else(|| self.err(format!("expected '@' header, found {header:?}")))?;
-        let (id, desc) = match rest.split_once(char::is_whitespace) {
-            Some((i, d)) => (i.to_string(), d.trim().to_string()),
-            None => (rest.to_string(), String::new()),
-        };
-        if id.is_empty() {
-            return Err(self.err("empty FASTQ id"));
-        }
-        let mut seq_line = String::new();
-        if self.read_line(&mut seq_line)? == 0 {
-            return Err(self.err("truncated record: missing sequence"));
-        }
-        let mut plus = String::new();
-        if self.read_line(&mut plus)? == 0 || !plus.starts_with('+') {
-            return Err(self.err("missing '+' separator"));
-        }
-        let mut qual_line = String::new();
-        if self.read_line(&mut qual_line)? == 0 {
-            return Err(self.err("truncated record: missing qualities"));
-        }
-        let seq =
-            DnaSeq::from_ascii(seq_line.as_bytes()).map_err(|e| BioError::MalformedFasta {
-                line: self.line_no - 2,
-                reason: format!("record {id:?}: {e}"),
-            })?;
-        let qual: Vec<u8> = qual_line
-            .bytes()
-            .map(|b| {
-                b.checked_sub(PHRED_OFFSET)
-                    .filter(|&q| q <= MAX_PHRED)
-                    .ok_or_else(|| self.err(format!("bad quality byte 0x{b:02x}")))
-            })
-            .collect::<Result<_>>()?;
-        FastqRecord::new(id, desc, seq, qual).map(Some)
-    }
-
-    /// Collects every remaining record.
-    pub fn read_all(&mut self) -> Result<Vec<FastqRecord>> {
-        let mut out = Vec::new();
-        while let Some(r) = self.next_record()? {
-            out.push(r);
-        }
-        Ok(out)
-    }
-}
-
-/// Parses all records from a string.
-pub fn parse_str(s: &str) -> Result<Vec<FastqRecord>> {
-    FastqReader::new(s.as_bytes()).read_all()
-}
-
-/// Reads a FASTQ file from disk.
-pub fn read_file(path: impl AsRef<Path>) -> Result<Vec<FastqRecord>> {
-    let f = std::fs::File::open(path)?;
-    FastqReader::new(f).read_all()
-}
-
-/// Writes records to any writer.
-pub fn write_records<W: Write>(mut w: W, records: &[FastqRecord]) -> Result<()> {
-    for r in records {
-        w.write_all(r.to_fastq_string().as_bytes())?;
-    }
-    Ok(())
-}
-
-/// Writes a FASTQ file to disk.
-pub fn write_file(path: impl AsRef<Path>, records: &[FastqRecord]) -> Result<()> {
-    let f = std::fs::File::create(path)?;
-    let mut buf = std::io::BufWriter::new(f);
-    write_records(&mut buf, records)?;
-    buf.flush()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,48 +136,6 @@ mod tests {
             FastqRecord::new("a", "", DnaSeq::from_ascii(b"ACGT").unwrap(), vec![99; 4]).is_err()
         );
         assert!(rec("a", "ACGT", &[30, 30, 30, 30]).mean_quality() == 30.0);
-    }
-
-    #[test]
-    fn round_trip() {
-        let original = vec![
-            rec("r1", "ACGT", &[40, 35, 30, 2]),
-            rec("r2", "GGNN", &[0, 0, 41, 41]),
-        ];
-        let mut text = String::new();
-        for r in &original {
-            text.push_str(&r.to_fastq_string());
-        }
-        let parsed = parse_str(&text).unwrap();
-        assert_eq!(parsed, original);
-    }
-
-    #[test]
-    fn header_desc_survives() {
-        let text = "@read_1 lane=3 tile=7\nAC\n+\nII\n";
-        let recs = parse_str(text).unwrap();
-        assert_eq!(recs[0].id, "read_1");
-        assert_eq!(recs[0].desc, "lane=3 tile=7");
-        assert_eq!(recs[0].qual, vec![40, 40]); // 'I' = 73 - 33
-    }
-
-    #[test]
-    fn malformed_records_error_with_position() {
-        assert!(parse_str("not fastq\n").is_err());
-        assert!(parse_str("@a\nACGT\nMISSING_PLUS\nIIII\n").is_err());
-        assert!(parse_str("@a\nACGT\n+\n").is_err());
-        assert!(parse_str("@a\nACGT\n+\nI\u{7}II\n").is_err()); // control char
-        match parse_str("@a\nACGZ\n+\nIIII\n") {
-            Err(BioError::MalformedFasta { reason, .. }) => assert!(reason.contains("a")),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn expected_errors_math() {
-        // Q10 = 0.1 error probability, Q20 = 0.01.
-        let r = rec("a", "AC", &[10, 20]);
-        assert!((r.expected_errors() - 0.11).abs() < 1e-9);
         assert_eq!(rec("e", "", &[]).mean_quality(), 0.0);
     }
 
@@ -378,16 +185,5 @@ mod tests {
         let f = r.clone().into_fasta();
         assert_eq!(f.id, "x");
         assert_eq!(f.seq, r.seq);
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("bioseq_fastq_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("reads.fastq");
-        let records = vec![rec("r1", "ACGTAC", &[40, 38, 36, 34, 32, 30])];
-        write_file(&path, &records).unwrap();
-        assert_eq!(read_file(&path).unwrap(), records);
-        std::fs::remove_file(path).ok();
     }
 }

@@ -6,10 +6,9 @@
 
 use crate::alphabet::base_code;
 use crate::error::{BioError, Result};
-use crate::seq::DnaSeq;
 
 /// A packed k-mer: the 2-bit codes of `k` bases in the low `2k` bits.
-pub type PackedKmer = u64;
+pub(crate) type PackedKmer = u64;
 
 /// Rolling k-mer iterator over a DNA byte slice.
 ///
@@ -74,24 +73,6 @@ impl Iterator for KmerIter<'_> {
     }
 }
 
-/// Convenience: all `(position, kmer)` pairs of a sequence.
-pub fn kmers(seq: &DnaSeq, k: usize) -> Result<Vec<(usize, PackedKmer)>> {
-    Ok(KmerIter::new(seq.as_bytes(), k)?.collect())
-}
-
-/// Packs a short DNA slice (length 1..=32, canonical bases only) into a
-/// k-mer. Returns `None` if any base is ambiguous.
-pub fn pack(seq: &[u8]) -> Option<PackedKmer> {
-    if seq.is_empty() || seq.len() > 32 {
-        return None;
-    }
-    let mut v: u64 = 0;
-    for &b in seq {
-        v = (v << 2) | base_code(b)? as u64;
-    }
-    Some(v)
-}
-
 /// Unpacks a k-mer of known size back to ASCII bases.
 pub fn unpack(kmer: PackedKmer, k: usize) -> Vec<u8> {
     assert!((1..=32).contains(&k), "k out of range");
@@ -107,6 +88,26 @@ pub fn unpack(kmer: PackedKmer, k: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::DnaSeq;
+
+    /// Convenience: all `(position, kmer)` pairs of a sequence.
+    fn kmers(seq: &DnaSeq, k: usize) -> Result<Vec<(usize, PackedKmer)>> {
+        Ok(KmerIter::new(seq.as_bytes(), k)?.collect())
+    }
+
+    /// Packs a short DNA slice (length 1..=32, canonical bases only) into a
+    /// k-mer, or `None` if any base is ambiguous: the naive encoder the
+    /// rolling iterator is checked against.
+    fn pack(seq: &[u8]) -> Option<PackedKmer> {
+        if seq.is_empty() || seq.len() > 32 {
+            return None;
+        }
+        let mut v: u64 = 0;
+        for &b in seq {
+            v = (v << 2) | base_code(b)? as u64;
+        }
+        Some(v)
+    }
 
     #[test]
     fn iterates_all_windows() {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! Biological sequence substrate for the blast2cap3/Pegasus reproduction.
@@ -44,7 +45,3 @@ pub mod orf;
 pub mod seq;
 pub mod simulate;
 pub mod stats;
-
-pub use error::{BioError, Result};
-pub use fasta::Record;
-pub use seq::{DnaSeq, ProteinSeq};

@@ -10,37 +10,20 @@ use crate::seq::DnaSeq;
 
 /// One open reading frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Orf {
+pub(crate) struct Orf {
     /// The frame the ORF lies in.
-    pub frame: Frame,
+    pub(crate) frame: Frame,
     /// Start offset in the frame's translation, in residues
     /// (position of the `M`).
-    pub aa_start: usize,
+    pub(crate) aa_start: usize,
     /// Length in residues, including the initial `M`, excluding the
     /// stop.
-    pub aa_len: usize,
-}
-
-impl Orf {
-    /// ORF length in nucleotides (excluding the stop codon).
-    pub fn nt_len(&self) -> usize {
-        self.aa_len * 3
-    }
+    pub(crate) aa_len: usize,
 }
 
 /// Finds every ORF of at least `min_aa` residues: a run starting at
 /// `M` and ending at a stop (`*`) or the end of the translation.
-///
-/// ```
-/// use bioseq::codon::reverse_translate;
-/// use bioseq::orf::longest_orf;
-/// use bioseq::seq::ProteinSeq;
-///
-/// let prot = ProteinSeq::from_ascii(b"MKWVLLLFAA").unwrap();
-/// let dna = reverse_translate(&prot, |i| i);
-/// assert_eq!(longest_orf(&dna, 5).unwrap().aa_len, 10);
-/// ```
-pub fn find_orfs(dna: &DnaSeq, min_aa: usize) -> Vec<Orf> {
+pub(crate) fn find_orfs(dna: &DnaSeq, min_aa: usize) -> Vec<Orf> {
     let mut out = Vec::new();
     for (frame, prot) in six_frame_translations(dna) {
         let bytes = prot.as_bytes();
@@ -73,7 +56,7 @@ pub fn find_orfs(dna: &DnaSeq, min_aa: usize) -> Vec<Orf> {
 }
 
 /// The longest ORF, if any reaches `min_aa` residues.
-pub fn longest_orf(dna: &DnaSeq, min_aa: usize) -> Option<Orf> {
+pub(crate) fn longest_orf(dna: &DnaSeq, min_aa: usize) -> Option<Orf> {
     find_orfs(dna, min_aa).into_iter().next()
 }
 
@@ -101,20 +84,19 @@ mod tests {
     fn finds_a_simple_forward_orf() {
         // M + 9 residues + stop, in frame +1.
         let prot = ProteinSeq::from_ascii(b"MKWVLLLFAA").unwrap();
-        let mut dna_bytes = reverse_translate(&prot, |i| i).into_bytes();
+        let mut dna_bytes = reverse_translate(&prot, |i| i).as_bytes().to_vec();
         dna_bytes.extend_from_slice(b"TAA");
         let dna = DnaSeq::from_ascii_unchecked(dna_bytes);
         let orf = longest_orf(&dna, 5).expect("orf found");
         assert_eq!(orf.frame, Frame(1));
         assert_eq!(orf.aa_start, 0);
         assert_eq!(orf.aa_len, 10);
-        assert_eq!(orf.nt_len(), 30);
     }
 
     #[test]
     fn finds_reverse_strand_orfs() {
         let prot = ProteinSeq::from_ascii(b"MKWVLLLFAARNDC").unwrap();
-        let mut dna_bytes = reverse_translate(&prot, |i| i * 2).into_bytes();
+        let mut dna_bytes = reverse_translate(&prot, |i| i * 2).as_bytes().to_vec();
         dna_bytes.extend_from_slice(b"TGA");
         let fwd = DnaSeq::from_ascii_unchecked(dna_bytes);
         let rc = fwd.reverse_complement();
@@ -144,9 +126,9 @@ mod tests {
         // Two ORFs in frame +1 separated by a stop: M AAAA * M AA.
         let p1 = ProteinSeq::from_ascii(b"MAAAA").unwrap();
         let p2 = ProteinSeq::from_ascii(b"MAA").unwrap();
-        let mut bytes = reverse_translate(&p1, |i| i).into_bytes();
+        let mut bytes = reverse_translate(&p1, |i| i).as_bytes().to_vec();
         bytes.extend_from_slice(b"TAA");
-        bytes.extend(reverse_translate(&p2, |i| i).into_bytes());
+        bytes.extend_from_slice(reverse_translate(&p2, |i| i).as_bytes());
         bytes.extend_from_slice(b"TAG");
         let dna = DnaSeq::from_ascii_unchecked(bytes);
         let orfs: Vec<Orf> = find_orfs(&dna, 2)
@@ -186,7 +168,7 @@ mod tests {
         // mRNA with UTRs still reports its ORF.
         let prot = ProteinSeq::from_ascii(b"MKWVLLLFAARNDCEQGHIK").unwrap();
         let mut bytes = b"GGCC".to_vec(); // 5' UTR shifts the frame
-        bytes.extend(reverse_translate(&prot, |i| i).into_bytes());
+        bytes.extend_from_slice(reverse_translate(&prot, |i| i).as_bytes());
         bytes.extend_from_slice(b"TAACCGG");
         let dna = DnaSeq::from_ascii_unchecked(bytes);
         let orf = longest_orf(&dna, 15).expect("orf across UTRs");

@@ -70,7 +70,7 @@ impl DnaSeq {
     ///
     /// # Panics
     /// Panics if the range is out of bounds or inverted.
-    pub fn slice(&self, start: usize, end: usize) -> DnaSeq {
+    pub(crate) fn slice(&self, start: usize, end: usize) -> DnaSeq {
         DnaSeq {
             bytes: self.bytes[start..end].to_vec(),
         }
@@ -92,11 +92,6 @@ impl DnaSeq {
     /// Count of ambiguous (`N`) bases.
     pub fn n_count(&self) -> usize {
         self.bytes.iter().filter(|&&b| b == b'N').count()
-    }
-
-    /// Consumes the sequence, returning its byte storage.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
     }
 }
 
@@ -144,7 +139,7 @@ impl ProteinSeq {
     ///
     /// # Panics
     /// In debug builds, panics if a byte is outside the alphabet.
-    pub fn from_ascii_unchecked(bytes: Vec<u8>) -> Self {
+    pub(crate) fn from_ascii_unchecked(bytes: Vec<u8>) -> Self {
         debug_assert!(bytes.iter().all(|&b| is_protein(b)));
         ProteinSeq { bytes }
     }
@@ -165,11 +160,6 @@ impl ProteinSeq {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
-    }
-
-    /// Consumes the protein, returning its byte storage.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
     }
 }
 

@@ -98,22 +98,6 @@ pub struct SyntheticTranscriptome {
     pub truth: Vec<usize>,
 }
 
-impl SyntheticTranscriptome {
-    /// Number of transcripts in family `f`.
-    pub fn family_size(&self, f: usize) -> usize {
-        self.truth.iter().filter(|&&t| t == f).count()
-    }
-
-    /// Sizes of every family, indexed by family id.
-    pub fn family_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.proteins.len()];
-        for &f in &self.truth {
-            sizes[f] += 1;
-        }
-        sizes
-    }
-}
-
 /// Draws a Pareto-distributed integer >= 1 with the given shape, scaled
 /// so that its mean is approximately `mean`.
 fn pareto_size(rng: &mut StdRng, shape: f64, mean: f64, cap: usize) -> usize {
@@ -253,40 +237,6 @@ pub fn generate(cfg: &TranscriptomeConfig) -> SyntheticTranscriptome {
     }
 }
 
-/// Simulates uniform-coverage shotgun reads from a template, for the
-/// Fig. 1 general-assembly-pipeline example.
-pub fn simulate_reads(
-    template: &DnaSeq,
-    coverage: f64,
-    read_len: usize,
-    error_rate: f64,
-    seed: u64,
-) -> Vec<Record> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let tlen = template.len();
-    if tlen == 0 || read_len == 0 {
-        return Vec::new();
-    }
-    let rl = read_len.min(tlen);
-    let n_reads = ((coverage * tlen as f64) / rl as f64).ceil() as usize;
-    let mut out = Vec::with_capacity(n_reads);
-    for i in 0..n_reads {
-        let start = rng.gen_range(0..=tlen - rl);
-        let mut bytes = template.as_bytes()[start..start + rl].to_vec();
-        mutate(&mut rng, &mut bytes, error_rate);
-        let mut seq = DnaSeq::from_ascii_unchecked(bytes);
-        if rng.gen_bool(0.5) {
-            seq = seq.reverse_complement();
-        }
-        out.push(Record::new(
-            format!("read_{i}"),
-            format!("pos={start}"),
-            seq,
-        ));
-    }
-    out
-}
-
 /// Simulates Illumina-style FASTQ reads: qualities start high and
 /// decay along the read (with noise), and each base's substitution
 /// probability equals its Phred error probability — so trimming by
@@ -352,7 +302,10 @@ mod tests {
     #[test]
     fn every_family_has_at_least_one_transcript() {
         let t = generate(&TranscriptomeConfig::tiny(1));
-        let sizes = t.family_sizes();
+        let mut sizes = vec![0usize; t.proteins.len()];
+        for &f in &t.truth {
+            sizes[f] += 1;
+        }
         assert_eq!(sizes.len(), 12);
         assert!(sizes.iter().all(|&s| s >= 1));
         assert_eq!(sizes.iter().sum::<usize>(), t.transcripts.len());
@@ -458,16 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn simulated_reads_cover_template() {
-        let template = DnaSeq::from_ascii_unchecked(vec![b'A'; 500]);
-        let reads = simulate_reads(&template, 10.0, 100, 0.01, 9);
-        assert_eq!(reads.len(), 50);
-        assert!(reads.iter().all(|r| r.seq.len() == 100));
-        let empty = simulate_reads(&DnaSeq::default(), 10.0, 100, 0.0, 9);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn fastq_reads_have_declining_quality_and_valid_structure() {
         let template = DnaSeq::from_ascii_unchecked(vec![b'A'; 600]);
         let reads = simulate_fastq_reads(&template, 8.0, 100, 17);
@@ -520,6 +463,6 @@ mod tests {
         let mut seq = vec![b'A'; 1000];
         mutate(&mut rng, &mut seq, 1.0);
         assert!(seq.iter().all(|&b| b != b'A'));
-        assert!(seq.iter().all(|&b| crate::alphabet::is_canonical_dna(b)));
+        assert!(seq.iter().all(|&b| crate::alphabet::base_code(b).is_some()));
     }
 }

@@ -24,7 +24,7 @@ pub struct AssemblyStats {
     /// least half the total bases (0 if empty set).
     pub n50: usize,
     /// Overall GC fraction (0.0 if empty set).
-    pub gc: f64,
+    pub(crate) gc: f64,
 }
 
 /// Computes [`AssemblyStats`] over FASTA records.

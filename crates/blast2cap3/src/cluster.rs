@@ -19,12 +19,12 @@ pub struct Clusters {
 
 impl Clusters {
     /// Number of clusters.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.groups.len()
     }
 
     /// `true` if there are no clusters.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
 
@@ -32,68 +32,6 @@ impl Clusters {
     pub fn total_transcripts(&self) -> usize {
         self.groups.iter().map(|(_, t)| t.len()).sum()
     }
-
-    /// Sizes of all clusters, in group order.
-    pub fn sizes(&self) -> Vec<usize> {
-        self.groups.iter().map(|(_, t)| t.len()).collect()
-    }
-
-    /// Looks up the cluster for a protein id.
-    pub fn get(&self, protein_id: &str) -> Option<&[String]> {
-        self.groups
-            .binary_search_by(|(p, _)| p.as_str().cmp(protein_id))
-            .ok()
-            .map(|i| self.groups[i].1.as_slice())
-    }
-}
-
-/// Streams a BLASTX tabular file into clusters with memory bounded by
-/// the number of *distinct transcripts and proteins*, never by the
-/// number of alignment rows — the paper's `alignments.out` holds
-/// 1,717,454 rows at 155 MB, which the original Python script also
-/// processes line by line.
-///
-/// Semantics are identical to [`cluster_by_best_hit`]; malformed rows
-/// abort with the underlying tabular error.
-pub fn cluster_streaming<R: std::io::BufRead>(
-    reader: R,
-) -> Result<Clusters, blastx::tabular::TabularError> {
-    use blastx::tabular::{TabularError, TabularRecord};
-    let mut best: HashMap<String, (String, f64)> = HashMap::new();
-    for line in reader.lines() {
-        let line = line.map_err(|e| TabularError::Io(e.to_string()))?;
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let rec = TabularRecord::parse_line(trimmed)?;
-        match best.get_mut(&rec.query_id) {
-            Some((cur_subj, cur_bs)) => {
-                let better = rec.bit_score > *cur_bs
-                    || (rec.bit_score == *cur_bs && rec.subject_id < *cur_subj);
-                if better {
-                    *cur_subj = rec.subject_id;
-                    *cur_bs = rec.bit_score;
-                }
-            }
-            None => {
-                best.insert(rec.query_id, (rec.subject_id, rec.bit_score));
-            }
-        }
-    }
-    let mut by_protein: HashMap<String, Vec<String>> = HashMap::new();
-    for (tx, (subj, _)) in best {
-        by_protein.entry(subj).or_default().push(tx);
-    }
-    let mut groups: Vec<(String, Vec<String>)> = by_protein
-        .into_iter()
-        .map(|(p, mut txs)| {
-            txs.sort_unstable();
-            (p, txs)
-        })
-        .collect();
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(Clusters { groups })
 }
 
 /// Clusters transcripts by their best protein hit.
@@ -154,6 +92,12 @@ mod tests {
         }
     }
 
+    /// The members of `protein`'s cluster.
+    fn get<'c>(c: &'c Clusters, protein: &str) -> Option<&'c [String]> {
+        let group = c.groups.iter().find(|(p, _)| p == protein);
+        group.map(|(_, members)| members.as_slice())
+    }
+
     #[test]
     fn empty_alignments_give_no_clusters() {
         let c = cluster_by_best_hit(&[]);
@@ -169,8 +113,8 @@ mod tests {
             rec("t3", "p2", 80.0),
         ]);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get("p1").unwrap(), &["t1", "t2"]);
-        assert_eq!(c.get("p2").unwrap(), &["t3"]);
+        assert_eq!(get(&c, "p1").unwrap(), &["t1", "t2"]);
+        assert_eq!(get(&c, "p2").unwrap(), &["t3"]);
         assert_eq!(c.total_transcripts(), 3);
     }
 
@@ -182,8 +126,8 @@ mod tests {
             rec("t1", "p3", 75.0),
         ]);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get("p2").unwrap(), &["t1"]);
-        assert!(c.get("p1").is_none());
+        assert_eq!(get(&c, "p2").unwrap(), &["t1"]);
+        assert!(get(&c, "p1").is_none());
     }
 
     #[test]
@@ -191,13 +135,13 @@ mod tests {
         let a = cluster_by_best_hit(&[rec("t1", "pB", 50.0), rec("t1", "pA", 50.0)]);
         let b = cluster_by_best_hit(&[rec("t1", "pA", 50.0), rec("t1", "pB", 50.0)]);
         assert_eq!(a, b);
-        assert!(a.get("pA").is_some());
+        assert!(get(&a, "pA").is_some());
     }
 
     #[test]
     fn duplicate_rows_do_not_duplicate_membership() {
         let c = cluster_by_best_hit(&[rec("t1", "p1", 60.0), rec("t1", "p1", 60.0)]);
-        assert_eq!(c.get("p1").unwrap(), &["t1"]);
+        assert_eq!(get(&c, "p1").unwrap(), &["t1"]);
     }
 
     #[test]
@@ -210,43 +154,6 @@ mod tests {
         ]);
         let proteins: Vec<&str> = c.groups.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(proteins, vec!["pA", "pZ"]);
-        assert_eq!(c.get("pA").unwrap(), &["t1", "t2", "t5"]);
-    }
-
-    #[test]
-    fn streaming_matches_in_memory() {
-        let alignments = vec![
-            rec("t1", "p1", 100.0),
-            rec("t2", "p1", 90.0),
-            rec("t1", "p2", 150.0),
-            rec("t3", "p2", 80.0),
-            rec("t3", "p2", 80.0),
-        ];
-        let text: String = alignments
-            .iter()
-            .map(|r| format!("{}\n", r.to_line()))
-            .collect();
-        let streamed = cluster_streaming(text.as_bytes()).unwrap();
-        let in_memory = cluster_by_best_hit(&alignments);
-        assert_eq!(streamed, in_memory);
-    }
-
-    #[test]
-    fn streaming_skips_comments_and_rejects_garbage() {
-        let good = "# header\n\nt1\tp1\t99.0\t80\t1\t0\t1\t240\t1\t80\t1e-40\t180.0\n";
-        let c = cluster_streaming(good.as_bytes()).unwrap();
-        assert_eq!(c.len(), 1);
-        assert!(cluster_streaming("bad line\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn sizes_reflect_membership() {
-        let c = cluster_by_best_hit(&[
-            rec("t1", "p1", 10.0),
-            rec("t2", "p1", 10.0),
-            rec("t3", "p1", 10.0),
-            rec("t4", "p2", 10.0),
-        ]);
-        assert_eq!(c.sizes(), vec![3, 1]);
+        assert_eq!(get(&c, "pA").unwrap(), &["t1", "t2", "t5"]);
     }
 }

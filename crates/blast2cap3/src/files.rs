@@ -22,25 +22,25 @@ pub mod names {
     /// Workflow input: the BLASTX tabular output.
     pub const ALIGNMENTS: &str = "alignments.out";
     /// `list_transcripts` output.
-    pub const TRANSCRIPTS_DICT: &str = "transcripts_dict.txt";
+    pub(crate) const TRANSCRIPTS_DICT: &str = "transcripts_dict.txt";
     /// `list_alignments` output.
-    pub const ALIGNMENTS_LIST: &str = "alignments_list.txt";
+    pub(crate) const ALIGNMENTS_LIST: &str = "alignments_list.txt";
     /// `split` outputs (`protein_<i>.txt`).
-    pub fn protein_chunk(i: usize) -> String {
+    pub(crate) fn protein_chunk(i: usize) -> String {
         format!("protein_{i}.txt")
     }
     /// `run_cap3` contig outputs.
-    pub fn joined(i: usize) -> String {
+    pub(crate) fn joined(i: usize) -> String {
         format!("joined_{i}.fasta")
     }
     /// `run_cap3` joined-id outputs.
-    pub fn joined_ids(i: usize) -> String {
+    pub(crate) fn joined_ids(i: usize) -> String {
         format!("joined_ids_{i}.txt")
     }
     /// `merge` outputs.
-    pub const JOINED_ALL: &str = "joined_all.fasta";
+    pub(crate) const JOINED_ALL: &str = "joined_all.fasta";
     /// `merge` joined-id union.
-    pub const JOINED_IDS_ALL: &str = "joined_ids_all.txt";
+    pub(crate) const JOINED_IDS_ALL: &str = "joined_ids_all.txt";
     /// Final protein-guided assembly.
     pub const FINAL: &str = "final.fasta";
 }
@@ -50,7 +50,7 @@ fn io_err<E: std::fmt::Display>(what: &str) -> impl Fn(E) -> String + '_ {
 }
 
 /// Serialises chunks as one `protein<TAB>tx1,tx2,...` line per cluster.
-pub fn chunk_to_tsv(chunk: &Chunk) -> String {
+pub(crate) fn chunk_to_tsv(chunk: &Chunk) -> String {
     let mut out = String::new();
     for (protein, members) in &chunk.clusters {
         out.push_str(protein);
@@ -62,7 +62,7 @@ pub fn chunk_to_tsv(chunk: &Chunk) -> String {
 }
 
 /// Parses the chunk TSV format.
-pub fn chunk_from_tsv(text: &str) -> Result<Chunk, String> {
+pub(crate) fn chunk_from_tsv(text: &str) -> Result<Chunk, String> {
     let mut clusters = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {

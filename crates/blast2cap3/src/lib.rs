@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! blast2cap3: protein-guided transcript assembly.
@@ -11,9 +12,9 @@
 //! 1. assigns each transcript to the protein it hits best
 //!    ([`cluster`]), so transcripts sharing a protein form a cluster;
 //! 2. hands each cluster to CAP3, which merges overlapping cluster
-//!    members into contigs ([`tasks::run_cap3_chunk`]);
+//!    members into contigs (`tasks::run_cap3_chunk`);
 //! 3. concatenates the merged contigs with every transcript that
-//!    joined nothing ([`tasks::extract_unjoined`]).
+//!    joined nothing (`tasks::extract_unjoined`).
 //!
 //! Two drivers exist:
 //!
@@ -25,7 +26,7 @@
 //!   (split into `n` chunks, CAP3 per chunk, merge), for measuring
 //!   real speedups without a workflow engine.
 //!
-//! The workflow-facing task kernels in [`tasks`] correspond one-to-one
+//! The workflow-facing task kernels in `tasks` correspond one-to-one
 //! to the ovals of the paper's Fig. 2/Fig. 3 DAGs; the `pegasus-wms` +
 //! `condor` crates execute them as a real DAG.
 
@@ -35,9 +36,5 @@ pub mod parallel;
 pub mod pipeline;
 pub mod serial;
 pub mod split;
-pub mod tasks;
+pub(crate) mod tasks;
 pub mod workflow;
-
-pub use cluster::{cluster_by_best_hit, Clusters};
-pub use pipeline::{run_pipeline, PipelineConfig, PipelineReport};
-pub use serial::run_serial;

@@ -30,8 +30,6 @@ pub struct ParallelReport {
     pub joined: usize,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
-    /// Per-chunk CAP3 durations, indexed by chunk.
-    pub per_chunk: Vec<Duration>,
 }
 
 /// Runs blast2cap3 with the workflow decomposition: `n_chunks`
@@ -56,13 +54,13 @@ pub fn run_parallel(
         threads
     };
 
-    let mut outputs: Vec<Option<(ChunkOutput, Duration)>> = vec![None; chunks.len()];
+    let mut outputs: Vec<Option<ChunkOutput>> = vec![None; chunks.len()];
     if !chunks.is_empty() {
         let next = AtomicUsize::new(0);
         // Work-stealing by atomic counter: each worker claims the next
         // chunk index until exhausted; results land in per-index slots
         // via a channel to keep the ownership simple.
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, ChunkOutput, Duration)>();
+        let (tx, rx) = std::sync::mpsc::channel::<(usize, ChunkOutput)>();
         std::thread::scope(|scope| {
             for _ in 0..threads.min(chunks.len()) {
                 let tx = tx.clone();
@@ -74,25 +72,21 @@ pub fn run_parallel(
                     if i >= chunks.len() {
                         break;
                     }
-                    let t0 = Instant::now();
                     let out = run_cap3_chunk(dict, &chunks[i], params);
-                    tx.send((i, out, t0.elapsed())).expect("collector alive");
+                    tx.send((i, out)).expect("collector alive");
                 });
             }
             drop(tx);
-            for (i, out, dt) in rx {
-                outputs[i] = Some((out, dt));
+            for (i, out) in rx {
+                outputs[i] = Some(out);
             }
         });
     }
 
-    let mut chunk_outputs = Vec::with_capacity(chunks.len());
-    let mut per_chunk = Vec::with_capacity(chunks.len());
-    for slot in outputs {
-        let (out, dt) = slot.expect("every chunk processed");
-        chunk_outputs.push(out);
-        per_chunk.push(dt);
-    }
+    let chunk_outputs: Vec<ChunkOutput> = outputs
+        .into_iter()
+        .map(|slot| slot.expect("every chunk processed"))
+        .collect();
     let joined = chunk_outputs.iter().map(|o| o.joined_ids.len()).sum();
     let merged = merge_contigs(&chunk_outputs);
     let unjoined = extract_unjoined(&dict, &chunk_outputs);
@@ -101,7 +95,6 @@ pub fn run_parallel(
         n_chunks: chunks.len(),
         joined,
         elapsed: start.elapsed(),
-        per_chunk,
     }
 }
 
@@ -185,7 +178,6 @@ mod tests {
         let (transcripts, alignments) = workload(3);
         let par = run_parallel(&transcripts, &alignments, &Cap3Params::default(), 10, 2);
         assert_eq!(par.n_chunks, 3);
-        assert_eq!(par.per_chunk.len(), 3);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! merging — behind one call, for examples and experiments.
 
 use crate::parallel::{run_parallel, ParallelReport};
-use crate::serial::{run_serial, SerialReport};
+use crate::serial::run_serial;
 use bioseq::simulate::{generate, TranscriptomeConfig};
 use bioseq::stats::{assembly_stats, reduction_ratio, AssemblyStats};
 use blastx::search::{SearchParams, Searcher};
@@ -73,8 +73,6 @@ pub struct PipelineReport {
     pub input_stats: AssemblyStats,
     /// Summary statistics of the output set.
     pub output_stats: AssemblyStats,
-    /// The serial report, when `Mode::Serial` was used.
-    pub serial: Option<SerialReport>,
     /// The parallel report, when `Mode::Parallel` was used.
     pub parallel: Option<ParallelReport>,
 }
@@ -94,14 +92,14 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineReport {
 
     let input_count = data.transcripts.len();
     let input_stats = assembly_stats(&data.transcripts);
-    let (output, serial, parallel) = match cfg.mode {
-        Mode::Serial => {
-            let rep = run_serial(&data.transcripts, &alignments, &cfg.cap3);
-            (rep.output.clone(), Some(rep), None)
-        }
+    let (output, parallel) = match cfg.mode {
+        Mode::Serial => (
+            run_serial(&data.transcripts, &alignments, &cfg.cap3).output,
+            None,
+        ),
         Mode::Parallel { n_chunks, threads } => {
             let rep = run_parallel(&data.transcripts, &alignments, &cfg.cap3, n_chunks, threads);
-            (rep.output.clone(), None, Some(rep))
+            (rep.output.clone(), Some(rep))
         }
     };
     PipelineReport {
@@ -111,7 +109,6 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineReport {
         reduction: reduction_ratio(input_count, output.len()),
         input_stats,
         output_stats: assembly_stats(&output),
-        serial,
         parallel,
     }
 }
@@ -160,8 +157,7 @@ mod tests {
         assert_eq!(s.input_count, p.input_count);
         assert_eq!(s.output_count, p.output_count);
         assert!((s.reduction - p.reduction).abs() < 1e-12);
-        assert!(s.serial.is_some() && s.parallel.is_none());
-        assert!(p.parallel.is_some() && p.serial.is_none());
+        assert!(s.parallel.is_none() && p.parallel.is_some());
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! protein-sharing transcripts is built and handed to CAP3, and only
 //! after CAP3 terminates is the next cluster processed. This is the
 //! configuration the paper reports as taking ~100 hours on the full
-//! wheat dataset; the timing hooks here let the benchmark harness
-//! measure its cost distribution on synthetic workloads.
+//! wheat dataset.
 
 use crate::cluster::cluster_by_best_hit;
 use crate::split::Chunk;
@@ -22,14 +21,10 @@ use std::time::{Duration, Instant};
 pub struct SerialReport {
     /// Final output: merged contigs followed by unjoined transcripts.
     pub output: Vec<Record>,
-    /// Number of protein clusters processed.
-    pub n_clusters: usize,
     /// Number of input transcripts that were merged into contigs.
     pub joined: usize,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
-    /// Per-cluster CAP3 durations, in cluster order.
-    pub per_cluster: Vec<Duration>,
 }
 
 impl SerialReport {
@@ -49,25 +44,20 @@ pub fn run_serial(
     let dict = make_transcript_dict(transcripts);
     let clusters = cluster_by_best_hit(alignments);
     let mut outputs = Vec::with_capacity(clusters.len());
-    let mut per_cluster = Vec::with_capacity(clusters.len());
     for group in &clusters.groups {
         // One cluster at a time, exactly like the Python script.
         let single = Chunk {
             clusters: vec![group.clone()],
         };
-        let t0 = Instant::now();
         outputs.push(run_cap3_chunk(&dict, &single, params));
-        per_cluster.push(t0.elapsed());
     }
     let joined = outputs.iter().map(|o| o.joined_ids.len()).sum();
     let merged = merge_contigs(&outputs);
     let unjoined = extract_unjoined(&dict, &outputs);
     SerialReport {
         output: finalize(merged, unjoined),
-        n_clusters: clusters.len(),
         joined,
         elapsed: start.elapsed(),
-        per_cluster,
     }
 }
 
@@ -124,11 +114,9 @@ mod tests {
             aln("b2", "pB"),
         ];
         let report = run_serial(&transcripts, &alignments, &Cap3Params::default());
-        assert_eq!(report.n_clusters, 2);
         assert_eq!(report.joined, 4);
         // 5 inputs -> 2 contigs + 1 orphan.
         assert_eq!(report.output.len(), 3);
-        assert_eq!(report.per_cluster.len(), 2);
         assert!(report.reduction(5) > 0.0);
     }
 
@@ -139,7 +127,6 @@ mod tests {
             rec("y", &random_template(5, 100)),
         ];
         let report = run_serial(&transcripts, &[], &Cap3Params::default());
-        assert_eq!(report.n_clusters, 0);
         assert_eq!(report.joined, 0);
         assert_eq!(report.output.len(), 2);
         assert_eq!(report.reduction(2), 0.0);
@@ -149,16 +136,5 @@ mod tests {
     fn empty_inputs_yield_empty_output() {
         let report = run_serial(&[], &[], &Cap3Params::default());
         assert!(report.output.is_empty());
-        assert_eq!(report.n_clusters, 0);
-    }
-
-    #[test]
-    fn per_cluster_durations_cover_every_cluster() {
-        let ta = random_template(6, 300);
-        let transcripts = vec![rec("a1", &ta[..200]), rec("a2", &ta[140..])];
-        let alignments = vec![aln("a1", "pA"), aln("a2", "pA")];
-        let report = run_serial(&transcripts, &alignments, &Cap3Params::default());
-        assert_eq!(report.per_cluster.len(), report.n_clusters);
-        assert!(report.elapsed >= report.per_cluster.iter().sum());
     }
 }

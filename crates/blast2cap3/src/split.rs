@@ -24,15 +24,6 @@ impl Chunk {
     pub fn total_transcripts(&self) -> usize {
         self.clusters.iter().map(|(_, t)| t.len()).sum()
     }
-
-    /// Estimated CAP3 work: clusters cost roughly quadratically in
-    /// member count (all-pairs overlap detection dominates).
-    pub fn estimated_cost(&self) -> u64 {
-        self.clusters
-            .iter()
-            .map(|(_, t)| (t.len() as u64).pow(2))
-            .sum()
-    }
 }
 
 /// Splits `clusters` into at most `n` chunks without splitting any
@@ -155,13 +146,6 @@ mod tests {
             .map(|ch| ch.clusters.iter().filter(|(_, t)| t.len() == 20).count())
             .collect();
         assert_eq!(heavy_per_chunk, vec![1, 1]);
-    }
-
-    #[test]
-    fn estimated_cost_is_quadratic() {
-        let c = clusters_of(&[3]);
-        let chunks = split_clusters(&c, 1);
-        assert_eq!(chunks[0].estimated_cost(), 9);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! | Fig. 2 task            | kernel                     |
 //! |------------------------|----------------------------|
 //! | `list_transcripts()`   | [`make_transcript_dict`]   |
-//! | `list_alignments()`    | [`parse_alignments`]       |
+//! | `list_alignments()`    | [`blastx::tabular::read_file`] |
 //! | `split()`              | [`crate::split::split_clusters`] (after [`crate::cluster::cluster_by_best_hit`]) |
 //! | `run_cap3()` × n       | [`run_cap3_chunk`]         |
 //! | `merge()`              | [`merge_contigs`]          |
@@ -19,36 +19,25 @@
 
 use crate::split::Chunk;
 use bioseq::fasta::Record;
-use blastx::tabular::{self, TabularRecord};
 use cap3::{Assembler, Cap3Params};
 use std::collections::{HashMap, HashSet};
 
 /// The `transcripts_dict.txt` artifact: transcript id -> record.
 #[derive(Debug, Clone, Default)]
-pub struct TranscriptDict {
+pub(crate) struct TranscriptDict {
     map: HashMap<String, Record>,
     /// Input order of ids, for deterministic iteration.
     order: Vec<String>,
 }
 
 impl TranscriptDict {
-    /// Number of transcripts.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when the dictionary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Looks a transcript up by id.
-    pub fn get(&self, id: &str) -> Option<&Record> {
+    pub(crate) fn get(&self, id: &str) -> Option<&Record> {
         self.map.get(id)
     }
 
     /// Records in original input order.
-    pub fn records(&self) -> impl Iterator<Item = &Record> {
+    pub(crate) fn records(&self) -> impl Iterator<Item = &Record> {
         self.order.iter().filter_map(|id| self.map.get(id))
     }
 }
@@ -56,7 +45,7 @@ impl TranscriptDict {
 /// `list_transcripts()`: indexes the transcript FASTA by id.
 /// Later duplicates of an id are ignored (first record wins), matching
 /// dictionary-building semantics of the original script.
-pub fn make_transcript_dict(records: &[Record]) -> TranscriptDict {
+pub(crate) fn make_transcript_dict(records: &[Record]) -> TranscriptDict {
     let mut dict = TranscriptDict::default();
     for rec in records {
         if !dict.map.contains_key(&rec.id) {
@@ -67,18 +56,13 @@ pub fn make_transcript_dict(records: &[Record]) -> TranscriptDict {
     dict
 }
 
-/// `list_alignments()`: parses the BLASTX tabular text.
-pub fn parse_alignments(text: &str) -> Result<Vec<TabularRecord>, tabular::TabularError> {
-    tabular::parse_str(text)
-}
-
 /// Output of one `run_cap3()` task.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChunkOutput {
+pub(crate) struct ChunkOutput {
     /// Contigs produced in this chunk, named `<protein>_Contig<k>`.
-    pub contigs: Vec<Record>,
+    pub(crate) contigs: Vec<Record>,
     /// Ids of transcripts that were merged into some contig.
-    pub joined_ids: Vec<String>,
+    pub(crate) joined_ids: Vec<String>,
 }
 
 /// `run_cap3()`: assembles every cluster in `chunk` independently.
@@ -87,7 +71,11 @@ pub struct ChunkOutput {
 /// row must not fail the task — the original script logs and moves
 /// on). Singlets stay out of `joined_ids`, so they are re-emitted by
 /// [`extract_unjoined`].
-pub fn run_cap3_chunk(dict: &TranscriptDict, chunk: &Chunk, params: &Cap3Params) -> ChunkOutput {
+pub(crate) fn run_cap3_chunk(
+    dict: &TranscriptDict,
+    chunk: &Chunk,
+    params: &Cap3Params,
+) -> ChunkOutput {
     let assembler = Assembler::new(params.clone());
     let mut out = ChunkOutput::default();
     for (protein, members) in &chunk.clusters {
@@ -121,7 +109,7 @@ pub fn run_cap3_chunk(dict: &TranscriptDict, chunk: &Chunk, params: &Cap3Params)
 
 /// `merge()`: concatenates the per-chunk contigs into the
 /// `joined_transcripts` artifact, renumbering globally.
-pub fn merge_contigs(outputs: &[ChunkOutput]) -> Vec<Record> {
+pub(crate) fn merge_contigs(outputs: &[ChunkOutput]) -> Vec<Record> {
     let mut merged = Vec::new();
     for out in outputs {
         for contig in &out.contigs {
@@ -137,7 +125,7 @@ pub fn merge_contigs(outputs: &[ChunkOutput]) -> Vec<Record> {
 
 /// `extract_unjoined()`: every input transcript that was not merged
 /// into any contig, in input order.
-pub fn extract_unjoined(dict: &TranscriptDict, outputs: &[ChunkOutput]) -> Vec<Record> {
+pub(crate) fn extract_unjoined(dict: &TranscriptDict, outputs: &[ChunkOutput]) -> Vec<Record> {
     let joined: HashSet<&str> = outputs
         .iter()
         .flat_map(|o| o.joined_ids.iter().map(String::as_str))
@@ -150,7 +138,7 @@ pub fn extract_unjoined(dict: &TranscriptDict, outputs: &[ChunkOutput]) -> Vec<R
 
 /// Final concatenation: merged contigs followed by unjoined
 /// transcripts — the protein-guided assembly result.
-pub fn finalize(merged: Vec<Record>, unjoined: Vec<Record>) -> Vec<Record> {
+pub(crate) fn finalize(merged: Vec<Record>, unjoined: Vec<Record>) -> Vec<Record> {
     let mut out = merged;
     out.extend(unjoined);
     out
@@ -189,7 +177,7 @@ mod tests {
         let t = random_template(1, 60);
         let records = vec![rec("a", &t), rec("b", &t), rec("a", &t[..30])];
         let dict = make_transcript_dict(&records);
-        assert_eq!(dict.len(), 2);
+        assert_eq!(dict.map.len(), 2);
         assert_eq!(dict.get("a").unwrap().seq.len(), 60, "first record wins");
         let ids: Vec<&str> = dict.records().map(|r| r.id.as_str()).collect();
         assert_eq!(ids, vec!["a", "b"]);
@@ -277,13 +265,6 @@ mod tests {
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].id, "Contig1");
         assert_eq!(all[1].id, "x");
-    }
-
-    #[test]
-    fn parse_alignments_delegates_to_tabular() {
-        let text = "q\ts\t99.0\t80\t1\t0\t2\t241\t1\t80\t3e-42\t170.3\n";
-        assert_eq!(parse_alignments(text).unwrap().len(), 1);
-        assert!(parse_alignments("bad\tline").is_err());
     }
 
     #[test]

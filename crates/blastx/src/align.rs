@@ -13,9 +13,9 @@ use crate::matrix::blosum62;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GapParams {
     /// Cost of opening a gap (charged on the first gapped column).
-    pub open: i32,
+    pub(crate) open: i32,
     /// Cost of each additional gapped column.
-    pub extend: i32,
+    pub(crate) extend: i32,
 }
 
 impl Default for GapParams {
@@ -38,17 +38,6 @@ pub enum CigarOp {
     Deletion,
 }
 
-impl CigarOp {
-    /// The single-letter CIGAR code.
-    pub fn letter(&self) -> char {
-        match self {
-            CigarOp::AlignedPair => 'M',
-            CigarOp::Insertion => 'I',
-            CigarOp::Deletion => 'D',
-        }
-    }
-}
-
 /// The result of a local alignment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalAlignment {
@@ -65,27 +54,9 @@ pub struct LocalAlignment {
 }
 
 impl LocalAlignment {
-    /// The CIGAR as text, e.g. `"17M2I40M"`.
-    pub fn cigar_string(&self) -> String {
-        self.cigar
-            .iter()
-            .map(|(n, op)| format!("{n}{}", op.letter()))
-            .collect()
-    }
-
     /// Total aligned columns.
     pub fn length(&self) -> usize {
         self.cigar.iter().map(|(n, _)| n).sum()
-    }
-
-    /// Percent identity over aligned columns (0 for empty).
-    pub fn percent_identity(&self) -> f64 {
-        let len = self.length();
-        if len == 0 {
-            0.0
-        } else {
-            100.0 * self.identities as f64 / len as f64
-        }
     }
 }
 
@@ -100,14 +71,6 @@ enum Tb {
 
 /// Smith–Waterman–Gotoh local alignment of `query` vs `subject`
 /// (protein residues scored by BLOSUM62).
-///
-/// ```
-/// use blastx::align::{local_align, GapParams};
-///
-/// let a = local_align(b"MKWVAAALLLF", b"MKWVLLLF", GapParams { open: 5, extend: 1 });
-/// assert_eq!(a.cigar_string(), "4M3I4M");
-/// assert_eq!(a.identities, 8);
-/// ```
 pub fn local_align(query: &[u8], subject: &[u8], gaps: GapParams) -> LocalAlignment {
     let n = query.len();
     let m = subject.len();
@@ -230,6 +193,23 @@ pub fn local_align(query: &[u8], subject: &[u8], gaps: GapParams) -> LocalAlignm
     }
 }
 
+/// The CIGAR as text, e.g. `"17M2I40M"`: what the tests read an
+/// alignment's shape from.
+#[cfg(test)]
+impl LocalAlignment {
+    fn cigar_string(&self) -> String {
+        let letter = |op: &CigarOp| match op {
+            CigarOp::AlignedPair => 'M',
+            CigarOp::Insertion => 'I',
+            CigarOp::Deletion => 'D',
+        };
+        self.cigar
+            .iter()
+            .map(|(n, op)| format!("{n}{}", letter(op)))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,7 +224,6 @@ mod tests {
         assert_eq!(a.subject_range, (0, s.len()));
         assert_eq!(a.cigar_string(), format!("{}M", s.len()));
         assert_eq!(a.identities, s.len());
-        assert!((a.percent_identity() - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -314,7 +293,6 @@ mod tests {
         let a = local_align(b"", b"MK", GapParams::default());
         assert_eq!(a.score, 0);
         assert_eq!(a.length(), 0);
-        assert_eq!(a.percent_identity(), 0.0);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KarlinParams {
     /// Scale parameter lambda (per raw-score unit).
-    pub lambda: f64,
+    pub(crate) lambda: f64,
     /// Search-space constant K.
-    pub k: f64,
+    pub(crate) k: f64,
 }
 
 /// Standard parameters for ungapped BLOSUM62.
@@ -35,13 +35,6 @@ impl KarlinParams {
     /// residues.
     pub fn evalue(&self, raw: i32, m: usize, n: usize) -> f64 {
         self.k * (m as f64) * (n as f64) * (-self.lambda * raw as f64).exp()
-    }
-
-    /// The raw score needed for an E-value of `e` in an `m x n` space;
-    /// useful for choosing report thresholds.
-    pub fn score_for_evalue(&self, e: f64, m: usize, n: usize) -> i32 {
-        let mn = (m.max(1) as f64) * (n.max(1) as f64);
-        ((self.k * mn / e).ln() / self.lambda).ceil() as i32
     }
 }
 
@@ -70,14 +63,6 @@ mod tests {
         // significant; a raw score of 20 is marginal.
         assert!(p.evalue(100, 500, 1_000_000) < 1e-5);
         assert!(p.evalue(20, 500, 1_000_000) > 1e-3);
-    }
-
-    #[test]
-    fn score_for_evalue_inverts_evalue() {
-        let p = BLOSUM62_UNGAPPED;
-        let s = p.score_for_evalue(1e-5, 500, 1_000_000);
-        assert!(p.evalue(s, 500, 1_000_000) <= 1e-5);
-        assert!(p.evalue(s - 2, 500, 1_000_000) > 1e-5);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! directions along the diagonal, remembering the best prefix/suffix
 //! and abandoning a direction once the running score falls `x_drop`
 //! below the best seen (the classic BLAST heuristic). The result is an
-//! ungapped HSP; [`banded_align`] optionally rescoring it with gaps in
+//! ungapped HSP; `banded_align` optionally rescoring it with gaps in
 //! a fixed-width band for more faithful identity statistics.
 
 use crate::matrix::blosum62;
@@ -14,34 +14,34 @@ use crate::matrix::blosum62;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Extension {
     /// Start of the alignment in the query frame translation.
-    pub q_start: usize,
+    pub(crate) q_start: usize,
     /// End (exclusive) in the query frame translation.
-    pub q_end: usize,
+    pub(crate) q_end: usize,
     /// Start of the alignment in the subject.
-    pub s_start: usize,
+    pub(crate) s_start: usize,
     /// End (exclusive) in the subject.
-    pub s_end: usize,
+    pub(crate) s_end: usize,
     /// Raw BLOSUM62 score of the aligned segment.
     pub score: i32,
     /// Number of identical residue pairs.
-    pub identities: usize,
+    pub(crate) identities: usize,
 }
 
 impl Extension {
     /// Alignment length in residues.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.q_end - self.q_start
     }
 
     /// `true` if the extension is empty.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.q_end == self.q_start
     }
 
     /// Percent identity over the alignment length (0.0 for empty).
-    pub fn percent_identity(&self) -> f64 {
+    pub(crate) fn percent_identity(&self) -> f64 {
         if self.is_empty() {
             0.0
         } else {
@@ -126,24 +126,24 @@ pub fn xdrop_extend(
 
 /// Result of a banded gapped alignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BandedAlignment {
+pub(crate) struct BandedAlignment {
     /// Raw score with affine-approximated (linear) gap costs.
-    pub score: i32,
+    pub(crate) score: i32,
     /// Identical pairs on the traced path.
-    pub identities: usize,
+    pub(crate) identities: usize,
     /// Aligned columns (matches + mismatches + gaps).
-    pub length: usize,
+    pub(crate) length: usize,
     /// Number of gap openings on the traced path.
-    pub gap_opens: usize,
+    pub(crate) gap_opens: usize,
     /// Mismatched (aligned, non-identical) pairs.
-    pub mismatches: usize,
+    pub(crate) mismatches: usize,
 }
 
 /// Global alignment of `a` vs `b` restricted to a band of half-width
 /// `band` around the main diagonal, with linear gap penalty
 /// `gap_penalty` per gapped column. Intended for rescoring short HSP
 /// segments, so O(len * band) cost is fine.
-pub fn banded_align(a: &[u8], b: &[u8], band: usize, gap_penalty: i32) -> BandedAlignment {
+pub(crate) fn banded_align(a: &[u8], b: &[u8], band: usize, gap_penalty: i32) -> BandedAlignment {
     let n = a.len();
     let m = b.len();
     if n == 0 || m == 0 {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! A BLASTX-like translated aligner.
@@ -8,7 +9,7 @@
 //! crate reimplements that producer from scratch:
 //!
 //! * [`matrix`] — the BLOSUM62 substitution matrix;
-//! * [`seed`] — a packed-word index over the protein database;
+//! * `seed` — a packed-word index over the protein database;
 //! * [`extend`] — ungapped X-drop extension and banded gapped
 //!   refinement of seed hits into HSPs;
 //! * [`evalue`] — Karlin–Altschul bit scores and E-values;
@@ -38,8 +39,7 @@ pub mod evalue;
 pub mod extend;
 pub mod matrix;
 pub mod search;
-pub mod seed;
+pub(crate) mod seed;
 pub mod tabular;
 
 pub use search::{Hsp, SearchParams, Searcher};
-pub use tabular::TabularRecord;

@@ -6,7 +6,7 @@
 //! a stop (`*`) scores -4 against everything except another stop (+1),
 //! matching NCBI conventions.
 
-use bioseq::alphabet::{residue_index, AMINO_ACIDS};
+use bioseq::alphabet::residue_index;
 
 /// Canonical BLOSUM62 row/column order used by the raw table below.
 const CANONICAL: [u8; 20] = [
@@ -66,18 +66,22 @@ pub fn blosum62(a: u8, b: u8) -> i32 {
 }
 
 /// Score of an ungapped alignment of two equal-length residue slices.
-pub fn score_slices(a: &[u8], b: &[u8]) -> i32 {
+#[cfg(test)]
+pub(crate) fn score_slices(a: &[u8], b: &[u8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(&x, &y)| blosum62(x, y)).sum()
 }
 
 /// The maximum self-score of any residue (W/W = 11); useful for
 /// bounding seed-word thresholds.
-pub const MAX_SELF_SCORE: i32 = 11;
+#[cfg(test)]
+const MAX_SELF_SCORE: i32 = 11;
 
 /// Verifies internal consistency of the remapped table (symmetry and
-/// positive diagonal); used by tests and `debug_assert!`s.
-pub fn is_consistent() -> bool {
+/// positive diagonal).
+#[cfg(test)]
+fn is_consistent() -> bool {
+    use bioseq::alphabet::AMINO_ACIDS;
     for &a in AMINO_ACIDS.iter() {
         if blosum62(a, a) <= 0 {
             return false;
@@ -94,6 +98,7 @@ pub fn is_consistent() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bioseq::alphabet::AMINO_ACIDS;
 
     #[test]
     fn known_scores() {

@@ -56,7 +56,7 @@ impl Default for SearchParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hsp {
     /// Query (transcript) identifier.
-    pub query_id: String,
+    pub(crate) query_id: String,
     /// Subject (protein) identifier.
     pub subject_id: String,
     /// Reading frame of the query.
@@ -66,9 +66,9 @@ pub struct Hsp {
     /// Alignment length in residues (columns if gapped).
     pub length: usize,
     /// Mismatched aligned pairs.
-    pub mismatches: usize,
+    pub(crate) mismatches: usize,
     /// Gap openings.
-    pub gap_opens: usize,
+    pub(crate) gap_opens: usize,
     /// 1-based query start on the DNA (qstart > qend on reverse frames).
     pub q_start: usize,
     /// 1-based query end on the DNA.
@@ -80,9 +80,9 @@ pub struct Hsp {
     /// Expectation value.
     pub evalue: f64,
     /// Normalised bit score.
-    pub bit_score: f64,
+    pub(crate) bit_score: f64,
     /// Raw BLOSUM62 score.
-    pub raw_score: i32,
+    pub(crate) raw_score: i32,
 }
 
 /// Errors from searcher construction.

@@ -13,15 +13,15 @@ use bioseq::seq::ProteinSeq;
 /// Seed word length in residues. Four residues of BLOSUM62 self-score
 /// give a seed score comparable to BLAST's default two-hit threshold,
 /// so single exact 4-mers are a reasonable seeding rule.
-pub const WORD_SIZE: usize = 4;
+pub(crate) const WORD_SIZE: usize = 4;
 
 /// A packed protein word.
-pub type PackedWord = u32;
+pub(crate) type PackedWord = u32;
 
 /// Packs `WORD_SIZE` residues base-21; `None` if any residue is
 /// unknown (`X`, `*`, or a non-standard letter).
 #[inline]
-pub fn pack_word(residues: &[u8]) -> Option<PackedWord> {
+pub(crate) fn pack_word(residues: &[u8]) -> Option<PackedWord> {
     debug_assert_eq!(residues.len(), WORD_SIZE);
     let mut v: u32 = 0;
     for &r in residues {
@@ -36,16 +36,16 @@ pub fn pack_word(residues: &[u8]) -> Option<PackedWord> {
 
 /// Location of a word occurrence in the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WordHit {
+pub(crate) struct WordHit {
     /// Index of the subject protein in the database entry list.
-    pub subject: u32,
+    pub(crate) subject: u32,
     /// Residue offset of the word within the subject.
-    pub pos: u32,
+    pub(crate) pos: u32,
 }
 
 /// Inverted word index over a set of proteins.
 #[derive(Debug, Default)]
-pub struct WordIndex {
+pub(crate) struct WordIndex {
     map: FxHashMap<PackedWord, Vec<WordHit>>,
     /// Total residues indexed, used for E-value search-space size.
     total_residues: usize,
@@ -53,7 +53,7 @@ pub struct WordIndex {
 
 impl WordIndex {
     /// Builds an index over `proteins` (order defines subject ids).
-    pub fn build(proteins: &[(String, ProteinSeq)]) -> Self {
+    pub(crate) fn build(proteins: &[(String, ProteinSeq)]) -> Self {
         let mut map: FxHashMap<PackedWord, Vec<WordHit>> = FxHashMap::default();
         let mut total_residues = 0usize;
         for (sid, (_, prot)) in proteins.iter().enumerate() {
@@ -79,24 +79,19 @@ impl WordIndex {
 
     /// Occurrences of a packed word, if any.
     #[inline]
-    pub fn lookup(&self, word: PackedWord) -> &[WordHit] {
+    pub(crate) fn lookup(&self, word: PackedWord) -> &[WordHit] {
         self.map.get(&word).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Number of distinct words indexed.
-    pub fn distinct_words(&self) -> usize {
-        self.map.len()
-    }
-
     /// Total residues across all indexed proteins.
-    pub fn total_residues(&self) -> usize {
+    pub(crate) fn total_residues(&self) -> usize {
         self.total_residues
     }
 
     /// Iterates the packed words of `query`, yielding
     /// `(query_position, packed_word)` and skipping unknown-containing
     /// windows.
-    pub fn query_words(query: &[u8]) -> impl Iterator<Item = (usize, PackedWord)> + '_ {
+    pub(crate) fn query_words(query: &[u8]) -> impl Iterator<Item = (usize, PackedWord)> + '_ {
         (0..query.len().saturating_sub(WORD_SIZE - 1))
             .filter_map(|i| pack_word(&query[i..i + WORD_SIZE]).map(|w| (i, w)))
     }
@@ -145,7 +140,7 @@ mod tests {
     fn short_proteins_are_skipped_but_counted() {
         let db = vec![prot("tiny", "MK")];
         let idx = WordIndex::build(&db);
-        assert_eq!(idx.distinct_words(), 0);
+        assert!(idx.map.is_empty());
         assert_eq!(idx.total_residues(), 2);
     }
 

@@ -137,25 +137,9 @@ impl std::fmt::Display for TabularError {
 
 impl std::error::Error for TabularError {}
 
-/// Writes HSPs as tabular lines.
-pub fn write_hsps<W: Write>(mut w: W, hsps: &[Hsp]) -> Result<(), TabularError> {
-    for h in hsps {
-        let rec = TabularRecord::from(h);
-        writeln!(w, "{}", rec.to_line()).map_err(|e| TabularError::Io(e.to_string()))?;
-    }
-    Ok(())
-}
-
-/// Renders HSPs to a single tabular string.
-pub fn to_string(hsps: &[Hsp]) -> String {
-    let mut out = Vec::new();
-    write_hsps(&mut out, hsps).expect("writing to Vec cannot fail");
-    String::from_utf8(out).expect("tabular output is ASCII")
-}
-
 /// Parses every record from a reader, skipping blank and `#` comment
 /// lines.
-pub fn parse_reader<R: Read>(r: R) -> Result<Vec<TabularRecord>, TabularError> {
+pub(crate) fn parse_reader<R: Read>(r: R) -> Result<Vec<TabularRecord>, TabularError> {
     let mut out = Vec::new();
     for line in BufReader::new(r).lines() {
         let line = line.map_err(|e| TabularError::Io(e.to_string()))?;
@@ -166,11 +150,6 @@ pub fn parse_reader<R: Read>(r: R) -> Result<Vec<TabularRecord>, TabularError> {
         out.push(TabularRecord::parse_line(trimmed)?);
     }
     Ok(out)
-}
-
-/// Parses every record from an in-memory string.
-pub fn parse_str(s: &str) -> Result<Vec<TabularRecord>, TabularError> {
-    parse_reader(s.as_bytes())
 }
 
 /// Reads a tabular file from disk.
@@ -262,7 +241,7 @@ mod tests {
     #[test]
     fn comments_and_blanks_are_skipped() {
         let text = "# BLASTX 2.2.28+\n\nq\ts\t99.0\t80\t1\t0\t2\t241\t1\t80\t3e-42\t170.3\n";
-        let recs = parse_str(text).unwrap();
+        let recs = parse_reader(text.as_bytes()).unwrap();
         assert_eq!(recs.len(), 1);
     }
 
@@ -277,11 +256,5 @@ mod tests {
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].subject_id, "prot_1");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn to_string_emits_one_line_per_hsp() {
-        let text = to_string(&[sample_hsp(), sample_hsp()]);
-        assert_eq!(text.lines().count(), 2);
     }
 }

@@ -55,11 +55,6 @@ impl Assembler {
         Assembler { params }
     }
 
-    /// The active parameters.
-    pub fn params(&self) -> &Cap3Params {
-        &self.params
-    }
-
     /// Generates candidate pairs `(i, j, flip)` with `i < j` via
     /// shared k-mers (forward) and shared reverse-complement k-mers
     /// (flipped).
@@ -126,30 +121,8 @@ impl Assembler {
         out
     }
 
-    /// Assembles FASTQ reads, using quality-weighted consensus (the
-    /// behaviour CAP3 gets from `.qual` files): a confident base
-    /// outvotes several low-quality ones in each contig column.
-    pub fn assemble_fastq(&self, reads: &[bioseq::fastq::FastqRecord]) -> Assembly {
-        if reads.is_empty() {
-            return Assembly {
-                contigs: Vec::new(),
-                singlets: Vec::new(),
-            };
-        }
-        let records: Vec<Record> = reads
-            .iter()
-            .map(|r| Record::new(r.id.clone(), r.desc.clone(), r.seq.clone()))
-            .collect();
-        let quals: Vec<Vec<u8>> = reads.iter().map(|r| r.qual.clone()).collect();
-        self.assemble_impl(&records, Some(&quals))
-    }
-
     /// Assembles `reads` into contigs and singlets.
     pub fn assemble(&self, reads: &[Record]) -> Assembly {
-        self.assemble_impl(reads, None)
-    }
-
-    fn assemble_impl(&self, reads: &[Record], quals: Option<&[Vec<u8>]>) -> Assembly {
         if reads.is_empty() {
             return Assembly {
                 contigs: Vec::new(),
@@ -184,14 +157,10 @@ impl Assembler {
                     .iter()
                     .map(|p| reads[p.read as usize].id.as_str())
                     .collect();
-                let seq = match quals {
-                    Some(q) => crate::consensus::consensus_weighted(layout, &owned_seqs, q),
-                    None => consensus(layout, &owned_seqs),
-                };
                 Record::new(
                     format!("Contig{}", n + 1),
                     format!("reads={}", members.join(",")),
-                    seq,
+                    consensus(layout, &owned_seqs),
                 )
             })
             .collect();
@@ -360,37 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn fastq_assembly_uses_quality_to_resolve_conflicts() {
-        use bioseq::fastq::FastqRecord;
-        let t = random_template(20, 300);
-        // Read a covers [0,200) perfectly at high quality; read b
-        // covers [140,300) but with a low-quality error at its start
-        // (inside the overlap).
-        let mut b_bytes = t[140..].to_vec();
-        b_bytes[10] = match b_bytes[10] {
-            b'A' => b'C',
-            _ => b'A',
-        };
-        let a = FastqRecord::new(
-            "a",
-            "",
-            DnaSeq::from_ascii(&t[..200]).unwrap(),
-            vec![40; 200],
-        )
-        .unwrap();
-        let mut b_qual = vec![40u8; 160];
-        b_qual[10] = 2;
-        let b = FastqRecord::new("b", "", DnaSeq::from_ascii(&b_bytes).unwrap(), b_qual).unwrap();
-        let asm = Assembler::default().assemble_fastq(&[a, b]);
-        assert_eq!(asm.contigs.len(), 1);
-        assert_eq!(
-            asm.contigs[0].seq.as_bytes(),
-            &t[..],
-            "high-quality base must win the disputed column"
-        );
-    }
-
-    #[test]
     fn unequal_length_flipped_fragments_assemble() {
         // Exercises the reversed-edge algebra with asymmetric lengths:
         // three fragments of different sizes, the middle one reverse
@@ -411,12 +349,6 @@ mod tests {
             c.as_bytes() == &t[..] || c.reverse_complement().as_bytes() == &t[..],
             "consensus must reconstruct the template"
         );
-    }
-
-    #[test]
-    fn fastq_assembly_empty_input() {
-        let asm = Assembler::default().assemble_fastq(&[]);
-        assert_eq!(asm.output_count(), 0);
     }
 
     #[test]

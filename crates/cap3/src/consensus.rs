@@ -9,7 +9,7 @@ use bioseq::seq::DnaSeq;
 /// placements are reverse-complemented on the fly. Columns covered by
 /// no read (possible only with inconsistent layouts) are emitted as
 /// `N`. Ties are broken in `ACGT` order for determinism.
-pub fn consensus(layout: &Layout, reads: &[DnaSeq]) -> DnaSeq {
+pub(crate) fn consensus(layout: &Layout, reads: &[DnaSeq]) -> DnaSeq {
     let mut end = 0usize;
     for p in &layout.placements {
         let len = reads[p.read as usize].len();
@@ -57,66 +57,6 @@ pub fn consensus(layout: &Layout, reads: &[DnaSeq]) -> DnaSeq {
             out.push(b'N'); // covered only by N bases
         } else {
             out.push(bioseq::alphabet::code_base(best_code as u8));
-        }
-    }
-    DnaSeq::from_ascii_unchecked(out)
-}
-
-/// Quality-weighted consensus: like [`consensus`], but each base's
-/// vote carries its Phred score (so one confident base outvotes
-/// several sloppy ones — the behaviour real CAP3 gets from `.qual`
-/// files). `quals[i]` must parallel `reads[i]`; flipped placements
-/// reverse the quality track alongside the bases.
-pub fn consensus_weighted(layout: &Layout, reads: &[DnaSeq], quals: &[Vec<u8>]) -> DnaSeq {
-    debug_assert_eq!(reads.len(), quals.len());
-    let mut end = 0usize;
-    for p in &layout.placements {
-        end = end.max(p.offset as usize + reads[p.read as usize].len());
-    }
-    if end == 0 {
-        return DnaSeq::default();
-    }
-    let mut weights = vec![[0u64; 4]; end];
-    let mut covered = vec![false; end];
-    for p in &layout.placements {
-        let fwd = &reads[p.read as usize];
-        let q = &quals[p.read as usize];
-        debug_assert_eq!(fwd.len(), q.len());
-        let oriented;
-        let (bytes, qiter): (&[u8], Box<dyn Iterator<Item = u8>>) = if p.flipped {
-            oriented = fwd.reverse_complement();
-            (oriented.as_bytes(), Box::new(q.iter().rev().copied()))
-        } else {
-            (fwd.as_bytes(), Box::new(q.iter().copied()))
-        };
-        let off = p.offset as usize;
-        for (i, (&b, qv)) in bytes.iter().zip(qiter).enumerate() {
-            covered[off + i] = true;
-            if let Some(code) = bioseq::alphabet::base_code(b) {
-                // Weight 1 + q so even Q0 bases retain a minimal vote.
-                weights[off + i][code as usize] += 1 + qv as u64;
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(end);
-    for col in 0..end {
-        if !covered[col] {
-            out.push(b'N');
-            continue;
-        }
-        let w = &weights[col];
-        let (mut best, mut best_w) = (0usize, w[0]);
-        #[allow(clippy::needless_range_loop)] // `code` is a base code, not just an index
-        for code in 1..4 {
-            if w[code] > best_w {
-                best = code;
-                best_w = w[code];
-            }
-        }
-        if best_w == 0 {
-            out.push(b'N');
-        } else {
-            out.push(bioseq::alphabet::code_base(best as u8));
         }
     }
     DnaSeq::from_ascii_unchecked(out)
@@ -213,52 +153,6 @@ mod tests {
     fn empty_layout_gives_empty_consensus() {
         let layout = Layout { placements: vec![] };
         assert!(consensus(&layout, &[]).is_empty());
-    }
-
-    #[test]
-    fn weighted_consensus_lets_quality_win() {
-        // Two low-quality reads say T, one high-quality read says A.
-        let reads = vec![seq("T"), seq("T"), seq("A")];
-        let quals = vec![vec![3u8], vec![3u8], vec![40u8]];
-        let layout = Layout {
-            placements: vec![place(0, 0, false), place(1, 0, false), place(2, 0, false)],
-        };
-        assert_eq!(consensus_weighted(&layout, &reads, &quals).as_bytes(), b"A");
-        // Unweighted majority would say T.
-        assert_eq!(consensus(&layout, &reads).as_bytes(), b"T");
-    }
-
-    #[test]
-    fn weighted_consensus_reverses_quality_with_flips() {
-        // Read 1 flipped: its quality track must flip too. Forward
-        // read says AC with strong A, weak C; flipped read GG (rc =
-        // CC) with weak-then-strong quality: after flipping, strong
-        // quality lands on the *first* C.
-        let reads = vec![seq("AC"), seq("GG")];
-        let quals = vec![vec![10u8, 10], vec![2u8, 40]];
-        let layout = Layout {
-            placements: vec![place(0, 0, false), place(1, 0, true)],
-        };
-        // rc(GG) = CC with reversed quals [40, 2]: column 0 gets C@41
-        // vs A@11 -> C; column 1 gets C@3 vs C... wait read0 col1 is
-        // C@11 and read1 col1 is C@3 -> C either way.
-        assert_eq!(
-            consensus_weighted(&layout, &reads, &quals).as_bytes(),
-            b"CC"
-        );
-    }
-
-    #[test]
-    fn weighted_matches_unweighted_for_uniform_quality() {
-        let reads = vec![seq("ACGTACGT"), seq("ACGAACGT"), seq("ACGTACGT")];
-        let quals = vec![vec![30u8; 8], vec![30u8; 8], vec![30u8; 8]];
-        let layout = Layout {
-            placements: vec![place(0, 0, false), place(1, 0, false), place(2, 0, false)],
-        };
-        assert_eq!(
-            consensus_weighted(&layout, &reads, &quals),
-            consensus(&layout, &reads)
-        );
     }
 
     #[test]

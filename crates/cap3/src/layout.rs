@@ -12,14 +12,14 @@ use std::collections::VecDeque;
 
 /// Disjoint-set forest over read indices.
 #[derive(Debug, Clone)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
 }
 
 impl UnionFind {
     /// Creates `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         UnionFind {
             parent: (0..n as u32).collect(),
             rank: vec![0; n],
@@ -27,7 +27,7 @@ impl UnionFind {
     }
 
     /// Finds the representative of `x` with path halving.
-    pub fn find(&mut self, mut x: u32) -> u32 {
+    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let gp = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = gp;
@@ -38,7 +38,7 @@ impl UnionFind {
 
     /// Unions the sets of `a` and `b`; returns `false` if already
     /// joined.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
+    pub(crate) fn union(&mut self, a: u32, b: u32) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -57,7 +57,7 @@ impl UnionFind {
 
     /// Groups indices by representative, in ascending representative
     /// order; singleton groups are included.
-    pub fn groups(&mut self) -> Vec<Vec<u32>> {
+    pub(crate) fn groups(&mut self) -> Vec<Vec<u32>> {
         let n = self.parent.len();
         let mut by_root: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
         for i in 0..n as u32 {
@@ -69,21 +69,21 @@ impl UnionFind {
 
 /// The placement of one read within a contig frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
+pub(crate) struct Placement {
     /// Read index in the caller's read set.
-    pub read: u32,
+    pub(crate) read: u32,
     /// Offset of the read's first oriented base in the contig frame
     /// (normalised so the smallest offset is 0).
-    pub offset: isize,
+    pub(crate) offset: isize,
     /// `true` if the read participates reverse-complemented.
-    pub flipped: bool,
+    pub(crate) flipped: bool,
 }
 
 /// A contig layout: placements for every read in one connected group.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Layout {
+pub(crate) struct Layout {
     /// Placements ordered by offset (ties by read index).
-    pub placements: Vec<Placement>,
+    pub(crate) placements: Vec<Placement>,
 }
 
 /// Computes contig layouts from accepted overlaps.
@@ -92,7 +92,7 @@ pub struct Layout {
 /// multiple edges per pair (the best-scoring edge is used first).
 /// Returns one [`Layout`] per multi-read group plus the list of
 /// singleton read indices.
-pub fn layout_groups(read_lens: &[usize], overlaps: &[Overlap]) -> (Vec<Layout>, Vec<u32>) {
+pub(crate) fn layout_groups(read_lens: &[usize], overlaps: &[Overlap]) -> (Vec<Layout>, Vec<u32>) {
     let n = read_lens.len();
     let mut uf = UnionFind::new(n);
     // Adjacency list of overlap edges, best-score-first per node.

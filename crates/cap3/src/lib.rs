@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! A CAP3-like overlap–layout–consensus assembler.
@@ -8,14 +9,14 @@
 //! identity into contigs and reports everything else as singlets. This
 //! crate implements that contract:
 //!
-//! * [`overlap`] — k-mer-seeded diagonal detection of suffix–prefix
+//! * `overlap` — k-mer-seeded diagonal detection of suffix–prefix
 //!   overlaps (both orientations) with CAP3-style length (`-o`) and
 //!   identity (`-p`) cutoffs;
-//! * [`layout`] — union-find clustering of accepted overlaps and a
+//! * `layout` — union-find clustering of accepted overlaps and a
 //!   BFS placement that assigns every read an offset and orientation
 //!   in its contig frame;
-//! * [`consensus`] — per-column majority consensus over the layout;
-//! * [`assemble`] — the public driver producing contigs + singlets,
+//! * `consensus` — per-column majority consensus over the layout;
+//! * `assemble` — the public driver producing contigs + singlets,
 //!   mirroring CAP3's `.cap.contigs` / `.cap.singlets` outputs.
 //!
 //! # Example
@@ -36,11 +37,11 @@
 //! assert_eq!(result.contigs[0].seq.as_bytes(), template.as_bytes());
 //! ```
 
-pub mod assemble;
-pub mod consensus;
-pub mod layout;
-pub mod overlap;
-pub mod params;
+pub(crate) mod assemble;
+pub(crate) mod consensus;
+pub(crate) mod layout;
+pub(crate) mod overlap;
+pub(crate) mod params;
 
 pub use assemble::{Assembler, Assembly};
 pub use params::Cap3Params;

@@ -16,24 +16,24 @@ use bioseq::kmer::KmerIter;
 /// complement), with `b` starting at position `shift` of `a`'s frame
 /// (negative when `b` hangs off `a`'s left end).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Overlap {
+pub(crate) struct Overlap {
     /// Index of read `a` in the caller's read set.
-    pub a: u32,
+    pub(crate) a: u32,
     /// Index of read `b`.
-    pub b: u32,
+    pub(crate) b: u32,
     /// Orientation of `b` relative to `a`.
-    pub flip: bool,
+    pub(crate) flip: bool,
     /// Start position of oriented `b` in `a`'s coordinate frame.
-    pub shift: isize,
+    pub(crate) shift: isize,
     /// Overlap length in bases.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Percent identity over the overlap.
-    pub identity: f64,
+    pub(crate) identity: f64,
 }
 
 impl Overlap {
     /// Score used to rank competing overlaps.
-    pub fn score(&self) -> f64 {
+    pub(crate) fn score(&self) -> f64 {
         self.len as f64 * self.identity / 100.0
     }
 }
@@ -42,7 +42,7 @@ impl Overlap {
 /// `shift` (`b[i]` pairs with `a[i + shift]`), returning
 /// `(length, identity_percent)`; length 0 when the diagonal implies no
 /// overlap.
-pub fn evaluate_diagonal(a: &[u8], b: &[u8], shift: isize) -> (usize, f64) {
+pub(crate) fn evaluate_diagonal(a: &[u8], b: &[u8], shift: isize) -> (usize, f64) {
     let a_len = a.len() as isize;
     let b_len = b.len() as isize;
     let start_a = shift.max(0);
@@ -67,7 +67,7 @@ pub fn evaluate_diagonal(a: &[u8], b: &[u8], shift: isize) -> (usize, f64) {
 ///
 /// `a_idx`/`b_idx`/`flip` are carried through into the returned
 /// [`Overlap`] untouched.
-pub fn detect(
+pub(crate) fn detect(
     a: &[u8],
     b: &[u8],
     a_idx: u32,

@@ -4,9 +4,9 @@
 //! abort) to a per-workflow "user log"; Pegasus's monitord tails that
 //! file to populate its statistics database. This module provides the
 //! equivalent: a [`JobLogMonitor`] that records events while the
-//! engine runs (it is an [`EventSink`]), a writer for the classic text
-//! format, and a parser that reconstructs per-job timing — closing the
-//! provenance loop the same way the real stack does.
+//! engine runs (it is an [`EventSink`]) and a writer for the classic
+//! text format. The tests hold a reader of that format, so every line
+//! the writer emits is shown to read back as the event it came from.
 
 use pegasus_wms::engine::FaultReason;
 use pegasus_wms::events::{EventSink, WorkflowEvent};
@@ -32,7 +32,7 @@ pub enum EventCode {
 
 impl EventCode {
     /// The three-digit code used in the text format.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             EventCode::Submit => "000",
             EventCode::Execute => "001",
@@ -53,18 +53,6 @@ impl EventCode {
             EventCode::Aborted => "Job was aborted: ",
         }
     }
-
-    /// Parses a three-digit code.
-    pub fn from_code(code: &str) -> Option<EventCode> {
-        match code {
-            "000" => Some(EventCode::Submit),
-            "001" => Some(EventCode::Execute),
-            "004" => Some(EventCode::Evicted),
-            "005" => Some(EventCode::Terminated),
-            "009" => Some(EventCode::Aborted),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for EventCode {
@@ -79,11 +67,11 @@ pub struct LogEvent {
     /// Event type.
     pub code: EventCode,
     /// Job name (we use the planned job name as the cluster id).
-    pub job: Name,
+    pub(crate) job: Name,
     /// Attempt number.
-    pub attempt: u32,
+    pub(crate) attempt: u32,
     /// Backend timestamp in seconds.
-    pub time: f64,
+    pub(crate) time: f64,
     /// Free-text note (return value, abort reason): one of a handful
     /// of sentences, so the events of a monitor share each distinct one.
     pub note: Name,
@@ -96,41 +84,12 @@ impl LogEvent {
     /// 005 (run_cap3_3.002) 1234.567 Job terminated. (return value 0)
     /// ...
     /// ```
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        self.write_text(&mut out);
-        out
-    }
-
     fn write_text(&self, out: &mut String) {
         let _ = write!(
             out,
             "{} ({}.{:03}) {:.3} {}\n...\n",
             self.code, self.job, self.attempt, self.time, self.note
         );
-    }
-
-    /// Parses one banner line (the `...` terminator is handled by the
-    /// log-level parser).
-    pub fn parse_banner(line: &str) -> Option<LogEvent> {
-        let mut rest = line.trim();
-        let code = EventCode::from_code(rest.get(0..3)?)?;
-        rest = rest.get(3..)?.trim_start();
-        let open = rest.find('(')?;
-        let close = rest.find(')')?;
-        let id = &rest[open + 1..close];
-        let (job, attempt) = id.rsplit_once('.')?;
-        let attempt: u32 = attempt.parse().ok()?;
-        rest = rest[close + 1..].trim_start();
-        let (time_str, note) = rest.split_once(' ').unwrap_or((rest, ""));
-        let time: f64 = time_str.parse().ok()?;
-        Some(LogEvent {
-            code,
-            job: job.into(),
-            attempt,
-            time,
-            note: note.into(),
-        })
     }
 }
 
@@ -190,44 +149,6 @@ impl JobLogMonitor {
         }
         out
     }
-
-    /// Parses a log text back into events (inverse of [`Self::to_text`]).
-    pub fn parse(text: &str) -> Result<Vec<LogEvent>, String> {
-        let mut out = Vec::new();
-        for line in text.lines() {
-            let t = line.trim();
-            if t.is_empty() || t == "..." {
-                continue;
-            }
-            match LogEvent::parse_banner(t) {
-                Some(ev) => out.push(ev),
-                None => return Err(format!("unparseable log line: {t:?}")),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Per-job (name, attempt) -> (execute time, terminate time)
-    /// pairs reconstructed from the log; the monitord-style rollup.
-    pub fn execution_intervals(&self) -> Vec<(Name, u32, f64, f64)> {
-        let mut started: std::collections::HashMap<(Name, u32), f64> = Default::default();
-        let mut out = Vec::new();
-        for ev in &self.events {
-            let key = (ev.job.clone(), ev.attempt);
-            match ev.code {
-                EventCode::Execute => {
-                    started.insert(key, ev.time);
-                }
-                EventCode::Terminated | EventCode::Aborted | EventCode::Evicted => {
-                    if let Some(start) = started.remove(&key) {
-                        out.push((key.0, key.1, start, ev.time));
-                    }
-                }
-                EventCode::Submit => {}
-            }
-        }
-        out
-    }
 }
 
 impl EventSink for JobLogMonitor {
@@ -253,6 +174,68 @@ impl EventSink for JobLogMonitor {
             self.push(EventCode::Execute, job, attempt, times.started, "");
             self.push(code, job, attempt, times.finished, detail);
         }
+    }
+}
+
+/// The reader of the text format: the inverse of
+/// [`JobLogMonitor::to_text`], which the tests read its lines back with.
+#[cfg(test)]
+impl EventCode {
+    /// Parses a three-digit code.
+    fn from_code(code: &str) -> Option<EventCode> {
+        match code {
+            "000" => Some(EventCode::Submit),
+            "001" => Some(EventCode::Execute),
+            "004" => Some(EventCode::Evicted),
+            "005" => Some(EventCode::Terminated),
+            "009" => Some(EventCode::Aborted),
+            _ => None,
+        }
+    }
+}
+
+#[cfg(test)]
+impl LogEvent {
+    /// Parses one banner line (the `...` terminator is handled by the
+    /// log-level parser).
+    fn parse_banner(line: &str) -> Option<LogEvent> {
+        let mut rest = line.trim();
+        let code = EventCode::from_code(rest.get(0..3)?)?;
+        rest = rest.get(3..)?.trim_start();
+        let open = rest.find('(')?;
+        let close = rest.find(')')?;
+        let id = &rest[open + 1..close];
+        let (job, attempt) = id.rsplit_once('.')?;
+        let attempt: u32 = attempt.parse().ok()?;
+        rest = rest[close + 1..].trim_start();
+        let (time_str, note) = rest.split_once(' ').unwrap_or((rest, ""));
+        let time: f64 = time_str.parse().ok()?;
+        Some(LogEvent {
+            code,
+            job: job.into(),
+            attempt,
+            time,
+            note: note.into(),
+        })
+    }
+}
+
+#[cfg(test)]
+impl JobLogMonitor {
+    /// Parses a log text back into events (inverse of [`Self::to_text`]).
+    fn parse(text: &str) -> Result<Vec<LogEvent>, String> {
+        let mut out = Vec::new();
+        for line in text.lines() {
+            let t = line.trim();
+            if t.is_empty() || t == "..." {
+                continue;
+            }
+            match LogEvent::parse_banner(t) {
+                Some(ev) => out.push(ev),
+                None => return Err(format!("unparseable log line: {t:?}")),
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -315,14 +298,13 @@ mod tests {
     }
 
     #[test]
-    fn evicted_events_round_trip_and_pair_intervals() {
+    fn evicted_events_round_trip() {
         let text = ran("failed reason=evicted", 0, 1.0, 4.0, "evicted:blackout");
         let log = log_of("b", &text);
         let text = log.to_text();
         assert!(text.contains("004 (b.000)"));
         let parsed = JobLogMonitor::parse(&text).unwrap();
         assert_eq!(parsed, log.events);
-        assert_eq!(log.execution_intervals(), vec![("b".into(), 0, 1.0, 4.0)]);
     }
 
     #[test]
@@ -348,7 +330,9 @@ mod tests {
             time: 3.0,
             note: "x".into(),
         };
-        let back = LogEvent::parse_banner(ev.to_text().lines().next().unwrap()).unwrap();
+        let mut text = String::new();
+        ev.write_text(&mut text);
+        let back = LogEvent::parse_banner(text.lines().next().unwrap()).unwrap();
         assert_eq!(back.job, "stage_in_alignments.out");
         assert_eq!(back.attempt, 0);
     }
@@ -358,18 +342,6 @@ mod tests {
         assert!(JobLogMonitor::parse("wat\n").is_err());
         assert!(LogEvent::parse_banner("777 (a.000) 1.0 x").is_none());
         assert!(LogEvent::parse_banner("005 no-parens 1.0").is_none());
-    }
-
-    #[test]
-    fn execution_intervals_pair_up() {
-        let text = "submitted time=0 job=0 attempt=0\n".to_string()
-            + &ran("failed reason=preempted", 0, 1.0, 5.0, "preempted")
-            + "submitted time=5 job=0 attempt=1\n"
-            + &ran("completed", 1, 6.0, 11.0, "");
-        let iv = log_of("a", &text).execution_intervals();
-        assert_eq!(iv.len(), 2);
-        assert_eq!(iv[0], ("a".into(), 0, 1.0, 5.0));
-        assert_eq!(iv[1], ("a".into(), 1, 6.0, 11.0));
     }
 
     fn chain_workflow(
@@ -419,7 +391,6 @@ mod tests {
         assert!(run.succeeded());
         // 3 submits + 3 executes + 3 terminations.
         assert_eq!(log.events.len(), 9);
-        assert_eq!(log.execution_intervals().len(), 3);
         let reparsed = JobLogMonitor::parse(&log.to_text()).unwrap();
         assert_eq!(reparsed.len(), 9);
     }

@@ -25,21 +25,15 @@ use std::time::{Duration, Instant};
 /// Everything a task kernel sees about its job.
 #[derive(Debug, Clone)]
 pub struct TaskContext {
-    /// Planned job name (e.g. `"run_cap3_17"`).
-    pub job_name: Name,
-    /// Transformation name used for registry lookup.
-    pub transformation: Name,
     /// Arguments from the abstract job.
     pub args: Args,
-    /// 0-based attempt number.
-    pub attempt: u32,
     /// Working directory shared by the workflow's tasks.
     pub workdir: PathBuf,
 }
 
 /// A task kernel: returns `Err(text)` to fail the attempt, which the
 /// pool reports as `FaultReason::Other.tagged(text)`.
-pub type TaskFn = Arc<dyn Fn(&TaskContext) -> Result<(), String> + Send + Sync>;
+pub(crate) type TaskFn = Arc<dyn Fn(&TaskContext) -> Result<(), String> + Send + Sync>;
 
 /// Maps transformation names to task kernels.
 #[derive(Clone, Default)]
@@ -282,10 +276,7 @@ impl LocalPool {
                     }
 
                     let ctx = TaskContext {
-                        job_name: item.job.name.clone(),
-                        transformation: item.job.transformation.clone(),
                         args: item.job.args.clone(),
-                        attempt: item.attempt,
                         workdir: config.workdir.clone(),
                     };
                     let outcome = if let Some(failure) = early_failure {
@@ -446,10 +437,10 @@ mod tests {
 
     #[test]
     fn kernel_receives_context() {
-        let (tx, rx) = mpsc::channel::<(Name, Args)>();
+        let (tx, rx) = mpsc::channel::<(Args, PathBuf)>();
         let mut reg = TaskRegistry::new();
         reg.register("ctx", move |ctx| {
-            tx.send((ctx.job_name.clone(), ctx.args.clone())).unwrap();
+            tx.send((ctx.args.clone(), ctx.workdir.clone())).unwrap();
             Ok(())
         });
         let mut j = job(0, "the_job", "ctx");
@@ -458,9 +449,9 @@ mod tests {
         let mut pool = LocalPool::new(pool_config(), reg);
         let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
         assert!(run.succeeded());
-        let (name, args) = rx.recv().unwrap();
-        assert_eq!(name, "the_job");
+        let (args, workdir) = rx.recv().unwrap();
         assert_eq!(args, vec!["-n", "300"]);
+        assert_eq!(workdir, pool_config().workdir);
     }
 
     #[test]
@@ -475,9 +466,8 @@ mod tests {
     fn task_errors_become_failures_and_retries_work() {
         static ATTEMPTS: AtomicUsize = AtomicUsize::new(0);
         let mut reg = TaskRegistry::new();
-        reg.register("flaky", |ctx| {
-            ATTEMPTS.fetch_add(1, Ordering::SeqCst);
-            if ctx.attempt < 2 {
+        reg.register("flaky", |_| {
+            if ATTEMPTS.fetch_add(1, Ordering::SeqCst) < 2 {
                 Err("transient".into())
             } else {
                 Ok(())
@@ -494,9 +484,10 @@ mod tests {
     #[test]
     fn kernel_failures_land_as_labelled_fault_counters() {
         use pegasus_wms::metrics::{names, MetricsMonitor, MetricsRegistry};
+        static ATTEMPTS: AtomicUsize = AtomicUsize::new(0);
         let mut reg = TaskRegistry::new();
-        reg.register("flaky", |ctx| {
-            if ctx.attempt < 2 {
+        reg.register("flaky", |_| {
+            if ATTEMPTS.fetch_add(1, Ordering::SeqCst) < 2 {
                 Err("transient".into())
             } else {
                 Ok(())
@@ -760,14 +751,18 @@ mod tests {
         let (tx, rx) = mpsc::channel::<Name>();
         let mut reg = TaskRegistry::new();
         reg.register("log", move |ctx| {
-            tx.send(ctx.job_name.clone()).unwrap();
+            tx.send(ctx.args[0].clone()).unwrap();
             Ok(())
         });
         // a -> b -> c must serialize even with 4 workers.
+        let logging = |id, name: &str| ExecutableJob {
+            args: vec![name.into()].into(),
+            ..job(id, name, "log")
+        };
         let wf = ExecutableWorkflow {
             name: "w".into(),
             site: "local".into(),
-            jobs: vec![job(0, "a", "log"), job(1, "b", "log"), job(2, "c", "log")],
+            jobs: vec![logging(0, "a"), logging(1, "b"), logging(2, "c")],
             edges: vec![
                 (
                     pegasus_wms::workflow::JobId::new(0),

@@ -14,47 +14,47 @@ use std::collections::BTreeMap;
 
 /// Analysis of one failed job.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FailedJobReport {
+pub(crate) struct FailedJobReport {
     /// Job display name.
-    pub name: Name,
+    pub(crate) name: Name,
     /// Transformation name.
-    pub transformation: Name,
+    pub(crate) transformation: Name,
     /// Attempts consumed.
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// Distinct failure reasons with occurrence counts, sorted by
     /// reason.
-    pub reasons: Vec<(Name, usize)>,
+    pub(crate) reasons: Vec<(Name, usize)>,
     /// Distinct typed failure categories, sorted.
-    pub kinds: Vec<FaultReason>,
+    pub(crate) kinds: Vec<FaultReason>,
     /// Seconds burnt across the failed attempts.
-    pub badput: f64,
+    pub(crate) badput: f64,
 }
 
 /// The full analysis of a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
     /// Workflow name.
-    pub workflow: String,
+    pub(crate) workflow: String,
     /// Site the run targeted.
-    pub site: String,
+    pub(crate) site: String,
     /// Whether the run succeeded.
-    pub succeeded: bool,
+    pub(crate) succeeded: bool,
     /// Jobs that completed (including rescue-skipped).
-    pub done: usize,
+    pub(crate) done: usize,
     /// Jobs that exhausted retries, with details.
-    pub failed: Vec<FailedJobReport>,
+    pub(crate) failed: Vec<FailedJobReport>,
     /// Jobs that never became ready.
-    pub unready: Vec<Name>,
+    pub(crate) unready: Vec<Name>,
     /// Transient failures that retries absorbed: (job name, attempts).
-    pub recovered: Vec<(Name, u32)>,
+    pub(crate) recovered: Vec<(Name, u32)>,
     /// Fraction of jobs already complete (useful before a rescue
     /// resubmission).
-    pub completion_fraction: f64,
+    pub(crate) completion_fraction: f64,
 }
 
 impl Analysis {
     /// Actionable suggestions derived from the failure pattern.
-    pub fn suggestions(&self) -> Vec<String> {
+    pub(crate) fn suggestions(&self) -> Vec<String> {
         let mut out = Vec::new();
         if self.succeeded {
             if !self.recovered.is_empty() {

@@ -6,7 +6,7 @@
 //! Sandhills even though its per-task total is worse — install
 //! overhead, queue-wait variance, and retry badput eat the
 //! difference. This module computes that breakdown from the
-//! [`JobRecord`]s the provenance stream folds into: [`job_spans`]
+//! [`JobRecord`]s the provenance stream folds into: `job_spans`
 //! turns them into per-job [`JobSpan`]s
 //!
 //! > `queue-wait → install → kickstart → post-overhead → retry-badput`
@@ -64,7 +64,7 @@ impl JobSpan {
     /// job). Time held at the submit host by the DAGMan-style
     /// throttle is deliberately excluded — per-task phases are
     /// measured from the job log, the way pegasus-statistics does.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.queue_wait + self.install + self.kickstart + self.post_overhead + self.retry_badput
     }
 }
@@ -73,7 +73,7 @@ impl JobSpan {
 ///
 /// Jobs that never completed keep zero success-phase durations but
 /// still accumulate `retry_badput` from their failed attempts.
-pub fn job_spans(records: &[JobRecord]) -> Vec<JobSpan> {
+pub(crate) fn job_spans(records: &[JobRecord]) -> Vec<JobSpan> {
     records
         .iter()
         .map(|r| {
@@ -143,7 +143,7 @@ pub struct BreakdownRow {
 /// Aggregates already-computed spans into one row labelled
 /// `site`/`n`. Means are over all compute jobs (failed ones
 /// contribute their badput and zeros elsewhere).
-pub fn aggregate(site: &str, n: &str, spans: &[JobSpan]) -> BreakdownRow {
+pub(crate) fn aggregate(site: &str, n: &str, spans: &[JobSpan]) -> BreakdownRow {
     let compute: Vec<&JobSpan> = spans
         .iter()
         .filter(|s| s.kind == JobKind::Compute)
@@ -171,7 +171,7 @@ pub fn aggregate(site: &str, n: &str, spans: &[JobSpan]) -> BreakdownRow {
 }
 
 /// The breakdown row of a run in hand: site and `n` (from the workflow
-/// name, or the job count) off the run, phases from [`job_spans`] over
+/// name, or the job count) off the run, phases from `job_spans` over
 /// its records. Reads nothing from `run.events`.
 pub fn of_run(run: &WorkflowRun) -> BreakdownRow {
     let n = n_label(&run.name, run.records.len());
@@ -189,10 +189,10 @@ pub fn from_events(stream: &[WorkflowEvent]) -> Result<BreakdownRow, WmsError> {
 }
 
 /// Header of the CSV rendering.
-pub const CSV_HEADER: &str = "site,n,compute_jobs,completed,queue_wait_mean_s,install_mean_s,\
+pub(crate) const CSV_HEADER: &str = "site,n,compute_jobs,completed,queue_wait_mean_s,install_mean_s,\
                               kickstart_mean_s,post_overhead_mean_s,retry_badput_mean_s,total_mean_s";
 
-/// Renders rows as CSV under [`CSV_HEADER`], durations with
+/// Renders rows as CSV under `CSV_HEADER`, durations with
 /// millisecond precision — byte-stable for a given event stream.
 pub fn render_csv(rows: &[BreakdownRow]) -> String {
     let mut out = String::from(CSV_HEADER);
@@ -216,7 +216,7 @@ pub fn render_csv(rows: &[BreakdownRow]) -> String {
 
 /// Renders rows as a JSON array (the `pegasus breakdown --json`
 /// machine interface): one object per row, keys matching the
-/// [`CSV_HEADER`] columns, durations with millisecond precision —
+/// `CSV_HEADER` columns, durations with millisecond precision —
 /// byte-stable for a given event stream. Hand-rolled JSON, like the
 /// lint and trace renderers: the repo's no-serde discipline.
 pub fn render_json(rows: &[BreakdownRow]) -> String {

@@ -15,17 +15,17 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Site {
     /// Site handle, e.g. `"sandhills"` or `"osg"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Software packages maintained on the site's worker nodes.
-    pub preinstalled: HashSet<String>,
+    pub(crate) preinstalled: HashSet<String>,
     /// Whether worker nodes share a filesystem with the submit host
     /// (campus clusters usually do; OSG worker nodes do not).
-    pub shared_fs: bool,
+    pub(crate) shared_fs: bool,
     /// Sustained network bandwidth between submit host and site, in
     /// bytes/second, used to cost stage-in/stage-out jobs.
     pub bandwidth_bps: f64,
     /// Relative CPU speed of the site's nodes (1.0 = reference core).
-    pub cpu_speed: f64,
+    pub(crate) cpu_speed: f64,
 }
 
 impl Site {
@@ -81,19 +81,9 @@ impl SiteCatalog {
         self.sites.get(name)
     }
 
-    /// Number of sites.
-    pub fn len(&self) -> usize {
-        self.sites.len()
-    }
-
     /// All site handles (unsorted).
     pub fn names(&self) -> Vec<String> {
         self.sites.keys().cloned().collect()
-    }
-
-    /// `true` when no sites are registered.
-    pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
     }
 }
 
@@ -115,7 +105,7 @@ pub struct Transformation {
 
 impl Transformation {
     /// Creates an installable transformation with no requirements.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         Transformation {
             name: name.into(),
             requires: Vec::new(),
@@ -125,20 +115,14 @@ impl Transformation {
     }
 
     /// Builder: adds a required package.
-    pub fn requires_pkg(mut self, pkg: impl Into<String>) -> Self {
+    pub(crate) fn requires_pkg(mut self, pkg: impl Into<String>) -> Self {
         self.requires.push(pkg.into());
         self
     }
 
     /// Builder: sets the per-package install cost in seconds.
-    pub fn install_cost(mut self, seconds: f64) -> Self {
+    pub(crate) fn install_cost(mut self, seconds: f64) -> Self {
         self.install_cost_per_pkg = seconds;
-        self
-    }
-
-    /// Builder: forbids runtime installation.
-    pub fn not_installable(mut self) -> Self {
-        self.installable = false;
         self
     }
 }
@@ -173,7 +157,7 @@ impl TransformationCatalog {
     /// Packages of `transformation` missing at `site`; empty when the
     /// transformation is unknown (unknown transformations are treated
     /// as requiring nothing, like a plain staged binary).
-    pub fn missing_packages(&self, transformation: &str, site: &Site) -> Vec<String> {
+    pub(crate) fn missing_packages(&self, transformation: &str, site: &Site) -> Vec<String> {
         match self.map.get(transformation) {
             Some(t) => t
                 .requires
@@ -275,6 +259,15 @@ pub fn paper_catalogs() -> (SiteCatalog, TransformationCatalog) {
 }
 
 #[cfg(test)]
+impl Transformation {
+    /// Builder: forbids runtime installation.
+    pub(crate) fn not_installable(mut self) -> Self {
+        self.installable = false;
+        self
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -294,10 +287,10 @@ mod tests {
     #[test]
     fn site_catalog_lookup() {
         let mut sc = SiteCatalog::new();
-        assert!(sc.is_empty());
+        assert!(sc.names().is_empty());
         sc.add(Site::new("a"));
         sc.add(Site::new("b"));
-        assert_eq!(sc.len(), 2);
+        assert_eq!(sc.names().len(), 2);
         assert!(sc.get("a").is_some());
         assert!(sc.get("zzz").is_none());
     }

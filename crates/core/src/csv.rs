@@ -8,7 +8,7 @@
 //! historical output.
 
 /// Escapes one CSV field, quoting only when necessary.
-pub fn csv_field(field: &str) -> String {
+pub(crate) fn csv_field(field: &str) -> String {
     if field.contains(',') || field.contains('"') || field.contains('\n') {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
@@ -18,7 +18,7 @@ pub fn csv_field(field: &str) -> String {
 
 /// Renders one CSV row (with trailing newline) from already-formatted
 /// cells, escaping each as needed.
-pub fn csv_row<S: AsRef<str>>(cells: &[S]) -> String {
+pub(crate) fn csv_row<S: AsRef<str>>(cells: &[S]) -> String {
     let mut out = String::new();
     for (i, cell) in cells.iter().enumerate() {
         if i > 0 {
@@ -35,7 +35,7 @@ pub fn csv_row<S: AsRef<str>>(cells: &[S]) -> String {
 ///
 /// Shared by the DOT emitters so the node syntax is written (and
 /// escaped) in exactly one place, like [`csv_row`] is for CSV rows.
-pub fn dot_node(
+pub(crate) fn dot_node(
     id: impl std::fmt::Display,
     label: &str,
     shape: &str,
@@ -48,7 +48,7 @@ pub fn dot_node(
 }
 
 /// Renders one Graphviz edge line: `  j<parent> -> j<child>;`
-pub fn dot_edge(parent: impl std::fmt::Display, child: impl std::fmt::Display) -> String {
+pub(crate) fn dot_edge(parent: impl std::fmt::Display, child: impl std::fmt::Display) -> String {
     format!("  j{parent} -> j{child};\n")
 }
 

@@ -491,10 +491,15 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
                         .ok_or_else(|| scan.tag_err("<job> missing id attribute"))?;
                     let tname = attr(&attrs, "name").unwrap_or(id);
                     let transformation = transformations.share(tname);
+                    // A duration in seconds: `NaN`, `inf` or a negative
+                    // would reach the planner's critical path and the
+                    // simulator's clock.
                     let runtime_hint = match attr(&attrs, "runtime") {
                         Some(rt) => rt
                             .parse()
-                            .map_err(|_| scan.tag_err(format!("bad runtime {rt:?}")))?,
+                            .ok()
+                            .filter(|v: &f64| v.is_finite() && *v >= 0.0)
+                            .ok_or_else(|| scan.tag_err(format!("bad runtime {rt:?}")))?,
                         None => 1.0,
                     };
                     let job = OpenJob {

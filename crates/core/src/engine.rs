@@ -56,13 +56,13 @@ impl JobTimes {
     }
 
     /// Total time from submission to termination.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.finished - self.submitted
     }
 
     /// Whether the four timestamps are in lifecycle order:
     /// `submitted <= started <= install_done <= finished`.
-    pub fn ordered(&self) -> bool {
+    pub(crate) fn ordered(&self) -> bool {
         self.submitted <= self.started
             && self.started <= self.install_done
             && self.install_done <= self.finished
@@ -216,7 +216,7 @@ impl RetryPolicy {
     /// retry is attempt 1). Zero when no backoff is configured; never
     /// consumes RNG draws in that case, so flat policies stay
     /// reproducible against historical runs.
-    pub fn backoff_before(&self, next_attempt: u32, rng: &mut StdRng) -> f64 {
+    pub(crate) fn backoff_before(&self, next_attempt: u32, rng: &mut StdRng) -> f64 {
         if self.base_backoff <= 0.0 {
             return 0.0;
         }
@@ -298,13 +298,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Symmetric backoff jitter (`0.2` = ±20 %), drawn from the
-    /// engine RNG.
-    pub fn jitter(mut self, jitter: f64) -> Self {
-        self.cfg.retry.jitter = jitter;
-        self
-    }
-
     /// Per-attempt wall-clock timeout handed to the backend.
     pub fn timeout(mut self, timeout: f64) -> Self {
         self.cfg.retry.timeout = Some(timeout);
@@ -314,16 +307,6 @@ impl EngineConfigBuilder {
     /// Resumes from a rescue DAG: its DONE jobs are skipped.
     pub fn rescue(mut self, rescue: &RescueDag) -> Self {
         self.cfg.skip_done = rescue.done.iter().cloned().collect();
-        self
-    }
-
-    /// Marks job *names* as already done (a rescue DAG by hand).
-    pub fn skip_done<I, S>(mut self, names: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<Name>,
-    {
-        self.cfg.skip_done = names.into_iter().map(Into::into).collect();
         self
     }
 
@@ -438,7 +421,7 @@ pub struct FaultCounters {
 
 impl FaultCounters {
     /// Bumps the counter matching a typed failure category.
-    pub fn record_reason(&mut self, reason: FaultReason) {
+    pub(crate) fn record_reason(&mut self, reason: FaultReason) {
         match reason {
             FaultReason::Preemption => self.preemptions += 1,
             FaultReason::Eviction => self.evictions += 1,
@@ -459,7 +442,7 @@ impl FaultCounters {
 
     /// Folds another run's counters into this one — the ensemble
     /// rollup.
-    pub fn merge(&mut self, other: &FaultCounters) {
+    pub(crate) fn merge(&mut self, other: &FaultCounters) {
         self.preemptions += other.preemptions;
         self.evictions += other.evictions;
         self.install_failures += other.install_failures;
@@ -493,7 +476,7 @@ pub struct JobRecord {
     /// Transformation name (likewise shared).
     pub transformation: Name,
     /// Job role.
-    pub kind: JobKind,
+    pub(crate) kind: JobKind,
     /// Final state.
     pub state: JobState,
     /// Attempts consumed (0 if never submitted).
@@ -591,13 +574,13 @@ impl EventSink for NoopMonitor {
 /// [`WorkflowExecution::on_event`]. The driver must hand it to
 /// `backend.submit_after(job, next_attempt, delay)`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RetryRequest {
+pub(crate) struct RetryRequest {
     /// Which job to resubmit.
-    pub job: JobId,
+    pub(crate) job: JobId,
     /// The attempt number of the resubmission (0-based).
-    pub next_attempt: u32,
+    pub(crate) next_attempt: u32,
     /// Backoff delay before the resubmission, in backend seconds.
-    pub delay: f64,
+    pub(crate) delay: f64,
 }
 
 /// What a driver must do after feeding one completion event to a
@@ -606,13 +589,13 @@ pub struct RetryRequest {
 pub struct EventResponse {
     /// Jobs that became ready for their first submission, in release
     /// order.
-    pub newly_ready: Vec<JobId>,
+    pub(crate) newly_ready: Vec<JobId>,
     /// A retry to resubmit (with backoff), if the failed job has
     /// attempts left.
-    pub retry: Option<RetryRequest>,
+    pub(crate) retry: Option<RetryRequest>,
     /// The scripted submit-host crash fired: abandon in-flight work
     /// and stop driving this workflow.
-    pub crashed: bool,
+    pub(crate) crashed: bool,
 }
 
 /// Re-entrant per-workflow scheduling state — the DAGMan loop body
@@ -624,7 +607,7 @@ pub struct EventResponse {
 /// submit those jobs (marking each with [`note_submitted`]), then feed
 /// every completion event for this workflow to [`on_event`] and act on
 /// the returned [`EventResponse`]. The workflow is finished when
-/// [`is_complete`] (or the response's `crashed` flag) says so; then
+/// `is_complete` (or the response's `crashed` flag) says so; then
 /// [`finish`] delivers the trailer and yields the [`WorkflowRun`].
 ///
 /// All scheduling decisions (readiness, retry budget, backoff RNG,
@@ -637,7 +620,6 @@ pub struct EventResponse {
 /// [`take_initial_ready`]: WorkflowExecution::take_initial_ready
 /// [`note_submitted`]: WorkflowExecution::note_submitted
 /// [`on_event`]: WorkflowExecution::on_event
-/// [`is_complete`]: WorkflowExecution::is_complete
 /// [`finish`]: WorkflowExecution::finish
 #[derive(Debug)]
 pub struct WorkflowExecution {
@@ -771,7 +753,7 @@ impl WorkflowExecution {
     /// The events emitted since the last drain — the driver forwards
     /// these to its [`EventSink`] after each submission batch or
     /// completion event.
-    pub fn drain_new_events(&mut self) -> &[WorkflowEvent] {
+    pub(crate) fn drain_new_events(&mut self) -> &[WorkflowEvent] {
         let new = &self.run.events[self.emitted..];
         self.emitted = self.run.events.len();
         new
@@ -887,18 +869,13 @@ impl WorkflowExecution {
 
     /// `true` when no released job is still outstanding — the workflow
     /// ran to completion (successfully or not).
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.outstanding == 0
-    }
-
-    /// `true` once the scripted submit-host crash fired.
-    pub fn has_crashed(&self) -> bool {
-        self.crashed
     }
 
     /// `true` when the run will be reported as failed (a job exhausted
     /// its retries, or the crash fired).
-    pub fn failed(&self) -> bool {
+    pub(crate) fn failed(&self) -> bool {
         self.any_failed || self.crashed
     }
 
@@ -1599,7 +1576,6 @@ mod tests {
             .retries(3)
             .backoff(30.0)
             .timeout(600.0)
-            .jitter(0.2)
             .seed(2014)
             .crash_after_events(7)
             .build();
@@ -1607,7 +1583,6 @@ mod tests {
         assert_eq!(cfg.retry.base_backoff, 30.0);
         assert_eq!(cfg.retry.max_backoff, 64.0 * 30.0);
         assert_eq!(cfg.retry.timeout, Some(600.0));
-        assert_eq!(cfg.retry.jitter, 0.2);
         assert_eq!(cfg.seed, 2014);
         assert_eq!(cfg.crash_after_events, Some(7));
     }

@@ -88,7 +88,7 @@ impl Format {
     }
 
     /// The format's default lint code.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         self.row().1
     }
 
@@ -104,7 +104,12 @@ impl Format {
 
     /// A parse error of this format under the code of the rule the
     /// raise site knows was broken.
-    pub fn error_as(self, code: &'static str, span: Span, reason: impl Into<String>) -> WmsError {
+    pub(crate) fn error_as(
+        self,
+        code: &'static str,
+        span: Span,
+        reason: impl Into<String>,
+    ) -> WmsError {
         WmsError::Parse {
             format: self,
             span,
@@ -159,7 +164,7 @@ pub enum WmsError {
         /// the refusal is about the text as a whole.
         span: Span,
         /// The lint code the refusal reports under: the format's
-        /// [default](Format::code), unless the raise site knew better.
+        /// default, unless the raise site knew better.
         code: &'static str,
         /// Description of the problem.
         reason: String,

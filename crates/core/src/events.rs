@@ -182,7 +182,7 @@ impl WorkflowEvent {
     /// The backend timestamp this event carries: the terminal events'
     /// `times.finished`, the explicit `time` elsewhere, and `None` for
     /// the timeless [`WorkflowEvent::JobDeclared`] manifest entries.
-    pub fn time(&self) -> Option<f64> {
+    pub(crate) fn time(&self) -> Option<f64> {
         match self {
             WorkflowEvent::WorkflowStarted { time, .. }
             | WorkflowEvent::Skipped { time, .. }
@@ -211,7 +211,7 @@ impl WorkflowEvent {
     /// [`WorkflowEvent::JobDeclared`] manifest entries — return `None`
     /// and do not constrain stream order.  Terminal events order by
     /// their `times.finished`.
-    pub fn emission_time(&self) -> Option<f64> {
+    pub(crate) fn emission_time(&self) -> Option<f64> {
         match self {
             WorkflowEvent::WorkflowStarted { time, .. }
             | WorkflowEvent::WorkflowFinished { time, .. }
@@ -265,7 +265,7 @@ impl WorkflowEvent {
     }
 
     /// The job this event is about; `None` for the header and trailer.
-    pub fn job(&self) -> Option<JobId> {
+    pub(crate) fn job(&self) -> Option<JobId> {
         match self {
             WorkflowEvent::JobDeclared { job, .. }
             | WorkflowEvent::Skipped { job, .. }
@@ -640,7 +640,7 @@ pub mod log {
     type Out<'w, 'o> = &'w mut Writer<'o>;
 
     fn put_job<'w, 'o>(w: Out<'w, 'o>, key: &str, job: JobId) -> Out<'w, 'o> {
-        w.u64(key, job.as_u32().into())
+        w.u64(key, job.idx() as u64)
     }
 
     fn put_attempt<'w, 'o>(w: Out<'w, 'o>, job: JobId, attempt: u32) -> Out<'w, 'o> {
@@ -1161,7 +1161,10 @@ mod tests {
     #[test]
     fn replay_handles_rescue_skips() {
         let wf = chain();
-        let cfg = EngineConfig::builder().skip_done(["a"]).build();
+        let cfg = EngineConfig {
+            skip_done: ["a".into()].into_iter().collect(),
+            ..Default::default()
+        };
         let run = Engine::run(
             &mut ScriptedBackend::new(),
             &wf,

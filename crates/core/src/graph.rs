@@ -10,8 +10,8 @@
 //!
 //! The walks live here and nowhere else: Kahn's order, which names the
 //! stuck nodes when it cannot finish ([`Csr::topological_order`]), the
-//! cycle path ([`Csr::cycle_path`]), levels ([`Csr::levels`]) and the
-//! heaviest path ([`Csr::longest_path`]). The abstract workflow, the
+//! cycle path (`Csr::cycle_path`), levels ([`Csr::levels`]) and the
+//! heaviest path (`Csr::longest_path`). The abstract workflow, the
 //! planned one, the lint and the CLI's renderer all call these.
 
 use crate::symbols::JobId;
@@ -68,7 +68,7 @@ impl Csr {
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.offsets.len() - 1
     }
 
@@ -98,7 +98,7 @@ impl Csr {
     }
 
     /// Iterates nodes as [`JobId`]s in index order.
-    pub fn nodes(&self) -> impl Iterator<Item = JobId> {
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = JobId> {
         (0..self.node_count()).map(JobId::new)
     }
 
@@ -135,7 +135,7 @@ impl Csr {
     /// `None` for a DAG: the first back edge a depth-first search
     /// meets, started from every node in index order and following
     /// neighbors in adjacency order.
-    pub fn cycle_path(&self) -> Option<Vec<JobId>> {
+    pub(crate) fn cycle_path(&self) -> Option<Vec<JobId>> {
         #[derive(Clone, Copy, PartialEq)]
         enum Mark {
             Unseen,
@@ -194,7 +194,7 @@ impl Csr {
     /// node's `weight`: `(total weight, path)`, `(0.0, [])` for the
     /// empty graph. Among equally heavy parents the first in adjacency
     /// order is followed.
-    pub fn longest_path(
+    pub(crate) fn longest_path(
         &self,
         order: &[JobId],
         weight: impl Fn(JobId) -> f64,

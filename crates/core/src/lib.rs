@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! pegasus-wms: a workflow management system in the style of Pegasus.
@@ -12,8 +13,9 @@
 //! * [`workflow`] — the abstract workflow model: jobs, logical files,
 //!   dataflow- and explicitly-declared dependencies, DAG validation
 //!   and topological analysis;
-//! * [`symbols`] — interned [`JobId`]/[`FileId`] identifiers and the
-//!   [`SymbolTable`] that resolves them back to names at render/log
+//! * [`symbols`] — interned [`symbols::JobId`]/[`symbols::FileId`]
+//!   identifiers and the [`symbols::SymbolTable`] that resolves them
+//!   back to names at render/log
 //!   boundaries;
 //! * [`graph`] — compressed sparse row (CSR) adjacency shared by the
 //!   workflow, planner, and engine traversals;
@@ -31,7 +33,7 @@
 //! * [`events`] — the provenance core: the typed, append-only
 //!   [`events::WorkflowEvent`] stream the engine emits at every state
 //!   transition, its line-oriented log format, and [`events::replay`]
-//!   which folds a log back into a [`WorkflowRun`] for offline
+//!   which folds a log back into an [`engine::WorkflowRun`] for offline
 //!   statistics, analysis, and rescue;
 //! * [`mod@line`] — the one reader of the `keyword key=value …` line
 //!   grammar the event log, the serve protocol and journal, fault
@@ -78,7 +80,7 @@ pub mod analyzer;
 pub mod breakdown;
 pub mod catalog;
 pub mod catalog_io;
-pub mod csv;
+pub(crate) mod csv;
 pub mod dax;
 pub mod engine;
 pub mod ensemble;
@@ -101,17 +103,5 @@ pub mod trace;
 pub mod verify;
 pub mod workflow;
 
-pub use catalog::{ReplicaCatalog, SiteCatalog, TransformationCatalog};
-pub use engine::{
-    CompletionEvent, Engine, EngineConfig, ExecutionBackend, FaultCounters, FaultReason,
-    RetryPolicy, WorkflowRun,
-};
-pub use ensemble::{Ensemble, EnsembleConfig, EnsembleRun, Submission};
-pub use error::{Span, WmsError};
-pub use events::{EventSink, WorkflowEvent};
-pub use graph::Csr;
 pub use lint::{Diagnostic, Severity};
-pub use planner::{plan, ExecutableJob, ExecutableWorkflow, JobKind, PlannerConfig};
-pub use symbols::{FileId, JobId, SiteId, SymbolTable};
 pub use trace::TraceId;
-pub use workflow::AbstractWorkflow;

@@ -19,7 +19,7 @@
 //! is what every writer emits, a byte scan finds it, and any other
 //! character — a no-break space in a job name, say — is data. A name
 //! that is not the line's tail and may hold whitespace is written with
-//! [`Writer::token`] and read back as a `Cow<str>`: the one place that
+//! `Writer::token` and read back as a `Cow<str>`: the one place that
 //! knows the escape.
 //!
 //! Errors are [`WmsError::Parse`]s of the calling [`Format`] at the
@@ -47,7 +47,7 @@ pub struct Line<'a> {
 impl<'a> Line<'a> {
     /// Splits one line; `number` is what its errors will name.
     #[inline]
-    pub fn split(raw: &'a str, number: usize) -> Self {
+    pub(crate) fn split(raw: &'a str, number: usize) -> Self {
         let text = raw.trim_ascii();
         let end = text
             .bytes()
@@ -149,7 +149,7 @@ fn escape(from: usize, c: char) -> Option<char> {
     Some(char::from(ESCAPES[1 - from].as_bytes()[at]))
 }
 
-/// A name written by [`Writer::token`]; borrows `raw` unless it holds
+/// A name written by `Writer::token`; borrows `raw` unless it holds
 /// an escape.
 impl<'a> Value<'a> for Cow<'a, str> {
     const WHAT: &'static str = "token";
@@ -324,7 +324,7 @@ impl<'b, 'a> Fields<'b, 'a> {
     ///
     /// # Errors
     /// A value that is not a `T`.
-    pub fn next_opt<T: Value<'a>>(&mut self, key: &str) -> Result<Option<T>, WmsError> {
+    pub(crate) fn next_opt<T: Value<'a>>(&mut self, key: &str) -> Result<Option<T>, WmsError> {
         match self.fields.get(self.next) {
             Some(field) if field.key == key => self.take(self.next).map(Some),
             _ => Ok(None),
@@ -336,7 +336,7 @@ impl<'b, 'a> Fields<'b, 'a> {
     /// # Errors
     /// `expected <key>=, found <other>=`, `missing field <key>` at the
     /// end of the line, or a value that is not a `T`.
-    pub fn next<T: Value<'a>>(&mut self, key: &str) -> Result<T, WmsError> {
+    pub(crate) fn next<T: Value<'a>>(&mut self, key: &str) -> Result<T, WmsError> {
         if let Some(value) = self.next_opt(key)? {
             return Ok(value);
         }
@@ -422,13 +422,13 @@ impl<'o> Writer<'o> {
     }
 
     /// Opens a line with its keyword.
-    pub fn kw(&mut self, keyword: &str) -> &mut Self {
+    pub(crate) fn kw(&mut self, keyword: &str) -> &mut Self {
         self.out.push_str(keyword);
         self
     }
 
     /// Closes the line.
-    pub fn end(&mut self) {
+    pub(crate) fn end(&mut self) {
         self.out.push('\n');
     }
 
@@ -440,7 +440,7 @@ impl<'o> Writer<'o> {
     }
 
     /// An integer field.
-    pub fn u64(&mut self, key: &str, v: u64) -> &mut Self {
+    pub(crate) fn u64(&mut self, key: &str, v: u64) -> &mut Self {
         push_u64(self.key(key).out, v);
         self
     }
@@ -471,14 +471,14 @@ impl<'o> Writer<'o> {
 
     /// A field whose value is one of the format's own words (`true`,
     /// `compute`, `preempted`), written as it is.
-    pub fn word(&mut self, key: &str, value: &str) -> &mut Self {
+    pub(crate) fn word(&mut self, key: &str, value: &str) -> &mut Self {
         self.key(key).out.push_str(value);
         self
     }
 
     /// A name from outside, whatever it holds: `my tool` is written
     /// `my\stool`, and [`Value`] for `Cow<str>` reads it back.
-    pub fn token(&mut self, key: &str, value: &str) -> &mut Self {
+    pub(crate) fn token(&mut self, key: &str, value: &str) -> &mut Self {
         // The bytes of `ESCAPES[0]`, found without decoding a char.
         if !value.bytes().any(|b| b == b'\\' || b.is_ascii_whitespace()) {
             return self.word(key, value);
@@ -495,7 +495,7 @@ impl<'o> Writer<'o> {
 
     /// The free-text field that ends a line: everything survives but a
     /// line break, which becomes a space.
-    pub fn tail(&mut self, key: &str, value: &str) -> &mut Self {
+    pub(crate) fn tail(&mut self, key: &str, value: &str) -> &mut Self {
         self.key(key);
         for (i, part) in value.split(['\n', '\r']).enumerate() {
             if i > 0 {

@@ -11,7 +11,7 @@
 //! streams), a [`Severity`], a file/line/col [`Span`], a message, and
 //! an optional `help` note.
 //!
-//! Rules live in a static registry ([`RULES`]) with per-rule default
+//! Rules live in a static registry (`RULES`) with per-rule default
 //! levels that a [`LintConfig`] can override (`allow`/`warn`/`deny`),
 //! mirroring `rustc`'s `-A`/`-W`/`-D` lint flags.  The passes are
 //! deterministic: diagnostics are sorted by (file, span, code,
@@ -31,7 +31,7 @@
 //!   [`crate::events::log`] streams, so replayed provenance is
 //!   validated, not trusted.
 //!
-//! Fault-plan cross-checking ([`E0201`](RULES) etc.) lives in
+//! Fault-plan cross-checking (`E0201` etc.) lives in
 //! `gridsim::faults_lint` because `gridsim` owns the `Scenario`
 //! type; it returns the same [`Diagnostic`] values.
 
@@ -67,7 +67,7 @@ impl fmt::Display for Severity {
 
 /// Per-rule reporting level, mirroring rustc's `-A`/`-W`/`-D`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Level {
+pub(crate) enum Level {
     /// Suppress the rule entirely.
     Allow,
     /// Report as a [`Severity::Warning`].
@@ -80,17 +80,17 @@ pub enum Level {
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
     /// Stable diagnostic code, e.g. `"E0103"` or `"W0402"`.
-    pub code: &'static str,
+    pub(crate) code: &'static str,
     /// Kebab-case rule name, accepted anywhere a code is.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Default reporting level.
-    pub default: Level,
+    pub(crate) default: Level,
     /// One-line description for `--help` style listings and docs.
-    pub summary: &'static str,
+    pub(crate) summary: &'static str,
 }
 
 /// Every rule `pegasus lint` knows, sorted by code.
-pub const RULES: &[Rule] = &[
+pub(crate) const RULES: &[Rule] = &[
     Rule {
         code: "E0101",
         name: "dax-syntax",
@@ -422,7 +422,7 @@ pub struct Diagnostic {
     /// Severity after the rule's default level (before overrides).
     pub severity: Severity,
     /// The file the finding is about, as given on the command line.
-    pub file: String,
+    pub(crate) file: String,
     /// Position inside `file`; [`Span::none`] when the finding is
     /// about the input as a whole.
     pub span: Span,
@@ -437,7 +437,7 @@ impl Diagnostic {
     /// the rule's default level.
     ///
     /// # Panics
-    /// Panics if `code` is not in [`RULES`] — lint passes only emit
+    /// Panics if `code` is not in `RULES` — lint passes only emit
     /// registered codes.
     pub fn new(
         code: &'static str,
@@ -501,9 +501,9 @@ impl Diagnostic {
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     /// Treat every warning as an error (`--deny warnings`).
-    pub deny_warnings: bool,
+    pub(crate) deny_warnings: bool,
     /// Per-rule overrides by code or name, applied after defaults.
-    pub overrides: Vec<(String, Level)>,
+    pub(crate) overrides: Vec<(String, Level)>,
 }
 
 impl LintConfig {

@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 
 /// What a metric family measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Monotonically increasing total.
     Counter,
     /// Last-written value.
@@ -54,15 +54,15 @@ impl MetricKind {
 /// One histogram series: cumulative-style bucket counts (stored
 /// per-bucket, cumulated at render time), plus sum and count.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct HistogramState {
+pub(crate) struct HistogramState {
     /// Upper bounds of the finite buckets, as the family declared them.
     bounds: Vec<f64>,
     /// Observations per bucket; one extra slot for `+Inf`.
     counts: Vec<u64>,
     /// Sum of all observed values.
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Number of observations.
-    pub count: u64,
+    pub(crate) count: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -148,7 +148,7 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if `name` is already declared with a different kind, or
     /// if `buckets` is empty or not strictly increasing.
-    pub fn declare_histogram(&mut self, name: &str, help: &str, buckets: &[f64]) {
+    pub(crate) fn declare_histogram(&mut self, name: &str, help: &str, buckets: &[f64]) {
         assert!(!buckets.is_empty(), "histogram {name} needs buckets");
         assert!(
             buckets.windows(2).all(|w| w[0] < w[1]),
@@ -261,7 +261,7 @@ impl MetricsRegistry {
     }
 
     /// Reads back a histogram series, if it exists.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramState> {
+    pub(crate) fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramState> {
         match self.get(name, labels)? {
             Series::Histogram(h) => Some(h),
             Series::Scalar(_) => None,
@@ -375,7 +375,7 @@ fn render_labels(labels: &[(String, String)], le: Option<&str>) -> String {
 /// Phase-duration histogram buckets, in seconds: ×2 geometric from 30 s
 /// to ~34 h, spanning OSG queue waits (median 600 s) down at one end
 /// and n = 10 kickstart chunks (~10 h) at the other.
-pub const PHASE_BUCKETS: [f64; 13] = [
+pub(crate) const PHASE_BUCKETS: [f64; 13] = [
     30.0, 60.0, 120.0, 240.0, 480.0, 960.0, 1920.0, 3840.0, 7680.0, 15360.0, 30720.0, 61440.0,
     122880.0,
 ];
@@ -421,7 +421,7 @@ pub mod names {
     /// Histogram `{phase}`: wall-clock seconds the engine itself spent
     /// in each internal phase (`dax.parse`, `plan`, `engine.run`, …).
     /// Populated only under `--profile` via [`crate::prof::export`].
-    pub const ENGINE_PHASE_SECONDS: &str = "pegasus_engine_phase_seconds";
+    pub(crate) const ENGINE_PHASE_SECONDS: &str = "pegasus_engine_phase_seconds";
     /// Gauge: simulator event-queue depth at the end of a run.
     pub const SIM_QUEUE_DEPTH: &str = "pegasus_sim_event_queue_depth";
     /// Gauge: peak simulator event-queue depth over a run.

@@ -14,9 +14,9 @@ use crate::symbols::Name;
 #[derive(Debug, Default, Clone)]
 pub struct StatusMonitor {
     /// Total jobs expected (set at construction).
-    pub total: usize,
+    pub(crate) total: usize,
     /// Attempts currently in flight.
-    pub in_flight: usize,
+    pub(crate) in_flight: usize,
     /// Jobs completed successfully.
     pub done: usize,
     /// Attempts that failed (retries count individually).
@@ -41,7 +41,7 @@ impl StatusMonitor {
     }
 
     /// Percent of jobs completed.
-    pub fn percent_done(&self) -> f64 {
+    pub(crate) fn percent_done(&self) -> f64 {
         if self.total == 0 {
             100.0
         } else {
@@ -86,17 +86,17 @@ impl EventSink for StatusMonitor {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineEntry {
     /// Job display name.
-    pub name: Name,
+    pub(crate) name: Name,
     /// Transformation name.
-    pub transformation: Name,
+    pub(crate) transformation: Name,
     /// Attempt number.
-    pub attempt: u32,
+    pub(crate) attempt: u32,
     /// Execution start (slot acquired).
-    pub start: f64,
+    pub(crate) start: f64,
     /// Termination time.
-    pub end: f64,
+    pub(crate) end: f64,
     /// Whether the attempt succeeded.
-    pub succeeded: bool,
+    pub(crate) succeeded: bool,
 }
 
 /// Records every attempt's execution interval.

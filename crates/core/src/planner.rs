@@ -158,7 +158,7 @@ impl ExecutableWorkflow {
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Site to bind the workflow to.
-    pub target_site: String,
+    pub(crate) target_site: String,
     /// Insert the leading `create_dir` job.
     pub add_create_dir: bool,
     /// Insert stage-in/stage-out transfer jobs based on the replica

@@ -5,10 +5,10 @@
 //! module does not export fails the doc build:
 //!
 //! ```
-//! # fn main() -> Result<(), pegasus_wms::WmsError> {
+//! # fn main() -> Result<(), pegasus_wms::error::WmsError> {
 //! # let mut backend = pegasus_wms::engine::scripted::ScriptedBackend::new();
 //! # let (name, site) = ("empty".into(), "local".into());
-//! # let exec = pegasus_wms::ExecutableWorkflow { name, site, jobs: vec![], edges: vec![] };
+//! # let exec = pegasus_wms::planner::ExecutableWorkflow { name, site, jobs: vec![], edges: vec![] };
 //! # let execs = vec![exec.clone(), exec.clone()];
 //! use pegasus_wms::prelude::*;
 //!

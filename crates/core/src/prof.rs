@@ -37,7 +37,7 @@ pub fn set_enabled(on: bool) {
 
 /// `true` when profiling scopes are currently recording.
 #[inline]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -78,7 +78,7 @@ pub fn take_samples() -> Vec<(&'static str, f64)> {
 
 /// Aggregates samples per label (first-seen order) into `(label,
 /// total seconds, count)` triples.
-pub fn aggregate(samples: &[(&'static str, f64)]) -> Vec<(&'static str, f64, usize)> {
+pub(crate) fn aggregate(samples: &[(&'static str, f64)]) -> Vec<(&'static str, f64, usize)> {
     let mut agg: Vec<(&'static str, f64, usize)> = Vec::new();
     for &(label, secs) in samples {
         match agg.iter_mut().find(|(l, _, _)| *l == label) {
@@ -110,7 +110,8 @@ pub fn summary(samples: &[(&'static str, f64)]) -> String {
 /// Histogram buckets for engine phases: geometric decades from 1 µs
 /// to 100 s of *wall-clock* time (workflow-time phases use the much
 /// coarser [`crate::metrics::PHASE_BUCKETS`]).
-pub const ENGINE_PHASE_BUCKETS: &[f64] = &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0];
+pub(crate) const ENGINE_PHASE_BUCKETS: &[f64] =
+    &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0];
 
 /// Folds samples into `registry` as `pegasus_engine_phase_seconds`
 /// histograms labelled by phase. Callers gate this behind the

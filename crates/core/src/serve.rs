@@ -92,14 +92,14 @@ pub const GREETING: &str = "# pegasus serve v1";
 
 /// First line of a daemon journal file. v2 added the optional
 /// `trace=` submission field; [`Ledger::replay`] still accepts
-/// [`JOURNAL_HEADER_V1`] journals (their submissions parse with no
+/// `JOURNAL_HEADER_V1` journals (their submissions parse with no
 /// trace id, and recovery re-derives the same ids it originally
 /// assigned).
 pub const JOURNAL_HEADER: &str = "# pegasus serve journal v2";
 
 /// The pre-trace journal header, accepted on replay for forward
 /// migration of existing spool directories.
-pub const JOURNAL_HEADER_V1: &str = "# pegasus serve journal v1";
+pub(crate) const JOURNAL_HEADER_V1: &str = "# pegasus serve journal v1";
 
 /// Where a submitted workflow comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,7 +170,7 @@ pub enum Request {
 /// `true` when `s` can travel as a single protocol token (non-empty,
 /// no whitespace, no `=`). Tenants and site handles must satisfy
 /// this; the daemon rejects submissions that don't.
-pub fn valid_token(s: &str) -> bool {
+pub(crate) fn valid_token(s: &str) -> bool {
     !s.is_empty() && !s.contains(char::is_whitespace) && !s.contains('=')
 }
 
@@ -677,7 +677,7 @@ pub struct StatusLine {
 }
 
 /// The canonical token for a lifecycle state.
-pub fn state_token(state: MemberState) -> &'static str {
+pub(crate) fn state_token(state: MemberState) -> &'static str {
     match state {
         MemberState::Queued => "queued",
         MemberState::Cancelled => "cancelled",
@@ -690,7 +690,7 @@ pub fn state_token(state: MemberState) -> &'static str {
 ///
 /// # Errors
 /// [`WmsError::Parse`] on an unknown token.
-pub fn parse_state(token: &str) -> Result<MemberState, WmsError> {
+pub(crate) fn parse_state(token: &str) -> Result<MemberState, WmsError> {
     match token {
         "queued" => Ok(MemberState::Queued),
         "cancelled" => Ok(MemberState::Cancelled),
@@ -758,7 +758,7 @@ pub fn parse_status_line(text: &str) -> Result<StatusLine, WmsError> {
 /// Mean per-job queue wait (started − submitted) across every job
 /// that recorded times — derived purely from event timestamps, so
 /// live and replayed views agree byte-for-byte.
-pub fn queue_wait(run: &WorkflowRun) -> Option<f64> {
+pub(crate) fn queue_wait(run: &WorkflowRun) -> Option<f64> {
     let waits: Vec<f64> = run
         .records
         .iter()
@@ -779,9 +779,9 @@ pub fn queue_wait(run: &WorkflowRun) -> Option<f64> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemberSummary {
     /// Job count of the planned workflow.
-    pub jobs: usize,
+    pub(crate) jobs: usize,
     /// [`queue_wait`] of the run.
-    pub queue_wait: Option<f64>,
+    pub(crate) queue_wait: Option<f64>,
     /// Whether the whole workflow completed.
     pub succeeded: bool,
     /// The member's statistics row; its name and wall time are the

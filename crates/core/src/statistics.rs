@@ -17,7 +17,8 @@ use std::collections::BTreeMap;
 /// Column header shared by [`render_summary_csv`] and
 /// [`render_ensemble_csv`]: one row describes one workflow (or the
 /// whole ensemble, in the rollup row named `ensemble`).
-pub const SUMMARY_CSV_HEADER: &str = "name,site,wall_time,cumulative_walltime,badput,succeeded,\
+pub(crate) const SUMMARY_CSV_HEADER: &str =
+    "name,site,wall_time,cumulative_walltime,badput,succeeded,\
                                       failed,unready,retries,preemptions,evictions,\
                                       install_failures,timeouts,backoff_wait";
 
@@ -25,21 +26,21 @@ pub const SUMMARY_CSV_HEADER: &str = "name,site,wall_time,cumulative_walltime,ba
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskTypeStats {
     /// Transformation name.
-    pub transformation: String,
+    pub(crate) transformation: String,
     /// Number of successful jobs of this type.
     pub count: usize,
     /// Total kickstart seconds across jobs.
-    pub kickstart_total: f64,
+    pub(crate) kickstart_total: f64,
     /// Mean kickstart seconds.
     pub kickstart_mean: f64,
     /// Maximum kickstart seconds.
-    pub kickstart_max: f64,
+    pub(crate) kickstart_max: f64,
     /// Mean waiting seconds.
     pub waiting_mean: f64,
     /// Maximum waiting seconds.
-    pub waiting_max: f64,
+    pub(crate) waiting_max: f64,
     /// Total download/install seconds.
-    pub install_total: f64,
+    pub(crate) install_total: f64,
     /// Mean download/install seconds.
     pub install_mean: f64,
 }
@@ -48,34 +49,34 @@ pub struct TaskTypeStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowStatistics {
     /// Workflow name.
-    pub name: String,
+    pub(crate) name: String,
     /// Execution site.
-    pub site: String,
+    pub(crate) site: String,
     /// Workflow Wall Time in seconds.
     pub workflow_wall_time: f64,
     /// Sum of kickstart times over successful jobs — the work a
     /// serial execution would pay end to end.
-    pub cumulative_job_walltime: f64,
+    pub(crate) cumulative_job_walltime: f64,
     /// Time burnt in failed attempts ("badput").
     pub cumulative_badput: f64,
     /// Jobs that completed.
-    pub jobs_succeeded: usize,
+    pub(crate) jobs_succeeded: usize,
     /// Jobs that exhausted retries.
     pub jobs_failed: usize,
     /// Jobs never released.
-    pub jobs_unready: usize,
+    pub(crate) jobs_unready: usize,
     /// Total retries consumed.
     pub retries: u32,
     /// Failure/retry breakdown by cause, as counted by the engine.
     pub faults: FaultCounters,
     /// Per-transformation breakdown, keyed and ordered by name.
-    pub per_type: Vec<TaskTypeStats>,
+    pub(crate) per_type: Vec<TaskTypeStats>,
 }
 
 impl WorkflowStatistics {
     /// Parallel efficiency proxy: cumulative job wall time divided by
     /// workflow wall time (the average concurrency achieved).
-    pub fn speedup_over_serial(&self) -> f64 {
+    pub(crate) fn speedup_over_serial(&self) -> f64 {
         if self.workflow_wall_time <= 0.0 {
             return 1.0;
         }
@@ -287,27 +288,27 @@ fn summary_row(stats: &WorkflowStatistics) -> String {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleStatistics {
     /// Ensemble start to last workflow completion, in backend seconds.
-    pub makespan: f64,
+    pub(crate) makespan: f64,
     /// Per-member statistics, in submission order.
     pub per_workflow: Vec<WorkflowStatistics>,
     /// Members that completed successfully.
-    pub workflows_succeeded: usize,
+    pub(crate) workflows_succeeded: usize,
     /// Members that failed or crashed.
     pub workflows_failed: usize,
     /// Sum of kickstart time over every member's successful jobs.
-    pub cumulative_job_walltime: f64,
+    pub(crate) cumulative_job_walltime: f64,
     /// Sum of badput over every member.
-    pub cumulative_badput: f64,
+    pub(crate) cumulative_badput: f64,
     /// Job totals across members (succeeded, failed, unready).
-    pub jobs_succeeded: usize,
+    pub(crate) jobs_succeeded: usize,
     /// Jobs that exhausted retries, across members.
-    pub jobs_failed: usize,
+    pub(crate) jobs_failed: usize,
     /// Jobs never released, across members.
-    pub jobs_unready: usize,
+    pub(crate) jobs_unready: usize,
     /// Retries consumed across members.
     pub retries: u32,
     /// Merged fault counters across members.
-    pub faults: FaultCounters,
+    pub(crate) faults: FaultCounters,
 }
 
 impl EnsembleStatistics {
@@ -340,7 +341,7 @@ impl EnsembleStatistics {
 
     /// Aggregate throughput proxy: total useful work over makespan —
     /// the average concurrency the shared platform sustained.
-    pub fn aggregate_concurrency(&self) -> f64 {
+    pub(crate) fn aggregate_concurrency(&self) -> f64 {
         if self.makespan <= 0.0 {
             return 1.0;
         }

@@ -288,12 +288,6 @@ impl SiteId {
     pub const fn idx(self) -> usize {
         self.0 as usize
     }
-
-    /// The raw `u16` value.
-    #[inline]
-    pub const fn as_u16(self) -> u16 {
-        self.0
-    }
 }
 
 impl From<usize> for SiteId {
@@ -353,12 +347,6 @@ macro_rules! impl_symbol_id {
             #[inline]
             pub const fn idx(self) -> usize {
                 self.0 as usize
-            }
-
-            /// The raw `u32` value.
-            #[inline]
-            pub const fn as_u32(self) -> u32 {
-                self.0
             }
         }
 
@@ -485,7 +473,7 @@ impl<S: Symbol> SymbolTable<S> {
 
     /// Makes room for `n` more names, so interning them neither moves
     /// `ends` nor re-places the index.
-    pub fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         self.ends.reserve(n);
         let names = self.ends.len() + n;
         if names * 4 > self.slots.len() * 3 {
@@ -594,7 +582,7 @@ impl<S: Symbol> SymbolTable<S> {
     }
 
     /// Returns the slack a growing table over-allocated.
-    pub fn shrink_to_fit(&mut self) {
+    pub(crate) fn shrink_to_fit(&mut self) {
         self.text.shrink_to_fit();
         self.ends.shrink_to_fit();
     }

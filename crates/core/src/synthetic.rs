@@ -54,10 +54,10 @@ fn strs(names: &[String]) -> impl Iterator<Item = &str> {
 /// final image chain.
 ///
 /// ```
-/// use pegasus_wms::synthetic::{montage, montage_job_count};
+/// use pegasus_wms::synthetic::montage;
 ///
 /// let wf = montage(10);
-/// assert_eq!(wf.jobs.len(), montage_job_count(10));
+/// assert_eq!(wf.jobs.len(), 36);
 /// assert!(wf.validate().is_ok());
 /// assert_eq!(wf.width().unwrap(), 10); // the projection fan-out
 /// ```
@@ -109,12 +109,6 @@ pub fn montage(n: usize) -> AbstractWorkflow {
     wf
 }
 
-/// Expected Montage job count for `n` images.
-pub fn montage_job_count(n: usize) -> usize {
-    let n = n.max(2);
-    n + n + 1 + 1 + n + 1 + 1 + 1 + 1
-}
-
 /// CyberShake with `n` variation pairs: two `ExtractSGT` sources, `n`
 /// `SeismogramSynthesis` + `n` `PeakValCalc` jobs, two zip fan-ins.
 pub fn cybershake(n: usize) -> AbstractWorkflow {
@@ -148,11 +142,6 @@ pub fn cybershake(n: usize) -> AbstractWorkflow {
     );
     job(rows, ("ZipPSA", ""), 25.0, strs(&peaks), ["peaks.zip"]);
     wf
-}
-
-/// Expected CyberShake job count for `n` pairs.
-pub fn cybershake_job_count(n: usize) -> usize {
-    2 + 2 * n.max(1) + 2
 }
 
 /// Epigenomics with `lanes` sequencing lanes of `chains` parallel
@@ -206,12 +195,6 @@ pub fn epigenomics(lanes: usize, chains: usize) -> AbstractWorkflow {
     wf
 }
 
-/// Expected Epigenomics job count.
-pub fn epigenomics_job_count(lanes: usize, chains: usize) -> usize {
-    let (lanes, chains) = (lanes.max(1), chains.max(1));
-    lanes * (1 + 4 * chains + 1) + 3
-}
-
 /// LIGO Inspiral with `groups` groups of `per_group` templates each:
 /// TmpltBank → Inspiral → per-group Thinca fan-in → TrigBank →
 /// Inspiral2 → final Thinca.
@@ -245,15 +228,32 @@ pub fn ligo_inspiral(groups: usize, per_group: usize) -> AbstractWorkflow {
     wf
 }
 
-/// Expected LIGO Inspiral job count.
-pub fn ligo_job_count(groups: usize, per_group: usize) -> usize {
-    let (g, p) = (groups.max(1), per_group.max(1));
-    g * (2 * p + 3) + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Expected Montage job count for `n` images.
+    fn montage_job_count(n: usize) -> usize {
+        let n = n.max(2);
+        n + n + 1 + 1 + n + 1 + 1 + 1 + 1
+    }
+
+    /// Expected CyberShake job count for `n` pairs.
+    fn cybershake_job_count(n: usize) -> usize {
+        2 + 2 * n.max(1) + 2
+    }
+
+    /// Expected Epigenomics job count.
+    fn epigenomics_job_count(lanes: usize, chains: usize) -> usize {
+        let (lanes, chains) = (lanes.max(1), chains.max(1));
+        lanes * (1 + 4 * chains + 1) + 3
+    }
+
+    /// Expected LIGO Inspiral job count.
+    fn ligo_job_count(groups: usize, per_group: usize) -> usize {
+        let (g, p) = (groups.max(1), per_group.max(1));
+        g * (2 * p + 3) + 1
+    }
 
     #[test]
     fn montage_counts_and_shape() {

@@ -55,11 +55,6 @@ impl TraceId {
         TraceId(raw)
     }
 
-    /// The raw 64-bit id.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
     /// Derives the trace id of submission `index` under a daemon (or
     /// CLI) base seed: a splitmix-style mix, so ids spread over the
     /// full width, and a pure function of journaled facts, so crash
@@ -94,7 +89,7 @@ impl FromStr for TraceId {
 /// Renders the event-log comment line carrying a trace id:
 /// `# trace id=<16-hex>`. Written directly under the log header;
 /// every event-log parser skips it as a comment.
-pub fn render_log_comment(id: TraceId) -> String {
+pub(crate) fn render_log_comment(id: TraceId) -> String {
     format!("# trace id={id}")
 }
 
@@ -173,7 +168,7 @@ pub struct AttemptSpan {
 impl AttemptSpan {
     /// `true` for failed/timed-out attempts — their whole interval is
     /// retry badput.
-    pub fn badput(&self) -> bool {
+    pub(crate) fn badput(&self) -> bool {
         !matches!(self.outcome, AttemptOutcome::Completed)
     }
 
@@ -639,7 +634,7 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         // The mix scrambles even index 0 away from the raw seed.
-        assert_ne!(a.raw(), 11);
+        assert_ne!(a, TraceId::new(11));
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! downstream runs:
 //!
 //! **Layer 1 — temporal invariants (`E08xx`,
-//! [`check_stream`]).**  A declarative invariant catalog
-//! ([`CATALOG`]) over complete [`WorkflowEvent`] streams, in four
-//! LTL-lite classes ([`TemporalClass`]): *always* (holds at every
-//! event), *eventually-before-finish* (every obligation is discharged
-//! by the trailer), *precedes* (B never appears without an earlier A),
-//! and *never-after* (nothing follows the trailer).  The catalog
-//! encodes exactly what the engine guarantees while emitting: every
+//! [`check_stream`]).**  The invariant catalog over complete
+//! [`WorkflowEvent`] streams is the `E08xx` rows of the lint rule
+//! registry (`pegasus lint --list`), each an LTL-lite property:
+//! *always* (holds at every event), *eventually-before-finish* (every
+//! obligation is discharged by the trailer), *precedes* (B never
+//! appears without an earlier A), or *never-after* (nothing follows
+//! the trailer).  The catalog encodes exactly what the engine
+//! guarantees while emitting: every
 //! submission reaches a terminal event, attempt numbers are dense and
 //! strictly increasing, `install-started` precedes `started` on sites
 //! with install overhead, concurrency never exceeds the site's slot
@@ -56,100 +57,6 @@ use crate::lint::Diagnostic;
 use crate::planner::{ExecutableWorkflow, JobKind};
 use crate::trace::TraceId;
 use crate::workflow::{AbstractWorkflow, Dataflow, FileId, JobId, Readers};
-
-/// The LTL-lite shape of one invariant — the four temporal operators
-/// the catalog needs (full LTL would be overkill for an append-only,
-/// finite stream that always ends in a trailer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TemporalClass {
-    /// Holds at every event of the stream.
-    Always,
-    /// Every obligation opened mid-stream is discharged before (or
-    /// at) the `workflow-finished` trailer.
-    EventuallyBeforeFinish,
-    /// An event kind never appears without its prerequisite earlier
-    /// in the stream.
-    Precedes,
-    /// Nothing of the given kind appears after a closing event.
-    NeverAfter,
-}
-
-/// One entry of the built-in invariant catalog: the diagnostic code it
-/// reports under, its temporal class, and a one-line statement.
-#[derive(Debug, Clone, Copy)]
-pub struct InvariantSpec {
-    /// The `E08xx` code this invariant reports under (registered in
-    /// [`crate::lint::RULES`]).
-    pub code: &'static str,
-    /// Which temporal operator the invariant instantiates.
-    pub class: TemporalClass,
-    /// One-line statement of the invariant.
-    pub summary: &'static str,
-}
-
-/// The built-in temporal invariant catalog, one entry per `E08xx`
-/// rule.  [`check_stream`] implements exactly these; the registry
-/// test pins the two lists to each other, and every `E07xx`/`W07xx`
-/// sanitizer code to the invariant it is the lenient face of.
-pub const CATALOG: &[InvariantSpec] = &[
-    InvariantSpec {
-        code: "E0801",
-        class: TemporalClass::EventuallyBeforeFinish,
-        summary: "on a succeeded run, every submitted attempt reaches a terminal event \
-                  and every scheduled retry is resubmitted before workflow-finished",
-    },
-    InvariantSpec {
-        code: "E0802",
-        class: TemporalClass::Always,
-        summary: "per job, submitted attempt numbers are dense and strictly increasing \
-                  (0, 1, 2, ...), and an attempt is submitted only after the one \
-                  before it reached its terminal event",
-    },
-    InvariantSpec {
-        code: "E0803",
-        class: TemporalClass::Precedes,
-        summary: "per attempt, submitted precedes install-started precedes started \
-                  precedes the terminal event, each at most once, and install-started \
-                  appears exactly when the attempt had an install phase",
-    },
-    InvariantSpec {
-        code: "E0804",
-        class: TemporalClass::Always,
-        summary: "at no instant do more attempts hold slots than the site's capacity \
-                  (swept over [started, finished) intervals in time order)",
-    },
-    InvariantSpec {
-        code: "E0805",
-        class: TemporalClass::Precedes,
-        summary: "every retry-scheduled follows a failed attempt at its finish time, \
-                  every attempt > 0 follows its retry-scheduled, and the resubmission \
-                  gap and backoff respect the configured backoff/jitter envelope",
-    },
-    InvariantSpec {
-        code: "E0806",
-        class: TemporalClass::NeverAfter,
-        summary: "exactly one workflow-finished closes the stream, nothing follows it, \
-                  and its verdict, wall time, and time bounds agree with the stream",
-    },
-    InvariantSpec {
-        code: "E0807",
-        class: TemporalClass::Precedes,
-        summary: "the workflow-started header comes first, followed by a dense, \
-                  complete job manifest; every event references a declared job",
-    },
-    InvariantSpec {
-        code: "E0808",
-        class: TemporalClass::Always,
-        summary: "emission-ordered events and each job's own events are nondecreasing \
-                  in time, attempt timestamps are internally ordered and agree with \
-                  their phase events, and failure reasons match their detail strings",
-    },
-    InvariantSpec {
-        code: "E0809",
-        class: TemporalClass::Always,
-        summary: "the event log's trace-id header matches the journaled submission",
-    },
-];
 
 /// Options for [`check_stream`]: the context the stream alone does not
 /// carry.
@@ -823,7 +730,7 @@ impl StreamWalker {
 }
 
 /// Layer 1: verifies one complete event stream against the full
-/// temporal invariant catalog ([`CATALOG`]).
+/// temporal invariant catalog (the `E08xx` rules).
 ///
 /// `events` pairs each event with its one-based line number in `file`
 /// (from [`crate::events::log::parse_lines`]); streams built in memory
@@ -1240,19 +1147,85 @@ completed job=0 attempt=0 submitted=0 started=1 install-done=1 finished=7
 workflow-finished time=7 wall-time=7 succeeded=true
 ";
 
+    /// `CLEAN` with job 1's terminal event dropped.
+    fn unterminated() -> String {
+        CLEAN.replace(
+            "completed job=1 attempt=0 submitted=0 started=2 install-done=2 finished=4\n",
+            "",
+        )
+    }
+
+    /// `CLEAN` with job 1's first attempt submitted twice.
+    fn resubmitted() -> String {
+        CLEAN.replace(
+            "submitted time=0 job=1 attempt=0\n",
+            "submitted time=0 job=1 attempt=0\nsubmitted time=0 job=1 attempt=0\n",
+        )
+    }
+
+    /// An attempt that completes without having started.
+    const NEVER_STARTED: &str = "\
+workflow-started time=0 jobs=1 site=osg name=w
+job id=0 kind=compute transformation=split name=a
+submitted time=0 job=0 attempt=0
+completed job=0 attempt=0 submitted=0 started=1 install-done=1 finished=2
+workflow-finished time=2 wall-time=2 succeeded=true
+";
+
+    /// A retry resubmitted before its backoff elapsed.
+    const EARLY_RESUBMISSION: &str = "\
+workflow-started time=0 jobs=1 site=osg name=w
+job id=0 kind=compute transformation=split name=a
+submitted time=0 job=0 attempt=0
+started time=1 job=0 attempt=0
+failed job=0 attempt=0 reason=preempted submitted=0 started=1 install-done=1 finished=2 detail=preempted:storm
+retry-scheduled time=2 job=0 next-attempt=1 backoff=10 reason=preempted detail=preempted:storm
+submitted time=2 job=0 attempt=1
+started time=4 job=0 attempt=1
+completed job=0 attempt=1 submitted=3 started=4 install-done=4 finished=6
+workflow-finished time=6 wall-time=6 succeeded=true
+";
+
+    /// A failure whose reason is not the one its detail opens with.
+    const REASON_MISMATCH: &str = "\
+workflow-started time=0 jobs=1 site=osg name=w
+job id=0 kind=compute transformation=split name=a
+submitted time=0 job=0 attempt=0
+started time=1 job=0 attempt=0
+failed job=0 attempt=0 reason=evicted submitted=0 started=1 install-done=1 finished=2 detail=preempted:storm
+workflow-finished time=2 wall-time=2 succeeded=false
+";
+
+    /// The corrupted streams of this module's tests, together, raise
+    /// every `E08xx` invariant the rule registry names: the registry
+    /// holds no invariant that nothing checks.
     #[test]
-    fn catalog_matches_the_rule_registry() {
-        for spec in CATALOG {
-            let r = rule(spec.code).expect("catalog codes are registered");
-            assert!(r.code.starts_with("E08"), "{}", r.code);
+    fn every_registered_invariant_is_raised_by_some_stream() {
+        let one_slot = VerifyOptions {
+            slot_capacity: Some(1),
+            retry: None,
+        };
+        let default = VerifyOptions::default;
+        let streams = [
+            (unterminated(), default()),
+            (resubmitted(), default()),
+            (NEVER_STARTED.to_string(), default()),
+            (CLEAN.to_string(), one_slot),
+            (EARLY_RESUBMISSION.to_string(), default()),
+            (CLEAN.replace("jobs=2", "jobs=3"), default()),
+            (REASON_MISMATCH.to_string(), default()),
+        ];
+        let mut raised = std::collections::BTreeSet::new();
+        for (text, opts) in &streams {
+            let events = log::parse_lines(text).unwrap();
+            raised.extend(codes(&check_stream(&events, "run.events", opts)));
         }
-        for r in RULES.iter().filter(|r| r.code.starts_with("E08")) {
-            assert!(
-                CATALOG.iter().any(|s| s.code == r.code),
-                "{} missing from CATALOG",
-                r.code
-            );
-        }
+        raised.extend(check_trace_match(None, TraceId::new(1), "m0.events").map(|d| d.code));
+        let registered = RULES
+            .iter()
+            .map(|r| r.code)
+            .filter(|c| c.starts_with("E08"));
+        assert_eq!(raised, registered.collect());
     }
 
     #[test]
@@ -1320,31 +1293,15 @@ workflow-finished time=7 wall-time=7 succeeded=true
 
     #[test]
     fn dropped_terminal_is_unterminated() {
-        let text = CLEAN.replace(
-            "completed job=1 attempt=0 submitted=0 started=2 install-done=2 finished=4\n",
-            "",
-        );
-        let diags = verify_text(&text);
+        let diags = verify_text(&unterminated());
         assert!(codes(&diags).contains(&"E0801"), "{diags:?}");
         assert!(codes(&diags).contains(&"E0806"), "{diags:?}");
     }
 
     #[test]
     fn attempt_regression_and_phase_precedence() {
-        let dup = CLEAN.replace(
-            "submitted time=0 job=1 attempt=0\n",
-            "submitted time=0 job=1 attempt=0\nsubmitted time=0 job=1 attempt=0\n",
-        );
-        assert!(codes(&verify_text(&dup)).contains(&"E0802"));
-
-        let text = "\
-workflow-started time=0 jobs=1 site=osg name=w
-job id=0 kind=compute transformation=split name=a
-submitted time=0 job=0 attempt=0
-completed job=0 attempt=0 submitted=0 started=1 install-done=1 finished=2
-workflow-finished time=2 wall-time=2 succeeded=true
-";
-        assert!(codes(&verify_text(text)).contains(&"E0803"));
+        assert!(codes(&verify_text(&resubmitted())).contains(&"E0802"));
+        assert!(codes(&verify_text(NEVER_STARTED)).contains(&"E0803"));
     }
 
     #[test]
@@ -1381,18 +1338,7 @@ workflow-finished time=5 wall-time=5 succeeded=true
 
     #[test]
     fn retry_envelope_violations_are_flagged() {
-        let text = "\
-workflow-started time=0 jobs=1 site=osg name=w
-job id=0 kind=compute transformation=split name=a
-submitted time=0 job=0 attempt=0
-started time=1 job=0 attempt=0
-failed job=0 attempt=0 reason=preempted submitted=0 started=1 install-done=1 finished=2 detail=preempted:storm
-retry-scheduled time=2 job=0 next-attempt=1 backoff=10 reason=preempted detail=preempted:storm
-submitted time=2 job=0 attempt=1
-started time=4 job=0 attempt=1
-completed job=0 attempt=1 submitted=3 started=4 install-done=4 finished=6
-workflow-finished time=6 wall-time=6 succeeded=true
-";
+        let text = EARLY_RESUBMISSION;
         // Resubmission ran at submitted=3 < retry time 2 + backoff 10.
         assert!(
             codes(&verify_text(text)).contains(&"E0805"),
@@ -1437,15 +1383,7 @@ workflow-finished time=6 wall-time=6 succeeded=true
 
     #[test]
     fn reason_detail_mismatch_is_flagged() {
-        let text = "\
-workflow-started time=0 jobs=1 site=osg name=w
-job id=0 kind=compute transformation=split name=a
-submitted time=0 job=0 attempt=0
-started time=1 job=0 attempt=0
-failed job=0 attempt=0 reason=evicted submitted=0 started=1 install-done=1 finished=2 detail=preempted:storm
-workflow-finished time=2 wall-time=2 succeeded=false
-";
-        assert!(codes(&verify_text(text)).contains(&"E0808"));
+        assert!(codes(&verify_text(REASON_MISMATCH)).contains(&"E0808"));
     }
 
     #[test]

@@ -55,11 +55,11 @@ pub struct JobRow {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FileUse<'a> {
     /// The file's id in the workflow's file table.
-    pub file: FileId,
+    pub(crate) file: FileId,
     /// The file's name, as the file table holds it.
     pub name: &'a str,
     /// Estimated size in bytes, as this use declared it.
-    pub size_bytes: u64,
+    pub(crate) size_bytes: u64,
 }
 
 /// A job's inputs or outputs: a window onto the workflow's flat
@@ -357,7 +357,7 @@ impl AbstractWorkflow {
     }
 
     /// The job referenced by `id`.
-    pub fn job(&self, id: JobId) -> &JobRow {
+    pub(crate) fn job(&self, id: JobId) -> &JobRow {
         &self.jobs[id.idx()]
     }
 

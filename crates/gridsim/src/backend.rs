@@ -99,8 +99,6 @@ pub struct SimBackend {
     released: usize,
     /// Maximum simultaneously released jobs (DAGMan `maxjobs`).
     throttle: usize,
-    /// Total busy seconds accumulated across slots (utilisation).
-    busy_seconds: f64,
     /// Count of preemptions that occurred.
     preemptions: u64,
     /// Which job currently occupies each slot.
@@ -108,8 +106,6 @@ pub struct SimBackend {
     /// How many independent causes (churn, blackout) currently hold
     /// each slot out of the pool; 0 means the slot is available.
     down_votes: Vec<u32>,
-    /// Churn events observed: (downs, ups).
-    churn_events: (u64, u64),
     /// Compiled chaos script, if any.
     script: Option<FaultScript>,
     /// Job names by dense id, recorded at submission only while a
@@ -128,7 +124,7 @@ pub struct SimBackend {
 
 impl SimBackend {
     /// Creates a backend over `platform` with a deterministic seed.
-    /// The submission throttle defaults to the slot count.
+    /// The submission throttle is the slot count.
     pub fn new(platform: PlatformModel, seed: u64) -> Self {
         let free_slots = (0..platform.slot_count()).rev().collect();
         let throttle = platform.slot_count().max(1);
@@ -145,11 +141,9 @@ impl SimBackend {
             held: VecDeque::new(),
             released: 0,
             throttle,
-            busy_seconds: 0.0,
             preemptions: 0,
             occupant: vec![None; n_slots],
             down_votes: vec![0; n_slots],
-            churn_events: (0, 0),
             script: None,
             names: Vec::new(),
             timeout: None,
@@ -165,11 +159,6 @@ impl SimBackend {
             }
         }
         backend
-    }
-
-    /// (slot-down, slot-up) churn events observed so far.
-    pub fn churn_events(&self) -> (u64, u64) {
-        self.churn_events
     }
 
     /// Attaches a compiled chaos script. Scripted blackout windows are
@@ -188,17 +177,6 @@ impl SimBackend {
         self
     }
 
-    /// Overrides the DAGMan-style submission throttle.
-    pub fn with_throttle(mut self, throttle: usize) -> Self {
-        self.throttle = throttle.max(1);
-        self
-    }
-
-    /// The modelled platform.
-    pub fn platform(&self) -> &PlatformModel {
-        &self.platform
-    }
-
     /// Attempts killed before completion — platform preemptions,
     /// churn/blackout evictions, scripted kills, and timeouts.
     pub fn preemptions(&self) -> u64 {
@@ -213,7 +191,7 @@ impl SimBackend {
 
     /// Events still pending in the discrete-event queue (0 after a
     /// run drains).
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.events.len()
     }
 
@@ -249,16 +227,6 @@ impl SimBackend {
             &labels,
             stats.peak_buckets as f64,
         );
-    }
-
-    /// Mean slot utilisation over the elapsed simulated time.
-    pub fn utilisation(&self) -> f64 {
-        let denom = self.clock * self.platform.slot_count() as f64;
-        if denom <= 0.0 {
-            0.0
-        } else {
-            self.busy_seconds / denom
-        }
     }
 
     fn assign(&mut self, key: Key) {
@@ -329,7 +297,6 @@ impl SimBackend {
         p.install_done = (started + install_dur).min(finished);
         p.finished = finished;
         let gen = p.event_gen;
-        self.busy_seconds += finished - started;
         self.events.schedule(finished, SimEvent::Complete(key, gen));
     }
 
@@ -347,7 +314,6 @@ impl SimBackend {
             let p = self.pending.get_mut(&key).expect("occupant is pending");
             // The scheduled completion at the original finish time is
             // now stale; deliver an eviction completion instead.
-            self.busy_seconds -= p.finished - clock;
             p.failure = Some(failure);
             p.finished = clock;
             p.install_done = p.install_done.min(clock);
@@ -376,7 +342,6 @@ impl SimBackend {
     /// pool until its up event.
     fn on_slot_down(&mut self, slot: usize) {
         let churn = self.platform.churn.expect("churn events imply a model");
-        self.churn_events.0 += 1;
         // Opportunistic reclaim is exactly the paper's OSG preemption,
         // so churn evictions are the plain "preempted" failure.
         self.take_slot_down(slot, self.preempted.clone());
@@ -388,7 +353,6 @@ impl SimBackend {
     /// The slot returns from a churn outage.
     fn on_slot_up(&mut self, slot: usize) {
         let churn = self.platform.churn.expect("churn events imply a model");
-        self.churn_events.1 += 1;
         self.bring_slot_up(slot);
         let up_for = sample_exponential(&mut self.rng, 1.0 / churn.mean_up);
         self.events
@@ -618,24 +582,6 @@ mod tests {
         for rec in &run.records {
             assert_eq!(rec.times.unwrap().waiting(), 0.0);
         }
-        assert!(be.utilisation() > 0.99);
-    }
-
-    #[test]
-    fn raised_throttle_exposes_remote_queue_contention() {
-        // Same workload, but all 4 jobs released at once: the two
-        // excess jobs genuinely wait in the remote queue.
-        let p = PlatformModel::uniform("two", 2, 1.0);
-        let mut be = SimBackend::new(p, 1).with_throttle(4);
-        let wf = independent((0..4).map(|i| job(i, 10.0, 0.0)).collect());
-        let run = run_workflow(&wf, &mut be, &EngineConfig::default());
-        assert_eq!(run.wall_time, 20.0);
-        let waited = run
-            .records
-            .iter()
-            .filter(|r| r.times.unwrap().waiting() > 0.0)
-            .count();
-        assert_eq!(waited, 2, "two jobs queue behind the first two");
     }
 
     #[test]
@@ -852,8 +798,6 @@ mod tests {
             be.preemptions() >= 1,
             "a 200s job on a ~50s-up slot must be evicted"
         );
-        let (downs, ups) = be.churn_events();
-        assert!(downs >= 1 && ups >= 1);
         assert_eq!(run.records[0].failures.len() as u64, be.preemptions());
         // The successful attempt ran to completion.
         assert_eq!(run.records[0].times.unwrap().kickstart(), 200.0);
@@ -867,7 +811,6 @@ mod tests {
         let run = run_workflow(&wf, &mut be, &EngineConfig::default());
         assert!(run.succeeded());
         assert_eq!(be.preemptions(), 0);
-        assert_eq!(be.churn_events(), (0, 0));
     }
 
     #[test]

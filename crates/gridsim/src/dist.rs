@@ -9,16 +9,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// A sampleable delay/duration distribution (seconds).
-///
-/// ```
-/// use gridsim::dist::Dist;
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut rng = StdRng::seed_from_u64(1);
-/// let queue_wait = Dist::lognormal_median(300.0, 1.0);
-/// assert!(queue_wait.sample(&mut rng) >= 0.0);
-/// assert!(queue_wait.mean() > 300.0); // lognormal mean exceeds median
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum Dist {
     /// Always the same value.
@@ -34,7 +24,7 @@ pub enum Dist {
 
 impl Dist {
     /// Draws one non-negative sample.
-    pub fn sample(&self, rng: &mut StdRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> f64 {
         let v = match *self {
             Dist::Fixed(v) => v,
             Dist::Uniform(lo, hi) => {
@@ -50,8 +40,34 @@ impl Dist {
         v.max(0.0)
     }
 
+    /// A lognormal parameterised by its median and sigma — the
+    /// ergonomic way to express "typically 5 minutes, occasionally
+    /// hours".
+    pub fn lognormal_median(median: f64, sigma: f64) -> Dist {
+        Dist::LogNormal(median.max(f64::MIN_POSITIVE).ln(), sigma)
+    }
+}
+
+/// Standard normal via Box–Muller.
+pub(crate) fn sample_standard_normal(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Exponential with the given rate; 0 rate gives +inf (never fires).
+pub(crate) fn sample_exponential(rng: &mut StdRng, rate: f64) -> f64 {
+    if rate <= 0.0 {
+        return f64::INFINITY;
+    }
+    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+    -u.ln() / rate
+}
+
+#[cfg(test)]
+impl Dist {
     /// The distribution mean (exact, not sampled).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         match *self {
             Dist::Fixed(v) => v,
             Dist::Uniform(lo, hi) => (lo + hi) / 2.0,
@@ -65,29 +81,6 @@ impl Dist {
             Dist::LogNormal(mu, sigma) => (mu + sigma * sigma / 2.0).exp(),
         }
     }
-
-    /// A lognormal parameterised by its median and sigma — the
-    /// ergonomic way to express "typically 5 minutes, occasionally
-    /// hours".
-    pub fn lognormal_median(median: f64, sigma: f64) -> Dist {
-        Dist::LogNormal(median.max(f64::MIN_POSITIVE).ln(), sigma)
-    }
-}
-
-/// Standard normal via Box–Muller.
-pub fn sample_standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-/// Exponential with the given rate; 0 rate gives +inf (never fires).
-pub fn sample_exponential(rng: &mut StdRng, rate: f64) -> f64 {
-    if rate <= 0.0 {
-        return f64::INFINITY;
-    }
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    -u.ln() / rate
 }
 
 #[cfg(test)]

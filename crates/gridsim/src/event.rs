@@ -49,12 +49,12 @@ fn day_of(time: f64) -> u64 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Total events ever scheduled.
-    pub scheduled: u64,
+    pub(crate) scheduled: u64,
     /// Maximum simultaneously pending events.
     pub peak_depth: usize,
     /// Maximum simultaneously occupied calendar-day buckets
     /// (current bucket included while non-empty).
-    pub peak_buckets: usize,
+    pub(crate) peak_buckets: usize,
 }
 
 /// Min-queue of timed events (calendar-bucketed).
@@ -152,8 +152,21 @@ impl<T> EventQueue<T> {
         Some((s.time, s.payload))
     }
 
+    /// Number of pending events.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Lifetime depth/occupancy statistics (peaks never reset).
+    pub(crate) fn stats(&self) -> QueueStats {
+        self.stats
+    }
+}
+
+#[cfg(test)]
+impl<T> EventQueue<T> {
     /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
+    fn peek_time(&self) -> Option<f64> {
         let bucket = if self.current.is_empty() {
             self.future.first_key_value().map(|(_, b)| b)?
         } else {
@@ -164,21 +177,6 @@ impl<T> EventQueue<T> {
             .map(|s| (s.time, s.seq))
             .min_by(|a, b| a.partial_cmp(b).expect("event times are finite"))
             .map(|(t, _)| t)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Lifetime depth/occupancy statistics (peaks never reset).
-    pub fn stats(&self) -> QueueStats {
-        self.stats
     }
 }
 
@@ -213,7 +211,7 @@ mod tests {
     #[test]
     fn len_and_empty() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        assert!(q.len() == 0);
         q.schedule(1.0, ());
         q.schedule(2.0, ());
         assert_eq!(q.len(), 2);
@@ -306,7 +304,7 @@ mod tests {
         assert_eq!(s.peak_buckets, 2);
         // Draining never lowers the peaks.
         while q.pop().is_some() {}
-        assert!(q.is_empty());
+        assert!(q.len() == 0);
         let s = q.stats();
         assert_eq!(s.scheduled, 3);
         assert_eq!(s.peak_depth, 3);

@@ -18,7 +18,7 @@
 //!   consumed through [`FaultScript::decide`] by every backend;
 //! * [`Scenario::SlotBlackout`] is capacity-level: the simulation
 //!   backend turns it into slot-down/slot-up events
-//!   (via [`FaultScript::blackouts`]);
+//!   (via `FaultScript::blackouts`);
 //! * [`Scenario::SubmitHostCrash`] is engine-level: the DAGMan loop
 //!   stops after N completion events
 //!   (via [`FaultScript::submit_host_crash_after`]) and leaves a
@@ -203,78 +203,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// Renders the plan back into the text format (inverse of
-    /// [`FaultPlan::parse`] up to whitespace and comments).
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        fn suffix(target: &Option<String>) -> String {
-            target
-                .as_ref()
-                .map(|t| format!(" target={t}"))
-                .unwrap_or_default()
-        }
-        let mut out = String::new();
-        if !self.name.is_empty() {
-            let _ = writeln!(out, "plan {}", self.name);
-        }
-        for s in &self.scenarios {
-            match s {
-                Scenario::PreemptionStorm {
-                    start,
-                    duration,
-                    kill_probability,
-                    target,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "preemption-storm start={start} duration={duration} kill-probability={kill_probability}{}",
-                        suffix(target)
-                    );
-                }
-                Scenario::SlotBlackout {
-                    start,
-                    duration,
-                    first_slot,
-                    slot_count,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "slot-blackout start={start} duration={duration} first-slot={first_slot} count={slot_count}"
-                    );
-                }
-                Scenario::Straggler {
-                    start,
-                    duration,
-                    slowdown,
-                    probability,
-                    target,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "straggler start={start} duration={duration} slowdown={slowdown} probability={probability}{}",
-                        suffix(target)
-                    );
-                }
-                Scenario::InstallFailureBurst {
-                    start,
-                    duration,
-                    fail_probability,
-                    target,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "install-failure-burst start={start} duration={duration} fail-probability={fail_probability}{}",
-                        suffix(target)
-                    );
-                }
-                Scenario::SubmitHostCrash { after_events } => {
-                    let _ = writeln!(out, "submit-host-crash after-events={after_events}");
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Timing of one attempt, as known at assignment: when it starts
@@ -299,16 +227,6 @@ pub struct FaultDecision {
     /// any. The time always falls inside the attempt's (slowed) busy
     /// window.
     pub kill: Option<(f64, Failure)>,
-}
-
-impl FaultDecision {
-    /// The no-fault decision.
-    pub fn clean() -> Self {
-        FaultDecision {
-            slowdown: 1.0,
-            kill: None,
-        }
-    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -355,16 +273,6 @@ impl FaultScript {
             install_burst: FaultReason::InstallFailure.tagged("burst"),
             storm: FaultReason::Preemption.tagged("storm"),
         }
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The compile seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Private per-(job, attempt, scenario) generator.
@@ -461,7 +369,7 @@ impl FaultScript {
 
     /// Blackout windows as `(start, duration, first_slot, slot_count)`
     /// tuples, for backends that model slot capacity.
-    pub fn blackouts(&self) -> Vec<(f64, f64, usize, usize)> {
+    pub(crate) fn blackouts(&self) -> Vec<(f64, f64, usize, usize)> {
         self.plan
             .scenarios
             .iter()
@@ -492,8 +400,90 @@ impl FaultScript {
 }
 
 #[cfg(test)]
+impl FaultPlan {
+    /// Renders the plan back into the text format (inverse of
+    /// [`FaultPlan::parse`] up to whitespace and comments): the writer
+    /// the tests read the parser's output back through.
+    fn to_text(&self) -> String {
+        use std::fmt::Write as _;
+        fn suffix(target: &Option<String>) -> String {
+            target
+                .as_ref()
+                .map(|t| format!(" target={t}"))
+                .unwrap_or_default()
+        }
+        let mut out = String::new();
+        if !self.name.is_empty() {
+            let _ = writeln!(out, "plan {}", self.name);
+        }
+        for s in &self.scenarios {
+            match s {
+                Scenario::PreemptionStorm {
+                    start,
+                    duration,
+                    kill_probability,
+                    target,
+                } => {
+                    let _ = writeln!(
+                        out,
+                        "preemption-storm start={start} duration={duration} kill-probability={kill_probability}{}",
+                        suffix(target)
+                    );
+                }
+                Scenario::SlotBlackout {
+                    start,
+                    duration,
+                    first_slot,
+                    slot_count,
+                } => {
+                    let _ = writeln!(
+                        out,
+                        "slot-blackout start={start} duration={duration} first-slot={first_slot} count={slot_count}"
+                    );
+                }
+                Scenario::Straggler {
+                    start,
+                    duration,
+                    slowdown,
+                    probability,
+                    target,
+                } => {
+                    let _ = writeln!(
+                        out,
+                        "straggler start={start} duration={duration} slowdown={slowdown} probability={probability}{}",
+                        suffix(target)
+                    );
+                }
+                Scenario::InstallFailureBurst {
+                    start,
+                    duration,
+                    fail_probability,
+                    target,
+                } => {
+                    let _ = writeln!(
+                        out,
+                        "install-failure-burst start={start} duration={duration} fail-probability={fail_probability}{}",
+                        suffix(target)
+                    );
+                }
+                Scenario::SubmitHostCrash { after_events } => {
+                    let _ = writeln!(out, "submit-host-crash after-events={after_events}");
+                }
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The no-fault decision.
+    const CLEAN: FaultDecision = FaultDecision {
+        slowdown: 1.0,
+        kill: None,
+    };
 
     const SAMPLE: &str = "\
 # chaos for the OSG run
@@ -657,7 +647,7 @@ submit-host-crash after-events=150
             install_duration: 0.0,
             exec_duration: 50.0,
         };
-        assert_eq!(s.decide("job0", 0, &outside), FaultDecision::clean());
+        assert_eq!(s.decide("job0", 0, &outside), CLEAN);
     }
 
     #[test]
@@ -680,7 +670,7 @@ submit-host-crash after-events=150
             install_duration: 0.0,
             exec_duration: 100.0,
         };
-        assert_eq!(s.decide("a", 0, &no_install), FaultDecision::clean());
+        assert_eq!(s.decide("a", 0, &no_install), CLEAN);
     }
 
     #[test]
@@ -722,7 +712,7 @@ submit-host-crash after-events=150
             exec_duration: 50.0,
         };
         assert!(s.decide("run_cap3_7", 0, &t).kill.is_some());
-        assert_eq!(s.decide("merge", 0, &t), FaultDecision::clean());
+        assert_eq!(s.decide("merge", 0, &t), CLEAN);
     }
 
     #[test]

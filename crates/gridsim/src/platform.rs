@@ -13,7 +13,7 @@ use crate::dist::Dist;
 pub struct SlotSpec {
     /// Execution speed relative to the reference core (2.0 = twice as
     /// fast).
-    pub speed: f64,
+    pub(crate) speed: f64,
 }
 
 /// Slot availability churn: opportunistic slots alternate between
@@ -76,12 +76,15 @@ impl PlatformModel {
     }
 
     /// Number of slots.
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.slots.len()
     }
+}
 
+#[cfg(test)]
+impl PlatformModel {
     /// Mean slot speed.
-    pub fn mean_speed(&self) -> f64 {
+    pub(crate) fn mean_speed(&self) -> f64 {
         if self.slots.is_empty() {
             return 0.0;
         }

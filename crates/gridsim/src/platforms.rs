@@ -22,13 +22,6 @@ use crate::sites::SiteRegistry;
 /// (the paper's "100 hours").
 pub const SERIAL_REFERENCE_SECONDS: f64 = 360_000.0;
 
-/// Slots the campus-cluster model grants the research group (out of
-/// Sandhills' 1,440 cores; HCC allocates per group).
-pub const SANDHILLS_SLOTS: usize = 64;
-
-/// Concurrently usable opportunistic OSG slots in the model.
-pub const OSG_SLOTS: usize = 150;
-
 /// The model of one built-in site. The numbers are stated once, in
 /// [`crate::sites::BUILTIN_SITES_DEF`]; the functions below name its
 /// four entries and say what each number means.
@@ -80,14 +73,6 @@ pub fn osg_churning(seed: u64) -> PlatformModel {
     builtin("osg_churning", seed)
 }
 
-/// An OSG variant with software pre-staged on the opportunistic nodes
-/// — the paper's §VII future-work item ("setting the proper software
-/// configuration on the OSG resources for less time"). Used by the
-/// pre-staging ablation bench.
-pub fn osg_prestaged(seed: u64) -> PlatformModel {
-    builtin("osg_prestaged", seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,7 +80,7 @@ mod tests {
     #[test]
     fn sandhills_is_dedicated_and_software_complete() {
         let p = sandhills();
-        assert_eq!(p.slot_count(), SANDHILLS_SLOTS);
+        assert_eq!(p.slot_count(), 64);
         assert_eq!(p.preemption_rate, 0.0);
         assert_eq!(p.install_time_factor, 0.0);
         assert!(p.startup_delay > 0.0);
@@ -106,7 +91,7 @@ mod tests {
     fn osg_is_bigger_faster_and_riskier() {
         let sh = sandhills();
         let grid = osg(1);
-        assert_eq!(grid.slot_count(), OSG_SLOTS);
+        assert_eq!(grid.slot_count(), 150);
         assert!(grid.slot_count() > sh.slot_count());
         assert!(grid.mean_speed() > 1.15, "mean={}", grid.mean_speed());
         assert!(grid.preemption_rate > 0.0);
@@ -131,7 +116,7 @@ mod tests {
     #[test]
     fn prestaged_variant_only_changes_install() {
         let normal = osg(2);
-        let staged = osg_prestaged(2);
+        let staged = builtin("osg_prestaged", 2);
         assert_eq!(staged.install_time_factor, 0.0);
         assert_eq!(
             normal,

@@ -82,7 +82,7 @@ impl SpeedSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteDef {
     /// Primary site name (a single whitespace-free token).
-    pub name: String,
+    pub(crate) name: String,
     /// Alternative names that resolve to this site.
     pub aliases: Vec<String>,
     /// When set, this def is a *variant* of another site: it shares
@@ -384,7 +384,7 @@ pub fn render_defs(defs: &[SiteDef]) -> String {
 /// OSG variants — the one statement of their numbers, which
 /// [`crate::platforms`] looks up by name — knob-for-knob identical to
 /// [`pegasus_wms::catalog::paper_catalogs`].
-pub const BUILTIN_SITES_DEF: &str = "\
+pub(crate) const BUILTIN_SITES_DEF: &str = "\
 # Built-in sites: the paper's two platforms and the OSG variants.
 # Calibration story in DESIGN.md \u{a7}4; the values are pinned by the
 # byte goldens of tests/interning_equivalence.rs on both sites.
@@ -490,7 +490,7 @@ impl SiteRegistry {
     }
 
     /// The definition behind an id.
-    pub fn get(&self, id: SiteId) -> &SiteDef {
+    pub(crate) fn get(&self, id: SiteId) -> &SiteDef {
         &self.defs[id.idx()]
     }
 
@@ -523,21 +523,11 @@ impl SiteRegistry {
     }
 
     /// Definitions in file order.
-    pub fn iter(&self) -> impl Iterator<Item = (SiteId, &SiteDef)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SiteId, &SiteDef)> {
         self.defs
             .iter()
             .enumerate()
             .map(|(i, d)| (SiteId::new(i), d))
-    }
-
-    /// Number of definitions.
-    pub fn len(&self) -> usize {
-        self.defs.len()
-    }
-
-    /// `true` when the registry holds no definitions.
-    pub fn is_empty(&self) -> bool {
-        self.defs.is_empty()
     }
 
     /// The sites a `--site both` sweep visits: every non-variant

@@ -36,7 +36,7 @@
 //!   recovery, and an HTTP `/metrics` scrape endpoint;
 //! * `pegasus submit` / `pegasus status` — the daemon's client side.
 //!
-//! Every verb is declared in [`blast2cap3_pegasus::cli::args::VERBS`];
+//! Every verb is declared in `blast2cap3_pegasus::cli::args::VERBS`;
 //! parsing, `--help`, and the usage screen all derive from that table.
 //!
 //! Example session (mirrors §V of the paper):

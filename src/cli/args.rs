@@ -1,7 +1,7 @@
 //! Declarative argument parsing for the `pegasus` binary.
 //!
-//! One [`Flag`] per option, one [`Verb`] per subcommand, one global
-//! [`VERBS`] table. Parsing, unknown-flag rejection, per-verb
+//! One `Flag` per option, one [`Verb`] per subcommand, one global
+//! `VERBS` table. Parsing, unknown-flag rejection, per-verb
 //! `--help`, and the global usage screen are all derived from the
 //! table, so the binary cannot drift from its own documentation.
 
@@ -11,17 +11,17 @@ use std::fmt::Write as _;
 /// One command-line option: either a boolean switch (`--quiet`) or a
 /// value-carrying flag (`--seed <u64>`).
 #[derive(Debug, Clone, Copy)]
-pub struct Flag {
+pub(crate) struct Flag {
     /// Flag name without the `--` prefix.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Value placeholder for help text; `None` marks a boolean switch.
-    pub placeholder: Option<&'static str>,
+    pub(crate) placeholder: Option<&'static str>,
     /// One-line help string.
-    pub help: &'static str,
+    pub(crate) help: &'static str,
 }
 
 /// Declares a value-carrying flag.
-pub const fn opt(name: &'static str, placeholder: &'static str, help: &'static str) -> Flag {
+pub(crate) const fn opt(name: &'static str, placeholder: &'static str, help: &'static str) -> Flag {
     Flag {
         name,
         placeholder: Some(placeholder),
@@ -30,7 +30,7 @@ pub const fn opt(name: &'static str, placeholder: &'static str, help: &'static s
 }
 
 /// Declares a boolean switch.
-pub const fn switch(name: &'static str, help: &'static str) -> Flag {
+pub(crate) const fn switch(name: &'static str, help: &'static str) -> Flag {
     Flag {
         name,
         placeholder: None,
@@ -45,12 +45,12 @@ pub struct Verb {
     /// Subcommand name as typed on the command line.
     pub name: &'static str,
     /// One-line summary shown on the global usage screen.
-    pub summary: &'static str,
+    pub(crate) summary: &'static str,
     /// Placeholder for a positional argument (e.g. `<dax>`), if the
     /// verb takes one.
-    pub positional: Option<&'static str>,
+    pub(crate) positional: Option<&'static str>,
     /// Every flag the verb accepts.
-    pub flags: &'static [Flag],
+    pub(crate) flags: &'static [Flag],
 }
 
 /// Parsed arguments for one verb: values, switches, and positionals,
@@ -206,46 +206,46 @@ impl Verb {
 mod common {
     use super::{opt, switch, Flag};
 
-    pub const SEED: Flag = opt("seed", "u64", "deterministic seed (default 20140519)");
-    pub const RETRIES: Flag = opt("retries", "n", "retry budget per job");
-    pub const BACKOFF: Flag = opt("backoff", "secs", "exponential retry backoff base");
-    pub const TIMEOUT: Flag = opt("timeout", "secs", "per-attempt timeout");
-    pub const SITE: Flag = opt(
+    pub(crate) const SEED: Flag = opt("seed", "u64", "deterministic seed (default 20140519)");
+    pub(crate) const RETRIES: Flag = opt("retries", "n", "retry budget per job");
+    pub(crate) const BACKOFF: Flag = opt("backoff", "secs", "exponential retry backoff base");
+    pub(crate) const TIMEOUT: Flag = opt("timeout", "secs", "per-attempt timeout");
+    pub(crate) const SITE: Flag = opt(
         "site",
         "name",
         "target site name or alias (built-ins: sandhills|osg|osg_prestaged)",
     );
-    pub const SITES: Flag = opt(
+    pub(crate) const SITES: Flag = opt(
         "sites",
         "file",
         "site definitions file replacing the built-in sites",
     );
-    pub const SIZES: Flag = opt(
+    pub(crate) const SIZES: Flag = opt(
         "sizes",
         "n,n,...",
         "decomposition sweep (default 10,100,300,500)",
     );
-    pub const OUT: Flag = opt("out", "file", "write output to a file instead of stdout");
-    pub const QUIET: Flag = switch("quiet", "suppress progress and tables");
-    pub const CATALOG: Flag = opt(
+    pub(crate) const OUT: Flag = opt("out", "file", "write output to a file instead of stdout");
+    pub(crate) const QUIET: Flag = switch("quiet", "suppress progress and tables");
+    pub(crate) const CATALOG: Flag = opt(
         "catalog",
         "file",
         "transformation/replica catalog replacing the built-ins",
     );
-    pub const FROM_EVENTS: Flag = opt(
+    pub(crate) const FROM_EVENTS: Flag = opt(
         "from-events",
         "file,...",
         "recompute offline from event logs",
     );
-    pub const ADDR: Flag = opt("addr", "host:port", "daemon protocol address");
-    pub const PROFILE: Flag = switch(
+    pub(crate) const ADDR: Flag = opt("addr", "host:port", "daemon protocol address");
+    pub(crate) const PROFILE: Flag = switch(
         "profile",
         "collect engine self-profiling scopes (summary on stderr)",
     );
 }
 
 /// Every subcommand of the `pegasus` binary, in usage-screen order.
-pub const VERBS: &[Verb] = &[
+pub(crate) const VERBS: &[Verb] = &[
     Verb {
         name: "generate-dax",
         summary: "emit the blast2cap3 Fig. 2 workflow as a DAX file",
@@ -583,7 +583,7 @@ pub fn find(name: &str) -> Option<&'static Verb> {
 }
 
 /// The global usage screen: one summary line per verb, generated from
-/// [`VERBS`].
+/// `VERBS`.
 pub fn usage() -> String {
     let mut out =
         String::from("usage: pegasus <verb> [flags]  (pegasus <verb> --help for details)\n\n");

@@ -73,7 +73,7 @@ impl WorkloadCalibration {
 /// run clusters 236,529 transcripts by shared protein hit; a few tens
 /// of thousands of clusters is the matching order of magnitude while
 /// staying cheap to partition.
-pub const CALIBRATION_CLUSTERS: usize = 20_000;
+pub(crate) const CALIBRATION_CLUSTERS: usize = 20_000;
 
 /// Builds the calibrated workload: cluster sizes from the same
 /// heavy-tailed family-size law the transcriptome simulator uses,

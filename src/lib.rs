@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! blast2cap3-pegasus: the umbrella crate of the reproduction.
@@ -6,7 +7,7 @@
 //! This crate wires the pieces together:
 //!
 //! * [`registry`] — binds the blast2cap3 file-based task kernels to
-//!   transformation names, producing the [`condor::TaskRegistry`] the
+//!   transformation names, producing the [`condor::pool::TaskRegistry`] the
 //!   local worker pool executes;
 //! * [`experiment`] — the shared experiment harness: workload
 //!   calibration against the paper's 100-hour serial baseline,
@@ -30,7 +31,6 @@ pub mod experiment;
 pub mod registry;
 pub mod serve;
 
-pub use chaos::fault_injector_for;
 pub use experiment::{
     calibrated_chunk_costs, real_local_run, simulate_blast2cap3, simulate_blast2cap3_with,
     ExperimentOutcome, WorkloadCalibration,

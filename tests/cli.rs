@@ -449,6 +449,52 @@ fn pegasus_refuses_a_decomposition_of_zero_chunks() {
     }
 }
 
+/// A DAX `runtime` is a finite number of seconds, at least 0: `NaN`
+/// panicked the planner's critical path and the simulator's clock, and
+/// `inf` planned a critical path of `infs`. Each is refused at its
+/// `<job>` tag, by lint as E0101 and by `plan` and `run` before work.
+#[test]
+fn pegasus_refuses_a_dax_runtime_that_is_not_a_finite_duration() {
+    let dir = tmpdir("bad_runtime");
+    let clean = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/lint/clean_small.dax"
+    );
+    let clean = std::fs::read_to_string(clean).unwrap();
+    for runtime in ["NaN", "inf", "-1"] {
+        let dax = dir.join(format!("rt_{runtime}.dax"));
+        let text = clean.replacen("runtime=\"10\"", &format!("runtime=\"{runtime}\""), 1);
+        std::fs::write(&dax, text).unwrap();
+        let dax = dax.to_str().unwrap();
+        let refusal = format!("bad runtime \"{runtime}\"");
+        for (verb, expected) in [
+            (
+                &["lint", dax][..],
+                format!("error[E0101]: {refusal}\n  --> {dax}:3:3"),
+            ),
+            (
+                &["plan", "--dax", dax, "--site", "sandhills"],
+                format!("at line 3, col 3: {refusal}"),
+            ),
+            (
+                &["run", "--dax", dax, "--site", "sandhills", "--quiet"],
+                format!("at line 3, col 3: {refusal}"),
+            ),
+        ] {
+            let out = pegasus().args(verb).output().unwrap();
+            let text = [out.stdout, out.stderr].concat();
+            let text = String::from_utf8_lossy(&text);
+            assert_eq!(out.status.code(), Some(1), "{verb:?}: {text}");
+            assert!(!text.contains("panicked"), "{verb:?}: {text}");
+            assert!(
+                text.contains(&expected),
+                "{verb:?}: want {expected:?} in {text}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Clustering Fig. 2 at k = 2 names its chunk clusters
 /// `cluster_run_cap3_2_<i>`; a DAX whose own jobs already hold two of
 /// those names is refused at the first collision in declaration order.

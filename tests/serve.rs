@@ -355,6 +355,24 @@ fn malformed_lines_and_bad_dax_submissions_are_rejected_inline() {
         }
     }
 
+    // A `runtime` that is not a finite duration panicked the round that
+    // ran it, and every restart re-ran the journaled round: it is
+    // refused at admission, and the connection lives.
+    let clean = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/lint/clean_small.dax");
+    let clean = std::fs::read_to_string(clean).expect("read clean_small.dax");
+    for runtime in ["NaN", "inf", "-1"] {
+        let path = dir.join(format!("rt_{runtime}.dax"));
+        let text = clean.replacen("runtime=\"10\"", &format!("runtime=\"{runtime}\""), 1);
+        std::fs::write(&path, text).expect("write dax");
+        match conn.request(&dax_submission("alice", &path)) {
+            Ok((ResponseHead::Error(msg), _)) => {
+                assert_eq!(msg, format!("lint E0101: bad runtime \"{runtime}\""))
+            }
+            other => panic!("runtime {runtime} must be rejected, got {other:?}"),
+        }
+        expect_ok(&mut conn, &Request::Ping);
+    }
+
     // An unknown site is an `error` reply naming the registered
     // sites — refused before journaling, not a failure inside a
     // later `run` round.
@@ -369,11 +387,13 @@ fn malformed_lines_and_bad_dax_submissions_are_rejected_inline() {
         other => panic!("unknown site must be rejected, got {other:?}"),
     }
 
-    // Nothing was admitted: status is empty.
+    // Nothing was admitted: status is empty and nothing was journaled.
     assert_eq!(
         expect_lines(&mut conn, &Request::Status),
         Vec::<String>::new()
     );
+    let journal = std::fs::read_to_string(dir.join("journal")).expect("journal");
+    assert!(!journal.contains("submission"), "{journal}");
     daemon.shutdown();
 }
 
