@@ -20,11 +20,34 @@ pub(crate) fn is_dna(b: u8) -> bool {
     matches!(b.to_ascii_uppercase(), b'A' | b'C' | b'G' | b'T' | b'N')
 }
 
+/// [`RESIDUE_CODE`] of `X`, `*`: in the protein alphabet, but not a
+/// standard residue.
+const UNKNOWN: u8 = 20;
+
+/// [`RESIDUE_CODE`] of a byte outside the protein alphabet.
+const NOT_PROTEIN: u8 = 21;
+
+/// The residue code of every byte, computed at compile time: `0..20`
+/// for the standard residues in [`AMINO_ACIDS`] order (either case),
+/// [`UNKNOWN`] for `X`, `x` and `*`, [`NOT_PROTEIN`] for the rest.
+const RESIDUE_CODE: [u8; 256] = {
+    let mut table = [NOT_PROTEIN; 256];
+    let mut i = 0;
+    while i < AMINO_ACIDS.len() {
+        table[AMINO_ACIDS[i] as usize] = i as u8;
+        table[AMINO_ACIDS[i].to_ascii_lowercase() as usize] = i as u8;
+        i += 1;
+    }
+    table[b'X' as usize] = UNKNOWN;
+    table[b'x' as usize] = UNKNOWN;
+    table[b'*' as usize] = UNKNOWN;
+    table
+};
+
 /// Returns `true` if `b` (case-insensitive) is a standard residue, `X`, or `*`.
 #[inline]
 pub(crate) fn is_protein(b: u8) -> bool {
-    let u = b.to_ascii_uppercase();
-    u == b'X' || u == b'*' || AMINO_ACIDS.binary_search(&u).is_ok()
+    RESIDUE_CODE[b as usize] != NOT_PROTEIN
 }
 
 /// Watson–Crick complement of a single (possibly lower-case) base.
@@ -71,18 +94,44 @@ pub fn code_base(code: u8) -> u8 {
     DNA_BASES[code as usize]
 }
 
-/// Dense index for an amino acid: `0..20` for the standard residues in
-/// [`AMINO_ACIDS`] order, `20` for anything else (`X`, `*`, unknowns).
+/// Dense index for an amino acid (case-insensitive): `0..20` for the
+/// standard residues in [`AMINO_ACIDS`] order, `20` for anything else
+/// (`X`, `*`, unknowns). A `const fn`, so other tables can be built
+/// from it at compile time.
 #[inline]
-pub fn residue_index(b: u8) -> usize {
-    AMINO_ACIDS
-        .binary_search(&b.to_ascii_uppercase())
-        .unwrap_or(20)
+pub const fn residue_index(b: u8) -> usize {
+    let code = RESIDUE_CODE[b as usize];
+    (if code < UNKNOWN { code } else { UNKNOWN }) as usize
+}
+
+/// The alphabet checks the table replaced, kept as its oracles.
+#[cfg(test)]
+mod oracle {
+    use super::AMINO_ACIDS;
+
+    pub(super) fn residue_index(b: u8) -> usize {
+        AMINO_ACIDS
+            .binary_search(&b.to_ascii_uppercase())
+            .unwrap_or(20)
+    }
+
+    pub(super) fn is_protein(b: u8) -> bool {
+        let u = b.to_ascii_uppercase();
+        u == b'X' || u == b'*' || AMINO_ACIDS.binary_search(&u).is_ok()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn residue_table_matches_the_binary_search_on_every_byte() {
+        for b in 0..=u8::MAX {
+            assert_eq!(residue_index(b), oracle::residue_index(b), "byte {b}");
+            assert_eq!(is_protein(b), oracle::is_protein(b), "byte {b}");
+        }
+    }
 
     #[test]
     fn canonical_bases_are_dna() {

@@ -4,7 +4,7 @@
 //! reading frames and searches each translation against the protein
 //! database; [`six_frame_translations`] provides exactly that.
 
-use crate::alphabet::base_code;
+use crate::alphabet::{base_code, residue_index, DNA_BASES};
 use crate::seq::{DnaSeq, ProteinSeq};
 
 /// One-letter amino-acid codes of the standard genetic code, indexed
@@ -99,6 +99,25 @@ pub fn six_frame_translations(dna: &DnaSeq) -> [(Frame, ProteinSeq); 6] {
     ]
 }
 
+/// The synonymous codons of each residue, indexed by [`residue_index`]
+/// and computed at compile time: residue `r` has the first
+/// `SYNONYMS[r].1` codons of `SYNONYMS[r].0`, in [`STANDARD_CODE`]
+/// order (`AAA`, `AAC`, …). Slot 20 (`X`, `*`, unknowns) has none.
+static SYNONYMS: [([[u8; 3]; 6], usize); 21] = {
+    let mut table = [([[0u8; 3]; 6], 0usize); 21];
+    let mut i = 0;
+    while i < 64 {
+        let aa = STANDARD_CODE[i];
+        if aa != b'*' {
+            let slot = &mut table[residue_index(aa)];
+            slot.0[slot.1] = [DNA_BASES[i / 16], DNA_BASES[i / 4 % 4], DNA_BASES[i % 4]];
+            slot.1 += 1;
+        }
+        i += 1;
+    }
+    table
+};
+
 /// Reverse-translates a protein into one valid coding DNA sequence,
 /// choosing for each residue the codon given by `pick` (a value in
 /// `0..n_codons` is reduced modulo the number of synonymous codons).
@@ -106,28 +125,10 @@ pub fn six_frame_translations(dna: &DnaSeq) -> [(Frame, ProteinSeq); 6] {
 /// Used by the transcriptome simulator to manufacture mRNA whose
 /// translation provably matches a generated protein.
 pub fn reverse_translate(protein: &ProteinSeq, mut pick: impl FnMut(usize) -> usize) -> DnaSeq {
-    // Build the inverse table once per call; 64 entries is trivially cheap.
-    let mut by_aa: [Vec<[u8; 3]>; 21] = Default::default();
-    for a in 0..4u8 {
-        for b in 0..4u8 {
-            for c in 0..4u8 {
-                let aa = translate_codon_codes(a, b, c);
-                let idx = crate::alphabet::residue_index(aa);
-                let codon = [
-                    crate::alphabet::code_base(a),
-                    crate::alphabet::code_base(b),
-                    crate::alphabet::code_base(c),
-                ];
-                if aa != b'*' {
-                    by_aa[idx].push(codon);
-                }
-            }
-        }
-    }
     let mut out = Vec::with_capacity(protein.len() * 3);
     for (i, &aa) in protein.as_bytes().iter().enumerate() {
-        let idx = crate::alphabet::residue_index(aa);
-        let choices = &by_aa[idx];
+        let (codons, n) = &SYNONYMS[residue_index(aa)];
+        let choices = &codons[..*n];
         if choices.is_empty() {
             // Stop or unknown residue: encode as TAA / NNN respectively.
             if aa == b'*' {
@@ -209,6 +210,51 @@ mod tests {
             let back = translate_frame(&dna, 0);
             assert_eq!(back, prot, "variant {variant}");
         }
+    }
+
+    /// The inverse codon table as `reverse_translate` built it on every
+    /// call before it was a `static`: the oracle for [`SYNONYMS`].
+    fn synonyms_built_per_call() -> [Vec<[u8; 3]>; 21] {
+        let mut by_aa: [Vec<[u8; 3]>; 21] = Default::default();
+        for a in 0..4u8 {
+            for b in 0..4u8 {
+                for c in 0..4u8 {
+                    let aa = translate_codon_codes(a, b, c);
+                    let idx = crate::alphabet::residue_index(aa);
+                    let codon = [
+                        crate::alphabet::code_base(a),
+                        crate::alphabet::code_base(b),
+                        crate::alphabet::code_base(c),
+                    ];
+                    if aa != b'*' {
+                        by_aa[idx].push(codon);
+                    }
+                }
+            }
+        }
+        by_aa
+    }
+
+    #[test]
+    fn static_synonyms_match_the_per_call_build_in_every_slot() {
+        let oracle = synonyms_built_per_call();
+        for (slot, (codons, n)) in SYNONYMS.iter().enumerate() {
+            assert_eq!(&codons[..*n], oracle[slot].as_slice(), "slot {slot}");
+        }
+        assert_eq!(SYNONYMS[20].1, 0, "X, * and unknowns have no codon");
+        assert_eq!(SYNONYMS.iter().map(|s| s.1).sum::<usize>(), 61);
+    }
+
+    #[test]
+    fn pick_is_asked_only_for_standard_residues() {
+        let prot = ProteinSeq::from_ascii(b"MX*KwL").unwrap();
+        let mut asked = Vec::new();
+        let dna = reverse_translate(&prot, |i| {
+            asked.push(i);
+            i
+        });
+        assert_eq!(asked, vec![0, 3, 4, 5]);
+        assert_eq!(&dna.as_bytes()[3..9], b"NNNTAA");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! A fast, non-cryptographic hasher for hot integer-keyed maps.
 //!
-//! The k-mer and protein-word indexes are the hottest hash maps in the
-//! stack, keyed by small integers; SipHash (std's default, HashDoS-
-//! resistant) is measurably slower there. This is the Fx algorithm
-//! used by rustc (rotate–xor–multiply per word), implemented locally
-//! because the repository's dependency list is closed.
+//! cap3's k-mer indexes and the aligner's per-query dedupe set are the
+//! hottest hash maps in the stack, keyed by small integers; SipHash
+//! (std's default, HashDoS-resistant) is measurably slower there. This
+//! is the Fx algorithm used by rustc (rotate–xor–multiply per word),
+//! implemented locally because the repository's dependency list is
+//! closed.
 //!
 //! Use only for internal maps whose keys are not attacker-controlled.
 

@@ -7,7 +7,7 @@
 //! heuristics, a rescoring option for final reported alignments, and
 //! the standard API any sequence-analysis library is expected to ship.
 
-use crate::matrix::blosum62;
+use crate::matrix::{pair, BLOSUM62};
 
 /// Affine gap parameters (costs are positive; BLASTP defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +92,7 @@ pub fn local_align(query: &[u8], subject: &[u8], gaps: GapParams) -> LocalAlignm
     let mut fmat = vec![NEG; (n + 1) * w];
     let mut tb_h = vec![Tb::Stop; (n + 1) * w];
     let mut best = (0i32, 0usize, 0usize);
+    let scores = &BLOSUM62;
     for i in 1..=n {
         for j in 1..=m {
             let idx = i * w + j;
@@ -101,7 +102,7 @@ pub fn local_align(query: &[u8], subject: &[u8], gaps: GapParams) -> LocalAlignm
             fmat[idx] = (h[up] - gaps.open).max(fmat[up] - gaps.extend);
             // e: gap in query, consuming subject (horizontal).
             e[idx] = (h[left] - gaps.open).max(e[left] - gaps.extend);
-            let diag = h[up - 1] + blosum62(query[i - 1], subject[j - 1]);
+            let diag = h[up - 1] + scores[pair(query[i - 1], subject[j - 1])] as i32;
             let mut val = 0;
             let mut tb = Tb::Stop;
             if diag > val {

@@ -8,7 +8,7 @@
 //! ungapped HSP; `banded_align` optionally rescoring it with gaps in
 //! a fixed-width band for more faithful identity statistics.
 
-use crate::matrix::blosum62;
+use crate::matrix::{pair, BLOSUM62};
 
 /// An ungapped extension result in *protein* coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,10 +64,11 @@ pub fn xdrop_extend(
     debug_assert!(q_pos + seed_len <= query.len());
     debug_assert!(s_pos + seed_len <= subject.len());
 
+    let scores = &BLOSUM62;
     // Score of the seed itself.
     let mut seed_score = 0i32;
     for i in 0..seed_len {
-        seed_score += blosum62(query[q_pos + i], subject[s_pos + i]);
+        seed_score += scores[pair(query[q_pos + i], subject[s_pos + i])] as i32;
     }
 
     // Right extension.
@@ -77,7 +78,7 @@ pub fn xdrop_extend(
         let mut run = 0i32;
         let mut i = seed_len;
         while q_pos + i < query.len() && s_pos + i < subject.len() {
-            run += blosum62(query[q_pos + i], subject[s_pos + i]);
+            run += scores[pair(query[q_pos + i], subject[s_pos + i])] as i32;
             i += 1;
             if run > best_right {
                 best_right = run;
@@ -96,7 +97,7 @@ pub fn xdrop_extend(
         let mut run = 0i32;
         let mut i = 0usize;
         while i < q_pos && i < s_pos {
-            run += blosum62(query[q_pos - 1 - i], subject[s_pos - 1 - i]);
+            run += scores[pair(query[q_pos - 1 - i], subject[s_pos - 1 - i])] as i32;
             i += 1;
             if run > best_left {
                 best_left = run;
@@ -157,6 +158,7 @@ pub(crate) fn banded_align(a: &[u8], b: &[u8], band: usize, gap_penalty: i32) ->
     }
     let band = band.max(n.abs_diff(m)) + 1;
     const NEG: i32 = i32::MIN / 4;
+    let scores = &BLOSUM62;
     // dp[i][j] over the band only: store full rows for simplicity of
     // traceback; HSP segments are short so memory is acceptable.
     let mut dp = vec![vec![NEG; m + 1]; n + 1];
@@ -172,7 +174,7 @@ pub(crate) fn banded_align(a: &[u8], b: &[u8], band: usize, gap_penalty: i32) ->
             dp[i][0] = -(gap_penalty * i as i32);
         }
         for j in lo..=hi {
-            let diag = dp[i - 1][j - 1].saturating_add(blosum62(a[i - 1], b[j - 1]));
+            let diag = dp[i - 1][j - 1].saturating_add(scores[pair(a[i - 1], b[j - 1])] as i32);
             let up = dp[i - 1][j].saturating_add(-gap_penalty);
             let left = dp[i][j - 1].saturating_add(-gap_penalty);
             dp[i][j] = diag.max(up).max(left);
@@ -189,7 +191,10 @@ pub(crate) fn banded_align(a: &[u8], b: &[u8], band: usize, gap_penalty: i32) ->
     while i > 0 || j > 0 {
         length += 1;
         let cur = dp[i][j];
-        if i > 0 && j > 0 && cur == dp[i - 1][j - 1].saturating_add(blosum62(a[i - 1], b[j - 1])) {
+        if i > 0
+            && j > 0
+            && cur == dp[i - 1][j - 1].saturating_add(scores[pair(a[i - 1], b[j - 1])] as i32)
+        {
             if a[i - 1].eq_ignore_ascii_case(&b[j - 1]) {
                 identities += 1;
             } else {

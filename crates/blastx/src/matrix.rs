@@ -39,30 +39,50 @@ const RAW: [[i8; 20]; 20] = [
     [ 0,-3,-3,-3,-1,-2,-2,-3,-3, 3, 1,-2, 1,-1,-2,-2, 0,-3,-1, 4],
 ];
 
-/// Matrix indexed by [`residue_index`] order (alphabetical + unknown),
-/// built once at first use.
-fn table() -> &'static [[i8; 21]; 21] {
-    static TABLE: std::sync::OnceLock<[[i8; 21]; 21]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [[-1i8; 21]; 21];
-        for (ci, &ca) in CANONICAL.iter().enumerate() {
-            for (cj, &cb) in CANONICAL.iter().enumerate() {
-                t[residue_index(ca)][residue_index(cb)] = RAW[ci][cj];
-            }
+/// The score of every pair of bytes, indexed by [`pair`] and computed at
+/// compile time. Case, the stop rule and the unknown rule are folded
+/// in here, so a lookup is one load.
+pub(crate) static BLOSUM62: [i8; 1 << 16] = {
+    // RAW re-indexed by `residue_index`; row and column 20 (unknown)
+    // score -1 against everything.
+    let mut by_index = [[-1i8; 21]; 21];
+    let mut ci = 0;
+    while ci < 20 {
+        let mut cj = 0;
+        while cj < 20 {
+            by_index[residue_index(CANONICAL[ci])][residue_index(CANONICAL[cj])] = RAW[ci][cj];
+            cj += 1;
         }
-        t
-    })
+        ci += 1;
+    }
+    let mut table = [0i8; 1 << 16];
+    let mut i = 0;
+    while i < table.len() {
+        let (a, b) = ((i >> 8) as u8, i as u8);
+        table[i] = if a == b'*' || b == b'*' {
+            if a == b {
+                1
+            } else {
+                -4
+            }
+        } else {
+            by_index[residue_index(a)][residue_index(b)]
+        };
+        i += 1;
+    }
+    table
+};
+
+/// Index of the byte pair `(a, b)` in [`BLOSUM62`].
+#[inline]
+pub(crate) fn pair(a: u8, b: u8) -> usize {
+    (a as usize) << 8 | b as usize
 }
 
 /// BLOSUM62 score between two ASCII residue bytes (case-insensitive).
 #[inline]
 pub fn blosum62(a: u8, b: u8) -> i32 {
-    let au = a.to_ascii_uppercase();
-    let bu = b.to_ascii_uppercase();
-    if au == b'*' || bu == b'*' {
-        return if au == bu { 1 } else { -4 };
-    }
-    table()[residue_index(au)][residue_index(bu)] as i32
+    BLOSUM62[pair(a, b)] as i32
 }
 
 /// Score of an ungapped alignment of two equal-length residue slices.
@@ -95,10 +115,56 @@ fn is_consistent() -> bool {
     true
 }
 
+/// The rule the table replaced, kept as its oracle: two case folds, the
+/// stop branch, and a binary search of the alphabet per residue into a
+/// 21 × 21 matrix.
+#[cfg(test)]
+fn blosum62_by_rule(by_index: &[[i8; 21]; 21], a: u8, b: u8) -> i32 {
+    let au = a.to_ascii_uppercase();
+    let bu = b.to_ascii_uppercase();
+    if au == b'*' || bu == b'*' {
+        return if au == bu { 1 } else { -4 };
+    }
+    by_index[index_by_search(au)][index_by_search(bu)] as i32
+}
+
+#[cfg(test)]
+fn index_by_search(b: u8) -> usize {
+    bioseq::alphabet::AMINO_ACIDS
+        .binary_search(&b.to_ascii_uppercase())
+        .unwrap_or(20)
+}
+
+/// The 21 × 21 matrix the rule indexed, built as it was at first use.
+#[cfg(test)]
+fn by_index_table() -> [[i8; 21]; 21] {
+    let mut t = [[-1i8; 21]; 21];
+    for (ci, &ca) in CANONICAL.iter().enumerate() {
+        for (cj, &cb) in CANONICAL.iter().enumerate() {
+            t[index_by_search(ca)][index_by_search(cb)] = RAW[ci][cj];
+        }
+    }
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bioseq::alphabet::AMINO_ACIDS;
+
+    #[test]
+    fn pair_table_matches_the_rule_on_every_byte_pair() {
+        let by_index = by_index_table();
+        for a in 0..=u8::MAX {
+            for b in 0..=u8::MAX {
+                assert_eq!(
+                    blosum62(a, b),
+                    blosum62_by_rule(&by_index, a, b),
+                    "pair ({a}, {b})"
+                );
+            }
+        }
+    }
 
     #[test]
     fn known_scores() {

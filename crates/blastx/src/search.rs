@@ -13,8 +13,8 @@ use crate::evalue::{KarlinParams, BLOSUM62_UNGAPPED};
 use crate::extend::{banded_align, xdrop_extend};
 use crate::seed::{WordIndex, WORD_SIZE};
 use bioseq::codon::{six_frame_translations, Frame};
+use bioseq::fxhash::FxHashSet;
 use bioseq::seq::{DnaSeq, ProteinSeq};
-use std::collections::HashSet;
 
 /// Tuning parameters for the search.
 #[derive(Debug, Clone)]
@@ -162,14 +162,16 @@ impl Searcher {
             dna
         };
         let mut hsps: Vec<Hsp> = Vec::new();
-        let mut seen: HashSet<(u32, i8, usize, usize)> = HashSet::new();
+        // Keyed by positions the search computed, never by outside
+        // bytes, so the Fx hasher is safe here.
+        let mut seen: FxHashSet<(u32, i8, usize, usize)> = FxHashSet::default();
 
         for (frame, prot) in six_frame_translations(dna) {
             let qbytes = prot.as_bytes();
             if qbytes.len() < WORD_SIZE {
                 continue;
             }
-            for (qpos, word) in WordIndex::query_words(qbytes) {
+            for (qpos, word) in WordIndex::words(qbytes) {
                 for hit in self.index.lookup(word) {
                     let sbytes = self.db[hit.subject as usize].1.as_bytes();
                     let ext = xdrop_extend(

@@ -762,3 +762,44 @@ fn blast2cap3_simulate_then_run_both_modes() {
     assert_eq!(counts[0], counts[1], "modes must agree");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Every HSP `b2c3 align` reports is pinned byte for byte: the golden
+/// was written by the aligner before its kernels ran on lookup tables.
+#[test]
+fn blast2cap3_align_matches_the_blastx_golden() {
+    let dir = tmpdir("blastx_golden");
+    let out = b2c3()
+        .args(["simulate", "--families", "300", "--seed", "7"])
+        .args(["--dir", dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let hsps = dir.join("blastx_f300_s7.tsv");
+    let out = b2c3()
+        .args(["align", "--transcripts"])
+        .arg(dir.join("transcripts.fasta"))
+        .arg("--proteins")
+        .arg(dir.join("proteins.fasta"))
+        .args(["--threads", "2", "--out", hsps.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = std::fs::read(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/equivalence/blastx_f300_s7.tsv"),
+    )
+    .unwrap();
+    assert!(
+        std::fs::read(&hsps).unwrap() == golden,
+        "b2c3 align output differs from tests/fixtures/equivalence/blastx_f300_s7.tsv"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
