@@ -13,6 +13,7 @@
 //! (`condor` crate) and the discrete-event platform simulator
 //! (`gridsim` crate).
 
+use crate::ensemble::{run_round, Member};
 use crate::error::WmsError;
 use crate::events::{EventSink, WorkflowEvent};
 use crate::graph::Csr;
@@ -586,27 +587,29 @@ pub(crate) struct RetryRequest {
 /// What a driver must do after feeding one completion event to a
 /// [`WorkflowExecution`].
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct EventResponse {
+pub(crate) struct EventResponse {
     /// Jobs that became ready for their first submission, in release
     /// order.
     pub(crate) newly_ready: Vec<JobId>,
     /// A retry to resubmit (with backoff), if the failed job has
     /// attempts left.
     pub(crate) retry: Option<RetryRequest>,
-    /// The scripted submit-host crash fired: abandon in-flight work
-    /// and stop driving this workflow.
+    /// The scripted submit-host crash fired: submit nothing more of
+    /// this workflow (`newly_ready` included), abandon its in-flight
+    /// work and stop driving it.
     pub(crate) crashed: bool,
 }
 
 /// Re-entrant per-workflow scheduling state — the DAGMan loop body
 /// with the backend pulled out.
 ///
-/// [`Engine::run`] drives one of these against a dedicated backend;
-/// the [`crate::ensemble`] manager interleaves many of them over one
-/// shared backend. The contract: call [`take_initial_ready`] once,
-/// submit those jobs (marking each with [`note_submitted`]), then feed
-/// every completion event for this workflow to [`on_event`] and act on
-/// the returned [`EventResponse`]. The workflow is finished when
+/// The one scheduling loop, [`crate::ensemble::run_round`], drives one
+/// of these per member: [`Engine::run`] as a round of one, the
+/// [`crate::ensemble`] manager as a round of many over one shared
+/// backend. The contract: call [`take_initial_ready`] once, submit
+/// those jobs (marking each with [`note_submitted`]), then feed every
+/// completion event for this workflow to [`on_event`] and act on the
+/// returned [`EventResponse`]. The workflow is finished when
 /// `is_complete` (or the response's `crashed` flag) says so; then
 /// [`finish`] delivers the trailer and yields the [`WorkflowRun`].
 ///
@@ -622,7 +625,7 @@ pub struct EventResponse {
 /// [`on_event`]: WorkflowExecution::on_event
 /// [`finish`]: WorkflowExecution::finish
 #[derive(Debug)]
-pub struct WorkflowExecution {
+pub(crate) struct WorkflowExecution {
     config: EngineConfig,
     children: Csr,
     pending_parents: Vec<usize>,
@@ -647,7 +650,7 @@ impl WorkflowExecution {
     /// Builds the scheduling state for `wf` under `config`, stamping
     /// the workflow start at `start` (backend seconds). Rescue-skipped
     /// jobs are marked done and their readiness cascades immediately.
-    pub fn new(wf: &ExecutableWorkflow, config: &EngineConfig, start: f64) -> Self {
+    pub(crate) fn new(wf: &ExecutableWorkflow, config: &EngineConfig, start: f64) -> Self {
         let n = wf.jobs.len();
         let children = wf.children();
         let indegrees = children.reverse_degrees();
@@ -733,7 +736,7 @@ impl WorkflowExecution {
     /// The jobs ready for their first submission, sorted by id. Call
     /// exactly once; the returned jobs count as outstanding until
     /// their events arrive.
-    pub fn take_initial_ready(&mut self) -> Vec<JobId> {
+    pub(crate) fn take_initial_ready(&mut self) -> Vec<JobId> {
         let ready = std::mem::take(&mut self.initial_ready);
         self.outstanding += ready.len();
         ready
@@ -742,7 +745,7 @@ impl WorkflowExecution {
     /// Marks a fresh (attempt 0) submission of `job` at backend time
     /// `now`. The driver calls this just before it hands the job to
     /// the backend.
-    pub fn note_submitted(&mut self, job: JobId, now: f64) {
+    pub(crate) fn note_submitted(&mut self, job: JobId, now: f64) {
         self.emit(WorkflowEvent::Submitted {
             job,
             attempt: 0,
@@ -769,7 +772,7 @@ impl WorkflowExecution {
     /// (Previously a `debug_assert!` that release builds ignored,
     /// corrupting the retry accounting instead.  The event-log
     /// sanitizer checks the same invariant offline as rule `E0702`.)
-    pub fn on_event(&mut self, ev: &CompletionEvent) -> Result<EventResponse, WmsError> {
+    pub(crate) fn on_event(&mut self, ev: &CompletionEvent) -> Result<EventResponse, WmsError> {
         if self.crashed {
             return Err(WmsError::InvariantViolation {
                 invariant: "no events after a crash".into(),
@@ -883,7 +886,11 @@ impl WorkflowExecution {
     /// emits the `WorkflowFinished` trailer, hands `deliver` everything
     /// not yet drained — trailer included, for the driver to forward
     /// like any other batch — and returns the finished run.
-    pub fn finish(mut self, end: f64, deliver: impl FnOnce(&[WorkflowEvent])) -> WorkflowRun {
+    pub(crate) fn finish(
+        mut self,
+        end: f64,
+        deliver: impl FnOnce(&[WorkflowEvent]),
+    ) -> WorkflowRun {
         self.emit(WorkflowEvent::WorkflowFinished {
             succeeded: !self.failed(),
             wall_time: end - self.start,
@@ -897,16 +904,16 @@ impl WorkflowExecution {
 /// The workflow engine — the single entry point for executing one
 /// workflow on one backend.
 ///
-/// Many workflows over one shared backend go through
-/// [`crate::ensemble::Ensemble`] instead, which drives the same
-/// [`WorkflowExecution`] state machine.
+/// A run is a one-member round of the scheduling loop that
+/// [`crate::ensemble::Ensemble`] runs many workflows through, with
+/// unbounded admission: every released job is submitted at once.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Engine;
 
 impl Engine {
     /// Executes `wf` on `backend` under `config`, handing `sink` every
-    /// [`WorkflowEvent`] as it is emitted: after each submission batch
-    /// or completion event, and the `WorkflowFinished` trailer last.
+    /// [`WorkflowEvent`] as it is emitted: after each submission or
+    /// completion event, and the `WorkflowFinished` trailer last.
     /// What the sink saw is exactly the returned run's `events`. Pass
     /// [`NoopMonitor`] when progress reporting isn't needed.
     pub fn run(
@@ -917,34 +924,13 @@ impl Engine {
     ) -> WorkflowRun {
         let _prof = crate::prof::scope("engine.run");
         backend.set_timeout(config.retry.timeout);
-        let mut exec = WorkflowExecution::new(wf, config, backend.now());
-        // Stamped before the hand-over: on a real clock no attempt then
-        // records a `submitted` earlier than its own `submitted` event.
-        for job in exec.take_initial_ready() {
-            exec.note_submitted(job, backend.now());
-            backend.submit(&wf.jobs[job.idx()], 0);
-        }
-        exec.drain_new_events().iter().for_each(|ev| sink.event(ev));
-        while !exec.is_complete() {
-            let ev = backend.wait_any();
-            let resp = exec
-                .on_event(&ev)
-                .expect("the driver stops feeding events once the crash fires");
-            if let Some(r) = &resp.retry {
-                backend.submit_after(&wf.jobs[r.job.idx()], r.next_attempt, r.delay);
-            }
-            for &job in &resp.newly_ready {
-                exec.note_submitted(job, backend.now());
-                backend.submit(&wf.jobs[job.idx()], 0);
-            }
-            exec.drain_new_events().iter().for_each(|ev| sink.event(ev));
-            if resp.crashed {
-                break;
-            }
-        }
-        exec.finish(backend.now(), |tail| {
-            tail.iter().for_each(|ev| sink.event(ev))
-        })
+        let exec = WorkflowExecution::new(wf, config, backend.now());
+        let member = Member::new(&wf.jobs, exec, 0, 0);
+        let mut observe = |_: usize, events: &[WorkflowEvent]| {
+            events.iter().for_each(|ev| sink.event(ev));
+        };
+        let mut runs = run_round(backend, vec![member], usize::MAX, None, &mut observe);
+        runs.pop().expect("a one-member round has one run")
     }
 }
 
@@ -1425,8 +1411,11 @@ mod tests {
             WorkflowOutcome::Failed(rescue) => assert_eq!(rescue.done, vec!["a"]),
             other => panic!("unexpected {other:?}"),
         }
-        // b was submitted but never completed; no job is Failed.
+        // b is released by the crash-firing completion but never
+        // submitted; no job is Failed.
         assert_eq!(run.records[1].state, JobState::Unready);
+        assert_eq!(run.records[1].attempts, 0);
+        assert_eq!(be.log.len(), 1, "nothing is submitted after the crash");
         assert!(run.records.iter().all(|r| r.state != JobState::Failed));
     }
 

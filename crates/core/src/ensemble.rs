@@ -16,15 +16,17 @@
 //!
 //! Scheduling model:
 //!
-//! * every workflow's ready jobs enter one **pending queue**;
+//! * every workflow keeps its released jobs in its own **ready
+//!   queue**, in release order;
 //! * admission is gated by a global **slot budget**
 //!   ([`EnsembleConfig::slot_budget`], defaulting to the backend's
 //!   [`ExecutionBackend::slot_capacity`]);
-//! * among pending jobs, higher [`Submission::priority`] wins, ties
-//!   broken **fair-share** first across tenants, then across
-//!   workflows (fewest jobs currently in flight, then least
-//!   historical usage), then by submission order — so within one
-//!   workflow the engine's ready order is preserved exactly;
+//! * each admission picks a workflow and submits the oldest job of its
+//!   queue: higher [`Submission::priority`] wins, ties broken
+//!   **fair-share** first across tenants, then across workflows
+//!   (fewest jobs currently in flight, then least historical usage),
+//!   then by submission order — so within one workflow the engine's
+//!   ready order is preserved exactly;
 //! * a per-tenant slot quota ([`EnsembleConfig::tenant_slots`]) caps
 //!   how much of the budget any one tenant can hold; jobs of a tenant
 //!   at quota stay queued while other tenants' jobs overtake them;
@@ -32,17 +34,17 @@
 //!   the backend applies the backoff delay, so the budget stays
 //!   bounded;
 //! * a scripted submit-host crash kills only its own workflow — its
-//!   queued jobs are withdrawn, its in-flight events drained, and the
-//!   rescue DAG reports exactly what completed, while the rest of the
-//!   ensemble keeps running.
+//!   queued jobs are withdrawn unsubmitted, its in-flight events
+//!   drained, and the rescue DAG reports exactly what completed, while
+//!   the rest of the ensemble keeps running.
 //!
 //! Single-tenant ensembles order admissions exactly as before the
 //! tenant layer existed: with one tenant every candidate carries the
 //! same tenant-level key, so the comparison falls through to the
-//! per-workflow fair-share unchanged. An ensemble of one workflow
-//! with an unbounded budget issues the byte-identical backend call
-//! sequence as [`Engine::run`], which is what makes per-workflow
-//! results comparable across the two paths (and is pinned by tests).
+//! per-workflow fair-share unchanged. [`Engine::run`] is a one-member
+//! round of the same loop with unbounded admission, so an ensemble of
+//! one workflow under [`EnsembleConfig::unbounded`] issues the same
+//! backend calls and emits the same events.
 //!
 //! [`Engine::run`]: crate::engine::Engine::run
 
@@ -54,6 +56,7 @@ use crate::events::WorkflowEvent;
 use crate::planner::{ExecutableJob, ExecutableWorkflow};
 use crate::workflow::JobId;
 use std::cmp::Reverse;
+use std::collections::VecDeque;
 
 /// The tenant a [`Submission`] belongs to when none is named.
 pub const DEFAULT_TENANT: &str = "default";
@@ -114,9 +117,9 @@ pub struct EnsembleConfig {
 }
 
 impl EnsembleConfig {
-    /// An unbounded-admission config (ignores backend capacity). This
-    /// is what makes a size-1 ensemble bit-identical to
-    /// [`Engine::run`](crate::engine::Engine::run).
+    /// An unbounded-admission config (ignores backend capacity): the
+    /// admission [`Engine::run`](crate::engine::Engine::run) runs its
+    /// one-member round under.
     pub fn unbounded() -> Self {
         EnsembleConfig {
             slot_budget: Some(usize::MAX),
@@ -174,13 +177,6 @@ pub trait EnsembleMonitor {
     fn member_events(&mut self, index: usize, events: &[WorkflowEvent]);
 }
 
-/// The observer [`Ensemble::run_to_completion`] runs under.
-struct Unobserved;
-
-impl EnsembleMonitor for Unobserved {
-    fn member_events(&mut self, _index: usize, _events: &[WorkflowEvent]) {}
-}
-
 /// Lifecycle state of one submission to a service that queues them
 /// for rounds (`pegasus serve` reports it per member).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,21 +191,17 @@ pub enum MemberState {
     Failed,
 }
 
-/// A first-attempt job waiting for a slot.
-#[derive(Debug)]
-struct Pending {
-    wf: usize,
-    job: JobId,
-    /// Global enqueue counter: preserves each workflow's ready order
-    /// and makes admission deterministic.
-    seq: u64,
-}
-
-/// Per-workflow bookkeeping inside a running round.
-struct Member {
+/// One workflow of a round, as [`run_round`] schedules it.
+pub(crate) struct Member<'w> {
+    /// The jobs as the backend is handed them: ids offset by the jobs
+    /// of the members before this one.
+    jobs: &'w [ExecutableJob],
+    /// The scheduling state while the workflow is live.
     exec: Option<WorkflowExecution>,
-    /// Jobs pre-cloned with ensemble-global ids, indexed by local id.
-    submit_jobs: Vec<ExecutableJob>,
+    /// The finished run.
+    run: Option<WorkflowRun>,
+    /// Released jobs waiting for a slot, in release order.
+    ready: VecDeque<JobId>,
     priority: i32,
     tenant: usize,
     in_flight: usize,
@@ -220,11 +212,177 @@ struct Member {
     admitted: usize,
 }
 
+impl<'w> Member<'w> {
+    /// A member driving `exec` over `jobs`, at `priority`, charged to
+    /// the round's tenant number `tenant`.
+    pub(crate) fn new(
+        jobs: &'w [ExecutableJob],
+        mut exec: WorkflowExecution,
+        priority: i32,
+        tenant: usize,
+    ) -> Self {
+        Member {
+            jobs,
+            ready: exec.take_initial_ready().into(),
+            exec: Some(exec),
+            run: None,
+            priority,
+            tenant,
+            in_flight: 0,
+            admitted: 0,
+        }
+    }
+
+    /// Ends member `index`'s run at `now`, handing `observe` its
+    /// trailer.
+    fn finish(&mut self, index: usize, now: f64, observe: &mut dyn FnMut(usize, &[WorkflowEvent])) {
+        if let Some(exec) = self.exec.take() {
+            self.run = Some(exec.finish(now, |tail| observe(index, tail)));
+        }
+    }
+}
+
 /// Per-tenant bookkeeping inside a running round, mirroring the
 /// per-workflow counters one level up.
+#[derive(Clone, Default)]
 struct TenantShare {
     in_flight: usize,
     admitted: usize,
+}
+
+/// The one scheduling loop, behind [`Engine::run`] and both
+/// [`Ensemble`] entry points: drives `members` over `backend` as one
+/// round and returns their runs in order.
+///
+/// At most `budget` attempts are in flight, and at most `quota` of one
+/// tenant's. `observe` is handed each member's events as they are
+/// emitted, headers first. A completion finds its member by its id,
+/// which member k's jobs carry offset by the jobs of members 0..k. The
+/// round ends when no member is live: a crashed member's released jobs
+/// are withdrawn unsubmitted, and its attempts still in flight drain
+/// as stale completions only while another member runs.
+///
+/// [`Engine::run`]: crate::engine::Engine::run
+pub(crate) fn run_round(
+    backend: &mut dyn ExecutionBackend,
+    mut members: Vec<Member<'_>>,
+    budget: usize,
+    quota: Option<usize>,
+    observe: &mut dyn FnMut(usize, &[WorkflowEvent]),
+) -> Vec<WorkflowRun> {
+    // Member k's first job id: the number of jobs of members 0..k.
+    let (mut firsts, mut next) = (Vec::with_capacity(members.len()), 0);
+    for m in &members {
+        firsts.push(next);
+        next += m.jobs.len();
+    }
+    let tenants = members.iter().map(|m| m.tenant + 1).max().unwrap_or(0);
+    let mut shares = vec![TenantShare::default(); tenants];
+    let mut in_flight = 0usize;
+    let mut live = members.len();
+
+    // The header + manifest (and rescue skips) exist as soon as the
+    // execution does: forward them before any admission, so
+    // incremental logs always start well-formed.
+    for (i, m) in members.iter_mut().enumerate() {
+        if let Some(exec) = m.exec.as_mut() {
+            observe(i, exec.drain_new_events());
+        }
+    }
+    // Workflows with nothing to run (empty, or fully rescue-skipped)
+    // finish without touching the backend.
+    for (i, m) in members.iter_mut().enumerate() {
+        if m.exec.as_ref().is_some_and(WorkflowExecution::is_complete) {
+            m.finish(i, backend.now(), observe);
+            live -= 1;
+        }
+    }
+
+    while live > 0 {
+        // Admission: fill the budget, one member's oldest ready job at
+        // a time. Higher priority first; ties go first to the tenant
+        // with the fewest jobs in flight, then to the workflow with
+        // the fewest (fair share), then to the earlier member. Tenants
+        // at their slot quota are passed over entirely.
+        while in_flight < budget {
+            let mut best = None;
+            for (i, m) in members.iter().enumerate() {
+                let share = &shares[m.tenant];
+                if m.ready.is_empty() || quota.is_some_and(|q| share.in_flight >= q) {
+                    continue;
+                }
+                let key = (
+                    Reverse(m.priority),
+                    share.in_flight,
+                    share.admitted,
+                    m.in_flight,
+                    m.admitted,
+                );
+                if best.as_ref().is_none_or(|(_, least)| key < *least) {
+                    best = Some((i, key));
+                }
+            }
+            let Some((i, _)) = best else { break };
+            let m = &mut members[i];
+            let job = m.ready.pop_front().expect("the pick has a ready job");
+            let exec = m
+                .exec
+                .as_mut()
+                .expect("only a live member holds ready jobs");
+            // Stamped before the hand-over: on a real clock no attempt
+            // then records a `submitted` earlier than its own event.
+            exec.note_submitted(job, backend.now());
+            backend.submit(&m.jobs[job.idx()], 0);
+            observe(i, exec.drain_new_events());
+            m.in_flight += 1;
+            m.admitted += 1;
+            shares[m.tenant].in_flight += 1;
+            shares[m.tenant].admitted += 1;
+            in_flight += 1;
+        }
+
+        let ev = backend.wait_any();
+        in_flight -= 1;
+        let i = firsts.partition_point(|&first| first <= ev.job.idx()) - 1;
+        let m = &mut members[i];
+        m.in_flight -= 1;
+        shares[m.tenant].in_flight -= 1;
+        let Some(exec) = m.exec.as_mut() else {
+            // Stale completion from a member that already crashed: the
+            // slot is reclaimed, the result discarded.
+            continue;
+        };
+        let job = JobId::new(ev.job.idx() - firsts[i]);
+        let resp = exec
+            .on_event(&CompletionEvent { job, ..ev })
+            .expect("a crashed member is retired from the round");
+        observe(i, exec.drain_new_events());
+        if let Some(r) = resp.retry {
+            // The failed attempt just released its slot; the retry
+            // reclaims it, so the budget stays respected without
+            // re-queueing (backoff is enforced by the backend).
+            backend.submit_after(&m.jobs[r.job.idx()], r.next_attempt, r.delay);
+            m.in_flight += 1;
+            shares[m.tenant].in_flight += 1;
+            in_flight += 1;
+        }
+        if resp.crashed {
+            // The member's submit host died: what it released but had
+            // not submitted is withdrawn.
+            m.ready.clear();
+        } else {
+            m.ready.extend(resp.newly_ready);
+        }
+        if resp.crashed || exec.is_complete() {
+            m.finish(i, backend.now(), observe);
+            live -= 1;
+        }
+    }
+
+    members
+        .into_iter()
+        .map(|m| m.run.expect("a round ends when no member is live"))
+        .collect()
 }
 
 /// The ensemble manager — the single entry point for executing many
@@ -254,7 +412,7 @@ impl Ensemble {
         submissions: Vec<Submission>,
         config: &EnsembleConfig,
     ) -> Result<EnsembleRun, WmsError> {
-        Self::run_to_completion_monitored(backend, submissions, config, &mut Unobserved)
+        Self::join(backend, submissions, config, &mut |_, _| {})
     }
 
     /// [`run_to_completion`](Self::run_to_completion), handing
@@ -267,6 +425,19 @@ impl Ensemble {
         submissions: Vec<Submission>,
         config: &EnsembleConfig,
         monitor: &mut dyn EnsembleMonitor,
+    ) -> Result<EnsembleRun, WmsError> {
+        Self::join(backend, submissions, config, &mut |index, events| {
+            monitor.member_events(index, events)
+        })
+    }
+
+    /// Both entry points: checks the submissions, sets the round up and
+    /// runs it through [`run_round`].
+    fn join(
+        backend: &mut dyn ExecutionBackend,
+        mut submissions: Vec<Submission>,
+        config: &EnsembleConfig,
+        observe: &mut dyn FnMut(usize, &[WorkflowEvent]),
     ) -> Result<EnsembleRun, WmsError> {
         let _prof = crate::prof::scope("ensemble.join");
         for sub in &submissions {
@@ -282,25 +453,13 @@ impl Ensemble {
                 }
             }
         }
-        if submissions.is_empty() {
-            return Ok(EnsembleRun {
-                runs: Vec::new(),
-                makespan: 0.0,
-            });
-        }
 
         let timeouts: Vec<Option<f64>> =
             submissions.iter().map(|s| s.config.retry.timeout).collect();
         let timeout = if timeouts.windows(2).all(|w| w[0] == w[1]) {
             timeouts.first().copied().flatten()
         } else {
-            timeouts
-                .iter()
-                .flatten()
-                .copied()
-                .fold(None, |acc: Option<f64>, t| {
-                    Some(acc.map_or(t, |a| a.min(t)))
-                })
+            timeouts.iter().flatten().copied().reduce(f64::min)
         };
         backend.set_timeout(timeout);
 
@@ -311,211 +470,34 @@ impl Ensemble {
             .max(1);
         let quota = config.tenant_slots.map(|q| q.max(1));
 
-        // Global job-id space: workflow k's local job j becomes
-        // offsets[k] + j on the wire, and `owner` maps it back.
-        let mut members: Vec<Member> = Vec::with_capacity(submissions.len());
-        let mut tenants: Vec<String> = Vec::new();
-        let mut shares: Vec<TenantShare> = Vec::new();
-        let mut owner: Vec<(usize, JobId)> = Vec::new();
-        let mut pending: Vec<Pending> = Vec::new();
-        let mut next_seq = 0u64;
+        // Each execution declares its jobs by local id; then the jobs
+        // are renumbered in place into the round's one id space.
         let start = backend.now();
-
-        for (wf_idx, sub) in submissions.iter().enumerate() {
-            let offset = owner.len();
-            let submit_jobs: Vec<ExecutableJob> = sub
-                .workflow
-                .jobs
-                .iter()
-                .enumerate()
-                .map(|(local, j)| {
-                    owner.push((wf_idx, JobId::new(local)));
-                    let mut g = j.clone();
-                    g.id = JobId::new(offset + local);
-                    g
-                })
-                .collect();
-            let tenant = match tenants.iter().position(|t| *t == sub.tenant) {
-                Some(i) => i,
-                None => {
-                    tenants.push(sub.tenant.clone());
-                    shares.push(TenantShare {
-                        in_flight: 0,
-                        admitted: 0,
-                    });
-                    tenants.len() - 1
-                }
-            };
-            let mut exec = WorkflowExecution::new(&sub.workflow, &sub.config, start);
-            for job in exec.take_initial_ready() {
-                pending.push(Pending {
-                    wf: wf_idx,
-                    job,
-                    seq: next_seq,
-                });
-                next_seq += 1;
-            }
-            // The header + manifest (and rescue skips) exist as soon
-            // as the execution does; forward them before any
-            // admission so incremental logs always start well-formed.
-            monitor.member_events(wf_idx, exec.drain_new_events());
-            members.push(Member {
-                exec: Some(exec),
-                submit_jobs,
-                priority: sub.priority,
-                tenant,
-                in_flight: 0,
-                admitted: 0,
-            });
-        }
-
-        let mut runs: Vec<Option<WorkflowRun>> = (0..submissions.len()).map(|_| None).collect();
-        let mut in_flight_total = 0usize;
-
-        let finalize = |wf_idx: usize,
-                        members: &mut Vec<Member>,
-                        runs: &mut Vec<Option<WorkflowRun>>,
-                        monitor: &mut dyn EnsembleMonitor,
-                        now: f64| {
-            if let Some(exec) = members[wf_idx].exec.take() {
-                runs[wf_idx] = Some(exec.finish(now, |tail| monitor.member_events(wf_idx, tail)));
-            }
-        };
-
-        // Workflows with nothing to run (empty, or fully
-        // rescue-skipped) finish at t0 without touching the backend.
-        for wf_idx in 0..members.len() {
-            if members[wf_idx]
-                .exec
-                .as_ref()
-                .is_some_and(WorkflowExecution::is_complete)
-            {
-                finalize(wf_idx, &mut members, &mut runs, monitor, start);
-            }
-        }
-
-        loop {
-            // Admission: fill the budget from the pending queue.
-            // Higher priority first; ties go first to the tenant with
-            // the fewest jobs in flight, then to the workflow with the
-            // fewest (fair share), then to the earlier-enqueued job,
-            // so a lone workflow drains in exact ready order. Tenants
-            // at their slot quota are passed over entirely.
-            while in_flight_total < budget {
-                // A plain loop: as an iterator chain this scan of the
-                // whole queue, the round's hottest loop, ran at half
-                // speed whenever the fold was not inlined into it.
-                let mut best = None;
-                for (i, p) in pending.iter().enumerate() {
-                    let m = &members[p.wf];
-                    let t = &shares[m.tenant];
-                    if quota.is_some_and(|q| t.in_flight >= q) {
-                        continue;
-                    }
-                    let key = (
-                        Reverse(m.priority),
-                        t.in_flight,
-                        t.admitted,
-                        m.in_flight,
-                        m.admitted,
-                        p.wf,
-                        p.seq,
-                    );
-                    if best.as_ref().is_none_or(|(_, least)| key < *least) {
-                        best = Some((i, key));
-                    }
-                }
-                let Some((best, _)) = best else { break };
-                let Pending { wf, job, .. } = pending.remove(best);
-                let member = &mut members[wf];
-                member
-                    .exec
-                    .as_mut()
-                    .expect("pending jobs only exist for live workflows")
-                    .note_submitted(job, backend.now());
-                backend.submit(&member.submit_jobs[job.idx()], 0);
-                member.in_flight += 1;
-                member.admitted += 1;
-                shares[member.tenant].in_flight += 1;
-                shares[member.tenant].admitted += 1;
-                in_flight_total += 1;
-                let member = &mut members[wf];
-                if let Some(exec) = member.exec.as_mut() {
-                    monitor.member_events(wf, exec.drain_new_events());
-                }
-            }
-
-            if in_flight_total == 0 {
-                break;
-            }
-
-            let ev = backend.wait_any();
-            in_flight_total -= 1;
-            let (wf_idx, local) = owner[ev.job.idx()];
-            members[wf_idx].in_flight -= 1;
-            shares[members[wf_idx].tenant].in_flight -= 1;
-            let Some(exec) = members[wf_idx].exec.as_mut() else {
-                // Stale completion from a workflow that already
-                // crashed: the slot is reclaimed, the result
-                // discarded.
-                continue;
-            };
-            let local_ev = CompletionEvent {
-                job: local,
-                attempt: ev.attempt,
-                outcome: ev.outcome,
-                times: ev.times,
-            };
-            let resp = exec
-                .on_event(&local_ev)
-                .expect("crashed members are retired from the live set");
-            monitor.member_events(wf_idx, exec.drain_new_events());
-            if let Some(r) = resp.retry {
-                // The failed attempt just released its slot; the retry
-                // reclaims it, so the budget stays respected without
-                // re-queueing (backoff is enforced by the backend).
-                backend.submit_after(
-                    &members[wf_idx].submit_jobs[r.job.idx()],
-                    r.next_attempt,
-                    r.delay,
-                );
-                members[wf_idx].in_flight += 1;
-                shares[members[wf_idx].tenant].in_flight += 1;
-                in_flight_total += 1;
-            }
-            for job in resp.newly_ready {
-                pending.push(Pending {
-                    wf: wf_idx,
-                    job,
-                    seq: next_seq,
-                });
-                next_seq += 1;
-            }
-            if resp.crashed {
-                // The submit host for this workflow died: withdraw its
-                // queued work; in-flight attempts drain as stale
-                // events.
-                pending.retain(|p| p.wf != wf_idx);
-                finalize(wf_idx, &mut members, &mut runs, monitor, backend.now());
-            } else if members[wf_idx]
-                .exec
-                .as_ref()
-                .is_some_and(WorkflowExecution::is_complete)
-            {
-                finalize(wf_idx, &mut members, &mut runs, monitor, backend.now());
-            }
-        }
-
-        // Anything still live at drain (defensive; normal paths
-        // finalize at the terminating event) finishes now.
-        for wf_idx in 0..members.len() {
-            finalize(wf_idx, &mut members, &mut runs, monitor, backend.now());
-        }
-
-        let runs: Vec<WorkflowRun> = runs
-            .into_iter()
-            .map(|r| r.expect("every workflow finalized"))
+        let execs: Vec<WorkflowExecution> = submissions
+            .iter()
+            .map(|sub| WorkflowExecution::new(&sub.workflow, &sub.config, start))
             .collect();
+        let jobs = submissions
+            .iter_mut()
+            .flat_map(|sub| &mut sub.workflow.jobs);
+        for (id, job) in jobs.enumerate() {
+            job.id = JobId::new(id);
+        }
+        let mut tenants: Vec<&str> = Vec::new();
+        let members = submissions
+            .iter()
+            .zip(execs)
+            .map(|(sub, exec)| {
+                let known = tenants.iter().position(|t| *t == sub.tenant);
+                let tenant = known.unwrap_or_else(|| {
+                    tenants.push(&sub.tenant);
+                    tenants.len() - 1
+                });
+                Member::new(&sub.workflow.jobs, exec, sub.priority, tenant)
+            })
+            .collect();
+
+        let runs = run_round(backend, members, budget, quota, observe);
         let makespan = runs.iter().map(|r| r.wall_time).fold(0.0, f64::max);
         Ok(EnsembleRun { runs, makespan })
     }

@@ -107,6 +107,52 @@ fn pegasus_failure_rescue_resume_session() {
 }
 
 #[test]
+fn a_crashed_submit_host_submits_nothing_more() {
+    let dir = tmpdir("crash");
+    let (dax, plan, log) = (
+        dir.join("wf.dax"),
+        dir.join("crash.plan"),
+        dir.join("run.events"),
+    );
+    pegasus()
+        .args(["generate-dax", "--n", "20", "--out", dax.to_str().unwrap()])
+        .status()
+        .unwrap();
+    std::fs::write(&plan, "plan crash\nsubmit-host-crash after-events=6\n").unwrap();
+    let out = pegasus()
+        .args(["run", "--dax", dax.to_str().unwrap(), "--site", "sandhills"])
+        .args(["--seed", "11", "--fault-plan", plan.to_str().unwrap()])
+        .args(["--events", log.to_str().unwrap()])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "a crashed run fails");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let last = stdout.lines().rfind(|l| l.starts_with("status:"));
+    assert!(
+        last.is_some_and(|l| l.contains("| 0 running |")),
+        "{stdout}"
+    );
+    // Nothing is submitted after the sixth terminal event, the one the
+    // crash fires on.
+    let log = std::fs::read_to_string(&log).unwrap();
+    let terminal = ["completed ", "failed ", "timed-out "];
+    let lines: Vec<&str> = log.lines().collect();
+    let crash = lines
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| terminal.iter().any(|t| l.starts_with(t)))
+        .nth(5)
+        .map(|(at, _)| at)
+        .expect("six terminal events");
+    let late = lines[crash..]
+        .iter()
+        .filter(|l| l.starts_with("submitted "));
+    assert_eq!(late.count(), 0, "{log}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn pegasus_statistics_emits_csv() {
     let dir = tmpdir("stats");
     let dax = dir.join("wf.dax");

@@ -9,14 +9,21 @@
 //!   member completes it, without disturbing the others;
 //! * the paper's platform contrast survives ensemble scheduling:
 //!   the Sandhills rollup beats the OSG rollup, and n = 300 stays the
-//!   optimal decomposition among the members.
+//!   optimal decomposition among the members;
+//! * the admission order of a contended multi-tenant round is pinned by
+//!   a golden (`tests/fixtures/equivalence/ensemble_admission.txt`),
+//!   written by the commit that still scanned every ready job per
+//!   admission. Never re-bless it to make a change pass.
 
 use blast2cap3_pegasus::experiment::{
     plan_blast2cap3, sim_backend_for, simulate_blast2cap3_ensemble,
 };
+use pegasus_wms::engine::scripted::ScriptedBackend;
 use pegasus_wms::engine::{Engine, EngineConfig, JobState, NoopMonitor, WorkflowOutcome};
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
+use pegasus_wms::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
 use pegasus_wms::statistics::{compute, render_ensemble_csv, render_summary_csv};
+use pegasus_wms::workflow::JobId;
 
 const SEED: u64 = 20140519;
 
@@ -193,4 +200,98 @@ fn sandhills_rollup_beats_osg_with_n300_optimal() {
             wall_of(other)
         );
     }
+}
+
+/// A fan: `root` → `width` workers → `sink`, worker `i` taking
+/// `runtime + i` seconds.
+fn fan(name: &str, width: usize, runtime: f64) -> ExecutableWorkflow {
+    let job = |id: usize, suffix: String, runtime: f64| ExecutableJob {
+        id: JobId::new(id),
+        name: format!("{name}_{suffix}").into(),
+        transformation: "t".into(),
+        kind: JobKind::Compute,
+        args: Default::default(),
+        runtime_hint: runtime,
+        install_hint: 0.0,
+    };
+    let mut jobs = vec![job(0, "root".into(), 1.0)];
+    let mut edges = Vec::new();
+    for i in 0..width {
+        jobs.push(job(1 + i, format!("w{i}"), runtime + i as f64));
+        edges.push((JobId::new(0), JobId::new(1 + i)));
+        edges.push((JobId::new(1 + i), JobId::new(1 + width)));
+    }
+    jobs.push(job(1 + width, "sink".into(), 2.0));
+    ExecutableWorkflow {
+        name: name.into(),
+        site: "test".into(),
+        jobs,
+        edges,
+    }
+}
+
+/// One contended round on a scripted backend, as text: the backend's
+/// submission tape, then every member's event log. Seven members over
+/// three tenants at mixed priorities; two members retry scripted
+/// failures, one exhausts its retries, one crashes its submit host with
+/// workers released.
+fn admission_round(config: &EnsembleConfig) -> String {
+    let retries = |n: u32, seed: u64| EngineConfig::builder().retries(n).seed(seed).build();
+    let mut crashing = retries(2, 4);
+    crashing.crash_after_events = Some(2);
+    let subs = vec![
+        Submission::new(fan("a0", 3, 4.0), retries(2, 1)).with_tenant("alice"),
+        Submission::new(fan("a1", 1, 3.0), retries(2, 2))
+            .with_tenant("alice")
+            .with_priority(1),
+        Submission::new(fan("b0", 4, 2.0), retries(3, 3)).with_tenant("bob"),
+        Submission::new(fan("b1", 3, 5.0), crashing).with_tenant("bob"),
+        Submission::new(fan("c0", 2, 6.0), retries(2, 5))
+            .with_tenant("carol")
+            .with_priority(2),
+        Submission::new(fan("c1", 2, 1.0), retries(2, 6)).with_tenant("carol"),
+        Submission::new(fan("a2", 5, 3.0), retries(1, 7)).with_tenant("alice"),
+    ];
+    let mut backend = ScriptedBackend::new();
+    for (job, attempt) in [
+        ("b0_w1", 0),
+        ("b0_w1", 1),
+        ("c0_root", 0),
+        ("a2_w4", 0),
+        ("a2_w4", 1),
+        ("c1_w0", 0),
+    ] {
+        backend.fail_plan.insert((job.into(), attempt));
+    }
+    let ens = Ensemble::run_to_completion(&mut backend, subs, config).unwrap();
+    let mut text = String::from("tape\n");
+    for (name, attempt) in &backend.log {
+        text += &format!("{name} {attempt}\n");
+    }
+    for (i, run) in ens.runs.iter().enumerate() {
+        text += &format!("member {i}\n");
+        text += &pegasus_wms::events::log::write(&run.events);
+    }
+    text
+}
+
+#[test]
+fn admission_order_matches_the_golden_on_a_contended_multi_tenant_round() {
+    let mut text = String::from("# slot budget 2, tenant slots 1\n");
+    text += &admission_round(&EnsembleConfig::with_slot_budget(2).with_tenant_slots(1));
+    text += "# default\n";
+    text += &admission_round(&EnsembleConfig::default());
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/equivalence/ensemble_admission.txt");
+    if std::env::var_os("PEGASUS_BLESS").is_some() {
+        std::fs::write(&path, &text).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("the admission golden");
+    let first_diff = golden.lines().zip(text.lines()).position(|(g, t)| g != t);
+    assert!(
+        golden == text,
+        "admission diverges from the golden at line {:?}",
+        first_diff.map(|l| l + 1)
+    );
 }

@@ -738,6 +738,41 @@ fn a_journal_no_daemon_could_have_written_refuses_the_start() {
 }
 
 #[test]
+fn a_daemon_whose_stdout_reader_is_gone_exits_0_without_panicking() {
+    // The first start-up line is `listening` in a fresh directory and
+    // `discarding torn journal tail` over a torn one.
+    let torn = "# pegasus serve journal v2\nsubmission id=0 tenant=alice site=sandhills n=10\nsub";
+    for (name, journal) in [("fresh", None), ("torn", Some(torn))] {
+        let dir = scratch(&format!("closed-stdout-{name}"));
+        if let Some(text) = journal {
+            std::fs::write(dir.join("journal"), text).expect("write journal");
+        }
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pegasus"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--metrics-addr"])
+            .args(["127.0.0.1:0", "--dir"])
+            .arg(&dir)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn pegasus serve");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while child.try_wait().expect("poll the daemon").is_none() {
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("{name}: the daemon kept running with no reader");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("daemon output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn a_daemon_with_no_finished_member_scrapes_empty() {
     let dir = scratch("empty-scrape");
     let daemon = Daemon::start(&dir, &[]);
