@@ -1,0 +1,353 @@
+//! `lint` and `verify`: the verbs that judge a workflow, a plan or an
+//! event stream and report findings as diagnostics.
+
+use crate::fold::{adhoc_log, event_sources, LIVE_EVENTS, LIVE_N};
+use crate::{
+    comma_list, common, load_catalogs, load_dax, load_registry, or_exit, plan_or_exit,
+    read_or_exit, resolve_site, retry_policy_from, success_if,
+};
+use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
+use blast2cap3_pegasus::experiment::{builtin_registry, dax_findings, plan_findings};
+use blast2cap3_pegasus::{out, outln};
+use gridsim::sites::SiteRegistry;
+use gridsim::FaultPlan;
+use pegasus_wms::error::WmsError;
+use pegasus_wms::events::{self, WorkflowEvent};
+use pegasus_wms::lint::{self, Diagnostic};
+use pegasus_wms::workflow::AbstractWorkflow;
+use pegasus_wms::{trace, verify};
+use std::process::ExitCode;
+
+pub(crate) const LINT: Verb = Verb {
+    name: "lint",
+    summary: "static analysis of a DAX plus fault plans, configs, event logs",
+    positional: Some("<dax>"),
+    flags: &[
+        opt(
+            "dax",
+            "file",
+            "the DAX to lint (alternative to the positional)",
+        ),
+        opt("format", "text|json", "diagnostic output format"),
+        opt("deny", "spec", "escalate lints: warnings, codes, or names"),
+        opt("allow", "spec", "silence lints by code or name"),
+        common::SITE,
+        common::SITES,
+        common::CATALOG,
+        opt("fault-plan", "file,...", "fault plans to lint"),
+        opt("events", "file,...", "event logs to sanitize"),
+        common::RETRIES,
+        common::BACKOFF,
+        common::TIMEOUT,
+        opt("slots", "n", "slot budget for the feasibility pass"),
+        opt("fan-limit", "n", "fan-in/out threshold (default 500)"),
+        opt(
+            "explain",
+            "code",
+            "print extended help for a rule code or name",
+        ),
+        switch("list", "list every registered rule with its default level"),
+    ],
+    run: cmd_lint,
+};
+
+pub(crate) const VERIFY: Verb = Verb {
+    name: "verify",
+    summary: "semantic verification: temporal invariants over event logs, dataflow over plans",
+    positional: Some("<events-or-dir>"),
+    flags: &[
+        opt(
+            "dax",
+            "file",
+            "verify the planned dataflow of this DAX (layer 2)",
+        ),
+        common::SITE,
+        common::SITES,
+        common::CATALOG,
+        common::FROM_EVENTS,
+        opt(
+            "events-dir",
+            "dir",
+            "verify every member event log of a serve state directory",
+        ),
+        opt("format", "text|json", "diagnostic output format"),
+        opt(
+            "deny",
+            "spec",
+            "escalate findings: warnings, codes, or names",
+        ),
+        opt("allow", "spec", "silence findings by code or name"),
+        opt("slots", "n", "slot capacity for the concurrency sweep"),
+        opt(
+            "storage-limit",
+            "bytes",
+            "storage bound for the footprint sweep",
+        ),
+        common::SEED,
+        common::RETRIES,
+        common::BACKOFF,
+        common::TIMEOUT,
+        opt("fault-plan", "file", "scripted fault plan for the live run"),
+        LIVE_N,
+        LIVE_EVENTS,
+        common::QUIET,
+    ],
+    run: cmd_verify,
+};
+
+/// The `--deny`/`--allow` level overrides `lint` and `verify` share;
+/// `example` is the code the verb's own `--deny` hint suggests.
+fn lint_config_from(args: &Args, example: &str) -> lint::LintConfig {
+    let mut config = lint::LintConfig::default();
+    if let Some(spec) = args.get("deny") {
+        if let Err(tok) = config.deny(spec) {
+            args.bail(&format!(
+                "--deny: {tok:?} names no known lint (try a code like {example}, a rule name, or `warnings`)"
+            ));
+        }
+    }
+    if let Some(spec) = args.get("allow") {
+        if let Err(tok) = config.allow(spec) {
+            args.bail(&format!("--allow: {tok:?} names no known lint"));
+        }
+    }
+    config
+}
+
+/// The lenient reader, for the stream checkers (verify, `lint
+/// --events`): a log that does not parse becomes the finding its
+/// refusal is coded as (`E0708`, at the offending line), so the report
+/// still renders and the remaining logs are still checked.
+fn parse_or_flag(
+    text: &str,
+    path: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> Option<Vec<(usize, WorkflowEvent)>> {
+    match events::log::parse_lines(text) {
+        Ok(pairs) => Some(pairs),
+        Err(e) => {
+            diags.push(Diagnostic::from_error(&e, path));
+            None
+        }
+    }
+}
+
+/// Gathers every lint diagnostic the given flags make checkable: the
+/// DAX passes always, the config pass when `--site`/`--slots` is
+/// given, the fault-plan pass per `--fault-plan`, and (only when
+/// `include_event_logs`) the sanitizer per `--events`. The event-log
+/// pass is opt-in because `run` uses `--events` as an *output* path.
+/// The one parse of the DAX comes back with the findings, for `run`
+/// to validate and plan.
+pub(crate) fn collect_lint(
+    args: &Args,
+    dax_path: &str,
+    include_event_logs: bool,
+) -> (Vec<Diagnostic>, Result<AbstractWorkflow, WmsError>) {
+    let mut diags = Vec::new();
+
+    // Site-definition pass (E0501–E0507): lint `--sites` when given,
+    // and build the registry the config pass resolves `--site`
+    // against. A file that fails to parse or load degrades to the
+    // built-ins so the remaining passes still run.
+    let mut registry = builtin_registry().clone();
+    if let Some(path) = args.get("sites") {
+        match gridsim::sites::parse_defs(&read_or_exit("site definitions", path)) {
+            Ok(defs) => {
+                diags.extend(gridsim::lint_sites(&defs, path));
+                // Duplicate names/aliases were just reported above;
+                // the load failure adds nothing new.
+                if let Ok(loaded) = SiteRegistry::from_defs(defs) {
+                    registry = loaded;
+                }
+            }
+            Err(e) => diags.push(Diagnostic::from_error(&e, path)),
+        }
+    }
+    let (sites, tc, _rc) = load_catalogs(args, &registry);
+
+    // The unvalidated parse keeps cyclic or conflicted workflows
+    // alive so the structural pass can report the full story instead
+    // of stopping at the first validation error.
+    let text = read_or_exit("", dax_path);
+    let (findings, parsed) = dax_findings(&text, dax_path, &tc, args.parsed("fan-limit", 500usize));
+    diags.extend(findings);
+    let wf = parsed.as_ref().ok();
+
+    let policy = retry_policy_from(args, args.parsed("retries", 3u32));
+    let site = args.get("site");
+    // An unresolvable --site flows through raw so the config pass can
+    // report it as E0301 against the synthesised site catalog; a
+    // resolvable one is canonicalised to its catalog handle (variants
+    // like osg_prestaged check against their base site's entry).
+    let resolved = site.and_then(|s| registry.resolve(s).ok());
+    let site_for_ctx = resolved.map(|id| registry.catalog_name(id)).or(site);
+    let faults_active =
+        args.get("fault-plan").is_some() || resolved.is_some_and(|id| registry.faults_active(id));
+    if let Some(wf) = wf {
+        if site.is_some() || args.get("slots").is_some() {
+            let ctx = lint::RunContext {
+                site: site_for_ctx,
+                sites: Some(&sites),
+                transformations: Some(&tc),
+                retry: Some(&policy),
+                slot_budget: args.parsed_opt::<usize>("slots"),
+                faults_active,
+            };
+            diags.extend(lint::check_config(wf, dax_path, &ctx));
+        }
+    }
+
+    if let Some(list) = args.get("fault-plan") {
+        for path in comma_list(list) {
+            let ptext = read_or_exit("fault plan", path);
+            match FaultPlan::parse(&ptext) {
+                Ok(plan) => {
+                    let ctx = gridsim::PlanLintContext {
+                        workflow: wf,
+                        retry: Some(&policy),
+                    };
+                    diags.extend(gridsim::lint_plan(&plan, path, &ctx));
+                }
+                Err(e) => diags.push(Diagnostic::from_error(&e, path)),
+            }
+        }
+    }
+
+    if include_event_logs {
+        if let Some(list) = args.get("events") {
+            for path in comma_list(list) {
+                let etext = read_or_exit("event log", path);
+                if let Some(pairs) = parse_or_flag(&etext, path, &mut diags) {
+                    diags.extend(lint::check_events(&pairs, path));
+                }
+            }
+        }
+    }
+
+    (diags, parsed)
+}
+
+/// `pegasus lint`: the static analyzer. Exits 1 when any diagnostic
+/// resolves to an error under `--deny`/`--allow`, 2 on bad invocation.
+fn cmd_lint(args: &Args) -> ExitCode {
+    // `--explain CODE` and `--list` are documentation queries: they
+    // need no DAX and exit before any file is touched.
+    if let Some(query) = args.get("explain") {
+        let missing = format!("no rule named {query:?} (see `pegasus lint --list`)");
+        out!("{}", or_exit("", lint::explain(query).ok_or(missing)));
+        return ExitCode::SUCCESS;
+    }
+    if args.flag("list") {
+        out!("{}", lint::render_rule_list());
+        return ExitCode::SUCCESS;
+    }
+
+    let dax_path = match (args.positionals(), args.get("dax")) {
+        ([p], None) => p.clone(),
+        ([], Some(p)) => p.to_string(),
+        _ => args.bail("lint needs exactly one <dax> (positional or --dax)"),
+    };
+
+    let config = lint_config_from(args, "E0103");
+    let diags = lint::resolve(collect_lint(args, &dax_path, true).0, &config);
+    match args.get("format").unwrap_or("text") {
+        "text" => out!("{}", lint::render_text(&diags)),
+        "json" => out!("{}", lint::render_json(&diags)),
+        other => args.bail(&format!("unknown --format {other:?} (use text or json)")),
+    }
+    success_if(!lint::has_errors(&diags))
+}
+
+/// `pegasus verify` — the two-layer semantic verifier. Layer 1 runs
+/// the temporal invariant catalog (`E08xx`) over complete provenance
+/// event streams, each cross-checked against its journaled trace id
+/// when it has one; layer 2 (`--dax`) plans the workflow and verifies
+/// its dataflow and feasibility (`E06xx`). With neither a stream source
+/// nor `--dax`, the stream is the log of a live blast2cap3 run, read
+/// through the same reader as a recorded one — so a live run and a
+/// later `--from-events` pass over its `--events` log render identical
+/// verdicts.
+fn cmd_verify(args: &Args) -> ExitCode {
+    let config = lint_config_from(args, "E0801");
+    let retries: u32 = args.parsed("retries", 20u32);
+    // The backoff/jitter envelope is only asserted when the invocation
+    // states the policy (or runs live, where it is the engine's own).
+    let explicit_policy = args.get("retries").is_some() || args.get("backoff").is_some();
+    let mut opts = verify::VerifyOptions {
+        slot_capacity: args.parsed_opt("slots"),
+        retry: explicit_policy.then(|| retry_policy_from(args, retries)),
+    };
+
+    let mut diags = Vec::new();
+
+    // Layer 2: plan the DAX for the target site and verify dataflow.
+    if let Some(dax_path) = args.get("dax") {
+        let wf = load_dax(dax_path);
+        let registry = load_registry(args);
+        let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
+        let catalogs = load_catalogs(args, &registry);
+        let exec = plan_or_exit(&wf, &catalogs, registry.catalog_name(site));
+        let dopts = verify::DataflowOptions {
+            storage_limit_bytes: args.parsed_opt("storage-limit"),
+        };
+        let quotas = pegasus_wms::ensemble::EnsembleConfig {
+            slot_budget: args.parsed_opt("slots"),
+            tenant_slots: None,
+        };
+        let findings = plan_findings(&wf, &exec, &catalogs.2, dax_path, &dopts, &quotas);
+        diags.extend(or_exit("", findings));
+        if !args.flag("quiet") {
+            outln!(
+                "verified plan {dax_path}: {} jobs on {}",
+                exec.jobs.len(),
+                exec.site
+            );
+        }
+    }
+
+    // Layer 1 stream sources.
+    let streams = event_sources(args, |args| {
+        // `--dax` alone is a pure layer-2 invocation.
+        if args.get("dax").is_some() {
+            return Vec::new();
+        }
+        // A live run always knows its policy: arm the envelope.
+        opts.retry = Some(retry_policy_from(args, retries));
+        adhoc_log(args)
+    });
+
+    let mut total_events = 0usize;
+    for (label, text, expected) in &streams {
+        let Some(evs) = parse_or_flag(text, label, &mut diags) else {
+            continue;
+        };
+        total_events += evs.len();
+        diags.extend(verify::check_stream(&evs, label, &opts));
+        if let Some(exp) = expected {
+            diags.extend(verify::check_trace_match(
+                trace::trace_from_log(text),
+                *exp,
+                label,
+            ));
+        }
+    }
+
+    let diags = lint::resolve(diags, &config);
+    let format = args.get("format").unwrap_or("text");
+    match format {
+        "text" => out!("{}", lint::render_text_as(&diags, "verify")),
+        "json" => out!("{}", lint::render_json(&diags)),
+        other => args.bail(&format!("unknown --format {other:?} (use text or json)")),
+    }
+    // The JSON report is the whole of stdout, so that it parses.
+    if format == "text" && !args.flag("quiet") {
+        outln!(
+            "verify: {} stream(s), {} event(s), {} finding(s)",
+            streams.len(),
+            total_events,
+            diags.len()
+        );
+    }
+    success_if(!lint::has_errors(&diags))
+}

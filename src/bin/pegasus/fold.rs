@@ -1,0 +1,368 @@
+//! `statistics`, `analyze`, `breakdown`, `metrics` and `trace`: the
+//! verbs that fold event logs, as pegasus-statistics and
+//! pegasus-analyzer read what a run recorded. Each folds one
+//! `Vec<EventSource>`: the logs the invocation names, or — when it names
+//! none — the logs a live producer simulates and writes, read through
+//! the same parser as a recorded one.
+
+use crate::run::prepare;
+use crate::{
+    comma_list, common, engine_config_from, fault_script_from, load_dax, load_registry, n_from,
+    or_exit, read_or_exit, resolve_site, sizes_from, success_if, write_or_exit, write_or_print,
+};
+use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
+use blast2cap3_pegasus::experiment::simulate_blast2cap3_at;
+use blast2cap3_pegasus::{out, outln, serve};
+use pegasus_wms::analyzer::analyze;
+use pegasus_wms::breakdown;
+use pegasus_wms::engine::{Engine, NoopMonitor, WorkflowRun};
+use pegasus_wms::events::{self, WorkflowEvent};
+use pegasus_wms::metrics::{self, MetricsRegistry};
+use pegasus_wms::statistics::{compute, render_csv};
+use pegasus_wms::trace::{self, TraceId};
+use std::path::Path;
+use std::process::ExitCode;
+
+/// `--n` of the verbs whose live source is [`adhoc_log`].
+pub(crate) const LIVE_N: blast2cap3_pegasus::cli::Flag = opt(
+    "n",
+    "clusters",
+    "decomposition size for a live run (default 100)",
+);
+/// `--events` of the verbs whose live source is [`adhoc_log`].
+pub(crate) const LIVE_EVENTS: blast2cap3_pegasus::cli::Flag =
+    opt("events", "file", "also write the live run's event log");
+
+pub(crate) const STATISTICS: Verb = Verb {
+    name: "statistics",
+    summary: "statistics of a run in CSV, live or --from-events",
+    positional: None,
+    flags: &[
+        opt("dax", "file", "abstract workflow to run"),
+        common::SITE,
+        common::SITES,
+        common::SEED,
+        common::RETRIES,
+        common::BACKOFF,
+        common::TIMEOUT,
+        common::FAULT_PLAN,
+        common::FROM_EVENTS,
+        common::CATALOG,
+    ],
+    run: cmd_statistics,
+};
+
+pub(crate) const ANALYZE: Verb = Verb {
+    name: "analyze",
+    summary: "pegasus-analyzer report offline from an event log",
+    positional: None,
+    flags: &[common::FROM_EVENTS],
+    run: cmd_analyze,
+};
+
+pub(crate) const BREAKDOWN: Verb = Verb {
+    name: "breakdown",
+    summary: "Fig. 7-8 per-task phase decomposition, live or --from-events",
+    positional: None,
+    flags: &[
+        common::SITE,
+        common::SITES,
+        common::SIZES,
+        common::SEED,
+        common::RETRIES,
+        common::BACKOFF,
+        common::TIMEOUT,
+        common::OUT,
+        opt("events-dir", "dir", "also write one event log per member"),
+        common::FROM_EVENTS,
+        switch("json", "emit the breakdown as JSON instead of CSV"),
+        common::QUIET,
+    ],
+    run: cmd_breakdown,
+};
+
+pub(crate) const TRACE: Verb = Verb {
+    name: "trace",
+    summary: "span tree / Chrome trace of a run, live or from event logs",
+    positional: None,
+    flags: &[
+        common::SITE,
+        common::SITES,
+        LIVE_N,
+        common::SEED,
+        common::RETRIES,
+        common::BACKOFF,
+        common::TIMEOUT,
+        common::FAULT_PLAN,
+        common::FROM_EVENTS,
+        opt(
+            "events-dir",
+            "dir",
+            "fold every member event log of a serve state directory",
+        ),
+        LIVE_EVENTS,
+        opt("format", "text|chrome", "output format (default text)"),
+        common::OUT,
+        common::QUIET,
+    ],
+    run: cmd_trace,
+};
+
+pub(crate) const METRICS: Verb = Verb {
+    name: "metrics",
+    summary: "Prometheus exposition: live sweep, --from-events, or --scrape",
+    positional: None,
+    flags: &[
+        common::SITE,
+        common::SITES,
+        common::SIZES,
+        common::SEED,
+        common::RETRIES,
+        common::BACKOFF,
+        common::TIMEOUT,
+        common::OUT,
+        common::FROM_EVENTS,
+        opt(
+            "scrape",
+            "host:port",
+            "HTTP GET /metrics from a running daemon",
+        ),
+    ],
+    run: cmd_metrics,
+};
+
+/// One event log: its label (the path it was read from, or the name of
+/// the live run that wrote it), its text, and the trace id journaled for
+/// it, when one was.
+pub(crate) type EventSource = (String, String, Option<TraceId>);
+
+/// The logs an invocation folds, in the order it names them:
+/// `--from-events a,b`, else `--events-dir <dir>`, else one positional
+/// file or directory. A directory stands for every member log of a
+/// serve state directory (or any directory of `.events` logs), each
+/// beside its journaled trace id. An invocation that names no source
+/// folds what `live` simulates. An unreadable source exits 1.
+pub(crate) fn event_sources(
+    args: &Args,
+    live: impl FnOnce(&Args) -> Vec<EventSource>,
+) -> Vec<EventSource> {
+    let file = |path: &str| (path.to_string(), read_or_exit("event log", path), None);
+    let members = |dir: &str| -> Vec<EventSource> {
+        let logs = or_exit("", serve::member_logs(Path::new(dir)));
+        let read = |(path, id): (std::path::PathBuf, _)| {
+            let (path, text, _) = file(&path.to_string_lossy());
+            (path, text, id)
+        };
+        logs.into_iter().map(read).collect()
+    };
+    if let Some(list) = args.get("from-events") {
+        return comma_list(list).map(file).collect();
+    }
+    if let Some(dir) = args.get("events-dir") {
+        return members(dir);
+    }
+    match args.positionals() {
+        [] => live(args),
+        [p] if Path::new(p).is_dir() => members(p),
+        [p] => vec![file(p)],
+        _ => args.bail("verify takes at most one <events-or-dir>"),
+    }
+}
+
+/// The live source of `statistics`: `--dax` simulated as `run`
+/// simulates it, but bare — no monitor, no rescue file, no report. Its
+/// log is all it leaves.
+fn dax_run_log(args: &Args) -> Vec<EventSource> {
+    let wf = load_dax(args.require("dax"));
+    let (exec, cfg, mut backend, _) = prepare(args, &wf);
+    let run = Engine::run(&mut backend, &exec, &cfg, &mut NoopMonitor);
+    let label = format!("<run {}>", run.name);
+    vec![(label, events::log::write(&run.events), None)]
+}
+
+/// The live source of `breakdown` and `metrics`: the blast2cap3 sweep
+/// over `--site` (every registered non-variant site for `both`, the
+/// default) × `--sizes`, one log per point, each also written to
+/// `--events-dir` when given.
+fn sweep_logs(args: &Args) -> Vec<EventSource> {
+    let registry = load_registry(args);
+    let seed: u64 = args.parsed("seed", 20140519u64);
+    // OSG's preemption hazard needs a deep retry budget at small n
+    // (few jobs, so one unlucky task sinks the run); the paper's
+    // OSG profile likewise leans on workflow-level retries.
+    let cfg = engine_config_from(args, args.parsed("retries", 20u32), seed);
+    let sites = match args.get("site").unwrap_or("both") {
+        "both" => registry.sweep(),
+        site => vec![resolve_site(args, &registry, site)],
+    };
+    let mut logs = Vec::new();
+    for site in sites {
+        for n in sizes_from(args) {
+            let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, None);
+            let name = format!("{}_n{n}.events", registry.name(site));
+            let text = out.event_log();
+            if let Some(dir) = args.get("events-dir") {
+                let doing = format!("cannot create events dir {dir}");
+                or_exit(&doing, std::fs::create_dir_all(dir));
+                write_or_exit("event log", Path::new(dir).join(&name), &text);
+            }
+            logs.push((name, text, None));
+        }
+    }
+    logs
+}
+
+/// The live source of `trace` and `verify`: one ad-hoc blast2cap3 run,
+/// its log under the header of its trace id (submission 0 under its
+/// seed, the derivation the daemon applies at admission) — also written
+/// to `--events`, for the offline round trip.
+pub(crate) fn adhoc_log(args: &Args) -> Vec<EventSource> {
+    let registry = load_registry(args);
+    let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
+    let n = n_from(args, 100);
+    let seed: u64 = args.parsed("seed", 20140519u64);
+    let cfg = engine_config_from(args, args.parsed("retries", 20u32), seed);
+    let script = fault_script_from(args, seed);
+    let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, script);
+    let id = TraceId::derive(seed, 0);
+    let header = trace::render_log_header(id);
+    let text = format!("{header}{}", events::log::append(&out.run.events));
+    let label = match args.get("events") {
+        Some(path) => {
+            write_or_exit("event log", path, &text);
+            if !args.flag("quiet") {
+                eprintln!("event log written to {path}");
+            }
+            path.to_string()
+        }
+        None => format!("<live n={n} seed={seed}>"),
+    };
+    vec![(label, text, Some(id))]
+}
+
+/// The strict reader, for the verbs that fold a log into numbers: a log
+/// that does not parse exits 1.
+fn parse_or_exit(path: &str, text: &str) -> Vec<WorkflowEvent> {
+    or_exit(&format!("bad event log {path}"), events::log::parse(text))
+}
+
+/// Whether the stream records a workflow that succeeded: a trailer that
+/// says so. A log without one is a run whose submit host died.
+fn recorded_success(stream: &[WorkflowEvent]) -> bool {
+    matches!(
+        stream.last(),
+        Some(WorkflowEvent::WorkflowFinished {
+            succeeded: true,
+            ..
+        })
+    )
+}
+
+/// Prints what `render` makes of each log folded back into its
+/// [`WorkflowRun`]; exit 1 unless every run succeeded.
+fn print_runs(sources: Vec<EventSource>, render: fn(&WorkflowRun) -> String) -> ExitCode {
+    let mut all_ok = true;
+    for (path, text, _) in sources {
+        let replayed = events::replay(&parse_or_exit(&path, &text));
+        let run = or_exit(&format!("cannot replay event log {path}"), replayed);
+        out!("{}", render(&run));
+        all_ok &= run.succeeded();
+    }
+    success_if(all_ok)
+}
+
+fn cmd_statistics(args: &Args) -> ExitCode {
+    let sources = event_sources(args, dax_run_log);
+    print_runs(sources, |run| render_csv(&compute(run)))
+}
+
+fn cmd_analyze(args: &Args) -> ExitCode {
+    args.require("from-events");
+    let sources = event_sources(args, |_| Vec::new());
+    print_runs(sources, |run| analyze(run).render_text())
+}
+
+/// `pegasus breakdown` — the paper's Fig. 7–8 per-task phase
+/// decomposition (queue-wait / install / kickstart / post-overhead /
+/// retry-badput) per site and per n, folded from the provenance event
+/// stream alone.
+fn cmd_breakdown(args: &Args) -> ExitCode {
+    // Here `--events-dir` names where the live sweep writes its logs,
+    // not a source.
+    let sources = match args.get("from-events") {
+        Some(_) => event_sources(args, sweep_logs),
+        None => sweep_logs(args),
+    };
+    let mut rows = Vec::new();
+    let mut all_ok = true;
+    for (path, text, _) in sources {
+        let stream = parse_or_exit(&path, &text);
+        let row = breakdown::from_events(&stream);
+        rows.push(or_exit("cannot compute breakdown", row));
+        all_ok &= recorded_success(&stream);
+    }
+
+    if !args.flag("quiet") {
+        outln!("{}", breakdown::render_table(&rows));
+    }
+    let (rendered, what) = if args.flag("json") {
+        (breakdown::render_json(&rows), "JSON")
+    } else {
+        (breakdown::render_csv(&rows), "CSV")
+    };
+    write_or_print(args, &rendered, &format!("breakdown {what} written to"));
+    if !all_ok {
+        eprintln!("some workflows did not complete; breakdown covers what ran");
+    }
+    success_if(all_ok)
+}
+
+/// `pegasus metrics` — the metrics registry in the Prometheus text
+/// exposition format, folded from the sweep's logs or `--from-events`,
+/// or scraped over HTTP from a running `pegasus serve` daemon with
+/// `--scrape`.
+fn cmd_metrics(args: &Args) -> ExitCode {
+    if let Some(addr) = args.get("scrape") {
+        out!("{}", or_exit("metrics", serve::client::scrape(addr)));
+        return ExitCode::SUCCESS;
+    }
+    let mut registry = MetricsRegistry::new();
+    for (path, text, _) in event_sources(args, sweep_logs) {
+        let stream = parse_or_exit(&path, &text);
+        let recorded = metrics::record_events(&mut registry, &stream);
+        or_exit("cannot record metrics", recorded);
+    }
+    write_or_print(args, &registry.render(), "metrics exposition written to");
+    ExitCode::SUCCESS
+}
+
+/// `pegasus trace` — the end-to-end span layer: fold provenance
+/// streams into workflow → job → attempt → phase span trees keyed by
+/// the [`TraceId`] each log's header carries, rendered as a plain-text
+/// tree (default) or Chrome Trace Event JSON (`--format chrome`,
+/// Perfetto-loadable). `--events-dir dir` folds every member log of a
+/// serve state directory (or its `members/` subdirectory), smallest
+/// member id first.
+fn cmd_trace(args: &Args) -> ExitCode {
+    let fold = |(path, text, _): EventSource| {
+        let id = trace::trace_from_log(&text);
+        let folded = trace::fold(&parse_or_exit(&path, &text), id);
+        or_exit(&format!("cannot fold event log {path}"), folded)
+    };
+    let traces: Vec<_> = event_sources(args, adhoc_log)
+        .into_iter()
+        .map(fold)
+        .collect();
+
+    let all_ok = traces.iter().all(|t| t.succeeded);
+    let rendered = match args.get("format").unwrap_or("text") {
+        "text" => trace::render_text(&traces),
+        "chrome" => trace::render_chrome(&traces),
+        other => args.bail(&format!("unknown --format {other:?} (use text or chrome)")),
+    };
+    write_or_print(args, &rendered, "trace written to");
+    if !all_ok {
+        eprintln!("some workflows did not complete; the trace covers what ran");
+    }
+    success_if(all_ok)
+}

@@ -1,0 +1,289 @@
+#![forbid(unsafe_code)]
+
+//! `pegasus` — a command-line front end mirroring the Pegasus tools
+//! the paper drives its experiments with, one module per verb family:
+//! [`generate`] (`generate-dax`, `generate-workload`, `catalogs`),
+//! [`plan`](mod@plan) (pegasus-plan), [`run`] (`run`, the pegasus-run
+//! session with live status, statistics, analyzer report and rescue
+//! file, and `ensemble`), [`fold`] (`statistics`, `analyze`,
+//! `breakdown`, `metrics`, `trace`: folds of event logs, recorded or
+//! live), [`check`] (`lint`, `verify`) and [`daemon`] (`serve`,
+//! `submit`, `status`).
+//!
+//! Each verb is a [`Verb`] declared beside the handler that reads its
+//! flags; [`VERBS`] lists them in usage-screen order, and [`cli::main`]
+//! parses, documents and dispatches from that table.
+//!
+//! Example session (mirrors §V of the paper):
+//!
+//! ```sh
+//! pegasus generate-dax --n 300 --out b2c3.dax
+//! pegasus plan --dax b2c3.dax --site osg --dot osg.dot
+//! pegasus run  --dax b2c3.dax --site osg --retries 10
+//! ```
+
+mod check;
+mod daemon;
+mod fold;
+mod generate;
+mod plan;
+mod run;
+
+use blast2cap3_pegasus::cli::{self, or_exit, read_or_exit, write_or_exit, Args, Verb};
+use blast2cap3_pegasus::experiment::{self, catalogs_with, registry_catalogs, Catalogs};
+use blast2cap3_pegasus::{out, outln};
+use gridsim::sites::SiteRegistry;
+use gridsim::{FaultPlan, FaultScript};
+use pegasus_wms::engine::{EngineConfig, RetryPolicy};
+use pegasus_wms::error::WmsError;
+use pegasus_wms::planner::{plan, ExecutableWorkflow, PlannerConfig};
+use pegasus_wms::symbols::SiteId;
+use pegasus_wms::workflow::AbstractWorkflow;
+use pegasus_wms::{catalog_io, dax, prof};
+use std::process::ExitCode;
+
+/// Every verb of `pegasus`, in usage-screen order.
+const VERBS: &[Verb] = &[
+    generate::DAX,
+    generate::WORKLOAD,
+    generate::CATALOGS,
+    plan::PLAN,
+    run::RUN,
+    fold::STATISTICS,
+    fold::ANALYZE,
+    run::ENSEMBLE,
+    fold::BREAKDOWN,
+    fold::TRACE,
+    fold::METRICS,
+    check::LINT,
+    check::VERIFY,
+    daemon::SERVE,
+    daemon::SUBMIT,
+    daemon::STATUS,
+];
+
+fn main() -> ExitCode {
+    cli::main("pegasus", VERBS)
+}
+
+/// Flag declarations several verbs share.
+mod common {
+    use blast2cap3_pegasus::cli::{opt, switch, Flag};
+
+    pub(crate) const SEED: Flag = opt("seed", "u64", "deterministic seed (default 20140519)");
+    pub(crate) const RETRIES: Flag = opt("retries", "n", "retry budget per job");
+    pub(crate) const BACKOFF: Flag = opt("backoff", "secs", "exponential retry backoff base");
+    pub(crate) const TIMEOUT: Flag = opt("timeout", "secs", "per-attempt timeout");
+    pub(crate) const SITE: Flag = opt(
+        "site",
+        "name",
+        "target site name or alias (built-ins: sandhills|osg|osg_prestaged)",
+    );
+    pub(crate) const SITES: Flag = opt(
+        "sites",
+        "file",
+        "site definitions file replacing the built-in sites",
+    );
+    pub(crate) const SIZES: Flag = opt(
+        "sizes",
+        "n,n,...",
+        "decomposition sweep (default 10,100,300,500)",
+    );
+    pub(crate) const OUT: Flag = opt("out", "file", "write output to a file instead of stdout");
+    pub(crate) const QUIET: Flag = switch("quiet", "suppress progress and tables");
+    pub(crate) const CATALOG: Flag = opt(
+        "catalog",
+        "file",
+        "transformation/replica catalog replacing the built-ins",
+    );
+    pub(crate) const FROM_EVENTS: Flag = opt(
+        "from-events",
+        "file,...",
+        "recompute offline from event logs",
+    );
+    pub(crate) const FAULT_PLAN: Flag =
+        opt("fault-plan", "file", "scripted fault plan for the backend");
+    pub(crate) const ADDR: Flag = opt("addr", "host:port", "daemon protocol address");
+    pub(crate) const PROFILE: Flag = switch(
+        "profile",
+        "collect engine self-profiling scopes (summary on stderr)",
+    );
+}
+
+/// `--n`, a decomposition size: the library builds 0 as 1, so a 0 from
+/// the command line is refused here, in the words the daemon refuses
+/// `submit n=0` with.
+fn n_from(args: &Args, default: usize) -> usize {
+    match args.parsed("n", default) {
+        0 => args.bail("n must be at least 1"),
+        n => n,
+    }
+}
+
+/// Exit code 0 when `ok`, 1 otherwise.
+fn success_if(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// The non-empty, trimmed entries of a comma-separated flag value
+/// (`--from-events a,b`, `--events`, `--fault-plan`).
+fn comma_list(list: &str) -> impl Iterator<Item = &str> {
+    list.split(',').map(str::trim).filter(|p| !p.is_empty())
+}
+
+/// Sends a verb's rendered output to `--out <file>` (confirming with
+/// `<done> <file>` unless `--quiet`), or to stdout without one.
+fn write_or_print(args: &Args, text: &str, done: &str) {
+    match args.get("out") {
+        Some(path) => {
+            write_or_exit("output", path, text);
+            if !args.flag("quiet") {
+                outln!("{done} {path}");
+            }
+        }
+        None => out!("{text}"),
+    }
+}
+
+/// Writes what `render` gives to the file the flag `key` names, when
+/// given, confirming with `<what> written to <file>` if `note`.
+fn write_flagged(args: &Args, key: &str, what: &str, note: bool, render: impl FnOnce() -> String) {
+    if let Some(path) = args.get(key) {
+        write_or_exit(what, path, render());
+        if note {
+            outln!("{what} written to {path}");
+        }
+    }
+}
+
+/// The seeded fault script behind `--fault-plan <file>`, when given.
+fn fault_script_from(args: &Args, seed: u64) -> Option<FaultScript> {
+    args.get("fault-plan").map(|path| {
+        let text = read_or_exit("fault plan", path);
+        let plan = or_exit(&format!("bad fault plan {path}"), FaultPlan::parse(&text));
+        FaultScript::new(plan, seed)
+    })
+}
+
+/// The site registry every verb resolves `--site` against: the
+/// built-in paper sites, or the `--sites <file>` definitions replacing
+/// them wholesale.
+fn load_registry(args: &Args) -> SiteRegistry {
+    let sites = args.get("sites").map(std::path::Path::new);
+    or_exit("", experiment::load_registry(sites))
+}
+
+/// Resolves a site name or alias against the registry, exiting 2 with
+/// the registered names on a miss.
+fn resolve_site(args: &Args, registry: &SiteRegistry, name: &str) -> SiteId {
+    registry
+        .resolve(name)
+        .unwrap_or_else(|e| args.bail(&e.to_string()))
+}
+
+/// What `plan`, `run`, `statistics`, `lint` and `verify` plan against:
+/// the registry's sites always, and the transformations and replicas
+/// of `--catalog <file>` when given, the paper's otherwise — with the
+/// files the site definitions pre-stage added either way.
+fn load_catalogs(args: &Args, registry: &SiteRegistry) -> Catalogs {
+    let Some(path) = args.get("catalog") else {
+        return registry_catalogs(registry);
+    };
+    let text = read_or_exit("catalog", path);
+    let doing = format!("cannot parse catalog {path}");
+    catalogs_with(registry, or_exit(&doing, catalog_io::parse(&text)))
+}
+
+/// The workflow a DAX parse admits to planning, or exit 1.
+fn admitted_or_exit(path: &str, parsed: Result<AbstractWorkflow, WmsError>) -> AbstractWorkflow {
+    or_exit(&format!("cannot parse {path}"), parsed)
+}
+
+fn load_dax(path: &str) -> AbstractWorkflow {
+    admitted_or_exit(path, dax::from_dax(&read_or_exit("", path)))
+}
+
+/// Plans `wf` for the catalog site `site` under the default planner
+/// configuration, exiting 1 when planning fails.
+fn plan_or_exit(
+    wf: &AbstractWorkflow,
+    (sites, tc, rc): &Catalogs,
+    site: &str,
+) -> ExecutableWorkflow {
+    let planned = plan(wf, sites, tc, rc, &PlannerConfig::for_site(site));
+    or_exit("planning failed", planned)
+}
+
+/// Arms the engine self-profiler when `--profile` was given; call
+/// [`profile_summary`] with the returned flag once the instrumented
+/// work is done.
+fn arm_profiler(args: &Args) -> bool {
+    let on = args.flag("profile");
+    if on {
+        prof::set_enabled(true);
+    }
+    on
+}
+
+/// Disarms the profiler, drains the collected samples, and prints the
+/// one-line summary to *stderr* (stderr so stdout goldens stay
+/// byte-identical). Returns the samples so callers can also export
+/// them as `pegasus_engine_phase_seconds` histograms.
+fn profile_summary(profiling: bool) -> Vec<(&'static str, f64)> {
+    if !profiling {
+        return Vec::new();
+    }
+    prof::set_enabled(false);
+    let samples = prof::take_samples();
+    eprintln!("{}", prof::summary(&samples));
+    samples
+}
+
+/// The retry policy every simulating verb builds from its flags: flat
+/// retries by default, exponential backoff when `--backoff` is given,
+/// plus an optional per-attempt `--timeout`.
+fn retry_policy_from(args: &Args, retries: u32) -> RetryPolicy {
+    let mut policy = match args.get("backoff") {
+        Some(_) => RetryPolicy::exponential(retries, args.parsed("backoff", 30.0f64)),
+        None => RetryPolicy::flat(retries),
+    };
+    if args.get("timeout").is_some() {
+        policy = policy.with_timeout(args.parsed("timeout", 0.0f64));
+    }
+    policy
+}
+
+/// The engine configuration every simulating verb builds: the flags'
+/// retry policy (see [`retry_policy_from`]) under `seed`.
+fn engine_config_from(args: &Args, retries: u32, seed: u64) -> EngineConfig {
+    EngineConfig::builder()
+        .policy(retry_policy_from(args, retries))
+        .seed(seed)
+        .build()
+}
+
+/// Parses `--sizes 10,100,...` (default: the paper's Fig. 4 sweep).
+fn sizes_from(args: &Args) -> Vec<usize> {
+    let sizes: Vec<usize> = match args.get("sizes") {
+        Some(list) => list
+            .split(',')
+            .map(|tok| {
+                tok.trim()
+                    .parse()
+                    .unwrap_or_else(|_| args.bail(&format!("bad --sizes entry {tok:?}")))
+            })
+            .collect(),
+        None => vec![10, 100, 300, 500],
+    };
+    if sizes.is_empty() {
+        args.bail("--sizes must name at least one decomposition");
+    }
+    if sizes.contains(&0) {
+        args.bail("bad --sizes entry \"0\": n must be at least 1");
+    }
+    sizes
+}

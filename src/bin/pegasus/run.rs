@@ -1,0 +1,329 @@
+//! `run` and `ensemble`: the verbs that simulate under their own
+//! monitors — live status, the timeline, metrics, a shadow verifier —
+//! and report what they watched.
+
+use crate::check::collect_lint;
+use crate::{
+    admitted_or_exit, arm_profiler, common, engine_config_from, fault_script_from, load_catalogs,
+    load_dax, load_registry, or_exit, plan_or_exit, profile_summary, read_or_exit, resolve_site,
+    retry_policy_from, sizes_from, write_flagged, write_or_exit, write_or_print,
+};
+use blast2cap3::workflow::{build_workflow, WorkflowParams};
+use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
+use blast2cap3_pegasus::experiment::{registry_catalogs, simulate_blast2cap3_ensemble_at};
+use blast2cap3_pegasus::outln;
+use gridsim::SimBackend;
+use pegasus_wms::analyzer::analyze;
+use pegasus_wms::engine::{Engine, EngineConfig, WorkflowOutcome};
+use pegasus_wms::lint::{self, Diagnostic};
+use pegasus_wms::metrics::{self, MetricsMonitor, MetricsRegistry};
+use pegasus_wms::monitor::{MultiMonitor, StatusMonitor, TimelineMonitor};
+use pegasus_wms::planner::ExecutableWorkflow;
+use pegasus_wms::rescue::RescueDag;
+use pegasus_wms::statistics::{compute, render_ensemble_csv, render_ensemble_text, render_text};
+use pegasus_wms::workflow::AbstractWorkflow;
+use pegasus_wms::{events, prof, verify};
+use std::process::ExitCode;
+
+pub(crate) const RUN: Verb = Verb {
+    name: "run",
+    summary: "execute a planned workflow on a simulated platform (pegasus-run)",
+    positional: None,
+    flags: &[
+        opt("dax", "file", "abstract workflow to run"),
+        common::SITE,
+        common::SITES,
+        common::SEED,
+        common::RETRIES,
+        common::BACKOFF,
+        common::TIMEOUT,
+        common::FAULT_PLAN,
+        opt("resume", "rescue", "resume from a rescue DAG"),
+        opt("rescue-out", "file", "rescue DAG path on failure"),
+        opt("timeline", "csv", "write the concurrency timeline"),
+        opt("events", "file", "write the provenance event log"),
+        opt("metrics", "prom", "write the Prometheus exposition"),
+        switch(
+            "verify",
+            "shadow-verify the live event stream against the temporal invariant catalog",
+        ),
+        common::QUIET,
+        common::CATALOG,
+        common::PROFILE,
+    ],
+    run: cmd_run,
+};
+
+pub(crate) const ENSEMBLE: Verb = Verb {
+    name: "ensemble",
+    summary: "run the decomposition sweep as one ensemble",
+    positional: None,
+    flags: &[
+        common::SITE,
+        common::SITES,
+        common::SIZES,
+        common::SEED,
+        common::RETRIES,
+        common::BACKOFF,
+        common::TIMEOUT,
+        opt("slots", "n", "global slot budget across members"),
+        common::OUT,
+        opt("metrics", "prom", "write the Prometheus exposition"),
+        common::QUIET,
+        common::PROFILE,
+    ],
+    run: cmd_ensemble,
+};
+
+/// A DAX planned for `--site`, ready to simulate — what `run` executes
+/// under its monitors and live `statistics` executes bare: the plan, the
+/// engine configuration, the backend, and the site's registry name.
+pub(crate) type Prepared = (ExecutableWorkflow, EngineConfig, SimBackend, String);
+
+/// Plans `wf` for `--site` against the catalogs and builds the engine
+/// configuration and the backend, with `--fault-plan` armed on it.
+pub(crate) fn prepare(args: &Args, wf: &AbstractWorkflow) -> Prepared {
+    let registry = load_registry(args);
+    let site = resolve_site(args, &registry, args.require("site"));
+    let seed: u64 = args.parsed("seed", 20140519u64);
+    let retries: u32 = args.parsed("retries", 3u32);
+    let catalogs = load_catalogs(args, &registry);
+    let exec = plan_or_exit(wf, &catalogs, registry.catalog_name(site));
+    let mut cfg = engine_config_from(args, retries, seed);
+    let script = fault_script_from(args, seed);
+    // A scripted submit-host crash is a one-time event: the rescue
+    // resubmission runs on the recovered host, so it only arms on the
+    // initial submission, never on --resume.
+    if args.get("resume").is_none() {
+        if let Some(script) = &script {
+            cfg.crash_after_events = script.submit_host_crash_after();
+        }
+    }
+    let mut backend = registry.backend(site, seed);
+    if let Some(script) = script {
+        backend = backend.with_faults(script);
+    }
+    (exec, cfg, backend, registry.name(site).to_string())
+}
+
+/// The warn-only report `run` and `ensemble` open with: findings go to
+/// stderr at their default levels, never change the exit code, and
+/// stdout stays byte-identical.
+fn warn_on_stderr(diags: Vec<Diagnostic>) {
+    let diags = lint::resolve(diags, &lint::LintConfig::default());
+    if !diags.is_empty() {
+        eprint!("{}", lint::render_text(&diags));
+    }
+}
+
+/// `kickstart p50 <x>s p95 <y>s` of one run's kickstart phase, once
+/// the registry holds it — the tail of the run/ensemble one-liners.
+fn kickstart_quantiles(registry: &MetricsRegistry, site: &str, n: &str) -> Option<String> {
+    let labels = [("site", site), ("n", n), ("phase", "kickstart")];
+    let q = |q| registry.quantile(metrics::names::PHASE_SECONDS, &labels, q);
+    Some(format!(
+        "kickstart p50 {:.0}s p95 {:.0}s",
+        q(0.5)?,
+        q(0.95)?
+    ))
+}
+
+fn cmd_run(args: &Args) -> ExitCode {
+    let profiling = arm_profiler(args);
+    let dax_path = args.require("dax");
+    // One parse of the DAX text: linted as parsed, then validated.
+    let wf = if args.flag("quiet") {
+        load_dax(dax_path)
+    } else {
+        let (diags, parsed) = collect_lint(args, dax_path, false);
+        warn_on_stderr(diags);
+        admitted_or_exit(dax_path, parsed.and_then(|wf| wf.validate().map(|()| wf)))
+    };
+    let (exec, mut cfg, mut backend, site) = prepare(args, &wf);
+    if let Some(rescue_path) = args.get("resume") {
+        let text = read_or_exit("rescue file", rescue_path);
+        let rescue = or_exit("bad rescue file", RescueDag::from_text(&text));
+        cfg.skip_done = rescue.done.iter().cloned().collect();
+        outln!(
+            "resuming: {} jobs marked DONE in {rescue_path}",
+            rescue.done.len()
+        );
+    }
+
+    let mut status = StatusMonitor::new(exec.jobs.len());
+    let mut timeline = TimelineMonitor::new();
+    let mut metrics_registry = MetricsRegistry::new();
+    let n = metrics::n_label(&exec.name, exec.jobs.len());
+    // Under --verify a shadow verifier joins the fan-out like every
+    // other listener and asserts the temporal invariant catalog once
+    // the stream completes; findings render to stderr and fail the
+    // exit code.
+    let mut shadow = args.flag("verify").then(|| {
+        verify::ShadowVerifier::new(
+            format!("<run {}>", exec.name),
+            verify::VerifyOptions {
+                slot_capacity: None,
+                retry: Some(retry_policy_from(args, args.parsed("retries", 3u32))),
+            },
+        )
+    });
+    let run = {
+        let mut metrics_monitor = MetricsMonitor::new(&mut metrics_registry, &site, &n);
+        let mut multi = MultiMonitor::new();
+        multi.push(&mut status);
+        multi.push(&mut timeline);
+        multi.push(&mut metrics_monitor);
+        if let Some(shadow) = shadow.as_mut() {
+            multi.push(shadow);
+        }
+        Engine::run(&mut backend, &exec, &cfg, &mut multi)
+    };
+
+    // Under --profile the engine's own wall-clock phases and the
+    // simulator's queue gauges join the run's metric surface; both
+    // are gated so default expositions stay byte-identical.
+    let prof_samples = profile_summary(profiling);
+    if profiling {
+        backend.export_queue_metrics(&mut metrics_registry);
+        prof::export(&mut metrics_registry, &prof_samples);
+    }
+
+    if !args.flag("quiet") {
+        // pegasus-status style tail: print every 10th line.
+        for line in status.history.iter().step_by(status.history.len() / 10 + 1) {
+            outln!("status: {line}");
+        }
+        // The final one-liner carries the kickstart quantiles from the
+        // live metrics registry.
+        match kickstart_quantiles(&metrics_registry, &site, &n) {
+            Some(ks) => outln!("status: {} | {ks}", status.status_line()),
+            None => outln!("status: {}", status.status_line()),
+        }
+    }
+
+    outln!("\n{}", render_text(&compute(&run)));
+    outln!(
+        "realised peak concurrency: {} slots",
+        timeline.peak_concurrency()
+    );
+    write_flagged(args, "timeline", "timeline", true, || timeline.to_csv());
+    write_flagged(args, "events", "event log", true, || {
+        events::log::write(&run.events)
+    });
+    write_flagged(args, "metrics", "metrics exposition", true, || {
+        metrics_registry.render()
+    });
+
+    // The shadow verdict: clean streams say so once; violations turn
+    // an otherwise successful run into a failure.
+    let mut verify_failed = false;
+    if let Some(shadow) = shadow {
+        let diags = lint::resolve(shadow.finish(), &lint::LintConfig::default());
+        if diags.is_empty() {
+            if !args.flag("quiet") {
+                outln!(
+                    "verify: {} events, invariant catalog clean",
+                    run.events.len()
+                );
+            }
+        } else {
+            eprint!("{}", lint::render_text_as(&diags, "verify"));
+            verify_failed = lint::has_errors(&diags);
+        }
+    }
+
+    match &run.outcome {
+        WorkflowOutcome::Success if verify_failed => ExitCode::FAILURE,
+        WorkflowOutcome::Success => ExitCode::SUCCESS,
+        WorkflowOutcome::Failed(rescue) => {
+            let path = args
+                .get("rescue-out")
+                .map(String::from)
+                .unwrap_or_else(|| format!("{}.rescue", run.name));
+            write_or_exit("rescue DAG", &path, rescue.to_text());
+            eprintln!("\n{}", analyze(&run).render_text());
+            eprintln!("rescue DAG written to {path}; resubmit with --resume {path}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `pegasus ensemble` — the paper's decomposition sweep as one
+/// ensemble: every `--sizes` entry becomes its own blast2cap3 workflow
+/// and all of them run concurrently over the shared simulated
+/// platform, under one seed and one slot budget.
+fn cmd_ensemble(args: &Args) -> ExitCode {
+    let profiling = arm_profiler(args);
+    let registry = load_registry(args);
+    let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
+    let seed: u64 = args.parsed("seed", 20140519u64);
+    let retries: u32 = args.parsed("retries", 3u32);
+    let sizes = sizes_from(args);
+
+    let engine_cfg = engine_config_from(args, retries, seed);
+    let slot_budget = args.parsed_opt::<usize>("slots");
+
+    // Warn-only feasibility lint on the widest member before any
+    // simulation runs: slot budgets below the width, missing software
+    // on the target site, retries disabled under preemption — judged
+    // against the catalogs the members are planned with.
+    if !args.flag("quiet") {
+        let widest = *sizes.iter().max().expect("sizes is non-empty");
+        let wf = build_workflow(&WorkflowParams::with_n(widest));
+        let (sites_cat, tc, _rc) = registry_catalogs(&registry);
+        let ctx = lint::RunContext {
+            site: Some(registry.catalog_name(site)),
+            sites: Some(&sites_cat),
+            transformations: Some(&tc),
+            retry: Some(&retry_policy_from(args, retries)),
+            slot_budget,
+            faults_active: registry.faults_active(site),
+        };
+        let label = format!("<blast2cap3 n={widest}>");
+        warn_on_stderr(lint::check_config(&wf, &label, &ctx));
+    }
+
+    let out =
+        simulate_blast2cap3_ensemble_at(&registry, site, &sizes, seed, &engine_cfg, slot_budget);
+    let prof_samples = profile_summary(profiling);
+
+    // Every member's provenance stream lands in one shared registry,
+    // so the ensemble exposes the same metric surface as single runs.
+    let mut registry = MetricsRegistry::new();
+    for run in &out.run.runs {
+        metrics::record_events(&mut registry, &run.events).expect("engine streams replay");
+    }
+    if profiling {
+        prof::export(&mut registry, &prof_samples);
+    }
+
+    if !args.flag("quiet") {
+        outln!("{}", render_ensemble_text(&out.stats));
+        for run in &out.run.runs {
+            let n = metrics::n_label(&run.name, run.records.len());
+            if let Some(ks) = kickstart_quantiles(&registry, &run.site, &n) {
+                outln!("{}: {ks}", run.name);
+            }
+        }
+    }
+    let note = !args.flag("quiet");
+    write_flagged(args, "metrics", "metrics exposition", note, || {
+        registry.render()
+    });
+    let csv = render_ensemble_csv(&out.stats);
+    write_or_print(args, &csv, "ensemble rollup CSV written to");
+
+    if out.run.succeeded() {
+        ExitCode::SUCCESS
+    } else {
+        let failed: Vec<&str> = out
+            .run
+            .runs
+            .iter()
+            .filter(|r| !r.succeeded())
+            .map(|r| r.name.as_str())
+            .collect();
+        eprintln!("ensemble members failed: {}", failed.join(", "));
+        ExitCode::FAILURE
+    }
+}

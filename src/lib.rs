@@ -19,8 +19,8 @@
 //! * [`serve`] — the `pegasus serve` daemon runtime: a multi-tenant
 //!   submission socket, journal + event-log persistence, crash
 //!   recovery, and the Prometheus scrape endpoint;
-//! * [`cli`] — the shared flag-table argument parser behind every
-//!   `pegasus` verb.
+//! * [`cli`] — the command-line layer of both binaries: one table of
+//!   verbs per binary over one parser and one stdout writer.
 //!
 //! See README.md for the quickstart and EXPERIMENTS.md for the
 //! paper-vs-measured record.

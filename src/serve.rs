@@ -707,17 +707,6 @@ fn lines_response(payload: &str) -> String {
     out
 }
 
-/// Writes one start-up line to stdout, by the rule the CLI's output
-/// keeps: a reader that has gone away ends the process quietly with
-/// exit 0, and any other failure to write is a start-up error.
-fn say(line: std::fmt::Arguments<'_>) -> Result<(), String> {
-    let mut stdout = io::stdout().lock();
-    match writeln!(stdout, "{line}").and_then(|()| stdout.flush()) {
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
-        written => written.map_err(|e| format!("cannot write to stdout: {e}")),
-    }
-}
-
 /// Rebuilds daemon state from the journal and member logs, re-running
 /// the interrupted round if the previous process died mid-ensemble.
 fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
@@ -736,7 +725,7 @@ fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
     if torn > 0 {
         // The record the crash interrupted was never acknowledged.
         // Cut it off, or the next record would be glued onto it.
-        say(format_args!("discarding torn journal tail bytes={torn}"))?;
+        crate::outln!("discarding torn journal tail bytes={torn}");
         journal
             .set_len(whole as u64)
             .map_err(|e| format!("cannot truncate {}: {e}", jpath.display()))?;
@@ -773,19 +762,19 @@ fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
                 .ok()
                 .and_then(|text| events::log::parse(&text).ok())
                 .map_or(0, |ev| ev.len());
-            say(format_args!("recovering member id={id} events={n}"))?;
+            crate::outln!("recovering member id={id} events={n}");
             let _ = fs::remove_file(&path);
         }
         let site = daemon
             .registry
             .resolve(&daemon.ledger.submissions[open.members[0]].site)
             .map_err(|e| e.to_string())?;
-        say(format_args!(
+        crate::outln!(
             "re-executing interrupted round id={} seed={} members={}",
             open.round,
             open.seed,
             open.members.len()
-        ))?;
+        );
         let (seed, ids) = (open.seed, &open.members);
         let batch = plan_round(&daemon.registry, &daemon.ledger, opts.retries, seed, ids)?;
         // The runs go: their logs are read back below with the rest.
@@ -934,9 +923,7 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
         }
     });
 
-    say(format_args!(
-        "listening addr={proto_addr} metrics={scrape_addr}"
-    ))?;
+    crate::outln!("listening addr={proto_addr} metrics={scrape_addr}");
 
     for msg in rx {
         match msg {

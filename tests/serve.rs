@@ -772,6 +772,29 @@ fn a_daemon_whose_stdout_reader_is_gone_exits_0_without_panicking() {
     }
 }
 
+/// A stdout that refuses the start-up line for any other reason (a full
+/// device) fails the start in the words every verb's stdout fails with.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_daemon_that_cannot_write_its_listening_line_exits_1() {
+    let dir = scratch("full-stdout");
+    let full = std::fs::File::options()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let out = Command::new(env!("CARGO_BIN_EXE_pegasus"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--metrics-addr"])
+        .args(["127.0.0.1:0", "--dir"])
+        .arg(&dir)
+        .stdout(full)
+        .output()
+        .expect("run pegasus serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("cannot write to stdout: "), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
 #[test]
 fn a_daemon_with_no_finished_member_scrapes_empty() {
     let dir = scratch("empty-scrape");
