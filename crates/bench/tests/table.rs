@@ -68,3 +68,18 @@ fn the_table_is_the_only_list() {
     assert_eq!(nope.status.code(), Some(2));
     assert_eq!(names(&nope.stderr), table, "an unknown name prints it");
 }
+
+/// The deterministic figures run, and `breakdown` writes the committed
+/// `BENCH_breakdown.json` byte for byte.
+#[test]
+fn deterministic_figures_reproduce_the_committed_breakdown() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_breakdown.json");
+    let before = std::fs::read(path).unwrap();
+    let bin = env!("CARGO_BIN_EXE_wms-bench");
+    for figure in ["fig4", "optimum", "reduction", "breakdown"] {
+        let out = Command::new(bin).arg(figure).output().unwrap();
+        assert!(out.status.success(), "{figure}");
+    }
+    let after = std::fs::read(path).unwrap();
+    assert!(after == before, "BENCH_breakdown.json moved");
+}

@@ -1,0 +1,205 @@
+//! The source tree's architecture rules, one row each: the PR that set
+//! it, what it keeps, the paths it reads (relative to the workspace
+//! root, where this test runs; `/*/` is every entry of a directory and
+//! `!` leaves a path out) and the `|`-separated literals it refuses.
+//! Each row carries a witness, a line or entry the rule must refuse, so
+//! a rule that can no longer fail fails itself.
+
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+use Expect::{Absent, Exactly, Holds};
+
+#[derive(Clone, Copy)]
+enum Expect {
+    /// No line holds a needle.
+    Absent,
+    /// Each path holds exactly this many lines with each needle.
+    Exactly(usize),
+    /// The path is a directory holding exactly these entries.
+    Holds(&'static str),
+}
+
+/// A needle counts only where no identifier character touches it.
+const WORD: u8 = 1;
+/// Only the lines before a file's first `#[cfg(test)]` count.
+const BEFORE_TESTS: u8 = 2;
+/// Lines that open with `//` do not count.
+const NO_COMMENTS: u8 = 4;
+
+type S = &'static str;
+/// (PR, rule, paths, needles, expectation, flags, witness)
+type Rule = (u32, S, S, S, Expect, u8, S);
+
+const EVERYWHERE: &str = "crates src tests examples";
+
+#[rustfmt::skip]
+const RULES: &[Rule] = &[
+    (10, "every first-party root forbids unsafe code", "src/lib.rs src/bin/pegasus/main.rs src/bin/blast2cap3.rs crates/*/src/lib.rs", "#![forbid(unsafe_code)]", Exactly(1), 0, "#![forbid(unsafe_code)]"),
+    (12, "no unsafe anywhere", "src crates", "unsafe", Absent, WORD, "let b = unsafe { *p };"),
+    (12, "EventSink is the only observer hook", EVERYWHERE, "WorkflowMonitor|MonitorSink|NoopSink|run_with_sink", Absent, 0, "impl WorkflowMonitor for Probe {}"),
+    (13, "one stream walker", "crates src tests", "mod events_pass|fn times_ordered", Absent, 0, "mod events_pass;"),
+    (15, "one submission lifecycle", EVERYWHERE, "Ensemble::new|SubmissionId|DaemonMember|with_tenant_active|NoopEnsembleMonitor|with_trace(", Absent, 0, "let e = Ensemble::new(4);"),
+    (15, "one plan per round: its definition and the one call", "src/serve.rs", "plan_member(", Exactly(2), 0, "let p = plan_member(&sub, &reg)?;"),
+    (16, "the daemon retains no member run", "src/serve.rs", "load_runs|Vec<Option<WorkflowRun>>", Absent, 0, "runs: Vec<Option<WorkflowRun>>,"),
+    (17, "one figure binary beside the ledger", "crates/bench/src/bin", "", Holds("ledger"), 0, "fig4.rs"),
+    (17, "one thing that times: no bench targets", "crates/bench", "", Holds("Cargo.toml src tests"), 0, "benches"),
+    (17, "wms-bench declares no target by hand", "crates/bench/Cargo.toml", "[[bin]]|[[bench]]", Absent, 0, "[[bench]]"),
+    (17, "no Criterion-style bench", EVERYWHERE, "criterion_group!|criterion_main!|bench_function", Absent, 0, "criterion_group!(benches, parse);"),
+    (18, "one key=value tokenizer", "crates/core/src crates/gridsim/src !crates/core/src/line.rs", "split_once('=')|fn fields", Absent, 0, "let (k, v) = tok.split_once('=')?;"),
+    (18, "the retired line readers stay gone", EVERYWHERE, "struct Cursor|fn def_spans|fn scenario_spans|fn split_tail", Absent, 0, "struct Cursor<'a> {"),
+    (20, "phases are derived, not stored per attempt", "crates/core/src/trace.rs", "Vec<Phase>|fn label(", Absent, 0, "phases: Vec<Phase>,"),
+    (20, "no parallel failure vectors", EVERYWHERE, "failure_kinds|failure_reasons", Absent, 0, "failure_kinds: Vec<FaultReason>,"),
+    (21, "the event-log writer formats through line::Writer", "crates/core/src/events.rs", "writeln!", Absent, 0, "writeln!(out, \"done {t}\")?;"),
+    (22, "no failure string is classified", EVERYWHERE, "fn classify(|FaultReason::classify", Absent, 0, "let r = FaultReason::classify(&text);"),
+    (22, "no failure built from a string literal", EVERYWHERE, "JobOutcome::Failure(\"", Absent, 0, "JobOutcome::Failure(\"preempted\".into())"),
+    (22, "the wire prefixes are spelled once, in FaultReason::WIRE", "crates/core/src", "=> \"preempted\"|=> \"evicted\"|=> \"install\"|=> \"timeout\"|=> \"error\"|\
+        starts_with(\"preempted\"|starts_with(\"evicted\"|starts_with(\"install\"|starts_with(\"timeout\"|starts_with(\"error\"|\
+        \"preempted\" => FaultReason|\"evicted\" => FaultReason|\"install\" => FaultReason|\"timeout\" => FaultReason|\"error\" => FaultReason",
+        Absent, 0, "\"timeout\" => FaultReason::Timeout,"),
+    (22, "no detail is formatted around a wire prefix", "crates/core/src crates/gridsim/src crates/condor/src src", "format!(\"preempted:|format!(\"evicted:|format!(\"install:|format!(\"timeout:|format!(\"error:|\
+        format!(\"preempted\"|format!(\"evicted\"|format!(\"install\"|format!(\"timeout\"|format!(\"error\"", Absent, 0, "format!(\"timeout:{secs}\")"),
+    (22, "no ClassAd matcher or legacy injector", EVERYWHERE, "mod classad|mod matchmaker|FailureInjector|with_failure_injector", Absent, 0, "mod matchmaker;"),
+    (22, "crates/condor/src holds the pool and the job log", "crates/condor/src", "", Holds("joblog.rs lib.rs pool.rs"), 0, "classad.rs"),
+    (23, "no lint code is picked by reading a message", "crates/*/src src", "reason.contains(|reason.starts_with(", Absent, BEFORE_TESTS, "if reason.contains(\"duplicate\") {"),
+    (23, "the retired parse variants stay gone", EVERYWHERE, "classify_parse_error|syntax_diagnostic|MakeError|fn parse_err(|fn replay_err(|\
+        DaxParse|RescueParse|SiteDefParse|FaultPlanParse|EventLogParse|ProtocolParse", Absent, 0, "WmsError::DaxParse(msg) => {"),
+    (23, "one preflight: admission calls the library's two halves", "src/serve.rs", "dax_findings(|plan_findings(", Exactly(1), 0, "let f = dax_findings(&wf, &opts);"),
+    (23, "one preflight: check_plan has one caller", "src", "check_plan(", Exactly(1), 0, "let f = verify::check_plan(wf, exec, rc, site, p, df);"),
+    (23, "vendor/ holds proptest + rand", "vendor", "", Holds("proptest rand"), 0, "crossbeam"),
+    (24, "graph.rs keeps its Kahn queue", "crates/core/src/graph.rs", "VecDeque<", Exactly(1), 0, "let mut seen: VecDeque<JobId> = VecDeque::new();"),
+    (24, "no graph walk outside graph.rs", "crates/core/src/workflow.rs crates/core/src/planner.rs crates/core/src/lint src/bin", "VecDeque", Absent, 0, "let mut queue = VecDeque::new();"),
+    (24, "the retired dataflow derivations stay gone", "crates src", "fn find_cycle|fn producers|fn used_as|fn kahn", Absent, 0, "fn producers(wf: &AbstractWorkflow) -> Vec<JobId> {"),
+    (24, "no name-keyed dataflow copy", "crates/core/src/lint/dax_pass.rs crates/core/src/verify.rs", "BTreeMap<&str|BTreeSet<&str", Absent, 0, "let mut made: BTreeMap<&str, JobId> = BTreeMap::new();"),
+    (25, "the catalog file describes no site and reads no INI", "crates/core/src/catalog_io.rs", "SiteCatalog|fn parse_list|fn parse_bool|strip_prefix('[')", Absent, 0, "if let Some(name) = line.strip_prefix('[') {"),
+    (25, "no second comma-list reader", "crates src", "fn parse_list", Absent, 0, "fn parse_list(s: &str) -> Vec<String> {"),
+    (25, "the CLI builds no site catalog of its own", "src/bin/pegasus", "SiteCatalog|Site::new", Absent, 0, "let site = Site::new(\"osg\", 4);"),
+    (25, "--catalog is declared by plan, run, statistics, lint and verify", "src/bin/pegasus", "common::CATALOG", Exactly(5), 0, "common::CATALOG,"),
+    (26, "no owned job builder", EVERYWHERE, "struct Job", Absent, WORD, "pub struct Job {"),
+    (26, "one way to put a job in a workflow", EVERYWHERE, "struct LogicalFile|fn add_job(|fn add_jobs(|fn job_spec|to_logical|Vec<Job>", Absent, 0, "pub fn add_job(&mut self, job: Job) {"),
+    (27, "every library root warns on unreachable pub", "src/lib.rs crates/core/src/lib.rs crates/gridsim/src/lib.rs crates/condor/src/lib.rs \
+        crates/bioseq/src/lib.rs crates/cap3/src/lib.rs crates/blastx/src/lib.rs crates/blast2cap3/src/lib.rs", "#![warn(unreachable_pub)]", Exactly(1), 0, "#![warn(unreachable_pub)]"),
+    (27, "what the narrowing deleted stays deleted", EVERYWHERE, "cluster_streaming|simulate_reads|assemble_fastq|consensus_weighted|FastqReader|with_throttle|\
+        fn utilisation|execution_intervals|InvariantSpec|TemporalClass|SANDHILLS_SLOTS|OSG_SLOTS", Absent, 0, "let reads = simulate_reads(&genome, 30);"),
+    (28, "the alphabet is a table, not a search", "crates/bioseq/src/alphabet.rs", "binary_search", Absent, BEFORE_TESTS, "let i = ALPHABET.binary_search(&b).ok()?;"),
+    (28, "the word index is direct-addressed", "crates/blastx/src/seed.rs", "HashMap", Absent, BEFORE_TESTS, "let mut words: HashMap<u32, Vec<u32>> = HashMap::new();"),
+    (28, "BLOSUM62 is a pair table", "crates/blastx/src/matrix.rs", "binary_search|to_ascii_uppercase|OnceLock", Absent, BEFORE_TESTS, "let a = a.to_ascii_uppercase();"),
+    (29, "one scheduling loop waits on a backend", "crates/core/src", ".wait_any()", Exactly(1), BEFORE_TESTS, "let ev = backend.wait_any();"),
+    (29, "no per-job admission scan", "crates/core/src/ensemble.rs", "struct Pending|next_seq|submit_jobs|owner|Unobserved", Absent, 0, "struct Pending { seq: u64 }"),
+    (30, "stdout is written through cli::emit", "src", "println!|print!(", Absent, WORD | BEFORE_TESTS | NO_COMMENTS, "println!(\"{report}\");"),
+    (30, "no binary parses or dispatches by hand", "src/bin", "struct Args|fn usage|match verb.name|unhandled verb", Absent, 0, "match verb.name {"),
+    (30, "the daemon has no stdout writer of its own", "src/serve.rs", "fn say", Absent, 0, "fn say(line: &str) {"),
+    (30, "statistics runs no live path beside its fold", "src/bin", "csv_only", Absent, 0, "if csv_only {"),
+    (30, "the library holds no binary's verb table", "src/cli", "const VERBS", Absent, 0, "pub const VERBS: &[Verb] = &[];"),
+    (31, "every dependency is first-party or vendored", "Cargo.lock", "source =", Absent, 0, "source = \"registry+https://github.com/rust-lang/crates.io-index\""),
+];
+
+/// The sorted entry names of a directory.
+fn entries(dir: &Path) -> Vec<String> {
+    let read = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{dir:?}: {e}"));
+    let mut names: Vec<String> = read
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+fn expand(spec: &str) -> Vec<PathBuf> {
+    match spec.split_once("/*/") {
+        Some((dir, rest)) => entries(Path::new(dir))
+            .iter()
+            .map(|e| Path::new(dir).join(e).join(rest))
+            .collect(),
+        None => vec![PathBuf::from(spec)],
+    }
+}
+
+/// Every file at or under `path` but the excluded ones and this one,
+/// which spells every needle.
+fn files(path: &Path, excluded: &dyn Fn(&Path) -> bool, out: &mut Vec<PathBuf>) {
+    if path == Path::new(file!()) || excluded(path) {
+        return;
+    }
+    if path.is_dir() {
+        for entry in entries(path) {
+            files(&path.join(entry), excluded, out);
+        }
+    } else {
+        out.push(path.to_path_buf());
+    }
+}
+
+fn hits(flags: u8, line: &str, needle: &str) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    let word = |at: usize| {
+        !ident(line[..at].chars().next_back()) && !ident(line[at + needle.len()..].chars().next())
+    };
+    let comment = flags & NO_COMMENTS != 0 && line.trim_start().starts_with("//");
+    let mut at = line.match_indices(needle).map(|(at, _)| at);
+    !comment && at.any(|at| flags & WORD == 0 || word(at))
+}
+
+/// What is wrong with the tree under one rule, one finding a line.
+fn violations(rule: &Rule, texts: &mut HashMap<PathBuf, String>) -> Vec<String> {
+    let &(_, _, paths, needles, expect, flags, _) = rule;
+    let (excluded, specs): (Vec<&str>, Vec<&str>) =
+        paths.split(' ').partition(|s| s.starts_with('!'));
+    let excluded = |p: &Path| excluded.iter().any(|x| p.starts_with(&x[1..]));
+    let mut found = Vec::new();
+    for path in specs.into_iter().flat_map(expand) {
+        let (at, mut under) = (path.display(), Vec::new());
+        let k = match expect {
+            _ if !path.exists() => {
+                found.push(format!("{at} does not exist"));
+                continue;
+            }
+            Holds(want) if entries(&path).join(" ") != want => {
+                found.push(format!("{at} holds {:?}, want `{want}`", entries(&path)));
+                continue;
+            }
+            Holds(_) => continue,
+            Absent => 0,
+            Exactly(k) => k,
+        };
+        files(&path, &excluded, &mut under);
+        for needle in needles.split('|') {
+            let mut lines = Vec::new();
+            for file in &under {
+                let text = texts
+                    .entry(file.clone())
+                    .or_insert_with(|| std::fs::read_to_string(file).unwrap_or_default());
+                let code = match flags & BEFORE_TESTS {
+                    0 => text.as_str(),
+                    _ => text.split("#[cfg(test)]").next().unwrap(),
+                };
+                for (n, line) in code.lines().enumerate() {
+                    if hits(flags, line, needle) {
+                        lines.push(format!("\n  {}:{}: {}", file.display(), n + 1, line.trim()));
+                    }
+                }
+            }
+            if lines.len() != k {
+                let have = format!("{} lines with `{needle}`", lines.len());
+                found.push(format!("{at}: {have}, want {k}:{}", lines.concat()));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn every_rule_holds_and_refuses_its_witness() {
+    let (mut texts, mut report) = (HashMap::new(), Vec::new());
+    for rule @ &(pr, name, _, needles, expect, flags, witness) in RULES {
+        let refused = match expect {
+            Holds(entries) => !entries.split(' ').any(|e| e == witness),
+            _ => needles.split('|').any(|n| hits(flags, witness, n)),
+        };
+        if !refused {
+            report.push(format!("PR {pr} `{name}`: its witness `{witness}` passes"));
+        }
+        for finding in violations(rule, &mut texts) {
+            report.push(format!("PR {pr} `{name}`: {finding}"));
+        }
+    }
+    assert!(report.is_empty(), "{}", report.join("\n"));
+}

@@ -84,8 +84,8 @@ fn finding4_reproduced_from_events_alone() {
 }
 
 /// The committed fixture log must keep rendering the committed `.prom`
-/// snapshot byte-for-byte — the same golden-file check CI runs through
-/// the CLI (`pegasus metrics --from-events tests/fixtures/osg_n8.events`).
+/// snapshot byte-for-byte, through the fold `pegasus metrics
+/// --from-events tests/fixtures/osg_n8.events` prints.
 #[test]
 fn committed_fixture_matches_golden_exposition() {
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");

@@ -436,6 +436,49 @@ fn pegasus_verify_reports_an_unparsable_log_and_checks_the_rest() {
     assert!(entries[0].starts_with("  {\"code\":\"E0803\""), "{json}");
     assert!(entries[1].starts_with("  {\"code\":\"E0708\""), "{json}");
     assert!(entries[1].contains("\"line\":4,"), "{json}");
+
+    // What the engine writes verifies clean, and a live verdict is the
+    // verdict over the log it wrote.
+    let dir = tmpdir("verify");
+    let (log, dax) = (dir.join("live.events"), dir.join("n300.dax"));
+    let (log, dax) = (log.to_str().unwrap(), dax.to_str().unwrap());
+    let clean = |flags: &str, path: &str| {
+        let out = pegasus().args(flags.split(' ')).arg(path).output().unwrap();
+        assert!(out.status.success(), "{flags} {path}");
+        out.stdout
+    };
+    let logs: Vec<String> = (std::fs::read_dir("tests/fixtures/equivalence").unwrap())
+        .map(|e| e.unwrap().path().display().to_string())
+        .filter(|p| p.ends_with(".events"))
+        .collect();
+    assert_eq!(logs.len(), 12);
+    clean("verify --from-events", &logs.join(","));
+    clean("verify", "tests/fixtures/osg_n8.events");
+    let live = clean("verify --site osg --n 50 --seed 11 --events", log);
+    assert_eq!(live, clean("verify --from-events", log));
+    clean("generate-dax --n 300 --out", dax);
+    clean("verify --site osg --dax", dax);
+    let run = "run --site osg --seed 11 --retries 10 --verify --quiet --dax";
+    clean(run, dax);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The examples with a golden print what they printed before the
+/// rewrites they exercise. `cargo test` builds every example beside
+/// this test's own executable, in `target/<profile>/examples/`.
+#[test]
+fn examples_print_their_goldens() {
+    let exe = std::env::current_exe().unwrap();
+    let examples = exe.parent().unwrap().parent().unwrap().join("examples");
+    for name in ["hierarchical_workflow", "assembly_pipeline"] {
+        let bin = examples.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
+        let out = Command::new(&bin).output();
+        let out = out.expect("an example a bare `cargo test` builds");
+        assert!(out.status.success(), "{name}");
+        let golden = format!("tests/fixtures/equivalence/{name}.out");
+        let golden = std::fs::read(golden).unwrap();
+        assert!(out.stdout == golden, "{name} differs from its golden");
+    }
 }
 
 /// A path from the command line that cannot be read or written is an

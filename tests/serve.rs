@@ -269,6 +269,42 @@ fn two_concurrent_tenants_replay_byte_identical_under_one_seed() {
     assert_eq!(a.2, b.2, "metrics must be byte-identical across daemons");
 }
 
+/// Two tenants on two sites scrape the committed exposition live, from
+/// the offline fold of their logs, after a restart over a torn journal
+/// tail and after a crash in the first round.
+#[test]
+fn two_site_scrape_matches_the_golden_live_offline_torn_and_recovered() {
+    let golden = std::fs::read_to_string("tests/fixtures/serve/two_site.prom").unwrap();
+    let flags = ["--seed", "11", "--retries", "10"];
+    let crash = [&flags[..], &["--crash-after-members", "1"]].concat();
+    let scrape = |daemon: &Daemon| client::scrape(&daemon.metrics_addr).expect("HTTP scrape");
+    let submit = |daemon: &Daemon| {
+        let mut conn = daemon.connect();
+        expect_ok(&mut conn, &generated("alice", "sandhills", 100));
+        expect_ok(&mut conn, &generated("bob", "osg", 100));
+        conn
+    };
+    let dir = scratch("golden");
+    let daemon = Daemon::start(&dir, &flags);
+    expect_ok(&mut submit(&daemon), &Request::Run);
+    assert_eq!(scrape(&daemon), golden, "live");
+    assert_eq!(offline_exposition(&dir, &[0, 1]), golden, "offline");
+    daemon.shutdown();
+    let journal = std::fs::read(dir.join("journal")).expect("journal");
+    std::fs::write(dir.join("journal"), &journal[..journal.len() - 7]).expect("tear");
+    let torn = Daemon::start(&dir, &flags);
+    assert_eq!(scrape(&torn), golden, "after a torn tail");
+    torn.shutdown();
+    let dir = scratch("golden-crash");
+    let crashing = Daemon::start(&dir, &crash);
+    assert!(submit(&crashing).request(&Request::Run).is_err());
+    crashing.wait_for_death();
+    let recovered = Daemon::start(&dir, &flags);
+    expect_ok(&mut recovered.connect(), &Request::Run);
+    assert_eq!(scrape(&recovered), golden, "after a crash");
+    recovered.shutdown();
+}
+
 #[test]
 fn tenant_queue_quota_rejects_excess_submissions_at_the_socket() {
     let dir = scratch("quota");
