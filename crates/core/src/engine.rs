@@ -679,7 +679,8 @@ impl WorkflowExecution {
         exec.emit(WorkflowEvent::WorkflowStarted {
             name: wf.name.as_str().into(),
             site: wf.site.as_str().into(),
-            jobs: n,
+            // Each job has a `JobId`, so their number fits its `u32`.
+            jobs: n as u32,
             time: start,
         });
         for j in &wf.jobs {
@@ -817,7 +818,7 @@ impl WorkflowExecution {
                         job: ev.job,
                         attempt: ev.attempt,
                         detail: detail.clone(),
-                        times: ev.times,
+                        times: Box::new(ev.times),
                     }
                 } else {
                     WorkflowEvent::Failed {
@@ -825,7 +826,7 @@ impl WorkflowExecution {
                         attempt: ev.attempt,
                         reason,
                         detail: detail.clone(),
-                        times: ev.times,
+                        times: Box::new(ev.times),
                     }
                 });
                 let attempts = self.run.records[ev.job.idx()].attempts;

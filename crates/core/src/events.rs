@@ -60,8 +60,9 @@ pub enum WorkflowEvent {
         name: Name,
         /// Execution site handle.
         site: Name,
-        /// Number of jobs in the executable workflow.
-        jobs: usize,
+        /// Number of jobs in the executable workflow: a [`JobId`] is a
+        /// `u32`, so no workflow has more.
+        jobs: u32,
         /// Backend time at workflow start.
         time: f64,
     },
@@ -136,8 +137,10 @@ pub enum WorkflowEvent {
         /// `"preempted:storm"`), shared with the retry it triggers and
         /// the job's record.
         detail: Name,
-        /// Timestamps of the failed attempt.
-        times: JobTimes,
+        /// Timestamps of the failed attempt, boxed: a fault-free run has
+        /// no failures, and unboxed they would make every event 16
+        /// bytes larger.
+        times: Box<JobTimes>,
     },
     /// The attempt exceeded the retry policy's per-attempt wall-clock
     /// timeout (the typed category is always [`FaultReason::Timeout`]).
@@ -149,8 +152,8 @@ pub enum WorkflowEvent {
         /// The backend's full wire-format reason string (e.g.
         /// `"timeout: exceeded 600s"`).
         detail: Name,
-        /// Timestamps of the killed attempt.
-        times: JobTimes,
+        /// Timestamps of the killed attempt, boxed as in `Failed`.
+        times: Box<JobTimes>,
     },
     /// A failed attempt will be resubmitted after a backoff delay.
     RetryScheduled {
@@ -191,9 +194,10 @@ impl WorkflowEvent {
             | WorkflowEvent::Started { time, .. }
             | WorkflowEvent::RetryScheduled { time, .. }
             | WorkflowEvent::WorkflowFinished { time, .. } => Some(*time),
-            WorkflowEvent::Completed { times, .. }
-            | WorkflowEvent::Failed { times, .. }
-            | WorkflowEvent::TimedOut { times, .. } => Some(times.finished),
+            WorkflowEvent::Completed { times, .. } => Some(times.finished),
+            WorkflowEvent::Failed { times, .. } | WorkflowEvent::TimedOut { times, .. } => {
+                Some(times.finished)
+            }
             WorkflowEvent::JobDeclared { .. } => None,
         }
     }
@@ -218,9 +222,10 @@ impl WorkflowEvent {
             | WorkflowEvent::Skipped { time, .. }
             | WorkflowEvent::Submitted { time, .. }
             | WorkflowEvent::RetryScheduled { time, .. } => Some(*time),
-            WorkflowEvent::Completed { times, .. }
-            | WorkflowEvent::Failed { times, .. }
-            | WorkflowEvent::TimedOut { times, .. } => Some(times.finished),
+            WorkflowEvent::Completed { times, .. } => Some(times.finished),
+            WorkflowEvent::Failed { times, .. } | WorkflowEvent::TimedOut { times, .. } => {
+                Some(times.finished)
+            }
             WorkflowEvent::JobDeclared { .. }
             | WorkflowEvent::InstallStarted { .. }
             | WorkflowEvent::Started { .. } => None,
@@ -244,7 +249,7 @@ impl WorkflowEvent {
                 reason,
                 detail,
                 times,
-            } => (job, attempt, times, Some((*reason, detail))),
+            } => (job, attempt, &**times, Some((*reason, detail))),
             WorkflowEvent::TimedOut {
                 job,
                 attempt,
@@ -252,7 +257,7 @@ impl WorkflowEvent {
                 times,
             } => {
                 let failure = (FaultReason::Timeout, detail);
-                (job, attempt, times, Some(failure))
+                (job, attempt, &**times, Some(failure))
             }
             _ => return None,
         };
@@ -440,6 +445,25 @@ impl WorkflowRun {
     /// Panics when `ev` names a job no earlier `JobDeclared` event
     /// declared; streams from outside go through [`validate`] first.
     pub(crate) fn apply(&mut self, ev: &WorkflowEvent) {
+        if let Some(end) = ev.termination() {
+            let rec = &mut self.records[end.job.idx()];
+            match end.failure {
+                None => {
+                    rec.state = JobState::Done;
+                    rec.times = Some(*end.times);
+                }
+                Some((reason, detail)) => {
+                    self.faults.record_reason(reason);
+                    rec.failures.push(FailedAttempt {
+                        times: *end.times,
+                        reason,
+                        detail: detail.clone(),
+                    });
+                    rec.state = JobState::Failed;
+                }
+            }
+            return;
+        }
         match ev {
             WorkflowEvent::WorkflowStarted { name, site, .. } => {
                 self.name = name.to_string();
@@ -466,28 +490,13 @@ impl WorkflowRun {
             WorkflowEvent::Submitted { job, attempt, .. } => {
                 self.records[job.idx()].attempts = attempt.saturating_add(1);
             }
-            WorkflowEvent::InstallStarted { .. } | WorkflowEvent::Started { .. } => {}
-            WorkflowEvent::Completed { .. }
+            // The end of an attempt was folded above, through
+            // `termination`.
+            WorkflowEvent::InstallStarted { .. }
+            | WorkflowEvent::Started { .. }
+            | WorkflowEvent::Completed { .. }
             | WorkflowEvent::Failed { .. }
-            | WorkflowEvent::TimedOut { .. } => {
-                let end = ev.termination().expect("a terminal event");
-                let rec = &mut self.records[end.job.idx()];
-                match end.failure {
-                    None => {
-                        rec.state = JobState::Done;
-                        rec.times = Some(*end.times);
-                    }
-                    Some((reason, detail)) => {
-                        self.faults.record_reason(reason);
-                        rec.failures.push(FailedAttempt {
-                            times: *end.times,
-                            reason,
-                            detail: detail.clone(),
-                        });
-                        rec.state = JobState::Failed;
-                    }
-                }
-            }
+            | WorkflowEvent::TimedOut { .. } => {}
             WorkflowEvent::RetryScheduled { job, backoff, .. } => {
                 self.faults.retries += 1;
                 self.faults.backoff_wait += backoff;
@@ -665,7 +674,7 @@ pub mod log {
             } => w
                 .kw("workflow-started")
                 .f64("time", *time)
-                .u64("jobs", *jobs as u64)
+                .u64("jobs", (*jobs).into())
                 .token("site", site)
                 .tail("name", name),
             E::JobDeclared {
@@ -791,7 +800,7 @@ pub mod log {
             if let WorkflowEvent::WorkflowStarted { jobs, .. } = ev {
                 // A job that ran left four events or more. The header
                 // is believed only as far as the text is long.
-                events.reserve(jobs.saturating_mul(4).min(text.len() / 16));
+                events.reserve((jobs as usize).saturating_mul(4).min(text.len() / 16));
             }
             events.push(ev);
         })?;
@@ -875,13 +884,13 @@ pub mod log {
                 job: job(f, "job")?,
                 attempt: f.get("attempt")?,
                 reason: f.get("reason")?,
-                times: times(f)?,
+                times: Box::new(times(f)?),
                 detail: pool.share(f.get("detail")?),
             },
             "timed-out" => WorkflowEvent::TimedOut {
                 job: job(f, "job")?,
                 attempt: f.get("attempt")?,
-                times: times(f)?,
+                times: Box::new(times(f)?),
                 detail: pool.share(f.get("detail")?),
             },
             "retry-scheduled" => WorkflowEvent::RetryScheduled {
@@ -996,7 +1005,7 @@ mod tests {
                 attempt: 0,
                 reason: FaultReason::Preemption,
                 detail: "preempted:storm".into(),
-                times,
+                times: Box::new(times),
             },
             WorkflowEvent::RetryScheduled {
                 job: j(1),
@@ -1015,7 +1024,7 @@ mod tests {
                 job: j(1),
                 attempt: 1,
                 detail: "timeout: exceeded 600s".into(),
-                times,
+                times: Box::new(times),
             },
             WorkflowEvent::Completed {
                 job: j(1),
@@ -1080,6 +1089,22 @@ mod tests {
                 "{text:?} -> {msg}"
             );
         }
+    }
+
+    #[test]
+    fn a_job_count_no_job_id_can_reach_is_refused_at_its_line() {
+        let header = |jobs: u64| {
+            let line = format!("workflow-started time=0 jobs={jobs} site=s name=w");
+            log::parse(&format!("{}\n{line}\n", log::HEADER))
+        };
+        let over = u64::from(u32::MAX) + 1;
+        let want = Format::EventLog.at(2, format!("bad integer \"{over}\" for jobs"));
+        assert_eq!(header(over).unwrap_err(), want);
+        // The largest count a `JobId` allows still reads.
+        assert!(matches!(
+            &header(u32::MAX.into()).unwrap()[..],
+            [WorkflowEvent::WorkflowStarted { jobs: u32::MAX, .. }]
+        ));
     }
 
     #[test]

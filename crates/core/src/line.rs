@@ -389,7 +389,7 @@ pub fn push_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// A float a [`Writer`] has written: its bits, its text and the
@@ -453,12 +453,14 @@ impl<'o> Writer<'o> {
         let Writer { out, memo } = self;
         let (known, text, len) = &mut memo[slot];
         if *known == bits && *len != 0 {
-            let text = std::str::from_utf8(&text[..usize::from(*len)]);
-            out.push_str(text.expect("copied from a str"));
-            return self;
+            // The slot holds bytes copied from a `str`, so this reads.
+            if let Ok(text) = std::str::from_utf8(&text[..usize::from(*len)]) {
+                out.push_str(text);
+                return self;
+            }
         }
         let start = out.len();
-        write!(out, "{v}").expect("writing to a String");
+        let _ = write!(out, "{v}");
         // `Display` uses no exponent: `f64::MAX` is 309 digits, which
         // no slot has room for and which is written afresh each time.
         let written = &out.as_bytes()[start..];

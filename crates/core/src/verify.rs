@@ -275,7 +275,7 @@ impl StreamWalker {
         }
         match ev {
             WorkflowEvent::WorkflowStarted { jobs, time, .. } => {
-                self.header = Some((line, *time, *jobs));
+                self.header = Some((line, *time, *jobs as usize));
                 return;
             }
             WorkflowEvent::JobDeclared { job, .. } => {

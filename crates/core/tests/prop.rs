@@ -1386,7 +1386,7 @@ fn event_from(
         0 => E::WorkflowStarted {
             name: tail.into(),
             site: head.into(),
-            jobs: job.idx(),
+            jobs: job.idx() as u32,
             time,
         },
         1 => E::JobDeclared {
@@ -1409,13 +1409,13 @@ fn event_from(
             attempt,
             reason,
             detail: tail.into(),
-            times,
+            times: Box::new(times),
         },
         8 => E::TimedOut {
             job,
             attempt,
             detail: tail.into(),
-            times,
+            times: Box::new(times),
         },
         9 => E::RetryScheduled {
             job,

@@ -91,6 +91,7 @@ const RULES: &[Rule] = &[
     (30, "statistics runs no live path beside its fold", "src/bin", "csv_only", Absent, 0, "if csv_only {"),
     (30, "the library holds no binary's verb table", "src/cli", "const VERBS", Absent, 0, "pub const VERBS: &[Verb] = &[];"),
     (31, "every dependency is first-party or vendored", "Cargo.lock", "source =", Absent, 0, "source = \"registry+https://github.com/rust-lang/crates.io-index\""),
+    (32, "the event writer and the lifecycle fold cannot panic", "crates/core/src/line.rs crates/core/src/events.rs", ".expect(|.unwrap()|panic!(", Absent, BEFORE_TESTS, "let end = ev.termination().expect(\"a terminal event\");"),
 ];
 
 /// The sorted entry names of a directory.

@@ -463,6 +463,29 @@ fn pegasus_verify_reports_an_unparsable_log_and_checks_the_rest() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A header counting more jobs than a job id can name is the reader's
+/// bad-value error at its line, for both faces of the stream checker.
+#[test]
+fn a_job_count_beyond_every_job_id_is_a_parse_error_at_its_line() {
+    let dir = tmpdir("job_count");
+    let log = dir.join("big.events");
+    let header = "workflow-started time=0 jobs=4294967296 site=s name=w";
+    std::fs::write(&log, format!("# pegasus event log v1\n{header}\n")).unwrap();
+    let (log, dax) = (log.to_str().unwrap(), "tests/fixtures/lint/clean_small.dax");
+    for args in [vec!["verify", log], vec!["lint", dax, "--events", log]] {
+        let out = pegasus().args(&args).output().unwrap();
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stdout}{stderr}");
+        let want = format!("error[E0708]: bad integer \"4294967296\" for jobs\n  --> {log}:2\n");
+        assert!(stdout.starts_with(&want), "{args:?}: {stdout}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The examples with a golden print what they printed before the
 /// rewrites they exercise. `cargo test` builds every example beside
 /// this test's own executable, in `target/<profile>/examples/`.

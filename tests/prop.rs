@@ -145,14 +145,14 @@ fn event((variant, job, a, b, reason, flag): Draw) -> WorkflowEvent {
             job,
             attempt: 0,
             detail: reason.bare().detail,
-            times,
+            times: Box::new(times),
         },
         5 => WorkflowEvent::Failed {
             job,
             attempt: 0,
             reason,
             detail: reason.bare().detail,
-            times,
+            times: Box::new(times),
         },
         6 => WorkflowEvent::RetryScheduled {
             job,
