@@ -680,7 +680,7 @@ impl WorkflowExecution {
             name: wf.name.as_str().into(),
             site: wf.site.as_str().into(),
             // Each job has a `JobId`, so their number fits its `u32`.
-            jobs: n as u32,
+            jobs: u32::try_from(n).unwrap_or(u32::MAX),
             time: start,
         });
         for j in &wf.jobs {
