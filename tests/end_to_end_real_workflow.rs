@@ -49,6 +49,53 @@ fn real_workflow_matches_serial_reference() {
     std::fs::remove_dir_all(&out.workdir).ok();
 }
 
+/// `tests/fixtures/equivalence/real_run_n5_s42.{jobs,fasta}`: the jobs
+/// the real workflow plans at n = 5 (name, transformation and
+/// arguments, one a line) and the `final.fasta` it writes over the
+/// 10-family, seed-42 dataset. Written under `PEGASUS_BLESS=1` before
+/// the executor it pins was rewritten; never re-bless them to make a
+/// change pass.
+#[test]
+fn real_workflow_matches_its_golden_plan_and_assembly() {
+    let out = real_local_run(10, 5, 2, 42);
+    assert!(out.run.succeeded(), "{:?}", out.run.records);
+    let wf = build_workflow(&WorkflowParams {
+        n_clusters: 5,
+        transcripts_bytes: 0,
+        alignments_bytes: 0,
+        ..Default::default()
+    });
+    let (sites, tc, _) = blast2cap3_pegasus::experiment::registry_catalogs(
+        blast2cap3_pegasus::experiment::builtin_registry(),
+    );
+    let mut cfg = PlannerConfig::for_site("sandhills");
+    cfg.stage_data = false;
+    cfg.add_create_dir = false;
+    let exec = plan(&wf, &sites, &tc, &ReplicaCatalog::new(), &cfg).unwrap();
+    let ran: Vec<&str> = out.run.records.iter().map(|r| r.name.as_str()).collect();
+    let planned: Vec<&str> = exec.jobs.iter().map(|j| j.name.as_str()).collect();
+    assert_eq!(ran, planned);
+    let jobs: String = (exec.jobs.iter())
+        .map(|j| {
+            let args: Vec<&str> = j.args.iter().map(|a| a.as_str()).collect();
+            format!("{} {} {}\n", j.name, j.transformation, args.join(" "))
+        })
+        .collect();
+    let fasta = std::fs::read(out.workdir.join(names::FINAL)).unwrap();
+    std::fs::remove_dir_all(&out.workdir).ok();
+
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/equivalence/real_run_n5_s42");
+    let (jobs_path, fasta_path) = (golden.with_extension("jobs"), golden.with_extension("fasta"));
+    if std::env::var_os("PEGASUS_BLESS").is_some() {
+        std::fs::write(&jobs_path, &jobs).expect("write golden");
+        std::fs::write(&fasta_path, &fasta).expect("write golden");
+        return;
+    }
+    assert_eq!(jobs, std::fs::read_to_string(jobs_path).unwrap());
+    assert!(fasta == std::fs::read(fasta_path).unwrap(), "final.fasta moved");
+}
+
 #[test]
 fn real_workflow_statistics_are_complete() {
     let out = real_local_run(6, 3, 2, 43);
