@@ -13,7 +13,7 @@
 //!
 //! Output: `target/experiments/fig4_real.csv`.
 
-use blast2cap3_pegasus::experiment::{builtin_registry, calibrated_workflow, plan_on};
+use blast2cap3_pegasus::experiment::{calibrated_workflow, plan_local};
 use condor::pool::{LocalPool, PoolConfig, TaskRegistry};
 use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor};
 use wms_bench::{write_experiment_file, DEFAULT_SEED, PAPER_N_VALUES};
@@ -25,32 +25,19 @@ const TIME_SCALE: f64 = 1.0e-4;
 const WORKERS: usize = 64;
 
 pub fn run() {
-    let registry = builtin_registry();
-    let sandhills = registry.resolve("sandhills").expect("built-in site");
-
+    let workdir = std::env::temp_dir().join(format!("fig4_real_{}", std::process::id()));
     let mut csv = String::from("n,real_wall_s,paper_scale_equivalent_s\n");
     let mut results = Vec::new();
     for &n in &PAPER_N_VALUES {
-        // The files a real pool would exchange are not there to stage.
-        let exec = plan_on(
-            registry,
-            sandhills,
-            &calibrated_workflow(n, DEFAULT_SEED),
-            |cfg| {
-                cfg.stage_data = false;
-                cfg.add_create_dir = false;
-            },
-        )
-        .expect("plan");
+        let exec = plan_local(&calibrated_workflow(n, DEFAULT_SEED)).expect("plan");
 
         // No registered kernels: every task sleeps runtime_hint *
         // TIME_SCALE on a real worker thread.
         let mut pool = LocalPool::new(
             PoolConfig {
                 workers: WORKERS,
-                workdir: std::env::temp_dir().join("fig4_real"),
-                synthetic_time_scale: TIME_SCALE,
-                install_time_scale: TIME_SCALE,
+                workdir: workdir.clone(),
+                time_scale: TIME_SCALE,
             },
             TaskRegistry::new(),
         );
@@ -61,6 +48,7 @@ pub fn run() {
             &mut NoopMonitor,
         );
         assert!(run.succeeded());
+        std::fs::remove_dir_all(&workdir).ok();
         let equivalent = run.wall_time / TIME_SCALE;
         println!(
             "n={n:<4} real wall {:>7.2}s  ->  {:>9.0} paper-seconds (sim fig4 for comparison: see fig4.csv)",

@@ -17,9 +17,13 @@
 
 use bioseq::simulate::{generate, TranscriptomeConfig};
 use blast2cap3::serial::run_serial;
-use blast2cap3_pegasus::experiment::{real_local_run, simulate_blast2cap3, synthetic_alignments};
+use blast2cap3_pegasus::build_registry;
+use blast2cap3_pegasus::experiment::{real_run, simulate_blast2cap3, synthetic_alignments};
 use cap3::Cap3Params;
+use condor::pool::{LocalPool, PoolConfig};
 use gridsim::platforms::SERIAL_REFERENCE_SECONDS;
+use pegasus_wms::engine::EngineConfig;
+use std::collections::BTreeSet;
 use wms_bench::{human_duration, write_experiment_file, DEFAULT_SEED};
 
 pub fn run() {
@@ -63,9 +67,27 @@ pub fn run() {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let real = real_local_run(n_families, 4 * workers, workers, seed);
-    assert!(real.run.succeeded());
-    let workflow_s = real.run.wall_time;
+    let workdir = std::env::temp_dir().join(format!("headline_{}", std::process::id()));
+    let config = PoolConfig {
+        workers,
+        workdir: workdir.clone(),
+        ..Default::default()
+    };
+    let mut pool = LocalPool::new(config, build_registry(Cap3Params::default()));
+    let engine = EngineConfig::builder().retries(0).build();
+    let chunks = 4 * workers;
+    let (run, assembly) = real_run(&mut pool, &data.transcripts, &alignments, chunks, &engine)
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert!(run.succeeded());
+    std::fs::remove_dir_all(&workdir).ok();
+    let seqs = |records: &[bioseq::fasta::Record]| -> BTreeSet<Vec<u8>> {
+        records.iter().map(|r| r.seq.as_bytes().to_vec()).collect()
+    };
+    assert!(
+        seqs(&assembly) == seqs(&serial.output),
+        "the workflow's assembly must be set-equal to the serial one"
+    );
+    let workflow_s = run.wall_time;
     let real_reduction = 1.0 - workflow_s / serial_s.max(1e-9);
     println!(
         "real laptop scale     : serial {serial_s:.3}s -> workflow {workflow_s:.3}s ({:.1}% reduction, {} workers, real CAP3 on {} transcripts)",
@@ -74,15 +96,14 @@ pub fn run() {
         data.transcripts.len()
     );
     println!(
-        "real output           : {} -> {} sequences ({} merged)",
-        real.input_count,
-        real.final_records.len(),
+        "real output           : {} -> {} sequences ({} merged), set-equal to serial",
+        data.transcripts.len(),
+        assembly.len(),
         serial.joined
     );
     csv.push_str(&format!(
         "real,{serial_s:.4},{workflow_s:.4},{real_reduction:.4}\n"
     ));
-    std::fs::remove_dir_all(&real.workdir).ok();
 
     let path = write_experiment_file("headline.csv", &csv);
     println!("series written to {}", path.display());

@@ -4,10 +4,10 @@
 //!
 //! Two sweeps:
 //!
-//! 1. **Real execution**: the actual Rust blast2cap3 (alignment +
-//!    clustering + CAP3) at increasing synthetic dataset scales,
-//!    serial vs the workflow decomposition — measures genuine growth
-//!    of the laptop-scale pipeline.
+//! 1. **Real execution**: the actual Rust blast2cap3 (clustering +
+//!    CAP3) at increasing synthetic dataset scales, serial vs the real
+//!    Fig. 2 workflow (one chunk per family, real files, one worker per
+//!    core) — measures genuine growth of the laptop-scale pipeline.
 //! 2. **Simulated paper scale**: the Sandhills model at multiples of
 //!    the calibrated 100-hour workload — shows that the workflow's
 //!    advantage persists (and grows in absolute terms) as datasets
@@ -16,20 +16,24 @@
 //! Output: `target/experiments/scaling.csv`.
 
 use bioseq::simulate::{generate, TranscriptomeConfig};
-use blast2cap3::parallel::run_parallel;
 use blast2cap3::serial::run_serial;
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
+use blast2cap3_pegasus::build_registry;
 use blast2cap3_pegasus::experiment::{
-    builtin_registry, calibrate_workload, calibrated_chunk_costs, plan_on, synthetic_alignments,
-    WorkloadCalibration,
+    builtin_registry, calibrate_workload, calibrated_chunk_costs, plan_on, real_run,
+    synthetic_alignments, WorkloadCalibration,
 };
 use cap3::Cap3Params;
+use condor::pool::{LocalPool, PoolConfig};
+use pegasus_wms::engine::EngineConfig;
 use wms_bench::{simulated_wall, write_experiment_file, DEFAULT_SEED};
 
 pub fn run() {
     let mut csv = String::from("kind,scale,transcripts,serial_s,workflow_s\n");
 
     println!("real execution sweep (serial vs workflow, wall seconds):");
+    let workdir = std::env::temp_dir().join(format!("scaling_{}", std::process::id()));
+    let engine = EngineConfig::builder().retries(0).build();
     for families in [20usize, 40, 80, 160] {
         let data = generate(&TranscriptomeConfig {
             n_families: families,
@@ -40,10 +44,19 @@ pub fn run() {
         let alignments = synthetic_alignments(&data);
         let params = Cap3Params::default();
         let serial = run_serial(&data.transcripts, &alignments, &params);
-        let par = run_parallel(&data.transcripts, &alignments, &params, families, 0);
-        assert_eq!(serial.output.len(), par.output.len());
+        let config = PoolConfig {
+            workdir: workdir.clone(),
+            ..Default::default()
+        };
+        let mut pool = LocalPool::new(config, build_registry(params));
+        let (run, assembly) =
+            real_run(&mut pool, &data.transcripts, &alignments, families, &engine)
+                .unwrap_or_else(|e| panic!("{e}"));
+        assert!(run.succeeded());
+        std::fs::remove_dir_all(&workdir).ok();
+        assert_eq!(serial.output.len(), assembly.len());
         let transcripts = data.transcripts.len();
-        let (serial_s, par_s) = (serial.elapsed.as_secs_f64(), par.elapsed.as_secs_f64());
+        let (serial_s, par_s) = (serial.elapsed.as_secs_f64(), run.wall_time);
         println!(
             "  {families:>4} families / {transcripts:>5} transcripts: serial {serial_s:>8.4}s, workflow {par_s:>8.4}s"
         );

@@ -16,24 +16,20 @@
 //! 3. concatenates the merged contigs with every transcript that
 //!    joined nothing (`tasks::extract_unjoined`).
 //!
-//! Two drivers exist:
-//!
-//! * [`serial`] — the faithful port of the original Python script:
-//!   clusters are processed strictly one after another (the 100-hour
-//!   baseline of the paper);
-//! * [`parallel`] — an in-process thread-parallel runner that
-//!   processes the same task decomposition the Pegasus workflow uses
-//!   (split into `n` chunks, CAP3 per chunk, merge), for measuring
-//!   real speedups without a workflow engine.
-//!
-//! The workflow-facing task kernels in `tasks` correspond one-to-one
-//! to the ovals of the paper's Fig. 2/Fig. 3 DAGs; the `pegasus-wms` +
-//! `condor` crates execute them as a real DAG.
+//! [`serial`] is the faithful port of the original Python script:
+//! clusters are processed strictly one after another (the 100-hour
+//! baseline of the paper). The parallel blast2cap3 is the Fig. 2
+//! workflow itself: [`workflow`] builds its DAG, and the task kernels
+//! in `tasks` correspond one-to-one to the ovals of the paper's
+//! Fig. 2/Fig. 3 DAGs. The `pegasus-wms` + `condor` crates execute
+//! them as a real DAG, and the umbrella crate's `experiment::real_run`
+//! is that one real executor. [`parallel`] remains only as `b2c3 run`'s
+//! in-process thread pool over the same decomposition, until the
+//! workflow path is no slower than it.
 
 pub mod cluster;
 pub mod files;
 pub mod parallel;
-pub mod pipeline;
 pub mod serial;
 pub mod split;
 pub(crate) mod tasks;

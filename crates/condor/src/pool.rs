@@ -18,7 +18,7 @@ use pegasus_wms::engine::{
 use pegasus_wms::planner::ExecutableJob;
 use pegasus_wms::symbols::{Args, Name};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -86,12 +86,11 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Working directory handed to task kernels.
     pub workdir: PathBuf,
-    /// Real seconds slept per `runtime_hint` second for transformations
-    /// with no registered kernel (0.0 = return immediately).
-    pub synthetic_time_scale: f64,
-    /// Real seconds slept per `install_hint` second, emulating the
-    /// OSG download/install phase at laptop scale (0.0 = skip).
-    pub install_time_scale: f64,
+    /// Real seconds slept per hinted second: per `install_hint` second,
+    /// emulating the OSG download/install phase at laptop scale, and
+    /// per `runtime_hint` second of a transformation with no registered
+    /// kernel (0.0 = no phase is emulated and no sleep taken).
+    pub time_scale: f64,
 }
 
 impl Default for PoolConfig {
@@ -101,8 +100,7 @@ impl Default for PoolConfig {
                 .map(|n| n.get())
                 .unwrap_or(2),
             workdir: std::env::temp_dir().join("condor_pool"),
-            synthetic_time_scale: 0.0,
-            install_time_scale: 0.0,
+            time_scale: 0.0,
         }
     }
 }
@@ -167,6 +165,7 @@ pub struct LocalPool {
     /// Worker-thread count, reported as slot capacity so an ensemble
     /// manager sharing this pool can budget admissions.
     workers: usize,
+    workdir: PathBuf,
 }
 
 impl LocalPool {
@@ -204,13 +203,17 @@ impl LocalPool {
                     let now = |t0: Instant| t0.elapsed().as_secs_f64();
                     let started = now(t0);
                     let task = registry.get(&item.job.transformation).map(Arc::clone);
-                    let planned_install = if config.install_time_scale > 0.0 {
-                        item.job.install_hint.max(0.0) * config.install_time_scale
-                    } else {
-                        0.0
+                    let scale = config.time_scale;
+                    let scaled = |hint: f64| {
+                        if scale > 0.0 {
+                            hint.max(0.0) * scale
+                        } else {
+                            0.0
+                        }
                     };
-                    let planned_exec = if task.is_none() && config.synthetic_time_scale > 0.0 {
-                        item.job.runtime_hint.max(0.0) * config.synthetic_time_scale
+                    let planned_install = scaled(item.job.install_hint);
+                    let planned_exec = if task.is_none() {
+                        scaled(item.job.runtime_hint)
                     } else {
                         0.0
                     };
@@ -328,7 +331,13 @@ impl LocalPool {
             t0,
             timeout,
             workers: config.workers.max(1),
+            workdir: config.workdir.clone(),
         }
+    }
+
+    /// The working directory its task kernels share.
+    pub fn workdir(&self) -> &Path {
+        &self.workdir
     }
 }
 
@@ -630,7 +639,7 @@ mod tests {
         });
         let mut cfg = pool_config();
         cfg.workers = 1;
-        cfg.synthetic_time_scale = 0.1;
+        cfg.time_scale = 0.1;
         let mut j = job(0, "victim", "unregistered");
         j.runtime_hint = 5.0; // 500ms
         let wf = independent("osg", vec![j]);
@@ -659,7 +668,7 @@ mod tests {
             }
         });
         let mut cfg = pool_config();
-        cfg.synthetic_time_scale = 0.01;
+        cfg.time_scale = 0.01;
         let mut fast = job(0, "fast", "unregistered");
         fast.runtime_hint = 5.0; // 50ms
         let mut slow = job(1, "slow", "unregistered");
@@ -687,7 +696,7 @@ mod tests {
         });
         let mut cfg = pool_config();
         cfg.workers = 1;
-        cfg.synthetic_time_scale = 0.01;
+        cfg.time_scale = 0.01;
         let mut j = job(0, "straggler", "unregistered");
         j.runtime_hint = 5.0; // 50ms clean, 400ms slowed
         let wf = independent("osg", vec![j]);
@@ -728,7 +737,7 @@ mod tests {
         });
         let mut cfg = pool_config();
         cfg.workers = 1;
-        cfg.install_time_scale = 0.1;
+        cfg.time_scale = 0.1;
         let mut j = job(0, "g", "guarded");
         j.install_hint = 3.0; // 300ms
         let wf = independent("osg", vec![j]);
@@ -832,7 +841,7 @@ mod tests {
         // reading a few hundred nanoseconds later.
         for (scale, expected) in [(0.0, 0), (0.01, 1)] {
             let mut cfg = pool_config();
-            cfg.install_time_scale = scale;
+            cfg.time_scale = scale;
             let mut reg = TaskRegistry::new();
             reg.register("quick", |_ctx| Ok(()));
             let mut j = job(0, "q", "quick");
@@ -844,7 +853,7 @@ mod tests {
             let installs = (run.events.iter())
                 .filter(|ev| matches!(ev, WorkflowEvent::InstallStarted { .. }))
                 .count();
-            assert_eq!(installs, expected, "install_time_scale = {scale}");
+            assert_eq!(installs, expected, "time_scale = {scale}");
             let t = run.records[0].times.unwrap();
             assert_eq!(t.install() > 0.0, expected == 1, "install {}", t.install());
         }
@@ -854,8 +863,7 @@ mod tests {
     fn synthetic_sleep_scales_install_and_runtime() {
         let mut cfg = pool_config();
         cfg.workers = 1;
-        cfg.synthetic_time_scale = 0.01; // 10ms per hint second
-        cfg.install_time_scale = 0.01;
+        cfg.time_scale = 0.01; // 10ms per hint second
         let mut j = job(0, "synthetic", "unregistered");
         j.runtime_hint = 5.0; // 50ms
         j.install_hint = 5.0; // 50ms

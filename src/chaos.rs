@@ -23,10 +23,9 @@ use std::sync::Arc;
 /// Builds a pool fault injector from a compiled chaos script.
 ///
 /// `time_scale` is real seconds per virtual second, normally the
-/// pool's `synthetic_time_scale` (and `install_time_scale`). The probe
-/// timings the pool reports in real seconds are mapped back to virtual
-/// seconds before consulting the script, and the eviction offset is
-/// mapped forward again.
+/// pool's own `time_scale`. The probe timings the pool reports in real
+/// seconds are mapped back to virtual seconds before consulting the
+/// script, and the eviction offset is mapped forward again.
 pub fn fault_injector_for(script: FaultScript, time_scale: f64) -> FaultInjector {
     let scale = if time_scale > 0.0 { time_scale } else { 1.0 };
     Arc::new(move |probe: &FaultProbe| {

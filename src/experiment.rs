@@ -11,18 +11,17 @@
 //! * [`simulate_blast2cap3`] — plan the Fig. 2 workflow onto a
 //!   simulated platform (Sandhills or OSG) and execute it under the
 //!   DAGMan engine, returning the run and its pegasus-statistics;
-//! * [`real_local_run`] — generate a laptop-scale synthetic dataset,
-//!   run the *real* workflow (real FASTA/tabular files, real CAP3)
-//!   through the local Condor pool, and return outputs + timings.
+//! * [`real_run`] — the one real executor: the Fig. 2 workflow over
+//!   real FASTA/tabular files and real CAP3 on a local Condor pool,
+//!   planned for this machine by [`plan_local`].
 
-use bioseq::fasta;
-use bioseq::simulate::{generate, SyntheticTranscriptome, TranscriptomeConfig};
+use bioseq::fasta::{self, Record};
+use bioseq::simulate::SyntheticTranscriptome;
 use blast2cap3::files::names;
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blastx::search::{SearchParams, Searcher};
 use blastx::tabular::TabularRecord;
-use cap3::Cap3Params;
-use condor::pool::{LocalPool, PoolConfig};
+use condor::pool::LocalPool;
 use gridsim::platforms::SERIAL_REFERENCE_SECONDS;
 use gridsim::sites::SiteRegistry;
 use gridsim::SimBackend;
@@ -39,7 +38,8 @@ use pegasus_wms::workflow::AbstractWorkflow;
 use pegasus_wms::{dax, prof, verify};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::{Path, PathBuf};
+use std::fmt::Display;
+use std::path::Path;
 use std::sync::OnceLock;
 
 /// The process-wide built-in [`SiteRegistry`] — the paper's two
@@ -450,21 +450,6 @@ pub fn simulate_blast2cap3_ensemble_at(
     EnsembleOutcome { run, stats }
 }
 
-/// Result of a real local workflow run.
-#[derive(Debug)]
-pub struct RealRunOutcome {
-    /// The engine-level run record (real wall-clock seconds).
-    pub run: WorkflowRun,
-    /// pegasus-statistics over the real run.
-    pub stats: WorkflowStatistics,
-    /// The final protein-guided assembly read back from disk.
-    pub final_records: Vec<bioseq::fasta::Record>,
-    /// Number of input transcripts written.
-    pub input_count: usize,
-    /// The work directory (left on disk for inspection).
-    pub workdir: PathBuf,
-}
-
 /// The `alignments.out` rows of a synthetic dataset: every transcript
 /// BLASTXed against the dataset's own protein set, on all cores (hit
 /// order does not depend on the thread count). What every
@@ -481,84 +466,89 @@ pub fn synthetic_alignments(data: &SyntheticTranscriptome) -> Vec<TabularRecord>
     hsps.iter().map(TabularRecord::from).collect()
 }
 
-/// Generates a synthetic dataset of `n_families` gene families, runs
-/// BLASTX to produce `alignments.out`, then executes the *real*
-/// Fig. 2 workflow (n = `n_chunks`) on a [`LocalPool`] of `workers`
-/// threads, exchanging genuine files in a fresh work directory.
-pub fn real_local_run(
-    n_families: usize,
+/// Plans `wf` for this machine: the built-in `sandhills` entry through
+/// [`plan_on`], with no staging and no create-dir jobs, because a
+/// [`LocalPool`]'s tasks share one work directory and find their inputs
+/// there.
+///
+/// # Errors
+/// Whatever [`plan`] refuses.
+pub fn plan_local(wf: &AbstractWorkflow) -> Result<ExecutableWorkflow, WmsError> {
+    let registry = builtin_registry();
+    plan_on(registry, registry.resolve("sandhills")?, wf, |cfg| {
+        cfg.stage_data = false;
+        cfg.add_create_dir = false;
+    })
+}
+
+/// Runs the real Fig. 2 workflow, `n_chunks` chunks wide, on `pool`:
+/// writes `transcripts` and `alignments` into the pool's work
+/// directory, plans through [`plan_local`], executes under `cfg` and,
+/// when the run succeeded, reads the assembly back from `final.fasta`
+/// (no records when it failed). What `README.md` shows, line for line:
+///
+/// ```
+/// # fn main() -> Result<(), String> {
+/// use bioseq::simulate::{generate, TranscriptomeConfig};
+/// use blast2cap3_pegasus::build_registry;
+/// use blast2cap3_pegasus::experiment::{real_run, synthetic_alignments};
+/// use condor::pool::{LocalPool, PoolConfig};
+/// use pegasus_wms::engine::EngineConfig;
+///
+/// let data = generate(&TranscriptomeConfig::tiny(2014));
+/// let alignments = synthetic_alignments(&data);
+/// let workdir = std::env::temp_dir().join(format!("b2c3-{}", std::process::id()));
+/// let config = PoolConfig { workers: 2, workdir: workdir.clone(), ..Default::default() };
+/// let mut pool = LocalPool::new(config, build_registry(Default::default()));
+/// let engine = EngineConfig::builder().retries(0).build();
+/// let (run, assembly) = real_run(&mut pool, &data.transcripts, &alignments, 8, &engine)?;
+/// println!("{} -> {} sequences in {:.3}s",
+///          data.transcripts.len(), assembly.len(), run.wall_time);
+/// std::fs::remove_dir_all(&workdir).ok();
+/// # assert!(run.succeeded() && assembly.len() < data.transcripts.len());
+/// # Ok(())
+/// # }
+/// ```
+///
+/// # Errors
+/// `cannot write <path>: …` or `cannot read <path>: …` for the files
+/// it moves, or the plan's refusal.
+pub fn real_run(
+    pool: &mut LocalPool,
+    transcripts: &[Record],
+    alignments: &[TabularRecord],
     n_chunks: usize,
-    workers: usize,
-    seed: u64,
-) -> RealRunOutcome {
-    // 1. Synthetic inputs.
-    let data = generate(&TranscriptomeConfig {
-        n_families,
-        family_size_mean: 4.0,
-        family_size_cap: 16,
-        ..TranscriptomeConfig::tiny(seed)
-    });
-    let alignments = synthetic_alignments(&data);
-
-    let workdir = std::env::temp_dir().join(format!(
-        "blast2cap3_real_run_{}_{}",
-        std::process::id(),
-        seed
-    ));
-    std::fs::remove_dir_all(&workdir).ok();
-    std::fs::create_dir_all(&workdir).expect("create workdir");
-    fasta::write_file(workdir.join(names::TRANSCRIPTS), &data.transcripts)
-        .expect("write transcripts");
-    blastx::tabular::write_file(workdir.join(names::ALIGNMENTS), &alignments)
-        .expect("write alignments");
-
-    // 2. Plan without staging (the files are already local).
-    let params = WorkflowParams {
+    cfg: &EngineConfig,
+) -> Result<(WorkflowRun, Vec<Record>), String> {
+    let dir = pool.workdir().to_path_buf();
+    let io =
+        |verb: &str, path: &Path, e: &dyn Display| format!("cannot {verb} {}: {e}", path.display());
+    let path = dir.join(names::TRANSCRIPTS);
+    fasta::write_file(&path, transcripts).map_err(|e| io("write", &path, &e))?;
+    let path = dir.join(names::ALIGNMENTS);
+    blastx::tabular::write_file(&path, alignments).map_err(|e| io("write", &path, &e))?;
+    let exec = plan_local(&build_workflow(&WorkflowParams {
         n_clusters: n_chunks,
         transcripts_bytes: 0,
         alignments_bytes: 0,
         ..Default::default()
-    };
-    let wf = build_workflow(&params);
-    let (sites, tc, _) = registry_catalogs(builtin_registry());
-    let mut cfg = PlannerConfig::for_site("sandhills");
-    cfg.stage_data = false;
-    cfg.add_create_dir = false;
-    let exec = plan(&wf, &sites, &tc, &ReplicaCatalog::new(), &cfg).expect("plan local workflow");
-
-    // 3. Execute for real.
-    let mut pool = LocalPool::new(
-        PoolConfig {
-            workers,
-            workdir: workdir.clone(),
-            ..Default::default()
-        },
-        crate::registry::build_registry(Cap3Params::default()),
-    );
-    let run = Engine::run(
-        &mut pool,
-        &exec,
-        &EngineConfig::builder().retries(0).build(),
-        &mut NoopMonitor,
-    );
-    let stats = compute(&run);
-    let final_records = if run.succeeded() {
-        fasta::read_file(workdir.join(names::FINAL)).expect("final.fasta written")
-    } else {
-        Vec::new()
-    };
-    RealRunOutcome {
-        run,
-        stats,
-        final_records,
-        input_count: data.transcripts.len(),
-        workdir,
+    }))
+    .map_err(|e| format!("cannot plan the local workflow: {e}"))?;
+    let run = Engine::run(pool, &exec, cfg, &mut NoopMonitor);
+    if !run.succeeded() {
+        return Ok((run, Vec::new()));
     }
+    let path = dir.join(names::FINAL);
+    let assembly = fasta::read_file(&path).map_err(|e| io("read", &path, &e))?;
+    Ok((run, assembly))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bioseq::simulate::{generate, TranscriptomeConfig};
+    use bioseq::stats::{assembly_stats, reduction_ratio};
+    use condor::pool::PoolConfig;
 
     #[test]
     fn calibration_totals_match_the_paper() {
@@ -644,17 +634,52 @@ mod tests {
     }
 
     #[test]
-    fn real_local_run_produces_final_assembly() {
-        let out = real_local_run(8, 4, 2, 11);
-        assert!(out.run.succeeded(), "records: {:?}", out.run.records);
-        assert!(!out.final_records.is_empty());
+    fn the_real_run_doctest_is_the_readme_snippet() {
+        let readme = include_str!("../README.md");
+        let opening = "```rust\nuse bioseq::simulate::";
+        let from = readme.find(opening).expect("README runs real_run") + "```rust\n".len();
+        let snippet = &readme[from..from + readme[from..].find("```").expect("a closing fence")];
+
+        let docs = include_str!("experiment.rs");
+        let block = docs.split("/// ```\n").nth(1).expect("the doctest");
+        let shown: String = (block.lines())
+            .map(|l| l.strip_prefix("///").expect("a doc line"))
+            .map(|l| l.strip_prefix(' ').unwrap_or(l))
+            .filter(|l| *l != "#" && !l.starts_with("# "))
+            .flat_map(|l| [l, "\n"])
+            .collect();
+        assert_eq!(shown, snippet);
+    }
+
+    #[test]
+    fn real_run_produces_final_assembly() {
+        let data = generate(&TranscriptomeConfig {
+            n_families: 15,
+            family_size_mean: 3.5,
+            family_size_cap: 10,
+            ..TranscriptomeConfig::tiny(21)
+        });
+        let alignments = synthetic_alignments(&data);
+        let workdir = std::env::temp_dir().join(format!("real_run_{}", std::process::id()));
+        let config = PoolConfig {
+            workers: 2,
+            workdir: workdir.clone(),
+            ..Default::default()
+        };
+        let mut pool = LocalPool::new(config, crate::registry::build_registry(Default::default()));
+        let cfg = EngineConfig::builder().retries(0).build();
+        let (run, assembly) = real_run(&mut pool, &data.transcripts, &alignments, 4, &cfg).unwrap();
+        std::fs::remove_dir_all(&workdir).ok();
+        assert!(run.succeeded(), "records: {:?}", run.records);
+        assert_eq!(compute(&run).jobs_failed, 0);
+        // Protein-guided merging removes redundancy, materially but
+        // short of total collapse, and lengthens the mean sequence.
+        let reduction = reduction_ratio(data.transcripts.len(), assembly.len());
         assert!(
-            out.final_records.len() < out.input_count,
-            "merging must reduce transcript count: {} -> {}",
-            out.input_count,
-            out.final_records.len()
+            reduction > 0.05 && reduction < 0.95,
+            "reduction={reduction}"
         );
-        assert!(out.stats.jobs_failed == 0);
-        std::fs::remove_dir_all(&out.workdir).ok();
+        let mean = |records: &[Record]| assembly_stats(records).mean_len;
+        assert!(mean(&assembly) >= mean(&data.transcripts));
     }
 }

@@ -32,7 +32,7 @@ pub mod registry;
 pub mod serve;
 
 pub use experiment::{
-    calibrated_chunk_costs, real_local_run, simulate_blast2cap3, simulate_blast2cap3_with,
-    ExperimentOutcome, WorkloadCalibration,
+    calibrated_chunk_costs, simulate_blast2cap3, simulate_blast2cap3_with, ExperimentOutcome,
+    WorkloadCalibration,
 };
 pub use registry::build_registry;

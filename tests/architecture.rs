@@ -92,6 +92,9 @@ const RULES: &[Rule] = &[
     (30, "the library holds no binary's verb table", "src/cli", "const VERBS", Absent, 0, "pub const VERBS: &[Verb] = &[];"),
     (31, "every dependency is first-party or vendored", "Cargo.lock", "source =", Absent, 0, "source = \"registry+https://github.com/rust-lang/crates.io-index\""),
     (32, "the event writer and the lifecycle fold cannot panic", "crates/core/src/line.rs crates/core/src/events.rs", ".expect(|.unwrap()|panic!(", Absent, BEFORE_TESTS, "let end = ev.termination().expect(\"a terminal event\");"),
+    (33, "one real executor: no unstaged plan, run_pipeline or real_local_run beside it", "src crates/bench/src/figures tests examples !src/experiment.rs",
+        "stage_data = false|blast2cap3::pipeline|run_pipeline|real_local_run", Absent, 0, "let out = real_local_run(10, 5, 2, 42);"),
+    (33, "one real executor: plan_local is the one unstaged plan", "src/experiment.rs", "stage_data = false", Exactly(1), 0, "cfg.stage_data = false;"),
 ];
 
 /// The sorted entry names of a directory.

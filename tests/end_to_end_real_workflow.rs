@@ -1,52 +1,76 @@
 //! End-to-end integration: the real blast2cap3 workflow — real FASTA
 //! and tabular files, real CAP3 merging — executed by the DAGMan
-//! engine on the local Condor pool, compared against the in-memory
-//! serial reference, plus failure injection and rescue-based resume
-//! over the same work directory.
+//! engine on the local Condor pool through `experiment::real_run`,
+//! compared against the in-memory serial reference, plus failure
+//! injection and rescue-based resume over the same work directory.
 
-use bioseq::fasta;
+use bioseq::fasta::Record;
+use bioseq::simulate::{generate, TranscriptomeConfig};
 use blast2cap3::files::names;
 use blast2cap3::serial::run_serial;
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
-use blast2cap3_pegasus::experiment::real_local_run;
+use blast2cap3_pegasus::experiment::{plan_local, real_run, synthetic_alignments};
 use blast2cap3_pegasus::registry::build_registry;
+use blastx::tabular::TabularRecord;
 use cap3::Cap3Params;
 use condor::pool::{FaultInjector, FaultProbe, InjectedFault, LocalPool, PoolConfig};
-use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
-use pegasus_wms::engine::{
-    Engine, EngineConfig, FaultReason, JobState, NoopMonitor, WorkflowOutcome,
-};
-use pegasus_wms::planner::{plan, PlannerConfig};
+use pegasus_wms::engine::{EngineConfig, FaultReason, JobState, WorkflowOutcome};
+use pegasus_wms::statistics::compute;
 use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// A synthetic dataset of `n_families` gene families and its
+/// `alignments.out` rows.
+fn dataset(n_families: usize, seed: u64) -> (Vec<Record>, Vec<TabularRecord>) {
+    let data = generate(&TranscriptomeConfig {
+        n_families,
+        family_size_mean: 4.0,
+        family_size_cap: 16,
+        ..TranscriptomeConfig::tiny(seed)
+    });
+    let alignments = synthetic_alignments(&data);
+    (data.transcripts, alignments)
+}
+
+/// A work directory no other process or test shares.
+fn workdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("b2c3_e2e_{}_{test}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Two workers with the real kernels, optionally failing on cue.
+fn pool(workdir: &Path, injector: Option<FaultInjector>) -> LocalPool {
+    let config = PoolConfig {
+        workers: 2,
+        workdir: workdir.to_path_buf(),
+        ..Default::default()
+    };
+    LocalPool::with_fault_injector(config, build_registry(Cap3Params::default()), injector)
+}
+
+fn retries(n: u32) -> EngineConfig {
+    EngineConfig::builder().retries(n).build()
+}
+
+fn sequences(records: &[Record]) -> BTreeSet<Vec<u8>> {
+    records.iter().map(|r| r.seq.as_bytes().to_vec()).collect()
+}
 
 #[test]
 fn real_workflow_matches_serial_reference() {
-    let out = real_local_run(10, 5, 2, 42);
-    assert!(
-        out.run.succeeded(),
-        "workflow failed: {:?}",
-        out.run.records
-    );
+    let (transcripts, alignments) = dataset(10, 42);
+    let dir = workdir("serial_reference");
+    let mut healthy = pool(&dir, None);
+    let (run, assembly) = real_run(&mut healthy, &transcripts, &alignments, 5, &retries(0))
+        .expect("the real workflow runs");
+    assert!(run.succeeded(), "workflow failed: {:?}", run.records);
+    std::fs::remove_dir_all(&dir).ok();
 
-    // Re-derive the serial reference from the files the workflow wrote.
-    let transcripts = fasta::read_file(out.workdir.join(names::TRANSCRIPTS)).unwrap();
-    let alignments = blastx::tabular::read_file(out.workdir.join(names::ALIGNMENTS)).unwrap();
     let serial = run_serial(&transcripts, &alignments, &Cap3Params::default());
-
-    assert_eq!(out.final_records.len(), serial.output.len());
-    let file_seqs: BTreeSet<Vec<u8>> = out
-        .final_records
-        .iter()
-        .map(|r| r.seq.as_bytes().to_vec())
-        .collect();
-    let mem_seqs: BTreeSet<Vec<u8>> = serial
-        .output
-        .iter()
-        .map(|r| r.seq.as_bytes().to_vec())
-        .collect();
-    assert_eq!(file_seqs, mem_seqs);
-    std::fs::remove_dir_all(&out.workdir).ok();
+    assert_eq!(assembly.len(), serial.output.len());
+    assert_eq!(sequences(&assembly), sequences(&serial.output));
 }
 
 /// `tests/fixtures/equivalence/real_run_n5_s42.{jobs,fasta}`: the jobs
@@ -57,22 +81,20 @@ fn real_workflow_matches_serial_reference() {
 /// change pass.
 #[test]
 fn real_workflow_matches_its_golden_plan_and_assembly() {
-    let out = real_local_run(10, 5, 2, 42);
-    assert!(out.run.succeeded(), "{:?}", out.run.records);
-    let wf = build_workflow(&WorkflowParams {
+    let (transcripts, alignments) = dataset(10, 42);
+    let dir = workdir("golden");
+    let mut healthy = pool(&dir, None);
+    let (run, _) = real_run(&mut healthy, &transcripts, &alignments, 5, &retries(0))
+        .expect("the real workflow runs");
+    assert!(run.succeeded(), "{:?}", run.records);
+    let exec = plan_local(&build_workflow(&WorkflowParams {
         n_clusters: 5,
         transcripts_bytes: 0,
         alignments_bytes: 0,
         ..Default::default()
-    });
-    let (sites, tc, _) = blast2cap3_pegasus::experiment::registry_catalogs(
-        blast2cap3_pegasus::experiment::builtin_registry(),
-    );
-    let mut cfg = PlannerConfig::for_site("sandhills");
-    cfg.stage_data = false;
-    cfg.add_create_dir = false;
-    let exec = plan(&wf, &sites, &tc, &ReplicaCatalog::new(), &cfg).unwrap();
-    let ran: Vec<&str> = out.run.records.iter().map(|r| r.name.as_str()).collect();
+    }))
+    .unwrap();
+    let ran: Vec<&str> = run.records.iter().map(|r| r.name.as_str()).collect();
     let planned: Vec<&str> = exec.jobs.iter().map(|j| j.name.as_str()).collect();
     assert_eq!(ran, planned);
     let jobs: String = (exec.jobs.iter())
@@ -81,25 +103,37 @@ fn real_workflow_matches_its_golden_plan_and_assembly() {
             format!("{} {} {}\n", j.name, j.transformation, args.join(" "))
         })
         .collect();
-    let fasta = std::fs::read(out.workdir.join(names::FINAL)).unwrap();
-    std::fs::remove_dir_all(&out.workdir).ok();
+    let fasta = std::fs::read(dir.join(names::FINAL)).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 
     let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/equivalence/real_run_n5_s42");
-    let (jobs_path, fasta_path) = (golden.with_extension("jobs"), golden.with_extension("fasta"));
+    let (jobs_path, fasta_path) = (
+        golden.with_extension("jobs"),
+        golden.with_extension("fasta"),
+    );
     if std::env::var_os("PEGASUS_BLESS").is_some() {
         std::fs::write(&jobs_path, &jobs).expect("write golden");
         std::fs::write(&fasta_path, &fasta).expect("write golden");
         return;
     }
     assert_eq!(jobs, std::fs::read_to_string(jobs_path).unwrap());
-    assert!(fasta == std::fs::read(fasta_path).unwrap(), "final.fasta moved");
+    assert!(
+        fasta == std::fs::read(fasta_path).unwrap(),
+        "final.fasta moved"
+    );
 }
 
 #[test]
 fn real_workflow_statistics_are_complete() {
-    let out = real_local_run(6, 3, 2, 43);
-    assert!(out.run.succeeded());
+    let (transcripts, alignments) = dataset(6, 43);
+    let dir = workdir("statistics");
+    let mut healthy = pool(&dir, None);
+    let (run, _) = real_run(&mut healthy, &transcripts, &alignments, 3, &retries(0))
+        .expect("the real workflow runs");
+    assert!(run.succeeded());
+    std::fs::remove_dir_all(&dir).ok();
+    let stats = compute(&run);
     // Every compute transformation shows up in the statistics.
     for t in [
         "list_transcripts",
@@ -109,16 +143,12 @@ fn real_workflow_statistics_are_complete() {
         "merge",
         "extract_unjoined",
     ] {
-        let s = out
-            .stats
-            .for_type(t)
-            .unwrap_or_else(|| panic!("{t} missing"));
+        let s = stats.for_type(t).unwrap_or_else(|| panic!("{t} missing"));
         assert!(s.count >= 1);
         assert!(s.kickstart_mean >= 0.0);
     }
-    assert_eq!(out.stats.for_type("run_cap3").unwrap().count, 3);
-    assert!(out.stats.workflow_wall_time > 0.0);
-    std::fs::remove_dir_all(&out.workdir).ok();
+    assert_eq!(stats.for_type("run_cap3").unwrap().count, 3);
+    assert!(stats.workflow_wall_time > 0.0);
 }
 
 /// Runs the real workflow with injected failures on first attempts;
@@ -126,59 +156,23 @@ fn real_workflow_statistics_are_complete() {
 /// correct.
 #[test]
 fn injected_failures_are_absorbed_by_retries() {
-    let out = real_local_run(6, 3, 2, 44);
-    assert!(out.run.succeeded());
-    let transcripts = fasta::read_file(out.workdir.join(names::TRANSCRIPTS)).unwrap();
-    let alignments = blastx::tabular::read_file(out.workdir.join(names::ALIGNMENTS)).unwrap();
-    let reference_count = out.final_records.len();
-
-    // Fresh workdir with the same inputs, flaky pool this time.
-    let workdir = out.workdir.with_file_name("flaky_run");
-    std::fs::remove_dir_all(&workdir).ok();
-    std::fs::create_dir_all(&workdir).unwrap();
-    fasta::write_file(workdir.join(names::TRANSCRIPTS), &transcripts).unwrap();
-    blastx::tabular::write_file(workdir.join(names::ALIGNMENTS), &alignments).unwrap();
-
-    let wf = build_workflow(&WorkflowParams {
-        n_clusters: 3,
-        transcripts_bytes: 0,
-        alignments_bytes: 0,
-        ..Default::default()
-    });
-    let (sites, tc) = paper_catalogs();
-    let mut cfg = PlannerConfig::for_site("osg");
-    cfg.stage_data = false;
-    cfg.add_create_dir = false;
-    let exec = plan(&wf, &sites, &tc, &ReplicaCatalog::new(), &cfg).unwrap();
+    let (transcripts, alignments) = dataset(6, 44);
+    let serial = run_serial(&transcripts, &alignments, &Cap3Params::default());
 
     // Every task's first attempt is "preempted".
     let injector: FaultInjector = Arc::new(|probe: &FaultProbe| {
         let preempted = InjectedFault::Fail(FaultReason::Preemption.bare());
         Vec::from_iter((probe.attempt == 0).then_some(preempted))
     });
-    let mut pool = LocalPool::with_fault_injector(
-        PoolConfig {
-            workers: 2,
-            workdir: workdir.clone(),
-            ..Default::default()
-        },
-        build_registry(Cap3Params::default()),
-        Some(injector),
-    );
-    let run = Engine::run(
-        &mut pool,
-        &exec,
-        &EngineConfig::builder().retries(2).build(),
-        &mut NoopMonitor,
-    );
+    let dir = workdir("flaky");
+    let mut flaky = pool(&dir, Some(injector));
+    let (run, assembly) = real_run(&mut flaky, &transcripts, &alignments, 3, &retries(2))
+        .expect("the real workflow runs");
     assert!(run.succeeded(), "retries must absorb injected preemptions");
-    assert_eq!(run.total_retries() as usize, exec.jobs.len());
-    assert_eq!(run.faults.preemptions as usize, exec.jobs.len());
-
-    let final_records = fasta::read_file(workdir.join(names::FINAL)).unwrap();
-    assert_eq!(final_records.len(), reference_count);
-    std::fs::remove_dir_all(&workdir).ok();
-    std::fs::remove_dir_all(&out.workdir).ok();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(run.total_retries() as usize, run.records.len());
+    assert_eq!(run.faults.preemptions as usize, run.records.len());
+    assert_eq!(sequences(&assembly), sequences(&serial.output));
 }
 
 /// A permanently failing task produces a rescue DAG; resubmitting over
@@ -186,50 +180,19 @@ fn injected_failures_are_absorbed_by_retries() {
 /// and finishes the workflow.
 #[test]
 fn rescue_resume_over_shared_workdir() {
-    let out = real_local_run(6, 3, 2, 45);
-    assert!(out.run.succeeded());
-    let transcripts = fasta::read_file(out.workdir.join(names::TRANSCRIPTS)).unwrap();
-    let alignments = blastx::tabular::read_file(out.workdir.join(names::ALIGNMENTS)).unwrap();
-    let reference_count = out.final_records.len();
-
-    let workdir = out.workdir.with_file_name("rescue_run");
-    std::fs::remove_dir_all(&workdir).ok();
-    std::fs::create_dir_all(&workdir).unwrap();
-    fasta::write_file(workdir.join(names::TRANSCRIPTS), &transcripts).unwrap();
-    blastx::tabular::write_file(workdir.join(names::ALIGNMENTS), &alignments).unwrap();
-
-    let wf = build_workflow(&WorkflowParams {
-        n_clusters: 3,
-        transcripts_bytes: 0,
-        alignments_bytes: 0,
-        ..Default::default()
-    });
-    let (sites, tc) = paper_catalogs();
-    let mut cfg = PlannerConfig::for_site("sandhills");
-    cfg.stage_data = false;
-    cfg.add_create_dir = false;
-    let exec = plan(&wf, &sites, &tc, &ReplicaCatalog::new(), &cfg).unwrap();
+    let (transcripts, alignments) = dataset(6, 45);
+    let serial = run_serial(&transcripts, &alignments, &Cap3Params::default());
 
     // run_cap3_1 always fails in run 1.
     let injector: FaultInjector = Arc::new(|probe: &FaultProbe| {
         let dead = InjectedFault::Fail(FaultReason::Other.tagged("dead node"));
         Vec::from_iter((probe.job == "run_cap3_1").then_some(dead))
     });
-    let mut pool1 = LocalPool::with_fault_injector(
-        PoolConfig {
-            workers: 2,
-            workdir: workdir.clone(),
-            ..Default::default()
-        },
-        build_registry(Cap3Params::default()),
-        Some(injector),
-    );
-    let run1 = Engine::run(
-        &mut pool1,
-        &exec,
-        &EngineConfig::builder().retries(1).build(),
-        &mut NoopMonitor,
-    );
+    let dir = workdir("rescue");
+    let mut dying = pool(&dir, Some(injector));
+    let (run1, nothing) = real_run(&mut dying, &transcripts, &alignments, 3, &retries(1))
+        .expect("a failed run is still a run");
+    assert!(nothing.is_empty());
     let rescue = match run1.outcome {
         WorkflowOutcome::Failed(r) => r,
         WorkflowOutcome::Success => panic!("run 1 should fail"),
@@ -238,30 +201,37 @@ fn rescue_resume_over_shared_workdir() {
     assert!(!rescue.done.contains(&"merge".into()));
 
     // Run 2: healthy pool, same workdir, resume from the rescue.
-    let mut pool2 = LocalPool::new(
-        PoolConfig {
-            workers: 2,
-            workdir: workdir.clone(),
-            ..Default::default()
-        },
-        build_registry(Cap3Params::default()),
-    );
-    let run2 = Engine::run(
-        &mut pool2,
-        &exec,
-        &EngineConfig::builder().retries(0).rescue(&rescue).build(),
-        &mut NoopMonitor,
-    );
+    let resume = EngineConfig::builder().retries(0).rescue(&rescue).build();
+    let (run2, assembly) = real_run(&mut pool(&dir, None), &transcripts, &alignments, 3, &resume)
+        .expect("the resumed workflow runs");
     assert!(run2.succeeded(), "resume must complete: {:?}", run2.records);
+    std::fs::remove_dir_all(&dir).ok();
     let skipped = run2
         .records
         .iter()
         .filter(|r| r.state == JobState::SkippedDone)
         .count();
     assert_eq!(skipped, rescue.done.len());
+    assert_eq!(sequences(&assembly), sequences(&serial.output));
+}
 
-    let final_records = fasta::read_file(workdir.join(names::FINAL)).unwrap();
-    assert_eq!(final_records.len(), reference_count);
-    std::fs::remove_dir_all(&workdir).ok();
-    std::fs::remove_dir_all(&out.workdir).ok();
+/// A work directory that cannot hold the inputs is a typed error naming
+/// the path it could not write, not a panic.
+#[test]
+fn a_work_directory_that_is_a_file_is_an_error_naming_it() {
+    let (transcripts, alignments) = dataset(4, 46);
+    let dir = workdir("not_a_directory");
+    std::fs::write(&dir, "a regular file").unwrap();
+    let err = real_run(
+        &mut pool(&dir, None),
+        &transcripts,
+        &alignments,
+        2,
+        &retries(0),
+    )
+    .expect_err("no input can be written under a regular file");
+    std::fs::remove_file(&dir).ok();
+    let path = dir.join(names::TRANSCRIPTS);
+    let expected = format!("cannot write {}: ", path.display());
+    assert!(err.starts_with(&expected), "{err}");
 }

@@ -177,8 +177,7 @@ fn chaos_pool_run(seed: u64) -> WorkflowRun {
         PoolConfig {
             workers: 4,
             workdir: std::env::temp_dir().join("chaos_pool_determinism"),
-            synthetic_time_scale: scale,
-            install_time_scale: scale,
+            time_scale: scale,
         },
         TaskRegistry::new(),
         Some(fault_injector_for(script, scale)),
