@@ -56,12 +56,12 @@ pub fn run() {
         std::fs::remove_dir_all(&workdir).ok();
         assert_eq!(serial.output.len(), assembly.len());
         let transcripts = data.transcripts.len();
-        let (serial_s, par_s) = (serial.elapsed.as_secs_f64(), run.wall_time);
+        let (serial_s, workflow_s) = (serial.elapsed.as_secs_f64(), run.wall_time);
         println!(
-            "  {families:>4} families / {transcripts:>5} transcripts: serial {serial_s:>8.4}s, workflow {par_s:>8.4}s"
+            "  {families:>4} families / {transcripts:>5} transcripts: serial {serial_s:>8.4}s, workflow {workflow_s:>8.4}s"
         );
         csv.push_str(&format!(
-            "real,{families},{transcripts},{serial_s:.4},{par_s:.4}\n"
+            "real,{families},{transcripts},{serial_s:.4},{workflow_s:.4}\n"
         ));
     }
 
