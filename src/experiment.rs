@@ -652,7 +652,7 @@ mod tests {
     }
 
     #[test]
-    fn real_run_produces_final_assembly() {
+    fn real_local_run_produces_final_assembly() {
         let data = generate(&TranscriptomeConfig {
             n_families: 15,
             family_size_mean: 3.5,
