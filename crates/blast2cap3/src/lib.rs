@@ -64,7 +64,10 @@ mod pipeline {
                 .map(|r| (r.id.clone(), r.seq.clone()))
                 .collect();
             let hsps = searcher.search_many(&queries, 2);
-            (data.transcripts, hsps.iter().map(TabularRecord::from).collect())
+            (
+                data.transcripts,
+                hsps.iter().map(TabularRecord::from).collect(),
+            )
         }
 
         #[test]

@@ -119,9 +119,7 @@ impl JobLogMonitor {
     /// stream never declared are left out.
     pub fn from_events(_jobs: &[ExecutableJob], events: &[WorkflowEvent]) -> JobLogMonitor {
         let mut log = JobLogMonitor::new();
-        for ev in events {
-            log.event(ev);
-        }
+        log.events(events);
         log
     }
 

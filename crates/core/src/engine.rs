@@ -913,9 +913,10 @@ pub struct Engine;
 
 impl Engine {
     /// Executes `wf` on `backend` under `config`, handing `sink` every
-    /// [`WorkflowEvent`] as it is emitted: after each submission or
-    /// completion event, and the `WorkflowFinished` trailer last.
-    /// What the sink saw is exactly the returned run's `events`. Pass
+    /// [`WorkflowEvent`] as it is emitted, one
+    /// [`EventSink::events`] batch after each submission or completion
+    /// event, and the `WorkflowFinished` trailer last. What the sink
+    /// saw is exactly the returned run's `events`. Pass
     /// [`NoopMonitor`] when progress reporting isn't needed.
     pub fn run(
         backend: &mut dyn ExecutionBackend,
@@ -927,9 +928,7 @@ impl Engine {
         backend.set_timeout(config.retry.timeout);
         let exec = WorkflowExecution::new(wf, config, backend.now());
         let member = Member::new(&wf.jobs, exec, 0, 0);
-        let mut observe = |_: usize, events: &[WorkflowEvent]| {
-            events.iter().for_each(|ev| sink.event(ev));
-        };
+        let mut observe = |_: usize, events: &[WorkflowEvent]| sink.events(events);
         let mut runs = run_round(backend, vec![member], usize::MAX, None, &mut observe);
         runs.pop().expect("a one-member round has one run")
     }
@@ -1262,9 +1261,11 @@ mod tests {
     struct Tape(&'static [&'static str], String);
     impl EventSink for Tape {
         fn event(&mut self, ev: &WorkflowEvent) {
-            let line = crate::events::log::append(std::slice::from_ref(ev));
+            let log = crate::events::log::write(std::slice::from_ref(ev));
+            let line = log.lines().nth(1).expect("one event line");
             if self.0.iter().any(|k| line.starts_with(k)) {
-                self.1 += &line;
+                self.1 += line;
+                self.1.push('\n');
             }
         }
     }
@@ -1539,9 +1540,10 @@ mod tests {
             exec.on_event(&died).unwrap();
             let run = exec.finish(1.0, |_| {});
             let terminal = &run.events[run.events.len() - 2];
-            let line = crate::events::log::append(std::slice::from_ref(terminal));
+            let log = crate::events::log::write(std::slice::from_ref(terminal));
+            let line = log.lines().nth(1).expect("one event line");
             assert!(line.starts_with(keyword), "{line}");
-            assert!(line.ends_with(&format!("detail={detail}\n")), "{line}");
+            assert!(line.ends_with(&format!("detail={detail}")), "{line}");
             assert_eq!(run.records[0].failures[0].reason, reason);
             let mut want = FaultCounters::default();
             want.record_reason(reason);

@@ -164,19 +164,6 @@ impl EnsembleRun {
     }
 }
 
-/// The observer of an ensemble round. Indices are positions in the
-/// round's submissions (the order of the returned
-/// [`EnsembleRun::runs`]).
-pub trait EnsembleMonitor {
-    /// Freshly emitted provenance events for one member, in causal
-    /// order. Delivered incrementally as the round progresses — the
-    /// daemon's crash-safe event logs hang off this. The batches of
-    /// one member concatenate to exactly its run's `events`; the last
-    /// one ends with the `WorkflowFinished` trailer, which is how an
-    /// observer learns that a member finished.
-    fn member_events(&mut self, index: usize, events: &[WorkflowEvent]);
-}
-
 /// Lifecycle state of one submission to a service that queues them
 /// for rounds (`pegasus serve` reports it per member).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -412,28 +399,17 @@ impl Ensemble {
         submissions: Vec<Submission>,
         config: &EnsembleConfig,
     ) -> Result<EnsembleRun, WmsError> {
-        Self::join(backend, submissions, config, &mut |_, _| {})
+        Self::run_to_completion_monitored(backend, submissions, config, &mut |_, _| {})
     }
 
-    /// [`run_to_completion`](Self::run_to_completion), handing
-    /// `monitor` every member's events as they are emitted.
+    /// [`run_to_completion`](Self::run_to_completion), handing `observe`
+    /// each member's events as they are emitted, with its position in
+    /// `submissions`. One member's batches concatenate to its run's
+    /// `events`; the last ends with the `WorkflowFinished` trailer.
     ///
     /// # Errors
     /// As [`run_to_completion`](Self::run_to_completion).
     pub fn run_to_completion_monitored(
-        backend: &mut dyn ExecutionBackend,
-        submissions: Vec<Submission>,
-        config: &EnsembleConfig,
-        monitor: &mut dyn EnsembleMonitor,
-    ) -> Result<EnsembleRun, WmsError> {
-        Self::join(backend, submissions, config, &mut |index, events| {
-            monitor.member_events(index, events)
-        })
-    }
-
-    /// Both entry points: checks the submissions, sets the round up and
-    /// runs it through [`run_round`].
-    fn join(
         backend: &mut dyn ExecutionBackend,
         mut submissions: Vec<Submission>,
         config: &EnsembleConfig,
@@ -845,20 +821,10 @@ mod tests {
 
     #[test]
     fn monitor_member_events_stream_matches_the_final_run() {
-        // The incremental member_events feed alone, trailer included,
+        // The incremental per-member feed alone, trailer included,
         // must reproduce run.events exactly — this is what makes the
         // daemon's crash-safe logs byte-identical to a post-hoc dump.
-        struct Collect {
-            streams: Vec<Vec<WorkflowEvent>>,
-        }
-        impl EnsembleMonitor for Collect {
-            fn member_events(&mut self, index: usize, events: &[WorkflowEvent]) {
-                self.streams[index].extend_from_slice(events);
-            }
-        }
-        let mut monitor = Collect {
-            streams: vec![Vec::new(), Vec::new()],
-        };
+        let mut streams: Vec<Vec<WorkflowEvent>> = vec![Vec::new(), Vec::new()];
         let subs = vec![
             Submission::new(diamond("w0"), cfg(1)),
             Submission::new(diamond("w1"), cfg(2)),
@@ -869,10 +835,10 @@ mod tests {
             &mut backend,
             subs,
             &EnsembleConfig::with_slot_budget(2),
-            &mut monitor,
+            &mut |index, events| streams[index].extend_from_slice(events),
         )
         .unwrap();
-        for (stream, run) in monitor.streams.iter().zip(&ens.runs) {
+        for (stream, run) in streams.iter().zip(&ens.runs) {
             assert_eq!(stream, &run.events, "{}", run.name);
         }
     }

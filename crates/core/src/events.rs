@@ -20,9 +20,10 @@
 //!   so a sink fed a recorded stream sees exactly what it saw live;
 //! * [`log`] is a line-oriented text format (one `keyword
 //!   key=value...` line per event in the [`crate::line`] grammar, no
-//!   serde) written by `pegasus run --events` and read back by
-//!   `pegasus statistics --from-events` / `pegasus analyze
-//!   --from-events`.
+//!   serde) written whole by [`log::write`] (`pegasus run --events`)
+//!   or as the run goes by the sink [`log::LogWriter`] (the daemon's
+//!   member logs), and read back by `pegasus statistics
+//!   --from-events` / `pegasus analyze --from-events`.
 //!
 //! Timestamps are backend seconds (simulated or real), exactly as the
 //! engine observed them. Free-text fields (workflow and job names,
@@ -315,6 +316,12 @@ pub struct Termination<'a> {
 pub trait EventSink {
     /// Consumes one event.
     fn event(&mut self, ev: &WorkflowEvent);
+
+    /// Consumes the events one step of the run emitted, in order: how
+    /// `Engine::run` hands them over. By default, one by one.
+    fn events(&mut self, batch: &[WorkflowEvent]) {
+        batch.iter().for_each(|ev| self.event(ev));
+    }
 }
 
 /// One event's breach of the framing rule, as [`Framing::step`] names
@@ -610,40 +617,89 @@ pub mod log {
     //! float representation, so `parse(&write(events))` reproduces the
     //! stream exactly.
 
-    use super::WorkflowEvent;
+    use super::{EventSink, WorkflowEvent};
     use crate::engine::{FaultReason, JobTimes};
     use crate::error::{Format, WmsError};
     use crate::line::{self, Field, Fields, Line, Value, Writer};
     use crate::planner::JobKind;
     use crate::symbols::{Name, NamePool};
+    use crate::trace::TraceId;
     use crate::workflow::JobId;
     use std::borrow::Cow;
+    use std::io;
 
     /// The version-stamped comment heading every written log.
-    pub const HEADER: &str = "# pegasus event log v1";
+    pub(crate) const HEADER: &str = "# pegasus event log v1";
 
     /// Serializes an event stream to the text format, one line per
     /// event under a version-comment header.
     pub fn write(events: &[WorkflowEvent]) -> String {
-        append_to(format!("{HEADER}\n"), events)
+        let mut out = header(None);
+        render(&mut out, events);
+        out
     }
 
-    /// Renders events as log lines *without* the header — the
-    /// incremental form the `pegasus serve` daemon appends to a
-    /// member's log file as chunks arrive. A header written once
-    /// followed by `append` chunks concatenates to exactly
-    /// [`write()`] of the full stream.
-    pub fn append(events: &[WorkflowEvent]) -> String {
-        append_to(String::new(), events)
+    /// The header lines: [`HEADER`], then the `# trace id=<16-hex>`
+    /// comment when the log carries an id. Every parser skips the
+    /// comment, so a traced log's events are an untraced one's.
+    fn header(trace: Option<TraceId>) -> String {
+        match trace {
+            Some(id) => format!("{HEADER}\n# trace id={id}\n"),
+            None => format!("{HEADER}\n"),
+        }
     }
 
     /// One [`Writer`], so one float memo, serves a whole call. A line
     /// of a fault-free log comes to 72 bytes, rounded up.
-    fn append_to(mut out: String, events: &[WorkflowEvent]) -> String {
+    fn render(out: &mut String, events: &[WorkflowEvent]) {
         out.reserve(72 * events.len());
-        let w = &mut Writer::new(&mut out);
+        let w = &mut Writer::new(out);
         events.iter().for_each(|ev| write_event(w, ev));
-        out
+    }
+
+    /// The event log written as the run goes, [`write()`]'s bytes plus
+    /// the trace comment: the header when it is made, then each batch
+    /// it is handed as an [`EventSink`], rendered into one reused
+    /// buffer and passed to `out` with one `write_all`. The first
+    /// failed write is kept, and nothing is written after it.
+    pub struct LogWriter<W: io::Write> {
+        out: W,
+        buf: String,
+        error: Option<io::Error>,
+    }
+
+    impl<W: io::Write> LogWriter<W> {
+        /// Writes the header to `out`, with the trace comment when
+        /// `trace` is given.
+        ///
+        /// # Errors
+        /// The error of the header's write.
+        pub fn new(mut out: W, trace: Option<TraceId>) -> io::Result<Self> {
+            let buf = header(trace);
+            out.write_all(buf.as_bytes())?;
+            let error = None;
+            Ok(LogWriter { out, buf, error })
+        }
+
+        /// The first write that failed, if one has.
+        pub fn error(&self) -> Option<&io::Error> {
+            self.error.as_ref()
+        }
+    }
+
+    impl<W: io::Write> EventSink for LogWriter<W> {
+        fn event(&mut self, ev: &WorkflowEvent) {
+            self.events(std::slice::from_ref(ev));
+        }
+
+        fn events(&mut self, batch: &[WorkflowEvent]) {
+            if batch.is_empty() || self.error.is_some() {
+                return;
+            }
+            self.buf.clear();
+            render(&mut self.buf, batch);
+            self.error = self.out.write_all(self.buf.as_bytes()).err();
+        }
     }
 
     type Out<'w, 'o> = &'w mut Writer<'o>;
@@ -1046,6 +1102,50 @@ mod tests {
         assert!(text.starts_with(log::HEADER));
         let back = log::parse(&text).expect("written logs parse");
         assert_eq!(back, events);
+    }
+
+    /// Keeps what it is handed and counts its `write_all` calls.
+    #[derive(Default)]
+    struct Counted(Vec<u8>, usize);
+    impl std::io::Write for Counted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            self.1 += 1;
+            self.0.extend_from_slice(buf);
+            Ok(())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn log_writer_writes_the_header_then_each_batch_with_one_write_all() {
+        let events = every_variant();
+        let body = &log::write(&events)[log::HEADER.len() + 1..];
+        let id = crate::trace::TraceId::new(0xab);
+        for (trace, head) in [
+            (None, format!("{}\n", log::HEADER)),
+            (
+                Some(id),
+                format!("{}\n# trace id=00000000000000ab\n", log::HEADER),
+            ),
+        ] {
+            let mut out = Counted::default();
+            let mut log = log::LogWriter::new(&mut out, trace).unwrap();
+            log.events(&[]);
+            events.chunks(3).for_each(|batch| log.events(batch));
+            log.event(&events[0]);
+            assert!(log.error().is_none());
+            let one = &log::write(&events[..1])[log::HEADER.len() + 1..];
+            let text = String::from_utf8(out.0).unwrap();
+            assert_eq!(text, format!("{head}{body}{one}"));
+            // The header, one per non-empty batch, one for the event.
+            assert_eq!(out.1, 1 + events.len().div_ceil(3) + 1, "{trace:?}");
+        }
     }
 
     #[test]

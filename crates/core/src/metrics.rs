@@ -583,10 +583,7 @@ pub fn record_events(
     stream: &[WorkflowEvent],
 ) -> Result<(), WmsError> {
     let (name, site, jobs) = events::validate(stream)?;
-    let mut monitor = MetricsMonitor::new(registry, site, &n_label(name, jobs));
-    for ev in stream {
-        monitor.event(ev);
-    }
+    MetricsMonitor::new(registry, site, &n_label(name, jobs)).events(stream);
     Ok(())
 }
 

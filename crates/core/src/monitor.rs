@@ -184,7 +184,8 @@ impl EventSink for TimelineMonitor {
     }
 }
 
-/// Fans one event stream out to several sinks, in push order.
+/// Fans one event stream out to several sinks, in push order, a whole
+/// batch to each sink before the next.
 #[derive(Default)]
 pub struct MultiMonitor<'a> {
     sinks: Vec<&'a mut dyn EventSink>,
@@ -204,9 +205,11 @@ impl<'a> MultiMonitor<'a> {
 
 impl EventSink for MultiMonitor<'_> {
     fn event(&mut self, ev: &WorkflowEvent) {
-        for sink in &mut self.sinks {
-            sink.event(ev);
-        }
+        self.events(std::slice::from_ref(ev));
+    }
+
+    fn events(&mut self, batch: &[WorkflowEvent]) {
+        self.sinks.iter_mut().for_each(|sink| sink.events(batch));
     }
 }
 
@@ -381,7 +384,8 @@ mod tests {
         struct Tagged(&'static str, Rc<RefCell<Vec<String>>>);
         impl EventSink for Tagged {
             fn event(&mut self, ev: &WorkflowEvent) {
-                let line = log::append(std::slice::from_ref(ev));
+                let log = log::write(std::slice::from_ref(ev));
+                let line = log.lines().nth(1).expect("one event line");
                 let keyword = line.split(' ').next().expect("a keyword");
                 self.1.borrow_mut().push(format!("{}:{keyword}", self.0));
             }

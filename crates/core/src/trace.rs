@@ -29,7 +29,7 @@
 //!
 //! Trace ids travel *outside* the event grammar: a `# trace
 //! id=<16-hex>` comment line after the event-log header
-//! ([`render_log_header`]), which every existing parser skips, so
+//! ([`events::log::LogWriter`]), which every existing parser skips, so
 //! tagged logs stay readable by every older consumer byte-for-byte.
 
 use crate::breakdown::{self, JobSpan};
@@ -86,13 +86,6 @@ impl FromStr for TraceId {
     }
 }
 
-/// Renders the event-log comment line carrying a trace id:
-/// `# trace id=<16-hex>`. Written directly under the log header;
-/// every event-log parser skips it as a comment.
-pub(crate) fn render_log_comment(id: TraceId) -> String {
-    format!("# trace id={id}")
-}
-
 /// Scans an event-log text for a `# trace id=...` comment and parses
 /// the id. `None` when the log predates tracing (or the comment is
 /// malformed — tolerated, since comments are non-normative).
@@ -108,14 +101,6 @@ pub fn trace_from_log(text: &str) -> Option<TraceId> {
         }
     }
     None
-}
-
-/// The full event-log header for a traced stream: the versioned log
-/// header plus the trace comment, newline-terminated. Concatenating
-/// this with [`events::log::append`] chunks yields a log whose
-/// *events* are byte-identical to an untraced one.
-pub fn render_log_header(id: TraceId) -> String {
-    format!("{}\n{}\n", events::log::HEADER, render_log_comment(id))
 }
 
 /// One phase interval inside a successful or failed attempt.
@@ -583,6 +568,7 @@ mod tests {
     use super::*;
     use crate::engine::scripted::ScriptedBackend;
     use crate::engine::{Engine, EngineConfig, RetryPolicy};
+    use crate::events::EventSink;
     use crate::planner::{ExecutableJob, ExecutableWorkflow};
 
     fn wf() -> ExecutableWorkflow {
@@ -641,11 +627,11 @@ mod tests {
     fn log_comment_round_trips_and_parsers_skip_it() {
         let id = TraceId::derive(7, 3);
         let run = retried_run();
-        let text = format!(
-            "{}{}",
-            render_log_header(id),
-            events::log::append(&run.events)
-        );
+        let mut bytes = Vec::new();
+        let mut log = events::log::LogWriter::new(&mut bytes, Some(id)).unwrap();
+        log.events(&run.events);
+        assert!(log.error().is_none());
+        let text = String::from_utf8(bytes).unwrap();
         assert_eq!(trace_from_log(&text), Some(id));
         let parsed = events::log::parse(&text).expect("comment lines are skipped");
         assert_eq!(parsed, run.events);

@@ -10,7 +10,7 @@ use pegasus_wms::engine::{
     Engine, EngineConfig, FaultReason, JobState, JobTimes, NoopMonitor, WorkflowOutcome,
 };
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
-use pegasus_wms::events;
+use pegasus_wms::events::{self, EventSink};
 use pegasus_wms::graph::Csr;
 use pegasus_wms::line;
 use pegasus_wms::lint;
@@ -1445,7 +1445,7 @@ fn reference_log(events: &[events::WorkflowEvent]) -> String {
             t.submitted, t.started, t.install_done, t.finished
         )
     };
-    let mut out = format!("{}\n", events::log::HEADER);
+    let mut out = String::from("# pegasus event log v1\n");
     for ev in events {
         match ev {
             E::WorkflowStarted {
@@ -1574,7 +1574,8 @@ proptest! {
     }
 
     /// `write` is the retired `writeln!` rendering byte for byte over
-    /// arbitrary streams, and `append` is `write` without its header.
+    /// arbitrary streams, and a `LogWriter` handed the stream in
+    /// arbitrary batches writes exactly `write`'s bytes.
     #[test]
     fn event_log_write_equals_the_writeln_oracle(
         specs in proptest::collection::vec(
@@ -1582,6 +1583,7 @@ proptest! {
             0..60,
         ),
         pool in (finite_f64(), finite_f64(), finite_f64(), finite_f64()),
+        cuts in proptest::collection::vec(0usize..60, 0..8),
     ) {
         let pool = [pool.0, pool.1, pool.2, pool.3];
         let stream: Vec<_> = specs
@@ -1593,8 +1595,14 @@ proptest! {
             .collect();
         let text = events::log::write(&stream);
         prop_assert_eq!(&text, &reference_log(&stream));
-        let body = events::log::append(&stream);
-        prop_assert_eq!(format!("{}\n{body}", events::log::HEADER), text);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(stream.len())).collect();
+        cuts.extend([0, stream.len()]);
+        cuts.sort_unstable();
+        let mut bytes = Vec::new();
+        let mut log = events::log::LogWriter::new(&mut bytes, None).unwrap();
+        cuts.windows(2).for_each(|w| log.events(&stream[w[0]..w[1]]));
+        prop_assert!(log.error().is_none());
+        prop_assert_eq!(String::from_utf8(bytes).unwrap(), text);
     }
 
     /// No site or transformation name makes a log its own parser

@@ -16,7 +16,8 @@ use blast2cap3_pegasus::{out, outln, serve};
 use pegasus_wms::analyzer::analyze;
 use pegasus_wms::breakdown;
 use pegasus_wms::engine::{Engine, NoopMonitor, WorkflowRun};
-use pegasus_wms::events::{self, WorkflowEvent};
+use pegasus_wms::events::log::LogWriter;
+use pegasus_wms::events::{self, EventSink, WorkflowEvent};
 use pegasus_wms::metrics::{self, MetricsRegistry};
 use pegasus_wms::statistics::{compute, render_csv};
 use pegasus_wms::trace::{self, TraceId};
@@ -225,8 +226,10 @@ pub(crate) fn adhoc_log(args: &Args) -> Vec<EventSource> {
     let script = fault_script_from(args, seed);
     let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, script);
     let id = TraceId::derive(seed, 0);
-    let header = trace::render_log_header(id);
-    let text = format!("{header}{}", events::log::append(&out.run.events));
+    let mut bytes = Vec::new();
+    let written = LogWriter::new(&mut bytes, Some(id)).map(|mut log| log.events(&out.run.events));
+    or_exit("cannot render event log", written);
+    let text = or_exit("cannot render event log", String::from_utf8(bytes));
     let label = match args.get("events") {
         Some(path) => {
             write_or_exit("event log", path, &text);

@@ -43,9 +43,10 @@ use crate::experiment::{
 use gridsim::sites::SiteRegistry;
 use pegasus_wms::dax;
 use pegasus_wms::engine::{EngineConfig, WorkflowRun};
-use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, EnsembleMonitor, Submission};
+use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
 use pegasus_wms::error::WmsError;
-use pegasus_wms::events::{self, WorkflowEvent};
+use pegasus_wms::events::log::LogWriter;
+use pegasus_wms::events::{self, EventSink, WorkflowEvent};
 use pegasus_wms::lint;
 use pegasus_wms::metrics::{self, MetricsRegistry};
 use pegasus_wms::planner::ExecutableWorkflow;
@@ -170,62 +171,29 @@ enum SchedMsg {
     Scrape(mpsc::Sender<String>),
 }
 
-/// Incremental event-log writer for one round: one log per member,
-/// header first, then chunks exactly as the ensemble emits them, so
-/// a crash at any instant leaves well-formed replayable prefixes.
-struct LogMonitor<W: Write> {
-    /// One log per member, in batch order.
-    logs: Vec<W>,
-    completed: usize,
+/// The round's observer: appends each member's chunk to its log as the
+/// ensemble emits it, so a crash leaves replayable prefixes. The first
+/// failed append is kept in `failed` (by batch position) and ends all
+/// writing; once `crash_after` trailers are on disk, the process aborts.
+fn write_member_logs<'a, W: Write>(
+    logs: &'a mut [LogWriter<W>],
+    failed: &'a mut Option<usize>,
     crash_after: Option<usize>,
-    /// The first append that failed, by batch position: nothing is
-    /// written after it, and the round reports it instead of finishing.
-    failed: Option<(usize, io::Error)>,
-}
-
-impl LogMonitor<File> {
-    fn create(
-        dir: &Path,
-        ledger: &Ledger,
-        ids: &[usize],
-        crash_after: Option<usize>,
-    ) -> io::Result<Self> {
-        let mut logs = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let mut f = File::create(member_log_path(dir, id))?;
-            // The trace id rides as a comment line under the header:
-            // every event-log parser skips it, so the *events* stay
-            // byte-identical to an untraced log, while `pegasus trace
-            // --from-events` recovers the id offline.
-            let header = match ledger.submissions[id].trace {
-                Some(tr) => trace::render_log_header(tr),
-                None => format!("{}\n", events::log::HEADER),
-            };
-            f.write_all(header.as_bytes())?;
-            logs.push(f);
-        }
-        Ok(LogMonitor {
-            logs,
-            completed: 0,
-            crash_after,
-            failed: None,
-        })
-    }
-}
-
-impl<W: Write> EnsembleMonitor for LogMonitor<W> {
-    fn member_events(&mut self, index: usize, chunk: &[WorkflowEvent]) {
-        if chunk.is_empty() || self.failed.is_some() {
+) -> impl FnMut(usize, &[WorkflowEvent]) + 'a {
+    let mut completed = 0;
+    move |index, chunk| {
+        if failed.is_some() {
             return;
         }
-        if let Err(e) = self.logs[index].write_all(events::log::append(chunk).as_bytes()) {
-            self.failed = Some((index, e));
+        logs[index].events(chunk);
+        if logs[index].error().is_some() {
+            *failed = Some(index);
             return;
         }
         // A member's last chunk ends with its trailer.
         if matches!(chunk.last(), Some(WorkflowEvent::WorkflowFinished { .. })) {
-            self.completed += 1;
-            if self.crash_after.is_some_and(|k| self.completed >= k) {
+            completed += 1;
+            if crash_after.is_some_and(|k| completed >= k) {
                 // Simulate a submit-host kill: no unwinding, no
                 // cleanup, journal round left open.
                 std::process::abort();
@@ -519,14 +487,24 @@ impl Daemon {
     ) -> Result<Vec<WorkflowRun>, String> {
         let _round = prof::scope("serve.round");
         let mut backend = self.registry.backend(site, round_seed);
-        let crash_after = self.opts.crash_after_members;
-        let mut monitor = LogMonitor::create(&self.opts.dir, &self.ledger, ids, crash_after)
+        // The trace id rides as a comment line under the header: every
+        // event-log parser skips it, so the *events* stay byte-identical
+        // to an untraced log, while `pegasus trace --from-events`
+        // recovers the id offline.
+        let (dir, ledger) = (&self.opts.dir, &self.ledger);
+        let open = |&id: &usize| {
+            let trace = ledger.submissions[id].trace;
+            LogWriter::new(File::create(member_log_path(dir, id))?, trace)
+        };
+        let mut logs: Vec<LogWriter<File>> = (ids.iter().map(open).collect::<io::Result<_>>())
             .map_err(|e| format!("cannot open member logs: {e}"))?;
-        let config = self.opts.ensemble_config();
-        let ens = Ensemble::run_to_completion_monitored(&mut backend, batch, &config, &mut monitor)
+        let (mut failed, config) = (None, self.opts.ensemble_config());
+        let mut observe = write_member_logs(&mut logs, &mut failed, self.opts.crash_after_members);
+        let ens = Ensemble::run_to_completion_monitored(&mut backend, batch, &config, &mut observe)
             .map_err(|e| format!("round failed: {e}"))?;
-        match monitor.failed {
-            Some((at, e)) => Err(format!("cannot append member log m{}.events: {e}", ids[at])),
+        drop(observe);
+        match failed.and_then(|at| Some((ids[at], logs[at].error()?))) {
+            Some((id, e)) => Err(format!("cannot append member log m{id}.events: {e}")),
             None => Ok(ens.runs),
         }
     }
@@ -1097,33 +1075,44 @@ mod tests {
     fn a_failed_member_log_append_is_remembered_and_ends_the_writing() {
         let run = crate::experiment::simulate_blast2cap3("sandhills", 4, 7, 3).run;
         let chunks: Vec<&[WorkflowEvent]> = run.events.chunks(5).collect();
+        let header = events::log::write(&[]).len();
+        // The two headers are the first two writes; chunk `fail_at`
+        // (one-based) is write `fail_at + 2`.
         for fail_at in 1..=chunks.len() {
             let (calls, written) = (Cell::new(0), Cell::new(0));
             let (calls, written) = (&calls, &written);
-            let log = || Flaky {
-                calls,
-                fail_at,
-                written,
+            let log = || {
+                let flaky = Flaky {
+                    calls,
+                    fail_at: fail_at + 2,
+                    written,
+                };
+                LogWriter::new(flaky, None).expect("the header is written")
             };
-            let mut monitor = LogMonitor {
-                logs: vec![log(), log()],
-                completed: 0,
-                crash_after: None,
-                failed: None,
-            };
+            let mut logs = vec![log(), log()];
+            let mut failed = None;
+            let mut observe = write_member_logs(&mut logs, &mut failed, None);
             // Two members' chunks interleave, as in a round.
             for (k, chunk) in chunks.iter().enumerate() {
-                monitor.member_events(k % 2, chunk);
+                observe(k % 2, chunk);
             }
-            let (at, e) = monitor.failed.as_ref().expect("the failure is kept");
-            assert_eq!(
-                (*at, e.to_string()),
-                ((fail_at - 1) % 2, "disk full".into())
-            );
-            assert_eq!(calls.get(), fail_at, "nothing is written after it");
-            let before = events::log::append(&run.events[..5 * (fail_at - 1)]).len();
-            assert_eq!(written.get(), before, "fail_at={fail_at}");
+            drop(observe);
+            let at = failed.expect("the failure is kept");
+            let e = logs[at].error().expect("its log keeps the error");
+            assert_eq!((at, e.to_string()), ((fail_at - 1) % 2, "disk full".into()));
+            assert_eq!(calls.get(), fail_at + 2, "nothing is written after it");
+            let before = events::log::write(&run.events[..5 * (fail_at - 1)]).len();
+            assert_eq!(written.get(), header + before, "fail_at={fail_at}");
         }
+        // A header that cannot be written fails the open.
+        let (calls, written) = (Cell::new(0), Cell::new(0));
+        let flaky = Flaky {
+            calls: &calls,
+            fail_at: 1,
+            written: &written,
+        };
+        let e = LogWriter::new(flaky, None).err().expect("the open fails");
+        assert_eq!((e.to_string(), written.get()), ("disk full".into(), 0));
     }
 
     #[test]

@@ -36,7 +36,7 @@ const EVERYWHERE: &str = "crates src tests examples";
 const RULES: &[Rule] = &[
     (10, "every first-party root forbids unsafe code", "src/lib.rs src/bin/pegasus/main.rs src/bin/blast2cap3.rs crates/*/src/lib.rs", "#![forbid(unsafe_code)]", Exactly(1), 0, "#![forbid(unsafe_code)]"),
     (12, "no unsafe anywhere", "src crates", "unsafe", Absent, WORD, "let b = unsafe { *p };"),
-    (12, "EventSink is the only observer hook", EVERYWHERE, "WorkflowMonitor|MonitorSink|NoopSink|run_with_sink", Absent, 0, "impl WorkflowMonitor for Probe {}"),
+    (12, "EventSink is the only observer hook", EVERYWHERE, "WorkflowMonitor|MonitorSink|NoopSink|run_with_sink|EnsembleMonitor|fn member_events", Absent, 0, "impl WorkflowMonitor for Probe {}"),
     (13, "one stream walker", "crates src tests", "mod events_pass|fn times_ordered", Absent, 0, "mod events_pass;"),
     (15, "one submission lifecycle", EVERYWHERE, "Ensemble::new|SubmissionId|DaemonMember|with_tenant_active|NoopEnsembleMonitor|with_trace(", Absent, 0, "let e = Ensemble::new(4);"),
     (15, "one plan per round: its definition and the one call", "src/serve.rs", "plan_member(", Exactly(2), 0, "let p = plan_member(&sub, &reg)?;"),
@@ -95,6 +95,8 @@ const RULES: &[Rule] = &[
     (33, "one real executor: no unstaged plan, run_pipeline or real_local_run beside it", "src crates/bench/src/figures tests examples !src/experiment.rs",
         "stage_data = false|blast2cap3::pipeline|run_pipeline|real_local_run", Absent, 0, "let out = real_local_run(10, 5, 2, 42);"),
     (33, "one real executor: plan_local is the one unstaged plan", "src/experiment.rs", "stage_data = false", Exactly(1), 0, "cfg.stage_data = false;"),
+    (35, "one event-log writer: no hand-built header or headerless chunk", EVERYWHERE, "render_log_header|render_log_comment|log::append", Absent, 0, "let body = events::log::append(&run.events);"),
+    (35, "one event-log writer: the daemon keeps no writer type of its own", EVERYWHERE, "LogMonitor", Absent, WORD, "struct LogMonitor<W: Write> {"),
 ];
 
 /// The sorted entry names of a directory.

@@ -18,7 +18,7 @@ use gridsim::platforms::osg;
 use gridsim::{FaultPlan, FaultScript, SimBackend};
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
 use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, RetryPolicy, WorkflowRun};
-use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, EnsembleMonitor, Submission};
+use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
 use pegasus_wms::events::{self, EventSink, WorkflowEvent};
 use pegasus_wms::metrics::{MetricsMonitor, MetricsRegistry};
 use pegasus_wms::monitor::{MultiMonitor, StatusMonitor, TimelineMonitor};
@@ -211,18 +211,21 @@ fn every_observer_is_handed_exactly_the_recorded_stream() {
     /// daemon's `--crash-after-members` hook keeps.
     #[derive(Default)]
     struct Tape(Vec<Vec<WorkflowEvent>>, usize);
-    impl EventSink for Tape {
-        fn event(&mut self, ev: &WorkflowEvent) {
-            self.member_events(0, std::slice::from_ref(ev));
-        }
-    }
-    impl EnsembleMonitor for Tape {
-        fn member_events(&mut self, index: usize, events: &[WorkflowEvent]) {
+    impl Tape {
+        fn deliver(&mut self, index: usize, events: &[WorkflowEvent]) {
             self.0.resize(self.0.len().max(index + 1), Vec::new());
             self.0[index].extend_from_slice(events);
             if matches!(events.last(), Some(WorkflowEvent::WorkflowFinished { .. })) {
                 self.1 += 1;
             }
+        }
+    }
+    impl EventSink for Tape {
+        fn event(&mut self, ev: &WorkflowEvent) {
+            self.deliver(0, std::slice::from_ref(ev));
+        }
+        fn events(&mut self, batch: &[WorkflowEvent]) {
+            self.deliver(0, batch);
         }
     }
     let trailer = |run: &WorkflowRun| {
@@ -258,7 +261,7 @@ fn every_observer_is_handed_exactly_the_recorded_stream() {
         &mut stormy_osg(),
         members,
         &EnsembleConfig::unbounded(),
-        &mut tape,
+        &mut |index, events| tape.deliver(index, events),
     )
     .expect("the round runs");
     assert!(!ens.runs[1].succeeded(), "the scripted crash fires");

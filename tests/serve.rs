@@ -851,6 +851,41 @@ fn a_daemon_with_no_finished_member_scrapes_empty() {
     daemon.shutdown();
 }
 
+/// Every member log a round writes is the event-log header, its trace
+/// comment, then exactly the lines `log::write` renders for the stream
+/// it holds: the daemon's writer and the whole-log writer agree byte
+/// for byte, whether the trace id was derived at admission or given.
+#[test]
+fn every_member_log_is_its_header_trace_line_and_written_stream() {
+    let dir = scratch("member-logs");
+    let daemon = Daemon::start(&dir, &["--seed", "11", "--retries", "10"]);
+    let mut conn = daemon.connect();
+    let given = TraceId::new(0x5eed);
+    expect_ok(&mut conn, &generated("alice", "sandhills", 20));
+    let traced = SubmitRequest {
+        tenant: "bob".into(),
+        site: "osg".into(),
+        seed: None,
+        retries: None,
+        priority: 0,
+        trace: Some(given),
+        source: SubmitSource::Generated { n: 20 },
+    };
+    expect_ok(&mut conn, &Request::Submit(traced));
+    expect_ok(&mut conn, &Request::Run);
+    drop(conn);
+    daemon.shutdown();
+    let header = events::log::write(&[]);
+    for (id, trace) in [(0, TraceId::derive(11, 0)), (1, given)] {
+        let path = dir.join("members").join(format!("m{id}.events"));
+        let text = std::fs::read_to_string(&path).expect("member log");
+        let stream = events::log::parse(&text).expect("member log parses");
+        assert!(stream.len() > 20, "m{id} holds a whole run");
+        let body = &events::log::write(&stream)[header.len()..];
+        assert_eq!(text, format!("{header}# trace id={trace}\n{body}"), "m{id}");
+    }
+}
+
 #[test]
 fn a_damaged_member_log_fails_its_trace_and_nothing_else() {
     let dir = scratch("trace-damage");
