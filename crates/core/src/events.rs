@@ -659,12 +659,12 @@ pub mod log {
 
     /// The event log written as the run goes, [`write()`]'s bytes plus
     /// the trace comment: the header when it is made, then each batch
-    /// it is handed as an [`EventSink`], rendered into one reused
-    /// buffer and passed to `out` with one `write_all`. The first
-    /// failed write is kept, and nothing is written after it.
+    /// it is handed as an [`EventSink`], passed to `out` with one
+    /// `write_all`. The first failed write is kept, and nothing is
+    /// written after it. A batch's text is dropped once written: the
+    /// daemon holds one writer per member of a round.
     pub struct LogWriter<W: io::Write> {
         out: W,
-        buf: String,
         error: Option<io::Error>,
     }
 
@@ -675,10 +675,8 @@ pub mod log {
         /// # Errors
         /// The error of the header's write.
         pub fn new(mut out: W, trace: Option<TraceId>) -> io::Result<Self> {
-            let buf = header(trace);
-            out.write_all(buf.as_bytes())?;
-            let error = None;
-            Ok(LogWriter { out, buf, error })
+            out.write_all(header(trace).as_bytes())?;
+            Ok(LogWriter { out, error: None })
         }
 
         /// The first write that failed, if one has.
@@ -696,9 +694,9 @@ pub mod log {
             if batch.is_empty() || self.error.is_some() {
                 return;
             }
-            self.buf.clear();
-            render(&mut self.buf, batch);
-            self.error = self.out.write_all(self.buf.as_bytes()).err();
+            let mut text = String::new();
+            render(&mut text, batch);
+            self.error = self.out.write_all(text.as_bytes()).err();
         }
     }
 
@@ -1104,9 +1102,10 @@ mod tests {
         assert_eq!(back, events);
     }
 
-    /// Keeps what it is handed and counts its `write_all` calls.
+    /// Keeps what it is handed, counts its `write_all` calls and
+    /// refuses the one numbered by its third field (0: none).
     #[derive(Default)]
-    struct Counted(Vec<u8>, usize);
+    struct Counted(Vec<u8>, usize, usize);
     impl std::io::Write for Counted {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             self.0.extend_from_slice(buf);
@@ -1114,6 +1113,9 @@ mod tests {
         }
         fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
             self.1 += 1;
+            if self.1 == self.2 {
+                return Err(std::io::Error::other("refused"));
+            }
             self.0.extend_from_slice(buf);
             Ok(())
         }
@@ -1146,6 +1148,14 @@ mod tests {
             // The header, one per non-empty batch, one for the event.
             assert_eq!(out.1, 1 + events.len().div_ceil(3) + 1, "{trace:?}");
         }
+        // A refused batch is kept, and nothing is handed on after it.
+        let mut out = Counted(Vec::new(), 0, 2);
+        let mut log = log::LogWriter::new(&mut out, None).unwrap();
+        events.chunks(3).for_each(|batch| log.events(batch));
+        log.event(&events[0]);
+        let error = log.error().map(|e| e.to_string());
+        assert_eq!(error.as_deref(), Some("refused"));
+        assert_eq!((out.1, out.0.len()), (2, log::HEADER.len() + 1));
     }
 
     #[test]
