@@ -57,107 +57,144 @@ impl Record {
     }
 }
 
-/// Streaming FASTA reader over any [`Read`].
-pub(crate) struct Reader<R: Read> {
+/// Streaming FASTA reader over any [`Read`]: one record at a time, so
+/// a caller holds only the records it keeps. [`read_file`] and
+/// [`parse_str`] are its collecting faces.
+///
+/// Lines are read as bytes. A header must be UTF-8; a body byte
+/// outside the DNA alphabet is a [`BioError::MalformedFasta`] naming
+/// its record.
+pub struct Reader<R: Read> {
     inner: BufReader<R>,
-    /// Header line of the next record, if we have already consumed it.
-    pending_header: Option<String>,
+    /// The current line without its line ending.
+    line: Vec<u8>,
+    /// `line` is a header the last body read stopped at.
+    at_header: bool,
     line_no: usize,
-    finished: bool,
+}
+
+impl Reader<std::fs::File> {
+    /// Opens a FASTA file for streaming.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+        Ok(Reader::new(std::fs::File::open(path)?))
+    }
 }
 
 impl<R: Read> Reader<R> {
     /// Wraps a reader.
-    pub(crate) fn new(inner: R) -> Self {
+    pub fn new(inner: R) -> Self {
         Reader {
             inner: BufReader::new(inner),
-            pending_header: None,
+            line: Vec::new(),
+            at_header: false,
             line_no: 0,
-            finished: false,
         }
     }
 
-    fn read_trimmed_line(&mut self, buf: &mut String) -> Result<usize> {
-        buf.clear();
-        let n = self.inner.read_line(buf)?;
-        if n > 0 {
-            self.line_no += 1;
-            while buf.ends_with('\n') || buf.ends_with('\r') {
-                buf.pop();
+    /// Reads the next line into `line`, line ending trimmed; `false`
+    /// at end of input.
+    fn next_line(&mut self) -> Result<bool> {
+        self.line.clear();
+        if self.inner.read_until(b'\n', &mut self.line)? == 0 {
+            return Ok(false);
+        }
+        self.line_no += 1;
+        while matches!(self.line.last(), Some(b'\n' | b'\r')) {
+            self.line.pop();
+        }
+        Ok(true)
+    }
+
+    /// Moves to the next header over blank lines, leaving it in
+    /// `line`; `false` at end of input.
+    fn next_header(&mut self) -> Result<bool> {
+        if std::mem::take(&mut self.at_header) {
+            return Ok(true);
+        }
+        while self.next_line()? {
+            match self.line.first() {
+                None => {}
+                Some(b'>') => return Ok(true),
+                Some(_) => {
+                    return Err(BioError::MalformedFasta {
+                        line: self.line_no,
+                        reason: format!(
+                            "expected '>' header, found {:?}",
+                            String::from_utf8_lossy(&self.line)
+                        ),
+                    })
+                }
             }
         }
-        Ok(n)
+        Ok(false)
+    }
+
+    /// Reads body lines up to the next header or the end of input,
+    /// collecting them only when `keep`.
+    fn body(&mut self, keep: bool) -> Result<Vec<u8>> {
+        let mut body = Vec::new();
+        while self.next_line()? {
+            match self.line.first() {
+                None => {}
+                Some(b'>') => {
+                    self.at_header = true;
+                    break;
+                }
+                Some(_) if keep => body.extend_from_slice(&self.line),
+                Some(_) => {}
+            }
+        }
+        Ok(body)
     }
 
     /// Reads the next record, or `Ok(None)` at end of input.
-    pub(crate) fn next_record(&mut self) -> Result<Option<Record>> {
-        if self.finished {
-            return Ok(None);
-        }
-        let mut line = String::new();
-        // Find the header: either one we already consumed, or scan
-        // forward over blank lines.
-        let header = loop {
-            if let Some(h) = self.pending_header.take() {
-                break h;
-            }
-            let n = self.read_trimmed_line(&mut line)?;
-            if n == 0 {
-                self.finished = true;
-                return Ok(None);
-            }
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('>') {
-                break rest.to_string();
-            }
-            return Err(BioError::MalformedFasta {
-                line: self.line_no,
-                reason: format!("expected '>' header, found {:?}", line),
-            });
-        };
-        if header.trim().is_empty() {
-            return Err(BioError::MalformedFasta {
-                line: self.line_no,
-                reason: "empty header".into(),
-            });
-        }
-        let (id, desc) = match header.split_once(char::is_whitespace) {
-            Some((id, desc)) => (id.to_string(), desc.trim().to_string()),
-            None => (header.clone(), String::new()),
-        };
+    pub fn next_record(&mut self) -> Result<Option<Record>> {
+        self.next_where(|_| true)
+    }
 
-        let mut body: Vec<u8> = Vec::new();
-        loop {
-            let n = self.read_trimmed_line(&mut line)?;
-            if n == 0 {
-                self.finished = true;
-                break;
+    /// Reads the next record whose id `keep` accepts, or `Ok(None)` at
+    /// end of input. Every header is checked, but the body of a record
+    /// `keep` refuses is skipped without being decoded, so an invalid
+    /// base in it goes unseen.
+    pub fn next_where(&mut self, mut keep: impl FnMut(&str) -> bool) -> Result<Option<Record>> {
+        while self.next_header()? {
+            let header = std::str::from_utf8(&self.line[1..]).map_err(|_| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+            })?;
+            if header.trim().is_empty() {
+                return Err(BioError::MalformedFasta {
+                    line: self.line_no,
+                    reason: "empty header".into(),
+                });
             }
-            if line.is_empty() {
+            let (id, desc) = header
+                .split_once(char::is_whitespace)
+                .unwrap_or((header, ""));
+            if !keep(id) {
+                self.body(false)?;
                 continue;
             }
-            if let Some(rest) = line.strip_prefix('>') {
-                self.pending_header = Some(rest.to_string());
-                break;
-            }
-            body.extend_from_slice(line.as_bytes());
+            let (id, desc) = (id.to_string(), desc.trim().to_string());
+            let body = self.body(true)?;
+            let seq = DnaSeq::from_ascii(&body).map_err(|e| match e {
+                BioError::InvalidBase { byte, pos } => BioError::MalformedFasta {
+                    line: self.line_no,
+                    reason: format!(
+                        "record {id:?}: invalid base 0x{byte:02x} at sequence offset {pos}"
+                    ),
+                },
+                other => other,
+            })?;
+            return Ok(Some(Record { id, desc, seq }));
         }
-        let seq = DnaSeq::from_ascii(&body).map_err(|e| match e {
-            BioError::InvalidBase { byte, pos } => BioError::MalformedFasta {
-                line: self.line_no,
-                reason: format!(
-                    "record {id:?}: invalid base 0x{byte:02x} at sequence offset {pos}"
-                ),
-            },
-            other => other,
-        })?;
-        Ok(Some(Record { id, desc, seq }))
+        Ok(None)
     }
 
     /// Collects every remaining record.
-    pub(crate) fn read_all(&mut self) -> Result<Vec<Record>> {
+    fn read_all(&mut self) -> Result<Vec<Record>> {
         let mut out = Vec::new();
         while let Some(rec) = self.next_record()? {
             out.push(rec);
@@ -303,15 +340,13 @@ pub fn parse_str(s: &str) -> Result<Vec<Record>> {
 
 /// Reads every record from a FASTA file on disk.
 pub fn read_file(path: impl AsRef<Path>) -> Result<Vec<Record>> {
-    let f = std::fs::File::open(path)?;
-    Reader::new(f).read_all()
+    Reader::open(path)?.read_all()
 }
 
-/// Writes records to any [`Write`], wrapping bodies at `width` columns.
-pub(crate) fn write_records<W: Write>(mut w: W, records: &[Record], width: usize) -> Result<()> {
-    for rec in records {
-        w.write_all(rec.to_fasta_string(width).as_bytes())?;
-    }
+/// Writes one record to any [`Write`] as [`write_file`] does,
+/// wrapping its body at 60 columns.
+pub fn write_record<W: Write>(mut w: W, rec: &Record) -> Result<()> {
+    w.write_all(rec.to_fasta_string(60).as_bytes())?;
     Ok(())
 }
 
@@ -319,7 +354,9 @@ pub(crate) fn write_records<W: Write>(mut w: W, records: &[Record], width: usize
 pub fn write_file(path: impl AsRef<Path>, records: &[Record]) -> Result<()> {
     let f = std::fs::File::create(path)?;
     let mut buf = std::io::BufWriter::new(f);
-    write_records(&mut buf, records, 60)?;
+    for rec in records {
+        write_record(&mut buf, rec)?;
+    }
     buf.flush()?;
     Ok(())
 }
@@ -424,6 +461,27 @@ mod tests {
             .unwrap();
         let via_read_all = parse_str(text).unwrap();
         assert_eq!(via_iter, via_read_all);
+    }
+
+    #[test]
+    fn a_refused_record_is_skipped_undecoded_but_its_header_is_checked() {
+        let only_b = |id: &str| id == "b";
+        let mut r = Reader::new(">a\nACGZ\n>b x\nGT\n\nTT\n>c\nNN\n".as_bytes());
+        let b = Record::new("b", "x", DnaSeq::from_ascii(b"GTTT").unwrap());
+        assert_eq!(r.next_where(only_b).unwrap(), Some(b));
+        assert_eq!(r.next_where(only_b).unwrap(), None);
+        let mut r = Reader::new(">a\nAC\n>\nGT\n>b\nGT\n".as_bytes());
+        let err = r.next_where(only_b).unwrap_err();
+        assert!(
+            matches!(err, BioError::MalformedFasta { line: 3, .. }),
+            "{err}"
+        );
+        let mut r = Reader::new("ACGT\n>b\nGT\n".as_bytes());
+        let err = r.next_where(only_b).unwrap_err();
+        assert!(
+            matches!(err, BioError::MalformedFasta { line: 1, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests for the sequence substrate.
 
 use bioseq::codon::{reverse_translate, translate_frame};
-use bioseq::fasta::{self, Record};
+use bioseq::error::BioError;
+use bioseq::fasta::{self, Reader, Record};
 use bioseq::kmer;
 use bioseq::seq::{DnaSeq, ProteinSeq};
 use bioseq::stats::assembly_stats;
@@ -21,6 +22,76 @@ fn protein_string() -> impl Strategy<Value = String> {
 
 fn fasta_id() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[A-Za-z0-9_.:-]{1,24}").expect("valid regex")
+}
+
+/// One drawn record: an id out of six (so ids repeat), its body, the
+/// body's line width, whether the header carries a description and
+/// whether a blank line follows the record.
+type Drawn = (usize, String, usize, bool, bool);
+
+fn drawn_records(min: usize) -> impl Strategy<Value = Vec<Drawn>> {
+    proptest::collection::vec(
+        (
+            0usize..6,
+            dna_string(),
+            1usize..70,
+            any::<bool>(),
+            any::<bool>(),
+        ),
+        min..10,
+    )
+}
+
+/// Renders drawn records as FASTA text with multi-line bodies, blank
+/// lines and, when `crlf`, Windows line endings.
+fn fasta_text(records: &[Drawn], crlf: bool) -> String {
+    let eol = if crlf { "\r\n" } else { "\n" };
+    let mut text = String::new();
+    for (id, body, width, desc, blank) in records {
+        text.push_str(&format!(">t{id}"));
+        if *desc {
+            text.push_str(" a description");
+        }
+        text.push_str(eol);
+        for line in body.as_bytes().chunks(*width) {
+            text.push_str(std::str::from_utf8(line).expect("ASCII body"));
+            text.push_str(eol);
+        }
+        if *blank {
+            text.push_str(eol);
+        }
+    }
+    text
+}
+
+/// Writes `text` to a fresh file under the temp directory.
+fn fasta_file(text: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("bioseq_prop_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("walk_{n}.fasta"));
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+/// The filtered walk: every record whose id `keep` accepts, in order.
+fn walk(path: &std::path::Path, keep: impl Fn(&str) -> bool) -> Result<Vec<Record>, BioError> {
+    let mut reader = Reader::open(path)?;
+    let mut out = Vec::new();
+    while let Some(rec) = reader.next_where(&keep)? {
+        out.push(rec);
+    }
+    Ok(out)
+}
+
+/// The ids bit `i` of `mask` keeps: `t<i>`.
+fn kept_by(mask: u8) -> impl Fn(&str) -> bool {
+    move |id: &str| {
+        id.strip_prefix('t')
+            .and_then(|i| i.parse::<u32>().ok())
+            .is_some_and(|i| mask & (1 << i) != 0)
+    }
 }
 
 proptest! {
@@ -115,5 +186,44 @@ proptest! {
     #[test]
     fn invalid_bytes_always_rejected(s in "[acgtnACGTN]{0,20}[!-@]{1}[acgtnACGTN]{0,20}") {
         prop_assert!(DnaSeq::from_ascii(s.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn filtered_walk_is_read_file_filtered(records in drawn_records(0),
+                                          crlf in any::<bool>(),
+                                          mask in any::<u8>()) {
+        let path = fasta_file(&fasta_text(&records, crlf));
+        let keep = kept_by(mask);
+        let expected: Vec<Record> = fasta::read_file(&path)
+            .unwrap()
+            .into_iter()
+            .filter(|r| keep(&r.id))
+            .collect();
+        prop_assert_eq!(walk(&path, &keep).unwrap(), expected);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn invalid_base_in_a_kept_record_is_malformed_at_its_line(
+        records in drawn_records(1),
+        crlf in any::<bool>(),
+        mask in any::<u8>(),
+        (pick, offset) in (0usize..10, 0usize..200),
+    ) {
+        let (mut records, k) = (records.clone(), pick % records.len());
+        let body = &mut records[k].1;
+        body.insert(offset % (body.len() + 1), 'Z');
+        let path = fasta_file(&fasta_text(&records, crlf));
+        let bad = format!("t{}", records[k].0);
+        let keep = |id: &str| id == bad || kept_by(mask)(id);
+        let line_of = |e: BioError| match e {
+            BioError::MalformedFasta { line, .. } => Some(line),
+            _ => None,
+        };
+        let full = fasta::read_file(&path).map(|_| ()).map_err(line_of);
+        let filtered = walk(&path, keep).map(|_| ()).map_err(line_of);
+        prop_assert!(matches!(full, Err(Some(_))), "read_file must refuse the bad base: {:?}", full);
+        prop_assert_eq!(filtered, full);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -6,13 +6,20 @@
 //! each function reads its declared inputs from `workdir` and writes
 //! its declared outputs there, mirroring the logical file names of
 //! [`crate::workflow::build_workflow`].
+//!
+//! The kernels that read the transcript dictionary stream it, so a
+//! task holds only the records it uses. A kernel that writes while it
+//! reads writes under a temporary name and renames on success, so a
+//! failed task leaves no partial output.
 
 use crate::cluster::{cluster_by_best_hit, Clusters};
 use crate::split::{split_clusters, Chunk};
-use crate::tasks::{make_transcript_dict, run_cap3_chunk, ChunkOutput};
-use bioseq::fasta::{self, Record};
+use crate::tasks::{run_cap3_chunk, ChunkOutput, TranscriptDict};
+use bioseq::fasta;
 use cap3::Cap3Params;
 use std::collections::HashSet;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Logical file names used inside the work directory.
@@ -49,6 +56,29 @@ fn io_err<E: std::fmt::Display>(what: &str) -> impl Fn(E) -> String + '_ {
     move |e| format!("{what}: {e}")
 }
 
+/// Writes `name` in `workdir` through `fill`, under a temporary name
+/// that is renamed into place only when `fill` succeeds.
+fn write_via_temp(
+    workdir: &Path,
+    name: &str,
+    fill: impl FnOnce(&mut BufWriter<File>) -> Result<(), String>,
+) -> Result<(), String> {
+    let writing = format!("writing {name}");
+    let tmp = workdir.join(format!("{name}.part"));
+    let written = File::create(&tmp)
+        .map_err(io_err(&writing))
+        .and_then(|f| {
+            let mut w = BufWriter::new(f);
+            fill(&mut w)?;
+            w.flush().map_err(io_err(&writing))
+        })
+        .and_then(|()| std::fs::rename(&tmp, workdir.join(name)).map_err(io_err(&writing)));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
 /// Serialises chunks as one `protein<TAB>tx1,tx2,...` line per cluster.
 pub(crate) fn chunk_to_tsv(chunk: &Chunk) -> String {
     let mut out = String::new();
@@ -82,15 +112,22 @@ pub(crate) fn chunk_from_tsv(text: &str) -> Result<Chunk, String> {
 }
 
 /// `list_transcripts`: dedupes `transcripts.fasta` into the
-/// transcript dictionary file.
+/// transcript dictionary file, writing the first record of each id as
+/// it is read.
 pub fn task_list_transcripts(workdir: &Path) -> Result<(), String> {
-    let records = fasta::read_file(workdir.join(names::TRANSCRIPTS))
-        .map_err(io_err("reading transcripts.fasta"))?;
-    let dict = make_transcript_dict(&records);
-    let deduped: Vec<Record> = dict.records().cloned().collect();
-    fasta::write_file(workdir.join(names::TRANSCRIPTS_DICT), &deduped)
-        .map_err(io_err("writing transcripts_dict.txt"))?;
-    Ok(())
+    let reading = io_err("reading transcripts.fasta");
+    let mut transcripts =
+        fasta::Reader::open(workdir.join(names::TRANSCRIPTS)).map_err(&reading)?;
+    write_via_temp(workdir, names::TRANSCRIPTS_DICT, |w| {
+        let mut seen = HashSet::new();
+        while let Some(rec) = transcripts.next_record().map_err(&reading)? {
+            if seen.insert(rec.id.clone()) {
+                fasta::write_record(&mut *w, &rec)
+                    .map_err(io_err("writing transcripts_dict.txt"))?;
+            }
+        }
+        Ok(())
+    })
 }
 
 /// `list_alignments`: validates `alignments.out` and re-emits it as
@@ -121,14 +158,27 @@ pub fn task_split(workdir: &Path, n: usize) -> Result<(), String> {
 }
 
 /// `run_cap3 <i>`: assembles chunk `i` and writes its contigs and the
-/// ids of merged transcripts.
+/// ids of merged transcripts. Of the dictionary it keeps only the
+/// records the chunk names.
 pub fn task_run_cap3(workdir: &Path, i: usize, params: &Cap3Params) -> Result<(), String> {
-    let dict_records = fasta::read_file(workdir.join(names::TRANSCRIPTS_DICT))
-        .map_err(io_err("reading transcripts_dict.txt"))?;
-    let dict = make_transcript_dict(&dict_records);
+    let reading = io_err("reading transcripts_dict.txt");
+    let mut dict_file =
+        fasta::Reader::open(workdir.join(names::TRANSCRIPTS_DICT)).map_err(&reading)?;
     let chunk_text = std::fs::read_to_string(workdir.join(names::protein_chunk(i)))
         .map_err(io_err("reading protein chunk"))?;
     let chunk = chunk_from_tsv(&chunk_text)?;
+    let named: HashSet<&str> = chunk
+        .clusters
+        .iter()
+        .flat_map(|(_, members)| members.iter().map(String::as_str))
+        .collect();
+    let mut dict = TranscriptDict::default();
+    while let Some(rec) = dict_file
+        .next_where(|id| named.contains(id) && dict.get(id).is_none())
+        .map_err(&reading)?
+    {
+        dict.insert(rec);
+    }
     let out = run_cap3_chunk(&dict, &chunk, params);
     fasta::write_file(workdir.join(names::joined(i)), &out.contigs)
         .map_err(io_err("writing joined fasta"))?;
@@ -167,30 +217,37 @@ pub fn task_merge(workdir: &Path, n: usize) -> Result<(), String> {
 }
 
 /// `extract_unjoined`: emits the final assembly — merged contigs
-/// followed by every transcript that joined nothing.
+/// followed by every transcript that joined nothing, streamed from
+/// the dictionary.
 pub fn task_extract_unjoined(workdir: &Path) -> Result<(), String> {
-    let dict_records = fasta::read_file(workdir.join(names::TRANSCRIPTS_DICT))
-        .map_err(io_err("reading transcripts_dict.txt"))?;
+    let reading = io_err("reading transcripts_dict.txt");
+    let mut dict_file =
+        fasta::Reader::open(workdir.join(names::TRANSCRIPTS_DICT)).map_err(&reading)?;
     let joined_all = fasta::read_file(workdir.join(names::JOINED_ALL))
         .map_err(io_err("reading joined_all.fasta"))?;
     let ids_text = std::fs::read_to_string(workdir.join(names::JOINED_IDS_ALL))
         .map_err(io_err("reading joined_ids_all.txt"))?;
     let joined: HashSet<&str> = ids_text.lines().collect();
-    let mut final_records = joined_all;
-    final_records.extend(
-        dict_records
-            .into_iter()
-            .filter(|r| !joined.contains(r.id.as_str())),
-    );
-    fasta::write_file(workdir.join(names::FINAL), &final_records)
-        .map_err(io_err("writing final.fasta"))?;
-    Ok(())
+    write_via_temp(workdir, names::FINAL, |w| {
+        let writing = io_err("writing final.fasta");
+        for rec in &joined_all {
+            fasta::write_record(&mut *w, rec).map_err(&writing)?;
+        }
+        while let Some(rec) = dict_file
+            .next_where(|id| !joined.contains(id))
+            .map_err(&reading)?
+        {
+            fasta::write_record(&mut *w, &rec).map_err(&writing)?;
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serial::run_serial;
+    use bioseq::fasta::Record;
     use bioseq::seq::DnaSeq;
     use blastx::tabular::TabularRecord;
     use rand::rngs::StdRng;
@@ -348,6 +405,72 @@ mod tests {
         assert!(err.contains("transcripts.fasta"), "err={err}");
         let err = task_run_cap3(&workdir, 0, &Cap3Params::default()).unwrap_err();
         assert!(err.contains("transcripts_dict"), "err={err}");
+        std::fs::remove_dir_all(&workdir).ok();
+    }
+
+    #[test]
+    fn a_chunk_member_missing_from_the_dictionary_is_skipped() {
+        let (transcripts, alignments) = workload(1);
+        let workdir = fresh_workdir("stale");
+        fasta::write_file(workdir.join(names::TRANSCRIPTS), &transcripts).unwrap();
+        blastx::tabular::write_file(workdir.join(names::ALIGNMENTS), &alignments).unwrap();
+        task_list_transcripts(&workdir).unwrap();
+        std::fs::write(
+            workdir.join(names::protein_chunk(0)),
+            "p0\tf0_t0,ghost,f0_t1,f0_t2\n",
+        )
+        .unwrap();
+        task_run_cap3(&workdir, 0, &Cap3Params::default()).unwrap();
+        let contigs = fasta::read_file(workdir.join(names::joined(0))).unwrap();
+        assert_eq!(contigs.len(), 1, "the three real members still assemble");
+        let ids = std::fs::read_to_string(workdir.join(names::joined_ids(0))).unwrap();
+        let mut ids: Vec<&str> = ids.lines().collect();
+        ids.sort_unstable();
+        assert_eq!(ids, ["f0_t0", "f0_t1", "f0_t2"]);
+        std::fs::remove_dir_all(&workdir).ok();
+    }
+
+    #[test]
+    fn a_bad_base_no_chunk_wants_fails_the_run_at_extract_unjoined() {
+        let (transcripts, alignments) = workload(2);
+        let workdir = fresh_workdir("bad_base");
+        fasta::write_file(workdir.join(names::TRANSCRIPTS), &transcripts).unwrap();
+        blastx::tabular::write_file(workdir.join(names::ALIGNMENTS), &alignments).unwrap();
+        task_list_transcripts(&workdir).unwrap();
+        task_list_alignments(&workdir).unwrap();
+        task_split(&workdir, 2).unwrap();
+        let dict = workdir.join(names::TRANSCRIPTS_DICT);
+        let mut text = std::fs::read_to_string(&dict).unwrap();
+        text.push_str(">poison\nACGZ\n");
+        std::fs::write(&dict, text).unwrap();
+        for i in 0..2 {
+            task_run_cap3(&workdir, i, &Cap3Params::default()).unwrap();
+        }
+        task_merge(&workdir, 2).unwrap();
+        let err = task_extract_unjoined(&workdir).unwrap_err();
+        assert!(err.contains("transcripts_dict.txt"), "err={err}");
+        assert!(err.contains("poison"), "err={err}");
+        assert!(
+            !workdir.join(names::FINAL).exists(),
+            "no partial final.fasta"
+        );
+        assert!(!workdir.join("final.fasta.part").exists());
+        std::fs::remove_dir_all(&workdir).ok();
+    }
+
+    #[test]
+    fn a_malformed_transcripts_file_leaves_no_dictionary() {
+        let workdir = fresh_workdir("malformed");
+        let good = rec("good", &random_template(1, 20_000));
+        let text = fasta::to_string(&[good]) + ">bad\nACGZ\n";
+        std::fs::write(workdir.join(names::TRANSCRIPTS), text).unwrap();
+        let err = task_list_transcripts(&workdir).unwrap_err();
+        assert!(err.contains("transcripts.fasta"), "err={err}");
+        let left: Vec<String> = std::fs::read_dir(&workdir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(left, [names::TRANSCRIPTS], "nothing but the input is left");
         std::fs::remove_dir_all(&workdir).ok();
     }
 }

@@ -40,6 +40,15 @@ impl TranscriptDict {
     pub(crate) fn records(&self) -> impl Iterator<Item = &Record> {
         self.order.iter().filter_map(|id| self.map.get(id))
     }
+
+    /// Adds `rec` unless its id is already present: the first record
+    /// of an id wins.
+    pub(crate) fn insert(&mut self, rec: Record) {
+        if !self.map.contains_key(&rec.id) {
+            self.order.push(rec.id.clone());
+            self.map.insert(rec.id.clone(), rec);
+        }
+    }
 }
 
 /// `list_transcripts()`: indexes the transcript FASTA by id.
@@ -48,10 +57,7 @@ impl TranscriptDict {
 pub(crate) fn make_transcript_dict(records: &[Record]) -> TranscriptDict {
     let mut dict = TranscriptDict::default();
     for rec in records {
-        if !dict.map.contains_key(&rec.id) {
-            dict.order.push(rec.id.clone());
-            dict.map.insert(rec.id.clone(), rec.clone());
-        }
+        dict.insert(rec.clone());
     }
     dict
 }

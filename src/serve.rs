@@ -733,12 +733,13 @@ fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
         // Report how far each in-flight member got, then re-execute
         // the whole round with its journaled seed: deterministic
         // engines make the re-run byte-identical to the one the
-        // crash destroyed.
+        // crash destroyed. A log the crash cut inside a line counts
+        // its whole lines, as the journal reader does.
         for &id in &open.members {
             let path = member_log_path(&opts.dir, id);
             let n = fs::read_to_string(&path)
                 .ok()
-                .and_then(|text| events::log::parse(&text).ok())
+                .and_then(|text| events::log::parse(proto::whole_lines(&text)).ok())
                 .map_or(0, |ev| ev.len());
             crate::outln!("recovering member id={id} events={n}");
             let _ = fs::remove_file(&path);

@@ -121,6 +121,66 @@ fn pegasus_generate_plan_run_session() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--profile` adds one `profile:` line on stderr naming every scope
+/// the verb passes through, and changes no stdout byte; without it no
+/// such line appears.
+#[test]
+fn profile_prints_one_stderr_line_of_the_verbs_scopes() {
+    let dir = tmpdir("profile");
+    let dax = dir.join("wf.dax");
+    let dax = dax.to_str().unwrap();
+    let out = pegasus()
+        .args(["generate-dax", "--n", "12", "--out", dax])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let sessions: [(&[&str], &[&str]); 3] = [
+        (
+            &["plan", "--dax", dax, "--site", "sandhills"],
+            &["dax.parse", "graph.csr", "plan"],
+        ),
+        (
+            &["run", "--dax", dax, "--site", "sandhills"],
+            &["dax.parse", "engine.run", "graph.csr", "plan"],
+        ),
+        (
+            &["ensemble", "--sizes", "10,20"],
+            &["ensemble.join", "graph.csr", "plan"],
+        ),
+    ];
+    let profile_lines = |stderr: &[u8]| -> Vec<String> {
+        String::from_utf8_lossy(stderr)
+            .lines()
+            .filter(|l| l.starts_with("profile:"))
+            .map(String::from)
+            .collect()
+    };
+    for (argv, scopes) in sessions {
+        let run = |flag: &[&str]| {
+            let out = pegasus()
+                .current_dir(&dir)
+                .args(argv)
+                .args(flag)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{argv:?} {flag:?}");
+            out
+        };
+        let (on, off) = (run(&["--profile"]), run(&[]));
+        assert_eq!(on.stdout, off.stdout, "{argv:?}: stdout must not change");
+        assert_eq!(profile_lines(&off.stderr), Vec::<String>::new(), "{argv:?}");
+        let lines = profile_lines(&on.stderr);
+        assert_eq!(lines.len(), 1, "{argv:?}: {lines:?}");
+        let mut named: Vec<&str> = lines[0]["profile:".len()..]
+            .split_whitespace()
+            .map(|scope| scope.split_once('=').expect("label=seconds").0)
+            .collect();
+        named.sort_unstable();
+        assert_eq!(named, scopes, "{argv:?}: {}", lines[0]);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn pegasus_failure_rescue_resume_session() {
     let dir = tmpdir("rescue");

@@ -644,6 +644,53 @@ fn crash_mid_round_then_restart_recovers_byte_identical_state() {
     }
 }
 
+/// Recovery reports how far an in-flight member got by the whole lines
+/// of its log: a log the crash cut inside its last line counts the
+/// events before the cut, and the restart recovers exactly what a
+/// restart over the uncut log recovers.
+#[test]
+fn recovery_counts_the_whole_lines_of_a_member_log_cut_mid_line() {
+    let crashed = |name: &str| {
+        let dir = scratch(name);
+        let daemon = Daemon::start(&dir, &["--seed", "7", "--crash-after-members", "1"]);
+        let mut conn = daemon.connect();
+        expect_ok(&mut conn, &generated("alice", "sandhills", 10));
+        expect_ok(&mut conn, &generated("bob", "sandhills", 40));
+        assert!(conn.request(&Request::Run).is_err());
+        drop(conn);
+        daemon.wait_for_death();
+        dir
+    };
+    let (uncut, cut) = (crashed("whole-lines-uncut"), crashed("whole-lines-cut"));
+
+    // The member the crash left in flight is the one with no trailer.
+    let log_of = |id: usize| cut.join("members").join(format!("m{id}.events"));
+    let id = (0..2)
+        .find(|&id| {
+            let text = std::fs::read_to_string(log_of(id)).expect("member log");
+            !text.contains("workflow-finished")
+        })
+        .expect("one member is in flight");
+    let text = std::fs::read_to_string(log_of(id)).expect("member log");
+    let events = events::log::parse(&text)
+        .expect("an uncut prefix parses")
+        .len();
+    let last = text.lines().last().expect("the log has lines");
+    assert!(events > 1 && !last.starts_with('#'), "last line {last:?}");
+    std::fs::write(log_of(id), &text[..text.len() - last.len() / 2]).expect("cut the log");
+
+    let views = |dir: &Path, events: usize| {
+        let daemon = Daemon::start(dir, &["--seed", "7"]);
+        let line = format!("recovering member id={id} events={events}");
+        assert!(daemon.startup.contains(&line), "{:?}", daemon.startup);
+        let status = expect_lines(&mut daemon.connect(), &Request::Status);
+        let scrape = client::scrape(&daemon.metrics_addr).expect("HTTP scrape");
+        daemon.shutdown();
+        (status, scrape)
+    };
+    assert_eq!(views(&cut, events - 1), views(&uncut, events));
+}
+
 #[test]
 fn journal_torn_inside_its_final_record_recovers_to_the_record_before() {
     // Two rounds, one cancel: the journal's final record is round 1's
