@@ -4,7 +4,7 @@
 //! checks: generate → plan → run → fail → rescue → resume, plus the
 //! `b2c3` simulate → align → run data path.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -1227,11 +1227,11 @@ fn blast2cap3_simulate_then_run_both_modes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every HSP `b2c3 align` reports is pinned byte for byte: the golden
-/// was written by the aligner before its kernels ran on lookup tables.
-#[test]
-fn blast2cap3_align_matches_the_blastx_golden() {
-    let dir = tmpdir("blastx_golden");
+/// Simulates the 300-family, seed-7 transcriptome in a fresh `tag`
+/// directory and aligns it with two threads into
+/// `blastx_f300_s7.tsv` there.
+fn aligned_f300_s7(tag: &str) -> PathBuf {
+    let dir = tmpdir(tag);
     let out = b2c3()
         .args(["simulate", "--families", "300", "--seed", "7"])
         .args(["--dir", dir.to_str().unwrap()])
@@ -1242,13 +1242,13 @@ fn blast2cap3_align_matches_the_blastx_golden() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let hsps = dir.join("blastx_f300_s7.tsv");
     let out = b2c3()
         .args(["align", "--transcripts"])
         .arg(dir.join("transcripts.fasta"))
         .arg("--proteins")
         .arg(dir.join("proteins.fasta"))
-        .args(["--threads", "2", "--out", hsps.to_str().unwrap()])
+        .args(["--threads", "2", "--out"])
+        .arg(dir.join("blastx_f300_s7.tsv"))
         .output()
         .unwrap();
     assert!(
@@ -1256,14 +1256,63 @@ fn blast2cap3_align_matches_the_blastx_golden() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    dir
+}
+
+/// Asserts that `path` holds the bytes of the equivalence golden `name`.
+fn assert_matches_golden(path: &Path, name: &str) {
     let golden = std::fs::read(
         PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures/equivalence/blastx_f300_s7.tsv"),
+            .join("tests/fixtures/equivalence")
+            .join(name),
     )
     .unwrap();
     assert!(
-        std::fs::read(&hsps).unwrap() == golden,
-        "b2c3 align output differs from tests/fixtures/equivalence/blastx_f300_s7.tsv"
+        std::fs::read(path).unwrap() == golden,
+        "{} differs from tests/fixtures/equivalence/{name}",
+        path.display()
     );
+}
+
+/// Every HSP `b2c3 align` reports is pinned byte for byte: the golden
+/// was written by the aligner before its kernels ran on lookup tables.
+#[test]
+fn blast2cap3_align_matches_the_blastx_golden() {
+    let dir = aligned_f300_s7("blastx_golden");
+    assert_matches_golden(&dir.join("blastx_f300_s7.tsv"), "blastx_f300_s7.tsv");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Both in-process drivers are pinned byte for byte on the aligned
+/// 300-family transcriptome: the goldens were written before the
+/// drivers borrowed the transcripts instead of copying them.
+#[test]
+fn blast2cap3_run_matches_the_serial_and_parallel_goldens() {
+    let dir = aligned_f300_s7("run_golden");
+    for (golden, extra) in [
+        ("b2c3_serial_f300_s7.fasta", vec!["--serial"]),
+        (
+            "b2c3_parallel_c64_t2_f300_s7.fasta",
+            vec!["--chunks", "64", "--threads", "2"],
+        ),
+    ] {
+        let assembly = dir.join(golden);
+        let out = b2c3()
+            .args(["run", "--transcripts"])
+            .arg(dir.join("transcripts.fasta"))
+            .arg("--alignments")
+            .arg(dir.join("blastx_f300_s7.tsv"))
+            .arg("--out")
+            .arg(&assembly)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_matches_golden(&assembly, golden);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
