@@ -34,41 +34,66 @@ impl Clusters {
     }
 }
 
-/// Clusters transcripts by their best protein hit.
+/// Each transcript's best protein hit, fed one alignment at a time,
+/// so a caller streaming a tabular file holds one entry per
+/// transcript, not the whole table.
 ///
 /// Best means highest bit score; ties are broken by subject id, then
 /// by first occurrence, so the result is deterministic for any input
 /// order of equal-scored records.
-pub fn cluster_by_best_hit(alignments: &[TabularRecord]) -> Clusters {
-    // transcript -> (subject, bit_score) of its best hit so far.
-    let mut best: HashMap<&str, (&str, f64)> = HashMap::new();
-    for rec in alignments {
-        match best.get(rec.query_id.as_str()) {
-            Some(&(cur_subj, cur_bs)) => {
-                let better = rec.bit_score > cur_bs
-                    || (rec.bit_score == cur_bs && rec.subject_id.as_str() < cur_subj);
+#[derive(Debug, Default)]
+pub(crate) struct BestHits {
+    /// transcript -> (subject, bit_score) of its best hit so far.
+    best: HashMap<String, (String, f64)>,
+}
+
+impl BestHits {
+    /// Takes one alignment into account.
+    pub(crate) fn add(&mut self, rec: &TabularRecord) {
+        let subject = rec.subject_id.as_str();
+        match self.best.get_mut(rec.query_id.as_str()) {
+            Some((cur_subj, cur_bs)) => {
+                let better = rec.bit_score > *cur_bs
+                    || (rec.bit_score == *cur_bs && subject < cur_subj.as_str());
                 if better {
-                    best.insert(&rec.query_id, (&rec.subject_id, rec.bit_score));
+                    subject.clone_into(cur_subj);
+                    *cur_bs = rec.bit_score;
                 }
             }
             None => {
-                best.insert(&rec.query_id, (&rec.subject_id, rec.bit_score));
+                let hit = (subject.to_string(), rec.bit_score);
+                self.best.insert(rec.query_id.clone(), hit);
             }
         }
     }
-    let mut by_protein: HashMap<&str, Vec<&str>> = HashMap::new();
-    for (tx, (subj, _)) in &best {
-        by_protein.entry(subj).or_default().push(tx);
+
+    /// Groups the transcripts by best protein: groups sorted by
+    /// protein id, members by transcript id.
+    pub(crate) fn into_clusters(self) -> Clusters {
+        let mut by_protein: HashMap<String, Vec<String>> = HashMap::new();
+        for (tx, (subj, _)) in self.best {
+            by_protein.entry(subj).or_default().push(tx);
+        }
+        let mut groups: Vec<(String, Vec<String>)> = by_protein
+            .into_iter()
+            .map(|(p, mut txs)| {
+                txs.sort_unstable();
+                (p, txs)
+            })
+            .collect();
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        Clusters { groups }
     }
-    let mut groups: Vec<(String, Vec<String>)> = by_protein
-        .into_iter()
-        .map(|(p, mut txs)| {
-            txs.sort_unstable();
-            (p.to_string(), txs.into_iter().map(String::from).collect())
-        })
-        .collect();
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
-    Clusters { groups }
+}
+
+/// Clusters transcripts by their best protein hit: the `BestHits`
+/// rule fed from a slice.
+pub fn cluster_by_best_hit(alignments: &[TabularRecord]) -> Clusters {
+    let mut best = BestHits::default();
+    for rec in alignments {
+        best.add(rec);
+    }
+    best.into_clusters()
 }
 
 #[cfg(test)]

@@ -7,19 +7,23 @@
 //! its declared outputs there, mirroring the logical file names of
 //! [`crate::workflow::build_workflow`].
 //!
-//! The kernels that read the transcript dictionary stream it, so a
-//! task holds only the records it uses. A kernel that writes while it
-//! reads writes under a temporary name and renames on success, so a
-//! failed task leaves no partial output.
+//! No kernel reads a whole input file: each streams its inputs one
+//! record or line at a time, so a task holds only the records it uses
+//! (`run_cap3` keeps its chunk's transcripts, `split` one best hit per
+//! transcript). A kernel that writes while it reads writes under a
+//! temporary name and renames on success, so a failed task leaves no
+//! partial output.
 
-use crate::cluster::{cluster_by_best_hit, Clusters};
+use crate::cluster::BestHits;
 use crate::split::{split_clusters, Chunk};
-use crate::tasks::{run_cap3_chunk, ChunkOutput, TranscriptDict};
+use crate::tasks::{renumbered, run_cap3_chunk, TranscriptDict};
 use bioseq::fasta;
+use blastx::tabular;
 use cap3::Cap3Params;
 use std::collections::HashSet;
+use std::fmt::Display;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// Logical file names used inside the work directory.
@@ -52,7 +56,7 @@ pub mod names {
     pub const FINAL: &str = "final.fasta";
 }
 
-fn io_err<E: std::fmt::Display>(what: &str) -> impl Fn(E) -> String + '_ {
+fn io_err<E: Display>(what: impl Display) -> impl Fn(E) -> String {
     move |e| format!("{what}: {e}")
 }
 
@@ -131,35 +135,45 @@ pub fn task_list_transcripts(workdir: &Path) -> Result<(), String> {
 }
 
 /// `list_alignments`: validates `alignments.out` and re-emits it as
-/// the alignment list artifact.
+/// the alignment list artifact, one record at a time.
 pub fn task_list_alignments(workdir: &Path) -> Result<(), String> {
-    let recs = blastx::tabular::read_file(workdir.join(names::ALIGNMENTS))
-        .map_err(io_err("reading alignments.out"))?;
-    blastx::tabular::write_file(workdir.join(names::ALIGNMENTS_LIST), &recs)
-        .map_err(io_err("writing alignments_list.txt"))?;
-    Ok(())
+    let reading = io_err("reading alignments.out");
+    let mut hits = tabular::Reader::open(workdir.join(names::ALIGNMENTS)).map_err(&reading)?;
+    write_via_temp(workdir, names::ALIGNMENTS_LIST, |w| {
+        while let Some(rec) = hits.next_record().map_err(&reading)? {
+            tabular::write_record(&mut *w, &rec).map_err(io_err("writing alignments_list.txt"))?;
+        }
+        Ok(())
+    })
 }
 
 /// `split -n <n>`: clusters by best hit and writes `n` chunk files
 /// (`protein_0.txt` .. `protein_{n-1}.txt`); when there are fewer
 /// clusters than `n`, trailing chunk files are written empty so every
-/// downstream `run_cap3_i` finds its input.
+/// downstream `run_cap3_i` finds its input. The alignment list is
+/// streamed: only each transcript's best hit is held.
 pub fn task_split(workdir: &Path, n: usize) -> Result<(), String> {
-    let recs = blastx::tabular::read_file(workdir.join(names::ALIGNMENTS_LIST))
-        .map_err(io_err("reading alignments_list.txt"))?;
-    let clusters: Clusters = cluster_by_best_hit(&recs);
-    let chunks = split_clusters(&clusters, n);
+    let reading = io_err("reading alignments_list.txt");
+    let mut hits = tabular::Reader::open(workdir.join(names::ALIGNMENTS_LIST)).map_err(&reading)?;
+    let mut best = BestHits::default();
+    while let Some(rec) = hits.next_record().map_err(&reading)? {
+        best.add(&rec);
+    }
+    let chunks = split_clusters(&best.into_clusters(), n);
     for i in 0..n.max(1) {
-        let text = chunks.get(i).map(chunk_to_tsv).unwrap_or_default();
-        std::fs::write(workdir.join(names::protein_chunk(i)), text)
-            .map_err(io_err("writing protein chunk"))?;
+        let name = names::protein_chunk(i);
+        write_via_temp(workdir, &name, |w| {
+            let text = chunks.get(i).map(chunk_to_tsv).unwrap_or_default();
+            w.write_all(text.as_bytes())
+                .map_err(io_err(format!("writing {name}")))
+        })?;
     }
     Ok(())
 }
 
 /// `run_cap3 <i>`: assembles chunk `i` and writes its contigs and the
 /// ids of merged transcripts. Of the dictionary it keeps only the
-/// records the chunk names.
+/// records the chunk names, the first of each id.
 pub fn task_run_cap3(workdir: &Path, i: usize, params: &Cap3Params) -> Result<(), String> {
     let reading = io_err("reading transcripts_dict.txt");
     let mut dict_file =
@@ -167,19 +181,19 @@ pub fn task_run_cap3(workdir: &Path, i: usize, params: &Cap3Params) -> Result<()
     let chunk_text = std::fs::read_to_string(workdir.join(names::protein_chunk(i)))
         .map_err(io_err("reading protein chunk"))?;
     let chunk = chunk_from_tsv(&chunk_text)?;
-    let named: HashSet<&str> = chunk
+    let mut wanted: HashSet<&str> = chunk
         .clusters
         .iter()
         .flat_map(|(_, members)| members.iter().map(String::as_str))
         .collect();
-    let mut dict = TranscriptDict::default();
+    let mut records = Vec::new();
     while let Some(rec) = dict_file
-        .next_where(|id| named.contains(id) && dict.get(id).is_none())
+        .next_where(|id| wanted.remove(id))
         .map_err(&reading)?
     {
-        dict.insert(rec);
+        records.push(rec);
     }
-    let out = run_cap3_chunk(&dict, &chunk, params);
+    let out = run_cap3_chunk(&TranscriptDict::new(&records), &chunk.clusters, params);
     fasta::write_file(workdir.join(names::joined(i)), &out.contigs)
         .map_err(io_err("writing joined fasta"))?;
     std::fs::write(
@@ -191,47 +205,51 @@ pub fn task_run_cap3(workdir: &Path, i: usize, params: &Cap3Params) -> Result<()
 }
 
 /// `merge -n <n>`: concatenates the per-chunk contigs (renumbering
-/// globally) and unions the joined-id lists.
+/// globally) and unions the joined-id lists, copying each chunk's
+/// files through as it reads them.
 pub fn task_merge(workdir: &Path, n: usize) -> Result<(), String> {
-    let mut outputs: Vec<ChunkOutput> = Vec::with_capacity(n);
-    for i in 0..n.max(1) {
-        let contigs = fasta::read_file(workdir.join(names::joined(i)))
-            .map_err(io_err("reading joined fasta"))?;
-        let ids_text = std::fs::read_to_string(workdir.join(names::joined_ids(i)))
-            .map_err(io_err("reading joined ids"))?;
-        outputs.push(ChunkOutput {
-            contigs,
-            joined_ids: ids_text.lines().map(String::from).collect(),
-        });
-    }
-    let merged = crate::tasks::merge_contigs(&outputs);
-    fasta::write_file(workdir.join(names::JOINED_ALL), &merged)
-        .map_err(io_err("writing joined_all.fasta"))?;
-    let all_ids: Vec<String> = outputs.iter().flat_map(|o| o.joined_ids.clone()).collect();
-    std::fs::write(
-        workdir.join(names::JOINED_IDS_ALL),
-        all_ids.join("\n") + if all_ids.is_empty() { "" } else { "\n" },
-    )
-    .map_err(io_err("writing joined_ids_all.txt"))?;
-    Ok(())
+    let mut merged = 0;
+    write_via_temp(workdir, names::JOINED_IDS_ALL, |ids_all| {
+        write_via_temp(workdir, names::JOINED_ALL, |joined_all| {
+            let writing = io_err("writing joined_all.fasta");
+            for i in 0..n.max(1) {
+                let name = names::joined(i);
+                let reading = io_err(format!("reading {name}"));
+                let mut contigs = fasta::Reader::open(workdir.join(&name)).map_err(&reading)?;
+                while let Some(contig) = contigs.next_record().map_err(&reading)? {
+                    merged += 1;
+                    fasta::write_record(&mut *joined_all, &renumbered(merged, contig))
+                        .map_err(&writing)?;
+                }
+                let name = names::joined_ids(i);
+                let reading = io_err(format!("reading {name}"));
+                let ids = File::open(workdir.join(&name)).map_err(&reading)?;
+                for id in BufReader::new(ids).lines() {
+                    writeln!(ids_all, "{}", id.map_err(&reading)?)
+                        .map_err(io_err("writing joined_ids_all.txt"))?;
+                }
+            }
+            Ok(())
+        })
+    })
 }
 
 /// `extract_unjoined`: emits the final assembly — merged contigs
-/// followed by every transcript that joined nothing, streamed from
-/// the dictionary.
+/// followed by every transcript that joined nothing, both streamed.
 pub fn task_extract_unjoined(workdir: &Path) -> Result<(), String> {
     let reading = io_err("reading transcripts_dict.txt");
     let mut dict_file =
         fasta::Reader::open(workdir.join(names::TRANSCRIPTS_DICT)).map_err(&reading)?;
-    let joined_all = fasta::read_file(workdir.join(names::JOINED_ALL))
-        .map_err(io_err("reading joined_all.fasta"))?;
+    let reading_merged = io_err("reading joined_all.fasta");
+    let mut joined_all =
+        fasta::Reader::open(workdir.join(names::JOINED_ALL)).map_err(&reading_merged)?;
     let ids_text = std::fs::read_to_string(workdir.join(names::JOINED_IDS_ALL))
         .map_err(io_err("reading joined_ids_all.txt"))?;
     let joined: HashSet<&str> = ids_text.lines().collect();
     write_via_temp(workdir, names::FINAL, |w| {
         let writing = io_err("writing final.fasta");
-        for rec in &joined_all {
-            fasta::write_record(&mut *w, rec).map_err(&writing)?;
+        while let Some(rec) = joined_all.next_record().map_err(&reading_merged)? {
+            fasta::write_record(&mut *w, &rec).map_err(&writing)?;
         }
         while let Some(rec) = dict_file
             .next_where(|id| !joined.contains(id))
@@ -466,11 +484,83 @@ mod tests {
         std::fs::write(workdir.join(names::TRANSCRIPTS), text).unwrap();
         let err = task_list_transcripts(&workdir).unwrap_err();
         assert!(err.contains("transcripts.fasta"), "err={err}");
-        let left: Vec<String> = std::fs::read_dir(&workdir)
+        assert_eq!(
+            left_in(&workdir),
+            [names::TRANSCRIPTS],
+            "nothing but the input is left"
+        );
+        std::fs::remove_dir_all(&workdir).ok();
+    }
+
+    /// The sorted names of every entry of `workdir`.
+    fn left_in(workdir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(workdir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert_eq!(left, [names::TRANSCRIPTS], "nothing but the input is left");
+        names.sort();
+        names
+    }
+
+    /// Tabular text of `alignments` followed by one row with a bad
+    /// bit score, at line `alignments.len() + 1`.
+    fn with_malformed_row(alignments: &[TabularRecord]) -> String {
+        let mut text: String = alignments.iter().map(|a| a.to_line() + "\n").collect();
+        text.push_str("f0_t0\tp0\t98.00\t100\t2\t0\t1\t300\t1\t100\t1e-40\tbits\n");
+        text
+    }
+
+    #[test]
+    fn a_malformed_hit_line_fails_list_alignments_and_split_leaving_nothing() {
+        // Enough rows that a partial output would have been flushed.
+        let (_, alignments) = workload(60);
+        let bad_line = format!("line {}", alignments.len() + 1);
+        let workdir = fresh_workdir("malformed_hits");
+        std::fs::write(
+            workdir.join(names::ALIGNMENTS),
+            with_malformed_row(&alignments),
+        )
+        .unwrap();
+        let err = task_list_alignments(&workdir).unwrap_err();
+        assert!(err.contains("alignments.out"), "err={err}");
+        assert!(err.contains(&bad_line), "err={err}");
+        assert_eq!(left_in(&workdir), [names::ALIGNMENTS]);
+
+        std::fs::rename(
+            workdir.join(names::ALIGNMENTS),
+            workdir.join(names::ALIGNMENTS_LIST),
+        )
+        .unwrap();
+        let err = task_split(&workdir, 4).unwrap_err();
+        assert!(err.contains("alignments_list.txt"), "err={err}");
+        assert!(err.contains(&bad_line), "err={err}");
+        assert_eq!(left_in(&workdir), [names::ALIGNMENTS_LIST]);
+        std::fs::remove_dir_all(&workdir).ok();
+    }
+
+    #[test]
+    fn a_missing_chunk_assembly_fails_merge_naming_it_and_leaves_nothing() {
+        let (transcripts, alignments) = workload(40);
+        let workdir = fresh_workdir("missing_joined");
+        fasta::write_file(workdir.join(names::TRANSCRIPTS), &transcripts).unwrap();
+        blastx::tabular::write_file(workdir.join(names::ALIGNMENTS), &alignments).unwrap();
+        task_list_transcripts(&workdir).unwrap();
+        task_list_alignments(&workdir).unwrap();
+        task_split(&workdir, 3).unwrap();
+        for i in 0..3 {
+            task_run_cap3(&workdir, i, &Cap3Params::default()).unwrap();
+        }
+        let before = left_in(&workdir);
+        std::fs::remove_file(workdir.join(names::joined(2))).unwrap();
+        let err = task_merge(&workdir, 3).unwrap_err();
+        assert!(err.contains("joined_2.fasta"), "err={err}");
+        let err = task_extract_unjoined(&workdir).unwrap_err();
+        assert!(err.contains("joined_all.fasta"), "err={err}");
+        let left = left_in(&workdir);
+        let gone: Vec<&String> = before.iter().filter(|n| !left.contains(n)).collect();
+        let made: Vec<&String> = left.iter().filter(|n| !before.contains(n)).collect();
+        assert_eq!(gone, [&names::joined(2)]);
+        assert!(made.is_empty(), "merge and extract_unjoined left {made:?}");
         std::fs::remove_dir_all(&workdir).ok();
     }
 }

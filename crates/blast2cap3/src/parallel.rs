@@ -11,7 +11,7 @@
 use crate::cluster::cluster_by_best_hit;
 use crate::split::split_clusters;
 use crate::tasks::{
-    extract_unjoined, finalize, make_transcript_dict, merge_contigs, run_cap3_chunk, ChunkOutput,
+    extract_unjoined, finalize, merge_contigs, run_cap3_chunk, ChunkOutput, TranscriptDict,
 };
 use bioseq::fasta::Record;
 use blastx::tabular::TabularRecord;
@@ -33,7 +33,8 @@ pub struct ParallelReport {
 }
 
 /// Runs blast2cap3 with the workflow decomposition: `n_chunks`
-/// cluster groups processed by `threads` workers (0 = one per core).
+/// cluster groups processed by `threads` workers (0 = one per core)
+/// over the caller's `transcripts`, which it indexes but never copies.
 pub fn run_parallel(
     transcripts: &[Record],
     alignments: &[TabularRecord],
@@ -42,7 +43,7 @@ pub fn run_parallel(
     threads: usize,
 ) -> ParallelReport {
     let start = Instant::now();
-    let dict = make_transcript_dict(transcripts);
+    let dict = TranscriptDict::new(transcripts);
     let clusters = cluster_by_best_hit(alignments);
     let chunks = split_clusters(&clusters, n_chunks);
 
@@ -72,7 +73,7 @@ pub fn run_parallel(
                     if i >= chunks.len() {
                         break;
                     }
-                    let out = run_cap3_chunk(dict, &chunks[i], params);
+                    let out = run_cap3_chunk(dict, &chunks[i].clusters, params);
                     tx.send((i, out)).expect("collector alive");
                 });
             }
@@ -88,8 +89,8 @@ pub fn run_parallel(
         .map(|slot| slot.expect("every chunk processed"))
         .collect();
     let joined = chunk_outputs.iter().map(|o| o.joined_ids.len()).sum();
-    let merged = merge_contigs(&chunk_outputs);
     let unjoined = extract_unjoined(&dict, &chunk_outputs);
+    let merged = merge_contigs(chunk_outputs);
     ParallelReport {
         output: finalize(merged, unjoined),
         n_chunks: chunks.len(),

@@ -7,10 +7,7 @@
 //! wheat dataset.
 
 use crate::cluster::cluster_by_best_hit;
-use crate::split::Chunk;
-use crate::tasks::{
-    extract_unjoined, finalize, make_transcript_dict, merge_contigs, run_cap3_chunk,
-};
+use crate::tasks::{extract_unjoined, finalize, merge_contigs, run_cap3_chunk, TranscriptDict};
 use bioseq::fasta::Record;
 use blastx::tabular::TabularRecord;
 use cap3::Cap3Params;
@@ -34,26 +31,23 @@ impl SerialReport {
     }
 }
 
-/// Runs the serial blast2cap3 pipeline.
+/// Runs the serial blast2cap3 pipeline over the caller's
+/// `transcripts`, which it indexes but never copies.
 pub fn run_serial(
     transcripts: &[Record],
     alignments: &[TabularRecord],
     params: &Cap3Params,
 ) -> SerialReport {
     let start = Instant::now();
-    let dict = make_transcript_dict(transcripts);
+    let dict = TranscriptDict::new(transcripts);
     let clusters = cluster_by_best_hit(alignments);
-    let mut outputs = Vec::with_capacity(clusters.len());
-    for group in &clusters.groups {
-        // One cluster at a time, exactly like the Python script.
-        let single = Chunk {
-            clusters: vec![group.clone()],
-        };
-        outputs.push(run_cap3_chunk(&dict, &single, params));
-    }
+    // One cluster at a time, exactly like the Python script.
+    let outputs: Vec<_> = (clusters.groups.iter())
+        .map(|group| run_cap3_chunk(&dict, std::slice::from_ref(group), params))
+        .collect();
     let joined = outputs.iter().map(|o| o.joined_ids.len()).sum();
-    let merged = merge_contigs(&outputs);
     let unjoined = extract_unjoined(&dict, &outputs);
+    let merged = merge_contigs(outputs);
     SerialReport {
         output: finalize(merged, unjoined),
         joined,

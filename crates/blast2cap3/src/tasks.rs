@@ -6,8 +6,8 @@
 //!
 //! | Fig. 2 task            | kernel                     |
 //! |------------------------|----------------------------|
-//! | `list_transcripts()`   | [`make_transcript_dict`]   |
-//! | `list_alignments()`    | [`blastx::tabular::read_file`] |
+//! | `list_transcripts()`   | [`TranscriptDict::new`]    |
+//! | `list_alignments()`    | [`blastx::tabular::Reader`] |
 //! | `split()`              | [`crate::split::split_clusters`] (after [`crate::cluster::cluster_by_best_hit`]) |
 //! | `run_cap3()` × n       | [`run_cap3_chunk`]         |
 //! | `merge()`              | [`merge_contigs`]          |
@@ -15,51 +15,47 @@
 //!
 //! The kernels are pure over their inputs so the workflow engine can
 //! run them on any thread, retry them after simulated failures, and
-//! check file-level dataflow.
+//! check file-level dataflow. None copies the transcriptome: the
+//! dictionary indexes records its caller owns, contigs move into the
+//! merged set, and only the unjoined transcripts are cloned, once,
+//! into the output.
 
-use crate::split::Chunk;
 use bioseq::fasta::Record;
 use cap3::{Assembler, Cap3Params};
 use std::collections::{HashMap, HashSet};
 
-/// The `transcripts_dict.txt` artifact: transcript id -> record.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TranscriptDict {
-    map: HashMap<String, Record>,
-    /// Input order of ids, for deterministic iteration.
-    order: Vec<String>,
+/// The `transcripts_dict.txt` artifact: transcript id -> record, over
+/// records the caller owns.
+#[derive(Debug)]
+pub(crate) struct TranscriptDict<'a> {
+    map: HashMap<&'a str, &'a Record>,
+    /// Every indexed record, duplicates included, in input order.
+    all: &'a [Record],
 }
 
-impl TranscriptDict {
-    /// Looks a transcript up by id.
-    pub(crate) fn get(&self, id: &str) -> Option<&Record> {
-        self.map.get(id)
-    }
-
-    /// Records in original input order.
-    pub(crate) fn records(&self) -> impl Iterator<Item = &Record> {
-        self.order.iter().filter_map(|id| self.map.get(id))
-    }
-
-    /// Adds `rec` unless its id is already present: the first record
-    /// of an id wins.
-    pub(crate) fn insert(&mut self, rec: Record) {
-        if !self.map.contains_key(&rec.id) {
-            self.order.push(rec.id.clone());
-            self.map.insert(rec.id.clone(), rec);
+impl<'a> TranscriptDict<'a> {
+    /// `list_transcripts()`: indexes `records` by id. Later duplicates
+    /// of an id are ignored (first record wins), matching
+    /// dictionary-building semantics of the original script.
+    pub(crate) fn new(records: &'a [Record]) -> Self {
+        let mut map = HashMap::with_capacity(records.len());
+        for rec in records {
+            map.entry(rec.id.as_str()).or_insert(rec);
         }
+        TranscriptDict { map, all: records }
     }
-}
 
-/// `list_transcripts()`: indexes the transcript FASTA by id.
-/// Later duplicates of an id are ignored (first record wins), matching
-/// dictionary-building semantics of the original script.
-pub(crate) fn make_transcript_dict(records: &[Record]) -> TranscriptDict {
-    let mut dict = TranscriptDict::default();
-    for rec in records {
-        dict.insert(rec.clone());
+    /// Looks a transcript up by id.
+    pub(crate) fn get(&self, id: &str) -> Option<&'a Record> {
+        self.map.get(id).copied()
     }
-    dict
+
+    /// The first record of each id, in original input order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = &'a Record> + '_ {
+        let all = self.all;
+        all.iter()
+            .filter(|r| self.get(&r.id).is_some_and(|first| std::ptr::eq(first, *r)))
+    }
 }
 
 /// Output of one `run_cap3()` task.
@@ -71,20 +67,21 @@ pub(crate) struct ChunkOutput {
     pub(crate) joined_ids: Vec<String>,
 }
 
-/// `run_cap3()`: assembles every cluster in `chunk` independently.
+/// `run_cap3()`: assembles every `(protein, members)` cluster
+/// independently.
 ///
 /// Cluster members missing from `dict` are skipped (a stale alignment
 /// row must not fail the task — the original script logs and moves
 /// on). Singlets stay out of `joined_ids`, so they are re-emitted by
 /// [`extract_unjoined`].
 pub(crate) fn run_cap3_chunk(
-    dict: &TranscriptDict,
-    chunk: &Chunk,
+    dict: &TranscriptDict<'_>,
+    clusters: &[(String, Vec<String>)],
     params: &Cap3Params,
 ) -> ChunkOutput {
     let assembler = Assembler::new(params.clone());
     let mut out = ChunkOutput::default();
-    for (protein, members) in &chunk.clusters {
+    for (protein, members) in clusters {
         let reads: Vec<Record> = members
             .iter()
             .filter_map(|id| dict.get(id).cloned())
@@ -113,40 +110,47 @@ pub(crate) fn run_cap3_chunk(
     out
 }
 
+/// A chunk's contig as the `k`-th (1-based) record of the
+/// `joined_transcripts` artifact, its sequence moved.
+pub(crate) fn renumbered(k: usize, contig: Record) -> Record {
+    Record::new(
+        format!("Contig{k}"),
+        format!("source={} {}", contig.id, contig.desc),
+        contig.seq,
+    )
+}
+
 /// `merge()`: concatenates the per-chunk contigs into the
 /// `joined_transcripts` artifact, renumbering globally.
-pub(crate) fn merge_contigs(outputs: &[ChunkOutput]) -> Vec<Record> {
-    let mut merged = Vec::new();
-    for out in outputs {
-        for contig in &out.contigs {
-            merged.push(Record::new(
-                format!("Contig{}", merged.len() + 1),
-                format!("source={} {}", contig.id, contig.desc),
-                contig.seq.clone(),
-            ));
-        }
-    }
-    merged
+pub(crate) fn merge_contigs(outputs: Vec<ChunkOutput>) -> Vec<Record> {
+    let contigs = outputs.into_iter().flat_map(|o| o.contigs);
+    contigs
+        .enumerate()
+        .map(|(k, contig)| renumbered(k + 1, contig))
+        .collect()
 }
 
 /// `extract_unjoined()`: every input transcript that was not merged
 /// into any contig, in input order.
-pub(crate) fn extract_unjoined(dict: &TranscriptDict, outputs: &[ChunkOutput]) -> Vec<Record> {
+pub(crate) fn extract_unjoined<'a>(
+    dict: &TranscriptDict<'a>,
+    outputs: &[ChunkOutput],
+) -> Vec<&'a Record> {
     let joined: HashSet<&str> = outputs
         .iter()
         .flat_map(|o| o.joined_ids.iter().map(String::as_str))
         .collect();
     dict.records()
         .filter(|r| !joined.contains(r.id.as_str()))
-        .cloned()
         .collect()
 }
 
 /// Final concatenation: merged contigs followed by unjoined
-/// transcripts — the protein-guided assembly result.
-pub(crate) fn finalize(merged: Vec<Record>, unjoined: Vec<Record>) -> Vec<Record> {
+/// transcripts — the protein-guided assembly result. Each unjoined
+/// transcript is cloned here, once.
+pub(crate) fn finalize(merged: Vec<Record>, unjoined: Vec<&Record>) -> Vec<Record> {
     let mut out = merged;
-    out.extend(unjoined);
+    out.extend(unjoined.into_iter().cloned());
     out
 }
 
@@ -154,6 +158,7 @@ pub(crate) fn finalize(merged: Vec<Record>, unjoined: Vec<Record>) -> Vec<Record
 mod tests {
     use super::*;
     use crate::cluster::Clusters;
+    use crate::split::Chunk;
     use bioseq::seq::DnaSeq;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -182,7 +187,7 @@ mod tests {
     fn dict_deduplicates_and_preserves_order() {
         let t = random_template(1, 60);
         let records = vec![rec("a", &t), rec("b", &t), rec("a", &t[..30])];
-        let dict = make_transcript_dict(&records);
+        let dict = TranscriptDict::new(&records);
         assert_eq!(dict.map.len(), 2);
         assert_eq!(dict.get("a").unwrap().seq.len(), 60, "first record wins");
         let ids: Vec<&str> = dict.records().map(|r| r.id.as_str()).collect();
@@ -192,9 +197,10 @@ mod tests {
     #[test]
     fn run_cap3_chunk_merges_overlapping_cluster() {
         let t = random_template(2, 300);
-        let dict = make_transcript_dict(&[rec("t1", &t[..200]), rec("t2", &t[140..])]);
+        let records = [rec("t1", &t[..200]), rec("t2", &t[140..])];
+        let dict = TranscriptDict::new(&records);
         let chunk = chunk_of(&[("p1", &["t1", "t2"])]);
-        let out = run_cap3_chunk(&dict, &chunk, &Cap3Params::default());
+        let out = run_cap3_chunk(&dict, &chunk.clusters, &Cap3Params::default());
         assert_eq!(out.contigs.len(), 1);
         assert!(out.contigs[0].id.starts_with("p1_Contig"));
         let mut joined = out.joined_ids.clone();
@@ -204,21 +210,23 @@ mod tests {
 
     #[test]
     fn non_overlapping_cluster_members_stay_unjoined() {
-        let dict = make_transcript_dict(&[
+        let records = [
             rec("t1", &random_template(3, 200)),
             rec("t2", &random_template(4, 200)),
-        ]);
+        ];
+        let dict = TranscriptDict::new(&records);
         let chunk = chunk_of(&[("p1", &["t1", "t2"])]);
-        let out = run_cap3_chunk(&dict, &chunk, &Cap3Params::default());
+        let out = run_cap3_chunk(&dict, &chunk.clusters, &Cap3Params::default());
         assert!(out.contigs.is_empty());
         assert!(out.joined_ids.is_empty());
     }
 
     #[test]
     fn singleton_clusters_are_skipped() {
-        let dict = make_transcript_dict(&[rec("t1", &random_template(5, 200))]);
+        let records = [rec("t1", &random_template(5, 200))];
+        let dict = TranscriptDict::new(&records);
         let chunk = chunk_of(&[("p1", &["t1"])]);
-        let out = run_cap3_chunk(&dict, &chunk, &Cap3Params::default());
+        let out = run_cap3_chunk(&dict, &chunk.clusters, &Cap3Params::default());
         assert!(out.contigs.is_empty());
         assert!(out.joined_ids.is_empty());
     }
@@ -226,9 +234,10 @@ mod tests {
     #[test]
     fn missing_dict_entries_do_not_fail_the_task() {
         let t = random_template(6, 300);
-        let dict = make_transcript_dict(&[rec("t1", &t[..200]), rec("t2", &t[140..])]);
+        let records = [rec("t1", &t[..200]), rec("t2", &t[140..])];
+        let dict = TranscriptDict::new(&records);
         let chunk = chunk_of(&[("p1", &["t1", "t2", "ghost"])]);
-        let out = run_cap3_chunk(&dict, &chunk, &Cap3Params::default());
+        let out = run_cap3_chunk(&dict, &chunk.clusters, &Cap3Params::default());
         assert_eq!(out.contigs.len(), 1);
     }
 
@@ -243,7 +252,7 @@ mod tests {
             contigs: vec![rec("p2_Contig1", &t), rec("p2_Contig2", &t)],
             joined_ids: vec!["b".into()],
         };
-        let merged = merge_contigs(&[c1, c2]);
+        let merged = merge_contigs(vec![c1, c2]);
         let ids: Vec<&str> = merged.iter().map(|r| r.id.as_str()).collect();
         assert_eq!(ids, vec!["Contig1", "Contig2", "Contig3"]);
         assert!(merged[1].desc.contains("p2_Contig1"));
@@ -252,7 +261,8 @@ mod tests {
     #[test]
     fn extract_unjoined_returns_complement_in_input_order() {
         let t = random_template(8, 100);
-        let dict = make_transcript_dict(&[rec("a", &t), rec("b", &t), rec("c", &t)]);
+        let records = [rec("a", &t), rec("b", &t), rec("c", &t)];
+        let dict = TranscriptDict::new(&records);
         let out = ChunkOutput {
             contigs: vec![],
             joined_ids: vec!["b".into()],
@@ -266,7 +276,8 @@ mod tests {
     fn finalize_concatenates() {
         let t = random_template(9, 50);
         let merged = vec![rec("Contig1", &t)];
-        let unjoined = vec![rec("x", &t)];
+        let x = rec("x", &t);
+        let unjoined = vec![&x];
         let all = finalize(merged, unjoined);
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].id, "Contig1");
@@ -285,7 +296,7 @@ mod tests {
             rec("b1", &tb),
             rec("orphan", &random_template(12, 150)),
         ];
-        let dict = make_transcript_dict(&records);
+        let dict = TranscriptDict::new(&records);
         let clusters = Clusters {
             groups: vec![
                 ("pA".into(), vec!["a1".into(), "a2".into()]),
@@ -295,10 +306,10 @@ mod tests {
         let chunks = crate::split::split_clusters(&clusters, 2);
         let outputs: Vec<ChunkOutput> = chunks
             .iter()
-            .map(|c| run_cap3_chunk(&dict, c, &Cap3Params::default()))
+            .map(|c| run_cap3_chunk(&dict, &c.clusters, &Cap3Params::default()))
             .collect();
-        let merged = merge_contigs(&outputs);
         let unjoined = extract_unjoined(&dict, &outputs);
+        let merged = merge_contigs(outputs);
         let final_out = finalize(merged, unjoined);
         // a1+a2 merge into 1 contig; b1 and orphan pass through.
         assert_eq!(final_out.len(), 3);

@@ -4,10 +4,12 @@
 //! table; blast2cap3 reads columns 1 (query) and 2 (subject) to build
 //! protein-sharing clusters. This module writes search results in that
 //! format and parses it back, tolerating extra columns the way
-//! blast2cap3's own parser does.
+//! blast2cap3's own parser does. [`Reader`] parses one row at a time;
+//! [`read_file`] is its collecting face.
 
 use crate::search::Hsp;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
 /// One row of 12-column tabular output.
@@ -121,6 +123,9 @@ pub enum TabularError {
     TooFewColumns(usize),
     /// A numeric field failed to parse (1-based column, raw text).
     BadField(usize, String),
+    /// A row of a stream failed to parse: its 1-based line number and
+    /// why.
+    AtLine(usize, Box<TabularError>),
     /// Underlying I/O failure (message).
     Io(String),
 }
@@ -130,6 +135,7 @@ impl std::fmt::Display for TabularError {
         match self {
             TabularError::TooFewColumns(n) => write!(f, "expected 12 columns, found {n}"),
             TabularError::BadField(col, raw) => write!(f, "bad value {raw:?} in column {col}"),
+            TabularError::AtLine(line, e) => write!(f, "line {line}: {e}"),
             TabularError::Io(msg) => write!(f, "I/O error: {msg}"),
         }
     }
@@ -137,35 +143,85 @@ impl std::fmt::Display for TabularError {
 
 impl std::error::Error for TabularError {}
 
-/// Parses every record from a reader, skipping blank and `#` comment
-/// lines.
-pub(crate) fn parse_reader<R: Read>(r: R) -> Result<Vec<TabularRecord>, TabularError> {
-    let mut out = Vec::new();
-    for line in BufReader::new(r).lines() {
-        let line = line.map_err(|e| TabularError::Io(e.to_string()))?;
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        out.push(TabularRecord::parse_line(trimmed)?);
-    }
-    Ok(out)
+fn io_error(e: std::io::Error) -> TabularError {
+    TabularError::Io(e.to_string())
 }
 
-/// Reads a tabular file from disk.
+/// Streaming tabular reader over any [`BufRead`]: one record at a
+/// time, skipping blank and `#` comment lines, so a caller holds only
+/// the records it keeps. A row that fails to parse is
+/// [`TabularError::AtLine`] with its line number.
+pub struct Reader<R: BufRead> {
+    inner: R,
+    /// The current line, line ending included.
+    line: String,
+    line_no: usize,
+}
+
+impl Reader<BufReader<File>> {
+    /// Opens a tabular file for streaming.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, TabularError> {
+        let f = File::open(path).map_err(io_error)?;
+        Ok(Reader::new(BufReader::new(f)))
+    }
+}
+
+impl<R: BufRead> Reader<R> {
+    /// Wraps a buffered reader.
+    pub fn new(inner: R) -> Self {
+        Reader {
+            inner,
+            line: String::new(),
+            line_no: 0,
+        }
+    }
+
+    /// Reads the next record, or `Ok(None)` at end of input.
+    pub fn next_record(&mut self) -> Result<Option<TabularRecord>, TabularError> {
+        loop {
+            self.line.clear();
+            if self.inner.read_line(&mut self.line).map_err(io_error)? == 0 {
+                return Ok(None);
+            }
+            self.line_no += 1;
+            let row = self.line.trim_end();
+            if row.is_empty() || row.starts_with('#') {
+                continue;
+            }
+            return TabularRecord::parse_line(row)
+                .map(Some)
+                .map_err(|e| TabularError::AtLine(self.line_no, Box::new(e)));
+        }
+    }
+}
+
+impl<R: BufRead> Iterator for Reader<R> {
+    type Item = Result<TabularRecord, TabularError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_record().transpose()
+    }
+}
+
+/// Reads every record of a tabular file on disk.
 pub fn read_file(path: impl AsRef<Path>) -> Result<Vec<TabularRecord>, TabularError> {
-    let f = std::fs::File::open(path).map_err(|e| TabularError::Io(e.to_string()))?;
-    parse_reader(f)
+    Reader::open(path)?.collect()
+}
+
+/// Writes one record to any [`Write`] as one line, as [`write_file`]
+/// does.
+pub fn write_record<W: Write>(mut w: W, rec: &TabularRecord) -> Result<(), TabularError> {
+    writeln!(w, "{}", rec.to_line()).map_err(io_error)
 }
 
 /// Writes records to a tabular file on disk.
 pub fn write_file(path: impl AsRef<Path>, records: &[TabularRecord]) -> Result<(), TabularError> {
-    let f = std::fs::File::create(path).map_err(|e| TabularError::Io(e.to_string()))?;
+    let f = File::create(path).map_err(io_error)?;
     let mut w = std::io::BufWriter::new(f);
     for rec in records {
-        writeln!(w, "{}", rec.to_line()).map_err(|e| TabularError::Io(e.to_string()))?;
+        write_record(&mut w, rec)?;
     }
-    Ok(())
+    w.flush().map_err(io_error)
 }
 
 #[cfg(test)]
@@ -241,7 +297,9 @@ mod tests {
     #[test]
     fn comments_and_blanks_are_skipped() {
         let text = "# BLASTX 2.2.28+\n\nq\ts\t99.0\t80\t1\t0\t2\t241\t1\t80\t3e-42\t170.3\n";
-        let recs = parse_reader(text.as_bytes()).unwrap();
+        let recs: Vec<_> = Reader::new(text.as_bytes())
+            .collect::<Result<_, _>>()
+            .unwrap();
         assert_eq!(recs.len(), 1);
     }
 

@@ -5,7 +5,7 @@ use bioseq::seq::{DnaSeq, ProteinSeq};
 use blastx::evalue::BLOSUM62_UNGAPPED;
 use blastx::matrix::blosum62;
 use blastx::search::{SearchParams, Searcher};
-use blastx::tabular::TabularRecord;
+use blastx::tabular::{self, Reader, TabularError, TabularRecord};
 use proptest::prelude::*;
 
 fn protein_string() -> impl Strategy<Value = String> {
@@ -146,5 +146,99 @@ proptest! {
             searcher.search_many(&queries, 1),
             searcher.search_many(&queries, 4)
         );
+    }
+}
+
+/// One drawn line of tabular text: a hit of query `t<q>` (of six, so
+/// queries repeat) on protein `p<s>` with bit score `bits`, a `#`
+/// comment or a blank line.
+#[derive(Debug, Clone)]
+enum DrawnLine {
+    Hit(usize, usize, u32),
+    Comment,
+    Blank,
+}
+
+fn drawn_lines() -> impl Strategy<Value = Vec<DrawnLine>> {
+    let line =
+        (0usize..8, 0usize..6, 0usize..4, 1u32..400).prop_map(|(kind, q, s, bits)| match kind {
+            6 => DrawnLine::Comment,
+            7 => DrawnLine::Blank,
+            _ => DrawnLine::Hit(q, s, bits),
+        });
+    proptest::collection::vec(line, 0..24)
+}
+
+/// A row `parse_line` refuses: too few columns, or a bad number.
+fn malformed_row() -> impl Strategy<Value = &'static str> {
+    proptest::sample::select(vec![
+        "t0\tp0\t99.0",
+        "t1\tp1\tninety\t80\t1\t0\t2\t241\t1\t80\t3e-42\t170.3",
+        "t2\tp2\t99.0\t80\t1\t0\t2\t241\t1\t80\t3e-42\tbits",
+    ])
+}
+
+/// Renders drawn lines as tabular text, with Windows line endings when
+/// `crlf`.
+fn tabular_text(lines: &[DrawnLine], crlf: bool) -> String {
+    let eol = if crlf { "\r\n" } else { "\n" };
+    let mut text = String::new();
+    for line in lines {
+        match line {
+            DrawnLine::Hit(q, s, bits) => text.push_str(&format!(
+                "t{q}\tp{s}\t98.50\t80\t1\t0\t2\t241\t1\t80\t3.20e-42\t{bits}.0"
+            )),
+            DrawnLine::Comment => text.push_str("# BLASTX 2.2.28+"),
+            DrawnLine::Blank => {}
+        }
+        text.push_str(eol);
+    }
+    text
+}
+
+/// Writes `text` to a fresh file under the temp directory.
+fn tabular_file(text: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("blastx_prop_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("hits_{n}.tsv"));
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn collecting_the_reader_is_read_file(lines in drawn_lines(), crlf in any::<bool>()) {
+        let text = tabular_text(&lines, crlf);
+        let path = tabular_file(&text);
+        let streamed: Vec<TabularRecord> = Reader::new(text.as_bytes())
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let hits = lines.iter().filter(|l| matches!(l, DrawnLine::Hit(..))).count();
+        prop_assert_eq!(streamed.len(), hits);
+        prop_assert_eq!(tabular::read_file(&path).unwrap(), streamed);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_malformed_row_is_the_same_error_at_its_line_through_either_face(
+        lines in drawn_lines(),
+        crlf in any::<bool>(),
+        at in 0usize..24,
+        row in malformed_row(),
+    ) {
+        let at = at % (lines.len() + 1);
+        let eol = if crlf { "\r\n" } else { "\n" };
+        let text = tabular_text(&lines[..at], crlf) + row + eol + &tabular_text(&lines[at..], crlf);
+        let path = tabular_file(&text);
+        let want = TabularError::AtLine(at + 1, Box::new(TabularRecord::parse_line(row).unwrap_err()));
+        let streamed = Reader::new(text.as_bytes()).collect::<Result<Vec<_>, _>>();
+        prop_assert_eq!(streamed, Err(want));
+        let streamed = Reader::new(text.as_bytes()).collect::<Result<Vec<_>, _>>();
+        prop_assert_eq!(tabular::read_file(&path), streamed);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -97,7 +97,8 @@ const RULES: &[Rule] = &[
     (33, "one real executor: plan_local is the one unstaged plan", "src/experiment.rs", "stage_data = false", Exactly(1), 0, "cfg.stage_data = false;"),
     (35, "one event-log writer: no hand-built header or headerless chunk", EVERYWHERE, "render_log_header|render_log_comment|log::append", Absent, 0, "let body = events::log::append(&run.events);"),
     (35, "one event-log writer: the daemon keeps no writer type of its own", EVERYWHERE, "LogMonitor", Absent, WORD, "struct LogMonitor<W: Write> {"),
-    (36, "no file kernel holds the whole dictionary", "crates/blast2cap3/src/files.rs", "make_transcript_dict|read_file(workdir.join(names::TRANSCRIPTS", Absent, BEFORE_TESTS, "let dict = make_transcript_dict(&dict_records);"),
+    (37, "the transcriptome is indexed, never copied", "crates/blast2cap3/src", "make_transcript_dict", Absent, 0, "let dict = make_transcript_dict(transcripts);"),
+    (37, "no file kernel reads a whole input", "crates/blast2cap3/src/files.rs", "read_file(", Absent, BEFORE_TESTS, "let contigs = fasta::read_file(workdir.join(names::joined(i)))"),
 ];
 
 /// The sorted entry names of a directory.
