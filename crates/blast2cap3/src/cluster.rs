@@ -7,7 +7,9 @@
 //! through the pipeline unmerged.
 
 use blastx::tabular::TabularRecord;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// The protein-keyed clustering of a transcript set.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -36,33 +38,38 @@ impl Clusters {
 
 /// Each transcript's best protein hit, fed one alignment at a time,
 /// so a caller streaming a tabular file holds one entry per
-/// transcript, not the whole table.
+/// transcript, not the whole table. Ids are `S`: `&str` borrowed from
+/// records the caller holds, or `String` moved out of records it
+/// streams.
 ///
 /// Best means highest bit score; ties are broken by subject id, then
 /// by first occurrence, so the result is deterministic for any input
 /// order of equal-scored records.
-#[derive(Debug, Default)]
-pub(crate) struct BestHits {
+#[derive(Debug)]
+pub(crate) struct BestHits<S> {
     /// transcript -> (subject, bit_score) of its best hit so far.
-    best: HashMap<String, (String, f64)>,
+    best: HashMap<S, (S, f64)>,
 }
 
-impl BestHits {
-    /// Takes one alignment into account.
-    pub(crate) fn add(&mut self, rec: &TabularRecord) {
-        let subject = rec.subject_id.as_str();
-        match self.best.get_mut(rec.query_id.as_str()) {
-            Some((cur_subj, cur_bs)) => {
-                let better = rec.bit_score > *cur_bs
-                    || (rec.bit_score == *cur_bs && subject < cur_subj.as_str());
+impl<S: Borrow<str> + Hash + Ord + Into<String>> BestHits<S> {
+    pub(crate) fn new() -> Self {
+        BestHits {
+            best: HashMap::new(),
+        }
+    }
+
+    /// Takes one alignment of `query` on `subject` into account.
+    pub(crate) fn add(&mut self, query: S, subject: S, bit_score: f64) {
+        match self.best.get_mut(query.borrow()) {
+            Some(cur) => {
+                let better =
+                    bit_score > cur.1 || (bit_score == cur.1 && subject.borrow() < cur.0.borrow());
                 if better {
-                    subject.clone_into(cur_subj);
-                    *cur_bs = rec.bit_score;
+                    *cur = (subject, bit_score);
                 }
             }
             None => {
-                let hit = (subject.to_string(), rec.bit_score);
-                self.best.insert(rec.query_id.clone(), hit);
+                self.best.insert(query, (subject, bit_score));
             }
         }
     }
@@ -70,7 +77,7 @@ impl BestHits {
     /// Groups the transcripts by best protein: groups sorted by
     /// protein id, members by transcript id.
     pub(crate) fn into_clusters(self) -> Clusters {
-        let mut by_protein: HashMap<String, Vec<String>> = HashMap::new();
+        let mut by_protein: HashMap<S, Vec<S>> = HashMap::new();
         for (tx, (subj, _)) in self.best {
             by_protein.entry(subj).or_default().push(tx);
         }
@@ -78,7 +85,7 @@ impl BestHits {
             .into_iter()
             .map(|(p, mut txs)| {
                 txs.sort_unstable();
-                (p, txs)
+                (p.into(), txs.into_iter().map(Into::into).collect())
             })
             .collect();
         groups.sort_by(|a, b| a.0.cmp(&b.0));
@@ -87,11 +94,15 @@ impl BestHits {
 }
 
 /// Clusters transcripts by their best protein hit: the `BestHits`
-/// rule fed from a slice.
+/// rule fed from a slice, borrowing its ids.
 pub fn cluster_by_best_hit(alignments: &[TabularRecord]) -> Clusters {
-    let mut best = BestHits::default();
+    let mut best = BestHits::new();
     for rec in alignments {
-        best.add(rec);
+        best.add(
+            rec.query_id.as_str(),
+            rec.subject_id.as_str(),
+            rec.bit_score,
+        );
     }
     best.into_clusters()
 }
