@@ -45,19 +45,13 @@ impl Clusters {
 /// Best means highest bit score; ties are broken by subject id, then
 /// by first occurrence, so the result is deterministic for any input
 /// order of equal-scored records.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct BestHits<S> {
     /// transcript -> (subject, bit_score) of its best hit so far.
     best: HashMap<S, (S, f64)>,
 }
 
 impl<S: Borrow<str> + Hash + Ord + Into<String>> BestHits<S> {
-    pub(crate) fn new() -> Self {
-        BestHits {
-            best: HashMap::new(),
-        }
-    }
-
     /// Takes one alignment of `query` on `subject` into account.
     pub(crate) fn add(&mut self, query: S, subject: S, bit_score: f64) {
         match self.best.get_mut(query.borrow()) {
@@ -96,7 +90,7 @@ impl<S: Borrow<str> + Hash + Ord + Into<String>> BestHits<S> {
 /// Clusters transcripts by their best protein hit: the `BestHits`
 /// rule fed from a slice, borrowing its ids.
 pub fn cluster_by_best_hit(alignments: &[TabularRecord]) -> Clusters {
-    let mut best = BestHits::new();
+    let mut best = BestHits::default();
     for rec in alignments {
         best.add(
             rec.query_id.as_str(),

@@ -155,7 +155,7 @@ pub fn task_list_alignments(workdir: &Path) -> Result<(), String> {
 pub fn task_split(workdir: &Path, n: usize) -> Result<(), String> {
     let reading = io_err("reading alignments_list.txt");
     let mut hits = tabular::Reader::open(workdir.join(names::ALIGNMENTS_LIST)).map_err(&reading)?;
-    let mut best = BestHits::new();
+    let mut best = BestHits::default();
     while let Some(rec) = hits.next_record().map_err(&reading)? {
         best.add(rec.query_id, rec.subject_id, rec.bit_score);
     }
