@@ -1316,3 +1316,76 @@ fn blast2cap3_run_matches_the_serial_and_parallel_goldens() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The settings `b2c3` exposes, and the protein reader behind `align`,
+/// keep what they refuse and what they filter: a protein database with
+/// a non-residue byte or a line before its first header is an I/O
+/// error naming the database, an overlap below CAP3's seed k-mer is
+/// refused before any work, and a tighter `--max-evalue` keeps fewer
+/// rows than the default.
+#[test]
+fn b2c3_refuses_bad_proteins_and_short_overlaps_and_filters_by_evalue() {
+    let dir = aligned_f300_s7("settings_pins");
+    let transcripts = dir.join("transcripts.fasta");
+    let align = |proteins: &Path, extra: &[&str], out: &Path| {
+        b2c3()
+            .args(["align", "--transcripts"])
+            .arg(&transcripts)
+            .arg("--proteins")
+            .arg(proteins)
+            .args(["--threads", "2"])
+            .args(extra)
+            .arg("--out")
+            .arg(out)
+            .output()
+            .unwrap()
+    };
+    let ignored = dir.join("ignored.tsv");
+    for (name, text, wants) in [
+        ("residue.fasta", ">p\nMK1V\n", "record \"p\""),
+        ("headless.fasta", "MKV\n>p\nMKV\n", "line 1"),
+    ] {
+        let proteins = dir.join(name);
+        std::fs::write(&proteins, text).unwrap();
+        let out = align(&proteins, &[], &ignored);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains("cannot read proteins"), "{name}: {err}");
+        assert!(err.contains(wants), "{name}: {err}");
+    }
+    assert!(!ignored.exists());
+
+    let out = b2c3()
+        .args(["run", "--transcripts"])
+        .arg(&transcripts)
+        .arg("--alignments")
+        .arg(dir.join("blastx_f300_s7.tsv"))
+        .arg("--out")
+        .arg(dir.join("never.fasta"))
+        .args(["--min-overlap", "11"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("seed_k 12 exceeds min_overlap_len 11"),
+        "{err}"
+    );
+    assert!(!dir.join("never.fasta").exists());
+
+    let strict = dir.join("strict.tsv");
+    let out = align(
+        &dir.join("proteins.fasta"),
+        &["--max-evalue", "1e-30"],
+        &strict,
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let rows = |p: &Path| std::fs::read_to_string(p).unwrap().lines().count();
+    let (strict, default) = (rows(&strict), rows(&dir.join("blastx_f300_s7.tsv")));
+    assert!(0 < strict && strict < default, "{strict} vs {default}");
+    std::fs::remove_dir_all(&dir).ok();
+}
