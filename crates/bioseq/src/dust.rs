@@ -14,11 +14,11 @@
 use crate::alphabet::base_code;
 use crate::seq::DnaSeq;
 
-/// Default window length in bases (DUST uses 64).
-pub const DEFAULT_WINDOW: usize = 64;
+/// Window length in bases (DUST uses 64).
+const WINDOW: usize = 64;
 
-/// Default score threshold (DUST level 20 ≈ 2.0 in this scale).
-pub const DEFAULT_THRESHOLD: f64 = 2.0;
+/// Score threshold (DUST level 20 ≈ 2.0 in this scale).
+const THRESHOLD: f64 = 2.0;
 
 /// Triplet-concentration score of a base window; 0.0 for windows with
 /// fewer than two triplets or with ambiguous bases only.
@@ -46,22 +46,21 @@ pub(crate) fn window_score(window: &[u8]) -> f64 {
     sum as f64 / (triplets - 1) as f64
 }
 
-/// Masked intervals `[start, end)` of `seq` under the given window and
-/// threshold; overlapping windows are merged.
-pub(crate) fn dust_intervals(seq: &[u8], window: usize, threshold: f64) -> Vec<(usize, usize)> {
-    let window = window.max(8);
+/// Masked intervals `[start, end)` of `seq`; overlapping windows are
+/// merged.
+fn dust_intervals(seq: &[u8]) -> Vec<(usize, usize)> {
     let mut out: Vec<(usize, usize)> = Vec::new();
     let mut i = 0usize;
     while i < seq.len() {
-        let end = (i + window).min(seq.len());
-        if window_score(&seq[i..end]) > threshold {
+        let end = (i + WINDOW).min(seq.len());
+        if window_score(&seq[i..end]) > THRESHOLD {
             match out.last_mut() {
                 Some(last) if last.1 >= i => last.1 = end,
                 _ => out.push((i, end)),
             }
         }
         // Half-window stride balances sensitivity and cost.
-        i += window / 2;
+        i += WINDOW / 2;
     }
     out
 }
@@ -69,16 +68,16 @@ pub(crate) fn dust_intervals(seq: &[u8], window: usize, threshold: f64) -> Vec<(
 /// Returns a copy of `seq` with low-complexity regions replaced by `N`.
 ///
 /// ```
-/// use bioseq::dust::{dust_mask, DEFAULT_THRESHOLD, DEFAULT_WINDOW};
+/// use bioseq::dust::dust_mask;
 /// use bioseq::seq::DnaSeq;
 ///
 /// let poly_a = DnaSeq::from_ascii(&b"A".repeat(100)).unwrap();
-/// let masked = dust_mask(&poly_a, DEFAULT_WINDOW, DEFAULT_THRESHOLD);
+/// let masked = dust_mask(&poly_a);
 /// assert!(masked.as_bytes().iter().all(|&b| b == b'N'));
 /// ```
-pub fn dust_mask(seq: &DnaSeq, window: usize, threshold: f64) -> DnaSeq {
+pub fn dust_mask(seq: &DnaSeq) -> DnaSeq {
     let mut bytes = seq.as_bytes().to_vec();
-    for (s, e) in dust_intervals(seq.as_bytes(), window, threshold) {
+    for (s, e) in dust_intervals(seq.as_bytes()) {
         bytes[s..e].fill(b'N');
     }
     DnaSeq::from_ascii_unchecked(bytes)
@@ -121,7 +120,7 @@ mod tests {
         let mut bytes = random_dna(2, 200).as_bytes().to_vec();
         bytes.extend_from_slice(&[b'A'; 80]);
         let seq = DnaSeq::from_ascii_unchecked(bytes);
-        let masked = dust_mask(&seq, DEFAULT_WINDOW, DEFAULT_THRESHOLD);
+        let masked = dust_mask(&seq);
         // The tail is now N.
         let tail = &masked.as_bytes()[220..];
         assert!(tail.iter().all(|&b| b == b'N'), "tail must be masked");
@@ -132,27 +131,27 @@ mod tests {
     #[test]
     fn fully_random_sequence_is_untouched() {
         let seq = random_dna(3, 500);
-        let masked = dust_mask(&seq, DEFAULT_WINDOW, DEFAULT_THRESHOLD);
+        let masked = dust_mask(&seq);
         assert_eq!(masked, seq);
     }
 
     #[test]
     fn fully_repetitive_sequence_is_fully_masked() {
         let seq = DnaSeq::from_ascii_unchecked(b"CA".repeat(100));
-        let masked = dust_mask(&seq, DEFAULT_WINDOW, DEFAULT_THRESHOLD);
+        let masked = dust_mask(&seq);
         assert!(masked.as_bytes().iter().all(|&b| b == b'N'));
     }
 
     #[test]
     fn intervals_merge_overlaps() {
         let seq: Vec<u8> = [b"ACGT".repeat(10), b"A".repeat(200).to_vec()].concat();
-        let iv = dust_intervals(&seq, 64, 2.0);
+        let iv = dust_intervals(&seq);
         assert_eq!(iv.len(), 1, "contiguous masked windows must merge: {iv:?}");
     }
 
     #[test]
     fn empty_sequence() {
-        assert_eq!(dust_mask(&DnaSeq::default(), 64, 2.0), DnaSeq::default());
-        assert!(dust_intervals(b"", 64, 2.0).is_empty());
+        assert_eq!(dust_mask(&DnaSeq::default()), DnaSeq::default());
+        assert!(dust_intervals(b"").is_empty());
     }
 }

@@ -1,30 +1,63 @@
-//! FASTA reading and writing.
+//! FASTA reading and writing, for both alphabets.
 //!
 //! The workflow tasks exchange transcript sets as FASTA files
-//! (`transcripts.fasta`, per-cluster inputs, CAP3 contig outputs), so
-//! the reader is stream-oriented and tolerant of the formatting found
-//! in real pipelines: multi-line bodies, blank lines between records,
-//! Windows line endings, and descriptions after the identifier.
+//! (`transcripts.fasta`, per-cluster inputs, CAP3 contig outputs), and
+//! the aligner reads its protein database as FASTA, so one reader
+//! serves both: it is stream-oriented and tolerant of the formatting
+//! found in real pipelines (multi-line bodies, blank lines between
+//! records, Windows line endings, descriptions after the identifier),
+//! and only the [`Sequence`] a body decodes into differs.
 
 use crate::error::{BioError, Result};
-use crate::seq::DnaSeq;
+use crate::seq::{DnaSeq, ProteinSeq};
 use std::io::{BufRead, BufReader, Read, Write};
+use std::marker::PhantomData;
 use std::path::Path;
+
+/// A sequence type a FASTA body decodes into: [`DnaSeq`] or
+/// [`ProteinSeq`].
+pub trait Sequence: Sized {
+    /// Decodes a body, refusing a byte outside the alphabet.
+    fn from_ascii(bytes: &[u8]) -> Result<Self>;
+    /// The sequence as upper-case ASCII.
+    fn as_bytes(&self) -> &[u8];
+}
+
+impl Sequence for DnaSeq {
+    fn from_ascii(bytes: &[u8]) -> Result<Self> {
+        DnaSeq::from_ascii(bytes)
+    }
+    fn as_bytes(&self) -> &[u8] {
+        DnaSeq::as_bytes(self)
+    }
+}
+
+impl Sequence for ProteinSeq {
+    fn from_ascii(bytes: &[u8]) -> Result<Self> {
+        ProteinSeq::from_ascii(bytes)
+    }
+    fn as_bytes(&self) -> &[u8] {
+        ProteinSeq::as_bytes(self)
+    }
+}
 
 /// A single FASTA record: identifier, optional description, sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
+pub struct Record<S = DnaSeq> {
     /// Identifier: the header token up to the first whitespace.
     pub id: String,
     /// Remainder of the header line (may be empty).
     pub desc: String,
     /// The sequence body.
-    pub seq: DnaSeq,
+    pub seq: S,
 }
 
-impl Record {
+/// A protein FASTA record (amino-acid alphabet).
+pub type ProteinRecord = Record<ProteinSeq>;
+
+impl<S: Sequence> Record<S> {
     /// Creates a record from parts.
-    pub fn new(id: impl Into<String>, desc: impl Into<String>, seq: DnaSeq) -> Self {
+    pub fn new(id: impl Into<String>, desc: impl Into<String>, seq: S) -> Self {
         Record {
             id: id.into(),
             desc: desc.into(),
@@ -35,7 +68,8 @@ impl Record {
     /// Renders the record as FASTA, wrapping the body at `width`
     /// columns (`0` means no wrapping).
     pub fn to_fasta_string(&self, width: usize) -> String {
-        let mut out = String::with_capacity(self.seq.len() + self.id.len() + 16);
+        let body = self.seq.as_bytes();
+        let mut out = String::with_capacity(body.len() + self.id.len() + 16);
         out.push('>');
         out.push_str(&self.id);
         if !self.desc.is_empty() {
@@ -43,7 +77,6 @@ impl Record {
             out.push_str(&self.desc);
         }
         out.push('\n');
-        let body = self.seq.as_bytes();
         if width == 0 {
             out.push_str(std::str::from_utf8(body).expect("sequences are ASCII"));
             out.push('\n');
@@ -58,36 +91,52 @@ impl Record {
 }
 
 /// Streaming FASTA reader over any [`Read`]: one record at a time, so
-/// a caller holds only the records it keeps. [`read_file`] and
-/// [`parse_str`] are its collecting faces.
+/// a caller holds only the records it keeps. [`read_file`],
+/// [`parse_str`] and [`read_protein_file`] are its collecting faces.
 ///
 /// Lines are read as bytes. A header must be UTF-8; a body byte
-/// outside the DNA alphabet is a [`BioError::MalformedFasta`] naming
-/// its record.
-pub struct Reader<R: Read> {
+/// outside the alphabet of `S` is a [`BioError::MalformedFasta`]
+/// naming its record.
+pub struct Reader<R: Read, S = DnaSeq> {
     inner: BufReader<R>,
     /// The current line without its line ending.
     line: Vec<u8>,
     /// `line` is a header the last body read stopped at.
     at_header: bool,
     line_no: usize,
+    alphabet: PhantomData<S>,
 }
 
 impl Reader<std::fs::File> {
     /// Opens a FASTA file for streaming.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Ok(Reader::new(std::fs::File::open(path)?))
+        Reader::open_as(path)
     }
 }
 
 impl<R: Read> Reader<R> {
     /// Wraps a reader.
     pub fn new(inner: R) -> Self {
+        Reader::over(inner)
+    }
+}
+
+impl<S: Sequence> Reader<std::fs::File, S> {
+    /// Opens a FASTA file whose bodies decode as `S`.
+    fn open_as(path: impl AsRef<Path>) -> Result<Self> {
+        Ok(Reader::over(std::fs::File::open(path)?))
+    }
+}
+
+impl<R: Read, S: Sequence> Reader<R, S> {
+    /// Wraps a reader whose bodies decode as `S`.
+    fn over(inner: R) -> Self {
         Reader {
             inner: BufReader::new(inner),
             line: Vec::new(),
             at_header: false,
             line_no: 0,
+            alphabet: PhantomData,
         }
     }
 
@@ -148,7 +197,7 @@ impl<R: Read> Reader<R> {
     }
 
     /// Reads the next record, or `Ok(None)` at end of input.
-    pub fn next_record(&mut self) -> Result<Option<Record>> {
+    pub fn next_record(&mut self) -> Result<Option<Record<S>>> {
         self.next_where(|_| true)
     }
 
@@ -156,7 +205,7 @@ impl<R: Read> Reader<R> {
     /// end of input. Every header is checked, but the body of a record
     /// `keep` refuses is skipped without being decoded, so an invalid
     /// base in it goes unseen.
-    pub fn next_where(&mut self, mut keep: impl FnMut(&str) -> bool) -> Result<Option<Record>> {
+    pub fn next_where(&mut self, mut keep: impl FnMut(&str) -> bool) -> Result<Option<Record<S>>> {
         while self.next_header()? {
             let header = std::str::from_utf8(&self.line[1..]).map_err(|_| {
                 std::io::Error::new(
@@ -179,14 +228,18 @@ impl<R: Read> Reader<R> {
             }
             let (id, desc) = (id.to_string(), desc.trim().to_string());
             let body = self.body(true)?;
-            let seq = DnaSeq::from_ascii(&body).map_err(|e| match e {
-                BioError::InvalidBase { byte, pos } => BioError::MalformedFasta {
+            let seq = S::from_ascii(&body).map_err(|e| {
+                let (what, byte, pos) = match e {
+                    BioError::InvalidBase { byte, pos } => ("base", byte, pos),
+                    BioError::InvalidResidue { byte, pos } => ("residue", byte, pos),
+                    other => return other,
+                };
+                BioError::MalformedFasta {
                     line: self.line_no,
                     reason: format!(
-                        "record {id:?}: invalid base 0x{byte:02x} at sequence offset {pos}"
+                        "record {id:?}: invalid {what} 0x{byte:02x} at sequence offset {pos}"
                     ),
-                },
-                other => other,
+                }
             })?;
             return Ok(Some(Record { id, desc, seq }));
         }
@@ -194,7 +247,7 @@ impl<R: Read> Reader<R> {
     }
 
     /// Collects every remaining record.
-    fn read_all(&mut self) -> Result<Vec<Record>> {
+    fn read_all(&mut self) -> Result<Vec<Record<S>>> {
         let mut out = Vec::new();
         while let Some(rec) = self.next_record()? {
             out.push(rec);
@@ -203,134 +256,17 @@ impl<R: Read> Reader<R> {
     }
 }
 
-impl<R: Read> Iterator for Reader<R> {
-    type Item = Result<Record>;
+impl<R: Read, S: Sequence> Iterator for Reader<R, S> {
+    type Item = Result<Record<S>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_record().transpose()
     }
 }
 
-/// A protein FASTA record (amino-acid alphabet).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProteinRecord {
-    /// Identifier: the header token up to the first whitespace.
-    pub id: String,
-    /// Remainder of the header line (may be empty).
-    pub(crate) desc: String,
-    /// The residues.
-    pub seq: crate::seq::ProteinSeq,
-}
-
-impl ProteinRecord {
-    /// Creates a protein record from parts.
-    pub fn new(
-        id: impl Into<String>,
-        desc: impl Into<String>,
-        seq: crate::seq::ProteinSeq,
-    ) -> Self {
-        ProteinRecord {
-            id: id.into(),
-            desc: desc.into(),
-            seq,
-        }
-    }
-
-    /// Renders the record as FASTA wrapped at `width` (`0` = one line).
-    pub(crate) fn to_fasta_string(&self, width: usize) -> String {
-        let mut out = String::with_capacity(self.seq.len() + self.id.len() + 16);
-        out.push('>');
-        out.push_str(&self.id);
-        if !self.desc.is_empty() {
-            out.push(' ');
-            out.push_str(&self.desc);
-        }
-        out.push('\n');
-        let body = self.seq.as_bytes();
-        if width == 0 {
-            out.push_str(std::str::from_utf8(body).expect("residues are ASCII"));
-            out.push('\n');
-        } else {
-            for chunk in body.chunks(width) {
-                out.push_str(std::str::from_utf8(chunk).expect("residues are ASCII"));
-                out.push('\n');
-            }
-        }
-        out
-    }
-}
-
-/// Parses protein FASTA from a string. Protein records share the DNA
-/// reader's structural rules; only the alphabet differs.
-pub(crate) fn parse_protein_str(s: &str) -> Result<Vec<ProteinRecord>> {
-    // Reuse the structural scanner by treating bodies as raw bytes:
-    // scan headers/bodies with a permissive pass, then validate
-    // residues.
-    let mut out = Vec::new();
-    let lines = s.lines().enumerate().peekable();
-    let mut current: Option<(usize, String, String, Vec<u8>)> = None;
-    let flush = |cur: &mut Option<(usize, String, String, Vec<u8>)>,
-                 out: &mut Vec<ProteinRecord>|
-     -> Result<()> {
-        if let Some((line, id, desc, body)) = cur.take() {
-            let seq = crate::seq::ProteinSeq::from_ascii(&body).map_err(|e| {
-                BioError::MalformedFasta {
-                    line,
-                    reason: format!("record {id:?}: {e}"),
-                }
-            })?;
-            out.push(ProteinRecord { id, desc, seq });
-        }
-        Ok(())
-    };
-    for (idx, raw) in lines {
-        let line = raw.trim_end_matches(['\r', '\n']);
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('>') {
-            flush(&mut current, &mut out)?;
-            if rest.trim().is_empty() {
-                return Err(BioError::MalformedFasta {
-                    line: idx + 1,
-                    reason: "empty header".into(),
-                });
-            }
-            let (id, desc) = match rest.split_once(char::is_whitespace) {
-                Some((i, d)) => (i.to_string(), d.trim().to_string()),
-                None => (rest.to_string(), String::new()),
-            };
-            current = Some((idx + 1, id, desc, Vec::new()));
-        } else {
-            match &mut current {
-                Some((_, _, _, body)) => body.extend_from_slice(line.as_bytes()),
-                None => {
-                    return Err(BioError::MalformedFasta {
-                        line: idx + 1,
-                        reason: format!("expected '>' header, found {line:?}"),
-                    })
-                }
-            }
-        }
-    }
-    flush(&mut current, &mut out)?;
-    Ok(out)
-}
-
-/// Reads a protein FASTA file from disk.
+/// Reads every record from a protein FASTA file on disk.
 pub fn read_protein_file(path: impl AsRef<Path>) -> Result<Vec<ProteinRecord>> {
-    let text = std::fs::read_to_string(path)?;
-    parse_protein_str(&text)
-}
-
-/// Writes protein records to a FASTA file (60-column bodies).
-pub fn write_protein_file(path: impl AsRef<Path>, records: &[ProteinRecord]) -> Result<()> {
-    let mut out = String::new();
-    for rec in records {
-        out.push_str(&rec.to_fasta_string(60));
-    }
-    std::fs::write(path, out)?;
-    Ok(())
+    Reader::open_as(path)?.read_all()
 }
 
 /// Parses every record from an in-memory FASTA string.
@@ -345,13 +281,13 @@ pub fn read_file(path: impl AsRef<Path>) -> Result<Vec<Record>> {
 
 /// Writes one record to any [`Write`] as [`write_file`] does,
 /// wrapping its body at 60 columns.
-pub fn write_record<W: Write>(mut w: W, rec: &Record) -> Result<()> {
+pub fn write_record<W: Write, S: Sequence>(mut w: W, rec: &Record<S>) -> Result<()> {
     w.write_all(rec.to_fasta_string(60).as_bytes())?;
     Ok(())
 }
 
 /// Writes records to a FASTA file, wrapping bodies at 60 columns.
-pub fn write_file(path: impl AsRef<Path>, records: &[Record]) -> Result<()> {
+pub fn write_file<S: Sequence>(path: impl AsRef<Path>, records: &[Record<S>]) -> Result<()> {
     let f = std::fs::File::create(path)?;
     let mut buf = std::io::BufWriter::new(f);
     for rec in records {
@@ -376,6 +312,10 @@ mod tests {
 
     fn rec(id: &str, seq: &str) -> Record {
         Record::new(id, "", DnaSeq::from_ascii(seq.as_bytes()).unwrap())
+    }
+
+    fn parse_proteins(s: &str) -> Result<Vec<ProteinRecord>> {
+        Reader::over(s.as_bytes()).read_all()
     }
 
     #[test]
@@ -496,20 +436,20 @@ mod tests {
             ProteinRecord::new("prot_2", "", ProteinSeq::from_ascii(b"GGHHX*").unwrap()),
         ];
         let text: String = recs.iter().map(|r| r.to_fasta_string(8)).collect();
-        let back = parse_protein_str(&text).unwrap();
+        let back = parse_proteins(&text).unwrap();
         assert_eq!(back, recs);
     }
 
     #[test]
     fn protein_fasta_rejects_dna_only_symbols_politely() {
         // '1' is not a residue.
-        let err = parse_protein_str(">p\nMK1\n").unwrap_err();
-        assert!(err.to_string().contains("p"), "{err}");
+        let err = parse_proteins(">p\nMK1\n").unwrap_err();
+        assert!(err.to_string().contains("record \"p\""), "{err}");
         // Structural errors.
-        assert!(parse_protein_str("MKW\n").is_err());
-        assert!(parse_protein_str(">\nMKW\n").is_err());
+        assert!(parse_proteins("MKW\n").is_err());
+        assert!(parse_proteins(">\nMKW\n").is_err());
         // Empty input is fine.
-        assert!(parse_protein_str("").unwrap().is_empty());
+        assert!(parse_proteins("").unwrap().is_empty());
     }
 
     #[test]
@@ -523,7 +463,7 @@ mod tests {
             "",
             ProteinSeq::from_ascii(b"MKWVLLLF").unwrap(),
         )];
-        write_protein_file(&path, &recs).unwrap();
+        write_file(&path, &recs).unwrap();
         assert_eq!(read_protein_file(&path).unwrap(), recs);
         std::fs::remove_file(&path).ok();
     }

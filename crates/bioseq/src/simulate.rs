@@ -26,25 +26,28 @@ use crate::seq::{DnaSeq, ProteinSeq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Inclusive range of protein lengths, in residues.
+const PROTEIN_LEN: (usize, usize) = (60, 120);
+
+/// Pareto shape of the transcripts-per-family distribution; smaller
+/// values give heavier tails, and the paper's data clusters very
+/// unevenly.
+const FAMILY_SIZE_SHAPE: f64 = 1.3;
+
+/// Minimum overlap, in bases, between consecutive fragments of a
+/// family's mRNA (above CAP3's default 40-base overlap cutoff).
+const MIN_OVERLAP: usize = 60;
+
 /// Configuration for synthetic transcriptome generation.
 #[derive(Debug, Clone)]
 pub struct TranscriptomeConfig {
     /// Number of gene families (== number of database proteins).
     pub n_families: usize,
-    /// Inclusive range of protein lengths, in residues.
-    pub protein_len: (usize, usize),
-    /// Pareto shape for the transcripts-per-family distribution;
-    /// smaller values give heavier tails. The paper's data clusters
-    /// very unevenly, so the default is 1.3.
-    pub family_size_shape: f64,
     /// Mean transcripts per family (the Pareto scale is derived from
-    /// this and `family_size_shape`).
+    /// this and the fixed shape 1.3).
     pub family_size_mean: f64,
     /// Hard cap on transcripts per family.
     pub family_size_cap: usize,
-    /// Minimum overlap, in bases, between consecutive fragments of a
-    /// family's mRNA (must exceed the assembler's overlap cutoff).
-    pub min_overlap: usize,
     /// Per-base substitution probability applied to each fragment.
     pub mutation_rate: f64,
     /// Probability that a fragment is emitted reverse-complemented.
@@ -55,33 +58,18 @@ pub struct TranscriptomeConfig {
     pub seed: u64,
 }
 
-impl Default for TranscriptomeConfig {
-    fn default() -> Self {
-        TranscriptomeConfig {
-            n_families: 200,
-            protein_len: (80, 400),
-            family_size_shape: 1.3,
-            family_size_mean: 4.0,
-            family_size_cap: 64,
-            min_overlap: 60,
-            mutation_rate: 0.004,
-            flip_prob: 0.15,
-            utr_len: 30,
-            seed: 0xB1A57,
-        }
-    }
-}
-
 impl TranscriptomeConfig {
-    /// A small configuration suitable for unit tests.
+    /// A small configuration suitable for unit tests, and the base
+    /// every caller overrides fields of.
     pub fn tiny(seed: u64) -> Self {
         TranscriptomeConfig {
             n_families: 12,
-            protein_len: (60, 120),
             family_size_mean: 3.0,
             family_size_cap: 8,
+            mutation_rate: 0.004,
+            flip_prob: 0.15,
+            utr_len: 30,
             seed,
-            ..Default::default()
         }
     }
 }
@@ -98,11 +86,11 @@ pub struct SyntheticTranscriptome {
     pub truth: Vec<usize>,
 }
 
-/// Draws a Pareto-distributed integer >= 1 with the given shape, scaled
-/// so that its mean is approximately `mean`.
-fn pareto_size(rng: &mut StdRng, shape: f64, mean: f64, cap: usize) -> usize {
+/// Draws a family size: a Pareto-distributed integer in `1..=cap` with
+/// shape 1.3, scaled so that its mean is approximately `mean`.
+pub fn family_size(rng: &mut StdRng, mean: f64, cap: usize) -> usize {
     // Pareto(x_m, alpha) has mean alpha*x_m/(alpha-1) for alpha > 1.
-    let alpha = shape.max(1.05);
+    let alpha = FAMILY_SIZE_SHAPE;
     let x_m = mean * (alpha - 1.0) / alpha;
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     let v = x_m / u.powf(1.0 / alpha);
@@ -144,26 +132,21 @@ fn mutate(rng: &mut StdRng, seq: &mut [u8], rate: f64) {
 }
 
 /// Cuts `mrna` into `m` fragments that tile it end to end with at
-/// least `min_overlap` bases of overlap between neighbours.
+/// least [`MIN_OVERLAP`] bases of overlap between neighbours.
 ///
 /// Fragments are placed at evenly spaced ideal positions with a small
 /// random forward jitter whose bound is derived so the overlap
 /// guarantee holds for any jitter combination.
-fn tile_fragments(
-    rng: &mut StdRng,
-    mrna: &[u8],
-    m: usize,
-    min_overlap: usize,
-) -> Vec<(usize, usize)> {
+fn tile_fragments(rng: &mut StdRng, mrna: &[u8], m: usize) -> Vec<(usize, usize)> {
     let len = mrna.len();
-    if m <= 1 || len <= min_overlap * 2 {
+    if m <= 1 || len <= MIN_OVERLAP * 2 {
         return vec![(0, len)];
     }
     // Fragment length chosen so m fragments with the required overlap
     // cover the mRNA: frag_len >= (len + (m-1)*overlap) / m.
-    let frag_len = (len + (m - 1) * min_overlap)
+    let frag_len = (len + (m - 1) * MIN_OVERLAP)
         .div_ceil(m)
-        .max(min_overlap * 2)
+        .max(MIN_OVERLAP * 2)
         .min(len);
     if frag_len >= len {
         return vec![(0, len)];
@@ -171,8 +154,8 @@ fn tile_fragments(
     let span = len - frag_len;
     let step_max = span.div_ceil(m - 1);
     // Jitter bound: overlap = frag_len - (step +/- jitters) stays
-    // >= min_overlap as long as jitter <= (frag_len - overlap - step)/2.
-    let slack = (frag_len - min_overlap).saturating_sub(step_max) / 2;
+    // >= MIN_OVERLAP as long as jitter <= (frag_len - overlap - step)/2.
+    let slack = (frag_len - MIN_OVERLAP).saturating_sub(step_max) / 2;
     let mut out = Vec::with_capacity(m);
     for i in 0..m {
         let ideal = i * span / (m - 1);
@@ -195,7 +178,7 @@ pub fn generate(cfg: &TranscriptomeConfig) -> SyntheticTranscriptome {
     let mut truth = Vec::new();
 
     for fam in 0..cfg.n_families {
-        let plen = rng.gen_range(cfg.protein_len.0..=cfg.protein_len.1);
+        let plen = rng.gen_range(PROTEIN_LEN.0..=PROTEIN_LEN.1);
         let protein = random_protein(&mut rng, plen);
         // Reverse-translate with randomised codon choice so family
         // members differ from other families at the DNA level.
@@ -206,13 +189,8 @@ pub fn generate(cfg: &TranscriptomeConfig) -> SyntheticTranscriptome {
         mrna.extend_from_slice(cds.as_bytes());
         mrna.extend_from_slice(&random_utr(&mut rng, cfg.utr_len));
 
-        let m = pareto_size(
-            &mut rng,
-            cfg.family_size_shape,
-            cfg.family_size_mean,
-            cfg.family_size_cap,
-        );
-        let windows = tile_fragments(&mut rng, &mrna, m, cfg.min_overlap);
+        let m = family_size(&mut rng, cfg.family_size_mean, cfg.family_size_cap);
+        let windows = tile_fragments(&mut rng, &mrna, m);
         for (ord, (s, e)) in windows.iter().enumerate() {
             let mut frag = mrna[*s..*e].to_vec();
             mutate(&mut rng, &mut frag, cfg.mutation_rate);
@@ -385,12 +363,12 @@ mod tests {
     fn consecutive_fragments_overlap_by_construction() {
         let mut rng = StdRng::seed_from_u64(3);
         let mrna = vec![b'A'; 1000];
-        let wins = tile_fragments(&mut rng, &mrna, 6, 60);
+        let wins = tile_fragments(&mut rng, &mrna, 6);
         assert!(wins.len() >= 2);
         for pair in wins.windows(2) {
             let (_, e0) = pair[0];
             let (s1, _) = pair[1];
-            assert!(e0 >= s1 + 60, "overlap too small: {pair:?}");
+            assert!(e0 >= s1 + MIN_OVERLAP, "overlap too small: {pair:?}");
         }
         // Full coverage of the template.
         assert_eq!(wins[0].0, 0);
@@ -400,9 +378,7 @@ mod tests {
     #[test]
     fn pareto_sizes_are_heavy_tailed_but_bounded() {
         let mut rng = StdRng::seed_from_u64(5);
-        let sizes: Vec<usize> = (0..5000)
-            .map(|_| pareto_size(&mut rng, 1.3, 4.0, 64))
-            .collect();
+        let sizes: Vec<usize> = (0..5000).map(|_| family_size(&mut rng, 4.0, 64)).collect();
         assert!(sizes.iter().all(|&s| (1..=64).contains(&s)));
         let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
         assert!(mean > 1.5 && mean < 8.0, "mean={mean}");

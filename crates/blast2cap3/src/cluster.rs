@@ -20,11 +20,6 @@ pub struct Clusters {
 }
 
 impl Clusters {
-    /// Number of clusters.
-    pub(crate) fn len(&self) -> usize {
-        self.groups.len()
-    }
-
     /// `true` if there are no clusters.
     pub(crate) fn is_empty(&self) -> bool {
         self.groups.is_empty()
@@ -142,7 +137,7 @@ mod tests {
             rec("t2", "p1", 90.0),
             rec("t3", "p2", 80.0),
         ]);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.groups.len(), 2);
         assert_eq!(get(&c, "p1").unwrap(), &["t1", "t2"]);
         assert_eq!(get(&c, "p2").unwrap(), &["t3"]);
         assert_eq!(c.total_transcripts(), 3);
@@ -155,7 +150,7 @@ mod tests {
             rec("t1", "p2", 150.0), // better
             rec("t1", "p3", 75.0),
         ]);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.groups.len(), 1);
         assert_eq!(get(&c, "p2").unwrap(), &["t1"]);
         assert!(get(&c, "p1").is_none());
     }

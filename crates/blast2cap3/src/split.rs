@@ -49,30 +49,48 @@ impl Chunk {
 /// assert_eq!(total, 4); // no transcript lost, no cluster split
 /// ```
 pub fn split_clusters(clusters: &Clusters, n: usize) -> Vec<Chunk> {
-    let n = n.max(1);
     if clusters.is_empty() {
         return Vec::new();
     }
-    let k = n.min(clusters.len());
-    let mut chunks = vec![Chunk::default(); k];
-    // Largest-first greedy over a min-heap of (cost, chunk index).
-    let mut order: Vec<usize> = (0..clusters.groups.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(clusters.groups[i].1.len()));
-    let mut costs: Vec<(u64, usize)> = (0..k).map(|i| (0u64, i)).collect();
-    for idx in order {
-        // Lightest chunk first; ties by chunk index for determinism.
-        costs.sort_unstable();
-        let (cost, chunk_idx) = costs[0];
-        let group = clusters.groups[idx].clone();
-        let add = (group.1.len() as u64).pow(2);
-        chunks[chunk_idx].clusters.push(group);
-        costs[0] = (cost + add, chunk_idx);
+    // CAP3's all-pairs overlap stage: a cluster costs its size squared.
+    let costs: Vec<f64> = clusters
+        .groups
+        .iter()
+        .map(|(_, t)| (t.len() * t.len()) as f64)
+        .collect();
+    balance(&costs, n)
+        .into_iter()
+        .map(|bin| {
+            let mut clusters: Vec<_> = bin.iter().map(|&i| clusters.groups[i].clone()).collect();
+            // Keep cluster order within a chunk deterministic.
+            clusters.sort_by(|a, b| a.0.cmp(&b.0));
+            Chunk { clusters }
+        })
+        .collect()
+}
+
+/// The split rule: assigns items to `min(k, items)` bins (at least
+/// one), largest cost first onto the lightest bin. Equal costs keep
+/// their input order and equal bins go to the lowest index, so the
+/// result is deterministic. Each bin lists its items in the order they
+/// were assigned.
+pub fn balance(costs: &[f64], k: usize) -> Vec<Vec<usize>> {
+    let k = k.clamp(1, costs.len().max(1));
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by(|&a, &b| costs[b].partial_cmp(&costs[a]).expect("finite costs"));
+    let mut bins = vec![Vec::new(); k];
+    let mut loads = vec![0.0f64; k];
+    for item in order {
+        // `min_by` keeps the first of equal loads.
+        let (lightest, _) = loads
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite costs"))
+            .expect("k >= 1");
+        loads[lightest] += costs[item];
+        bins[lightest].push(item);
     }
-    // Keep cluster order within a chunk deterministic.
-    for c in &mut chunks {
-        c.clusters.sort_by(|a, b| a.0.cmp(&b.0));
-    }
-    chunks
+    bins
 }
 
 #[cfg(test)]

@@ -28,6 +28,9 @@ use pegasus_wms::line::push_u64;
 use pegasus_wms::symbols::{Args, Name};
 use pegasus_wms::workflow::{AbstractWorkflow, Declare};
 
+/// Reference seconds of a `run_cap3` chunk without a calibrated cost.
+pub const DEFAULT_CHUNK_SECONDS: f64 = 1_200.0;
+
 /// Parameters for workflow construction.
 #[derive(Debug, Clone)]
 pub struct WorkflowParams {
@@ -40,10 +43,8 @@ pub struct WorkflowParams {
     pub alignments_bytes: u64,
     /// Estimated runtime of each `run_cap3` chunk, in reference
     /// seconds. Length must be `n_clusters` (or empty to default
-    /// every chunk to `default_chunk_seconds`).
+    /// every chunk to [`DEFAULT_CHUNK_SECONDS`]).
     pub chunk_costs: Vec<f64>,
-    /// Fallback per-chunk cost when `chunk_costs` is empty.
-    pub default_chunk_seconds: f64,
 }
 
 impl Default for WorkflowParams {
@@ -53,7 +54,6 @@ impl Default for WorkflowParams {
             transcripts_bytes: 404_000_000,
             alignments_bytes: 155_000_000,
             chunk_costs: Vec::new(),
-            default_chunk_seconds: 1_200.0,
         }
     }
 }
@@ -147,7 +147,7 @@ fn declare_fig2(rows: &mut Declare<'_>, n: usize, params: &WorkflowParams) -> Re
             .chunk_costs
             .get(i)
             .copied()
-            .unwrap_or(params.default_chunk_seconds);
+            .unwrap_or(DEFAULT_CHUNK_SECONDS);
         id.truncate("run_cap3_".len());
         push_u64(&mut id, i as u64);
         let index = arg(&id["run_cap3_".len()..]);

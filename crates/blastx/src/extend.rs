@@ -1,12 +1,11 @@
-//! Seed extension: ungapped X-drop and banded gapped refinement.
+//! Seed extension: ungapped X-drop.
 //!
 //! A seed gives a shared diagonal between the translated query frame
 //! and a subject protein. [`xdrop_extend`] grows the seed in both
 //! directions along the diagonal, remembering the best prefix/suffix
 //! and abandoning a direction once the running score falls `x_drop`
 //! below the best seen (the classic BLAST heuristic). The result is an
-//! ungapped HSP; `banded_align` optionally rescoring it with gaps in
-//! a fixed-width band for more faithful identity statistics.
+//! ungapped HSP.
 
 use crate::matrix::{pair, BLOSUM62};
 
@@ -125,107 +124,6 @@ pub fn xdrop_extend(
     }
 }
 
-/// Result of a banded gapped alignment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct BandedAlignment {
-    /// Raw score with affine-approximated (linear) gap costs.
-    pub(crate) score: i32,
-    /// Identical pairs on the traced path.
-    pub(crate) identities: usize,
-    /// Aligned columns (matches + mismatches + gaps).
-    pub(crate) length: usize,
-    /// Number of gap openings on the traced path.
-    pub(crate) gap_opens: usize,
-    /// Mismatched (aligned, non-identical) pairs.
-    pub(crate) mismatches: usize,
-}
-
-/// Global alignment of `a` vs `b` restricted to a band of half-width
-/// `band` around the main diagonal, with linear gap penalty
-/// `gap_penalty` per gapped column. Intended for rescoring short HSP
-/// segments, so O(len * band) cost is fine.
-pub(crate) fn banded_align(a: &[u8], b: &[u8], band: usize, gap_penalty: i32) -> BandedAlignment {
-    let n = a.len();
-    let m = b.len();
-    if n == 0 || m == 0 {
-        return BandedAlignment {
-            score: -(gap_penalty) * (n + m) as i32,
-            identities: 0,
-            length: n + m,
-            gap_opens: usize::from(n + m > 0),
-            mismatches: 0,
-        };
-    }
-    let band = band.max(n.abs_diff(m)) + 1;
-    const NEG: i32 = i32::MIN / 4;
-    let scores = &BLOSUM62;
-    // dp[i][j] over the band only: store full rows for simplicity of
-    // traceback; HSP segments are short so memory is acceptable.
-    let mut dp = vec![vec![NEG; m + 1]; n + 1];
-    dp[0][0] = 0;
-    #[allow(clippy::needless_range_loop)] // `j` is also the gap length
-    for j in 1..=m.min(band) {
-        dp[0][j] = -(gap_penalty * j as i32);
-    }
-    for i in 1..=n {
-        let lo = i.saturating_sub(band).max(1);
-        let hi = (i + band).min(m);
-        if i <= band {
-            dp[i][0] = -(gap_penalty * i as i32);
-        }
-        for j in lo..=hi {
-            let diag = dp[i - 1][j - 1].saturating_add(scores[pair(a[i - 1], b[j - 1])] as i32);
-            let up = dp[i - 1][j].saturating_add(-gap_penalty);
-            let left = dp[i][j - 1].saturating_add(-gap_penalty);
-            dp[i][j] = diag.max(up).max(left);
-        }
-    }
-    // Traceback.
-    let mut i = n;
-    let mut j = m;
-    let mut identities = 0usize;
-    let mut mismatches = 0usize;
-    let mut length = 0usize;
-    let mut gap_opens = 0usize;
-    let mut in_gap = false;
-    while i > 0 || j > 0 {
-        length += 1;
-        let cur = dp[i][j];
-        if i > 0
-            && j > 0
-            && cur == dp[i - 1][j - 1].saturating_add(scores[pair(a[i - 1], b[j - 1])] as i32)
-        {
-            if a[i - 1].eq_ignore_ascii_case(&b[j - 1]) {
-                identities += 1;
-            } else {
-                mismatches += 1;
-            }
-            in_gap = false;
-            i -= 1;
-            j -= 1;
-        } else if i > 0 && cur == dp[i - 1][j].saturating_add(-gap_penalty) {
-            if !in_gap {
-                gap_opens += 1;
-                in_gap = true;
-            }
-            i -= 1;
-        } else {
-            if !in_gap {
-                gap_opens += 1;
-                in_gap = true;
-            }
-            j -= 1;
-        }
-    }
-    BandedAlignment {
-        score: dp[n][m],
-        identities,
-        length,
-        gap_opens,
-        mismatches,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,46 +173,5 @@ mod tests {
         let ext = xdrop_extend(longer, q, 2, 0, 4, 10);
         assert_eq!((ext.q_start, ext.q_end), (2, 6));
         assert_eq!((ext.s_start, ext.s_end), (0, 4));
-    }
-
-    #[test]
-    fn banded_identical_is_all_matches() {
-        let a = b"MKWVLLLF";
-        let r = banded_align(a, a, 3, 11);
-        assert_eq!(r.identities, 8);
-        assert_eq!(r.length, 8);
-        assert_eq!(r.gap_opens, 0);
-        assert_eq!(r.mismatches, 0);
-        assert_eq!(r.score, score_slices(a, a));
-    }
-
-    #[test]
-    fn banded_single_insertion_is_one_gap_open() {
-        let a = b"MKWVLLLF";
-        let b = b"MKWVALLLF"; // A inserted
-        let r = banded_align(a, b, 3, 11);
-        assert_eq!(r.length, 9);
-        assert_eq!(r.gap_opens, 1);
-        assert_eq!(r.identities, 8);
-        assert_eq!(r.score, score_slices(a, a) - 11);
-    }
-
-    #[test]
-    fn banded_handles_empty_inputs() {
-        let r = banded_align(b"", b"", 3, 11);
-        assert_eq!(r.length, 0);
-        assert_eq!(r.score, 0);
-        let r = banded_align(b"MK", b"", 3, 11);
-        assert_eq!(r.length, 2);
-        assert!(r.score < 0);
-    }
-
-    #[test]
-    fn banded_mismatch_counted() {
-        let a = b"MKWV";
-        let b = b"MKYV";
-        let r = banded_align(a, b, 2, 11);
-        assert_eq!(r.mismatches, 1);
-        assert_eq!(r.identities, 3);
     }
 }

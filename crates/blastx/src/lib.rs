@@ -10,11 +10,11 @@
 //!
 //! * [`matrix`] — the BLOSUM62 substitution matrix;
 //! * `seed` — a packed-word index over the protein database;
-//! * [`extend`] — ungapped X-drop extension and banded gapped
-//!   refinement of seed hits into HSPs;
+//! * [`extend`] — ungapped X-drop extension of seed hits into HSPs;
 //! * [`evalue`] — Karlin–Altschul bit scores and E-values;
-//! * [`search`] — the per-query 6-frame search driver with a
-//!   scoped-thread parallel front end;
+//! * [`search`] — the per-query 6-frame search driver (DUST masking,
+//!   seeding, extension, the E-value cutoff) with a scoped-thread
+//!   parallel front end;
 //! * [`tabular`] — reader/writer for the 12-column `-outfmt 6` format
 //!   (the `alignments.out` file of the paper).
 //!

@@ -1,54 +1,39 @@
 //! The translated search driver.
 //!
-//! For each query transcript the driver translates all six reading
-//! frames, looks every translated word up in the database word index,
-//! X-drop-extends each seed, optionally rescores the segment with a
-//! banded gapped alignment, filters by E-value, and reports the
-//! surviving HSPs ranked by bit score. [`Searcher::search_many`] fans
-//! queries out over scoped threads — the aligner is
-//! embarrassingly parallel over queries, which is exactly the
-//! parallelism the paper's workflow exploits at coarser granularity.
+//! For each query transcript the driver DUST-masks low-complexity
+//! regions, translates all six reading frames, looks every translated
+//! word up in the database word index, X-drop-extends each seed,
+//! filters by E-value, and reports the surviving ungapped HSPs ranked
+//! by bit score. [`Searcher::search_many`] fans queries out over
+//! scoped threads — the aligner is embarrassingly parallel over
+//! queries, which is exactly the parallelism the paper's workflow
+//! exploits at coarser granularity.
 
 use crate::evalue::{KarlinParams, BLOSUM62_UNGAPPED};
-use crate::extend::{banded_align, xdrop_extend};
+use crate::extend::xdrop_extend;
 use crate::seed::{WordIndex, WORD_SIZE};
 use bioseq::codon::{six_frame_translations, Frame};
 use bioseq::fxhash::FxHashSet;
 use bioseq::seq::{DnaSeq, ProteinSeq};
 
-/// Tuning parameters for the search.
+/// X-drop threshold for ungapped extension.
+const X_DROP: i32 = 16;
+
+/// At most this many HSPs are reported per query.
+const MAX_HITS_PER_QUERY: usize = 25;
+
+/// The one search setting a caller chooses: the report threshold.
+/// Every query is DUST-masked before translation (BLAST's default),
+/// so masked bases become `N`, translate to `X`, and are never seeded.
 #[derive(Debug, Clone)]
 pub struct SearchParams {
-    /// X-drop threshold for ungapped extension.
-    pub x_drop: i32,
     /// Report threshold: maximum E-value.
     pub max_evalue: f64,
-    /// At most this many HSPs are reported per query.
-    pub max_hits_per_query: usize,
-    /// Rescore each surviving HSP with a banded gapped alignment for
-    /// more faithful identity/mismatch/gap statistics.
-    pub gapped_rescore: bool,
-    /// Band half-width for gapped rescoring.
-    pub band: usize,
-    /// Linear gap penalty for gapped rescoring.
-    pub gap_penalty: i32,
-    /// DUST-mask low-complexity query regions before translation
-    /// (BLAST's default behaviour). Masked bases become `N`, translate
-    /// to `X`, and are never seeded.
-    pub mask_low_complexity: bool,
 }
 
 impl Default for SearchParams {
     fn default() -> Self {
-        SearchParams {
-            x_drop: 16,
-            max_evalue: 1e-5,
-            max_hits_per_query: 25,
-            gapped_rescore: false,
-            band: 8,
-            gap_penalty: 11,
-            mask_low_complexity: true,
-        }
+        SearchParams { max_evalue: 1e-5 }
     }
 }
 
@@ -63,12 +48,10 @@ pub struct Hsp {
     pub frame: Frame,
     /// Percent identity over the alignment.
     pub percent_identity: f64,
-    /// Alignment length in residues (columns if gapped).
+    /// Alignment length in residues.
     pub length: usize,
     /// Mismatched aligned pairs.
     pub(crate) mismatches: usize,
-    /// Gap openings.
-    pub(crate) gap_opens: usize,
     /// 1-based query start on the DNA (qstart > qend on reverse frames).
     pub q_start: usize,
     /// 1-based query end on the DNA.
@@ -150,17 +133,7 @@ impl Searcher {
     /// bit score (ties broken by subject id for determinism).
     pub fn search_one(&self, query_id: &str, dna: &DnaSeq) -> Vec<Hsp> {
         let dna_len = dna.len();
-        let masked;
-        let dna = if self.params.mask_low_complexity {
-            masked = bioseq::dust::dust_mask(
-                dna,
-                bioseq::dust::DEFAULT_WINDOW,
-                bioseq::dust::DEFAULT_THRESHOLD,
-            );
-            &masked
-        } else {
-            dna
-        };
+        let dna = &bioseq::dust::dust_mask(dna);
         let mut hsps: Vec<Hsp> = Vec::new();
         // Keyed by positions the search computed, never by outside
         // bytes, so the Fx hasher is safe here.
@@ -174,14 +147,8 @@ impl Searcher {
             for (qpos, word) in WordIndex::words(qbytes) {
                 for hit in self.index.lookup(word) {
                     let sbytes = self.db[hit.subject as usize].1.as_bytes();
-                    let ext = xdrop_extend(
-                        qbytes,
-                        sbytes,
-                        qpos,
-                        hit.pos as usize,
-                        WORD_SIZE,
-                        self.params.x_drop,
-                    );
+                    let ext =
+                        xdrop_extend(qbytes, sbytes, qpos, hit.pos as usize, WORD_SIZE, X_DROP);
                     if ext.score <= 0 {
                         continue;
                     }
@@ -198,39 +165,13 @@ impl Searcher {
                     }
                     let (q_start_dna, q_end_dna) =
                         Self::dna_coords(frame, ext.q_start, ext.q_end, dna_len);
-                    let (pident, length, mismatches, gap_opens) = if self.params.gapped_rescore {
-                        let ga = banded_align(
-                            &qbytes[ext.q_start..ext.q_end],
-                            &sbytes[ext.s_start..ext.s_end],
-                            self.params.band,
-                            self.params.gap_penalty,
-                        );
-                        (
-                            if ga.length == 0 {
-                                0.0
-                            } else {
-                                100.0 * ga.identities as f64 / ga.length as f64
-                            },
-                            ga.length,
-                            ga.mismatches,
-                            ga.gap_opens,
-                        )
-                    } else {
-                        (
-                            ext.percent_identity(),
-                            ext.len(),
-                            ext.len() - ext.identities,
-                            0,
-                        )
-                    };
                     hsps.push(Hsp {
                         query_id: query_id.to_string(),
                         subject_id: self.db[hit.subject as usize].0.clone(),
                         frame,
-                        percent_identity: pident,
-                        length,
-                        mismatches,
-                        gap_opens,
+                        percent_identity: ext.percent_identity(),
+                        length: ext.len(),
+                        mismatches: ext.len() - ext.identities,
                         q_start: q_start_dna,
                         q_end: q_end_dna,
                         s_start: ext.s_start + 1,
@@ -250,7 +191,7 @@ impl Searcher {
                 .then_with(|| a.subject_id.cmp(&b.subject_id))
                 .then_with(|| a.s_start.cmp(&b.s_start))
         });
-        hsps.truncate(self.params.max_hits_per_query);
+        hsps.truncate(MAX_HITS_PER_QUERY);
         hsps
     }
 
@@ -394,26 +335,15 @@ mod tests {
 
     #[test]
     fn max_hits_truncates() {
-        let params = SearchParams {
-            max_hits_per_query: 1,
-            ..Default::default()
-        };
-        let s = Searcher::new(db_of(&[("a", P1), ("b", P1), ("c", P1)]), params).unwrap();
+        let ids: Vec<String> = (0..MAX_HITS_PER_QUERY + 5)
+            .map(|i| format!("s{i:02}"))
+            .collect();
+        let db: Vec<(&str, &str)> = ids.iter().map(|id| (id.as_str(), P1)).collect();
+        let s = Searcher::new(db_of(&db), SearchParams::default()).unwrap();
         let hits = s.search_one("tx", &forward_query_for(P1));
-        assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn gapped_rescore_reports_gap_statistics() {
-        let params = SearchParams {
-            gapped_rescore: true,
-            ..Default::default()
-        };
-        let s = Searcher::new(db_of(&[("p1", P1)]), params).unwrap();
-        let hits = s.search_one("tx", &forward_query_for(P1));
-        assert!(!hits.is_empty());
-        assert_eq!(hits[0].gap_opens, 0);
-        assert!(hits[0].percent_identity > 99.0);
+        assert_eq!(hits.len(), MAX_HITS_PER_QUERY);
+        // Equal scores rank by subject id, so the first 25 ids survive.
+        assert_eq!(hits.last().unwrap().subject_id, ids[MAX_HITS_PER_QUERY - 1]);
     }
 
     #[test]
@@ -445,13 +375,14 @@ mod tests {
             s.search_one("polyA", &poly_a).is_empty(),
             "masked poly-A must not hit poly-K"
         );
-        // With masking off, the spurious hit appears.
-        let params = SearchParams {
-            mask_low_complexity: false,
-            ..Default::default()
-        };
-        let s = Searcher::new(db_of(&[("junkprot", &poly_k)]), params).unwrap();
-        assert!(!s.search_one("polyA", &poly_a).is_empty());
+        // Unmasked, the query would seed: its +1 frame is all lysine,
+        // and every one of its words is in the poly-K index.
+        let [(frame, prot), ..] = six_frame_translations(&poly_a);
+        assert_eq!(frame, Frame(1));
+        assert!(prot.as_bytes().iter().all(|&r| r == b'K'));
+        let mut words = WordIndex::words(prot.as_bytes()).peekable();
+        assert!(words.peek().is_some());
+        assert!(words.all(|(_, w)| !s.index.lookup(w).is_empty()));
     }
 
     #[test]

@@ -49,7 +49,8 @@ impl From<&Hsp> for TabularRecord {
             percent_identity: h.percent_identity,
             length: h.length,
             mismatches: h.mismatches,
-            gap_opens: h.gap_opens,
+            // Every HSP is ungapped.
+            gap_opens: 0,
             q_start: h.q_start,
             q_end: h.q_end,
             s_start: h.s_start,
@@ -237,7 +238,6 @@ mod tests {
             percent_identity: 98.75,
             length: 80,
             mismatches: 1,
-            gap_opens: 0,
             q_start: 2,
             q_end: 241,
             s_start: 1,

@@ -4,7 +4,7 @@
 use crate::consensus::consensus;
 use crate::layout::layout_groups;
 use crate::overlap::{detect, Overlap};
-use crate::params::Cap3Params;
+use crate::params::{Cap3Params, MAX_BUCKET, SEED_K};
 use bioseq::fasta::Record;
 use bioseq::fxhash::{FxHashMap, FxHashSet};
 use bioseq::kmer::KmerIter;
@@ -59,7 +59,7 @@ impl Assembler {
     /// shared k-mers (forward) and shared reverse-complement k-mers
     /// (flipped).
     fn candidates(&self, reads: &[Record]) -> Vec<(u32, u32, bool)> {
-        let k = self.params.seed_k;
+        let k = SEED_K;
         // Global k-mer index: kmer -> reads containing it (deduped).
         let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
         for (i, rec) in reads.iter().enumerate() {
@@ -83,7 +83,7 @@ impl Assembler {
                         continue;
                     }
                     if let Some(list) = index.get(&km) {
-                        if list.len() > self.params.max_bucket {
+                        if list.len() > MAX_BUCKET {
                             continue;
                         }
                         for &j in list {
@@ -103,7 +103,7 @@ impl Assembler {
                         continue;
                     }
                     if let Some(list) = index.get(&km) {
-                        if list.len() > self.params.max_bucket {
+                        if list.len() > MAX_BUCKET {
                             continue;
                         }
                         for &j in list {

@@ -7,7 +7,7 @@
 //! the same regime CAP3's banded alignment targets — at a fraction of
 //! the cost.
 
-use crate::params::Cap3Params;
+use crate::params::{Cap3Params, DIAGONAL_SLOP, MAX_BUCKET, MIN_SEED_VOTES, SEED_K};
 use bioseq::fxhash::FxHashMap;
 use bioseq::kmer::KmerIter;
 
@@ -80,14 +80,14 @@ pub(crate) fn detect(
     }
     // Index a's k-mers.
     let mut index: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-    for (pos, km) in KmerIter::new(a, params.seed_k).ok()? {
+    for (pos, km) in KmerIter::new(a, SEED_K).ok()? {
         index.entry(km).or_default().push(pos);
     }
     // Vote on diagonals with b's k-mers.
     let mut votes: FxHashMap<isize, usize> = FxHashMap::default();
-    for (bpos, km) in KmerIter::new(b, params.seed_k).ok()? {
+    for (bpos, km) in KmerIter::new(b, SEED_K).ok()? {
         if let Some(apositions) = index.get(&km) {
-            if apositions.len() > params.max_bucket {
+            if apositions.len() > MAX_BUCKET {
                 continue;
             }
             for &apos in apositions {
@@ -101,7 +101,7 @@ pub(crate) fn detect(
     // Evaluate the most-voted diagonals (plus slop neighbours).
     let mut ranked: Vec<(isize, usize)> = votes
         .iter()
-        .filter(|&(_, &v)| v >= params.min_seed_votes)
+        .filter(|&(_, &v)| v >= MIN_SEED_VOTES)
         .map(|(&d, &v)| (d, v))
         .collect();
     ranked.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
@@ -109,8 +109,8 @@ pub(crate) fn detect(
 
     let mut best: Option<Overlap> = None;
     for (d, _) in ranked {
-        let lo = d - params.diagonal_slop as isize;
-        let hi = d + params.diagonal_slop as isize;
+        let lo = d - DIAGONAL_SLOP as isize;
+        let hi = d + DIAGONAL_SLOP as isize;
         for shift in lo..=hi {
             let (len, identity) = evaluate_diagonal(a, b, shift);
             if len < params.min_overlap_len || identity < params.min_overlap_identity {

@@ -1,25 +1,32 @@
 //! Assembler tuning parameters.
 
-/// Parameters mirroring the CAP3 command-line cutoffs the paper's
-/// pipeline relies on.
+/// Seed k-mer size for overlap detection; an overlap shorter than one
+/// seed cannot be found, so `min_overlap_len` may not be below it.
+pub(crate) const SEED_K: usize = 12;
+
+/// Minimum shared-seed votes on a diagonal before the overlap is
+/// evaluated exactly.
+pub(crate) const MIN_SEED_VOTES: usize = 2;
+
+/// Diagonals within this distance of the best are also evaluated, to
+/// tolerate small indels near read ends.
+pub(crate) const DIAGONAL_SLOP: usize = 2;
+
+/// K-mer buckets larger than this are skipped during candidate
+/// generation (repeat masking).
+pub(crate) const MAX_BUCKET: usize = 64;
+
+/// The two CAP3 command-line cutoffs the paper's pipeline sets; the
+/// seeding behind them (a 12-mer seed, two votes per diagonal, a slop
+/// of two diagonals, buckets of at most 64 reads) is fixed.
 #[derive(Debug, Clone)]
 pub struct Cap3Params {
-    /// Minimum overlap length in bases (CAP3 `-o`, default 40).
+    /// Minimum overlap length in bases (CAP3 `-o`, default 40), at
+    /// least the 12-base seed.
     pub min_overlap_len: usize,
     /// Minimum overlap percent identity in `[0, 100]` (CAP3 `-p`,
     /// default 90).
     pub min_overlap_identity: f64,
-    /// Seed k-mer size for overlap detection.
-    pub seed_k: usize,
-    /// Minimum shared-seed votes on a diagonal before the overlap is
-    /// evaluated exactly.
-    pub min_seed_votes: usize,
-    /// Diagonals within this distance of the best are also evaluated,
-    /// to tolerate small indels near read ends.
-    pub diagonal_slop: usize,
-    /// K-mer buckets larger than this are skipped during candidate
-    /// generation (repeat masking).
-    pub max_bucket: usize,
 }
 
 impl Default for Cap3Params {
@@ -27,10 +34,6 @@ impl Default for Cap3Params {
         Cap3Params {
             min_overlap_len: 40,
             min_overlap_identity: 90.0,
-            seed_k: 12,
-            min_seed_votes: 2,
-            diagonal_slop: 2,
-            max_bucket: 64,
         }
     }
 }
@@ -48,13 +51,10 @@ impl Cap3Params {
                 self.min_overlap_identity
             ));
         }
-        if self.seed_k == 0 || self.seed_k > 32 {
-            return Err(format!("seed_k {} outside 1..=32", self.seed_k));
-        }
-        if self.seed_k > self.min_overlap_len {
+        if SEED_K > self.min_overlap_len {
             return Err(format!(
-                "seed_k {} exceeds min_overlap_len {}",
-                self.seed_k, self.min_overlap_len
+                "seed_k {SEED_K} exceeds min_overlap_len {}",
+                self.min_overlap_len
             ));
         }
         Ok(())
@@ -85,16 +85,7 @@ mod tests {
                 ..Default::default()
             },
             Cap3Params {
-                seed_k: 0,
-                ..Default::default()
-            },
-            Cap3Params {
-                seed_k: 33,
-                ..Default::default()
-            },
-            Cap3Params {
-                seed_k: 20,
-                min_overlap_len: 10,
+                min_overlap_len: SEED_K - 1,
                 ..Default::default()
             },
         ];

@@ -150,18 +150,16 @@ pub trait ExecutionBackend {
 /// from the engine RNG), and an optional per-attempt wall-clock
 /// timeout that kills and resubmits stragglers.
 ///
-/// The historical flat retry limit is [`RetryPolicy::flat`]: no
-/// backoff, no timeout — byte-for-byte the old engine behaviour.
+/// Backoff has one shape: `base`, `2*base`, `4*base`, ... capped at
+/// `64*base` ([`RetryPolicy::capped_backoff`]). The historical flat
+/// retry limit is [`RetryPolicy::flat`]: no backoff, no timeout —
+/// byte-for-byte the old engine behaviour.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts allowed per job, including the first (>= 1).
     pub max_attempts: u32,
     /// Backoff before the first retry, in backend seconds (0 = none).
     pub base_backoff: f64,
-    /// Multiplier applied per further retry (exponential backoff).
-    pub backoff_factor: f64,
-    /// Upper bound on a single backoff delay.
-    pub max_backoff: f64,
     /// Jitter fraction: each delay is scaled by a uniform factor in
     /// `[1 - jitter, 1 + jitter]` drawn from the engine RNG.
     pub jitter: f64,
@@ -178,14 +176,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The legacy flat policy: up to `max_retries` immediate retries.
     pub fn flat(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_attempts: max_retries + 1,
-            base_backoff: 0.0,
-            backoff_factor: 2.0,
-            max_backoff: f64::INFINITY,
-            jitter: 0.0,
-            timeout: None,
-        }
+        RetryPolicy::exponential(max_retries, 0.0)
     }
 
     /// Exponential backoff: `base`, `2*base`, `4*base`, ... capped at
@@ -194,8 +185,6 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts: max_retries + 1,
             base_backoff: base,
-            backoff_factor: 2.0,
-            max_backoff: 64.0 * base,
             jitter: 0.0,
             timeout: None,
         }
@@ -213,17 +202,23 @@ impl RetryPolicy {
         self
     }
 
-    /// Backoff before retry number `next_attempt` (1-based: the first
-    /// retry is attempt 1). Zero when no backoff is configured; never
-    /// consumes RNG draws in that case, so flat policies stay
-    /// reproducible against historical runs.
+    /// The un-jittered backoff before retry number `next_attempt`
+    /// (1-based: the first retry is attempt 1): `base * 2^(k-1)`,
+    /// capped at `64 * base`.
+    pub fn capped_backoff(&self, next_attempt: u32) -> f64 {
+        let exponent = next_attempt.saturating_sub(1).min(1000) as i32;
+        (self.base_backoff * 2f64.powi(exponent)).min(64.0 * self.base_backoff)
+    }
+
+    /// Backoff before retry number `next_attempt`, jittered. Zero when
+    /// no backoff is configured; never consumes RNG draws in that
+    /// case, so flat policies stay reproducible against historical
+    /// runs.
     pub(crate) fn backoff_before(&self, next_attempt: u32, rng: &mut StdRng) -> f64 {
         if self.base_backoff <= 0.0 {
             return 0.0;
         }
-        let exponent = next_attempt.saturating_sub(1).min(1000) as i32;
-        let raw = self.base_backoff * self.backoff_factor.powi(exponent);
-        let capped = raw.min(self.max_backoff);
+        let capped = self.capped_backoff(next_attempt);
         let jittered = if self.jitter > 0.0 {
             capped * (1.0 + self.jitter * (2.0 * rng.gen_range(0.0..1.0) - 1.0))
         } else {
@@ -294,8 +289,6 @@ impl EngineConfigBuilder {
     /// [`RetryPolicy::exponential`]).
     pub fn backoff(mut self, base: f64) -> Self {
         self.cfg.retry.base_backoff = base;
-        self.cfg.retry.backoff_factor = 2.0;
-        self.cfg.retry.max_backoff = 64.0 * base;
         self
     }
 
@@ -1573,7 +1566,7 @@ mod tests {
             .build();
         assert_eq!(cfg.retry.max_attempts, 4);
         assert_eq!(cfg.retry.base_backoff, 30.0);
-        assert_eq!(cfg.retry.max_backoff, 64.0 * 30.0);
+        assert_eq!(cfg.retry.capped_backoff(30), 64.0 * 30.0);
         assert_eq!(cfg.retry.timeout, Some(600.0));
         assert_eq!(cfg.seed, 2014);
         assert_eq!(cfg.crash_after_events, Some(7));

@@ -751,7 +751,7 @@ pub fn check_stream(
 
 /// The `E0805` backoff/jitter envelope: with the policy known, the
 /// emitted backoff must lie inside `capped * [1 - jitter, 1 + jitter]`
-/// where `capped = min(base * factor^(k-1), max_backoff)`.
+/// where `capped` is [`RetryPolicy::capped_backoff`].
 fn check_envelope(
     out: &mut Findings,
     line: usize,
@@ -773,9 +773,7 @@ fn check_envelope(
         }
         return;
     }
-    let exponent = next_attempt.saturating_sub(1).min(1000) as i32;
-    let capped =
-        (policy.base_backoff * policy.backoff_factor.powi(exponent)).min(policy.max_backoff);
+    let capped = policy.capped_backoff(next_attempt);
     let eps = TOL * capped.max(1.0);
     let lo = capped * (1.0 - policy.jitter) - eps;
     let hi = capped * (1.0 + policy.jitter) + eps;

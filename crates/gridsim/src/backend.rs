@@ -965,14 +965,7 @@ mod tests {
         let p = PlatformModel::uniform("t", 1, 1.0);
         let mut be = SimBackend::new(p, 1).with_faults(FaultScript::new(plan, 3));
         let wf = independent(vec![job(0, 30.0, 10.0)]);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: 40.0,
-            backoff_factor: 2.0,
-            max_backoff: f64::INFINITY,
-            jitter: 0.0,
-            timeout: None,
-        };
+        let policy = RetryPolicy::exponential(2, 40.0);
         let run = run_workflow(
             &wf,
             &mut be,

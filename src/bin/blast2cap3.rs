@@ -111,13 +111,10 @@ fn cmd_simulate(args: &Args) -> ExitCode {
     let prot_records: Vec<fasta::ProteinRecord> = data
         .proteins
         .iter()
-        .map(|(id, p)| fasta::ProteinRecord::new(id.clone(), "", p.clone()))
+        .map(|(id, p)| fasta::Record::new(id.clone(), "", p.clone()))
         .collect();
     let path = dir.join("proteins.fasta");
-    or_exit(
-        &doing(&path),
-        fasta::write_protein_file(&path, &prot_records),
-    );
+    or_exit(&doing(&path), fasta::write_file(&path, &prot_records));
 
     outln!(
         "wrote {} transcripts ({} families) and {} alignment rows to {}",
@@ -138,7 +135,6 @@ fn cmd_align(args: &Args) -> ExitCode {
         proteins.into_iter().map(|r| (r.id, r.seq)).collect();
     let params = SearchParams {
         max_evalue: args.parsed("max-evalue", 1e-5),
-        ..Default::default()
     };
     let searcher = or_exit("cannot build searcher", Searcher::new(db, params));
     let queries: Vec<(String, bioseq::seq::DnaSeq)> = transcripts
@@ -170,7 +166,6 @@ fn cmd_run(args: &Args) -> ExitCode {
     let params = Cap3Params {
         min_overlap_len: args.parsed("min-overlap", 40),
         min_overlap_identity: args.parsed("min-identity", 90.0),
-        ..Default::default()
     };
     or_exit("bad CAP3 parameters", params.validate());
 

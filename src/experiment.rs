@@ -16,8 +16,9 @@
 //!   planned for this machine by [`plan_local`].
 
 use bioseq::fasta::{self, Record};
-use bioseq::simulate::SyntheticTranscriptome;
+use bioseq::simulate::{family_size, SyntheticTranscriptome};
 use blast2cap3::files::names;
+use blast2cap3::split::balance;
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blastx::search::{SearchParams, Searcher};
 use blastx::tabular::TabularRecord;
@@ -37,7 +38,7 @@ use pegasus_wms::symbols::SiteId;
 use pegasus_wms::workflow::AbstractWorkflow;
 use pegasus_wms::{dax, prof, verify};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::fmt::Display;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -81,15 +82,8 @@ pub(crate) const CALIBRATION_CLUSTERS: usize = 20_000;
 /// totals scaled to [`SERIAL_REFERENCE_SECONDS`].
 pub fn calibrate_workload(seed: u64) -> WorkloadCalibration {
     let mut rng = StdRng::seed_from_u64(seed);
-    let shape = 1.3f64;
-    let mean = 4.0f64;
-    let cap = 64usize;
-    let x_m = mean * (shape - 1.0) / shape;
     let sizes: Vec<usize> = (0..CALIBRATION_CLUSTERS)
-        .map(|_| {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            ((x_m / u.powf(1.0 / shape)).round() as usize).clamp(1, cap)
-        })
+        .map(|_| family_size(&mut rng, 4.0, 64))
         .collect();
     // cost = base + k * size^2, with k chosen to hit the serial total.
     let base = 2.0f64;
@@ -104,29 +98,14 @@ pub fn calibrate_workload(seed: u64) -> WorkloadCalibration {
 }
 
 /// Partitions the cluster costs into `n` chunks the way the `split`
-/// task does: largest cluster first onto the lightest chunk. Returns
-/// the per-chunk cost sums (length `min(n, clusters)`).
+/// task does ([`balance`]). Returns the per-chunk cost sums (length
+/// `min(n, clusters)`, at least 1).
 pub fn calibrated_chunk_costs(calibration: &WorkloadCalibration, n: usize) -> Vec<f64> {
-    let n = n.max(1).min(calibration.cluster_costs.len().max(1));
-    let mut order: Vec<usize> = (0..calibration.cluster_costs.len()).collect();
-    order.sort_by(|&a, &b| {
-        calibration.cluster_costs[b]
-            .partial_cmp(&calibration.cluster_costs[a])
-            .expect("finite costs")
-    });
-    // Binary-heap of (cost, index) as a min-heap via Reverse ordering
-    // on an integer key would lose precision; linear scan is fine at
-    // n <= 500.
-    let mut chunks = vec![0.0f64; n];
-    for idx in order {
-        let (min_i, _) = chunks
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .expect("n >= 1");
-        chunks[min_i] += calibration.cluster_costs[idx];
-    }
-    chunks
+    let costs = &calibration.cluster_costs;
+    balance(costs, n)
+        .iter()
+        .map(|bin| bin.iter().fold(0.0, |sum, &i| sum + costs[i]))
+        .collect()
 }
 
 /// One simulated experiment result.

@@ -99,6 +99,9 @@ const RULES: &[Rule] = &[
     (35, "one event-log writer: the daemon keeps no writer type of its own", EVERYWHERE, "LogMonitor", Absent, WORD, "struct LogMonitor<W: Write> {"),
     (37, "the transcriptome is indexed, never copied", "crates/blast2cap3/src", "make_transcript_dict", Absent, 0, "let dict = make_transcript_dict(transcripts);"),
     (37, "no file kernel reads a whole input", "crates/blast2cap3/src/files.rs", "read_file(", Absent, BEFORE_TESTS, "let contigs = fasta::read_file(workdir.join(names::joined(i)))"),
+    (38, "a setting has a caller, and FASTA has one reader", EVERYWHERE,
+        "gapped_rescore|banded_align|parse_protein_str|write_protein_file|backoff_factor|max_backoff|default_chunk_seconds|family_size_shape",
+        Absent, WORD, "gapped_rescore: true,"),
 ];
 
 /// The sorted entry names of a directory.

@@ -7,7 +7,7 @@
 //! re-blessed), and an oracle of Fig. 2 declared one plain way, every
 //! file named by its text.
 
-use blast2cap3::workflow::{build_workflow, WorkflowParams};
+use blast2cap3::workflow::{build_workflow, WorkflowParams, DEFAULT_CHUNK_SECONDS};
 use pegasus_wms::dax::to_dax;
 use pegasus_wms::symbols::{Args, Name};
 use pegasus_wms::synthetic::{cybershake, epigenomics, ligo_inspiral, montage};
@@ -92,7 +92,7 @@ fn job_batch_oracle(params: &WorkflowParams) -> AbstractWorkflow {
     let split_out: Vec<(&str, u64)> = proteins.iter().map(|p| (p.as_str(), 0)).collect();
     job("split", "split", count.clone(), 60.0, &[list], &split_out);
     for i in 0..n {
-        let cost = (params.chunk_costs.get(i).copied()).unwrap_or(params.default_chunk_seconds);
+        let cost = (params.chunk_costs.get(i).copied()).unwrap_or(DEFAULT_CHUNK_SECONDS);
         let inputs = [dict, (proteins[i].as_str(), 0)];
         let outputs = [(joined[i].as_str(), 0), (joined_ids[i].as_str(), 0)];
         job(
