@@ -110,7 +110,7 @@ pub struct Reader<R: Read, S = DnaSeq> {
 impl Reader<std::fs::File> {
     /// Opens a FASTA file for streaming.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Reader::open_as(path)
+        Ok(Reader::over(std::fs::File::open(path)?))
     }
 }
 
@@ -118,13 +118,6 @@ impl<R: Read> Reader<R> {
     /// Wraps a reader.
     pub fn new(inner: R) -> Self {
         Reader::over(inner)
-    }
-}
-
-impl<S: Sequence> Reader<std::fs::File, S> {
-    /// Opens a FASTA file whose bodies decode as `S`.
-    fn open_as(path: impl AsRef<Path>) -> Result<Self> {
-        Ok(Reader::over(std::fs::File::open(path)?))
     }
 }
 
@@ -266,7 +259,7 @@ impl<R: Read, S: Sequence> Iterator for Reader<R, S> {
 
 /// Reads every record from a protein FASTA file on disk.
 pub fn read_protein_file(path: impl AsRef<Path>) -> Result<Vec<ProteinRecord>> {
-    Reader::open_as(path)?.read_all()
+    Reader::over(std::fs::File::open(path)?).read_all()
 }
 
 /// Parses every record from an in-memory FASTA string.

@@ -11,8 +11,9 @@
 //!   complementation ([`alphabet`]);
 //! * owned sequence types with the handful of operations the pipeline
 //!   needs — reverse complement, slicing, GC content ([`seq`]);
-//! * a FASTA reader/writer that round-trips the `transcripts.fasta`
-//!   files exchanged between workflow tasks ([`fasta`]);
+//! * one FASTA reader/writer for both alphabets, which round-trips the
+//!   `transcripts.fasta` files exchanged between workflow tasks and
+//!   reads the aligner's protein database ([`fasta`]);
 //! * the standard codon table and 6-frame translation used by the
 //!   BLASTX-like aligner ([`codon`]);
 //! * 2-bit packed k-mer iteration used for alignment seeding ([`kmer`]);
