@@ -151,9 +151,9 @@ pub trait ExecutionBackend {
 /// timeout that kills and resubmits stragglers.
 ///
 /// Backoff has one shape: `base`, `2*base`, `4*base`, ... capped at
-/// `64*base` ([`RetryPolicy::capped_backoff`]). The historical flat
-/// retry limit is [`RetryPolicy::flat`]: no backoff, no timeout —
-/// byte-for-byte the old engine behaviour.
+/// `64*base`. The historical flat retry limit is
+/// [`RetryPolicy::flat`]: no backoff, no timeout — byte-for-byte the
+/// old engine behaviour.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts allowed per job, including the first (>= 1).
@@ -205,7 +205,7 @@ impl RetryPolicy {
     /// The un-jittered backoff before retry number `next_attempt`
     /// (1-based: the first retry is attempt 1): `base * 2^(k-1)`,
     /// capped at `64 * base`.
-    pub fn capped_backoff(&self, next_attempt: u32) -> f64 {
+    pub(crate) fn capped_backoff(&self, next_attempt: u32) -> f64 {
         let exponent = next_attempt.saturating_sub(1).min(1000) as i32;
         (self.base_backoff * 2f64.powi(exponent)).min(64.0 * self.base_backoff)
     }

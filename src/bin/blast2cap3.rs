@@ -111,7 +111,7 @@ fn cmd_simulate(args: &Args) -> ExitCode {
     let prot_records: Vec<fasta::ProteinRecord> = data
         .proteins
         .iter()
-        .map(|(id, p)| fasta::Record::new(id.clone(), "", p.clone()))
+        .map(|(id, p)| fasta::ProteinRecord::new(id.clone(), "", p.clone()))
         .collect();
     let path = dir.join("proteins.fasta");
     or_exit(&doing(&path), fasta::write_file(&path, &prot_records));
