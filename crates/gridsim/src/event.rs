@@ -323,4 +323,65 @@ mod tests {
         q.schedule(499.0, "near");
         assert_eq!(q.peek_time(), Some(499.0));
     }
+
+    use proptest::prelude::*;
+
+    /// One step of a random session: a schedule at a time drawn
+    /// relative to the last popped time (a gap under 64 s, a gap of
+    /// 64 s or more, the past, one of the two zeros, `+inf`, or one of
+    /// a few exact repeats), or `None` for a pop.
+    fn session_time(kind: u8, x: f64, last: f64) -> Option<f64> {
+        match kind {
+            0 => Some(last + x % 64.0),
+            1 => Some(last + 64.0 + x),
+            2 => Some(last - x),
+            3 => Some([0.0, -0.0][x as usize % 2]),
+            4 => Some(f64::INFINITY),
+            5 => Some((x / 1e3).floor() * 64.0),
+            _ => None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Interleaved schedules and pops against the reference: each
+        /// pop returns the head of a stable sort of the pending pairs
+        /// by time (ties in schedule order, `-0.0` tying `0.0`), and
+        /// the depth peak is the most pairs ever pending at once.
+        #[test]
+        fn interleaved_pops_follow_a_stable_sort_by_time_then_seq(
+            ops in proptest::collection::vec((0u8..8, 0.0f64..1e4), 1..200),
+        ) {
+            let mut q = EventQueue::new();
+            let mut pending: Vec<(f64, usize)> = Vec::new();
+            let (mut last, mut peak, mut scheduled) = (0.0f64, 0usize, 0usize);
+            let steps = ops.iter().map(|&(k, x)| Some((k, x)));
+            for op in steps.chain(std::iter::repeat(None)) {
+                let time = match op {
+                    Some((kind, x)) => session_time(kind, x, last),
+                    None if pending.is_empty() => break,
+                    None => None,
+                };
+                if let Some(time) = time {
+                    q.schedule(time, scheduled);
+                    pending.push((time, scheduled));
+                    scheduled += 1;
+                    peak = peak.max(pending.len());
+                    continue;
+                }
+                pending.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN"));
+                let want = (!pending.is_empty()).then(|| pending.remove(0));
+                let got = q.pop();
+                let bits = |e: Option<(f64, usize)>| e.map(|(t, id)| (t.to_bits(), id));
+                prop_assert_eq!(bits(got), bits(want));
+                if let Some((t, _)) = got {
+                    last = t;
+                }
+            }
+            prop_assert_eq!(q.pop(), None);
+            prop_assert_eq!(q.stats().peak_depth, peak);
+            prop_assert_eq!(q.stats().scheduled, scheduled as u64);
+        }
+    }
 }

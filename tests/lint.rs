@@ -470,6 +470,24 @@ fn every_site_def_rule_has_a_fixture_that_triggers_exactly_it() {
     }
 }
 
+/// A site file with an error-level finding does not load, for the lint
+/// as for every other verb: the config pass falls back to the built-in
+/// sites, so a `--site` only that file defines is also `E0301`.
+#[test]
+fn a_refused_site_file_leaves_its_sites_undefined() {
+    let dax = fixture("clean_small.dax");
+    for (name, code, site) in [
+        ("e0501_duplicate_site.def", "E0501", "twin"),
+        ("e0504_zero_slots.def", "E0504", "idle"),
+        ("e0505_negative_parameter.def", "E0505", "typo"),
+        ("e0506_undefined_reference.def", "E0506", "orphan"),
+    ] {
+        let (ok, codes, out) = lint(&[&dax, "--sites", &fixture(name), "--site", site]);
+        assert!(!ok, "{name}: {out}");
+        assert_eq!(codes, ["E0301", code], "{name}: {out}");
+    }
+}
+
 #[test]
 fn custom_site_file_lints_clean_and_resolves_by_alias() {
     let def = concat!(

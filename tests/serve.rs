@@ -1111,3 +1111,39 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// A site file the lint refuses refuses the start: a zero-slot site
+/// used to load, and the first round on it panicked the daemon on
+/// every restart.
+#[test]
+fn a_site_file_the_lint_refuses_refuses_the_start() {
+    let dir = scratch("zero-slot-sites");
+    let def = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/lint/e0504_zero_slots.def"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pegasus"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--metrics-addr"])
+        .args(["127.0.0.1:0", "--sites", def, "--dir"])
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pegasus serve");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while child.try_wait().expect("poll the daemon").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("the daemon started on a zero-slot site file");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("daemon output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    for needle in ["cannot load site definitions", "E0504", "pegasus lint"] {
+        assert!(stderr.contains(needle), "{stderr}");
+    }
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

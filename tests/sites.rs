@@ -144,3 +144,42 @@ fn sites_file_that_fails_to_parse_points_at_the_lint() {
     assert!(stderr.contains("cannot load site definitions"), "{stderr}");
     assert!(stderr.contains("pegasus lint"), "{stderr}");
 }
+
+/// Every site file `pegasus lint` refuses is refused at load, by the
+/// same finding: `plan` and `run` exit 1 with the rule's code and the
+/// pointer to the lint, never a panic, a run, or a later error.
+#[test]
+fn every_site_file_lint_refuses_is_refused_at_load_with_its_code() {
+    let dir = tmpdir("refused_at_load");
+    let dax = dir.join("wf.dax");
+    let out = pegasus()
+        .args(["generate-dax", "--n", "8", "--out", dax.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    // (fixture, its code, its first site)
+    for (name, code, site) in [
+        ("e0501_duplicate_site.def", "E0501", "twin"),
+        ("e0502_duplicate_alias.def", "E0502", "north"),
+        ("e0503_alias_shadows_site.def", "E0503", "base"),
+        ("e0504_zero_slots.def", "E0504", "idle"),
+        ("e0505_negative_parameter.def", "E0505", "typo"),
+        ("e0506_undefined_reference.def", "E0506", "orphan"),
+    ] {
+        let def = format!("{}/tests/fixtures/lint/{name}", env!("CARGO_MANIFEST_DIR"));
+        for verb in [&["run", "--quiet"][..], &["plan"]] {
+            let out = pegasus()
+                .args(verb)
+                .args(["--dax", dax.to_str().unwrap(), "--sites", &def])
+                .args(["--site", site])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{verb:?} {name}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{verb:?} {name}: {stderr}");
+            for needle in ["cannot load site definitions", code, "pegasus lint"] {
+                assert!(stderr.contains(needle), "{verb:?} {name}: {stderr}");
+            }
+        }
+    }
+}
