@@ -428,8 +428,6 @@ pub mod names {
     pub const SIM_QUEUE_PEAK: &str = "pegasus_sim_event_queue_peak_depth";
     /// Counter: events scheduled into the simulator queue over a run.
     pub const SIM_EVENTS_SCHEDULED: &str = "pegasus_sim_events_scheduled_total";
-    /// Gauge: peak occupied calendar-day buckets over a run.
-    pub const SIM_CALENDAR_OCCUPANCY: &str = "pegasus_sim_calendar_buckets_occupied_peak";
 }
 
 /// An [`EventSink`] that lands every engine event in a

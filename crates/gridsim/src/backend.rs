@@ -183,8 +183,8 @@ impl SimBackend {
         self.preemptions
     }
 
-    /// Lifetime depth/occupancy statistics of the discrete-event
-    /// queue driving the simulation.
+    /// Lifetime depth statistics of the discrete-event queue driving
+    /// the simulation.
     pub fn queue_stats(&self) -> QueueStats {
         self.events.stats()
     }
@@ -195,8 +195,8 @@ impl SimBackend {
         self.events.len()
     }
 
-    /// Folds the event-queue depth and calendar-bucket occupancy
-    /// gauges into `registry` under this platform's `site` label.
+    /// Folds the event-queue depth gauges and scheduled-event counter
+    /// into `registry` under this platform's `site` label.
     /// Callers gate this behind `--profile` so default expositions
     /// stay byte-identical.
     pub fn export_queue_metrics(&self, registry: &mut MetricsRegistry) {
@@ -218,15 +218,6 @@ impl SimBackend {
             "Events scheduled into the simulator queue over the run.",
         );
         registry.add(names::SIM_EVENTS_SCHEDULED, &labels, stats.scheduled as f64);
-        registry.declare_gauge(
-            names::SIM_CALENDAR_OCCUPANCY,
-            "Peak occupied calendar-day buckets over the run.",
-        );
-        registry.set(
-            names::SIM_CALENDAR_OCCUPANCY,
-            &labels,
-            stats.peak_buckets as f64,
-        );
     }
 
     fn assign(&mut self, key: Key) {
@@ -693,7 +684,6 @@ mod tests {
         // Complete: at least two events per job passed through.
         assert!(stats.scheduled >= 8, "{stats:?}");
         assert!(stats.peak_depth >= 1);
-        assert!(stats.peak_buckets >= 1);
         assert_eq!(be.queue_depth(), 0, "a finished run drains the queue");
         let mut registry = MetricsRegistry::new();
         be.export_queue_metrics(&mut registry);
@@ -707,15 +697,12 @@ mod tests {
             registry.value(names::SIM_EVENTS_SCHEDULED, &labels),
             Some(stats.scheduled as f64)
         );
-        assert_eq!(
-            registry.value(names::SIM_CALENDAR_OCCUPANCY, &labels),
-            Some(stats.peak_buckets as f64)
-        );
         let text = registry.render();
         assert!(
             text.contains("pegasus_sim_event_queue_peak_depth{site=\"two\"}"),
             "{text}"
         );
+        assert!(!text.contains("calendar"), "{text}");
     }
 
     #[test]

@@ -2,33 +2,15 @@
 //!
 //! Events are ordered by simulated time; ties break by insertion
 //! sequence so runs are reproducible regardless of floating-point
-//! coincidences.
-//!
-//! The implementation is a *calendar queue*: time is divided into
-//! fixed-width days (`DAY_WIDTH` simulated seconds), the current day's
-//! events live in one unsorted bucket, and future days hang off a
-//! sorted day index. Simulation time advances almost monotonically —
-//! `pop` drains the current day, then steps to the next occupied one —
-//! so nearly every operation touches only the small current-day
-//! bucket instead of rebalancing a global heap. The pop order is
-//! still *exactly* the binary-heap order it replaced: the global
-//! minimum by `(time, seq)`, bit-for-bit, because days partition the
-//! time axis monotonically and in-bucket ties are resolved by a full
-//! `(time, seq)` scan.
-//!
-//! Events scheduled in the "past" (before the current day) are legal —
-//! an eviction completes *now* — and land in the current bucket, where
-//! the scan finds them first.
+//! coincidences. The queue is the standard library's binary heap over
+//! `(time, seq)`. Events scheduled in the "past" (before the last
+//! popped time) are legal — an eviction completes *now* — and pop
+//! next.
 
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
-/// Width of one calendar day in simulated seconds. The queue holds
-/// only in-flight work (bounded by slots, not workflow size), so day
-/// buckets stay small; the exact value only trades bucket length
-/// against day-index hops and never affects pop order.
-const DAY_WIDTH: f64 = 64.0;
-
-/// A scheduled event of payload `T`.
+/// A scheduled event of payload `T`, ordered by `(time, seq)` alone.
 #[derive(Debug, Clone)]
 struct Scheduled<T> {
     time: f64,
@@ -36,15 +18,31 @@ struct Scheduled<T> {
     payload: T,
 }
 
-/// Day index of an event time: `floor(time / DAY_WIDTH)`, saturating
-/// (negative times clamp to day 0, `+inf` to the last day). Monotone
-/// in `time`, so cross-day order is time order.
-fn day_of(time: f64) -> u64 {
-    (time / DAY_WIDTH).floor() as u64
+impl<T> Ord for Scheduled<T> {
+    /// `partial_cmp` on the times, so `-0.0` and `0.0` tie and go by
+    /// `seq`; [`EventQueue::schedule`] refuses NaN.
+    fn cmp(&self, other: &Self) -> Ordering {
+        let time = self.time.partial_cmp(&other.time).expect("no NaN");
+        time.then(self.seq.cmp(&other.seq))
+    }
 }
 
-/// Lifetime depth and occupancy statistics of one [`EventQueue`]:
-/// the raw material of the simulator's self-observability gauges
+impl<T> PartialOrd for Scheduled<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for Scheduled<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for Scheduled<T> {}
+
+/// Lifetime depth statistics of one [`EventQueue`]: the raw material
+/// of the simulator's self-observability gauges
 /// (`pegasus_sim_event_queue_*` in the metrics exposition).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
@@ -52,33 +50,19 @@ pub struct QueueStats {
     pub(crate) scheduled: u64,
     /// Maximum simultaneously pending events.
     pub peak_depth: usize,
-    /// Maximum simultaneously occupied calendar-day buckets
-    /// (current bucket included while non-empty).
-    pub(crate) peak_buckets: usize,
 }
 
-/// Min-queue of timed events (calendar-bucketed).
+/// Min-queue of timed events.
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    /// Events of `current_day` plus any scheduled into the past.
-    current: Vec<Scheduled<T>>,
-    /// The day `current` covers.
-    current_day: u64,
-    /// Buckets for days strictly after `current_day`, keyed by day.
-    future: BTreeMap<u64, Vec<Scheduled<T>>>,
-    len: usize,
-    seq: u64,
+    heap: BinaryHeap<Reverse<Scheduled<T>>>,
     stats: QueueStats,
 }
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         EventQueue {
-            current: Vec::new(),
-            current_day: 0,
-            future: BTreeMap::new(),
-            len: 0,
-            seq: 0,
+            heap: BinaryHeap::new(),
             stats: QueueStats::default(),
         }
     }
@@ -96,68 +80,24 @@ impl<T> EventQueue<T> {
     /// Panics if `time` is NaN.
     pub fn schedule(&mut self, time: f64, payload: T) {
         assert!(!time.is_nan(), "event time must not be NaN");
-        let ev = Scheduled {
-            time,
-            seq: self.seq,
-            payload,
-        };
-        self.seq += 1;
-        self.len += 1;
-        let day = day_of(time);
-        if day <= self.current_day {
-            // Today, or a past insert: both are popped from the
-            // current bucket, where the min-scan orders them exactly.
-            self.current.push(ev);
-        } else {
-            self.future.entry(day).or_default().push(ev);
-        }
+        let seq = self.stats.scheduled;
+        self.heap.push(Reverse(Scheduled { time, seq, payload }));
         self.stats.scheduled += 1;
-        self.stats.peak_depth = self.stats.peak_depth.max(self.len);
-        let occupied = self.future.len() + usize::from(!self.current.is_empty());
-        self.stats.peak_buckets = self.stats.peak_buckets.max(occupied);
-    }
-
-    /// Position of the minimum `(time, seq)` event in the current
-    /// bucket, assuming it is non-empty.
-    fn min_in_current(&self) -> usize {
-        let mut best = 0;
-        for i in 1..self.current.len() {
-            let (a, b) = (&self.current[i], &self.current[best]);
-            if (a.time, a.seq) < (b.time, b.seq) {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Advances `current` to the next occupied day if today is drained.
-    fn advance(&mut self) {
-        if self.current.is_empty() {
-            if let Some((day, bucket)) = self.future.pop_first() {
-                self.current = bucket;
-                self.current_day = day;
-            }
-        }
+        self.stats.peak_depth = self.stats.peak_depth.max(self.heap.len());
     }
 
     /// Removes and returns the earliest event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(f64, T)> {
-        self.advance();
-        if self.current.is_empty() {
-            return None;
-        }
-        let i = self.min_in_current();
-        let s = self.current.swap_remove(i);
-        self.len -= 1;
+        let Reverse(s) = self.heap.pop()?;
         Some((s.time, s.payload))
     }
 
     /// Number of pending events.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
-    /// Lifetime depth/occupancy statistics (peaks never reset).
+    /// Lifetime depth statistics (the peak never resets).
     pub(crate) fn stats(&self) -> QueueStats {
         self.stats
     }
@@ -167,16 +107,7 @@ impl<T> EventQueue<T> {
 impl<T> EventQueue<T> {
     /// Time of the earliest event without removing it.
     fn peek_time(&self) -> Option<f64> {
-        let bucket = if self.current.is_empty() {
-            self.future.first_key_value().map(|(_, b)| b)?
-        } else {
-            &self.current
-        };
-        bucket
-            .iter()
-            .map(|s| (s.time, s.seq))
-            .min_by(|a, b| a.partial_cmp(b).expect("event times are finite"))
-            .map(|(t, _)| t)
+        self.heap.peek().map(|Reverse(s)| s.time)
     }
 }
 
@@ -292,23 +223,21 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_scheduled_peak_depth_and_bucket_occupancy() {
+    fn stats_track_scheduled_and_peak_depth() {
         let mut q = EventQueue::new();
         assert_eq!(q.stats(), QueueStats::default());
         q.schedule(1.0, "a");
         q.schedule(2.0, "b");
-        q.schedule(500.0, "far"); // a second (future-day) bucket
+        q.schedule(500.0, "far");
         let s = q.stats();
         assert_eq!(s.scheduled, 3);
         assert_eq!(s.peak_depth, 3);
-        assert_eq!(s.peak_buckets, 2);
-        // Draining never lowers the peaks.
+        // Draining never lowers the peak.
         while q.pop().is_some() {}
         assert!(q.len() == 0);
         let s = q.stats();
         assert_eq!(s.scheduled, 3);
         assert_eq!(s.peak_depth, 3);
-        assert_eq!(s.peak_buckets, 2);
         // Refilling keeps counting from where the lifetime left off.
         q.schedule(1000.0, "again");
         assert_eq!(q.stats().scheduled, 4);

@@ -10,9 +10,9 @@
 //!   match, so the scenario silently bites nothing;
 //! * `W0202 overlapping-blackouts` — two slot-blackout windows that
 //!   intersect in both time and slot range, double-counting capacity;
-//! * `E0203 probability-out-of-range` — a probability outside
-//!   `[0, 1]` in a programmatically built plan (the text parser
-//!   already rejects these at parse time);
+//! * `E0203 probability-out-of-range` — not raised here: the text
+//!   parser refuses a probability outside `[0, 1]` under this code,
+//!   at its line;
 //! * `W0204 inert-scenario` — a window or probability that makes the
 //!   scenario a no-op;
 //! * `W0205 unreachable-scenario` — a window that opens after any
@@ -70,7 +70,6 @@ pub fn lint_plan(plan: &FaultPlan, file: &str, ctx: &PlanLintContext) -> Vec<Dia
     for (idx, s) in plan.scenarios.iter().enumerate() {
         let span = span_of(plan, idx);
         check_target(s, span, file, ctx.workflow, &mut diags);
-        check_probabilities(s, span, file, &mut diags);
         check_inert(s, span, file, &mut diags);
         check_reachable(s, span, file, ctx, &mut diags);
     }
@@ -119,29 +118,6 @@ fn check_target(
                  cleanup/cluster prefixes",
             ),
         );
-    }
-}
-
-/// `E0203`: probabilities outside `[0, 1]` (reachable only from
-/// programmatically built plans; the parser rejects them in text).
-fn check_probabilities(s: &Scenario, span: Span, file: &str, diags: &mut Vec<Diagnostic>) {
-    let (key, p) = match s {
-        Scenario::PreemptionStorm {
-            kill_probability, ..
-        } => ("kill-probability", *kill_probability),
-        Scenario::Straggler { probability, .. } => ("probability", *probability),
-        Scenario::InstallFailureBurst {
-            fail_probability, ..
-        } => ("fail-probability", *fail_probability),
-        Scenario::SlotBlackout { .. } | Scenario::SubmitHostCrash { .. } => return,
-    };
-    if !(0.0..=1.0).contains(&p) {
-        diags.push(Diagnostic::new(
-            "E0203",
-            file,
-            span,
-            format!("{} {key}={p} lies outside [0, 1]", directive(s)),
-        ));
     }
 }
 
@@ -365,22 +341,6 @@ mod tests {
         assert_eq!(codes(&diags), vec!["W0202"]);
         assert_eq!(diags[0].span.line, 2);
         assert!(diags[0].message.contains("line 1"), "{}", diags[0].message);
-    }
-
-    #[test]
-    fn programmatic_probability_out_of_range_is_e0203() {
-        let plan = FaultPlan {
-            scenarios: vec![Scenario::InstallFailureBurst {
-                start: 0.0,
-                duration: 10.0,
-                fail_probability: 1.5,
-                target: None,
-            }],
-            ..FaultPlan::default()
-        };
-        let diags = lint_plan(&plan, "<plan>", &PlanLintContext::default());
-        assert_eq!(codes(&diags), vec!["E0203"]);
-        assert!(diags[0].span.is_none(), "no source text, no line");
     }
 
     #[test]

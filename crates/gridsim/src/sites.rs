@@ -37,6 +37,7 @@ use crate::platform::{ChurnModel, PlatformModel, SlotSpec};
 use pegasus_wms::catalog::{ReplicaCatalog, Site, SiteCatalog};
 use pegasus_wms::error::{Format, Span, WmsError};
 use pegasus_wms::line::{self, Fields};
+use pegasus_wms::lint::Severity;
 use pegasus_wms::symbols::{SiteId, SymbolTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -429,33 +430,28 @@ pub struct SiteRegistry {
 }
 
 impl SiteRegistry {
-    /// Builds a registry from parsed definitions, rejecting duplicate
-    /// names and aliases (the lint pass reports the same conditions
-    /// with line numbers; this is the load-time hard stop).
+    /// Builds a registry from parsed definitions, refusing them with
+    /// the first error [`crate::lint_sites`] finds: its code, its line
+    /// and its message. The lint is the one judge of a site file, so
+    /// what it passes holds no duplicate name or alias.
     pub fn from_defs(defs: Vec<SiteDef>) -> Result<Self, WmsError> {
+        let findings = crate::lint_sites(&defs, "");
+        if let Some(d) = findings.into_iter().find(|d| d.severity == Severity::Error) {
+            return Err(WmsError::Parse {
+                format: Format::SiteDef,
+                span: d.span,
+                code: d.code,
+                reason: format!("{} [{}]", d.message, d.code),
+            });
+        }
         let mut names = SymbolTable::with_capacity(defs.len());
         let mut lookup = HashMap::new();
         for (idx, def) in defs.iter().enumerate() {
-            let id = SiteId::new(idx);
-            if names.get(&def.name).is_some() {
-                let reason = format!("duplicate site name {:?}", def.name);
-                return Err(Format::SiteDef.error(Span::none(), reason));
-            }
-            let interned: SiteId = names.intern(&def.name);
-            debug_assert_eq!(interned, id);
+            let id: SiteId = names.intern(&def.name);
+            debug_assert_eq!(id, SiteId::new(idx));
             lookup.insert(def.name.clone(), id);
-        }
-        for (idx, def) in defs.iter().enumerate() {
-            let id = SiteId::new(idx);
             for alias in &def.aliases {
-                match lookup.insert(alias.clone(), id) {
-                    None => {}
-                    Some(_) => {
-                        let reason =
-                            format!("alias {alias:?} conflicts with another site name or alias");
-                        return Err(Format::SiteDef.error(Span::none(), reason));
-                    }
-                }
+                lookup.insert(alias.clone(), id);
             }
         }
         Ok(SiteRegistry {
@@ -504,7 +500,7 @@ impl SiteRegistry {
     pub fn catalog_name(&self, id: SiteId) -> &str {
         let mut def = &self.defs[id.idx()];
         // The chain length is bounded by the def count; a cycle (which
-        // lint reports as shadowing/self-reference) degrades to the
+        // the lint allows: every target names a site) degrades to the
         // last name seen rather than hanging.
         for _ in 0..self.defs.len() {
             let Some(target) = &def.catalog_site else {
@@ -514,8 +510,8 @@ impl SiteRegistry {
                 Some(&next) if !std::ptr::eq(&self.defs[next.idx()], def) => {
                     def = &self.defs[next.idx()];
                 }
-                // Unresolvable or self-referential target: take the
-                // declared handle at face value.
+                // A self-referential target: take the declared handle
+                // at face value.
                 _ => return target,
             }
         }
@@ -680,16 +676,23 @@ mod tests {
 
     #[test]
     fn duplicate_names_and_aliases_are_rejected_at_load() {
-        let dup = "site a\nsite a\n";
-        assert!(matches!(
-            SiteRegistry::parse(dup),
-            Err(WmsError::Parse { .. })
-        ));
-        let shadow = "site a\nsite b\naliases=a\n";
-        assert!(matches!(
-            SiteRegistry::parse(shadow),
-            Err(WmsError::Parse { .. })
-        ));
+        // The lint's first error, at its line, is the refusal.
+        for (text, want, line) in [
+            ("site a\nsite a\n", "E0501", 2),
+            ("site a\nsite b\naliases=a\n", "E0503", 3),
+            (
+                "site a\naliases=x\nsite b\naliases=x\nslots=0\n",
+                "E0502",
+                4,
+            ),
+        ] {
+            let err = SiteRegistry::parse(text).unwrap_err();
+            let WmsError::Parse { code, span, .. } = &err else {
+                panic!("wrong variant: {err}");
+            };
+            assert_eq!((*code, span.line), (want, line), "{err}");
+            assert!(err.to_string().contains(want), "{err}");
+        }
     }
 
     #[test]
@@ -717,12 +720,19 @@ mod tests {
 
     #[test]
     fn catalog_site_chains_terminate() {
-        // b -> a -> (none); c -> missing.
-        let reg =
-            SiteRegistry::parse("site a\nsite b\ncatalog-site=a\nsite c\ncatalog-site=ghost\n")
-                .unwrap();
+        // b -> a -> (none); d -> d; e -> f -> e. A target naming no
+        // site is refused at load.
+        let text = "site a\nsite b\ncatalog-site=a\nsite d\ncatalog-site=d\n\
+                    site e\ncatalog-site=f\nsite f\ncatalog-site=e\n";
+        let reg = SiteRegistry::parse(text).unwrap();
         assert_eq!(reg.catalog_name(reg.resolve("b").unwrap()), "a");
-        assert_eq!(reg.catalog_name(reg.resolve("c").unwrap()), "ghost");
+        assert_eq!(reg.catalog_name(reg.resolve("d").unwrap()), "d");
+        assert_eq!(reg.catalog_name(reg.resolve("e").unwrap()), "f");
+        let err = SiteRegistry::parse("site a\nsite c\ncatalog-site=ghost\n").unwrap_err();
+        assert!(
+            matches!(err, WmsError::Parse { code: "E0506", .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -148,15 +148,16 @@ pub(crate) fn collect_lint(
 
     // Site-definition pass (E0501–E0507): lint `--sites` when given,
     // and build the registry the config pass resolves `--site`
-    // against. A file that fails to parse or load degrades to the
-    // built-ins so the remaining passes still run.
+    // against. A file that fails to parse, or has an error finding
+    // (the load refuses exactly those), degrades to the built-ins so
+    // the remaining passes still run: a `--site` only that file
+    // defines is then E0301 as well.
     let mut registry = builtin_registry().clone();
     if let Some(path) = args.get("sites") {
         match gridsim::sites::parse_defs(&read_or_exit("site definitions", path)) {
             Ok(defs) => {
                 diags.extend(gridsim::lint_sites(&defs, path));
-                // Duplicate names/aliases were just reported above;
-                // the load failure adds nothing new.
+                // Its refusal is the first finding just reported.
                 if let Ok(loaded) = SiteRegistry::from_defs(defs) {
                     registry = loaded;
                 }

@@ -102,6 +102,9 @@ const RULES: &[Rule] = &[
     (38, "a setting has a caller, and FASTA has one reader", EVERYWHERE,
         "gapped_rescore|banded_align|parse_protein_str|write_protein_file|backoff_factor|max_backoff|default_chunk_seconds|family_size_shape",
         Absent, WORD, "gapped_rescore: true,"),
+    (39, "gridsim states each rule once", "crates src tests", "DAY_WIDTH|peak_buckets|SIM_CALENDAR_OCCUPANCY|check_probabilities", Absent, WORD, "const DAY_WIDTH: f64 = 64.0;"),
+    (39, "gridsim states each rule once: the lint judges a site file", "crates/gridsim/src", "duplicate site name", Absent, WORD,
+        "let reason = format!(\"duplicate site name {:?}\", def.name);"),
 ];
 
 /// The sorted entry names of a directory.
