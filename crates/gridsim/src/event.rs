@@ -22,7 +22,7 @@ impl<T> Ord for Scheduled<T> {
     /// `partial_cmp` on the times, so `-0.0` and `0.0` tie and go by
     /// `seq`; [`EventQueue::schedule`] refuses NaN.
     fn cmp(&self, other: &Self) -> Ordering {
-        let time = self.time.partial_cmp(&other.time).expect("no NaN");
+        let time = self.time.partial_cmp(&other.time).expect("NaN refused");
         time.then(self.seq.cmp(&other.seq))
     }
 }
