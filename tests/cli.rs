@@ -973,6 +973,51 @@ fn pegasus_breakdown_and_metrics_sessions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The paper's simulated figures are `pegasus` sessions under the
+/// default seed, pinned byte for byte in `tests/fixtures/equivalence/
+/// paper/`: Fig. 4's wall times and retries (`metrics`) and its
+/// ensemble makespans (`ensemble`), Fig. 5's per-task means
+/// (`statistics` of each log the `breakdown` sweep records) beside the
+/// phase breakdown itself, and the §VI-A optimum sweep (`metrics`).
+#[test]
+fn the_papers_simulated_figures_are_pegasus_sessions() {
+    let dir = tmpdir("paper_figures");
+    let golden = |args: &[&str], name: &str| {
+        let out = pegasus().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {err}");
+        let path = dir.join(name);
+        std::fs::write(&path, out.stdout).unwrap();
+        assert_matches_golden(&path, &format!("paper/{name}"));
+    };
+    let sweep = ["--sizes", "10,100,300,500", "--retries", "10"];
+    let metrics = [&["metrics", "--site", "both"], &sweep[..]].concat();
+    golden(&metrics, "sweep_r10.prom");
+    for site in ["sandhills", "osg"] {
+        let ensemble = ["ensemble", "--site", site, "--retries", "20", "--quiet"];
+        golden(&ensemble, &format!("ensemble_{site}_r20.csv"));
+    }
+    let events_dir = ["--events-dir", dir.to_str().unwrap(), "--quiet"];
+    let breakdown = [&["breakdown", "--site", "both"], &sweep[..], &events_dir].concat();
+    golden(&breakdown, "sweep_r10.breakdown.csv");
+    for site in ["sandhills", "osg"] {
+        for n in [10, 100, 300, 500] {
+            let log = dir.join(format!("{site}_n{n}.events"));
+            let statistics = ["statistics", "--from-events", log.to_str().unwrap()];
+            golden(&statistics, &format!("{site}_n{n}.stats.csv"));
+        }
+    }
+    let optimum = [
+        "--sizes",
+        "10,25,50,100,200,300,400,500,750,1000",
+        "--retries",
+        "3",
+    ];
+    let metrics = [&["metrics", "--site", "sandhills"], &optimum[..]].concat();
+    golden(&metrics, "optimum_r3.prom");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn pegasus_workload_gallery_and_catalogs() {
     let dir = tmpdir("gallery");
