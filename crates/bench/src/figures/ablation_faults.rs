@@ -9,6 +9,8 @@
 //! * policy ablation — the full-chaos run under a flat retry limit vs
 //!   exponential backoff vs jittered exponential backoff plus a
 //!   straggler-killing timeout.
+//!
+//! No verb reproduces it: `pegasus run` has no jitter flag.
 
 use blast2cap3_pegasus::experiment::{simulate_blast2cap3_with, ExperimentOutcome};
 use gridsim::{FaultPlan, FaultScript};
@@ -34,7 +36,7 @@ pub fn run() {
     let full_chaos = format!("{STORM}{BLACKOUT}{STRAGGLER}{INSTALL}");
     let policy = || RetryPolicy::exponential(15, 30.0);
 
-    println!("scenario ablation @ OSG n=300 (exponential backoff, 15 retries):");
+    outln!("scenario ablation @ OSG n=300 (exponential backoff, 15 retries):");
     for (label, plan) in [
         ("no faults", String::new()),
         ("preemption storm", STORM.into()),
@@ -45,7 +47,7 @@ pub fn run() {
     ] {
         let out = chaos_run(&plan, policy());
         let f = &out.stats.faults;
-        println!(
+        outln!(
             "  {label:<16} wall={:>7.0}s retries={:<4} preempted={} evicted={} install={} timeout={} succeeded={}",
             out.run.wall_time,
             f.retries,
@@ -57,7 +59,7 @@ pub fn run() {
         );
     }
 
-    println!("policy ablation  @ OSG n=300 (full chaos):");
+    outln!("policy ablation  @ OSG n=300 (full chaos):");
     for (label, p) in [
         ("flat retries", RetryPolicy::flat(15)),
         ("exp backoff", RetryPolicy::exponential(15, 30.0)),
@@ -70,7 +72,7 @@ pub fn run() {
     ] {
         let out = chaos_run(&full_chaos, p);
         let f = &out.stats.faults;
-        println!(
+        outln!(
             "  {label:<18} wall={:>7.0}s retries={:<4} backoff-wait={:>7.0}s timeouts={} succeeded={}",
             out.run.wall_time,
             f.retries,

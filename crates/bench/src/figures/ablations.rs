@@ -9,6 +9,8 @@
 //!
 //! Every variant is a registered site or a planner tweak, so each
 //! line is one call into the shared experiment harness.
+//!
+//! No verb reproduces it: `--cluster` is a `plan` flag; no verb runs it.
 
 use blast2cap3_pegasus::experiment::{
     builtin_registry, calibrated_workflow, plan_on, simulate_blast2cap3,
@@ -25,18 +27,18 @@ pub fn run() {
     })
     .expect("plan");
     let clustered = simulated_wall("osg", &exec, 42, 10);
-    println!("ablation clustering @ OSG n=300: none={normal:.0}s, factor4={clustered:.0}s");
+    outln!("ablation clustering @ OSG n=300: none={normal:.0}s, factor4={clustered:.0}s");
 
     let staged = simulate_blast2cap3("osg_prestaged", 300, 42, 10);
     assert!(staged.run.succeeded());
-    println!(
+    outln!(
         "ablation prestage   @ OSG n=300: install-per-task={normal:.0}s, prestaged={:.0}s",
         staged.run.wall_time
     );
 
     for retries in [3u32, 10, 30] {
         let out = simulate_blast2cap3("osg", 100, 42, retries);
-        println!(
+        outln!(
             "ablation retries    @ OSG n=100: budget={retries} wall={:.0}s succeeded={}",
             out.run.wall_time,
             out.run.succeeded()
@@ -47,7 +49,7 @@ pub fn run() {
     // count is the two counters together.
     let churn = simulate_blast2cap3("osg_churning", 300, 42, 20);
     let kills = churn.stats.faults.preemptions + churn.stats.faults.evictions;
-    println!(
+    outln!(
         "ablation eviction   @ OSG n=300: churn-model wall={:.0}s (hazard-model={normal:.0}s), {kills} evictions",
         churn.run.wall_time
     );

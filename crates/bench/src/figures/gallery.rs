@@ -5,6 +5,8 @@
 //! engine, and both platform simulators — demonstrating that the WMS
 //! stack is not specific to the blast2cap3 shape, and showing how the
 //! campus-cluster/grid trade-off shifts with workflow structure.
+//!
+//! No verb reproduces it: `generate-workload` cannot spell `ligo_inspiral(4, 8)`.
 
 use blast2cap3_pegasus::experiment::{builtin_registry, registry_catalogs};
 use pegasus_wms::planner::{plan, PlannerConfig};
@@ -34,7 +36,7 @@ pub fn run() {
     for (name, wf) in &shapes {
         let sh = simulate(wf, "sandhills", 42);
         let og = simulate(wf, "osg", 42);
-        println!(
+        outln!(
             "gallery {name:<12} ({} jobs): sandhills {sh:.0}s, osg {og:.0}s",
             wf.jobs.len()
         );

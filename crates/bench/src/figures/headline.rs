@@ -14,6 +14,8 @@
 //!    speedup is genuinely measured, not simulated.
 //!
 //! Output: `target/experiments/headline.csv`.
+//!
+//! No verb reproduces it: no `pegasus` verb runs a real kernel.
 
 use bioseq::simulate::{generate, TranscriptomeConfig};
 use blast2cap3::serial::run_serial;
@@ -33,7 +35,7 @@ pub fn run() {
     let sim = simulate_blast2cap3("sandhills", 300, DEFAULT_SEED, 3);
     assert!(sim.run.succeeded());
     let sim_reduction = 1.0 - sim.run.wall_time / SERIAL_REFERENCE_SECONDS;
-    println!(
+    outln!(
         "simulated paper scale : serial {} -> workflow {} ({:.1}% reduction; paper: 100h -> ~3h, >95%)",
         human_duration(SERIAL_REFERENCE_SECONDS),
         human_duration(sim.run.wall_time),
@@ -89,13 +91,13 @@ pub fn run() {
     );
     let workflow_s = run.wall_time;
     let real_reduction = 1.0 - workflow_s / serial_s.max(1e-9);
-    println!(
+    outln!(
         "real laptop scale     : serial {serial_s:.3}s -> workflow {workflow_s:.3}s ({:.1}% reduction, {} workers, real CAP3 on {} transcripts)",
         100.0 * real_reduction,
         workers,
         data.transcripts.len()
     );
-    println!(
+    outln!(
         "real output           : {} -> {} sequences ({} merged), set-equal to serial",
         data.transcripts.len(),
         assembly.len(),
@@ -106,5 +108,5 @@ pub fn run() {
     ));
 
     let path = write_experiment_file("headline.csv", &csv);
-    println!("series written to {}", path.display());
+    outln!("series written to {}", path.display());
 }

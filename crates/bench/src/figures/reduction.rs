@@ -14,6 +14,8 @@
 //!    across clusters.
 //!
 //! Output: `target/experiments/reduction.csv`.
+//!
+//! No verb reproduces it: no `pegasus` verb runs a real kernel.
 
 use bioseq::fasta::Record;
 use bioseq::seq::DnaSeq;
@@ -64,7 +66,7 @@ pub fn run() {
     let alignments = synthetic_alignments(&data);
     let report = run_serial(&data.transcripts, &alignments, &Cap3Params::default());
     let reduction = report.reduction(data.transcripts.len());
-    println!(
+    outln!(
         "claim 1: transcript reduction: {} -> {} sequences = {:.1}% (paper reports 8-9% on wheat)",
         data.transcripts.len(),
         report.output.len(),
@@ -74,7 +76,7 @@ pub fn run() {
     // not break reading frames.
     let coding_before = bioseq::orf::coding_fraction(&data.transcripts, 30);
     let coding_after = bioseq::orf::coding_fraction(&report.output, 30);
-    println!(
+    outln!(
         "         coding fraction (ORF >= 30aa): {:.1}% before merge, {:.1}% after",
         100.0 * coding_before,
         100.0 * coding_after
@@ -134,7 +136,7 @@ pub fn run() {
     let guided = run_serial(&data.transcripts, &alignments, &Cap3Params::default());
     let guided_fused = count_fused(&guided.output);
 
-    println!(
+    outln!(
         "claim 2: artificially fused contigs: whole-set CAP3 = {whole_fused}, blast2cap3 = {guided_fused} (paper: protein guidance produces fewer)"
     );
     csv.push_str(&format!("fusion,whole_set_fused,{whole_fused}\n"));
@@ -143,12 +145,12 @@ pub fn run() {
         whole_fused > guided_fused,
         "protein guidance must reduce artificial fusions ({whole_fused} vs {guided_fused})"
     );
-    println!(
+    outln!(
         "verdict: REPRODUCED — protein guidance eliminated {} of {} repeat-induced fusions",
         whole_fused - guided_fused,
         whole_fused
     );
 
     let path = write_experiment_file("reduction.csv", &csv);
-    println!("series written to {}", path.display());
+    outln!("series written to {}", path.display());
 }

@@ -14,6 +14,8 @@
 //!    grow.
 //!
 //! Output: `target/experiments/scaling.csv`.
+//!
+//! No verb reproduces it: no `pegasus` verb runs a real kernel.
 
 use bioseq::simulate::{generate, TranscriptomeConfig};
 use blast2cap3::serial::run_serial;
@@ -31,7 +33,7 @@ use wms_bench::{simulated_wall, write_experiment_file, DEFAULT_SEED};
 pub fn run() {
     let mut csv = String::from("kind,scale,transcripts,serial_s,workflow_s\n");
 
-    println!("real execution sweep (serial vs workflow, wall seconds):");
+    outln!("real execution sweep (serial vs workflow, wall seconds):");
     let workdir = std::env::temp_dir().join(format!("scaling_{}", std::process::id()));
     let engine = EngineConfig::builder().retries(0).build();
     for families in [20usize, 40, 80, 160] {
@@ -57,7 +59,7 @@ pub fn run() {
         assert_eq!(serial.output.len(), assembly.len());
         let transcripts = data.transcripts.len();
         let (serial_s, workflow_s) = (serial.elapsed.as_secs_f64(), run.wall_time);
-        println!(
+        outln!(
             "  {families:>4} families / {transcripts:>5} transcripts: serial {serial_s:>8.4}s, workflow {workflow_s:>8.4}s"
         );
         csv.push_str(&format!(
@@ -65,7 +67,7 @@ pub fn run() {
         ));
     }
 
-    println!("\nsimulated paper-scale sweep (Sandhills, n = 300):");
+    outln!("\nsimulated paper-scale sweep (Sandhills, n = 300):");
     let registry = builtin_registry();
     let sandhills = registry.resolve("sandhills").expect("built-in site");
     let cal = calibrate_workload(DEFAULT_SEED);
@@ -82,7 +84,7 @@ pub fn run() {
         let exec = plan_on(registry, sandhills, &wf, |_| {}).expect("plan");
         let wall = simulated_wall("sandhills", &exec, DEFAULT_SEED, 3);
         let serial_s = scaled.serial_total;
-        println!(
+        outln!(
             "  {scale}x dataset: serial {:>9.0}s, workflow {:>8.0}s ({:.1}% reduction)",
             serial_s,
             wall,
@@ -96,5 +98,5 @@ pub fn run() {
     }
 
     let path = write_experiment_file("scaling.csv", &csv);
-    println!("\nseries written to {}", path.display());
+    outln!("\nseries written to {}", path.display());
 }

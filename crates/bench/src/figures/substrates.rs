@@ -4,13 +4,14 @@
 //! the infrastructure itself fast enough to be credible" numbers; the
 //! DAX round trip and raw engine throughput are the ledger's
 //! `dax.parse_s` and `engine.simulate_s`.
+//!
+//! No verb reproduces it: no `pegasus` verb runs a real kernel.
 
 use bioseq::fasta;
 use bioseq::kmer::KmerIter;
 use bioseq::simulate::{generate, TranscriptomeConfig};
 use blastx::search::{SearchParams, Searcher};
 use cap3::{Assembler, Cap3Params};
-use wms_bench::timed;
 
 pub fn run() {
     let data = generate(&TranscriptomeConfig {
@@ -50,4 +51,15 @@ pub fn run() {
     timed("substrates/cap3_assemble_cluster", 10, || {
         asm.assemble(&family0).output_count()
     });
+}
+
+/// Prints the mean wall time of `passes` calls of `f`, after one
+/// untimed warm-up call.
+fn timed<O>(label: &str, passes: u32, mut f: impl FnMut() -> O) {
+    std::hint::black_box(f());
+    let start = std::time::Instant::now();
+    for _ in 0..passes {
+        std::hint::black_box(f());
+    }
+    outln!("{label}: mean {:?}", start.elapsed() / passes.max(1));
 }

@@ -24,6 +24,8 @@
 //!   no-op — while a second profiled run of the same size must
 //!   collect samples, proving the flag (not dead instrumentation)
 //!   is what keeps the default path free.
+//!
+//! No verb reproduces it; it stays until the ledger absorbs it.
 
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::experiment::{builtin_registry, registry_catalogs};
@@ -204,14 +206,14 @@ pub fn run(args: &[String]) -> ExitCode {
             samples.iter().any(|(l, _)| *l == "engine.run"),
             "profiled run must sample engine.run, got {samples:?}"
         );
-        println!(
+        outln!(
             "tracing-off contract ok: 0 samples unprofiled, {} profiled \
              (simulate {:.3}s off vs {:.3}s on)",
             samples.len(),
             row.simulate_seconds,
             profiled.simulate_seconds
         );
-        println!(
+        outln!(
             "n={n}: parsed {:.0} MB/s ({:.3}s), planned {:.0} jobs/s (plan {:.3}s), \
              simulated {:.0} events/s ({:.3}s), peak RSS {} kB",
             row.dax_mb_per_sec_parsed,
@@ -233,7 +235,7 @@ pub fn run(args: &[String]) -> ExitCode {
             ("peak_rss_kb", row.peak_rss_kb as f64),
         ] {
             let Some(base) = baseline_value(&baseline, n, key) else {
-                println!("baseline has no {key} for n={n}; skipping");
+                outln!("baseline has no {key} for n={n}; skipping");
                 continue;
             };
             let is_ceiling = key == "peak_rss_kb";
@@ -247,7 +249,7 @@ pub fn run(args: &[String]) -> ExitCode {
                 if is_ceiling { "ceiling" } else { "floor" },
                 if within { "ok" } else { "REGRESSION" },
             );
-            println!("  {key}: {measured:.0} vs baseline {base:.0} ({side} {limit:.0}) {verdict}");
+            outln!("  {key}: {measured:.0} vs baseline {base:.0} ({side} {limit:.0}) {verdict}");
             ok &= within;
         }
         return if ok {
@@ -265,7 +267,7 @@ pub fn run(args: &[String]) -> ExitCode {
     let mut rows = Vec::new();
     for n in sizes {
         let row = measure(n, seed);
-        println!(
+        outln!(
             "n={:>8}: dax {:>4} MB parsed in {:>6.2}s | {:>8} jobs planned in {:>6.2}s \
              ({:>9.0} jobs/s) | {:>8} events simulated in {:>6.2}s ({:>9.0} ev/s) | \
              total {:>6.2}s, peak RSS {} MB",
@@ -285,6 +287,6 @@ pub fn run(args: &[String]) -> ExitCode {
     }
     let json = render_json(seed, &rows);
     let path = write_experiment_file("BENCH_throughput.json", &json);
-    println!("wrote {}", path.display());
+    outln!("wrote {}", path.display());
     ExitCode::SUCCESS
 }

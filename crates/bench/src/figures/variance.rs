@@ -11,6 +11,8 @@
 //! (`osg+chaos`) is wider still.
 //!
 //! Output: `target/experiments/variance.csv`.
+//!
+//! It stays a figure: no test holds its OSG-vs-Sandhills spread check.
 
 use blast2cap3_pegasus::experiment::{
     simulate_blast2cap3, simulate_blast2cap3_ensemble, simulate_blast2cap3_with,
@@ -82,26 +84,21 @@ pub fn run() {
             Some(site) => (format!("{site}+ens"), "ensemble of n=100+300".into()),
             None => (series.into(), format!("median {}", human_duration(median))),
         };
-        println!(
+        outln!(
             "{label:<9} over {RUNS} runs: min {min:>8.0}s  median {median:>8.0}s  mean {mean:>8.0}s  max {max:>8.0}s  (max/min = {spread:.2}x, {note})"
         );
     }
 
     let (sandhills_spread, osg_spread, chaos_spread) = (spreads[0], spreads[1], spreads[2]);
-    println!();
-    println!(
-        "OSG spread ({osg_spread:.2}x) vs Sandhills spread ({sandhills_spread:.2}x): {}",
-        if osg_spread > sandhills_spread {
-            "REPRODUCED — opportunistic variability dominates"
-        } else {
-            "DEVIATION"
-        }
-    );
+    outln!();
     assert!(
         osg_spread > sandhills_spread,
         "the paper's variability contrast must reproduce"
     );
-    println!("scripted storm widens OSG spread further: {chaos_spread:.2}x vs {osg_spread:.2}x");
+    outln!(
+        "OSG spread ({osg_spread:.2}x) vs Sandhills spread ({sandhills_spread:.2}x): REPRODUCED — opportunistic variability dominates"
+    );
+    outln!("scripted storm widens OSG spread further: {chaos_spread:.2}x vs {osg_spread:.2}x");
     let path = write_experiment_file("variance.csv", &csv);
-    println!("series written to {}", path.display());
+    outln!("series written to {}", path.display());
 }

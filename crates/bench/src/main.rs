@@ -1,6 +1,7 @@
 #![forbid(unsafe_code)]
 
 //! `wms-bench` — every figure, ablation and gate of the reproduction
+//! that no `pegasus` verb prints (README.md names the verb sessions),
 //! as a subcommand of one binary over one table.
 //!
 //! `wms-bench <name> [args]` runs one row, `wms-bench --list` prints
@@ -11,18 +12,17 @@
 //! this binary's; `substrates` times only the four kernels no ledger
 //! metric isolates.
 
+#[macro_use] // `out!` and `outln!`, for every figure
+extern crate blast2cap3_pegasus;
+
 use std::process::ExitCode;
 
 mod figures {
     pub mod ablation_faults;
     pub mod ablations;
-    pub mod breakdown;
-    pub mod fig4;
     pub mod fig4_real;
-    pub mod fig5;
     pub mod gallery;
     pub mod headline;
-    pub mod optimum;
     pub mod reduction;
     pub mod scaling;
     pub mod substrates;
@@ -48,15 +48,11 @@ macro_rules! plain {
 
 #[rustfmt::skip] // one row per line
 const FIGURES: &[Figure] = &[
-    ("fig4", "Fig. 4: wall time, serial vs n, both platforms", plain!(fig4)),
     ("fig4_real", "Fig. 4 cross-check as scaled sleeps on real threads", plain!(fig4_real)),
-    ("fig5", "Fig. 5: per-task kickstart / waiting / install", plain!(fig5)),
-    ("optimum", "§VI-A: the n = 300 optimum on Sandhills", plain!(optimum)),
     ("headline", "abstract: > 95 % reduction, simulated and real", plain!(headline)),
     ("reduction", "§II: transcript reduction, fused-contig contrast", plain!(reduction)),
     ("variance", "§VII: run-to-run variability, Sandhills vs OSG", plain!(variance)),
     ("scaling", "§V-B: growth with dataset size", plain!(scaling)),
-    ("breakdown", "Fig. 5 phase means -> BENCH_breakdown.json", plain!(breakdown)),
     ("ablations", "§III, §VII: clustering, retries, pre-staging", plain!(ablations)),
     ("ablation_faults", "§VII: chaos scenarios and retry policies", plain!(ablation_faults)),
     ("gallery", "beyond the paper: four classic workflow shapes", plain!(gallery)),
@@ -73,7 +69,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = args.first().map_or("", String::as_str);
     if name == "--list" {
-        print!("{}", table());
+        out!("{}", table());
         return ExitCode::SUCCESS;
     }
     match FIGURES.iter().find(|row| row.0 == name) {

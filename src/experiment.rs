@@ -127,12 +127,6 @@ impl ExperimentOutcome {
     pub fn event_log(&self) -> String {
         pegasus_wms::events::log::write(&self.run.events)
     }
-
-    /// The run's per-task phase breakdown row (Fig. 7–8 decomposition),
-    /// computed from the job records its provenance stream folded into.
-    pub fn breakdown(&self) -> pegasus_wms::breakdown::BreakdownRow {
-        pegasus_wms::breakdown::of_run(&self.run)
-    }
 }
 
 /// Simulates the paper's experiment: the Fig. 2 workflow with `n`

@@ -85,7 +85,7 @@ const RULES: &[Rule] = &[
     (28, "BLOSUM62 is a pair table", "crates/blastx/src/matrix.rs", "binary_search|to_ascii_uppercase|OnceLock", Absent, BEFORE_TESTS, "let a = a.to_ascii_uppercase();"),
     (29, "one scheduling loop waits on a backend", "crates/core/src", ".wait_any()", Exactly(1), BEFORE_TESTS, "let ev = backend.wait_any();"),
     (29, "no per-job admission scan", "crates/core/src/ensemble.rs", "struct Pending|next_seq|submit_jobs|owner|Unobserved", Absent, 0, "struct Pending { seq: u64 }"),
-    (30, "stdout is written through cli::emit", "src", "println!|print!(", Absent, WORD | BEFORE_TESTS | NO_COMMENTS, "println!(\"{report}\");"),
+    (30, "stdout is written through cli::emit", "src crates/bench/src/main.rs crates/bench/src/lib.rs crates/bench/src/figures", "println!|print!(", Absent, WORD | BEFORE_TESTS | NO_COMMENTS, "println!(\"{report}\");"),
     (30, "no binary parses or dispatches by hand", "src/bin", "struct Args|fn usage|match verb.name|unhandled verb", Absent, 0, "match verb.name {"),
     (30, "the daemon has no stdout writer of its own", "src/serve.rs", "fn say", Absent, 0, "fn say(line: &str) {"),
     (30, "statistics runs no live path beside its fold", "src/bin", "csv_only", Absent, 0, "if csv_only {"),

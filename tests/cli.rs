@@ -1018,6 +1018,27 @@ fn the_papers_simulated_figures_are_pegasus_sessions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `BENCH_breakdown.json` is the `--json` rendering of the paper's
+/// breakdown sweep, byte for byte.
+#[test]
+fn bench_breakdown_json_is_the_verbs_output() {
+    let dir = tmpdir("bench_breakdown");
+    let path = dir.join("BENCH_breakdown.json");
+    let out = pegasus()
+        .args(["breakdown", "--site", "both", "--sizes", "10,100,300,500"])
+        .args(["--retries", "10", "--json", "--quiet", "--out"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_breakdown.json");
+    assert!(
+        std::fs::read(&path).unwrap() == std::fs::read(committed).unwrap(),
+        "BENCH_breakdown.json differs from `pegasus breakdown --json`"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn pegasus_workload_gallery_and_catalogs() {
     let dir = tmpdir("gallery");

@@ -55,7 +55,7 @@ fn artifacts_for(site: &str, n: usize, seed: u64) -> Artifacts {
     Artifacts {
         stats_csv: render_csv(&compute(&out.run)),
         event_log: out.event_log(),
-        breakdown_csv: breakdown::render_csv(&[out.breakdown()]),
+        breakdown_csv: breakdown::render_csv(&[breakdown::of_run(&out.run)]),
         prom: registry.render(),
     }
 }
