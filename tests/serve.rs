@@ -269,21 +269,34 @@ fn two_concurrent_tenants_replay_byte_identical_under_one_seed() {
     assert_eq!(a.2, b.2, "metrics must be byte-identical across daemons");
 }
 
+/// The daemon flags of the two-site session.
+const TWO_SITE_FLAGS: [&str; 4] = ["--seed", "11", "--retries", "10"];
+
+/// The two-site session's submissions: alice at n = 100 on Sandhills,
+/// bob at n = 100 on OSG. Returns the connection they went over.
+fn submit_two_sites(daemon: &Daemon) -> Connection {
+    let mut conn = daemon.connect();
+    expect_ok(&mut conn, &generated("alice", "sandhills", 100));
+    expect_ok(&mut conn, &generated("bob", "osg", 100));
+    conn
+}
+
+/// A payload as the committed file holds it: one line each, every
+/// line newline-terminated.
+fn payload_text(lines: &[String]) -> String {
+    lines.iter().map(|l| format!("{l}\n")).collect()
+}
+
 /// Two tenants on two sites scrape the committed exposition live, from
 /// the offline fold of their logs, after a restart over a torn journal
 /// tail and after a crash in the first round.
 #[test]
 fn two_site_scrape_matches_the_golden_live_offline_torn_and_recovered() {
     let golden = std::fs::read_to_string("tests/fixtures/serve/two_site.prom").unwrap();
-    let flags = ["--seed", "11", "--retries", "10"];
+    let flags = TWO_SITE_FLAGS;
     let crash = [&flags[..], &["--crash-after-members", "1"]].concat();
     let scrape = |daemon: &Daemon| client::scrape(&daemon.metrics_addr).expect("HTTP scrape");
-    let submit = |daemon: &Daemon| {
-        let mut conn = daemon.connect();
-        expect_ok(&mut conn, &generated("alice", "sandhills", 100));
-        expect_ok(&mut conn, &generated("bob", "osg", 100));
-        conn
-    };
+    let submit = submit_two_sites;
     let dir = scratch("golden");
     let daemon = Daemon::start(&dir, &flags);
     expect_ok(&mut submit(&daemon), &Request::Run);
@@ -303,6 +316,31 @@ fn two_site_scrape_matches_the_golden_live_offline_torn_and_recovered() {
     expect_ok(&mut recovered.connect(), &Request::Run);
     assert_eq!(scrape(&recovered), golden, "after a crash");
     recovered.shutdown();
+}
+
+/// The two-site session's `status` and `rollup` payloads equal the
+/// committed bytes live, from the offline replay of its directory and
+/// after a restart that reads every member back from its log.
+#[test]
+fn two_site_status_and_rollup_match_their_goldens_live_offline_and_restarted() {
+    let read = |name: &str| std::fs::read_to_string(format!("tests/fixtures/serve/{name}"));
+    let status = read("two_site.status").unwrap();
+    let rollup = read("two_site.rollup.csv").unwrap();
+    let views = |daemon: &Daemon| {
+        let mut conn = daemon.connect();
+        let mut view = |req| payload_text(&expect_lines(&mut conn, &req));
+        (view(Request::Status), view(Request::Rollup))
+    };
+    let dir = scratch("golden-views");
+    let daemon = Daemon::start(&dir, &TWO_SITE_FLAGS);
+    expect_ok(&mut submit_two_sites(&daemon), &Request::Run);
+    assert_eq!(views(&daemon), (status.clone(), rollup.clone()), "live");
+    let offline = status_lines_offline(&dir).expect("offline status");
+    assert_eq!(payload_text(&offline), status, "offline");
+    daemon.shutdown();
+    let restarted = Daemon::start(&dir, &TWO_SITE_FLAGS);
+    assert_eq!(views(&restarted), (status, rollup), "after a restart");
+    restarted.shutdown();
 }
 
 #[test]
