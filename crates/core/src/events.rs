@@ -852,9 +852,11 @@ pub mod log {
         let mut events = Vec::new();
         parse_each(text, |_, ev| {
             if let WorkflowEvent::WorkflowStarted { jobs, .. } = ev {
-                // A job that ran left four events or more. The header
-                // is believed only as far as the text is long.
-                events.reserve((jobs as usize).saturating_mul(4).min(text.len() / 16));
+                // A job that ran left four events or more, and the
+                // header and trailer are two more. The header is
+                // believed only as far as the text is long.
+                let expected = (jobs as usize).saturating_mul(4).saturating_add(2);
+                events.reserve(expected.min(text.len() / 16));
             }
             events.push(ev);
         })?;
@@ -1268,6 +1270,18 @@ mod tests {
         assert!(run.succeeded());
         let replayed = replay(&run.events).expect("engine streams replay");
         assert_eq!(replayed, run);
+    }
+
+    #[test]
+    fn a_fault_free_log_parses_into_a_stream_its_own_length() {
+        let mut wf = chain();
+        wf.jobs[1].install_hint = 0.0;
+        let mut be = ScriptedBackend::new();
+        let cfg = EngineConfig::default();
+        let run = Engine::run(&mut be, &wf, &cfg, &mut crate::engine::NoopMonitor);
+        assert_eq!(run.events.len(), 4 * wf.jobs.len() + 2);
+        let parsed = log::parse(&log::write(&run.events)).unwrap();
+        assert_eq!((parsed.len(), parsed.capacity()), (14, 14));
     }
 
     #[test]

@@ -84,6 +84,7 @@ use crate::ensemble::MemberState;
 use crate::error::{Format, Span, WmsError};
 use crate::line::{self, Field, Fields, Line, Value};
 use crate::statistics::{self, WorkflowStatistics};
+use crate::symbols::NamePool;
 use crate::trace::TraceId;
 use std::fmt::Write as _;
 
@@ -785,18 +786,20 @@ pub struct MemberSummary {
     /// Whether the whole workflow completed.
     pub succeeded: bool,
     /// The member's statistics row; its name and wall time are the
-    /// run's.
+    /// run's, and its per-transformation breakdown is empty.
     pub stats: WorkflowStatistics,
 }
 
 impl MemberSummary {
-    /// Summarises a live or replayed run.
-    pub fn of(run: &WorkflowRun) -> Self {
+    /// Summarises a live or replayed run: its statistics row without
+    /// the per-transformation breakdown no service view reads, its
+    /// workflow and site names shared through `names`.
+    pub fn of(run: &WorkflowRun, names: &mut NamePool) -> Self {
         MemberSummary {
             jobs: run.records.len(),
             queue_wait: queue_wait(run),
             succeeded: run.succeeded(),
-            stats: statistics::compute(run),
+            stats: statistics::summary(run, names),
         }
     }
 
@@ -810,7 +813,7 @@ impl MemberSummary {
             jobs: Some(self.jobs),
             wall_time: Some(self.stats.workflow_wall_time),
             queue_wait: self.queue_wait,
-            name: self.stats.name.clone(),
+            name: self.stats.name.to_string(),
         }
     }
 }
@@ -1148,6 +1151,26 @@ mod tests {
                      queue-wait=- round=2 name=wf 1";
         let line = parse_status_line(newer).unwrap();
         assert_eq!((line.id, line.jobs, line.name.as_str()), (3, None, "wf 1"));
+    }
+
+    #[test]
+    fn two_members_summarised_through_one_pool_share_their_names() {
+        let log = "\
+workflow-started time=0 jobs=1 site=osg name=blast2cap3_n10
+job id=0 kind=compute transformation=split name=split
+submitted time=0 job=0 attempt=0
+started time=1 job=0 attempt=0
+completed job=0 attempt=0 submitted=0 started=1 install-done=1 finished=4
+workflow-finished time=4 wall-time=4 succeeded=true
+";
+        let run = || crate::events::replay(&crate::events::log::parse(log).unwrap()).unwrap();
+        let mut names = NamePool::default();
+        let a = MemberSummary::of(&run(), &mut names).stats;
+        let b = MemberSummary::of(&run(), &mut names).stats;
+        assert!(crate::symbols::Name::ptr_eq(&a.name, &b.name));
+        assert!(crate::symbols::Name::ptr_eq(&a.site, &b.site));
+        assert_eq!((&*a.name, &*a.site), ("blast2cap3_n10", "osg"));
+        assert!(a.per_type.is_empty(), "a summary row keeps no breakdown");
     }
 
     #[test]

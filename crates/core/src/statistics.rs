@@ -11,7 +11,8 @@
 //!   (OSG only; zero wherever software is preinstalled).
 
 use crate::csv::csv_row;
-use crate::engine::{FaultCounters, JobState, WorkflowRun};
+use crate::engine::{FaultCounters, JobState, JobTimes, WorkflowRun};
+use crate::symbols::{Name, NamePool};
 use std::collections::BTreeMap;
 
 /// Column header shared by [`render_summary_csv`] and
@@ -49,9 +50,9 @@ pub struct TaskTypeStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowStatistics {
     /// Workflow name.
-    pub(crate) name: String,
+    pub(crate) name: Name,
     /// Execution site.
-    pub(crate) site: String,
+    pub(crate) site: Name,
     /// Workflow Wall Time in seconds.
     pub workflow_wall_time: f64,
     /// Sum of kickstart times over successful jobs — the work a
@@ -91,9 +92,19 @@ impl WorkflowStatistics {
     }
 }
 
-/// Computes statistics from a run.
+/// Computes statistics from a run: its `summary` plus the
+/// per-transformation breakdown.
 pub fn compute(run: &WorkflowRun) -> WorkflowStatistics {
-    let mut per_type: BTreeMap<&str, Vec<&crate::engine::JobRecord>> = BTreeMap::new();
+    WorkflowStatistics {
+        per_type: per_type(run),
+        ..summary(run, &mut NamePool::default())
+    }
+}
+
+/// Every [`WorkflowStatistics`] field of a run but `per_type`, which
+/// stays empty: the row a summary CSV prints and a service keeps. The
+/// workflow and site names are `names`' handles.
+pub(crate) fn summary(run: &WorkflowRun, names: &mut NamePool) -> WorkflowStatistics {
     let mut cumulative = 0.0;
     let mut badput = 0.0;
     let mut succeeded = 0;
@@ -106,10 +117,6 @@ pub fn compute(run: &WorkflowRun) -> WorkflowStatistics {
                 if let Some(t) = rec.times {
                     cumulative += t.kickstart();
                 }
-                per_type
-                    .entry(rec.transformation.as_str())
-                    .or_default()
-                    .push(rec);
             }
             JobState::SkippedDone => succeeded += 1,
             JobState::Failed => failed += 1,
@@ -119,10 +126,36 @@ pub fn compute(run: &WorkflowRun) -> WorkflowStatistics {
             badput += f.times.total();
         }
     }
-    let per_type = per_type
+    WorkflowStatistics {
+        name: names.share(&run.name),
+        site: names.share(&run.site),
+        workflow_wall_time: run.wall_time,
+        cumulative_job_walltime: cumulative,
+        cumulative_badput: badput,
+        jobs_succeeded: succeeded,
+        jobs_failed: failed,
+        jobs_unready: unready,
+        retries: run.total_retries(),
+        faults: run.faults,
+        per_type: Vec::new(),
+    }
+}
+
+/// The per-transformation breakdown of a run's completed jobs, keyed
+/// and ordered by transformation name.
+fn per_type(run: &WorkflowRun) -> Vec<TaskTypeStats> {
+    let mut by_type: BTreeMap<&str, Vec<JobTimes>> = BTreeMap::new();
+    for rec in &run.records {
+        if rec.state == JobState::Done {
+            by_type
+                .entry(&rec.transformation)
+                .or_default()
+                .extend(rec.times);
+        }
+    }
+    by_type
         .into_iter()
-        .map(|(name, recs)| {
-            let times: Vec<_> = recs.iter().filter_map(|r| r.times).collect();
+        .map(|(name, times)| {
             let count = times.len();
             let kick: Vec<f64> = times.iter().map(|t| t.kickstart()).collect();
             let waits: Vec<f64> = times.iter().map(|t| t.waiting()).collect();
@@ -148,20 +181,7 @@ pub fn compute(run: &WorkflowRun) -> WorkflowStatistics {
                 install_mean: mean(&installs),
             }
         })
-        .collect();
-    WorkflowStatistics {
-        name: run.name.clone(),
-        site: run.site.clone(),
-        workflow_wall_time: run.wall_time,
-        cumulative_job_walltime: cumulative,
-        cumulative_badput: badput,
-        jobs_succeeded: succeeded,
-        jobs_failed: failed,
-        jobs_unready: unready,
-        retries: run.total_retries(),
-        faults: run.faults,
-        per_type,
-    }
+        .collect()
 }
 
 /// Renders a pegasus-statistics-style text report.
@@ -266,8 +286,8 @@ pub fn render_summary_csv(stats: &WorkflowStatistics) -> String {
 fn summary_row(stats: &WorkflowStatistics) -> String {
     let f = &stats.faults;
     csv_row(&[
-        stats.name.clone(),
-        stats.site.clone(),
+        stats.name.to_string(),
+        stats.site.to_string(),
         format!("{:.3}", stats.workflow_wall_time),
         format!("{:.3}", stats.cumulative_job_walltime),
         format!("{:.3}", stats.cumulative_badput),
@@ -352,9 +372,9 @@ impl EnsembleStatistics {
     /// time = makespan), for tools that consume the summary schema.
     fn rollup_row_stats(&self) -> WorkflowStatistics {
         let site = match self.per_workflow.as_slice() {
-            [] => "none".to_string(),
+            [] => "none".into(),
             [first, rest @ ..] if rest.iter().all(|w| w.site == first.site) => first.site.clone(),
-            _ => "mixed".to_string(),
+            _ => "mixed".into(),
         };
         WorkflowStatistics {
             name: "ensemble".into(),
@@ -667,6 +687,61 @@ mod tests {
         assert!(text.contains("ensemble of 2 workflows"));
         assert!(text.contains("w2"));
         assert!(text.contains("WORKFLOW"));
+    }
+
+    /// A storm on five jobs: `split` completes after a preemption,
+    /// `run_cap3_0` after a timeout, `run_cap3_1` exhausts its retries
+    /// on task errors, `merge` is never released and `run_cap3_2` was
+    /// done before the run began.
+    fn storm_run() -> WorkflowRun {
+        let log = "\
+workflow-started time=0 jobs=5 site=osg name=storm
+job id=0 kind=compute transformation=split name=split
+job id=1 kind=compute transformation=run_cap3 name=run_cap3_0
+job id=2 kind=compute transformation=run_cap3 name=run_cap3_1
+job id=3 kind=compute transformation=merge name=merge
+job id=4 kind=compute transformation=run_cap3 name=run_cap3_2
+skipped time=0 job=4
+submitted time=0 job=0 attempt=0
+started time=1 job=0 attempt=0
+failed job=0 attempt=0 reason=preempted submitted=0 started=1 install-done=1 finished=5 detail=preempted:storm
+retry-scheduled time=5 job=0 next-attempt=1 backoff=0 reason=preempted detail=preempted:storm
+submitted time=5 job=0 attempt=1
+started time=6 job=0 attempt=1
+completed job=0 attempt=1 submitted=5 started=6 install-done=6 finished=10
+submitted time=10 job=1 attempt=0
+submitted time=10 job=2 attempt=0
+started time=12 job=1 attempt=0
+started time=13 job=2 attempt=0
+failed job=2 attempt=0 reason=error submitted=10 started=13 install-done=14 finished=20 detail=error:bad chunk
+retry-scheduled time=20 job=2 next-attempt=1 backoff=30 reason=error detail=error:bad chunk
+timed-out job=1 attempt=0 submitted=10 started=12 install-done=15 finished=40 detail=timeout: exceeded 28s
+retry-scheduled time=40 job=1 next-attempt=1 backoff=0 reason=timeout detail=timeout: exceeded 28s
+submitted time=40 job=1 attempt=1
+submitted time=50 job=2 attempt=1
+started time=41 job=1 attempt=1
+started time=52 job=2 attempt=1
+completed job=1 attempt=1 submitted=40 started=41 install-done=44 finished=60
+failed job=2 attempt=1 reason=error submitted=50 started=52 install-done=53 finished=61 detail=error:bad chunk
+workflow-finished time=61 wall-time=61 succeeded=false
+";
+        crate::events::replay(&crate::events::log::parse(log).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn summary_is_compute_without_the_per_type_breakdown() {
+        let run = storm_run();
+        let mut full = compute(&run);
+        assert_eq!(full.retries, 3);
+        assert_eq!(full.faults.timeouts, 1);
+        assert_eq!(full.faults.preemptions, 1);
+        assert_eq!(full.jobs_failed, 1);
+        assert_eq!(full.jobs_unready, 1);
+        assert_eq!(full.jobs_succeeded, 3);
+        assert!(full.cumulative_badput > 0.0);
+        assert_eq!(full.per_type.len(), 2, "split and run_cap3 completed");
+        full.per_type.clear();
+        assert_eq!(summary(&run, &mut NamePool::default()), full);
     }
 
     #[test]

@@ -26,10 +26,12 @@
 //!   live daemon and an offline replay of its directory render
 //!   byte-identical views.
 //! * **The daemon holds live work, not history.** A finished member
-//!   is folded once — into a [`MemberSummary`] row and the running
-//!   metrics registry — and its run is dropped; `trace` reads the
-//!   member log back on demand. Restart streams the logs through the
-//!   same fold, one member at a time.
+//!   is folded once — into a [`MemberSummary`] row as its round
+//!   returns, and into the running metrics registry once the request's
+//!   last round is done — and its run is dropped; only its event
+//!   stream waits for the metrics fold. `trace` reads the member log
+//!   back on demand. Restart streams the logs through the same two
+//!   steps, one member at a time.
 //! * **Recovery re-executes the interrupted round.** The journal's
 //!   open `round` entry names the batch and seed; partial member logs
 //!   are reported (how far each in-flight member got), deleted, and
@@ -56,7 +58,7 @@ use pegasus_wms::serve::{
     JournalEntry, Ledger, MemberSummary, Request, ResponseHead, SubmitRequest, SubmitSource,
 };
 use pegasus_wms::statistics::{render_ensemble_csv, EnsembleStatistics};
-use pegasus_wms::symbols::SiteId;
+use pegasus_wms::symbols::{NamePool, SiteId};
 use pegasus_wms::trace::{self, TraceId};
 use pegasus_wms::verify;
 use std::collections::BTreeMap;
@@ -407,6 +409,8 @@ struct Daemon {
     ledger: Ledger,
     /// Indexed by submission id, like `ledger.submissions`.
     members: Vec<Option<MemberSummary>>,
+    /// Shares the summary rows' workflow and site names.
+    names: NamePool,
     /// Every finished member's events, folded in member-id order —
     /// the fold `pegasus metrics --from-events m0.events,m1.events,…`
     /// performs offline, which is order-dependent, so the scrape
@@ -509,36 +513,47 @@ impl Daemon {
         }
     }
 
-    /// Takes what the daemon keeps of a finished member — its summary
-    /// row, and its events in the running registry — and drops the run.
-    fn absorb(&mut self, id: usize, run: WorkflowRun) -> Result<(), String> {
-        self.members[id] = Some(MemberSummary::of(&run));
+    /// Keeps a finished member's summary row and drops its run but
+    /// for the event stream, which the metrics fold still needs:
+    /// returned sized to its length.
+    fn summarise(&mut self, id: usize, run: WorkflowRun) -> Vec<WorkflowEvent> {
+        self.members[id] = Some(MemberSummary::of(&run, &mut self.names));
+        let mut events = run.events;
+        events.shrink_to_fit();
+        events
+    }
+
+    /// Folds a finished member's events into the running registry,
+    /// unless a member above it was folded first.
+    fn fold(&mut self, id: usize, events: &[WorkflowEvent]) -> Result<(), String> {
         self.stale |= self.folded.is_some_and(|high| id < high);
         if !self.stale {
-            metrics::record_events(&mut self.metrics, &run.events)
+            metrics::record_events(&mut self.metrics, events)
                 .map_err(|e| format!("cannot record metrics: {e}"))?;
             self.folded = Some(id);
         }
         Ok(())
     }
 
-    /// Absorbs every finished member from its log, in id order and one
-    /// run at a time, into a fresh registry: how a restart learns its
-    /// history, and how a stale registry is rebuilt.
+    /// Summarises and folds every finished member from its log, in id
+    /// order and one run at a time, into a fresh registry: how a
+    /// restart learns its history, and how a stale registry is rebuilt.
     fn absorb_logs(&mut self) -> Result<(), String> {
         (self.metrics, self.folded, self.stale) = (MetricsRegistry::new(), None, false);
         let finished: Vec<usize> = finished_members(&self.ledger).collect();
-        let absorbed = finished
-            .into_iter()
-            .try_for_each(|id| self.absorb(id, read_member_run(&self.opts.dir, id)?));
+        let absorbed = finished.into_iter().try_for_each(|id| {
+            let events = self.summarise(id, read_member_run(&self.opts.dir, id)?);
+            self.fold(id, &events)
+        });
         self.stale = absorbed.is_err();
         absorbed
     }
 
     /// `run`: one round per site over everything queued, sites in
-    /// lexicographic order, members in id order; then every run the
-    /// request produced is absorbed, whether or not its last round
-    /// failed.
+    /// lexicographic order, members in id order. Each member is
+    /// summarised as its round returns; then the events of every
+    /// member the request finished are folded, whether or not its
+    /// last round failed.
     fn handle_run(&mut self) -> Result<ResponseHead, String> {
         // Keyed by the site's primary registry name so rounds execute
         // in lexicographic site order, as they always have; aliases
@@ -555,14 +570,14 @@ impl Daemon {
                 .1
                 .push(id);
         }
-        // Rounds go by site name, not by member id, so the runs wait
-        // for the request's last round and are absorbed in id order.
-        // Every id here is above every earlier request's.
-        let mut finished: Vec<(usize, WorkflowRun)> = Vec::new();
+        // Rounds go by site name, not by member id, so the event
+        // streams wait for the request's last round and are folded in
+        // id order. Every id here is above every earlier request's.
+        let mut finished: Vec<(usize, Vec<WorkflowEvent>)> = Vec::new();
         let ran = self.run_rounds(by_site, &mut finished);
         finished.sort_by_key(|(id, _)| *id);
-        for (id, run) in finished {
-            self.absorb(id, run)?;
+        for (id, events) in finished {
+            self.fold(id, &events)?;
         }
         let (rounds, count) = ran?;
         Ok(ResponseHead::Ok(vec![
@@ -572,12 +587,12 @@ impl Daemon {
     }
 
     /// Each round is planned once, journaled, executed, and journaled
-    /// done; its runs join `finished`. Returns how many rounds and
-    /// members ran.
+    /// done; its members are summarised and their event streams join
+    /// `finished`. Returns how many rounds and members ran.
     fn run_rounds(
         &mut self,
         by_site: BTreeMap<String, (SiteId, Vec<usize>)>,
-        finished: &mut Vec<(usize, WorkflowRun)>,
+        finished: &mut Vec<(usize, Vec<WorkflowEvent>)>,
     ) -> Result<(usize, usize), String> {
         let mut rounds = 0usize;
         let mut count = 0usize;
@@ -597,7 +612,9 @@ impl Daemon {
             self.record(JournalEntry::RoundFinished { round })?;
             rounds += 1;
             count += ids.len();
-            finished.extend(ids.into_iter().zip(runs));
+            for (id, run) in ids.into_iter().zip(runs) {
+                finished.push((id, self.summarise(id, run)));
+            }
         }
         Ok((rounds, count))
     }
@@ -722,6 +739,7 @@ fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
         opts: opts.clone(),
         registry,
         members: vec![None; ledger.submissions.len()],
+        names: NamePool::default(),
         ledger,
         metrics: MetricsRegistry::new(),
         folded: None,
@@ -940,9 +958,9 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
 /// Unreadable/corrupt journal or member logs.
 pub fn status_lines_offline(dir: &Path) -> Result<Vec<String>, String> {
     let (ledger, ..) = read_journal(dir)?;
-    let mut members = vec![None; ledger.submissions.len()];
+    let (mut members, mut names) = (vec![None; ledger.submissions.len()], NamePool::default());
     for id in finished_members(&ledger) {
-        members[id] = Some(MemberSummary::of(&read_member_run(dir, id)?));
+        members[id] = Some(MemberSummary::of(&read_member_run(dir, id)?, &mut names));
     }
     Ok(status_lines(&ledger, &members))
 }

@@ -33,6 +33,7 @@
 //!   cancels, several `run`s, a crash, restarts — every live view
 //!   equals its offline fold and its own rendering after a restart.
 
+use blast2cap3::workflow::WorkflowParams;
 use blast2cap3_pegasus::serve::client::{self, Connection};
 use blast2cap3_pegasus::serve::status_lines_offline;
 use pegasus_wms::events;
@@ -1184,4 +1185,76 @@ fn a_site_file_the_lint_refuses_refuses_the_start() {
         assert!(stderr.contains(needle), "{stderr}");
     }
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// The daemon's resident set in bytes, read from `/proc`.
+fn resident_bytes(daemon: &Daemon) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.child.id()))
+        .expect("read the daemon's /proc status");
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .expect("a VmRSS line in kB");
+    kb * 1024
+}
+
+/// A finished member costs the daemon its summary row and no more:
+/// from 4 000 to 12 000 finished members in the benchmark's mix
+/// (400 tenants round-robin, sites alternating, of every ten pairs
+/// eight generated at n = 10, one at n = 100 and one a DAX file), the
+/// resident set read after a `status` grows by at most 1 000 bytes a
+/// member. Slow: run with `cargo test --release -- --ignored`.
+#[test]
+#[ignore]
+#[cfg(target_os = "linux")]
+fn the_daemon_grows_at_most_1000_bytes_per_finished_member() {
+    const PER_ROUND: usize = 400;
+    const SIZES: [usize; 3] = [4_000, 8_000, 12_000];
+    let dir = scratch("growth");
+    let dax = dir.join("fig2_n50.dax");
+    let wf = blast2cap3::workflow::build_workflow(&WorkflowParams::with_n(50));
+    std::fs::write(&dax, pegasus_wms::dax::to_dax(&wf)).expect("write the DAX");
+    let flags = ["--seed", "1", "--retries", "20", "--tenant-active", "8"];
+    let daemon = Daemon::start(&dir.join("state"), &flags);
+    let mut conn = daemon.connect();
+    let mut readings = Vec::new();
+    for round in 0..SIZES[SIZES.len() - 1] / PER_ROUND {
+        for i in round * PER_ROUND..(round + 1) * PER_ROUND {
+            let source = match (i / 2) % 10 {
+                8 => SubmitSource::Generated { n: 100 },
+                9 => SubmitSource::Dax {
+                    path: dax.display().to_string(),
+                },
+                _ => SubmitSource::Generated { n: 10 },
+            };
+            let sub = SubmitRequest {
+                tenant: format!("tenant{:03}", i % 400),
+                site: ["sandhills", "osg"][i % 2].into(),
+                seed: None,
+                retries: None,
+                priority: 0,
+                trace: None,
+                source,
+            };
+            expect_ok(&mut conn, &Request::Submit(sub));
+        }
+        expect_ok(&mut conn, &Request::Run);
+        let members = (round + 1) * PER_ROUND;
+        if SIZES.contains(&members) {
+            assert_eq!(expect_lines(&mut conn, &Request::Status).len(), members);
+            readings.push((members, resident_bytes(&daemon)));
+        }
+    }
+    drop(conn);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    eprintln!("resident bytes by finished members: {readings:?}");
+    let ((first, low), (last, high)) = (readings[0], readings[readings.len() - 1]);
+    let per_member = high.saturating_sub(low) as f64 / (last - first) as f64;
+    assert!(
+        per_member <= 1000.0,
+        "{per_member:.0} bytes per finished member: {readings:?}"
+    );
 }
