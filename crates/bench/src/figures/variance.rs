@@ -12,7 +12,8 @@
 //!
 //! Output: `target/experiments/variance.csv`.
 //!
-//! It stays a figure: no test holds its OSG-vs-Sandhills spread check.
+//! It stays a figure for its 25-seed CSV and its storm and ensemble
+//! series; tier-1 holds the OSG-vs-Sandhills spread check at 8 seeds.
 
 use blast2cap3_pegasus::experiment::{
     simulate_blast2cap3, simulate_blast2cap3_ensemble, simulate_blast2cap3_with,

@@ -7,11 +7,11 @@
 
 use crate::run::prepare;
 use crate::{
-    comma_list, common, engine_config_from, fault_script_from, load_dax, load_registry, n_from,
-    or_exit, read_or_exit, resolve_site, sizes_from, success_if, write_or_exit, write_or_print,
+    comma_list, common, load_dax, load_registry, n_from, or_exit, read_or_exit, resolve_site,
+    simulation, sizes_from, success_if, write_or_exit, write_or_print,
 };
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
-use blast2cap3_pegasus::experiment::simulate_blast2cap3_at;
+use blast2cap3_pegasus::experiment::plan_blast2cap3_at;
 use blast2cap3_pegasus::{out, outln, serve};
 use pegasus_wms::analyzer::analyze;
 use pegasus_wms::breakdown;
@@ -187,11 +187,6 @@ fn dax_run_log(args: &Args) -> Vec<EventSource> {
 /// `--events-dir` when given.
 fn sweep_logs(args: &Args) -> Vec<EventSource> {
     let registry = load_registry(args);
-    let seed: u64 = args.parsed("seed", 20140519u64);
-    // OSG's preemption hazard needs a deep retry budget at small n
-    // (few jobs, so one unlucky task sinks the run); the paper's
-    // OSG profile likewise leans on workflow-level retries.
-    let cfg = engine_config_from(args, args.parsed("retries", 20u32), seed);
     let sites = match args.get("site").unwrap_or("both") {
         "both" => registry.sweep(),
         site => vec![resolve_site(args, &registry, site)],
@@ -199,9 +194,15 @@ fn sweep_logs(args: &Args) -> Vec<EventSource> {
     let mut logs = Vec::new();
     for site in sites {
         for n in sizes_from(args) {
-            let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, None);
+            // OSG's preemption hazard needs a deep retry budget at small
+            // n (few jobs, so one unlucky task sinks the run); the
+            // paper's OSG profile likewise leans on workflow-level
+            // retries.
+            let (cfg, mut backend) = simulation(args, &registry, site, 20);
+            let exec = plan_blast2cap3_at(&registry, site, n, cfg.seed);
+            let run = Engine::run(&mut backend, &exec, &cfg, &mut NoopMonitor);
             let name = format!("{}_n{n}.events", registry.name(site));
-            let text = out.event_log();
+            let text = events::log::write(&run.events);
             if let Some(dir) = args.get("events-dir") {
                 let doing = format!("cannot create events dir {dir}");
                 or_exit(&doing, std::fs::create_dir_all(dir));
@@ -221,13 +222,12 @@ pub(crate) fn adhoc_log(args: &Args) -> Vec<EventSource> {
     let registry = load_registry(args);
     let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
     let n = n_from(args, 100);
-    let seed: u64 = args.parsed("seed", 20140519u64);
-    let cfg = engine_config_from(args, args.parsed("retries", 20u32), seed);
-    let script = fault_script_from(args, seed);
-    let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, script);
-    let id = TraceId::derive(seed, 0);
+    let (cfg, mut backend) = simulation(args, &registry, site, 20);
+    let exec = plan_blast2cap3_at(&registry, site, n, cfg.seed);
+    let run = Engine::run(&mut backend, &exec, &cfg, &mut NoopMonitor);
+    let id = TraceId::derive(cfg.seed, 0);
     let mut bytes = Vec::new();
-    let written = LogWriter::new(&mut bytes, Some(id)).map(|mut log| log.events(&out.run.events));
+    let written = LogWriter::new(&mut bytes, Some(id)).map(|mut log| log.events(&run.events));
     or_exit("cannot render event log", written);
     let text = or_exit("cannot render event log", String::from_utf8(bytes));
     let label = match args.get("events") {
@@ -238,7 +238,7 @@ pub(crate) fn adhoc_log(args: &Args) -> Vec<EventSource> {
             }
             path.to_string()
         }
-        None => format!("<live n={n} seed={seed}>"),
+        None => format!("<live n={n} seed={}>", cfg.seed),
     };
     vec![(label, text, Some(id))]
 }

@@ -33,7 +33,7 @@ use blast2cap3_pegasus::cli::{self, or_exit, read_or_exit, write_or_exit, Args, 
 use blast2cap3_pegasus::experiment::{self, catalogs_with, registry_catalogs, Catalogs};
 use blast2cap3_pegasus::{out, outln};
 use gridsim::sites::SiteRegistry;
-use gridsim::{FaultPlan, FaultScript};
+use gridsim::{FaultPlan, FaultScript, SimBackend};
 use pegasus_wms::engine::{EngineConfig, RetryPolicy};
 use pegasus_wms::error::WmsError;
 use pegasus_wms::planner::{plan, ExecutableWorkflow, PlannerConfig};
@@ -160,15 +160,6 @@ fn write_flagged(args: &Args, key: &str, what: &str, note: bool, render: impl Fn
     }
 }
 
-/// The seeded fault script behind `--fault-plan <file>`, when given.
-fn fault_script_from(args: &Args, seed: u64) -> Option<FaultScript> {
-    args.get("fault-plan").map(|path| {
-        let text = read_or_exit("fault plan", path);
-        let plan = or_exit(&format!("bad fault plan {path}"), FaultPlan::parse(&text));
-        FaultScript::new(plan, seed)
-    })
-}
-
 /// The site registry every verb resolves `--site` against: the
 /// built-in paper sites, or the `--sites <file>` definitions replacing
 /// them wholesale.
@@ -257,13 +248,35 @@ fn retry_policy_from(args: &Args, retries: u32) -> RetryPolicy {
     policy
 }
 
-/// The engine configuration every simulating verb builds: the flags'
-/// retry policy (see [`retry_policy_from`]) under `seed`.
-fn engine_config_from(args: &Args, retries: u32, seed: u64) -> EngineConfig {
-    EngineConfig::builder()
-        .policy(retry_policy_from(args, retries))
+/// The one setup of every run the binary simulates on `site`: the
+/// engine configuration under `--seed` and the flags' retry policy
+/// (`--retries` defaulting to the verb's `retries`), and the site's
+/// backend with the `--fault-plan` script armed on it. The plan's
+/// `submit-host-crash` arms on the engine too, except under `--resume`:
+/// the crash is a one-time event, and the rescue resubmission runs on
+/// the recovered host.
+fn simulation(
+    args: &Args,
+    registry: &SiteRegistry,
+    site: SiteId,
+    retries: u32,
+) -> (EngineConfig, SimBackend) {
+    let seed: u64 = args.parsed("seed", 20140519u64);
+    let mut cfg = EngineConfig::builder()
+        .policy(retry_policy_from(args, args.parsed("retries", retries)))
         .seed(seed)
-        .build()
+        .build();
+    let mut backend = registry.backend(site, seed);
+    if let Some(path) = args.get("fault-plan") {
+        let text = read_or_exit("fault plan", path);
+        let plan = or_exit(&format!("bad fault plan {path}"), FaultPlan::parse(&text));
+        let script = FaultScript::new(plan, seed);
+        if args.get("resume").is_none() {
+            cfg.crash_after_events = script.submit_host_crash_after();
+        }
+        backend = backend.with_faults(script);
+    }
+    (cfg, backend)
 }
 
 /// Parses `--sizes 10,100,...` (default: the paper's Fig. 4 sweep).

@@ -4,23 +4,26 @@
 
 use crate::check::collect_lint;
 use crate::{
-    admitted_or_exit, arm_profiler, common, engine_config_from, fault_script_from, load_catalogs,
-    load_dax, load_registry, or_exit, plan_or_exit, profile_summary, read_or_exit, resolve_site,
-    retry_policy_from, sizes_from, write_flagged, write_or_exit, write_or_print,
+    admitted_or_exit, arm_profiler, common, load_catalogs, load_dax, load_registry, or_exit,
+    plan_or_exit, profile_summary, read_or_exit, resolve_site, simulation, sizes_from,
+    write_flagged, write_or_exit, write_or_print,
 };
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
-use blast2cap3_pegasus::experiment::{registry_catalogs, simulate_blast2cap3_ensemble_at};
+use blast2cap3_pegasus::experiment::{plan_blast2cap3_at, registry_catalogs};
 use blast2cap3_pegasus::outln;
 use gridsim::SimBackend;
 use pegasus_wms::analyzer::analyze;
 use pegasus_wms::engine::{Engine, EngineConfig, WorkflowOutcome};
+use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
 use pegasus_wms::lint::{self, Diagnostic};
 use pegasus_wms::metrics::{self, MetricsMonitor, MetricsRegistry};
 use pegasus_wms::monitor::{MultiMonitor, StatusMonitor, TimelineMonitor};
 use pegasus_wms::planner::ExecutableWorkflow;
 use pegasus_wms::rescue::RescueDag;
-use pegasus_wms::statistics::{compute, render_ensemble_csv, render_ensemble_text, render_text};
+use pegasus_wms::statistics::{
+    compute, compute_ensemble, render_ensemble_csv, render_ensemble_text, render_text,
+};
 use pegasus_wms::workflow::AbstractWorkflow;
 use pegasus_wms::{events, prof, verify};
 use std::process::ExitCode;
@@ -80,29 +83,14 @@ pub(crate) const ENSEMBLE: Verb = Verb {
 /// engine configuration, the backend, and the site's registry name.
 pub(crate) type Prepared = (ExecutableWorkflow, EngineConfig, SimBackend, String);
 
-/// Plans `wf` for `--site` against the catalogs and builds the engine
-/// configuration and the backend, with `--fault-plan` armed on it.
+/// Plans `wf` for `--site` against the catalogs, then sets up its
+/// [`simulation`] under `--retries` 3 by default.
 pub(crate) fn prepare(args: &Args, wf: &AbstractWorkflow) -> Prepared {
     let registry = load_registry(args);
     let site = resolve_site(args, &registry, args.require("site"));
-    let seed: u64 = args.parsed("seed", 20140519u64);
-    let retries: u32 = args.parsed("retries", 3u32);
     let catalogs = load_catalogs(args, &registry);
     let exec = plan_or_exit(wf, &catalogs, registry.catalog_name(site));
-    let mut cfg = engine_config_from(args, retries, seed);
-    let script = fault_script_from(args, seed);
-    // A scripted submit-host crash is a one-time event: the rescue
-    // resubmission runs on the recovered host, so it only arms on the
-    // initial submission, never on --resume.
-    if args.get("resume").is_none() {
-        if let Some(script) = &script {
-            cfg.crash_after_events = script.submit_host_crash_after();
-        }
-    }
-    let mut backend = registry.backend(site, seed);
-    if let Some(script) = script {
-        backend = backend.with_faults(script);
-    }
+    let (cfg, backend) = simulation(args, &registry, site, 3);
     (exec, cfg, backend, registry.name(site).to_string())
 }
 
@@ -163,7 +151,7 @@ fn cmd_run(args: &Args) -> ExitCode {
             format!("<run {}>", exec.name),
             verify::VerifyOptions {
                 slot_capacity: None,
-                retry: Some(retry_policy_from(args, args.parsed("retries", 3u32))),
+                retry: Some(cfg.retry.clone()),
             },
         )
     });
@@ -256,11 +244,8 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
     let profiling = arm_profiler(args);
     let registry = load_registry(args);
     let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
-    let seed: u64 = args.parsed("seed", 20140519u64);
-    let retries: u32 = args.parsed("retries", 3u32);
+    let (cfg, mut backend) = simulation(args, &registry, site, 3);
     let sizes = sizes_from(args);
-
-    let engine_cfg = engine_config_from(args, retries, seed);
     let slot_budget = args.parsed_opt::<usize>("slots");
 
     // Warn-only feasibility lint on the widest member before any
@@ -275,7 +260,7 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
             site: Some(registry.catalog_name(site)),
             sites: Some(&sites_cat),
             transformations: Some(&tc),
-            retry: Some(&retry_policy_from(args, retries)),
+            retry: Some(&cfg.retry),
             slot_budget,
             faults_active: registry.faults_active(site),
         };
@@ -283,14 +268,24 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
         warn_on_stderr(lint::check_config(&wf, &label, &ctx));
     }
 
-    let out =
-        simulate_blast2cap3_ensemble_at(&registry, site, &sizes, seed, &engine_cfg, slot_budget);
+    let member = |&n: &usize| {
+        let exec = plan_blast2cap3_at(&registry, site, n, cfg.seed);
+        Submission::new(exec, cfg.clone())
+    };
+    let quotas = EnsembleConfig {
+        slot_budget,
+        ..EnsembleConfig::default()
+    };
+    let members = sizes.iter().map(member).collect();
+    let ensemble = Ensemble::run_to_completion(&mut backend, members, &quotas)
+        .expect("planner output always has dense job ids");
+    let stats = compute_ensemble(&ensemble.runs);
     let prof_samples = profile_summary(profiling);
 
     // Every member's provenance stream lands in one shared registry,
     // so the ensemble exposes the same metric surface as single runs.
     let mut registry = MetricsRegistry::new();
-    for run in &out.run.runs {
+    for run in &ensemble.runs {
         metrics::record_events(&mut registry, &run.events).expect("engine streams replay");
     }
     if profiling {
@@ -298,8 +293,8 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
     }
 
     if !args.flag("quiet") {
-        outln!("{}", render_ensemble_text(&out.stats));
-        for run in &out.run.runs {
+        outln!("{}", render_ensemble_text(&stats));
+        for run in &ensemble.runs {
             let n = metrics::n_label(&run.name, run.records.len());
             if let Some(ks) = kickstart_quantiles(&registry, &run.site, &n) {
                 outln!("{}: {ks}", run.name);
@@ -310,14 +305,13 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
     write_flagged(args, "metrics", "metrics exposition", note, || {
         registry.render()
     });
-    let csv = render_ensemble_csv(&out.stats);
+    let csv = render_ensemble_csv(&stats);
     write_or_print(args, &csv, "ensemble rollup CSV written to");
 
-    if out.run.succeeded() {
+    if ensemble.succeeded() {
         ExitCode::SUCCESS
     } else {
-        let failed: Vec<&str> = out
-            .run
+        let failed: Vec<&str> = ensemble
             .runs
             .iter()
             .filter(|r| !r.succeeded())

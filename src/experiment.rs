@@ -46,7 +46,7 @@ use std::sync::OnceLock;
 /// The process-wide built-in [`SiteRegistry`] — the paper's two
 /// platforms plus the OSG variants. The string-keyed convenience
 /// wrappers below resolve against it; callers with their own
-/// `sites.def` build a registry and use the `_at` entry points.
+/// `sites.def` build a registry and plan with [`plan_blast2cap3_at`].
 pub fn builtin_registry() -> &'static SiteRegistry {
     static REG: OnceLock<SiteRegistry> = OnceLock::new();
     REG.get_or_init(SiteRegistry::builtin)
@@ -117,18 +117,6 @@ pub struct ExperimentOutcome {
     pub stats: WorkflowStatistics,
 }
 
-impl ExperimentOutcome {
-    /// The run's provenance event log in the `--events` text format.
-    ///
-    /// Writing this to a file makes the whole experiment
-    /// re-analysable offline: `pegasus statistics --from-events` and
-    /// `pegasus analyze --from-events` recompute everything in
-    /// [`Self::stats`] from it without re-running the simulation.
-    pub fn event_log(&self) -> String {
-        pegasus_wms::events::log::write(&self.run.events)
-    }
-}
-
 /// Simulates the paper's experiment: the Fig. 2 workflow with `n`
 /// clusters, planned for `site` (any name or alias in the built-in
 /// registry), executed on the matching platform model.
@@ -161,26 +149,8 @@ pub fn simulate_blast2cap3_with(
 ) -> ExperimentOutcome {
     let reg = builtin_registry();
     let id = reg.resolve(site).expect("site in the built-in registry");
-    simulate_blast2cap3_at(reg, id, n, seed, engine_cfg, script)
-}
-
-/// Registry-parameterised simulation: plan the Fig. 2 workflow for
-/// the registered site `id` and execute it on that site's platform
-/// model. This is the core entry point; the string-keyed wrappers
-/// resolve against [`builtin_registry`] and call it.
-///
-/// # Panics
-/// Panics if planning fails.
-pub fn simulate_blast2cap3_at(
-    registry: &SiteRegistry,
-    id: SiteId,
-    n: usize,
-    seed: u64,
-    engine_cfg: &EngineConfig,
-    script: Option<gridsim::FaultScript>,
-) -> ExperimentOutcome {
-    let exec = plan_blast2cap3_at(registry, id, n, seed);
-    let mut backend = registry.backend(id, seed);
+    let exec = plan_blast2cap3_at(reg, id, n, seed);
+    let mut backend = reg.backend(id, seed);
     if let Some(script) = script {
         backend = backend.with_faults(script);
     }
@@ -388,34 +358,14 @@ pub fn simulate_blast2cap3_ensemble(
 ) -> EnsembleOutcome {
     let reg = builtin_registry();
     let id = reg.resolve(site).expect("site in the built-in registry");
-    simulate_blast2cap3_ensemble_at(reg, id, sizes, seed, engine_cfg, slot_budget)
-}
-
-/// Registry-parameterised ensemble sweep.
-///
-/// # Panics
-/// Panics if planning fails.
-pub fn simulate_blast2cap3_ensemble_at(
-    registry: &SiteRegistry,
-    id: SiteId,
-    sizes: &[usize],
-    seed: u64,
-    engine_cfg: &EngineConfig,
-    slot_budget: Option<usize>,
-) -> EnsembleOutcome {
     let submissions: Vec<Submission> = sizes
         .iter()
-        .map(|&n| {
-            Submission::new(
-                plan_blast2cap3_at(registry, id, n, seed),
-                engine_cfg.clone(),
-            )
-        })
+        .map(|&n| Submission::new(plan_blast2cap3_at(reg, id, n, seed), engine_cfg.clone()))
         .collect();
-    let mut backend = registry.backend(id, seed);
-    let ens_cfg = match slot_budget {
-        Some(b) => EnsembleConfig::with_slot_budget(b),
-        None => EnsembleConfig::default(),
+    let mut backend = reg.backend(id, seed);
+    let ens_cfg = EnsembleConfig {
+        slot_budget,
+        ..EnsembleConfig::default()
     };
     let run = Ensemble::run_to_completion(&mut backend, submissions, &ens_cfg)
         .expect("planner output always has dense job ids");

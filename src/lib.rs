@@ -31,8 +31,4 @@ pub mod experiment;
 pub mod registry;
 pub mod serve;
 
-pub use experiment::{
-    calibrated_chunk_costs, simulate_blast2cap3, simulate_blast2cap3_with, ExperimentOutcome,
-    WorkloadCalibration,
-};
 pub use registry::build_registry;

@@ -105,6 +105,13 @@ const RULES: &[Rule] = &[
     (39, "gridsim states each rule once", "crates src tests", "DAY_WIDTH|peak_buckets|SIM_CALENDAR_OCCUPANCY|check_probabilities", Absent, WORD, "const DAY_WIDTH: f64 = 64.0;"),
     (39, "gridsim states each rule once: the lint judges a site file", "crates/gridsim/src", "duplicate site name", Absent, WORD,
         "let reason = format!(\"duplicate site name {:?}\", def.name);"),
+    (43, "one setup from flags to a simulated run: the folded entries stay gone", EVERYWHERE,
+        "simulate_blast2cap3_at|simulate_blast2cap3_ensemble_at|engine_config_from|fault_script_from|fn event_log", Absent, WORD,
+        "let out = simulate_blast2cap3_at(&registry, site, n, seed, &cfg, script);"),
+    (43, "one setup from flags to a simulated run: simulation arms the fault plan", "src/bin/pegasus/main.rs",
+        "FaultScript::new(|with_faults(|submit_host_crash_after", Exactly(1), 0, "backend = backend.with_faults(script);"),
+    (43, "one setup from flags to a simulated run: no verb arms a fault plan itself", "src/bin/pegasus !src/bin/pegasus/main.rs",
+        "FaultScript::new(|with_faults(|submit_host_crash_after", Absent, 0, "cfg.crash_after_events = script.submit_host_crash_after();"),
 ];
 
 /// The sorted entry names of a directory.

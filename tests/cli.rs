@@ -267,6 +267,59 @@ fn a_crashed_submit_host_submits_nothing_more() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A plan's `submit-host-crash` crashes the live run of `trace` and
+/// `verify` as it crashes `run`: one setup arms it for every verb, so
+/// the live log is the event for event log of `run --events`.
+#[test]
+fn live_trace_and_verify_crash_where_run_does() {
+    let dir = tmpdir("live_crash");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (dax, plan) = (path("wf.dax"), path("crash.plan"));
+    std::fs::write(&plan, "plan crash\nsubmit-host-crash after-events=5\n").unwrap();
+    let generated = pegasus()
+        .args(["generate-dax", "--n", "10", "--calibrated", "--out", &dax])
+        .status()
+        .unwrap();
+    assert!(generated.success());
+    let site = ["--site", "sandhills", "--fault-plan", &plan];
+    let run = pegasus()
+        .args(["run", "--dax", &dax, "--retries", "20", "--quiet"])
+        .args(site)
+        .args(["--events", &path("r.events")])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(run.status.code(), Some(1), "the crashed run fails");
+
+    let trace = pegasus()
+        .args(["trace", "--n", "10", "--quiet"])
+        .args(site)
+        .args(["--events", &path("t.events")])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&trace.stdout);
+    assert_eq!(trace.status.code(), Some(1), "{stdout}");
+    let first = stdout.lines().next().unwrap_or_default();
+    assert!(first.contains("succeeded=false"), "{stdout}");
+    let body = |name: &str| {
+        let text = std::fs::read_to_string(dir.join(name)).unwrap();
+        let lines = text.lines().filter(|l| !l.starts_with('#'));
+        lines.map(String::from).collect::<Vec<_>>()
+    };
+    assert_eq!(body("t.events"), body("r.events"));
+
+    pegasus()
+        .args(["verify", "--n", "10"])
+        .args(site)
+        .args(["--events", &path("v.events")])
+        .output()
+        .unwrap();
+    let verified = body("v.events");
+    let trailer = verified.last().expect("a logged run");
+    assert!(trailer.ends_with("succeeded=false"), "{trailer}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn pegasus_statistics_emits_csv() {
     let dir = tmpdir("stats");

@@ -26,7 +26,7 @@ fn storm_cfg() -> EngineConfig {
         .build()
 }
 
-fn storm_run(site: &str) -> blast2cap3_pegasus::ExperimentOutcome {
+fn storm_run(site: &str) -> blast2cap3_pegasus::experiment::ExperimentOutcome {
     let plan = FaultPlan::parse(STORM).expect("valid plan");
     let script = FaultScript::new(plan, SEED);
     simulate_blast2cap3_with(site, 300, SEED, &storm_cfg(), Some(script))

@@ -34,7 +34,7 @@ fn chaos_engine_cfg(seed: u64) -> EngineConfig {
         .build()
 }
 
-fn chaos_sim_run(seed: u64) -> blast2cap3_pegasus::ExperimentOutcome {
+fn chaos_sim_run(seed: u64) -> blast2cap3_pegasus::experiment::ExperimentOutcome {
     let plan = FaultPlan::parse(CHAOS_PLAN).expect("valid plan");
     let script = FaultScript::new(plan, seed);
     simulate_blast2cap3_with("osg", 120, seed, &chaos_engine_cfg(seed), Some(script))

@@ -17,6 +17,7 @@
 use blast2cap3_pegasus::experiment::{plan_blast2cap3, simulate_blast2cap3_with};
 use pegasus_wms::breakdown;
 use pegasus_wms::engine::EngineConfig;
+use pegasus_wms::events;
 use pegasus_wms::metrics::{self, MetricsRegistry};
 use pegasus_wms::statistics::{compute, render_csv};
 use std::collections::HashMap;
@@ -54,7 +55,7 @@ fn artifacts_for(site: &str, n: usize, seed: u64) -> Artifacts {
     metrics::record_events(&mut registry, &out.run.events).expect("engine streams replay");
     Artifacts {
         stats_csv: render_csv(&compute(&out.run)),
-        event_log: out.event_log(),
+        event_log: events::log::write(&out.run.events),
         breakdown_csv: breakdown::render_csv(&[breakdown::of_run(&out.run)]),
         prom: registry.render(),
     }

@@ -47,10 +47,11 @@ const PEAK_RSS_BYTES_PER_JOB: f64 = 1_050.0;
 /// One test at a time, so the resident-set reading is one pipeline's.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-/// `VmHWM` of this process in bytes, where `/proc` has it.
-fn peak_rss_bytes() -> Option<f64> {
+/// A size line of this process's status (`VmHWM:` the peak resident
+/// set, `VmRSS:` the current one) in bytes, where `/proc` has it.
+fn status_bytes(field: &str) -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
     let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024.0)
 }
@@ -66,6 +67,9 @@ fn reset_peak_rss() {
 fn hundred_thousand_task_dax_plans_simulates_and_replays() {
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     reset_peak_rss();
+    // What the process held before this pipeline began, so a failure
+    // below tells retained memory from the pipeline's own peak.
+    let before = status_bytes("VmRSS:");
     let start = Instant::now();
 
     let wf = build_workflow(&WorkflowParams::with_n(N));
@@ -92,11 +96,13 @@ fn hundred_thousand_task_dax_plans_simulates_and_replays() {
 
     // Read before the replay below doubles the run: the test binary
     // runs nothing else, so the high-water mark is this pipeline's.
-    if let Some(peak) = peak_rss_bytes() {
+    if let Some(peak) = status_bytes("VmHWM:") {
         let per_job = peak / N as f64;
+        let before = before.map_or("unknown".into(), |b| format!("{:.0} B", b / N as f64));
         assert!(
             per_job < PEAK_RSS_BYTES_PER_JOB,
-            "peak resident set is {per_job:.0} B per job (ceiling {PEAK_RSS_BYTES_PER_JOB} B)"
+            "peak resident set is {per_job:.0} B per job (ceiling {PEAK_RSS_BYTES_PER_JOB} B; \
+             VmRSS right after the reset was {before} per job)"
         );
     }
 

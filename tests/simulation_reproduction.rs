@@ -182,3 +182,27 @@ fn prestaging_software_helps_osg() {
     assert!(n_install > 0.0);
     assert_eq!(s_install, 0.0);
 }
+
+/// Paper §VII: "the running time for the both platforms ... may vary
+/// for every new run", and OSG's far more: over 8 seeds at n = 300, the
+/// spread of OSG's wall time (max/min) exceeds the campus cluster's.
+#[test]
+fn osg_wall_time_varies_more_than_sandhills() {
+    let spread = |site: &str| {
+        let walls: Vec<f64> = (SEED..SEED + 8)
+            .map(|seed| {
+                let out = simulate_blast2cap3(site, 300, seed, 20);
+                assert!(out.run.succeeded(), "{site} seed {seed}");
+                out.run.wall_time
+            })
+            .collect();
+        let max = walls.iter().copied().fold(0.0f64, f64::max);
+        let min = walls.iter().copied().fold(f64::INFINITY, f64::min);
+        max / min
+    };
+    let (sandhills, osg) = (spread("sandhills"), spread("osg"));
+    assert!(
+        osg > sandhills,
+        "OSG spread {osg:.3}x must exceed Sandhills' {sandhills:.3}x"
+    );
+}
