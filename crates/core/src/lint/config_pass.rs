@@ -1,67 +1,42 @@
 //! Pass 3: engine/ensemble configuration feasibility.
 //!
-//! Cross-checks a workflow against the site catalog, transformation
-//! catalog, retry policy, and slot budget that a `pegasus run` or
-//! `pegasus ensemble` invocation is about to use — exactly the
-//! mismatches behind the paper's OSG failures (software assumed
-//! preinstalled, retries disabled on a preempting platform).
+//! Cross-checks a workflow against the site, transformation catalog
+//! and retry policy that a `pegasus run` or `pegasus ensemble`
+//! invocation is about to use — exactly the mismatches behind the
+//! paper's OSG failures (software assumed preinstalled, retries
+//! disabled on a preempting platform). The site arrives resolved: an
+//! unknown name is the resolver's `E0301`, and a slot budget is
+//! judged by [`crate::verify::check_ensemble_feasibility`].
 
 use super::Diagnostic;
-use crate::catalog::{SiteCatalog, TransformationCatalog};
+use crate::catalog::{Site, TransformationCatalog};
 use crate::engine::RetryPolicy;
 use crate::error::Span;
 use crate::workflow::AbstractWorkflow;
 
 /// Everything the feasibility pass knows about the intended run.
 /// All fields are optional so the CLI can lint with whatever subset
-/// of `--site`/`--retries`/`--timeout`/`--slots` was given.
+/// of `--site`/`--retries`/`--timeout` was given.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunContext<'a> {
-    /// Target execution site name.
-    pub site: Option<&'a str>,
-    /// Site catalog to resolve it in.
-    pub sites: Option<&'a SiteCatalog>,
+    /// The target site's catalog entry.
+    pub site: Option<&'a Site>,
     /// Transformation catalog for software-availability checks.
     pub transformations: Option<&'a TransformationCatalog>,
     /// The retry policy the engine will use.
     pub retry: Option<&'a RetryPolicy>,
-    /// Explicit slot budget (ensemble `--slots`), if any.
-    pub slot_budget: Option<usize>,
     /// Whether anything injects faults: a fault plan with nonzero
     /// probabilities, or a platform with a nonzero preemption rate.
     pub faults_active: bool,
 }
 
-/// Pass 3: emits `E0301` (unknown site), `E0302` (software
-/// unavailable and not installable at the site), `W0303` (per-attempt
-/// timeout below the fastest possible kickstart), `W0304` (retries
-/// disabled while faults are active), and `W0305` (slot budget below
-/// the workflow width).
+/// Pass 3: emits `E0302` (software unavailable and not installable at
+/// the site), `W0303` (per-attempt timeout below the fastest possible
+/// kickstart) and `W0304` (retries disabled while faults are active).
 pub fn check_config(wf: &AbstractWorkflow, file: &str, ctx: &RunContext<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
-    let site = match (ctx.site, ctx.sites) {
-        (Some(name), Some(sites)) => match sites.get(name) {
-            Some(site) => Some(site),
-            None => {
-                let mut known = sites.names();
-                known.sort();
-                diags.push(
-                    Diagnostic::new(
-                        "E0301",
-                        file,
-                        Span::none(),
-                        format!("site {name:?} not in site catalog"),
-                    )
-                    .with_help(format!("known sites: {}", known.join(", "))),
-                );
-                None
-            }
-        },
-        _ => None,
-    };
-
-    if let (Some(site), Some(tc)) = (site, ctx.transformations) {
+    if let (Some(site), Some(tc)) = (ctx.site, ctx.transformations) {
         let mut seen: Vec<&str> = Vec::new();
         for job in &wf.jobs {
             let t = job.transformation.as_str();
@@ -99,10 +74,7 @@ pub fn check_config(wf: &AbstractWorkflow, file: &str, ctx: &RunContext<'_>) -> 
         if let Some(timeout) = policy.timeout {
             // The fastest any compute attempt can finish: the smallest
             // nonzero runtime hint, sped up by the site's CPU factor.
-            let speed = site
-                .map(|s| s.cpu_speed)
-                .unwrap_or(1.0)
-                .max(f64::MIN_POSITIVE);
+            let speed = ctx.site.map_or(1.0, |s| s.cpu_speed).max(f64::MIN_POSITIVE);
             let min_kickstart = wf
                 .jobs
                 .iter()
@@ -137,24 +109,6 @@ pub fn check_config(wf: &AbstractWorkflow, file: &str, ctx: &RunContext<'_>) -> 
         }
     }
 
-    if let Some(budget) = ctx.slot_budget {
-        if let Ok(width) = wf.width() {
-            if budget < width {
-                diags.push(
-                    Diagnostic::new(
-                        "W0305",
-                        file,
-                        Span::none(),
-                        format!(
-                            "slot budget {budget} is below the workflow's maximum width {width}"
-                        ),
-                    )
-                    .with_help("the widest level will be serialized by slot starvation"),
-                );
-            }
-        }
-    }
-
     diags
 }
 
@@ -176,20 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_site_names_the_alternatives() {
-        let (sites, tc) = paper_catalogs();
-        let ctx = RunContext {
-            site: Some("mars"),
-            sites: Some(&sites),
-            transformations: Some(&tc),
-            ..Default::default()
-        };
-        let diags = check_config(&cap3_wf(), "w.dax", &ctx);
-        assert_eq!(codes(&diags), ["E0301"]);
-        assert!(diags[0].help.as_deref().unwrap().contains("sandhills"));
-    }
-
-    #[test]
     fn uninstallable_software_on_osg_is_an_error() {
         let (sites, mut tc) = paper_catalogs();
         tc.add(
@@ -200,8 +140,7 @@ mod tests {
         let mut wf = cap3_wf();
         declare_job(&mut wf, "native", "cap3_native", 1.0, &[("p", 0)], &[]);
         let ctx = RunContext {
-            site: Some("osg"),
-            sites: Some(&sites),
+            site: sites.get("osg"),
             transformations: Some(&tc),
             ..Default::default()
         };
@@ -210,7 +149,7 @@ mod tests {
         // Sandhills has everything preinstalled, so the same workflow
         // is clean there — the paper's platform asymmetry.
         let ctx = RunContext {
-            site: Some("sandhills"),
+            site: sites.get("sandhills"),
             ..ctx
         };
         assert!(check_config(&wf, "w.dax", &ctx).is_empty());
@@ -247,24 +186,5 @@ mod tests {
             ..ctx
         };
         assert!(check_config(&cap3_wf(), "w.dax", &ctx).is_empty());
-    }
-
-    #[test]
-    fn slot_budget_below_width_warns() {
-        let mut wf = AbstractWorkflow::new("w");
-        declare_job(&mut wf, "src", "t", 1.0, &[], &[("f", 0)]);
-        for i in 0..3 {
-            declare_job(&mut wf, &format!("c{i}"), "t", 1.0, &[("f", 0)], &[]);
-        }
-        let ctx = RunContext {
-            slot_budget: Some(2),
-            ..Default::default()
-        };
-        assert_eq!(codes(&check_config(&wf, "w.dax", &ctx)), ["W0305"]);
-        let ctx = RunContext {
-            slot_budget: Some(3),
-            ..Default::default()
-        };
-        assert!(check_config(&wf, "w.dax", &ctx).is_empty());
     }
 }

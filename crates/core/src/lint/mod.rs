@@ -23,9 +23,8 @@
 //!   path, duplicate ids, disconnected jobs, never-consumed files,
 //!   suspicious fan-in/out, unknown transformations).
 //! - [`check_config`]: engine/ensemble feasibility against a site
-//!   (unknown site, uninstallable software, timeout below the minimum
-//!   kickstart, retries disabled under faults, slot budget below the
-//!   workflow width).
+//!   (uninstallable software, timeout below the minimum kickstart,
+//!   retries disabled under faults).
 //! - [`check_events`]: the event-stream sanitizer — the lenient,
 //!   prefix-closed face of the [`crate::verify`] invariant walker over
 //!   [`crate::events::log`] streams, so replayed provenance is
@@ -182,12 +181,6 @@ pub(crate) const RULES: &[Rule] = &[
         summary: "retries are disabled although the platform or fault plan injects faults",
     },
     Rule {
-        code: "W0305",
-        name: "slot-budget-below-width",
-        default: Level::Warn,
-        summary: "the slot budget is smaller than the workflow's maximum width",
-    },
-    Rule {
         code: "W0401",
         name: "disconnected-job",
         default: Level::Warn,
@@ -293,7 +286,7 @@ pub(crate) const RULES: &[Rule] = &[
         code: "W0606",
         name: "quota-below-width",
         default: Level::Warn,
-        summary: "a tenant's in-flight quota is below its narrowest member's width",
+        summary: "the global slot budget or a tenant's in-flight quota is below a member's width",
     },
     Rule {
         code: "E0701",
@@ -681,8 +674,9 @@ const RANGES: &[(&str, &str)] = &[
         "E03",
         "Run configuration feasibility: the engine/ensemble configuration \
          checked against the target site — unknown sites, uninstallable \
-         transformations, timeouts below the fastest kickstart, slot budgets \
-         below the workflow width. Emitted by `check_config`.",
+         transformations, timeouts below the fastest kickstart, retries \
+         disabled under faults. Emitted by `check_config`, but for an \
+         unknown site: that is the site registry's own refusal.",
     ),
     (
         "W04",
@@ -703,9 +697,9 @@ const RANGES: &[(&str, &str)] = &[
          have a producer or stage-in, stage-outs must move real products, \
          stage-ins must feed someone, the peak resident footprint must fit \
          the storage bound, and ensemble quotas must admit at least one \
-         member. Emitted by `verify::check_plan` and \
-         `verify::check_ensemble_feasibility`; serve preflight runs them at \
-         admission.",
+         member (E0605) and serialize none (W0606). Emitted by \
+         `verify::check_plan` and `verify::check_ensemble_feasibility`; serve \
+         preflight runs them at admission, and `lint --slots` the latter.",
     ),
     (
         "E07",

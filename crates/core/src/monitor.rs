@@ -21,12 +21,6 @@ pub struct StatusMonitor {
     pub done: usize,
     /// Attempts that failed (retries count individually).
     pub failed_attempts: usize,
-    /// Total submissions seen.
-    pub submissions: usize,
-    /// Retries scheduled by the engine (with or without backoff).
-    pub retries: usize,
-    /// Cumulative backoff delay inserted before retries, in seconds.
-    pub backoff_wait: f64,
     /// Captured status lines, one per state change (for tests/UIs).
     pub history: Vec<String>,
 }
@@ -64,12 +58,8 @@ impl StatusMonitor {
 
 impl EventSink for StatusMonitor {
     fn event(&mut self, ev: &WorkflowEvent) {
-        if let WorkflowEvent::RetryScheduled { backoff, .. } = ev {
-            self.retries += 1;
-            self.backoff_wait += backoff;
-        } else if let WorkflowEvent::Submitted { .. } = ev {
+        if let WorkflowEvent::Submitted { .. } = ev {
             self.in_flight += 1;
-            self.submissions += 1;
             self.history.push(self.status_line());
         } else if let Some(end) = ev.termination() {
             self.in_flight = self.in_flight.saturating_sub(1);
@@ -117,25 +107,10 @@ impl TimelineMonitor {
     /// Maximum number of simultaneously executing attempts — the
     /// realised concurrency of the run.
     pub fn peak_concurrency(&self) -> usize {
-        let mut events: Vec<(f64, i32)> = Vec::with_capacity(self.entries.len() * 2);
-        for e in &self.entries {
-            events.push((e.start, 1));
-            events.push((e.end, -1));
-        }
-        // Ends sort before starts at equal times so touching intervals
-        // don't double-count.
-        events.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite times")
-                .then(a.1.cmp(&b.1))
-        });
-        let mut cur = 0i32;
-        let mut peak = 0i32;
-        for (_, delta) in events {
-            cur += delta;
-            peak = peak.max(cur);
-        }
-        peak.max(0) as usize
+        let mut points: Vec<(f64, i32, ())> = (self.entries.iter())
+            .flat_map(|e| [(e.start, 1, ()), (e.end, -1, ())])
+            .collect();
+        sweep(&mut points).fold(0, |peak, (running, _)| peak.max(running)) as usize
     }
 
     /// Renders the timeline as CSV (`name,transformation,attempt,start,end,succeeded`).
@@ -182,6 +157,26 @@ impl EventSink for TimelineMonitor {
             }
         }
     }
+}
+
+/// The one concurrency sweep over attempt intervals, each given as a
+/// `(time, +1, tag)` start and a `(time, -1, tag)` end: the steps in
+/// time order, each with the count in flight after it. At equal
+/// instants ends go before starts, because the simulator hands a freed
+/// slot to the next attempt at the same clock; a NaN time sorts after
+/// every number instead of panicking the sort.
+pub(crate) fn sweep<'a, T>(
+    points: &'a mut [(f64, i32, T)],
+) -> impl Iterator<Item = (i64, &'a (f64, i32, T))> + 'a {
+    points.sort_by(|a, b| {
+        (a.0.partial_cmp(&b.0))
+            .unwrap_or_else(|| a.0.is_nan().cmp(&b.0.is_nan()))
+            .then(a.1.cmp(&b.1))
+    });
+    points.iter().scan(0i64, |running, point| {
+        *running += i64::from(point.1);
+        Some((*running, point))
+    })
 }
 
 /// Fans one event stream out to several sinks, in push order, a whole
@@ -260,12 +255,10 @@ mod tests {
     }
 
     #[test]
-    fn status_monitor_tallies_retries_and_backoff() {
+    fn retry_events_leave_the_status_alone() {
         let mut m = StatusMonitor::new(2);
         feed(&mut m, &[RETRY, RETRY].concat());
-        assert_eq!(m.retries, 2);
-        assert_eq!(m.backoff_wait, 5.0);
-        // Retry events don't pollute the status history.
+        assert_eq!(m.in_flight, 0);
         assert!(m.history.is_empty());
     }
 
@@ -333,7 +326,6 @@ mod tests {
         );
         assert!(run.succeeded());
         assert_eq!(m.percent_done(), 100.0);
-        assert_eq!(m.submissions, 0);
         assert_eq!(m.in_flight, 0);
         // No state changes → no history entries, but the status line
         // still renders sensibly.
@@ -366,6 +358,20 @@ mod tests {
         // longer-lived neighbour only).
         let t = timeline(&[ran(0, 5.0, 5.0, true), ran(1, 0.0, 10.0, true)]);
         assert_eq!(t.peak_concurrency(), 1);
+    }
+
+    #[test]
+    fn a_nan_time_sorts_last_instead_of_panicking() {
+        // The log refuses `nan`, so the NaN arrives as an event built
+        // in memory: attempt b ends at NaN, and its end sorts after
+        // every number.
+        let mut t = timeline(&[ran(0, 0.0, 10.0, true)]);
+        let mut evs = log::parse(&ran(1, 2.0, 4.0, true)).expect("test logs parse");
+        if let WorkflowEvent::Completed { times, .. } = &mut evs[0] {
+            times.finished = f64::NAN;
+        }
+        t.event(&evs[0]);
+        assert_eq!(t.peak_concurrency(), 2);
     }
 
     /// One submission, one retry, one completion, then the trailer.
@@ -424,8 +430,7 @@ mod tests {
             feed(&mut multi, &one_job_stream());
         }
         assert_eq!(status.done, 1);
-        assert_eq!(status.retries, 1);
-        assert_eq!(status.backoff_wait, 2.5);
+        assert_eq!(status.history.len(), 2);
         assert_eq!(timeline.entries.len(), 1);
     }
 }

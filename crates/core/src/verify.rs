@@ -54,6 +54,7 @@ use crate::ensemble::EnsembleConfig;
 use crate::error::Span;
 use crate::events::{EventSink, Framing, Misframed, Termination, WorkflowEvent};
 use crate::lint::Diagnostic;
+use crate::monitor::sweep;
 use crate::planner::{ExecutableWorkflow, JobKind};
 use crate::trace::TraceId;
 use crate::workflow::{AbstractWorkflow, Dataflow, FileId, JobId, Readers};
@@ -789,33 +790,24 @@ fn check_envelope(
     }
 }
 
-/// The `E0804` concurrency sweep: a time-ordered fold over the
-/// per-attempt `[started, finished)` intervals, freeing before
-/// acquiring at equal instants (the simulator hands a freed slot to
-/// the next attempt at the same clock).
+/// The `E0804` capacity check: the first step of the one concurrency
+/// [`sweep`] over the per-attempt `[started, finished)` intervals that
+/// holds more attempts than `cap`.
 fn sweep_capacity(out: &mut Findings, intervals: &mut [(f64, i32, usize)], cap: usize) {
     if cap == 0 {
         return;
     }
-    intervals.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.1.cmp(&b.1))
-    });
-    let mut running = 0i64;
-    for (time, delta, line) in intervals.iter() {
-        running += i64::from(*delta);
-        if running > cap as i64 {
-            out.flag(
-                CAPACITY,
-                *line,
-                format!(
-                    "{running} attempts hold slots at time {time}, exceeding the site's \
-                     capacity of {cap}"
-                ),
-            );
-            return; // one violation pins the stream; avoid cascades
-        }
+    // One violation pins the stream; avoid cascades.
+    let over = sweep(intervals).find(|(running, _)| *running > cap as i64);
+    if let Some((running, (time, _, line))) = over {
+        out.flag(
+            CAPACITY,
+            *line,
+            format!(
+                "{running} attempts hold slots at time {time}, exceeding the site's \
+                 capacity of {cap}"
+            ),
+        );
     }
 }
 

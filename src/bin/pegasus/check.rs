@@ -4,13 +4,14 @@
 use crate::fold::{adhoc_log, event_sources, LIVE_EVENTS, LIVE_N};
 use crate::{
     comma_list, common, load_catalogs, load_dax, load_registry, or_exit, plan_or_exit,
-    read_or_exit, resolve_site, retry_policy_from, success_if,
+    read_or_exit, resolve_site, retry_policy_from, success_if, width_findings,
 };
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
 use blast2cap3_pegasus::experiment::{builtin_registry, dax_findings, plan_findings};
 use blast2cap3_pegasus::{out, outln};
 use gridsim::sites::SiteRegistry;
 use gridsim::FaultPlan;
+use pegasus_wms::ensemble::EnsembleConfig;
 use pegasus_wms::error::WmsError;
 use pegasus_wms::events::{self, WorkflowEvent};
 use pegasus_wms::lint::{self, Diagnostic};
@@ -134,7 +135,8 @@ fn parse_or_flag(
 
 /// Gathers every lint diagnostic the given flags make checkable: the
 /// DAX passes always, the config pass when `--site`/`--slots` is
-/// given, the fault-plan pass per `--fault-plan`, and (only when
+/// given, the slot budget against the workflow's width with `--slots`,
+/// the fault-plan pass per `--fault-plan`, and (only when
 /// `include_event_logs`) the sanitizer per `--events`. The event-log
 /// pass is opt-in because `run` uses `--events` as an *output* path.
 /// The one parse of the DAX comes back with the findings, for `run`
@@ -176,26 +178,30 @@ pub(crate) fn collect_lint(
     let wf = parsed.as_ref().ok();
 
     let policy = retry_policy_from(args, args.parsed("retries", 3u32));
-    let site = args.get("site");
-    // An unresolvable --site flows through raw so the config pass can
-    // report it as E0301 against the synthesised site catalog; a
-    // resolvable one is canonicalised to its catalog handle (variants
-    // like osg_prestaged check against their base site's entry).
-    let resolved = site.and_then(|s| registry.resolve(s).ok());
-    let site_for_ctx = resolved.map(|id| registry.catalog_name(id)).or(site);
+    // The registry judges --site, as every verb that runs one does; a
+    // resolved site checks against its catalog entry (variants like
+    // osg_prestaged against their base site's).
+    let site = args.get("site").map(|name| registry.resolve(name));
+    let resolved = site.as_ref().and_then(|id| id.as_ref().ok()).copied();
     let faults_active =
         args.get("fault-plan").is_some() || resolved.is_some_and(|id| registry.faults_active(id));
+    let slots = args.parsed_opt::<usize>("slots");
     if let Some(wf) = wf {
-        if site.is_some() || args.get("slots").is_some() {
+        if let Some(Err(unknown)) = &site {
+            diags.push(Diagnostic::from_error(unknown, dax_path));
+        }
+        if site.is_some() || slots.is_some() {
             let ctx = lint::RunContext {
-                site: site_for_ctx,
-                sites: Some(&sites),
+                site: resolved.and_then(|id| sites.get(registry.catalog_name(id))),
                 transformations: Some(&tc),
                 retry: Some(&policy),
-                slot_budget: args.parsed_opt::<usize>("slots"),
                 faults_active,
             };
             diags.extend(lint::check_config(wf, dax_path, &ctx));
+        }
+        if let Some(slots) = slots {
+            let quotas = EnsembleConfig::with_slot_budget(slots);
+            diags.extend(width_findings(wf, &quotas, dax_path));
         }
     }
 
@@ -292,7 +298,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
         let dopts = verify::DataflowOptions {
             storage_limit_bytes: args.parsed_opt("storage-limit"),
         };
-        let quotas = pegasus_wms::ensemble::EnsembleConfig {
+        let quotas = EnsembleConfig {
             slot_budget: args.parsed_opt("slots"),
             tenant_slots: None,
         };

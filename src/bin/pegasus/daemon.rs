@@ -1,7 +1,7 @@
 //! `serve`, `submit` and `status`: the multi-tenant ensemble daemon and
 //! its clients.
 
-use crate::{common, or_exit, success_if};
+use crate::{at_least_one, common, or_exit, success_if};
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
 use blast2cap3_pegasus::{outln, serve};
 use pegasus_wms::serve::{
@@ -91,8 +91,8 @@ fn cmd_serve(args: &Args) -> ExitCode {
         dir: std::path::PathBuf::from(args.get("dir").unwrap_or("serve-state")),
         seed: args.parsed("seed", 20140519u64),
         retries: args.parsed("retries", 3u32),
-        slot_budget: args.parsed_opt("slots"),
-        tenant_slots: args.parsed_opt("tenant-slots"),
+        slot_budget: at_least_one(args, "slots"),
+        tenant_slots: at_least_one(args, "tenant-slots"),
         tenant_active: args.parsed_opt("tenant-active"),
         crash_after_members: args.parsed_opt("crash-after-members"),
         sites: args.get("sites").map(std::path::PathBuf::from),

@@ -7,7 +7,7 @@
 
 use crate::run::prepare;
 use crate::{
-    comma_list, common, load_dax, load_registry, n_from, or_exit, read_or_exit, resolve_site,
+    at_least_one, comma_list, common, load_dax, load_registry, or_exit, read_or_exit, resolve_site,
     simulation, sizes_from, success_if, write_or_exit, write_or_print,
 };
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
@@ -221,7 +221,7 @@ fn sweep_logs(args: &Args) -> Vec<EventSource> {
 pub(crate) fn adhoc_log(args: &Args) -> Vec<EventSource> {
     let registry = load_registry(args);
     let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
-    let n = n_from(args, 100);
+    let n = at_least_one(args, "n").unwrap_or(100);
     let (cfg, mut backend) = simulation(args, &registry, site, 20);
     let exec = plan_blast2cap3_at(&registry, site, n, cfg.seed);
     let run = Engine::run(&mut backend, &exec, &cfg, &mut NoopMonitor);

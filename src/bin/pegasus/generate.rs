@@ -1,7 +1,7 @@
 //! `generate-dax`, `generate-workload` and `catalogs`: the verbs that
 //! write a workflow or the built-in catalogs, and read nothing.
 
-use crate::{common, n_from, write_or_print};
+use crate::{at_least_one, common, write_or_print};
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
 use blast2cap3_pegasus::experiment::{builtin_registry, calibrated_workflow, registry_catalogs};
@@ -45,7 +45,7 @@ pub(crate) const CATALOGS: Verb = Verb {
 };
 
 fn cmd_generate_dax(args: &Args) -> ExitCode {
-    let n = n_from(args, 300);
+    let n = at_least_one(args, "n").unwrap_or(300);
     let wf = if args.flag("calibrated") {
         calibrated_workflow(n, args.parsed("seed", 20140519u64))
     } else {

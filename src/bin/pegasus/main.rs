@@ -35,11 +35,13 @@ use blast2cap3_pegasus::{out, outln};
 use gridsim::sites::SiteRegistry;
 use gridsim::{FaultPlan, FaultScript, SimBackend};
 use pegasus_wms::engine::{EngineConfig, RetryPolicy};
+use pegasus_wms::ensemble::EnsembleConfig;
 use pegasus_wms::error::WmsError;
+use pegasus_wms::lint::Diagnostic;
 use pegasus_wms::planner::{plan, ExecutableWorkflow, PlannerConfig};
 use pegasus_wms::symbols::SiteId;
 use pegasus_wms::workflow::AbstractWorkflow;
-use pegasus_wms::{catalog_io, dax, prof};
+use pegasus_wms::{catalog_io, dax, prof, verify};
 use std::process::ExitCode;
 
 /// Every verb of `pegasus`, in usage-screen order.
@@ -110,13 +112,14 @@ mod common {
     );
 }
 
-/// `--n`, a decomposition size: the library builds 0 as 1, so a 0 from
-/// the command line is refused here, in the words the daemon refuses
-/// `submit n=0` with.
-fn n_from(args: &Args, default: usize) -> usize {
-    match args.parsed("n", default) {
-        0 => args.bail("n must be at least 1"),
-        n => n,
+/// `--key`, a count that sizes what runs (`--n`, `--slots`,
+/// `--tenant-slots`): the library runs 0 as 1, so a 0 from the command
+/// line is refused here, in the words the daemon refuses `submit n=0`
+/// with.
+fn at_least_one(args: &Args, key: &str) -> Option<usize> {
+    match args.parsed_opt(key) {
+        Some(0) => args.bail(&format!("{key} must be at least 1")),
+        count => count,
     }
 }
 
@@ -209,6 +212,16 @@ fn plan_or_exit(
     or_exit("planning failed", planned)
 }
 
+/// The ensemble judge's verdict on `wf`'s width under `quotas`
+/// (`E0605`/`W0606`), as `verify --dax` and serve preflight ask it;
+/// nothing for a workflow with no width.
+fn width_findings(wf: &AbstractWorkflow, quotas: &EnsembleConfig, file: &str) -> Vec<Diagnostic> {
+    let Ok(width) = wf.width() else {
+        return Vec::new();
+    };
+    verify::check_ensemble_feasibility(&[(wf.name.clone(), width)], quotas, file)
+}
+
 /// Arms the engine self-profiler when `--profile` was given; call
 /// [`profile_summary`] with the returned flag once the instrumented
 /// work is done.
@@ -236,14 +249,22 @@ fn profile_summary(profiling: bool) -> Vec<(&'static str, f64)> {
 
 /// The retry policy every simulating verb builds from its flags: flat
 /// retries by default, exponential backoff when `--backoff` is given,
-/// plus an optional per-attempt `--timeout`.
+/// plus an optional per-attempt `--timeout`. Both are seconds, refused
+/// here when not finite, a negative backoff and a timeout of 0 too.
 fn retry_policy_from(args: &Args, retries: u32) -> RetryPolicy {
-    let mut policy = match args.get("backoff") {
-        Some(_) => RetryPolicy::exponential(retries, args.parsed("backoff", 30.0f64)),
+    let secs = |key: &str, ok: fn(f64) -> bool| {
+        let secs: f64 = args.parsed_opt(key)?;
+        if !(secs.is_finite() && ok(secs)) {
+            args.bail(&format!("bad value for --{key}: {:?}", args.get(key)?));
+        }
+        Some(secs)
+    };
+    let mut policy = match secs("backoff", |s| s >= 0.0) {
+        Some(base) => RetryPolicy::exponential(retries, base),
         None => RetryPolicy::flat(retries),
     };
-    if args.get("timeout").is_some() {
-        policy = policy.with_timeout(args.parsed("timeout", 0.0f64));
+    if let Some(timeout) = secs("timeout", |s| s > 0.0) {
+        policy = policy.with_timeout(timeout);
     }
     policy
 }

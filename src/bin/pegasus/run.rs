@@ -4,9 +4,9 @@
 
 use crate::check::collect_lint;
 use crate::{
-    admitted_or_exit, arm_profiler, common, load_catalogs, load_dax, load_registry, or_exit,
-    plan_or_exit, profile_summary, read_or_exit, resolve_site, simulation, sizes_from,
-    write_flagged, write_or_exit, write_or_print,
+    admitted_or_exit, arm_profiler, at_least_one, common, load_catalogs, load_dax, load_registry,
+    or_exit, plan_or_exit, profile_summary, read_or_exit, resolve_site, simulation, sizes_from,
+    width_findings, write_flagged, write_or_exit, write_or_print,
 };
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
@@ -246,35 +246,34 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
     let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
     let (cfg, mut backend) = simulation(args, &registry, site, 3);
     let sizes = sizes_from(args);
-    let slot_budget = args.parsed_opt::<usize>("slots");
+    let quotas = EnsembleConfig {
+        slot_budget: at_least_one(args, "slots"),
+        ..EnsembleConfig::default()
+    };
 
     // Warn-only feasibility lint on the widest member before any
-    // simulation runs: slot budgets below the width, missing software
-    // on the target site, retries disabled under preemption — judged
-    // against the catalogs the members are planned with.
+    // simulation runs: missing software on the target site, retries
+    // disabled under preemption — judged against the catalogs the
+    // members are planned with — and a slot budget below its width.
     if !args.flag("quiet") {
         let widest = *sizes.iter().max().expect("sizes is non-empty");
         let wf = build_workflow(&WorkflowParams::with_n(widest));
         let (sites_cat, tc, _rc) = registry_catalogs(&registry);
         let ctx = lint::RunContext {
-            site: Some(registry.catalog_name(site)),
-            sites: Some(&sites_cat),
+            site: sites_cat.get(registry.catalog_name(site)),
             transformations: Some(&tc),
             retry: Some(&cfg.retry),
-            slot_budget,
             faults_active: registry.faults_active(site),
         };
         let label = format!("<blast2cap3 n={widest}>");
-        warn_on_stderr(lint::check_config(&wf, &label, &ctx));
+        let mut diags = lint::check_config(&wf, &label, &ctx);
+        diags.extend(width_findings(&wf, &quotas, &label));
+        warn_on_stderr(diags);
     }
 
     let member = |&n: &usize| {
         let exec = plan_blast2cap3_at(&registry, site, n, cfg.seed);
         Submission::new(exec, cfg.clone())
-    };
-    let quotas = EnsembleConfig {
-        slot_budget,
-        ..EnsembleConfig::default()
     };
     let members = sizes.iter().map(member).collect();
     let ensemble = Ensemble::run_to_completion(&mut backend, members, &quotas)

@@ -112,6 +112,12 @@ const RULES: &[Rule] = &[
         "FaultScript::new(|with_faults(|submit_host_crash_after", Exactly(1), 0, "backend = backend.with_faults(script);"),
     (43, "one setup from flags to a simulated run: no verb arms a fault plan itself", "src/bin/pegasus !src/bin/pegasus/main.rs",
         "FaultScript::new(|with_faults(|submit_host_crash_after", Absent, 0, "cfg.crash_after_events = script.submit_host_crash_after();"),
+    (44, "one judge per run fact: the slot budget against the width is the ensemble check's", "crates src", "W0305|slot-budget-below-width", Absent, 0,
+        "code: \"W0305\","),
+    (44, "one judge per run fact: the site registry judges a site name", "crates/core/src/lint", "not in site catalog", Absent, 0,
+        "format!(\"site {name:?} not in site catalog\"),"),
+    (44, "one judge per run fact: one concurrency sweep sorts ends before starts", "crates/core/src", "a.1.cmp(&b.1)", Exactly(1), BEFORE_TESTS,
+        ".then(a.1.cmp(&b.1))"),
 ];
 
 /// The sorted entry names of a directory.

@@ -815,6 +815,96 @@ fn pegasus_refuses_a_decomposition_of_zero_chunks() {
     }
 }
 
+/// A slot budget or tenant quota of 0 is refused by every verb that
+/// runs under it, in the same words as `--n 0`: the library would run
+/// it as 1 (`ensemble`), or a daemon would refuse every DAX at
+/// preflight while running every generated workload on one slot.
+/// The address is one no daemon can bind, so nothing stays up if a
+/// quota of 0 gets through.
+#[test]
+fn pegasus_refuses_a_zero_slot_budget_where_it_runs() {
+    let dir = tmpdir("zero_slots");
+    let state = dir.join("state");
+    let state = state.to_str().unwrap();
+    let serve = ["serve", "--addr", "127.0.0.1:99999", "--dir", state];
+    for (argv, flag) in [
+        (vec!["ensemble", "--sizes", "10", "--slots", "0"], "slots"),
+        ([&serve[..], &["--slots", "0"]].concat(), "slots"),
+        (
+            [&serve[..], &["--tenant-slots", "0"]].concat(),
+            "tenant-slots",
+        ),
+    ] {
+        let out = pegasus().args(&argv).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
+        let want = format!(
+            "pegasus {0}: {flag} must be at least 1\n(see `pegasus {0} --help`)\n",
+            argv[0]
+        );
+        assert_eq!(err, want, "{argv:?}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed a result");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--backoff` and `--timeout` are seconds: a NaN, an infinity or a
+/// negative number, and a timeout of 0, are refused where the retry
+/// policy is built, as bad values of their flag. A NaN backoff used to
+/// fail the run's own shadow verifier against the envelope `[NaN,
+/// NaN]`, and a negative timeout timed out every attempt.
+#[test]
+fn pegasus_refuses_a_retry_delay_that_is_not_a_finite_duration() {
+    let dir = tmpdir("retry_delays");
+    let dax = dir.join("s.dax");
+    let dax = dax.to_str().unwrap();
+    let plan = dir.join("storm.plan");
+    std::fs::write(
+        &plan,
+        "plan storm\npreemption-storm start=0 duration=2000 kill-probability=0.5\n",
+    )
+    .unwrap();
+    let plan = plan.to_str().unwrap();
+    let made = pegasus()
+        .args(["generate-dax", "--n", "10", "--out", dax])
+        .output()
+        .unwrap();
+    assert!(made.status.success());
+    let run = [
+        "run",
+        "--dax",
+        dax,
+        "--site",
+        "sandhills",
+        "--retries",
+        "5",
+        "--fault-plan",
+        plan,
+        "--verify",
+        "--quiet",
+    ];
+    for (verb, flag, value) in [
+        (&run[..], "backoff", "nan"),
+        (&run[..], "backoff", "inf"),
+        (&run[..], "backoff", "-1"),
+        (&run[..], "timeout", "-5"),
+        (&run[..], "timeout", "0"),
+        (&["lint", dax][..], "backoff", "nan"),
+    ] {
+        let flag_arg = format!("--{flag}");
+        let argv = [verb, &[&flag_arg, value]].concat();
+        let out = pegasus().args(&argv).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
+        let want = format!(
+            "pegasus {0}: bad value for --{flag}: {value:?}\n(see `pegasus {0} --help`)\n",
+            verb[0]
+        );
+        assert_eq!(err, want, "{argv:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A DAX `runtime` is a finite number of seconds, at least 0: `NaN`
 /// panicked the planner's critical path and the simulator's clock, and
 /// `inf` planned a critical path of `infs`. Each is refused at its

@@ -37,11 +37,14 @@ fn lint(args: &[&str]) -> (bool, Vec<String>, String) {
         .output()
         .expect("spawn pegasus lint");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    let mut codes = Vec::new();
-    for part in stdout.split("\"code\":\"").skip(1) {
-        codes.push(part[..part.find('"').unwrap()].to_string());
-    }
-    (out.status.success(), codes, stdout)
+    (out.status.success(), codes_in(&stdout), stdout)
+}
+
+/// The codes of a `--format json` report, in report order.
+fn codes_in(json: &str) -> Vec<String> {
+    (json.split("\"code\":\"").skip(1))
+        .map(|part| part[..part.find('"').unwrap()].to_string())
+        .collect()
 }
 
 #[test]
@@ -240,9 +243,10 @@ fn config_rules_catch_the_paper_osg_misconfiguration() {
     assert!(ok && codes.is_empty(), "clean on the campus cluster");
 
     let clean = fixture("clean_small.dax");
-    let (ok, codes, _) = lint(&[&clean, "--site", "nowhere"]);
+    let (ok, codes, out) = lint(&[&clean, "--site", "nowhere"]);
     assert!(!ok);
     assert_eq!(codes, vec!["E0301"]);
+    assert!(out.contains(KNOWN_SITES), "{out}");
     let (_, codes, _) = lint(&[&clean, "--site", "osg", "--timeout", "1"]);
     assert_eq!(codes, vec!["W0303"]);
     let (_, codes, _) = lint(&[&clean, "--site", "osg", "--retries", "0"]);
@@ -251,7 +255,71 @@ fn config_rules_catch_the_paper_osg_misconfiguration() {
     // wide fixture: six parallel cap3 jobs against one slot.
     let wide = fixture("w0403_fanout.dax");
     let (_, codes, _) = lint(&[&wide, "--site", "osg", "--slots", "1"]);
-    assert_eq!(codes, vec!["W0305"]);
+    assert_eq!(codes, vec!["W0606"]);
+}
+
+/// What the site registry lists when a name does not resolve.
+const KNOWN_SITES: &str = "(known sites: osg, osg_churning, osg_prestaged, sandhills)";
+
+/// An unknown `--site` is judged once, by the site registry: the lint
+/// `run` opens with and the refusal it then exits with name the same
+/// sites, as `lint` alone does.
+#[test]
+fn an_unknown_site_names_the_same_sites_wherever_it_is_reported() {
+    let dir = tmpdir("unknown_site");
+    let dax = dir.join("s.dax");
+    let dax = dax.to_str().unwrap();
+    let made = pegasus()
+        .args(["generate-dax", "--n", "10", "--out", dax])
+        .output()
+        .unwrap();
+    assert!(made.status.success());
+    for argv in [
+        &["run", "--dax", dax, "--site", "mars"][..],
+        &["lint", dax, "--site", "mars"],
+    ] {
+        let out = pegasus().args(argv).output().unwrap();
+        let text = [out.stdout, out.stderr].concat();
+        let text = String::from_utf8_lossy(&text);
+        let named: Vec<&str> = text.lines().filter(|l| l.contains("known sites")).collect();
+        assert!(!named.is_empty(), "{argv:?}: {text}");
+        for line in named {
+            assert!(line.contains(KNOWN_SITES), "{argv:?}: {line}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A slot budget against the workflow's width has one judge, the
+/// ensemble feasibility check: `lint --slots` and `verify --dax --slots`
+/// report the same code for the same budget on the same width-10 DAX.
+#[test]
+fn lint_and_verify_judge_a_slot_budget_alike() {
+    let dir = tmpdir("slot_budget");
+    let dax = dir.join("s.dax");
+    let dax = dax.to_str().unwrap();
+    let made = pegasus()
+        .args(["generate-dax", "--n", "10", "--out", dax])
+        .output()
+        .unwrap();
+    assert!(made.status.success());
+    for (slots, want) in [("0", vec!["E0605"]), ("3", vec!["W0606"]), ("10", vec![])] {
+        let (_, codes, out) = lint(&[dax, "--slots", slots]);
+        assert_eq!(codes, want, "lint --slots {slots}: {out}");
+        let out = pegasus()
+            .args(["verify", "--dax", dax, "--slots", slots, "--format", "json"])
+            .output()
+            .unwrap();
+        let out = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(codes_in(&out), want, "verify --slots {slots}: {out}");
+    }
+    // The rule the lint judged budgets by before is gone.
+    let explain = pegasus()
+        .args(["lint", "--explain", "W0305"])
+        .output()
+        .unwrap();
+    assert!(!explain.status.success());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
