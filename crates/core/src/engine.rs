@@ -764,8 +764,8 @@ impl WorkflowExecution {
     /// already crashed: a crashed execution accepts no further events,
     /// and feeding one means the driver's bookkeeping is corrupt.
     /// (Previously a `debug_assert!` that release builds ignored,
-    /// corrupting the retry accounting instead.  The event-log
-    /// sanitizer checks the same invariant offline as rule `E0702`.)
+    /// corrupting the retry accounting instead.  The stream walker
+    /// checks the same invariant offline as rule `E0806`.)
     pub(crate) fn on_event(&mut self, ev: &CompletionEvent) -> Result<EventResponse, WmsError> {
         if self.crashed {
             return Err(WmsError::InvariantViolation {

@@ -203,9 +203,9 @@ impl WorkflowEvent {
         }
     }
 
-    /// The stream-ordering model shared by the `W0709` lint and the
-    /// `E08xx` verifier: the backend time at which the engine *wrote*
-    /// this event, for the kinds written in nondecreasing time order.
+    /// The stream-ordering model of the `E0808` emission-order clause:
+    /// the backend time at which the engine *wrote* this event, for the
+    /// kinds written in nondecreasing time order.
     ///
     /// Healthy engine streams are not globally monotone over every
     /// `time=` field: `InstallStarted` and `Started` are synthesized

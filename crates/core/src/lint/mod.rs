@@ -7,9 +7,9 @@
 //! module catches those at plan time the way a compiler front-end
 //! catches type errors: every finding is a typed [`Diagnostic`] with a
 //! stable code (`E01xx` DAX structure, `E02xx`/`W02xx` fault plans,
-//! `E03xx`/`W03xx` configuration feasibility, `E07xx`/`W07xx` event
-//! streams), a [`Severity`], a file/line/col [`Span`], a message, and
-//! an optional `help` note.
+//! `E03xx`/`W03xx` configuration feasibility, `E07xx`/`W07xx` and
+//! `E08xx` event streams), a [`Severity`], a file/line/col [`Span`], a
+//! message, and an optional `help` note.
 //!
 //! Rules live in a static registry (`RULES`) with per-rule default
 //! levels that a [`LintConfig`] can override (`allow`/`warn`/`deny`),
@@ -25,10 +25,10 @@
 //! - [`check_config`]: engine/ensemble feasibility against a site
 //!   (uninstallable software, timeout below the minimum kickstart,
 //!   retries disabled under faults).
-//! - [`check_events`]: the event-stream sanitizer — the lenient,
-//!   prefix-closed face of the [`crate::verify`] invariant walker over
-//!   [`crate::events::log`] streams, so replayed provenance is
-//!   validated, not trusted.
+//! - [`check_events`]: the event-stream sanitizer — the prefix-closed
+//!   clauses of the [`crate::verify`] invariant walker over
+//!   [`crate::events::log`] streams, under their `E08xx` codes, so
+//!   replayed provenance is validated, not trusted.
 //!
 //! Fault-plan cross-checking (`E0201` etc.) lives in
 //! `gridsim::faults_lint` because `gridsim` owns the `Scenario`
@@ -289,42 +289,6 @@ pub(crate) const RULES: &[Rule] = &[
         summary: "the global slot budget or a tenant's in-flight quota is below a member's width",
     },
     Rule {
-        code: "E0701",
-        name: "workflow-started-misplaced",
-        default: Level::Deny,
-        summary: "the stream does not begin with exactly one workflow-started event",
-    },
-    Rule {
-        code: "E0702",
-        name: "event-after-finish",
-        default: Level::Deny,
-        summary: "events appear after workflow-finished (the stream kept running on a closed run)",
-    },
-    Rule {
-        code: "E0703",
-        name: "lifecycle-order",
-        default: Level::Deny,
-        summary: "a job event violates the submitted -> started -> terminal order",
-    },
-    Rule {
-        code: "E0704",
-        name: "nonmonotone-timestamps",
-        default: Level::Deny,
-        summary: "a job's timestamps go backwards",
-    },
-    Rule {
-        code: "E0705",
-        name: "retry-accounting",
-        default: Level::Deny,
-        summary: "a resubmission is not accounted for by a retry-scheduled event",
-    },
-    Rule {
-        code: "E0706",
-        name: "undeclared-job",
-        default: Level::Deny,
-        summary: "an event references a job id the stream never declared",
-    },
-    Rule {
         code: "W0707",
         name: "truncated-stream",
         default: Level::Warn,
@@ -335,12 +299,6 @@ pub(crate) const RULES: &[Rule] = &[
         name: "event-log-syntax",
         default: Level::Deny,
         summary: "the event log is not syntactically valid",
-    },
-    Rule {
-        code: "W0709",
-        name: "nonmonotone-stream",
-        default: Level::Warn,
-        summary: "emission-ordered events go backwards in time (reordered or merged stream)",
     },
     Rule {
         code: "E0801",
@@ -574,20 +532,20 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
 /// log says into CSVs, so a corrupted log must be rejected, not
 /// trusted.
 ///
-/// This is the lenient face of the one stream judge, the `E08xx`
-/// walker behind [`crate::verify::check_stream`]: it feeds the same
-/// walker and reports the clauses judged as each event arrives, under
-/// their `E07xx`/`W07xx` codes. Those clauses look only backwards, so
-/// the verdict is prefix-closed: a log cut anywhere (a crashed submit
-/// host legitimately leaves one behind, and rescue-from-log must keep
-/// working on it) draws nothing but the `W0707` warning added here.
-/// What only a complete log can show is left to `pegasus verify`.
+/// It feeds the one stream judge, the `E08xx` walker behind
+/// [`crate::verify::check_stream`], and reports the clauses judged as
+/// each event arrives, under the codes `verify` gives them. Those
+/// clauses look only backwards, so the verdict is prefix-closed: a log
+/// cut anywhere (a crashed submit host legitimately leaves one behind,
+/// and rescue-from-log must keep working on it) draws nothing but the
+/// `W0707` warning added here. What only a complete log can show is
+/// left to `pegasus verify`.
 ///
 /// `events` pairs each event with its one-based line number in `file`
 /// (from [`crate::events::log::parse_lines`]); streams built in memory
 /// can pass line 0.
 pub fn check_events(events: &[(usize, WorkflowEvent)], file: &str) -> Vec<Diagnostic> {
-    let mut walker = StreamWalker::new(file, VerifyOptions::default(), true);
+    let mut walker = StreamWalker::new(file, VerifyOptions::default());
     for (line, ev) in events {
         walker.event(*line, ev);
     }
@@ -703,19 +661,11 @@ const RANGES: &[(&str, &str)] = &[
     ),
     (
         "E07",
-        "Event-stream sanitation (pegasus lint --events): the lenient face of \
-         the E08xx temporal invariants, run before provenance replay. One \
-         walker judges every stream; the clauses it checks as each event \
-         arrives look only backwards, so they hold on every prefix of a valid \
-         stream, and those are what these codes report — a log cut anywhere \
-         draws only the W0707 warning. Each code is the face of an invariant: \
-         E0701 -> E0807 (header framing), E0702 -> E0806 (closed stream and \
-         trailer consistency), E0703 -> E0802/E0803 (attempt and phase \
-         order), E0704 -> E0808 (per-job and per-record time consistency), \
-         E0705 -> E0805 (retry accounting), E0706 -> E0807 (manifest and \
-         declared ids), W0709 -> E0808 (emission order). W0707 (no trailer) \
-         and E0708 (the log does not parse) have no invariant behind them. \
-         Emitted by `check_events`.",
+        "Event-log reading (pegasus lint --events): W0707, a log with no \
+         workflow-finished trailer, which lint accepts as a crashed or \
+         still-running run, and E0708, a log that does not parse. What the \
+         log says is judged under the E08xx codes, by the one walker \
+         `verify` runs. Emitted by `check_events` and the log reader.",
     ),
     (
         "E08",
@@ -725,11 +675,11 @@ const RANGES: &[(&str, &str)] = &[
          another, concurrency never exceeds the site's slots, retry gaps \
          respect the backoff/jitter envelope, the trailer agrees with the \
          stream, trace ids match the journal. Emitted by \
-         `verify::check_stream`: the same walker as E07xx plus the clauses \
-         only the end of a stream can settle — the trailer exists, a \
-         succeeded run leaves no attempt or retry open (E0801), the capacity \
-         sweep (E0804) — which is why verify demands complete logs and lint \
-         --events does not.",
+         `verify::check_stream`. `lint --events` reports the clauses the \
+         walker judges as each event arrives; verify adds those only the end \
+         of a stream can settle — the trailer exists, a succeeded run leaves \
+         no attempt or retry open (E0801), the capacity sweep (E0804) — which \
+         is why verify demands complete logs and lint --events does not.",
     ),
 ];
 
@@ -869,7 +819,7 @@ completed job=0 attempt=0 submitted=0 started=5 install-done=5 finished=9
 workflow-finished time=9 wall-time=9 succeeded=true
 ";
         let diags = lint_text(text);
-        assert_eq!(codes(&diags), ["E0703"]);
+        assert_eq!(codes(&diags), ["E0803"]);
         assert_eq!(diags[0].span.line, 4);
     }
 
@@ -884,15 +834,15 @@ completed job=0 attempt=0 submitted=10 started=5 install-done=5 finished=3
 workflow-finished time=9 wall-time=9 succeeded=true
 ";
         let diags = lint_text(text);
-        // Per job (E0704): started at 5 and finished at 3 both follow
-        // the submission at 10, and the terminal's own times are
-        // unordered. Stream-level: finished=3 and the trailer's time=9
-        // both precede the time=10 high-water mark (W0709), and a
-        // trailer that is not the latest emission contradicts the
-        // stream it closes (E0702).
+        // Per job: started at 5 and finished at 3 both follow the
+        // submission at 10, and the terminal's own times are unordered.
+        // Stream-level: finished=3 and the trailer's time=9 both
+        // precede the time=10 high-water mark, and a trailer that is
+        // not the latest emission contradicts the stream it closes
+        // (E0806).
         assert_eq!(
             codes(&diags),
-            ["E0704", "W0709", "E0704", "E0704", "W0709", "E0702"]
+            ["E0808", "E0808", "E0808", "E0808", "E0808", "E0806"]
         );
     }
 
@@ -915,7 +865,7 @@ completed job=1 attempt=0 submitted=2 started=3 install-done=3 finished=12
 workflow-finished time=12 wall-time=12 succeeded=true
 ";
         let diags = lint_text(text);
-        assert_eq!(codes(&diags), ["W0709"]);
+        assert_eq!(codes(&diags), ["E0808"]);
         assert_eq!(diags[0].span.line, 7);
     }
 
@@ -952,7 +902,7 @@ submitted time=2 job=0 attempt=1
 workflow-finished time=9 wall-time=9 succeeded=false
 ";
         let diags = lint_text(text);
-        assert_eq!(codes(&diags), ["E0705"]);
+        assert_eq!(codes(&diags), ["E0805"]);
     }
 
     #[test]
@@ -974,7 +924,7 @@ workflow-finished time=4 wall-time=4 succeeded=true
         // detail string is the one thing the hand-written sanitizer
         // let through here.
         let mislabelled = text.replace("detail=preempted:storm", "detail=storm");
-        assert_eq!(codes(&lint_text(&mislabelled)), ["E0704", "E0704"]);
+        assert_eq!(codes(&lint_text(&mislabelled)), ["E0808", "E0808"]);
     }
 
     #[test]
@@ -986,7 +936,7 @@ submitted time=0 job=7 attempt=0
 workflow-finished time=9 wall-time=9 succeeded=false
 ";
         let diags = lint_text(text);
-        assert_eq!(codes(&diags), ["E0706"]);
+        assert_eq!(codes(&diags), ["E0807"]);
     }
 
     #[test]
@@ -1000,7 +950,7 @@ submitted time=9 job=0 attempt=0
         let diags = lint_text(text);
         // No header first; a trailer claiming success over a job that
         // never ran; an event after the trailer.
-        assert_eq!(codes(&diags), ["E0701", "E0702", "E0702"]);
+        assert_eq!(codes(&diags), ["E0807", "E0806", "E0806"]);
     }
 
     #[test]
@@ -1016,7 +966,7 @@ submitted time=0 job=0 attempt=0
 
     #[test]
     fn empty_stream_is_an_error() {
-        assert_eq!(codes(&check_events(&[], "run.events")), ["E0701"]);
+        assert_eq!(codes(&check_events(&[], "run.events")), ["E0807"]);
     }
 
     #[test]

@@ -277,13 +277,14 @@ fn cmd_lint(args: &Args) -> ExitCode {
 /// verdicts.
 fn cmd_verify(args: &Args) -> ExitCode {
     let config = lint_config_from(args, "E0801");
-    let retries: u32 = args.parsed("retries", 20u32);
-    // The backoff/jitter envelope is only asserted when the invocation
-    // states the policy (or runs live, where it is the engine's own).
+    // The flags' policy is built, and so judged, whatever the source;
+    // its backoff/jitter envelope is only asserted when the invocation
+    // states it (or runs live, where it is the engine's own).
+    let policy = retry_policy_from(args, args.parsed("retries", 20u32));
     let explicit_policy = args.get("retries").is_some() || args.get("backoff").is_some();
     let mut opts = verify::VerifyOptions {
         slot_capacity: args.parsed_opt("slots"),
-        retry: explicit_policy.then(|| retry_policy_from(args, retries)),
+        retry: explicit_policy.then(|| policy.clone()),
     };
 
     let mut diags = Vec::new();
@@ -320,7 +321,7 @@ fn cmd_verify(args: &Args) -> ExitCode {
             return Vec::new();
         }
         // A live run always knows its policy: arm the envelope.
-        opts.retry = Some(retry_policy_from(args, retries));
+        opts.retry = Some(policy);
         adhoc_log(args)
     });
 

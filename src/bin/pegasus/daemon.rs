@@ -93,7 +93,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
         retries: args.parsed("retries", 3u32),
         slot_budget: at_least_one(args, "slots"),
         tenant_slots: at_least_one(args, "tenant-slots"),
-        tenant_active: args.parsed_opt("tenant-active"),
+        tenant_active: at_least_one(args, "tenant-active"),
         crash_after_members: args.parsed_opt("crash-after-members"),
         sites: args.get("sites").map(std::path::PathBuf::from),
     };

@@ -113,9 +113,9 @@ mod common {
 }
 
 /// `--key`, a count that sizes what runs (`--n`, `--slots`,
-/// `--tenant-slots`): the library runs 0 as 1, so a 0 from the command
-/// line is refused here, in the words the daemon refuses `submit n=0`
-/// with.
+/// `--tenant-slots`, `--tenant-active`): the library runs 0 as 1, or
+/// admits nothing under it, so a 0 from the command line is refused
+/// here, in the words the daemon refuses `submit n=0` with.
 fn at_least_one(args: &Args, key: &str) -> Option<usize> {
     match args.parsed_opt(key) {
         Some(0) => args.bail(&format!("{key} must be at least 1")),

@@ -118,6 +118,8 @@ const RULES: &[Rule] = &[
         "format!(\"site {name:?} not in site catalog\"),"),
     (44, "one judge per run fact: one concurrency sweep sorts ends before starts", "crates/core/src", "a.1.cmp(&b.1)", Exactly(1), BEFORE_TESTS,
         ".then(a.1.cmp(&b.1))"),
+    (45, "one code per stream clause: the walker's second codes stay gone", "crates src tests", "E0701|E0702|E0703|E0704|E0705|E0706|W0709", Absent, WORD,
+        "const HEADER: Rule = (\"E0807\", \"E0701\");"),
 ];
 
 /// The sorted entry names of a directory.

@@ -533,7 +533,7 @@ fn pegasus_verify_reports_an_unparsable_log_and_checks_the_rest() {
         .args(["verify", "--format", "json", "--from-events"])
         .arg(
             "tests/fixtures/lint/e0708_syntax.events,\
-             tests/fixtures/lint/e0703_completed_before_started.events",
+             tests/fixtures/lint/e0803_completed_before_started.events",
         )
         .output()
         .unwrap();
@@ -545,10 +545,10 @@ fn pegasus_verify_reports_an_unparsable_log_and_checks_the_rest() {
     );
     let entries: Vec<&str> = json.lines().filter(|l| l.starts_with("  {")).collect();
     assert_eq!(entries.len() + 2, json.lines().count(), "{json}");
-    // Sorted by file: the second log's finding comes first.
-    assert!(entries[0].starts_with("  {\"code\":\"E0803\""), "{json}");
-    assert!(entries[1].starts_with("  {\"code\":\"E0708\""), "{json}");
-    assert!(entries[1].contains("\"line\":4,"), "{json}");
+    // Sorted by file.
+    assert!(entries[0].starts_with("  {\"code\":\"E0708\""), "{json}");
+    assert!(entries[0].contains("\"line\":4,"), "{json}");
+    assert!(entries[1].starts_with("  {\"code\":\"E0803\""), "{json}");
 
     // What the engine writes verifies clean, and a live verdict is the
     // verdict over the log it wrote.
@@ -818,7 +818,8 @@ fn pegasus_refuses_a_decomposition_of_zero_chunks() {
 /// A slot budget or tenant quota of 0 is refused by every verb that
 /// runs under it, in the same words as `--n 0`: the library would run
 /// it as 1 (`ensemble`), or a daemon would refuse every DAX at
-/// preflight while running every generated workload on one slot.
+/// preflight while running every generated workload on one slot, or
+/// (`--tenant-active`) start and then refuse every submission.
 /// The address is one no daemon can bind, so nothing stays up if a
 /// quota of 0 gets through.
 #[test]
@@ -833,6 +834,10 @@ fn pegasus_refuses_a_zero_slot_budget_where_it_runs() {
         (
             [&serve[..], &["--tenant-slots", "0"]].concat(),
             "tenant-slots",
+        ),
+        (
+            [&serve[..], &["--tenant-active", "0"]].concat(),
+            "tenant-active",
         ),
     ] {
         let out = pegasus().args(&argv).output().unwrap();
@@ -855,6 +860,7 @@ fn pegasus_refuses_a_zero_slot_budget_where_it_runs() {
 /// NaN]`, and a negative timeout timed out every attempt.
 #[test]
 fn pegasus_refuses_a_retry_delay_that_is_not_a_finite_duration() {
+    const LOG: &str = "tests/fixtures/osg_n8.events";
     let dir = tmpdir("retry_delays");
     let dax = dir.join("s.dax");
     let dax = dax.to_str().unwrap();
@@ -890,6 +896,10 @@ fn pegasus_refuses_a_retry_delay_that_is_not_a_finite_duration() {
         (&run[..], "timeout", "-5"),
         (&run[..], "timeout", "0"),
         (&["lint", dax][..], "backoff", "nan"),
+        // verify builds the policy even where it asserts no envelope.
+        (&["verify", LOG][..], "timeout", "nan"),
+        (&["verify", LOG][..], "timeout", "-3"),
+        (&["verify", LOG][..], "backoff", "nan"),
     ] {
         let flag_arg = format!("--{flag}");
         let argv = [verb, &[&flag_arg, value]].concat();

@@ -13,9 +13,10 @@
 //!
 //! The untouched goldens themselves must verify clean, and the
 //! verifier's verdict must not depend on whether a stream arrived
-//! live or from a log — both pinned here too. So is the other face of
-//! the same walker: `lint --events` accepts every prefix of a golden
-//! as a truncated run, and rejects no mutant the verifier accepts.
+//! live or from a log — both pinned here too. So is `lint --events`,
+//! which runs the same walker: it accepts every prefix of a golden as
+//! a truncated run, and every finding it makes on a mutant is one the
+//! verifier makes, under the same code.
 
 use pegasus_wms::engine::RetryPolicy;
 use pegasus_wms::events::{self, log};
@@ -87,12 +88,12 @@ fn untouched_goldens_verify_clean() {
     );
 }
 
-/// Prefix closure of the lenient face: every clause `lint --events`
-/// reports is judged as its event arrives, looking only backwards, so
-/// a golden cut after any k events draws nothing but the truncation
-/// warning — in particular the manifest's length is held against the
-/// header's count when the manifest closes, not at the end — and the
-/// whole log draws nothing at all.
+/// Prefix closure of `lint --events`: every clause it reports is
+/// judged as its event arrives, looking only backwards, so a golden
+/// cut after any k events draws nothing but the truncation warning —
+/// in particular the manifest's length is held against the header's
+/// count when the manifest closes, not at the end — and the whole log
+/// draws nothing at all.
 fn assert_prefix_closed(n: usize) {
     let codes = |diags: Vec<Diagnostic>| diags.iter().map(|d| d.code).collect::<Vec<_>>();
     for site in SITES {
@@ -101,7 +102,7 @@ fn assert_prefix_closed(n: usize) {
             let events = log::parse_lines(&fixture(&name)).expect("goldens parse");
             for k in 0..=events.len() {
                 let want: &[&str] = match k {
-                    0 => &["E0701"],
+                    0 => &["E0807"],
                     k if k < events.len() => &["W0707"],
                     _ => &[],
                 };
@@ -234,17 +235,22 @@ fn sweep(name: &str, text: &str, opts: &VerifyOptions) -> Vec<String> {
     let mut misses = Vec::new();
 
     let flagged = |mutated: &str| -> bool {
-        let strict = check_text(mutated, name, opts)
-            .iter()
-            .any(|d| d.code.starts_with("E08"));
-        // The lenient face is the same walker minus the end-of-stream
-        // clauses: what it rejects, the strict face rejects.
-        let lenient = log::parse_lines(mutated).map(|evs| lint::check_events(&evs, name));
-        assert!(
-            strict || !lenient.is_ok_and(|diags| lint::has_errors(&diags)),
-            "{name}: lint --events rejects a mutant that verify accepts:\n{mutated}"
-        );
-        strict
+        let verdict = check_text(mutated, name, opts);
+        // `lint --events` is the same walker minus the end-of-stream
+        // clauses: each of its findings but the truncation warning is
+        // one of verify's, under the same code, at the same line.
+        if let Ok(evs) = log::parse_lines(mutated) {
+            let same = |l: &Diagnostic, v: &Diagnostic| {
+                (l.code, l.span, &l.message) == (v.code, v.span, &v.message)
+            };
+            for found in lint::check_events(&evs, name) {
+                assert!(
+                    found.code == "W0707" || verdict.iter().any(|v| same(&found, v)),
+                    "{name}: lint --events finds what verify does not: {found:?}\n{mutated}"
+                );
+            }
+        }
+        verdict.iter().any(|d| d.code.starts_with("E08"))
     };
 
     for &i in &targets {
