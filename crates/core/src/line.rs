@@ -139,6 +139,60 @@ impl Value<'_> for bool {
     }
 }
 
+/// The values a number from outside may take, stated where it is
+/// declared — a command-line flag's row, a protocol field, a
+/// `sites.def` key — and judged where it is read, in one sentence.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Range {
+    /// A count in `min..=max`; a `max` of `usize::MAX` is no ceiling.
+    Count {
+        /// The least count admitted.
+        min: usize,
+        /// The greatest count admitted.
+        max: usize,
+    },
+    /// Finite seconds, at least `min` — or above it, when `open`.
+    Secs {
+        /// The lower bound.
+        min: f64,
+        /// Whether `min` itself is refused.
+        open: bool,
+    },
+}
+
+impl Range {
+    /// Whether `raw`, read by [`Value`]'s rule for the range's kind
+    /// (an integer, or a finite number), lies in the range.
+    pub fn admits(&self, raw: &str) -> bool {
+        match *self {
+            Range::Count { min, max } => usize::read(raw).is_some_and(|v| (min..=max).contains(&v)),
+            Range::Secs { min, open } => {
+                f64::read(raw).is_some_and(|v| v > min || !open && v == min)
+            }
+        }
+    }
+
+    /// The one sentence that refuses `raw` for the number `name`:
+    /// `--n must be in 1..=20000, not "20001"`.
+    pub fn refusal(&self, name: &str, raw: &str) -> String {
+        format!("{name} must be {self}, not {raw:?}")
+    }
+}
+
+/// `in 1..=20000`, `>= 1` (no ceiling), `>= 0` or `> 0` (seconds).
+impl std::fmt::Display for Range {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Range::Count {
+                min,
+                max: usize::MAX,
+            } => write!(f, ">= {min}"),
+            Range::Count { min, max } => write!(f, "in {min}..={max}"),
+            Range::Secs { min, open } => write!(f, "{} {min}", if open { ">" } else { ">=" }),
+        }
+    }
+}
+
 /// What a token cannot hold raw — the grammar's separators and the
 /// escape character — and, under each, the letter that follows `\`.
 const ESCAPES: [&str; 2] = ["\\ \t\n\r\x0c", "\\stnrf"];

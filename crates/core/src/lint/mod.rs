@@ -230,9 +230,9 @@ pub(crate) const RULES: &[Rule] = &[
     },
     Rule {
         code: "E0504",
-        name: "zero-slots",
+        name: "slots-out-of-range",
         default: Level::Deny,
-        summary: "a site declares zero execution slots",
+        summary: "a site's slot count lies outside the range sites.def admits",
     },
     Rule {
         code: "E0505",
@@ -645,7 +645,7 @@ const RANGES: &[(&str, &str)] = &[
     (
         "E05",
         "Site definitions: the `--sites` file checked on its own terms — \
-         duplicate names and aliases, zero slots, negative rates, dangling \
+         duplicate names and aliases, a slot count out of range, negative rates, dangling \
          catalog references.",
     ),
     (

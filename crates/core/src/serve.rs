@@ -82,7 +82,7 @@
 use crate::engine::WorkflowRun;
 use crate::ensemble::MemberState;
 use crate::error::{Format, Span, WmsError};
-use crate::line::{self, Field, Fields, Line, Value};
+use crate::line::{self, Field, Fields, Line, Range, Value};
 use crate::statistics::{self, WorkflowStatistics};
 use crate::symbols::NamePool;
 use crate::trace::TraceId;
@@ -101,6 +101,22 @@ pub const JOURNAL_HEADER: &str = "# pegasus serve journal v2";
 /// The pre-trace journal header, accepted on replay for forward
 /// migration of existing spool directories.
 pub(crate) const JOURNAL_HEADER_V1: &str = "# pegasus serve journal v1";
+
+/// Number of protein clusters in the calibrated workload. The paper's
+/// run clusters 236,529 transcripts by shared protein hit; a few tens
+/// of thousands of clusters is the matching order of magnitude while
+/// staying cheap to partition.
+pub const CALIBRATION_CLUSTERS: usize = 20_000;
+
+/// The decompositions a generated blast2cap3 may ask for — `n=` here,
+/// and every calibrated `--n` or `--sizes` entry of the binary. A chunk
+/// holds at least one cluster, so past [`CALIBRATION_CLUSTERS`] the plan
+/// stops growing: `n=20001` is `n=20000`'s 20,009 jobs under another
+/// name.
+pub const DECOMPOSITION: Range = Range::Count {
+    min: 1,
+    max: CALIBRATION_CLUSTERS,
+};
 
 /// Where a submitted workflow comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,9 +209,11 @@ fn parse_submit_body(f: &mut Fields<'_, '_>) -> Result<SubmitRequest, WmsError> 
         Some(v) => Some(v.parse::<TraceId>().map_err(|e| f.err(e))?),
         None => None,
     };
-    let source = match f.next_opt("n")? {
-        Some(0) => return Err(f.err("n must be at least 1")),
-        Some(n) => SubmitSource::Generated { n },
+    let source = match f.next_opt::<&str>("n")? {
+        Some(raw) => match raw.parse() {
+            Ok(n) if DECOMPOSITION.admits(raw) => SubmitSource::Generated { n },
+            _ => return Err(f.err(DECOMPOSITION.refusal("n", raw))),
+        },
         None => match f.next("dax")? {
             "" => return Err(f.err("empty dax path")),
             path => SubmitSource::Dax { path: path.into() },
@@ -939,6 +957,41 @@ mod tests {
         ] {
             let err = parse_request(bad).unwrap_err();
             assert!(matches!(err, WmsError::Parse { .. }), "{bad:?} -> {err:?}");
+        }
+    }
+
+    #[test]
+    fn a_generated_size_is_judged_by_its_range_in_the_one_sentence() {
+        let at = |raw: &str| parse_request(&format!("submit tenant=a site=s n={raw}"));
+        let Ok(Request::Submit(ceiling)) = at("20000") else {
+            panic!("the ceiling itself is admitted");
+        };
+        assert_eq!(ceiling.source, SubmitSource::Generated { n: 20_000 });
+        for raw in ["0", "20001", "100000000000000", "zero"] {
+            let err = at(raw).unwrap_err().to_string();
+            let want = format!("n must be in 1..=20000, not \"{raw}\"");
+            assert!(err.ends_with(&want), "{raw}: {err}");
+        }
+    }
+
+    /// A journal written before `n=` had a ceiling may hold one past it:
+    /// replay refuses it at its line, as any record the daemon would
+    /// not write today.
+    #[test]
+    fn a_journaled_size_past_the_ceiling_is_an_error_at_its_line() {
+        let text = format!(
+            "{JOURNAL_HEADER}\n{}\nsubmission id=1 tenant=a site=s n=100000000000000\n",
+            render_journal_entry(&JournalEntry::Submission {
+                id: 0,
+                sub: sub("alice", 10),
+            }),
+        );
+        match Ledger::replay(&text).unwrap_err() {
+            WmsError::Parse { span, reason, .. } => {
+                assert_eq!(span.line, 3);
+                assert!(reason.starts_with("n must be in 1..=20000"), "{reason}");
+            }
+            other => panic!("{other:?}"),
         }
     }
 

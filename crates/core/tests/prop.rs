@@ -836,7 +836,11 @@ fn submit_request_strategy() -> impl Strategy<Value = serve::SubmitRequest> {
         (any::<bool>(), any::<u64>()),
         (any::<bool>(), 0u32..50),
         (-100i32..100, (any::<bool>(), any::<u64>())),
-        (any::<bool>(), 1usize..100_000, "[a-zA-Z0-9_./ -]{1,40}"),
+        (
+            any::<bool>(),
+            1usize..=serve::CALIBRATION_CLUSTERS,
+            "[a-zA-Z0-9_./ -]{1,40}",
+        ),
     )
         .prop_map(
             |(

@@ -36,7 +36,7 @@ use crate::dist::{sample_standard_normal, Dist};
 use crate::platform::{ChurnModel, PlatformModel, SlotSpec};
 use pegasus_wms::catalog::{ReplicaCatalog, Site, SiteCatalog};
 use pegasus_wms::error::{Format, Span, WmsError};
-use pegasus_wms::line::{self, Fields};
+use pegasus_wms::line::{self, Fields, Range};
 use pegasus_wms::lint::Severity;
 use pegasus_wms::symbols::{SiteId, SymbolTable};
 use rand::rngs::StdRng;
@@ -78,6 +78,16 @@ impl SpeedSpec {
     }
 }
 
+/// The execution slots a site may declare, judged by `E0504`, and the
+/// slot budgets the binaries take (`--slots`, `--tenant-slots`). The
+/// backend holds one slot record per slot: a run on 10^6 slots peaks at
+/// 18.8 MB and on 10^7 at 156 MB (10.1 MB on 64), and no budget can
+/// use more slots than the largest site has.
+pub const SLOTS: Range = Range::Count {
+    min: 1,
+    max: 1_000_000,
+};
+
 /// One declarative site definition: everything the planner, the
 /// simulator, and the catalogs need to know about an execution site.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,7 +101,7 @@ pub struct SiteDef {
     /// contributing its own, like `osg_prestaged` sharing the `osg`
     /// catalog. Variants are excluded from the `--site both` sweep.
     pub catalog_site: Option<String>,
-    /// Number of execution slots.
+    /// Number of execution slots, in [`SLOTS`].
     pub slots: usize,
     /// Slot speed generator.
     pub speed: SpeedSpec,

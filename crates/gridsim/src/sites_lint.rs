@@ -11,8 +11,9 @@
 //!   site (or twice for the same one);
 //! * `E0503 alias-shadows-site` — an alias colliding with a declared
 //!   site name, which would make resolution ambiguous;
-//! * `E0504 zero-slots` — a site with no execution slots can never
-//!   run a job;
+//! * `E0504 slots-out-of-range` — a site's slot count outside
+//!   [`crate::sites::SLOTS`]: with none it can never run a job, and
+//!   past the ceiling the backend's slot table outgrows any need;
 //! * `E0505 negative-site-parameter` — a negative rate, delay, or
 //!   factor (the simulator clamps samples, but a negative knob is
 //!   always a typo);
@@ -26,7 +27,7 @@
 //! [`SiteDef`] vocabulary does; the core `lint` module only defines
 //! the rule registry entries.
 
-use crate::sites::SiteDef;
+use crate::sites::{SiteDef, SLOTS};
 use pegasus_wms::lint::Diagnostic;
 
 /// Lints parsed site definitions; `file` labels diagnostics, which
@@ -103,18 +104,17 @@ fn check_aliases(defs: &[SiteDef], file: &str, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `E0504`: a site with no slots.
+/// `E0504`: a slot count outside [`SLOTS`].
 fn check_slots(def: &SiteDef, file: &str, diags: &mut Vec<Diagnostic>) {
-    if def.slots == 0 {
-        diags.push(
-            Diagnostic::new(
-                "E0504",
-                file,
-                def.span("slots"),
-                format!("site {:?} declares zero execution slots", def.name),
-            )
-            .with_help("every job submitted here would wait forever"),
-        );
+    let slots = def.slots.to_string();
+    if !SLOTS.admits(&slots) {
+        let refusal = SLOTS.refusal("slots", &slots);
+        diags.push(Diagnostic::new(
+            "E0504",
+            file,
+            def.span("slots"),
+            format!("site {:?}: {refusal}", def.name),
+        ));
     }
 }
 
@@ -220,6 +220,16 @@ mod tests {
         let diags = lint("site a\nslots=0\n");
         assert_eq!(codes(&diags), vec!["E0504"]);
         assert_eq!(diags[0].span.line, 2);
+    }
+
+    #[test]
+    fn slots_past_the_ceiling_are_out_of_range_and_the_ceiling_is_not() {
+        assert!(lint("site a\nslots=1000000\n").is_empty());
+        let diags = lint("site a\nslots=1000001\n");
+        assert_eq!(codes(&diags), vec!["E0504"]);
+        assert_eq!(diags[0].span.line, 2);
+        let want = "site \"a\": slots must be in 1..=1000000, not \"1000001\"";
+        assert_eq!(diags[0].message, want);
     }
 
     #[test]

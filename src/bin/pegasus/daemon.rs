@@ -1,9 +1,10 @@
 //! `serve`, `submit` and `status`: the multi-tenant ensemble daemon and
 //! its clients.
 
-use crate::{at_least_one, common, or_exit, success_if};
+use crate::{common, or_exit, success_if};
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
 use blast2cap3_pegasus::{outln, serve};
+use gridsim::sites::SLOTS;
 use pegasus_wms::serve::{
     render_response_head, Request, ResponseHead, SubmitRequest, SubmitSource,
 };
@@ -24,9 +25,9 @@ pub(crate) const SERVE: Verb = Verb {
         common::SITES,
         common::SEED,
         common::RETRIES,
-        opt("slots", "n", "global slot budget per round"),
-        opt("tenant-slots", "n", "per-tenant in-flight job quota"),
-        opt("tenant-active", "n", "per-tenant queued-submission quota"),
+        opt("slots", "n", "global slot budget per round").range(SLOTS),
+        opt("tenant-slots", "n", "per-tenant in-flight job quota").range(SLOTS),
+        opt("tenant-active", "n", "per-tenant queued-submission quota").at_least(1),
         opt(
             "crash-after-members",
             "n",
@@ -91,9 +92,9 @@ fn cmd_serve(args: &Args) -> ExitCode {
         dir: std::path::PathBuf::from(args.get("dir").unwrap_or("serve-state")),
         seed: args.parsed("seed", 20140519u64),
         retries: args.parsed("retries", 3u32),
-        slot_budget: at_least_one(args, "slots"),
-        tenant_slots: at_least_one(args, "tenant-slots"),
-        tenant_active: at_least_one(args, "tenant-active"),
+        slot_budget: args.parsed_opt("slots"),
+        tenant_slots: args.parsed_opt("tenant-slots"),
+        tenant_active: args.parsed_opt("tenant-active"),
         crash_after_members: args.parsed_opt("crash-after-members"),
         sites: args.get("sites").map(std::path::PathBuf::from),
     };

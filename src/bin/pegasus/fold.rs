@@ -7,8 +7,8 @@
 
 use crate::run::prepare;
 use crate::{
-    at_least_one, comma_list, common, load_dax, load_registry, or_exit, read_or_exit, resolve_site,
-    simulation, sizes_from, success_if, write_or_exit, write_or_print,
+    comma_list, common, load_dax, load_registry, or_exit, read_or_exit, resolve_site, simulation,
+    sizes_from, success_if, write_or_exit, write_or_print,
 };
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
 use blast2cap3_pegasus::experiment::plan_blast2cap3_at;
@@ -19,6 +19,7 @@ use pegasus_wms::engine::{Engine, NoopMonitor, WorkflowRun};
 use pegasus_wms::events::log::LogWriter;
 use pegasus_wms::events::{self, EventSink, WorkflowEvent};
 use pegasus_wms::metrics::{self, MetricsRegistry};
+use pegasus_wms::serve::DECOMPOSITION;
 use pegasus_wms::statistics::{compute, render_csv};
 use pegasus_wms::trace::{self, TraceId};
 use std::path::Path;
@@ -29,7 +30,8 @@ pub(crate) const LIVE_N: blast2cap3_pegasus::cli::Flag = opt(
     "n",
     "clusters",
     "decomposition size for a live run (default 100)",
-);
+)
+.range(DECOMPOSITION);
 /// `--events` of the verbs whose live source is [`adhoc_log`].
 pub(crate) const LIVE_EVENTS: blast2cap3_pegasus::cli::Flag =
     opt("events", "file", "also write the live run's event log");
@@ -221,7 +223,7 @@ fn sweep_logs(args: &Args) -> Vec<EventSource> {
 pub(crate) fn adhoc_log(args: &Args) -> Vec<EventSource> {
     let registry = load_registry(args);
     let site = resolve_site(args, &registry, args.get("site").unwrap_or("sandhills"));
-    let n = at_least_one(args, "n").unwrap_or(100);
+    let n = args.parsed("n", 100);
     let (cfg, mut backend) = simulation(args, &registry, site, 20);
     let exec = plan_blast2cap3_at(&registry, site, n, cfg.seed);
     let run = Engine::run(&mut backend, &exec, &cfg, &mut NoopMonitor);

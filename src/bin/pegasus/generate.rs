@@ -1,19 +1,23 @@
 //! `generate-dax`, `generate-workload` and `catalogs`: the verbs that
 //! write a workflow or the built-in catalogs, and read nothing.
 
-use crate::{at_least_one, common, write_or_print};
+use crate::{common, write_or_print};
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
 use blast2cap3_pegasus::experiment::{builtin_registry, calibrated_workflow, registry_catalogs};
 use pegasus_wms::{catalog_io, dax, synthetic};
 use std::process::ExitCode;
 
+/// The most jobs a generator writes: the throughput sweep's largest
+/// DAX (10^6 blast2cap3 chunks, 541 MB).
+const MAX_JOBS: usize = 1_000_000;
+
 pub(crate) const DAX: Verb = Verb {
     name: "generate-dax",
     summary: "emit the blast2cap3 Fig. 2 workflow as a DAX file",
     positional: None,
     flags: &[
-        opt("n", "clusters", "decomposition size (default 300)"),
+        opt("n", "clusters", "decomposition size (default 300)").count(1, MAX_JOBS),
         common::OUT,
         switch(
             "calibrated",
@@ -30,7 +34,9 @@ pub(crate) const WORKLOAD: Verb = Verb {
     positional: None,
     flags: &[
         opt("shape", "name", "montage|cybershake|epigenomics|ligo"),
-        opt("size", "n", "workflow size (default 20)"),
+        // Epigenomics, the largest shape, has 4 jobs per unit of size
+        // (8 per two-lane chain pair, plus 7): 999,999 at the ceiling.
+        opt("size", "n", "workflow size (default 20)").count(1, (MAX_JOBS - 7) / 4),
         common::OUT,
     ],
     run: cmd_generate_workload,
@@ -45,7 +51,7 @@ pub(crate) const CATALOGS: Verb = Verb {
 };
 
 fn cmd_generate_dax(args: &Args) -> ExitCode {
-    let n = at_least_one(args, "n").unwrap_or(300);
+    let n = args.parsed("n", 300);
     let wf = if args.flag("calibrated") {
         calibrated_workflow(n, args.parsed("seed", 20140519u64))
     } else {

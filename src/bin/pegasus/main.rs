@@ -71,11 +71,13 @@ fn main() -> ExitCode {
 /// Flag declarations several verbs share.
 mod common {
     use blast2cap3_pegasus::cli::{opt, switch, Flag};
+    use pegasus_wms::serve::DECOMPOSITION;
 
     pub(crate) const SEED: Flag = opt("seed", "u64", "deterministic seed (default 20140519)");
     pub(crate) const RETRIES: Flag = opt("retries", "n", "retry budget per job");
-    pub(crate) const BACKOFF: Flag = opt("backoff", "secs", "exponential retry backoff base");
-    pub(crate) const TIMEOUT: Flag = opt("timeout", "secs", "per-attempt timeout");
+    pub(crate) const BACKOFF: Flag =
+        opt("backoff", "secs", "exponential retry backoff base").secs(0.0, false);
+    pub(crate) const TIMEOUT: Flag = opt("timeout", "secs", "per-attempt timeout").secs(0.0, true);
     pub(crate) const SITE: Flag = opt(
         "site",
         "name",
@@ -90,7 +92,9 @@ mod common {
         "sizes",
         "n,n,...",
         "decomposition sweep (default 10,100,300,500)",
-    );
+    )
+    .range(DECOMPOSITION)
+    .list();
     pub(crate) const OUT: Flag = opt("out", "file", "write output to a file instead of stdout");
     pub(crate) const QUIET: Flag = switch("quiet", "suppress progress and tables");
     pub(crate) const CATALOG: Flag = opt(
@@ -110,17 +114,6 @@ mod common {
         "profile",
         "collect engine self-profiling scopes (summary on stderr)",
     );
-}
-
-/// `--key`, a count that sizes what runs (`--n`, `--slots`,
-/// `--tenant-slots`, `--tenant-active`): the library runs 0 as 1, or
-/// admits nothing under it, so a 0 from the command line is refused
-/// here, in the words the daemon refuses `submit n=0` with.
-fn at_least_one(args: &Args, key: &str) -> Option<usize> {
-    match args.parsed_opt(key) {
-        Some(0) => args.bail(&format!("{key} must be at least 1")),
-        count => count,
-    }
 }
 
 /// Exit code 0 when `ok`, 1 otherwise.
@@ -249,21 +242,14 @@ fn profile_summary(profiling: bool) -> Vec<(&'static str, f64)> {
 
 /// The retry policy every simulating verb builds from its flags: flat
 /// retries by default, exponential backoff when `--backoff` is given,
-/// plus an optional per-attempt `--timeout`. Both are seconds, refused
-/// here when not finite, a negative backoff and a timeout of 0 too.
+/// plus an optional per-attempt `--timeout` (both seconds, judged by
+/// their flag rows).
 fn retry_policy_from(args: &Args, retries: u32) -> RetryPolicy {
-    let secs = |key: &str, ok: fn(f64) -> bool| {
-        let secs: f64 = args.parsed_opt(key)?;
-        if !(secs.is_finite() && ok(secs)) {
-            args.bail(&format!("bad value for --{key}: {:?}", args.get(key)?));
-        }
-        Some(secs)
-    };
-    let mut policy = match secs("backoff", |s| s >= 0.0) {
+    let mut policy = match args.parsed_opt("backoff") {
         Some(base) => RetryPolicy::exponential(retries, base),
         None => RetryPolicy::flat(retries),
     };
-    if let Some(timeout) = secs("timeout", |s| s > 0.0) {
+    if let Some(timeout) = args.parsed_opt("timeout") {
         policy = policy.with_timeout(timeout);
     }
     policy
@@ -300,24 +286,8 @@ fn simulation(
     (cfg, backend)
 }
 
-/// Parses `--sizes 10,100,...` (default: the paper's Fig. 4 sweep).
+/// `--sizes 10,100,...` (default: the paper's Fig. 4 sweep).
 fn sizes_from(args: &Args) -> Vec<usize> {
-    let sizes: Vec<usize> = match args.get("sizes") {
-        Some(list) => list
-            .split(',')
-            .map(|tok| {
-                tok.trim()
-                    .parse()
-                    .unwrap_or_else(|_| args.bail(&format!("bad --sizes entry {tok:?}")))
-            })
-            .collect(),
-        None => vec![10, 100, 300, 500],
-    };
-    if sizes.is_empty() {
-        args.bail("--sizes must name at least one decomposition");
-    }
-    if sizes.contains(&0) {
-        args.bail("bad --sizes entry \"0\": n must be at least 1");
-    }
-    sizes
+    args.parsed_list("sizes")
+        .unwrap_or_else(|| vec![10, 100, 300, 500])
 }

@@ -18,7 +18,7 @@ pub(crate) const PLAN: Verb = Verb {
         opt("dax", "file", "abstract workflow to plan"),
         common::SITE,
         common::SITES,
-        opt("cluster", "k", "horizontal clustering factor"),
+        opt("cluster", "k", "horizontal clustering factor").at_least(1),
         switch(
             "data-reuse",
             "elide jobs whose outputs exist in the replica catalog",

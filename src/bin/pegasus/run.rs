@@ -4,14 +4,15 @@
 
 use crate::check::collect_lint;
 use crate::{
-    admitted_or_exit, arm_profiler, at_least_one, common, load_catalogs, load_dax, load_registry,
-    or_exit, plan_or_exit, profile_summary, read_or_exit, resolve_site, simulation, sizes_from,
+    admitted_or_exit, arm_profiler, common, load_catalogs, load_dax, load_registry, or_exit,
+    plan_or_exit, profile_summary, read_or_exit, resolve_site, simulation, sizes_from,
     width_findings, write_flagged, write_or_exit, write_or_print,
 };
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
 use blast2cap3_pegasus::experiment::{plan_blast2cap3_at, registry_catalogs};
 use blast2cap3_pegasus::outln;
+use gridsim::sites::SLOTS;
 use gridsim::SimBackend;
 use pegasus_wms::analyzer::analyze;
 use pegasus_wms::engine::{Engine, EngineConfig, WorkflowOutcome};
@@ -69,7 +70,7 @@ pub(crate) const ENSEMBLE: Verb = Verb {
         common::RETRIES,
         common::BACKOFF,
         common::TIMEOUT,
-        opt("slots", "n", "global slot budget across members"),
+        opt("slots", "n", "global slot budget across members").range(SLOTS),
         common::OUT,
         opt("metrics", "prom", "write the Prometheus exposition"),
         common::QUIET,
@@ -247,7 +248,7 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
     let (cfg, mut backend) = simulation(args, &registry, site, 3);
     let sizes = sizes_from(args);
     let quotas = EnsembleConfig {
-        slot_budget: at_least_one(args, "slots"),
+        slot_budget: args.parsed_opt("slots"),
         ..EnsembleConfig::default()
     };
 

@@ -1,10 +1,11 @@
 //! Declarative argument parsing: one [`Flag`] per option, one [`Verb`]
 //! per subcommand, one table of verbs per binary.
 //!
-//! Parsing, unknown-flag rejection, per-verb `--help` and the usage
-//! screen are all derived from the table, so a binary cannot drift from
-//! its own documentation.
+//! Parsing, unknown-flag rejection, the range of every number,
+//! per-verb `--help` and the usage screen are all derived from the
+//! table, so a binary cannot drift from its own documentation.
 
+use pegasus_wms::line::Range;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -19,6 +20,10 @@ pub struct Flag {
     placeholder: Option<&'static str>,
     /// One-line help string.
     help: &'static str,
+    /// The values the flag admits — each entry's, for a comma list.
+    range: Option<Range>,
+    /// Whether the value is a comma-separated list.
+    list: bool,
 }
 
 /// Declares a value-carrying flag.
@@ -27,15 +32,64 @@ pub const fn opt(name: &'static str, placeholder: &'static str, help: &'static s
         name,
         placeholder: Some(placeholder),
         help,
+        range: None,
+        list: false,
     }
 }
 
 /// Declares a boolean switch.
 pub const fn switch(name: &'static str, help: &'static str) -> Flag {
     Flag {
-        name,
         placeholder: None,
-        help,
+        ..opt(name, "", help)
+    }
+}
+
+impl Flag {
+    /// The flag admits only the values of `range`.
+    pub const fn range(self, range: Range) -> Flag {
+        Flag {
+            range: Some(range),
+            ..self
+        }
+    }
+
+    /// The flag is a count in `min..=max`.
+    pub const fn count(self, min: usize, max: usize) -> Flag {
+        self.range(Range::Count { min, max })
+    }
+
+    /// The flag is a count of at least `min`.
+    pub const fn at_least(self, min: usize) -> Flag {
+        self.count(min, usize::MAX)
+    }
+
+    /// The flag is finite seconds, at least `min` (or above it, when
+    /// `open`).
+    pub const fn secs(self, min: f64, open: bool) -> Flag {
+        self.range(Range::Secs { min, open })
+    }
+
+    /// The flag is a comma-separated list, each entry judged by the
+    /// flag's range.
+    pub const fn list(self) -> Flag {
+        Flag { list: true, ..self }
+    }
+
+    /// `--<name> must be <range>, not "<value>"`, for the first value
+    /// (or list entry) outside the flag's range.
+    fn judge(&self, value: &str) -> Result<(), String> {
+        let Some(range) = self.range else {
+            return Ok(());
+        };
+        let bad = if self.list {
+            value.split(',').map(str::trim).find(|v| !range.admits(v))
+        } else {
+            Some(value).filter(|v| !range.admits(v))
+        };
+        bad.map_or(Ok(()), |bad| {
+            Err(range.refusal(&format!("--{}", self.name), bad))
+        })
     }
 }
 
@@ -98,9 +152,21 @@ impl Args {
 
     /// `--key` parsed as `T` when present.
     pub fn parsed_opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        let v = self.get(key)?;
+        self.get(key).map(|v| self.parse(key, v))
+    }
+
+    /// The entries of the comma list `--key`, each parsed as `T`, when
+    /// present.
+    pub fn parsed_list<T: std::str::FromStr>(&self, key: &str) -> Option<Vec<T>> {
+        let list = self.get(key)?;
+        Some(list.split(',').map(|v| self.parse(key, v.trim())).collect())
+    }
+
+    /// `v` of `--key` parsed as `T`: a value its flag's range admitted
+    /// always parses, so this refuses only a flag that declares none.
+    fn parse<T: std::str::FromStr>(&self, key: &str, v: &str) -> T {
         let bad = || self.bail(&format!("bad value for --{key}: {v:?}"));
-        Some(v.parse().unwrap_or_else(|_| bad()))
+        v.parse().unwrap_or_else(|_| bad())
     }
 
     /// `true` when the boolean switch `--key` was given.
@@ -119,9 +185,10 @@ impl Verb {
     /// this verb's flag table.
     ///
     /// # Errors
-    /// Unknown flags, value flags missing their value, and positional
-    /// arguments given to a verb that declares none. Each message ends
-    /// with a pointer at the verb's `--help`.
+    /// Unknown flags, value flags missing their value, a value outside
+    /// its flag's range, and positional arguments given to a verb that
+    /// declares none. Each message ends with a pointer at the verb's
+    /// `--help`.
     pub(super) fn parse(&self, bin: &'static str, raw: &[String]) -> Result<Args, String> {
         let see = format!("(see `{bin} {} --help`)", self.name);
         let mut args = Args {
@@ -143,6 +210,8 @@ impl Verb {
                         let Some(value) = raw.next() else {
                             return Err(format!("missing value for --{key} {see}"));
                         };
+                        f.judge(value)
+                            .map_err(|refusal| format!("{refusal}\n{see}"))?;
                         args.values.insert(key.to_string(), value.clone());
                     }
                     Some(_) => args.switches.push(key.to_string()),
@@ -167,17 +236,21 @@ impl Verb {
             out.push_str(" [flags]");
         }
         let _ = writeln!(out, "\n\n{}\n", self.summary);
-        let rendered: Vec<(String, &str)> = self
+        let rendered: Vec<(String, &Flag)> = self
             .flags
             .iter()
             .map(|f| match f.placeholder {
-                Some(p) => (format!("--{} <{p}>", f.name), f.help),
-                None => (format!("--{}", f.name), f.help),
+                Some(p) => (format!("--{} <{p}>", f.name), f),
+                None => (format!("--{}", f.name), f),
             })
             .collect();
         let width = rendered.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-        for (left, help) in rendered {
-            let _ = writeln!(out, "  {left:<width$}  {help}");
+        for (left, f) in rendered {
+            let _ = write!(out, "  {left:<width$}  {}", f.help);
+            if let Some(range) = f.range {
+                let _ = write!(out, " [{range}]");
+            }
+            out.push('\n');
         }
         out
     }
@@ -261,6 +334,96 @@ mod tests {
         assert!(err.contains("stray"), "{err}");
         let err = parse(&TABLE[1], &["--dax"]).unwrap_err();
         assert!(err.contains("missing value"), "{err}");
+    }
+
+    const BOUNDED: Verb = Verb {
+        name: "generate",
+        summary: "bounded numbers",
+        positional: None,
+        flags: &[
+            opt("n", "clusters", "size").count(1, 1_000_000),
+            opt("sizes", "n,n,...", "sweep")
+                .range(pegasus_wms::serve::DECOMPOSITION)
+                .list(),
+            opt("cluster", "k", "factor").at_least(1),
+            opt("backoff", "secs", "base").secs(0.0, false),
+            opt("timeout", "secs", "limit").secs(0.0, true),
+            opt("seed", "u64", "seed"),
+        ],
+        run: done,
+    };
+
+    /// Each bound is itself admitted and one past it is refused, in the
+    /// one sentence, before any handler runs: no run at the bound is
+    /// needed to know it is inclusive.
+    #[test]
+    fn each_bound_is_admitted_and_one_past_it_is_refused() {
+        for (flag, admitted, refused) in [
+            (
+                "n",
+                &["1", "1000000"][..],
+                &["0", "1000001", "1e6", "-1", ""][..],
+            ),
+            (
+                "sizes",
+                &["1", "20000", "10, 100,300"],
+                &["0", "20001", "10,,5", "10,0"],
+            ),
+            (
+                "cluster",
+                &["1", "18446744073709551615"],
+                &["0", "18446744073709551616"],
+            ),
+            (
+                "backoff",
+                &["0", "1e3", "0.5"],
+                &["-1", "-0.001", "nan", "inf"],
+            ),
+            (
+                "timeout",
+                &["1e-9", "60"],
+                &["0", "-0", "-5", "NaN", "infinity"],
+            ),
+        ] {
+            let key = format!("--{flag}");
+            for v in admitted {
+                let args = parse(&BOUNDED, &[&key, v]).unwrap_or_else(|e| panic!("{key} {v}: {e}"));
+                assert_eq!(args.get(flag), Some(*v));
+            }
+            let range = BOUNDED
+                .flags
+                .iter()
+                .find(|f| f.name == flag)
+                .unwrap()
+                .range
+                .unwrap();
+            for v in refused {
+                let err = parse(&BOUNDED, &[&key, v]).unwrap_err();
+                let bad = v
+                    .split(',')
+                    .map(str::trim)
+                    .find(|e| !range.admits(e))
+                    .unwrap();
+                let want =
+                    format!("{key} must be {range}, not {bad:?}\n(see `tool generate --help`)");
+                assert_eq!(err, want, "{key} {v}");
+            }
+        }
+        let args = parse(&BOUNDED, &["--sizes", "10, 100,300", "--seed", "nan"]).unwrap();
+        assert_eq!(args.parsed_list::<usize>("sizes"), Some(vec![10, 100, 300]));
+        let help = BOUNDED.help("tool");
+        for shown in [
+            "size [in 1..=1000000]",
+            "sweep [in 1..=20000]",
+            "factor [>= 1]",
+        ] {
+            assert!(help.contains(shown), "{help}");
+        }
+        assert!(
+            help.contains("base [>= 0]") && help.contains("limit [> 0]"),
+            "{help}"
+        );
+        assert!(help.contains("  --seed <u64>       seed\n"), "{help}");
     }
 
     #[test]

@@ -33,6 +33,7 @@ use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, EnsembleRun, Submission};
 use pegasus_wms::error::WmsError;
 use pegasus_wms::lint::{self, DaxLintOptions, Diagnostic};
 use pegasus_wms::planner::{plan, ExecutableWorkflow, PlannerConfig};
+use pegasus_wms::serve::CALIBRATION_CLUSTERS;
 use pegasus_wms::statistics::{compute, compute_ensemble, EnsembleStatistics, WorkflowStatistics};
 use pegasus_wms::symbols::SiteId;
 use pegasus_wms::workflow::AbstractWorkflow;
@@ -69,12 +70,6 @@ impl WorkloadCalibration {
         self.cluster_costs.iter().copied().fold(0.0, f64::max)
     }
 }
-
-/// Number of protein clusters in the calibrated workload. The paper's
-/// run clusters 236,529 transcripts by shared protein hit; a few tens
-/// of thousands of clusters is the matching order of magnitude while
-/// staying cheap to partition.
-pub(crate) const CALIBRATION_CLUSTERS: usize = 20_000;
 
 /// Builds the calibrated workload: cluster sizes from the same
 /// heavy-tailed family-size law the transcriptome simulator uses,

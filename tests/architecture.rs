@@ -120,6 +120,8 @@ const RULES: &[Rule] = &[
         ".then(a.1.cmp(&b.1))"),
     (45, "one code per stream clause: the walker's second codes stay gone", "crates src tests", "E0701|E0702|E0703|E0704|E0705|E0706|W0709", Absent, WORD,
         "const HEADER: Rule = (\"E0807\", \"E0701\");"),
+    (47, "every number from the command line is judged by its flag's range", "src/bin", "fn at_least_one|must be at least", Absent, 0,
+        "args.bail(\"families must be at least 1\");"),
 ];
 
 /// The sorted entry names of a directory.

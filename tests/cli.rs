@@ -794,7 +794,7 @@ fn every_planning_verb_plans_against_the_sites_file_with_or_without_a_catalog() 
 }
 
 /// The daemon refuses `submit n=0`; so does every verb that takes a
-/// decomposition size, in the same words, as a usage error — the
+/// decomposition size, in the same sentence, as a usage error — the
 /// library would quietly build the one-chunk workflow instead.
 #[test]
 fn pegasus_refuses_a_decomposition_of_zero_chunks() {
@@ -810,13 +810,86 @@ fn pegasus_refuses_a_decomposition_of_zero_chunks() {
         let out = pegasus().args(verb).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{verb:?}: {err}");
-        assert!(err.contains("n must be at least 1"), "{verb:?}: {err}");
+        let refusal = format!("{} must be in 1..=", verb[1]);
+        assert!(err.contains(&refusal), "{verb:?}: {err}");
+        assert!(err.contains(", not \"0\"\n"), "{verb:?}: {err}");
         assert!(out.stdout.is_empty(), "{verb:?} printed a result");
     }
 }
 
+/// Every verb of both binaries is a table of flags, and `--help` prints
+/// the range each number is judged by. Worked from that text alone, a
+/// value one past either end of every range is a usage error before
+/// any work: exit 2, the one sentence, nothing on stdout, and no
+/// panic or failed allocation. A flag that gains a range is covered
+/// here without a new row.
+#[test]
+fn every_range_in_the_help_refuses_one_past_each_end() {
+    let bins = [
+        ("pegasus", pegasus as fn() -> Command, &PEGASUS_VERBS[..]),
+        ("b2c3", b2c3, &["simulate", "align", "run"]),
+    ];
+    let mut ranged = Vec::new();
+    for (bin, command, verbs) in bins {
+        for &verb in verbs {
+            let help = command().args([verb, "--help"]).output().unwrap();
+            let help = String::from_utf8_lossy(&help.stdout).into_owned();
+            for line in help.lines().filter(|l| l.starts_with("  --")) {
+                let Some((_, range)) = line.strip_suffix(']').and_then(|l| l.rsplit_once(" ["))
+                else {
+                    continue;
+                };
+                let flag = line[4..].split(' ').next().unwrap();
+                ranged.push(format!("{bin} {verb} --{flag}"));
+                let below = |min: &str| (min.parse::<i64>().unwrap() - 1).to_string();
+                let probes = match range.split_once(' ').unwrap() {
+                    ("in", span) => {
+                        let (min, max) = span.split_once("..=").unwrap();
+                        let above = max.parse::<u64>().unwrap() + 1;
+                        vec![below(min), above.to_string()]
+                    }
+                    (">=", min) => vec![below(min)],
+                    (">", min) => vec![min.to_string()],
+                    other => panic!("{bin} {verb} --{flag}: unknown range {other:?}"),
+                };
+                for value in probes {
+                    let argv = [verb, &format!("--{flag}"), &value];
+                    let out = command().args(argv).output().unwrap();
+                    let err = String::from_utf8_lossy(&out.stderr);
+                    assert_eq!(out.status.code(), Some(2), "{bin} {argv:?}: {err}");
+                    let want = format!(
+                        "{bin} {verb}: --{flag} must be {range}, not {value:?}\n\
+                         (see `{bin} {verb} --help`)\n"
+                    );
+                    assert_eq!(err, want, "{bin} {argv:?}");
+                    assert!(out.stdout.is_empty(), "{bin} {argv:?} printed a result");
+                    assert!(!err.contains("panicked") && !err.contains("memory allocation"));
+                }
+            }
+        }
+    }
+    // The doors each range closed: past them a value aborted the
+    // process allocating for it, or ran as a value it is not.
+    for door in [
+        "pegasus generate-dax --n",
+        "pegasus generate-workload --size",
+        "pegasus plan --cluster",
+        "pegasus ensemble --sizes",
+        "pegasus ensemble --slots",
+        "pegasus trace --n",
+        "pegasus verify --n",
+        "pegasus run --backoff",
+        "pegasus run --timeout",
+        "pegasus serve --tenant-active",
+        "b2c3 simulate --families",
+        "b2c3 run --chunks",
+    ] {
+        assert!(ranged.iter().any(|r| r == door), "{door} declares no range");
+    }
+}
+
 /// A slot budget or tenant quota of 0 is refused by every verb that
-/// runs under it, in the same words as `--n 0`: the library would run
+/// runs under it, in the same sentence as `--n 0`: the library would run
 /// it as 1 (`ensemble`), or a daemon would refuse every DAX at
 /// preflight while running every generated workload on one slot, or
 /// (`--tenant-active`) start and then refuse every submission.
@@ -828,23 +901,30 @@ fn pegasus_refuses_a_zero_slot_budget_where_it_runs() {
     let state = dir.join("state");
     let state = state.to_str().unwrap();
     let serve = ["serve", "--addr", "127.0.0.1:99999", "--dir", state];
-    for (argv, flag) in [
-        (vec!["ensemble", "--sizes", "10", "--slots", "0"], "slots"),
-        ([&serve[..], &["--slots", "0"]].concat(), "slots"),
+    let slots = "in 1..=1000000";
+    for (argv, flag, range) in [
+        (
+            vec!["ensemble", "--sizes", "10", "--slots", "0"],
+            "slots",
+            slots,
+        ),
+        ([&serve[..], &["--slots", "0"]].concat(), "slots", slots),
         (
             [&serve[..], &["--tenant-slots", "0"]].concat(),
             "tenant-slots",
+            slots,
         ),
         (
             [&serve[..], &["--tenant-active", "0"]].concat(),
             "tenant-active",
+            ">= 1",
         ),
     ] {
         let out = pegasus().args(&argv).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
         let want = format!(
-            "pegasus {0}: {flag} must be at least 1\n(see `pegasus {0} --help`)\n",
+            "pegasus {0}: --{flag} must be {range}, not \"0\"\n(see `pegasus {0} --help`)\n",
             argv[0]
         );
         assert_eq!(err, want, "{argv:?}");
@@ -906,8 +986,9 @@ fn pegasus_refuses_a_retry_delay_that_is_not_a_finite_duration() {
         let out = pegasus().args(&argv).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
+        let range = if flag == "timeout" { "> 0" } else { ">= 0" };
         let want = format!(
-            "pegasus {0}: bad value for --{flag}: {value:?}\n(see `pegasus {0} --help`)\n",
+            "pegasus {0}: --{flag} must be {range}, not {value:?}\n(see `pegasus {0} --help`)\n",
             verb[0]
         );
         assert_eq!(err, want, "{argv:?}");
@@ -1274,31 +1355,36 @@ fn every_verb_name_and_flag_is_unique() {
 }
 
 /// A value a verb cannot parse is a usage error naming the flag and
-/// the verb's `--help`, never a default quietly used instead.
+/// the verb's `--help`, never a default quietly used instead; a flag
+/// with a range says it.
 #[test]
 fn typed_getters_report_bad_values() {
-    for (bin, argv, verb) in [
+    let bad_value = |flag: &str, v: &str| format!("bad value for {flag}: {v:?}");
+    for (bin, argv, verb, refusal) in [
         (
             pegasus as fn() -> Command,
             &["serve", "--seed", "x"][..],
             "pegasus serve",
+            bad_value("--seed", "x"),
         ),
-        (pegasus, &["ensemble", "--slots", "-1"], "pegasus ensemble"),
+        (
+            pegasus,
+            &["ensemble", "--slots", "-1"],
+            "pegasus ensemble",
+            "--slots must be in 1..=1000000, not \"-1\"".to_string(),
+        ),
         (
             b2c3,
             &["simulate", "--seed", "x", "--dir", "d"],
             "b2c3 simulate",
+            bad_value("--seed", "x"),
         ),
     ] {
         let out = bin().args(argv).output().unwrap();
-        let flag = argv[1];
         assert_eq!(out.status.code(), Some(2), "{argv:?}");
         assert_eq!(
             String::from_utf8_lossy(&out.stderr),
-            format!(
-                "{verb}: bad value for {flag}: {:?}\n(see `{verb} --help`)\n",
-                argv[2]
-            )
+            format!("{verb}: {refusal}\n(see `{verb} --help`)\n")
         );
     }
 }
@@ -1343,7 +1429,7 @@ fn b2c3_refuses_unknown_flags_and_documents_its_verbs() {
 /// What `b2c3` cannot do is an exit code and one line, never a panic:
 /// a closed stdout ends it quietly, an unwritable `--dir` is an I/O
 /// error (exit 1), and zero families a usage error (exit 2) in the
-/// words `pegasus` refuses `--n 0` with.
+/// sentence `pegasus` refuses `--n 0` with.
 #[test]
 fn b2c3_exits_cleanly_on_closed_stdout_bad_dirs_and_zero_families() {
     let dir = tmpdir("b2c3_doors");
@@ -1379,7 +1465,10 @@ fn b2c3_exits_cleanly_on_closed_stdout_bad_dirs_and_zero_families() {
         .unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{err}");
-    assert!(err.contains("families must be at least 1"), "{err}");
+    assert!(
+        err.contains("--families must be in 1..=100000, not \"0\""),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -587,6 +587,43 @@ fn a_refused_site_file_leaves_its_sites_undefined() {
     }
 }
 
+/// A slot count past the ceiling is E0504 like a count of zero: the
+/// lint reports it, and `run`, whose loader is the lint, refuses the
+/// file before its backend asks for a slot table of that size (it
+/// linted clean, then aborted allocating one).
+#[test]
+fn a_slot_count_past_the_ceiling_is_refused_by_lint_and_run_alike() {
+    let dir = tmpdir("slot_ceiling");
+    let dax = fixture("clean_small.dax");
+    let def = |slots: &str| {
+        let path = dir.join(format!("s{slots}.def"));
+        std::fs::write(&path, format!("site huge\nslots={slots}\n")).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let (ok, codes, out) = lint(&[&dax, "--sites", &def("1000000")]);
+    assert!(ok && codes.is_empty(), "the ceiling itself: {out}");
+    let past = def("1000000000000");
+    let (ok, codes, out) = lint(&[&dax, "--sites", &past]);
+    assert!(!ok, "{out}");
+    assert_eq!(codes, ["E0504"], "{out}");
+    let out = pegasus()
+        .args([
+            "run", "--dax", &dax, "--sites", &past, "--site", "huge", "--quiet",
+        ])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    let want = "site \"huge\": slots must be in 1..=1000000, not \"1000000000000\" [E0504]";
+    assert!(err.contains(want), "{err}");
+    assert!(
+        !err.contains("panicked") && !err.contains("memory allocation"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn custom_site_file_lints_clean_and_resolves_by_alias() {
     let def = concat!(

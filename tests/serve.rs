@@ -859,6 +859,58 @@ fn a_journal_no_daemon_could_have_written_refuses_the_start() {
     }
 }
 
+/// A journal written before `n=` had a ceiling may hold a generated
+/// size past it. Restart refuses it at its line, in the range's own
+/// sentence, as a journal no daemon could write today; the offline
+/// reader does the same. Nothing runs and nothing panics.
+#[test]
+fn a_journaled_size_past_the_ceiling_refuses_the_start_at_its_line() {
+    let dir = scratch("oversized-journal");
+    let journal = "# pegasus serve journal v2\n\
+                   submission id=0 tenant=alice site=sandhills n=10\n\
+                   submission id=1 tenant=alice site=sandhills n=100000000000000\n";
+    std::fs::write(dir.join("journal"), journal).expect("write journal");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pegasus"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--metrics-addr"])
+        .args(["127.0.0.1:0", "--dir"])
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pegasus serve");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while child.try_wait().expect("poll the daemon").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("the daemon started on a journal holding n=100000000000000");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let serve = child.wait_with_output().expect("daemon output");
+    let status = Command::new(env!("CARGO_BIN_EXE_pegasus"))
+        .args(["status", "--dir"])
+        .arg(&dir)
+        .output()
+        .expect("run pegasus status");
+    for out in [serve, status] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("corrupt journal"), "{stderr}");
+        assert!(stderr.contains("line 3"), "{stderr}");
+        let refusal = "n must be in 1..=20000, not \"100000000000000\"";
+        assert!(stderr.contains(refusal), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    let members = std::fs::read_dir(dir.join("members")).map_or(0, |d| d.count());
+    assert_eq!(members, 0, "no member may run off a refused journal");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("journal")).expect("journal"),
+        journal,
+        "a refused journal is left as it was"
+    );
+}
+
 #[test]
 fn a_daemon_whose_stdout_reader_is_gone_exits_0_without_panicking() {
     // The first start-up line is `listening` in a fresh directory and
