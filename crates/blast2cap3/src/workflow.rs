@@ -93,8 +93,15 @@ pub fn fig2_job_count(n: usize) -> usize {
 pub fn build_workflow(params: &WorkflowParams) -> AbstractWorkflow {
     let n = params.n_clusters.max(1);
     let mut wf = AbstractWorkflow::new(format!("blast2cap3_n{n}"));
-    wf.reserve(fig2_job_count(n), 7 * n + 11, 3 * n + 7);
+    // A chunk's `protein_<i>.txt`, `joined_<i>.fasta` and
+    // `joined_ids_<i>.txt` are 12 + 13 + 15 bytes around three copies
+    // of `i`; the seven names of the list, merge and extract steps are
+    // 115 bytes together.
+    let digits = |i: usize| i.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let names: usize = (0..n).map(|i| 40 + 3 * digits(i)).sum();
+    wf.reserve(fig2_job_count(n), 7 * n + 11, 3 * n + 7, names + 115);
     declare_fig2(&mut wf.declare(), n, params).expect("Fig. 2's job ids are distinct");
+    debug_assert_eq!(wf.files().text_len(), names + 115, "the names reserved");
     debug_assert!(wf.validate().is_ok());
     wf
 }

@@ -13,10 +13,13 @@
 //! has.
 
 use crate::error::{Format, Span, WmsError};
-use crate::symbols::{Args, JobId, Name, NamePool, SymbolTable};
-use crate::workflow::AbstractWorkflow;
+use crate::line::{push_f64, push_u64};
+use crate::symbols::{Args, Name, NamePool};
+use crate::workflow::{AbstractWorkflow, JobIndex};
 use std::borrow::Cow;
-use std::fmt::Write as _;
+
+#[cfg(test)]
+mod oracle;
 
 // ---------------------------------------------------------------------------
 // Writing
@@ -87,18 +90,23 @@ fn unescape_xml(s: &str) -> Cow<'_, str> {
     Cow::Owned(out)
 }
 
-/// Serializes a workflow as a DAX document.
+/// Serializes a workflow as a DAX document. Numbers are written by
+/// [`crate::line`]'s routines, the text `Display` would write.
 pub fn to_dax(wf: &AbstractWorkflow) -> String {
+    let _prof = crate::prof::scope("dax.write");
     // Close to a line of markup per job and per file use.
     let mut out = String::with_capacity(96 * wf.jobs.len() + 64 * wf.use_count());
     out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
     push_markup(&mut out, &["<adag name=\"", &wf.name, "\" jobCount=\""]);
-    let _ = writeln!(out, "{}\">", wf.jobs.len());
+    push_u64(&mut out, wf.jobs.len() as u64);
+    out.push_str("\">\n");
     for id in wf.job_ids() {
         let job = wf.job(id);
         let header = ["  <job id=\"", &job.id, "\" name=\"", &job.transformation];
         push_markup(&mut out, &header);
-        let _ = writeln!(out, "\" runtime=\"{}\">", job.runtime_hint);
+        out.push_str("\" runtime=\"");
+        push_f64(&mut out, job.runtime_hint);
+        out.push_str("\">\n");
         if !job.args.is_empty() {
             out.push_str("    <argument>");
             for (i, a) in job.args.iter().enumerate() {
@@ -115,7 +123,8 @@ pub fn to_dax(wf: &AbstractWorkflow) -> String {
         ] {
             for f in uses.iter() {
                 push_markup(&mut out, &["    <uses file=\"", f.name, link]);
-                let _ = writeln!(out, "{}\"/>", f.size_bytes);
+                push_u64(&mut out, f.size_bytes);
+                out.push_str("\"/>\n");
             }
         }
         out.push_str("  </job>\n");
@@ -134,14 +143,14 @@ pub fn to_dax(wf: &AbstractWorkflow) -> String {
 // Scanning
 // ---------------------------------------------------------------------------
 
-/// The attributes of one tag, in document order. Names are slices of
-/// the input; so are values, unless they had an entity to decode.
+/// The attributes of tags, in document order. Names are slices of the
+/// input; so are values, unless they had an entity to decode.
 type Attrs<'a> = Vec<(&'a str, Cow<'a, str>)>;
 
 #[derive(Debug, Clone, PartialEq)]
 enum XmlEvent<'a> {
-    /// An opening tag; its attributes are in the buffer handed to
-    /// [`XmlScanner::next_event`].
+    /// An opening tag; its attributes are what
+    /// [`XmlScanner::next_event`] appended to the buffer it was handed.
     Open {
         name: &'a str,
         self_closing: bool,
@@ -153,7 +162,9 @@ enum XmlEvent<'a> {
 /// A scanner that copies nothing: every name, value and text node it
 /// yields is a slice of the input (entity-bearing values excepted),
 /// and it keeps only a byte offset — the line and column of an error
-/// are counted from the offset when the error is raised.
+/// are counted from the offset when the error is raised. It looks for
+/// a delimiter eight bytes at a time ([`find_byte`]) and tells a name
+/// byte by a table ([`NAME_BYTES`]).
 struct XmlScanner<'a> {
     text: &'a str,
     pos: usize,
@@ -161,6 +172,30 @@ struct XmlScanner<'a> {
     /// errors about a tag point here rather than at the scan cursor.
     tag: usize,
 }
+
+/// One-based line and column (in bytes) of byte offset `pos` of `text`.
+fn span_at(text: &str, pos: usize) -> Span {
+    let before = &text.as_bytes()[..pos];
+    let line_start = before
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    let line = 1 + before[..line_start].iter().filter(|&&b| b == b'\n').count();
+    Span::new(line, pos - line_start + 1)
+}
+
+/// The bytes of a tag or attribute name: ASCII letters and digits,
+/// `_`, `-`, `:` and `.`.
+const NAME_BYTES: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b':' | b'.');
+        b += 1;
+    }
+    table
+};
 
 impl<'a> XmlScanner<'a> {
     fn new(text: &'a str) -> Self {
@@ -171,29 +206,22 @@ impl<'a> XmlScanner<'a> {
         }
     }
 
-    /// One-based line and column (in bytes) of byte offset `pos`.
-    fn span_at(&self, pos: usize) -> Span {
-        let before = &self.text.as_bytes()[..pos];
-        let line_start = before
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |i| i + 1);
-        let line = 1 + before[..line_start].iter().filter(|&&b| b == b'\n').count();
-        Span::new(line, pos - line_start + 1)
-    }
-
+    #[cold]
     fn err(&self, reason: impl Into<String>) -> WmsError {
-        Format::Dax.error(self.span_at(self.pos), reason)
+        Format::Dax.error(span_at(self.text, self.pos), reason)
     }
 
+    #[cold]
     fn tag_err(&self, reason: impl Into<String>) -> WmsError {
-        Format::Dax.error(self.span_at(self.tag), reason)
+        Format::Dax.error(span_at(self.text, self.tag), reason)
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn bump(&mut self) -> Option<u8> {
         let b = self.peek()?;
         self.pos += 1;
@@ -237,27 +265,29 @@ impl<'a> XmlScanner<'a> {
         Err(self.err("unterminated construct, expected \">\""))
     }
 
+    #[inline]
     fn read_name(&mut self) -> &'a str {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b':' || b == b'.' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        let bytes = self.text.as_bytes();
+        while bytes
+            .get(self.pos)
+            .is_some_and(|&b| NAME_BYTES[usize::from(b)])
+        {
+            self.pos += 1;
         }
         // Both ends sit on ASCII bytes (or the input's ends), so the
         // slice is on character boundaries.
         &self.text[start..self.pos]
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.pos += 1;
         }
     }
 
-    /// Reads attributes up to the tag's end into `attrs`; returns
+    /// Appends the attributes up to the tag's end to `attrs`; returns
     /// whether the tag closed itself.
     fn read_attrs(&mut self, attrs: &mut Attrs<'a>) -> Result<bool, WmsError> {
         loop {
@@ -291,12 +321,27 @@ impl<'a> XmlScanner<'a> {
                         .filter(|&q| q == b'"' || q == b'\'')
                         .ok_or_else(|| self.err("attribute value must be quoted"))?;
                     let start = self.pos;
-                    let Some(len) = find_byte(&self.text[start..], quote) else {
+                    let rest = &self.text[start..];
+                    // One pass finds the closing quote or, first, an
+                    // entity to decode.
+                    let (len, entity) = match find_either(rest, quote, b'&') {
+                        Some(i) if rest.as_bytes()[i] == b'&' => {
+                            (find_byte(&rest[i..], quote).map(|j| i + j), true)
+                        }
+                        found => (found, false),
+                    };
+                    let Some(len) = len else {
                         self.pos = self.text.len();
                         return Err(self.err("unterminated attribute value"));
                     };
                     self.pos = start + len + 1;
-                    attrs.push((name, unescape_xml(&self.text[start..start + len])));
+                    let value = &rest[..len];
+                    let value = if entity {
+                        unescape_xml(value)
+                    } else {
+                        Cow::Borrowed(value)
+                    };
+                    attrs.push((name, value));
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
@@ -304,18 +349,24 @@ impl<'a> XmlScanner<'a> {
     }
 
     /// Next event, or `None` at clean end of input. The attributes of
-    /// an `Open` event replace the contents of `attrs`.
+    /// an `Open` event are appended to `attrs`.
     fn next_event(&mut self, attrs: &mut Attrs<'a>) -> Result<Option<XmlEvent<'a>>, WmsError> {
         loop {
-            // Text before the next '<'.
+            // Text before the next '<', most often the indentation
+            // between two tags.
             let start = self.pos;
-            self.pos = find_byte(&self.text[start..], b'<').map_or(self.text.len(), |i| start + i);
-            let trimmed = self.text[start..self.pos].trim();
-            if !trimmed.is_empty() {
-                return Ok(Some(XmlEvent::Text(unescape_xml(trimmed))));
-            }
-            if self.peek().is_none() {
-                return Ok(None);
+            self.skip_ws();
+            if self.peek() != Some(b'<') {
+                let from = self.pos;
+                self.pos =
+                    find_byte(&self.text[from..], b'<').map_or(self.text.len(), |i| from + i);
+                let trimmed = self.text[start..self.pos].trim();
+                if !trimmed.is_empty() {
+                    return Ok(Some(XmlEvent::Text(unescape_xml(trimmed))));
+                }
+                if self.peek().is_none() {
+                    return Ok(None);
+                }
             }
             self.tag = self.pos;
             self.pos += 1; // consume '<'
@@ -344,7 +395,6 @@ impl<'a> XmlScanner<'a> {
                     if name.is_empty() {
                         return Err(self.err("expected tag name after '<'"));
                     }
-                    attrs.clear();
                     let self_closing = self.read_attrs(attrs)?;
                     return Ok(Some(XmlEvent::Open { name, self_closing }));
                 }
@@ -354,27 +404,59 @@ impl<'a> XmlScanner<'a> {
     }
 }
 
+/// The low bit of every byte of a word, and the high bit.
+const LOW_BITS: u64 = u64::from_ne_bytes([0x01; 8]);
+const HIGH_BITS: u64 = u64::from_ne_bytes([0x80; 8]);
+
+/// The high bit of each byte of `word` that equals `byte`, exact up to
+/// the first such byte (a borrow may mark bytes after it): the lowest
+/// set bit is the first match, read little-endian.
+#[inline]
+fn matches_of(word: u64, byte: u8) -> u64 {
+    let x = word ^ (LOW_BITS * u64::from(byte));
+    x.wrapping_sub(LOW_BITS) & !x & HIGH_BITS
+}
+
+/// Offset of the first `a` or `b` of `s`, eight bytes a step in plain
+/// integer arithmetic — the word-at-a-time search `memchr` does, in
+/// std only. The delimiters are ASCII, so an offset found is on a
+/// character boundary.
+#[inline]
+fn find_either(s: &str, a: u8, b: u8) -> Option<usize> {
+    let bytes = s.as_bytes();
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for chunk in words.by_ref() {
+        let mut word = [0; 8];
+        word.copy_from_slice(chunk);
+        let word = u64::from_le_bytes(word);
+        let found = matches_of(word, a) | matches_of(word, b);
+        if found != 0 {
+            return Some(at + (found.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    let tail = words.remainder().iter().position(|&c| c == a || c == b);
+    tail.map(|i| at + i)
+}
+
+/// Offset of the first `byte` of `s`: [`find_either`] of one needle.
+#[inline]
+fn find_byte(s: &str, byte: u8) -> Option<usize> {
+    find_either(s, byte, byte)
+}
+
 // ---------------------------------------------------------------------------
 // Parsing DAX
 // ---------------------------------------------------------------------------
 
-/// Offset of the first `byte` of `s`. The scanner's delimiters are
-/// ASCII and a few bytes away, so it looks for them as bytes:
-/// `str::find(char)` is only as fast inlined with its needle known,
-/// which the compiler does or does not do as the crate around this
-/// file changes shape (EXPERIMENTS.md E29).
-#[inline]
-fn find_byte(s: &str, byte: u8) -> Option<usize> {
-    s.bytes().position(|b| b == byte)
-}
-
-fn attr<'b>(attrs: &'b Attrs<'_>, key: &str) -> Option<&'b str> {
+fn attr<'b>(attrs: &'b [(&str, Cow<'_, str>)], key: &str) -> Option<&'b str> {
     attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| &**v)
 }
 
 /// Takes the value of attribute `key` out of `attrs`, keeping the
 /// input's lifetime on a borrowed value.
-fn take_attr<'a>(attrs: &mut Attrs<'a>, key: &str) -> Option<Cow<'a, str>> {
+fn take_attr<'a>(attrs: &mut [(&'a str, Cow<'a, str>)], key: &str) -> Option<Cow<'a, str>> {
     let slot = attrs.iter_mut().find(|(k, _)| *k == key)?;
     Some(std::mem::take(&mut slot.1))
 }
@@ -386,6 +468,7 @@ pub fn from_dax(text: &str) -> Result<AbstractWorkflow, WmsError> {
     // A syntactically well-formed DAX can still describe a cyclic graph
     // or give one file two producers; surface those as their own typed
     // errors rather than letting downstream planning panic.
+    let _validate = crate::prof::scope("dax.validate");
     wf.validate()?;
     Ok(wf)
 }
@@ -415,91 +498,138 @@ impl JobScratch<'_> {
     }
 }
 
-/// Parses a DAX document without running [`AbstractWorkflow::validate`].
-///
-/// `pegasus lint` uses this so it can report cycles with the full path
-/// and *every* conflicting producer, instead of stopping at the first
-/// typed error the way [`from_dax`] does.  Anything that plans or runs
-/// a workflow must go through [`from_dax`] instead.
-pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
-    let mut scan = XmlScanner::new(text);
-    let mut attrs: Attrs<'_> = Vec::new();
-    let mut wf: Option<AbstractWorkflow> = None;
-    // Job ids are interned as they are declared, so duplicate
-    // detection and the `<child>`/`<parent>` ref resolution below are
-    // hash lookups rather than linear scans over the job list —
-    // without this a million-job DAX costs O(n²) to parse. The table
-    // lives as long as the parse; the stored job keeps its id as a
-    // `Name` of its own.
-    let mut ids: SymbolTable<JobId> = SymbolTable::new();
-    // A workflow has few transformations and many jobs of each.
-    let mut transformations = NamePool::default();
-    let mut adag_closed = false;
-    let mut cur_job: Option<OpenJob> = None;
-    let mut scratch = JobScratch::default();
-    let mut in_argument = false;
-    let mut cur_child: Option<Cow<'_, str>> = None;
-    let mut pending_edges: Vec<(Cow<'_, str>, Cow<'_, str>)> = Vec::new(); // (parent, child)
+/// How many events the scanner reads before the builder takes them:
+/// enough that switching between the two costs nothing, few enough
+/// that a batch stays in cache.
+const BATCH: usize = 4096;
 
-    // Intern-then-store, erroring on redeclaration at the tag: the row
-    // path under `AbstractWorkflow::declare`, whose duplicate check
-    // the id table above already makes, with a span.
-    fn store_job(
-        wf: &mut AbstractWorkflow,
-        ids: &mut SymbolTable<JobId>,
-        job: OpenJob,
-        scratch: &JobScratch<'_>,
-        scan: &XmlScanner<'_>,
-    ) -> Result<(), WmsError> {
-        if ids.get(&job.id).is_some() {
-            let reason = WmsError::DuplicateJob(job.id.into()).to_string();
-            return Err(Format::Dax.error_as("E0102", scan.span_at(scan.tag), reason));
+/// One batch of scanned events, each with the offset of the tag it
+/// came from and the range of its attributes in `attrs`.
+#[derive(Default)]
+struct Tape<'a> {
+    events: Vec<(XmlEvent<'a>, usize, (usize, usize))>,
+    attrs: Attrs<'a>,
+}
+
+impl<'a> Tape<'a> {
+    /// Scans up to [`BATCH`] events; `Ok(false)` once the input ends.
+    /// An error ends the batch too: the events before it are kept, and
+    /// the builder sees them before the error is raised, so the first
+    /// error in document order is the one reported.
+    fn fill(&mut self, scan: &mut XmlScanner<'a>) -> Result<bool, WmsError> {
+        self.events.clear();
+        self.attrs.clear();
+        while self.events.len() < BATCH {
+            let from = self.attrs.len();
+            let Some(event) = scan.next_event(&mut self.attrs)? else {
+                return Ok(false);
+            };
+            let range = (from, self.attrs.len());
+            self.events.push((event, scan.tag, range));
         }
-        let id = ids.intern(&job.id);
-        debug_assert_eq!(id.idx(), wf.jobs.len());
-        let args = Args::from(scratch.args.as_slice());
+        Ok(true)
+    }
+}
+
+/// The parse's state between events: the workflow being built and
+/// what is open in it.
+struct Builder<'a> {
+    text: &'a str,
+    wf: Option<AbstractWorkflow>,
+    /// Job ids are indexed as they are declared, so duplicate
+    /// detection and the `<child>`/`<parent>` ref resolution below are
+    /// hash lookups rather than linear scans over the job list —
+    /// without this a million-job DAX costs O(n²) to parse. The index
+    /// keeps no text: an id is its row's `Name`.
+    ids: JobIndex,
+    /// A workflow has few transformations and many jobs of each.
+    transformations: NamePool,
+    adag_closed: bool,
+    cur_job: Option<OpenJob>,
+    scratch: JobScratch<'a>,
+    in_argument: bool,
+    cur_child: Option<Cow<'a, str>>,
+    /// `(parent, child)`, resolved once every job is in.
+    pending_edges: Vec<(Cow<'a, str>, Cow<'a, str>)>,
+}
+
+impl<'a> Builder<'a> {
+    fn new(text: &'a str) -> Self {
+        Builder {
+            text,
+            wf: None,
+            ids: JobIndex::default(),
+            transformations: NamePool::default(),
+            adag_closed: false,
+            cur_job: None,
+            scratch: JobScratch::default(),
+            in_argument: false,
+            cur_child: None,
+            pending_edges: Vec::new(),
+        }
+    }
+
+    /// Intern-then-store, erroring on redeclaration at the tag: the row
+    /// path under `AbstractWorkflow::declare`, with a span.
+    fn store_job(&mut self, job: OpenJob, tag: usize) -> Result<(), WmsError> {
+        let Some(wf) = self.wf.as_mut() else {
+            return Err(tag_err(self.text, tag, "</job> outside <adag>"));
+        };
+        let args = Args::from(self.scratch.args.as_slice());
         let row = (job.id, job.transformation, args, job.runtime_hint);
         fn side<'s>(uses: &'s [(Cow<'_, str>, u64)]) -> impl Iterator<Item = (&'s str, u64)> {
             uses.iter().map(|(name, size)| (&**name, *size))
         }
-        wf.push_row(row, side(&scratch.inputs), side(&scratch.outputs));
-        Ok(())
+        let (inputs, outputs) = (side(&self.scratch.inputs), side(&self.scratch.outputs));
+        match self.ids.push(wf, row, inputs, outputs) {
+            Ok(_) => Ok(()),
+            Err(e) => Err(Format::Dax.error_as("E0102", span_at(self.text, tag), e.to_string())),
+        }
     }
 
-    while let Some(ev) = scan.next_event(&mut attrs)? {
-        match ev {
+    /// Takes one event, scanned at the tag that opens at `tag`, with
+    /// its attributes.
+    fn event(
+        &mut self,
+        event: XmlEvent<'a>,
+        tag: usize,
+        attrs: &mut [(&'a str, Cow<'a, str>)],
+    ) -> Result<(), WmsError> {
+        let err = |reason: String| tag_err(self.text, tag, reason);
+        match event {
             XmlEvent::Open { name, self_closing } => match name {
                 "adag" => {
                     // A second <adag> would start over and drop every
                     // job read so far.
-                    if wf.is_some() {
-                        return Err(scan.tag_err("unexpected second <adag>"));
+                    if self.wf.is_some() {
+                        return Err(err("unexpected second <adag>".into()));
                     }
-                    let wname = attr(&attrs, "name").unwrap_or("workflow").to_string();
+                    let wname = attr(attrs, "name").unwrap_or("workflow").to_string();
                     let mut w = AbstractWorkflow::new(wname);
                     // A hint, so it is trusted only as far as the
                     // document is long enough to hold that many jobs.
-                    let hint = attr(&attrs, "jobCount").and_then(|n| n.parse::<usize>().ok());
-                    w.jobs.reserve(hint.unwrap_or(0).min(text.len() / 16));
-                    wf = Some(w);
+                    let hint = attr(attrs, "jobCount").and_then(|n| n.parse::<usize>().ok());
+                    w.jobs.reserve(hint.unwrap_or(0).min(self.text.len() / 16));
+                    self.ids = JobIndex::of(&w);
+                    self.wf = Some(w);
                 }
                 "job" => {
-                    if wf.is_none() {
-                        return Err(scan.tag_err("<job> outside <adag>"));
+                    if self.wf.is_none() {
+                        return Err(err("<job> outside <adag>".into()));
                     }
-                    let id = attr(&attrs, "id")
-                        .ok_or_else(|| scan.tag_err("<job> missing id attribute"))?;
-                    let tname = attr(&attrs, "name").unwrap_or(id);
-                    let transformation = transformations.share(tname);
+                    let id = attr(attrs, "id")
+                        .ok_or_else(|| err("<job> missing id attribute".into()))?;
+                    let tname = attr(attrs, "name").unwrap_or(id);
+                    let transformation = self.transformations.share(tname);
                     // A duration in seconds: `NaN`, `inf` or a negative
                     // would reach the planner's critical path and the
                     // simulator's clock.
-                    let runtime_hint = match attr(&attrs, "runtime") {
+                    let runtime_hint = match attr(attrs, "runtime") {
                         Some(rt) => rt
                             .parse()
                             .ok()
                             .filter(|v: &f64| v.is_finite() && *v >= 0.0)
-                            .ok_or_else(|| scan.tag_err(format!("bad runtime {rt:?}")))?,
+                            .ok_or_else(|| err(format!("bad runtime {rt:?}")))?,
                         None => 1.0,
                     };
                     let job = OpenJob {
@@ -507,108 +637,154 @@ pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
                         transformation,
                         runtime_hint,
                     };
-                    scratch.clear();
+                    self.scratch.clear();
                     if self_closing {
-                        let w = wf.as_mut().expect("checked above");
-                        store_job(w, &mut ids, job, &scratch, &scan)?;
+                        self.store_job(job, tag)?;
                     } else {
-                        cur_job = Some(job);
+                        self.cur_job = Some(job);
                     }
                 }
                 "argument" => {
-                    if cur_job.is_none() {
-                        return Err(scan.tag_err("<argument> outside <job>"));
+                    if self.cur_job.is_none() {
+                        return Err(err("<argument> outside <job>".into()));
                     }
-                    in_argument = !self_closing;
+                    self.in_argument = !self_closing;
                 }
                 "uses" => {
-                    if cur_job.is_none() {
-                        return Err(scan.tag_err("<uses> outside <job>"));
+                    if self.cur_job.is_none() {
+                        return Err(err("<uses> outside <job>".into()));
                     }
-                    let size: u64 = attr(&attrs, "size")
+                    let size: u64 = attr(attrs, "size")
                         .unwrap_or("0")
                         .parse()
-                        .map_err(|_| scan.tag_err("bad size attribute"))?;
-                    let side = match attr(&attrs, "link") {
-                        Some("input") => &mut scratch.inputs,
-                        Some("output") => &mut scratch.outputs,
+                        .map_err(|_| err("bad size attribute".into()))?;
+                    let side = match attr(attrs, "link") {
+                        Some("input") => &mut self.scratch.inputs,
+                        Some("output") => &mut self.scratch.outputs,
                         other => {
-                            return Err(scan.tag_err(format!(
+                            return Err(err(format!(
                                 "<uses> link must be input or output, got {other:?}"
                             )))
                         }
                     };
-                    let file = take_attr(&mut attrs, "file")
-                        .ok_or_else(|| scan.tag_err("<uses> missing file attribute"))?;
+                    let file = take_attr(attrs, "file")
+                        .ok_or_else(|| err("<uses> missing file attribute".into()))?;
                     side.push((file, size));
                 }
                 "child" => {
-                    let r = take_attr(&mut attrs, "ref")
-                        .ok_or_else(|| scan.tag_err("<child> missing ref"))?;
-                    cur_child = Some(r);
+                    let r =
+                        take_attr(attrs, "ref").ok_or_else(|| err("<child> missing ref".into()))?;
+                    self.cur_child = Some(r);
                 }
                 "parent" => {
-                    let child = cur_child
-                        .clone()
-                        .ok_or_else(|| scan.tag_err("<parent> outside <child>"))?;
-                    let r = take_attr(&mut attrs, "ref")
-                        .ok_or_else(|| scan.tag_err("<parent> missing ref"))?;
-                    pending_edges.push((r, child));
+                    let child = (self.cur_child.clone())
+                        .ok_or_else(|| err("<parent> outside <child>".into()))?;
+                    let r = take_attr(attrs, "ref")
+                        .ok_or_else(|| err("<parent> missing ref".into()))?;
+                    self.pending_edges.push((r, child));
                 }
-                other => {
-                    return Err(scan.tag_err(format!("unexpected element <{other}>")));
-                }
+                other => return Err(err(format!("unexpected element <{other}>"))),
             },
             XmlEvent::Close(name) => match name {
                 "job" => {
-                    let job = cur_job.take().ok_or_else(|| scan.tag_err("stray </job>"))?;
-                    let w = wf
-                        .as_mut()
-                        .ok_or_else(|| scan.tag_err("</job> outside <adag>"))?;
-                    store_job(w, &mut ids, job, &scratch, &scan)?;
+                    let job = (self.cur_job.take()).ok_or_else(|| err("stray </job>".into()))?;
+                    self.store_job(job, tag)?;
                 }
-                "argument" => in_argument = false,
-                "child" => cur_child = None,
-                "adag" => adag_closed = true,
+                "argument" => self.in_argument = false,
+                "child" => self.cur_child = None,
+                "adag" => self.adag_closed = true,
                 "parent" | "uses" => {}
-                other => return Err(scan.tag_err(format!("unexpected closing </{other}>"))),
+                other => return Err(err(format!("unexpected closing </{other}>"))),
             },
             XmlEvent::Text(text) => {
-                if in_argument {
-                    scratch.args.extend(text.split_whitespace().map(Name::from));
+                if self.in_argument {
+                    self.scratch
+                        .args
+                        .extend(text.split_whitespace().map(Name::from));
                 }
             }
         }
+        Ok(())
     }
 
-    if let Some(job) = &cur_job {
-        return Err(scan.err(format!("unclosed <job id={:?}> at end of input", job.id)));
+    /// The workflow, once the scanner has read the whole input and
+    /// stands at its end, `at`.
+    fn finish(self, at: usize) -> Result<AbstractWorkflow, WmsError> {
+        let end_err = |reason: String| Format::Dax.error(span_at(self.text, at), reason);
+        if let Some(job) = &self.cur_job {
+            return Err(end_err(format!(
+                "unclosed <job id={:?}> at end of input",
+                job.id
+            )));
+        }
+        if self.cur_child.is_some() {
+            return Err(end_err("unclosed <child> at end of input".into()));
+        }
+        let Some(mut wf) = self.wf else {
+            return Err(Format::Dax.error(Span::none(), "no <adag> element found"));
+        };
+        if !self.adag_closed {
+            return Err(end_err("unclosed <adag> at end of input".into()));
+        }
+        // A <child>/<parent> ref is dangling only once every job is in.
+        let dangling = |side: &str, id: &str| {
+            let reason = format!("edge references unknown {side} {id:?}");
+            Format::Dax.error_as("E0105", Span::none(), reason)
+        };
+        for (p, c) in self.pending_edges {
+            let pid = self
+                .ids
+                .get(&wf, &p)
+                .ok_or_else(|| dangling("parent", &p))?;
+            let cid = self.ids.get(&wf, &c).ok_or_else(|| dangling("child", &c))?;
+            wf.add_edge(pid, cid)
+                .map_err(|e| Format::Dax.error(Span::none(), e.to_string()))?;
+        }
+        wf.shrink_to_fit();
+        Ok(wf)
     }
-    if cur_child.is_some() {
-        return Err(scan.err("unclosed <child> at end of input"));
+}
+
+/// An error about the tag that opens at offset `tag` of `text`.
+#[cold]
+fn tag_err(text: &str, tag: usize, reason: impl Into<String>) -> WmsError {
+    Format::Dax.error(span_at(text, tag), reason)
+}
+
+/// Parses a DAX document without running [`AbstractWorkflow::validate`].
+///
+/// `pegasus lint` uses this so it can report cycles with the full path
+/// and *every* conflicting producer, instead of stopping at the first
+/// typed error the way [`from_dax`] does.  Anything that plans or runs
+/// a workflow must go through [`from_dax`] instead.
+///
+/// The scanner reads the document a batch of events at a time
+/// (`dax.scan`) and the builder turns each batch into rows
+/// (`dax.build`), so the two show apart in a profile.
+pub fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsError> {
+    let mut scan = XmlScanner::new(text);
+    let mut tape = Tape::default();
+    let mut build = Builder::new(text);
+    loop {
+        let scanned = {
+            let _prof = crate::prof::scope("dax.scan");
+            tape.fill(&mut scan)
+        };
+        let _prof = crate::prof::scope("dax.build");
+        for (event, tag, (from, to)) in tape.events.drain(..) {
+            let attrs = &mut tape.attrs[from..to];
+            build.event(event, tag, attrs)?;
+        }
+        if !scanned? {
+            return build.finish(scan.pos);
+        }
     }
-    let mut wf = wf.ok_or_else(|| Format::Dax.error(Span::none(), "no <adag> element found"))?;
-    if !adag_closed {
-        return Err(scan.err("unclosed <adag> at end of input"));
-    }
-    // A <child>/<parent> ref is dangling only once every job is in.
-    let dangling = |side: &str, id: &str| {
-        let reason = format!("edge references unknown {side} {id:?}");
-        Format::Dax.error_as("E0105", Span::none(), reason)
-    };
-    for (p, c) in pending_edges {
-        let pid = ids.get(&p).ok_or_else(|| dangling("parent", &p))?;
-        let cid = ids.get(&c).ok_or_else(|| dangling("child", &c))?;
-        wf.add_edge(pid, cid)
-            .map_err(|e| Format::Dax.error(Span::none(), e.to_string()))?;
-    }
-    wf.shrink_to_fit();
-    Ok(wf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbols::JobId;
     use crate::workflow::declare_job;
 
     fn args(list: &[&str]) -> Args {
@@ -886,5 +1062,170 @@ mod tests {
     fn parsed_workflow_validates() {
         let parsed = from_dax(&to_dax(&sample())).unwrap();
         assert!(parsed.validate().is_ok());
+    }
+
+    /// Picks from `pool` by the next choice, `0` once they run out.
+    fn pick<'p>(choices: &mut impl Iterator<Item = u64>, pool: &[&'p str]) -> &'p str {
+        pool[choices.next().unwrap_or(0) as usize % pool.len()]
+    }
+
+    /// A DAX of a few jobs whose every piece `choices` picks among
+    /// well-formed and broken ones: odd values, entities, missing
+    /// attributes and closing tags, self-closing jobs, edges to
+    /// unknown jobs and repeated ids.
+    fn document(choices: &[u64]) -> String {
+        let mut c = choices.iter().copied();
+        let c = &mut c;
+        let ids = ["a", "b", "c", "a&amp;b", "j&lt;1", "", "x y", "a"];
+        let names = ["t", "run_cap3", "t&quot;", "é"];
+        let runtimes = ["1", "0.5", "120.25", "1e3", "-1", "nan", "inf", "x", ""];
+        let sizes = ["0", "7", "404000000", "-1", "x", ""];
+        let files = ["f", "g", "h", "f&amp;g", "é.txt"];
+        let links = ["input", "output", "output", "inout"];
+        let args = ["-n 3", "a &lt; b", "", "  x  y  ", "&#38;"];
+        let mut doc = String::new();
+        doc.push_str(pick(c, &["", "<?xml version=\"1.0\"?>\n", "<!-- c -->\n"]));
+        doc.push_str(pick(
+            c,
+            &[
+                "<adag name=\"w\" jobCount=\"3\">\n",
+                "<adag>",
+                "<adag jobCount='x'>",
+            ],
+        ));
+        for _ in 0..c.next().unwrap_or(0) % 5 {
+            let attrs = [
+                ("id", pick(c, &ids)),
+                ("name", pick(c, &names)),
+                ("runtime", pick(c, &runtimes)),
+            ];
+            doc.push_str("  <job");
+            for (key, value) in attrs {
+                if c.next().unwrap_or(0) % 8 != 0 {
+                    doc.push_str(&format!(" {key}=\"{value}\""));
+                }
+            }
+            if c.next().unwrap_or(0) % 4 == 0 {
+                doc.push_str("/>\n");
+                continue;
+            }
+            doc.push_str(">\n");
+            if c.next().unwrap_or(0) % 2 == 0 {
+                doc.push_str(&format!("    <argument>{}</argument>\n", pick(c, &args)));
+            }
+            for _ in 0..c.next().unwrap_or(0) % 4 {
+                let (file, link, size) = (pick(c, &files), pick(c, &links), pick(c, &sizes));
+                doc.push_str(&format!(
+                    "    <uses file=\"{file}\" link=\"{link}\" size=\"{size}\"/>\n"
+                ));
+            }
+            doc.push_str(pick(c, &["  </job>\n", "  </job>\n", "", "</argument>"]));
+        }
+        for _ in 0..c.next().unwrap_or(0) % 3 {
+            let (child, parent) = (pick(c, &ids), pick(c, &ids));
+            doc.push_str(&format!(
+                "  <child ref=\"{child}\"><parent ref=\"{parent}\"/></child>\n"
+            ));
+        }
+        doc.push_str(pick(c, &["</adag>\n", "</adag>\n", "", "</adag><adag>"]));
+        doc
+    }
+
+    /// Cuts and patches `doc` where `edits` say, on character
+    /// boundaries: deletes a character, inserts a piece of markup, or
+    /// ends the text there.
+    fn mutate(mut doc: String, edits: &[(u64, u64)]) -> String {
+        let pieces = [
+            "<",
+            ">",
+            "/",
+            "\"",
+            "'",
+            "&",
+            "&amp;",
+            "=",
+            " ",
+            "\n",
+            "<!--",
+            "-->",
+            "<?",
+            "?>",
+            "<!DOCTYPE a [<!x '>'>]>",
+            "<![CDATA[x]]>",
+            "<!x>",
+            "</job>",
+            "<job id=\"a\"/>",
+            "<uses file=\"f\"/>",
+            "é",
+            "<parent ref=\"a\"/>",
+            "</ child >",
+        ];
+        for &(at, op) in edits {
+            let mut at = at as usize % (doc.len() + 1);
+            while !doc.is_char_boundary(at) {
+                at -= 1;
+            }
+            match op % 5 {
+                0 | 1 => {
+                    if let Some(ch) = doc[at..].chars().next() {
+                        doc.replace_range(at..at + ch.len_utf8(), "");
+                    }
+                }
+                2 | 3 => doc.insert_str(at, pieces[(op / 5) as usize % pieces.len()]),
+                _ => doc.truncate(at),
+            }
+        }
+        doc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(2000))]
+
+        /// The batched scanner reads every document as the scanner it
+        /// replaced does: the same workflow, or the same error at the
+        /// same span.
+        #[test]
+        fn the_reader_agrees_with_the_oracle_on_generated_and_mutated_documents(
+            choices in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..64),
+            edits in proptest::collection::vec(
+                (proptest::arbitrary::any::<u64>(), proptest::arbitrary::any::<u64>()),
+                0..4,
+            ),
+        ) {
+            let doc = mutate(document(&choices), &edits);
+            proptest::prop_assert_eq!(from_dax_unvalidated(&doc), oracle::from_dax_unvalidated(&doc));
+        }
+    }
+
+    #[test]
+    fn the_reader_agrees_with_the_oracle_across_batches() {
+        // A few thousand jobs span several batches; an edit anywhere
+        // in them must read as the oracle reads it, and a semantic
+        // error in one batch wins over a scan error in a later one.
+        let text = to_dax(&crate::synthetic::montage(600));
+        let events = text.matches('<').count();
+        assert!(events > 2 * BATCH, "{events} tags");
+        // Both where a job opens, between two others.
+        let job_at = |from: usize| from + text[from..].find("  <job").unwrap();
+        let (duplicate, broken) = (job_at(text.len() / 3), job_at(2 * text.len() / 3));
+        let first = &text[job_at(0)..];
+        let job = &first[..first.find('>').unwrap() + 1];
+        let mut twice = text.clone();
+        twice.insert_str(broken, "<job id=");
+        twice.insert_str(duplicate, &format!("{}</job>", job));
+        let cases = [
+            text.clone(),
+            twice,
+            mutate(text.clone(), &[(broken as u64, 2)]),
+            mutate(text.clone(), &[(duplicate as u64, 4)]),
+            mutate(text.clone(), &[(broken as u64, 0), (duplicate as u64, 2)]),
+        ];
+        for (i, doc) in cases.iter().enumerate() {
+            let (got, want) = (from_dax_unvalidated(doc), oracle::from_dax_unvalidated(doc));
+            assert_eq!(got, want, "case {i}");
+            assert_eq!(got.is_ok(), i == 0, "case {i}");
+        }
+        let e = from_dax_unvalidated(&cases[1]).unwrap_err();
+        assert!(e.to_string().contains("duplicate"), "{e}");
     }
 }

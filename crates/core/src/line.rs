@@ -431,20 +431,128 @@ impl<'b, 'a> Fields<'b, 'a> {
     }
 }
 
+/// The decimal digit pairs `00` to `99`, end to end.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
 /// Appends `v` in decimal, as `Display` writes it, without `core::fmt`.
 pub fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [b'0'; 20];
+    let mut digits = [0u8; 20];
     let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] += (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    while v >= 100 {
+        let pair = usize::from((v % 100) as u8) * 2;
+        v /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    if v >= 10 {
+        let pair = usize::from(v as u8) * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + v as u8;
+    }
+    // Every byte is an ASCII digit, so this never fails.
+    if let Ok(text) = std::str::from_utf8(&digits[at..]) {
+        out.push_str(text);
+    }
 }
+
+/// Appends `v` in decimal, as `Display` writes it, without `core::fmt`.
+pub fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// The fraction bits of the fixed point [`push_f64`] finds digits in.
+/// Every float of at least 2^-70 and below 2^53, and the quarter of
+/// its last place that bounds its rounding interval, is exact in it,
+/// and ten times a fraction still fits a `u128`.
+const FRACTION_BITS: i32 = 124;
+
+/// Appends `v` exactly as `Display` writes it: the fewest digits that
+/// read back to `v`, the nearer of two candidates when both do and the
+/// upper of two equally near, in positional notation (`1e21` is 22
+/// digits, `1e-7` is `0.0000001`), `-0`, `NaN`, `inf` and `-inf`.
+///
+/// A finite `v` with `2^-70 <= |v| < 2^53` — every time, size and
+/// runtime the formats write — is found in integer arithmetic: its
+/// integer part is written as an integer, and its fraction one digit
+/// at a time, each step checking whether the digits so far, or the
+/// digits so far with the last one raised, lie within `v`'s rounding
+/// interval (inclusive when `v`'s mantissa is even, as a reader rounds
+/// half to even). The first digit at which one does is the shortest
+/// text; that is the free-format method of Steele and White, which
+/// `Display` answers with too. Anything else is handed to `Display`.
+pub fn push_f64(out: &mut String, v: f64) {
+    let bits = v.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    // v = ±m × 2^e
+    let (m, e) = (fraction | 1 << 52, biased - 1075);
+    if v.is_nan() {
+        return out.push_str("NaN");
+    }
+    if v.is_sign_negative() {
+        out.push('-');
+    }
+    if v == 0.0 {
+        return out.push('0');
+    }
+    if v.is_infinite() {
+        return out.push_str("inf");
+    }
+    if biased == 0 || !(2 - FRACTION_BITS..=0).contains(&e) {
+        return push_f64_display(out, v.abs());
+    }
+    let m = u128::from(m);
+    push_u64(out, (m >> -e) as u64);
+    let one = 1u128 << FRACTION_BITS;
+    let mut rest = (m << (FRACTION_BITS + e)) & (one - 1);
+    if rest == 0 {
+        return;
+    }
+    // Half a last place on either side, a quarter below a power of
+    // two, whose lower neighbour is half as far.
+    let mut above = 1u128 << (FRACTION_BITS - 1 + e);
+    let mut below = if fraction == 0 { above / 2 } else { above };
+    let inclusive = m % 2 == 0;
+    out.push('.');
+    loop {
+        (rest, below, above) = (rest * 10, below * 10, above * 10);
+        let digit = (rest >> FRACTION_BITS) as u8;
+        rest &= one - 1;
+        let down = rest < below || inclusive && rest == below;
+        let up = one - rest < above || inclusive && one - rest == above;
+        if down || up {
+            // The nearer of the two, the upper one on a tie. A raised
+            // 9 never carries: the shorter text it would carry to was
+            // the candidate one digit earlier.
+            let raise = up && (!down || 2 * rest >= one);
+            out.push(char::from(b'0' + digit + u8::from(raise)));
+            return;
+        }
+        out.push(char::from(b'0' + digit));
+    }
+}
+
+/// `Display`'s text of a finite `v` outside [`push_f64`]'s own range:
+/// subnormal, below 2^-70, or of 2^53 and above.
+#[cold]
+fn push_f64_display(out: &mut String, v: f64) {
+    let _ = write!(out, "{v}");
+}
+
+// ---------------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------------
 
 /// A float a [`Writer`] has written: its bits, its text and the
 /// text's length, zero in a free slot.
@@ -514,7 +622,7 @@ impl<'o> Writer<'o> {
             }
         }
         let start = out.len();
-        let _ = write!(out, "{v}");
+        push_f64(out, v);
         // `Display` uses no exponent: `f64::MAX` is 309 digits, which
         // no slot has room for and which is written afresh each time.
         let written = &out.as_bytes()[start..];
@@ -814,6 +922,99 @@ mod tests {
             let e = f.get::<Cow<'_, str>>("tool").unwrap_err();
             assert_eq!(reason(e), format!("bad token {bad:?} for tool"));
         }
+    }
+
+    fn pushed(v: f64) -> String {
+        let mut out = String::new();
+        push_f64(&mut out, v);
+        out
+    }
+
+    #[test]
+    fn a_float_is_written_as_display_writes_it() {
+        // A decimal tie: this float's rounding interval holds both
+        // 17-digit texts `.2` and `.3`, equally near, and `Display`
+        // takes the upper one.
+        let tie = 1_837_410_958_616_324.0_f64 + 0.25;
+        assert_eq!(
+            tie.fract(),
+            0.25,
+            "exact: a quarter is this float's last place"
+        );
+        assert_eq!(pushed(tie), "1837410958616324.3");
+        assert_eq!(pushed(0.30000000000000004), "0.30000000000000004");
+        let two = |k: i32| 2f64.powi(k);
+        let mut cases = vec![
+            0.0,
+            1e21,
+            1e23,
+            1e-7,
+            0.1,
+            123.456,
+            690.9675392546765,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            2.5e-320,
+            two(53) - 1.0,
+            two(-70),
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        // Powers of two, whose lower neighbour is half as far as the
+        // upper; the floats either side of them, whose mantissas are
+        // odd and even; and the edges of the exact range.
+        for k in [-75, -71, -70, -69, -8, -1, 0, 1, 10, 52, 53, 54, 70] {
+            let bits = two(k).to_bits();
+            cases.extend([bits - 2, bits - 1, bits, bits + 1, bits + 2].map(f64::from_bits));
+        }
+        for v in cases {
+            for v in [v, -v] {
+                assert_eq!(pushed(v), format!("{v}"), "{:#x}", v.to_bits());
+            }
+        }
+        assert_eq!(pushed(-0.0), "-0");
+        assert_eq!(pushed(-f64::NAN), "NaN");
+        assert_eq!(pushed(f64::NEG_INFINITY), "-inf");
+    }
+
+    #[test]
+    #[ignore = "ten million floats; CI's release step runs it"]
+    fn ten_million_random_floats_are_written_as_display_writes_them() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let (mut got, mut want) = (String::new(), String::new());
+        for i in 0..10_000_000u32 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Every other draw has an exponent in or near the exact
+            // range, where most of a log's numbers are.
+            let bits = match i % 2 {
+                0 => state,
+                _ => state & 0x800F_FFFF_FFFF_FFFF | (900 + (state >> 52) % 250) << 52,
+            };
+            let v = f64::from_bits(bits);
+            got.clear();
+            want.clear();
+            push_f64(&mut got, v);
+            let _ = write!(want, "{v}");
+            assert_eq!(got, want, "{bits:#x}");
+        }
+    }
+
+    #[test]
+    fn integers_are_written_as_display_writes_them() {
+        for v in [0, 9, 10, 99, 100, 101, 12_345, u64::MAX / 10, u64::MAX] {
+            let (mut unsigned, mut signed) = (String::new(), String::new());
+            push_u64(&mut unsigned, v);
+            assert_eq!(unsigned, v.to_string());
+            let v = v as i64;
+            push_i64(&mut signed, v);
+            assert_eq!(signed, v.to_string());
+        }
+        let mut min = String::new();
+        push_i64(&mut min, i64::MIN);
+        assert_eq!(min, i64::MIN.to_string());
     }
 
     #[test]

@@ -231,7 +231,12 @@ pub fn reduce_workflow(
     }
     let mut out = AbstractWorkflow::new(wf.name.clone());
     let kept = removed.iter().filter(|&&r| !r).count();
-    out.reserve(kept, wf.use_count(), wf.files().len());
+    out.reserve(
+        kept,
+        wf.use_count(),
+        wf.files().len(),
+        wf.files().text_len(),
+    );
     // Old index -> new id, so explicit edges remap in O(1).
     let mut new_id: Vec<Option<JobId>> = vec![None; n];
     let mut rows = out.declare();
@@ -279,7 +284,12 @@ pub fn cluster_workflow(
     keys.sort();
     let mut out = AbstractWorkflow::new(wf.name.clone());
     let jobs = groups.values().map(|g| g.len().div_ceil(factor)).sum();
-    out.reserve(jobs, wf.use_count(), wf.files().len());
+    out.reserve(
+        jobs,
+        wf.use_count(),
+        wf.files().len(),
+        wf.files().text_len(),
+    );
     // Old job index -> new (possibly merged) job id.
     let mut new_id_of: Vec<JobId> = vec![JobId::default(); wf.jobs.len()];
     // A merged job is gathered in buffers kept from one cluster to the

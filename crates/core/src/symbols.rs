@@ -174,21 +174,40 @@ impl NamePool {
 /// A job's argument list as one shared, immutable slice of [`Name`]s:
 /// the planner hands a compute job its abstract job's arguments by
 /// cloning this handle, with no per-job `Vec`. The empty list
-/// allocates nothing.
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
-pub struct Args(Option<Arc<[Name]>>);
+/// allocates nothing, and a list of one argument is that argument's
+/// handle, so it costs the one allocation of its name — a generator's
+/// `run_cap3 <index>` is the common case. A longer list is a handle
+/// on one shared `Vec`: its names and two allocations, the price of
+/// keeping an `Args` at 16 bytes.
+#[derive(Clone, Default)]
+pub struct Args(Repr);
+
+/// The shapes of an [`Args`]; each list has exactly one.
+#[derive(Clone)]
+enum Repr {
+    One(Name),
+    /// The empty list, or two names and more.
+    List(Option<Arc<Vec<Name>>>),
+}
+
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::List(None)
+    }
+}
 
 impl Args {
     /// The empty argument list.
     pub const fn new() -> Self {
-        Args(None)
+        Args(Repr::List(None))
     }
 
     /// `true` when both lists are one allocation (or both empty).
     pub fn ptr_eq(a: &Args, b: &Args) -> bool {
         match (&a.0, &b.0) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
+            (Repr::One(a), Repr::One(b)) => Name::ptr_eq(a, b),
+            (Repr::List(None), Repr::List(None)) => true,
+            (Repr::List(Some(a)), Repr::List(Some(b))) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -198,7 +217,35 @@ impl Deref for Args {
     type Target = [Name];
     #[inline]
     fn deref(&self) -> &[Name] {
-        self.0.as_deref().unwrap_or(&[])
+        match &self.0 {
+            Repr::One(name) => std::slice::from_ref(name),
+            Repr::List(Some(names)) => names,
+            Repr::List(None) => &[],
+        }
+    }
+}
+
+impl PartialEq for Args {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Args {}
+
+impl<T: AsRef<str>> PartialEq<Vec<T>> for Args {
+    fn eq(&self, other: &Vec<T>) -> bool {
+        self.len() == other.len()
+            && self
+                .iter()
+                .zip(other)
+                .all(|(a, b)| a.as_str() == b.as_ref())
+    }
+}
+
+impl std::hash::Hash for Args {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
     }
 }
 
@@ -209,42 +256,30 @@ impl fmt::Debug for Args {
 }
 
 impl From<Vec<Name>> for Args {
-    fn from(v: Vec<Name>) -> Self {
-        if v.is_empty() {
-            Args(None)
-        } else {
-            Args(Some(Arc::from(v)))
+    fn from(mut v: Vec<Name>) -> Self {
+        match v.len() {
+            0 => Args::new(),
+            1 => Args(Repr::One(v.swap_remove(0))),
+            _ => Args(Repr::List(Some(Arc::new(v)))),
         }
     }
 }
 
 impl<const N: usize> From<[Name; N]> for Args {
     fn from(v: [Name; N]) -> Self {
-        if N == 0 {
-            Args(None)
-        } else {
-            Args(Some(Arc::from(v)))
+        match N {
+            1 => Args(v.into_iter().next().map_or(Repr::List(None), Repr::One)),
+            _ => Args::from(Vec::from(v)),
         }
     }
 }
 
 impl From<&[Name]> for Args {
     fn from(v: &[Name]) -> Self {
-        if v.is_empty() {
-            Args(None)
-        } else {
-            Args(Some(Arc::from(v)))
+        match v {
+            [one] => Args(Repr::One(one.clone())),
+            v => Args::from(v.to_vec()),
         }
-    }
-}
-
-impl<T: AsRef<str>> PartialEq<Vec<T>> for Args {
-    fn eq(&self, other: &Vec<T>) -> bool {
-        self.len() == other.len()
-            && self
-                .iter()
-                .zip(other)
-                .all(|(a, b)| a.as_str() == b.as_ref())
     }
 }
 
@@ -402,6 +437,86 @@ pub trait Symbol: Copy {
     fn into_raw(self) -> u32;
 }
 
+/// A name → id index over names kept elsewhere, ids dense from 0:
+/// `(lower hash bits, id + 1)` slots probed linearly, an id field of 0
+/// marking a free slot. A lookup compares the stored hash before it
+/// asks whether the id's name is the one sought, and growing re-places
+/// entries by their stored hash, so neither rehashes. Hashing is the
+/// standard library's keyed SipHash, as for a `HashMap`.
+///
+/// [`SymbolTable`] indexes its own text with one; a workflow indexes
+/// its job ids with one over its rows, so an id is stored once, in
+/// its row's [`Name`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NameIndex {
+    /// The length is zero or a power of two, kept at least 4/3 of the
+    /// number of ids placed.
+    slots: Vec<(u32, u32)>,
+    hasher: RandomState,
+}
+
+impl NameIndex {
+    /// The low half of `name`'s hash: it picks the slot and is stored
+    /// in it.
+    #[inline]
+    pub(crate) fn tag(&self, name: &str) -> u32 {
+        self.hasher.hash_one(name) as u32
+    }
+
+    /// The placed id tagged `tag` whose name `is` accepts.
+    #[inline]
+    pub(crate) fn find(&self, tag: u32, is: impl Fn(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = tag as usize & mask;
+        loop {
+            match self.slots[at] {
+                (_, 0) => return None,
+                (t, id) if t == tag && is(id - 1) => return Some(id - 1),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Places id `raw`, tagged `tag`, once ids `0..raw` are placed.
+    pub(crate) fn place(&mut self, tag: u32, raw: u32) {
+        let placed = raw as usize + 1;
+        if placed * 4 > self.slots.len() * 3 {
+            self.grow(placed * 2);
+        }
+        Self::place_in(&mut self.slots, tag, raw);
+    }
+
+    /// Makes room for `n` ids in all, so placing them re-places none.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        if n * 4 > self.slots.len() * 3 {
+            self.grow(n);
+        }
+    }
+
+    /// Puts `(tag, id)` into the first free slot of its probe run.
+    fn place_in(slots: &mut [(u32, u32)], tag: u32, raw: u32) {
+        let mask = slots.len() - 1;
+        let mut at = tag as usize & mask;
+        while slots[at].1 != 0 {
+            at = (at + 1) & mask;
+        }
+        slots[at] = (tag, raw + 1);
+    }
+
+    /// Re-creates the index with room for `n` ids, re-placing every
+    /// entry by its stored tag.
+    fn grow(&mut self, n: usize) {
+        let len = (n * 4 / 3 + 1).next_power_of_two().max(8);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); len]);
+        for (tag, id) in old.into_iter().filter(|&(_, id)| id != 0) {
+            Self::place_in(&mut self.slots, tag, id - 1);
+        }
+    }
+}
+
 /// An append-only name ↔ id table.
 ///
 /// `intern` is idempotent — the same name always returns the same id,
@@ -411,15 +526,11 @@ pub trait Symbol: Copy {
 ///
 /// Each distinct name is stored once, and not as an allocation of its
 /// own: the bytes of all names sit end to end in one buffer, `ends`
-/// marks where each stops, and the reverse index is an open-addressed
-/// array of `(hash, id)` pairs probed linearly. That is the name's
-/// bytes plus about 16 bytes per entry, three allocations per table
-/// however many names it holds, and freeing a table hands back three
-/// blocks rather than a heap full of small holes. A lookup compares
-/// the stored hash before it touches a name, and growing the index
-/// re-places entries by that stored hash, so neither rehashes.
-/// Hashing is the standard library's keyed SipHash, as for a
-/// `HashMap`.
+/// marks where each stops, and the reverse index is a `NameIndex`.
+/// That is the name's bytes plus about 16 bytes per entry, three
+/// allocations per table however many names it holds, and freeing a
+/// table hands back three blocks rather than a heap full of small
+/// holes.
 ///
 /// Two tables are equal when they hold the same names in the same
 /// order; ids being dense, that is the same id for every name.
@@ -430,11 +541,7 @@ pub struct SymbolTable<S: Symbol = JobId> {
     /// `ends[id]` is where name `id` stops in `text`; it starts where
     /// the one before it stops.
     ends: Vec<u32>,
-    /// `(lower hash bits, id + 1)`; an id field of 0 marks a free
-    /// slot. The length is zero or a power of two, kept at least 4/3
-    /// of the number of names.
-    slots: Vec<(u32, u32)>,
-    hasher: RandomState,
+    index: NameIndex,
     _typed: PhantomData<S>,
 }
 
@@ -450,6 +557,13 @@ impl<S: Symbol> fmt::Debug for SymbolTable<S> {
     }
 }
 
+/// Name `raw` of a table's `text` and `ends`.
+fn text_of<'t>(text: &'t str, ends: &[u32], raw: u32) -> &'t str {
+    let i = raw as usize;
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    &text[start..ends[i] as usize]
+}
+
 impl<S: Symbol> SymbolTable<S> {
     /// Creates an empty table.
     pub fn new() -> Self {
@@ -461,32 +575,26 @@ impl<S: Symbol> SymbolTable<S> {
         let mut table = SymbolTable {
             text: String::new(),
             ends: Vec::with_capacity(n),
-            slots: Vec::new(),
-            hasher: RandomState::new(),
+            index: NameIndex::default(),
             _typed: PhantomData,
         };
-        if n > 0 {
-            table.grow_slots(n);
-        }
+        table.index.reserve(n);
         table
     }
 
-    /// Makes room for `n` more names, so interning them neither moves
-    /// `ends` nor re-places the index.
-    pub(crate) fn reserve(&mut self, n: usize) {
+    /// Makes room for `n` more names of `bytes` bytes between them, so
+    /// interning them neither moves `text` or `ends` nor re-places the
+    /// index.
+    pub(crate) fn reserve(&mut self, n: usize, bytes: usize) {
+        self.text.reserve(bytes);
         self.ends.reserve(n);
-        let names = self.ends.len() + n;
-        if names * 4 > self.slots.len() * 3 {
-            self.grow_slots(names);
-        }
+        self.index.reserve(self.ends.len() + n);
     }
 
     /// Interns `name`, returning its stable id. Repeated calls with
     /// the same name return the same id without allocating.
     pub fn intern(&mut self, name: &str) -> S {
-        // The low half of the hash: it picks the slot and is stored
-        // in it, so growing the index never rehashes a name.
-        let tag = self.hasher.hash_one(name) as u32;
+        let tag = self.index.tag(name);
         S::from_raw(self.intern_tagged(name, tag))
     }
 
@@ -502,60 +610,24 @@ impl<S: Symbol> SymbolTable<S> {
         self.text.push_str(name);
         let end = u32::try_from(self.text.len()).expect("symbol table overflows u32");
         self.ends.push(end);
-        if self.ends.len() * 4 > self.slots.len() * 3 {
-            self.grow_slots(self.ends.len() * 2);
-        }
-        Self::place(&mut self.slots, tag, raw);
+        self.index.place(tag, raw);
         raw
     }
 
     /// The id of `name`, whose hash tag is `tag`, if the table holds
     /// it.
     fn find(&self, name: &str, tag: u32) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut at = tag as usize & mask;
-        loop {
-            match self.slots[at] {
-                (_, 0) => return None,
-                (t, id) if t == tag && self.text_of(id - 1) == name => return Some(id - 1),
-                _ => at = (at + 1) & mask,
-            }
-        }
-    }
-
-    /// Puts `(tag, id)` into the first free slot of its probe run.
-    fn place(slots: &mut [(u32, u32)], tag: u32, raw: u32) {
-        let mask = slots.len() - 1;
-        let mut at = tag as usize & mask;
-        while slots[at].1 != 0 {
-            at = (at + 1) & mask;
-        }
-        slots[at] = (tag, raw + 1);
-    }
-
-    /// Re-creates the index with room for `n` names, re-placing every
-    /// entry by its stored tag.
-    fn grow_slots(&mut self, n: usize) {
-        let len = (n * 4 / 3 + 1).next_power_of_two().max(8);
-        let old = std::mem::replace(&mut self.slots, vec![(0, 0); len]);
-        for (tag, id) in old.into_iter().filter(|&(_, id)| id != 0) {
-            Self::place(&mut self.slots, tag, id - 1);
-        }
+        let (text, ends) = (&self.text, &self.ends);
+        self.index.find(tag, |raw| text_of(text, ends, raw) == name)
     }
 
     fn text_of(&self, raw: u32) -> &str {
-        let i = raw as usize;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.text[start..self.ends[i] as usize]
+        text_of(&self.text, &self.ends, raw)
     }
 
     /// Looks up a name without interning it.
     pub fn get(&self, name: &str) -> Option<S> {
-        let tag = self.hasher.hash_one(name) as u32;
-        self.find(name, tag).map(S::from_raw)
+        self.find(name, self.index.tag(name)).map(S::from_raw)
     }
 
     /// Resolves an id back to its name.
@@ -564,6 +636,11 @@ impl<S: Symbol> SymbolTable<S> {
     /// Panics if `id` was not produced by this table.
     pub fn resolve(&self, id: S) -> &str {
         self.text_of(id.into_raw())
+    }
+
+    /// The bytes of every name, end to end.
+    pub fn text_len(&self) -> usize {
+        self.text.len()
     }
 
     /// Number of distinct interned names.
@@ -631,9 +708,9 @@ mod tests {
         let mut slot_counts = std::collections::BTreeSet::new();
         for i in 0..5000 {
             assert_eq!(t.intern(&name(i)).idx(), i);
-            slot_counts.insert(t.slots.len());
+            slot_counts.insert(t.index.slots.len());
             // Load stays under 3/4, so a probe always meets a free slot.
-            assert!(t.len() * 4 <= t.slots.len() * 3);
+            assert!(t.len() * 4 <= t.index.slots.len() * 3);
             // A name from before the growth is still found, not re-added.
             assert_eq!(t.intern(&name(i / 2)).idx(), i / 2);
         }
@@ -659,7 +736,7 @@ mod tests {
         let forged = [("a", 7), ("b", 7), ("c", 15), ("", 23), ("d", 0)];
         for (raw, (name, tag)) in forged.into_iter().enumerate() {
             assert_eq!(t.intern_tagged(name, tag), raw as u32);
-            assert_eq!(t.slots.len(), 8);
+            assert_eq!(t.index.slots.len(), 8);
         }
         for (raw, (name, tag)) in forged.into_iter().enumerate() {
             assert_eq!(t.find(name, tag), Some(raw as u32));
@@ -670,7 +747,7 @@ mod tests {
         assert_eq!(t.find("e", 7), None);
         assert_eq!(t.find("a", 15), None);
         // Growth re-places the run by the stored tags.
-        t.grow_slots(64);
+        t.index.grow(64);
         for (raw, (name, tag)) in forged.into_iter().enumerate() {
             assert_eq!(t.find(name, tag), Some(raw as u32));
         }
@@ -681,16 +758,20 @@ mod tests {
     fn reserved_room_is_not_regrown_and_changes_no_id() {
         let mut t: SymbolTable<FileId> = SymbolTable::new();
         assert_eq!(t.intern("dict").idx(), 0);
-        t.reserve(300);
-        let (slots, room) = (t.slots.len(), t.ends.capacity());
+        let name = |i: usize| format!("protein_{i}.txt");
+        let names: usize = (0..300).map(|i| name(i).len()).sum();
+        t.reserve(300, names);
+        let (slots, room, bytes) = (t.index.slots.len(), t.ends.capacity(), t.text.capacity());
         assert!(301 * 4 <= slots * 3 && room >= 301);
         for i in 0..300 {
-            assert_eq!(t.intern(&format!("protein_{i}.txt")).idx(), i + 1);
+            assert_eq!(t.intern(&name(i)).idx(), i + 1);
         }
-        assert_eq!((t.slots.len(), t.ends.capacity()), (slots, room));
+        let now = (t.index.slots.len(), t.ends.capacity(), t.text.capacity());
+        assert_eq!(now, (slots, room, bytes));
+        assert_eq!(t.text_len(), "dict".len() + names);
         assert_eq!(t.get("dict"), Some(FileId::new(0)));
-        t.reserve(0);
-        assert_eq!(t.slots.len(), slots);
+        t.reserve(0, 0);
+        assert_eq!(t.index.slots.len(), slots);
     }
 
     #[test]
@@ -700,6 +781,26 @@ mod tests {
         assert_eq!(one, vec!["-n"]);
         let none: [Name; 0] = [];
         assert!(Args::ptr_eq(&Args::from(none), &Args::new()));
+        let two = Args::from([Name::from("-n"), Name::from("3")]);
+        assert_eq!(two, Args::from(&two[..]));
+        assert_eq!(two, vec!["-n", "3"]);
+        assert_ne!(two, one);
+    }
+
+    #[test]
+    fn one_argument_is_its_name_and_a_list_is_shared() {
+        // One argument: the list is the name's handle, no allocation
+        // of its own.
+        let name = Name::from("17");
+        let one = Args::from([name.clone()]);
+        assert!(Name::ptr_eq(&one[0], &name));
+        assert!(Args::ptr_eq(&one, &one.clone()));
+        assert!(Args::ptr_eq(&Args::from(&one[..]), &one));
+        // Two and more: one shared list, cloned by handle.
+        let two = Args::from(vec![Name::from("-n"), name]);
+        assert!(Args::ptr_eq(&two, &two.clone()));
+        assert!(!Args::ptr_eq(&two, &Args::from(&two[..])));
+        assert_eq!(std::mem::size_of::<Args>(), 16);
     }
 
     #[test]

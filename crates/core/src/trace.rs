@@ -36,6 +36,7 @@ use crate::breakdown::{self, JobSpan};
 use crate::engine::{FaultReason, JobTimes, WorkflowRun};
 use crate::error::WmsError;
 use crate::events::{self, WorkflowEvent};
+use crate::line::{push_i64, push_u64};
 use crate::planner::JobKind;
 use crate::symbols::Name;
 use crate::workflow::JobId;
@@ -536,24 +537,40 @@ impl<W: fmt::Write> fmt::Write for JsonEscaper<'_, W> {
 /// the output as it is generated. Hand-rolled JSON: the repo's
 /// no-serde discipline.
 pub fn render_chrome(traces: &[WorkflowTrace]) -> String {
+    // Numbers go through `line`'s routines, and plain text straight
+    // into the escaper: `core::fmt` formats only the composite texts.
+    let escaped = |out: &mut String, text: &ChromeText<'_>| {
+        let _ = match text {
+            ChromeText::Str(s) => write_json_str(out, s),
+            other => write!(JsonEscaper(out), "{other}"),
+        };
+    };
     let mut out = String::from("{\"traceEvents\":[");
     let mut sep = "\n";
     each_chrome_event(traces, |ev| {
-        let _ = write!(out, "{sep}{{\"name\":\"");
+        out.push_str(sep);
         sep = ",\n";
-        let _ = write!(JsonEscaper(&mut out), "{}", ev.name);
-        let _ = write!(
-            out,
-            "\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{}",
-            ev.cat, ev.ph, ev.pid, ev.tid
-        );
+        out.push_str("{\"name\":\"");
+        escaped(&mut out, &ev.name);
+        out.push_str("\",\"cat\":\"");
+        out.push_str(ev.cat);
+        out.push_str("\",\"ph\":\"");
+        out.push(ev.ph);
+        out.push_str("\",\"pid\":");
+        push_u64(&mut out, ev.pid as u64);
+        out.push_str(",\"tid\":");
+        push_u64(&mut out, ev.tid as u64);
         if ev.ph == 'X' {
-            let _ = write!(out, ",\"ts\":{},\"dur\":{}", ev.ts, ev.dur);
+            out.push_str(",\"ts\":");
+            push_i64(&mut out, ev.ts);
+            out.push_str(",\"dur\":");
+            push_i64(&mut out, ev.dur);
         }
         for (i, (key, value)) in ev.args.iter().flatten().enumerate() {
-            let open = if i == 0 { ",\"args\":{" } else { "," };
-            let _ = write!(out, "{open}\"{key}\":\"");
-            let _ = write!(JsonEscaper(&mut out), "{value}");
+            out.push_str(if i == 0 { ",\"args\":{\"" } else { ",\"" });
+            out.push_str(key);
+            out.push_str("\":\"");
+            escaped(&mut out, value);
             out.push('"');
         }
         let any_args = ev.args.iter().any(Option::is_some);

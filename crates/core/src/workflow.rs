@@ -25,8 +25,7 @@
 
 use crate::error::WmsError;
 use crate::graph::Csr;
-use crate::symbols::{Args, Name, SymbolTable};
-use std::collections::HashSet;
+use crate::symbols::{Args, Name, NameIndex, SymbolTable};
 use std::ops::Range;
 
 pub use crate::symbols::{FileId, JobId};
@@ -181,7 +180,56 @@ pub struct Dataflow {
 pub struct Declare<'w> {
     wf: &'w mut AbstractWorkflow,
     /// The id of every job of `wf`, this batch's included.
-    ids: HashSet<Name>,
+    ids: JobIndex,
+}
+
+/// The job ids of a workflow, indexed over its rows: an id is the
+/// `Name` its row holds and nothing else, so a job costs its index a
+/// slot, not a copy of its id.
+#[derive(Debug, Default)]
+pub(crate) struct JobIndex(NameIndex);
+
+impl JobIndex {
+    /// Indexes the jobs `wf` holds, with room for as many as it has
+    /// room for.
+    pub(crate) fn of(wf: &AbstractWorkflow) -> Self {
+        let mut index = NameIndex::default();
+        index.reserve(wf.jobs.capacity());
+        for (raw, job) in wf.jobs.iter().enumerate() {
+            index.place(index.tag(&job.id), raw as u32);
+        }
+        JobIndex(index)
+    }
+
+    /// The job of `wf` whose id is `id`.
+    pub(crate) fn get(&self, wf: &AbstractWorkflow, id: &str) -> Option<JobId> {
+        let found = self
+            .0
+            .find(self.0.tag(id), |raw| wf.jobs[raw as usize].id == id);
+        found.map(|raw| JobId::new(raw as usize))
+    }
+
+    /// Stores a row ([`AbstractWorkflow::push_row`]) unless `wf`
+    /// already holds a job of its id, adding nothing then.
+    pub(crate) fn push(
+        &mut self,
+        wf: &mut AbstractWorkflow,
+        row: (Name, Name, Args, f64),
+        inputs: impl IntoIterator<Item = (impl FileRef, u64)>,
+        outputs: impl IntoIterator<Item = (impl FileRef, u64)>,
+    ) -> Result<JobId, WmsError> {
+        let tag = self.0.tag(&row.0);
+        let jobs = &wf.jobs;
+        if self
+            .0
+            .find(tag, |raw| jobs[raw as usize].id == row.0)
+            .is_some()
+        {
+            return Err(WmsError::DuplicateJob(row.0.into()));
+        }
+        self.0.place(tag, use_index(wf.jobs.len()));
+        Ok(wf.push_row(row, inputs, outputs))
+    }
 }
 
 impl Declare<'_> {
@@ -202,12 +250,8 @@ impl Declare<'_> {
         inputs: impl IntoIterator<Item = (impl FileRef, u64)>,
         outputs: impl IntoIterator<Item = (impl FileRef, u64)>,
     ) -> Result<JobId, WmsError> {
-        let id = id.into();
-        if !self.ids.insert(id.clone()) {
-            return Err(WmsError::DuplicateJob(id.into()));
-        }
-        let row = (id, transformation.into(), args, runtime_hint);
-        Ok(self.wf.push_row(row, inputs, outputs))
+        let row = (id.into(), transformation.into(), args, runtime_hint);
+        self.ids.push(self.wf, row, inputs, outputs)
     }
 
     /// Stores job `job` of `from` as it stands: its handles cloned, its
@@ -268,22 +312,22 @@ impl AbstractWorkflow {
     }
 
     /// Makes room for `jobs` more jobs with `uses` file uses between
-    /// them, of `files` files the workflow does not hold yet.
-    pub fn reserve(&mut self, jobs: usize, uses: usize, files: usize) {
+    /// them, of `files` files the workflow does not hold yet whose
+    /// names are `file_bytes` long together.
+    pub fn reserve(&mut self, jobs: usize, uses: usize, files: usize, file_bytes: usize) {
         self.jobs.reserve(jobs);
         self.uses.reserve(uses);
         self.use_sizes.reserve(uses);
-        self.files.reserve(files);
+        self.files.reserve(files, file_bytes);
     }
 
     /// Opens a batch of jobs declared row by row: the one way a job
     /// enters a workflow. Nothing is built per job (no owned copy of
     /// it, no `Vec`) and a file name goes from the caller's buffer
-    /// straight into the file table. One hash set, filled once per
+    /// straight into the file table. One `JobIndex`, filled once per
     /// batch, checks every id.
     pub fn declare(&mut self) -> Declare<'_> {
-        let mut ids = HashSet::with_capacity(self.jobs.capacity());
-        ids.extend(self.jobs.iter().map(|j| j.id.clone()));
+        let ids = JobIndex::of(self);
         Declare { wf: self, ids }
     }
 
@@ -578,7 +622,10 @@ impl AbstractWorkflow {
             self.use_count() + sub.use_count(),
             self.files.len() + sub.files.len(),
         );
-        out.reserve(parent_jobs + sub.jobs.len(), uses, files);
+        // An internal sub file gains a `<placeholder>/` prefix.
+        let prefix = ns.len() + 1;
+        let bytes = self.files.text_len() + sub.files.text_len() + prefix * sub.files.len();
+        out.reserve(parent_jobs + sub.jobs.len(), uses, files, bytes);
         let mut rows = out.declare();
         // Parent jobs (minus the placeholder), preserving order.
         for i in self.job_ids().filter(|&i| i != placeholder) {
@@ -721,7 +768,7 @@ mod tests {
     fn declare_stores_rows_flat_and_a_duplicate_adds_nothing() {
         let none: [(&str, u64); 0] = [];
         let mut wf = AbstractWorkflow::new("w");
-        wf.reserve(2, 3, 2);
+        wf.reserve(2, 3, 2, 3);
         let mut rows = wf.declare();
         let args = Args::from([Name::from("-x")]);
         let a = rows.job("a", "gen", args, 1.0, [("in", 3)], [("x", 0)]);

@@ -1557,6 +1557,29 @@ proptest! {
         }
     }
 
+    /// The float routine writes what `Display` writes: for any bits,
+    /// for decimals of a few digits (the times and sizes a log holds),
+    /// for decimal ties, and for the floats beside a power of two.
+    #[test]
+    fn push_f64_equals_display(
+        bits: u64,
+        digits in 0u64..100_000_000_000,
+        places in 0i32..20,
+        power in -80i32..60,
+        step in 0u64..5,
+    ) {
+        let near_power = f64::from_bits(2f64.powi(power).to_bits() + step - 2);
+        let decimal = digits as f64 / 10f64.powi(places);
+        // In [2^50, 2^51) a quarter is the last place, so `k.25` lies
+        // as near `k.2` as `k.3`: a decimal tie.
+        let tie = (1u64 << 50 | digits) as f64 + [0.25, 0.75][step as usize % 2];
+        for v in [f64::from_bits(bits), decimal, decimal + 0.5, near_power, tie] {
+            let mut out = String::from("x");
+            line::push_f64(&mut out, v);
+            prop_assert_eq!(out, format!("x{v}"));
+        }
+    }
+
     /// A float field is what `Display` writes, whether the writer's
     /// memo has the value, had it and lost the slot to another, or
     /// cannot hold a text that long: the sequence draws from a pool

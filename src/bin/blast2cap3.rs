@@ -39,7 +39,10 @@ fn main() -> ExitCode {
 }
 
 const TRANSCRIPTS: Flag = opt("transcripts", "fasta", "transcripts to assemble");
-const THREADS: Flag = opt("threads", "k", "worker threads (default 0: every core)");
+/// Each worker is an OS thread of its own, so the count has a ceiling:
+/// more than a machine has cores only queues work, and a value in the
+/// thousands would start that many threads.
+const THREADS: Flag = opt("threads", "k", "worker threads (default 0: every core)").count(0, 256);
 
 const SIMULATE: Verb = Verb {
     name: "simulate",

@@ -1,7 +1,8 @@
 //! The source tree's architecture rules, one row each: the PR that set
 //! it, what it keeps, the paths it reads (relative to the workspace
-//! root, where this test runs; `/*/` is every entry of a directory and
-//! `!` leaves a path out) and the `|`-separated literals it refuses.
+//! root, where this test runs; `/*/` is every entry of a directory,
+//! `!` leaves a path out and `file#Title` reads only the section a
+//! `// Title` banner opens) and the `|`-separated literals it refuses.
 //! Each row carries a witness, a line or entry the rule must refuse, so
 //! a rule that can no longer fail fails itself.
 
@@ -122,6 +123,8 @@ const RULES: &[Rule] = &[
         "const HEADER: Rule = (\"E0807\", \"E0701\");"),
     (47, "every number from the command line is judged by its flag's range", "src/bin", "fn at_least_one|must be at least", Absent, 0,
         "args.bail(\"families must be at least 1\");"),
+    (48, "the DAX writer and line::Writer write numbers through line's routines", "crates/core/src/dax.rs#Writing crates/core/src/line.rs#Writing",
+        "write!(|writeln!(|format!(", Absent, 0, "let _ = writeln!(out, \"\\\" runtime=\\\"{}\\\">\", job.runtime_hint);"),
 ];
 
 /// The sorted entry names of a directory.
@@ -132,6 +135,22 @@ fn entries(dir: &Path) -> Vec<String> {
         .collect();
     names.sort();
     names
+}
+
+/// The section of `text` a `// <title>` banner opens — from the line
+/// after the banner's closing rule to the next banner or the tests —
+/// and the number of lines before it; `None` without such a banner.
+fn section<'t>(text: &'t str, title: &str) -> Option<(&'t str, usize)> {
+    let banner = format!("\n// {title}\n");
+    let open = text.find(&banner)? + banner.len();
+    let body = open + text[open..].find('\n')? + 1;
+    let rest = &text[body..];
+    let end = ["\n// ---", "\n#[cfg(test)]"]
+        .iter()
+        .filter_map(|marker| rest.find(marker))
+        .min()
+        .map_or(rest.len(), |at| at + 1);
+    Some((&rest[..end], text[..body].lines().count()))
 }
 
 fn expand(spec: &str) -> Vec<PathBuf> {
@@ -171,47 +190,72 @@ fn hits(flags: u8, line: &str, needle: &str) -> bool {
 
 /// What is wrong with the tree under one rule, one finding a line.
 fn violations(rule: &Rule, texts: &mut HashMap<PathBuf, String>) -> Vec<String> {
-    let &(_, _, paths, needles, expect, flags, _) = rule;
+    let paths = rule.2;
     let (excluded, specs): (Vec<&str>, Vec<&str>) =
         paths.split(' ').partition(|s| s.starts_with('!'));
     let excluded = |p: &Path| excluded.iter().any(|x| p.starts_with(&x[1..]));
     let mut found = Vec::new();
-    for path in specs.into_iter().flat_map(expand) {
-        let (at, mut under) = (path.display(), Vec::new());
-        let k = match expect {
-            _ if !path.exists() => {
-                found.push(format!("{at} does not exist"));
-                continue;
-            }
-            Holds(want) if entries(&path).join(" ") != want => {
-                found.push(format!("{at} holds {:?}, want `{want}`", entries(&path)));
-                continue;
-            }
-            Holds(_) => continue,
-            Absent => 0,
-            Exactly(k) => k,
+    for spec in specs {
+        let (spec, title) = match spec.split_once('#') {
+            Some((spec, title)) => (spec, Some(title)),
+            None => (spec, None),
         };
-        files(&path, &excluded, &mut under);
-        for needle in needles.split('|') {
-            let mut lines = Vec::new();
-            for file in &under {
-                let text = texts
-                    .entry(file.clone())
-                    .or_insert_with(|| std::fs::read_to_string(file).unwrap_or_default());
-                let code = match flags & BEFORE_TESTS {
-                    0 => text.as_str(),
-                    _ => text.split("#[cfg(test)]").next().unwrap(),
-                };
-                for (n, line) in code.lines().enumerate() {
-                    if hits(flags, line, needle) {
-                        lines.push(format!("\n  {}:{}: {}", file.display(), n + 1, line.trim()));
-                    }
+        for path in expand(spec) {
+            found.extend(path_violations(rule, &path, title, &excluded, texts));
+        }
+    }
+    found
+}
+
+/// What is wrong with one path under one rule: with a `title`, only
+/// that section of the file is read.
+fn path_violations(
+    rule: &Rule,
+    path: &Path,
+    title: Option<&str>,
+    excluded: &dyn Fn(&Path) -> bool,
+    texts: &mut HashMap<PathBuf, String>,
+) -> Vec<String> {
+    let &(_, _, _, needles, expect, flags, _) = rule;
+    let (at, mut under) = (path.display(), Vec::new());
+    let k = match expect {
+        _ if !path.exists() => return vec![format!("{at} does not exist")],
+        Holds(want) if entries(path).join(" ") != want => {
+            return vec![format!("{at} holds {:?}, want `{want}`", entries(path))];
+        }
+        Holds(_) => return Vec::new(),
+        Absent => 0,
+        Exactly(k) => k,
+    };
+    files(path, excluded, &mut under);
+    let mut found = Vec::new();
+    for needle in needles.split('|') {
+        let mut lines = Vec::new();
+        for file in &under {
+            let text = texts
+                .entry(file.clone())
+                .or_insert_with(|| std::fs::read_to_string(file).unwrap_or_default());
+            let code = match flags & BEFORE_TESTS {
+                0 => text.as_str(),
+                _ => text.split("#[cfg(test)]").next().unwrap(),
+            };
+            let (code, skipped) = match title {
+                None => (code, 0),
+                Some(title) => match section(code, title) {
+                    Some(section) => section,
+                    None => return vec![format!("{at} has no `// {title}` section")],
+                },
+            };
+            for (n, line) in code.lines().enumerate() {
+                if hits(flags, line, needle) {
+                    let n = skipped + n + 1;
+                    lines.push(format!("\n  {}:{n}: {}", file.display(), line.trim()));
                 }
             }
-            if lines.len() != k {
-                let have = format!("{} lines with `{needle}`", lines.len());
-                found.push(format!("{at}: {have}, want {k}:{}", lines.concat()));
-            }
+        }
+        if lines.len() != k {
+            let have = format!("{} lines with `{needle}`", lines.len());
+            found.push(format!("{at}: {have}, want {k}:{}", lines.concat()));
         }
     }
     found

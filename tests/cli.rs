@@ -137,11 +137,25 @@ fn profile_prints_one_stderr_line_of_the_verbs_scopes() {
     let sessions: [(&[&str], &[&str]); 3] = [
         (
             &["plan", "--dax", dax, "--site", "sandhills"],
-            &["dax.parse", "graph.csr", "plan"],
+            &[
+                "dax.build",
+                "dax.parse",
+                "dax.scan",
+                "dax.validate",
+                "graph.csr",
+                "plan",
+            ],
         ),
         (
             &["run", "--dax", dax, "--site", "sandhills"],
-            &["dax.parse", "engine.run", "graph.csr", "plan"],
+            &[
+                "dax.build",
+                "dax.parse",
+                "dax.scan",
+                "engine.run",
+                "graph.csr",
+                "plan",
+            ],
         ),
         (
             &["ensemble", "--sizes", "10,20"],
@@ -883,6 +897,8 @@ fn every_range_in_the_help_refuses_one_past_each_end() {
         "pegasus serve --tenant-active",
         "b2c3 simulate --families",
         "b2c3 run --chunks",
+        "b2c3 align --threads",
+        "b2c3 run --threads",
     ] {
         assert!(ranged.iter().any(|r| r == door), "{door} declares no range");
     }
@@ -1532,6 +1548,61 @@ fn blast2cap3_simulate_then_run_both_modes() {
         counts.push(records.len());
     }
     assert_eq!(counts[0], counts[1], "modes must agree");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn b2c3_threads_past_the_ceiling_are_refused_before_any_work_and_the_ceiling_runs() {
+    let dir = tmpdir("b2c3_threads");
+    let out = b2c3()
+        .args([
+            "simulate",
+            "--families",
+            "2",
+            "--dir",
+            dir.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (transcripts, proteins) = (dir.join("transcripts.fasta"), dir.join("proteins.fasta"));
+    let align = |threads: &str, tsv: &str| {
+        b2c3()
+            .args(["align", "--transcripts"])
+            .arg(&transcripts)
+            .arg("--proteins")
+            .arg(&proteins)
+            .args(["--threads", threads, "--out"])
+            .arg(dir.join(tsv))
+            .output()
+            .unwrap()
+    };
+    // Refused where the flag is read: no file is opened, no thread
+    // started, nothing written.
+    for threads in ["257", "100000000"] {
+        let out = align(threads, "refused.tsv");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        let want = format!("--threads must be in 0..=256, not \"{threads}\"");
+        assert!(err.contains(&want), "{err}");
+        assert!(!dir.join("refused.tsv").exists());
+    }
+    // The ceiling itself runs, and finds what one thread finds.
+    let (one, most) = (align("1", "one.tsv"), align("256", "most.tsv"));
+    for out in [&one, &most] {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let read = |tsv: &str| std::fs::read_to_string(dir.join(tsv)).unwrap();
+    assert!(!read("one.tsv").is_empty());
+    assert_eq!(read("one.tsv"), read("most.tsv"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

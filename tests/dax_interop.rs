@@ -253,3 +253,43 @@ fn planner_injects_fig3_installs_after_dax_round_trip() {
         }
     }
 }
+
+/// The DAX path's `--profile` scopes: `dax.write` around the writer,
+/// and `dax.scan`, `dax.build` and `dax.validate` inside `dax.parse`;
+/// with profiling off, not one sample. The only test of this binary
+/// that turns profiling on, so no other test flips the switch under
+/// it.
+#[test]
+fn the_dax_scopes_nest_inside_the_parse_and_record_nothing_when_off() {
+    use pegasus_wms::prof;
+    let wf = build_workflow(&WorkflowParams::with_n(3000));
+    prof::take_samples();
+    let text = dax::to_dax(&wf);
+    dax::from_dax(&text).unwrap();
+    assert_eq!(prof::take_samples(), []);
+
+    prof::set_enabled(true);
+    let again = dax::to_dax(&wf);
+    let parsed = dax::from_dax(&again).unwrap();
+    prof::set_enabled(false);
+    let samples = prof::take_samples();
+    assert_eq!((again, parsed.jobs.len()), (text, wf.jobs.len()));
+
+    // Scopes record as they close: the writer first, the parse last.
+    let labels: Vec<&str> = samples.iter().map(|&(label, _)| label).collect();
+    assert_eq!(labels.first(), Some(&"dax.write"), "{labels:?}");
+    assert_eq!(labels.last(), Some(&"dax.parse"), "{labels:?}");
+    let inside = &samples[1..samples.len() - 1];
+    for label in ["dax.scan", "dax.build", "dax.validate"] {
+        assert!(labels.contains(&label), "{label}: {labels:?}");
+    }
+    // The plan's dependency graph is built inside `dax.validate`.
+    let known = ["dax.scan", "dax.build", "dax.validate", "graph.csr"];
+    assert!(inside.iter().all(|(l, _)| known.contains(l)), "{labels:?}");
+    let parse = samples.last().unwrap().1;
+    let nested: f64 = (inside.iter())
+        .filter(|(l, _)| l.starts_with("dax."))
+        .map(|(_, seconds)| seconds)
+        .sum();
+    assert!(nested > 0.0 && nested <= parse, "{nested} of {parse}");
+}
