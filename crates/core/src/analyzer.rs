@@ -243,8 +243,7 @@ mod tests {
                 record("never", JobState::Unready, 0),
                 record("flaky_but_fine", JobState::Done, 2),
             ],
-            faults: Default::default(),
-            events: vec![],
+            ..Default::default()
         }
     }
 
@@ -285,8 +284,7 @@ mod tests {
             outcome: WorkflowOutcome::Failed(RescueDag::default()),
             wall_time: 50.0,
             records: vec![record("ok", JobState::Done, 1), bad],
-            faults: Default::default(),
-            events: vec![],
+            ..Default::default()
         };
         let text = analyze(&run).suggestions().join("\n");
         assert!(text.contains("preemptions"), "{text}");
@@ -308,8 +306,7 @@ mod tests {
             outcome: WorkflowOutcome::Success,
             wall_time: 10.0,
             records: vec![record("flaky", JobState::Done, 4)],
-            faults: Default::default(),
-            events: vec![],
+            ..Default::default()
         };
         let a = analyze(&run);
         assert!(a.succeeded);
@@ -336,8 +333,7 @@ mod tests {
             outcome: WorkflowOutcome::Success,
             wall_time: 10.0,
             records: vec![record("a", JobState::Done, 1)],
-            faults: Default::default(),
-            events: vec![],
+            ..Default::default()
         };
         let a = analyze(&run);
         assert!(a.suggestions().is_empty());

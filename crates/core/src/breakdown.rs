@@ -185,7 +185,7 @@ pub fn of_run(run: &WorkflowRun) -> BreakdownRow {
 /// Returns [`WmsError::Parse`] when the stream is not a valid
 /// engine emission (no header first, undeclared or out-of-order jobs).
 pub fn from_events(stream: &[WorkflowEvent]) -> Result<BreakdownRow, WmsError> {
-    Ok(of_run(&events::fold(stream)?))
+    Ok(of_run(&events::fed(stream).finish()?))
 }
 
 /// Header of the CSV rendering.

@@ -494,17 +494,19 @@ pub struct FailedAttempt {
 }
 
 /// Overall outcome of a run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum WorkflowOutcome {
     /// Every job completed.
+    #[default]
     Success,
     /// At least one job exhausted retries; the rescue DAG lists what
     /// already completed so the run can be resubmitted.
     Failed(RescueDag),
 }
 
-/// The result of executing a workflow.
-#[derive(Debug, Clone, PartialEq)]
+/// The result of executing a workflow; by default, the run before its
+/// first event, which the lifecycle fold starts from.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkflowRun {
     /// Workflow name.
     pub name: String,
@@ -512,6 +514,8 @@ pub struct WorkflowRun {
     pub site: String,
     /// Success or failure with rescue.
     pub outcome: WorkflowOutcome,
+    /// Backend time of the `WorkflowStarted` header.
+    pub start: f64,
     /// Workflow Wall Time: from first submission to last termination,
     /// in backend seconds.
     pub wall_time: f64,
@@ -527,20 +531,6 @@ pub struct WorkflowRun {
 }
 
 impl WorkflowRun {
-    /// The run before its first event — what the lifecycle fold
-    /// starts from: nothing declared, nothing failed.
-    pub(crate) fn empty() -> Self {
-        WorkflowRun {
-            name: String::new(),
-            site: String::new(),
-            outcome: WorkflowOutcome::Success,
-            wall_time: 0.0,
-            records: Vec::new(),
-            faults: FaultCounters::default(),
-            events: Vec::new(),
-        }
-    }
-
     /// `true` if the whole workflow completed.
     pub fn succeeded(&self) -> bool {
         matches!(self.outcome, WorkflowOutcome::Success)
@@ -659,7 +649,7 @@ impl WorkflowExecution {
             crashed: false,
             start,
             initial_ready: Vec::new(),
-            run: WorkflowRun::empty(),
+            run: WorkflowRun::default(),
             emitted: 0,
         };
         exec.run.records.reserve(n);

@@ -370,7 +370,7 @@ impl std::fmt::Display for Misframed {
 /// The framing rule every consumer of a stream indexes by, written
 /// once: the `WorkflowStarted` header comes first and only once, jobs
 /// are declared in id order, and every other event names a job
-/// declared before it. [`validate`] stops at the first breach; the
+/// declared before it. [`RunFold`] holds the first breach; the
 /// `E08xx` walker in [`crate::verify`] reports each one with its line.
 #[derive(Debug, Default)]
 pub(crate) struct Framing {
@@ -421,24 +421,26 @@ impl Framing {
     }
 }
 
-/// Checks a whole stream against the [`Framing`] rule. Returns the
-/// header's workflow name and site and the number of declared jobs.
+/// Checks a whole stream against the [`Framing`] rule.
 ///
 /// # Errors
 /// Returns [`WmsError::Parse`] naming the first violation.
-pub(crate) fn validate(events: &[WorkflowEvent]) -> Result<(&str, &str, usize), WmsError> {
-    // Framing is about the stream, wherever its events were read from.
-    let misframed = |breach: Misframed| Format::EventLog.error(Span::none(), breach.to_string());
+pub(crate) fn validate(events: &[WorkflowEvent]) -> Result<(), WmsError> {
     let mut framing = Framing::default();
-    for ev in events {
-        framing.step(ev).map_err(misframed)?;
-    }
-    // A non-empty stream that passed every step began with its header.
-    match events.first() {
-        Some(WorkflowEvent::WorkflowStarted { name, site, .. }) => {
-            Ok((name, site, framing.declared))
-        }
-        _ => Err(misframed(Misframed::NoHeader)),
+    let breach = events.iter().find_map(|ev| framing.step(ev).err());
+    framing.verdict(breach)
+}
+
+impl Framing {
+    /// The verdict on a stream whose first breach was `breach`: a stream
+    /// with no header at all is one more. Framing is about the stream,
+    /// wherever its events were read from, so the error has no span.
+    fn verdict(&self, breach: Option<Misframed>) -> Result<(), WmsError> {
+        let headless = (self.header != Header::Seen).then_some(Misframed::NoHeader);
+        let error = |breach: Misframed| Format::EventLog.error(Span::none(), breach.to_string());
+        breach
+            .or(headless)
+            .map_or(Ok(()), |breach| Err(error(breach)))
     }
 }
 
@@ -450,7 +452,7 @@ impl WorkflowRun {
     ///
     /// # Panics
     /// Panics when `ev` names a job no earlier `JobDeclared` event
-    /// declared; streams from outside go through [`validate`] first.
+    /// declared; streams from outside go through [`RunFold`].
     pub(crate) fn apply(&mut self, ev: &WorkflowEvent) {
         if let Some(end) = ev.termination() {
             let rec = &mut self.records[end.job.idx()];
@@ -472,9 +474,11 @@ impl WorkflowRun {
             return;
         }
         match ev {
-            WorkflowEvent::WorkflowStarted { name, site, .. } => {
-                self.name = name.to_string();
-                self.site = site.to_string();
+            WorkflowEvent::WorkflowStarted {
+                name, site, time, ..
+            } => {
+                (self.name, self.site) = (name.to_string(), site.to_string());
+                self.start = *time;
             }
             WorkflowEvent::JobDeclared {
                 job,
@@ -538,35 +542,75 @@ impl WorkflowRun {
     }
 }
 
-/// [`replay`] without the copy: the returned run's `events` is empty.
-/// The offline folds that only read records, counters and outcome go
-/// through here.
-pub(crate) fn fold(events: &[WorkflowEvent]) -> Result<WorkflowRun, WmsError> {
-    let (_, _, jobs) = validate(events)?;
-    let mut run = WorkflowRun::empty();
-    run.records.reserve(jobs);
-    for ev in events {
-        run.apply(ev);
-    }
-    if !matches!(events.last(), Some(WorkflowEvent::WorkflowFinished { .. })) {
-        // No trailer: the submit host died mid-run. The run failed,
-        // and it ended at the last event that was recorded.
-        let last = events
-            .iter()
-            .filter_map(WorkflowEvent::time)
-            .fold(0.0, f64::max);
-        run.apply(&WorkflowEvent::WorkflowFinished {
-            succeeded: false,
-            wall_time: last - start_time(events),
-            time: last,
-        });
-    }
-    Ok(run)
+/// The lifecycle fold of a stream from outside, one event at a time:
+/// the framing step, then the engine's own `apply`. Nothing after the
+/// first breach is applied, so no stream reaches `apply`'s panic, and
+/// [`RunFold::finish`] reports the breach once the stream has ended,
+/// after anything its reader found.
+#[derive(Debug, Default)]
+pub struct RunFold {
+    framing: Framing,
+    breach: Option<Misframed>,
+    run: WorkflowRun,
+    /// The latest time of any event.
+    last: f64,
+    /// Whether the latest event was a trailer.
+    closed: bool,
 }
 
-/// The backend time of the stream's header (0 for an empty stream).
-pub(crate) fn start_time(events: &[WorkflowEvent]) -> f64 {
-    events.first().and_then(WorkflowEvent::time).unwrap_or(0.0)
+impl RunFold {
+    /// Whether the stream so far ends with a `workflow-finished`
+    /// trailer: a log without one is a run whose submit host died.
+    pub fn closed(&self) -> bool {
+        self.closed
+    }
+
+    /// The run the stream records. A stream cut before its trailer (a
+    /// genuine submit-host crash, as opposed to the engine's scripted
+    /// crash, which still writes the trailer) folds as a failed run
+    /// that ended at its last event.
+    ///
+    /// # Errors
+    /// Returns [`WmsError::Parse`] when the stream is not a valid
+    /// engine emission: no `WorkflowStarted` header first, out-of-order
+    /// job declarations, or lifecycle events referencing undeclared
+    /// jobs.
+    pub fn finish(mut self) -> Result<WorkflowRun, WmsError> {
+        self.framing.verdict(self.breach)?;
+        if !self.closed {
+            self.run.apply(&WorkflowEvent::WorkflowFinished {
+                succeeded: false,
+                wall_time: self.last - self.run.start,
+                time: self.last,
+            });
+        }
+        Ok(self.run)
+    }
+}
+
+impl EventSink for RunFold {
+    fn event(&mut self, ev: &WorkflowEvent) {
+        self.closed = matches!(ev, WorkflowEvent::WorkflowFinished { .. });
+        self.last = ev.time().map_or(self.last, |time| self.last.max(time));
+        if self.breach.is_none() {
+            self.breach = self.framing.step(ev).err();
+        }
+        if self.breach.is_some() {
+            return;
+        }
+        if let WorkflowEvent::WorkflowStarted { jobs, .. } = ev {
+            // A header is believed up to 2^20 jobs.
+            self.run.records.reserve((*jobs as usize).min(1 << 20));
+        }
+        self.run.apply(ev);
+    }
+}
+
+/// A [`RunFold`] fed a whole stream.
+pub(crate) fn fed(events: &[WorkflowEvent]) -> RunFold {
+    let mut fold = RunFold::default();
+    events.iter().for_each(|ev| fold.event(ev));
+    fold
 }
 
 /// Folds an event stream back into the [`WorkflowRun`] the engine
@@ -575,17 +619,10 @@ pub(crate) fn start_time(events: &[WorkflowEvent]) -> f64 {
 /// [`crate::statistics::compute`], [`crate::analyzer::analyze`], and
 /// rescue resubmission work from a log alone.
 ///
-/// A stream truncated before its `WorkflowFinished` trailer (a genuine
-/// submit-host crash, as opposed to the engine's *scripted* crash
-/// which still writes the trailer) replays as a failed run whose wall
-/// time ends at the last recorded event.
-///
 /// # Errors
-/// Returns [`WmsError::Parse`] when the stream is not a valid
-/// engine emission: no `WorkflowStarted` header first, out-of-order
-/// job declarations, or lifecycle events referencing undeclared jobs.
+/// Returns [`WmsError::Parse`] when [`RunFold::finish`] does.
 pub fn replay(events: &[WorkflowEvent]) -> Result<WorkflowRun, WmsError> {
-    let mut run = fold(events)?;
+    let mut run = fed(events).finish()?;
     run.events = events.to_vec();
     Ok(run)
 }
@@ -597,7 +634,7 @@ pub fn replay(events: &[WorkflowEvent]) -> Result<WorkflowRun, WmsError> {
 /// Returns [`WmsError::Parse`] when [`replay`] rejects the
 /// stream.
 pub fn rescue_from_events(events: &[WorkflowEvent]) -> Result<Option<RescueDag>, WmsError> {
-    Ok(match fold(events)?.outcome {
+    Ok(match fed(events).finish()?.outcome {
         WorkflowOutcome::Failed(rescue) => Some(rescue),
         WorkflowOutcome::Success => None,
     })
@@ -620,13 +657,13 @@ pub mod log {
     use super::{EventSink, WorkflowEvent};
     use crate::engine::{FaultReason, JobTimes};
     use crate::error::{Format, WmsError};
-    use crate::line::{self, Field, Fields, Line, Value, Writer};
+    use crate::line::{Field, Fields, Line, Value, Writer};
     use crate::planner::JobKind;
     use crate::symbols::{Name, NamePool};
     use crate::trace::TraceId;
     use crate::workflow::JobId;
     use std::borrow::Cow;
-    use std::io;
+    use std::io::{self, Read as _};
 
     /// The version-stamped comment heading every written log.
     pub(crate) const HEADER: &str = "# pegasus event log v1";
@@ -798,16 +835,6 @@ pub mod log {
         .end();
     }
 
-    /// What the parser keeps from line to line, so reading an event
-    /// allocates only the names it declares.
-    #[derive(Default)]
-    struct Scratch<'a> {
-        /// Transformations and failure reasons repeat on most lines.
-        pool: NamePool,
-        /// The `key=value` fields of the line being read.
-        fields: Vec<Field<'a>>,
-    }
-
     impl Value<'_> for FaultReason {
         const WHAT: &'static str = "fault reason";
         fn read(raw: &str) -> Option<Self> {
@@ -850,7 +877,8 @@ pub mod log {
     /// or repeated fields.
     pub fn parse(text: &str) -> Result<Vec<WorkflowEvent>, WmsError> {
         let mut events = Vec::new();
-        parse_each(text, |_, ev| {
+        let mut reader = Reader::default();
+        reader.lines(text, &mut |_, ev| {
             if let WorkflowEvent::WorkflowStarted { jobs, .. } = ev {
                 // A job that ran left four events or more, and the
                 // header and trailer are two more. The header is
@@ -859,7 +887,8 @@ pub mod log {
                 events.reserve(expected.min(text.len() / 16));
             }
             events.push(ev);
-        })?;
+        });
+        reader.finish()?;
         Ok(events)
     }
 
@@ -871,22 +900,112 @@ pub mod log {
     /// Returns [`WmsError::Parse`] exactly as [`parse`] does.
     pub fn parse_lines(text: &str) -> Result<Vec<(usize, WorkflowEvent)>, WmsError> {
         let mut events = Vec::new();
-        parse_each(text, |line, ev| events.push((line, ev)))?;
+        let mut reader = Reader::default();
+        reader.lines(text, &mut |line, ev| events.push((line, ev)));
+        reader.finish()?;
         Ok(events)
     }
 
-    /// Hands `sink` every event of `text` with its one-based line.
-    fn parse_each(text: &str, mut sink: impl FnMut(usize, WorkflowEvent)) -> Result<(), WmsError> {
-        let mut scratch = Scratch::default();
-        for line in line::lines(text) {
-            sink(line.number, parse_event(&line, &mut scratch)?);
+    /// How many bytes [`read`] takes in before it parses the whole
+    /// lines among them; a longer line widens it.
+    const WINDOW: usize = 1 << 20;
+
+    /// Reads an event log from `input` a window of whole lines at a
+    /// time, handing `sink` what [`parse_lines`] finds in the whole
+    /// text as it goes. Returns the id of the first `# trace id=`
+    /// comment, wherever it stands (`None` when there is none, or it is
+    /// malformed: comments are not normative).
+    ///
+    /// # Errors
+    /// The outer error is the input's: a failed read, or bytes that are
+    /// not UTF-8 anywhere in it, worded as `read_to_string` words it.
+    /// The inner one is the log's first parse error.
+    pub fn read(
+        mut input: impl io::Read,
+        mut sink: impl FnMut(usize, WorkflowEvent),
+    ) -> io::Result<Result<Option<TraceId>, WmsError>> {
+        let (mut reader, mut window) = (Reader::default(), Vec::with_capacity(WINDOW));
+        loop {
+            // Top the window up to its size, or widen it by as much again
+            // when one line fills it. `read_to_end` writes into spare
+            // capacity, so no window is ever zeroed first.
+            let held = window.len();
+            let room = if held < WINDOW { WINDOW - held } else { held };
+            if (&mut input).take(room as u64).read_to_end(&mut window)? == 0 {
+                break;
+            }
+            // Only the new bytes can hold a newline.
+            if let Some(at) = window[held..].iter().rposition(|&b| b == b'\n') {
+                reader.lines(utf8(&window[..held + at + 1])?, &mut sink);
+                window.drain(..held + at + 1);
+            }
         }
-        Ok(())
+        reader.lines(utf8(&window)?, &mut sink);
+        Ok(reader.finish())
     }
 
+    fn utf8(bytes: &[u8]) -> io::Result<&str> {
+        let invalid = "stream did not contain valid UTF-8";
+        std::str::from_utf8(bytes).map_err(|_| io::Error::new(io::ErrorKind::InvalidData, invalid))
+    }
+
+    /// What the reader carries from one run of whole lines to the next.
+    #[derive(Default)]
+    struct Reader {
+        /// Lines read so far.
+        lines: usize,
+        /// Transformations and failure reasons repeat on most lines.
+        pool: NamePool,
+        /// What the first `# trace id=` comment said, once one came.
+        trace: Option<Option<TraceId>>,
+        /// The first parse error; nothing is parsed after it.
+        error: Option<WmsError>,
+    }
+
+    impl Reader {
+        /// Parses a run of whole lines, numbering on from the last.
+        fn lines(&mut self, text: &str, sink: &mut impl FnMut(usize, WorkflowEvent)) {
+            let mut fields = Vec::new();
+            for raw in text.lines() {
+                if self.error.is_some() {
+                    return;
+                }
+                self.lines += 1;
+                let line = Line::split(raw, self.lines);
+                if line.is_skipped() {
+                    self.trace = self.trace.or_else(|| trace_comment(line.text));
+                    continue;
+                }
+                match parse_event(&line, &mut self.pool, &mut fields) {
+                    Ok(ev) => sink(line.number, ev),
+                    Err(e) => self.error = Some(e),
+                }
+            }
+        }
+
+        fn finish(self) -> Result<Option<TraceId>, WmsError> {
+            self.error.map_or(Ok(self.trace.flatten()), Err)
+        }
+    }
+
+    /// What a `# trace id=<hex>` comment says: `None` when the line is
+    /// no such comment, `Some(None)` when its id is malformed.
+    fn trace_comment(text: &str) -> Option<Option<TraceId>> {
+        let rest = text
+            .trim()
+            .strip_prefix('#')?
+            .trim()
+            .strip_prefix("trace ")?;
+        Some(rest.trim().strip_prefix("id=")?.trim().parse().ok())
+    }
+
+    /// Reads one event; `pool` shares the names that repeat and
+    /// `fields` is the line's `key=value` buffer, reused, so reading an
+    /// event allocates only the names it declares.
     fn parse_event<'a>(
         line: &Line<'a>,
-        scratch: &mut Scratch<'a>,
+        pool: &mut NamePool,
+        fields: &mut Vec<Field<'a>>,
     ) -> Result<WorkflowEvent, WmsError> {
         // The free-text field that ends the line, where the event has
         // one.
@@ -895,7 +1014,6 @@ pub mod log {
             "failed" | "timed-out" | "retry-scheduled" => Some("detail"),
             _ => None,
         };
-        let Scratch { pool, fields } = scratch;
         let f = &mut Fields::split(line.rest, tail, line.number, Format::EventLog, fields)?;
         // Fields are asked for in the order `write_event` writes them,
         // which is where the reader looks first.
@@ -967,6 +1085,191 @@ pub mod log {
         f.finish()?;
         Ok(event)
     }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::events::tests::every_variant;
+
+        type Numbered = Vec<(usize, WorkflowEvent)>;
+
+        /// The reader it replaced: [`crate::line::lines`] over the whole text,
+        /// and the trace comment found by a scan of its own (the first
+        /// `# trace id=` comment wins, a malformed one is `None`).
+        /// Returns the events read before the first error, and the
+        /// error or the trace id.
+        fn oracle(text: &str) -> (Numbered, Result<Option<TraceId>, WmsError>) {
+            let (mut events, mut pool, mut fields) = (Vec::new(), NamePool::default(), Vec::new());
+            for line in crate::line::lines(text) {
+                match parse_event(&line, &mut pool, &mut fields) {
+                    Ok(ev) => events.push((line.number, ev)),
+                    Err(e) => return (events, Err(e)),
+                }
+            }
+            let comment = |line: &str| {
+                let rest = line
+                    .trim()
+                    .strip_prefix('#')?
+                    .trim()
+                    .strip_prefix("trace ")?;
+                Some(rest.trim().strip_prefix("id=")?.trim().parse().ok())
+            };
+            (events, Ok(text.lines().find_map(comment).flatten()))
+        }
+
+        /// An input that hands out 1..=`most` bytes per call, sizes
+        /// drawn from `seed`, and now and then an interruption.
+        struct Trickle<'a> {
+            bytes: &'a [u8],
+            seed: u64,
+            most: usize,
+        }
+
+        impl io::Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.seed = self
+                    .seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if self.seed >> 60 == 0 {
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                let n = (1 + (self.seed >> 33) as usize % self.most)
+                    .min(buf.len())
+                    .min(self.bytes.len());
+                buf[..n].copy_from_slice(&self.bytes[..n]);
+                self.bytes = &self.bytes[n..];
+                Ok(n)
+            }
+        }
+
+        /// Reads `bytes` through a [`Trickle`] and checks it against the
+        /// oracle: equal events and the equal trace id, or equal errors
+        /// at equal spans, or the UTF-8 error when it is not text.
+        fn agrees(bytes: &[u8], seed: u64, most: usize) {
+            let mut got = Vec::new();
+            let input = Trickle { bytes, seed, most };
+            let read = read(input, |line, ev| got.push((line, ev)));
+            let Ok(text) = std::str::from_utf8(bytes) else {
+                let e = read.expect_err("not UTF-8");
+                assert_eq!(
+                    (e.kind(), e.to_string()),
+                    (
+                        io::ErrorKind::InvalidData,
+                        "stream did not contain valid UTF-8".into()
+                    )
+                );
+                return;
+            };
+            let (want, verdict) = oracle(text);
+            assert_eq!(read.expect("read"), verdict);
+            assert_eq!(got, want);
+            assert_eq!(parse_lines(text), verdict.map(|_| want));
+        }
+
+        /// The lines a generated log is made of: the events of every
+        /// variant, comments, blank lines, trace comments well and badly
+        /// formed, a name in several scripts, then two lines that do not
+        /// parse and two that are not UTF-8.
+        fn pieces() -> Vec<Vec<u8>> {
+            let mut lines: Vec<Vec<u8>> = write(&every_variant())
+                .lines()
+                .map(|l| l.as_bytes().to_vec())
+                .collect();
+            for extra in [
+                "# a comment",
+                "",
+                "   \t",
+                "# trace id=00000000000000ab",
+                "  #  trace  id=  cd  ",
+                "# trace id=zz",
+                "# trace",
+                "job id=3 kind=compute transformation=t\\sx name=naïve 中文 😀 job",
+                "frobnicate x=1",
+                "submitted time=1 job=0",
+            ] {
+                lines.push(extra.as_bytes().to_vec());
+            }
+            lines.push(vec![b'#', b' ', 0xff, b'x']);
+            lines.push("skipped time=0 job=0 \u{e9}".as_bytes()[..22].to_vec());
+            lines
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::test_runner::Config::with_cases(2000))]
+
+            /// Any cut of a log into reads reads as the whole text
+            /// does: lines straddle reads and windows, CRLF or not, with
+            /// or without a final newline.
+            #[test]
+            fn the_reader_agrees_with_the_line_reader_over_any_reads(
+                picks in proptest::collection::vec(proptest::arbitrary::any::<u16>(), 0..40),
+                seed in proptest::arbitrary::any::<u64>(),
+                most in 1usize..64,
+                crlf in proptest::arbitrary::any::<u64>(),
+                final_newline in proptest::arbitrary::any::<bool>(),
+            ) {
+                // One pick in eight may fall on the last four pieces,
+                // which do not parse or are not text.
+                let pieces = pieces();
+                let mut bytes = Vec::new();
+                for (i, &pick) in picks.iter().enumerate() {
+                    let among = if pick >= 0xe000 { pieces.len() } else { pieces.len() - 4 };
+                    bytes.extend_from_slice(&pieces[pick as usize % among]);
+                    if i + 1 < picks.len() || final_newline {
+                        bytes.extend_from_slice(if crlf >> (i % 64) & 1 == 1 { b"\r\n" } else { b"\n" });
+                    }
+                }
+                agrees(&bytes, seed, most);
+            }
+        }
+
+        #[test]
+        fn a_character_split_across_reads_parses_and_a_stray_byte_is_refused() {
+            let line = "job id=0 kind=compute transformation=t name=中文 😀\n";
+            for most in 1..8 {
+                agrees(line.as_bytes(), 7, most);
+                agrees(&[line.as_bytes(), &[0xe4, 0xb8, b'\n']].concat(), 7, most);
+            }
+            let mut one = Vec::new();
+            let read = read(
+                Trickle {
+                    bytes: line.as_bytes(),
+                    seed: 3,
+                    most: 1,
+                },
+                |_, ev| one.push(ev),
+            );
+            assert_eq!(read.expect("text").map(|_| one.len()), Ok(1));
+        }
+
+        #[test]
+        fn a_line_longer_than_the_window_and_a_log_of_several_windows_read_whole() {
+            let long = format!(
+                "job id=0 kind=compute transformation=t name={}\n",
+                "x".repeat(WINDOW + WINDOW / 2)
+            );
+            let header = "workflow-started time=0 jobs=1 site=s name=w\n";
+            let bytes = [header, &long, "# trace id=1\n", "skipped time=0 job=0"].concat();
+            agrees(bytes.as_bytes(), 11, 1 << 16);
+            agrees(bytes.as_bytes(), 5, usize::MAX);
+            // Three windows of CRLF lines, whole, with a line that does
+            // not parse or a byte that is not text in the last one, each
+            // read in several cuts: lines straddle every window.
+            let body = write(&every_variant()).replace('\n', "\r\n");
+            let several = body.repeat(3 * WINDOW / body.len());
+            let late = |tail: &[u8]| {
+                let mut bytes = several.clone().into_bytes();
+                bytes.splice(5 * WINDOW / 2..5 * WINDOW / 2, tail.iter().copied());
+                bytes
+            };
+            for (seed, most) in [(13, 100_000), (17, usize::MAX), (19, 4_097), (23, 1 << 20)] {
+                agrees(several.as_bytes(), seed, most);
+                agrees(&late(b"\r\nfrobnicate\r\n"), seed, most);
+                agrees(&late(&[0xff]), seed, most);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1005,7 +1308,7 @@ mod tests {
         }
     }
 
-    fn every_variant() -> Vec<WorkflowEvent> {
+    pub(super) fn every_variant() -> Vec<WorkflowEvent> {
         let times = JobTimes {
             submitted: 1.25,
             started: 2.5,
@@ -1399,5 +1702,117 @@ mod tests {
         let run = Engine::run(&mut be, &wf, &cfg, &mut live);
         assert!(run.succeeded());
         assert_eq!(live.0, run.events);
+    }
+
+    /// The fold the streamed one replaced: the whole stream checked
+    /// against the framing rule, then applied, then the crash trailer.
+    fn oracle_fold(events: &[WorkflowEvent]) -> Result<WorkflowRun, WmsError> {
+        validate(events)?;
+        let mut run = WorkflowRun::default();
+        events.iter().for_each(|ev| run.apply(ev));
+        if !matches!(events.last(), Some(WorkflowEvent::WorkflowFinished { .. })) {
+            let last = events
+                .iter()
+                .filter_map(WorkflowEvent::time)
+                .fold(0.0, f64::max);
+            let start = events.first().and_then(WorkflowEvent::time).unwrap_or(0.0);
+            run.apply(&WorkflowEvent::WorkflowFinished {
+                succeeded: false,
+                wall_time: last - start,
+                time: last,
+            });
+        }
+        Ok(run)
+    }
+
+    /// The lines of three engine logs: retried to success, failed with
+    /// a rescue, and resumed past a skipped job.
+    fn engine_logs() -> Vec<Vec<String>> {
+        let retried = EngineConfig::builder()
+            .policy(RetryPolicy::exponential(3, 7.0))
+            .build();
+        let skipping = EngineConfig {
+            skip_done: ["a".into()].into_iter().collect(),
+            ..Default::default()
+        };
+        let configs = [(retried, 2), (EngineConfig::default(), 1), (skipping, 0)];
+        let lines = configs.into_iter().map(|(cfg, failures)| {
+            let mut be = ScriptedBackend::new();
+            (0..failures).for_each(|attempt| {
+                be.fail_plan.insert(("b".into(), attempt));
+            });
+            let run = Engine::run(&mut be, &chain(), &cfg, &mut crate::engine::NoopMonitor);
+            log::write(&run.events).lines().map(String::from).collect()
+        });
+        lines.collect()
+    }
+
+    /// The streamed fold of `text` against `replay(&parse(..)?)` and the
+    /// oracle fold: the same run, or the same error, and no panic.
+    fn streamed_agrees(text: &str) {
+        let mut fold = RunFold::default();
+        let read = log::read(text.as_bytes(), |_, ev| fold.event(&ev)).expect("text");
+        let streamed = read.and_then(|_| fold.finish());
+        let parsed = log::parse(text);
+        let oracle = parsed.clone().and_then(|events| oracle_fold(&events));
+        assert_eq!(streamed, oracle, "{text}");
+        let replayed = parsed
+            .and_then(|events| replay(&events))
+            .map(|run| WorkflowRun {
+                events: Vec::new(),
+                ..run
+            });
+        assert_eq!(replayed, oracle, "{text}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(2000))]
+
+        /// Engine logs with lines cut, dropped, repeated and moved, an
+        /// undeclared job, declarations swapped and a second header
+        /// fold, streamed, as the oracle folds them whole.
+        #[test]
+        fn the_streamed_fold_never_panics_and_agrees_with_the_oracle(
+            which in 0usize..3,
+            edits in proptest::collection::vec(
+                (0u8..7, proptest::arbitrary::any::<u16>(), proptest::arbitrary::any::<u16>()),
+                0..4,
+            ),
+        ) {
+            let mut lines = engine_logs().swap_remove(which);
+            let header = lines[1].clone();
+            for (kind, a, b) in edits {
+                let (at, to) = (a as usize % (lines.len() + 1), b as usize % (lines.len() + 1));
+                let line = lines.get(at.min(lines.len().saturating_sub(1))).cloned().unwrap_or_default();
+                match kind {
+                    0 => lines.truncate(at),
+                    1 => lines.insert(at, format!("submitted time=5 job={} attempt=0", b % 8)),
+                    2 => {
+                        let jobs: Vec<usize> = (0..lines.len()).filter(|&i| lines[i].starts_with("job ")).collect();
+                        if jobs.len() > 1 {
+                            lines.swap(jobs[a as usize % jobs.len()], jobs[b as usize % jobs.len()]);
+                        }
+                    }
+                    3 => lines.insert(at, header.clone()),
+                    4 if at < lines.len() => drop(lines.remove(at)),
+                    5 => lines.insert(at, line),
+                    _ if at < lines.len() => {
+                        let moved = lines.remove(at);
+                        lines.insert(to.min(lines.len()), moved);
+                    }
+                    _ => {}
+                }
+            }
+            streamed_agrees(&lines.join("\n"));
+        }
+    }
+
+    #[test]
+    fn a_log_cut_at_every_line_folds_as_the_oracle_folds_it() {
+        for lines in engine_logs() {
+            for cut in 0..=lines.len() {
+                streamed_agrees(&lines[..cut].join("\n"));
+            }
+        }
     }
 }

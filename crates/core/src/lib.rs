@@ -61,8 +61,8 @@
 //!   verify`: an LTL-lite temporal invariant catalog (`E08xx`) over
 //!   complete event streams, and whole-plan dataflow / ensemble
 //!   feasibility checks (`E06xx`) over planned DAGs, plus the
-//!   flag-gated [`verify::ShadowVerifier`] that asserts the catalog
-//!   on live engine runs;
+//!   [`verify::StreamWalker`] that judges event logs as they are read
+//!   and, flag-gated, asserts the catalog on live engine runs;
 //! * [`statistics`] — pegasus-statistics equivalents: Workflow Wall
 //!   Time, per-task Kickstart / Waiting / Download-Install breakdowns;
 //! * [`rescue`] — rescue DAGs: the re-submittable remainder of a

@@ -62,7 +62,7 @@ impl<'a> Line<'a> {
     }
 
     /// Blank lines and `#` comments carry nothing.
-    fn is_skipped(&self) -> bool {
+    pub(crate) fn is_skipped(&self) -> bool {
         self.keyword.is_empty() || self.keyword.starts_with('#')
     }
 }

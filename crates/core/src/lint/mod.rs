@@ -549,19 +549,25 @@ pub fn check_events(events: &[(usize, WorkflowEvent)], file: &str) -> Vec<Diagno
     for (line, ev) in events {
         walker.event(*line, ev);
     }
-    let truncated = !walker.closed();
+    prefix_findings(walker)
+}
+
+/// What [`check_events`] reports of a stream `walker` was fed under
+/// default options: its prefix-closed findings, and `W0707` at the last
+/// event when no trailer came.
+pub fn prefix_findings(walker: StreamWalker) -> Vec<Diagnostic> {
+    let (file, last) = walker.position();
+    let w0707 = last.filter(|_| !walker.closed()).map(|last| {
+        Diagnostic::new(
+            "W0707",
+            file,
+            Span::line(last),
+            "stream has no workflow-finished: truncated (crashed or still-running) run",
+        )
+        .with_help("rescue-from-log accepts this; statistics over it describe a partial run")
+    });
     let mut diags = walker.findings();
-    if let Some((last, _)) = events.last().filter(|_| truncated) {
-        diags.push(
-            Diagnostic::new(
-                "W0707",
-                file,
-                Span::line(*last),
-                "stream has no workflow-finished: truncated (crashed or still-running) run",
-            )
-            .with_help("rescue-from-log accepts this; statistics over it describe a partial run"),
-        );
-    }
+    diags.extend(w0707);
     diags
 }
 

@@ -440,6 +440,8 @@ pub struct MetricsMonitor<'a> {
     registry: &'a mut MetricsRegistry,
     site: String,
     n: String,
+    /// Whether each `workflow-started` header sets `site` and `n`.
+    from_header: bool,
     /// Job roles by id, from the current run's manifest: only compute
     /// jobs feed the phase histograms.
     kinds: Vec<JobKind>,
@@ -491,8 +493,19 @@ impl<'a> MetricsMonitor<'a> {
             registry,
             site: site.to_string(),
             n: n.to_string(),
+            from_header: false,
             kinds: Vec::new(),
             series: Handles::default(),
+        }
+    }
+
+    /// Wraps `registry`, labelling every sample with the `site` of the
+    /// stream's `workflow-started` header and the `n` of its name and
+    /// `jobs=` ([`n_label`]): a recorded stream, labelled as it is read.
+    pub fn labelled_by_header(registry: &'a mut MetricsRegistry) -> Self {
+        MetricsMonitor {
+            from_header: true,
+            ..MetricsMonitor::new(registry, "", "")
         }
     }
 }
@@ -504,8 +517,17 @@ impl EventSink for MetricsMonitor<'_> {
         let registry = &mut *self.registry;
         let series = &mut self.series;
         match ev {
-            // A further run on the same sink brings its own manifest.
-            WorkflowEvent::WorkflowStarted { .. } => self.kinds.clear(),
+            // A further run on the same sink brings its own manifest,
+            // and its own labels when they are the header's.
+            WorkflowEvent::WorkflowStarted {
+                name, site, jobs, ..
+            } => {
+                self.kinds.clear();
+                if self.from_header {
+                    let n = n_label(name, *jobs as usize);
+                    (self.site, self.n, self.series) = (site.to_string(), n, Handles::default());
+                }
+            }
             WorkflowEvent::JobDeclared { kind, .. } => self.kinds.push(*kind),
             WorkflowEvent::Submitted { .. } => {
                 let labels = [site, n];
@@ -580,8 +602,8 @@ pub fn record_events(
     registry: &mut MetricsRegistry,
     stream: &[WorkflowEvent],
 ) -> Result<(), WmsError> {
-    let (name, site, jobs) = events::validate(stream)?;
-    MetricsMonitor::new(registry, site, &n_label(name, jobs)).events(stream);
+    events::validate(stream)?;
+    MetricsMonitor::labelled_by_header(registry).events(stream);
     Ok(())
 }
 

@@ -516,8 +516,7 @@ mod tests {
                     Some(times(12.0, 5.0, 45.0, 70.0)),
                 ),
             ],
-            faults: FaultCounters::default(),
-            events: vec![],
+            ..Default::default()
         }
     }
 
@@ -752,8 +751,7 @@ workflow-finished time=61 wall-time=61 succeeded=false
             outcome: WorkflowOutcome::Success,
             wall_time: 0.0,
             records: vec![],
-            faults: FaultCounters::default(),
-            events: vec![],
+            ..Default::default()
         };
         let stats = compute(&run);
         assert_eq!(stats.cumulative_job_walltime, 0.0);

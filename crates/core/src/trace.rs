@@ -30,7 +30,8 @@
 //! Trace ids travel *outside* the event grammar: a `# trace
 //! id=<16-hex>` comment line after the event-log header
 //! ([`events::log::LogWriter`]), which every existing parser skips, so
-//! tagged logs stay readable by every older consumer byte-for-byte.
+//! tagged logs stay readable by every older consumer byte-for-byte;
+//! [`events::log::read`] is the one place that reads it back.
 
 use crate::breakdown::{self, JobSpan};
 use crate::engine::{FaultReason, JobTimes, WorkflowRun};
@@ -85,23 +86,6 @@ impl FromStr for TraceId {
             .map(TraceId)
             .map_err(|_| format!("bad trace id {s:?}: want hex digits"))
     }
-}
-
-/// Scans an event-log text for a `# trace id=...` comment and parses
-/// the id. `None` when the log predates tracing (or the comment is
-/// malformed — tolerated, since comments are non-normative).
-pub fn trace_from_log(text: &str) -> Option<TraceId> {
-    for line in text.lines() {
-        let Some(comment) = line.trim().strip_prefix('#') else {
-            continue;
-        };
-        if let Some(rest) = comment.trim().strip_prefix("trace ") {
-            if let Some(hex) = rest.trim().strip_prefix("id=") {
-                return hex.trim().parse().ok();
-            }
-        }
-    }
-    None
 }
 
 /// One phase interval inside a successful or failed attempt.
@@ -210,9 +194,10 @@ pub struct WorkflowTrace {
     pub jobs: Vec<JobTrace>,
 }
 
-/// The span tree of the run that started at `start`, from its records:
-/// a job's failed attempts in order, then its successful one.
-fn tree(run: &WorkflowRun, start: f64, trace: Option<TraceId>) -> WorkflowTrace {
+/// The span tree of a run in hand, attributed to `trace`, from its
+/// records: a job's failed attempts in order, then its successful one.
+/// Costs no replay: every interval is already in the run's records.
+pub fn of_run(run: &WorkflowRun, trace: Option<TraceId>) -> WorkflowTrace {
     let jobs = run
         .records
         .iter()
@@ -247,31 +232,21 @@ fn tree(run: &WorkflowRun, start: f64, trace: Option<TraceId>) -> WorkflowTrace 
         name: run.name.clone(),
         site: run.site.clone(),
         succeeded: run.succeeded(),
-        start,
-        end: start + run.wall_time,
+        start: run.start,
+        end: run.start + run.wall_time,
         jobs,
     }
 }
 
-/// The span tree of a run in hand, attributed to `trace`. Costs no
-/// replay: every interval is already in the run's records.
-pub fn of_run(run: &WorkflowRun, trace: Option<TraceId>) -> WorkflowTrace {
-    tree(run, events::start_time(&run.events), trace)
-}
-
 /// Folds a recorded event stream into a [`WorkflowTrace`], attributing
-/// it to `trace` (pass the id read from the log via
-/// [`trace_from_log`], or the daemon's journaled id).
+/// it to `trace` (pass the id [`crate::events::log::read`] found in the
+/// log, or the daemon's journaled id).
 ///
 /// # Errors
 /// Returns [`WmsError::Parse`] when the stream is not a valid
 /// engine emission (no header first, undeclared or out-of-order jobs).
 pub fn fold(stream: &[WorkflowEvent], trace: Option<TraceId>) -> Result<WorkflowTrace, WmsError> {
-    Ok(tree(
-        &events::fold(stream)?,
-        events::start_time(stream),
-        trace,
-    ))
+    Ok(of_run(&events::fed(stream).finish()?, trace))
 }
 
 /// Renders the plain-text span tree — the default `pegasus trace`
@@ -648,11 +623,12 @@ mod tests {
         let mut log = events::log::LogWriter::new(&mut bytes, Some(id)).unwrap();
         log.events(&run.events);
         assert!(log.error().is_none());
+        let trace_of = |text: &str| events::log::read(text.as_bytes(), |_, _| {}).unwrap();
         let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(trace_from_log(&text), Some(id));
+        assert_eq!(trace_of(&text), Ok(Some(id)));
         let parsed = events::log::parse(&text).expect("comment lines are skipped");
         assert_eq!(parsed, run.events);
-        assert_eq!(trace_from_log(&events::log::write(&run.events)), None);
+        assert_eq!(trace_of(&events::log::write(&run.events)), Ok(None));
     }
 
     #[test]

@@ -43,10 +43,10 @@
 //! ensemble configuration must admit at least one member — a zero
 //! quota is a deadlock, not a throttle.
 //!
-//! [`ShadowVerifier`] is the flag-gated live form: an
-//! [`EventSink`] handed to `Engine::run` that feeds the same walker
-//! event by event, so `pegasus run --verify` asserts the invariants on
-//! every live run without keeping the stream.
+//! The [`StreamWalker`] is also the flag-gated live form: an
+//! [`EventSink`] handed to `Engine::run`, fed event by event, so
+//! `pegasus run --verify` asserts the invariants on every live run
+//! without keeping the stream.
 
 use crate::catalog::ReplicaCatalog;
 use crate::engine::{FaultReason, RetryPolicy};
@@ -150,16 +150,20 @@ impl JobState {
     }
 }
 
-/// The one judge of recorded event streams: the [`CATALOG`] as an
+/// The one judge of event streams: the `E08xx` invariant catalog as an
 /// incremental fold.
 ///
 /// A clause checked in [`StreamWalker::event`] looks only backwards,
 /// so it holds on every prefix of a valid stream; a clause checked in
 /// [`StreamWalker::finish`] needs the end. [`check_stream`] is feed +
 /// `finish`; [`crate::lint::check_events`] is feed +
-/// [`StreamWalker::findings`]; the [`ShadowVerifier`] feeds it live.
+/// [`crate::lint::prefix_findings`]; `pegasus verify` and `lint
+/// --events` feed it as they read a log. As an [`EventSink`] it is the
+/// flag-gated live shadow of `pegasus run --verify`: it judges each
+/// event the engine emits, keeps only its per-job state, never the
+/// stream, and its diagnostics carry the run's label and no line.
 #[derive(Default)]
-pub(crate) struct StreamWalker {
+pub struct StreamWalker {
     out: Findings,
     opts: VerifyOptions,
     seen: usize,
@@ -183,7 +187,7 @@ pub(crate) struct StreamWalker {
 
 impl StreamWalker {
     /// A walker reporting against `file`.
-    pub(crate) fn new(file: impl Into<String>, opts: VerifyOptions) -> Self {
+    pub fn new(file: impl Into<String>, opts: VerifyOptions) -> Self {
         StreamWalker {
             out: Findings {
                 file: file.into(),
@@ -200,9 +204,20 @@ impl StreamWalker {
         self.trailer.is_some()
     }
 
+    /// How many events it was fed.
+    pub fn seen(&self) -> usize {
+        self.seen
+    }
+
+    /// The file the findings name, and the line of the last event fed
+    /// (`None` before the first).
+    pub(crate) fn position(&self) -> (&str, Option<usize>) {
+        (&self.out.file, (self.seen > 0).then_some(self.last_line))
+    }
+
     /// Judges one event against everything before it. `line` is its
     /// one-based line in the log, 0 for a stream built in memory.
-    pub(crate) fn event(&mut self, line: usize, ev: &WorkflowEvent) {
+    pub fn event(&mut self, line: usize, ev: &WorkflowEvent) {
         self.seen += 1;
         self.last_line = line;
         if let Some((fline, _)) = self.trailer {
@@ -653,12 +668,12 @@ impl StreamWalker {
         self.out.diags
     }
 
-    /// The complete-log contract: [`Self::findings`] plus what only
-    /// the end of a stream can show — a manifest still open against
+    /// The complete-log contract: the prefix-closed findings plus what
+    /// only the end of a stream can show — a manifest still open against
     /// the header's count, the missing trailer, the obligations a
     /// succeeded run leaves open (`E0801`), and the capacity sweep
     /// (`E0804`).
-    pub(crate) fn finish(mut self) -> Vec<Diagnostic> {
+    pub fn finish(mut self) -> Vec<Diagnostic> {
         if self.seen == 0 {
             return self.findings();
         }
@@ -1042,37 +1057,9 @@ pub fn check_trace_match(
     }
 }
 
-/// The flag-gated live shadow monitor: an [`EventSink`] fed every
-/// event the engine emits (hand it to `Engine::run`), which judges
-/// each one against the Layer-1 catalog as it arrives and keeps only
-/// the walker's per-job state, never the stream.
-///
-/// [`ShadowVerifier::finish`] adds the end-of-stream obligations and
-/// returns every violation.  Line numbers are absent on live streams,
-/// so diagnostics carry the run label as their file and no span.
-pub struct ShadowVerifier {
-    walker: StreamWalker,
-}
-
-impl ShadowVerifier {
-    /// A shadow verifier labelling its diagnostics with `label` (shown
-    /// where a file name would be).
-    pub fn new(label: impl Into<String>, opts: VerifyOptions) -> Self {
-        ShadowVerifier {
-            walker: StreamWalker::new(label, opts),
-        }
-    }
-
-    /// Closes the observed stream and returns every violation of the
-    /// catalog, exactly what [`check_stream`] returns for it.
-    pub fn finish(self) -> Vec<Diagnostic> {
-        self.walker.finish()
-    }
-}
-
-impl EventSink for ShadowVerifier {
+impl EventSink for StreamWalker {
     fn event(&mut self, ev: &WorkflowEvent) {
-        self.walker.event(0, ev);
+        StreamWalker::event(self, 0, ev);
     }
 }
 
@@ -1363,7 +1350,7 @@ workflow-finished time=5 wall-time=5 succeeded=true
             &PlannerConfig::for_site("sandhills"),
         )
         .unwrap();
-        let mut shadow = ShadowVerifier::new("<live>", VerifyOptions::default());
+        let mut shadow = StreamWalker::new("<live>", VerifyOptions::default());
         let run = Engine::run(
             &mut ScriptedBackend::new(),
             &exec,
@@ -1371,7 +1358,7 @@ workflow-finished time=5 wall-time=5 succeeded=true
             &mut shadow,
         );
         assert!(run.succeeded());
-        assert_eq!(shadow.walker.seen, run.events.len(), "trailer included");
+        assert_eq!(shadow.seen(), run.events.len(), "trailer included");
         assert!(shadow.finish().is_empty());
     }
 

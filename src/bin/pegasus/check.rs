@@ -1,7 +1,7 @@
 //! `lint` and `verify`: the verbs that judge a workflow, a plan or an
 //! event stream and report findings as diagnostics.
 
-use crate::fold::{adhoc_log, event_sources, LIVE_EVENTS, LIVE_N};
+use crate::fold::{adhoc_log, event_sources, read_log, LIVE_EVENTS, LIVE_N};
 use crate::{
     comma_list, common, load_catalogs, load_dax, load_registry, or_exit, plan_or_exit,
     read_or_exit, resolve_site, retry_policy_from, success_if, width_findings,
@@ -13,10 +13,9 @@ use gridsim::sites::SiteRegistry;
 use gridsim::FaultPlan;
 use pegasus_wms::ensemble::EnsembleConfig;
 use pegasus_wms::error::WmsError;
-use pegasus_wms::events::{self, WorkflowEvent};
 use pegasus_wms::lint::{self, Diagnostic};
+use pegasus_wms::verify::{self, StreamWalker, VerifyOptions};
 use pegasus_wms::workflow::AbstractWorkflow;
-use pegasus_wms::{trace, verify};
 use std::process::ExitCode;
 
 pub(crate) const LINT: Verb = Verb {
@@ -115,24 +114,6 @@ fn lint_config_from(args: &Args, example: &str) -> lint::LintConfig {
     config
 }
 
-/// The lenient reader, for the stream checkers (verify, `lint
-/// --events`): a log that does not parse becomes the finding its
-/// refusal is coded as (`E0708`, at the offending line), so the report
-/// still renders and the remaining logs are still checked.
-fn parse_or_flag(
-    text: &str,
-    path: &str,
-    diags: &mut Vec<Diagnostic>,
-) -> Option<Vec<(usize, WorkflowEvent)>> {
-    match events::log::parse_lines(text) {
-        Ok(pairs) => Some(pairs),
-        Err(e) => {
-            diags.push(Diagnostic::from_error(&e, path));
-            None
-        }
-    }
-}
-
 /// Gathers every lint diagnostic the given flags make checkable: the
 /// DAX passes always, the config pass when `--site`/`--slots` is
 /// given, the slot budget against the workflow's width with `--slots`,
@@ -223,10 +204,12 @@ pub(crate) fn collect_lint(
 
     if include_event_logs {
         if let Some(list) = args.get("events") {
+            // A log that does not parse is its `E0708` finding alone.
             for path in comma_list(list) {
-                let etext = read_or_exit("event log", path);
-                if let Some(pairs) = parse_or_flag(&etext, path, &mut diags) {
-                    diags.extend(lint::check_events(&pairs, path));
+                let mut walker = StreamWalker::new(path, VerifyOptions::default());
+                match read_log(path, None, |line, ev| walker.event(line, &ev)) {
+                    Ok(_) => diags.extend(lint::prefix_findings(walker)),
+                    Err(e) => diags.push(Diagnostic::from_error(&e, path)),
                 }
             }
         }
@@ -325,19 +308,18 @@ fn cmd_verify(args: &Args) -> ExitCode {
         adhoc_log(args)
     });
 
+    // A log that does not parse is its `E0708` alone, as under lint.
     let mut total_events = 0usize;
-    for (label, text, expected) in &streams {
-        let Some(evs) = parse_or_flag(text, label, &mut diags) else {
-            continue;
-        };
-        total_events += evs.len();
-        diags.extend(verify::check_stream(&evs, label, &opts));
-        if let Some(exp) = expected {
-            diags.extend(verify::check_trace_match(
-                trace::trace_from_log(text),
-                *exp,
-                label,
-            ));
+    for (label, live, expected) in &streams {
+        let mut walker = StreamWalker::new(label, opts.clone());
+        match read_log(label, live.as_deref(), |line, ev| walker.event(line, &ev)) {
+            Ok(trace) => {
+                total_events += walker.seen();
+                diags.extend(walker.finish());
+                let matched = expected.map(|exp| verify::check_trace_match(trace, exp, label));
+                diags.extend(matched.flatten());
+            }
+            Err(e) => diags.push(Diagnostic::from_error(&e, label)),
         }
     }
 

@@ -1,14 +1,14 @@
 //! `statistics`, `analyze`, `breakdown`, `metrics` and `trace`: the
 //! verbs that fold event logs, as pegasus-statistics and
-//! pegasus-analyzer read what a run recorded. Each folds one
-//! `Vec<EventSource>`: the logs the invocation names, or — when it names
-//! none — the logs a live producer simulates and writes, read through
-//! the same parser as a recorded one.
+//! pegasus-analyzer read what a run recorded. Each folds its
+//! `EventSource`s one by one as the reader hands their events on: the
+//! logs the invocation names, or — when it names none — the logs a live
+//! producer simulates and writes, read like a recorded one.
 
 use crate::run::prepare;
 use crate::{
-    comma_list, common, load_dax, load_registry, or_exit, read_or_exit, resolve_site, simulation,
-    sizes_from, success_if, write_or_exit, write_or_print,
+    comma_list, common, load_dax, load_registry, or_exit, resolve_site, simulation, sizes_from,
+    success_if, write_or_exit, write_or_print,
 };
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
 use blast2cap3_pegasus::experiment::plan_blast2cap3_at;
@@ -16,12 +16,14 @@ use blast2cap3_pegasus::{out, outln, serve};
 use pegasus_wms::analyzer::analyze;
 use pegasus_wms::breakdown;
 use pegasus_wms::engine::{Engine, NoopMonitor, WorkflowRun};
+use pegasus_wms::error::WmsError;
 use pegasus_wms::events::log::LogWriter;
-use pegasus_wms::events::{self, EventSink, WorkflowEvent};
-use pegasus_wms::metrics::{self, MetricsRegistry};
+use pegasus_wms::events::{self, EventSink, RunFold, WorkflowEvent};
+use pegasus_wms::metrics::{MetricsMonitor, MetricsRegistry};
 use pegasus_wms::serve::DECOMPOSITION;
 use pegasus_wms::statistics::{compute, render_csv};
 use pegasus_wms::trace::{self, TraceId};
+use std::fs::File;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -134,32 +136,32 @@ pub(crate) const METRICS: Verb = Verb {
     run: cmd_metrics,
 };
 
-/// One event log: its label (the path it was read from, or the name of
-/// the live run that wrote it), its text, and the trace id journaled for
-/// it, when one was.
-pub(crate) type EventSource = (String, String, Option<TraceId>);
+/// One event log: its label (the path it is read from, or the name of
+/// the live run that wrote it), the live run's bytes, and the trace id
+/// journaled for it, when one was.
+pub(crate) type EventSource = (String, Option<Vec<u8>>, Option<TraceId>);
 
 /// The logs an invocation folds, in the order it names them:
 /// `--from-events a,b`, else `--events-dir <dir>`, else one positional
 /// file or directory. A directory stands for every member log of a
 /// serve state directory (or any directory of `.events` logs), each
 /// beside its journaled trace id. An invocation that names no source
-/// folds what `live` simulates. An unreadable source exits 1.
+/// folds what `live` simulates. An unopenable file exits 1 here.
 pub(crate) fn event_sources(
     args: &Args,
     live: impl FnOnce(&Args) -> Vec<EventSource>,
 ) -> Vec<EventSource> {
-    let file = |path: &str| (path.to_string(), read_or_exit("event log", path), None);
+    let file = |path: &str, id| {
+        or_exit(&format!("cannot read event log {path}"), File::open(path));
+        (path.to_string(), None, id)
+    };
     let members = |dir: &str| -> Vec<EventSource> {
         let logs = or_exit("", serve::member_logs(Path::new(dir)));
-        let read = |(path, id): (std::path::PathBuf, _)| {
-            let (path, text, _) = file(&path.to_string_lossy());
-            (path, text, id)
-        };
-        logs.into_iter().map(read).collect()
+        let entry = |(path, id): (std::path::PathBuf, _)| file(&path.to_string_lossy(), id);
+        logs.into_iter().map(entry).collect()
     };
     if let Some(list) = args.get("from-events") {
-        return comma_list(list).map(file).collect();
+        return comma_list(list).map(|path| file(path, None)).collect();
     }
     if let Some(dir) = args.get("events-dir") {
         return members(dir);
@@ -167,9 +169,39 @@ pub(crate) fn event_sources(
     match args.positionals() {
         [] => live(args),
         [p] if Path::new(p).is_dir() => members(p),
-        [p] => vec![file(p)],
+        [p] => vec![file(p, None)],
         _ => args.bail("verify takes at most one <events-or-dir>"),
     }
+}
+
+/// Reads one log through the event-log reader, handing `sink` each
+/// event with its line: a log that cannot be read exits 1, and the
+/// parse's verdict comes back, with the log's trace comment.
+pub(crate) fn read_log(
+    label: &str,
+    live: Option<&[u8]>,
+    sink: impl FnMut(usize, WorkflowEvent),
+) -> Result<Option<TraceId>, WmsError> {
+    let read = match live {
+        Some(bytes) => events::log::read(bytes, sink),
+        None => File::open(label).and_then(|file| events::log::read(file, sink)),
+    };
+    or_exit(&format!("cannot read event log {label}"), read)
+}
+
+/// Folds one log into its run, as the verbs that make numbers of it
+/// read it: a log that does not parse exits 1. `tap` sees every event.
+fn fold_log(
+    (label, live, _): EventSource,
+    mut tap: impl FnMut(&WorkflowEvent),
+) -> (String, RunFold, Option<TraceId>) {
+    let mut fold = RunFold::default();
+    let read = read_log(&label, live.as_deref(), |_, ev| {
+        fold.event(&ev);
+        tap(&ev);
+    });
+    let trace = or_exit(&format!("bad event log {label}"), read);
+    (label, fold, trace)
 }
 
 /// The live source of `statistics`: `--dax` simulated as `run`
@@ -180,7 +212,11 @@ fn dax_run_log(args: &Args) -> Vec<EventSource> {
     let (exec, cfg, mut backend, _) = prepare(args, &wf);
     let run = Engine::run(&mut backend, &exec, &cfg, &mut NoopMonitor);
     let label = format!("<run {}>", run.name);
-    vec![(label, events::log::write(&run.events), None)]
+    vec![(
+        label,
+        Some(events::log::write(&run.events).into_bytes()),
+        None,
+    )]
 }
 
 /// The live source of `breakdown` and `metrics`: the blast2cap3 sweep
@@ -210,7 +246,7 @@ fn sweep_logs(args: &Args) -> Vec<EventSource> {
                 or_exit(&doing, std::fs::create_dir_all(dir));
                 write_or_exit("event log", Path::new(dir).join(&name), &text);
             }
-            logs.push((name, text, None));
+            logs.push((name, Some(text.into_bytes()), None));
         }
     }
     logs
@@ -231,10 +267,9 @@ pub(crate) fn adhoc_log(args: &Args) -> Vec<EventSource> {
     let mut bytes = Vec::new();
     let written = LogWriter::new(&mut bytes, Some(id)).map(|mut log| log.events(&run.events));
     or_exit("cannot render event log", written);
-    let text = or_exit("cannot render event log", String::from_utf8(bytes));
     let label = match args.get("events") {
         Some(path) => {
-            write_or_exit("event log", path, &text);
+            write_or_exit("event log", path, &bytes);
             if !args.flag("quiet") {
                 eprintln!("event log written to {path}");
             }
@@ -242,34 +277,16 @@ pub(crate) fn adhoc_log(args: &Args) -> Vec<EventSource> {
         }
         None => format!("<live n={n} seed={}>", cfg.seed),
     };
-    vec![(label, text, Some(id))]
-}
-
-/// The strict reader, for the verbs that fold a log into numbers: a log
-/// that does not parse exits 1.
-fn parse_or_exit(path: &str, text: &str) -> Vec<WorkflowEvent> {
-    or_exit(&format!("bad event log {path}"), events::log::parse(text))
-}
-
-/// Whether the stream records a workflow that succeeded: a trailer that
-/// says so. A log without one is a run whose submit host died.
-fn recorded_success(stream: &[WorkflowEvent]) -> bool {
-    matches!(
-        stream.last(),
-        Some(WorkflowEvent::WorkflowFinished {
-            succeeded: true,
-            ..
-        })
-    )
+    vec![(label, Some(bytes), Some(id))]
 }
 
 /// Prints what `render` makes of each log folded back into its
 /// [`WorkflowRun`]; exit 1 unless every run succeeded.
 fn print_runs(sources: Vec<EventSource>, render: fn(&WorkflowRun) -> String) -> ExitCode {
     let mut all_ok = true;
-    for (path, text, _) in sources {
-        let replayed = events::replay(&parse_or_exit(&path, &text));
-        let run = or_exit(&format!("cannot replay event log {path}"), replayed);
+    for source in sources {
+        let (label, fold, _) = fold_log(source, |_| {});
+        let run = or_exit(&format!("cannot replay event log {label}"), fold.finish());
         out!("{}", render(&run));
         all_ok &= run.succeeded();
     }
@@ -300,11 +317,11 @@ fn cmd_breakdown(args: &Args) -> ExitCode {
     };
     let mut rows = Vec::new();
     let mut all_ok = true;
-    for (path, text, _) in sources {
-        let stream = parse_or_exit(&path, &text);
-        let row = breakdown::from_events(&stream);
-        rows.push(or_exit("cannot compute breakdown", row));
-        all_ok &= recorded_success(&stream);
+    for source in sources {
+        let (_, fold, _) = fold_log(source, |_| {});
+        let run = or_exit("cannot compute breakdown", fold.finish());
+        rows.push(breakdown::of_run(&run));
+        all_ok &= run.succeeded();
     }
 
     if !args.flag("quiet") {
@@ -332,10 +349,10 @@ fn cmd_metrics(args: &Args) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let mut registry = MetricsRegistry::new();
-    for (path, text, _) in event_sources(args, sweep_logs) {
-        let stream = parse_or_exit(&path, &text);
-        let recorded = metrics::record_events(&mut registry, &stream);
-        or_exit("cannot record metrics", recorded);
+    for source in event_sources(args, sweep_logs) {
+        let mut monitor = MetricsMonitor::labelled_by_header(&mut registry);
+        let (_, fold, _) = fold_log(source, |ev| monitor.event(ev));
+        or_exit("cannot record metrics", fold.finish());
     }
     write_or_print(args, &registry.render(), "metrics exposition written to");
     ExitCode::SUCCESS
@@ -349,10 +366,10 @@ fn cmd_metrics(args: &Args) -> ExitCode {
 /// serve state directory (or its `members/` subdirectory), smallest
 /// member id first.
 fn cmd_trace(args: &Args) -> ExitCode {
-    let fold = |(path, text, _): EventSource| {
-        let id = trace::trace_from_log(&text);
-        let folded = trace::fold(&parse_or_exit(&path, &text), id);
-        or_exit(&format!("cannot fold event log {path}"), folded)
+    let fold = |source| {
+        let (label, fold, id) = fold_log(source, |_| {});
+        let run = or_exit(&format!("cannot fold event log {label}"), fold.finish());
+        trace::of_run(&run, id)
     };
     let traces: Vec<_> = event_sources(args, adhoc_log)
         .into_iter()

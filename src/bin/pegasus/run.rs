@@ -148,7 +148,7 @@ fn cmd_run(args: &Args) -> ExitCode {
     // the stream completes; findings render to stderr and fail the
     // exit code.
     let mut shadow = args.flag("verify").then(|| {
-        verify::ShadowVerifier::new(
+        verify::StreamWalker::new(
             format!("<run {}>", exec.name),
             verify::VerifyOptions {
                 slot_capacity: None,

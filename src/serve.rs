@@ -44,13 +44,13 @@ use crate::experiment::{
 };
 use gridsim::sites::SiteRegistry;
 use pegasus_wms::dax;
-use pegasus_wms::engine::{EngineConfig, WorkflowRun};
+use pegasus_wms::engine::{EngineConfig, NoopMonitor, WorkflowRun};
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
 use pegasus_wms::error::WmsError;
 use pegasus_wms::events::log::LogWriter;
-use pegasus_wms::events::{self, EventSink, WorkflowEvent};
+use pegasus_wms::events::{self, EventSink, RunFold, WorkflowEvent};
 use pegasus_wms::lint;
-use pegasus_wms::metrics::{self, MetricsRegistry};
+use pegasus_wms::metrics::{self, MetricsMonitor, MetricsRegistry};
 use pegasus_wms::planner::ExecutableWorkflow;
 use pegasus_wms::prof;
 use pegasus_wms::serve as proto;
@@ -213,20 +213,28 @@ fn journal_path(dir: &Path) -> PathBuf {
     dir.join("journal")
 }
 
-/// Reads a finished member's event log back into its run — the one
-/// reader behind restart, the offline status and `trace`. A log that
-/// is missing, unreadable, unparsable or has no trailer is an error
-/// naming its path.
-fn read_member_run(dir: &Path, id: usize) -> Result<WorkflowRun, String> {
+/// Reads a finished member's event log back into its run through the
+/// event-log reader, handing `tap` every event as it goes — the one
+/// reader behind restart, the offline status and `trace`. A log that is
+/// missing, unreadable, unparsable, has no trailer or does not fold is
+/// an error naming its path.
+fn read_member_run(dir: &Path, id: usize, tap: &mut impl EventSink) -> Result<WorkflowRun, String> {
     let path = member_log_path(dir, id);
-    let text =
-        fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let stream =
-        events::log::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    if !matches!(stream.last(), Some(WorkflowEvent::WorkflowFinished { .. })) {
+    let cannot =
+        |doing: &str, e: &dyn std::fmt::Display| format!("cannot {doing} {}: {e}", path.display());
+    let mut fold = RunFold::default();
+    let read = File::open(&path).and_then(|file| {
+        events::log::read(file, |_, ev| {
+            fold.event(&ev);
+            tap.event(&ev);
+        })
+    });
+    read.map_err(|e| cannot("read", &e))?
+        .map_err(|e| cannot("parse", &e))?;
+    if !fold.closed() {
         return Err(format!("{} has no trailer", path.display()));
     }
-    events::replay(&stream).map_err(|e| format!("cannot replay {}: {e}", path.display()))
+    fold.finish().map_err(|e| cannot("replay", &e))
 }
 
 /// Reads a state directory's journal back: the ledger its whole lines
@@ -542,8 +550,11 @@ impl Daemon {
         (self.metrics, self.folded, self.stale) = (MetricsRegistry::new(), None, false);
         let finished: Vec<usize> = finished_members(&self.ledger).collect();
         let absorbed = finished.into_iter().try_for_each(|id| {
-            let events = self.summarise(id, read_member_run(&self.opts.dir, id)?);
-            self.fold(id, &events)
+            let mut monitor = MetricsMonitor::labelled_by_header(&mut self.metrics);
+            let run = read_member_run(&self.opts.dir, id, &mut monitor)?;
+            self.members[id] = Some(MemberSummary::of(&run, &mut self.names));
+            self.folded = Some(id);
+            Ok(())
         });
         self.stale = absorbed.is_err();
         absorbed
@@ -648,7 +659,7 @@ impl Daemon {
             .ok_or_else(|| format!("unknown submission {id}"))?
             .as_ref()
             .ok_or_else(|| format!("submission {id} has not run"))?;
-        let run = read_member_run(&self.opts.dir, id)?;
+        let run = read_member_run(&self.opts.dir, id, &mut NoopMonitor)?;
         let tree = trace::of_run(&run, self.ledger.submissions[id].trace);
         Ok(trace::render_text(std::slice::from_ref(&tree)))
     }
@@ -755,10 +766,11 @@ fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
         // its whole lines, as the journal reader does.
         for &id in &open.members {
             let path = member_log_path(&opts.dir, id);
-            let n = fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| events::log::parse(proto::whole_lines(&text)).ok())
-                .map_or(0, |ev| ev.len());
+            let (text, mut n) = (fs::read_to_string(&path).unwrap_or_default(), 0);
+            let read = events::log::read(proto::whole_lines(&text).as_bytes(), |_, _| n += 1);
+            if !matches!(read, Ok(Ok(_))) {
+                n = 0;
+            }
             crate::outln!("recovering member id={id} events={n}");
             let _ = fs::remove_file(&path);
         }
@@ -960,7 +972,8 @@ pub fn status_lines_offline(dir: &Path) -> Result<Vec<String>, String> {
     let (ledger, ..) = read_journal(dir)?;
     let (mut members, mut names) = (vec![None; ledger.submissions.len()], NamePool::default());
     for id in finished_members(&ledger) {
-        members[id] = Some(MemberSummary::of(&read_member_run(dir, id)?, &mut names));
+        let run = read_member_run(dir, id, &mut NoopMonitor)?;
+        members[id] = Some(MemberSummary::of(&run, &mut names));
     }
     Ok(status_lines(&ledger, &members))
 }

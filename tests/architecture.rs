@@ -125,6 +125,8 @@ const RULES: &[Rule] = &[
         "args.bail(\"families must be at least 1\");"),
     (48, "the DAX writer and line::Writer write numbers through line's routines", "crates/core/src/dax.rs#Writing crates/core/src/line.rs#Writing",
         "write!(|writeln!(|format!(", Absent, 0, "let _ = writeln!(out, \"\\\" runtime=\\\"{}\\\">\", job.runtime_hint);"),
+    (49, "the binaries and the daemon read event logs only through the reader", "src",
+        "log::parse(|log::parse_lines(|read_or_exit(\"event log\"", Absent, 0, "let stream = events::log::parse(&text)?;"),
 ];
 
 /// The sorted entry names of a directory.

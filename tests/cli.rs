@@ -613,6 +613,63 @@ fn a_job_count_beyond_every_job_id_is_a_parse_error_at_its_line() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The fold verbs read each log as they fold it, so three rows differ
+/// from reading every log whole first. A log that is not text is found
+/// when it is read: after the output of the logs before it, and after
+/// a later log that cannot be opened at all (every file is opened
+/// first). And `metrics` labels a run when its header comes: `n` is the
+/// name's `_n<k>`, else the header's `jobs=`, not the manifest's count.
+#[test]
+fn the_fold_verbs_read_each_log_as_they_fold_it() {
+    let dir = tmpdir("streamed");
+    let (good, text_less) = (dir.join("good.events"), dir.join("binary.events"));
+    std::fs::copy("tests/fixtures/osg_n8.events", &good).unwrap();
+    std::fs::write(&text_less, b"# pegasus event log v1\n\xff\n").unwrap();
+    let (good, text_less) = (good.to_str().unwrap(), text_less.to_str().unwrap());
+    let missing = dir.join("missing.events");
+    let missing = missing.to_str().unwrap();
+    let run = |args: &[&str]| {
+        let out = pegasus().args(args).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        (
+            out.status.code(),
+            String::from_utf8(out.stdout).unwrap(),
+            stderr,
+        )
+    };
+
+    let both = format!("{good},{text_less}");
+    let (code, stdout, stderr) = run(&["statistics", "--from-events", &both]);
+    assert_eq!(code, Some(1));
+    assert_eq!(stdout, run(&["statistics", "--from-events", good]).1);
+    let not_text =
+        format!("cannot read event log {text_less}: stream did not contain valid UTF-8\n");
+    assert_eq!(stderr, not_text);
+
+    let later = format!("{text_less},{missing}");
+    let (code, stdout, stderr) = run(&["verify", "--from-events", &later]);
+    assert_eq!((code, stdout.as_str()), (Some(1), ""));
+    assert!(
+        stderr.starts_with(&format!("cannot read event log {missing}: ")),
+        "{stderr}"
+    );
+
+    let log = dir.join("five.events");
+    #[rustfmt::skip]
+    std::fs::write(&log, "workflow-started time=0 jobs=5 site=s name=w\n\
+        job id=0 kind=compute transformation=t name=a\n\
+        submitted time=0 job=0 attempt=0\n\
+        completed job=0 attempt=0 submitted=0 started=1 install-done=1 finished=2\n\
+        workflow-finished time=2 wall-time=2 succeeded=true\n").unwrap();
+    let (code, stdout, _) = run(&["metrics", "--from-events", log.to_str().unwrap()]);
+    assert_eq!(code, Some(0));
+    assert!(
+        stdout.contains("pegasus_job_completions_total{n=\"5\",site=\"s\"} 1\n"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The examples with a golden print what they printed before the
 /// rewrites they exercise. `cargo test` builds every example beside
 /// this test's own executable, in `target/<profile>/examples/`.

@@ -662,15 +662,15 @@ fn crash_recovery_round_trip(seed: u64) {
         let a = std::fs::read(ref_dir.join("members").join(&name)).expect("reference log");
         let b = std::fs::read(crash_dir.join("members").join(&name)).expect("recovered log");
         assert_eq!(a, b, "seed {seed}: {name} must be byte-identical");
-        let text = String::from_utf8(b).expect("utf8 member log");
         let expect = if id == 1 {
             bob_trace
         } else {
             TraceId::derive(seed, id as u64)
         };
+        let read = pegasus_wms::events::log::read(&b[..], |_, _| {});
         assert_eq!(
-            pegasus_wms::trace::trace_from_log(&text),
-            Some(expect),
+            read.expect("utf8 member log"),
+            Ok(Some(expect)),
             "seed {seed}: {name} must carry its journaled trace id in the header"
         );
     }
