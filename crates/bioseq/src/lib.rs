@@ -42,7 +42,6 @@ pub mod fasta;
 pub mod fastq;
 pub mod fxhash;
 pub mod kmer;
-pub mod orf;
 pub mod seq;
 pub mod simulate;
 pub mod stats;

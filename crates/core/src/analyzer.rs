@@ -206,6 +206,7 @@ mod tests {
 
     fn failure(total: f64, reason: FaultReason, detail: &str) -> FailedAttempt {
         FailedAttempt {
+            attempt: 0,
             times: times(total),
             reason,
             detail: detail.into(),

@@ -484,6 +484,8 @@ pub struct JobRecord {
 /// One failed attempt of a job, as its terminal event reported it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailedAttempt {
+    /// Which attempt (0-based).
+    pub attempt: u32,
     /// Timestamps of the attempt.
     pub times: JobTimes,
     /// Typed failure category.
@@ -652,7 +654,6 @@ impl WorkflowExecution {
             run: WorkflowRun::default(),
             emitted: 0,
         };
-        exec.run.records.reserve(n);
         // Header and trailer, and per job its declaration and the three
         // events of an attempt; installs and retries grow it from there.
         exec.run.events.reserve(4 * n + 2);

@@ -446,13 +446,12 @@ impl Framing {
 
 impl WorkflowRun {
     /// The job-lifecycle state machine: advances every field but
-    /// `events` by one event. The engine applies it to each event as
-    /// it emits it and [`replay`] applies it to a recorded stream, so
-    /// the two agree by construction.
+    /// `events` by one event. The engine, [`replay`] and the `E08xx`
+    /// walker each apply it, so the three agree by construction.
     ///
     /// # Panics
     /// Panics when `ev` names a job no earlier `JobDeclared` event
-    /// declared; streams from outside go through [`RunFold`].
+    /// declared: a stream from outside passes [`Framing`] first.
     pub(crate) fn apply(&mut self, ev: &WorkflowEvent) {
         if let Some(end) = ev.termination() {
             let rec = &mut self.records[end.job.idx()];
@@ -464,6 +463,7 @@ impl WorkflowRun {
                 Some((reason, detail)) => {
                     self.faults.record_reason(reason);
                     rec.failures.push(FailedAttempt {
+                        attempt: end.attempt,
                         times: *end.times,
                         reason,
                         detail: detail.clone(),
@@ -475,10 +475,15 @@ impl WorkflowRun {
         }
         match ev {
             WorkflowEvent::WorkflowStarted {
-                name, site, time, ..
+                name,
+                site,
+                jobs,
+                time,
             } => {
                 (self.name, self.site) = (name.to_string(), site.to_string());
                 self.start = *time;
+                // A header is believed up to 2^20 jobs.
+                self.records.reserve((*jobs as usize).min(1 << 20));
             }
             WorkflowEvent::JobDeclared {
                 job,
@@ -597,10 +602,6 @@ impl EventSink for RunFold {
         }
         if self.breach.is_some() {
             return;
-        }
-        if let WorkflowEvent::WorkflowStarted { jobs, .. } = ev {
-            // A header is believed up to 2^20 jobs.
-            self.run.records.reserve((*jobs as usize).min(1 << 20));
         }
         self.run.apply(ev);
     }
@@ -1273,7 +1274,7 @@ pub mod log {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::scripted::ScriptedBackend;
     use crate::engine::{Engine, EngineConfig, RetryPolicy};
@@ -1725,9 +1726,11 @@ mod tests {
         Ok(run)
     }
 
-    /// The lines of three engine logs: retried to success, failed with
-    /// a rescue, and resumed past a skipped job.
-    fn engine_logs() -> Vec<Vec<String>> {
+    /// The lines of six engine logs: retried to success, failed with a
+    /// rescue, resumed past a skipped job, cut by the scripted
+    /// submit-host crash of a fault plan, and the simulator's n = 10
+    /// runs on both paper sites (OSG's with preemptions retried).
+    pub(crate) fn engine_logs() -> Vec<Vec<String>> {
         let retried = EngineConfig::builder()
             .policy(RetryPolicy::exponential(3, 7.0))
             .build();
@@ -1735,16 +1738,31 @@ mod tests {
             skip_done: ["a".into()].into_iter().collect(),
             ..Default::default()
         };
-        let configs = [(retried, 2), (EngineConfig::default(), 1), (skipping, 0)];
+        let crashing = EngineConfig::builder()
+            .retries(2)
+            .crash_after_events(2)
+            .build();
+        let configs = [
+            (retried, 2),
+            (EngineConfig::default(), 1),
+            (skipping, 0),
+            (crashing, 1),
+        ];
         let lines = configs.into_iter().map(|(cfg, failures)| {
             let mut be = ScriptedBackend::new();
             (0..failures).for_each(|attempt| {
                 be.fail_plan.insert(("b".into(), attempt));
             });
             let run = Engine::run(&mut be, &chain(), &cfg, &mut crate::engine::NoopMonitor);
-            log::write(&run.events).lines().map(String::from).collect()
+            log::write(&run.events)
         });
-        lines.collect()
+        let simulated = [
+            include_str!("../../../tests/fixtures/equivalence/sandhills_n10_s7.events"),
+            include_str!("../../../tests/fixtures/equivalence/osg_n10_s7.events"),
+        ];
+        let logs = lines.chain(simulated.map(String::from));
+        logs.map(|log| log.lines().map(String::from).collect())
+            .collect()
     }
 
     /// The streamed fold of `text` against `replay(&parse(..)?)` and the
@@ -1773,13 +1791,14 @@ mod tests {
         /// fold, streamed, as the oracle folds them whole.
         #[test]
         fn the_streamed_fold_never_panics_and_agrees_with_the_oracle(
-            which in 0usize..3,
+            which in proptest::arbitrary::any::<usize>(),
             edits in proptest::collection::vec(
                 (0u8..7, proptest::arbitrary::any::<u16>(), proptest::arbitrary::any::<u16>()),
                 0..4,
             ),
         ) {
-            let mut lines = engine_logs().swap_remove(which);
+            let mut logs = engine_logs();
+            let mut lines = logs.swap_remove(which % logs.len());
             let header = lines[1].clone();
             for (kind, a, b) in edits {
                 let (at, to) = (a as usize % (lines.len() + 1), b as usize % (lines.len() + 1));

@@ -554,6 +554,7 @@ mod tests {
     fn badput_counts_failed_attempts() {
         let mut run = sample_run();
         run.records[1].failures = vec![crate::engine::FailedAttempt {
+            attempt: 0,
             times: times(0.0, 1.0, 45.0, 20.0),
             reason: crate::engine::FaultReason::Preemption,
             detail: "preempted".into(),

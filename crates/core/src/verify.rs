@@ -23,9 +23,10 @@
 //! respect the configured backoff/jitter envelope, nothing follows
 //! `workflow-finished`, and the trailer's verdict matches the stream.
 //!
-//! One walker ([`check_stream`]'s, private to this module) is the only
-//! code that judges an outside stream, and each clause reports under
-//! one code wherever it is asked.  Each clause it checks as an event
+//! One walker, the [`StreamWalker`], is the only code that judges an
+//! outside stream, each event against the record the lifecycle fold
+//! keeps of its job, and each clause reports under one code wherever
+//! it is asked.  Each clause it checks as an event
 //! arrives looks only backwards, so those clauses hold on every prefix
 //! of a valid stream: they are what [`crate::lint::check_events`]
 //! reports, so that rescue-from-log keeps working on a truncated log.
@@ -49,7 +50,7 @@
 //! without keeping the stream.
 
 use crate::catalog::ReplicaCatalog;
-use crate::engine::{FaultReason, RetryPolicy};
+use crate::engine::{FaultReason, JobRecord, JobState, RetryPolicy, WorkflowRun};
 use crate::ensemble::EnsembleConfig;
 use crate::error::Span;
 use crate::events::{EventSink, Framing, Misframed, Termination, WorkflowEvent};
@@ -113,55 +114,45 @@ impl Findings {
     }
 }
 
-/// The attempt a job has in flight: the last one submitted.
+/// What judging a job needs beside its [`JobRecord`]. The engine runs
+/// a job's attempts strictly one after another, so an event that names
+/// any attempt but the one in flight is a violation where it stands.
 #[derive(Default)]
-struct Attempt {
-    number: u32,
-    /// Line and time of the `submitted` event.
+struct Witness {
+    last_time: f64,
+    /// Line and time of the attempt in flight's `submitted` event.
     submitted: Option<(usize, f64)>,
+    /// The attempt in flight's `install-started` and `started` times.
     install: Option<f64>,
     started: Option<f64>,
+    /// Whether the attempt in flight has had its terminal event.
     terminal: bool,
-}
-
-/// Per-job walker state. The engine runs a job's attempts strictly one
-/// after another (terminal, `retry-scheduled`, next `submitted`), so
-/// the attempt in flight, the last failure and the last scheduled
-/// retry are all there is to remember; an event that names any other
-/// attempt is a violation where it stands.
-#[derive(Default)]
-struct JobState {
-    next_attempt: u32,
-    skipped: bool,
-    done: bool,
-    last_time: f64,
-    attempt: Attempt,
-    /// The last failed attempt and its finish time, until a
-    /// `retry-scheduled` takes it.
-    failed: Option<(u32, f64)>,
     /// The last `retry-scheduled`: next attempt, line, time, backoff.
     retry: Option<(u32, usize, f64, f64)>,
 }
 
-impl JobState {
-    fn in_flight(&mut self, attempt: u32) -> Option<&mut Attempt> {
-        let a = &mut self.attempt;
-        (a.submitted.is_some() && a.number == attempt).then_some(a)
+impl Witness {
+    /// Whether `attempt` is the one in flight, the last `rec` submitted.
+    fn in_flight(&self, rec: &JobRecord, attempt: u32) -> bool {
+        self.submitted.is_some() && rec.attempts == attempt.saturating_add(1)
     }
 }
 
 /// The one judge of event streams: the `E08xx` invariant catalog as an
 /// incremental fold.
 ///
-/// A clause checked in [`StreamWalker::event`] looks only backwards,
-/// so it holds on every prefix of a valid stream; a clause checked in
+/// It judges each event against the job's [`JobRecord`], then advances
+/// the record with the engine's own `WorkflowRun::apply`: the judge and
+/// every fold read one lifecycle. A clause checked in
+/// [`StreamWalker::event`] looks only backwards, so it holds on every
+/// prefix of a valid stream; a clause checked in
 /// [`StreamWalker::finish`] needs the end. [`check_stream`] is feed +
 /// `finish`; [`crate::lint::check_events`] is feed +
 /// [`crate::lint::prefix_findings`]; `pegasus verify` and `lint
 /// --events` feed it as they read a log. As an [`EventSink`] it is the
 /// flag-gated live shadow of `pegasus run --verify`: it judges each
-/// event the engine emits, keeps only its per-job state, never the
-/// stream, and its diagnostics carry the run's label and no line.
+/// event the engine emits, keeps the records, never the stream, and its
+/// diagnostics carry the run's label and no line.
 #[derive(Default)]
 pub struct StreamWalker {
     out: Findings,
@@ -169,17 +160,18 @@ pub struct StreamWalker {
     seen: usize,
     last_line: usize,
     framing: Framing,
-    /// Line, time and job count of the header.
-    header: Option<(usize, f64, usize)>,
+    /// Line and job count of the header; its time is `run.start`.
+    header: Option<(usize, usize)>,
     /// Set by the first event after the manifest, which is when the
     /// manifest's length is judged against the header's count.
     manifest_closed: bool,
     /// Line and verdict of the first trailer.
     trailer: Option<(usize, bool)>,
     last_emitted: f64,
-    /// One entry per declared job, indexed by job id.
-    jobs: Vec<JobState>,
-    done: usize,
+    /// Every event the framing rule admits, folded by `apply`.
+    run: WorkflowRun,
+    /// One entry per record, indexed by job id.
+    witnesses: Vec<Witness>,
     /// (time, delta, line) endpoints for the `E0804` sweep; collected
     /// only when the slot capacity is known.
     intervals: Vec<(f64, i32, usize)>,
@@ -215,8 +207,8 @@ impl StreamWalker {
         (&self.out.file, (self.seen > 0).then_some(self.last_line))
     }
 
-    /// Judges one event against everything before it. `line` is its
-    /// one-based line in the log, 0 for a stream built in memory.
+    /// Judges one event against everything before it, then folds it.
+    /// `line` is its one-based line, 0 for a stream built in memory.
     pub fn event(&mut self, line: usize, ev: &WorkflowEvent) {
         self.seen += 1;
         self.last_line = line;
@@ -241,7 +233,7 @@ impl StreamWalker {
             // The run's [start, finish] bounds, judged as events
             // arrive: nothing is emitted before the header's time, and
             // the trailer is the latest emission.
-            if let Some((_, start, _)) = self.header.filter(|h| t < h.1) {
+            if let Some(start) = self.start().filter(|s| t < *s) {
                 self.out.flag(
                     "E0806",
                     line,
@@ -260,15 +252,28 @@ impl StreamWalker {
         if let Err(breach) = self.framing.step(ev) {
             self.out.flag("E0807", line, breach.to_string());
             // A missing header takes nothing away from the event that
-            // stands in its place; the other breaches leave no job
-            // state to judge the event against.
+            // stands in its place; the other breaches leave no record
+            // to judge the event against, or to advance.
             if breach != Misframed::NoHeader {
                 return;
             }
         }
+        self.judge(line, ev);
+        self.run.apply(ev);
+    }
+
+    /// The header's time, once there is a header.
+    fn start(&self) -> Option<f64> {
+        self.header.map(|_| self.run.start)
+    }
+
+    /// The clauses of one admitted event, against the run before it.
+    fn judge(&mut self, line: usize, ev: &WorkflowEvent) {
         match ev {
-            WorkflowEvent::WorkflowStarted { jobs, time, .. } => {
-                self.header = Some((line, *time, *jobs as usize));
+            WorkflowEvent::WorkflowStarted { jobs, .. } => {
+                self.header = Some((line, *jobs as usize));
+                // One witness for each record `apply` reserves.
+                self.witnesses.reserve((*jobs as usize).min(1 << 20));
                 return;
             }
             WorkflowEvent::JobDeclared { job, .. } => {
@@ -279,7 +284,7 @@ impl StreamWalker {
                         format!("job {job} declared after lifecycle events began"),
                     );
                 }
-                self.jobs.push(JobState::default());
+                self.witnesses.push(Witness::default());
                 return;
             }
             _ => self.close_manifest(),
@@ -298,33 +303,35 @@ impl StreamWalker {
             return;
         }
         let Some(job) = ev.job() else { return };
+        let start = self.start();
         // `Framing::step` admitted the id: it is below the number of
         // in-order declarations, each of which pushed one entry.
-        let st = &mut self.jobs[job.idx()];
+        let rec = &self.run.records[job.idx()];
+        let w = &mut self.witnesses[job.idx()];
         let out = &mut self.out;
-        let time = ev.time().unwrap_or(st.last_time);
-        if time < st.last_time {
+        let time = ev.time().unwrap_or(w.last_time);
+        if time < w.last_time {
             out.flag(
                 "E0808",
                 line,
                 format!(
                     "job {job} goes backwards in time: {time} after {}",
-                    st.last_time
+                    w.last_time
                 ),
             );
         }
-        st.last_time = st.last_time.max(time);
+        w.last_time = w.last_time.max(time);
 
         match ev {
             WorkflowEvent::Skipped { time, .. } => {
-                if st.skipped || st.next_attempt > 0 {
+                if rec.state == JobState::SkippedDone || rec.attempts > 0 {
                     out.flag(
                         "E0803",
                         line,
                         format!("job {job} skipped, but it was already skipped or submitted"),
                     );
                 }
-                if let Some((_, start, _)) = self.header.filter(|h| *time != h.1) {
+                if let Some(start) = start.filter(|s| time != s) {
                     out.flag(
                         "E0808",
                         line,
@@ -334,42 +341,38 @@ impl StreamWalker {
                         ),
                     );
                 }
-                st.skipped = true;
-                if !std::mem::replace(&mut st.done, true) {
-                    self.done += 1;
-                }
             }
             WorkflowEvent::Submitted { attempt, time, .. } => {
-                if st.skipped {
+                if rec.state == JobState::SkippedDone {
                     out.flag(
                         "E0803",
                         line,
                         format!("job {job} submitted after being skipped"),
                     );
                 }
-                if *attempt != st.next_attempt {
+                if *attempt != rec.attempts {
                     out.flag(
                         "E0802",
                         line,
                         format!(
                             "job {job} submitted at attempt {attempt}, expected {} \
                              (attempts must be dense and strictly increasing)",
-                            st.next_attempt
+                            rec.attempts
                         ),
                     );
                 }
-                if st.attempt.submitted.is_some() && !st.attempt.terminal {
+                if w.submitted.is_some() && !w.terminal {
                     out.flag(
                         "E0802",
                         line,
                         format!(
                             "job {job} submitted at attempt {attempt} while attempt {} \
                              has no terminal event",
-                            st.attempt.number
+                            rec.attempts - 1
                         ),
                     );
                 }
-                if *attempt > 0 && st.retry.is_none_or(|r| r.0 != *attempt) {
+                if *attempt > 0 && w.retry.is_none_or(|r| r.0 != *attempt) {
                     out.flag(
                         "E0805",
                         line,
@@ -379,12 +382,8 @@ impl StreamWalker {
                         ),
                     );
                 }
-                st.next_attempt = st.next_attempt.max(attempt.saturating_add(1));
-                st.attempt = Attempt {
-                    number: *attempt,
-                    submitted: Some((line, *time)),
-                    ..Attempt::default()
-                };
+                w.submitted = Some((line, *time));
+                (w.install, w.started, w.terminal) = (None, None, false);
             }
             WorkflowEvent::InstallStarted { attempt, time, .. }
             | WorkflowEvent::Started { attempt, time, .. } => {
@@ -394,39 +393,34 @@ impl StreamWalker {
                 } else {
                     "started"
                 };
-                match st.in_flight(*attempt) {
-                    None => {
-                        out.flag(
-                            "E0803",
-                            line,
-                            format!(
-                                "job {job} has {phase} at attempt {attempt} before being submitted"
-                            ),
-                        );
-                    }
-                    Some(a) => {
-                        if install && a.started.is_some() {
-                            out.flag(
-                                "E0803",
-                                line,
-                                format!(
-                                    "job {job} attempt {attempt}: install-started after started"
-                                ),
-                            );
-                        }
-                        let slot = if install {
-                            &mut a.install
-                        } else {
-                            &mut a.started
-                        };
-                        if slot.replace(*time).is_some() {
-                            out.flag(
-                                "E0803",
-                                line,
-                                format!("job {job} attempt {attempt} has two {phase} events"),
-                            );
-                        }
-                    }
+                if !w.in_flight(rec, *attempt) {
+                    out.flag(
+                        "E0803",
+                        line,
+                        format!(
+                            "job {job} has {phase} at attempt {attempt} before being submitted"
+                        ),
+                    );
+                    return;
+                }
+                if install && w.started.is_some() {
+                    out.flag(
+                        "E0803",
+                        line,
+                        format!("job {job} attempt {attempt}: install-started after started"),
+                    );
+                }
+                let slot = if install {
+                    &mut w.install
+                } else {
+                    &mut w.started
+                };
+                if slot.replace(*time).is_some() {
+                    out.flag(
+                        "E0803",
+                        line,
+                        format!("job {job} attempt {attempt} has two {phase} events"),
+                    );
                 }
             }
             WorkflowEvent::RetryScheduled {
@@ -457,8 +451,10 @@ impl StreamWalker {
                 }
                 // A failure is retried once, by the `retry-scheduled`
                 // that follows it (attempt 0 retries nothing: `None`).
-                let retried = next_attempt.checked_sub(1);
-                match st.failed.take().filter(|f| Some(f.0) == retried) {
+                let (retried, failed) =
+                    (next_attempt.checked_sub(1), rec.state == JobState::Failed);
+                let failed = rec.failures.last().filter(|_| failed);
+                match failed.filter(|f| Some(f.attempt) == retried) {
                     None => {
                         out.flag(
                             "E0805",
@@ -469,13 +465,14 @@ impl StreamWalker {
                             ),
                         );
                     }
-                    Some((_, fin)) if *time != fin => {
+                    Some(f) if *time != f.times.finished => {
                         out.flag(
                             "E0805",
                             line,
                             format!(
                                 "job {job} retry scheduled at {time}, but the failed \
-                                 attempt finished at {fin}"
+                                 attempt finished at {}",
+                                f.times.finished
                             ),
                         );
                     }
@@ -484,7 +481,7 @@ impl StreamWalker {
                 if let Some(policy) = &self.opts.retry {
                     check_envelope(out, line, job, *next_attempt, *backoff, policy);
                 }
-                st.retry = Some((*next_attempt, line, *time, *backoff));
+                w.retry = Some((*next_attempt, line, *time, *backoff));
             }
             _ => {
                 if let Some(end) = ev.termination() {
@@ -501,8 +498,8 @@ impl StreamWalker {
         if std::mem::replace(&mut self.manifest_closed, true) {
             return;
         }
-        let declared = self.jobs.len();
-        if let Some((line, _, jobs)) = self.header.filter(|h| h.2 != declared) {
+        let declared = self.run.records.len();
+        if let Some((line, jobs)) = self.header.filter(|h| h.1 != declared) {
             self.out.flag(
                 "E0807",
                 line,
@@ -514,7 +511,7 @@ impl StreamWalker {
     /// The trailer against the stream it closes: wall time and verdict.
     /// (Its time bounds are judged per event in [`Self::event`].)
     fn judge_trailer(&mut self, line: usize, succeeded: bool, wall: f64, time: f64) {
-        if let Some((_, start, _)) = self.header.filter(|h| wall != time - h.1) {
+        if let Some(start) = self.start().filter(|s| wall != time - s) {
             self.out.flag(
                 "E0806",
                 line,
@@ -525,7 +522,8 @@ impl StreamWalker {
                 ),
             );
         }
-        if succeeded != (self.done == self.jobs.len()) {
+        let completed = |r: &JobRecord| matches!(r.state, JobState::Done | JobState::SkippedDone);
+        if succeeded != self.run.records.iter().all(completed) {
             self.out.flag(
                 "E0806",
                 line,
@@ -548,16 +546,14 @@ impl StreamWalker {
             times,
             failure,
         } = *end;
-        let st = &mut self.jobs[job.idx()];
+        let rec = &self.run.records[job.idx()];
+        let w = &mut self.witnesses[job.idx()];
         let out = &mut self.out;
-        let retry = st.retry.filter(|r| r.0 == attempt);
-        match failure {
-            None if !std::mem::replace(&mut st.done, true) => self.done += 1,
-            None => {}
-            Some(_) => st.failed = Some((attempt, times.finished)),
-        }
-        let mut never_submitted = Attempt::default();
-        let a = st.in_flight(attempt).unwrap_or_else(|| {
+        let retry = w.retry.filter(|r| r.0 == attempt);
+        let mut never_submitted = Witness::default();
+        let a = if w.in_flight(rec, attempt) {
+            w
+        } else {
             out.flag(
                 "E0803",
                 line,
@@ -566,7 +562,7 @@ impl StreamWalker {
                 ),
             );
             &mut never_submitted
-        });
+        };
         if std::mem::replace(&mut a.terminal, true) {
             out.flag(
                 "E0803",
@@ -688,20 +684,20 @@ impl StreamWalker {
                 );
             }
             Some((_, true)) => {
-                for (j, st) in self.jobs.iter().enumerate() {
-                    let a = &st.attempt;
-                    if let (Some((line, _)), false) = (a.submitted, a.terminal) {
+                let jobs = self.run.records.iter().zip(&self.witnesses);
+                for (j, (rec, w)) in jobs.enumerate() {
+                    if let (Some((line, _)), false) = (w.submitted, w.terminal) {
                         self.out.flag(
                             "E0801",
                             line,
                             format!(
                                 "job {j} attempt {} was submitted but never reached a \
                                  terminal event on a succeeded run",
-                                a.number
+                                rec.attempts - 1
                             ),
                         );
                     }
-                    if let Some((next, line, ..)) = st.retry.filter(|r| r.0 >= st.next_attempt) {
+                    if let Some((next, line, ..)) = w.retry.filter(|r| r.0 >= rec.attempts) {
                         self.out.flag(
                             "E0801",
                             line,
@@ -1060,6 +1056,853 @@ pub fn check_trace_match(
 impl EventSink for StreamWalker {
     fn event(&mut self, ev: &WorkflowEvent) {
         StreamWalker::event(self, 0, ev);
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The `E08xx` walker as it stood before it judged against the
+    //! lifecycle fold's records: a per-job `JobState` and `Attempt` of its
+    //! own. Kept as the oracle the record-backed walker must agree with,
+    //! finding for finding, on every engine log under the mutation
+    //! harness's edits.
+
+    use super::{check_envelope, detail_reason, sweep_capacity, Findings, VerifyOptions, TOL};
+    use crate::events::{Framing, Misframed, Termination, WorkflowEvent};
+    use crate::lint::Diagnostic;
+
+    /// The attempt a job has in flight: the last one submitted.
+    #[derive(Default)]
+    struct Attempt {
+        number: u32,
+        /// Line and time of the `submitted` event.
+        submitted: Option<(usize, f64)>,
+        install: Option<f64>,
+        started: Option<f64>,
+        terminal: bool,
+    }
+
+    /// Per-job walker state. The engine runs a job's attempts strictly one
+    /// after another (terminal, `retry-scheduled`, next `submitted`), so
+    /// the attempt in flight, the last failure and the last scheduled
+    /// retry are all there is to remember; an event that names any other
+    /// attempt is a violation where it stands.
+    #[derive(Default)]
+    struct JobState {
+        next_attempt: u32,
+        skipped: bool,
+        done: bool,
+        last_time: f64,
+        attempt: Attempt,
+        /// The last failed attempt and its finish time, until a
+        /// `retry-scheduled` takes it.
+        failed: Option<(u32, f64)>,
+        /// The last `retry-scheduled`: next attempt, line, time, backoff.
+        retry: Option<(u32, usize, f64, f64)>,
+    }
+
+    impl JobState {
+        fn in_flight(&mut self, attempt: u32) -> Option<&mut Attempt> {
+            let a = &mut self.attempt;
+            (a.submitted.is_some() && a.number == attempt).then_some(a)
+        }
+    }
+
+    /// The walker as it was: its own per-job state machine beside the
+    /// lifecycle fold.
+    #[derive(Default)]
+    struct Walker {
+        out: Findings,
+        opts: VerifyOptions,
+        seen: usize,
+        last_line: usize,
+        framing: Framing,
+        /// Line, time and job count of the header.
+        header: Option<(usize, f64, usize)>,
+        /// Set by the first event after the manifest, which is when the
+        /// manifest's length is judged against the header's count.
+        manifest_closed: bool,
+        /// Line and verdict of the first trailer.
+        trailer: Option<(usize, bool)>,
+        last_emitted: f64,
+        /// One entry per declared job, indexed by job id.
+        jobs: Vec<JobState>,
+        done: usize,
+        /// (time, delta, line) endpoints for the `E0804` sweep; collected
+        /// only when the slot capacity is known.
+        intervals: Vec<(f64, i32, usize)>,
+    }
+
+    impl Walker {
+        /// A walker reporting against `file`.
+        fn new(file: impl Into<String>, opts: VerifyOptions) -> Self {
+            Walker {
+                out: Findings {
+                    file: file.into(),
+                    ..Findings::default()
+                },
+                opts,
+                last_emitted: f64::NEG_INFINITY,
+                ..Walker::default()
+            }
+        }
+
+        /// Judges one event against everything before it. `line` is its
+        /// one-based line in the log, 0 for a stream built in memory.
+        fn event(&mut self, line: usize, ev: &WorkflowEvent) {
+            self.seen += 1;
+            self.last_line = line;
+            if let Some((fline, _)) = self.trailer {
+                self.out.flag(
+                    "E0806",
+                    line,
+                    format!("event after workflow-finished (line {fline}): the run was closed"),
+                );
+            }
+            if let Some(t) = ev.emission_time() {
+                let last = self.last_emitted;
+                if t < last {
+                    let message =
+                        format!("emission-ordered event goes backwards in time: {t} after {last}");
+                    self.out.flag("E0808", line, message).help = Some(
+                        "the engine emits these kinds in nondecreasing backend time; \
+                         a reordered or merged log breaks replay assumptions"
+                            .into(),
+                    );
+                }
+                // The run's [start, finish] bounds, judged as events
+                // arrive: nothing is emitted before the header's time, and
+                // the trailer is the latest emission.
+                if let Some((_, start, _)) = self.header.filter(|h| t < h.1) {
+                    self.out.flag(
+                        "E0806",
+                        line,
+                        format!("event at time {t} lies before the run's start at {start}"),
+                    );
+                }
+                if t < last && matches!(ev, WorkflowEvent::WorkflowFinished { .. }) {
+                    self.out.flag(
+                        "E0806",
+                        line,
+                        format!("workflow-finished at time {t} lies before an emission at {last}"),
+                    );
+                }
+                self.last_emitted = last.max(t);
+            }
+            if let Err(breach) = self.framing.step(ev) {
+                self.out.flag("E0807", line, breach.to_string());
+                // A missing header takes nothing away from the event that
+                // stands in its place; the other breaches leave no job
+                // state to judge the event against.
+                if breach != Misframed::NoHeader {
+                    return;
+                }
+            }
+            match ev {
+                WorkflowEvent::WorkflowStarted { jobs, time, .. } => {
+                    self.header = Some((line, *time, *jobs as usize));
+                    return;
+                }
+                WorkflowEvent::JobDeclared { job, .. } => {
+                    if self.manifest_closed {
+                        self.out.flag(
+                            "E0807",
+                            line,
+                            format!("job {job} declared after lifecycle events began"),
+                        );
+                    }
+                    self.jobs.push(JobState::default());
+                    return;
+                }
+                _ => self.close_manifest(),
+            }
+            if let WorkflowEvent::WorkflowFinished {
+                succeeded,
+                wall_time,
+                time,
+            } = ev
+            {
+                // A second trailer is one more event after the first.
+                if self.trailer.is_none() {
+                    self.trailer = Some((line, *succeeded));
+                    self.judge_trailer(line, *succeeded, *wall_time, *time);
+                }
+                return;
+            }
+            let Some(job) = ev.job() else { return };
+            // `Framing::step` admitted the id: it is below the number of
+            // in-order declarations, each of which pushed one entry.
+            let st = &mut self.jobs[job.idx()];
+            let out = &mut self.out;
+            let time = ev.time().unwrap_or(st.last_time);
+            if time < st.last_time {
+                out.flag(
+                    "E0808",
+                    line,
+                    format!(
+                        "job {job} goes backwards in time: {time} after {}",
+                        st.last_time
+                    ),
+                );
+            }
+            st.last_time = st.last_time.max(time);
+
+            match ev {
+                WorkflowEvent::Skipped { time, .. } => {
+                    if st.skipped || st.next_attempt > 0 {
+                        out.flag(
+                            "E0803",
+                            line,
+                            format!("job {job} skipped, but it was already skipped or submitted"),
+                        );
+                    }
+                    if let Some((_, start, _)) = self.header.filter(|h| *time != h.1) {
+                        out.flag(
+                            "E0808",
+                            line,
+                            format!(
+                                "job {job} skipped at {time}, but rescue skips happen at \
+                                 the workflow start ({start})"
+                            ),
+                        );
+                    }
+                    st.skipped = true;
+                    if !std::mem::replace(&mut st.done, true) {
+                        self.done += 1;
+                    }
+                }
+                WorkflowEvent::Submitted { attempt, time, .. } => {
+                    if st.skipped {
+                        out.flag(
+                            "E0803",
+                            line,
+                            format!("job {job} submitted after being skipped"),
+                        );
+                    }
+                    if *attempt != st.next_attempt {
+                        out.flag(
+                            "E0802",
+                            line,
+                            format!(
+                                "job {job} submitted at attempt {attempt}, expected {} \
+                                 (attempts must be dense and strictly increasing)",
+                                st.next_attempt
+                            ),
+                        );
+                    }
+                    if st.attempt.submitted.is_some() && !st.attempt.terminal {
+                        out.flag(
+                            "E0802",
+                            line,
+                            format!(
+                                "job {job} submitted at attempt {attempt} while attempt {} \
+                                 has no terminal event",
+                                st.attempt.number
+                            ),
+                        );
+                    }
+                    if *attempt > 0 && st.retry.is_none_or(|r| r.0 != *attempt) {
+                        out.flag(
+                            "E0805",
+                            line,
+                            format!(
+                                "job {job} resubmitted at attempt {attempt} with no prior \
+                                 retry-scheduled next-attempt={attempt}"
+                            ),
+                        );
+                    }
+                    st.next_attempt = st.next_attempt.max(attempt.saturating_add(1));
+                    st.attempt = Attempt {
+                        number: *attempt,
+                        submitted: Some((line, *time)),
+                        ..Attempt::default()
+                    };
+                }
+                WorkflowEvent::InstallStarted { attempt, time, .. }
+                | WorkflowEvent::Started { attempt, time, .. } => {
+                    let install = matches!(ev, WorkflowEvent::InstallStarted { .. });
+                    let phase = if install {
+                        "install-started"
+                    } else {
+                        "started"
+                    };
+                    match st.in_flight(*attempt) {
+                        None => {
+                            out.flag(
+                                "E0803",
+                                line,
+                                format!(
+                                    "job {job} has {phase} at attempt {attempt} before being submitted"
+                                ),
+                            );
+                        }
+                        Some(a) => {
+                            if install && a.started.is_some() {
+                                out.flag(
+                                    "E0803",
+                                    line,
+                                    format!(
+                                        "job {job} attempt {attempt}: install-started after started"
+                                    ),
+                                );
+                            }
+                            let slot = if install {
+                                &mut a.install
+                            } else {
+                                &mut a.started
+                            };
+                            if slot.replace(*time).is_some() {
+                                out.flag(
+                                    "E0803",
+                                    line,
+                                    format!("job {job} attempt {attempt} has two {phase} events"),
+                                );
+                            }
+                        }
+                    }
+                }
+                WorkflowEvent::RetryScheduled {
+                    next_attempt,
+                    backoff,
+                    reason,
+                    detail,
+                    time,
+                    ..
+                } => {
+                    if detail_reason(detail) != *reason {
+                        out.flag(
+                            "E0808",
+                            line,
+                            format!(
+                                "job {job} retry reason {reason:?} does not match its detail {detail:?}"
+                            ),
+                        );
+                    }
+                    if !(backoff.is_finite() && *backoff >= 0.0) {
+                        out.flag(
+                            "E0805",
+                            line,
+                            format!(
+                                "job {job} retry backoff {backoff} is not a finite nonnegative delay"
+                            ),
+                        );
+                    }
+                    // A failure is retried once, by the `retry-scheduled`
+                    // that follows it (attempt 0 retries nothing: `None`).
+                    let retried = next_attempt.checked_sub(1);
+                    match st.failed.take().filter(|f| Some(f.0) == retried) {
+                        None => {
+                            out.flag(
+                                "E0805",
+                                line,
+                                format!(
+                                    "job {job} schedules a retry to attempt {next_attempt}, but \
+                                     the attempt before it did not just fail"
+                                ),
+                            );
+                        }
+                        Some((_, fin)) if *time != fin => {
+                            out.flag(
+                                "E0805",
+                                line,
+                                format!(
+                                    "job {job} retry scheduled at {time}, but the failed \
+                                     attempt finished at {fin}"
+                                ),
+                            );
+                        }
+                        Some(_) => {}
+                    }
+                    if let Some(policy) = &self.opts.retry {
+                        check_envelope(out, line, job, *next_attempt, *backoff, policy);
+                    }
+                    st.retry = Some((*next_attempt, line, *time, *backoff));
+                }
+                _ => {
+                    if let Some(end) = ev.termination() {
+                        self.judge_terminal(line, &end);
+                    }
+                }
+            }
+        }
+
+        /// The manifest ends at the first event that is neither header
+        /// nor declaration — that is when its length can be held against
+        /// the header's count, so the count is judged on a prefix too.
+        fn close_manifest(&mut self) {
+            if std::mem::replace(&mut self.manifest_closed, true) {
+                return;
+            }
+            let declared = self.jobs.len();
+            if let Some((line, _, jobs)) = self.header.filter(|h| h.2 != declared) {
+                self.out.flag(
+                    "E0807",
+                    line,
+                    format!("manifest declares {declared} jobs, but workflow-started says {jobs}"),
+                );
+            }
+        }
+
+        /// The trailer against the stream it closes: wall time and verdict.
+        /// (Its time bounds are judged per event in `Self::event`.)
+        fn judge_trailer(&mut self, line: usize, succeeded: bool, wall: f64, time: f64) {
+            if let Some((_, start, _)) = self.header.filter(|h| wall != time - h.1) {
+                self.out.flag(
+                    "E0806",
+                    line,
+                    format!(
+                        "workflow-finished wall-time {wall} contradicts its bounds \
+                         ({time} - {start} = {})",
+                        time - start
+                    ),
+                );
+            }
+            if succeeded != (self.done == self.jobs.len()) {
+                self.out.flag(
+                    "E0806",
+                    line,
+                    if succeeded {
+                        "workflow-finished claims success, but not every job completed"
+                    } else {
+                        "workflow-finished claims failure, but every job completed"
+                    },
+                );
+            }
+        }
+
+        /// Terminal-event clauses: phase precedence, timestamp agreement
+        /// with the retrospective phase events, reason classification, and
+        /// the retry gap lower bound.
+        fn judge_terminal(&mut self, line: usize, end: &Termination<'_>) {
+            let Termination {
+                job,
+                attempt,
+                times,
+                failure,
+            } = *end;
+            let st = &mut self.jobs[job.idx()];
+            let out = &mut self.out;
+            let retry = st.retry.filter(|r| r.0 == attempt);
+            match failure {
+                None if !std::mem::replace(&mut st.done, true) => self.done += 1,
+                None => {}
+                Some(_) => st.failed = Some((attempt, times.finished)),
+            }
+            let mut never_submitted = Attempt::default();
+            let a = st.in_flight(attempt).unwrap_or_else(|| {
+                out.flag(
+                    "E0803",
+                    line,
+                    format!(
+                        "job {job} reached a terminal event at attempt {attempt} before being submitted"
+                    ),
+                );
+                &mut never_submitted
+            });
+            if std::mem::replace(&mut a.terminal, true) {
+                out.flag(
+                    "E0803",
+                    line,
+                    format!("job {job} has two terminal events for attempt {attempt}"),
+                );
+            }
+            if !times.ordered() {
+                out.flag(
+                    "E0808",
+                    line,
+                    format!(
+                        "job {job} attempt {attempt} has unordered times \
+                         (want submitted <= started <= install-done <= finished)"
+                    ),
+                );
+            }
+            // The phase events are synthesized from this terminal's own
+            // timestamps, so they are a function of them and the
+            // agreement is exact, bit for bit: `started` when the install
+            // phase ended, `install-started` (only if there was an install
+            // phase) when the slot was acquired.
+            let installed = (times.install_done > times.started).then_some(times.started);
+            for (phase, emitted, recorded) in [
+                ("install-started", a.install, installed),
+                ("started", a.started, Some(times.install_done)),
+            ] {
+                if emitted != recorded {
+                    let at = |t: Option<f64>| t.map_or("absent".into(), |t| format!("at {t}"));
+                    // A phase event missing or uncalled for breaks
+                    // precedence; one at the wrong time, consistency.
+                    let rule = if emitted.is_some() == recorded.is_some() {
+                        "E0808"
+                    } else {
+                        "E0803"
+                    };
+                    out.flag(
+                        rule,
+                        line,
+                        format!(
+                            "job {job} attempt {attempt}: the {phase} event is {}, but by the \
+                             terminal event's times it should be {}",
+                            at(emitted),
+                            at(recorded)
+                        ),
+                    );
+                }
+            }
+            // The backend acquires work no earlier than it was handed it.
+            if let Some((_, sub)) = a.submitted.filter(|s| times.submitted + TOL < s.1) {
+                out.flag(
+                    "E0808",
+                    line,
+                    format!(
+                        "job {job} attempt {attempt} records submitted={}, before its \
+                         submitted event at {sub}",
+                        times.submitted
+                    ),
+                );
+            }
+            // Retry gap lower bound: the resubmission can be held by the
+            // throttle but never runs before failure time + backoff.
+            if let Some((_, _, rtime, backoff)) =
+                retry.filter(|r| times.submitted + TOL < r.2 + r.3)
+            {
+                out.flag(
+                    "E0805",
+                    line,
+                    format!(
+                        "job {job} attempt {attempt} ran at submitted={}, before its \
+                         scheduled earliest time {} (retry at {rtime} + backoff {backoff})",
+                        times.submitted,
+                        rtime + backoff
+                    ),
+                );
+            }
+            if let Some((reason, detail)) = failure.filter(|f| detail_reason(f.1) != f.0) {
+                out.flag(
+                    "E0808",
+                    line,
+                    format!(
+                        "job {job} failure reason {reason:?} does not match its detail {detail:?}"
+                    ),
+                );
+            }
+            if self.opts.slot_capacity.is_some() {
+                self.intervals.push((times.started, 1, line));
+                self.intervals.push((times.finished, -1, line));
+            }
+        }
+
+        /// Everything found so far: the prefix-closed verdict, which is
+        /// all `lint --events` reports. Only a stream with no events at
+        /// all is judged here, because no event could carry the finding.
+        fn findings(mut self) -> Vec<Diagnostic> {
+            if self.seen == 0 {
+                self.out.flag(
+                    "E0807",
+                    0,
+                    "stream contains no events (expected a workflow-started header)",
+                );
+            }
+            self.out.diags
+        }
+
+        /// The complete-log contract: the prefix-closed findings plus what
+        /// only the end of a stream can show — a manifest still open against
+        /// the header's count, the missing trailer, the obligations a
+        /// succeeded run leaves open (`E0801`), and the capacity sweep
+        /// (`E0804`).
+        fn finish(mut self) -> Vec<Diagnostic> {
+            if self.seen == 0 {
+                return self.findings();
+            }
+            self.close_manifest();
+            match self.trailer {
+                None => {
+                    let message = "stream has no workflow-finished: verify requires complete logs";
+                    self.out.flag("E0806", self.last_line, message).help = Some(
+                        "for crashed or still-running runs use `pegasus lint --events`, \
+                         which accepts truncated streams"
+                            .into(),
+                    );
+                }
+                Some((_, true)) => {
+                    for (j, st) in self.jobs.iter().enumerate() {
+                        let a = &st.attempt;
+                        if let (Some((line, _)), false) = (a.submitted, a.terminal) {
+                            self.out.flag(
+                                "E0801",
+                                line,
+                                format!(
+                                    "job {j} attempt {} was submitted but never reached a \
+                                     terminal event on a succeeded run",
+                                    a.number
+                                ),
+                            );
+                        }
+                        if let Some((next, line, ..)) = st.retry.filter(|r| r.0 >= st.next_attempt)
+                        {
+                            self.out.flag(
+                                "E0801",
+                                line,
+                                format!(
+                                    "job {j} scheduled a retry to attempt {next} that was \
+                                     never resubmitted on a succeeded run"
+                                ),
+                            );
+                        }
+                    }
+                }
+                Some((_, false)) => {}
+            }
+            if let Some(cap) = self.opts.slot_capacity {
+                sweep_capacity(&mut self.out, &mut self.intervals, cap);
+            }
+            self.findings()
+        }
+    }
+
+    /// The mutation harness's field edit (`tests/verify_mutation.rs`):
+    /// bump the attempt if the line has one, else shift its time by
+    /// 1000 s, else bump the declared id, else flip the verdict.
+    fn mutate_field(line: &str) -> String {
+        let mut toks: Vec<String> = line.split_whitespace().map(String::from).collect();
+        for pass in 0..4 {
+            for t in &mut toks {
+                let bump = |key: &str| {
+                    Some(format!(
+                        "{key}{}",
+                        t.strip_prefix(key)?.parse::<u32>().ok()? + 1
+                    ))
+                };
+                let edited = match pass {
+                    0 => bump("attempt=").or_else(|| bump("next-attempt=")),
+                    1 => (t.strip_prefix("time=").and_then(|v| v.parse::<f64>().ok()))
+                        .map(|x| format!("time={}", x + 1000.0)),
+                    2 => bump("id="),
+                    _ => t
+                        .strip_prefix("succeeded=")
+                        .map(|v| format!("succeeded={}", v != "true")),
+                };
+                if let Some(edited) = edited {
+                    *t = edited;
+                    return toks.join(" ");
+                }
+            }
+        }
+        panic!("no mutable field on line: {line}");
+    }
+
+    /// The harness's added field: at the end, or ahead of the `name=` /
+    /// `detail=` that opens the line's free text.
+    fn add_field(line: &str, field: &str) -> String {
+        match [" name=", " detail="].iter().find_map(|t| line.find(t)) {
+            Some(at) => format!("{} {field}{}", &line[..at], &line[at..]),
+            None => format!("{line} {field}"),
+        }
+    }
+
+    /// Both walkers over `text` as a verb reads it, under each of the four
+    /// option sets: the same findings, in the same order, from `finish`
+    /// and from `lint::prefix_findings`; and on a stream the lifecycle fold
+    /// accepts, the walker's run is `replay`'s.
+    fn agrees(text: &str, cap: usize) {
+        use crate::engine::RetryPolicy;
+        use crate::events::{log, replay};
+        let mut events = Vec::new();
+        let read =
+            log::read(text.as_bytes(), |line, ev| events.push((line, ev))).expect("in memory");
+        let walk = |opts: &VerifyOptions| {
+            let mut new = super::StreamWalker::new("run.events", opts.clone());
+            let mut old = Walker::new("run.events", opts.clone());
+            for (line, ev) in &events {
+                new.event(*line, ev);
+                old.event(*line, ev);
+            }
+            (new, old)
+        };
+        let policy = RetryPolicy::exponential(3, 7.0);
+        for (slot_capacity, retry) in [
+            (None, None),
+            (Some(cap), None),
+            (None, Some(policy.clone())),
+            (Some(cap), Some(policy)),
+        ] {
+            let opts = VerifyOptions {
+                slot_capacity,
+                retry,
+            };
+            let (new, old) = walk(&opts);
+            assert_eq!(new.finish(), old.finish(), "{opts:?}\n{text}");
+            let (new, old) = walk(&opts);
+            let truncated = (old.seen > 0 && old.trailer.is_none()).then_some(old.last_line);
+            let want = old.findings();
+            let got = crate::lint::prefix_findings(new);
+            assert_eq!(got[..want.len().min(got.len())], want[..], "{text}");
+            let w0707 = got[want.len()..].iter().map(|d| (d.code, d.span.line));
+            assert!(w0707.eq(truncated.map(|line| ("W0707", line))), "{text}");
+        }
+        let streamed: Vec<WorkflowEvent> = events.iter().map(|(_, ev)| ev.clone()).collect();
+        let Ok(replayed) = read.and_then(|_| replay(&streamed)) else {
+            return;
+        };
+        let mut run = walk(&VerifyOptions::default()).0.run;
+        if !matches!(
+            streamed.last(),
+            Some(WorkflowEvent::WorkflowFinished { .. })
+        ) {
+            // `RunFold::finish`'s crash trailer.
+            let last = streamed
+                .iter()
+                .filter_map(WorkflowEvent::time)
+                .fold(0.0, f64::max);
+            run.apply(&WorkflowEvent::WorkflowFinished {
+                succeeded: false,
+                wall_time: last - run.start,
+                time: last,
+            });
+        }
+        let replayed = crate::engine::WorkflowRun {
+            events: Vec::new(),
+            ..replayed
+        };
+        assert_eq!(run, replayed, "{text}");
+    }
+
+    /// Line `i` of `lines` under the harness's edit number `edit`:
+    /// dropped, duplicated, swapped with the next line if that is an
+    /// event too, one field mutated, a field no event has added, or the
+    /// first field repeated.
+    fn edited(lines: &[String], i: usize, edit: u8) -> String {
+        let mut edited = lines.to_vec();
+        match edit {
+            0 => drop(edited.remove(i)),
+            1 => edited.insert(i + 1, lines[i].clone()),
+            2 if lines.get(i + 1).is_some_and(|l| !l.starts_with('#')) => edited.swap(i, i + 1),
+            2 => {}
+            3 => edited[i] = mutate_field(&lines[i]),
+            4 => edited[i] = add_field(&lines[i], "x=1"),
+            _ => {
+                let first = lines[i].split_whitespace().nth(1);
+                edited[i] = add_field(&lines[i], &format!("{}1", first.expect("a field")));
+            }
+        }
+        edited.join("\n")
+    }
+
+    /// The event lines of a log.
+    fn event_lines(lines: &[String]) -> Vec<usize> {
+        (0..lines.len())
+            .filter(|&i| !lines[i].starts_with('#'))
+            .collect()
+    }
+
+    #[test]
+    fn every_engine_log_as_written_is_judged_as_the_oracle_judged_it() {
+        for lines in crate::events::tests::engine_logs() {
+            agrees(&lines.join("\n"), 1);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(1000))]
+
+        /// Every engine log under one of the harness's edits.
+        #[test]
+        fn the_record_backed_walker_finds_what_the_oracle_found(
+            which in proptest::arbitrary::any::<usize>(),
+            at in proptest::arbitrary::any::<usize>(),
+            edit in 0u8..6,
+            cap in 0usize..4,
+        ) {
+            let mut logs = crate::events::tests::engine_logs();
+            let lines = logs.swap_remove(which % logs.len());
+            let events = event_lines(&lines);
+            agrees(&edited(&lines, events[at % events.len()], edit), cap);
+        }
+    }
+
+    /// The proptest's domain walked whole: every edit of every event
+    /// line of every engine log, under three slot capacities.
+    #[test]
+    #[ignore = "7,000 streams; run with -- --ignored"]
+    fn every_single_edit_of_every_engine_log_is_judged_as_the_oracle_judged_it() {
+        for lines in crate::events::tests::engine_logs() {
+            for i in event_lines(&lines) {
+                for edit in 0..6 {
+                    let text = edited(&lines, i, edit);
+                    for cap in [0, 1, 3] {
+                        agrees(&text, cap);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where the record and the oracle's own state part: streams broken
+    /// in two places or more, never by one of the harness's edits. Each
+    /// still draws findings from both; the record-backed walker judges a
+    /// submission against the one before it, and a skip, a retry or the
+    /// trailer's verdict against the job's state as `replay` leaves it.
+    #[test]
+    fn a_stream_broken_twice_is_judged_against_the_record() {
+        const HEAD: &str = "workflow-started time=0 jobs=1 site=osg name=w\n\
+                            job id=0 kind=compute transformation=split name=a\n";
+        const FAIL0: &str = "failed job=0 attempt=0 reason=preempted submitted=0 started=0 \
+                             install-done=0 finished=2 detail=preempted:storm\n";
+        let run = |attempt: &str| format!("submitted time=0 job=0 attempt={attempt}\n");
+        let done = "completed job=0 attempt=0 submitted=0 started=0 install-done=0 finished=2\n";
+        let retry = "retry-scheduled time=2 job=0 next-attempt=1 backoff=0 reason=preempted \
+                     detail=preempted:storm\n";
+        let finished = "workflow-finished time=2 wall-time=2 succeeded=true\n";
+        let cases = [
+            // Attempts 1, 0, 2: the third follows 0, not the highest.
+            (
+                [HEAD, &run("1"), &run("0"), done, &run("2"), finished].concat(),
+                vec!["job 0 submitted at attempt 2, expected 1 (attempts must be dense and strictly increasing)"],
+                vec![],
+            ),
+            // A completed attempt that then fails leaves the job failed.
+            (
+                [HEAD, &run("0"), done, FAIL0, finished].concat(),
+                vec!["workflow-finished claims success, but not every job completed"],
+                vec![],
+            ),
+            // A skipped job retried is unresolved again, not still skipped.
+            (
+                [HEAD, "skipped time=0 job=0\n", &run("0"), FAIL0, retry, &run("1")].concat(),
+                vec![],
+                vec!["job 0 submitted after being skipped"],
+            ),
+            // The record's count saturates at the largest attempt a log
+            // can name.
+            (
+                [HEAD, &run("4294967295"), &run("0")].concat(),
+                vec!["job 0 submitted at attempt 0 while attempt 4294967294 has no terminal event"],
+                vec!["job 0 submitted at attempt 0 while attempt 4294967295 has no terminal event"],
+            ),
+        ];
+        for (text, new_only, old_only) in cases {
+            let events = crate::events::log::parse_lines(&text).expect("parses");
+            let opts = VerifyOptions::default();
+            let mut new = super::StreamWalker::new("run.events", opts.clone());
+            let mut old = Walker::new("run.events", opts);
+            for (line, ev) in &events {
+                new.event(*line, ev);
+                old.event(*line, ev);
+            }
+            let (new, old) = (new.finish(), old.finish());
+            let only = |a: &[Diagnostic], b: &[Diagnostic]| -> Vec<String> {
+                let found = |d: &Diagnostic| {
+                    b.iter()
+                        .any(|e| (e.span, &e.message) == (d.span, &d.message))
+                };
+                a.iter()
+                    .filter(|d| !found(d))
+                    .map(|d| d.message.clone())
+                    .collect()
+            };
+            assert!(!new.is_empty() && !old.is_empty(), "{text}");
+            assert_eq!(only(&new, &old), new_only, "{text}");
+            assert_eq!(only(&old, &new), old_only, "{text}");
+        }
     }
 }
 

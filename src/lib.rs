@@ -13,9 +13,6 @@
 //!   calibration against the paper's 100-hour serial baseline,
 //!   simulated platform runs (Fig. 4/Fig. 5), and real local workflow
 //!   runs at laptop scale;
-//! * [`chaos`] — the adapter that replays gridsim fault scripts on the
-//!   real condor worker pool, so one seeded chaos plan produces the
-//!   same fault decisions on both backends;
 //! * [`serve`] — the `pegasus serve` daemon runtime: a multi-tenant
 //!   submission socket, journal + event-log persistence, crash
 //!   recovery, and the Prometheus scrape endpoint;
@@ -25,7 +22,6 @@
 //! See README.md for the quickstart and EXPERIMENTS.md for the
 //! paper-vs-measured record.
 
-pub mod chaos;
 pub mod cli;
 pub mod experiment;
 pub mod registry;

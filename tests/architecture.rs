@@ -127,6 +127,8 @@ const RULES: &[Rule] = &[
         "write!(|writeln!(|format!(", Absent, 0, "let _ = writeln!(out, \"\\\" runtime=\\\"{}\\\">\", job.runtime_hint);"),
     (49, "the binaries and the daemon read event logs only through the reader", "src",
         "log::parse(|log::parse_lines(|read_or_exit(\"event log\"", Absent, 0, "let stream = events::log::parse(&text)?;"),
+    (50, "one job lifecycle: the stream judge keeps no state machine beside the record apply advances", "crates/core/src/verify.rs",
+        "struct JobState|struct Attempt", Absent, WORD | BEFORE_TESTS, "struct JobState {"),
 ];
 
 /// The sorted entry names of a directory.

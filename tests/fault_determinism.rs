@@ -5,15 +5,15 @@
 //! detail — timestamps are real wall clock and are the only thing
 //! allowed to differ), and the pool must agree with the simulator.
 
-use blast2cap3_pegasus::chaos::fault_injector_for;
 use blast2cap3_pegasus::experiment::simulate_blast2cap3_with;
-use condor::pool::{LocalPool, PoolConfig, TaskRegistry};
+use condor::pool::{FaultInjector, FaultProbe, InjectedFault, LocalPool, PoolConfig, TaskRegistry};
 use gridsim::{AttemptTiming, FaultPlan, FaultScript, PlatformModel, SimBackend};
 use pegasus_wms::engine::{
     Engine, EngineConfig, FaultReason, JobRecord, JobState, NoopMonitor, RetryPolicy, WorkflowRun,
 };
 use pegasus_wms::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
 use pegasus_wms::statistics::{render_csv, render_summary_csv};
+use std::sync::Arc;
 
 // Windows sit inside the n = 120 OSG run's chunk-execution phase
 // (roughly [5000 s, 17000 s] simulated) so every scenario actually
@@ -133,6 +133,112 @@ submit-host-crash after-events=150
         "the storm must actually preempt attempts: {:?}",
         resumed_a.stats.faults
     );
+}
+
+/// The bridge from gridsim's seeded fault script to the real local
+/// pool: a pool fault injector built from a compiled script. Fault-plan
+/// times are in virtual (simulated) seconds and the pool runs at laptop
+/// scale, so the probe timings the pool reports in real seconds are
+/// mapped back through `time_scale` (real seconds per virtual second,
+/// normally the pool's own) before the script is consulted, and the
+/// eviction offset is mapped forward again. Every per-attempt decision
+/// is a pure function of (seed, job, attempt), so the verdicts, and
+/// with them the retry counts and the typed failures, replay
+/// identically on either backend.
+fn fault_injector_for(script: FaultScript, time_scale: f64) -> FaultInjector {
+    let scale = if time_scale > 0.0 { time_scale } else { 1.0 };
+    Arc::new(move |probe: &FaultProbe| {
+        let timing = AttemptTiming {
+            start: probe.started / scale,
+            install_duration: probe.install_duration / scale,
+            exec_duration: probe.exec_duration / scale,
+        };
+        let decision = script.decide(&probe.job, probe.attempt, &timing);
+        let mut faults = Vec::new();
+        if decision.slowdown != 1.0 {
+            faults.push(InjectedFault::Slowdown(decision.slowdown));
+        }
+        if let Some((at, failure)) = decision.kill {
+            faults.push(InjectedFault::Evict {
+                after: (at - timing.start).max(0.0) * scale,
+                failure,
+            });
+        }
+        faults
+    })
+}
+
+#[test]
+fn injector_maps_virtual_times_through_the_scale() {
+    // Storm over virtual [0, 1000) with certain kills; at scale
+    // 0.01 a probe 1 real second in is 100 virtual seconds in —
+    // inside the window — and the eviction offset comes back in
+    // real seconds.
+    let plan =
+        FaultPlan::parse("preemption-storm start=0 duration=1000 kill-probability=1.0\n").unwrap();
+    let script = FaultScript::new(plan, 4);
+    let injector = fault_injector_for(script.clone(), 0.01);
+    let probe = FaultProbe {
+        job: "victim".into(),
+        attempt: 0,
+        started: 1.0,
+        install_duration: 0.0,
+        exec_duration: 2.0, // 200 virtual seconds
+    };
+    let faults = injector(&probe);
+    assert_eq!(faults.len(), 1);
+    match &faults[0] {
+        InjectedFault::Evict { after, failure } => {
+            // The script's category crosses the bridge with it.
+            assert_eq!(failure.reason, FaultReason::Preemption);
+            assert_eq!(failure.detail, "preempted:storm");
+            assert!(
+                (0.0..=2.0).contains(after),
+                "real-second offset expected, got {after}"
+            );
+            // The same query in virtual units matches the script's
+            // own verdict.
+            let timing = AttemptTiming {
+                start: 100.0,
+                install_duration: 0.0,
+                exec_duration: 200.0,
+            };
+            let direct = script.decide("victim", 0, &timing).kill.unwrap();
+            assert!((direct.0 - (100.0 + after / 0.01)).abs() < 1e-6);
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+#[test]
+fn clean_attempts_inject_nothing() {
+    let plan =
+        FaultPlan::parse("preemption-storm start=5000 duration=10 kill-probability=1.0\n").unwrap();
+    let injector = fault_injector_for(FaultScript::new(plan, 4), 0.01);
+    let probe = FaultProbe {
+        job: "safe".into(),
+        attempt: 0,
+        started: 0.0,
+        install_duration: 0.0,
+        exec_duration: 1.0,
+    };
+    assert!(injector(&probe).is_empty());
+}
+
+#[test]
+fn straggler_decisions_become_slowdowns() {
+    let plan =
+        FaultPlan::parse("straggler start=0 duration=1e9 slowdown=5 probability=1.0\n").unwrap();
+    let injector = fault_injector_for(FaultScript::new(plan, 4), 0.01);
+    let probe = FaultProbe {
+        job: "slowpoke".into(),
+        attempt: 0,
+        started: 0.0,
+        install_duration: 0.0,
+        exec_duration: 1.0,
+    };
+    let faults = injector(&probe);
+    assert!(matches!(faults.as_slice(), [InjectedFault::Slowdown(s)] if *s == 5.0));
 }
 
 /// A pool workflow of independent, kernel-less jobs: only the fault

@@ -28,7 +28,8 @@ const BOUNDED: [&[&str]; 5] = [
 /// kill probability of 0.5 the log is 59.6 MB with 47,918 failures, at
 /// 0.8 it is 74.1 MB with 79,258; the verbs peaked at 101–158 and
 /// 123–196 MB while they read the whole text, and at 18–38 and 18–45 MB
-/// streamed (2-vCPU VM).
+/// streamed (2-vCPU VM); `verify`, 18 then, reads 41 and 47 MB since its
+/// walker holds the lifecycle fold's records.
 const STORMS: [(f64, f64); 2] = [(0.5, 45.0), (0.8, 55.0)];
 
 /// The highest `VmHWM` seen while `pegasus <args>` runs, in MB, with
