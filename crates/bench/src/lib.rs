@@ -34,7 +34,9 @@ pub fn write_experiment_file(name: &str, content: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
     std::fs::create_dir_all(&dir).expect("create target/experiments");
     let path = dir.join(name);
-    std::fs::write(&path, content).expect("write experiment file");
+    let written =
+        bioseq::output::replace(&path, |w| std::io::Write::write_all(w, content.as_bytes()));
+    written.and_then(|r| r).expect("write experiment file");
     path
 }
 

@@ -281,13 +281,8 @@ pub fn write_record<W: Write, S: Sequence>(mut w: W, rec: &Record<S>) -> Result<
 
 /// Writes records to a FASTA file, wrapping bodies at 60 columns.
 pub fn write_file<S: Sequence>(path: impl AsRef<Path>, records: &[Record<S>]) -> Result<()> {
-    let f = std::fs::File::create(path)?;
-    let mut buf = std::io::BufWriter::new(f);
-    for rec in records {
-        write_record(&mut buf, rec)?;
-    }
-    buf.flush()?;
-    Ok(())
+    let fill = |w: &mut _| records.iter().try_for_each(|r| write_record(&mut *w, r));
+    crate::output::replace(path, fill)?
 }
 
 /// Renders records to a single FASTA string (60-column bodies).

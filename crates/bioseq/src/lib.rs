@@ -42,6 +42,7 @@ pub mod fasta;
 pub mod fastq;
 pub mod fxhash;
 pub mod kmer;
+pub mod output;
 pub mod seq;
 pub mod simulate;
 pub mod stats;

@@ -10,20 +10,20 @@
 //! No kernel reads a whole input file: each streams its inputs one
 //! record or line at a time, so a task holds only the records it uses
 //! (`run_cap3` keeps its chunk's transcripts, `split` one best hit per
-//! transcript). A kernel that writes while it reads writes under a
-//! temporary name and renames on success, so a failed task leaves no
-//! partial output.
+//! transcript). Every output is written through
+//! [`bioseq::output::replace`], so a failed task leaves no partial one.
 
 use crate::cluster::BestHits;
 use crate::split::{split_clusters, Chunk};
 use crate::tasks::{renumbered, run_cap3_chunk, TranscriptDict};
 use bioseq::fasta;
+use bioseq::output::replace;
 use blastx::tabular;
 use cap3::Cap3Params;
 use std::collections::HashSet;
 use std::fmt::Display;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
 /// Logical file names used inside the work directory.
@@ -58,29 +58,6 @@ pub mod names {
 
 fn io_err<E: Display>(what: impl Display) -> impl Fn(E) -> String {
     move |e| format!("{what}: {e}")
-}
-
-/// Writes `name` in `workdir` through `fill`, under a temporary name
-/// that is renamed into place only when `fill` succeeds.
-fn write_via_temp(
-    workdir: &Path,
-    name: &str,
-    fill: impl FnOnce(&mut BufWriter<File>) -> Result<(), String>,
-) -> Result<(), String> {
-    let writing = format!("writing {name}");
-    let tmp = workdir.join(format!("{name}.part"));
-    let written = File::create(&tmp)
-        .map_err(io_err(&writing))
-        .and_then(|f| {
-            let mut w = BufWriter::new(f);
-            fill(&mut w)?;
-            w.flush().map_err(io_err(&writing))
-        })
-        .and_then(|()| std::fs::rename(&tmp, workdir.join(name)).map_err(io_err(&writing)));
-    if written.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    written
 }
 
 /// Serialises chunks as one `protein<TAB>tx1,tx2,...` line per cluster.
@@ -122,16 +99,17 @@ pub fn task_list_transcripts(workdir: &Path) -> Result<(), String> {
     let reading = io_err("reading transcripts.fasta");
     let mut transcripts =
         fasta::Reader::open(workdir.join(names::TRANSCRIPTS)).map_err(&reading)?;
-    write_via_temp(workdir, names::TRANSCRIPTS_DICT, |w| {
+    let writing = "writing transcripts_dict.txt";
+    replace(workdir.join(names::TRANSCRIPTS_DICT), |w| {
         let mut seen = HashSet::new();
         while let Some(rec) = transcripts.next_record().map_err(&reading)? {
             if seen.insert(rec.id.clone()) {
-                fasta::write_record(&mut *w, &rec)
-                    .map_err(io_err("writing transcripts_dict.txt"))?;
+                fasta::write_record(&mut *w, &rec).map_err(io_err(writing))?;
             }
         }
         Ok(())
     })
+    .map_err(io_err(writing))?
 }
 
 /// `list_alignments`: validates `alignments.out` and re-emits it as
@@ -139,12 +117,14 @@ pub fn task_list_transcripts(workdir: &Path) -> Result<(), String> {
 pub fn task_list_alignments(workdir: &Path) -> Result<(), String> {
     let reading = io_err("reading alignments.out");
     let mut hits = tabular::Reader::open(workdir.join(names::ALIGNMENTS)).map_err(&reading)?;
-    write_via_temp(workdir, names::ALIGNMENTS_LIST, |w| {
+    let writing = "writing alignments_list.txt";
+    replace(workdir.join(names::ALIGNMENTS_LIST), |w| {
         while let Some(rec) = hits.next_record().map_err(&reading)? {
-            tabular::write_record(&mut *w, &rec).map_err(io_err("writing alignments_list.txt"))?;
+            tabular::write_record(&mut *w, &rec).map_err(io_err(writing))?;
         }
         Ok(())
     })
+    .map_err(io_err(writing))?
 }
 
 /// `split -n <n>`: clusters by best hit and writes `n` chunk files
@@ -162,11 +142,10 @@ pub fn task_split(workdir: &Path, n: usize) -> Result<(), String> {
     let chunks = split_clusters(&best.into_clusters(), n);
     for i in 0..n.max(1) {
         let name = names::protein_chunk(i);
-        write_via_temp(workdir, &name, |w| {
-            let text = chunks.get(i).map(chunk_to_tsv).unwrap_or_default();
-            w.write_all(text.as_bytes())
-                .map_err(io_err(format!("writing {name}")))
-        })?;
+        let text = chunks.get(i).map(chunk_to_tsv).unwrap_or_default();
+        replace(workdir.join(&name), |w| w.write_all(text.as_bytes()))
+            .and_then(|r| r)
+            .map_err(io_err(format!("writing {name}")))?;
     }
     Ok(())
 }
@@ -196,12 +175,11 @@ pub fn task_run_cap3(workdir: &Path, i: usize, params: &Cap3Params) -> Result<()
     let out = run_cap3_chunk(&TranscriptDict::new(&records), &chunk.clusters, params);
     fasta::write_file(workdir.join(names::joined(i)), &out.contigs)
         .map_err(io_err("writing joined fasta"))?;
-    std::fs::write(
-        workdir.join(names::joined_ids(i)),
-        out.joined_ids.join("\n") + if out.joined_ids.is_empty() { "" } else { "\n" },
-    )
-    .map_err(io_err("writing joined ids"))?;
-    Ok(())
+    replace(workdir.join(names::joined_ids(i)), |w| {
+        out.joined_ids.iter().try_for_each(|id| writeln!(w, "{id}"))
+    })
+    .and_then(|r| r)
+    .map_err(io_err("writing joined ids"))
 }
 
 /// `merge -n <n>`: concatenates the per-chunk contigs (renumbering
@@ -209,9 +187,10 @@ pub fn task_run_cap3(workdir: &Path, i: usize, params: &Cap3Params) -> Result<()
 /// files through as it reads them.
 pub fn task_merge(workdir: &Path, n: usize) -> Result<(), String> {
     let mut merged = 0;
-    write_via_temp(workdir, names::JOINED_IDS_ALL, |ids_all| {
-        write_via_temp(workdir, names::JOINED_ALL, |joined_all| {
-            let writing = io_err("writing joined_all.fasta");
+    let writing_ids = "writing joined_ids_all.txt";
+    let writing = "writing joined_all.fasta";
+    replace(workdir.join(names::JOINED_IDS_ALL), |ids_all| {
+        replace(workdir.join(names::JOINED_ALL), |joined_all| {
             for i in 0..n.max(1) {
                 let name = names::joined(i);
                 let reading = io_err(format!("reading {name}"));
@@ -219,19 +198,20 @@ pub fn task_merge(workdir: &Path, n: usize) -> Result<(), String> {
                 while let Some(contig) = contigs.next_record().map_err(&reading)? {
                     merged += 1;
                     fasta::write_record(&mut *joined_all, &renumbered(merged, contig))
-                        .map_err(&writing)?;
+                        .map_err(io_err(writing))?;
                 }
                 let name = names::joined_ids(i);
                 let reading = io_err(format!("reading {name}"));
                 let ids = File::open(workdir.join(&name)).map_err(&reading)?;
                 for id in BufReader::new(ids).lines() {
-                    writeln!(ids_all, "{}", id.map_err(&reading)?)
-                        .map_err(io_err("writing joined_ids_all.txt"))?;
+                    writeln!(ids_all, "{}", id.map_err(&reading)?).map_err(io_err(writing_ids))?;
                 }
             }
             Ok(())
         })
+        .map_err(io_err(writing))?
     })
+    .map_err(io_err(writing_ids))?
 }
 
 /// `extract_unjoined`: emits the final assembly — merged contigs
@@ -246,19 +226,20 @@ pub fn task_extract_unjoined(workdir: &Path) -> Result<(), String> {
     let ids_text = std::fs::read_to_string(workdir.join(names::JOINED_IDS_ALL))
         .map_err(io_err("reading joined_ids_all.txt"))?;
     let joined: HashSet<&str> = ids_text.lines().collect();
-    write_via_temp(workdir, names::FINAL, |w| {
-        let writing = io_err("writing final.fasta");
+    let writing = "writing final.fasta";
+    replace(workdir.join(names::FINAL), |w| {
         while let Some(rec) = joined_all.next_record().map_err(&reading_merged)? {
-            fasta::write_record(&mut *w, &rec).map_err(&writing)?;
+            fasta::write_record(&mut *w, &rec).map_err(io_err(writing))?;
         }
         while let Some(rec) = dict_file
             .next_where(|id| !joined.contains(id))
             .map_err(&reading)?
         {
-            fasta::write_record(&mut *w, &rec).map_err(&writing)?;
+            fasta::write_record(&mut *w, &rec).map_err(io_err(writing))?;
         }
         Ok(())
     })
+    .map_err(io_err(writing))?
 }
 
 #[cfg(test)]

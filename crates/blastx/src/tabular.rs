@@ -217,12 +217,8 @@ pub fn write_record<W: Write>(mut w: W, rec: &TabularRecord) -> Result<(), Tabul
 
 /// Writes records to a tabular file on disk.
 pub fn write_file(path: impl AsRef<Path>, records: &[TabularRecord]) -> Result<(), TabularError> {
-    let f = File::create(path).map_err(io_error)?;
-    let mut w = std::io::BufWriter::new(f);
-    for rec in records {
-        write_record(&mut w, rec)?;
-    }
-    w.flush().map_err(io_error)
+    let fill = |w: &mut _| records.iter().try_for_each(|r| write_record(&mut *w, r));
+    bioseq::output::replace(path, fill).map_err(io_error)?
 }
 
 #[cfg(test)]

@@ -91,10 +91,11 @@ pub fn read_or_exit(what: &str, path: &str) -> String {
     or_exit(&doing, std::fs::read_to_string(path))
 }
 
-/// Writes `bytes` to `path`, or reports `cannot write <what> <path>`
-/// and exits 1.
+/// Writes `bytes` to `path` through [`bioseq::output::replace`], or
+/// reports `cannot write <what> <path>` and exits 1.
 pub fn write_or_exit(what: &str, path: impl AsRef<std::path::Path>, bytes: impl AsRef<[u8]>) {
     let path = path.as_ref();
     let doing = format!("cannot write {what} {}", path.display());
-    or_exit(&doing, std::fs::write(path, bytes))
+    let written = bioseq::output::replace(path, |w| std::io::Write::write_all(w, bytes.as_ref()));
+    or_exit(&doing, written.and_then(|r| r))
 }

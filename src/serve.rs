@@ -794,8 +794,27 @@ fn recover(opts: &ServeOptions) -> Result<Daemon, String> {
     Ok(daemon)
 }
 
+/// The longest line either port reads, newline excluded. The longest
+/// request the grammar admits is a `submit` naming a 4,096-byte
+/// (`PATH_MAX`) path with every byte escaped, about 8.3 kB with its
+/// fields; a longer line is refused before it is held.
+pub const MAX_LINE: usize = 64 * 1024;
+
+/// [`BufRead::read_line`] of at most [`MAX_LINE`] bytes and a newline:
+/// past that, an [`io::ErrorKind::InvalidInput`] error naming the bound,
+/// with the rest of the line unread.
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+    let n = reader.take(MAX_LINE as u64 + 1).read_line(line)?;
+    if n > MAX_LINE && !line.ends_with('\n') {
+        let e = format!("request line longer than {MAX_LINE} bytes");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, e));
+    }
+    Ok(n)
+}
+
 /// Handles one protocol connection: greeting, then request/response
-/// lines until the peer hangs up or asks for shutdown.
+/// lines until the peer hangs up, asks for shutdown or sends a line
+/// longer than [`MAX_LINE`], which is answered with one `error`.
 fn handle_connection(stream: TcpStream, tx: mpsc::Sender<SchedMsg>) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -807,20 +826,28 @@ fn handle_connection(stream: TcpStream, tx: mpsc::Sender<SchedMsg>) {
     {
         return;
     }
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let req = match proto::parse_request(&line) {
+    let (mut reader, mut line) = (BufReader::new(stream), String::new());
+    loop {
+        line.clear();
+        let (req, oversize) = match read_bounded_line(&mut reader, &mut line) {
+            Ok(0) => break,
+            Ok(_) => {
+                let line = line
+                    .strip_suffix('\n')
+                    .map_or(&*line, |l| l.strip_suffix('\r').unwrap_or(l));
+                if line.trim().is_empty() {
+                    continue;
+                }
+                (proto::parse_request(line).map_err(|e| e.to_string()), false)
+            }
+            Err(e) if e.kind() == io::ErrorKind::InvalidInput => (Err(e.to_string()), true),
+            Err(_) => break,
+        };
+        let req = match req {
             Ok(req) => req,
             Err(e) => {
-                let head = ResponseHead::Error(e.to_string());
-                if writer
-                    .write_all(format!("{}\n", proto::render_response_head(&head)).as_bytes())
-                    .is_err()
-                {
+                let head = proto::render_response_head(&ResponseHead::Error(e));
+                if writer.write_all(format!("{head}\n").as_bytes()).is_err() || oversize {
                     break;
                 }
                 continue;
@@ -855,13 +882,13 @@ fn handle_scrape(mut stream: TcpStream, tx: mpsc::Sender<SchedMsg>) {
         Err(_) => return,
     });
     let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
+    if read_bounded_line(&mut reader, &mut request_line).is_err() {
         return;
     }
     // Drain headers; scrape requests carry no body.
     loop {
         let mut header = String::new();
-        match reader.read_line(&mut header) {
+        match read_bounded_line(&mut reader, &mut header) {
             Ok(0) => break,
             Ok(_) if header.trim().is_empty() => break,
             Ok(_) => continue,

@@ -129,6 +129,11 @@ const RULES: &[Rule] = &[
         "log::parse(|log::parse_lines(|read_or_exit(\"event log\"", Absent, 0, "let stream = events::log::parse(&text)?;"),
     (50, "one job lifecycle: the stream judge keeps no state machine beside the record apply advances", "crates/core/src/verify.rs",
         "struct JobState|struct Attempt", Absent, WORD | BEFORE_TESTS, "struct JobState {"),
+    (51, "one way to write a whole file: nothing outside bioseq::output and the daemon's two logs opens a file to write",
+        "src crates/*/src !crates/bioseq/src/output.rs !src/serve.rs !crates/bench/src/bin/ledger", "fs::write(|File::create(|OpenOptions", Absent, BEFORE_TESTS,
+        "std::fs::write(path, bytes)?;"),
+    (51, "one way to write a whole file: the daemon creates its member logs and opens its journal, nothing else", "src/serve.rs",
+        "File::create(|OpenOptions::new(", Exactly(1), BEFORE_TESTS, "let f = File::create(dir.join(\"status\"))?;"),
 ];
 
 /// The sorted entry names of a directory.
@@ -281,4 +286,98 @@ fn every_rule_holds_and_refuses_its_witness() {
         }
     }
     assert!(report.is_empty(), "{}", report.join("\n"));
+}
+
+/// The out-of-line module a `mod x;` line declares, whatever its
+/// visibility.
+fn out_of_line_mod(line: &str) -> Option<&str> {
+    let words: Vec<&str> = line.trim().strip_suffix(';')?.split_whitespace().collect();
+    match words[..] {
+        [.., "mod", name] => Some(name),
+        _ => None,
+    }
+}
+
+/// The non-test lines of each `.rs` file under `tree`: the lines before
+/// its first `#[cfg(test)]`, except that a `#[cfg(test)]` over an
+/// out-of-line `mod x;` is skipped with that line, and the file or
+/// directory such a line reaches counts 0.
+fn non_test_lines(tree: &str) -> Vec<(PathBuf, usize)> {
+    let mut under = Vec::new();
+    files(Path::new(tree), &|_| false, &mut under);
+    under.retain(|f| f.extension().is_some_and(|e| e == "rs"));
+    let (mut counts, mut test_only) = (Vec::new(), Vec::new());
+    for file in under {
+        let text = std::fs::read_to_string(&file).unwrap();
+        let (mut lines, mut n) = (text.lines(), 0);
+        while let Some(line) = lines.next() {
+            if line.contains("#[cfg(test)]") {
+                let Some(name) = lines.next().and_then(out_of_line_mod) else {
+                    break;
+                };
+                // `a/b.rs` declares `a/b/x`; `lib.rs`, `main.rs` and
+                // `mod.rs` declare their directory's `x`.
+                let stem = file.file_stem().unwrap();
+                let dir = match stem.to_str() {
+                    Some("lib" | "main" | "mod") => file.parent().unwrap().to_path_buf(),
+                    _ => file.with_extension(""),
+                };
+                test_only.push(dir.join(name));
+                continue;
+            }
+            n += 1;
+        }
+        counts.push((file, n));
+    }
+    for (file, n) in &mut counts {
+        if test_only
+            .iter()
+            .any(|m| file.starts_with(m) || *file == m.with_extension("rs"))
+        {
+            *n = 0;
+        }
+    }
+    counts
+}
+
+/// The trees the size table reads; the ledger's share of the bench
+/// crate is shown apart.
+const SIZED: &[&str] = &[
+    "crates/core/src",
+    "crates/gridsim/src",
+    "src",
+    "crates/bioseq/src",
+    "crates/blastx/src",
+    "crates/blast2cap3/src",
+    "crates/cap3/src",
+    "crates/condor/src",
+    "crates/bench/src",
+    "crates/bench/src/bin/ledger",
+];
+
+#[test]
+fn the_line_counter_skips_a_test_module_declared_out_of_line() {
+    let core = non_test_lines("crates/core/src");
+    let of = |name: &str| core.iter().find(|(f, _)| f.ends_with(name)).unwrap().1;
+    assert_eq!(
+        of("dax/oracle.rs"),
+        0,
+        "a file reached only from a #[cfg(test)] mod line"
+    );
+    assert!(
+        of("dax.rs") > 21,
+        "dax.rs is counted past its `#[cfg(test)] mod oracle;`"
+    );
+    assert_eq!(out_of_line_mod("#[cfg(test)] mod tests {"), None);
+    assert_eq!(out_of_line_mod("pub(crate) mod oracle;"), Some("oracle"));
+}
+
+/// Prints the non-test lines of each tree (`cargo test --test
+/// architecture size_table -- --nocapture`).
+#[test]
+fn size_table() {
+    for tree in SIZED {
+        let total: usize = non_test_lines(tree).iter().map(|(_, n)| n).sum();
+        println!("{tree:<28} {total:>6}");
+    }
 }

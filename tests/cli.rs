@@ -1825,3 +1825,176 @@ fn b2c3_refuses_bad_proteins_and_short_overlaps_and_filters_by_evalue() {
     assert!(0 < strict && strict < default, "{strict} vs {default}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `bin` with `args` under a file-size limit of `blocks` (the
+/// shell's `ulimit -f` unit), so the kernel kills it (SIGXFSZ) at the
+/// first write past that size.
+fn under_file_limit(blocks: usize, bin: &str, args: &[&str]) -> std::process::Output {
+    Command::new("sh")
+        .args([
+            "-c",
+            "ulimit -f \"$0\"; exec \"$@\"",
+            &blocks.to_string(),
+            bin,
+        ])
+        .args(args)
+        .output()
+        .unwrap()
+}
+
+/// A verb killed mid-write leaves its target whole: the old bytes or
+/// the complete new ones, never a prefix. Each child runs under every
+/// file-size limit below its output's size (in 512-byte blocks, the
+/// smaller unit a shell's `ulimit -f` counts in), each time over a
+/// target holding old bytes; afterwards an unlimited run succeeds
+/// beside whatever stale `.part` the killed ones left.
+#[test]
+fn a_verb_killed_mid_write_leaves_its_target_old_or_whole() {
+    let dir = tmpdir("killed_writes");
+    let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (pegasus, b2c3) = (env!("CARGO_BIN_EXE_pegasus"), env!("CARGO_BIN_EXE_b2c3"));
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/osg_n8.events");
+    let ran = |bin: &str, args: &[&str]| {
+        let out = Command::new(bin).args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    ran(
+        pegasus,
+        &["generate-dax", "--n", "20", "--out", &at("wf.dax")],
+    );
+    ran(
+        b2c3,
+        &[
+            "simulate",
+            "--families",
+            "40",
+            "--seed",
+            "7",
+            "--dir",
+            &at(""),
+        ],
+    );
+    ran(
+        b2c3,
+        &[
+            "align",
+            "--transcripts",
+            &at("transcripts.fasta"),
+            "--proteins",
+            &at("proteins.fasta"),
+            "--threads",
+            "1",
+            "--out",
+            &at("hits.tsv"),
+        ],
+    );
+
+    let (wf, transcripts, proteins, hits) = (
+        at("wf.dax"),
+        at("transcripts.fasta"),
+        at("proteins.fasta"),
+        at("hits.tsv"),
+    );
+    let (prom, chrome, events, tsv, fasta) = (
+        at("x.prom"),
+        at("x.json"),
+        at("x.events"),
+        at("x.tsv"),
+        at("x.fasta"),
+    );
+    let sessions: [(&str, Vec<&str>, &str); 5] = [
+        (
+            pegasus,
+            vec!["metrics", "--from-events", fixture, "--out", &prom],
+            &prom,
+        ),
+        (
+            pegasus,
+            vec![
+                "trace",
+                "--from-events",
+                fixture,
+                "--format",
+                "chrome",
+                "--quiet",
+                "--out",
+                &chrome,
+            ],
+            &chrome,
+        ),
+        (
+            pegasus,
+            vec![
+                "run", "--dax", &wf, "--site", "osg", "--quiet", "--events", &events,
+            ],
+            &events,
+        ),
+        (
+            b2c3,
+            vec![
+                "align",
+                "--transcripts",
+                &transcripts,
+                "--proteins",
+                &proteins,
+                "--threads",
+                "1",
+                "--out",
+                &tsv,
+            ],
+            &tsv,
+        ),
+        (
+            b2c3,
+            vec![
+                "run",
+                "--transcripts",
+                &transcripts,
+                "--alignments",
+                &hits,
+                "--chunks",
+                "4",
+                "--threads",
+                "1",
+                "--out",
+                &fasta,
+            ],
+            &fasta,
+        ),
+    ];
+    let old = b"old bytes\n";
+    for (bin, args, target) in &sessions {
+        ran(bin, args);
+        let whole = std::fs::read(target).unwrap();
+        let mut killed = 0;
+        for blocks in (0..).take_while(|k| k * 512 < whole.len()) {
+            std::fs::write(target, old).unwrap();
+            let out = under_file_limit(blocks, bin, args);
+            killed += usize::from(!out.status.success());
+            let left = std::fs::read(target).unwrap();
+            assert!(
+                left == old || left == whole,
+                "{target} after a kill at {blocks} blocks holds {} of {} bytes",
+                left.len(),
+                whole.len()
+            );
+        }
+        assert!(
+            killed > 0,
+            "no limit stopped {args:?} ({} bytes)",
+            whole.len()
+        );
+        std::fs::write(format!("{target}.part"), "a stale prefix").unwrap();
+        ran(bin, args);
+        assert_eq!(std::fs::read(target).unwrap(), whole, "{target}");
+        assert!(
+            !Path::new(&format!("{target}.part")).exists(),
+            "{target}.part"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

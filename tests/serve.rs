@@ -26,6 +26,9 @@
 //! * malformed request lines get `error` responses without killing
 //!   the connection, and DAX submissions are lint-checked at
 //!   admission time;
+//! * a line longer than `MAX_LINE` is one `error` reply and the end of
+//!   its connection (the scrape port just closes), never a buffer that
+//!   grows with what the peer sends;
 //! * the daemon keeps no run: a scrape before any member finished is
 //!   empty, `trace` reads the member log on demand (a damaged log is
 //!   an `error` reply naming it, and the daemon keeps serving), and
@@ -35,7 +38,7 @@
 
 use blast2cap3::workflow::WorkflowParams;
 use blast2cap3_pegasus::serve::client::{self, Connection};
-use blast2cap3_pegasus::serve::status_lines_offline;
+use blast2cap3_pegasus::serve::{status_lines_offline, MAX_LINE};
 use pegasus_wms::events;
 use pegasus_wms::metrics::{self, MetricsRegistry};
 use pegasus_wms::serve::{Request, ResponseHead, SubmitRequest, SubmitSource};
@@ -967,6 +970,46 @@ fn a_daemon_that_cannot_write_its_listening_line_exits_1() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.starts_with("cannot write to stdout: "), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
+/// A line longer than the bound is one `error` reply and the end of its
+/// connection, not a buffer that grows with what the peer sends; the
+/// scrape port closes on it. The daemon serves the next connection.
+#[test]
+fn a_request_line_past_the_bound_is_refused_and_its_connection_closed() {
+    let dir = scratch("long-line");
+    let daemon = Daemon::start(&dir, &[]);
+    let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("greeting");
+    stream.write_all(&vec![b'x'; MAX_LINE + 1]).expect("send");
+    line.clear();
+    reader.read_line(&mut line).expect("error response");
+    assert_eq!(
+        line,
+        format!("error request line longer than {MAX_LINE} bytes\n")
+    );
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).expect("end of connection"),
+        0,
+        "{line:?}"
+    );
+
+    let mut scrape = std::net::TcpStream::connect(&daemon.metrics_addr).expect("connect");
+    scrape.write_all(&vec![b'x'; MAX_LINE + 1]).expect("send");
+    let mut reply = Vec::new();
+    std::io::Read::read_to_end(&mut scrape, &mut reply).expect("closed");
+    assert!(reply.is_empty(), "{}", String::from_utf8_lossy(&reply));
+
+    let mut conn = daemon.connect();
+    assert_eq!(
+        expect_lines(&mut conn, &Request::Status),
+        Vec::<String>::new()
+    );
+    drop(conn);
+    daemon.shutdown();
 }
 
 #[test]
