@@ -12,9 +12,10 @@
 //!
 //! No verb reproduces it: `pegasus run` has no jitter flag.
 
-use blast2cap3_pegasus::experiment::{simulate_blast2cap3_with, ExperimentOutcome};
+use blast2cap3_pegasus::experiment::simulate_blast2cap3;
 use gridsim::{FaultPlan, FaultScript};
-use pegasus_wms::engine::{EngineConfig, RetryPolicy};
+use pegasus_wms::engine::{EngineConfig, RetryPolicy, WorkflowRun};
+use pegasus_wms::statistics::compute;
 
 // Window placement: the n = 300 OSG run executes its chunks in
 // roughly [3000 s, 13000 s] simulated time, so the timed scenarios sit
@@ -25,11 +26,11 @@ const STRAGGLER: &str = "straggler start=0 duration=1e9 slowdown=4 probability=0
 const INSTALL: &str = "install-failure-burst start=0 duration=1e9 fail-probability=0.3\n";
 
 /// The seed-42 OSG n = 300 run under `plan_text` (empty: no faults).
-fn chaos_run(plan_text: &str, policy: RetryPolicy) -> ExperimentOutcome {
+fn chaos_run(plan_text: &str, policy: RetryPolicy) -> WorkflowRun {
     let script = (!plan_text.is_empty())
         .then(|| FaultScript::new(FaultPlan::parse(plan_text).expect("valid plan"), 42));
     let cfg = EngineConfig::builder().policy(policy).seed(42).build();
-    simulate_blast2cap3_with("osg", 300, 42, &cfg, script)
+    simulate_blast2cap3("osg", 300, 42, &cfg, script)
 }
 
 pub fn run() {
@@ -45,17 +46,17 @@ pub fn run() {
         ("install burst", INSTALL.into()),
         ("full chaos", full_chaos.clone()),
     ] {
-        let out = chaos_run(&plan, policy());
-        let f = &out.stats.faults;
+        let run = chaos_run(&plan, policy());
+        let f = compute(&run).faults;
         outln!(
             "  {label:<16} wall={:>7.0}s retries={:<4} preempted={} evicted={} install={} timeout={} succeeded={}",
-            out.run.wall_time,
+            run.wall_time,
             f.retries,
             f.preemptions,
             f.evictions,
             f.install_failures,
             f.timeouts,
-            out.run.succeeded()
+            run.succeeded()
         );
     }
 
@@ -70,15 +71,15 @@ pub fn run() {
                 .with_timeout(6_000.0),
         ),
     ] {
-        let out = chaos_run(&full_chaos, p);
-        let f = &out.stats.faults;
+        let run = chaos_run(&full_chaos, p);
+        let f = compute(&run).faults;
         outln!(
             "  {label:<18} wall={:>7.0}s retries={:<4} backoff-wait={:>7.0}s timeouts={} succeeded={}",
-            out.run.wall_time,
+            run.wall_time,
             f.retries,
             f.backoff_wait,
             f.timeouts,
-            out.run.succeeded()
+            run.succeeded()
         );
     }
 }

@@ -15,10 +15,18 @@
 use blast2cap3_pegasus::experiment::{
     builtin_registry, calibrated_workflow, plan_on, simulate_blast2cap3,
 };
+use pegasus_wms::engine::{EngineConfig, WorkflowRun};
+use pegasus_wms::statistics::compute;
 use wms_bench::simulated_wall;
 
+/// The seed-42 run of `site` at `n` chunks under a flat retry budget.
+fn osg_run(site: &str, n: usize, retries: u32) -> WorkflowRun {
+    let flat = EngineConfig::builder().retries(retries).build();
+    simulate_blast2cap3(site, n, 42, &flat, None)
+}
+
 pub fn run() {
-    let normal = simulate_blast2cap3("osg", 300, 42, 10).run.wall_time;
+    let normal = osg_run("osg", 300, 10).wall_time;
 
     let registry = builtin_registry();
     let osg = registry.resolve("osg").expect("built-in site");
@@ -29,28 +37,29 @@ pub fn run() {
     let clustered = simulated_wall("osg", &exec, 42, 10);
     outln!("ablation clustering @ OSG n=300: none={normal:.0}s, factor4={clustered:.0}s");
 
-    let staged = simulate_blast2cap3("osg_prestaged", 300, 42, 10);
-    assert!(staged.run.succeeded());
+    let staged = osg_run("osg_prestaged", 300, 10);
+    assert!(staged.succeeded());
     outln!(
         "ablation prestage   @ OSG n=300: install-per-task={normal:.0}s, prestaged={:.0}s",
-        staged.run.wall_time
+        staged.wall_time
     );
 
     for retries in [3u32, 10, 30] {
-        let out = simulate_blast2cap3("osg", 100, 42, retries);
+        let run = osg_run("osg", 100, retries);
         outln!(
             "ablation retries    @ OSG n=100: budget={retries} wall={:.0}s succeeded={}",
-            out.run.wall_time,
-            out.run.succeeded()
+            run.wall_time,
+            run.succeeded()
         );
     }
 
     // Churn evictions keep the plain "preempted" reason, so the kill
     // count is the two counters together.
-    let churn = simulate_blast2cap3("osg_churning", 300, 42, 20);
-    let kills = churn.stats.faults.preemptions + churn.stats.faults.evictions;
+    let churn = osg_run("osg_churning", 300, 20);
+    let faults = compute(&churn).faults;
+    let kills = faults.preemptions + faults.evictions;
     outln!(
         "ablation eviction   @ OSG n=300: churn-model wall={:.0}s (hazard-model={normal:.0}s), {kills} evictions",
-        churn.run.wall_time
+        churn.wall_time
     );
 }

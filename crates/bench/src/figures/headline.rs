@@ -32,18 +32,19 @@ pub fn run() {
     let mut csv = String::from("experiment,serial_s,workflow_s,reduction\n");
 
     // 1. Simulated at paper scale.
-    let sim = simulate_blast2cap3("sandhills", 300, DEFAULT_SEED, 3);
-    assert!(sim.run.succeeded());
-    let sim_reduction = 1.0 - sim.run.wall_time / SERIAL_REFERENCE_SECONDS;
+    let flat = EngineConfig::builder().retries(3).build();
+    let sim = simulate_blast2cap3("sandhills", 300, DEFAULT_SEED, &flat, None);
+    assert!(sim.succeeded());
+    let sim_reduction = 1.0 - sim.wall_time / SERIAL_REFERENCE_SECONDS;
     outln!(
         "simulated paper scale : serial {} -> workflow {} ({:.1}% reduction; paper: 100h -> ~3h, >95%)",
         human_duration(SERIAL_REFERENCE_SECONDS),
-        human_duration(sim.run.wall_time),
+        human_duration(sim.wall_time),
         100.0 * sim_reduction
     );
     csv.push_str(&format!(
         "simulated,{SERIAL_REFERENCE_SECONDS:.1},{:.1},{sim_reduction:.4}\n",
-        sim.run.wall_time
+        sim.wall_time
     ));
     assert!(
         sim_reduction > 0.95,

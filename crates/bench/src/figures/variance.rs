@@ -15,11 +15,10 @@
 //! It stays a figure for its 25-seed CSV and its storm and ensemble
 //! series; tier-1 holds the OSG-vs-Sandhills spread check at 8 seeds.
 
-use blast2cap3_pegasus::experiment::{
-    simulate_blast2cap3, simulate_blast2cap3_ensemble, simulate_blast2cap3_with,
-};
+use blast2cap3_pegasus::experiment::{simulate_blast2cap3, simulate_blast2cap3_ensemble};
 use gridsim::{FaultPlan, FaultScript};
 use pegasus_wms::engine::{EngineConfig, RetryPolicy};
+use pegasus_wms::statistics::{compute, compute_ensemble};
 use wms_bench::{human_duration, write_experiment_file, DEFAULT_SEED};
 
 const CHAOS: &str = "\
@@ -39,16 +38,18 @@ fn simulate(series: &str, seed: u64) -> (bool, f64, u32) {
         .seed(seed)
         .build();
     if let Some(site) = series.strip_suffix("+ensemble") {
-        let out = simulate_blast2cap3_ensemble(site, &[100, 300], seed, &backoff, None);
-        return (out.run.succeeded(), out.run.makespan, out.stats.retries);
+        let run = simulate_blast2cap3_ensemble(site, &[100, 300], seed, &backoff);
+        let retries = compute_ensemble(&run.runs).retries;
+        return (run.succeeded(), run.makespan, retries);
     }
-    let out = if series == "osg+chaos" {
+    let run = if series == "osg+chaos" {
         let script = FaultScript::new(FaultPlan::parse(CHAOS).expect("valid plan"), seed);
-        simulate_blast2cap3_with("osg", 300, seed, &backoff, Some(script))
+        simulate_blast2cap3("osg", 300, seed, &backoff, Some(script))
     } else {
-        simulate_blast2cap3(series, 300, seed, 20)
+        let flat = EngineConfig::builder().retries(20).build();
+        simulate_blast2cap3(series, 300, seed, &flat, None)
     };
-    (out.run.succeeded(), out.run.wall_time, out.stats.retries)
+    (run.succeeded(), run.wall_time, compute(&run).retries)
 }
 
 fn summary(walls: &mut [f64]) -> (f64, f64, f64, f64) {

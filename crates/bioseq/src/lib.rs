@@ -39,7 +39,6 @@ pub mod codon;
 pub mod dust;
 pub mod error;
 pub mod fasta;
-pub mod fastq;
 pub mod fxhash;
 pub mod kmer;
 pub mod output;

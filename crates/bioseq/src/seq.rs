@@ -70,7 +70,7 @@ impl DnaSeq {
     ///
     /// # Panics
     /// Panics if the range is out of bounds or inverted.
-    pub(crate) fn slice(&self, start: usize, end: usize) -> DnaSeq {
+    pub fn slice(&self, start: usize, end: usize) -> DnaSeq {
         DnaSeq {
             bytes: self.bytes[start..end].to_vec(),
         }

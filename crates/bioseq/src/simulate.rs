@@ -215,53 +215,6 @@ pub fn generate(cfg: &TranscriptomeConfig) -> SyntheticTranscriptome {
     }
 }
 
-/// Simulates Illumina-style FASTQ reads: qualities start high and
-/// decay along the read (with noise), and each base's substitution
-/// probability equals its Phred error probability — so trimming by
-/// quality genuinely removes the error-dense tails.
-pub fn simulate_fastq_reads(
-    template: &DnaSeq,
-    coverage: f64,
-    read_len: usize,
-    seed: u64,
-) -> Vec<crate::fastq::FastqRecord> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let tlen = template.len();
-    if tlen == 0 || read_len == 0 {
-        return Vec::new();
-    }
-    let rl = read_len.min(tlen);
-    let n_reads = ((coverage * tlen as f64) / rl as f64).ceil() as usize;
-    let mut out = Vec::with_capacity(n_reads);
-    for i in 0..n_reads {
-        let start = rng.gen_range(0..=tlen - rl);
-        let mut bytes = template.as_bytes()[start..start + rl].to_vec();
-        let mut qual = Vec::with_capacity(rl);
-        for (pos, b) in bytes.iter_mut().enumerate() {
-            // Quality decays from ~Q40 to ~Q10 across the read.
-            let base_q = 40.0 - 30.0 * (pos as f64 / rl as f64);
-            let q = (base_q + 4.0 * (rng.gen_range(0.0..1.0f64) - 0.5) * 2.0)
-                .clamp(2.0, crate::fastq::MAX_PHRED as f64) as u8;
-            qual.push(q);
-            let p_err = 10f64.powf(-(q as f64) / 10.0);
-            if rng.gen_bool(p_err.min(0.75)) {
-                let cur = crate::alphabet::base_code(*b);
-                let mut nb = rng.gen_range(0..4u8);
-                if Some(nb) == cur {
-                    nb = (nb + 1) % 4;
-                }
-                *b = crate::alphabet::code_base(nb);
-            }
-        }
-        let seq = DnaSeq::from_ascii_unchecked(bytes);
-        out.push(
-            crate::fastq::FastqRecord::new(format!("read_{i}"), format!("pos={start}"), seq, qual)
-                .expect("generated qualities are valid"),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,45 +337,6 @@ mod tests {
         assert!(mean > 1.5 && mean < 8.0, "mean={mean}");
         // Heavy tail: some family should be much larger than the mean.
         assert!(*sizes.iter().max().unwrap() >= 16);
-    }
-
-    #[test]
-    fn fastq_reads_have_declining_quality_and_valid_structure() {
-        let template = DnaSeq::from_ascii_unchecked(vec![b'A'; 600]);
-        let reads = simulate_fastq_reads(&template, 8.0, 100, 17);
-        assert_eq!(reads.len(), 48);
-        for r in &reads {
-            assert_eq!(r.qual.len(), r.seq.len());
-        }
-        // Head qualities beat tail qualities on average.
-        let head: f64 = reads.iter().map(|r| r.qual[0] as f64).sum::<f64>() / reads.len() as f64;
-        let tail: f64 = reads.iter().map(|r| r.qual[99] as f64).sum::<f64>() / reads.len() as f64;
-        assert!(head > tail + 15.0, "head {head} vs tail {tail}");
-        // Errors concentrate in the low-quality tail (template is
-        // all-A, so any non-A base is an error).
-        let errors_head: usize = reads
-            .iter()
-            .flat_map(|r| r.seq.as_bytes()[..50].iter())
-            .filter(|&&b| b != b'A')
-            .count();
-        let errors_tail: usize = reads
-            .iter()
-            .flat_map(|r| r.seq.as_bytes()[50..].iter())
-            .filter(|&&b| b != b'A')
-            .count();
-        assert!(
-            errors_tail > errors_head * 2,
-            "{errors_tail} vs {errors_head}"
-        );
-        // Trimming removes most of the error mass.
-        let trimmed: Vec<_> = reads
-            .iter()
-            .filter_map(|r| r.trim_quality(8, 18.0, 10, 40))
-            .collect();
-        assert!(!trimmed.is_empty());
-        let mean_len =
-            trimmed.iter().map(|r| r.seq.len()).sum::<usize>() as f64 / trimmed.len() as f64;
-        assert!(mean_len < 100.0, "tails must be cut (mean {mean_len})");
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! protocol on ... Illumina HiSeq2000 machines" and base-called with
 //! CASAVA — i.e. the raw input to Fig. 1's preprocessing stage is
 //! FASTQ. This module provides the record (a sequence with per-base
-//! Phred scores) and the sliding-window quality trimming that "data
-//! cleaning" tools (Trimmomatic, Sickle) perform.
+//! Phred scores), a simulator of Illumina-style reads, and the
+//! sliding-window quality trimming that "data cleaning" tools
+//! (Trimmomatic, Sickle) perform.
 
-use crate::error::{BioError, Result};
-use crate::fasta::Record;
-use crate::seq::DnaSeq;
+use bioseq::alphabet::{base_code, code_base};
+use bioseq::fasta::Record;
+use bioseq::seq::DnaSeq;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Highest sane Phred score (Illumina caps around Q41; we allow Q60).
-pub(crate) const MAX_PHRED: u8 = 60;
+const MAX_PHRED: u8 = 60;
 
 /// A FASTQ record: sequence plus per-base Phred qualities.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,11 +23,11 @@ pub struct FastqRecord {
     /// Identifier (text after `@`, before whitespace).
     pub id: String,
     /// Remainder of the header line.
-    pub(crate) desc: String,
+    desc: String,
     /// The bases.
     pub seq: DnaSeq,
     /// Phred scores (NOT ASCII-encoded), one per base.
-    pub(crate) qual: Vec<u8>,
+    qual: Vec<u8>,
 }
 
 impl FastqRecord {
@@ -35,22 +38,13 @@ impl FastqRecord {
         desc: impl Into<String>,
         seq: DnaSeq,
         qual: Vec<u8>,
-    ) -> Result<Self> {
+    ) -> Result<Self, String> {
         if qual.len() != seq.len() {
-            return Err(BioError::MalformedFasta {
-                line: 0,
-                reason: format!(
-                    "quality length {} != sequence length {}",
-                    qual.len(),
-                    seq.len()
-                ),
-            });
+            let (q, s) = (qual.len(), seq.len());
+            return Err(format!("quality length {q} != sequence length {s}"));
         }
         if let Some(&q) = qual.iter().find(|&&q| q > MAX_PHRED) {
-            return Err(BioError::MalformedFasta {
-                line: 0,
-                reason: format!("phred score {q} above {MAX_PHRED}"),
-            });
+            return Err(format!("phred score {q} above {MAX_PHRED}"));
         }
         Ok(FastqRecord {
             id: id.into(),
@@ -111,6 +105,53 @@ impl FastqRecord {
             qual: self.qual[start..end].to_vec(),
         })
     }
+}
+
+/// Simulates Illumina-style FASTQ reads: qualities start high and
+/// decay along the read (with noise), and each base's substitution
+/// probability equals its Phred error probability — so trimming by
+/// quality genuinely removes the error-dense tails.
+pub fn simulate_fastq_reads(
+    template: &DnaSeq,
+    coverage: f64,
+    read_len: usize,
+    seed: u64,
+) -> Vec<FastqRecord> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let tlen = template.len();
+    if tlen == 0 || read_len == 0 {
+        return Vec::new();
+    }
+    let rl = read_len.min(tlen);
+    let n_reads = ((coverage * tlen as f64) / rl as f64).ceil() as usize;
+    let mut out = Vec::with_capacity(n_reads);
+    for i in 0..n_reads {
+        let start = rng.gen_range(0..=tlen - rl);
+        let mut bytes = template.as_bytes()[start..start + rl].to_vec();
+        let mut qual = Vec::with_capacity(rl);
+        for (pos, b) in bytes.iter_mut().enumerate() {
+            // Quality decays from ~Q40 to ~Q10 across the read.
+            let base_q = 40.0 - 30.0 * (pos as f64 / rl as f64);
+            let q = (base_q + 4.0 * (rng.gen_range(0.0..1.0f64) - 0.5) * 2.0)
+                .clamp(2.0, MAX_PHRED as f64) as u8;
+            qual.push(q);
+            let p_err = 10f64.powf(-(q as f64) / 10.0);
+            if rng.gen_bool(p_err.min(0.75)) {
+                let cur = base_code(*b);
+                let mut nb = rng.gen_range(0..4u8);
+                if Some(nb) == cur {
+                    nb = (nb + 1) % 4;
+                }
+                *b = code_base(nb);
+            }
+        }
+        let seq = DnaSeq::from_ascii_unchecked(bytes);
+        out.push(
+            FastqRecord::new(format!("read_{i}"), format!("pos={start}"), seq, qual)
+                .expect("generated qualities are valid"),
+        );
+    }
+    out
 }
 
 #[cfg(test)]
@@ -185,5 +226,44 @@ mod tests {
         let f = r.clone().into_fasta();
         assert_eq!(f.id, "x");
         assert_eq!(f.seq, r.seq);
+    }
+
+    #[test]
+    fn fastq_reads_have_declining_quality_and_valid_structure() {
+        let template = DnaSeq::from_ascii_unchecked(vec![b'A'; 600]);
+        let reads = simulate_fastq_reads(&template, 8.0, 100, 17);
+        assert_eq!(reads.len(), 48);
+        for r in &reads {
+            assert_eq!(r.qual.len(), r.seq.len());
+        }
+        // Head qualities beat tail qualities on average.
+        let head: f64 = reads.iter().map(|r| r.qual[0] as f64).sum::<f64>() / reads.len() as f64;
+        let tail: f64 = reads.iter().map(|r| r.qual[99] as f64).sum::<f64>() / reads.len() as f64;
+        assert!(head > tail + 15.0, "head {head} vs tail {tail}");
+        // Errors concentrate in the low-quality tail (template is
+        // all-A, so any non-A base is an error).
+        let errors_head: usize = reads
+            .iter()
+            .flat_map(|r| r.seq.as_bytes()[..50].iter())
+            .filter(|&&b| b != b'A')
+            .count();
+        let errors_tail: usize = reads
+            .iter()
+            .flat_map(|r| r.seq.as_bytes()[50..].iter())
+            .filter(|&&b| b != b'A')
+            .count();
+        assert!(
+            errors_tail > errors_head * 2,
+            "{errors_tail} vs {errors_head}"
+        );
+        // Trimming removes most of the error mass.
+        let trimmed: Vec<_> = reads
+            .iter()
+            .filter_map(|r| r.trim_quality(8, 18.0, 10, 40))
+            .collect();
+        assert!(!trimmed.is_empty());
+        let mean_len =
+            trimmed.iter().map(|r| r.seq.len()).sum::<usize>() as f64 / trimmed.len() as f64;
+        assert!(mean_len < 100.0, "tails must be cut (mean {mean_len})");
     }
 }

@@ -13,15 +13,20 @@
 //! ```sh
 //! cargo run --release --example assembly_pipeline
 //! ```
+//!
+//! The FASTQ record, read simulator and quality trimmer it uses live
+//! beside it in `fastq.rs`, whose unit tests `tests/fastq.rs` runs.
+
+mod fastq;
 
 use bioseq::fasta::Record;
-use bioseq::fastq::FastqRecord;
-use bioseq::simulate::{generate, simulate_fastq_reads, TranscriptomeConfig};
+use bioseq::simulate::{generate, TranscriptomeConfig};
 use bioseq::stats::assembly_stats;
 use blast2cap3::serial::run_serial;
 use blastx::search::{SearchParams, Searcher};
 use blastx::tabular::TabularRecord;
 use cap3::{Assembler, Cap3Params};
+use fastq::{simulate_fastq_reads, FastqRecord};
 
 fn main() {
     // The "organism": gene families with ancestral proteins.

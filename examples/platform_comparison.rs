@@ -11,7 +11,8 @@
 
 use blast2cap3_pegasus::experiment::simulate_blast2cap3;
 use gridsim::platforms::SERIAL_REFERENCE_SECONDS;
-use pegasus_wms::statistics::render_text;
+use pegasus_wms::engine::EngineConfig;
+use pegasus_wms::statistics::{compute, render_text};
 
 fn main() {
     let n: usize = std::env::args()
@@ -19,15 +20,17 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(300);
     println!("serial baseline (paper): {SERIAL_REFERENCE_SECONDS:.0}s = 100h; workflow n = {n}\n");
+    let engine = EngineConfig::builder().retries(10).build();
     for site in ["sandhills", "osg"] {
-        let out = simulate_blast2cap3(site, n, 2014, 10);
-        assert!(out.run.succeeded(), "{site} run failed");
-        println!("{}", render_text(&out.stats));
+        let run = simulate_blast2cap3(site, n, 2014, &engine, None);
+        assert!(run.succeeded(), "{site} run failed");
+        let stats = compute(&run);
+        println!("{}", render_text(&stats));
         println!(
             "=> {site}: wall {:.0}s, {:.1}% below serial, {} retries\n",
-            out.run.wall_time,
-            100.0 * (1.0 - out.run.wall_time / SERIAL_REFERENCE_SECONDS),
-            out.stats.retries
+            run.wall_time,
+            100.0 * (1.0 - run.wall_time / SERIAL_REFERENCE_SECONDS),
+            stats.retries
         );
     }
     println!(

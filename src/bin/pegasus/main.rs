@@ -132,9 +132,10 @@ fn comma_list(list: &str) -> impl Iterator<Item = &str> {
 }
 
 /// Sends a verb's rendered output to `--out <file>` (confirming with
-/// `<done> <file>` unless `--quiet`), or to stdout without one.
+/// `<done> <file>` unless `--quiet`), or to stdout without one or when
+/// the file is the one stdout is open on.
 fn write_or_print(args: &Args, text: &str, done: &str) {
-    match args.get("out") {
+    match args.get("out").filter(|path| !is_stdout(path)) {
         Some(path) => {
             write_or_exit("output", path, text);
             if !args.flag("quiet") {
@@ -142,6 +143,20 @@ fn write_or_print(args: &Args, text: &str, done: &str) {
             }
         }
         None => out!("{text}"),
+    }
+}
+
+/// `true` when `path` is the file stdout is open on, as `/dev/stdout`
+/// is under `>> o.txt`: a file renamed into place would take it from
+/// under the shell's redirection.
+fn is_stdout(path: &str) -> bool {
+    use std::os::fd::AsFd;
+    use std::os::unix::fs::MetadataExt;
+    let stdout = std::io::stdout().as_fd().try_clone_to_owned();
+    let stdout = stdout.and_then(|fd| std::fs::File::from(fd).metadata());
+    match (stdout, std::fs::metadata(path)) {
+        (Ok(out), Ok(file)) => (out.dev(), out.ino()) == (file.dev(), file.ino()),
+        _ => false,
     }
 }
 

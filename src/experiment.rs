@@ -10,7 +10,9 @@
 //!   those cluster costs into `n` chunk costs;
 //! * [`simulate_blast2cap3`] — plan the Fig. 2 workflow onto a
 //!   simulated platform (Sandhills or OSG) and execute it under the
-//!   DAGMan engine, returning the run and its pegasus-statistics;
+//!   DAGMan engine, returning the engine's run record;
+//! * [`simulate_blast2cap3_ensemble`] — the decomposition sweep as one
+//!   ensemble of such workflows sharing that platform;
 //! * [`real_run`] — the one real executor: the Fig. 2 workflow over
 //!   real FASTA/tabular files and real CAP3 on a local Condor pool,
 //!   planned for this machine by [`plan_local`].
@@ -25,7 +27,7 @@ use blastx::tabular::TabularRecord;
 use condor::pool::LocalPool;
 use gridsim::platforms::SERIAL_REFERENCE_SECONDS;
 use gridsim::sites::SiteRegistry;
-use gridsim::SimBackend;
+use gridsim::FaultScript;
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog, SiteCatalog, TransformationCatalog};
 use pegasus_wms::catalog_io::CatalogBundle;
 use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, WorkflowRun};
@@ -34,7 +36,6 @@ use pegasus_wms::error::WmsError;
 use pegasus_wms::lint::{self, DaxLintOptions, Diagnostic};
 use pegasus_wms::planner::{plan, ExecutableWorkflow, PlannerConfig};
 use pegasus_wms::serve::CALIBRATION_CLUSTERS;
-use pegasus_wms::statistics::{compute, compute_ensemble, EnsembleStatistics, WorkflowStatistics};
 use pegasus_wms::symbols::SiteId;
 use pegasus_wms::workflow::AbstractWorkflow;
 use pegasus_wms::{dax, prof, verify};
@@ -103,45 +104,23 @@ pub fn calibrated_chunk_costs(calibration: &WorkloadCalibration, n: usize) -> Ve
         .collect()
 }
 
-/// One simulated experiment result.
-#[derive(Debug, Clone)]
-pub struct ExperimentOutcome {
-    /// The engine-level run record.
-    pub run: WorkflowRun,
-    /// Its pegasus-statistics.
-    pub stats: WorkflowStatistics,
-}
-
 /// Simulates the paper's experiment: the Fig. 2 workflow with `n`
-/// clusters, planned for `site` (any name or alias in the built-in
-/// registry), executed on the matching platform model.
+/// chunks, planned for `site` (any name or alias in the built-in
+/// registry) and executed under `engine` on the matching platform
+/// model, with `script`'s seeded faults injected when given. `seed`
+/// picks the workload and the platform's draws;
+/// [`compute`](pegasus_wms::statistics::compute) reads the run's
+/// pegasus-statistics.
 ///
 /// # Panics
 /// Panics on an unknown site name or if planning fails.
-pub fn simulate_blast2cap3(site: &str, n: usize, seed: u64, retries: u32) -> ExperimentOutcome {
-    simulate_blast2cap3_with(
-        site,
-        n,
-        seed,
-        &EngineConfig::builder().retries(retries).build(),
-        None,
-    )
-}
-
-/// Like [`simulate_blast2cap3`], but with a caller-supplied engine
-/// configuration and an optional seeded chaos script injected into the
-/// simulated platform — the entry point the fault-injection benches
-/// and determinism tests share.
-///
-/// # Panics
-/// Panics on an unknown site name or if planning fails.
-pub fn simulate_blast2cap3_with(
+pub fn simulate_blast2cap3(
     site: &str,
     n: usize,
     seed: u64,
-    engine_cfg: &EngineConfig,
-    script: Option<gridsim::FaultScript>,
-) -> ExperimentOutcome {
+    engine: &EngineConfig,
+    script: Option<FaultScript>,
+) -> WorkflowRun {
     let reg = builtin_registry();
     let id = reg.resolve(site).expect("site in the built-in registry");
     let exec = plan_blast2cap3_at(reg, id, n, seed);
@@ -149,25 +128,39 @@ pub fn simulate_blast2cap3_with(
     if let Some(script) = script {
         backend = backend.with_faults(script);
     }
-    let run = Engine::run(&mut backend, &exec, engine_cfg, &mut NoopMonitor);
-    let stats = compute(&run);
-    ExperimentOutcome { run, stats }
+    Engine::run(&mut backend, &exec, engine, &mut NoopMonitor)
 }
 
-/// Plans the Fig. 2 workflow with `n` chunks for `site`, returning the
-/// executable DAG named `blast2cap3_n{n}` so ensemble members remain
-/// distinguishable in rollup reports.
+/// Simulates the paper's decomposition sweep as one *ensemble*: every
+/// `n` in `sizes` is planned as its own Fig. 2 workflow, named
+/// `blast2cap3_n{n}`, and all of them contend for the same simulated
+/// platform up to its capacity. One seed determines the whole run, so
+/// the [`compute_ensemble`](pegasus_wms::statistics::compute_ensemble)
+/// rollup is reproducible byte-for-byte.
 ///
 /// # Panics
 /// Panics on an unknown site name or if planning fails.
-pub fn plan_blast2cap3(site: &str, n: usize, seed: u64) -> ExecutableWorkflow {
+pub fn simulate_blast2cap3_ensemble(
+    site: &str,
+    sizes: &[usize],
+    seed: u64,
+    engine: &EngineConfig,
+) -> EnsembleRun {
     let reg = builtin_registry();
     let id = reg.resolve(site).expect("site in the built-in registry");
-    plan_blast2cap3_at(reg, id, n, seed)
+    let submissions: Vec<Submission> = sizes
+        .iter()
+        .map(|&n| Submission::new(plan_blast2cap3_at(reg, id, n, seed), engine.clone()))
+        .collect();
+    let mut backend = reg.backend(id, seed);
+    Ensemble::run_to_completion(&mut backend, submissions, &EnsembleConfig::default())
+        .expect("planner output always has dense job ids")
 }
 
-/// Registry-parameterised planning of [`calibrated_workflow`], through
-/// [`plan_on`].
+/// Plans [`calibrated_workflow`] with `n` chunks for the registered
+/// site `id` through [`plan_on`], naming the executable DAG
+/// `blast2cap3_n{n}` so ensemble members remain distinguishable in
+/// rollup reports.
 ///
 /// # Panics
 /// Panics if planning fails.
@@ -319,55 +312,6 @@ pub fn plan_findings(
     Ok(findings)
 }
 
-/// Builds the simulated platform backend for `site`, or a typed
-/// [`WmsError::UnknownSite`] listing the registered names.
-pub fn sim_backend_for(site: &str, seed: u64) -> Result<SimBackend, WmsError> {
-    let reg = builtin_registry();
-    Ok(reg.backend(reg.resolve(site)?, seed))
-}
-
-/// One simulated ensemble result.
-#[derive(Debug, Clone)]
-pub struct EnsembleOutcome {
-    /// Per-member runs plus the ensemble makespan.
-    pub run: EnsembleRun,
-    /// Per-workflow statistics and the rollup.
-    pub stats: EnsembleStatistics,
-}
-
-/// Simulates the paper's decomposition sweep as one *ensemble*: every
-/// `n` in `sizes` is planned as its own Fig. 2 workflow and all of
-/// them contend for the same simulated platform under the shared slot
-/// budget (`None` defers to the backend's capacity). One seed
-/// determines the whole run, so the rollup CSV is reproducible
-/// byte-for-byte.
-///
-/// # Panics
-/// Panics on an unknown site name or if planning fails.
-pub fn simulate_blast2cap3_ensemble(
-    site: &str,
-    sizes: &[usize],
-    seed: u64,
-    engine_cfg: &EngineConfig,
-    slot_budget: Option<usize>,
-) -> EnsembleOutcome {
-    let reg = builtin_registry();
-    let id = reg.resolve(site).expect("site in the built-in registry");
-    let submissions: Vec<Submission> = sizes
-        .iter()
-        .map(|&n| Submission::new(plan_blast2cap3_at(reg, id, n, seed), engine_cfg.clone()))
-        .collect();
-    let mut backend = reg.backend(id, seed);
-    let ens_cfg = EnsembleConfig {
-        slot_budget,
-        ..EnsembleConfig::default()
-    };
-    let run = Ensemble::run_to_completion(&mut backend, submissions, &ens_cfg)
-        .expect("planner output always has dense job ids");
-    let stats = compute_ensemble(&run.runs);
-    EnsembleOutcome { run, stats }
-}
-
 /// The `alignments.out` rows of a synthetic dataset: every transcript
 /// BLASTXed against the dataset's own protein set, on all cores (hit
 /// order does not depend on the thread count). What every
@@ -467,6 +411,7 @@ mod tests {
     use bioseq::simulate::{generate, TranscriptomeConfig};
     use bioseq::stats::{assembly_stats, reduction_ratio};
     use condor::pool::PoolConfig;
+    use pegasus_wms::statistics::{compute, compute_ensemble};
 
     #[test]
     fn calibration_totals_match_the_paper() {
@@ -523,32 +468,28 @@ mod tests {
 
     #[test]
     fn simulated_sandhills_beats_serial_by_95_percent() {
-        let out = simulate_blast2cap3("sandhills", 300, 7, 3);
-        assert!(out.run.succeeded());
-        let reduction = 1.0 - out.run.wall_time / SERIAL_REFERENCE_SECONDS;
+        let cfg = EngineConfig::builder().retries(3).build();
+        let run = simulate_blast2cap3("sandhills", 300, 7, &cfg, None);
+        assert!(run.succeeded());
+        let reduction = 1.0 - run.wall_time / SERIAL_REFERENCE_SECONDS;
         assert!(
             reduction > 0.95,
             "workflow must cut >95% of serial time; wall={} reduction={reduction}",
-            out.run.wall_time
+            run.wall_time
         );
     }
 
     #[test]
     fn ensemble_sweep_shares_one_platform_and_all_members_finish() {
         let cfg = EngineConfig::builder().retries(3).build();
-        let out = simulate_blast2cap3_ensemble("sandhills", &[10, 50], 7, &cfg, None);
-        assert_eq!(out.run.runs.len(), 2);
-        assert!(out.run.succeeded());
-        assert_eq!(out.stats.workflows_failed, 0);
-        assert_eq!(out.run.runs[0].name, "blast2cap3_n10");
-        assert_eq!(out.run.runs[1].name, "blast2cap3_n50");
-        let max_wall = out
-            .run
-            .runs
-            .iter()
-            .map(|r| r.wall_time)
-            .fold(0.0f64, f64::max);
-        assert!((out.run.makespan - max_wall).abs() < 1e-9);
+        let run = simulate_blast2cap3_ensemble("sandhills", &[10, 50], 7, &cfg);
+        assert_eq!(run.runs.len(), 2);
+        assert!(run.succeeded());
+        assert_eq!(compute_ensemble(&run.runs).workflows_failed, 0);
+        assert_eq!(run.runs[0].name, "blast2cap3_n10");
+        assert_eq!(run.runs[1].name, "blast2cap3_n50");
+        let max_wall = run.runs.iter().map(|r| r.wall_time).fold(0.0f64, f64::max);
+        assert!((run.makespan - max_wall).abs() < 1e-9);
     }
 
     #[test]

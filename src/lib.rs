@@ -10,9 +10,12 @@
 //!   transformation names, producing the [`condor::pool::TaskRegistry`] the
 //!   local worker pool executes;
 //! * [`experiment`] — the shared experiment harness: workload
-//!   calibration against the paper's 100-hour serial baseline,
-//!   simulated platform runs (Fig. 4/Fig. 5), and real local workflow
-//!   runs at laptop scale;
+//!   calibration against the paper's 100-hour serial baseline, the
+//!   simulated platform runs of Figs. 4–5
+//!   ([`experiment::simulate_blast2cap3`], and
+//!   [`experiment::simulate_blast2cap3_ensemble`] for a sweep sharing
+//!   one platform), and the real local workflow run at laptop scale
+//!   ([`experiment::real_run`]);
 //! * [`serve`] — the `pegasus serve` daemon runtime: a multi-tenant
 //!   submission socket, journal + event-log persistence, crash
 //!   recovery, and the Prometheus scrape endpoint;

@@ -1132,7 +1132,8 @@ mod tests {
 
     #[test]
     fn a_failed_member_log_append_is_remembered_and_ends_the_writing() {
-        let run = crate::experiment::simulate_blast2cap3("sandhills", 4, 7, 3).run;
+        let engine = EngineConfig::builder().retries(3).build();
+        let run = crate::experiment::simulate_blast2cap3("sandhills", 4, 7, &engine, None);
         let chunks: Vec<&[WorkflowEvent]> = run.events.chunks(5).collect();
         let header = events::log::write(&[]).len();
         // The two headers are the first two writes; chunk `fail_at`

@@ -134,6 +134,9 @@ const RULES: &[Rule] = &[
         "std::fs::write(path, bytes)?;"),
     (51, "one way to write a whole file: the daemon creates its member logs and opens its journal, nothing else", "src/serve.rs",
         "File::create(|OpenOptions::new(", Exactly(1), BEFORE_TESTS, "let f = File::create(dir.join(\"status\"))?;"),
+    (52, "one way to simulate the paper's workflow from the library, and FASTQ lives with its one user", "crates src tests",
+        "simulate_blast2cap3_with|ExperimentOutcome|EnsembleOutcome|sim_backend_for|plan_blast2cap3|simulate_fastq_reads|pub mod fastq", Absent, WORD,
+        "let exec = plan_blast2cap3(\"osg\", 40, SEED);"),
 ];
 
 /// The sorted entry names of a directory.

@@ -4,7 +4,7 @@
 //! (`--from-events`) rendering must be byte-identical to the live one
 //! under the same seed.
 
-use blast2cap3_pegasus::experiment::simulate_blast2cap3_with;
+use blast2cap3_pegasus::experiment::simulate_blast2cap3;
 use pegasus_wms::breakdown::{self, BreakdownRow};
 use pegasus_wms::engine::EngineConfig;
 use pegasus_wms::events;
@@ -21,9 +21,9 @@ fn config() -> EngineConfig {
 /// Runs one sweep point and computes its row from the emitted events
 /// only — no peeking at the in-memory run.
 fn row(site: &str, n: usize) -> BreakdownRow {
-    let out = simulate_blast2cap3_with(site, n, SEED, &config(), None);
-    assert!(out.run.succeeded(), "{site} n={n} did not complete");
-    breakdown::from_events(&out.run.events).expect("engine streams replay")
+    let run = simulate_blast2cap3(site, n, SEED, &config(), None);
+    assert!(run.succeeded(), "{site} n={n} did not complete");
+    breakdown::from_events(&run.events).expect("engine streams replay")
 }
 
 #[test]
@@ -100,13 +100,13 @@ fn committed_fixture_matches_golden_exposition() {
 
 #[test]
 fn offline_rendering_is_byte_identical_to_live() {
-    let out = simulate_blast2cap3_with("osg", 100, SEED, &config(), None);
-    assert!(out.run.succeeded());
-    let live = breakdown::from_events(&out.run.events).unwrap();
+    let run = simulate_blast2cap3("osg", 100, SEED, &config(), None);
+    assert!(run.succeeded());
+    let live = breakdown::from_events(&run.events).unwrap();
 
     // Round-trip the stream through the text log — the exact
     // `--events-dir` → `--from-events` path.
-    let parsed = events::log::parse(&events::log::write(&out.run.events)).unwrap();
+    let parsed = events::log::parse(&events::log::write(&run.events)).unwrap();
     let offline = breakdown::from_events(&parsed).unwrap();
 
     assert_eq!(

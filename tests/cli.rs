@@ -781,6 +781,47 @@ fn pegasus_unusable_paths_exit_1_without_panicking() {
     );
 }
 
+/// `--out` naming the file stdout is open on writes through stdout:
+/// under `>> o.txt` the exposition lands after what o.txt held, as it
+/// does without `--out`, and no `written to` note follows it. A file
+/// renamed over o.txt would drop its old content and send the note to
+/// the unlinked file.
+#[test]
+fn pegasus_out_naming_stdouts_own_file_appends_through_stdout() {
+    let dir = tmpdir("out_stdout");
+    let events = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/osg_n8.events");
+    let metrics = ["metrics", "--from-events", events];
+    let plain = pegasus().args(metrics).output().unwrap();
+    assert!(plain.status.success());
+    let earlier = "an earlier line\n";
+    let o = dir.join("o.txt");
+    std::fs::write(&o, earlier).unwrap();
+    let append = std::fs::OpenOptions::new().append(true).open(&o).unwrap();
+    let out = pegasus()
+        .args(metrics)
+        .args(["--out", "/dev/stdout"])
+        .stdout(append)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (have, want) = (
+        std::fs::read(&o).unwrap(),
+        [earlier.as_bytes(), &plain.stdout].concat(),
+    );
+    assert!(
+        have == want,
+        "o.txt holds {} bytes, starting {:?}; want the earlier line and the {}-byte exposition",
+        have.len(),
+        String::from_utf8_lossy(&have[..have.len().min(40)]),
+        plain.stdout.len()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A reader that stops early (`pegasus trace | head -1`) ends the
 /// writer quietly, as `yes | head` leaves `yes`: exit 0, no panic.
 #[test]

@@ -16,44 +16,58 @@
 //!   admission. Never re-bless it to make a change pass.
 
 use blast2cap3_pegasus::experiment::{
-    plan_blast2cap3, sim_backend_for, simulate_blast2cap3_ensemble,
+    builtin_registry, plan_blast2cap3_at, simulate_blast2cap3_ensemble,
 };
+use gridsim::SimBackend;
 use pegasus_wms::engine::scripted::ScriptedBackend;
 use pegasus_wms::engine::{Engine, EngineConfig, JobState, NoopMonitor, WorkflowOutcome};
-use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
+use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, EnsembleRun, Submission};
 use pegasus_wms::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
-use pegasus_wms::statistics::{compute, render_ensemble_csv, render_summary_csv};
+use pegasus_wms::statistics::{compute, compute_ensemble, render_ensemble_csv, render_summary_csv};
 use pegasus_wms::workflow::JobId;
 
 const SEED: u64 = 20140519;
 
+/// The Fig. 2 workflow with `n` chunks, planned for `site` under SEED.
+fn plan(site: &str, n: usize) -> ExecutableWorkflow {
+    let reg = builtin_registry();
+    plan_blast2cap3_at(reg, reg.resolve(site).unwrap(), n, SEED)
+}
+
+/// `site`'s simulated platform under SEED.
+fn backend(site: &str) -> SimBackend {
+    let reg = builtin_registry();
+    reg.backend(reg.resolve(site).unwrap(), SEED)
+}
+
 #[test]
 fn same_seed_ensemble_sweep_replays_byte_identical_rollup_csv() {
     let cfg = EngineConfig::builder().retries(10).seed(SEED).build();
-    let a = simulate_blast2cap3_ensemble("osg", &[10, 40], SEED, &cfg, None);
-    let b = simulate_blast2cap3_ensemble("osg", &[10, 40], SEED, &cfg, None);
-    assert!(a.run.succeeded());
+    let a = simulate_blast2cap3_ensemble("osg", &[10, 40], SEED, &cfg);
+    let b = simulate_blast2cap3_ensemble("osg", &[10, 40], SEED, &cfg);
+    assert!(a.succeeded());
+    let rollup = |run: &EnsembleRun| render_ensemble_csv(&compute_ensemble(&run.runs));
     assert_eq!(
-        render_ensemble_csv(&a.stats),
-        render_ensemble_csv(&b.stats),
+        rollup(&a),
+        rollup(&b),
         "rollup CSV must be byte-identical under a fixed seed"
     );
     // Different seed ⇒ different schedule on the opportunistic model.
     let cfg_c = EngineConfig::builder().retries(10).seed(SEED + 1).build();
-    let c = simulate_blast2cap3_ensemble("osg", &[10, 40], SEED + 1, &cfg_c, None);
-    assert_ne!(render_ensemble_csv(&a.stats), render_ensemble_csv(&c.stats));
+    let c = simulate_blast2cap3_ensemble("osg", &[10, 40], SEED + 1, &cfg_c);
+    assert_ne!(rollup(&a), rollup(&c));
 }
 
 #[test]
 fn singleton_unbounded_ensemble_is_bit_identical_to_engine_run() {
     let cfg = EngineConfig::builder().retries(10).seed(SEED).build();
 
-    let exec = plan_blast2cap3("osg", 40, SEED);
-    let mut be_single = sim_backend_for("osg", SEED).unwrap();
+    let exec = plan("osg", 40);
+    let mut be_single = backend("osg");
     let single = Engine::run(&mut be_single, &exec, &cfg, &mut NoopMonitor);
 
-    let subs = vec![Submission::new(plan_blast2cap3("osg", 40, SEED), cfg)];
-    let mut be_ens = sim_backend_for("osg", SEED).unwrap();
+    let subs = vec![Submission::new(plan("osg", 40), cfg)];
+    let mut be_ens = backend("osg");
     let ens = Ensemble::run_to_completion(&mut be_ens, subs, &EnsembleConfig::unbounded()).unwrap();
 
     assert_eq!(ens.runs.len(), 1);
@@ -83,11 +97,12 @@ fn crashed_member_rescues_and_one_resubmission_completes_it() {
     crashing_cfg.crash_after_events = Some(30);
 
     let subs = vec![
-        Submission::new(plan_blast2cap3("sandhills", 10, SEED), healthy_cfg.clone()),
-        Submission::new(plan_blast2cap3("sandhills", 40, SEED), crashing_cfg),
+        Submission::new(plan("sandhills", 10), healthy_cfg.clone()),
+        Submission::new(plan("sandhills", 40), crashing_cfg),
     ];
-    let mut backend = sim_backend_for("sandhills", SEED).unwrap();
-    let ens = Ensemble::run_to_completion(&mut backend, subs, &EnsembleConfig::default()).unwrap();
+    let mut sandhills = backend("sandhills");
+    let ens =
+        Ensemble::run_to_completion(&mut sandhills, subs, &EnsembleConfig::default()).unwrap();
 
     assert!(ens.runs[0].succeeded(), "healthy member must finish");
     let rescue = match &ens.runs[1].outcome {
@@ -102,9 +117,13 @@ fn crashed_member_rescues_and_one_resubmission_completes_it() {
         .seed(SEED)
         .rescue(&rescue)
         .build();
-    let exec = plan_blast2cap3("sandhills", 40, SEED);
-    let mut backend2 = sim_backend_for("sandhills", SEED).unwrap();
-    let resumed = Engine::run(&mut backend2, &exec, &resume_cfg, &mut NoopMonitor);
+    let exec = plan("sandhills", 40);
+    let resumed = Engine::run(
+        &mut backend("sandhills"),
+        &exec,
+        &resume_cfg,
+        &mut NoopMonitor,
+    );
     assert!(
         resumed.succeeded(),
         "one resubmission must complete the member"
@@ -127,15 +146,12 @@ fn two_tenant_fair_share_is_deterministic_under_one_seed() {
     let run_once = || {
         let cfg = EngineConfig::builder().retries(10).seed(SEED).build();
         let subs = vec![
-            Submission::new(plan_blast2cap3("sandhills", 10, SEED), cfg.clone())
-                .with_tenant("alice"),
-            Submission::new(plan_blast2cap3("sandhills", 40, SEED), cfg.clone())
-                .with_tenant("alice"),
-            Submission::new(plan_blast2cap3("sandhills", 10, SEED), cfg).with_tenant("bob"),
+            Submission::new(plan("sandhills", 10), cfg.clone()).with_tenant("alice"),
+            Submission::new(plan("sandhills", 40), cfg.clone()).with_tenant("alice"),
+            Submission::new(plan("sandhills", 10), cfg).with_tenant("bob"),
         ];
-        let mut backend = sim_backend_for("sandhills", SEED).unwrap();
         let ens = Ensemble::run_to_completion(
-            &mut backend,
+            &mut backend("sandhills"),
             subs,
             &EnsembleConfig::with_slot_budget(8).with_tenant_slots(6),
         )
@@ -149,10 +165,7 @@ fn two_tenant_fair_share_is_deterministic_under_one_seed() {
             .iter()
             .map(|r| pegasus_wms::events::log::write(&r.events))
             .collect();
-        (
-            logs,
-            render_ensemble_csv(&pegasus_wms::statistics::compute_ensemble(&ens.runs)),
-        )
+        (logs, render_ensemble_csv(&compute_ensemble(&ens.runs)))
     };
     let (logs_a, csv_a) = run_once();
     let (logs_b, csv_b) = run_once();
@@ -168,24 +181,23 @@ fn sandhills_rollup_beats_osg_with_n300_optimal() {
     // hazard. The seed picks one concrete deterministic schedule.
     let seed = 11u64;
     let cfg = EngineConfig::builder().retries(20).seed(seed).build();
-    let sandhills = simulate_blast2cap3_ensemble("sandhills", &sizes, seed, &cfg, None);
-    let osg = simulate_blast2cap3_ensemble("osg", &sizes, seed, &cfg, None);
-    assert!(sandhills.run.succeeded() && osg.run.succeeded());
+    let sandhills = simulate_blast2cap3_ensemble("sandhills", &sizes, seed, &cfg);
+    let osg = simulate_blast2cap3_ensemble("osg", &sizes, seed, &cfg);
+    assert!(sandhills.succeeded() && osg.succeeded());
 
     // §VI-A: the dedicated campus allocation finishes the whole sweep
     // sooner than the opportunistic grid.
     assert!(
-        sandhills.run.makespan < osg.run.makespan,
+        sandhills.makespan < osg.makespan,
         "sandhills rollup {:.0}s must beat osg rollup {:.0}s",
-        sandhills.run.makespan,
-        osg.run.makespan
+        sandhills.makespan,
+        osg.makespan
     );
 
     // Within the Sandhills rollup, n = 300 remains the optimal
     // decomposition: no other member finishes faster.
     let wall_of = |name: &str| {
         sandhills
-            .run
             .runs
             .iter()
             .find(|r| r.name == name)

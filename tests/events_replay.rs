@@ -5,9 +5,9 @@
 //! fault counters included — on both platforms, and a crashed run's
 //! rescue DAG must be recoverable from the log alone.
 
-use blast2cap3_pegasus::experiment::simulate_blast2cap3_with;
+use blast2cap3_pegasus::experiment::simulate_blast2cap3;
 use gridsim::{FaultPlan, FaultScript};
-use pegasus_wms::engine::{EngineConfig, RetryPolicy, WorkflowOutcome};
+use pegasus_wms::engine::{EngineConfig, RetryPolicy, WorkflowOutcome, WorkflowRun};
 use pegasus_wms::events;
 use pegasus_wms::statistics::{compute, render_csv, render_summary_csv};
 
@@ -26,36 +26,37 @@ fn storm_cfg() -> EngineConfig {
         .build()
 }
 
-fn storm_run(site: &str) -> blast2cap3_pegasus::experiment::ExperimentOutcome {
+fn storm_run(site: &str) -> WorkflowRun {
     let plan = FaultPlan::parse(STORM).expect("valid plan");
     let script = FaultScript::new(plan, SEED);
-    simulate_blast2cap3_with(site, 300, SEED, &storm_cfg(), Some(script))
+    simulate_blast2cap3(site, 300, SEED, &storm_cfg(), Some(script))
 }
 
 #[test]
 fn storm_statistics_survive_the_event_log_round_trip_on_both_platforms() {
     for site in ["sandhills", "osg"] {
-        let live = storm_run(site);
-        assert!(live.run.succeeded(), "{site}: storm run must complete");
+        let run = storm_run(site);
+        let live = compute(&run);
+        assert!(run.succeeded(), "{site}: storm run must complete");
         assert!(
-            live.stats.faults.preemptions > 0,
+            live.faults.preemptions > 0,
             "{site}: the storm must actually preempt attempts: {:?}",
-            live.stats.faults
+            live.faults
         );
 
-        let text = events::log::write(&live.run.events);
+        let text = events::log::write(&run.events);
         let parsed = events::log::parse(&text).expect("parse event log");
-        assert_eq!(parsed, live.run.events, "{site}: log must round-trip");
+        assert_eq!(parsed, run.events, "{site}: log must round-trip");
         let replayed = events::replay(&parsed).expect("replay");
         let offline = compute(&replayed);
         assert_eq!(
             render_csv(&offline),
-            render_csv(&live.stats),
+            render_csv(&live),
             "{site}: per-task-type CSV from the log must match the live run"
         );
         assert_eq!(
             render_summary_csv(&offline),
-            render_summary_csv(&live.stats),
+            render_summary_csv(&live),
             "{site}: summary CSV (fault counters included) must match"
         );
     }
@@ -66,8 +67,8 @@ fn same_seed_and_plan_write_byte_identical_event_logs() {
     let a = storm_run("osg");
     let b = storm_run("osg");
     assert_eq!(
-        events::log::write(&a.run.events),
-        events::log::write(&b.run.events),
+        events::log::write(&a.events),
+        events::log::write(&b.events),
         "the event log is part of the deterministic replay surface"
     );
 }
@@ -83,13 +84,13 @@ submit-host-crash after-events=150
     let script = FaultScript::new(plan, SEED);
     let mut cfg = storm_cfg();
     cfg.crash_after_events = script.submit_host_crash_after();
-    let crashed = simulate_blast2cap3_with("osg", 300, SEED, &cfg, Some(script));
-    let live_rescue = match &crashed.run.outcome {
+    let crashed = simulate_blast2cap3("osg", 300, SEED, &cfg, Some(script));
+    let live_rescue = match &crashed.outcome {
         WorkflowOutcome::Failed(rescue) => rescue.clone(),
         other => panic!("the scripted crash must leave a rescue DAG, got {other:?}"),
     };
 
-    let parsed = events::log::parse(&events::log::write(&crashed.run.events)).expect("parse");
+    let parsed = events::log::parse(&events::log::write(&crashed.events)).expect("parse");
     let offline_rescue = events::rescue_from_events(&parsed)
         .expect("replay")
         .expect("crashed run must yield a rescue DAG");

@@ -5,14 +5,14 @@
 //! detail — timestamps are real wall clock and are the only thing
 //! allowed to differ), and the pool must agree with the simulator.
 
-use blast2cap3_pegasus::experiment::simulate_blast2cap3_with;
+use blast2cap3_pegasus::experiment::simulate_blast2cap3;
 use condor::pool::{FaultInjector, FaultProbe, InjectedFault, LocalPool, PoolConfig, TaskRegistry};
 use gridsim::{AttemptTiming, FaultPlan, FaultScript, PlatformModel, SimBackend};
 use pegasus_wms::engine::{
     Engine, EngineConfig, FaultReason, JobRecord, JobState, NoopMonitor, RetryPolicy, WorkflowRun,
 };
 use pegasus_wms::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
-use pegasus_wms::statistics::{render_csv, render_summary_csv};
+use pegasus_wms::statistics::{compute, render_csv, render_summary_csv};
 use std::sync::Arc;
 
 // Windows sit inside the n = 120 OSG run's chunk-execution phase
@@ -34,34 +34,35 @@ fn chaos_engine_cfg(seed: u64) -> EngineConfig {
         .build()
 }
 
-fn chaos_sim_run(seed: u64) -> blast2cap3_pegasus::experiment::ExperimentOutcome {
+fn chaos_sim_run(seed: u64) -> WorkflowRun {
     let plan = FaultPlan::parse(CHAOS_PLAN).expect("valid plan");
     let script = FaultScript::new(plan, seed);
-    simulate_blast2cap3_with("osg", 120, seed, &chaos_engine_cfg(seed), Some(script))
+    simulate_blast2cap3("osg", 120, seed, &chaos_engine_cfg(seed), Some(script))
 }
 
 #[test]
 fn same_seed_chaos_sim_runs_emit_byte_identical_csv() {
     let a = chaos_sim_run(2014);
     let b = chaos_sim_run(2014);
-    assert!(a.run.succeeded(), "chaos run must still complete");
-    let f = &a.stats.faults;
+    let (a_stats, b_stats) = (compute(&a), compute(&b));
+    assert!(a.succeeded(), "chaos run must still complete");
+    let f = &a_stats.faults;
     assert!(
         f.preemptions > 0 && f.install_failures > 0,
         "the plan must actually inject faults: {f:?}"
     );
     assert_eq!(
-        render_summary_csv(&a.stats),
-        render_summary_csv(&b.stats),
+        render_summary_csv(&a_stats),
+        render_summary_csv(&b_stats),
         "summary CSV must be byte-identical under a fixed seed"
     );
     assert_eq!(
-        render_csv(&a.stats),
-        render_csv(&b.stats),
+        render_csv(&a_stats),
+        render_csv(&b_stats),
         "per-type CSV must be byte-identical under a fixed seed"
     );
     // The full per-job record agrees too, including every failure time.
-    for (ra, rb) in a.run.records.iter().zip(&b.run.records) {
+    for (ra, rb) in a.records.iter().zip(&b.records) {
         assert_eq!(ra.name, rb.name);
         assert_eq!(ra.attempts, rb.attempts);
         assert_eq!(ra.times, rb.times);
@@ -71,11 +72,11 @@ fn same_seed_chaos_sim_runs_emit_byte_identical_csv() {
 
 #[test]
 fn different_seeds_draw_different_chaos() {
-    let a = chaos_sim_run(2014);
-    let b = chaos_sim_run(2015);
+    let a = compute(&chaos_sim_run(2014));
+    let b = compute(&chaos_sim_run(2015));
     assert_ne!(
-        render_summary_csv(&a.stats),
-        render_summary_csv(&b.stats),
+        render_summary_csv(&a),
+        render_summary_csv(&b),
         "changing the seed must change the run"
     );
 }
@@ -104,34 +105,34 @@ submit-host-crash after-events=150
             .seed(seed)
             .build();
         cfg.crash_after_events = script.submit_host_crash_after();
-        let crashed = simulate_blast2cap3_with("osg", 300, seed, &cfg, Some(script.clone()));
-        let rescue = match &crashed.run.outcome {
+        let crashed = simulate_blast2cap3("osg", 300, seed, &cfg, Some(script.clone()));
+        let rescue = match &crashed.outcome {
             pegasus_wms::engine::WorkflowOutcome::Failed(rescue) => rescue.clone(),
             other => panic!("the scripted crash must leave a rescue DAG, got {other:?}"),
         };
         // Rescue resubmission #1 — and the last one needed.
         let mut resume_cfg = EngineConfig::builder().policy(policy).seed(seed).build();
         resume_cfg.skip_done = rescue.done.iter().cloned().collect();
-        let resumed = simulate_blast2cap3_with("osg", 300, seed, &resume_cfg, Some(script));
+        let resumed = simulate_blast2cap3("osg", 300, seed, &resume_cfg, Some(script));
         assert!(
-            resumed.run.succeeded(),
+            resumed.succeeded(),
             "one resubmission must complete the storm run"
         );
-        (rescue.to_text(), resumed)
+        (rescue.to_text(), compute(&resumed))
     };
 
     let (rescue_a, resumed_a) = invoke();
     let (rescue_b, resumed_b) = invoke();
     assert_eq!(rescue_a, rescue_b, "crash point must be reproducible");
     assert_eq!(
-        render_summary_csv(&resumed_a.stats),
-        render_summary_csv(&resumed_b.stats),
+        render_summary_csv(&resumed_a),
+        render_summary_csv(&resumed_b),
         "the resumed run must be reproducible too"
     );
     assert!(
-        resumed_a.stats.faults.preemptions > 0,
+        resumed_a.faults.preemptions > 0,
         "the storm must actually preempt attempts: {:?}",
-        resumed_a.stats.faults
+        resumed_a.faults
     );
 }
 

@@ -14,7 +14,7 @@
 //! PEGASUS_BLESS=1 cargo test --test interning_equivalence
 //! ```
 
-use blast2cap3_pegasus::experiment::{plan_blast2cap3, simulate_blast2cap3_with};
+use blast2cap3_pegasus::experiment::{builtin_registry, plan_blast2cap3_at, simulate_blast2cap3};
 use pegasus_wms::breakdown;
 use pegasus_wms::engine::EngineConfig;
 use pegasus_wms::events;
@@ -46,17 +46,17 @@ struct Artifacts {
 
 fn artifacts_for(site: &str, n: usize, seed: u64) -> Artifacts {
     let cfg = EngineConfig::builder().retries(RETRIES).seed(seed).build();
-    let out = simulate_blast2cap3_with(site, n, seed, &cfg, None);
+    let run = simulate_blast2cap3(site, n, seed, &cfg, None);
     assert!(
-        out.run.succeeded(),
+        run.succeeded(),
         "{site} n={n} seed={seed}: golden runs must succeed"
     );
     let mut registry = MetricsRegistry::new();
-    metrics::record_events(&mut registry, &out.run.events).expect("engine streams replay");
+    metrics::record_events(&mut registry, &run.events).expect("engine streams replay");
     Artifacts {
-        stats_csv: render_csv(&compute(&out.run)),
-        event_log: events::log::write(&out.run.events),
-        breakdown_csv: breakdown::render_csv(&[breakdown::of_run(&out.run)]),
+        stats_csv: render_csv(&compute(&run)),
+        event_log: events::log::write(&run.events),
+        breakdown_csv: breakdown::render_csv(&[breakdown::of_run(&run)]),
         prom: registry.render(),
     }
 }
@@ -175,8 +175,9 @@ fn metrics_exposition_is_byte_identical_to_pre_interning_goldens() {
 /// not change when the formatting moves through the shared writer.
 #[test]
 fn planner_to_dot_output_is_unchanged() {
+    let reg = builtin_registry();
     for site in SITES {
-        let exec = plan_blast2cap3(site, 10, 7);
+        let exec = plan_blast2cap3_at(reg, reg.resolve(site).unwrap(), 10, 7);
         check_golden(&format!("to_dot_{site}_n10.dot"), &exec.to_dot());
     }
 }

@@ -11,7 +11,7 @@
 
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::experiment::{
-    calibrate_workload, calibrated_chunk_costs, plan_blast2cap3, sim_backend_for,
+    builtin_registry, calibrate_workload, calibrated_chunk_costs, plan_blast2cap3_at,
 };
 use condor::joblog::{EventCode, JobLogMonitor};
 use gridsim::platforms::osg;
@@ -22,6 +22,7 @@ use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
 use pegasus_wms::events::{self, EventSink, WorkflowEvent};
 use pegasus_wms::metrics::{MetricsMonitor, MetricsRegistry};
 use pegasus_wms::monitor::{MultiMonitor, StatusMonitor, TimelineMonitor};
+use pegasus_wms::planner::ExecutableWorkflow;
 use pegasus_wms::statistics::{compute, render_csv, render_summary_csv};
 use pegasus_wms::trace::TraceId;
 use pegasus_wms::{breakdown, trace};
@@ -189,9 +190,15 @@ fn stormy_osg() -> SimBackend {
          preemption-storm start=3000 duration=5000 kill-probability=0.5\n",
     )
     .expect("valid plan");
-    sim_backend_for("osg", SEED)
-        .expect("osg is built in")
+    let reg = builtin_registry();
+    reg.backend(reg.resolve("osg").expect("osg is built in"), SEED)
         .with_faults(FaultScript::new(plan, SEED))
+}
+
+/// The Fig. 2 workflow with `n` chunks, planned for OSG under SEED.
+fn osg_plan(n: usize) -> ExecutableWorkflow {
+    let reg = builtin_registry();
+    plan_blast2cap3_at(reg, reg.resolve("osg").expect("osg is built in"), n, SEED)
 }
 
 fn storm_cfg() -> EngineConfig {
@@ -232,7 +239,7 @@ fn every_observer_is_handed_exactly_the_recorded_stream() {
         )
     };
 
-    let exec = plan_blast2cap3("osg", 300, SEED);
+    let exec = osg_plan(300);
     let mut crashing = storm_cfg();
     crashing.crash_after_events = Some(150);
     for (cfg, completes) in [(storm_cfg(), true), (crashing.clone(), false)] {
@@ -252,7 +259,7 @@ fn every_observer_is_handed_exactly_the_recorded_stream() {
     crashing.crash_after_events = Some(20);
     let members = vec![
         Submission::new(exec.clone(), storm_cfg()),
-        Submission::new(plan_blast2cap3("osg", 40, SEED), crashing),
+        Submission::new(osg_plan(40), crashing),
     ];
     let ens = Ensemble::run_to_completion_monitored(
         &mut stormy_osg(),
@@ -273,7 +280,7 @@ fn every_observer_is_handed_exactly_the_recorded_stream() {
 
 #[test]
 fn folds_of_a_run_in_hand_equal_folds_of_its_written_log() {
-    let exec = plan_blast2cap3("osg", 40, SEED);
+    let exec = osg_plan(40);
     let run_with =
         |cfg: &EngineConfig| Engine::run(&mut stormy_osg(), &exec, cfg, &mut NoopMonitor);
 

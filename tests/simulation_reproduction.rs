@@ -6,8 +6,15 @@ use blast2cap3_pegasus::experiment::{
     calibrate_workload, calibrated_chunk_costs, simulate_blast2cap3,
 };
 use gridsim::platforms::SERIAL_REFERENCE_SECONDS;
+use pegasus_wms::engine::EngineConfig;
+use pegasus_wms::statistics::compute;
 
 const SEED: u64 = 20140519;
+
+/// A flat budget of `retries` per job, engine seed 0.
+fn flat(retries: u32) -> EngineConfig {
+    EngineConfig::builder().retries(retries).build()
+}
 
 /// Paper Fig. 4 + abstract: the Pegasus implementation cuts more than
 /// 95 % of the serial runtime (at the paper's reported operating
@@ -15,9 +22,9 @@ const SEED: u64 = 20140519;
 #[test]
 fn fig4_workflow_beats_serial_by_95_percent() {
     for n in [100usize, 300, 500] {
-        let out = simulate_blast2cap3("sandhills", n, SEED, 3);
-        assert!(out.run.succeeded());
-        let reduction = 1.0 - out.run.wall_time / SERIAL_REFERENCE_SECONDS;
+        let run = simulate_blast2cap3("sandhills", n, SEED, &flat(3), None);
+        assert!(run.succeeded());
+        let reduction = 1.0 - run.wall_time / SERIAL_REFERENCE_SECONDS;
         assert!(
             reduction > 0.95,
             "n={n}: reduction {reduction:.3} below the paper's >95%"
@@ -30,14 +37,14 @@ fn fig4_workflow_beats_serial_by_95_percent() {
 #[test]
 fn fig4_sandhills_beats_osg() {
     for n in [10usize, 100, 300] {
-        let sh = simulate_blast2cap3("sandhills", n, SEED, 10);
-        let og = simulate_blast2cap3("osg", n, SEED, 10);
-        assert!(sh.run.succeeded() && og.run.succeeded());
+        let sh = simulate_blast2cap3("sandhills", n, SEED, &flat(10), None);
+        let og = simulate_blast2cap3("osg", n, SEED, &flat(10), None);
+        assert!(sh.succeeded() && og.succeeded());
         assert!(
-            sh.run.wall_time < og.run.wall_time,
+            sh.wall_time < og.wall_time,
             "n={n}: sandhills {:.0}s must beat osg {:.0}s",
-            sh.run.wall_time,
-            og.run.wall_time
+            sh.wall_time,
+            og.wall_time
         );
     }
 }
@@ -47,10 +54,8 @@ fn fig4_sandhills_beats_osg() {
 /// gap between the n >= 100 points is small.
 #[test]
 fn fig4_sandhills_n_shape() {
-    let w10 = simulate_blast2cap3("sandhills", 10, SEED, 3).run.wall_time;
-    let w100 = simulate_blast2cap3("sandhills", 100, SEED, 3).run.wall_time;
-    let w300 = simulate_blast2cap3("sandhills", 300, SEED, 3).run.wall_time;
-    let w500 = simulate_blast2cap3("sandhills", 500, SEED, 3).run.wall_time;
+    let wall = |n| simulate_blast2cap3("sandhills", n, SEED, &flat(3), None).wall_time;
+    let (w10, w100, w300, w500) = (wall(10), wall(100), wall(300), wall(500));
     let improvement = 1.0 - w100 / w10;
     assert!(
         improvement > 0.6,
@@ -73,10 +78,8 @@ fn optimum_is_at_300_clusters() {
     let walls: Vec<(usize, f64)> = [10usize, 100, 300, 500]
         .iter()
         .map(|&n| {
-            (
-                n,
-                simulate_blast2cap3("sandhills", n, SEED, 3).run.wall_time,
-            )
+            let run = simulate_blast2cap3("sandhills", n, SEED, &flat(3), None);
+            (n, run.wall_time)
         })
         .collect();
     let best = walls
@@ -90,10 +93,16 @@ fn optimum_is_at_300_clusters() {
 /// large on OSG; Download/Install Time exists only on OSG.
 #[test]
 fn fig5_waiting_and_install_contrast() {
-    let sh = simulate_blast2cap3("sandhills", 300, SEED, 10);
-    let og = simulate_blast2cap3("osg", 300, SEED, 10);
-    let sh_cap3 = sh.stats.for_type("run_cap3").unwrap();
-    let og_cap3 = og.stats.for_type("run_cap3").unwrap();
+    let sh = compute(&simulate_blast2cap3(
+        "sandhills",
+        300,
+        SEED,
+        &flat(10),
+        None,
+    ));
+    let og = compute(&simulate_blast2cap3("osg", 300, SEED, &flat(10), None));
+    let sh_cap3 = sh.for_type("run_cap3").unwrap();
+    let og_cap3 = og.for_type("run_cap3").unwrap();
     assert!(
         sh_cap3.waiting_mean < 120.0,
         "sandhills waiting must be negligible, got {:.0}s",
@@ -109,7 +118,7 @@ fn fig5_waiting_and_install_contrast() {
     assert!(og_cap3.install_mean > 0.0);
     // run_cap3 needs 3 packages; the single-package list tasks install
     // faster — the planner models the catalogs, not a constant.
-    let og_list = og.stats.for_type("list_transcripts").unwrap();
+    let og_list = og.for_type("list_transcripts").unwrap();
     assert!(og_cap3.install_mean > og_list.install_mean);
 }
 
@@ -119,10 +128,10 @@ fn fig5_waiting_and_install_contrast() {
 #[test]
 fn fig5_osg_kickstart_beats_sandhills() {
     for n in [100usize, 300, 500] {
-        let sh = simulate_blast2cap3("sandhills", n, SEED, 10);
-        let og = simulate_blast2cap3("osg", n, SEED, 10);
-        let shk = sh.stats.for_type("run_cap3").unwrap().kickstart_mean;
-        let ogk = og.stats.for_type("run_cap3").unwrap().kickstart_mean;
+        let sh = compute(&simulate_blast2cap3("sandhills", n, SEED, &flat(10), None));
+        let og = compute(&simulate_blast2cap3("osg", n, SEED, &flat(10), None));
+        let shk = sh.for_type("run_cap3").unwrap().kickstart_mean;
+        let ogk = og.for_type("run_cap3").unwrap().kickstart_mean;
         assert!(
             ogk < shk,
             "n={n}: OSG kickstart ({ogk:.0}s) must beat Sandhills ({shk:.0}s)"
@@ -135,8 +144,8 @@ fn fig5_osg_kickstart_beats_sandhills() {
 fn fig5_kickstart_decreases_with_n() {
     let mut last = f64::INFINITY;
     for n in [10usize, 100, 300, 500] {
-        let out = simulate_blast2cap3("sandhills", n, SEED, 3);
-        let k = out.stats.for_type("run_cap3").unwrap().kickstart_mean;
+        let stats = compute(&simulate_blast2cap3("sandhills", n, SEED, &flat(3), None));
+        let k = stats.for_type("run_cap3").unwrap().kickstart_mean;
         assert!(k < last, "kickstart must shrink with n (n={n}: {k:.0}s)");
         last = k;
     }
@@ -146,11 +155,17 @@ fn fig5_kickstart_decreases_with_n() {
 /// Sandhills.
 #[test]
 fn failures_only_on_osg() {
-    let sh = simulate_blast2cap3("sandhills", 300, SEED, 10);
-    let og = simulate_blast2cap3("osg", 300, SEED, 10);
-    assert_eq!(sh.stats.retries, 0, "no failures on the campus cluster");
-    assert!(og.stats.retries > 0, "preemptions must appear on OSG");
-    assert!(og.stats.cumulative_badput > 0.0);
+    let sh = compute(&simulate_blast2cap3(
+        "sandhills",
+        300,
+        SEED,
+        &flat(10),
+        None,
+    ));
+    let og = compute(&simulate_blast2cap3("osg", 300, SEED, &flat(10), None));
+    assert_eq!(sh.retries, 0, "no failures on the campus cluster");
+    assert!(og.retries > 0, "preemptions must appear on OSG");
+    assert!(og.cumulative_badput > 0.0);
 }
 
 /// The decomposition floor: no chunk can cost less than the largest
@@ -174,11 +189,11 @@ fn max_cluster_is_the_flattening_floor() {
 /// the Sandhills/OSG gap.
 #[test]
 fn prestaging_software_helps_osg() {
-    let normal = simulate_blast2cap3("osg", 300, SEED, 10);
-    let staged = simulate_blast2cap3("osg_prestaged", 300, SEED, 10);
-    assert!(normal.run.succeeded() && staged.run.succeeded());
-    let n_install = normal.stats.for_type("run_cap3").unwrap().install_mean;
-    let s_install = staged.stats.for_type("run_cap3").unwrap().install_mean;
+    let normal = simulate_blast2cap3("osg", 300, SEED, &flat(10), None);
+    let staged = simulate_blast2cap3("osg_prestaged", 300, SEED, &flat(10), None);
+    assert!(normal.succeeded() && staged.succeeded());
+    let n_install = compute(&normal).for_type("run_cap3").unwrap().install_mean;
+    let s_install = compute(&staged).for_type("run_cap3").unwrap().install_mean;
     assert!(n_install > 0.0);
     assert_eq!(s_install, 0.0);
 }
@@ -191,9 +206,9 @@ fn osg_wall_time_varies_more_than_sandhills() {
     let spread = |site: &str| {
         let walls: Vec<f64> = (SEED..SEED + 8)
             .map(|seed| {
-                let out = simulate_blast2cap3(site, 300, seed, 20);
-                assert!(out.run.succeeded(), "{site} seed {seed}");
-                out.run.wall_time
+                let run = simulate_blast2cap3(site, 300, seed, &flat(20), None);
+                assert!(run.succeeded(), "{site} seed {seed}");
+                run.wall_time
             })
             .collect();
         let max = walls.iter().copied().fold(0.0f64, f64::max);
