@@ -487,7 +487,7 @@ mod tests {
         let run = run_workflow(&wf, &mut pool, &EngineConfig::builder().retries(3).build());
         assert!(run.succeeded());
         assert_eq!(ATTEMPTS.load(Ordering::SeqCst), 3);
-        assert_eq!(run.records[0].failures.len(), 2);
+        assert_eq!(run.failures(&run.records[0]).count(), 2);
     }
 
     #[test]
@@ -534,7 +534,7 @@ mod tests {
             WorkflowOutcome::Failed(rescue) => assert!(rescue.done.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
-        let failure = &run.records[0].failures[0];
+        let failure = run.failures(&run.records[0]).next().unwrap();
         assert_eq!(failure.reason, FaultReason::Other);
         assert_eq!(failure.detail, "error:task panicked");
     }
@@ -618,7 +618,10 @@ mod tests {
         let run = run_workflow(&wf, &mut pool, &EngineConfig::builder().retries(1).build());
         assert!(run.succeeded());
         assert_eq!(run.records[0].attempts, 2);
-        assert_eq!(run.records[0].failures[0].detail, "preempted");
+        assert_eq!(
+            run.failures(&run.records[0]).next().unwrap().detail,
+            "preempted"
+        );
         assert_eq!(run.faults.preemptions, 1);
     }
 
@@ -646,10 +649,10 @@ mod tests {
         let mut pool = LocalPool::with_fault_injector(cfg, TaskRegistry::new(), Some(injector));
         let run = run_workflow(&wf, &mut pool, &EngineConfig::builder().retries(2).build());
         assert!(run.succeeded());
-        let rec = &run.records[0];
-        assert_eq!(rec.failures.len(), 1);
-        assert_eq!(rec.failures[0].detail, "preempted:storm");
-        let evicted = &rec.failures[0].times;
+        let failures: Vec<_> = run.failures(&run.records[0]).collect();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].detail, "preempted:storm");
+        let evicted = &failures[0].times;
         assert!(
             evicted.finished - evicted.started < 0.3,
             "eviction must cut the 500ms sleep short, took {}",
@@ -708,10 +711,10 @@ mod tests {
             &EngineConfig::builder().policy(policy).build(),
         );
         assert!(run.succeeded());
-        let rec = &run.records[0];
-        assert_eq!(rec.failures.len(), 1);
-        assert_eq!(rec.failures[0].reason, FaultReason::Timeout);
-        assert_eq!(rec.failures[0].detail, "timeout: exceeded 0.08s");
+        let failures: Vec<_> = run.failures(&run.records[0]).collect();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].reason, FaultReason::Timeout);
+        assert_eq!(failures[0].detail, "timeout: exceeded 0.08s");
         assert_eq!(run.faults.timeouts, 1);
     }
 
@@ -749,7 +752,7 @@ mod tests {
             1,
             "kernel must run only on the clean retry"
         );
-        let failures = &run.records[0].failures;
+        let failures: Vec<_> = run.failures(&run.records[0]).collect();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].detail, "install:burst");
         assert_eq!(run.faults.install_failures, 1);

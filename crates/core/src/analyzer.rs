@@ -157,10 +157,10 @@ pub fn analyze(run: &WorkflowRun) -> Analysis {
             }
             JobState::Failed => {
                 let mut reasons: BTreeMap<Name, usize> = BTreeMap::new();
-                for f in &rec.failures {
+                for f in run.failures(rec) {
                     *reasons.entry(f.detail.clone()).or_insert(0) += 1;
                 }
-                let mut kinds: Vec<FaultReason> = rec.failures.iter().map(|f| f.reason).collect();
+                let mut kinds: Vec<FaultReason> = run.failures(rec).map(|f| f.reason).collect();
                 kinds.sort();
                 kinds.dedup();
                 failed.push(FailedJobReport {
@@ -169,7 +169,7 @@ pub fn analyze(run: &WorkflowRun) -> Analysis {
                     attempts: rec.attempts,
                     reasons: reasons.into_iter().collect(),
                     kinds,
-                    badput: rec.failures.iter().map(|f| f.times.total()).sum(),
+                    badput: run.failures(rec).map(|f| f.times.total()).sum(),
                 });
             }
             JobState::Unready => unready.push(rec.name.clone()),
@@ -191,9 +191,10 @@ pub fn analyze(run: &WorkflowRun) -> Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{FailedAttempt, JobRecord, JobTimes};
+    use crate::engine::{FailedAttempt, FailureChain, JobRecord, JobTimes};
     use crate::planner::JobKind;
     use crate::rescue::RescueDag;
+    use crate::workflow::JobId;
 
     fn times(total: f64) -> JobTimes {
         JobTimes {
@@ -222,18 +223,13 @@ mod tests {
             state,
             attempts,
             times: (state == JobState::Done).then(|| times(5.0)),
-            failures: vec![],
+            failures: FailureChain::NONE,
         }
     }
 
     fn failed_run() -> WorkflowRun {
-        let mut bad = record("bad", JobState::Failed, 3);
-        bad.failures = vec![
-            failure(10.0, FaultReason::Preemption, "preempted"),
-            failure(20.0, FaultReason::Preemption, "preempted"),
-            failure(5.0, FaultReason::Other, "node vanished"),
-        ];
-        WorkflowRun {
+        let bad = record("bad", JobState::Failed, 3);
+        let mut run = WorkflowRun {
             name: "wf".into(),
             site: "osg".into(),
             outcome: WorkflowOutcome::Failed(RescueDag::default()),
@@ -245,7 +241,15 @@ mod tests {
                 record("flaky_but_fine", JobState::Done, 2),
             ],
             ..Default::default()
+        };
+        for failure in [
+            failure(10.0, FaultReason::Preemption, "preempted"),
+            failure(20.0, FaultReason::Preemption, "preempted"),
+            failure(5.0, FaultReason::Other, "node vanished"),
+        ] {
+            run.push_failure(JobId::new(1), failure);
         }
+        run
     }
 
     #[test]
@@ -275,11 +279,8 @@ mod tests {
     #[test]
     fn typed_kinds_drive_suggestions_even_with_opaque_wire_text() {
         // The wire string need not mention "preempt" — the enum does.
-        let mut bad = record("bad", JobState::Failed, 2);
-        bad.failures = [10.0, 5.0]
-            .map(|total| failure(total, FaultReason::Preemption, "slot reclaimed by owner"))
-            .into();
-        let run = WorkflowRun {
+        let bad = record("bad", JobState::Failed, 2);
+        let mut run = WorkflowRun {
             name: "wf".into(),
             site: "osg".into(),
             outcome: WorkflowOutcome::Failed(RescueDag::default()),
@@ -287,6 +288,10 @@ mod tests {
             records: vec![record("ok", JobState::Done, 1), bad],
             ..Default::default()
         };
+        for total in [10.0, 5.0] {
+            let failure = failure(total, FaultReason::Preemption, "slot reclaimed by owner");
+            run.push_failure(JobId::new(1), failure);
+        }
         let text = analyze(&run).suggestions().join("\n");
         assert!(text.contains("preemptions"), "{text}");
     }

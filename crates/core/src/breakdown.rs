@@ -6,8 +6,8 @@
 //! Sandhills even though its per-task total is worse — install
 //! overhead, queue-wait variance, and retry badput eat the
 //! difference. This module computes that breakdown from the
-//! [`JobRecord`]s the provenance stream folds into: `job_spans`
-//! turns them into per-job [`JobSpan`]s
+//! [`WorkflowRun`] the provenance stream folds into: `job_spans`
+//! turns its records into per-job [`JobSpan`]s
 //!
 //! > `queue-wait → install → kickstart → post-overhead → retry-badput`
 //!
@@ -18,7 +18,7 @@
 //! --from-events` reproduces the live sweep byte-for-byte under the
 //! same seed.
 
-use crate::engine::{JobRecord, WorkflowRun};
+use crate::engine::WorkflowRun;
 use crate::error::WmsError;
 use crate::events::{self, WorkflowEvent};
 use crate::metrics::n_label;
@@ -69,48 +69,44 @@ impl JobSpan {
     }
 }
 
-/// One [`JobSpan`] per job record.
+/// One [`JobSpan`] per job record of `run`, in record order.
 ///
 /// Jobs that never completed keep zero success-phase durations but
 /// still accumulate `retry_badput` from their failed attempts.
-pub(crate) fn job_spans(records: &[JobRecord]) -> Vec<JobSpan> {
-    records
-        .iter()
-        .map(|r| {
-            let retry_badput = r
-                .failures
-                .iter()
-                .fold(0.0, |sum, f| sum + (f.times.finished - f.times.submitted));
-            let ok = r.times.unwrap_or_default();
-            // Per-task phases are measured from the first attempt's
-            // *release* into the remote queue (its
-            // `JobTimes::submitted`), not from the engine-side
-            // hand-off: time a job sits held at the submit host behind
-            // the DAGMan-style throttle is a workflow-level scheduling
-            // artefact, not a per-task cost, and pegasus-statistics
-            // likewise derives per-job phases from the Condor job log.
-            let origin = r.failures.first().map_or(ok, |f| f.times).submitted;
-            JobSpan {
-                job: r.job,
-                name: r.name.clone(),
-                transformation: r.transformation.clone(),
-                kind: r.kind,
-                attempts: r.attempts,
-                completed: r.times.is_some(),
-                queue_wait: ok.waiting(),
-                install: ok.install(),
-                kickstart: ok.kickstart(),
-                // Whatever lies between the first attempt's release
-                // and the successful attempt's release, minus the time
-                // the failed attempts consumed, is inter-attempt
-                // overhead (backoff waits, resubmission gaps).
-                post_overhead: r
-                    .times
-                    .map_or(0.0, |ok| (ok.submitted - origin - retry_badput).max(0.0)),
-                retry_badput,
-            }
-        })
-        .collect()
+pub(crate) fn job_spans(run: &WorkflowRun) -> impl Iterator<Item = JobSpan> + '_ {
+    run.records.iter().map(|r| {
+        let retry_badput = run
+            .failures(r)
+            .fold(0.0, |sum, f| sum + (f.times.finished - f.times.submitted));
+        let ok = r.times.unwrap_or_default();
+        // Per-task phases are measured from the first attempt's
+        // *release* into the remote queue (its
+        // `JobTimes::submitted`), not from the engine-side
+        // hand-off: time a job sits held at the submit host behind
+        // the DAGMan-style throttle is a workflow-level scheduling
+        // artefact, not a per-task cost, and pegasus-statistics
+        // likewise derives per-job phases from the Condor job log.
+        let origin = run.failures(r).next().map_or(ok, |f| f.times).submitted;
+        JobSpan {
+            job: r.job,
+            name: r.name.clone(),
+            transformation: r.transformation.clone(),
+            kind: r.kind,
+            attempts: r.attempts,
+            completed: r.times.is_some(),
+            queue_wait: ok.waiting(),
+            install: ok.install(),
+            kickstart: ok.kickstart(),
+            // Whatever lies between the first attempt's release
+            // and the successful attempt's release, minus the time
+            // the failed attempts consumed, is inter-attempt
+            // overhead (backoff waits, resubmission gaps).
+            post_overhead: r
+                .times
+                .map_or(0.0, |ok| (ok.submitted - origin - retry_badput).max(0.0)),
+            retry_badput,
+        }
+    })
 }
 
 /// One per-site/per-n row of the breakdown table: phase means over the
@@ -175,7 +171,7 @@ pub(crate) fn aggregate(site: &str, n: &str, spans: &[JobSpan]) -> BreakdownRow 
 /// its records. Reads nothing from `run.events`.
 pub fn of_run(run: &WorkflowRun) -> BreakdownRow {
     let n = n_label(&run.name, run.records.len());
-    aggregate(&run.site, &n, &job_spans(&run.records))
+    aggregate(&run.site, &n, &job_spans(run).collect::<Vec<_>>())
 }
 
 /// The breakdown row of a recorded event stream: folds it once into
@@ -324,7 +320,7 @@ mod tests {
             &mut crate::engine::NoopMonitor,
         );
         assert!(run.succeeded());
-        let spans = job_spans(&run.records);
+        let spans: Vec<_> = job_spans(&run).collect();
         assert_eq!(spans.len(), 3);
         let s = &spans[1];
         assert!(s.completed);
@@ -347,7 +343,7 @@ mod tests {
             .build();
         let run = Engine::run(&mut be, &wf(), &cfg, &mut crate::engine::NoopMonitor);
         assert!(run.succeeded());
-        let spans = job_spans(&run.records);
+        let spans: Vec<_> = job_spans(&run).collect();
         let s = &spans[1];
         assert_eq!(s.attempts, 2);
         assert!(s.completed);
@@ -357,7 +353,12 @@ mod tests {
         assert!(s.retry_badput > 0.0, "{s:?}");
         assert!(s.post_overhead > 0.0, "{s:?}");
         let t = run.records[1].times.unwrap();
-        let first_submit = run.records[1].failures[0].times.submitted;
+        let first_submit = run
+            .failures(&run.records[1])
+            .next()
+            .unwrap()
+            .times
+            .submitted;
         assert!((s.total() - (t.finished - first_submit)).abs() < 1e-9);
     }
 

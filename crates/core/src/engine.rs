@@ -460,7 +460,8 @@ pub enum JobState {
     SkippedDone,
 }
 
-/// Per-job accounting for a run.
+/// Per-job accounting for a run. Its failed attempts live in the
+/// run's failure table: read them with [`WorkflowRun::failures`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Job index in the executable workflow.
@@ -477,8 +478,27 @@ pub struct JobRecord {
     pub attempts: u32,
     /// Timestamps of the successful attempt, if any.
     pub times: Option<JobTimes>,
-    /// The failed attempts, in order.
-    pub failures: Vec<FailedAttempt>,
+    /// Where the failed attempts lie in the run's failure table.
+    pub(crate) failures: FailureChain,
+}
+
+/// A job's first and last entries in its run's failure table, each
+/// entry linking to the job's next; [`FailureChain::NONE`] in both
+/// while the job has not failed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FailureChain {
+    first: u32,
+    last: u32,
+}
+
+impl FailureChain {
+    /// The index no table reaches, as a run holds fewer than 2^32 - 1
+    /// failures (at 64 bytes each, 256 GiB): the end of a chain.
+    const END: u32 = u32::MAX;
+    pub(crate) const NONE: FailureChain = FailureChain {
+        first: Self::END,
+        last: Self::END,
+    };
 }
 
 /// One failed attempt of a job, as its terminal event reported it.
@@ -530,12 +550,49 @@ pub struct WorkflowRun {
     /// and rescue layers) can be re-derived from via
     /// [`crate::events::replay`].
     pub events: Vec<WorkflowEvent>,
+    /// Every failed attempt in event order, each beside the index of
+    /// its job's next one (none for the last): one table for the run,
+    /// where a `Vec` per failed job would hold room for four.
+    pub(crate) failures: Vec<(FailedAttempt, u32)>,
 }
 
 impl WorkflowRun {
     /// `true` if the whole workflow completed.
     pub fn succeeded(&self) -> bool {
         matches!(self.outcome, WorkflowOutcome::Success)
+    }
+
+    /// The failed attempts of `rec`, one of this run's records, in
+    /// order: the one way a job's failures are read.
+    pub fn failures<'a>(
+        &'a self,
+        rec: &JobRecord,
+    ) -> impl Iterator<Item = &'a FailedAttempt> + Clone + 'a {
+        let entry = |at: u32| self.failures.get(at as usize);
+        std::iter::successors(entry(rec.failures.first), move |(_, next)| entry(*next))
+            .map(|(failure, _)| failure)
+    }
+
+    /// The last failed attempt of `rec`, found without walking its
+    /// chain.
+    pub(crate) fn last_failure(&self, rec: &JobRecord) -> Option<&FailedAttempt> {
+        let last = self.failures.get(rec.failures.last as usize);
+        last.map(|(failure, _)| failure)
+    }
+
+    /// Appends a failed attempt of `job` to the table and to the job's
+    /// chain.
+    pub(crate) fn push_failure(&mut self, job: JobId, failure: FailedAttempt) {
+        let at = (u32::try_from(self.failures.len()).ok())
+            .filter(|&at| at < FailureChain::END)
+            .expect("memory runs out long before 2^32 - 1 failures (256 GiB)");
+        let chain = &mut self.records[job.idx()].failures;
+        match self.failures.get_mut(chain.last as usize) {
+            Some((_, next)) => *next = at,
+            None => chain.first = at,
+        }
+        chain.last = at;
+        self.failures.push((failure, FailureChain::END));
     }
 
     /// Total retries consumed across all jobs.
@@ -1117,7 +1174,7 @@ mod tests {
         }
         assert_eq!(run.records[1].state, JobState::Failed);
         assert_eq!(run.records[2].state, JobState::Unready);
-        assert_eq!(run.records[1].failures.len(), 1);
+        assert_eq!(run.failures(&run.records[1]).count(), 1);
     }
 
     #[test]
@@ -1528,7 +1585,7 @@ mod tests {
             let line = log.lines().nth(1).expect("one event line");
             assert!(line.starts_with(keyword), "{line}");
             assert!(line.ends_with(&format!("detail={detail}")), "{line}");
-            assert_eq!(run.records[0].failures[0].reason, reason);
+            assert_eq!(run.failures(&run.records[0]).next().unwrap().reason, reason);
             let mut want = FaultCounters::default();
             want.record_reason(reason);
             assert_eq!(run.faults, want);

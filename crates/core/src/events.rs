@@ -33,7 +33,8 @@
 //! back whatever they hold.
 
 use crate::engine::{
-    FailedAttempt, FaultReason, JobRecord, JobState, JobTimes, WorkflowOutcome, WorkflowRun,
+    FailedAttempt, FailureChain, FaultReason, JobRecord, JobState, JobTimes, WorkflowOutcome,
+    WorkflowRun,
 };
 use crate::error::{Format, Span, WmsError};
 use crate::planner::JobKind;
@@ -461,14 +462,15 @@ impl WorkflowRun {
                     rec.times = Some(*end.times);
                 }
                 Some((reason, detail)) => {
+                    rec.state = JobState::Failed;
                     self.faults.record_reason(reason);
-                    rec.failures.push(FailedAttempt {
+                    let failure = FailedAttempt {
                         attempt: end.attempt,
                         times: *end.times,
                         reason,
                         detail: detail.clone(),
-                    });
-                    rec.state = JobState::Failed;
+                    };
+                    self.push_failure(end.job, failure);
                 }
             }
             return;
@@ -498,7 +500,7 @@ impl WorkflowRun {
                 state: JobState::Unready,
                 attempts: 0,
                 times: None,
-                failures: Vec::new(),
+                failures: FailureChain::NONE,
             }),
             WorkflowEvent::Skipped { job, .. } => {
                 self.records[job.idx()].state = JobState::SkippedDone;

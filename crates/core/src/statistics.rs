@@ -122,7 +122,7 @@ pub(crate) fn summary(run: &WorkflowRun, names: &mut NamePool) -> WorkflowStatis
             JobState::Failed => failed += 1,
             JobState::Unready => unready += 1,
         }
-        for f in &rec.failures {
+        for f in run.failures(rec) {
             badput += f.times.total();
         }
     }
@@ -491,7 +491,7 @@ mod tests {
             state,
             attempts: 1,
             times: t,
-            failures: vec![],
+            failures: crate::engine::FailureChain::NONE,
         }
     }
 
@@ -553,12 +553,13 @@ mod tests {
     #[test]
     fn badput_counts_failed_attempts() {
         let mut run = sample_run();
-        run.records[1].failures = vec![crate::engine::FailedAttempt {
+        let failure = crate::engine::FailedAttempt {
             attempt: 0,
             times: times(0.0, 1.0, 45.0, 20.0),
             reason: crate::engine::FaultReason::Preemption,
             detail: "preempted".into(),
-        }];
+        };
+        run.push_failure(crate::workflow::JobId::new(1), failure);
         let stats = compute(&run);
         assert_eq!(stats.cumulative_badput, 66.0);
     }

@@ -13,13 +13,15 @@
 //! serve` socket admission through the journal and per-member event
 //! logs to the final report.
 //!
-//! Two exporters render the tree:
+//! Two exporters write the tree into any [`io::Write`] as they render
+//! it, and gather it into a `String` as [`render_chrome`] and
+//! [`render_text`]:
 //!
-//! * [`render_chrome`] — Chrome Trace Event Format JSON, loadable in
+//! * [`write_chrome`] — Chrome Trace Event Format JSON, loadable in
 //!   Perfetto / `chrome://tracing`. One process per workflow, one
 //!   thread track per job, complete (`"X"`) events in simulated
 //!   microseconds, deterministically ordered;
-//! * [`render_text`] — a plain-text span tree for terminals.
+//! * [`write_text`] — a plain-text span tree for terminals.
 //!
 //! Both are pure functions of the job records the stream folds into,
 //! so the tree of a live run ([`of_run`], `pegasus trace --site ...`)
@@ -38,11 +40,11 @@ use crate::engine::{FaultReason, JobTimes, WorkflowRun};
 use crate::error::WmsError;
 use crate::events::{self, WorkflowEvent};
 use crate::line::{push_i64, push_u64};
-use crate::planner::JobKind;
 use crate::symbols::Name;
-use crate::workflow::JobId;
 use std::fmt;
 use std::fmt::Write as _;
+use std::io;
+use std::ops::Range;
 use std::str::FromStr;
 
 /// The identity one workflow carries from submission to report: a
@@ -158,22 +160,27 @@ impl AttemptSpan {
     }
 }
 
-/// One job's track in the trace: its attempts plus the aggregated
-/// phase summary from the breakdown fold.
+// ---------------------------------------------------------------------------
+// Tracks
+// ---------------------------------------------------------------------------
+
+/// One job's track in the trace: the aggregated phase summary from
+/// the breakdown fold, which names the job, and where its attempts lie
+/// in the trace's attempt table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobTrace {
-    /// Job index in the executable workflow (the track id).
-    pub job: JobId,
-    /// Display name.
-    pub name: Name,
-    /// Job role.
-    pub kind: JobKind,
     /// Aggregated queue-wait/install/kickstart/post/badput summary —
-    /// the same numbers `pegasus breakdown` reports for this job.
+    /// the same numbers `pegasus breakdown` reports for this job. Its
+    /// `job` is the track id.
     pub summary: JobSpan,
-    /// Attempt spans in submission order.
-    pub attempts: Vec<AttemptSpan>,
+    /// The job's attempt spans, a range of [`WorkflowTrace::attempts`]
+    /// ([`WorkflowTrace::attempts_of`]).
+    pub attempts: Range<u32>,
 }
+
+// ---------------------------------------------------------------------------
+// Trees
+// ---------------------------------------------------------------------------
 
 /// A whole workflow's span tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,26 +199,42 @@ pub struct WorkflowTrace {
     pub end: f64,
     /// Per-job tracks, in job-id order.
     pub jobs: Vec<JobTrace>,
+    /// Every job's attempt spans, job after job, each job's in
+    /// submission order: one table for the tree.
+    pub attempts: Vec<AttemptSpan>,
+}
+
+impl WorkflowTrace {
+    /// The attempt spans of `job`, one of this tree's tracks, in
+    /// submission order.
+    pub fn attempts_of(&self, job: &JobTrace) -> &[AttemptSpan] {
+        let range = job.attempts.start as usize..job.attempts.end as usize;
+        self.attempts.get(range).unwrap_or_default()
+    }
 }
 
 /// The span tree of a run in hand, attributed to `trace`, from its
 /// records: a job's failed attempts in order, then its successful one.
 /// Costs no replay: every interval is already in the run's records.
 pub fn of_run(run: &WorkflowRun, trace: Option<TraceId>) -> WorkflowTrace {
-    let jobs = run
-        .records
-        .iter()
-        .zip(breakdown::job_spans(&run.records))
+    let completed = run.records.iter().filter(|r| r.times.is_some()).count();
+    let total = run.failures.len() + completed;
+    // Every index below is at most `total`.
+    assert!(
+        u32::try_from(total).is_ok(),
+        "a run holds fewer than 2^32 attempts"
+    );
+    let mut attempts = Vec::with_capacity(total);
+    let jobs = (run.records.iter().zip(breakdown::job_spans(run)))
         .map(|(r, summary)| {
-            let failed = r.failures.iter().map(|f| match f.reason {
+            let failed = run.failures(r).map(|f| match f.reason {
                 FaultReason::Timeout => (AttemptOutcome::TimedOut(f.detail.clone()), f.times),
                 _ => (AttemptOutcome::Failed(f.detail.clone()), f.times),
             });
             let completed = r.times.map(|times| (AttemptOutcome::Completed, times));
-            let mut attempts =
-                Vec::with_capacity(r.failures.len() + usize::from(completed.is_some()));
+            let first = attempts.len() as u32;
             for (outcome, times) in failed.chain(completed) {
-                let attempt = attempts.len() as u32;
+                let attempt = attempts.len() as u32 - first;
                 attempts.push(AttemptSpan {
                     attempt,
                     outcome,
@@ -219,11 +242,8 @@ pub fn of_run(run: &WorkflowRun, trace: Option<TraceId>) -> WorkflowTrace {
                 });
             }
             JobTrace {
-                job: r.job,
-                name: r.name.clone(),
-                kind: r.kind,
                 summary,
-                attempts,
+                attempts: first..attempts.len() as u32,
             }
         })
         .collect();
@@ -235,6 +255,7 @@ pub fn of_run(run: &WorkflowRun, trace: Option<TraceId>) -> WorkflowTrace {
         start: run.start,
         end: run.start + run.wall_time,
         jobs,
+        attempts,
     }
 }
 
@@ -249,11 +270,28 @@ pub fn fold(stream: &[WorkflowEvent], trace: Option<TraceId>) -> Result<Workflow
     Ok(of_run(&events::fed(stream).finish()?, trace))
 }
 
-/// Renders the plain-text span tree — the default `pegasus trace`
-/// terminal view and the payload of the serve protocol's `trace`
-/// verb. Deterministic: millisecond-precision intervals, jobs in
-/// id order, attempts in submission order.
+/// Renders the plain-text span tree — the payload of the serve
+/// protocol's `trace` verb; [`write_text`] into a `String`.
 pub fn render_text(traces: &[WorkflowTrace]) -> String {
+    gathered(|w| write_text(w, traces))
+}
+
+/// What `write` writes into a `Vec`, which takes every write, as the
+/// `String` it is: the exporters write UTF-8.
+fn gathered(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut bytes = Vec::new();
+    write(&mut bytes).expect("a Vec takes every write");
+    String::from_utf8(bytes).expect("the exporters write UTF-8")
+}
+
+/// Writes the plain-text span tree — the default `pegasus trace`
+/// terminal view — into `w`, a workflow header or a job's lines at a
+/// time. Deterministic: millisecond-precision intervals, jobs in id
+/// order, attempts in submission order.
+///
+/// # Errors
+/// The first error `w` returns; nothing is written after it.
+pub fn write_text(w: &mut (impl io::Write + ?Sized), traces: &[WorkflowTrace]) -> io::Result<()> {
     let mut out = String::new();
     for t in traces {
         let id = t
@@ -266,13 +304,15 @@ pub fn render_text(traces: &[WorkflowTrace]) -> String {
             t.name, t.site, t.succeeded, t.start, t.end
         );
         for j in &t.jobs {
+            w.write_all(out.as_bytes())?;
+            out.clear();
             let s = &j.summary;
             let _ = writeln!(
                 out,
                 "  job {} ({}) attempts={} total={:.3}s queue-wait={:.3}s install={:.3}s \
                  kickstart={:.3}s post={:.3}s badput={:.3}s",
-                j.name,
-                j.kind,
+                s.name,
+                s.kind,
                 s.attempts,
                 s.total(),
                 s.queue_wait,
@@ -281,9 +321,10 @@ pub fn render_text(traces: &[WorkflowTrace]) -> String {
                 s.post_overhead,
                 s.retry_badput
             );
-            for (i, a) in j.attempts.iter().enumerate() {
+            let attempts = t.attempts_of(j);
+            for (i, a) in attempts.iter().enumerate() {
                 if i > 0 {
-                    let prev_end = j.attempts[i - 1].times.finished;
+                    let prev_end = attempts[i - 1].times.finished;
                     if a.times.submitted > prev_end {
                         let _ = writeln!(
                             out,
@@ -315,7 +356,7 @@ pub fn render_text(traces: &[WorkflowTrace]) -> String {
             }
         }
     }
-    out
+    w.write_all(out.as_bytes())
 }
 
 /// A name or `args` value of a [`ChromeEvent`], borrowed from the span
@@ -376,7 +417,12 @@ fn us(seconds: f64) -> i64 {
 }
 
 /// One job's complete events, in tree order, onto the end of `track`.
-fn job_events<'a>(j: &'a JobTrace, pid: usize, track: &mut Vec<ChromeEvent<'a>>) {
+fn job_events<'a>(
+    t: &'a WorkflowTrace,
+    j: &JobTrace,
+    pid: usize,
+    track: &mut Vec<ChromeEvent<'a>>,
+) {
     use ChromeText::{Attempt, Outcome, Str};
     let mut span = |name, cat, start: f64, end: f64, outcome: Option<&'a AttemptOutcome>| {
         track.push(ChromeEvent {
@@ -386,12 +432,12 @@ fn job_events<'a>(j: &'a JobTrace, pid: usize, track: &mut Vec<ChromeEvent<'a>>)
             ts: us(start),
             dur: us(end) - us(start),
             pid,
-            tid: j.job.idx() + 1,
+            tid: j.summary.job.idx() + 1,
             args: [outcome.map(|o| ("outcome", Outcome(o))), None, None],
         });
     };
     let mut prev_end = f64::INFINITY;
-    for a in &j.attempts {
+    for a in t.attempts_of(j) {
         let t = a.times;
         if t.submitted > prev_end {
             span(Str("backoff"), "overhead", prev_end, t.submitted, None);
@@ -432,7 +478,8 @@ fn each_chrome_event<'a>(traces: &'a [WorkflowTrace], mut emit: impl FnMut(Chrom
         emit(meta("process_name", idx + 1, 0, Process(t)));
         emit(meta("thread_name", idx + 1, 0, Str("workflow")));
         for j in &t.jobs {
-            emit(meta("thread_name", idx + 1, j.job.idx() + 1, Str(&j.name)));
+            let tid = j.summary.job.idx() + 1;
+            emit(meta("thread_name", idx + 1, tid, Str(&j.summary.name)));
         }
     }
     let (mut order, mut track) = (Vec::new(), Vec::new());
@@ -453,10 +500,10 @@ fn each_chrome_event<'a>(traces: &'a [WorkflowTrace], mut emit: impl FnMut(Chrom
         });
         order.clear();
         order.extend(&t.jobs);
-        order.sort_by_key(|j| j.job);
-        for jobs in order.chunk_by(|a, b| a.job == b.job) {
+        order.sort_by_key(|j| j.summary.job);
+        for jobs in order.chunk_by(|a, b| a.summary.job == b.summary.job) {
             for j in jobs {
-                job_events(j, idx + 1, &mut track);
+                job_events(t, j, idx + 1, &mut track);
             }
             track.sort_by_key(|e| (e.ts, std::cmp::Reverse(e.dur)));
             track.drain(..).for_each(&mut emit);
@@ -506,12 +553,20 @@ impl<W: fmt::Write> fmt::Write for JsonEscaper<'_, W> {
 }
 
 /// Renders span trees as Chrome Trace Event Format JSON — the
-/// `trace.json` Perfetto and `chrome://tracing` load. One event per
-/// line (diff-friendly), `ts`/`dur` in simulated microseconds,
-/// ordering per [`chrome_events`], each event written straight into
-/// the output as it is generated. Hand-rolled JSON: the repo's
-/// no-serde discipline.
+/// `trace.json` Perfetto and `chrome://tracing` load; [`write_chrome`]
+/// into a `String`.
 pub fn render_chrome(traces: &[WorkflowTrace]) -> String {
+    gathered(|w| write_chrome(w, traces))
+}
+
+/// Writes span trees into `w` as Chrome Trace Event Format JSON. One
+/// event per line (diff-friendly), `ts`/`dur` in simulated
+/// microseconds, ordering per [`chrome_events`], each event written as
+/// it is generated. Hand-rolled JSON: the repo's no-serde discipline.
+///
+/// # Errors
+/// The first error `w` returns; nothing is written after it.
+pub fn write_chrome(w: &mut (impl io::Write + ?Sized), traces: &[WorkflowTrace]) -> io::Result<()> {
     // Numbers go through `line`'s routines, and plain text straight
     // into the escaper: `core::fmt` formats only the composite texts.
     let escaped = |out: &mut String, text: &ChromeText<'_>| {
@@ -522,7 +577,11 @@ pub fn render_chrome(traces: &[WorkflowTrace]) -> String {
     };
     let mut out = String::from("{\"traceEvents\":[");
     let mut sep = "\n";
+    let mut result = Ok(());
     each_chrome_event(traces, |ev| {
+        if result.is_err() {
+            return;
+        }
         out.push_str(sep);
         sep = ",\n";
         out.push_str("{\"name\":\"");
@@ -550,9 +609,12 @@ pub fn render_chrome(traces: &[WorkflowTrace]) -> String {
         }
         let any_args = ev.args.iter().any(Option::is_some);
         out.push_str(if any_args { "}}" } else { "}" });
+        result = w.write_all(out.as_bytes());
+        out.clear();
     });
+    result?;
     out.push_str("\n]}\n");
-    out
+    w.write_all(out.as_bytes())
 }
 
 #[cfg(test)]
@@ -561,7 +623,8 @@ mod tests {
     use crate::engine::scripted::ScriptedBackend;
     use crate::engine::{Engine, EngineConfig, RetryPolicy};
     use crate::events::EventSink;
-    use crate::planner::{ExecutableJob, ExecutableWorkflow};
+    use crate::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
+    use crate::workflow::JobId;
 
     fn wf() -> ExecutableWorkflow {
         let job = |id: usize, name: &str, runtime: f64, install: f64| ExecutableJob {
@@ -639,14 +702,14 @@ mod tests {
         assert_eq!(t.site, "test");
         assert!(t.succeeded);
         assert_eq!(t.jobs.len(), 2);
-        let a = &t.jobs[0];
-        assert_eq!(a.attempts.len(), 2);
-        assert!(a.attempts[0].badput());
-        assert!(!a.attempts[1].badput());
+        let a = t.attempts_of(&t.jobs[0]);
+        assert_eq!(a.len(), 2);
+        assert!(a[0].badput());
+        assert!(!a[1].badput());
         // The retried attempt has a backoff gap before it.
-        assert!(a.attempts[1].times.submitted > a.attempts[0].times.finished);
+        assert!(a[1].times.submitted > a[0].times.finished);
         // Phases tile the successful attempt exactly.
-        let ok = &a.attempts[1];
+        let ok = &a[1];
         let phases: Vec<_> = ok.phases().collect();
         assert_eq!(phases.first().unwrap().start, ok.times.submitted);
         assert_eq!(phases.last().unwrap().end, ok.times.finished);
@@ -655,10 +718,10 @@ mod tests {
         }
         // Install phase appears only where the install hint was.
         assert!(phases.iter().any(|p| p.label == "install"));
-        let b_ok = &t.jobs[1].attempts[0];
+        let b_ok = &t.attempts_of(&t.jobs[1])[0];
         assert!(!b_ok.phases().any(|p| p.label == "install"));
         // The summary matches the breakdown fold for the same stream.
-        let spans = breakdown::job_spans(&run.records);
+        let spans: Vec<_> = breakdown::job_spans(&run).collect();
         assert_eq!(t.jobs[0].summary, spans[0]);
     }
 

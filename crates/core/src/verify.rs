@@ -453,7 +453,7 @@ impl StreamWalker {
                 // that follows it (attempt 0 retries nothing: `None`).
                 let (retried, failed) =
                     (next_attempt.checked_sub(1), rec.state == JobState::Failed);
-                let failed = rec.failures.last().filter(|_| failed);
+                let failed = self.run.last_failure(rec).filter(|_| failed);
                 match failed.filter(|f| Some(f.attempt) == retried) {
                     None => {
                         out.flag(

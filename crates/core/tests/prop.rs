@@ -266,7 +266,7 @@ proptest! {
                 }
                 JobState::Failed => {
                     prop_assert_eq!(rec.attempts, max_retries + 1);
-                    prop_assert_eq!(rec.failures.len() as u32, rec.attempts);
+                    prop_assert_eq!(run.failures(rec).count() as u32, rec.attempts);
                 }
                 JobState::Unready => {
                     prop_assert_eq!(rec.attempts, 0);
@@ -1103,11 +1103,25 @@ fn trace_specs() -> impl Strategy<Value = Vec<TraceSpec>> {
 
 fn build_traces(specs: Vec<TraceSpec>) -> Vec<trace::WorkflowTrace> {
     let half = |ticks: u32| f64::from(ticks) * 0.5;
-    let build_job = |(id, name, attempts): JobSpec| trace::JobTrace {
-        job: JobId::new(id),
-        name: name.as_str().into(),
-        kind: JobKind::Compute,
-        summary: JobSpan {
+    let build_job = |(id, name, attempts): JobSpec, table: &mut Vec<trace::AttemptSpan>| {
+        let first = table.len() as u32;
+        table.extend(attempts.iter().cloned().map(
+            |(attempt, kind, detail, (at, wait, install, run))| trace::AttemptSpan {
+                attempt,
+                outcome: match kind {
+                    0 => AttemptOutcome::Completed,
+                    1 => AttemptOutcome::Failed(detail.into()),
+                    _ => AttemptOutcome::TimedOut(detail.into()),
+                },
+                times: JobTimes {
+                    submitted: half(at),
+                    started: half(at + wait),
+                    install_done: half(at + wait + install),
+                    finished: half(at + wait + install + run),
+                },
+            },
+        ));
+        let summary = JobSpan {
             job: JobId::new(id),
             name: name.into(),
             transformation: "t".into(),
@@ -1119,38 +1133,28 @@ fn build_traces(specs: Vec<TraceSpec>) -> Vec<trace::WorkflowTrace> {
             kickstart: 0.0,
             post_overhead: 0.0,
             retry_badput: 0.0,
-        },
-        attempts: attempts
-            .into_iter()
-            .map(
-                |(attempt, kind, detail, (at, wait, install, run))| trace::AttemptSpan {
-                    attempt,
-                    outcome: match kind {
-                        0 => AttemptOutcome::Completed,
-                        1 => AttemptOutcome::Failed(detail.into()),
-                        _ => AttemptOutcome::TimedOut(detail.into()),
-                    },
-                    times: JobTimes {
-                        submitted: half(at),
-                        started: half(at + wait),
-                        install_done: half(at + wait + install),
-                        finished: half(at + wait + install + run),
-                    },
-                },
-            )
-            .collect(),
+        };
+        let attempts = first..table.len() as u32;
+        trace::JobTrace { summary, attempts }
     };
     specs
         .into_iter()
         .map(
-            |(name, site, (traced, id), succeeded, (start, length), jobs)| trace::WorkflowTrace {
-                trace: traced.then(|| TraceId::new(id)),
-                name,
-                site,
-                succeeded,
-                start: half(start),
-                end: half(start + length),
-                jobs: jobs.into_iter().map(build_job).collect(),
+            |(name, site, (traced, id), succeeded, (start, length), jobs)| {
+                let mut attempts = Vec::new();
+                let jobs = (jobs.into_iter())
+                    .map(|job| build_job(job, &mut attempts))
+                    .collect();
+                trace::WorkflowTrace {
+                    trace: traced.then(|| TraceId::new(id)),
+                    name,
+                    site,
+                    succeeded,
+                    start: half(start),
+                    end: half(start + length),
+                    jobs,
+                    attempts,
+                }
             },
         )
         .collect()
@@ -1207,12 +1211,13 @@ fn oracle_events(traces: &[trace::WorkflowTrace]) -> Vec<OracleEvent> {
             args,
         ));
         for j in &t.jobs {
-            let tid = j.job.idx() + 1;
-            meta.push(named("thread_name", tid, j.name.to_string()));
-            for (i, a) in j.attempts.iter().enumerate() {
+            let tid = j.summary.job.idx() + 1;
+            meta.push(named("thread_name", tid, j.summary.name.to_string()));
+            let attempts = t.attempts_of(j);
+            for (i, a) in attempts.iter().enumerate() {
                 let t = &a.times;
-                if i > 0 && t.submitted > j.attempts[i - 1].times.finished {
-                    let gap = (j.attempts[i - 1].times.finished, t.submitted);
+                if i > 0 && t.submitted > attempts[i - 1].times.finished {
+                    let gap = (attempts[i - 1].times.finished, t.submitted);
                     spans.push(ev("backoff".into(), "overhead", 'X', gap, pid, tid, vec![]));
                 }
                 let (cat, outcome) = match &a.outcome {

@@ -629,7 +629,7 @@ mod tests {
         let rec = &run.records[0];
         // With mean 150 vs duration 100 some attempts fail for seed 7
         // ... but even if none did, the record is consistent:
-        assert_eq!(rec.failures.len() as u64, be.preemptions());
+        assert_eq!(run.failures(rec).count() as u64, be.preemptions());
         let t = rec.times.unwrap();
         assert_eq!(t.kickstart(), 100.0, "successful attempt runs fully");
     }
@@ -785,7 +785,10 @@ mod tests {
             be.preemptions() >= 1,
             "a 200s job on a ~50s-up slot must be evicted"
         );
-        assert_eq!(run.records[0].failures.len() as u64, be.preemptions());
+        assert_eq!(
+            run.failures(&run.records[0]).count() as u64,
+            be.preemptions()
+        );
         // The successful attempt ran to completion.
         assert_eq!(run.records[0].times.unwrap().kickstart(), 200.0);
     }
@@ -844,10 +847,10 @@ mod tests {
             run.records[0].times.unwrap().started >= 150.0,
             "the surviving attempt must start after the storm"
         );
-        let rec = &run.records[0];
-        assert!(!rec.failures.is_empty());
-        assert!(rec.failures.iter().all(|f| f.detail == "preempted:storm"));
-        assert_eq!(run.faults.preemptions as usize, rec.failures.len());
+        let failures: Vec<_> = run.failures(&run.records[0]).collect();
+        assert!(!failures.is_empty());
+        assert!(failures.iter().all(|f| f.detail == "preempted:storm"));
+        assert_eq!(run.faults.preemptions as usize, failures.len());
     }
 
     #[test]
@@ -875,7 +878,7 @@ mod tests {
         assert_eq!(runs[0].wall_time, runs[1].wall_time);
         for (a, b) in runs[0].records.iter().zip(&runs[1].records) {
             assert_eq!(a.times, b.times);
-            assert_eq!(a.failures, b.failures);
+            assert!(runs[0].failures(a).eq(runs[1].failures(b)));
         }
         assert_eq!(runs[0].faults, runs[1].faults);
         // The typed provenance stream is part of the deterministic
@@ -903,8 +906,9 @@ mod tests {
         assert!(run.succeeded());
         assert_eq!(run.faults.evictions, 2);
         for rec in &run.records {
-            assert_eq!(rec.failures.len(), 1);
-            assert_eq!(rec.failures[0].detail, "evicted:blackout");
+            let failures: Vec<_> = run.failures(rec).collect();
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].detail, "evicted:blackout");
             // Retried attempts could only start once the blackout lifted.
             assert!(rec.times.unwrap().finished >= 120.0 + 50.0);
         }
@@ -926,10 +930,10 @@ mod tests {
             .build();
         let run = run_workflow(&wf, &mut be, &cfg);
         assert!(run.succeeded());
-        let rec = &run.records[0];
-        assert_eq!(rec.failures.len(), 1);
-        assert_eq!(rec.failures[0].reason, FaultReason::Timeout);
-        assert_eq!(rec.failures[0].detail, "timeout: exceeded 80s");
+        let failures: Vec<_> = run.failures(&run.records[0]).collect();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].reason, FaultReason::Timeout);
+        assert_eq!(failures[0].detail, "timeout: exceeded 80s");
         assert_eq!(run.faults.timeouts, 1);
         // killed at 80, retried, ran clean for 50.
         assert_eq!(run.wall_time, 130.0);
@@ -961,7 +965,7 @@ mod tests {
         assert!(run.succeeded());
         let rec = &run.records[0];
         assert_eq!(run.faults.install_failures, 1);
-        let failed_at = rec.failures[0].times.finished;
+        let failed_at = run.failures(rec).next().unwrap().times.finished;
         let resubmitted = rec.times.unwrap().submitted;
         assert_eq!(resubmitted, failed_at + 40.0);
         assert_eq!(run.faults.backoff_wait, 40.0);

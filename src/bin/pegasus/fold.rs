@@ -8,7 +8,7 @@
 use crate::run::prepare;
 use crate::{
     comma_list, common, load_dax, load_registry, or_exit, resolve_site, simulation, sizes_from,
-    success_if, write_or_exit, write_or_print,
+    success_if, write_or_exit, write_or_print, write_or_print_with, write_to, Unwritten,
 };
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
 use blast2cap3_pegasus::experiment::plan_blast2cap3_at;
@@ -22,7 +22,7 @@ use pegasus_wms::events::{self, EventSink, RunFold, WorkflowEvent};
 use pegasus_wms::metrics::{MetricsMonitor, MetricsRegistry};
 use pegasus_wms::serve::DECOMPOSITION;
 use pegasus_wms::statistics::{compute, render_csv};
-use pegasus_wms::trace::{self, TraceId};
+use pegasus_wms::trace::{self, TraceId, WorkflowTrace};
 use std::fs::File;
 use std::path::Path;
 use std::process::ExitCode;
@@ -182,26 +182,45 @@ pub(crate) fn read_log(
     live: Option<&[u8]>,
     sink: impl FnMut(usize, WorkflowEvent),
 ) -> Result<Option<TraceId>, WmsError> {
+    or_exit("", try_read_log(label, live, sink))
+}
+
+/// [`read_log`], a log that cannot be read refused with the sentence
+/// it exits with.
+fn try_read_log(
+    label: &str,
+    live: Option<&[u8]>,
+    sink: impl FnMut(usize, WorkflowEvent),
+) -> Result<Result<Option<TraceId>, WmsError>, String> {
     let read = match live {
         Some(bytes) => events::log::read(bytes, sink),
         None => File::open(label).and_then(|file| events::log::read(file, sink)),
     };
-    or_exit(&format!("cannot read event log {label}"), read)
+    read.map_err(|e| format!("cannot read event log {label}: {e}"))
 }
 
 /// Folds one log into its run, as the verbs that make numbers of it
 /// read it: a log that does not parse exits 1. `tap` sees every event.
-fn fold_log(
+fn fold_log(source: EventSource, tap: impl FnMut(&WorkflowEvent)) -> Folded {
+    or_exit("", try_fold_log(source, tap))
+}
+
+/// A log's label, its lifecycle fold and its trace comment.
+type Folded = (String, RunFold, Option<TraceId>);
+
+/// [`fold_log`], a log that cannot be read or parsed refused with the
+/// sentence it exits with.
+fn try_fold_log(
     (label, live, _): EventSource,
     mut tap: impl FnMut(&WorkflowEvent),
-) -> (String, RunFold, Option<TraceId>) {
+) -> Result<Folded, String> {
     let mut fold = RunFold::default();
-    let read = read_log(&label, live.as_deref(), |_, ev| {
+    let read = try_read_log(&label, live.as_deref(), |_, ev| {
         fold.event(&ev);
         tap(&ev);
-    });
-    let trace = or_exit(&format!("bad event log {label}"), read);
-    (label, fold, trace)
+    })?;
+    let trace = read.map_err(|e| format!("bad event log {label}: {e}"))?;
+    Ok((label, fold, trace))
 }
 
 /// The live source of `statistics`: `--dax` simulated as `run`
@@ -269,8 +288,8 @@ pub(crate) fn adhoc_log(args: &Args) -> Vec<EventSource> {
     or_exit("cannot render event log", written);
     let label = match args.get("events") {
         Some(path) => {
-            write_or_exit("event log", path, &bytes);
-            if !args.flag("quiet") {
+            let fill = |w: &mut dyn std::io::Write| Ok(w.write_all(&bytes)?);
+            if write_to(Some(path), "event log", fill) && !args.flag("quiet") {
                 eprintln!("event log written to {path}");
             }
             path.to_string()
@@ -366,23 +385,41 @@ fn cmd_metrics(args: &Args) -> ExitCode {
 /// serve state directory (or its `members/` subdirectory), smallest
 /// member id first.
 fn cmd_trace(args: &Args) -> ExitCode {
-    let fold = |source| {
-        let (label, fold, id) = fold_log(source, |_| {});
-        let run = or_exit(&format!("cannot fold event log {label}"), fold.finish());
-        trace::of_run(&run, id)
-    };
-    let traces: Vec<_> = event_sources(args, adhoc_log)
-        .into_iter()
-        .map(fold)
-        .collect();
-
-    let all_ok = traces.iter().all(|t| t.succeeded);
-    let rendered = match args.get("format").unwrap_or("text") {
-        "text" => trace::render_text(&traces),
-        "chrome" => trace::render_chrome(&traces),
+    let chrome = match args.get("format").unwrap_or("text") {
+        "text" => false,
+        "chrome" => true,
         other => args.bail(&format!("unknown --format {other:?} (use text or chrome)")),
     };
-    write_or_print(args, &rendered, "trace written to");
+    let tree = |source| -> Result<WorkflowTrace, String> {
+        let (label, fold, id) = try_fold_log(source, |_| {})?;
+        let run = fold.finish();
+        let run = run.map_err(|e| format!("cannot fold event log {label}: {e}"))?;
+        Ok(trace::of_run(&run, id))
+    };
+    let sources = event_sources(args, adhoc_log);
+    let mut all_ok = true;
+    if chrome {
+        // The export names every workflow's tracks before any span, so
+        // it holds every tree, but none of the text.
+        let traces: Vec<_> = (sources.into_iter())
+            .map(|source| or_exit("", tree(source)))
+            .collect();
+        all_ok = traces.iter().all(|t| t.succeeded);
+        write_or_print_with(args, "trace written to", |w| {
+            Ok(trace::write_chrome(w, &traces)?)
+        });
+    } else {
+        // Each tree is written, and dropped, as soon as its log is
+        // folded.
+        write_or_print_with(args, "trace written to", |w| {
+            for source in sources {
+                let tree = tree(source).map_err(Unwritten::Refused)?;
+                all_ok &= tree.succeeded;
+                trace::write_text(w, std::slice::from_ref(&tree))?;
+            }
+            Ok(())
+        });
+    }
     if !all_ok {
         eprintln!("some workflows did not complete; the trace covers what ran");
     }

@@ -31,7 +31,7 @@ mod run;
 
 use blast2cap3_pegasus::cli::{self, or_exit, read_or_exit, write_or_exit, Args, Verb};
 use blast2cap3_pegasus::experiment::{self, catalogs_with, registry_catalogs, Catalogs};
-use blast2cap3_pegasus::{out, outln};
+use blast2cap3_pegasus::outln;
 use gridsim::sites::SiteRegistry;
 use gridsim::{FaultPlan, FaultScript, SimBackend};
 use pegasus_wms::engine::{EngineConfig, RetryPolicy};
@@ -42,6 +42,7 @@ use pegasus_wms::planner::{plan, ExecutableWorkflow, PlannerConfig};
 use pegasus_wms::symbols::SiteId;
 use pegasus_wms::workflow::AbstractWorkflow;
 use pegasus_wms::{catalog_io, dax, prof, verify};
+use std::io::Write;
 use std::process::ExitCode;
 
 /// Every verb of `pegasus`, in usage-screen order.
@@ -135,14 +136,62 @@ fn comma_list(list: &str) -> impl Iterator<Item = &str> {
 /// `<done> <file>` unless `--quiet`), or to stdout without one or when
 /// the file is the one stdout is open on.
 fn write_or_print(args: &Args, text: &str, done: &str) {
-    match args.get("out").filter(|path| !is_stdout(path)) {
-        Some(path) => {
-            write_or_exit("output", path, text);
-            if !args.flag("quiet") {
-                outln!("{done} {path}");
-            }
+    write_or_print_with(args, done, |w| Ok(w.write_all(text.as_bytes())?));
+}
+
+/// [`write_or_print`] of what `fill` writes, as it renders it.
+fn write_or_print_with(
+    args: &Args,
+    done: &str,
+    fill: impl FnOnce(&mut dyn Write) -> Result<(), Unwritten>,
+) {
+    let path = args.get("out");
+    if write_to(path, "output", fill) && !args.flag("quiet") {
+        outln!("{done} {}", path.unwrap_or_default());
+    }
+}
+
+/// Why a verb's output was not made: stdout or the file would not take
+/// a write, or the verb refused what it was rendering from (a log that
+/// does not fold), with the sentence to exit 1 with.
+enum Unwritten {
+    Io(std::io::Error),
+    Refused(String),
+}
+
+impl From<std::io::Error> for Unwritten {
+    fn from(e: std::io::Error) -> Self {
+        Unwritten::Io(e)
+    }
+}
+
+/// Writes what `fill` writes to the file `path` names, replacing it
+/// whole, and returns `true`; or to stdout, with no path or when the
+/// file is the one stdout is open on, and returns `false`. A file that
+/// cannot be written is `cannot write <what> <path>` and exit 1; a
+/// refusal leaves the file as it was and exits 1 with its sentence,
+/// after what stdout was already given.
+fn write_to(
+    path: Option<&str>,
+    what: &str,
+    fill: impl FnOnce(&mut dyn Write) -> Result<(), Unwritten>,
+) -> bool {
+    let Some(path) = path.filter(|path| !is_stdout(path)) else {
+        let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+        let filled = fill(&mut out);
+        let flushed = out.flush();
+        match filled {
+            Err(Unwritten::Io(e)) => cli::stdout_written(Err(e)),
+            Err(Unwritten::Refused(why)) => or_exit("", Err(why)),
+            Ok(()) => cli::stdout_written(flushed),
         }
-        None => out!("{text}"),
+        return false;
+    };
+    let doing = format!("cannot write {what} {path}");
+    match bioseq::output::replace(path, |w| fill(w)) {
+        Ok(Ok(())) => true,
+        Ok(Err(Unwritten::Refused(why))) => or_exit("", Err(why)),
+        Ok(Err(Unwritten::Io(e))) | Err(e) => or_exit(&doing, Err(e)),
     }
 }
 
@@ -161,11 +210,12 @@ fn is_stdout(path: &str) -> bool {
 }
 
 /// Writes what `render` gives to the file the flag `key` names, when
-/// given, confirming with `<what> written to <file>` if `note`.
+/// given, confirming with `<what> written to <file>` if `note`; through
+/// stdout, unconfirmed, when the file is the one stdout is open on.
 fn write_flagged(args: &Args, key: &str, what: &str, note: bool, render: impl FnOnce() -> String) {
     if let Some(path) = args.get(key) {
-        write_or_exit(what, path, render());
-        if note {
+        let fill = |w: &mut dyn Write| Ok(w.write_all(render().as_bytes())?);
+        if write_to(Some(path), what, fill) && note {
             outln!("{what} written to {path}");
         }
     }

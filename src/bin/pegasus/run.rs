@@ -6,7 +6,7 @@ use crate::check::collect_lint;
 use crate::{
     admitted_or_exit, arm_profiler, common, load_catalogs, load_dax, load_registry, or_exit,
     plan_or_exit, profile_summary, read_or_exit, resolve_site, simulation, sizes_from,
-    width_findings, write_flagged, write_or_exit, write_or_print,
+    width_findings, write_flagged, write_or_print, write_to,
 };
 use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use blast2cap3_pegasus::cli::{opt, switch, Args, Verb};
@@ -229,7 +229,10 @@ fn cmd_run(args: &Args) -> ExitCode {
                 .get("rescue-out")
                 .map(String::from)
                 .unwrap_or_else(|| format!("{}.rescue", run.name));
-            write_or_exit("rescue DAG", &path, rescue.to_text());
+            let text = rescue.to_text();
+            write_to(Some(&path), "rescue DAG", |w| {
+                Ok(w.write_all(text.as_bytes())?)
+            });
             eprintln!("\n{}", analyze(&run).render_text());
             eprintln!("rescue DAG written to {path}; resubmit with --resume {path}");
             ExitCode::FAILURE

@@ -70,14 +70,20 @@ pub fn or_exit<T, E: std::fmt::Display>(doing: &str, result: Result<T, E>) -> T 
     })
 }
 
-/// Writes to stdout, the one way the binaries and the daemon do. A
-/// reader that has gone away (`pegasus trace | head -1`) ends the
-/// process quietly with exit 0, as `yes | head` leaves `yes`; any other
-/// failure exits 1 through [`or_exit`]. Stdout is line-buffered, so a
+/// Writes to stdout, the one way the binaries and the daemon do, its
+/// failure judged by [`stdout_written`]. Stdout is line-buffered, so a
 /// line reaches its reader (the daemon's `listening` line) when written.
 pub fn emit(text: std::fmt::Arguments<'_>) {
     use std::io::Write as _;
-    match std::io::stdout().write_fmt(text) {
+    stdout_written(std::io::stdout().write_fmt(text));
+}
+
+/// The verdict on a write to stdout: a reader that has gone away
+/// (`pegasus trace | head -1`) ends the process quietly with exit 0, as
+/// `yes | head` leaves `yes`; any other failure exits 1 through
+/// [`or_exit`].
+pub fn stdout_written(written: std::io::Result<()>) {
+    match written {
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
         written => or_exit("cannot write to stdout", written),
     }

@@ -137,6 +137,10 @@ const RULES: &[Rule] = &[
     (52, "one way to simulate the paper's workflow from the library, and FASTQ lives with its one user", "crates src tests",
         "simulate_blast2cap3_with|ExperimentOutcome|EnsembleOutcome|sim_backend_for|plan_blast2cap3|simulate_fastq_reads|pub mod fastq", Absent, WORD,
         "let exec = plan_blast2cap3(\"osg\", 40, SEED);"),
+    (53, "a fold holds what it reads: a run keeps one failure table, no job record a Vec of its own", "crates/core/src", "Vec<FailedAttempt>", Absent,
+        BEFORE_TESTS, "    pub failures: Vec<FailedAttempt>,"),
+    (53, "a fold holds what it reads: a trace keeps one attempt table, no track a Vec of its own", "crates/core/src/trace.rs#Tracks", "Vec<", Absent, 0,
+        "    pub attempts: Vec<AttemptSpan>,"),
 ];
 
 /// The sorted entry names of a directory.

@@ -672,13 +672,18 @@ fn the_fold_verbs_read_each_log_as_they_fold_it() {
 
 /// The examples with a golden print what they printed before the
 /// rewrites they exercise. `cargo test` builds every example beside
-/// this test's own executable, in `target/<profile>/examples/`.
+/// this test's own executable, in `target/<profile>/examples/`; one
+/// older than a source it is built from (a `--test` filter builds
+/// none) is refused, not run.
 #[test]
 fn examples_print_their_goldens() {
     let exe = std::env::current_exe().unwrap();
     let examples = exe.parent().unwrap().parent().unwrap().join("examples");
     for name in ["hierarchical_workflow", "assembly_pipeline"] {
         let bin = examples.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
+        if let Some(source) = newer_source(&bin) {
+            panic!("example {name} is older than {source}: run `cargo build --examples`");
+        }
         let out = Command::new(&bin).output();
         let out = out.expect("an example a bare `cargo test` builds");
         assert!(out.status.success(), "{name}");
@@ -686,6 +691,27 @@ fn examples_print_their_goldens() {
         let golden = std::fs::read(golden).unwrap();
         assert!(out.stdout == golden, "{name} differs from its golden");
     }
+}
+
+/// A source the binary `bin` was built from, as cargo's dep-info file
+/// beside it lists them, that is newer than `bin` or gone.
+fn newer_source(bin: &Path) -> Option<String> {
+    let modified = |path: &Path| std::fs::metadata(path).and_then(|m| m.modified()).ok();
+    let built = modified(bin).expect("an example a bare `cargo test` builds");
+    let deps = std::fs::read_to_string(bin.with_extension("d")).expect("the example's dep-info");
+    let (_, sources) = deps.lines().next()?.split_once(": ")?;
+    // Paths are separated by spaces; one inside a path is `\ `.
+    let (mut paths, mut path, mut chars) = (Vec::new(), String::new(), sources.chars());
+    while let Some(c) = chars.next() {
+        match c {
+            '\\' => path.extend(chars.next()),
+            ' ' => paths.extend((!path.is_empty()).then(|| std::mem::take(&mut path))),
+            c => path.push(c),
+        }
+    }
+    paths.extend((!path.is_empty()).then_some(path));
+    let stale = |source: &String| modified(Path::new(source)).is_none_or(|at| at > built);
+    paths.into_iter().find(stale)
 }
 
 /// A path from the command line that cannot be read or written is an
@@ -819,6 +845,106 @@ fn pegasus_out_naming_stdouts_own_file_appends_through_stdout() {
         String::from_utf8_lossy(&have[..have.len().min(40)]),
         plain.stdout.len()
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag that names a file for one of `run`'s outputs (`--metrics`
+/// here, `--events`, `--timeline`, `--rescue-out`) and names stdout's
+/// own file appends through stdout, as `--out` does: a file renamed
+/// into place would take it from under the shell's `>>`.
+#[test]
+fn pegasus_flag_named_outputs_append_through_stdouts_own_file() {
+    let dir = tmpdir("flag_stdout");
+    let dax = dir.join("w.dax");
+    let out = pegasus()
+        .args(["generate-dax", "--n", "4", "--out", dax.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let run = [
+        "run",
+        "--dax",
+        dax.to_str().unwrap(),
+        "--site",
+        "sandhills",
+        "--quiet",
+    ];
+    let prom = dir.join("m.prom");
+    let out = pegasus()
+        .args(run)
+        .args(["--metrics", prom.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let exposition = std::fs::read(&prom).unwrap();
+    let earlier = "an earlier line\n";
+    let o = dir.join("o.txt");
+    std::fs::write(&o, earlier).unwrap();
+    let append = std::fs::OpenOptions::new().append(true).open(&o).unwrap();
+    let out = pegasus()
+        .args(run)
+        .args(["--metrics", "/dev/stdout"])
+        .stdout(append)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    let have = std::fs::read(&o).unwrap();
+    assert!(
+        have.starts_with(earlier.as_bytes()),
+        "o.txt lost its earlier line"
+    );
+    assert!(
+        have.ends_with(&exposition),
+        "o.txt does not end with the exposition"
+    );
+    assert!(!String::from_utf8_lossy(&have).contains("written to"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `trace` writes each log's tree as soon as it is folded. A log that
+/// does not fold after one that did leaves `--out`'s file as it was,
+/// with no `.part` beside it; on stdout, the trees before it stand.
+#[test]
+fn pegasus_trace_streams_and_a_bad_log_leaves_out_as_it_was() {
+    let dir = tmpdir("trace_stream");
+    let fixture = |name: &str| format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    let (good, bad) = (
+        fixture("osg_n8.events"),
+        fixture("lint/e0708_syntax.events"),
+    );
+    let alone = pegasus()
+        .args(["trace", "--from-events", &good])
+        .output()
+        .unwrap();
+    assert!(alone.status.success());
+    let both = format!("{good},{bad}");
+    let out = pegasus()
+        .args(["trace", "--from-events", &both])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        out.stdout == alone.stdout,
+        "the first tree is written whole"
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("bad event log"));
+    let t = dir.join("t.txt");
+    std::fs::write(&t, "old\n").unwrap();
+    let out = pegasus()
+        .args([
+            "trace",
+            "--from-events",
+            &both,
+            "--out",
+            t.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    assert_eq!(std::fs::read_to_string(&t).unwrap(), "old\n");
+    assert!(!dir.join("t.txt.part").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -66,7 +66,7 @@ fn same_seed_chaos_sim_runs_emit_byte_identical_csv() {
         assert_eq!(ra.name, rb.name);
         assert_eq!(ra.attempts, rb.attempts);
         assert_eq!(ra.times, rb.times);
-        assert_eq!(ra.failures, rb.failures);
+        assert!(a.failures(ra).eq(b.failures(rb)));
     }
 }
 
@@ -343,13 +343,13 @@ fn local_pool_replays_the_same_fault_decisions() {
         assert_eq!(ra.attempts, rb.attempts, "{}", ra.name);
         // Real threads: the wall-clock times differ, what each attempt
         // died of — category and detail — does not, on either backend.
-        let failures = |r: &JobRecord| -> Vec<(FaultReason, String)> {
-            (r.failures.iter())
+        let failures = |run: &WorkflowRun, r: &JobRecord| -> Vec<(FaultReason, String)> {
+            (run.failures(r))
                 .map(|f| (f.reason, f.detail.to_string()))
                 .collect()
         };
-        assert_eq!(failures(ra), failures(rb), "{}", ra.name);
-        assert_eq!(failures(ra), failures(rs), "{}", ra.name);
+        assert_eq!(failures(&a, ra), failures(&b, rb), "{}", ra.name);
+        assert_eq!(failures(&a, ra), failures(&sim, rs), "{}", ra.name);
         assert_eq!((ra.state, ra.attempts), (rs.state, rs.attempts));
 
         let first_clean = (0..9u32).find(|&k| script.decide(&ra.name, k, &timing).kill.is_none());
@@ -363,7 +363,7 @@ fn local_pool_replays_the_same_fault_decisions() {
                 assert_eq!(ra.attempts, 9, "{}", ra.name);
             }
         }
-        for failure in &ra.failures {
+        for failure in a.failures(ra) {
             assert_eq!(failure.reason, FaultReason::InstallFailure);
             assert_eq!(failure.detail, "install:burst");
         }

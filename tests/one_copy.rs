@@ -10,11 +10,13 @@ use gridsim::platforms::{osg, sandhills};
 use gridsim::{FaultPlan, FaultScript, SimBackend};
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
 use pegasus_wms::dax;
-use pegasus_wms::engine::{Engine, EngineConfig, JobRecord, NoopMonitor, RetryPolicy, WorkflowRun};
+use pegasus_wms::engine::{
+    Engine, EngineConfig, FailedAttempt, JobRecord, NoopMonitor, RetryPolicy, WorkflowRun,
+};
 use pegasus_wms::events::{self, WorkflowEvent};
 use pegasus_wms::planner::{plan, ExecutableJob, ExecutableWorkflow, JobKind, PlannerConfig};
 use pegasus_wms::symbols::{Args, Name};
-use pegasus_wms::trace::{self, AttemptSpan};
+use pegasus_wms::trace::{self, AttemptSpan, JobTrace};
 
 fn planned_from_dax(
     n: usize,
@@ -128,8 +130,12 @@ fn a_failure_reason_is_one_allocation_in_its_event_its_retry_and_its_record() {
         failures += 1;
         let nth = seen[job.idx()];
         seen[job.idx()] += 1;
-        for records in [&run.records, &replayed.records] {
-            let kept = &records[job.idx()].failures[nth].detail;
+        for run in [&run, &replayed] {
+            let kept = &run
+                .failures(&run.records[job.idx()])
+                .nth(nth)
+                .unwrap()
+                .detail;
             assert!(Name::ptr_eq(kept, detail), "record copies {detail}");
         }
         if let Some(WorkflowEvent::RetryScheduled {
@@ -161,8 +167,12 @@ fn per_job_and_per_event_structures_stay_small() {
     assert_eq!(std::mem::size_of::<WorkflowEvent>(), 48);
     assert_eq!(std::mem::size_of::<(usize, WorkflowEvent)>(), 56);
     assert!(std::mem::size_of::<Name>() == 16 && std::mem::size_of::<Args>() == 16);
-    // What the offline folds hold per job, per attempt and per log line.
-    assert!(std::mem::size_of::<JobRecord>() <= 120);
+    // What the offline folds hold per job, per attempt and per log line:
+    // a record keeps its failures' place in the run's table, a trace
+    // track its attempts' place in the tree's.
+    assert!(std::mem::size_of::<JobRecord>() <= 96);
+    assert!(std::mem::size_of::<FailedAttempt>() <= 56);
+    assert!(std::mem::size_of::<JobTrace>() <= 96);
     assert!(std::mem::size_of::<AttemptSpan>() <= 64);
     assert!(std::mem::size_of::<LogEvent>() <= 48);
 }
@@ -174,9 +184,9 @@ fn the_offline_folds_are_exactly_sized_and_share_their_notes() {
 
     let tree = trace::fold(&run.events, None).expect("engine streams fold");
     let (mut attempts, mut installs) = (0, 0);
+    assert_eq!(tree.attempts.capacity(), tree.attempts.len());
     for job in &tree.jobs {
-        assert_eq!(job.attempts.capacity(), job.attempts.len(), "{}", job.name);
-        for a in &job.attempts {
+        for a in tree.attempts_of(job) {
             let (t, phases) = (a.times, a.phases().collect::<Vec<_>>());
             let labels: Vec<&str> = phases.iter().map(|p| p.label).collect();
             if t.install_done > t.started {

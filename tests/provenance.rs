@@ -72,7 +72,7 @@ fn every_consumer_is_a_fold_of_one_event_stream() {
         count(|e| matches!(e, WorkflowEvent::Submitted { .. })) as u32,
         submissions
     );
-    let failed_attempts: usize = run.records.iter().map(|r| r.failures.len()).sum();
+    let failed_attempts: usize = run.records.iter().map(|r| run.failures(r).count()).sum();
     assert_eq!(
         count(|e| matches!(
             e,

@@ -1,10 +1,11 @@
 //! The streaming gate: the verbs that fold an event log hold what the
 //! run's jobs need, not the log. A 10^5-job OSG run under a preemption
 //! storm writes its log with `pegasus run --events`, and `statistics`,
-//! `analyze`, `breakdown`, `metrics --from-events` and `verify` read it
-//! back as children whose peak resident set (`VmHWM`) is read from
-//! outside, by polling `/proc/<pid>/status` while each runs. `trace`'s
-//! peak is printed, not bounded: its text tree is as long as the log.
+//! `analyze`, `breakdown`, `metrics --from-events`, `verify` and
+//! `trace` in both formats read it back as children whose peak
+//! resident set (`VmHWM`) is read from outside, by polling
+//! `/proc/<pid>/status` while each runs. `trace` holds the span tree
+//! besides the run, never its rendered text.
 //!
 //! `#[ignore]`-gated because the bounds only mean anything in release
 //! mode — CI runs it with `cargo test --release -- --ignored`.
@@ -14,8 +15,9 @@ use std::process::{Command, Stdio};
 
 const PEGASUS: &str = env!("CARGO_BIN_EXE_pegasus");
 
-/// The verbs under the ceiling, each reading the log as its one source.
-const BOUNDED: [&[&str]; 5] = [
+/// The verbs under the fold ceiling, each reading the log as its one
+/// source.
+const FOLDS: [&[&str]; 5] = [
     &["statistics", "--from-events"],
     &["analyze", "--from-events"],
     &["breakdown", "--quiet", "--from-events"],
@@ -23,14 +25,23 @@ const BOUNDED: [&[&str]; 5] = [
     &["verify"],
 ];
 
-/// The storms and each one's ceiling in MB. Failed attempts are fold
-/// state (one record each), so the harsher storm may hold more: at a
-/// kill probability of 0.5 the log is 59.6 MB with 47,918 failures, at
-/// 0.8 it is 74.1 MB with 79,258; the verbs peaked at 101–158 and
-/// 123–196 MB while they read the whole text, and at 18–38 and 18–45 MB
-/// streamed (2-vCPU VM); `verify`, 18 then, reads 41 and 47 MB since its
-/// walker holds the lifecycle fold's records.
-const STORMS: [(f64, f64); 2] = [(0.5, 45.0), (0.8, 55.0)];
+/// The verbs under the trace ceiling.
+const TRACES: [&[&str]; 2] = [
+    &["trace", "--from-events"],
+    &["trace", "--format", "chrome", "--from-events"],
+];
+
+/// The storms and each one's fold and trace ceilings in MB. Failed
+/// attempts are fold state (one table entry each), so the harsher
+/// storm may hold more: at a kill probability of 0.5 the log is 59.6 MB
+/// with 47,918 failures, at 0.8 it is 74.1 MB with 79,258. On a 2-vCPU
+/// VM the fold verbs peaked at 101–158 and 123–196 MB while they read
+/// the whole text, at 30–41 and 37–47 MB streamed with a `Vec` of
+/// failures per failed job, and at 21–32 and 23–34 MB with one table
+/// (`verify` the highest: its walker holds the records). `trace` peaked
+/// at 98–118 and 107–143 MB while it rendered its output whole, and at
+/// 38–39 and 42 MB writing it as it renders.
+const STORMS: [(f64, f64, f64); 2] = [(0.5, 35.0, 45.0), (0.8, 38.0, 50.0)];
 
 /// The highest `VmHWM` seen while `pegasus <args>` runs, in MB, with
 /// its stdout sent to a file (a pipe nobody reads would stall it). The
@@ -76,7 +87,7 @@ fn the_fold_verbs_stream_a_storm_log_within_a_ceiling() {
     let dax = path("d.dax");
     pegasus(&["generate-dax", "--n", "100000", "--out", &dax]);
     let mut over = Vec::new();
-    for (kill, ceiling) in STORMS {
+    for (kill, folds, traces) in STORMS {
         let plan = path("storm.plan");
         let storm = format!(
             "plan storm\npreemption-storm start=3000 duration=1000000 kill-probability={kill}\n"
@@ -87,15 +98,15 @@ fn the_fold_verbs_stream_a_storm_log_within_a_ceiling() {
         pegasus(&["run", "--dax", &dax, "--site", "osg", "--retries", "30", "--backoff", "60",
                   "--fault-plan", &plan, "--events", &log, "--quiet"]);
         let bytes = std::fs::metadata(&log).unwrap().len() as f64 / 1e6;
-        for verb in BOUNDED {
+        let bounded = (FOLDS.into_iter().map(|verb| (verb, folds)))
+            .chain(TRACES.into_iter().map(|verb| (verb, traces)));
+        for (verb, ceiling) in bounded {
             let peak = peak_mb(&[verb, &[log.as_str()]].concat(), &dir);
             println!("kill-probability={kill} log {bytes:.1} MB: {verb:?} peaked at {peak:.1} MB");
             if peak > ceiling {
                 over.push(format!("{verb:?} at {kill}: {peak:.1} MB > {ceiling} MB"));
             }
         }
-        let peak = peak_mb(&["trace", "--from-events", &log], &dir);
-        println!("kill-probability={kill} log {bytes:.1} MB: trace peaked at {peak:.1} MB");
     }
     std::fs::remove_dir_all(&dir).ok();
     assert!(over.is_empty(), "over the ceiling: {over:?}");
