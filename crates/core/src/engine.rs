@@ -14,15 +14,13 @@
 //! (`gridsim` crate).
 
 use crate::ensemble::{run_round, Member};
-use crate::error::WmsError;
 use crate::events::{EventSink, WorkflowEvent};
-use crate::graph::Csr;
 use crate::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
 use crate::rescue::RescueDag;
 use crate::symbols::Name;
 use crate::workflow::JobId;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::HashSet;
 
 /// Timestamps of one job attempt, in backend seconds.
@@ -613,336 +611,6 @@ impl EventSink for NoopMonitor {
     fn event(&mut self, _ev: &WorkflowEvent) {}
 }
 
-/// A request to resubmit a failed job, produced by
-/// [`WorkflowExecution::on_event`]. The driver must hand it to
-/// `backend.submit_after(job, next_attempt, delay)`.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RetryRequest {
-    /// Which job to resubmit.
-    pub(crate) job: JobId,
-    /// The attempt number of the resubmission (0-based).
-    pub(crate) next_attempt: u32,
-    /// Backoff delay before the resubmission, in backend seconds.
-    pub(crate) delay: f64,
-}
-
-/// What a driver must do after feeding one completion event to a
-/// [`WorkflowExecution`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct EventResponse {
-    /// Jobs that became ready for their first submission, in release
-    /// order.
-    pub(crate) newly_ready: Vec<JobId>,
-    /// A retry to resubmit (with backoff), if the failed job has
-    /// attempts left.
-    pub(crate) retry: Option<RetryRequest>,
-    /// The scripted submit-host crash fired: submit nothing more of
-    /// this workflow (`newly_ready` included), abandon its in-flight
-    /// work and stop driving it.
-    pub(crate) crashed: bool,
-}
-
-/// Re-entrant per-workflow scheduling state — the DAGMan loop body
-/// with the backend pulled out.
-///
-/// The one scheduling loop, [`crate::ensemble::run_round`], drives one
-/// of these per member: [`Engine::run`] as a round of one, the
-/// [`crate::ensemble`] manager as a round of many over one shared
-/// backend. The contract: call [`take_initial_ready`] once, submit
-/// those jobs (marking each with [`note_submitted`]), then feed every
-/// completion event for this workflow to [`on_event`] and act on the
-/// returned [`EventResponse`]. The workflow is finished when
-/// `is_complete` (or the response's `crashed` flag) says so; then
-/// [`finish`] delivers the trailer and yields the [`WorkflowRun`].
-///
-/// All scheduling decisions (readiness, retry budget, backoff RNG,
-/// crash scripting) live here, so a workflow run behaves identically
-/// whether it owns the backend or shares it. The accounting is not
-/// kept by hand: every record, counter and the outcome of the run come
-/// from applying each emitted event to it, the same transition
-/// [`crate::events::replay`] applies to a recorded stream.
-///
-/// [`take_initial_ready`]: WorkflowExecution::take_initial_ready
-/// [`note_submitted`]: WorkflowExecution::note_submitted
-/// [`on_event`]: WorkflowExecution::on_event
-/// [`finish`]: WorkflowExecution::finish
-#[derive(Debug)]
-pub(crate) struct WorkflowExecution {
-    config: EngineConfig,
-    children: Csr,
-    pending_parents: Vec<usize>,
-    done: Vec<bool>,
-    rng: StdRng,
-    /// Jobs released (initial or via `on_event`) but not yet
-    /// terminated — includes jobs a budgeted driver is still holding.
-    outstanding: usize,
-    events_seen: u64,
-    any_failed: bool,
-    crashed: bool,
-    start: f64,
-    initial_ready: Vec<JobId>,
-    /// The run so far: the append-only provenance stream, and the
-    /// accounting its events fold into.
-    run: WorkflowRun,
-    /// How many events the driver has already drained.
-    emitted: usize,
-}
-
-impl WorkflowExecution {
-    /// Builds the scheduling state for `wf` under `config`, stamping
-    /// the workflow start at `start` (backend seconds). Rescue-skipped
-    /// jobs are marked done and their readiness cascades immediately.
-    pub(crate) fn new(wf: &ExecutableWorkflow, config: &EngineConfig, start: f64) -> Self {
-        let n = wf.jobs.len();
-        let children = wf.children();
-        let indegrees = children.reverse_degrees();
-        let mut exec = WorkflowExecution {
-            config: config.clone(),
-            children,
-            pending_parents: indegrees.into_iter().map(|d| d as usize).collect(),
-            done: vec![false; n],
-            rng: StdRng::seed_from_u64(config.seed),
-            outstanding: 0,
-            events_seen: 0,
-            any_failed: false,
-            crashed: false,
-            start,
-            initial_ready: Vec::new(),
-            run: WorkflowRun::default(),
-            emitted: 0,
-        };
-        // Header and trailer, and per job its declaration and the three
-        // events of an attempt; installs and retries grow it from there.
-        exec.run.events.reserve(4 * n + 2);
-
-        // Stream header + manifest: the replayed run must know every
-        // job, including ones that never become ready.
-        exec.emit(WorkflowEvent::WorkflowStarted {
-            name: wf.name.as_str().into(),
-            site: wf.site.as_str().into(),
-            // Each job has a `JobId`, so their number fits its `u32`.
-            jobs: u32::try_from(n).unwrap_or(u32::MAX),
-            time: start,
-        });
-        for j in &wf.jobs {
-            exec.emit(WorkflowEvent::JobDeclared {
-                job: j.id,
-                name: j.name.clone(),
-                transformation: j.transformation.clone(),
-                kind: j.kind,
-            });
-        }
-
-        // Rescue skips: a DONE node is done unconditionally — its work
-        // products exist from the previous run even when this plan's
-        // auxiliary ancestors (create_dir, transfers) differ and re-run.
-        let mut ready: Vec<JobId> = Vec::new();
-        for j in &wf.jobs {
-            if config.skip_done.contains(&j.name) {
-                exec.emit(WorkflowEvent::Skipped {
-                    job: j.id,
-                    time: start,
-                });
-                exec.mark_done(j.id, &mut ready);
-            }
-        }
-        for job in 0..n {
-            if exec.pending_parents[job] == 0 {
-                ready.push(JobId::new(job));
-            }
-        }
-        ready.sort_unstable();
-        ready.dedup();
-        ready.retain(|&j| !exec.done[j.idx()]);
-        exec.initial_ready = ready;
-        exec
-    }
-
-    /// Appends `ev` to the stream and folds it into the run.
-    fn emit(&mut self, ev: WorkflowEvent) {
-        self.run.apply(&ev);
-        self.run.events.push(ev);
-    }
-
-    /// Marks `job` done and collects the children it releases.
-    fn mark_done(&mut self, job: JobId, ready: &mut Vec<JobId>) {
-        self.done[job.idx()] = true;
-        for &c in self.children.neighbors(job) {
-            self.pending_parents[c.idx()] -= 1;
-            if self.pending_parents[c.idx()] == 0 && !self.done[c.idx()] {
-                ready.push(c);
-            }
-        }
-    }
-
-    /// The jobs ready for their first submission, sorted by id. Call
-    /// exactly once; the returned jobs count as outstanding until
-    /// their events arrive.
-    pub(crate) fn take_initial_ready(&mut self) -> Vec<JobId> {
-        let ready = std::mem::take(&mut self.initial_ready);
-        self.outstanding += ready.len();
-        ready
-    }
-
-    /// Marks a fresh (attempt 0) submission of `job` at backend time
-    /// `now`. The driver calls this just before it hands the job to
-    /// the backend.
-    pub(crate) fn note_submitted(&mut self, job: JobId, now: f64) {
-        self.emit(WorkflowEvent::Submitted {
-            job,
-            attempt: 0,
-            time: now,
-        });
-    }
-
-    /// The events emitted since the last drain — the driver forwards
-    /// these to its [`EventSink`] after each submission batch or
-    /// completion event.
-    pub(crate) fn drain_new_events(&mut self) -> &[WorkflowEvent] {
-        let new = &self.run.events[self.emitted..];
-        self.emitted = self.run.events.len();
-        new
-    }
-
-    /// Feeds one completion event (with this workflow's local job id)
-    /// into the scheduler and returns what the driver must do next.
-    ///
-    /// # Errors
-    /// Returns [`WmsError::InvariantViolation`] when the workflow has
-    /// already crashed: a crashed execution accepts no further events,
-    /// and feeding one means the driver's bookkeeping is corrupt.
-    /// (Previously a `debug_assert!` that release builds ignored,
-    /// corrupting the retry accounting instead.  The stream walker
-    /// checks the same invariant offline as rule `E0806`.)
-    pub(crate) fn on_event(&mut self, ev: &CompletionEvent) -> Result<EventResponse, WmsError> {
-        if self.crashed {
-            return Err(WmsError::InvariantViolation {
-                invariant: "no events after a crash".into(),
-                detail: format!(
-                    "completion for job {} attempt {} fed to a crashed workflow",
-                    ev.job, ev.attempt
-                ),
-            });
-        }
-        self.outstanding -= 1;
-        self.events_seen += 1;
-        // The attempt's phase transitions, recovered from its
-        // timestamps: slot acquisition / install start (when there was
-        // an install phase), then execution start.
-        if ev.times.install_done > ev.times.started {
-            self.emit(WorkflowEvent::InstallStarted {
-                job: ev.job,
-                attempt: ev.attempt,
-                time: ev.times.started,
-            });
-        }
-        self.emit(WorkflowEvent::Started {
-            job: ev.job,
-            attempt: ev.attempt,
-            time: ev.times.install_done,
-        });
-        let mut resp = EventResponse::default();
-        match &ev.outcome {
-            JobOutcome::Success => {
-                self.emit(WorkflowEvent::Completed {
-                    job: ev.job,
-                    attempt: ev.attempt,
-                    times: ev.times,
-                });
-                self.mark_done(ev.job, &mut resp.newly_ready);
-                self.outstanding += resp.newly_ready.len();
-            }
-            JobOutcome::Failure(Failure { reason, detail }) => {
-                let reason = *reason;
-                self.emit(if reason == FaultReason::Timeout {
-                    WorkflowEvent::TimedOut {
-                        job: ev.job,
-                        attempt: ev.attempt,
-                        detail: detail.clone(),
-                        times: Box::new(ev.times),
-                    }
-                } else {
-                    WorkflowEvent::Failed {
-                        job: ev.job,
-                        attempt: ev.attempt,
-                        reason,
-                        detail: detail.clone(),
-                        times: Box::new(ev.times),
-                    }
-                });
-                let attempts = self.run.records[ev.job.idx()].attempts;
-                if attempts < self.config.retry.max_attempts {
-                    let delay = self.config.retry.backoff_before(attempts, &mut self.rng);
-                    self.outstanding += 1;
-                    self.emit(WorkflowEvent::RetryScheduled {
-                        job: ev.job,
-                        next_attempt: ev.attempt + 1,
-                        backoff: delay,
-                        reason,
-                        detail: detail.clone(),
-                        time: ev.times.finished,
-                    });
-                    self.emit(WorkflowEvent::Submitted {
-                        job: ev.job,
-                        attempt: ev.attempt + 1,
-                        time: ev.times.finished,
-                    });
-                    resp.retry = Some(RetryRequest {
-                        job: ev.job,
-                        next_attempt: ev.attempt + 1,
-                        delay,
-                    });
-                } else {
-                    self.any_failed = true;
-                }
-            }
-        }
-        // Scripted submit-host crash: DAGMan dies after this many
-        // events; in-flight work is abandoned and only completed jobs
-        // make it into the rescue DAG.
-        if self
-            .config
-            .crash_after_events
-            .is_some_and(|n| self.events_seen >= n)
-            && self.outstanding > 0
-        {
-            self.crashed = true;
-            resp.crashed = true;
-        }
-        Ok(resp)
-    }
-
-    /// `true` when no released job is still outstanding — the workflow
-    /// ran to completion (successfully or not).
-    pub(crate) fn is_complete(&self) -> bool {
-        self.outstanding == 0
-    }
-
-    /// `true` when the run will be reported as failed (a job exhausted
-    /// its retries, or the crash fired).
-    pub(crate) fn failed(&self) -> bool {
-        self.any_failed || self.crashed
-    }
-
-    /// Finalises the run: stamps its end at `end` (backend seconds),
-    /// emits the `WorkflowFinished` trailer, hands `deliver` everything
-    /// not yet drained — trailer included, for the driver to forward
-    /// like any other batch — and returns the finished run.
-    pub(crate) fn finish(
-        mut self,
-        end: f64,
-        deliver: impl FnOnce(&[WorkflowEvent]),
-    ) -> WorkflowRun {
-        self.emit(WorkflowEvent::WorkflowFinished {
-            succeeded: !self.failed(),
-            wall_time: end - self.start,
-            time: end,
-        });
-        deliver(self.drain_new_events());
-        self.run
-    }
-}
-
 /// The workflow engine — the single entry point for executing one
 /// workflow on one backend.
 ///
@@ -967,8 +635,7 @@ impl Engine {
     ) -> WorkflowRun {
         let _prof = crate::prof::scope("engine.run");
         backend.set_timeout(config.retry.timeout);
-        let exec = WorkflowExecution::new(wf, config, backend.now());
-        let member = Member::new(&wf.jobs, exec, 0, 0);
+        let member = Member::new(wf, config, backend.now(), 0, 0);
         let mut observe = |_: usize, events: &[WorkflowEvent]| sink.events(events);
         let mut runs = run_round(backend, vec![member], usize::MAX, None, &mut observe);
         runs.pop().expect("a one-member round has one run")
@@ -1065,6 +732,7 @@ mod tests {
     use super::scripted::ScriptedBackend;
     use super::*;
     use crate::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
+    use rand::SeedableRng;
 
     fn job(id: usize, name: &str, runtime: f64, install: f64) -> ExecutableJob {
         ExecutableJob {
@@ -1407,40 +1075,6 @@ mod tests {
     }
 
     #[test]
-    fn events_after_crash_are_a_typed_error() {
-        // Formerly a debug_assert!: feeding a completion to a crashed
-        // execution must surface as WmsError::InvariantViolation, not
-        // silently corrupt the retry accounting in release builds.
-        let wf = fan();
-        let cfg = EngineConfig {
-            crash_after_events: Some(1),
-            ..Default::default()
-        };
-        let mut exec = WorkflowExecution::new(&wf, &cfg, 0.0);
-        assert_eq!(exec.take_initial_ready(), vec![JobId::new(0)]);
-        let times = JobTimes {
-            submitted: 0.0,
-            started: 0.0,
-            install_done: 0.0,
-            finished: 1.0,
-        };
-        let done = |job: usize| CompletionEvent {
-            job: JobId::new(job),
-            attempt: 0,
-            outcome: JobOutcome::Success,
-            times,
-        };
-        let resp = exec.on_event(&done(0)).unwrap();
-        assert!(resp.crashed, "the scripted crash fires on event 1");
-        let err = exec.on_event(&done(1)).unwrap_err();
-        assert!(
-            matches!(err, WmsError::InvariantViolation { .. }),
-            "{err:?}"
-        );
-        assert!(err.to_string().contains("crashed"), "{err}");
-    }
-
-    #[test]
     fn crash_after_events_leaves_a_rescue_dag() {
         let wf = chain();
         let mut be = ScriptedBackend::new();
@@ -1547,17 +1181,33 @@ mod tests {
         assert_eq!(task.detail, "error:timeout talking to the database");
     }
 
+    /// Fails the one attempt it is handed with `failure`.
+    struct Dies(Option<CompletionEvent>, Failure);
+    impl ExecutionBackend for Dies {
+        fn submit(&mut self, job: &ExecutableJob, attempt: u32) {
+            self.0 = Some(CompletionEvent {
+                job: job.id,
+                attempt,
+                outcome: JobOutcome::Failure(self.1.clone()),
+                times: JobTimes {
+                    finished: 1.0,
+                    ..JobTimes::default()
+                },
+            });
+        }
+        fn wait_any(&mut self) -> CompletionEvent {
+            self.0.take().expect("one attempt in flight")
+        }
+        fn now(&self) -> f64 {
+            0.0
+        }
+    }
+
     #[test]
     fn the_event_follows_the_stated_category_not_the_text() {
         // A detail that opens with another category's prefix changes
         // nothing: `timed-out` iff the backend said `Timeout`.
         let wf = chain();
-        let times = JobTimes {
-            submitted: 0.0,
-            started: 0.0,
-            install_done: 0.0,
-            finished: 1.0,
-        };
         for (reason, detail, keyword) in [
             (
                 FaultReason::Other,
@@ -1566,20 +1216,13 @@ mod tests {
             ),
             (FaultReason::Timeout, "gave up", "timed-out"),
         ] {
-            let mut exec = WorkflowExecution::new(&wf, &EngineConfig::default(), 0.0);
-            exec.take_initial_ready();
-            exec.note_submitted(JobId::new(0), 0.0);
-            let died = CompletionEvent {
-                job: JobId::new(0),
-                attempt: 0,
-                outcome: JobOutcome::Failure(Failure {
-                    reason,
-                    detail: detail.into(),
-                }),
-                times,
+            let detail: Name = detail.into();
+            let failure = Failure {
+                reason,
+                detail: detail.clone(),
             };
-            exec.on_event(&died).unwrap();
-            let run = exec.finish(1.0, |_| {});
+            let cfg = EngineConfig::default();
+            let run = Engine::run(&mut Dies(None, failure), &wf, &cfg, &mut NoopMonitor);
             let terminal = &run.events[run.events.len() - 2];
             let log = crate::events::log::write(std::slice::from_ref(terminal));
             let line = log.lines().nth(1).expect("one event line");

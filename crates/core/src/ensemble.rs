@@ -49,12 +49,16 @@
 //! [`Engine::run`]: crate::engine::Engine::run
 
 use crate::engine::{
-    CompletionEvent, EngineConfig, ExecutionBackend, WorkflowExecution, WorkflowRun,
+    EngineConfig, ExecutionBackend, Failure, FaultReason, JobOutcome, JobState, RetryPolicy,
+    WorkflowRun,
 };
 use crate::error::WmsError;
 use crate::events::WorkflowEvent;
+use crate::graph::Csr;
 use crate::planner::{ExecutableJob, ExecutableWorkflow};
 use crate::workflow::JobId;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
@@ -178,55 +182,151 @@ pub enum MemberState {
     Failed,
 }
 
-/// One workflow of a round, as [`run_round`] schedules it.
+/// One workflow of a round, as [`run_round`] schedules it: the run its
+/// events fold into and, while it is live, what it is scheduled by.
 pub(crate) struct Member<'w> {
     /// The jobs as the backend is handed them: ids offset by the jobs
     /// of the members before this one.
     jobs: &'w [ExecutableJob],
-    /// The scheduling state while the workflow is live.
-    exec: Option<WorkflowExecution>,
-    /// The finished run.
-    run: Option<WorkflowRun>,
-    /// Released jobs waiting for a slot, in release order.
-    ready: VecDeque<JobId>,
     priority: i32,
     tenant: usize,
+    /// Attempts in flight, a crashed member's stale ones included.
     in_flight: usize,
     /// First-attempt submissions so far — the historical-usage
     /// tiebreaker that keeps equal-priority workflows interleaving
     /// even when the budget is one slot (in-flight counts all tie at
     /// zero there).
     admitted: usize,
+    /// The run so far: the append-only provenance stream, and every
+    /// record, counter and outcome its events fold into. The member
+    /// keeps no lifecycle fact beside it.
+    run: WorkflowRun,
+    /// The scheduling state, which a finished member no longer holds.
+    live: Option<Schedule>,
+}
+
+/// What a live member is scheduled by.
+struct Schedule {
+    children: Csr,
+    /// Per job, its parents not yet done.
+    pending_parents: Vec<u32>,
+    /// Released jobs waiting for a slot, in release order.
+    ready: VecDeque<JobId>,
+    retry: RetryPolicy,
+    /// Draws the backoff jitter.
+    rng: StdRng,
+    /// Completions left before the scripted submit-host crash.
+    crash_in: Option<u64>,
 }
 
 impl<'w> Member<'w> {
-    /// A member driving `exec` over `jobs`, at `priority`, charged to
-    /// the round's tenant number `tenant`.
+    /// The member running `wf` under `config` from `start` (backend
+    /// seconds), at `priority`, charged to the round's tenant number
+    /// `tenant`. Its header, manifest and rescue skips are emitted at
+    /// once: the replayed run must know every job, including ones that
+    /// never become ready. A rescue-skipped job is done unconditionally
+    /// — its work products exist from the previous run even when this
+    /// plan's auxiliary ancestors (create_dir, transfers) differ and
+    /// re-run — and the jobs whose parents are all done start the
+    /// ready queue, in id order.
     pub(crate) fn new(
-        jobs: &'w [ExecutableJob],
-        mut exec: WorkflowExecution,
+        wf: &'w ExecutableWorkflow,
+        config: &EngineConfig,
+        start: f64,
         priority: i32,
         tenant: usize,
     ) -> Self {
+        let n = wf.jobs.len();
+        let children = wf.children();
+        let mut pending_parents = children.reverse_degrees();
+        let mut run = WorkflowRun::default();
+        // Header and trailer, and per job its declaration and the three
+        // events of an attempt; installs and retries grow it from there.
+        run.events.reserve(4 * n + 2);
+        emit(
+            &mut run,
+            WorkflowEvent::WorkflowStarted {
+                name: wf.name.as_str().into(),
+                site: wf.site.as_str().into(),
+                // Each job has a `JobId`, so their number fits its `u32`.
+                jobs: u32::try_from(n).unwrap_or(u32::MAX),
+                time: start,
+            },
+        );
+        for (at, j) in wf.jobs.iter().enumerate() {
+            let declared = WorkflowEvent::JobDeclared {
+                job: JobId::new(at),
+                name: j.name.clone(),
+                transformation: j.transformation.clone(),
+                kind: j.kind,
+            };
+            emit(&mut run, declared);
+        }
+        for (at, j) in wf.jobs.iter().enumerate() {
+            if config.skip_done.contains(&j.name) {
+                let job = JobId::new(at);
+                emit(&mut run, WorkflowEvent::Skipped { job, time: start });
+                for &c in children.neighbors(job) {
+                    pending_parents[c.idx()] -= 1;
+                }
+            }
+        }
+        let ready = (0..n)
+            .map(JobId::new)
+            .filter(|&j| pending_parents[j.idx()] == 0 && !done(&run, j))
+            .collect();
         Member {
-            jobs,
-            ready: exec.take_initial_ready().into(),
-            exec: Some(exec),
-            run: None,
+            jobs: &wf.jobs,
             priority,
             tenant,
             in_flight: 0,
             admitted: 0,
+            run,
+            live: Some(Schedule {
+                children,
+                pending_parents,
+                ready,
+                retry: config.retry.clone(),
+                rng: StdRng::seed_from_u64(config.seed),
+                crash_in: config.crash_after_events,
+            }),
         }
     }
 
-    /// Ends member `index`'s run at `now`, handing `observe` its
-    /// trailer.
-    fn finish(&mut self, index: usize, now: f64, observe: &mut dyn FnMut(usize, &[WorkflowEvent])) {
-        if let Some(exec) = self.exec.take() {
-            self.run = Some(exec.finish(now, |tail| observe(index, tail)));
-        }
+    /// Ends member `index`'s run at `now`: drops its scheduling state
+    /// (a crashed member's released but unsubmitted jobs with it) and
+    /// hands `observe` the trailer. The run failed if its submit host
+    /// `crashed` or a job ran out of attempts.
+    fn finish(
+        &mut self,
+        index: usize,
+        now: f64,
+        crashed: bool,
+        observe: &mut dyn FnMut(usize, &[WorkflowEvent]),
+    ) {
+        self.live = None;
+        let failed = crashed || (self.run.records.iter()).any(|r| r.state == JobState::Failed);
+        let (from, wall_time) = (self.run.events.len(), now - self.run.start);
+        let trailer = WorkflowEvent::WorkflowFinished {
+            succeeded: !failed,
+            wall_time,
+            time: now,
+        };
+        emit(&mut self.run, trailer);
+        observe(index, &self.run.events[from..]);
     }
+}
+
+/// Appends `ev` to `run`'s stream and folds it into the run.
+fn emit(run: &mut WorkflowRun, ev: WorkflowEvent) {
+    run.apply(&ev);
+    run.events.push(ev);
+}
+
+/// Whether `job` of `run` is done: completed, or skipped as done.
+fn done(run: &WorkflowRun, job: JobId) -> bool {
+    let state = run.records[job.idx()].state;
+    matches!(state, JobState::Done | JobState::SkippedDone)
 }
 
 /// Per-tenant bookkeeping inside a running round, mirroring the
@@ -244,10 +344,14 @@ struct TenantShare {
 /// At most `budget` attempts are in flight, and at most `quota` of one
 /// tenant's. `observe` is handed each member's events as they are
 /// emitted, headers first. A completion finds its member by its id,
-/// which member k's jobs carry offset by the jobs of members 0..k. The
-/// round ends when no member is live: a crashed member's released jobs
-/// are withdrawn unsubmitted, and its attempts still in flight drain
-/// as stale completions only while another member runs.
+/// which member k's jobs carry offset by the jobs of members 0..k.
+/// A completion releases the children whose last pending parent it
+/// was; a failure with attempts left is resubmitted at once, after its
+/// backoff; after the scripted number of completions the member's
+/// submit host crashes. The round ends when no member is live: a
+/// crashed member's released jobs are withdrawn unsubmitted, and its
+/// attempts still in flight drain as stale completions only while
+/// another member runs.
 ///
 /// [`Engine::run`]: crate::engine::Engine::run
 pub(crate) fn run_round(
@@ -269,18 +373,16 @@ pub(crate) fn run_round(
     let mut live = members.len();
 
     // The header + manifest (and rescue skips) exist as soon as the
-    // execution does: forward them before any admission, so
-    // incremental logs always start well-formed.
-    for (i, m) in members.iter_mut().enumerate() {
-        if let Some(exec) = m.exec.as_mut() {
-            observe(i, exec.drain_new_events());
-        }
+    // member does: forward them before any admission, so incremental
+    // logs always start well-formed.
+    for (i, m) in members.iter().enumerate() {
+        observe(i, &m.run.events);
     }
     // Workflows with nothing to run (empty, or fully rescue-skipped)
     // finish without touching the backend.
     for (i, m) in members.iter_mut().enumerate() {
-        if m.exec.as_ref().is_some_and(WorkflowExecution::is_complete) {
-            m.finish(i, backend.now(), observe);
+        if m.live.as_ref().is_some_and(|s| s.ready.is_empty()) {
+            m.finish(i, backend.now(), false, observe);
             live -= 1;
         }
     }
@@ -295,7 +397,8 @@ pub(crate) fn run_round(
             let mut best = None;
             for (i, m) in members.iter().enumerate() {
                 let share = &shares[m.tenant];
-                if m.ready.is_empty() || quota.is_some_and(|q| share.in_flight >= q) {
+                let waiting = m.live.as_ref().is_some_and(|s| !s.ready.is_empty());
+                if !waiting || quota.is_some_and(|q| share.in_flight >= q) {
                     continue;
                 }
                 let key = (
@@ -311,16 +414,23 @@ pub(crate) fn run_round(
             }
             let Some((i, _)) = best else { break };
             let m = &mut members[i];
-            let job = m.ready.pop_front().expect("the pick has a ready job");
-            let exec = m
-                .exec
-                .as_mut()
-                .expect("only a live member holds ready jobs");
+            let Some(job) = m.live.as_mut().and_then(|s| s.ready.pop_front()) else {
+                break;
+            };
             // Stamped before the hand-over: on a real clock no attempt
             // then records a `submitted` earlier than its own event.
-            exec.note_submitted(job, backend.now());
+            let from = m.run.events.len();
+            let time = backend.now();
+            emit(
+                &mut m.run,
+                WorkflowEvent::Submitted {
+                    job,
+                    attempt: 0,
+                    time,
+                },
+            );
             backend.submit(&m.jobs[job.idx()], 0);
-            observe(i, exec.drain_new_events());
+            observe(i, &m.run.events[from..]);
             m.in_flight += 1;
             m.admitted += 1;
             shares[m.tenant].in_flight += 1;
@@ -334,42 +444,110 @@ pub(crate) fn run_round(
         let m = &mut members[i];
         m.in_flight -= 1;
         shares[m.tenant].in_flight -= 1;
-        let Some(exec) = m.exec.as_mut() else {
+        let Some(s) = m.live.as_mut() else {
             // Stale completion from a member that already crashed: the
             // slot is reclaimed, the result discarded.
             continue;
         };
-        let job = JobId::new(ev.job.idx() - firsts[i]);
-        let resp = exec
-            .on_event(&CompletionEvent { job, ..ev })
-            .expect("a crashed member is retired from the round");
-        observe(i, exec.drain_new_events());
-        if let Some(r) = resp.retry {
-            // The failed attempt just released its slot; the retry
-            // reclaims it, so the budget stays respected without
-            // re-queueing (backoff is enforced by the backend).
-            backend.submit_after(&m.jobs[r.job.idx()], r.next_attempt, r.delay);
-            m.in_flight += 1;
-            shares[m.tenant].in_flight += 1;
-            in_flight += 1;
+        let (job, attempt, t) = (JobId::new(ev.job.idx() - firsts[i]), ev.attempt, ev.times);
+        let from = m.run.events.len();
+        // The attempt's phase transitions, recovered from its
+        // timestamps: slot acquisition / install start (when there was
+        // an install phase), then execution start.
+        if t.install_done > t.started {
+            let time = t.started;
+            emit(
+                &mut m.run,
+                WorkflowEvent::InstallStarted { job, attempt, time },
+            );
         }
-        if resp.crashed {
-            // The member's submit host died: what it released but had
-            // not submitted is withdrawn.
-            m.ready.clear();
-        } else {
-            m.ready.extend(resp.newly_ready);
+        let time = t.install_done;
+        emit(&mut m.run, WorkflowEvent::Started { job, attempt, time });
+        match ev.outcome {
+            JobOutcome::Success => {
+                emit(
+                    &mut m.run,
+                    WorkflowEvent::Completed {
+                        job,
+                        attempt,
+                        times: t,
+                    },
+                );
+                for &c in s.children.neighbors(job) {
+                    let pending = &mut s.pending_parents[c.idx()];
+                    *pending -= 1;
+                    if *pending == 0 && !done(&m.run, c) {
+                        s.ready.push_back(c);
+                    }
+                }
+            }
+            JobOutcome::Failure(Failure { reason, detail }) => {
+                let times = Box::new(t);
+                emit(
+                    &mut m.run,
+                    if reason == FaultReason::Timeout {
+                        let detail = detail.clone();
+                        WorkflowEvent::TimedOut {
+                            job,
+                            attempt,
+                            detail,
+                            times,
+                        }
+                    } else {
+                        let detail = detail.clone();
+                        WorkflowEvent::Failed {
+                            job,
+                            attempt,
+                            reason,
+                            detail,
+                            times,
+                        }
+                    },
+                );
+                let attempts = m.run.records[job.idx()].attempts;
+                if attempts < s.retry.max_attempts {
+                    let (next_attempt, time) = (attempt + 1, t.finished);
+                    let backoff = s.retry.backoff_before(attempts, &mut s.rng);
+                    emit(
+                        &mut m.run,
+                        WorkflowEvent::RetryScheduled {
+                            job,
+                            next_attempt,
+                            backoff,
+                            reason,
+                            detail,
+                            time,
+                        },
+                    );
+                    let attempt = next_attempt;
+                    emit(&mut m.run, WorkflowEvent::Submitted { job, attempt, time });
+                    // The failed attempt just released its slot; the
+                    // retry reclaims it, so the budget stays respected
+                    // without re-queueing (the backend enforces the
+                    // backoff).
+                    backend.submit_after(&m.jobs[job.idx()], attempt, backoff);
+                    m.in_flight += 1;
+                    shares[m.tenant].in_flight += 1;
+                    in_flight += 1;
+                }
+            }
         }
-        if resp.crashed || exec.is_complete() {
-            m.finish(i, backend.now(), observe);
+        observe(i, &m.run.events[from..]);
+        // Scripted submit-host crash: DAGMan dies after this many
+        // completions; in-flight work is abandoned and only completed
+        // jobs make it into the rescue DAG.
+        if let Some(left) = s.crash_in.as_mut() {
+            *left = left.saturating_sub(1);
+        }
+        let outstanding = m.in_flight + s.ready.len();
+        let crashed = s.crash_in == Some(0) && outstanding > 0;
+        if crashed || outstanding == 0 {
+            m.finish(i, backend.now(), crashed, observe);
             live -= 1;
         }
     }
 
-    members
-        .into_iter()
-        .map(|m| m.run.expect("a round ends when no member is live"))
-        .collect()
+    members.into_iter().map(|m| m.run).collect()
 }
 
 /// The ensemble manager — the single entry point for executing many
@@ -446,13 +624,9 @@ impl Ensemble {
             .max(1);
         let quota = config.tenant_slots.map(|q| q.max(1));
 
-        // Each execution declares its jobs by local id; then the jobs
-        // are renumbered in place into the round's one id space.
+        // The jobs are renumbered in place into the round's one id
+        // space; each member declares them by their local index.
         let start = backend.now();
-        let execs: Vec<WorkflowExecution> = submissions
-            .iter()
-            .map(|sub| WorkflowExecution::new(&sub.workflow, &sub.config, start))
-            .collect();
         let jobs = submissions
             .iter_mut()
             .flat_map(|sub| &mut sub.workflow.jobs);
@@ -462,14 +636,13 @@ impl Ensemble {
         let mut tenants: Vec<&str> = Vec::new();
         let members = submissions
             .iter()
-            .zip(execs)
-            .map(|(sub, exec)| {
+            .map(|sub| {
                 let known = tenants.iter().position(|t| *t == sub.tenant);
                 let tenant = known.unwrap_or_else(|| {
                     tenants.push(&sub.tenant);
                     tenants.len() - 1
                 });
-                Member::new(&sub.workflow.jobs, exec, sub.priority, tenant)
+                Member::new(&sub.workflow, &sub.config, start, sub.priority, tenant)
             })
             .collect();
 
@@ -483,7 +656,7 @@ impl Ensemble {
 mod tests {
     use super::*;
     use crate::engine::scripted::ScriptedBackend;
-    use crate::engine::{Engine, JobState, NoopMonitor, RetryPolicy};
+    use crate::engine::{JobState, RetryPolicy};
     use crate::planner::{ExecutableJob, JobKind};
 
     fn job(id: usize, name: &str, runtime: f64) -> ExecutableJob {
@@ -520,36 +693,6 @@ mod tests {
         let mut c = EngineConfig::builder().retries(2).build();
         c.seed = seed;
         c
-    }
-
-    #[test]
-    fn ensemble_of_one_matches_engine_run() {
-        let wf = diamond("solo");
-        let config = cfg(7);
-
-        let mut single_backend = ScriptedBackend::new();
-        let single = Engine::run(&mut single_backend, &wf, &config, &mut NoopMonitor);
-
-        let mut ens_backend = ScriptedBackend::new();
-        let ens = Ensemble::run_to_completion(
-            &mut ens_backend,
-            vec![Submission::new(wf, config)],
-            &EnsembleConfig::default(),
-        )
-        .unwrap();
-
-        assert_eq!(ens.runs.len(), 1);
-        let e = &ens.runs[0];
-        assert_eq!(e.wall_time, single.wall_time);
-        assert_eq!(e.records.len(), single.records.len());
-        for (a, b) in e.records.iter().zip(&single.records) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.state, b.state);
-            assert_eq!(a.attempts, b.attempts);
-            assert_eq!(a.times, b.times);
-        }
-        assert_eq!(single_backend.log, ens_backend.log, "same submission tape");
-        assert_eq!(ens.makespan, single.wall_time);
     }
 
     #[test]

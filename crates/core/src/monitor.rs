@@ -21,8 +21,9 @@ pub struct StatusMonitor {
     pub done: usize,
     /// Attempts that failed (retries count individually).
     pub failed_attempts: usize,
-    /// Captured status lines, one per state change (for tests/UIs).
-    pub history: Vec<String>,
+    /// `(in flight, done, failed attempts)` after each state change:
+    /// what its status line renders, kept instead of the line.
+    changes: Vec<(usize, usize, usize)>,
 }
 
 impl StatusMonitor {
@@ -34,24 +35,31 @@ impl StatusMonitor {
         }
     }
 
-    /// Percent of jobs completed.
-    pub(crate) fn percent_done(&self) -> f64 {
+    /// Percent of jobs completed once `done` have.
+    fn percent(&self, done: usize) -> f64 {
         if self.total == 0 {
             100.0
         } else {
-            100.0 * self.done as f64 / self.total as f64
+            100.0 * done as f64 / self.total as f64
         }
     }
 
     /// The `pegasus-status`-style one-liner.
     pub fn status_line(&self) -> String {
+        self.line((self.in_flight, self.done, self.failed_attempts))
+    }
+
+    /// The status line after each state change, one per submission and
+    /// termination (for tests/UIs), rendered as it is read.
+    pub fn history(&self) -> impl ExactSizeIterator<Item = String> + '_ {
+        self.changes.iter().map(|&change| self.line(change))
+    }
+
+    fn line(&self, (in_flight, done, failed): (usize, usize, usize)) -> String {
         format!(
-            "{:>5.1}% done | {} running | {}/{} jobs | {} failed attempts",
-            self.percent_done(),
-            self.in_flight,
-            self.done,
+            "{:>5.1}% done | {in_flight} running | {done}/{} jobs | {failed} failed attempts",
+            self.percent(done),
             self.total,
-            self.failed_attempts
         )
     }
 }
@@ -60,15 +68,16 @@ impl EventSink for StatusMonitor {
     fn event(&mut self, ev: &WorkflowEvent) {
         if let WorkflowEvent::Submitted { .. } = ev {
             self.in_flight += 1;
-            self.history.push(self.status_line());
         } else if let Some(end) = ev.termination() {
             self.in_flight = self.in_flight.saturating_sub(1);
             match end.failure {
                 None => self.done += 1,
                 Some(_) => self.failed_attempts += 1,
             }
-            self.history.push(self.status_line());
+        } else {
+            return;
         }
+        (self.changes).push((self.in_flight, self.done, self.failed_attempts));
     }
 }
 
@@ -240,18 +249,24 @@ mod tests {
     #[test]
     fn status_counts_and_percentages() {
         let mut m = StatusMonitor::new(4);
-        assert_eq!(m.percent_done(), 0.0);
+        assert_eq!(m.percent(m.done), 0.0);
         feed(&mut m, "submitted time=0 job=0 attempt=0\n");
         feed(&mut m, "submitted time=0 job=1 attempt=0\n");
         assert_eq!(m.in_flight, 2);
         feed(&mut m, &ran(0, 0.0, 5.0, true));
         assert_eq!(m.done, 1);
         assert_eq!(m.in_flight, 1);
-        assert_eq!(m.percent_done(), 25.0);
+        assert_eq!(m.percent(m.done), 25.0);
         feed(&mut m, &ran(1, 0.0, 5.0, false));
         assert_eq!(m.failed_attempts, 1);
         assert!(m.status_line().contains("25.0% done"));
-        assert_eq!(m.history.len(), 4);
+        let history: Vec<String> = m.history().collect();
+        assert_eq!(history.len(), 4);
+        assert_eq!(
+            history[1],
+            "  0.0% done | 2 running | 0/4 jobs | 0 failed attempts"
+        );
+        assert_eq!(history[3], m.status_line());
     }
 
     #[test]
@@ -259,12 +274,12 @@ mod tests {
         let mut m = StatusMonitor::new(2);
         feed(&mut m, &[RETRY, RETRY].concat());
         assert_eq!(m.in_flight, 0);
-        assert!(m.history.is_empty());
+        assert_eq!(m.history().len(), 0);
     }
 
     #[test]
     fn empty_status_is_100_percent() {
-        assert_eq!(StatusMonitor::new(0).percent_done(), 100.0);
+        assert_eq!(StatusMonitor::new(0).percent(0), 100.0);
     }
 
     /// A timeline that knows jobs 0..3 as a, b, c and saw `attempts`.
@@ -325,11 +340,11 @@ mod tests {
             &mut m,
         );
         assert!(run.succeeded());
-        assert_eq!(m.percent_done(), 100.0);
+        assert_eq!(m.percent(m.done), 100.0);
         assert_eq!(m.in_flight, 0);
         // No state changes → no history entries, but the status line
         // still renders sensibly.
-        assert!(m.history.is_empty());
+        assert_eq!(m.history().len(), 0);
         assert!(
             m.status_line().contains("100.0% done"),
             "{}",
@@ -430,7 +445,7 @@ mod tests {
             feed(&mut multi, &one_job_stream());
         }
         assert_eq!(status.done, 1);
-        assert_eq!(status.history.len(), 2);
+        assert_eq!(status.history().len(), 2);
         assert_eq!(timeline.entries.len(), 1);
     }
 }

@@ -31,7 +31,6 @@ mod run;
 
 use blast2cap3_pegasus::cli::{self, or_exit, read_or_exit, write_or_exit, Args, Verb};
 use blast2cap3_pegasus::experiment::{self, catalogs_with, registry_catalogs, Catalogs};
-use blast2cap3_pegasus::outln;
 use gridsim::sites::SiteRegistry;
 use gridsim::{FaultPlan, FaultScript, SimBackend};
 use pegasus_wms::engine::{EngineConfig, RetryPolicy};
@@ -133,8 +132,8 @@ fn comma_list(list: &str) -> impl Iterator<Item = &str> {
 }
 
 /// Sends a verb's rendered output to `--out <file>` (confirming with
-/// `<done> <file>` unless `--quiet`), or to stdout without one or when
-/// the file is the one stdout is open on.
+/// `<done> <file>` on stderr unless `--quiet`), or to stdout without
+/// one or when the file is the one stdout is open on.
 fn write_or_print(args: &Args, text: &str, done: &str) {
     write_or_print_with(args, done, |w| Ok(w.write_all(text.as_bytes())?));
 }
@@ -147,7 +146,7 @@ fn write_or_print_with(
 ) {
     let path = args.get("out");
     if write_to(path, "output", fill) && !args.flag("quiet") {
-        outln!("{done} {}", path.unwrap_or_default());
+        eprintln!("{done} {}", path.unwrap_or_default());
     }
 }
 
@@ -210,13 +209,14 @@ fn is_stdout(path: &str) -> bool {
 }
 
 /// Writes what `render` gives to the file the flag `key` names, when
-/// given, confirming with `<what> written to <file>` if `note`; through
-/// stdout, unconfirmed, when the file is the one stdout is open on.
-fn write_flagged(args: &Args, key: &str, what: &str, note: bool, render: impl FnOnce() -> String) {
+/// given, confirming with `<what> written to <file>` on stderr unless
+/// `--quiet`; through stdout, unconfirmed, when the file is the one
+/// stdout is open on.
+fn write_flagged(args: &Args, key: &str, what: &str, render: impl FnOnce() -> String) {
     if let Some(path) = args.get(key) {
         let fill = |w: &mut dyn Write| Ok(w.write_all(render().as_bytes())?);
-        if write_to(Some(path), what, fill) && note {
-            outln!("{what} written to {path}");
+        if write_to(Some(path), what, fill) && !args.flag("quiet") {
+            eprintln!("{what} written to {path}");
         }
     }
 }

@@ -67,7 +67,7 @@ fn cmd_plan(args: &Args) -> ExitCode {
     if let Ok((cp, _)) = wf.critical_path() {
         outln!("  critical path {cp:.0}s (makespan lower bound)");
     }
-    write_flagged(args, "dot", "dot graph", true, || exec.to_dot());
+    write_flagged(args, "dot", "dot graph", || exec.to_dot());
     if args.flag("ascii") {
         outln!("{}", ascii_dag(&exec));
     }

@@ -179,7 +179,9 @@ fn cmd_run(args: &Args) -> ExitCode {
 
     if !args.flag("quiet") {
         // pegasus-status style tail: print every 10th line.
-        for line in status.history.iter().step_by(status.history.len() / 10 + 1) {
+        let history = status.history();
+        let step = history.len() / 10 + 1;
+        for line in history.step_by(step) {
             outln!("status: {line}");
         }
         // The final one-liner carries the kickstart quantiles from the
@@ -195,11 +197,11 @@ fn cmd_run(args: &Args) -> ExitCode {
         "realised peak concurrency: {} slots",
         timeline.peak_concurrency()
     );
-    write_flagged(args, "timeline", "timeline", true, || timeline.to_csv());
-    write_flagged(args, "events", "event log", true, || {
+    write_flagged(args, "timeline", "timeline", || timeline.to_csv());
+    write_flagged(args, "events", "event log", || {
         events::log::write(&run.events)
     });
-    write_flagged(args, "metrics", "metrics exposition", true, || {
+    write_flagged(args, "metrics", "metrics exposition", || {
         metrics_registry.render()
     });
 
@@ -304,10 +306,7 @@ fn cmd_ensemble(args: &Args) -> ExitCode {
             }
         }
     }
-    let note = !args.flag("quiet");
-    write_flagged(args, "metrics", "metrics exposition", note, || {
-        registry.render()
-    });
+    write_flagged(args, "metrics", "metrics exposition", || registry.render());
     let csv = render_ensemble_csv(&stats);
     write_or_print(args, &csv, "ensemble rollup CSV written to");
 

@@ -141,6 +141,8 @@ const RULES: &[Rule] = &[
         BEFORE_TESTS, "    pub failures: Vec<FailedAttempt>,"),
     (53, "a fold holds what it reads: a trace keeps one attempt table, no track a Vec of its own", "crates/core/src/trace.rs#Tracks", "Vec<", Absent, 0,
         "    pub attempts: Vec<AttemptSpan>,"),
+    (54, "one scheduler per member: the round's member holds the scheduling state, with no message layer beside it", "crates/core/src",
+        "WorkflowExecution|EventResponse|RetryRequest|take_initial_ready", Absent, WORD, "let exec = WorkflowExecution::new(wf, config, backend.now());"),
 ];
 
 /// The sorted entry names of a directory.

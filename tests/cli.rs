@@ -902,6 +902,48 @@ fn pegasus_flag_named_outputs_append_through_stdouts_own_file() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `written to` note goes to stderr, so stdout holds only what the
+/// verb renders, and `--quiet` silences it wherever the verb declares
+/// the flag: `run --quiet --timeline` notes nothing at all.
+#[test]
+fn written_to_notes_go_to_stderr_and_quiet_silences_them() {
+    let dir = tmpdir("notes");
+    let events = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/osg_n8.events");
+    let prom = dir.join("x.prom");
+    let out = pegasus()
+        .args(["metrics", "--from-events", events, "--out"])
+        .arg(&prom)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("metrics exposition written to {}\n", prom.display())
+    );
+    let (dax, timeline) = (dir.join("w.dax"), dir.join("t.csv"));
+    let out = pegasus()
+        .args(["generate-dax", "--n", "4", "--out"])
+        .arg(&dax)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = pegasus()
+        .args(["run", "--site", "sandhills", "--quiet", "--dax"])
+        .arg(&dax)
+        .arg("--timeline")
+        .arg(&timeline)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert!(timeline.exists());
+    for stream in [&out.stdout, &out.stderr] {
+        let text = String::from_utf8_lossy(stream);
+        assert!(!text.contains("written to"), "{text}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `trace` writes each log's tree as soon as it is folded. A log that
 /// does not fold after one that did leaves `--out`'s file as it was,
 /// with no `.part` beside it; on stdout, the trees before it stand.

@@ -109,7 +109,7 @@ fn every_consumer_is_a_fold_of_one_event_stream() {
             multi.event(ev);
         }
     }
-    assert_eq!(status2.history, status.history);
+    assert!(status2.history().eq(status.history()));
     assert_eq!(status2.done, status.done);
     assert_eq!(status2.failed_attempts, status.failed_attempts);
     assert_eq!(timeline2.entries, timeline.entries);
