@@ -696,6 +696,41 @@ mod tests {
     }
 
     #[test]
+    fn ensemble_of_one_matches_engine_run() {
+        let wf = diamond("solo");
+        let config = cfg(7);
+
+        let mut single_backend = ScriptedBackend::new();
+        let single = crate::engine::Engine::run(
+            &mut single_backend,
+            &wf,
+            &config,
+            &mut crate::engine::NoopMonitor,
+        );
+
+        let mut ens_backend = ScriptedBackend::new();
+        let ens = Ensemble::run_to_completion(
+            &mut ens_backend,
+            vec![Submission::new(wf, config)],
+            &EnsembleConfig::default(),
+        )
+        .unwrap();
+
+        assert_eq!(ens.runs.len(), 1);
+        let e = &ens.runs[0];
+        assert_eq!(e.wall_time, single.wall_time);
+        assert_eq!(e.records.len(), single.records.len());
+        for (a, b) in e.records.iter().zip(&single.records) {
+            assert_eq!(a.name, b.name);
+            assert_eq!(a.state, b.state);
+            assert_eq!(a.attempts, b.attempts);
+            assert_eq!(a.times, b.times);
+        }
+        assert_eq!(single_backend.log, ens_backend.log, "same submission tape");
+        assert_eq!(ens.makespan, single.wall_time);
+    }
+
+    #[test]
     fn non_dense_job_ids_are_a_typed_error_at_submit() {
         // Sparse ids would silently mis-route completions through the
         // global id mapping; the round is refused at the API boundary,

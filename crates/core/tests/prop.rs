@@ -9,6 +9,7 @@ use pegasus_wms::engine::scripted::ScriptedBackend;
 use pegasus_wms::engine::{
     Engine, EngineConfig, FaultReason, JobState, JobTimes, NoopMonitor, WorkflowOutcome,
 };
+use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
 use pegasus_wms::events::{self, EventSink};
 use pegasus_wms::graph::Csr;
 use pegasus_wms::line;
@@ -448,6 +449,62 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// An ensemble of exactly one workflow must be indistinguishable
+    /// from `Engine::run` — same submission tape on the backend, same
+    /// event stream, hence the same run — for any workflow shape, fail
+    /// plan, retry budget and scripted submit-host crash (0 is none).
+    #[test]
+    fn ensemble_of_one_equals_engine_run(
+        layers in 1usize..4,
+        width in 1usize..4,
+        bits: u64,
+        fail_mask in 0u64..u64::MAX,
+        max_retries in 0u32..3,
+        seed: u64,
+        crash_after_events in 0u64..12,
+    ) {
+        let wf = layered_workflow(layers, width, bits);
+        let (sites, tc) = paper_catalogs();
+        let rc = ReplicaCatalog::new();
+        let mut pcfg = PlannerConfig::for_site("sandhills");
+        pcfg.add_create_dir = false;
+        pcfg.stage_data = false;
+        let exec = plan(&wf, &sites, &tc, &rc, &pcfg).unwrap();
+
+        let scripted = || {
+            let mut be = ScriptedBackend::new();
+            // Up to three failures per job, so jobs succeed after their
+            // retries about as often as they exhaust them.
+            for (i, j) in exec.jobs.iter().enumerate() {
+                let k = ((fail_mask >> ((i % 32) * 2)) & 0x3) as u32;
+                for attempt in 0..k {
+                    be.fail_plan.insert((j.name.clone(), attempt));
+                }
+            }
+            be
+        };
+        let mut cfg = EngineConfig::builder()
+            .policy(pegasus_wms::engine::RetryPolicy::exponential(max_retries, 13.0))
+            .seed(seed)
+            .build();
+        cfg.crash_after_events = (crash_after_events > 0).then_some(crash_after_events);
+
+        let mut single_be = scripted();
+        let single = Engine::run(&mut single_be, &exec, &cfg, &mut NoopMonitor);
+
+        let mut ens_be = scripted();
+        let ens = Ensemble::run_to_completion(
+            &mut ens_be,
+            vec![Submission::new(exec.clone(), cfg)],
+            &EnsembleConfig::default(),
+        )
+        .unwrap();
+
+        prop_assert_eq!(&single_be.log, &ens_be.log, "submission tapes diverge");
+        prop_assert_eq!(&single.events, &ens.runs[0].events, "event streams diverge");
+        prop_assert_eq!(&single, &ens.runs[0]);
     }
 
     /// Catalog files round-trip arbitrary transformations and
