@@ -47,11 +47,12 @@ pub fn run() {
         ("full chaos", full_chaos.clone()),
     ] {
         let run = chaos_run(&plan, policy());
-        let f = compute(&run).faults;
+        let stats = compute(&run);
+        let f = &stats.faults;
         outln!(
             "  {label:<16} wall={:>7.0}s retries={:<4} preempted={} evicted={} install={} timeout={} succeeded={}",
             run.wall_time,
-            f.retries,
+            stats.retries,
             f.preemptions,
             f.evictions,
             f.install_failures,
@@ -72,11 +73,12 @@ pub fn run() {
         ),
     ] {
         let run = chaos_run(&full_chaos, p);
-        let f = compute(&run).faults;
+        let stats = compute(&run);
+        let f = &stats.faults;
         outln!(
             "  {label:<18} wall={:>7.0}s retries={:<4} backoff-wait={:>7.0}s timeouts={} succeeded={}",
             run.wall_time,
-            f.retries,
+            stats.retries,
             f.backoff_wait,
             f.timeouts,
             run.succeeded()

@@ -384,8 +384,9 @@ impl Drop for LocalPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, WorkflowOutcome, WorkflowRun};
+    use pegasus_wms::engine::{Engine, EngineConfig, NoopMonitor, WorkflowRun};
     use pegasus_wms::planner::{ExecutableWorkflow, JobKind};
+    use pegasus_wms::rescue::RescueDag;
 
     fn run_workflow(
         wf: &ExecutableWorkflow,
@@ -530,10 +531,8 @@ mod tests {
         let wf = independent("local", vec![job(0, "b", "boom")]);
         let mut pool = LocalPool::new(pool_config(), reg);
         let run = run_workflow(&wf, &mut pool, &EngineConfig::default());
-        match &run.outcome {
-            WorkflowOutcome::Failed(rescue) => assert!(rescue.done.is_empty()),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(!run.succeeded());
+        assert!(RescueDag::of(&run).done.is_empty());
         let failure = run.failures(&run.records[0]).next().unwrap();
         assert_eq!(failure.reason, FaultReason::Other);
         assert_eq!(failure.detail, "error:task panicked");
@@ -566,9 +565,9 @@ mod tests {
                 Engine::run(&mut pool, &wf, &cfg, &mut mon)
             };
             assert!(!run.succeeded());
-            assert_eq!(run.faults.other_failures, 2, "{text}");
-            assert_eq!(run.faults.total_failures(), 2, "{text}");
-            assert_eq!(run.faults.timeouts, 0, "{text}");
+            assert_eq!(run.faults().other_failures, 2, "{text}");
+            assert_eq!(run.faults().total_failures(), 2, "{text}");
+            assert_eq!(run.faults().timeouts, 0, "{text}");
 
             let written = log::write(&run.events);
             let failed: Vec<&str> = (written.lines())
@@ -622,7 +621,7 @@ mod tests {
             run.failures(&run.records[0]).next().unwrap().detail,
             "preempted"
         );
-        assert_eq!(run.faults.preemptions, 1);
+        assert_eq!(run.faults().preemptions, 1);
     }
 
     #[test]
@@ -658,7 +657,7 @@ mod tests {
             "eviction must cut the 500ms sleep short, took {}",
             evicted.finished - evicted.started
         );
-        assert_eq!(run.faults.preemptions, 1);
+        assert_eq!(run.faults().preemptions, 1);
     }
 
     #[test]
@@ -715,7 +714,7 @@ mod tests {
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].reason, FaultReason::Timeout);
         assert_eq!(failures[0].detail, "timeout: exceeded 0.08s");
-        assert_eq!(run.faults.timeouts, 1);
+        assert_eq!(run.faults().timeouts, 1);
     }
 
     #[test]
@@ -755,7 +754,7 @@ mod tests {
         let failures: Vec<_> = run.failures(&run.records[0]).collect();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].detail, "install:burst");
-        assert_eq!(run.faults.install_failures, 1);
+        assert_eq!(run.faults().install_failures, 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! OSG failures and retries is exactly the situation this tool exists
 //! for.
 
-use crate::engine::{FaultReason, JobState, WorkflowOutcome, WorkflowRun};
+use crate::engine::{FaultReason, JobState, WorkflowRun};
 use crate::symbols::Name;
 use std::collections::BTreeMap;
 
@@ -179,7 +179,7 @@ pub fn analyze(run: &WorkflowRun) -> Analysis {
     Analysis {
         workflow: run.name.clone(),
         site: run.site.clone(),
-        succeeded: matches!(run.outcome, WorkflowOutcome::Success),
+        succeeded: run.succeeded(),
         done,
         failed,
         unready,
@@ -193,7 +193,6 @@ mod tests {
     use super::*;
     use crate::engine::{FailedAttempt, FailureChain, JobRecord, JobTimes};
     use crate::planner::JobKind;
-    use crate::rescue::RescueDag;
     use crate::workflow::JobId;
 
     fn times(total: f64) -> JobTimes {
@@ -216,7 +215,6 @@ mod tests {
 
     fn record(name: &str, state: JobState, attempts: u32) -> JobRecord {
         JobRecord {
-            job: crate::workflow::JobId::new(0),
             name: name.into(),
             transformation: "t".into(),
             kind: JobKind::Compute,
@@ -232,7 +230,6 @@ mod tests {
         let mut run = WorkflowRun {
             name: "wf".into(),
             site: "osg".into(),
-            outcome: WorkflowOutcome::Failed(RescueDag::default()),
             wall_time: 100.0,
             records: vec![
                 record("ok", JobState::Done, 1),
@@ -283,7 +280,6 @@ mod tests {
         let mut run = WorkflowRun {
             name: "wf".into(),
             site: "osg".into(),
-            outcome: WorkflowOutcome::Failed(RescueDag::default()),
             wall_time: 50.0,
             records: vec![record("ok", JobState::Done, 1), bad],
             ..Default::default()
@@ -309,7 +305,7 @@ mod tests {
         let run = WorkflowRun {
             name: "wf".into(),
             site: "osg".into(),
-            outcome: WorkflowOutcome::Success,
+            succeeded: true,
             wall_time: 10.0,
             records: vec![record("flaky", JobState::Done, 4)],
             ..Default::default()
@@ -336,7 +332,7 @@ mod tests {
         let run = WorkflowRun {
             name: "wf".into(),
             site: "sandhills".into(),
-            outcome: WorkflowOutcome::Success,
+            succeeded: true,
             wall_time: 10.0,
             records: vec![record("a", JobState::Done, 1)],
             ..Default::default()

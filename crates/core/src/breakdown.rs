@@ -74,7 +74,7 @@ impl JobSpan {
 /// Jobs that never completed keep zero success-phase durations but
 /// still accumulate `retry_badput` from their failed attempts.
 pub(crate) fn job_spans(run: &WorkflowRun) -> impl Iterator<Item = JobSpan> + '_ {
-    run.records.iter().map(|r| {
+    run.records.iter().enumerate().map(|(job, r)| {
         let retry_badput = run
             .failures(r)
             .fold(0.0, |sum, f| sum + (f.times.finished - f.times.submitted));
@@ -88,7 +88,7 @@ pub(crate) fn job_spans(run: &WorkflowRun) -> impl Iterator<Item = JobSpan> + '_
         // likewise derives per-job phases from the Condor job log.
         let origin = run.failures(r).next().map_or(ok, |f| f.times).submitted;
         JobSpan {
-            job: r.job,
+            job: JobId::new(job),
             name: r.name.clone(),
             transformation: r.transformation.clone(),
             kind: r.kind,

@@ -604,8 +604,9 @@ impl<'a> Builder<'a> {
                     if self.wf.is_some() {
                         return Err(err("unexpected second <adag>".into()));
                     }
-                    let wname = attr(attrs, "name").unwrap_or("workflow").to_string();
-                    let mut w = AbstractWorkflow::new(wname);
+                    let wname = attr(attrs, "name").unwrap_or("workflow");
+                    let wname = unpadded("<adag> name", wname).map_err(err)?;
+                    let mut w = AbstractWorkflow::new(wname.to_string());
                     // A hint, so it is trusted only as far as the
                     // document is long enough to hold that many jobs.
                     let hint = attr(attrs, "jobCount").and_then(|n| n.parse::<usize>().ok());
@@ -619,6 +620,7 @@ impl<'a> Builder<'a> {
                     }
                     let id = attr(attrs, "id")
                         .ok_or_else(|| err("<job> missing id attribute".into()))?;
+                    let id = unpadded("job id", id).map_err(err)?;
                     let tname = attr(attrs, "name").unwrap_or(id);
                     let transformation = self.transformations.share(tname);
                     // A duration in seconds: `NaN`, `inf` or a negative
@@ -669,6 +671,7 @@ impl<'a> Builder<'a> {
                     };
                     let file = take_attr(attrs, "file")
                         .ok_or_else(|| err("<uses> missing file attribute".into()))?;
+                    unpadded("<uses> file", &file).map_err(err)?;
                     side.push((file, size));
                 }
                 "child" => {
@@ -749,6 +752,17 @@ impl<'a> Builder<'a> {
 #[cold]
 fn tag_err(text: &str, tag: usize, reason: impl Into<String>) -> WmsError {
     Format::Dax.error(span_at(text, tag), reason)
+}
+
+/// `name`, unless it begins or ends with ASCII whitespace: the rescue
+/// DAG's `DONE` lines and the event log's `name=` tail are trimmed as
+/// they are read, so no line format carries such a name back.
+fn unpadded<'s>(what: &str, name: &'s str) -> Result<&'s str, String> {
+    if name.trim_ascii() == name {
+        Ok(name)
+    } else {
+        Err(format!("{what} {name:?} begins or ends with whitespace"))
+    }
 }
 
 /// Parses a DAX document without running [`AbstractWorkflow::validate`].
@@ -974,6 +988,30 @@ mod tests {
             WmsError::Parse { span, .. } => assert_eq!(span, Span::new(3, 1)),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn names_no_line_format_carries_are_refused_at_their_tag() {
+        // Rescue `DONE` lines and the event log's `name=` tail are
+        // trimmed as they are read: a padded name would not come back.
+        for (doc, line) in [
+            ("<adag name=\" w\">\n<job id=\"a\"/>\n</adag>", 1),
+            ("<adag name=\"w\">\n<job id=\"a \"/>\n</adag>", 2),
+            ("<adag name=\"w\">\n<job id=\"a\">\n<uses file=\"f\t\" link=\"input\"/>\n</job>\n</adag>", 3),
+        ] {
+            match from_dax(doc).unwrap_err() {
+                WmsError::Parse {
+                    span, code, reason, ..
+                } => {
+                    assert_eq!((span, code), (Span::new(line, 1), "E0101"), "{doc}");
+                    assert!(reason.ends_with("begins or ends with whitespace"), "{reason}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let inner =
+            "<adag name=\"w v\"><job id=\"a b\"><uses file=\"f g\" link=\"input\"/></job></adag>";
+        assert_eq!(from_dax(inner).unwrap().jobs[0].id, "a b");
     }
 
     #[test]

@@ -244,6 +244,13 @@ impl<'a> XmlScanner<'a> {
 /// which the compiler does or does not do as the crate around this
 /// file changes shape (EXPERIMENTS.md E29).
 #[inline]
+/// Whether a name's first or last character is ASCII whitespace,
+/// which every line format trims away.
+fn padded(name: &str) -> bool {
+    let ws = |c: char| c.is_ascii_whitespace();
+    name.starts_with(ws) || name.ends_with(ws)
+}
+
 fn find_byte(s: &str, byte: u8) -> Option<usize> {
     s.bytes().position(|b| b == byte)
 }
@@ -344,8 +351,13 @@ pub(super) fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsEr
                     if wf.is_some() {
                         return Err(scan.tag_err("unexpected second <adag>"));
                     }
-                    let wname = attr(&attrs, "name").unwrap_or("workflow").to_string();
-                    let mut w = AbstractWorkflow::new(wname);
+                    let wname = attr(&attrs, "name").unwrap_or("workflow");
+                    if padded(wname) {
+                        let reason =
+                            format!("<adag> name {wname:?} begins or ends with whitespace");
+                        return Err(scan.tag_err(reason));
+                    }
+                    let mut w = AbstractWorkflow::new(wname.to_string());
                     // A hint, so it is trusted only as far as the
                     // document is long enough to hold that many jobs.
                     let hint = attr(&attrs, "jobCount").and_then(|n| n.parse::<usize>().ok());
@@ -358,6 +370,10 @@ pub(super) fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsEr
                     }
                     let id = attr(&attrs, "id")
                         .ok_or_else(|| scan.tag_err("<job> missing id attribute"))?;
+                    if padded(id) {
+                        let reason = format!("job id {id:?} begins or ends with whitespace");
+                        return Err(scan.tag_err(reason));
+                    }
                     let tname = attr(&attrs, "name").unwrap_or(id);
                     let transformation = transformations.share(tname);
                     // A duration in seconds: `NaN`, `inf` or a negative
@@ -409,6 +425,10 @@ pub(super) fn from_dax_unvalidated(text: &str) -> Result<AbstractWorkflow, WmsEr
                     };
                     let file = take_attr(&mut attrs, "file")
                         .ok_or_else(|| scan.tag_err("<uses> missing file attribute"))?;
+                    if padded(&file) {
+                        let reason = format!("<uses> file {file:?} begins or ends with whitespace");
+                        return Err(scan.tag_err(reason));
+                    }
                     side.push((file, size));
                 }
                 "child" => {

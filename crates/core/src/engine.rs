@@ -392,7 +392,9 @@ impl FaultReason {
     }
 }
 
-/// Failure and retry counters for one run, by typed failure category.
+/// Failure counters for one run, by typed failure category, beside
+/// its backoff sum: [`WorkflowRun::faults`] counts them off the
+/// failure table.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultCounters {
     /// Attempts killed by preemption (hazard or scripted storm).
@@ -405,24 +407,11 @@ pub struct FaultCounters {
     pub timeouts: u64,
     /// Failures of no platform category (task errors, panics).
     pub other_failures: u64,
-    /// Retries issued (equals the failures that were retried).
-    pub retries: u64,
     /// Total backoff seconds inserted before retries.
     pub backoff_wait: f64,
 }
 
 impl FaultCounters {
-    /// Bumps the counter matching a typed failure category.
-    pub(crate) fn record_reason(&mut self, reason: FaultReason) {
-        match reason {
-            FaultReason::Preemption => self.preemptions += 1,
-            FaultReason::Eviction => self.evictions += 1,
-            FaultReason::InstallFailure => self.install_failures += 1,
-            FaultReason::Timeout => self.timeouts += 1,
-            FaultReason::Other => self.other_failures += 1,
-        }
-    }
-
     /// All failed attempts, across categories.
     pub fn total_failures(&self) -> u64 {
         self.preemptions
@@ -440,7 +429,6 @@ impl FaultCounters {
         self.install_failures += other.install_failures;
         self.timeouts += other.timeouts;
         self.other_failures += other.other_failures;
-        self.retries += other.retries;
         self.backoff_wait += other.backoff_wait;
     }
 }
@@ -458,12 +446,11 @@ pub enum JobState {
     SkippedDone,
 }
 
-/// Per-job accounting for a run. Its failed attempts live in the
-/// run's failure table: read them with [`WorkflowRun::failures`].
+/// Per-job accounting for a run, at its job's index in the run's
+/// records. Its failed attempts live in the run's failure table: read
+/// them with [`WorkflowRun::failures`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
-    /// Job index in the executable workflow.
-    pub job: JobId,
     /// Display name (shared with the job's `JobDeclared` event).
     pub name: Name,
     /// Transformation name (likewise shared).
@@ -513,51 +500,62 @@ pub struct FailedAttempt {
     pub detail: Name,
 }
 
-/// Overall outcome of a run.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum WorkflowOutcome {
-    /// Every job completed.
-    #[default]
-    Success,
-    /// At least one job exhausted retries; the rescue DAG lists what
-    /// already completed so the run can be resubmitted.
-    Failed(RescueDag),
-}
-
 /// The result of executing a workflow; by default, the run before its
-/// first event, which the lifecycle fold starts from.
+/// first event, which the lifecycle fold starts from. It holds what
+/// the events said and nothing derived from it twice: the rescue DAG
+/// is [`RescueDag::of`] the run, its fault counts [`WorkflowRun::faults`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkflowRun {
     /// Workflow name.
     pub name: String,
     /// Execution site handle.
     pub site: String,
-    /// Success or failure with rescue.
-    pub outcome: WorkflowOutcome,
     /// Backend time of the `WorkflowStarted` header.
     pub start: f64,
     /// Workflow Wall Time: from first submission to last termination,
     /// in backend seconds.
     pub wall_time: f64,
+    /// The `WorkflowFinished` trailer's verdict.
+    pub(crate) succeeded: bool,
     /// Per-job accounting, indexed by [`JobId`].
     pub records: Vec<JobRecord>,
-    /// Fault and retry counters accumulated during the run.
-    pub faults: FaultCounters,
+    /// Every failed attempt in event order, each beside the index of
+    /// its job's next one (none for the last): one table for the run,
+    /// where a `Vec` per failed job would hold room for four.
+    pub(crate) failures: Vec<(FailedAttempt, u32)>,
+    /// Total backoff seconds inserted before retries, summed in event
+    /// order: the one retry fact the failure table does not hold.
+    pub(crate) backoff_wait: f64,
     /// The append-only provenance stream the engine emitted — the
     /// single source every other field (and the statistics, analyzer,
     /// and rescue layers) can be re-derived from via
     /// [`crate::events::replay`].
     pub events: Vec<WorkflowEvent>,
-    /// Every failed attempt in event order, each beside the index of
-    /// its job's next one (none for the last): one table for the run,
-    /// where a `Vec` per failed job would hold room for four.
-    pub(crate) failures: Vec<(FailedAttempt, u32)>,
 }
 
 impl WorkflowRun {
     /// `true` if the whole workflow completed.
     pub fn succeeded(&self) -> bool {
-        matches!(self.outcome, WorkflowOutcome::Success)
+        self.succeeded
+    }
+
+    /// The run's failed attempts counted by category, beside its
+    /// backoff sum.
+    pub fn faults(&self) -> FaultCounters {
+        let mut c = FaultCounters {
+            backoff_wait: self.backoff_wait,
+            ..FaultCounters::default()
+        };
+        for (failure, _) in &self.failures {
+            *match failure.reason {
+                FaultReason::Preemption => &mut c.preemptions,
+                FaultReason::Eviction => &mut c.evictions,
+                FaultReason::InstallFailure => &mut c.install_failures,
+                FaultReason::Timeout => &mut c.timeouts,
+                FaultReason::Other => &mut c.other_failures,
+            } += 1;
+        }
+        c
     }
 
     /// The failed attempts of `rec`, one of this run's records, in
@@ -833,13 +831,9 @@ mod tests {
         be.fail_plan.insert(("b".into(), 0));
         let run = Engine::run(&mut be, &wf, &EngineConfig::default(), &mut NoopMonitor);
         assert!(!run.succeeded());
-        match &run.outcome {
-            WorkflowOutcome::Failed(rescue) => {
-                assert_eq!(rescue.done, vec!["a"]);
-                assert_eq!(rescue.workflow_name, "chain");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let rescue = RescueDag::of(&run);
+        assert_eq!(rescue.done, vec!["a"]);
+        assert_eq!(rescue.workflow_name, "chain");
         assert_eq!(run.records[1].state, JobState::Failed);
         assert_eq!(run.records[2].state, JobState::Unready);
         assert_eq!(run.failures(&run.records[1]).count(), 1);
@@ -899,13 +893,9 @@ mod tests {
         let run = Engine::run(&mut be, &wf, &EngineConfig::default(), &mut NoopMonitor);
         assert!(!run.succeeded());
         assert_eq!(run.records[1].state, JobState::Done);
-        match &run.outcome {
-            WorkflowOutcome::Failed(rescue) => {
-                assert!(rescue.done.contains(&"root".into()));
-                assert!(rescue.done.contains(&"ok".into()));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let rescue = RescueDag::of(&run);
+        assert!(rescue.done.contains(&"root".into()));
+        assert!(rescue.done.contains(&"ok".into()));
     }
 
     #[test]
@@ -915,10 +905,8 @@ mod tests {
         let mut be = ScriptedBackend::new();
         be.fail_plan.insert(("b".into(), 0));
         let first = Engine::run(&mut be, &wf, &EngineConfig::default(), &mut NoopMonitor);
-        let rescue = match first.outcome {
-            WorkflowOutcome::Failed(r) => r,
-            other => panic!("unexpected {other:?}"),
-        };
+        assert!(!first.succeeded());
+        let rescue = RescueDag::of(&first);
         // Second run resumes: a is skipped, b and c run.
         let mut be2 = ScriptedBackend::new();
         let run = Engine::run(
@@ -1024,9 +1012,9 @@ mod tests {
         // a(10) + b fails at 30, +7 backoff, fails at 57, +14 backoff,
         // succeeds at 91, + c(5) = 96.
         assert_eq!(run.wall_time, 96.0);
-        assert_eq!(run.faults.retries, 2);
-        assert_eq!(run.faults.backoff_wait, 21.0);
-        assert_eq!(run.faults.other_failures, 2);
+        assert_eq!(run.total_retries(), 2);
+        assert_eq!(run.faults().backoff_wait, 21.0);
+        assert_eq!(run.faults().other_failures, 2);
     }
 
     #[test]
@@ -1043,7 +1031,7 @@ mod tests {
         );
         assert!(run.succeeded());
         assert_eq!(run.wall_time, 10.0 + 20.0 * 3.0 + 5.0);
-        assert_eq!(run.faults.backoff_wait, 0.0);
+        assert_eq!(run.faults().backoff_wait, 0.0);
     }
 
     #[test]
@@ -1084,10 +1072,7 @@ mod tests {
         };
         let run = Engine::run(&mut be, &wf, &cfg, &mut NoopMonitor);
         assert!(!run.succeeded());
-        match &run.outcome {
-            WorkflowOutcome::Failed(rescue) => assert_eq!(rescue.done, vec!["a"]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(RescueDag::of(&run).done, vec!["a"]);
         // b is released by the crash-firing completion but never
         // submitted; no job is Failed.
         assert_eq!(run.records[1].state, JobState::Unready);
@@ -1116,10 +1101,8 @@ mod tests {
             ..Default::default()
         };
         let first = Engine::run(&mut ScriptedBackend::new(), &wf, &cfg, &mut NoopMonitor);
-        let rescue = match first.outcome {
-            WorkflowOutcome::Failed(r) => r,
-            other => panic!("unexpected {other:?}"),
-        };
+        assert!(!first.succeeded());
+        let rescue = RescueDag::of(&first);
         let resumed = Engine::run(
             &mut ScriptedBackend::new(),
             &wf,
@@ -1142,11 +1125,20 @@ mod tests {
 
     #[test]
     fn fault_counters_tally_every_row_of_the_prefix_table() {
-        let mut c = FaultCounters::default();
-        for (reason, _) in FaultReason::WIRE {
-            c.record_reason(reason);
+        let (wf, cfg) = (chain(), EngineConfig::default());
+        let mut run = Engine::run(&mut ScriptedBackend::new(), &wf, &cfg, &mut NoopMonitor);
+        let reasons = FaultReason::WIRE.into_iter().map(|(reason, _)| reason);
+        for (attempt, reason) in (0..).zip(reasons.chain([FaultReason::Preemption])) {
+            let (times, detail) = (JobTimes::default(), "x".into());
+            let failure = FailedAttempt {
+                attempt,
+                times,
+                reason,
+                detail,
+            };
+            run.push_failure(JobId::new(1), failure);
         }
-        c.record_reason(FaultReason::Preemption);
+        let c = run.faults();
         assert_eq!(c.preemptions, 2);
         assert_eq!(c.evictions, 1);
         assert_eq!(c.install_failures, 1);
@@ -1229,9 +1221,7 @@ mod tests {
             assert!(line.starts_with(keyword), "{line}");
             assert!(line.ends_with(&format!("detail={detail}")), "{line}");
             assert_eq!(run.failures(&run.records[0]).next().unwrap().reason, reason);
-            let mut want = FaultCounters::default();
-            want.record_reason(reason);
-            assert_eq!(run.faults, want);
+            assert_eq!(run.faults().total_failures(), 1);
         }
     }
 

@@ -880,8 +880,8 @@ mod tests {
         let ens =
             Ensemble::run_to_completion(&mut backend, subs, &EnsembleConfig::default()).unwrap();
         assert!(ens.succeeded());
-        assert_eq!(ens.runs[0].faults.total_failures(), 0);
-        assert_eq!(ens.runs[1].faults.retries, 1);
+        assert_eq!(ens.runs[0].faults().total_failures(), 0);
+        assert_eq!(ens.runs[1].total_retries(), 1);
         assert_eq!(ens.runs[1].records[1].attempts, 2);
     }
 
@@ -900,13 +900,9 @@ mod tests {
             Ensemble::run_to_completion(&mut backend, subs, &EnsembleConfig::default()).unwrap();
         assert!(ens.runs[0].succeeded(), "healthy member unaffected");
         assert!(!ens.runs[1].succeeded());
-        match &ens.runs[1].outcome {
-            crate::engine::WorkflowOutcome::Failed(rescue) => {
-                assert!(rescue.done.contains(&"doomed_a".into()));
-                assert!(rescue.done.contains(&"doomed_c".into()));
-            }
-            other => panic!("expected rescue DAG, got {other:?}"),
-        }
+        let rescue = crate::rescue::RescueDag::of(&ens.runs[1]);
+        assert!(rescue.done.contains(&"doomed_a".into()));
+        assert!(rescue.done.contains(&"doomed_c".into()));
         assert!(!ens.succeeded());
     }
 
@@ -936,10 +932,8 @@ mod tests {
         let mut backend = ScriptedBackend::new();
         let ens =
             Ensemble::run_to_completion(&mut backend, subs, &EnsembleConfig::default()).unwrap();
-        let rescue = match &ens.runs[1].outcome {
-            crate::engine::WorkflowOutcome::Failed(r) => r.clone(),
-            other => panic!("expected rescue DAG, got {other:?}"),
-        };
+        assert!(!ens.runs[1].succeeded());
+        let rescue = crate::rescue::RescueDag::of(&ens.runs[1]);
         // Resume just the crashed member, skipping its completed jobs.
         let mut resume_cfg = EngineConfig::builder().retries(2).rescue(&rescue).build();
         resume_cfg.seed = 3;

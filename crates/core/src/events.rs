@@ -33,8 +33,7 @@
 //! back whatever they hold.
 
 use crate::engine::{
-    FailedAttempt, FailureChain, FaultReason, JobRecord, JobState, JobTimes, WorkflowOutcome,
-    WorkflowRun,
+    FailedAttempt, FailureChain, FaultReason, JobRecord, JobState, JobTimes, WorkflowRun,
 };
 use crate::error::{Format, Span, WmsError};
 use crate::planner::JobKind;
@@ -463,7 +462,6 @@ impl WorkflowRun {
                 }
                 Some((reason, detail)) => {
                     rec.state = JobState::Failed;
-                    self.faults.record_reason(reason);
                     let failure = FailedAttempt {
                         attempt: end.attempt,
                         times: *end.times,
@@ -488,12 +486,11 @@ impl WorkflowRun {
                 self.records.reserve((*jobs as usize).min(1 << 20));
             }
             WorkflowEvent::JobDeclared {
-                job,
                 name,
                 transformation,
                 kind,
+                ..
             } => self.records.push(JobRecord {
-                job: *job,
                 name: name.clone(),
                 transformation: transformation.clone(),
                 kind: *kind,
@@ -516,8 +513,7 @@ impl WorkflowRun {
             | WorkflowEvent::Failed { .. }
             | WorkflowEvent::TimedOut { .. } => {}
             WorkflowEvent::RetryScheduled { job, backoff, .. } => {
-                self.faults.retries += 1;
-                self.faults.backoff_wait += backoff;
+                self.backoff_wait += backoff;
                 // The failure above was not terminal after all: until
                 // the resubmission terminates, the job counts as not
                 // yet resolved, which is also what a crash leaves
@@ -530,20 +526,7 @@ impl WorkflowRun {
                 ..
             } => {
                 self.wall_time = *wall_time;
-                self.outcome = if *succeeded {
-                    WorkflowOutcome::Success
-                } else {
-                    WorkflowOutcome::Failed(RescueDag {
-                        workflow_name: self.name.clone(),
-                        site: self.site.clone(),
-                        done: self
-                            .records
-                            .iter()
-                            .filter(|r| matches!(r.state, JobState::Done | JobState::SkippedDone))
-                            .map(|r| r.name.clone())
-                            .collect(),
-                    })
-                };
+                self.succeeded = *succeeded;
             }
         }
     }
@@ -617,8 +600,8 @@ pub(crate) fn fed(events: &[WorkflowEvent]) -> RunFold {
 }
 
 /// Folds an event stream back into the [`WorkflowRun`] the engine
-/// produced live — job records, fault counters, wall time, and (on
-/// failure) the rescue DAG are all reconstructed, so
+/// produced live — job records, failure table, backoff, wall time and
+/// verdict are all reconstructed, so
 /// [`crate::statistics::compute`], [`crate::analyzer::analyze`], and
 /// rescue resubmission work from a log alone.
 ///
@@ -637,10 +620,8 @@ pub fn replay(events: &[WorkflowEvent]) -> Result<WorkflowRun, WmsError> {
 /// Returns [`WmsError::Parse`] when [`replay`] rejects the
 /// stream.
 pub fn rescue_from_events(events: &[WorkflowEvent]) -> Result<Option<RescueDag>, WmsError> {
-    Ok(match fed(events).finish()?.outcome {
-        WorkflowOutcome::Failed(rescue) => Some(rescue),
-        WorkflowOutcome::Success => None,
-    })
+    let run = fed(events).finish()?;
+    Ok((!run.succeeded()).then(|| RescueDag::of(&run)))
 }
 
 pub mod log {
@@ -1607,10 +1588,28 @@ pub(crate) mod tests {
         let rescue = rescue_from_events(&run.events)
             .unwrap()
             .expect("failed run");
-        match &run.outcome {
-            WorkflowOutcome::Failed(live) => assert_eq!(&rescue, live),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(rescue, RescueDag::of(&run));
+    }
+
+    /// A stream that runs past its trailer (`E0806`) folds as a run cut
+    /// at its last event, so its rescue lists what was done by then,
+    /// not what was done at the trailer.
+    #[test]
+    fn a_rescue_reflects_the_last_state_of_a_stream_past_its_trailer() {
+        let text = "\
+workflow-started time=0 jobs=2 site=osg name=w
+job id=0 kind=compute transformation=split name=split
+job id=1 kind=compute transformation=merge name=merge
+submitted time=0 job=0 attempt=0
+completed job=0 attempt=0 submitted=0 started=0 install-done=0 finished=1
+workflow-finished time=1 wall-time=1 succeeded=false
+submitted time=2 job=1 attempt=0
+completed job=1 attempt=0 submitted=2 started=2 install-done=2 finished=3
+";
+        let events = log::parse(text).unwrap();
+        let rescue = rescue_from_events(&events).unwrap().expect("unclosed");
+        assert_eq!(rescue.done, vec!["split", "merge"]);
+        assert_eq!(rescue, RescueDag::of(&replay(&events).unwrap()));
     }
 
     #[test]
@@ -1646,12 +1645,7 @@ pub(crate) mod tests {
         let replayed = replay(truncated).unwrap();
         assert!(!replayed.succeeded());
         assert_eq!(replayed.wall_time, run.wall_time);
-        match replayed.outcome {
-            WorkflowOutcome::Failed(rescue) => {
-                assert_eq!(rescue.done, vec!["a", "b", "c"]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(RescueDag::of(&replayed).done, vec!["a", "b", "c"]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! The text format here mirrors DAGMan's rescue files: a header, then
 //! one `DONE <job-name>` line per completed node.
 
+use crate::engine::{JobState, WorkflowRun};
 use crate::error::{Format, Span, WmsError};
 use crate::line::{self, Value};
 use crate::symbols::Name;
@@ -37,6 +38,19 @@ pub struct RescueDag {
 }
 
 impl RescueDag {
+    /// The rescue DAG of `run`: its name and site, and every job its
+    /// records hold done or skipped as done, in job order. A failed
+    /// run resubmits with it; a successful one lists every job.
+    pub fn of(run: &WorkflowRun) -> RescueDag {
+        let done = run.records.iter();
+        let done = done.filter(|r| matches!(r.state, JobState::Done | JobState::SkippedDone));
+        RescueDag {
+            workflow_name: run.name.clone(),
+            site: run.site.clone(),
+            done: done.map(|r| r.name.clone()).collect(),
+        }
+    }
+
     /// Fraction of `total_jobs` already completed.
     pub fn completion_fraction(&self, total_jobs: usize) -> f64 {
         if total_jobs == 0 {

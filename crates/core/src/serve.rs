@@ -79,12 +79,10 @@
 //! never from wall-clock reads — so a live daemon and an offline
 //! replay of the same logs render byte-identical views.
 
-use crate::engine::WorkflowRun;
 use crate::ensemble::MemberState;
 use crate::error::{Format, Span, WmsError};
 use crate::line::{self, Field, Fields, Line, Range, Value};
-use crate::statistics::{self, WorkflowStatistics};
-use crate::symbols::NamePool;
+use crate::statistics::WorkflowStatistics;
 use crate::trace::TraceId;
 use std::fmt::Write as _;
 
@@ -695,6 +693,31 @@ pub struct StatusLine {
     pub name: String,
 }
 
+impl StatusLine {
+    /// The status line of a finished member, from the statistics row
+    /// of its run. Live and replayed runs fold the same stream, which
+    /// is what keeps `pegasus status` against a live daemon
+    /// byte-identical to an offline replay of its logs.
+    pub fn of(
+        row: &WorkflowStatistics,
+        id: usize,
+        tenant: &str,
+        site: &str,
+        state: MemberState,
+    ) -> Self {
+        StatusLine {
+            id,
+            tenant: tenant.into(),
+            site: site.into(),
+            state,
+            jobs: Some(row.jobs_succeeded + row.jobs_failed + row.jobs_unready),
+            wall_time: Some(row.workflow_wall_time),
+            queue_wait: row.queue_wait,
+            name: row.name.to_string(),
+        }
+    }
+}
+
 /// The canonical token for a lifecycle state.
 pub(crate) fn state_token(state: MemberState) -> &'static str {
     match state {
@@ -772,68 +795,6 @@ pub fn parse_status_line(text: &str) -> Result<StatusLine, WmsError> {
         queue_wait: dashed(f, "queue-wait")?,
         name: f.get::<&str>("name")?.to_string(),
     })
-}
-
-/// Mean per-job queue wait (started − submitted) across every job
-/// that recorded times — derived purely from event timestamps, so
-/// live and replayed views agree byte-for-byte.
-pub(crate) fn queue_wait(run: &WorkflowRun) -> Option<f64> {
-    let waits: Vec<f64> = run
-        .records
-        .iter()
-        .filter_map(|r| r.times.map(|t| t.waiting()))
-        .collect();
-    if waits.is_empty() {
-        None
-    } else {
-        Some(waits.iter().sum::<f64>() / waits.len() as f64)
-    }
-}
-
-/// What a service keeps of a finished member once its run is gone:
-/// enough for its status line and its rollup row, nothing that grows
-/// with its event stream. Live and replayed runs fold the same
-/// stream, which is what keeps `pegasus status` against a live daemon
-/// byte-identical to an offline replay of its logs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemberSummary {
-    /// Job count of the planned workflow.
-    pub(crate) jobs: usize,
-    /// [`queue_wait`] of the run.
-    pub(crate) queue_wait: Option<f64>,
-    /// Whether the whole workflow completed.
-    pub succeeded: bool,
-    /// The member's statistics row; its name and wall time are the
-    /// run's, and its per-transformation breakdown is empty.
-    pub stats: WorkflowStatistics,
-}
-
-impl MemberSummary {
-    /// Summarises a live or replayed run: its statistics row without
-    /// the per-transformation breakdown no service view reads, its
-    /// workflow and site names shared through `names`.
-    pub fn of(run: &WorkflowRun, names: &mut NamePool) -> Self {
-        MemberSummary {
-            jobs: run.records.len(),
-            queue_wait: queue_wait(run),
-            succeeded: run.succeeded(),
-            stats: statistics::summary(run, names),
-        }
-    }
-
-    /// The status line of the member this summarises.
-    pub fn status(&self, id: usize, tenant: &str, site: &str, state: MemberState) -> StatusLine {
-        StatusLine {
-            id,
-            tenant: tenant.into(),
-            site: site.into(),
-            state,
-            jobs: Some(self.jobs),
-            wall_time: Some(self.stats.workflow_wall_time),
-            queue_wait: self.queue_wait,
-            name: self.stats.name.to_string(),
-        }
-    }
 }
 
 /// Derives the engine seed for one round from the daemon base seed
@@ -1217,9 +1178,9 @@ completed job=0 attempt=0 submitted=0 started=1 install-done=1 finished=4
 workflow-finished time=4 wall-time=4 succeeded=true
 ";
         let run = || crate::events::replay(&crate::events::log::parse(log).unwrap()).unwrap();
-        let mut names = NamePool::default();
-        let a = MemberSummary::of(&run(), &mut names).stats;
-        let b = MemberSummary::of(&run(), &mut names).stats;
+        let mut names = crate::symbols::NamePool::default();
+        let a = crate::statistics::summary(&run(), &mut names);
+        let b = crate::statistics::summary(&run(), &mut names);
         assert!(crate::symbols::Name::ptr_eq(&a.name, &b.name));
         assert!(crate::symbols::Name::ptr_eq(&a.site, &b.site));
         assert_eq!((&*a.name, &*a.site), ("blast2cap3_n10", "osg"));

@@ -68,8 +68,14 @@ pub struct WorkflowStatistics {
     pub(crate) jobs_unready: usize,
     /// Total retries consumed.
     pub retries: u32,
-    /// Failure/retry breakdown by cause, as counted by the engine.
+    /// Failure breakdown by cause and the backoff sum, as
+    /// [`WorkflowRun::faults`] counts them.
     pub faults: FaultCounters,
+    /// The run's verdict: whether the whole workflow completed.
+    pub succeeded: bool,
+    /// Mean per-job queue wait (started − submitted) across every job
+    /// that recorded times; `None` when none did.
+    pub(crate) queue_wait: Option<f64>,
     /// Per-transformation breakdown, keyed and ordered by name.
     pub(crate) per_type: Vec<TaskTypeStats>,
 }
@@ -102,15 +108,22 @@ pub fn compute(run: &WorkflowRun) -> WorkflowStatistics {
 }
 
 /// Every [`WorkflowStatistics`] field of a run but `per_type`, which
-/// stays empty: the row a summary CSV prints and a service keeps. The
-/// workflow and site names are `names`' handles.
-pub(crate) fn summary(run: &WorkflowRun, names: &mut NamePool) -> WorkflowStatistics {
+/// stays empty: the row a summary CSV prints and a service keeps of a
+/// finished member, live or replayed. The workflow and site names are
+/// `names`' handles.
+pub fn summary(run: &WorkflowRun, names: &mut NamePool) -> WorkflowStatistics {
     let mut cumulative = 0.0;
     let mut badput = 0.0;
     let mut succeeded = 0;
     let mut failed = 0;
     let mut unready = 0;
+    // Summed from -0.0 in record order, as `Iterator::sum` does.
+    let (mut waited, mut timed) = (-0.0, 0usize);
     for rec in &run.records {
+        if let Some(t) = rec.times {
+            waited += t.waiting();
+            timed += 1;
+        }
         match rec.state {
             JobState::Done => {
                 succeeded += 1;
@@ -136,7 +149,9 @@ pub(crate) fn summary(run: &WorkflowRun, names: &mut NamePool) -> WorkflowStatis
         jobs_failed: failed,
         jobs_unready: unready,
         retries: run.total_retries(),
-        faults: run.faults,
+        faults: run.faults(),
+        succeeded: run.succeeded(),
+        queue_wait: (timed > 0).then(|| waited / timed as f64),
         per_type: Vec::new(),
     }
 }
@@ -332,13 +347,12 @@ pub struct EnsembleStatistics {
 }
 
 impl EnsembleStatistics {
-    /// The rollup over per-member rows, each with whether its member
-    /// succeeded, in submission order. The makespan is the longest
-    /// member wall time: every member's clock starts at round start.
-    pub fn from_rows(rows: Vec<(WorkflowStatistics, bool)>) -> Self {
-        let workflows_succeeded = rows.iter().filter(|(_, ok)| *ok).count();
-        let workflows_failed = rows.len() - workflows_succeeded;
-        let per_workflow: Vec<WorkflowStatistics> = rows.into_iter().map(|(w, _)| w).collect();
+    /// The rollup over per-member rows, in submission order. The
+    /// makespan is the longest member wall time: every member's clock
+    /// starts at round start.
+    pub fn from_rows(per_workflow: Vec<WorkflowStatistics>) -> Self {
+        let workflows_succeeded = per_workflow.iter().filter(|w| w.succeeded).count();
+        let workflows_failed = per_workflow.len() - workflows_succeeded;
         let mut faults = FaultCounters::default();
         for w in &per_workflow {
             faults.merge(&w.faults);
@@ -387,6 +401,8 @@ impl EnsembleStatistics {
             jobs_unready: self.jobs_unready,
             retries: self.retries,
             faults: self.faults,
+            succeeded: self.workflows_failed == 0,
+            queue_wait: None,
             per_type: vec![],
         }
     }
@@ -396,8 +412,7 @@ impl EnsembleStatistics {
 /// of an ensemble, borrowed from wherever they live:
 /// [`EnsembleStatistics::from_rows`] over each run's [`compute`] row.
 pub fn compute_ensemble<'a>(runs: impl IntoIterator<Item = &'a WorkflowRun>) -> EnsembleStatistics {
-    let rows = runs.into_iter().map(|r| (compute(r), r.succeeded()));
-    EnsembleStatistics::from_rows(rows.collect())
+    EnsembleStatistics::from_rows(runs.into_iter().map(compute).collect())
 }
 
 /// Renders the ensemble as summary-schema CSV: the shared header, one
@@ -470,8 +485,9 @@ pub fn render_ensemble_text(stats: &EnsembleStatistics) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{JobRecord, JobTimes, WorkflowOutcome};
+    use crate::engine::{FailedAttempt, FaultReason, JobRecord, JobTimes};
     use crate::planner::JobKind;
+    use crate::workflow::JobId;
 
     fn times(submitted: f64, wait: f64, install: f64, kick: f64) -> JobTimes {
         JobTimes {
@@ -484,7 +500,6 @@ mod tests {
 
     fn record(job: usize, transformation: &str, state: JobState, t: Option<JobTimes>) -> JobRecord {
         JobRecord {
-            job: crate::workflow::JobId::new(job),
             name: format!("{transformation}_{job}").into(),
             transformation: transformation.into(),
             kind: JobKind::Compute,
@@ -499,7 +514,7 @@ mod tests {
         WorkflowRun {
             name: "w".into(),
             site: "sandhills".into(),
-            outcome: WorkflowOutcome::Success,
+            succeeded: true,
             wall_time: 100.0,
             records: vec![
                 record(0, "split", JobState::Done, Some(times(0.0, 2.0, 0.0, 10.0))),
@@ -550,16 +565,30 @@ mod tests {
         assert_eq!(cap3.install_mean, 45.0);
     }
 
+    /// Appends `n` zero-length failed attempts of job 1, for `reason`.
+    fn fail(run: &mut WorkflowRun, reason: FaultReason, n: u32) {
+        for attempt in 0..n {
+            let (times, detail) = (JobTimes::default(), "x".into());
+            let failure = FailedAttempt {
+                attempt,
+                times,
+                reason,
+                detail,
+            };
+            run.push_failure(JobId::new(1), failure);
+        }
+    }
+
     #[test]
     fn badput_counts_failed_attempts() {
         let mut run = sample_run();
-        let failure = crate::engine::FailedAttempt {
+        let failure = FailedAttempt {
             attempt: 0,
             times: times(0.0, 1.0, 45.0, 20.0),
-            reason: crate::engine::FaultReason::Preemption,
+            reason: FaultReason::Preemption,
             detail: "preempted".into(),
         };
-        run.push_failure(crate::workflow::JobId::new(1), failure);
+        run.push_failure(JobId::new(1), failure);
         let stats = compute(&run);
         assert_eq!(stats.cumulative_badput, 66.0);
     }
@@ -595,9 +624,8 @@ mod tests {
     #[test]
     fn summary_csv_is_header_plus_one_row_with_fault_counters() {
         let mut run = sample_run();
-        run.faults.preemptions = 2;
-        run.faults.retries = 3;
-        run.faults.backoff_wait = 12.5;
+        fail(&mut run, FaultReason::Preemption, 2);
+        run.backoff_wait = 12.5;
         let csv = render_summary_csv(&compute(&run));
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.starts_with("name,site,wall_time"));
@@ -617,8 +645,8 @@ mod tests {
     #[test]
     fn text_report_breaks_out_fault_causes() {
         let mut run = sample_run();
-        run.faults.install_failures = 4;
-        run.faults.timeouts = 1;
+        fail(&mut run, FaultReason::InstallFailure, 4);
+        fail(&mut run, FaultReason::Timeout, 1);
         let text = render_text(&compute(&run));
         assert!(text.contains("Failures by cause"));
         assert!(text.contains("install 4"));
@@ -633,11 +661,10 @@ mod tests {
         second.name = "w2".into();
         second.site = "osg".into();
         second.wall_time = 150.0;
-        // Retries show up both in the engine counters and as extra
-        // attempts on the record.
+        // Retries are the extra attempts on the record, their
+        // failures rows of the failure table.
         second.records[1].attempts = 3;
-        second.faults.retries = 2;
-        second.faults.install_failures = 2;
+        fail(&mut second, FaultReason::InstallFailure, 2);
         vec![sample_run(), second]
     }
 
@@ -750,7 +777,7 @@ workflow-finished time=61 wall-time=61 succeeded=false
         let run = WorkflowRun {
             name: "w".into(),
             site: "s".into(),
-            outcome: WorkflowOutcome::Success,
+            succeeded: true,
             wall_time: 0.0,
             records: vec![],
             ..Default::default()

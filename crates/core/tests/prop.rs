@@ -6,9 +6,7 @@ use pegasus_wms::breakdown::JobSpan;
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
 use pegasus_wms::dax;
 use pegasus_wms::engine::scripted::ScriptedBackend;
-use pegasus_wms::engine::{
-    Engine, EngineConfig, FaultReason, JobState, JobTimes, NoopMonitor, WorkflowOutcome,
-};
+use pegasus_wms::engine::{Engine, EngineConfig, FaultReason, JobState, JobTimes, NoopMonitor};
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
 use pegasus_wms::events::{self, EventSink};
 use pegasus_wms::graph::Csr;
@@ -258,7 +256,7 @@ proptest! {
         );
 
         let parents = Csr::reverse(exec.jobs.len(), &exec.edges);
-        for rec in &run.records {
+        for (job, rec) in run.records.iter().enumerate() {
             match rec.state {
                 JobState::Done => {
                     prop_assert!(rec.times.is_some());
@@ -271,7 +269,7 @@ proptest! {
                 JobState::Unready => {
                     prop_assert_eq!(rec.attempts, 0);
                     // Some ancestor failed or was itself unready.
-                    let blocked = parents.neighbors(rec.job).iter().any(|&p| {
+                    let blocked = parents.neighbors(JobId::new(job)).iter().any(|&p| {
                         matches!(
                             run.records[p.idx()].state,
                             JobState::Failed | JobState::Unready
@@ -283,14 +281,13 @@ proptest! {
             }
         }
 
-        match &run.outcome {
-            WorkflowOutcome::Success => {
+        if run.succeeded() {
                 prop_assert!(run
                     .records
                     .iter()
                     .all(|r| r.state == JobState::Done));
-            }
-            WorkflowOutcome::Failed(rescue) => {
+        } else {
+                let rescue = &RescueDag::of(&run);
                 // Resume on a healthy backend completes everything.
                 let mut healthy = ScriptedBackend::new();
                 let resumed = Engine::run(
@@ -313,7 +310,6 @@ proptest! {
                 for (name, _) in &healthy.log {
                     prop_assert!(!rescue.done.contains(name));
                 }
-            }
         }
     }
 
@@ -360,11 +356,11 @@ proptest! {
             render_summary_csv(&compute(&replayed)),
             render_summary_csv(&compute(&run))
         );
-        if let WorkflowOutcome::Failed(rescue) = &run.outcome {
+        if !run.succeeded() {
             let offline = events::rescue_from_events(&parsed)
                 .unwrap()
                 .expect("failed run must yield a rescue DAG");
-            prop_assert_eq!(offline.to_text(), rescue.to_text());
+            prop_assert_eq!(offline.to_text(), RescueDag::of(&run).to_text());
         }
         prop_assert_eq!(replayed, run);
     }
@@ -416,13 +412,12 @@ proptest! {
             .build();
         let crashed = Engine::run(&mut scripted(&exec), &exec, &crash_cfg, &mut NoopMonitor);
 
-        match &crashed.outcome {
-            WorkflowOutcome::Success => {
+        if crashed.succeeded() {
                 // The crash index landed at or past the final event: a
                 // clean finish, identical to the baseline.
                 prop_assert!(crashed.records.iter().all(|r| r.state == JobState::Done));
-            }
-            WorkflowOutcome::Failed(rescue) => {
+        } else {
+                let rescue = &RescueDag::of(&crashed);
                 let mut resume_be = scripted(&exec);
                 let resumed = Engine::run(
                     &mut resume_be,
@@ -447,7 +442,6 @@ proptest! {
                 for (name, _) in &resume_be.log {
                     prop_assert!(!rescue.done.contains(name));
                 }
-            }
         }
     }
 

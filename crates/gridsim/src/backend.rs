@@ -850,7 +850,7 @@ mod tests {
         let failures: Vec<_> = run.failures(&run.records[0]).collect();
         assert!(!failures.is_empty());
         assert!(failures.iter().all(|f| f.detail == "preempted:storm"));
-        assert_eq!(run.faults.preemptions as usize, failures.len());
+        assert_eq!(run.faults().preemptions as usize, failures.len());
     }
 
     #[test]
@@ -880,7 +880,7 @@ mod tests {
             assert_eq!(a.times, b.times);
             assert!(runs[0].failures(a).eq(runs[1].failures(b)));
         }
-        assert_eq!(runs[0].faults, runs[1].faults);
+        assert_eq!(runs[0].faults(), runs[1].faults());
         // The typed provenance stream is part of the deterministic
         // surface: same seed + same plan write byte-identical event
         // logs, and the log replays back to the run exactly.
@@ -904,7 +904,7 @@ mod tests {
         let wf = independent(vec![job(0, 50.0, 0.0), job(1, 50.0, 0.0)]);
         let run = run_workflow(&wf, &mut be, &EngineConfig::builder().retries(5).build());
         assert!(run.succeeded());
-        assert_eq!(run.faults.evictions, 2);
+        assert_eq!(run.faults().evictions, 2);
         for rec in &run.records {
             let failures: Vec<_> = run.failures(rec).collect();
             assert_eq!(failures.len(), 1);
@@ -934,7 +934,7 @@ mod tests {
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].reason, FaultReason::Timeout);
         assert_eq!(failures[0].detail, "timeout: exceeded 80s");
-        assert_eq!(run.faults.timeouts, 1);
+        assert_eq!(run.faults().timeouts, 1);
         // killed at 80, retried, ran clean for 50.
         assert_eq!(run.wall_time, 130.0);
     }
@@ -964,11 +964,11 @@ mod tests {
         );
         assert!(run.succeeded());
         let rec = &run.records[0];
-        assert_eq!(run.faults.install_failures, 1);
+        assert_eq!(run.faults().install_failures, 1);
         let failed_at = run.failures(rec).next().unwrap().times.finished;
         let resubmitted = rec.times.unwrap().submitted;
         assert_eq!(resubmitted, failed_at + 40.0);
-        assert_eq!(run.faults.backoff_wait, 40.0);
+        assert_eq!(run.faults().backoff_wait, 40.0);
     }
 
     #[test]

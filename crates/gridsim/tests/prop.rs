@@ -97,13 +97,13 @@ proptest! {
         };
         let mut backend = SimBackend::new(platform, seed);
         let run = run_workflow(&wf, &mut backend, &EngineConfig::default());
-        for rec in &run.records {
+        for (job, rec) in run.records.iter().enumerate() {
             let t = rec.times.unwrap();
             prop_assert!(t.submitted <= t.started);
             prop_assert!(t.started <= t.install_done);
             prop_assert!(t.install_done <= t.finished);
-            prop_assert!((t.install() - installs[rec.job.idx()]).abs() < 1e-9);
-            prop_assert!((t.kickstart() - runtimes[rec.job.idx()]).abs() < 1e-9);
+            prop_assert!((t.install() - installs[job]).abs() < 1e-9);
+            prop_assert!((t.kickstart() - runtimes[job]).abs() < 1e-9);
             prop_assert!(t.finished <= run.wall_time + 1e-9);
         }
     }

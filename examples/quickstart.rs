@@ -39,7 +39,11 @@ fn main() -> Result<(), String> {
     println!("================================================================");
     let (run, assembly) = real_run(&mut pool, &data.transcripts, &alignments, CHUNKS, &engine)?;
     if !run.succeeded() {
-        return Err(format!("the workflow failed: {:?}", run.outcome));
+        let rescue = pegasus_wms::rescue::RescueDag::of(&run);
+        return Err(format!(
+            "the workflow failed; its rescue DAG:\n{}",
+            rescue.to_text()
+        ));
     }
     std::fs::remove_dir_all(&workdir).ok();
     let (input, output) = (assembly_stats(&data.transcripts), assembly_stats(&assembly));

@@ -14,8 +14,9 @@ use blast2cap3::workflow::{build_workflow, WorkflowParams};
 use gridsim::platforms::{osg, sandhills};
 use gridsim::{PlatformModel, SimBackend};
 use pegasus_wms::catalog::{paper_catalogs, ReplicaCatalog};
-use pegasus_wms::engine::{Engine, EngineConfig, JobState, NoopMonitor, WorkflowOutcome};
+use pegasus_wms::engine::{Engine, EngineConfig, JobState, NoopMonitor};
 use pegasus_wms::planner::{plan, PlannerConfig};
+use pegasus_wms::rescue::RescueDag;
 
 fn main() {
     let wf = build_workflow(&WorkflowParams::with_n(12));
@@ -38,13 +39,11 @@ fn main() {
         &EngineConfig::builder().retries(0).build(),
         &mut NoopMonitor,
     );
-    let rescue = match first.outcome {
-        WorkflowOutcome::Failed(r) => r,
-        WorkflowOutcome::Success => {
-            println!("(unexpectedly survived the hostile pool — try another seed)");
-            return;
-        }
-    };
+    if first.succeeded() {
+        println!("(unexpectedly survived the hostile pool — try another seed)");
+        return;
+    }
+    let rescue = RescueDag::of(&first);
     let done = rescue.done.len();
     let failed = first
         .records

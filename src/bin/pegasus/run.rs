@@ -15,7 +15,7 @@ use blast2cap3_pegasus::outln;
 use gridsim::sites::SLOTS;
 use gridsim::SimBackend;
 use pegasus_wms::analyzer::analyze;
-use pegasus_wms::engine::{Engine, EngineConfig, WorkflowOutcome};
+use pegasus_wms::engine::{Engine, EngineConfig};
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, Submission};
 use pegasus_wms::lint::{self, Diagnostic};
 use pegasus_wms::metrics::{self, MetricsMonitor, MetricsRegistry};
@@ -132,6 +132,11 @@ fn cmd_run(args: &Args) -> ExitCode {
     if let Some(rescue_path) = args.get("resume") {
         let text = read_or_exit("rescue file", rescue_path);
         let rescue = or_exit("bad rescue file", RescueDag::from_text(&text));
+        if rescue.workflow_name != exec.name {
+            let (theirs, ours) = (&rescue.workflow_name, &exec.name);
+            eprintln!("{rescue_path} rescues workflow {theirs:?}, not this DAX's {ours:?}");
+            return ExitCode::FAILURE;
+        }
         cfg.skip_done = rescue.done.iter().cloned().collect();
         outln!(
             "resuming: {} jobs marked DONE in {rescue_path}",
@@ -223,23 +228,24 @@ fn cmd_run(args: &Args) -> ExitCode {
         }
     }
 
-    match &run.outcome {
-        WorkflowOutcome::Success if verify_failed => ExitCode::FAILURE,
-        WorkflowOutcome::Success => ExitCode::SUCCESS,
-        WorkflowOutcome::Failed(rescue) => {
-            let path = args
-                .get("rescue-out")
-                .map(String::from)
-                .unwrap_or_else(|| format!("{}.rescue", run.name));
-            let text = rescue.to_text();
-            write_to(Some(&path), "rescue DAG", |w| {
-                Ok(w.write_all(text.as_bytes())?)
-            });
-            eprintln!("\n{}", analyze(&run).render_text());
-            eprintln!("rescue DAG written to {path}; resubmit with --resume {path}");
+    if run.succeeded() {
+        return if verify_failed {
             ExitCode::FAILURE
-        }
+        } else {
+            ExitCode::SUCCESS
+        };
     }
+    let path = args
+        .get("rescue-out")
+        .map(String::from)
+        .unwrap_or_else(|| format!("{}.rescue", run.name));
+    let text = RescueDag::of(&run).to_text();
+    write_to(Some(&path), "rescue DAG", |w| {
+        Ok(w.write_all(text.as_bytes())?)
+    });
+    eprintln!("\n{}", analyze(&run).render_text());
+    eprintln!("rescue DAG written to {path}; resubmit with --resume {path}");
+    ExitCode::FAILURE
 }
 
 /// `pegasus ensemble` — the paper's decomposition sweep as one

@@ -26,7 +26,7 @@
 //!   live daemon and an offline replay of its directory render
 //!   byte-identical views.
 //! * **The daemon holds live work, not history.** A finished member
-//!   is folded once — into a [`MemberSummary`] row as its round
+//!   is folded once — into a [`WorkflowStatistics`] row as its round
 //!   returns, and into the running metrics registry once the request's
 //!   last round is done — and its run is dropped; only its event
 //!   stream waits for the metrics fold. `trace` reads the member log
@@ -55,9 +55,9 @@ use pegasus_wms::planner::ExecutableWorkflow;
 use pegasus_wms::prof;
 use pegasus_wms::serve as proto;
 use pegasus_wms::serve::{
-    JournalEntry, Ledger, MemberSummary, Request, ResponseHead, SubmitRequest, SubmitSource,
+    JournalEntry, Ledger, Request, ResponseHead, SubmitRequest, SubmitSource,
 };
-use pegasus_wms::statistics::{render_ensemble_csv, EnsembleStatistics};
+use pegasus_wms::statistics::{self, render_ensemble_csv, EnsembleStatistics, WorkflowStatistics};
 use pegasus_wms::symbols::{NamePool, SiteId};
 use pegasus_wms::trace::{self, TraceId};
 use pegasus_wms::verify;
@@ -135,16 +135,16 @@ fn default_name(sub: &SubmitRequest) -> String {
 }
 
 /// The `status` payload: one line per submission, its state read off
-/// the ledger and its numbers off its summary row. The live daemon
+/// the ledger and its numbers off its statistics row. The live daemon
 /// and the offline replay both render through here.
-fn status_lines(ledger: &Ledger, members: &[Option<MemberSummary>]) -> Vec<String> {
+fn status_lines(ledger: &Ledger, members: &[Option<WorkflowStatistics>]) -> Vec<String> {
     let members = ledger.submissions.iter().zip(members);
     members
         .enumerate()
         .map(|(id, (sub, member))| {
             let state = ledger.state(id, member.as_ref().map(|m| m.succeeded));
             let line = match member {
-                Some(member) => member.status(id, &sub.tenant, &sub.site, state),
+                Some(row) => proto::StatusLine::of(row, id, &sub.tenant, &sub.site, state),
                 None => proto::StatusLine {
                     id,
                     tenant: sub.tenant.clone(),
@@ -409,15 +409,15 @@ fn preflight_dax(
 
 /// The daemon state, owned by the scheduler thread: the journal, the
 /// ledger it folds to, and what it keeps of every finished member — a
-/// summary row each and one running metrics registry. No run outlives
+/// statistics row each and one running metrics registry. No run outlives
 /// the request that produced it.
 struct Daemon {
     opts: ServeOptions,
     registry: SiteRegistry,
     ledger: Ledger,
     /// Indexed by submission id, like `ledger.submissions`.
-    members: Vec<Option<MemberSummary>>,
-    /// Shares the summary rows' workflow and site names.
+    members: Vec<Option<WorkflowStatistics>>,
+    /// Shares the statistics rows' workflow and site names.
     names: NamePool,
     /// Every finished member's events, folded in member-id order —
     /// the fold `pegasus metrics --from-events m0.events,m1.events,…`
@@ -521,11 +521,11 @@ impl Daemon {
         }
     }
 
-    /// Keeps a finished member's summary row and drops its run but
+    /// Keeps a finished member's statistics row and drops its run but
     /// for the event stream, which the metrics fold still needs:
     /// returned sized to its length.
     fn summarise(&mut self, id: usize, run: WorkflowRun) -> Vec<WorkflowEvent> {
-        self.members[id] = Some(MemberSummary::of(&run, &mut self.names));
+        self.members[id] = Some(statistics::summary(&run, &mut self.names));
         let mut events = run.events;
         events.shrink_to_fit();
         events
@@ -552,7 +552,7 @@ impl Daemon {
         let absorbed = finished.into_iter().try_for_each(|id| {
             let mut monitor = MetricsMonitor::labelled_by_header(&mut self.metrics);
             let run = read_member_run(&self.opts.dir, id, &mut monitor)?;
-            self.members[id] = Some(MemberSummary::of(&run, &mut self.names));
+            self.members[id] = Some(statistics::summary(&run, &mut self.names));
             self.folded = Some(id);
             Ok(())
         });
@@ -631,8 +631,7 @@ impl Daemon {
     }
 
     fn rollup_csv(&self) -> Result<String, String> {
-        let finished = self.members.iter().flatten();
-        let rows: Vec<_> = finished.map(|m| (m.stats.clone(), m.succeeded)).collect();
+        let rows: Vec<_> = self.members.iter().flatten().cloned().collect();
         if rows.is_empty() {
             return Err("no completed members".into());
         }
@@ -1000,7 +999,7 @@ pub fn status_lines_offline(dir: &Path) -> Result<Vec<String>, String> {
     let (mut members, mut names) = (vec![None; ledger.submissions.len()], NamePool::default());
     for id in finished_members(&ledger) {
         let run = read_member_run(dir, id, &mut NoopMonitor)?;
-        members[id] = Some(MemberSummary::of(&run, &mut names));
+        members[id] = Some(statistics::summary(&run, &mut names));
     }
     Ok(status_lines(&ledger, &members))
 }

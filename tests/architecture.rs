@@ -143,6 +143,8 @@ const RULES: &[Rule] = &[
         "    pub attempts: Vec<AttemptSpan>,"),
     (54, "one scheduler per member: the round's member holds the scheduling state, with no message layer beside it", "crates/core/src",
         "WorkflowExecution|EventResponse|RetryRequest|take_initial_ready", Absent, WORD, "let exec = WorkflowExecution::new(wf, config, backend.now());"),
+    (55, "a finished run states each fact once: its rescue, fault tally and service row are derived, never kept beside it", EVERYWHERE,
+        "WorkflowOutcome|MemberSummary|record_reason", Absent, WORD, "Some(WorkflowOutcome::Failed(rescue)) => rescue.to_text(),"),
 ];
 
 /// The sorted entry names of a directory.

@@ -235,6 +235,55 @@ fn pegasus_failure_rescue_resume_session() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A rescue DAG skips jobs by name, so another workflow's rescue would
+/// skip whatever names the two share: `--resume` refuses it, naming
+/// both workflows. The site may differ, as the session above shows.
+#[test]
+fn resume_refuses_another_workflows_rescue_dag() {
+    let dir = tmpdir("foreign_rescue");
+    let (n2, n3, plan) = (
+        dir.join("n2.dax"),
+        dir.join("n3.dax"),
+        dir.join("storm.plan"),
+    );
+    let rescue = dir.join("n2.rescue");
+    for (n, dax) in [("2", &n2), ("3", &n3)] {
+        pegasus()
+            .args(["generate-dax", "--n", n, "--out", dax.to_str().unwrap()])
+            .status()
+            .unwrap();
+    }
+    let storm = "plan p\npreemption-storm start=0 duration=1e12 kill-probability=1 target=merge\n";
+    std::fs::write(&plan, storm).unwrap();
+    let out = pegasus()
+        .args(["run", "--dax", n2.to_str().unwrap(), "--site", "sandhills"])
+        .args([
+            "--retries",
+            "0",
+            "--fault-plan",
+            plan.to_str().unwrap(),
+            "--quiet",
+        ])
+        .args(["--rescue-out", rescue.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "the storm fails merge");
+
+    let out = pegasus()
+        .args(["run", "--dax", n3.to_str().unwrap(), "--site", "sandhills"])
+        .args(["--resume", rescue.to_str().unwrap(), "--quiet"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("\"blast2cap3_n2\"") && err.contains("\"blast2cap3_n3\""),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty(), "nothing ran");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn a_crashed_submit_host_submits_nothing_more() {
     let dir = tmpdir("crash");

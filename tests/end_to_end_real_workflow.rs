@@ -14,7 +14,8 @@ use blast2cap3_pegasus::registry::build_registry;
 use blastx::tabular::TabularRecord;
 use cap3::Cap3Params;
 use condor::pool::{FaultInjector, FaultProbe, InjectedFault, LocalPool, PoolConfig};
-use pegasus_wms::engine::{EngineConfig, FaultReason, JobState, WorkflowOutcome};
+use pegasus_wms::engine::{EngineConfig, FaultReason, JobState};
+use pegasus_wms::rescue::RescueDag;
 use pegasus_wms::statistics::compute;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -171,7 +172,7 @@ fn injected_failures_are_absorbed_by_retries() {
     assert!(run.succeeded(), "retries must absorb injected preemptions");
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(run.total_retries() as usize, run.records.len());
-    assert_eq!(run.faults.preemptions as usize, run.records.len());
+    assert_eq!(run.faults().preemptions as usize, run.records.len());
     assert_eq!(sequences(&assembly), sequences(&serial.output));
 }
 
@@ -193,10 +194,8 @@ fn rescue_resume_over_shared_workdir() {
     let (run1, nothing) = real_run(&mut dying, &transcripts, &alignments, 3, &retries(1))
         .expect("a failed run is still a run");
     assert!(nothing.is_empty());
-    let rescue = match run1.outcome {
-        WorkflowOutcome::Failed(r) => r,
-        WorkflowOutcome::Success => panic!("run 1 should fail"),
-    };
+    assert!(!run1.succeeded(), "run 1 should fail");
+    let rescue = RescueDag::of(&run1);
     assert!(rescue.done.contains(&"split".into()));
     assert!(!rescue.done.contains(&"merge".into()));
 

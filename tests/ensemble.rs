@@ -20,9 +20,10 @@ use blast2cap3_pegasus::experiment::{
 };
 use gridsim::SimBackend;
 use pegasus_wms::engine::scripted::ScriptedBackend;
-use pegasus_wms::engine::{Engine, EngineConfig, JobState, NoopMonitor, WorkflowOutcome};
+use pegasus_wms::engine::{Engine, EngineConfig, JobState, NoopMonitor};
 use pegasus_wms::ensemble::{Ensemble, EnsembleConfig, EnsembleRun, Submission};
 use pegasus_wms::planner::{ExecutableJob, ExecutableWorkflow, JobKind};
+use pegasus_wms::rescue::RescueDag;
 use pegasus_wms::statistics::{compute, compute_ensemble, render_ensemble_csv, render_summary_csv};
 use pegasus_wms::workflow::JobId;
 
@@ -105,10 +106,8 @@ fn crashed_member_rescues_and_one_resubmission_completes_it() {
         Ensemble::run_to_completion(&mut sandhills, subs, &EnsembleConfig::default()).unwrap();
 
     assert!(ens.runs[0].succeeded(), "healthy member must finish");
-    let rescue = match &ens.runs[1].outcome {
-        WorkflowOutcome::Failed(rescue) => rescue.clone(),
-        other => panic!("crashed member must leave a rescue DAG, got {other:?}"),
-    };
+    assert!(!ens.runs[1].succeeded(), "the crashed member must fail");
+    let rescue = RescueDag::of(&ens.runs[1]);
     assert!(!rescue.done.is_empty(), "crash happened mid-run");
 
     // Resubmit ONLY the crashed member, resuming from its rescue DAG.

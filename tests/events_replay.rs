@@ -7,8 +7,9 @@
 
 use blast2cap3_pegasus::experiment::simulate_blast2cap3;
 use gridsim::{FaultPlan, FaultScript};
-use pegasus_wms::engine::{EngineConfig, RetryPolicy, WorkflowOutcome, WorkflowRun};
+use pegasus_wms::engine::{EngineConfig, RetryPolicy, WorkflowRun};
 use pegasus_wms::events;
+use pegasus_wms::rescue::RescueDag;
 use pegasus_wms::statistics::{compute, render_csv, render_summary_csv};
 
 // The storm covers the heart of the n = 300 chunk-execution phase.
@@ -85,10 +86,8 @@ submit-host-crash after-events=150
     let mut cfg = storm_cfg();
     cfg.crash_after_events = script.submit_host_crash_after();
     let crashed = simulate_blast2cap3("osg", 300, SEED, &cfg, Some(script));
-    let live_rescue = match &crashed.outcome {
-        WorkflowOutcome::Failed(rescue) => rescue.clone(),
-        other => panic!("the scripted crash must leave a rescue DAG, got {other:?}"),
-    };
+    assert!(!crashed.succeeded(), "the scripted crash must fail the run");
+    let live_rescue = RescueDag::of(&crashed);
 
     let parsed = events::log::parse(&events::log::write(&crashed.events)).expect("parse");
     let offline_rescue = events::rescue_from_events(&parsed)

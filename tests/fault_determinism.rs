@@ -106,10 +106,8 @@ submit-host-crash after-events=150
             .build();
         cfg.crash_after_events = script.submit_host_crash_after();
         let crashed = simulate_blast2cap3("osg", 300, seed, &cfg, Some(script.clone()));
-        let rescue = match &crashed.outcome {
-            pegasus_wms::engine::WorkflowOutcome::Failed(rescue) => rescue.clone(),
-            other => panic!("the scripted crash must leave a rescue DAG, got {other:?}"),
-        };
+        assert!(!crashed.succeeded(), "the scripted crash must fail the run");
+        let rescue = pegasus_wms::rescue::RescueDag::of(&crashed);
         // Rescue resubmission #1 — and the last one needed.
         let mut resume_cfg = EngineConfig::builder().policy(policy).seed(seed).build();
         resume_cfg.skip_done = rescue.done.iter().cloned().collect();
@@ -320,12 +318,12 @@ fn local_pool_replays_the_same_fault_decisions() {
     assert_eq!(a.succeeded(), b.succeeded());
     assert_eq!(a.succeeded(), sim.succeeded());
     // Typed at birth on both backends, so the tallies agree too.
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.faults, sim.faults);
+    assert_eq!(a.faults(), b.faults());
+    assert_eq!(a.faults(), sim.faults());
     assert!(
-        a.faults.install_failures > 0,
+        a.faults().install_failures > 0,
         "burst at p=0.6 over 10 jobs should fire: {:?}",
-        a.faults
+        a.faults()
     );
 
     // The script's verdicts are a pure function of (job, attempt), so

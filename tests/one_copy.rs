@@ -170,7 +170,7 @@ fn per_job_and_per_event_structures_stay_small() {
     // What the offline folds hold per job, per attempt and per log line:
     // a record keeps its failures' place in the run's table, a trace
     // track its attempts' place in the tree's.
-    assert!(std::mem::size_of::<JobRecord>() <= 96);
+    assert!(std::mem::size_of::<JobRecord>() <= 88);
     assert!(std::mem::size_of::<FailedAttempt>() <= 56);
     assert!(std::mem::size_of::<JobTrace>() <= 96);
     assert!(std::mem::size_of::<AttemptSpan>() <= 64);

@@ -246,7 +246,7 @@ fn every_observer_is_handed_exactly_the_recorded_stream() {
         let mut tape = Tape::default();
         let run = Engine::run(&mut stormy_osg(), &exec, &cfg, &mut tape);
         assert_eq!(run.succeeded(), completes);
-        assert!(run.faults.preemptions > 0, "the storm must hit the run");
+        assert!(run.faults().preemptions > 0, "the storm must hit the run");
         assert!(trailer(&run));
         assert_eq!(tape.0, [run.events]);
         assert_eq!(tape.1, 1);
@@ -288,10 +288,8 @@ fn folds_of_a_run_in_hand_equal_folds_of_its_written_log() {
     assert!(completed.succeeded() && completed.total_retries() > 0);
     // Without a retry budget the first preemption is terminal.
     let failed = run_with(&EngineConfig::builder().seed(SEED).build());
-    let rescue = match &failed.outcome {
-        pegasus_wms::engine::WorkflowOutcome::Failed(rescue) => rescue.clone(),
-        other => panic!("no retries under a storm must fail, got {other:?}"),
-    };
+    assert!(!failed.succeeded(), "no retries under a storm must fail");
+    let rescue = pegasus_wms::rescue::RescueDag::of(&failed);
     assert!(
         !rescue.done.is_empty(),
         "something finished before the storm"
