@@ -228,24 +228,23 @@ fn cmd_run(args: &Args) -> ExitCode {
         }
     }
 
-    if run.succeeded() {
-        return if verify_failed {
+    match run.succeeded() {
+        true if verify_failed => ExitCode::FAILURE,
+        true => ExitCode::SUCCESS,
+        false => {
+            let path = args
+                .get("rescue-out")
+                .map(String::from)
+                .unwrap_or_else(|| format!("{}.rescue", run.name));
+            let text = RescueDag::of(&run).to_text();
+            write_to(Some(&path), "rescue DAG", |w| {
+                Ok(w.write_all(text.as_bytes())?)
+            });
+            eprintln!("\n{}", analyze(&run).render_text());
+            eprintln!("rescue DAG written to {path}; resubmit with --resume {path}");
             ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
+        }
     }
-    let path = args
-        .get("rescue-out")
-        .map(String::from)
-        .unwrap_or_else(|| format!("{}.rescue", run.name));
-    let text = RescueDag::of(&run).to_text();
-    write_to(Some(&path), "rescue DAG", |w| {
-        Ok(w.write_all(text.as_bytes())?)
-    });
-    eprintln!("\n{}", analyze(&run).render_text());
-    eprintln!("rescue DAG written to {path}; resubmit with --resume {path}");
-    ExitCode::FAILURE
 }
 
 /// `pegasus ensemble` — the paper's decomposition sweep as one
